@@ -141,7 +141,8 @@ def test_full_duplication_contrast(benchmark):
     "update.single_owner_rate", figure="§6.2 update rate", repeats=1
 )
 def perflab_update_rate(ctx):
-    """Updates/s through the full owner pipeline, counted by the registry."""
+    """Updates/s through the full owner pipeline, counted by the registry,
+    and the RIB records one update reads beside the mean group size."""
     n_flows = 2_000 * ctx.scale
     n_updates = 200 * ctx.scale
     keys = bench_keys(n_flows, seed=70)
@@ -150,6 +151,7 @@ def perflab_update_rate(ctx):
     cluster = Cluster.build(
         Architecture.SCALEBRICKS, 4, keys, handlers, values
     )
+    cluster.rib.bind_registry(ctx.registry)
     engine = UpdateEngine(cluster, registry=ctx.registry)
     ctx.set_params(n_flows=n_flows, n_updates=n_updates)
 
@@ -161,4 +163,9 @@ def perflab_update_rate(ctx):
 
     ctx.timeit(run)
     updates = ctx.registry.counter("update.updates").value
-    ctx.record(updates_per_second=updates / sum(ctx.samples))
+    scanned = ctx.registry.counter("rib.group_scan_keys").value
+    ctx.record(
+        updates_per_second=updates / sum(ctx.samples),
+        keys_scanned_per_update=scanned / updates,
+        mean_group_keys=n_flows / cluster.nodes[0].gpt.setsep.num_groups,
+    )

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core import hashfamily, twolevel
 from repro.core.params import BUCKETS_PER_BLOCK
-from repro.core.setsep import Key, SetSep
+from repro.core.separator import Separator
+from repro.core.setsep import Key
 from repro.obs.metrics import MetricsRegistry, resolve_registry
 
 
@@ -32,6 +31,13 @@ class RibEntry:
 
 class RoutingInformationBase:
     """Block-partitioned RIB spread across the cluster.
+
+    Records are indexed by first-level *bucket* — a function of the key
+    alone, so a record never moves — and a block is 256 consecutive
+    buckets.  A group's records are then the records of the few buckets
+    whose stored choice names it (:meth:`group_contents`), found without
+    touching the rest of the block.  A runtime daemon holds its RIB slice
+    in the same class, filled with the blocks it owns.
 
     Args:
         num_nodes: cluster size (block owners are assigned round-robin).
@@ -53,7 +59,9 @@ class RoutingInformationBase:
             raise ValueError("num_blocks must be positive")
         self.num_nodes = num_nodes
         self.num_blocks = num_blocks
-        self._blocks: Dict[int, Dict[int, RibEntry]] = {}
+        #: global bucket id -> {key: record}, each in insertion order.
+        self._buckets: Dict[int, Dict[int, RibEntry]] = {}
+        self._len = 0
         self.bind_registry(registry)
 
     def bind_registry(self, registry: Optional[MetricsRegistry]) -> None:
@@ -64,6 +72,9 @@ class RoutingInformationBase:
         )
         self._m_removes = self.registry.counter(
             "rib.removes", "authoritative records removed"
+        )
+        self._m_group_scan = self.registry.counter(
+            "rib.group_scan_keys", "records read by group_contents"
         )
         self._g_entries = self.registry.gauge(
             "rib.entries", "authoritative records currently held"
@@ -76,11 +87,13 @@ class RoutingInformationBase:
     # Partitioning
     # ------------------------------------------------------------------
 
+    def bucket_of(self, key: Key) -> int:
+        """Global first-level bucket of a key (the index unit)."""
+        return twolevel.bucket_id(key, self.num_blocks)
+
     def block_of(self, key: Key) -> int:
         """SetSep block id of a key (the partitioning unit)."""
-        keys = hashfamily.canonical_keys([key])
-        bucket = int(twolevel.bucket_ids(keys, self.num_blocks)[0])
-        return bucket // BUCKETS_PER_BLOCK
+        return self.bucket_of(key) // BUCKETS_PER_BLOCK
 
     def owner_of_block(self, block: int) -> int:
         """Node owning a block's RIB slice (round-robin assignment)."""
@@ -98,80 +111,100 @@ class RoutingInformationBase:
 
     def insert(self, key: Key, node: int, value: int) -> RibEntry:
         """Insert or overwrite the authoritative record for ``key``."""
-        if not 0 <= node < self.num_nodes:
-            raise ValueError("handling node out of range")
         ckey = hashfamily.canonical_key(key)
-        entry = RibEntry(key=ckey, node=node, value=value)
-        block = self._blocks.setdefault(self.block_of(ckey), {})
-        if ckey not in block:
-            self._g_entries.inc()
-        block[ckey] = entry
-        self._m_inserts.inc()
-        return entry
+        return self._insert(self.bucket_of(ckey), ckey, node, value)
 
     def remove(self, key: Key) -> Optional[RibEntry]:
         """Remove and return the record, or ``None`` if absent."""
         ckey = hashfamily.canonical_key(key)
-        block = self.block_of(ckey)
-        entry = self._blocks.get(block, {}).pop(ckey, None)
-        if entry is not None:
-            self._m_removes.inc()
-            self._g_entries.dec()
-        return entry
+        return self._remove(self.bucket_of(ckey), ckey)
 
     def get(self, key: Key) -> Optional[RibEntry]:
         """Exact lookup of the authoritative record."""
         ckey = hashfamily.canonical_key(key)
-        return self._blocks.get(self.block_of(ckey), {}).get(ckey)
+        return self._get(self.bucket_of(ckey), ckey)
+
+    # The same three for the §4.5 owner path (``UpdateEngine``,
+    # ``NodeDaemon``), which hashes a key once per update and needs the
+    # bucket for the block, the owner and the group as well.  ``bucket``
+    # must be ``bucket_of(ckey)``; nothing here checks it.
+
+    def _insert(self, bucket: int, ckey: int, node: int, value: int) -> RibEntry:
+        if not 0 <= node < self.num_nodes:
+            raise ValueError("handling node out of range")
+        entry = RibEntry(key=ckey, node=node, value=value)
+        records = self._buckets.setdefault(bucket, {})
+        if ckey not in records:
+            self._len += 1
+            self._g_entries.inc()
+        records[ckey] = entry
+        self._m_inserts.inc()
+        return entry
+
+    def _remove(self, bucket: int, ckey: int) -> Optional[RibEntry]:
+        entry = self._buckets.get(bucket, {}).pop(ckey, None)
+        if entry is not None:
+            self._len -= 1
+            self._m_removes.inc()
+            self._g_entries.dec()
+        return entry
+
+    def _get(self, bucket: int, ckey: int) -> Optional[RibEntry]:
+        return self._buckets.get(bucket, {}).get(ckey)
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(len(entries) for entries in self._blocks.values())
+        return self._len
 
     def entries(self) -> Iterator[RibEntry]:
-        """All records, block by block."""
-        for block_entries in self._blocks.values():
-            yield from block_entries.values()
+        """All records, bucket by bucket, each bucket in insertion order.
 
-    def entries_in_block(self, block: int) -> List[RibEntry]:
-        """All records of one block (what its owner holds)."""
-        return list(self._blocks.get(block, {}).values())
+        Inserting them into an empty RIB in this order reproduces every
+        bucket's order, and so every group's (:meth:`group_contents`).
+        """
+        for records in self._buckets.values():
+            yield from records.values()
 
     def entries_on_node(self, node: int) -> List[RibEntry]:
         """All records owned by ``node``."""
         out: List[RibEntry] = []
-        for block, block_entries in self._blocks.items():
-            if self.owner_of_block(block) == node:
-                out.extend(block_entries.values())
+        for bucket, records in self._buckets.items():
+            if self.owner_of_block(bucket // BUCKETS_PER_BLOCK) == node:
+                out.extend(records.values())
         return out
 
     def group_contents(
-        self, group_id: int, setsep: SetSep
+        self, group_id: int, setsep: Separator
     ) -> Tuple[List[int], List[int]]:
-        """(keys, nodes) of one SetSep group — the rebuild input (§4.5).
+        """(keys, nodes) of one separator group — the rebuild input (§4.5).
 
         Only the block owner can produce this, which is exactly why keys of
         one block must co-reside: group membership depends on the block's
         bucket-to-group choices.
+
+        Order: ascending bucket id, then insertion order within the bucket
+        (an overwrite keeps the key's place, remove-then-insert moves it to
+        the end).  The order reaches the wire in a failed group's
+        ``fallback_upserts``, so every holder of the slice must produce it.
         """
-        block = group_id // twolevel.GROUPS_PER_BLOCK
-        records = self.entries_in_block(block)
-        if not records:
-            return [], []
-        keys = np.asarray([r.key for r in records], dtype=np.uint64)
-        groups = setsep.groups_of(keys)
-        member = groups == group_id
-        return (
-            [int(k) for k in keys[member]],
-            [r.node for r, hit in zip(records, member) if hit],
-        )
+        keys: List[int] = []
+        nodes: List[int] = []
+        for bucket in setsep.buckets_of_group(group_id).tolist():
+            for key, entry in self._buckets.get(bucket, {}).items():
+                keys.append(key)
+                nodes.append(entry.node)
+        self._m_group_scan.inc(len(keys))
+        return keys, nodes
 
     def load_per_node(self) -> List[int]:
         """RIB records held by each node (partitioning balance metric)."""
         loads = [0] * self.num_nodes
-        for block, block_entries in self._blocks.items():
-            loads[self.owner_of_block(block)] += len(block_entries)
+        for bucket, records in self._buckets.items():
+            loads[self.owner_of_block(bucket // BUCKETS_PER_BLOCK)] += len(
+                records
+            )
         return loads
+

@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.cluster.architectures import Architecture
 from repro.cluster.cluster import Cluster
 from repro.core import hashfamily
+from repro.core.params import BUCKETS_PER_BLOCK
 from repro.obs.metrics import MetricsRegistry, resolve_registry
 
 #: Broadcast-delta size buckets (bits).  The paper's §4.5 claim is "tens
@@ -51,7 +52,6 @@ class UpdateStats:
     delta_broadcasts: int = 0
     broadcast_bits: int = 0
     groups_rebuilt: int = 0
-    rebuild_iterations: int = 0
     deltas_dropped: int = 0
     deltas_duplicated: int = 0
     deltas_delayed: int = 0
@@ -91,7 +91,8 @@ class UpdateEngine:
         #: :data:`DELIVER`, :data:`DROP`, :data:`DUPLICATE` or
         #: :data:`DELAY`.  ``None`` (the default) ships every delta.
         self.delta_interceptor: Optional[DeltaInterceptor] = None
-        self._delayed_deltas: List[Tuple[int, type, bytes]] = []
+        #: (peer, record type, wire bytes, size in bits) per held-back ship.
+        self._delayed_deltas: List[Tuple[int, type, bytes, int]] = []
         self.bind_registry(
             registry if registry is not None else cluster.registry
         )
@@ -129,6 +130,20 @@ class UpdateEngine:
         self.stats.fib_messages += 1
         self._m_fib_messages.inc()
 
+    def _count_broadcast(self, delta_bits: int) -> None:
+        self.stats.delta_broadcasts += 1
+        self.stats.broadcast_bits += delta_bits
+        self._m_broadcasts.inc()
+        self._h_delta_bits.observe(delta_bits)
+
+    def _count_update(self, bucket: int) -> int:
+        """Account one update to the owner of ``bucket``'s block."""
+        owner = self.cluster.rib.owner_of_block(bucket // BUCKETS_PER_BLOCK)
+        self.stats.updates += 1
+        self._m_updates.inc()
+        self.stats.record_owner(owner)
+        return owner
+
     # ------------------------------------------------------------------
     # ScaleBricks path
     # ------------------------------------------------------------------
@@ -141,12 +156,12 @@ class UpdateEngine:
     def _insert_flow(self, key, node: int, value: int) -> None:
         cluster = self.cluster
         ckey = hashfamily.canonical_key(key)
-        previous = cluster.rib.get(ckey)
-        owner = cluster.rib.owner_of_key(ckey)
-        self.stats.updates += 1
-        self._m_updates.inc()
-        self.stats.record_owner(owner)
-        cluster.rib.insert(ckey, node, value)
+        # One hash per update: the bucket gives the RIB slot, the block,
+        # its owner and (through the owner's GPT) the group.
+        bucket = cluster.rib.bucket_of(ckey)
+        previous = cluster.rib._get(bucket, ckey)
+        owner = self._count_update(bucket)
+        cluster.rib._insert(bucket, ckey, node, value)
 
         if cluster.architecture is Architecture.SCALEBRICKS:
             # FIB entry moves to (or is updated at) the handling node.
@@ -155,7 +170,7 @@ class UpdateEngine:
                 self._count_fib_message()
             cluster.nodes[node].install_route(ckey, node, value)
             self._count_fib_message()
-            self._rebroadcast_group(ckey)
+            self._rebroadcast_group(ckey, bucket, owner, node=node)
         elif cluster.architecture is Architecture.HASH_PARTITION:
             lookup_node = cluster.lookup_node_of(ckey)
             for target in {lookup_node, node}:
@@ -179,18 +194,16 @@ class UpdateEngine:
     def _remove_flow(self, key) -> bool:
         cluster = self.cluster
         ckey = hashfamily.canonical_key(key)
-        previous = cluster.rib.remove(ckey)
+        bucket = cluster.rib.bucket_of(ckey)
+        previous = cluster.rib._remove(bucket, ckey)
         if previous is None:
             return False
-        owner = cluster.rib.owner_of_key(ckey)
-        self.stats.updates += 1
-        self._m_updates.inc()
-        self.stats.record_owner(owner)
+        owner = self._count_update(bucket)
 
         if cluster.architecture is Architecture.SCALEBRICKS:
             cluster.nodes[previous.node].remove_route(ckey)
             self._count_fib_message()
-            self._rebroadcast_group(ckey, removed_key=ckey)
+            self._rebroadcast_group(ckey, bucket, owner)
         elif cluster.architecture is Architecture.HASH_PARTITION:
             lookup_node = cluster.lookup_node_of(ckey)
             for target in {lookup_node, previous.node}:
@@ -206,26 +219,29 @@ class UpdateEngine:
     # GPT delta broadcast
     # ------------------------------------------------------------------
 
-    def _rebroadcast_group(self, ckey: int, removed_key: Optional[int] = None) -> None:
-        """Owner recomputes the key's group; peers apply the delta."""
+    def _rebroadcast_group(
+        self, ckey: int, bucket: int, owner_id: int, node: Optional[int] = None
+    ) -> None:
+        """Owner recomputes the key's group; peers apply the delta.
+
+        ``node`` is the key's new handling node, ``None`` when it left.
+        """
         cluster = self.cluster
-        owner_id = cluster.rib.owner_of_key(ckey)
         owner = cluster.nodes[owner_id]
         assert owner.gpt is not None
-        group = owner.gpt.group_of(ckey)
-        removed = (removed_key,) if removed_key is not None else ()
+        separator = owner.gpt.setsep
+        group = separator.group_of_bucket(bucket)
+        removed = (ckey,) if node is None else ()
         # Incremental backends (Othello) skip the O(group) contents
         # enumeration once their owner-side graph is warm: the changed
         # key alone produces the byte-identical record.
-        needs_full = getattr(owner.gpt.setsep, "needs_full_contents", None)
+        needs_full = getattr(separator, "needs_full_contents", None)
         if needs_full is None or needs_full(group):
-            keys, nodes = cluster.rib.group_contents(
-                group, owner.gpt.setsep
-            )
-        elif removed_key is not None:
+            keys, nodes = cluster.rib.group_contents(group, separator)
+        elif node is None:
             keys, nodes = [], []
         else:
-            keys, nodes = [ckey], [cluster.rib.get(ckey).node]
+            keys, nodes = [ckey], [node]
         with self.registry.span("rebuild"):
             delta = owner.gpt.rebuild_group(
                 group, keys, nodes, removed_keys=removed
@@ -261,7 +277,9 @@ class UpdateEngine:
                 self._m_deltas_dropped.inc()
                 continue
             if verdict == DELAY:
-                self._delayed_deltas.append((node.node_id, record_type, wire))
+                self._delayed_deltas.append(
+                    (node.node_id, record_type, wire, delta_bits)
+                )
                 self.stats.deltas_delayed += 1
                 self._m_deltas_delayed.inc()
                 continue
@@ -270,10 +288,7 @@ class UpdateEngine:
                 node.gpt.apply_delta(record_type.from_wire_bytes(wire)[0])
                 self.stats.deltas_duplicated += 1
                 self._m_deltas_duplicated.inc()
-            self.stats.delta_broadcasts += 1
-            self._m_broadcasts.inc()
-            self._h_delta_bits.observe(delta_bits)
-            self.stats.broadcast_bits += delta_bits
+            self._count_broadcast(delta_bits)
 
     def flush_delayed_deltas(self) -> int:
         """Deliver every delta an interceptor held back, in ship order.
@@ -283,11 +298,10 @@ class UpdateEngine:
         convergence the broadcast protocol relies on.
         """
         pending, self._delayed_deltas = self._delayed_deltas, []
-        for peer_id, record_type, wire in pending:
+        for peer_id, record_type, wire, delta_bits in pending:
             node = self.cluster.nodes[peer_id]
             if node.gpt is None:
                 continue
             node.gpt.apply_delta(record_type.from_wire_bytes(wire)[0])
-            self.stats.delta_broadcasts += 1
-            self._m_broadcasts.inc()
+            self._count_broadcast(delta_bits)
         return len(pending)

@@ -11,7 +11,9 @@ and uses only the *most significant* bits of the sum, because the family has
 a short period in its low bits.  This module provides:
 
 * ``splitmix64`` — a vectorised 64-bit finaliser used as the "strong hash"
-  building block (keys are already 64-bit flat identifiers in ScaleBricks);
+  building block (keys are already 64-bit flat identifiers in ScaleBricks),
+  and ``splitmix64_int`` — the same function on one Python int, for the
+  single-key update path where a 1-element array costs more than the hash;
 * ``canonical_key`` / ``canonical_keys`` — canonicalisation of ints, bytes
   and strings into the uint64 key space;
 * ``base_hashes`` — the (G1, G2) pair per key, with G2 forced odd so that
@@ -33,16 +35,20 @@ import numpy as np
 Key = Union[int, bytes, str]
 
 _U64 = np.uint64
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # Distinct stream constants.  Each derived hash XORs the key with one of
 # these before mixing, giving approximately independent hash functions from
-# one mixer (the G1/G2 trick from the paper applied once more).
+# one mixer (the G1/G2 trick from the paper applied once more).  The plain
+# ints feed the scalar hashes, the uint64 twins the vectorised ones.
+_BUCKET_INT = 0x165667B19E3779F9
+_FIB_INT = 0x27D4EB2F165667C5
+_TAG_INT = 0x94D049BB133111EB
 _STREAM_G1 = np.uint64(0x9E3779B97F4A7C15)
 _STREAM_G2 = np.uint64(0xC2B2AE3D27D4EB4F)
-_STREAM_BUCKET = np.uint64(0x165667B19E3779F9)
-_STREAM_FIB = np.uint64(0x27D4EB2F165667C5)
-_STREAM_TAG = np.uint64(0x94D049BB133111EB)
+_STREAM_BUCKET = np.uint64(_BUCKET_INT)
+_STREAM_FIB = np.uint64(_FIB_INT)
+_STREAM_TAG = np.uint64(_TAG_INT)
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
@@ -59,6 +65,14 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
         x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         x ^= x >> np.uint64(31)
     return x
+
+
+def splitmix64_int(x: int) -> int:
+    """:func:`splitmix64` of one value in plain ``int`` arithmetic."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
 
 
 def canonical_key(key: Key) -> int:
@@ -160,6 +174,26 @@ def tag_hash(keys: np.ndarray) -> np.ndarray:
     """Independent hash stream used for cuckoo partial-key tags."""
     keys = np.asarray(keys, dtype=_U64)
     return splitmix64(keys ^ _STREAM_TAG)
+
+
+def bucket_hash_int(key: int) -> int:
+    """:func:`bucket_hash` of one canonical key."""
+    return splitmix64_int(key ^ _BUCKET_INT)
+
+
+def fib_hash_int(key: int) -> int:
+    """:func:`fib_hash` of one canonical key."""
+    return splitmix64_int(key ^ _FIB_INT)
+
+
+def tag_hash_int(key: int) -> int:
+    """:func:`tag_hash` of one canonical key."""
+    return splitmix64_int(key ^ _TAG_INT)
+
+
+def reduce_range_int(value: int, n: int) -> int:
+    """:func:`reduce_range` of one 64-bit hash."""
+    return ((value >> 32) * n) >> 32
 
 
 def reduce_range(hashes: np.ndarray, n: int) -> np.ndarray:

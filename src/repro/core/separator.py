@@ -81,6 +81,10 @@ class Separator(Protocol):
 
     def group_of(self, key: Key) -> int: ...
 
+    def group_of_bucket(self, bucket: int) -> int: ...
+
+    def buckets_of_group(self, group_id: int) -> np.ndarray: ...
+
     def block_of(self, key: Key) -> int: ...
 
     def rebuild_group(

@@ -197,14 +197,25 @@ class SetSep:
         buckets = self.buckets_of(keys)
         return twolevel.groups_from_choices(buckets, self.choices)
 
+    def bucket_of(self, key: Key) -> int:
+        """Global bucket id of a single key, hashed in plain ints."""
+        return twolevel.bucket_id(key, self.num_blocks)
+
     def group_of(self, key: Key) -> int:
         """Global group id of a single key."""
-        keys = hashfamily.canonical_keys([key])
-        return int(self.groups_of(keys)[0])
+        return self.group_of_bucket(self.bucket_of(key))
+
+    def group_of_bucket(self, bucket: int) -> int:
+        """Global group id of every key of one global bucket."""
+        return twolevel.group_of_bucket(bucket, self.choices)
+
+    def buckets_of_group(self, group_id: int) -> np.ndarray:
+        """Global ids of the buckets mapped to ``group_id``, ascending."""
+        return twolevel.buckets_of_group(group_id, self.choices)
 
     def block_of(self, key: Key) -> int:
         """Block id of a single key — the RIB partitioning unit (§4.5)."""
-        return self.group_of(key) // GROUPS_PER_BLOCK
+        return self.bucket_of(key) // BUCKETS_PER_BLOCK
 
     # ------------------------------------------------------------------
     # Updates (paper §4.5)

@@ -92,6 +92,12 @@ def _build_candidate_table(seed: int = 0xB10C) -> np.ndarray:
 #: The shared bucket-to-candidate-group table (256 buckets x 4 candidates).
 CANDIDATE_TABLE: np.ndarray = _build_candidate_table()
 
+#: The table inverted: for each local group, the 16 local buckets that list
+#: it (ascending) and the candidate number under which each does.
+_GROUP_CANDIDATES = [
+    np.nonzero(CANDIDATE_TABLE == group) for group in range(GROUPS_PER_BLOCK)
+]
+
 
 def num_blocks_for(num_keys: int) -> int:
     """Blocks needed so the average group holds ~16 keys."""
@@ -106,6 +112,14 @@ def bucket_ids(keys: np.ndarray, num_blocks: int) -> np.ndarray:
     """
     hashes = hashfamily.bucket_hash(keys)
     return hashfamily.reduce_range(hashes, num_blocks * BUCKETS_PER_BLOCK)
+
+
+def bucket_id(key: hashfamily.Key, num_blocks: int) -> int:
+    """:func:`bucket_ids` of one key, in plain ints."""
+    return hashfamily.reduce_range_int(
+        hashfamily.bucket_hash_int(hashfamily.canonical_key(key)),
+        num_blocks * BUCKETS_PER_BLOCK,
+    )
 
 
 def block_of_buckets(buckets: np.ndarray) -> np.ndarray:
@@ -266,6 +280,26 @@ def groups_from_choices(buckets: np.ndarray, choices: np.ndarray) -> np.ndarray:
     block = buckets // BUCKETS_PER_BLOCK
     local_group = CANDIDATE_TABLE[local_bucket, choices[buckets]]
     return block * GROUPS_PER_BLOCK + local_group
+
+
+def group_of_bucket(bucket: int, choices: np.ndarray) -> int:
+    """:func:`groups_from_choices` of one global bucket id."""
+    block, local_bucket = divmod(bucket, BUCKETS_PER_BLOCK)
+    return block * GROUPS_PER_BLOCK + int(
+        CANDIDATE_TABLE[local_bucket, choices[bucket]]
+    )
+
+
+def buckets_of_group(group_id: int, choices: np.ndarray) -> np.ndarray:
+    """Global ids of the buckets whose choice is ``group_id``, ascending.
+
+    The inverse of :func:`groups_from_choices` for one group: only the 16
+    buckets that list the group as a candidate are read, not the block.
+    """
+    block, local_group = divmod(group_id, GROUPS_PER_BLOCK)
+    local_buckets, candidates = _GROUP_CANDIDATES[local_group]
+    buckets = local_buckets + block * BUCKETS_PER_BLOCK
+    return buckets[choices[buckets] == candidates]
 
 
 def direct_group_ids(keys: np.ndarray, num_groups: int) -> np.ndarray:

@@ -67,7 +67,8 @@ class CuckooHashTable(FibTable):
             raise ValueError("value_store must be 'object' or 'packed'")
         buckets_needed = max(1, int(capacity / (SLOTS_PER_BUCKET * 0.95)) + 1)
         self._num_buckets = 1 << (buckets_needed - 1).bit_length()
-        self._bucket_mask = np.uint64(self._num_buckets - 1)
+        self._bucket_mask_int = self._num_buckets - 1
+        self._bucket_mask = np.uint64(self._bucket_mask_int)
         num_slots = self._num_buckets * SLOTS_PER_BUCKET
         self._keys = np.zeros(num_slots, dtype=np.uint64)
         self._occupied = np.zeros(num_slots, dtype=bool)
@@ -93,23 +94,21 @@ class CuckooHashTable(FibTable):
     # Hashing
     # ------------------------------------------------------------------
 
+    # Single-key hashing runs in plain ints (the ``*_int`` twins of the
+    # vectorised streams ``lookup_slots`` uses).
+
     def _index_pair(self, key: int) -> Tuple[int, int]:
         """Primary and alternate bucket of a key."""
-        arr = np.asarray([key], dtype=np.uint64)
-        primary = int(hashfamily.fib_hash(arr)[0] & self._bucket_mask)
+        primary = hashfamily.fib_hash_int(key) & self._bucket_mask_int
         return primary, self._alt_bucket(primary, self._tag(key))
 
     def _tag(self, key: int) -> int:
         """Partial-key tag (never zero, so zero can mean "empty")."""
-        arr = np.asarray([key], dtype=np.uint64)
-        tag = int(hashfamily.tag_hash(arr)[0]) & ((1 << TAG_BITS) - 1)
-        return tag if tag else 1
+        return hashfamily.tag_hash_int(key) & ((1 << TAG_BITS) - 1) or 1
 
     def _alt_bucket(self, bucket: int, tag: int) -> int:
         """The XOR-derived alternate bucket (an involution, per MemC3)."""
-        arr = np.asarray([tag], dtype=np.uint64)
-        offset = int(hashfamily.tag_hash(arr)[0] & self._bucket_mask)
-        return (bucket ^ offset) & (self._num_buckets - 1)
+        return bucket ^ hashfamily.tag_hash_int(tag) & self._bucket_mask_int
 
     # ------------------------------------------------------------------
     # Core operations

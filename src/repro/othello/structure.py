@@ -310,14 +310,31 @@ class OthelloSeparator:
         """
         return self.blocks_of(keys) * GROUPS_PER_BLOCK
 
+    def bucket_of(self, key: Key) -> int:
+        """Global bucket id of a single key, hashed in plain ints."""
+        return twolevel.bucket_id(key, self.num_blocks)
+
     def group_of(self, key: Key) -> int:
         """Global group id of a single key."""
-        keys = hashfamily.canonical_keys([key])
-        return int(self.groups_of(keys)[0])
+        return self.group_of_bucket(self.bucket_of(key))
+
+    def group_of_bucket(self, bucket: int) -> int:
+        """Global group id of every key of one global bucket."""
+        return bucket // BUCKETS_PER_BLOCK * GROUPS_PER_BLOCK
+
+    def buckets_of_group(self, group_id: int) -> np.ndarray:
+        """Global ids of the buckets mapped to ``group_id``, ascending:
+        the whole block for its first group, none for the other ids."""
+        block, local_group = divmod(group_id, GROUPS_PER_BLOCK)
+        if local_group:
+            return np.zeros(0, dtype=np.int64)
+        return np.arange(
+            block * BUCKETS_PER_BLOCK, (block + 1) * BUCKETS_PER_BLOCK
+        )
 
     def block_of(self, key: Key) -> int:
         """Block id of a single key — the RIB partitioning unit (§4.5)."""
-        return self.group_of(key) // GROUPS_PER_BLOCK
+        return self.bucket_of(key) // BUCKETS_PER_BLOCK
 
     # ------------------------------------------------------------------
     # Updates (paper §4.5, Othello-style)

@@ -37,6 +37,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.chaos import transport as tfaults
+from repro.cluster.rib import RoutingInformationBase
 from repro.core import serialize, shm
 from repro.core import separator as separator_registry
 from repro.core.hashfamily import canonical_key
@@ -98,10 +99,10 @@ class NodeDaemon:
         self.gpt: Optional[GlobalPartitionTable] = None
         self.fib: Dict[int, int] = {}          # key -> teid
         self.bs: Dict[int, int] = {}           # key -> base-station IP
-        #: RIB slice: block -> {key: (handling node, value)}, insertion
-        #: order per block mirrors the in-process RIB exactly — group
-        #: rebuild inputs must match byte for byte.
-        self.slice: Dict[int, Dict[int, Tuple[int, int]]] = {}
+        #: RIB slice: the records of the blocks this node owns, in the
+        #: in-process RIB's own class — group rebuild inputs must match
+        #: it byte for byte, key order included.
+        self.slice: Optional[RoutingInformationBase] = None
         self.charges: Dict[int, int] = {}      # teid -> bytes charged
         #: Peers the controller has declared dead (MSG_DOWN): no FIB or
         #: delta ships are attempted toward them.
@@ -323,10 +324,9 @@ class NodeDaemon:
         for key, _node, value, bs_ip in header["fib"]:
             fib[int(key)] = int(value)
             bs[int(key)] = int(bs_ip)
-        rib_slice: Dict[int, Dict[int, Tuple[int, int]]] = {}
+        rib_slice = RoutingInformationBase(num_nodes, setsep.num_blocks)
         for key, node, value in header["rib"]:
-            block = gpt.block_of(int(key))
-            rib_slice.setdefault(block, {})[int(key)] = (int(node), int(value))
+            rib_slice.insert(int(key), int(node), int(value))
         self.gpt = gpt
         self.fib = fib
         self.bs = bs
@@ -406,8 +406,7 @@ class NodeDaemon:
         doc = protocol.decode_json(payload)
         adopted = 0
         for key, node, value in doc["entries"]:
-            block = self.gpt.block_of(int(key))
-            self.slice.setdefault(block, {})[int(key)] = (int(node), int(value))
+            self.slice.insert(int(key), int(node), int(value))
             adopted += 1
         return RSP_OK, protocol.encode_json({"adopted": adopted})
 
@@ -456,7 +455,7 @@ class NodeDaemon:
             "node_id": self.node_id,
             "num_nodes": self.num_nodes,
             "fib_entries": len(self.fib),
-            "rib_entries": sum(len(b) for b in self.slice.values()),
+            "rib_entries": len(self.slice) if self.slice is not None else 0,
             "charges": {str(teid): total
                         for teid, total in self.charges.items()},
             "counters": self.registry.counters(),
@@ -483,24 +482,11 @@ class NodeDaemon:
     # §4.5 update protocol: the owner role
     # ------------------------------------------------------------------
 
-    def _group_contents(
-        self, block: int, group: int
-    ) -> Tuple[List[int], List[int]]:
-        """(keys, nodes) of one group, in RIB-slice insertion order."""
-        bucket = self.slice.get(block)
-        if not bucket:
-            return [], []
-        keys = np.fromiter(bucket.keys(), dtype=np.uint64, count=len(bucket))
-        member = self.gpt.setsep.groups_of(keys) == group
-        return (
-            [int(k) for k in keys[member]],
-            [entry[0] for entry, hit in zip(bucket.values(), member) if hit],
-        )
-
     def _on_update(self, payload: bytes) -> Tuple[int, bytes]:
         assert self.gpt is not None, "update before snapshot"
         ops = protocol.decode_updates(payload)
-        params = self.gpt.setsep.params
+        separator = self.gpt.setsep
+        params = separator.params
         fib_batches: Dict[int, List[UpdateOp]] = {}
         delta_wires: Dict[int, List[bytes]] = {}
         #: Canonical per-record wire bytes for the controller's delta log —
@@ -513,15 +499,23 @@ class NodeDaemon:
             "deltas_dropped": 0, "deltas_delayed": 0,
             "deltas_duplicated": 0,
         }
+        # Refuse the whole batch before any of it is applied: an op that
+        # failed half-way would leave earlier ops in the slice and the GPT
+        # with their FIB entries and deltas never shipped.
+        for op in ops:
+            if op.op == OP_INSERT and not 0 <= op.node < self.num_nodes:
+                raise ValueError(
+                    f"handling node {op.node} out of range; "
+                    f"none of the {len(ops)} ops applied"
+                )
         for op in ops:
             key = canonical_key(op.key)
-            block = self.gpt.block_of(key)
-            bucket = self.slice.setdefault(block, {})
+            bucket = self.slice.bucket_of(key)
             if op.op == OP_INSERT:
-                previous = bucket.get(key)
-                bucket[key] = (op.node, op.value)
-                if previous is not None and previous[0] != op.node:
-                    fib_batches.setdefault(previous[0], []).append(
+                previous = self.slice._get(bucket, key)
+                self.slice._insert(bucket, key, op.node, op.value)
+                if previous is not None and previous.node != op.node:
+                    fib_batches.setdefault(previous.node, []).append(
                         UpdateOp(OP_REMOVE, key)
                     )
                     acc["fib_messages"] += 1
@@ -531,24 +525,24 @@ class NodeDaemon:
                 acc["fib_messages"] += 1
                 removed: Tuple[int, ...] = ()
             else:
-                previous = bucket.pop(key, None)
+                previous = self.slice._remove(bucket, key)
                 if previous is None:
                     continue  # unknown key: not an update (engine parity)
-                fib_batches.setdefault(previous[0], []).append(
+                fib_batches.setdefault(previous.node, []).append(
                     UpdateOp(OP_REMOVE, key)
                 )
                 acc["fib_messages"] += 1
                 removed = (key,)
             acc["updates"] += 1
-            group = self.gpt.group_of(key)
+            group = separator.group_of_bucket(bucket)
             # Incremental backends (Othello) skip the O(group) contents
             # enumeration once their owner-side graph is warm; the
             # record is byte-identical either way (engine parity).
-            needs_full = getattr(
-                self.gpt.setsep, "needs_full_contents", None
-            )
+            needs_full = getattr(separator, "needs_full_contents", None)
             if needs_full is None or needs_full(group):
-                group_keys, group_nodes = self._group_contents(block, group)
+                group_keys, group_nodes = self.slice.group_contents(
+                    group, separator
+                )
             elif removed:
                 group_keys, group_nodes = [], []
             else:

@@ -17,6 +17,20 @@ def unique_keys(count: int, seed: int = 1, low: int = 1, high: int = 2**62) -> n
     return keys[:count]
 
 
+def brute_force_contents(model, separator, group):
+    """A group's (keys, nodes) by enumerating every record: ascending
+    bucket, then the order a plain dict keeps (overwrite in place,
+    remove-then-insert at the end)."""
+    if not model:
+        return [], []
+    keys = np.fromiter(model, dtype=np.uint64, count=len(model))
+    member = separator.groups_of(keys) == group
+    buckets = separator.buckets_of(keys)
+    order = np.argsort(buckets[member], kind="stable")
+    members = keys[member][order].tolist()
+    return members, [model[k] for k in members]
+
+
 @pytest.fixture(scope="session")
 def small_keys() -> np.ndarray:
     """2 000 distinct keys (session-scoped; treat as read-only)."""

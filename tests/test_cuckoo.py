@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hashtables import CuckooHashTable, TableFullError
 from tests.conftest import unique_keys
@@ -110,6 +112,20 @@ class TestCuckooMechanics:
             tag = table._tag(int(key))
             b1, b2 = table._index_pair(int(key))
             assert table._alt_bucket(b2, tag) == b1
+
+    @given(keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40,
+                         unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_buckets_are_the_vectorised_ones(self, keys):
+        # insert/delete hash one key in plain ints, lookup_slots hashes
+        # the batch in NumPy: both must name the same two buckets.
+        table = CuckooHashTable(capacity=64)
+        for i, key in enumerate(keys):
+            table.insert(key, i)
+        slots = table.lookup_slots(np.asarray(keys, dtype=np.uint64))
+        for key, slot in zip(keys, slots.tolist()):
+            assert slot == table._find_slot(key, *table._index_pair(key))
+            assert slot // 4 in table._index_pair(key)
 
     def test_num_buckets_power_of_two(self):
         for capacity in (10, 100, 1000, 5000):

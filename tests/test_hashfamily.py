@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import hashfamily as hf
+from repro.core import twolevel
 
 
 class TestCanonicalKey:
@@ -137,3 +140,29 @@ class TestDerivedStreams:
         a = hf.keyed_hash(keys, hf.derive_stream("s1"))
         b = hf.keyed_hash(keys, hf.derive_stream("s2"))
         assert not np.array_equal(a, b)
+
+
+class TestScalarTwins:
+    """The plain-int hashes of the single-key update path must be the
+    vectorised ones, value for value."""
+
+    @given(key=st.integers(0, 2**64 - 1), n=st.integers(1, 2**24))
+    @settings(max_examples=200, deadline=None)
+    def test_int_hashes_equal_vectorised(self, key, n):
+        arr = np.asarray([key], dtype=np.uint64)
+        assert hf.splitmix64_int(key) == int(hf.splitmix64(arr)[0])
+        assert hf.bucket_hash_int(key) == int(hf.bucket_hash(arr)[0])
+        assert hf.fib_hash_int(key) == int(hf.fib_hash(arr)[0])
+        assert hf.tag_hash_int(key) == int(hf.tag_hash(arr)[0])
+        hashed = hf.splitmix64(arr)
+        assert hf.reduce_range_int(int(hashed[0]), n) == int(
+            hf.reduce_range(hashed, n)[0]
+        )
+
+    @given(key=st.integers(0, 2**64 - 1), num_blocks=st.integers(1, 5000))
+    @settings(max_examples=200, deadline=None)
+    def test_bucket_id_equals_bucket_ids(self, key, num_blocks):
+        arr = np.asarray([key], dtype=np.uint64)
+        assert twolevel.bucket_id(key, num_blocks) == int(
+            twolevel.bucket_ids(arr, num_blocks)[0]
+        )

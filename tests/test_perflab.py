@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro import perflab
 from repro.cli import main
+from repro.perflab import gates
 from repro.perflab import registry as reg
 from repro.utils.env import environment_fingerprint, git_sha
 
@@ -449,6 +450,50 @@ class TestBenchRunCli:
         assert main(["bench", "run", "--filter", "no.such.bench",
                      "--out", str(tmp_path)]) == 2
         capsys.readouterr()
+
+
+# -- hard gates on exact counts ------------------------------------------
+
+
+class TestGroupScanGate:
+    def _artifact(self, **derived):
+        return make_artifact([
+            make_result("update.single_owner_rate", [0.1], derived=derived)
+        ]).to_dict()
+
+    def test_group_sized_scan_passes(self):
+        line = gates.group_scan_gate(self._artifact(
+            keys_scanned_per_update=17.2, mean_group_keys=15.6))
+        assert "17.2" in line and "15.6" in line
+
+    @pytest.mark.parametrize("scanned", [1024.0, 31.3, 0.0])
+    def test_block_sized_or_absent_scan_fails(self, scanned):
+        with pytest.raises(gates.GateFailure):
+            gates.group_scan_gate(self._artifact(
+                keys_scanned_per_update=scanned, mean_group_keys=15.6))
+
+    def test_missing_row_or_metric_fails(self):
+        with pytest.raises(gates.GateFailure, match="missing"):
+            gates.group_scan_gate(make_artifact([]).to_dict())
+        with pytest.raises(gates.GateFailure, match="mean_group_keys"):
+            gates.group_scan_gate(
+                self._artifact(keys_scanned_per_update=16.0))
+
+    def test_main_gates_the_benchmark_it_reads(self, tmp_path, capsys):
+        # The real row, run small: the gate's metric names are the
+        # benchmark's, and today's update path passes.
+        perflab.discover()
+        artifact = perflab.run_suite(
+            "smoke", scale=1, name_filter="update.single_owner_rate")
+        path = perflab.write_artifact(artifact, tmp_path)
+        assert gates.main([str(path)]) == 0
+        assert "group scan" in capsys.readouterr().out
+        broken = tmp_path / "broken.json"
+        broken.write_text(perflab.canonical_json(
+            self._artifact(keys_scanned_per_update=900.0,
+                           mean_group_keys=15.6)))
+        assert gates.main([str(broken)]) == 1
+        assert "FAIL" in capsys.readouterr().err
 
 
 # -- environment fingerprint ---------------------------------------------

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.rib import RibEntry, RoutingInformationBase
 from repro.core import SetSepParams, build
-from tests.conftest import unique_keys
+from repro.core import separator as separator_registry
+from repro.obs.metrics import MetricsRegistry
+from tests.conftest import brute_force_contents, unique_keys
 
 
 @pytest.fixture()
@@ -112,3 +116,60 @@ class TestViews:
         empty_rib = RoutingInformationBase(4, setsep.num_blocks)
         member_keys, member_nodes = empty_rib.group_contents(0, setsep)
         assert member_keys == [] and member_nodes == []
+
+
+#: 300 keys over two blocks: buckets hold several keys, so overwrites,
+#: removals and re-inserts reorder them.
+POOL = unique_keys(300, seed=97)
+
+#: (insert?, index into POOL, node) — ``insert`` on a present key overwrites.
+rib_ops = st.lists(
+    st.tuples(st.booleans(), st.integers(0, len(POOL) - 1), st.integers(0, 3)),
+    max_size=120,
+)
+
+
+@pytest.fixture(scope="module", params=separator_registry.BACKENDS)
+def two_block_separator(request):
+    params = separator_registry.params_for_cluster(4, request.param)
+    separator, _ = separator_registry.build(
+        POOL, (POOL % 4).astype(np.uint32), params, backend=request.param,
+        num_blocks=2,
+    )
+    return separator
+
+
+class TestGroupContentsProperty:
+    @given(ops=rib_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_brute_force_enumeration(self, two_block_separator, ops):
+        separator = two_block_separator
+        rib = RoutingInformationBase(4, separator.num_blocks)
+        model = {}
+        for insert, index, node in ops:
+            key = int(POOL[index])
+            if insert:
+                rib.insert(key, node, index)
+                model[key] = node
+            else:
+                removed = rib.remove(key)
+                assert (removed is not None) == (key in model)
+                model.pop(key, None)
+        assert len(rib) == len(model)
+        assert {e.key: e.node for e in rib.entries()} == model
+        for group in range(separator.num_groups):
+            assert rib.group_contents(group, separator) == (
+                brute_force_contents(model, separator, group)
+            )
+
+    def test_reads_the_group_not_the_block(self):
+        keys = unique_keys(2_000, seed=98)
+        setsep, _ = build(keys, (keys % 4).astype(np.uint32),
+                          SetSepParams(value_bits=2))
+        registry = MetricsRegistry()
+        rib = RoutingInformationBase(4, setsep.num_blocks, registry=registry)
+        for key in keys:
+            rib.insert(int(key), int(key % 4), 0)
+        scanned = registry.counter("rib.group_scan_keys")
+        members, _ = rib.group_contents(setsep.group_of(int(keys[0])), setsep)
+        assert scanned.value == len(members) < 30

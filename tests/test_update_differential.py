@@ -1,0 +1,315 @@
+"""One churn, two owners: ``UpdateEngine`` against ``NodeDaemon`` (§4.5).
+
+The in-process engine and the runtime daemons both play the owner role —
+RIB slice, group contents, group search, delta — on the same code.  These
+tests drive identical operations through both and require identical
+results, down to the bytes of every delta, and pin the delta codec to the
+bit stream it has always produced.
+
+The daemons run in this process: the controller's and the daemons' socket
+requests are replaced by direct dispatch, everything else is the real
+protocol (HELLO, SNAPSHOT, UPDATE, FIB, DELTA).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.architectures import Architecture
+from repro.core import serialize
+from repro.core.delta import WIRE_HEADER, GroupDelta
+from repro.core.params import SetSepParams
+from repro.epc.gateway import EpcGateway
+from repro.epc.packets import parse_ip
+from repro.epc.traffic import FlowGenerator
+from repro.runtime.controller import RuntimeController
+from repro.runtime.daemon import NodeDaemon
+from repro.runtime.protocol import (
+    MSG_UPDATE, OP_INSERT, OP_REMOVE, RSP_ERR, UpdateOp, decode_json,
+    encode_updates,
+)
+from repro.utils.bits import BitWriter
+from tests.conftest import brute_force_contents
+
+
+def wire_up(gateway):
+    """Daemons bootstrapped from ``gateway`` behind a controller, with
+    every socket request turned into a direct ``_dispatch`` call."""
+    count = gateway.num_nodes
+    daemons = [NodeDaemon() for _ in range(count)]
+
+    def dispatch(node_id, msg_type, payload=b""):
+        return daemons[node_id]._dispatch(msg_type, payload)
+
+    controller = RuntimeController([("in-process", i) for i in range(count)])
+    controller._request = dispatch
+    for daemon in daemons:
+        daemon._peer_request = dispatch
+    controller.bootstrap_from_gateway(gateway)
+    return controller, daemons
+
+
+def started_gateway(nodes, bearers, seed, **gpt_overrides):
+    gateway = EpcGateway(
+        Architecture.SCALEBRICKS, nodes, parse_ip("192.0.2.1"),
+        gpt_params=SetSepParams.for_cluster(nodes, **gpt_overrides),
+    )
+    generator = FlowGenerator(seed)
+    flows = generator.populate(gateway, bearers)
+    gateway.start()
+    return gateway, generator, flows
+
+
+def churn(gateway, generator, live, rng, count):
+    """``count`` seeded connects, disconnects and rehomes on the gateway;
+    returns the same operations as the runtime's wire ops."""
+    ops = []
+    for _ in range(count):
+        kind = rng.integers(5)
+        if kind < 2 or len(live) < 8:
+            flow = generator.flows(1)[0]
+            record = gateway.connect(
+                flow, generator.base_station_for(flow),
+                generator.region_for(flow),
+            )
+            live.append(flow)
+        elif kind < 4:
+            flow = live.pop(int(rng.integers(len(live))))
+            assert gateway.disconnect(flow)
+            ops.append(UpdateOp(OP_REMOVE, flow.key()))
+            continue
+        else:
+            flow = live[int(rng.integers(len(live)))]
+            current = gateway.controller.record_for_key(flow.key())
+            record = gateway.rehome_flow(
+                flow, (current.handling_node + 1) % gateway.num_nodes
+            )
+        ops.append(UpdateOp(
+            OP_INSERT, record.key, record.handling_node, record.teid,
+            record.base_station_ip,
+        ))
+    return ops
+
+
+def reference_body(delta, params):
+    """The delta's bit stream written field by field with ``BitWriter``."""
+    writer = BitWriter()
+    writer.write(delta.group_id, 32).write(int(delta.failed), 1)
+    for index, array in zip(delta.indices, delta.arrays):
+        writer.write(index, params.index_bits).write(array, params.array_bits)
+    writer.write(len(delta.fallback_upserts), 8)
+    writer.write(len(delta.fallback_removals), 8)
+    for key, value in delta.fallback_upserts:
+        writer.write(key, 64).write(value, 16)
+    for key in delta.fallback_removals:
+        writer.write(key, 64)
+    return writer.getvalue()
+
+
+#: ``wire_bytes`` of fixed deltas as the bit-by-bit codec of the commit
+#: before this one framed them (hex).
+GOLDEN = [
+    (SetSepParams(value_bits=2),
+     GroupDelta(7, False, (3, 9), (0xAB, 0xCD)),
+     "0d00100802000000070001d58004e6800000"),
+    (SetSepParams(value_bits=2),
+     GroupDelta(2**32 - 1, True, (0, 0), (0, 0),
+                ((2**64 - 1, 65535), (17, 0), (0x0123456789ABCDEF, 3)),
+                (42, 2**63 + 1)),
+     "3b00100802ffffffff80000000000001817fffffffffffffffffff8000000000000008"
+     "80000091a2b3c4d5e6f780018000000000000015400000000000000080"),
+    (SetSepParams(value_bits=1),
+     GroupDelta(0, False, (65534,), (0xFF,), (), (5,)),
+     "1200100801000000007fff7f8000800000000000000280"),
+    (SetSepParams(index_bits=12, array_bits=13, value_bits=3),
+     GroupDelta(1234567, False, (4094, 1, 2048), (0x1FFF, 0, 0x0AAA)),
+     "10000c0d030012d6877ff7ffc004001000aaa00000"),
+    (SetSepParams(index_bits=16, array_bits=32, value_bits=4),
+     GroupDelta(99, False, (1, 2, 3, 65534),
+                (2**32 - 1, 0, 0xDEADBEEF, 1), (), (1, 2, 3)),
+     "3700102004000000630000ffffffff8001000000000001ef56df77ffff000000008001"
+     "80000000000000008000000000000001000000000000000180"),
+]
+
+
+class TestCodec:
+    @pytest.mark.parametrize("params, delta, framed", GOLDEN)
+    def test_golden_vector(self, params, delta, framed):
+        assert delta.wire_bytes(params).hex() == framed
+        assert GroupDelta.from_wire_bytes(bytes.fromhex(framed)) == (
+            delta, params, len(framed) // 2
+        )
+
+    @given(
+        widths=st.tuples(
+            st.integers(1, 16), st.integers(1, 32), st.integers(1, 4)
+        ),
+        group_id=st.integers(0, 2**32 - 1),
+        failed=st.booleans(),
+        upserts=st.lists(
+            st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 65535)),
+            max_size=4,
+        ),
+        removals=st.lists(st.integers(0, 2**64 - 1), max_size=4),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_body_is_the_field_by_field_stream_and_round_trips(
+        self, widths, group_id, failed, upserts, removals, data
+    ):
+        index_bits, array_bits, value_bits = widths
+        params = SetSepParams(
+            index_bits=index_bits, array_bits=array_bits,
+            value_bits=value_bits,
+        )
+        per_bit = st.lists(
+            st.tuples(
+                st.integers(0, 2**index_bits - 1),
+                st.integers(0, 2**array_bits - 1),
+            ),
+            min_size=value_bits, max_size=value_bits,
+        )
+        functions = data.draw(per_bit)
+        delta = GroupDelta(
+            group_id, failed,
+            tuple(i for i, _ in functions), tuple(a for _, a in functions),
+            tuple(upserts), tuple(removals),
+        )
+        body = delta.encode(params)
+        assert body == reference_body(delta, params)
+        assert GroupDelta.decode(body, params) == delta
+
+    def test_oversized_field_rejected(self):
+        params = SetSepParams(value_bits=1)
+        with pytest.raises(ValueError):
+            GroupDelta(1, False, (1 << 16,), (0,)).encode(params)
+        with pytest.raises(ValueError):
+            GroupDelta(1, False, (0,), (-1,)).encode(params)
+
+
+class TestDaemonSlice:
+    @given(ops=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 199)), max_size=80,
+    ))
+    @settings(max_examples=25, deadline=None)
+    def test_group_contents_equals_brute_force(self, ops):
+        gateway, _, flows = started_gateway(1, 200, seed=3)
+        controller, (daemon,) = wire_up(gateway)
+        # The bootstrap ships records in the RIB's order: the model starts
+        # from it too.
+        model = {e.key: 0 for e in gateway.cluster.rib.entries()}
+        for insert, index in ops:
+            key = flows[index].key()
+            if insert:
+                controller.push_updates([UpdateOp(OP_INSERT, key, 0, index)])
+                model[key] = 0
+            else:
+                controller.push_updates([UpdateOp(OP_REMOVE, key)])
+                model.pop(key, None)
+        separator = daemon.gpt.setsep
+        assert len(daemon.slice) == len(model)
+        for group in range(separator.num_groups):
+            assert daemon.slice.group_contents(group, separator) == (
+                brute_force_contents(model, separator, group)
+            )
+
+    def test_batch_with_a_bad_node_applies_none_of_its_ops(self):
+        gateway, generator, flows = started_gateway(2, 300, seed=5)
+        _, daemons = wire_up(gateway)
+        owner = daemons[0]
+        owned = [
+            f.key() for f in flows
+            if owner.slice.owner_of_key(f.key()) == 0
+        ]
+        fresh = next(
+            f.key() for f in generator.flows(50)
+            if owner.slice.owner_of_key(f.key()) == 0
+        )
+        before = [
+            (serialize.fingerprint(d.gpt.setsep), dict(d.fib), len(d.slice))
+            for d in daemons
+        ]
+        rsp_type, rsp = owner._dispatch(MSG_UPDATE, encode_updates([
+            UpdateOp(OP_INSERT, fresh, 1, 77),
+            UpdateOp(OP_REMOVE, owned[0]),
+            UpdateOp(OP_INSERT, owned[1], 2, 78),  # node 2 of 2
+        ]))
+        assert rsp_type == RSP_ERR
+        assert "out of range" in decode_json(rsp)["error"]
+        assert owner.slice.get(fresh) is None
+        assert owner.slice.get(owned[0]) is not None
+        assert before == [
+            (serialize.fingerprint(d.gpt.setsep), dict(d.fib), len(d.slice))
+            for d in daemons
+        ]
+
+
+class TestEngineAgainstDaemons:
+    #: Few candidate indices, so that groups fail and spill during the
+    #: churn and the order of a failed group's keys reaches the wire.
+    TIGHT = dict(index_bits=7)
+
+    @pytest.mark.parametrize("nodes", [2, 4])
+    def test_same_churn_same_bytes(self, nodes, monkeypatch):
+        gateway, generator, flows = started_gateway(
+            nodes, 1_500, seed=11, **self.TIGHT
+        )
+        controller, daemons = wire_up(gateway)
+        params = gateway.cluster.nodes[0].gpt.setsep.params
+
+        framed = []
+        wire_bytes = GroupDelta.wire_bytes
+
+        def recording(delta, params):
+            framed.append((delta, wire_bytes(delta, params)))
+            return framed[-1][1]
+
+        monkeypatch.setattr(GroupDelta, "wire_bytes", recording)
+        live = list(flows)
+        ops = churn(
+            gateway, generator, live, np.random.default_rng(nodes), 2_000
+        )
+        by_engine, framed[:] = list(framed), []
+        for op in ops:  # one at a time: the engine's delta order
+            totals = controller.push_updates([op])
+            assert totals["updates"] == 1
+        by_daemons = list(framed)
+
+        # Both owners framed the same deltas, byte for byte, and the codec
+        # reads each back to what was written.
+        assert len(by_engine) == len(ops)
+        assert [w for _, w in by_engine] == [w for _, w in by_daemons]
+        spilled = 0
+        for delta, wire in by_engine:
+            assert GroupDelta.from_wire_bytes(wire) == (
+                delta, params, len(wire)
+            )
+            assert wire[WIRE_HEADER.size:] == reference_body(delta, params)
+            spilled += len(delta.fallback_upserts) > 1
+        assert spilled, "no group spilled: the key order went untested"
+
+        # Every replica of both systems ended in the same state.
+        prints = {
+            serialize.fingerprint(node.gpt.setsep)
+            for node in gateway.cluster.nodes
+        } | {serialize.fingerprint(d.gpt.setsep) for d in daemons}
+        assert len(prints) == 1
+
+        # Every live key reaches its handler, from every replica.
+        records = [
+            gateway.controller.record_for_key(flow.key()) for flow in live
+        ]
+        keys = np.asarray([r.key for r in records], dtype=np.uint64)
+        handlers = np.asarray([r.handling_node for r in records])
+        for node, daemon in zip(gateway.cluster.nodes, daemons):
+            assert np.array_equal(node.gpt.lookup_batch(keys), handlers)
+            assert np.array_equal(daemon.gpt.lookup_batch(keys), handlers)
+        for record in records:
+            handler = record.handling_node
+            assert gateway.cluster.nodes[handler].fib.lookup(record.key) == (
+                record.teid
+            )
+            assert daemons[handler].fib[record.key] == record.teid
+        assert sum(len(d.fib) for d in daemons) == len(live)
+        assert sum(len(d.slice) for d in daemons) == len(live)

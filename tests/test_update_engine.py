@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import Architecture, Cluster, UpdateEngine
 from repro.cluster import update as update_mod
+from repro.obs.metrics import MetricsRegistry
 from tests.conftest import unique_keys
 
 NUM_NODES = 4
@@ -244,6 +245,31 @@ class TestDeltaInterceptor:
         reference = cluster.nodes[0].gpt.lookup_batch(probe)
         for node in cluster.nodes[1:]:
             assert np.array_equal(node.gpt.lookup_batch(probe), reference)
+
+    def test_delayed_deltas_are_sized_on_delivery(self, setup):
+        # A flushed delta used to count as a broadcast of 0 bits, so the
+        # mean read low after any DELAY verdict.
+        cluster, _, keys, handlers = setup
+        registry = MetricsRegistry()
+        engine = UpdateEngine(cluster, registry=registry)
+        histogram = registry.histogram("update.delta_bits")
+        engine.insert_flow(int(keys[0]), (int(handlers[0]) + 1) % NUM_NODES, 1)
+        undelayed_mean = engine.stats.mean_delta_bits
+        assert undelayed_mean > 0
+
+        engine.delta_interceptor = lambda owner, peer: update_mod.DELAY
+        engine.insert_flow(int(keys[1]), (int(handlers[1]) + 1) % NUM_NODES, 2)
+        engine.delta_interceptor = None
+        # Held back: not broadcast yet, so not counted yet.
+        assert engine.stats.delta_broadcasts == NUM_NODES - 1
+        assert engine.stats.mean_delta_bits == undelayed_mean
+
+        engine.flush_delayed_deltas()
+        assert engine.stats.delta_broadcasts == 2 * (NUM_NODES - 1)
+        # Neither group failed, so both deltas have the same fixed size.
+        assert engine.stats.mean_delta_bits == undelayed_mean
+        assert histogram.count == engine.stats.delta_broadcasts
+        assert histogram.sum == engine.stats.broadcast_bits
 
     def test_remove_flow_rebroadcasts_group(self, setup):
         cluster, engine, keys, _ = setup
