@@ -20,8 +20,6 @@ from repro.baselines.bloom import BloomFilter
 from repro.baselines.buffalo import BuffaloSeparator
 from repro.baselines.bloomier import BloomierFilter, BloomierBuildError
 from repro.baselines.perfecthash import ChdPerfectHash, ChdBuildError
-from repro.baselines.dleft import DLeftHashTable
-from repro.baselines.linearprobe import LinearProbingTable
 
 __all__ = [
     "BloomFilter",
@@ -30,6 +28,4 @@ __all__ = [
     "BloomierBuildError",
     "ChdPerfectHash",
     "ChdBuildError",
-    "DLeftHashTable",
-    "LinearProbingTable",
 ]

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.chaos.oracle import DifferentialOracle
 from repro.cluster import fabric as fabric_mod
-from repro.cluster import update as update_mod
 from repro.cluster.architectures import Architecture
 from repro.cluster.failover import FailoverManager
 from repro.epc.gateway import EpcGateway
@@ -490,21 +489,21 @@ class FaultInjector:
 
         def interceptor(owner: int, peer: int) -> str:
             if peer == stale_peer:
-                return update_mod.DROP
-            return update_mod.DELIVER
+                return fabric_mod.DROP
+            return fabric_mod.DELIVER
 
         self._rehome_with_interceptor(interceptor, stale=True)
 
     def _apply_delta_delayed(self, event: FaultEvent) -> None:
         def interceptor(owner: int, peer: int) -> str:
-            return update_mod.DELAY
+            return fabric_mod.DELAY
 
         self._rehome_with_interceptor(interceptor, stale=True)
         self._flush_pending = True
 
     def _apply_delta_duplicated(self, event: FaultEvent) -> None:
         def interceptor(owner: int, peer: int) -> str:
-            return update_mod.DUPLICATE
+            return fabric_mod.DUPLICATE
 
         self._rehome_with_interceptor(interceptor, stale=False)
 

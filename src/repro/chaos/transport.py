@@ -14,11 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping
 
-#: Verdicts, shared vocabulary with :mod:`repro.cluster.update`.
-DELIVER = "deliver"
-DROP = "drop"
-DUPLICATE = "duplicate"
-DELAY = "delay"
+from repro.cluster.fabric import DELAY, DELIVER, DROP, DUPLICATE
 
 _VERDICTS = (DROP, DELAY, DUPLICATE)
 
@@ -79,11 +75,7 @@ class TransportFaultBudgets:
 
     def to_dict(self) -> Dict[str, Dict[str, int]]:
         """JSON-ready form (the ``MSG_FAULT`` payload)."""
-        return {
-            "drop": dict(self.drop),
-            "delay": dict(self.delay),
-            "duplicate": dict(self.duplicate),
-        }
+        return {name: dict(self._table(name)) for name in _VERDICTS}
 
     @classmethod
     def from_dict(

@@ -22,7 +22,10 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
 
-#: Verdicts a fabric fault hook may return for one transit.
+#: Verdicts a fault hook may return for one send: a fabric transit here,
+#: a §4.5 delta ship in :mod:`repro.cluster.owner`, a runtime transport
+#: send in :mod:`repro.chaos.transport`.  The one definition of the
+#: vocabulary; every other module imports these names.
 DELIVER = "deliver"
 DROP = "drop"
 DUPLICATE = "duplicate"

@@ -129,9 +129,13 @@ class RoutingInformationBase:
     # bucket for the block, the owner and the group as well.  ``bucket``
     # must be ``bucket_of(ckey)``; nothing here checks it.
 
-    def _insert(self, bucket: int, ckey: int, node: int, value: int) -> RibEntry:
+    def check_node(self, node: int) -> None:
+        """Raise ``ValueError`` unless ``node`` is one of the cluster's."""
         if not 0 <= node < self.num_nodes:
-            raise ValueError("handling node out of range")
+            raise ValueError(f"handling node {node} out of range")
+
+    def _insert(self, bucket: int, ckey: int, node: int, value: int) -> RibEntry:
+        self.check_node(node)
         entry = RibEntry(key=ckey, node=node, value=value)
         records = self._buckets.setdefault(bucket, {})
         if ckey not in records:

@@ -1,18 +1,12 @@
-"""The scalable RIB update protocol (paper §3.2, §4.5, §6.2).
+"""Driving RIB updates through an in-process cluster (paper §3.2, §6.2).
 
-Updates are sent to the key's RIB partition owner.  The owner:
-
-1. updates its RIB slice (the authoritative record);
-2. pushes the new/removed FIB entry to the key's handling node;
-3. recomputes the key's SetSep group on its local GPT replica and
-   broadcasts the resulting delta — tens of bits — which every peer
-   applies with a memory copy.
-
-Because ownership is spread across nodes and a delta application is
-trivial, the aggregate update rate scales with the cluster size: the §6.2
-measurement (60 K updates/s/core -> 240 K/s on 4 nodes) is the per-owner
-recompute rate times the node count, which ``bench_update_rate`` measures
-on this implementation.
+On a ScaleBricks cluster an update is the §4.5 protocol of
+:mod:`repro.cluster.owner`, run at the key's block owner and delivered
+here by direct call.  Because ownership is spread across nodes and a delta
+application is trivial, the aggregate update rate scales with the cluster
+size: the §6.2 measurement (60 K updates/s/core -> 240 K/s on 4 nodes) is
+the per-owner recompute rate times the node count, which
+``bench_update_rate`` measures on this implementation.
 
 Under full duplication the same update must modify the FIB on *every*
 node, so the aggregate rate stays at a single node's — the contrast
@@ -22,10 +16,13 @@ node, so the aggregate rate stays at a single node's — the contrast
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
+from repro.cluster import owner
 from repro.cluster.architectures import Architecture
 from repro.cluster.cluster import Cluster
+from repro.cluster.fabric import DELAY, DELIVER, DROP, DUPLICATE  # noqa: F401
+from repro.cluster.owner import UpdateAccount
 from repro.core import hashfamily
 from repro.core.params import BUCKETS_PER_BLOCK
 from repro.obs.metrics import MetricsRegistry, resolve_registry
@@ -34,43 +31,45 @@ from repro.obs.metrics import MetricsRegistry, resolve_registry
 #: of bits" per delta, so the resolution is finest there.
 DELTA_BITS_BUCKETS = (16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
 
-#: Verdicts a delta interceptor may return for one (owner, peer) ship.
-DELIVER = "deliver"
-DROP = "drop"
-DUPLICATE = "duplicate"
-DELAY = "delay"
-
 DeltaInterceptor = Callable[[int, int], str]
+
+#: Account fields mirrored into ``update.<field>`` registry counters (the
+#: bits go to the ``update.delta_bits`` histogram, one sample per record).
+_COUNTERS = {
+    "updates": "RIB updates driven through the protocol",
+    "fib_messages": "point-to-point FIB install/remove messages",
+    "delta_broadcasts": "GPT delta messages shipped to peers",
+    "deltas_dropped": "GPT deltas lost to injected faults",
+    "deltas_duplicated": "GPT deltas applied twice by injected faults",
+    "deltas_delayed": "GPT deltas held back for a delayed rebroadcast",
+}
 
 
 @dataclass
-class UpdateStats:
+class UpdateStats(UpdateAccount):
     """Protocol accounting across a batch of updates."""
 
-    updates: int = 0
-    fib_messages: int = 0
-    delta_broadcasts: int = 0
-    broadcast_bits: int = 0
-    groups_rebuilt: int = 0
-    deltas_dropped: int = 0
-    deltas_duplicated: int = 0
-    deltas_delayed: int = 0
     per_owner_updates: Dict[int, int] = field(default_factory=dict)
 
-    def record_owner(self, owner: int) -> None:
-        """Attribute one update to its RIB owner."""
-        self.per_owner_updates[owner] = self.per_owner_updates.get(owner, 0) + 1
+    @property
+    def broadcast_bits(self) -> int:
+        """Total encoded size of the delivered deltas (``delta_bits``)."""
+        return self.delta_bits
 
     @property
     def mean_delta_bits(self) -> float:
         """Average broadcast delta size (the paper's "tens of bits")."""
         if not self.delta_broadcasts:
             return 0.0
-        return self.broadcast_bits / self.delta_broadcasts
+        return self.delta_bits / self.delta_broadcasts
 
 
 class UpdateEngine:
     """Drives inserts/changes/removals through the cluster's update path.
+
+    On a ScaleBricks cluster the engine is a transport around the §4.5
+    core (:mod:`repro.cluster.owner`): it finds the owner, runs the owner
+    step there and delivers the FIB messages and records by direct call.
 
     Args:
         cluster: the cluster whose RIB/FIB/GPT the engine mutates.
@@ -91,8 +90,7 @@ class UpdateEngine:
         #: :data:`DELIVER`, :data:`DROP`, :data:`DUPLICATE` or
         #: :data:`DELAY`.  ``None`` (the default) ships every delta.
         self.delta_interceptor: Optional[DeltaInterceptor] = None
-        #: (peer, record type, wire bytes, size in bits) per held-back ship.
-        self._delayed_deltas: List[Tuple[int, type, bytes, int]] = []
+        self._delayed_deltas: List[owner.Delayed] = []
         self.bind_registry(
             registry if registry is not None else cluster.registry
         )
@@ -100,208 +98,151 @@ class UpdateEngine:
     def bind_registry(self, registry: Optional[MetricsRegistry]) -> None:
         """Attach a metrics registry (``None`` selects the null registry)."""
         self.registry = resolve_registry(registry)
-        self._m_updates = self.registry.counter(
-            "update.updates", "RIB updates driven through the protocol"
-        )
-        self._m_fib_messages = self.registry.counter(
-            "update.fib_messages", "point-to-point FIB install/remove messages"
-        )
-        self._m_broadcasts = self.registry.counter(
-            "update.delta_broadcasts", "GPT delta messages shipped to peers"
-        )
+        self._counters = {
+            name: self.registry.counter(f"update.{name}", description)
+            for name, description in _COUNTERS.items()
+        }
         self._h_delta_bits = self.registry.histogram(
             "update.delta_bits",
             buckets=DELTA_BITS_BUCKETS,
             description="encoded size of each broadcast GPT delta",
         )
-        self._m_deltas_dropped = self.registry.counter(
-            "update.deltas_dropped", "GPT deltas lost to injected faults"
-        )
-        self._m_deltas_duplicated = self.registry.counter(
-            "update.deltas_duplicated",
-            "GPT deltas applied twice by injected faults",
-        )
-        self._m_deltas_delayed = self.registry.counter(
-            "update.deltas_delayed",
-            "GPT deltas held back for a delayed rebroadcast",
-        )
 
-    def _count_fib_message(self) -> None:
-        self.stats.fib_messages += 1
-        self._m_fib_messages.inc()
-
-    def _count_broadcast(self, delta_bits: int) -> None:
-        self.stats.delta_broadcasts += 1
-        self.stats.broadcast_bits += delta_bits
-        self._m_broadcasts.inc()
-        self._h_delta_bits.observe(delta_bits)
-
-    def _count_update(self, bucket: int) -> int:
-        """Account one update to the owner of ``bucket``'s block."""
-        owner = self.cluster.rib.owner_of_block(bucket // BUCKETS_PER_BLOCK)
-        self.stats.updates += 1
-        self._m_updates.inc()
-        self.stats.record_owner(owner)
-        return owner
-
-    # ------------------------------------------------------------------
-    # ScaleBricks path
-    # ------------------------------------------------------------------
+    def _record(
+        self, acc: UpdateAccount, owner_id: Optional[int] = None
+    ) -> None:
+        """Fold one call's account into the stats and the registry."""
+        stats = self.stats
+        for name in owner.ACCOUNT_FIELDS:
+            count = getattr(acc, name)
+            if count:
+                setattr(stats, name, getattr(stats, name) + count)
+                counter = self._counters.get(name)
+                if counter is not None:
+                    counter.inc(count)
+        if owner_id is not None:
+            stats.per_owner_updates[owner_id] = (
+                stats.per_owner_updates.get(owner_id, 0) + 1
+            )
 
     def insert_flow(self, key, node: int, value: int) -> None:
         """Add or change a flow's (handling node, value) mapping."""
         with self.registry.span("update"):
-            self._insert_flow(key, node, value)
-
-    def _insert_flow(self, key, node: int, value: int) -> None:
-        cluster = self.cluster
-        ckey = hashfamily.canonical_key(key)
-        # One hash per update: the bucket gives the RIB slot, the block,
-        # its owner and (through the owner's GPT) the group.
-        bucket = cluster.rib.bucket_of(ckey)
-        previous = cluster.rib._get(bucket, ckey)
-        owner = self._count_update(bucket)
-        cluster.rib._insert(bucket, ckey, node, value)
-
-        if cluster.architecture is Architecture.SCALEBRICKS:
-            # FIB entry moves to (or is updated at) the handling node.
-            if previous is not None and previous.node != node:
-                cluster.nodes[previous.node].remove_route(ckey)
-                self._count_fib_message()
-            cluster.nodes[node].install_route(ckey, node, value)
-            self._count_fib_message()
-            self._rebroadcast_group(ckey, bucket, owner, node=node)
-        elif cluster.architecture is Architecture.HASH_PARTITION:
-            lookup_node = cluster.lookup_node_of(ckey)
-            for target in {lookup_node, node}:
-                cluster.nodes[target].install_route(ckey, node, value)
-                self._count_fib_message()
-            if previous is not None and previous.node not in (lookup_node, node):
-                cluster.nodes[previous.node].remove_route(ckey)
-                self._count_fib_message()
-        else:
-            # Full duplication / VLB: every node must apply the update —
-            # the aggregate update rate stays at a single server's (§3.2).
-            for cluster_node in cluster.nodes:
-                cluster_node.install_route(ckey, node, value)
-                self._count_fib_message()
+            self._update(key, node, value)
 
     def remove_flow(self, key) -> bool:
         """Remove a flow entirely; returns whether it existed."""
         with self.registry.span("update"):
-            return self._remove_flow(key)
+            return self._update(key)
 
-    def _remove_flow(self, key) -> bool:
+    def _update(self, key, node: Optional[int] = None, value: int = 0) -> bool:
+        """One update (``node`` ``None`` removes) on the cluster's
+        architecture; ``False`` for the removal of an unknown key."""
         cluster = self.cluster
+        nodes = cluster.nodes
         ckey = hashfamily.canonical_key(key)
+        # One hash per update: the bucket gives the RIB slot, the block,
+        # its owner and (through the owner's GPT) the group.
         bucket = cluster.rib.bucket_of(ckey)
-        previous = cluster.rib._remove(bucket, ckey)
-        if previous is None:
-            return False
-        owner = self._count_update(bucket)
-
+        owner_id = cluster.rib.owner_of_block(bucket // BUCKETS_PER_BLOCK)
         if cluster.architecture is Architecture.SCALEBRICKS:
-            cluster.nodes[previous.node].remove_route(ckey)
-            self._count_fib_message()
-            self._rebroadcast_group(ckey, bucket, owner)
-        elif cluster.architecture is Architecture.HASH_PARTITION:
-            lookup_node = cluster.lookup_node_of(ckey)
-            for target in {lookup_node, previous.node}:
-                cluster.nodes[target].remove_route(ckey)
-                self._count_fib_message()
+            return self._scalebricks_update(
+                owner_id, ckey, bucket, node, value
+            )
+        if node is None:
+            previous = cluster.rib._remove(bucket, ckey)
+            if previous is None:
+                return False
         else:
-            for cluster_node in cluster.nodes:
-                cluster_node.remove_route(ckey)
-                self._count_fib_message()
+            previous = cluster.rib._get(bucket, ckey)
+            # Range-checks ``node`` before it changes or counts anything.
+            cluster.rib._insert(bucket, ckey, node, value)
+        if cluster.architecture is Architecture.HASH_PARTITION:
+            # The entry lives at the key's lookup node and at its handler.
+            holders = {
+                cluster.lookup_node_of(ckey),
+                previous.node if node is None else node,
+            }
+        else:
+            # Full duplication / VLB: every node must apply the update —
+            # the aggregate update rate stays at a single server's (§3.2).
+            holders = range(len(nodes))
+        for target in holders:
+            if node is None:
+                nodes[target].remove_route(ckey)
+            else:
+                nodes[target].install_route(ckey, node, value)
+        acc = UpdateAccount(updates=1, fib_messages=len(holders))
+        if (
+            node is not None and previous is not None
+            and previous.node not in holders
+        ):
+            nodes[previous.node].remove_route(ckey)  # the handler it left
+            acc.fib_messages += 1
+        self._record(acc, owner_id)
         return True
 
     # ------------------------------------------------------------------
-    # GPT delta broadcast
+    # ScaleBricks path: the §4.5 core, delivered by direct call
     # ------------------------------------------------------------------
 
-    def _rebroadcast_group(
-        self, ckey: int, bucket: int, owner_id: int, node: Optional[int] = None
+    def _scalebricks_update(
+        self, owner_id: int, ckey: int, bucket: int,
+        node: Optional[int] = None, value: int = 0,
+    ) -> bool:
+        """One §4.5 update at its owner node, delivered by direct call.
+
+        The :attr:`delta_interceptor` verdicts open the §3.4
+        one-sided-error windows a production cluster actually experiences
+        (:func:`repro.cluster.owner.fan_out`).
+        """
+        nodes = self.cluster.nodes
+        acc = UpdateAccount()
+        step = owner.owner_step(
+            self.cluster.rib, nodes[owner_id].gpt, acc,
+            ckey, bucket, node, value,
+        )
+        if step is None:
+            return False
+        for target, entry in step.fib_ops:
+            if entry is None:
+                nodes[target].remove_route(ckey)
+            else:
+                nodes[target].install_route(ckey, entry.node, entry.value)
+        interceptor = self.delta_interceptor
+        peers = [
+            peer.node_id for peer in nodes
+            if peer.node_id != owner_id and peer.gpt is not None
+        ]
+        for peer, copies in owner.fan_out(
+            peers,
+            (lambda peer: DELIVER) if interceptor is None
+            else (lambda peer: interceptor(owner_id, peer)),
+            step, self._delayed_deltas, acc,
+        ):
+            self._deliver(peer, step.wire, step.bits, copies)
+        self._record(acc, owner_id)
+        return True
+
+    def _deliver(
+        self, peer: int, wire: bytes, bits: int, copies: int = 1
     ) -> None:
-        """Owner recomputes the key's group; peers apply the delta.
-
-        ``node`` is the key's new handling node, ``None`` when it left.
-        """
-        cluster = self.cluster
-        owner = cluster.nodes[owner_id]
-        assert owner.gpt is not None
-        separator = owner.gpt.setsep
-        group = separator.group_of_bucket(bucket)
-        removed = (ckey,) if node is None else ()
-        # Incremental backends (Othello) skip the O(group) contents
-        # enumeration once their owner-side graph is warm: the changed
-        # key alone produces the byte-identical record.
-        needs_full = getattr(separator, "needs_full_contents", None)
-        if needs_full is None or needs_full(group):
-            keys, nodes = cluster.rib.group_contents(group, separator)
-        elif node is None:
-            keys, nodes = [], []
-        else:
-            keys, nodes = [ckey], [node]
-        with self.registry.span("rebuild"):
-            delta = owner.gpt.rebuild_group(
-                group, keys, nodes, removed_keys=removed
-            )
-        self.stats.groups_rebuilt += 1
-        self._broadcast(delta, owner_id)
-
-    def _broadcast(self, delta, owner_id: int) -> None:
-        """Ship the record to every other replica (a memory copy each).
-
-        Backend-generic: ``delta`` is a ``GroupDelta`` (SetSep) or an
-        ``OthelloUpdate`` — both self-framing, so peers decode from the
-        wire bytes alone.
-
-        An installed :attr:`delta_interceptor` may drop a peer's copy
-        (leaving that replica stale until a later rebroadcast), apply it
-        twice (exercising delta idempotence) or hold it back until
-        :meth:`flush_delayed_deltas` — the §3.4 one-sided-error windows a
-        production cluster actually experiences.
-        """
-        params = self.cluster.nodes[owner_id].gpt.setsep.params
-        record_type = type(delta)
-        wire = delta.wire_bytes(params)
-        delta_bits = delta.size_bits(params)
-        for node in self.cluster.nodes:
-            if node.node_id == owner_id or node.gpt is None:
-                continue
-            verdict = DELIVER
-            if self.delta_interceptor is not None:
-                verdict = self.delta_interceptor(owner_id, node.node_id)
-            if verdict == DROP:
-                self.stats.deltas_dropped += 1
-                self._m_deltas_dropped.inc()
-                continue
-            if verdict == DELAY:
-                self._delayed_deltas.append(
-                    (node.node_id, record_type, wire, delta_bits)
-                )
-                self.stats.deltas_delayed += 1
-                self._m_deltas_delayed.inc()
-                continue
-            node.gpt.apply_delta(record_type.from_wire_bytes(wire)[0])
-            if verdict == DUPLICATE:
-                node.gpt.apply_delta(record_type.from_wire_bytes(wire)[0])
-                self.stats.deltas_duplicated += 1
-                self._m_deltas_duplicated.inc()
-            self._count_broadcast(delta_bits)
+        """``peer`` applies a record (a memory copy); sized once."""
+        for _ in range(copies):
+            owner.apply_records(self.cluster.nodes[peer].gpt, wire)
+        self._h_delta_bits.observe(bits)
 
     def flush_delayed_deltas(self) -> int:
         """Deliver every delta an interceptor held back, in ship order.
 
-        Returns the number of deltas applied.  Flushing in first-in
-        first-out order preserves the per-group last-writer-wins
-        convergence the broadcast protocol relies on.
+        Returns the number of deltas applied (none toward a peer that has
+        since lost its replica).
         """
-        pending, self._delayed_deltas = self._delayed_deltas, []
-        for peer_id, record_type, wire, delta_bits in pending:
-            node = self.cluster.nodes[peer_id]
-            if node.gpt is None:
-                continue
-            node.gpt.apply_delta(record_type.from_wire_bytes(wire)[0])
-            self._count_broadcast(delta_bits)
-        return len(pending)
+        acc = UpdateAccount()
+        owner.flush_delayed(
+            self._delayed_deltas,
+            [n.node_id for n in self.cluster.nodes if n.gpt is None],
+            self._deliver, acc,
+        )
+        self._record(acc)
+        return acc.delta_broadcasts

@@ -21,7 +21,7 @@ import cycles and SetSep-only workloads never pay for the extra module.
 
 from __future__ import annotations
 
-import os
+import functools
 from typing import (
     TYPE_CHECKING,
     Iterable,
@@ -38,6 +38,7 @@ import numpy as np
 from repro.core.builder import ConstructionStats
 from repro.core.hashfamily import Key
 from repro.core.params import SetSepParams
+from repro.utils.backends import BackendRegistry
 
 if TYPE_CHECKING:
     from repro.othello.params import OthelloParams
@@ -108,44 +109,12 @@ class Separator(Protocol):
     def bind_registry(self, registry) -> None: ...
 
 
-_default_backend: Optional[str] = None
-
-
-def _validate(backend: str) -> str:
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown separator backend {backend!r}; "
-            f"expected one of {', '.join(BACKENDS)}"
-        )
-    return backend
-
-
-def default_backend() -> str:
-    """The process-wide default backend (env override, else "setsep")."""
-    global _default_backend
-    if _default_backend is None:
-        _default_backend = _validate(
-            os.environ.get(BACKEND_ENV, "setsep").strip().lower() or "setsep"
-        )
-    return _default_backend
-
-
-def set_default_backend(backend: str) -> None:
-    """Select the backend used when callers don't pass one explicitly."""
-    global _default_backend
-    _default_backend = _validate(backend)
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """An explicit backend name, or the process default when ``None``."""
-    if backend is None:
-        return default_backend()
-    return _validate(backend)
-
-
-def backend_of(separator) -> str:
-    """Registry name of a separator instance's backend."""
-    return getattr(separator, "backend", "setsep")
+_registry = BackendRegistry("separator", BACKENDS, BACKEND_ENV)
+_validate = _registry.validate
+default_backend = _registry.default_backend
+set_default_backend = _registry.set_default_backend
+resolve_backend = _registry.resolve_backend
+backend_of = _registry.backend_of
 
 
 def params_for_cluster(
@@ -206,6 +175,8 @@ def build(
     )
 
 
+# Asked once per peer per update: remember the class, skip the imports.
+@functools.lru_cache(maxsize=None)
 def update_record_type(backend: str):
     """The wire update-record class for a backend (GroupDelta's peers)."""
     if _validate(backend) == "othello":

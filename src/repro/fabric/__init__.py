@@ -11,21 +11,22 @@ Two-Layer Fat-Tree Networks*, arXiv:1301.6179) — and holds the
 process-wide default that the CLI's ``--fabric`` flag and the
 ``REPRO_FABRIC_BACKEND`` environment variable select.
 
-The registry deliberately mirrors :mod:`repro.core.separator`: a
-process-wide default rather than a parameter threaded through every
-constructor, explicit ``fabric=`` / ``fabric_backend=`` arguments on
-``Cluster.build`` overriding it per call, and lazy backend imports so
-crossbar-only workloads never pay for the fat-tree module.
+The selection mechanism is :mod:`repro.core.separator`'s
+(:class:`repro.utils.backends.BackendRegistry`): a process-wide default
+rather than a parameter threaded through every constructor, explicit
+``fabric=`` / ``fabric_backend=`` arguments on ``Cluster.build``
+overriding it per call, and lazy backend imports so crossbar-only
+workloads never pay for the fat-tree module.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
 from repro.cluster.fabric import FabricLoss, FabricStats, Link
+from repro.utils.backends import BackendRegistry
 
 #: Names of the available fabric backends.
 BACKENDS = ("crossbar", "fattree")
@@ -90,45 +91,11 @@ class Fabric(Protocol):
     def reset_stats(self) -> None: ...
 
 
-_default_backend: Optional[str] = None
-
-
-def _validate(backend: str) -> str:
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown fabric backend {backend!r}; "
-            f"expected one of {', '.join(BACKENDS)}"
-        )
-    return backend
-
-
-def default_backend() -> str:
-    """The process-wide default backend (env override, else "crossbar")."""
-    global _default_backend
-    if _default_backend is None:
-        _default_backend = _validate(
-            os.environ.get(BACKEND_ENV, "crossbar").strip().lower()
-            or "crossbar"
-        )
-    return _default_backend
-
-
-def set_default_backend(backend: str) -> None:
-    """Select the backend used when callers don't pass one explicitly."""
-    global _default_backend
-    _default_backend = _validate(backend)
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """An explicit backend name, or the process default when ``None``."""
-    if backend is None:
-        return default_backend()
-    return _validate(backend)
-
-
-def backend_of(fabric) -> str:
-    """Registry name of a fabric instance's backend."""
-    return getattr(fabric, "backend", "crossbar")
+_registry = BackendRegistry("fabric", BACKENDS, BACKEND_ENV)
+default_backend = _registry.default_backend
+set_default_backend = _registry.set_default_backend
+resolve_backend = _registry.resolve_backend
+backend_of = _registry.backend_of
 
 
 def create(

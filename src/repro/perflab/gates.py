@@ -3,26 +3,32 @@
 Timings are compared warn-only (``repro bench compare``): CI runners are
 too noisy for more.  Counts the program keeps of its own work repeat
 exactly and gate hard.  A gate takes the parsed ``BENCH_*.json`` and
-returns the line to log, or raises :class:`GateFailure`; CI runs it with
-``python -m repro.perflab.gates BENCH_<sha>.json``.
+returns the line to log, or raises :class:`GateFailure`; CI runs every
+member of :data:`GATES` with ``python -m repro.perflab.gates
+BENCH_<sha>.json``.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Optional, Sequence
 
 
 class GateFailure(Exception):
     """An artifact broke a gate (or lacks the row the gate reads)."""
 
 
-def _derived(artifact: Mapping[str, Any], name: str) -> Mapping[str, Any]:
+def _read(artifact: Mapping[str, Any], row: str, *metrics: str) -> List[float]:
+    """The named derived metrics of one result row, which must exist."""
     for result in artifact.get("results", ()):
-        if result.get("name") == name:
-            return result.get("derived", {})
-    raise GateFailure(f"{name} missing from the artifact")
+        if result.get("name") == row:
+            derived = result.get("derived", {})
+            try:
+                return [float(derived[name]) for name in metrics]
+            except KeyError as exc:
+                raise GateFailure(f"{row} does not report {exc}") from exc
+    raise GateFailure(f"{row} missing from the artifact")
 
 
 def group_scan_gate(artifact: Mapping[str, Any]) -> str:
@@ -32,14 +38,10 @@ def group_scan_gate(artifact: Mapping[str, Any]) -> str:
     read per update beside the mean group size; an owner that enumerates
     the 1,024-key block again reads ~60 times the group.
     """
-    derived = _derived(artifact, "update.single_owner_rate")
-    try:
-        scanned = float(derived["keys_scanned_per_update"])
-        group = float(derived["mean_group_keys"])
-    except KeyError as exc:
-        raise GateFailure(
-            f"update.single_owner_rate does not report {exc}"
-        ) from exc
+    scanned, group = _read(
+        artifact, "update.single_owner_rate",
+        "keys_scanned_per_update", "mean_group_keys",
+    )
     line = (
         f"group scan: {scanned:.1f} records/update, "
         f"mean group {group:.1f} records"
@@ -49,17 +51,51 @@ def group_scan_gate(artifact: Mapping[str, Any]) -> str:
     return line
 
 
+def othello_gate(artifact: Mapping[str, Any]) -> str:
+    """Othello out-updates SetSep on the same storm and costs more bits.
+
+    The separator-backend claim ``bench_othello.py`` exists to defend.
+    Rates are same-run ratios, not absolute timings, so the order holds on
+    noisy runners; a flip means the incremental update path has silently
+    degraded.  Inverted bits per key mean the build is misconfigured.
+    """
+    _read(artifact, "othello.lookup")
+    othello, setsep = _read(
+        artifact, "othello.update_rate",
+        "othello_updates_per_second", "setsep_updates_per_second",
+    )
+    othello_bits, setsep_bits = _read(
+        artifact, "othello.build",
+        "othello_bits_per_key", "setsep_bits_per_key",
+    )
+    line = f"update rate: othello={othello:.0f}/s setsep={setsep:.0f}/s"
+    if othello <= setsep:
+        raise GateFailure(f"{line}: Othello fell behind SetSep")
+    if othello_bits <= setsep_bits:
+        raise GateFailure(
+            f"bits/key inverted: othello={othello_bits:.2f} "
+            f"setsep={setsep_bits:.2f}"
+        )
+    return line
+
+
+#: Every gate CI runs on the smoke artifact.
+GATES = (group_scan_gate, othello_gate)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Gate one artifact file; 1 if it failed."""
+    """Run every gate on one artifact file; 1 if any failed."""
     (path,) = sys.argv[1:] if argv is None else argv
     with open(path, "r", encoding="utf-8") as handle:
         artifact = json.load(handle)
-    try:
-        print(group_scan_gate(artifact))
-    except GateFailure as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    failed = 0
+    for gate in GATES:
+        try:
+            print(gate(artifact))
+        except GateFailure as exc:
+            print(f"FAIL: {exc}", file=sys.stderr)
+            failed = 1
+    return failed
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ from typing import (
 
 from repro.cluster.failover import FailoverManager
 from repro.cluster import membership
+from repro.cluster.owner import ACCOUNT_FIELDS
 from repro.cluster.update import UpdateEngine
 from repro.core import serialize, shm
 from repro.core.hashfamily import canonical_key
@@ -95,12 +96,6 @@ from repro.runtime.replication import (
     LeadershipGuard,
     StaleTermError,
     StaticGuard,
-)
-
-#: RSP_UPDATE accounting fields the controller aggregates.
-_UPDATE_FIELDS = (
-    "updates", "fib_messages", "groups_rebuilt", "delta_broadcasts",
-    "delta_bits", "deltas_dropped", "deltas_delayed", "deltas_duplicated",
 )
 
 
@@ -553,7 +548,7 @@ class RuntimeController:
         batches: Dict[int, List[UpdateOp]] = {}
         for op in ops:
             batches.setdefault(self.owner_of_key(op.key), []).append(op)
-        totals = {name: 0 for name in _UPDATE_FIELDS}
+        totals = {name: 0 for name in ACCOUNT_FIELDS}
         with self.commands:  # interleaved batches would corrupt streams
             for owner in sorted(batches):
                 rsp_type, rsp = self._request(
@@ -570,7 +565,7 @@ class RuntimeController:
                     self.deltalog.append(
                         log_wire, records=int(acc.get("groups_rebuilt", 0))
                     )
-                for name in _UPDATE_FIELDS:
+                for name in ACCOUNT_FIELDS:
                     totals[name] += int(acc.get(name, 0))
             if self.deltalog is not None:
                 new_floor = self.deltalog.maybe_compact()
@@ -583,12 +578,16 @@ class RuntimeController:
                         "runtime.deltalog.compactions",
                         "delta-log floor cutovers",
                     ).inc()
-        for name in _UPDATE_FIELDS:
-            if totals[name]:
-                self.registry.counter(f"runtime.update.{name}").inc(
-                    totals[name]
-                )
+        self._count_updates(totals)
         return totals
+
+    def _count_updates(self, account: Dict[str, int]) -> None:
+        """Fold a daemon's update accounting into ``runtime.update.*``."""
+        for name in ACCOUNT_FIELDS:
+            if account.get(name):
+                self.registry.counter(f"runtime.update.{name}").inc(
+                    account[name]
+                )
 
     # ------------------------------------------------------------------
     # Data path
@@ -1221,7 +1220,13 @@ class RuntimeController:
         protocol.expect(rsp_type, RSP_OK, rsp)
 
     def flush_node(self, node_id: int) -> Dict[str, int]:
-        """Deliver a daemon's delayed deltas/forwards (``MSG_FLUSH``)."""
+        """Deliver a daemon's delayed deltas/forwards (``MSG_FLUSH``).
+
+        A delayed delta is a broadcast when it is delivered, so the reply's
+        accounting joins the ``runtime.update.*`` totals here.
+        """
         rsp_type, rsp = self._request(node_id, MSG_FLUSH)
         doc = protocol.decode_json(protocol.expect(rsp_type, RSP_OK, rsp))
-        return {key: int(value) for key, value in doc.items()}
+        flushed = {key: int(value) for key, value in doc.items()}
+        self._count_updates(flushed)
+        return flushed

@@ -32,11 +32,13 @@ from __future__ import annotations
 
 import selectors
 import socket
+from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.chaos import transport as tfaults
+from repro.cluster import owner
 from repro.cluster.rib import RoutingInformationBase
 from repro.core import serialize, shm
 from repro.core import separator as separator_registry
@@ -109,7 +111,8 @@ class NodeDaemon:
         self.down: set = set()
         # Transport fault injection.
         self.faults = tfaults.TransportFaultBudgets()
-        self._delayed_deltas: List[Tuple[int, bytes]] = []
+        #: ``(peer, wire, bits)`` per delta ship a DELAY verdict held back.
+        self._delayed_deltas: List[Tuple[int, bytes, int]] = []
         self._delayed_forwards: List[Tuple[int, bytes]] = []
         self._peer_socks: Dict[int, FramedSocket] = {}
         self._running = False
@@ -124,9 +127,6 @@ class NodeDaemon:
         self._conn_terms: Dict[int, int] = {}
         #: Live shared-memory attachment backing the GPT (MSG_STATE_REF).
         self._attached: Optional[shm.AttachedSegment] = None
-        #: Attach mode for MSG_STATE_REF ("cow" shares pages, "copy"
-        #: privatises the whole snapshot like the wire path would).
-        self.shm_mode = "cow"
         self._c_snapshot_bytes = self.registry.counter(
             "runtime.snapshot_bytes",
             "separator snapshot bytes received on the wire",
@@ -378,16 +378,11 @@ class NodeDaemon:
         attachment = shm.attach(
             str(segment["name"]),
             expected_fingerprint=int(segment["fingerprint"]),
-            mode=self.shm_mode,
+            mode="cow",
         )
         try:
             setsep = attachment.separator
-            replayed = 0
-            for record, _params in separator_registry.parse_update_stream(
-                catchup, separator_registry.backend_of(setsep)
-            ):
-                setsep.apply_delta(record)
-                replayed += 1
+            replayed = owner.apply_records(setsep, catchup)
             detail = self._install_state(header, setsep, attachment)
         except Exception:
             attachment.close()
@@ -473,128 +468,74 @@ class NodeDaemon:
             "shm_segment": (
                 self._attached.name if self._attached is not None else None
             ),
-            "shm_mode": (
-                self._attached.mode if self._attached is not None else None
-            ),
         })
 
     # ------------------------------------------------------------------
-    # §4.5 update protocol: the owner role
+    # §4.5 update protocol: a socket transport around repro.cluster.owner
     # ------------------------------------------------------------------
+
+    def _ship(self, peer: int, msg_type: int, payload: bytes) -> None:
+        """One acknowledged control message to a peer daemon."""
+        rsp_type, rsp = self._peer_request(peer, msg_type, payload)
+        protocol.expect(rsp_type, RSP_OK, rsp)
 
     def _on_update(self, payload: bytes) -> Tuple[int, bytes]:
         assert self.gpt is not None, "update before snapshot"
         ops = protocol.decode_updates(payload)
-        separator = self.gpt.setsep
-        params = separator.params
+        # Refuse the whole batch before any of it is applied: an op that
+        # failed half-way would leave earlier ops in the slice and the GPT
+        # with their FIB entries and deltas never shipped.
+        for op in ops:
+            if op.op == OP_INSERT:
+                self.slice.check_node(op.node)
         fib_batches: Dict[int, List[UpdateOp]] = {}
         delta_wires: Dict[int, List[bytes]] = {}
         #: Canonical per-record wire bytes for the controller's delta log —
         #: one copy per rebuilt group, independent of per-peer transport
         #: fault verdicts (the log must mirror the owner's applied state).
         log_wires: List[bytes] = []
-        acc = {
-            "updates": 0, "fib_messages": 0, "groups_rebuilt": 0,
-            "delta_broadcasts": 0, "delta_bits": 0,
-            "deltas_dropped": 0, "deltas_delayed": 0,
-            "deltas_duplicated": 0,
-        }
-        # Refuse the whole batch before any of it is applied: an op that
-        # failed half-way would leave earlier ops in the slice and the GPT
-        # with their FIB entries and deltas never shipped.
-        for op in ops:
-            if op.op == OP_INSERT and not 0 <= op.node < self.num_nodes:
-                raise ValueError(
-                    f"handling node {op.node} out of range; "
-                    f"none of the {len(ops)} ops applied"
-                )
+        acc = owner.UpdateAccount()
+        peers = [
+            peer for peer in range(self.num_nodes)
+            if peer != self.node_id and peer not in self.down
+        ]
+        verdict_of = lambda _peer: self.faults.verdict("delta")  # noqa: E731
         for op in ops:
             key = canonical_key(op.key)
-            bucket = self.slice.bucket_of(key)
-            if op.op == OP_INSERT:
-                previous = self.slice._get(bucket, key)
-                self.slice._insert(bucket, key, op.node, op.value)
-                if previous is not None and previous.node != op.node:
-                    fib_batches.setdefault(previous.node, []).append(
-                        UpdateOp(OP_REMOVE, key)
-                    )
-                    acc["fib_messages"] += 1
-                fib_batches.setdefault(op.node, []).append(
+            step = owner.owner_step(
+                self.slice, self.gpt, acc, key, self.slice.bucket_of(key),
+                op.node if op.op == OP_INSERT else None, op.value,
+            )
+            if step is None:
+                continue  # unknown key: not an update
+            self._c_groups_rebuilt.inc()
+            for target, entry in step.fib_ops:
+                fib_batches.setdefault(target, []).append(
+                    UpdateOp(OP_REMOVE, key) if entry is None else
                     UpdateOp(OP_INSERT, key, op.node, op.value, op.bs_ip)
                 )
-                acc["fib_messages"] += 1
-                removed: Tuple[int, ...] = ()
-            else:
-                previous = self.slice._remove(bucket, key)
-                if previous is None:
-                    continue  # unknown key: not an update (engine parity)
-                fib_batches.setdefault(previous.node, []).append(
-                    UpdateOp(OP_REMOVE, key)
-                )
-                acc["fib_messages"] += 1
-                removed = (key,)
-            acc["updates"] += 1
-            group = separator.group_of_bucket(bucket)
-            # Incremental backends (Othello) skip the O(group) contents
-            # enumeration once their owner-side graph is warm; the
-            # record is byte-identical either way (engine parity).
-            needs_full = getattr(separator, "needs_full_contents", None)
-            if needs_full is None or needs_full(group):
-                group_keys, group_nodes = self.slice.group_contents(
-                    group, separator
-                )
-            elif removed:
-                group_keys, group_nodes = [], []
-            else:
-                group_keys, group_nodes = [key], [op.node]
-            delta = self.gpt.rebuild_group(
-                group, group_keys, group_nodes, removed_keys=removed
-            )
-            acc["groups_rebuilt"] += 1
-            self._c_groups_rebuilt.inc()
-            wire = delta.wire_bytes(params)
-            bits = delta.size_bits(params)
-            log_wires.append(wire)
-            for peer in range(self.num_nodes):
-                if peer == self.node_id or peer in self.down:
-                    continue
-                verdict = self.faults.verdict("delta")
-                if verdict == tfaults.DROP:
-                    acc["deltas_dropped"] += 1
-                    continue
-                if verdict == tfaults.DELAY:
-                    self._delayed_deltas.append((peer, wire))
-                    acc["deltas_delayed"] += 1
-                    continue
-                delta_wires.setdefault(peer, []).append(wire)
-                if verdict == tfaults.DUPLICATE:
-                    delta_wires[peer].append(wire)
-                    acc["deltas_duplicated"] += 1
-                acc["delta_broadcasts"] += 1
-                acc["delta_bits"] += bits
+            log_wires.append(step.wire)
+            for peer, copies in owner.fan_out(
+                peers, verdict_of, step, self._delayed_deltas, acc
+            ):
+                delta_wires.setdefault(peer, []).extend([step.wire] * copies)
         # One FIB batch per handling node, one delta batch per peer —
         # same per-key ordering as shipping each individually.
         for target in sorted(fib_batches):
-            if target in self.down:
-                continue
-            batch = fib_batches[target]
             if target == self.node_id:
-                self._apply_fib(batch)
-            else:
-                rsp_type, rsp = self._peer_request(
-                    target, MSG_FIB, protocol.encode_updates(batch)
+                self._apply_fib(fib_batches[target])
+            elif target not in self.down:
+                self._ship(
+                    target, MSG_FIB,
+                    protocol.encode_updates(fib_batches[target]),
                 )
-                protocol.expect(rsp_type, RSP_OK, rsp)
         for peer in sorted(delta_wires):
-            if peer in self.down:
-                continue
-            rsp_type, rsp = self._peer_request(
-                peer, MSG_DELTA, b"".join(delta_wires[peer])
-            )
-            protocol.expect(rsp_type, RSP_OK, rsp)
+            self._ship(peer, MSG_DELTA, b"".join(delta_wires[peer]))
         # Accounting JSON plus the batch's canonical records, state-framed:
         # the controller appends the records to its epoch delta log.
-        return RSP_UPDATE, protocol.encode_state(acc, b"".join(log_wires))
+        return RSP_UPDATE, protocol.encode_state(
+            asdict(acc), b"".join(log_wires)
+        )
 
     def _apply_fib(self, ops: List[UpdateOp]) -> None:
         for op in ops:
@@ -613,35 +554,32 @@ class NodeDaemon:
 
     def _on_delta(self, payload: bytes) -> Tuple[int, bytes]:
         assert self.gpt is not None, "delta before snapshot"
-        applied = 0
-        records = separator_registry.parse_update_stream(
-            payload, separator_registry.backend_of(self.gpt.setsep)
-        )
-        for record, _params in records:
-            self.gpt.apply_delta(record)
-            applied += 1
+        applied = owner.apply_records(self.gpt, payload)
         self._c_deltas_applied.inc(applied)
         return RSP_OK, protocol.encode_json({"applied": applied})
 
     def _on_flush(self, payload: bytes) -> Tuple[int, bytes]:
-        """Deliver every delayed delta and forward, in FIFO ship order."""
-        deltas, self._delayed_deltas = self._delayed_deltas, []
-        per_peer: Dict[int, List[bytes]] = {}
-        for peer, wire in deltas:
-            per_peer.setdefault(peer, []).append(wire)
-        for peer in sorted(per_peer):
-            rsp_type, rsp = self._peer_request(
-                peer, MSG_DELTA, b"".join(per_peer[peer])
-            )
-            protocol.expect(rsp_type, RSP_OK, rsp)
+        """Deliver every delayed delta and forward, in FIFO ship order.
+
+        The reply carries the delivered deltas' accounting; the controller
+        folds it into the totals the ``RSP_UPDATE`` that delayed them
+        left out.
+        """
+        acc = owner.UpdateAccount()
+        owner.flush_delayed(
+            self._delayed_deltas, self.down,
+            lambda peer, wire, _bits: self._ship(peer, MSG_DELTA, wire), acc,
+        )
         forwards, self._delayed_forwards = self._delayed_forwards, []
         for peer, frame_payload in forwards:
             # Late delivery: the handler charges and encapsulates, but
             # the original ROUTE response already went out without it.
             self._peer_request(peer, MSG_FORWARD, frame_payload)
         return RSP_OK, protocol.encode_json({
-            "flushed_deltas": len(deltas),
+            "flushed_deltas": acc.delta_broadcasts,
             "flushed_forwards": len(forwards),
+            "delta_broadcasts": acc.delta_broadcasts,
+            "delta_bits": acc.delta_bits,
         })
 
     # ------------------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core import separator as separator_registry
+from repro.cluster.owner import apply_records
 from repro.core import serialize
 
 
@@ -40,10 +40,7 @@ class DeltaLog:
     """Snapshot floor + appended update records for one state epoch."""
 
     def __init__(self, floor: bytes) -> None:
-        self._floor = bytes(floor)
-        self._chunks: List[bytes] = []
-        self._log_bytes = 0
-        self._record_count = 0
+        self.reset(floor)
         #: Compactions performed over this instance's lifetime.
         self.compactions = 0
 
@@ -82,7 +79,7 @@ class DeltaLog:
     def reset(self, floor: bytes) -> None:
         """Start a new epoch from ``floor`` (bootstrap / membership swap)."""
         self._floor = bytes(floor)
-        self._chunks = []
+        self._chunks: List[bytes] = []
         self._log_bytes = 0
         self._record_count = 0
 
@@ -117,16 +114,8 @@ class DeltaLog:
         if not self._chunks:
             return self._floor
         separator = serialize.loads(self._floor)
-        stream = self.records()
-        backend = separator_registry.backend_of(separator)
-        for record, _params in separator_registry.parse_update_stream(
-            stream, backend
-        ):
-            separator.apply_delta(record)
-        self._floor = serialize.dumps(separator)
-        self._chunks = []
-        self._log_bytes = 0
-        self._record_count = 0
+        apply_records(separator, self.records())
+        self.reset(serialize.dumps(separator))
         self.compactions += 1
         return self._floor
 

@@ -12,9 +12,9 @@ from repro.fabric.fattree import FatTreeFabric
 @pytest.fixture(autouse=True)
 def _isolate_default_backend():
     """Keep the process-wide default backend out of cross-test state."""
-    before = fabric_registry._default_backend
+    before = fabric_registry._registry.chosen
     yield
-    fabric_registry._default_backend = before
+    fabric_registry._registry.chosen = before
 
 
 def build_cluster(num_nodes=6, flows=240, **kwargs):
@@ -46,7 +46,7 @@ class TestRegistry:
 
     def test_env_var_selects_default(self, monkeypatch):
         monkeypatch.setenv(fabric_registry.BACKEND_ENV, "fattree")
-        fabric_registry._default_backend = None
+        fabric_registry._registry.chosen = None
         assert fabric_registry.default_backend() == "fattree"
 
     def test_create_both_backends_satisfy_protocol(self):

@@ -481,19 +481,64 @@ class TestGroupScanGate:
 
     def test_main_gates_the_benchmark_it_reads(self, tmp_path, capsys):
         # The real row, run small: the gate's metric names are the
-        # benchmark's, and today's update path passes.
+        # benchmark's, and today's update path passes.  (The Othello rows
+        # are synthetic: their benchmark times two 2,000-update storms.)
         perflab.discover()
         artifact = perflab.run_suite(
             "smoke", scale=1, name_filter="update.single_owner_rate")
+        artifact.results.extend(othello_rows())
         path = perflab.write_artifact(artifact, tmp_path)
         assert gates.main([str(path)]) == 0
-        assert "group scan" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "group scan" in out and "othello=" in out
         broken = tmp_path / "broken.json"
         broken.write_text(perflab.canonical_json(
             self._artifact(keys_scanned_per_update=900.0,
                            mean_group_keys=15.6)))
         assert gates.main([str(broken)]) == 1
-        assert "FAIL" in capsys.readouterr().err
+        # Every gate reports, not only the first to fail.
+        err = capsys.readouterr().err
+        assert "group scan" in err and "othello.lookup missing" in err
+
+
+def othello_rows(rate=(6700.0, 2100.0), bits=(4.66, 3.5), skip=()):
+    rows = {
+        "othello.build": dict(
+            othello_bits_per_key=bits[0], setsep_bits_per_key=bits[1]),
+        "othello.lookup": {},
+        "othello.update_rate": dict(
+            othello_updates_per_second=rate[0],
+            setsep_updates_per_second=rate[1]),
+    }
+    return [
+        make_result(name, [0.1], derived=derived)
+        for name, derived in rows.items() if name not in skip
+    ]
+
+
+class TestOthelloGate:
+    def test_head_to_head_passes(self):
+        line = gates.othello_gate(make_artifact(othello_rows()).to_dict())
+        assert "othello=6700/s" in line and "setsep=2100/s" in line
+
+    @pytest.mark.parametrize("rows, message", [
+        (dict(rate=(2000.0, 2100.0)), "fell behind"),
+        (dict(rate=(2100.0, 2100.0)), "fell behind"),
+        (dict(bits=(3.5, 4.66)), "bits/key inverted"),
+        (dict(skip=("othello.lookup",)), "othello.lookup missing"),
+        (dict(skip=("othello.update_rate",)), "othello.update_rate missing"),
+        (dict(skip=("othello.build",)), "othello.build missing"),
+    ])
+    def test_inverted_or_missing_rows_fail(self, rows, message):
+        with pytest.raises(gates.GateFailure, match=message):
+            gates.othello_gate(make_artifact(othello_rows(**rows)).to_dict())
+
+    def test_missing_metric_fails(self):
+        artifact = make_artifact(othello_rows()).to_dict()
+        for result in artifact["results"]:
+            result["derived"].pop("setsep_bits_per_key", None)
+        with pytest.raises(gates.GateFailure, match="setsep_bits_per_key"):
+            gates.othello_gate(artifact)
 
 
 # -- environment fingerprint ---------------------------------------------

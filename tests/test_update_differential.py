@@ -16,21 +16,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos.transport import (
+    DELAY, DROP, DUPLICATE, TransportFaultBudgets,
+)
 from repro.cluster.architectures import Architecture
+from repro.cluster.owner import (
+    ACCOUNT_FIELDS, UpdateAccount, apply_records, owner_step,
+)
+from repro.cluster.rib import RoutingInformationBase
+from repro.core import separator as separator_registry
 from repro.core import serialize
 from repro.core.delta import WIRE_HEADER, GroupDelta
+from repro.core.hashfamily import canonical_key
 from repro.core.params import SetSepParams
 from repro.epc.gateway import EpcGateway
 from repro.epc.packets import parse_ip
 from repro.epc.traffic import FlowGenerator
+from repro.gpt.gpt import GlobalPartitionTable
 from repro.runtime.controller import RuntimeController
 from repro.runtime.daemon import NodeDaemon
 from repro.runtime.protocol import (
-    MSG_UPDATE, OP_INSERT, OP_REMOVE, RSP_ERR, UpdateOp, decode_json,
-    encode_updates,
+    MSG_DOWN, MSG_FLUSH, MSG_UPDATE, OP_INSERT, OP_REMOVE, RSP_ERR, RSP_OK,
+    UpdateOp, decode_json, encode_json, encode_updates,
 )
 from repro.utils.bits import BitWriter
-from tests.conftest import brute_force_contents
+from tests.conftest import brute_force_contents, unique_keys
 
 
 def wire_up(gateway):
@@ -61,11 +71,14 @@ def started_gateway(nodes, bearers, seed, **gpt_overrides):
     return gateway, generator, flows
 
 
-def churn(gateway, generator, live, rng, count):
+def churn(gateway, generator, live, rng, count, before_op=None):
     """``count`` seeded connects, disconnects and rehomes on the gateway;
-    returns the same operations as the runtime's wire ops."""
+    returns the same operations as the runtime's wire ops.  Each is one
+    update; ``before_op(index)`` runs ahead of it."""
     ops = []
-    for _ in range(count):
+    for index in range(count):
+        if before_op is not None:
+            before_op(index)
         kind = rng.integers(5)
         if kind < 2 or len(live) < 8:
             flow = generator.flows(1)[0]
@@ -214,7 +227,8 @@ class TestDaemonSlice:
                 brute_force_contents(model, separator, group)
             )
 
-    def test_batch_with_a_bad_node_applies_none_of_its_ops(self):
+    @pytest.mark.parametrize("bad_alone", [False, True])
+    def test_batch_with_a_bad_node_applies_none_of_its_ops(self, bad_alone):
         gateway, generator, flows = started_gateway(2, 300, seed=5)
         _, daemons = wire_up(gateway)
         owner = daemons[0]
@@ -226,23 +240,152 @@ class TestDaemonSlice:
             f.key() for f in generator.flows(50)
             if owner.slice.owner_of_key(f.key()) == 0
         )
-        before = [
-            (serialize.fingerprint(d.gpt.setsep), dict(d.fib), len(d.slice))
-            for d in daemons
-        ]
-        rsp_type, rsp = owner._dispatch(MSG_UPDATE, encode_updates([
+
+        def state():
+            return [
+                (serialize.fingerprint(d.gpt.setsep), dict(d.fib),
+                 list(d.slice.entries()), len(d._delayed_deltas), {
+                     name: count
+                     for name, count in d.registry.counters().items()
+                     if not name.startswith("runtime.rx.")
+                 })
+                for d in daemons
+            ]
+
+        before = state()
+        batch = [
             UpdateOp(OP_INSERT, fresh, 1, 77),
             UpdateOp(OP_REMOVE, owned[0]),
             UpdateOp(OP_INSERT, owned[1], 2, 78),  # node 2 of 2
-        ]))
+        ]
+        rsp_type, rsp = owner._dispatch(
+            MSG_UPDATE, encode_updates(batch[2:] if bad_alone else batch)
+        )
         assert rsp_type == RSP_ERR
         assert "out of range" in decode_json(rsp)["error"]
         assert owner.slice.get(fresh) is None
         assert owner.slice.get(owned[0]) is not None
-        assert before == [
-            (serialize.fingerprint(d.gpt.setsep), dict(d.fib), len(d.slice))
-            for d in daemons
-        ]
+        assert before == state()
+
+
+class TestCore:
+    """``repro.cluster.owner`` alone: no engine, no daemon, no cluster."""
+
+    @given(ops=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 119), st.integers(0, 2)),
+        max_size=60,
+    ))
+    @settings(max_examples=30, deadline=None)
+    def test_replicas_are_a_function_of_the_final_slice(self, ops):
+        keys = unique_keys(120, seed=9)
+        model = {int(k): int(k) % 3 for k in keys[:80]}
+        # Two candidate indices over four slots: a sixth of the groups
+        # start failed, and updates move groups in and out of the
+        # fallback table.
+        gpt, _ = GlobalPartitionTable.build(
+            list(model), list(model.values()), 3,
+            params=SetSepParams.for_cluster(3, index_bits=1, array_bits=2),
+            backend="setsep",
+        )
+        peer = gpt.copy()
+        rib = RoutingInformationBase(3, gpt.setsep.num_blocks)
+        for key, node in model.items():
+            rib.insert(key, node, 0)
+        acc = UpdateAccount()
+        for insert, index, node in ops:
+            ckey = canonical_key(keys[index])
+            step = owner_step(
+                rib, gpt, acc, ckey, rib.bucket_of(ckey),
+                node if insert else None,
+            )
+            if step is None:
+                assert not insert and ckey not in model
+                continue
+            assert apply_records(peer, step.wire) == 1
+            if insert:
+                model[ckey] = node
+            else:
+                del model[ckey]
+        assert acc.updates == acc.groups_rebuilt <= len(ops)
+        assert {e.key: e.node for e in rib.entries()} == model
+        state = serialize.fingerprint(gpt.setsep)
+        assert serialize.fingerprint(peer.setsep) == state
+        # Rebuilding every group from what the slice now holds changes
+        # nothing: the history of updates left no trace.
+        for group in range(peer.setsep.num_groups):
+            peer.rebuild_group(group, *rib.group_contents(group, peer.setsep))
+        assert serialize.fingerprint(peer.setsep) == state
+        if model:
+            live = np.fromiter(model, dtype=np.uint64, count=len(model))
+            assert peer.lookup_batch(live).tolist() == list(model.values())
+
+
+class TestDaemonFlush:
+    """Delayed deltas go out through the same fan-out and accounting."""
+
+    @pytest.fixture()
+    def delayed(self):
+        """Three daemons; owner 0 holds one delta back from peers 1, 2."""
+        gateway, _, flows = started_gateway(3, 300, seed=7)
+        controller, daemons = wire_up(gateway)
+        key = next(
+            f.key() for f in flows
+            if daemons[0].slice.owner_of_key(f.key()) == 0
+        )
+        controller.arm_faults(0, {DELAY: {"delta": 2}})
+        totals = controller.push_updates([UpdateOp(OP_INSERT, key, 2, 9)])
+        assert totals["deltas_delayed"] == 2
+        assert totals["delta_broadcasts"] == totals["delta_bits"] == 0
+        return controller, daemons
+
+    @staticmethod
+    def cut_link(daemon, dead):
+        """Requests from ``daemon`` to peer ``dead`` fail like a dead link."""
+        healthy = daemon._peer_request
+
+        def request(node_id, msg_type, payload=b""):
+            if node_id == dead:
+                raise OSError("connection refused")
+            return healthy(node_id, msg_type, payload)
+
+        daemon._peer_request = request
+        return healthy
+
+    def test_flush_skips_a_peer_declared_down_since(self, delayed):
+        _, daemons = delayed
+        self.cut_link(daemons[0], dead=1)
+        daemons[0]._dispatch(MSG_DOWN, encode_json({"down": [1]}))
+        rsp_type, rsp = daemons[0]._dispatch(MSG_FLUSH, b"")
+        assert rsp_type == RSP_OK
+        assert decode_json(rsp)["flushed_deltas"] == 1
+        assert not daemons[0]._delayed_deltas
+        assert serialize.fingerprint(daemons[2].gpt.setsep) == (
+            serialize.fingerprint(daemons[0].gpt.setsep)
+        )
+
+    def test_transport_error_keeps_the_undelivered_queued(self, delayed):
+        _, daemons = delayed
+        healthy = self.cut_link(daemons[0], dead=1)
+        rsp_type, _ = daemons[0]._dispatch(MSG_FLUSH, b"")
+        assert rsp_type == RSP_ERR
+        assert [peer for peer, _, _ in daemons[0]._delayed_deltas] == [1, 2]
+        daemons[0]._peer_request = healthy
+        rsp_type, rsp = daemons[0]._dispatch(MSG_FLUSH, b"")
+        assert rsp_type == RSP_OK
+        assert decode_json(rsp)["flushed_deltas"] == 2
+        assert len(
+            {serialize.fingerprint(d.gpt.setsep) for d in daemons}
+        ) == 1
+
+    def test_flushed_deltas_are_accounted_on_delivery(self, delayed):
+        controller, daemons = delayed
+        flushed = controller.flush_node(0)
+        assert flushed["flushed_deltas"] == flushed["delta_broadcasts"] == 2
+        assert flushed["delta_bits"] > 0
+        counters = controller.registry.counters()
+        assert counters["runtime.update.delta_broadcasts"] == 2
+        assert counters["runtime.update.delta_bits"] == flushed["delta_bits"]
+        assert controller.flush_node(0)["flushed_deltas"] == 0
 
 
 class TestEngineAgainstDaemons:
@@ -250,27 +393,44 @@ class TestEngineAgainstDaemons:
     #: churn and the order of a failed group's keys reaches the wire.
     TIGHT = dict(index_bits=7)
 
-    @pytest.mark.parametrize("nodes", [2, 4])
-    def test_same_churn_same_bytes(self, nodes, monkeypatch):
+    @pytest.mark.parametrize(
+        "nodes, backend", [(2, "setsep"), (4, "setsep"), (3, "othello")]
+    )
+    def test_same_churn_same_bytes(self, nodes, backend, monkeypatch):
+        monkeypatch.setattr(separator_registry._registry, "chosen", backend)
         gateway, generator, flows = started_gateway(
             nodes, 1_500, seed=11, **self.TIGHT
         )
         controller, daemons = wire_up(gateway)
         params = gateway.cluster.nodes[0].gpt.setsep.params
+        record_type = separator_registry.update_record_type(backend)
 
         framed = []
-        wire_bytes = GroupDelta.wire_bytes
+        wire_bytes = record_type.wire_bytes
 
         def recording(delta, params):
-            framed.append((delta, wire_bytes(delta, params)))
-            return framed[-1][1]
+            wire = wire_bytes(delta, params)
+            if not (framed and framed[-1][0] is delta):  # Othello sizes
+                framed.append((delta, wire))             # by framing again
+            return wire
 
-        monkeypatch.setattr(GroupDelta, "wire_bytes", recording)
+        monkeypatch.setattr(record_type, "wire_bytes", recording)
+        # Full-contents enumerations: every update on SetSep, only a cold
+        # owner's on Othello (``needs_full_contents``).
+        enumerated = []
+        group_contents = RoutingInformationBase.group_contents
+        monkeypatch.setattr(
+            RoutingInformationBase, "group_contents",
+            lambda rib, group, sep: (
+                enumerated.append(group) or group_contents(rib, group, sep)
+            ),
+        )
         live = list(flows)
         ops = churn(
             gateway, generator, live, np.random.default_rng(nodes), 2_000
         )
         by_engine, framed[:] = list(framed), []
+        enumerated_by_engine, enumerated[:] = len(enumerated), []
         for op in ops:  # one at a time: the engine's delta order
             totals = controller.push_updates([op])
             assert totals["updates"] == 1
@@ -282,12 +442,21 @@ class TestEngineAgainstDaemons:
         assert [w for _, w in by_engine] == [w for _, w in by_daemons]
         spilled = 0
         for delta, wire in by_engine:
-            assert GroupDelta.from_wire_bytes(wire) == (
+            assert record_type.from_wire_bytes(wire) == (
                 delta, params, len(wire)
             )
-            assert wire[WIRE_HEADER.size:] == reference_body(delta, params)
-            spilled += len(delta.fallback_upserts) > 1
-        assert spilled, "no group spilled: the key order went untested"
+            if backend == "setsep":
+                assert wire[WIRE_HEADER.size:] == reference_body(
+                    delta, params
+                )
+                spilled += len(delta.fallback_upserts) > 1
+        if backend == "setsep":
+            assert spilled, "no group spilled: the key order went untested"
+            assert enumerated_by_engine == len(enumerated) == len(ops)
+        else:
+            # Cold owners took the full contents, warm ones the changed
+            # key alone: both arms ran, equally often, on both transports.
+            assert 0 < enumerated_by_engine == len(enumerated) < len(ops)
 
         # Every replica of both systems ended in the same state.
         prints = {
@@ -313,3 +482,106 @@ class TestEngineAgainstDaemons:
             assert daemons[handler].fib[record.key] == record.teid
         assert sum(len(d.fib) for d in daemons) == len(live)
         assert sum(len(d.slice) for d in daemons) == len(live)
+
+    def test_same_fault_plan_same_accounting_and_staleness(self):
+        nodes, count = 3, 300
+        gateway, generator, flows = started_gateway(nodes, 400, seed=13)
+        controller, daemons = wire_up(gateway)
+        engine = gateway.updates
+        # One seeded plan: a fifth of the updates have their first one or
+        # two delta ships dropped, delayed or duplicated.  Armed just
+        # ahead of its update and used up within it, so the engine's one
+        # budget and the owning daemon's see the same ships.
+        rng = np.random.default_rng(17)
+        plan = {
+            int(index): (
+                (DROP, DELAY, DUPLICATE)[int(rng.integers(3))],
+                int(rng.integers(1, nodes)),
+            )
+            for index in rng.choice(count, size=count // 5, replace=False)
+        }
+        budgets = TransportFaultBudgets()
+        engine.delta_interceptor = lambda owner, peer: budgets.verdict("delta")
+        live = list(flows)
+        ops = churn(
+            gateway, generator, live, np.random.default_rng(3), count,
+            before_op=lambda index: index in plan and budgets.arm(
+                plan[index][0], "delta", plan[index][1]
+            ),
+        )
+        engine.delta_interceptor = None
+        totals = dict.fromkeys(ACCOUNT_FIELDS, 0)
+        for index, op in enumerate(ops):
+            if index in plan:
+                verdict, ships = plan[index]
+                controller.arm_faults(
+                    controller.owner_of_key(op.key), {verdict: {"delta": ships}}
+                )
+            for name, value in controller.push_updates([op]).items():
+                totals[name] += value
+        assert budgets.pending() == 0
+        assert not any(d.faults.pending() for d in daemons)
+
+        def prints():
+            return (
+                [serialize.fingerprint(n.gpt.setsep)
+                 for n in gateway.cluster.nodes],
+                [serialize.fingerprint(d.gpt.setsep) for d in daemons],
+            )
+
+        def account():
+            runtime = controller.registry.counters()
+            return (
+                {name: getattr(engine.stats, name) for name in ACCOUNT_FIELDS},
+                {name: runtime.get(f"runtime.update.{name}", 0)
+                 for name in ACCOUNT_FIELDS},
+            )
+
+        # Same totals field by field, and the same replicas stale in the
+        # same way, before the flush ...
+        by_engine, by_daemons = account()
+        assert by_engine == by_daemons == totals
+        assert min(
+            totals[name] for name in
+            ("deltas_dropped", "deltas_delayed", "deltas_duplicated")
+        ) > 0
+        by_engine, by_daemons = prints()
+        assert by_engine == by_daemons and len(set(by_engine)) > 1
+        # ... and after it: delayed records count when they are delivered.
+        flushed = sum(
+            controller.flush_node(node)["flushed_deltas"]
+            for node in range(nodes)
+        )
+        assert engine.flush_delayed_deltas() == flushed == (
+            totals["deltas_delayed"]
+        )
+        by_engine, by_daemons = account()
+        assert by_engine == by_daemons
+        assert by_engine["delta_broadcasts"] == (
+            totals["delta_broadcasts"] + flushed
+        )
+        by_engine, by_daemons = prints()
+        assert by_engine == by_daemons
+
+        # A dropped or late record leaves its group stale until the group
+        # is rebuilt again: the §4.5 repair is an identity re-insert.
+        separator = gateway.cluster.nodes[0].gpt.setsep
+        stale = {
+            separator.group_of(ops[index].key)
+            for index, (verdict, _) in plan.items() if verdict != DUPLICATE
+        }
+        for flow in live:
+            record = gateway.controller.record_for_key(flow.key())
+            group = separator.group_of(record.key)
+            if group in stale:
+                stale.remove(group)
+                engine.insert_flow(
+                    record.key, record.handling_node, record.teid
+                )
+                controller.push_updates([UpdateOp(
+                    OP_INSERT, record.key, record.handling_node,
+                    record.teid, record.base_station_ip,
+                )])
+        assert not stale, "a stale group has no live key to repair it with"
+        by_engine, by_daemons = prints()
+        assert len(set(by_engine + by_daemons)) == 1

@@ -1,10 +1,13 @@
 """Tests for the cluster update protocol (paper §4.5, §6.2)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.cluster import Architecture, Cluster, UpdateEngine
 from repro.cluster import update as update_mod
+from repro.core import serialize
 from repro.obs.metrics import MetricsRegistry
 from tests.conftest import unique_keys
 
@@ -155,6 +158,32 @@ class TestRemoveFlowAcrossArchitectures:
             result = cluster.route(key, ingress)
             assert result.handled_by == 1
             assert result.value == 4242
+
+    def test_rejected_insert_changes_and_counts_nothing(self, arch):
+        # The range check used to come after the update was counted.
+        registry = MetricsRegistry()
+        cluster, keys, _, _ = make_cluster(arch, seed=124)
+        engine = UpdateEngine(cluster, registry=registry)
+        engine.insert_flow(int(keys[0]), 1, 5)  # non-zero stats to keep
+        fresh = int(unique_keys(1, seed=125, low=2**62, high=2**63)[0])
+        probe = np.append(keys, np.uint64(fresh))
+
+        def state():
+            return (
+                replace(engine.stats), registry.counters(),
+                list(cluster.rib.entries()),
+                [node.fib.lookup_batch(probe) for node in cluster.nodes],
+                [
+                    serialize.fingerprint(node.gpt.setsep)
+                    for node in cluster.nodes if node.gpt is not None
+                ],
+            )
+
+        before = state()
+        for key in (fresh, int(keys[1])):  # a new key and a move
+            with pytest.raises(ValueError, match="out of range"):
+                engine.insert_flow(key, NUM_NODES + 3, 9)
+        assert state() == before
 
     def test_remove_missing_key_is_a_noop(self, arch):
         cluster, _, _, _ = make_cluster(arch, seed=122)
