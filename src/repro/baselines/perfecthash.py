@@ -71,9 +71,9 @@ class ChdPerfectHash:
         g1, g2 = hashfamily.base_hashes(
             hashfamily.keyed_hash(keys, stream)
         )
-        with np.errstate(over="ignore"):
-            h = g1 + np.uint64(displacement) * g2
-        return hashfamily.positions(h, self.num_slots)
+        return hashfamily.positions(
+            hashfamily.family_values(g1, g2, displacement), self.num_slots
+        )
 
     def _base_hashes(self, keys: np.ndarray, seed: int):
         stream = hashfamily.derive_stream(f"chd-slot-{seed}")
@@ -94,8 +94,9 @@ class ChdPerfectHash:
             g1, g2 = g1_all[member_mask], g2_all[member_mask]
             placed = False
             for start in range(0, MAX_DISPLACEMENT, chunk):
-                candidates = np.arange(start, start + chunk, dtype=np.uint64)
-                pos = hashfamily.positions_many(g1, g2, candidates, self.num_slots)
+                pos = hashfamily.chunk_slots(
+                    g1, g2, start, chunk, self.num_slots
+                )
                 # A column works iff its slots are distinct and all free.
                 free = ~taken[pos]
                 all_free = free.all(axis=0)

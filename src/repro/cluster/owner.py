@@ -162,17 +162,27 @@ def flush_delayed(
         delayed[:] = pending[sent:]
 
 
+def parse_records(wire: bytes, backend: str) -> list:
+    """Every record of a stream of self-framing wire records, parsed once.
+
+    Raises before returning anything when any record is malformed, so a
+    caller that parses and then applies never applies part of a payload.
+    """
+    return [
+        record for record, _params
+        in separator_registry.parse_update_stream(wire, backend)
+    ]
+
+
 def apply_records(replica, wire: bytes) -> int:
     """The peer role: apply a stream of wire records; returns the count.
 
     ``replica`` is a ``GlobalPartitionTable`` or a bare separator of
     either backend; ``wire`` is any concatenation of self-framing records
-    (one broadcast, a ``MSG_DELTA`` batch, a delta log).
+    (one broadcast, a ``MSG_DELTA`` batch, a delta log).  All or nothing:
+    the whole stream is parsed before the first record is applied.
     """
-    applied = 0
-    for record, _params in separator_registry.parse_update_stream(
-        wire, replica.backend
-    ):
+    records = parse_records(wire, replica.backend)
+    for record in records:
         replica.apply_delta(record)
-        applied += 1
-    return applied
+    return len(records)

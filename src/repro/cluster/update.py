@@ -214,22 +214,27 @@ class UpdateEngine:
             peer.node_id for peer in nodes
             if peer.node_id != owner_id and peer.gpt is not None
         ]
-        for peer, copies in owner.fan_out(
+        ships = owner.fan_out(
             peers,
             (lambda peer: DELIVER) if interceptor is None
             else (lambda peer: interceptor(owner_id, peer)),
             step, self._delayed_deltas, acc,
-        ):
-            self._deliver(peer, step.wire, step.bits, copies)
+        )
+        if ships:
+            # One broadcast, one parse: every peer applies the same records.
+            records = owner.parse_records(
+                step.wire, nodes[owner_id].gpt.backend
+            )
+            for peer, copies in ships:
+                self._apply(peer, records * copies, step.bits)
         self._record(acc, owner_id)
         return True
 
-    def _deliver(
-        self, peer: int, wire: bytes, bits: int, copies: int = 1
-    ) -> None:
-        """``peer`` applies a record (a memory copy); sized once."""
-        for _ in range(copies):
-            owner.apply_records(self.cluster.nodes[peer].gpt, wire)
+    def _apply(self, peer: int, records: list, bits: int) -> None:
+        """``peer`` applies parsed records (a memory copy); sized once."""
+        gpt = self.cluster.nodes[peer].gpt
+        for record in records:
+            gpt.apply_delta(record)
         self._h_delta_bits.observe(bits)
 
     def flush_delayed_deltas(self) -> int:
@@ -238,11 +243,15 @@ class UpdateEngine:
         Returns the number of deltas applied (none toward a peer that has
         since lost its replica).
         """
+        nodes = self.cluster.nodes
         acc = UpdateAccount()
         owner.flush_delayed(
             self._delayed_deltas,
-            [n.node_id for n in self.cluster.nodes if n.gpt is None],
-            self._deliver, acc,
+            [n.node_id for n in nodes if n.gpt is None],
+            lambda peer, wire, bits: self._apply(
+                peer, owner.parse_records(wire, nodes[peer].gpt.backend), bits
+            ),
+            acc,
         )
         self._record(acc)
         return acc.delta_broadcasts

@@ -75,7 +75,7 @@ class GroupDelta:
 
     def encode(self, params: SetSepParams) -> bytes:
         """Serialise to the bit-level wire format."""
-        if len(self.indices) != params.value_bits:
+        if not len(self.indices) == len(self.arrays) == params.value_bits:
             raise ValueError("delta does not match params.value_bits")
         writer = BitWriter()
         writer.write(self.group_id, GROUP_ID_BITS)
@@ -148,7 +148,12 @@ class GroupDelta:
 
     @classmethod
     def decode(cls, data: bytes, params: SetSepParams) -> "GroupDelta":
-        """Parse a delta from its wire format."""
+        """Parse a delta from its wire format.
+
+        Raises:
+            EOFError: when ``data`` ends inside a field.
+            DeltaWireError: when a bit after the last field is set.
+        """
         reader = BitReader(data)
         group_id = reader.read(GROUP_ID_BITS)
         failed = bool(reader.read(1))
@@ -166,6 +171,9 @@ class GroupDelta:
         removals = tuple(
             reader.read(FALLBACK_KEY_BITS) for _ in range(n_removals)
         )
+        # One delta, one byte string: the zero padding is part of the format.
+        if reader.read(reader.bits_remaining):
+            raise DeltaWireError("non-zero padding bits after the delta")
         return cls(
             group_id=group_id,
             failed=failed,

@@ -16,7 +16,7 @@ per-key Python loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +47,59 @@ class GroupSearchFailure(Exception):
     """Raised internally when no index below the limit separates a group."""
 
 
+def _search_targets(
+    g1: np.ndarray,
+    g2: np.ndarray,
+    targets: Sequence[np.ndarray],
+    m: int,
+    max_index: int,
+    chunk: int,
+) -> List[Optional[GroupFunction]]:
+    """The first separating index of every 0/1 target over the same keys.
+
+    Each chunk of the family is evaluated once, as one slot-mask matrix,
+    and every still-unsolved target is tested against it; a target's
+    result is what searching it alone returns (``None`` when no index
+    below ``max_index`` works).
+    """
+    if len(g1) == 0:
+        return [GroupFunction(index=0, array=0, iterations=0)] * len(targets)
+    found: List[Optional[GroupFunction]] = [None] * len(targets)
+    pending = []
+    for slot, bits in enumerate(targets):
+        ones = np.asarray(bits).astype(bool)
+        pending.append((slot, (~ones).nonzero()[0], ones.nonzero()[0]))
+
+    start = 0
+    while pending and start < max_index:
+        count = min(chunk, max_index - start)
+        slot_masks = hashfamily.chunk_masks(g1, g2, start, count, m)
+        unsolved = []
+        for slot, zeros, ones in pending:
+            mask1 = _or_reduce(slot_masks, ones)
+            good = (_or_reduce(slot_masks, zeros) & mask1) == 0
+            hits = good.nonzero()[0]
+            if hits.size:
+                col = int(hits[0])
+                found[slot] = GroupFunction(
+                    index=start + col,
+                    array=int(mask1[col]),  # value-1 keys' slots hold 1
+                    iterations=start + col + 1,
+                )
+            else:
+                unsolved.append((slot, zeros, ones))
+        pending = unsolved
+        start += count
+    return found
+
+
+def _or_reduce(slot_masks: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """OR-reduce the per-key slot masks over a subset of keys (row ids)."""
+    if not rows.size:
+        return np.zeros(slot_masks.shape[1], dtype=_U64)
+    return np.bitwise_or.reduce(slot_masks[rows], axis=0)
+
+
 def search_bit(
     g1: np.ndarray,
     g2: np.ndarray,
@@ -68,41 +121,7 @@ def search_bit(
         The winning :class:`GroupFunction`, or ``None`` if no index below
         ``max_index`` works (the caller then falls back to an exact table).
     """
-    n = len(g1)
-    if n == 0:
-        return GroupFunction(index=0, array=0, iterations=0)
-
-    bits = np.asarray(bits)
-    ones = bits.astype(bool)
-    zeros = ~ones
-
-    start = 0
-    while start < max_index:
-        count = min(chunk, max_index - start)
-        indices = np.arange(start, start + count, dtype=_U64)
-        pos = hashfamily.positions_many(g1, g2, indices, m)
-        slot_masks = (np.uint64(1) << pos.astype(_U64))
-        mask0 = _or_reduce(slot_masks, zeros, count)
-        mask1 = _or_reduce(slot_masks, ones, count)
-        good = (mask0 & mask1) == 0
-        hits = np.nonzero(good)[0]
-        if hits.size:
-            col = int(hits[0])
-            array = int(mask1[col])  # slots taken by value-1 keys hold 1
-            return GroupFunction(
-                index=start + col,
-                array=array,
-                iterations=start + col + 1,
-            )
-        start += count
-    return None
-
-
-def _or_reduce(slot_masks: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
-    """OR-reduce the per-key slot masks over a subset of keys."""
-    if not rows.any():
-        return np.zeros(count, dtype=_U64)
-    return np.bitwise_or.reduce(slot_masks[rows], axis=0)
+    return _search_targets(g1, g2, [bits], m, max_index, chunk)[0]
 
 
 def search_group(
@@ -115,26 +134,23 @@ def search_group(
 
     A V-valued mapping is decomposed into ``value_bits`` independent binary
     separations, one per bit — searching ``log2 V`` binary functions instead
-    of one V-ary function, which is exponentially faster (Figure 4).
+    of one V-ary function, which is exponentially faster (Figure 4).  The
+    bits share one candidate matrix per chunk of the family.
 
     Returns a list of ``value_bits`` :class:`GroupFunction`, or ``None`` if
     any bit fails (the whole group then goes to the fallback table).
     """
     values = np.asarray(values, dtype=np.uint32)
-    functions: List[GroupFunction] = []
-    for bit in range(params.value_bits):
-        target = (values >> bit) & 1
-        found = search_bit(
-            g1,
-            g2,
-            target,
-            params.array_bits,
-            params.max_index,
-            params.search_chunk,
-        )
-        if found is None:
-            return None
-        functions.append(found)
+    functions = _search_targets(
+        g1,
+        g2,
+        [(values >> bit) & 1 for bit in range(params.value_bits)],
+        params.array_bits,
+        params.max_index,
+        params.search_chunk,
+    )
+    if any(function is None for function in functions):
+        return None
     return functions
 
 
@@ -162,35 +178,29 @@ def search_joint(
         return GroupFunction(index=0, array=0, iterations=0)
     values = np.asarray(values, dtype=np.uint64)
     cell_mask = int((1 << value_bits) - 1)
-    distinct = np.unique(values)
+    classes = [(values == v).nonzero()[0] for v in np.unique(values)]
 
     start = 0
     while start < max_index:
         count = min(chunk, max_index - start)
-        indices = np.arange(start, start + count, dtype=_U64)
-        pos = hashfamily.positions_many(g1, g2, indices, m)
-        slot_masks = np.uint64(1) << pos.astype(_U64)
+        slot_masks = hashfamily.chunk_masks(g1, g2, start, count, m)
         # Two keys sharing a slot must share the *whole* value, so a column
         # is good iff the per-value-class slot masks are pairwise disjoint.
-        class_masks = [
-            _or_reduce(slot_masks, values == v, count) for v in distinct
-        ]
+        class_masks = [_or_reduce(slot_masks, rows) for rows in classes]
         good = np.ones(count, dtype=bool)
         for a in range(len(class_masks)):
             for b in range(a + 1, len(class_masks)):
                 good &= (class_masks[a] & class_masks[b]) == 0
         hits = np.nonzero(good)[0]
         if hits.size:
-            col = int(hits[0])
+            index = start + int(hits[0])
+            slots = hashfamily.positions(
+                hashfamily.family_values(g1, g2, index), m
+            )
             array = 0
-            slots = pos[:, col]
             for slot, value in zip(slots.tolist(), values.tolist()):
                 array |= (int(value) & cell_mask) << (int(slot) * value_bits)
-            return GroupFunction(
-                index=start + col,
-                array=array,
-                iterations=start + col + 1,
-            )
+            return GroupFunction(index=index, array=array, iterations=index + 1)
         start += count
     return None
 

@@ -18,9 +18,11 @@ a short period in its low bits.  This module provides:
   and strings into the uint64 key space;
 * ``base_hashes`` — the (G1, G2) pair per key, with G2 forced odd so that
   ``i -> G1 + i*G2`` walks a full-period sequence mod 2**64;
-* ``positions`` / ``positions_many`` — map ``H_i`` values onto ``[0, m)``
-  bit-array slots using the multiply-shift range reduction on the top 32
-  bits (respecting the paper's use-the-MSBs rule);
+* ``positions`` — map ``H_i`` values onto ``[0, m)`` bit-array slots using
+  the multiply-shift range reduction on the top 32 bits (respecting the
+  paper's use-the-MSBs rule); ``chunk_slots`` / ``chunk_masks`` — the same
+  reduction for a whole chunk of candidate indices at once, the matrix
+  every brute-force search tests its candidates against;
 * independent hash streams for the two-level bucket mapping and the cuckoo
   FIB, derived from distinct mixing constants.
 """
@@ -36,6 +38,8 @@ Key = Union[int, bytes, str]
 
 _U64 = np.uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_ONE = np.uint64(1)
+_SHIFT32 = np.uint64(32)
 
 # Distinct stream constants.  Each derived hash XORs the key with one of
 # these before mixing, giving approximately independent hash functions from
@@ -137,25 +141,44 @@ def positions(hashes: np.ndarray, m: int) -> np.ndarray:
     """
     if m <= 0:
         raise ValueError("m must be positive")
-    top = hashes >> np.uint64(32)
+    top = hashes >> _SHIFT32
     with np.errstate(over="ignore"):
-        return ((top * np.uint64(m)) >> np.uint64(32)).astype(np.int64)
+        return ((top * np.uint64(m)) >> _SHIFT32).astype(np.int64)
 
 
-def positions_many(
-    g1: np.ndarray, g2: np.ndarray, indices: np.ndarray, m: int
+def chunk_slots(
+    g1: np.ndarray, g2: np.ndarray, start: int, count: int, m: int
 ) -> np.ndarray:
-    """Slot positions for *every* (key, candidate index) pair at once.
+    """Slots for *every* (key, candidate index) pair of one chunk at once.
 
-    Returns an ``(n_keys, n_indices)`` int64 matrix: entry ``[j, c]`` is the
-    bit-array slot that ``H_{indices[c]}`` assigns to key ``j``.  This is the
-    vectorised core of the brute-force search — one call evaluates a whole
-    chunk of the hash family.
+    Returns an ``(n_keys, count)`` uint64 matrix: entry ``[j, c]`` is the
+    slot in ``[0, m)`` that ``H_{start+c}`` assigns to key ``j``, equal to
+    ``positions(family_values(g1, g2, start + c), m)[j]``.  This is the
+    single home of the multiply-shift reduction over a chunk of the hash
+    family; the brute-force searches all evaluate it, in place on one
+    matrix (unsigned array arithmetic wraps mod 2**64 without warning).
     """
-    indices = np.asarray(indices, dtype=_U64)
-    with np.errstate(over="ignore"):
-        h = g1[:, None] + indices[None, :] * g2[:, None]
-    return positions(h, m)
+    if m <= 0:
+        raise ValueError("m must be positive")
+    h = np.arange(start, start + count, dtype=_U64)[None, :] * g2[:, None]
+    h += g1[:, None]
+    h >>= _SHIFT32
+    h *= np.uint64(m)
+    h >>= _SHIFT32
+    return h
+
+
+def chunk_masks(
+    g1: np.ndarray, g2: np.ndarray, start: int, count: int, m: int
+) -> np.ndarray:
+    """One-hot slot masks ``1 << chunk_slots(...)`` (needs ``m <= 64``).
+
+    The candidate matrix of the SetSep searches: OR-reducing the rows of
+    the keys that share a value bit gives, per candidate index, the set of
+    slots those keys take.
+    """
+    slots = chunk_slots(g1, g2, start, count, m)
+    return np.left_shift(_ONE, slots, out=slots)
 
 
 def bucket_hash(keys: np.ndarray) -> np.ndarray:

@@ -19,16 +19,21 @@ class GateFailure(Exception):
     """An artifact broke a gate (or lacks the row the gate reads)."""
 
 
-def _read(artifact: Mapping[str, Any], row: str, *metrics: str) -> List[float]:
-    """The named derived metrics of one result row, which must exist."""
+def _row(artifact: Mapping[str, Any], row: str) -> Mapping[str, Any]:
+    """One result row, which must exist."""
     for result in artifact.get("results", ()):
         if result.get("name") == row:
-            derived = result.get("derived", {})
-            try:
-                return [float(derived[name]) for name in metrics]
-            except KeyError as exc:
-                raise GateFailure(f"{row} does not report {exc}") from exc
+            return result
     raise GateFailure(f"{row} missing from the artifact")
+
+
+def _read(artifact: Mapping[str, Any], row: str, *metrics: str) -> List[float]:
+    """The named derived metrics of one result row, which must exist."""
+    derived = _row(artifact, row).get("derived", {})
+    try:
+        return [float(derived[name]) for name in metrics]
+    except KeyError as exc:
+        raise GateFailure(f"{row} does not report {exc}") from exc
 
 
 def group_scan_gate(artifact: Mapping[str, Any]) -> str:
@@ -79,8 +84,78 @@ def othello_gate(artifact: Mapping[str, Any]) -> str:
     return line
 
 
+def fastpath_gate(artifact: Mapping[str, Any]) -> str:
+    """The end-to-end forwarding row ran on the batch pipeline.
+
+    Zero frames on the fast path, or every frame spilling to the scalar
+    codec, means the batch pipeline has silently degraded; the component
+    rows of its two stages must be in the artifact too.
+    """
+    counters = _row(artifact, "fig8.forwarding.endtoend").get("counters", {})
+    frames, batches, spilled = (
+        counters.get(f"gateway.fastpath.{name}", 0)
+        for name in ("frames", "batches", "spilled_frames")
+    )
+    for stage in ("fastpath.parse", "fastpath.encap"):
+        _row(artifact, stage)
+    line = f"fastpath frames={frames} batches={batches} spilled={spilled}"
+    if frames == 0 or batches == 0:
+        raise GateFailure(f"{line}: zero fast-path frames on the batch pipeline")
+    if spilled >= frames:
+        raise GateFailure(f"{line}: every frame spilled to the scalar codec")
+    return line
+
+
+def fabric_gate(artifact: Mapping[str, Any]) -> str:
+    """The fabric head-to-head keeps its seeded, deterministic shape.
+
+    The crossbar stays at exactly one hop per transit and the fat tree
+    inside its 1-3 hop envelope; queueing grows with oversubscription;
+    utilization-aware ingress beats round-robin on the busiest link (the
+    hot-spot claim ``bench_fabric.py`` exists to defend); and only a
+    degraded fat tree reroutes.
+    """
+    crossbar, fattree = _read(
+        artifact, "fabric.hops",
+        "hops_per_transit_crossbar", "hops_per_transit_fattree",
+    )
+    queueing = _read(
+        artifact, "fabric.skew_oversub",
+        "capacity_exceeded_1to1", "capacity_exceeded_2to1",
+        "capacity_exceeded_4to1",
+    )
+    roundrobin, utilization = _read(
+        artifact, "fabric.ingress_policy",
+        "busiest_link_roundrobin", "busiest_link_utilization",
+    )
+    healthy, degraded = _read(
+        artifact, "fabric.link_failure",
+        "reroutes_healthy", "reroutes_degraded",
+    )
+    line = (
+        f"hops/transit: crossbar={crossbar} fattree={fattree:.2f}; "
+        f"busiest link: roundrobin={roundrobin:.0f} "
+        f"utilization={utilization:.0f}"
+    )
+    if crossbar != 1.0:
+        raise GateFailure(f"{line}: crossbar lost its one-hop-per-transit shape")
+    if not 1.0 <= fattree <= 3.0:
+        raise GateFailure(f"{line}: fat-tree hops/transit outside 1-3")
+    if queueing != sorted(queueing):
+        raise GateFailure(
+            f"queueing no longer grows with oversubscription: {queueing}"
+        )
+    if utilization >= roundrobin:
+        raise GateFailure(f"{line}: utilization ingress fell behind round-robin")
+    if healthy != 0:
+        raise GateFailure("a healthy fat tree rerouted")
+    if degraded == 0:
+        raise GateFailure("spine failures produced no reroutes")
+    return line
+
+
 #: Every gate CI runs on the smoke artifact.
-GATES = (group_scan_gate, othello_gate)
+GATES = (fastpath_gate, group_scan_gate, othello_gate, fabric_gate)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -15,61 +15,55 @@ class BitWriter:
     """Accumulates fields of arbitrary bit width into a byte string.
 
     Bits are written MSB-first, so the encoded stream is independent of host
-    endianness and easy to inspect in tests.
+    endianness and easy to inspect in tests.  The stream is held as one
+    integer: a field costs one shift, the bytes one conversion.
     """
 
     def __init__(self) -> None:
-        self._bits: List[int] = []
+        self._acc = 0
+        self._nbits = 0
 
     def write(self, value: int, width: int) -> "BitWriter":
         """Append ``value`` as a ``width``-bit big-endian field."""
         if width < 0:
             raise ValueError("width must be non-negative")
-        if value < 0 or (width < 64 and value >> width):
+        if value < 0 or value >> width:
             raise ValueError(f"value {value} does not fit in {width} bits")
-        for shift in range(width - 1, -1, -1):
-            self._bits.append((value >> shift) & 1)
+        self._acc = (self._acc << width) | value
+        self._nbits += width
         return self
 
     @property
     def bit_length(self) -> int:
         """Number of bits written so far."""
-        return len(self._bits)
+        return self._nbits
 
     def getvalue(self) -> bytes:
         """Return the stream as bytes, zero-padded to a byte boundary."""
-        out = bytearray((len(self._bits) + 7) // 8)
-        for pos, bit in enumerate(self._bits):
-            if bit:
-                out[pos // 8] |= 0x80 >> (pos % 8)
-        return bytes(out)
+        size = (self._nbits + 7) // 8
+        return (self._acc << (size * 8 - self._nbits)).to_bytes(size, "big")
 
 
 class BitReader:
     """Reads MSB-first bit fields produced by :class:`BitWriter`."""
 
     def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
+        self._acc = int.from_bytes(data, "big")
+        self._remaining = len(data) * 8
 
     def read(self, width: int) -> int:
         """Consume and return the next ``width`` bits as an unsigned int."""
         if width < 0:
             raise ValueError("width must be non-negative")
-        if self._pos + width > len(self._data) * 8:
+        if width > self._remaining:
             raise EOFError("bit stream exhausted")
-        value = 0
-        for _ in range(width):
-            byte = self._data[self._pos // 8]
-            bit = (byte >> (7 - self._pos % 8)) & 1
-            value = (value << 1) | bit
-            self._pos += 1
-        return value
+        self._remaining -= width
+        return (self._acc >> self._remaining) & ((1 << width) - 1)
 
     @property
     def bits_remaining(self) -> int:
         """Number of unread bits left in the stream."""
-        return len(self._data) * 8 - self._pos
+        return self._remaining
 
 
 def pack_bits(values: Iterable[int], width: int) -> bytes:

@@ -1,8 +1,65 @@
 """Tests for the MSB-first bit stream (repro.utils.bits)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils.bits import BitReader, BitWriter, pack_bits, unpack_bits
+
+
+def reference_pack(fields):
+    """MSB-first packing one bit per step: what the stream means."""
+    bits = [
+        (value >> shift) & 1
+        for value, width in fields
+        for shift in range(width - 1, -1, -1)
+    ]
+    out = bytearray((len(bits) + 7) // 8)
+    for pos, bit in enumerate(bits):
+        if bit:
+            out[pos // 8] |= 0x80 >> (pos % 8)
+    return bytes(out)
+
+
+def reference_unpack(data, widths):
+    """The fields of ``data`` read back one bit per step."""
+    pos, values = 0, []
+    for width in widths:
+        value = 0
+        for _ in range(width):
+            value = (value << 1) | ((data[pos // 8] >> (7 - pos % 8)) & 1)
+            pos += 1
+        values.append(value)
+    return values
+
+
+@st.composite
+def field_lists(draw):
+    """``(value, width)`` fields, up to 4,096 bits in all."""
+    widths = draw(st.lists(st.integers(0, 96), max_size=64))
+    while sum(widths) > 4096:
+        widths.pop()
+    return [(draw(st.integers(0, (1 << w) - 1)), w) for w in widths]
+
+
+class TestAgainstBitAtATimeReference:
+    @settings(max_examples=200, deadline=None)
+    @given(field_lists())
+    def test_writer_matches_reference(self, fields):
+        writer = BitWriter()
+        for value, width in fields:
+            writer.write(value, width)
+        assert writer.bit_length == sum(width for _, width in fields)
+        assert writer.getvalue() == reference_pack(fields)
+
+    @settings(max_examples=200, deadline=None)
+    @given(field_lists(), st.binary(max_size=8))
+    def test_reader_matches_reference(self, fields, tail):
+        data = reference_pack(fields) + tail
+        widths = [width for _, width in fields]
+        reader = BitReader(data)
+        assert [reader.read(w) for w in widths] == reference_unpack(data, widths)
+        assert reader.bits_remaining == len(data) * 8 - sum(widths)
 
 
 class TestBitWriter:
@@ -35,6 +92,14 @@ class TestBitWriter:
     def test_value_too_wide_rejected(self):
         with pytest.raises(ValueError):
             BitWriter().write(4, 2)
+
+    @pytest.mark.parametrize("width", [63, 64, 65, 128])
+    def test_value_too_wide_rejected_at_every_width(self, width):
+        # A fallback key is a 64-bit field: a wider one must not be
+        # silently truncated on the wire.
+        with pytest.raises(ValueError):
+            BitWriter().write(1 << width, width)
+        assert BitWriter().write((1 << width) - 1, width).bit_length == width
 
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError):

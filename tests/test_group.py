@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import group as G
 from repro.core import hashfamily as hf
@@ -14,6 +16,80 @@ def make_group(n, seed=1, value_bits=1):
     values = rng.integers(0, 1 << value_bits, size=n).astype(np.uint32)
     g1, g2 = hf.base_hashes(keys)
     return keys, values, g1, g2
+
+
+def reference_search_bit(g1, g2, bits, m, max_index):
+    """One index at a time with a "taken" array (paper §4.1), through the
+    scalar hashing path: the reference the vectorised search must equal."""
+    if len(g1) == 0:
+        return G.GroupFunction(index=0, array=0, iterations=0)
+    for index in range(max_index):
+        slots = hf.positions(hf.family_values(g1, g2, index), m).tolist()
+        taken = {}
+        if all(taken.setdefault(s, int(b)) == b for s, b in zip(slots, bits)):
+            array = sum(1 << slot for slot, bit in taken.items() if bit)
+            return G.GroupFunction(index, array, index + 1)
+    return None
+
+
+@st.composite
+def search_cases(draw):
+    """(g1, g2, values, params): small groups, tight ``index_bits`` so some
+    fail, chunks that are tiny, ragged, the default and beyond the family."""
+    value_bits = draw(st.integers(1, 4))
+    index_bits = draw(st.integers(1, 8))
+    params = SetSepParams(
+        index_bits=index_bits,
+        array_bits=draw(st.sampled_from([1, 5, 8, 12, 32])),
+        value_bits=value_bits,
+        search_chunk=draw(st.sampled_from([1, 7, 256, (1 << index_bits) + 5])),
+    )
+    n_keys = draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = rng.integers(0, 2**64, size=n_keys, dtype=np.uint64)
+    if draw(st.booleans()):
+        values = rng.integers(0, 1 << value_bits, size=n_keys)
+    else:
+        values = np.full(n_keys, draw(st.integers(0, (1 << value_bits) - 1)))
+    g1, g2 = hf.base_hashes(keys)
+    return g1, g2, values.astype(np.uint32), params
+
+
+class TestFusedSearch:
+    """One candidate matrix for all value bits changes no per-bit result."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(search_cases())
+    def test_group_equals_per_bit_searches(self, case):
+        g1, g2, values, params = case
+        per_bit = [
+            G.search_bit(
+                g1, g2, (values >> bit) & 1, params.array_bits,
+                params.max_index, params.search_chunk,
+            )
+            for bit in range(params.value_bits)
+        ]
+        found = G.search_group(g1, g2, values, params)
+        if any(function is None for function in per_bit):
+            assert found is None
+        else:
+            assert found == per_bit
+            assert [f.iterations for f in found] == [
+                f.iterations for f in per_bit
+            ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(search_cases())
+    def test_search_bit_equals_index_at_a_time_reference(self, case):
+        g1, g2, values, params = case
+        for bit in range(params.value_bits):
+            bits = ((values >> bit) & 1).tolist()
+            assert G.search_bit(
+                g1, g2, bits, params.array_bits,
+                params.max_index, params.search_chunk,
+            ) == reference_search_bit(
+                g1, g2, bits, params.array_bits, params.max_index
+            )
 
 
 class TestSearchBit:
@@ -136,6 +212,26 @@ class TestSearchJoint:
         empty = np.zeros(0, dtype=np.uint64)
         found = G.search_joint(empty, empty, empty, 2, m=8, max_index=4)
         assert found.iterations == 0
+
+    #: ``(n, seed, value_bits, m, chunk) -> (index, array, iterations)`` as
+    #: returned by the commit before the shared candidate-matrix helper.
+    GOLDEN = [
+        ((6, 10, 2, 16, 256), (2, 0xD040018, 3)),
+        ((10, 0, 2, 8, 256), (715, 0x4BBE, 716)),
+        ((10, 3, 2, 8, 7), (25, 0xD892, 26)),
+        ((8, 21, 3, 12, 1024), (2, 0x45A00FB8, 3)),
+        ((5, 4, 4, 32, 100), (0, 0x90C006000004000000000A000, 1)),
+        ((12, 2, 2, 8, 256), (528, 0xDCA3, 529)),
+    ]
+
+    @pytest.mark.parametrize("case, expected", GOLDEN)
+    def test_golden_results_unchanged(self, case, expected):
+        n, seed, value_bits, m, chunk = case
+        _, values, g1, g2 = make_group(n, seed=seed, value_bits=value_bits)
+        found = G.search_joint(
+            g1, g2, values, value_bits, m=m, max_index=1 << 22, chunk=chunk
+        )
+        assert (found.index, found.array, found.iterations) == expected
 
 
 class TestHelpers:

@@ -105,14 +105,40 @@ class TestPositions:
         with pytest.raises(ValueError):
             hf.positions(np.zeros(1, dtype=np.uint64), 0)
 
-    def test_positions_many_matches_scalar_path(self):
-        keys = np.arange(1, 17, dtype=np.uint64)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_keys=st.integers(0, 20),
+        m=st.sampled_from([1, 5, 8, 12, 32, 64]),
+        max_index=st.integers(1, 600),
+        chunk=st.sampled_from([1, 7, 256, 1000]),
+    )
+    def test_chunk_slots_matches_scalar_path(
+        self, seed, n_keys, m, max_index, chunk
+    ):
+        """Every index of every chunk, the short last one included."""
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, 2**64, size=n_keys, dtype=np.uint64)
         g1, g2 = hf.base_hashes(keys)
-        indices = np.array([0, 3, 9], dtype=np.uint64)
-        matrix = hf.positions_many(g1, g2, indices, 8)
-        for col, index in enumerate(indices):
-            expected = hf.positions(hf.family_values(g1, g2, int(index)), 8)
-            assert np.array_equal(matrix[:, col], expected)
+        for start in range(0, max_index, chunk):
+            count = min(chunk, max_index - start)
+            slots = hf.chunk_slots(g1, g2, start, count, m)
+            masks = hf.chunk_masks(g1, g2, start, count, m)
+            assert slots.shape == masks.shape == (n_keys, count)
+            assert slots.dtype == masks.dtype == np.uint64
+            for col in range(count):
+                expected = hf.positions(
+                    hf.family_values(g1, g2, start + col), m
+                )
+                assert slots[:, col].tolist() == expected.tolist()
+                assert masks[:, col].tolist() == [
+                    1 << slot for slot in expected.tolist()
+                ]
+
+    def test_chunk_slots_invalid_m(self):
+        g = np.ones(1, dtype=np.uint64)
+        with pytest.raises(ValueError):
+            hf.chunk_slots(g, g, 0, 4, 0)
 
 
 class TestDerivedStreams:

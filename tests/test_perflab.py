@@ -486,11 +486,13 @@ class TestGroupScanGate:
         perflab.discover()
         artifact = perflab.run_suite(
             "smoke", scale=1, name_filter="update.single_owner_rate")
-        artifact.results.extend(othello_rows())
+        artifact.results.extend(
+            othello_rows() + fastpath_rows() + fabric_rows())
         path = perflab.write_artifact(artifact, tmp_path)
         assert gates.main([str(path)]) == 0
         out = capsys.readouterr().out
         assert "group scan" in out and "othello=" in out
+        assert "fastpath frames=9000" in out and "hops/transit" in out
         broken = tmp_path / "broken.json"
         broken.write_text(perflab.canonical_json(
             self._artifact(keys_scanned_per_update=900.0,
@@ -499,6 +501,8 @@ class TestGroupScanGate:
         # Every gate reports, not only the first to fail.
         err = capsys.readouterr().err
         assert "group scan" in err and "othello.lookup missing" in err
+        assert "fig8.forwarding.endtoend missing" in err
+        assert "fabric.hops missing" in err
 
 
 def othello_rows(rate=(6700.0, 2100.0), bits=(4.66, 3.5), skip=()):
@@ -539,6 +543,100 @@ class TestOthelloGate:
             result["derived"].pop("setsep_bits_per_key", None)
         with pytest.raises(gates.GateFailure, match="setsep_bits_per_key"):
             gates.othello_gate(artifact)
+
+
+def fastpath_rows(frames=9000, batches=36, spilled=0, skip=()):
+    counters = {
+        "gateway.fastpath.frames": frames,
+        "gateway.fastpath.batches": batches,
+        "gateway.fastpath.spilled_frames": spilled,
+    }
+    rows = {
+        "fig8.forwarding.endtoend": {k: v for k, v in counters.items() if v},
+        "fastpath.parse": {},
+        "fastpath.encap": {},
+    }
+    return [
+        make_result(name, [0.1], counters=row_counters)
+        for name, row_counters in rows.items() if name not in skip
+    ]
+
+
+class TestFastpathGate:
+    def test_batch_pipeline_passes(self):
+        line = gates.fastpath_gate(make_artifact(fastpath_rows()).to_dict())
+        assert line == "fastpath frames=9000 batches=36 spilled=0"
+
+    @pytest.mark.parametrize("rows, message", [
+        (dict(frames=0), "zero fast-path frames"),
+        (dict(batches=0), "zero fast-path frames"),
+        (dict(spilled=9000), "every frame spilled"),
+        (dict(skip=("fig8.forwarding.endtoend",)), "endtoend missing"),
+        (dict(skip=("fastpath.parse",)), "fastpath.parse missing"),
+        (dict(skip=("fastpath.encap",)), "fastpath.encap missing"),
+    ])
+    def test_degraded_pipeline_or_missing_rows_fail(self, rows, message):
+        with pytest.raises(gates.GateFailure, match=message):
+            gates.fastpath_gate(
+                make_artifact(fastpath_rows(**rows)).to_dict())
+
+
+def fabric_rows(skip=(), **changed):
+    rows = {
+        "fabric.hops": dict(
+            hops_per_transit_crossbar=1.0, hops_per_transit_fattree=2.46),
+        "fabric.skew_oversub": dict(
+            capacity_exceeded_1to1=90, capacity_exceeded_2to1=115,
+            capacity_exceeded_4to1=327),
+        "fabric.ingress_policy": dict(
+            busiest_link_roundrobin=222, busiest_link_utilization=217),
+        "fabric.link_failure": dict(
+            reroutes_healthy=0, reroutes_degraded=113),
+    }
+    for derived in rows.values():
+        derived.update((k, v) for k, v in changed.items() if k in derived)
+    return [
+        make_result(name, [0.1], derived=derived)
+        for name, derived in rows.items() if name not in skip
+    ]
+
+
+class TestFabricGate:
+    def test_head_to_head_passes(self):
+        line = gates.fabric_gate(make_artifact(fabric_rows()).to_dict())
+        assert "crossbar=1.0 fattree=2.46" in line
+        assert "roundrobin=222 utilization=217" in line
+
+    @pytest.mark.parametrize("changed, message", [
+        (dict(hops_per_transit_crossbar=1.2), "one-hop-per-transit"),
+        (dict(hops_per_transit_fattree=3.5), "outside 1-3"),
+        (dict(hops_per_transit_fattree=0.9), "outside 1-3"),
+        (dict(capacity_exceeded_2to1=80), "no longer grows"),
+        (dict(capacity_exceeded_4to1=100), "no longer grows"),
+        (dict(busiest_link_utilization=222), "fell behind round-robin"),
+        (dict(reroutes_healthy=1), "healthy fat tree rerouted"),
+        (dict(reroutes_degraded=0), "no reroutes"),
+    ])
+    def test_each_lost_shape_fails(self, changed, message):
+        with pytest.raises(gates.GateFailure, match=message):
+            gates.fabric_gate(
+                make_artifact(fabric_rows(**changed)).to_dict())
+
+    @pytest.mark.parametrize("row", [
+        "fabric.hops", "fabric.skew_oversub",
+        "fabric.ingress_policy", "fabric.link_failure",
+    ])
+    def test_missing_row_fails(self, row):
+        with pytest.raises(gates.GateFailure, match=f"{row} missing"):
+            gates.fabric_gate(
+                make_artifact(fabric_rows(skip=(row,))).to_dict())
+
+    def test_missing_metric_fails(self):
+        artifact = make_artifact(fabric_rows()).to_dict()
+        for result in artifact["results"]:
+            result["derived"].pop("reroutes_degraded", None)
+        with pytest.raises(gates.GateFailure, match="reroutes_degraded"):
+            gates.fabric_gate(artifact)
 
 
 # -- environment fingerprint ---------------------------------------------

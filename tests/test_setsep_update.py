@@ -254,6 +254,24 @@ class TestWireBytes:
         with pytest.raises(DeltaWireError):
             GroupDelta.from_wire_bytes(bytes(framed))
 
+    def test_nonzero_padding_rejected(self):
+        # 2 x (16 + 8) + 49 bits leave 7 padding bits in the last byte:
+        # every one of them is part of the format, so one delta has one
+        # byte string.
+        framed = self._delta().wire_bytes(self.PARAMS)
+        assert self._delta().size_bits(self.PARAMS) % 8 == 1
+        for bit in range(7):
+            forged = framed[:-1] + bytes([framed[-1] | (1 << bit)])
+            with pytest.raises(DeltaWireError):
+                GroupDelta.from_wire_bytes(forged)
+        assert GroupDelta.from_wire_bytes(framed)[0] == self._delta()
+
+    def test_short_arrays_rejected_on_encode(self):
+        with pytest.raises(ValueError):
+            self._delta(arrays=(0xAB,)).encode(self.PARAMS)
+        with pytest.raises(ValueError):
+            self._delta(arrays=(0xAB, 0xCD, 0xEF)).wire_bytes(self.PARAMS)
+
     def test_body_length_disagreement_rejected(self):
         import struct
 

@@ -35,12 +35,14 @@ from repro.epc.traffic import FlowGenerator
 from repro.gpt.gpt import GlobalPartitionTable
 from repro.runtime.controller import RuntimeController
 from repro.runtime.daemon import NodeDaemon
+from repro.runtime.deltalog import DeltaLog
 from repro.runtime.protocol import (
-    MSG_DOWN, MSG_FLUSH, MSG_UPDATE, OP_INSERT, OP_REMOVE, RSP_ERR, RSP_OK,
-    UpdateOp, decode_json, encode_json, encode_updates,
+    MSG_DELTA, MSG_DOWN, MSG_FLUSH, MSG_STATUS, MSG_UPDATE, OP_INSERT,
+    OP_REMOVE, RSP_ERR, RSP_OK, UpdateOp, decode_json, encode_json,
+    encode_updates,
 )
-from repro.utils.bits import BitWriter
 from tests.conftest import brute_force_contents, unique_keys
+from tests.test_bits import reference_pack
 
 
 def wire_up(gateway):
@@ -106,18 +108,17 @@ def churn(gateway, generator, live, rng, count, before_op=None):
 
 
 def reference_body(delta, params):
-    """The delta's bit stream written field by field with ``BitWriter``."""
-    writer = BitWriter()
-    writer.write(delta.group_id, 32).write(int(delta.failed), 1)
+    """The delta's bit stream, field by field, packed one bit at a time."""
+    fields = [(delta.group_id, 32), (int(delta.failed), 1)]
     for index, array in zip(delta.indices, delta.arrays):
-        writer.write(index, params.index_bits).write(array, params.array_bits)
-    writer.write(len(delta.fallback_upserts), 8)
-    writer.write(len(delta.fallback_removals), 8)
+        fields += [(index, params.index_bits), (array, params.array_bits)]
+    fields += [
+        (len(delta.fallback_upserts), 8), (len(delta.fallback_removals), 8)
+    ]
     for key, value in delta.fallback_upserts:
-        writer.write(key, 64).write(value, 16)
-    for key in delta.fallback_removals:
-        writer.write(key, 64)
-    return writer.getvalue()
+        fields += [(key, 64), (value, 16)]
+    fields += [(key, 64) for key in delta.fallback_removals]
+    return reference_pack(fields)
 
 
 #: ``wire_bytes`` of fixed deltas as the bit-by-bit codec of the commit
@@ -318,6 +319,66 @@ class TestCore:
         if model:
             live = np.fromiter(model, dtype=np.uint64, count=len(model))
             assert peer.lookup_batch(live).tolist() == list(model.values())
+
+
+class TestNothingPartlyApplied:
+    """A payload whose third record is bad applies none of its records."""
+
+    @staticmethod
+    def payloads(separator):
+        """Two good records that change ``separator``, then a third record
+        that is truncated, or whole with a padding bit set."""
+        params = separator.params
+        records = [
+            GroupDelta(group, False, (group + 1,), (1,)).wire_bytes(params)
+            for group in range(3)
+        ]
+        good = records[0] + records[1]
+        forged = records[2][:-1] + bytes([records[2][-1] | 1])
+        return good, [good + records[2][:-2], good + forged]
+
+    def test_bad_delta_batch_leaves_the_daemon_unchanged_and_serving(self):
+        gateway, _, flows = started_gateway(2, 300, seed=5)
+        controller, daemons = wire_up(gateway)
+        peer = daemons[1]
+
+        def status():
+            rsp_type, rsp = peer._dispatch(MSG_STATUS, b"")
+            doc = decode_json(rsp)
+            return doc["gpt_crc"], doc["counters"]["runtime.deltas.applied"]
+
+        before = status()
+        good, bad = self.payloads(peer.gpt.setsep)
+        for payload in bad:
+            rsp_type, rsp = peer._dispatch(MSG_DELTA, payload)
+            assert rsp_type == RSP_ERR
+            assert "DeltaWireError" in decode_json(rsp)["error"]
+            assert status() == before
+        # Still serving: the good prefix alone applies, and so does churn.
+        rsp_type, rsp = peer._dispatch(MSG_DELTA, good)
+        assert (rsp_type, decode_json(rsp)) == (RSP_OK, {"applied": 2})
+        assert status()[0] != before[0]
+        controller.push_updates([UpdateOp(OP_REMOVE, flows[0].key())])
+
+    def test_bad_log_leaves_the_floor_uncompacted(self):
+        separator, _ = separator_registry.build(
+            unique_keys(200, seed=4), [0] * 200, SetSepParams(value_bits=1)
+        )
+        floor = serialize.dumps(separator)
+        good, bad = self.payloads(separator)
+        for payload in bad:
+            log = DeltaLog(floor)
+            log.append(payload, records=3)
+            with pytest.raises(ValueError):
+                log.compact()
+            assert (log.floor, log.records()) == (floor, payload)
+            assert log.compactions == 0
+            # What a caller holding a live replica would see applied.
+            with pytest.raises(ValueError):
+                apply_records(separator, payload)
+            assert serialize.dumps(separator) == floor
+        assert apply_records(separator, good) == 2
+        assert serialize.dumps(separator) != floor
 
 
 class TestDaemonFlush:

@@ -89,6 +89,30 @@ class TestScaleBricksUpdates:
         assert engine.stats.fib_messages == 20
 
 
+    def test_broadcast_is_encoded_and_parsed_once_for_all_peers(
+        self, setup, monkeypatch
+    ):
+        from repro.core.delta import GroupDelta
+
+        calls = {"wire_bytes": 0, "from_wire_bytes": 0}
+        for name in calls:
+            real = getattr(GroupDelta, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(GroupDelta, name, counted)
+        cluster, engine, keys, handlers, _ = setup
+        for i in range(10):
+            engine.insert_flow(int(keys[i]), (int(handlers[i]) + 1) % 4, i)
+        assert calls == {"wire_bytes": 10, "from_wire_bytes": 10}
+        assert engine.stats.delta_broadcasts == 10 * (NUM_NODES - 1)
+        assert len({
+            serialize.fingerprint(node.gpt.setsep) for node in cluster.nodes
+        }) == 1
+
+
 class TestFullDuplicationUpdates:
     def test_every_node_touched_per_update(self):
         """The §3.2 contrast: full duplication applies updates N times."""
