@@ -36,8 +36,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cluster.architectures import Architecture
 from repro.cluster.fabric import FabricLoss
+from repro.epc.fastpath import MAX_INNER
 from repro.epc.gateway import EpcGateway
-from repro.epc.packets import extract_flow, parse_frame
+from repro.epc.packets import extract_forwardable, parse_frame
 from repro.epc.tunnels import GtpTunnelEndpoint
 
 #: Expected-outcome kinds a reference evaluation can produce.
@@ -144,7 +145,7 @@ class ReferenceGateway:
         """Reference verdict for one downstream frame (topology-blind)."""
         try:
             _eth, l3 = parse_frame(frame)
-            flow, ip_header, _l4 = extract_flow(l3)
+            flow, ip_header, _l4 = extract_forwardable(l3, MAX_INNER)
         except ValueError:
             return Expectation(kind=MALFORMED)
         if flow.src_ip in self.acl_blocked_sources:
@@ -178,7 +179,7 @@ class ReferenceGateway:
         if record is None:
             return Expectation(kind=BAD_TUNNEL)
         try:
-            flow, ip_header, _rest = extract_flow(inner)
+            flow, ip_header, _rest = extract_forwardable(inner)
         except ValueError:
             return Expectation(kind=MALFORMED)
         if flow.src_ip in self.acl_blocked_sources:

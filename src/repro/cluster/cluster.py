@@ -53,6 +53,44 @@ class RouteResult:
         """Whether the packet reached a node that accepted it."""
         return not self.dropped
 
+    @classmethod
+    def drop(
+        cls,
+        key: int,
+        ingress: int,
+        reason: str,
+        path: Tuple[int, ...] = (),
+        latency_us: float = 0.0,
+    ) -> "RouteResult":
+        """A packet refused where ``path`` ends (nowhere, for a packet
+        dropped before it entered the cluster)."""
+        return cls(
+            key=key,
+            ingress=ingress,
+            path=path,
+            internal_hops=max(len(path) - 1, 0),
+            latency_us=latency_us,
+            handled_by=None,
+            value=None,
+            dropped=True,
+            reason=reason,
+        )
+
+    def dropped_as(self, reason: str) -> "RouteResult":
+        """This routed packet, refused afterwards (a dead node on its
+        path, the bearer's policer): same route, no handler, no value."""
+        return RouteResult(
+            key=self.key,
+            ingress=self.ingress,
+            path=self.path,
+            internal_hops=self.internal_hops,
+            latency_us=self.latency_us,
+            handled_by=None,
+            value=None,
+            dropped=True,
+            reason=reason,
+        )
+
 
 class RouteBatchResult(SequenceABC):
     """Typed outcome of :meth:`Cluster.route_batch`.
@@ -613,16 +651,8 @@ class Cluster:
         found = node.fib_lookup(ckey)
         if found is None:
             node.counters.dropped += 1
-            return RouteResult(
-                key=ckey,
-                ingress=ingress,
-                path=(ingress,),
-                internal_hops=0,
-                latency_us=0.0,
-                handled_by=None,
-                value=None,
-                dropped=True,
-                reason="unknown_at_ingress",
+            return RouteResult.drop(
+                ckey, ingress, "unknown_at_ingress", path=(ingress,)
             )
         handler, _ = found
         latency = self.fabric.deliver(ingress, handler, size)
@@ -638,16 +668,8 @@ class Cluster:
         found = node.fib_lookup(ckey)
         if found is None:
             node.counters.dropped += 1
-            return RouteResult(
-                key=ckey,
-                ingress=ingress,
-                path=(ingress,),
-                internal_hops=0,
-                latency_us=0.0,
-                handled_by=None,
-                value=None,
-                dropped=True,
-                reason="unknown_at_ingress",
+            return RouteResult.drop(
+                ckey, ingress, "unknown_at_ingress", path=(ingress,)
             )
         handler, _ = found
         path = [ingress]
@@ -681,16 +703,9 @@ class Cluster:
         found = lookup_node.fib_lookup(ckey)
         if found is None:
             lookup_node.counters.dropped += 1
-            return RouteResult(
-                key=ckey,
-                ingress=ingress,
-                path=tuple(path),
-                internal_hops=len(path) - 1,
-                latency_us=latency,
-                handled_by=None,
-                value=None,
-                dropped=True,
-                reason="unknown_at_lookup_node",
+            return RouteResult.drop(
+                ckey, ingress, "unknown_at_lookup_node",
+                path=tuple(path), latency_us=latency,
             )
         handler, _ = found
         if handler != lookup_node_id:

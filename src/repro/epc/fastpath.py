@@ -16,6 +16,13 @@ the scalar codec (:func:`repro.epc.packets.parse_frame` +
 pipeline.  Frames the vector path cannot express (IPv4 options, i.e.
 IHL > 20) spill to the scalar codec per frame; malformed frames are flagged,
 never raised.
+
+Unforwardable-packet rule: a frame whose TTL is already 0, or whose L3
+length exceeds :data:`MAX_INNER`, cannot be re-encapsulated.  It is flagged
+``malformed`` here, exactly as :func:`repro.epc.packets.extract_forwardable`
+rejects it on the scalar path, so every data plane (gateway scalar and
+batch, node daemons, the chaos oracle) drops it before routing, policing
+and charging; no caller ever sees an egress exception for a billed packet.
 """
 
 from __future__ import annotations
@@ -60,26 +67,21 @@ class ParsedBatch:
     """Column layout of one parsed frame batch.
 
     All per-frame arrays are aligned to the input order.  Columns of
-    malformed frames are zero and must not be interpreted.
+    malformed frames must not be interpreted.
 
     Attributes:
-        frames: the original frame sequence (kept for scalar fallback).
         buf: every frame's bytes concatenated (zero-copy field source).
         offsets: frame ``i`` occupies ``buf[offsets[i]:offsets[i + 1]]``.
         l3_len: actual L3 byte count (frame length minus Ethernet header).
-        malformed: frames the scalar codec would reject with ValueError.
+        malformed: frames the scalar codec would reject with ValueError
+            (unparseable, or unforwardable: TTL 0 / longer than MAX_INNER).
         keys: canonical 64-bit flow key per valid frame.
         src_ip / dst_ip / protocol / sport / dport: the flow 5-tuple.
         ttl / dscp / identification / total_length: IPv4 header fields
             needed to re-pack the forwarded inner header.
         scalar_spills: frames parsed by the scalar codec (IPv4 options).
-        degenerate: True when a valid frame would make the scalar egress
-            raise (TTL already zero, or inner packet too large for the
-            outer framing) — the caller must replay the whole batch
-            through the scalar path to reproduce the exception.
     """
 
-    frames: Sequence[bytes]
     buf: np.ndarray
     offsets: np.ndarray
     l3_len: np.ndarray
@@ -95,7 +97,6 @@ class ParsedBatch:
     identification: np.ndarray
     total_length: np.ndarray
     scalar_spills: int
-    degenerate: bool
 
     @property
     def n(self) -> int:
@@ -206,6 +207,9 @@ def parse_frames(frames: Sequence[bytes]) -> ParsedBatch:
             total_length[i] = header.total_length
         malformed[ok[np.nonzero(bad)[0]]] = True
 
+    # The unforwardable-packet rule (module docstring).
+    malformed |= (ttl == 0) | (l3_len > MAX_INNER)
+
     valid = np.nonzero(~malformed & (keys == 0))[0]
     if valid.size:
         packed = np.zeros((valid.size, 13), dtype=np.uint8)
@@ -231,12 +235,7 @@ def parse_frames(frames: Sequence[bytes]) -> ParsedBatch:
         )
         keys[valid] = digests[inverse]
 
-    not_malformed = ~malformed
-    degenerate = bool(
-        np.any(not_malformed & ((ttl == 0) | (l3_len > MAX_INNER)))
-    )
     return ParsedBatch(
-        frames=frames,
         buf=buf,
         offsets=offsets,
         l3_len=l3_len,
@@ -252,7 +251,6 @@ def parse_frames(frames: Sequence[bytes]) -> ParsedBatch:
         identification=identification,
         total_length=total_length,
         scalar_spills=scalar_spills,
-        degenerate=degenerate,
     )
 
 

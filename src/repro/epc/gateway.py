@@ -25,7 +25,7 @@ from repro.core.params import SetSepParams
 from repro.epc import fastpath
 from repro.epc.controller import AssignmentPolicy, EpcController, FlowRecord
 from repro.epc.dpe import DataPlaneEngine
-from repro.epc.packets import FlowTuple, extract_flow, parse_frame
+from repro.epc.packets import FlowTuple, extract_forwardable, parse_frame
 from repro.epc.tunnels import GtpTunnelEndpoint
 from repro.obs.metrics import LATENCY_BUCKETS_US, MetricsRegistry
 
@@ -189,8 +189,7 @@ class EpcGateway:
         )
         self._c_fp_spilled = r.counter(
             "gateway.fastpath.spilled_frames",
-            "frames that fell back to the scalar codec "
-            "(IPv4 options, degenerate batches)",
+            "frames that fell back to the scalar codec (IPv4 options)",
         )
         # One Data Plane Engine per node: bearer state lives where the
         # flow is handled (the pinning the whole paper exists to serve).
@@ -311,37 +310,23 @@ class EpcGateway:
             with self.registry.span("ingress"):
                 try:
                     _eth, l3 = parse_frame(frame)
-                    flow, ip_header, _l4 = extract_flow(l3)
+                    flow, ip_header, _l4 = extract_forwardable(
+                        l3, fastpath.MAX_INNER
+                    )
                 except ValueError:
                     # A production PFE drops garbage at line rate; it
-                    # never dies.
+                    # never dies.  Unforwardable packets (TTL 0,
+                    # oversize) go here too, before anything is charged.
                     self._c_drop_malformed.inc()
-                    return RouteResult(
-                        key=0,
-                        ingress=ingress if ingress is not None else -1,
-                        path=(),
-                        internal_hops=0,
-                        latency_us=0.0,
-                        handled_by=None,
-                        value=None,
-                        dropped=True,
-                        reason="malformed",
+                    return RouteResult.drop(
+                        0, -1 if ingress is None else ingress, "malformed"
                     ), None
 
                 if flow.src_ip in self.acl_blocked_sources:
                     self._c_drop_acl.inc()
-                    result = RouteResult(
-                        key=flow.key(),
-                        ingress=ingress if ingress is not None else -1,
-                        path=(),
-                        internal_hops=0,
-                        latency_us=0.0,
-                        handled_by=None,
-                        value=None,
-                        dropped=True,
-                        reason="acl",
-                    )
-                    return result, None
+                    return RouteResult.drop(
+                        flow.key(), -1 if ingress is None else ingress, "acl"
+                    ), None
 
             with self.registry.span("pfe_lookup"):
                 result = cluster.route(flow.key(), ingress)
@@ -349,17 +334,7 @@ class EpcGateway:
                 node in self.down_nodes for node in result.path
             ):
                 self._c_drop_node_down.inc()
-                return RouteResult(
-                    key=result.key,
-                    ingress=result.ingress,
-                    path=result.path,
-                    internal_hops=result.internal_hops,
-                    latency_us=result.latency_us,
-                    handled_by=None,
-                    value=None,
-                    dropped=True,
-                    reason="node_down",
-                ), None
+                return result.dropped_as("node_down"), None
             if result.dropped:
                 self._c_drop_unknown.inc()
                 return result, None
@@ -376,17 +351,7 @@ class EpcGateway:
                 ):
                     self._c_drop_acl.inc()
                     self._c_drop_policed.inc()
-                    return RouteResult(
-                        key=flow.key(),
-                        ingress=result.ingress,
-                        path=result.path,
-                        internal_hops=result.internal_hops,
-                        latency_us=result.latency_us,
-                        handled_by=None,
-                        value=None,
-                        dropped=True,
-                        reason="policed",
-                    ), None
+                    return result.dropped_as("policed"), None
                 self.stats.charge(record.teid, len(l3))
                 self._c_down_bytes.inc(len(l3))
 
@@ -414,10 +379,7 @@ class EpcGateway:
         whole batch flows through the vectorised codec
         (:mod:`repro.epc.fastpath`), one batched cluster lookup, and
         per-node grouped DPE charging.  The optional ``ingress`` sequence
-        pins per-frame ingress nodes.  Batches containing a frame the
-        scalar path would *raise* on (TTL 0, oversized inner packet) are
-        replayed through :meth:`process_downstream` so the exception
-        surfaces identically.
+        pins per-frame ingress nodes.
         """
         cluster = self._require_cluster()
         if ingress is not None and len(ingress) != len(frames):
@@ -426,9 +388,6 @@ class EpcGateway:
         if n == 0:
             return []
         parsed = fastpath.parse_frames(frames)
-        if parsed.degenerate:
-            self._c_fp_spilled.inc(n)
-            return self._process_downstream_scalar(frames, ingress)
         self._c_fp_batches.inc()
         self._c_fp_frames.inc(n)
         if parsed.scalar_spills:
@@ -451,16 +410,8 @@ class EpcGateway:
                     self._c_drop_malformed.inc(int(malformed_idx.size))
                     for i in malformed_idx:
                         results[int(i)] = (
-                            RouteResult(
-                                key=0,
-                                ingress=early_ingress(int(i)),
-                                path=(),
-                                internal_hops=0,
-                                latency_us=0.0,
-                                handled_by=None,
-                                value=None,
-                                dropped=True,
-                                reason="malformed",
+                            RouteResult.drop(
+                                0, early_ingress(int(i)), "malformed"
                             ),
                             None,
                         )
@@ -478,16 +429,9 @@ class EpcGateway:
                         self._c_drop_acl.inc(int(acl_idx.size))
                         for i in acl_idx:
                             results[int(i)] = (
-                                RouteResult(
-                                    key=int(parsed.keys[i]),
-                                    ingress=early_ingress(int(i)),
-                                    path=(),
-                                    internal_hops=0,
-                                    latency_us=0.0,
-                                    handled_by=None,
-                                    value=None,
-                                    dropped=True,
-                                    reason="acl",
+                                RouteResult.drop(
+                                    int(parsed.keys[i]),
+                                    early_ingress(int(i)), "acl",
                                 ),
                                 None,
                             )
@@ -520,19 +464,8 @@ class EpcGateway:
                 if down_j.size:
                     self._c_drop_node_down.inc(int(down_j.size))
                     for j in down_j:
-                        result = batch.results[int(j)]
                         results[int(routed_idx[j])] = (
-                            RouteResult(
-                                key=result.key,
-                                ingress=result.ingress,
-                                path=result.path,
-                                internal_hops=result.internal_hops,
-                                latency_us=result.latency_us,
-                                handled_by=None,
-                                value=None,
-                                dropped=True,
-                                reason="node_down",
-                            ),
+                            batch.results[int(j)].dropped_as("node_down"),
                             None,
                         )
 
@@ -593,20 +526,8 @@ class EpcGateway:
                     self._c_drop_policed.inc(int(policed_t.size))
                     for t in policed_t:
                         j = int(accepted_j[t])
-                        result = batch.results[j]
                         results[int(routed_idx[j])] = (
-                            RouteResult(
-                                key=result.key,
-                                ingress=result.ingress,
-                                path=result.path,
-                                internal_hops=result.internal_hops,
-                                latency_us=result.latency_us,
-                                handled_by=None,
-                                value=None,
-                                dropped=True,
-                                reason="policed",
-                            ),
-                            None,
+                            batch.results[j].dropped_as("policed"), None
                         )
                 charged_t = np.nonzero(ok)[0]
                 self.stats.charge_many(teids[charged_t], sizes[charged_t])
@@ -630,19 +551,6 @@ class EpcGateway:
                 )
 
         return results  # type: ignore[return-value]
-
-    def _process_downstream_scalar(
-        self,
-        frames: Sequence[bytes],
-        ingress: Optional[Sequence[Optional[int]]],
-    ) -> List[Tuple[RouteResult, Optional[bytes]]]:
-        """Per-frame reference path (and exception-faithful fallback)."""
-        if ingress is None:
-            return [self.process_downstream(frame) for frame in frames]
-        return [
-            self.process_downstream(frame, node)
-            for frame, node in zip(frames, ingress)
-        ]
 
     # ------------------------------------------------------------------
     # Data plane: upstream (mobile -> Internet)
@@ -668,7 +576,7 @@ class EpcGateway:
                 self._c_drop_tunnel.inc()
                 return None
             try:
-                flow, ip_header, _rest = extract_flow(inner)
+                flow, ip_header, _rest = extract_forwardable(inner)
             except ValueError:
                 self._c_drop_malformed.inc()
                 return None

@@ -339,6 +339,23 @@ def extract_flow(ip_packet: bytes) -> Tuple[FlowTuple, Ipv4Header, bytes]:
     return flow, header, rest
 
 
+def extract_forwardable(
+    ip_packet: bytes, max_len: Optional[int] = None
+) -> Tuple[FlowTuple, Ipv4Header, bytes]:
+    """:func:`extract_flow` for a packet that is about to be forwarded.
+
+    A packet whose TTL is already 0, or that is longer than ``max_len``
+    (what the egress framing can carry), cannot leave the gateway.  It
+    raises ``ValueError`` like any other malformed packet, so the data
+    plane drops it *before* routing, policing and charging instead of
+    failing at egress with the bearer already billed.
+    """
+    flow, header, rest = extract_flow(ip_packet)
+    if header.ttl == 0 or (max_len is not None and len(ip_packet) > max_len):
+        raise ValueError("unforwardable: TTL expired or packet too long")
+    return flow, header, rest
+
+
 def build_downstream_frame(
     src_mac: bytes,
     dst_mac: bytes,

@@ -29,24 +29,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.cluster.architectures import Architecture
-from repro.core import serialize
-from repro.epc.fastpath import OUTER_SIZE
-from repro.epc.gateway import EpcGateway
-from repro.epc.packets import parse_ip
-from repro.epc.traffic import FlowGenerator
 from repro.obs.exposition import prometheus_text
-from repro.obs.metrics import MetricsRegistry
 from repro.runtime.controller import OpResult, RuntimeController
-from repro.runtime.launcher import (
-    DEMO_GATEWAY_IP,
-    LocalRuntime,
-    _compare_frames,
-    _shadow_route,
-)
+from repro.runtime.launcher import LocalRuntime
 from repro.runtime.liveness import NodeState
-from repro.runtime.protocol import OP_INSERT, OP_REMOVE, UpdateOp
 from repro.runtime.replication import ReplicaGroup, ReplicaGuard
+from repro.runtime.shadow import Shadow, compare_frames
 
 
 class OpsError(Exception):
@@ -125,29 +113,22 @@ class ClusterOps:
         self,
         runtime: LocalRuntime,
         controller: RuntimeController,
-        gateway: EpcGateway,
-        generator: FlowGenerator,
-        live_flows: List,
-        seed: int = 7,
+        shadow: Shadow,
         replication: Optional[OpsReplication] = None,
     ) -> None:
         self.runtime = runtime
         self.controller = controller
-        self.gateway = gateway
-        self.generator = generator
-        self.live_flows = live_flows
-        self.seed = seed
+        self.shadow = shadow
+        self.gateway = shadow.gateway
+        self.seed = shadow.seed
         self.replication = replication
         self._lock = threading.RLock()
         self._traffic_round = 0
         self._churn_round = 0
-        # Per-node, per-TEID bytes charged so far (from shadow routing):
-        # a killed/fenced node's slice dies with it, and the audit must
-        # subtract it from the shadow's global ledger (§7 fate sharing).
-        self._charges_by_node: Dict[int, Dict[int, int]] = {}
         # Charges gone for good: a drained daemon shuts down with its
-        # counters (its node id may be reused by a later join, so the
-        # slice is folded in here at drain time, not derived from ids).
+        # counters (its node id may be reused by a later join, so its
+        # slice of the shadow's per-node ledger is folded in here at
+        # drain time, not derived from ids).
         self._lost_charges: Dict[int, int] = {}
         self._closed = False
 
@@ -181,15 +162,8 @@ class ClusterOps:
             guard = ReplicaGuard(group)
         runtime = LocalRuntime(num_nodes).start()
         try:
-            gateway = EpcGateway(
-                Architecture.SCALEBRICKS,
-                num_nodes,
-                parse_ip(DEMO_GATEWAY_IP),
-                registry=MetricsRegistry(),
-            )
-            generator = FlowGenerator(seed)
-            live_flows = generator.populate(gateway, flows)
-            gateway.start()
+            shadow = Shadow(num_nodes, seed)
+            shadow.populate(flows)
             controller = RuntimeController(
                 runtime.addresses,
                 miss_threshold=miss_threshold,
@@ -199,12 +173,11 @@ class ClusterOps:
             )
             controller.killer = runtime.kill
             controller.connect()
-            controller.bootstrap_from_gateway(gateway)
+            controller.bootstrap_from_gateway(shadow.gateway)
         except BaseException:
             runtime.stop()
             raise
-        return cls(runtime, controller, gateway, generator, live_flows,
-                   seed=seed, replication=replication)
+        return cls(runtime, controller, shadow, replication=replication)
 
     def close(self) -> Dict[str, object]:
         """Shut every daemon down; returns the leak accounting."""
@@ -251,7 +224,7 @@ class ClusterOps:
         with self._lock:
             snapshot = self.controller.snapshot()
             snapshot["seed"] = self.seed
-            snapshot["live_flows"] = len(self.live_flows)
+            snapshot["live_flows"] = len(self.shadow.live_flows)
             snapshot["architecture"] = "scalebricks"
             if self.replication is not None:
                 group = self.replication.group
@@ -504,7 +477,7 @@ class ClusterOps:
             )
             # The leaver's charging counters shut down with it; fold its
             # slice into the lost ledger before a join reuses the id.
-            for teid, total in self._charges_by_node.pop(
+            for teid, total in self.shadow.charges_by_node.pop(
                 result.node, {}
             ).items():
                 self._lost_charges[teid] = (
@@ -630,32 +603,30 @@ class ClusterOps:
         if packets < 1:
             raise BadRequestError("packets must be positive")
         with self._lock:
-            if not self.live_flows:
+            if not self.shadow.live_flows:
                 raise ConflictError("no live flows to generate traffic from")
             self._traffic_round += 1
             rng = np.random.default_rng(
                 self.seed * 65537 + 1000 + self._traffic_round
             )
-            frames = self.generator.packet_stream(self.live_flows, packets)
-            live = [
-                n for n in range(self.controller.num_nodes)
-                if n not in self.controller.down
-            ]
+            frames = self.shadow.generator.packet_stream(
+                self.shadow.live_flows, packets
+            )
+            live = self._live_nodes()
             ingress = [int(live[i]) for i in rng.integers(
                 len(live), size=len(frames)
             )]
-            shadow = _shadow_route(self.gateway, frames, ingress)
+            mirrored = self.shadow.route(frames, ingress)
             wire = self.controller.route_frames(frames, ingress)
-            for result, out in shadow:
-                if out is None:
-                    continue
-                node = result.handled_by
-                teid = int(result.value)
-                ledger = self._charges_by_node.setdefault(node, {})
-                ledger[teid] = ledger.get(teid, 0) + len(out) - OUTER_SIZE
-            summary = _compare_frames(shadow, wire)
+            summary = compare_frames(mirrored, wire)
             summary["round"] = self._traffic_round
             return summary
+
+    def _live_nodes(self) -> List[int]:
+        return [
+            n for n in range(self.controller.num_nodes)
+            if n not in self.controller.down
+        ]
 
     def churn(
         self, connects: int = 0, rehomes: int = 0, disconnects: int = 0
@@ -677,55 +648,31 @@ class ClusterOps:
             rng = np.random.default_rng(
                 self.seed * 65537 + 2000 + self._churn_round
             )
-            live = [
-                n for n in range(self.controller.num_nodes)
-                if n not in self.controller.down
-            ]
-            ops: List[UpdateOp] = []
-            for _ in range(connects):
-                flow = self.generator.flows(1)[0]
-                record = self.gateway.connect(
-                    flow,
-                    self.generator.base_station_for(flow),
-                    self.generator.region_for(flow),
-                )
-                ops.append(UpdateOp(
-                    OP_INSERT, record.key, record.handling_node,
-                    record.teid, record.base_station_ip,
-                ))
-                self.live_flows.append(flow)
-            done_rehomes = 0
+            shadow = self.shadow
+            live = self._live_nodes()
+            before = dict(shadow.counts)
+            ops = [shadow.connect() for _ in range(connects)]
             for _ in range(rehomes):
-                if not self.live_flows:
+                if not shadow.live_flows:
                     break
-                flow = self.live_flows[
-                    int(rng.integers(len(self.live_flows)))
+                flow = shadow.live_flows[
+                    int(rng.integers(len(shadow.live_flows)))
                 ]
-                target = int(live[int(rng.integers(len(live)))])
-                record = self.gateway.controller.record_for_key(flow.key())
-                assert record is not None
-                if record.handling_node == target:
-                    continue
-                moved = self.gateway.rehome_flow(flow, target)
-                ops.append(UpdateOp(
-                    OP_INSERT, moved.key, target, moved.teid,
-                    moved.base_station_ip,
-                ))
-                done_rehomes += 1
-            done_disconnects = 0
+                op = shadow.rehome(
+                    flow, int(live[int(rng.integers(len(live)))])
+                )
+                if op is not None:
+                    ops.append(op)
             for _ in range(disconnects):
-                if len(self.live_flows) <= 1:
+                if len(shadow.live_flows) <= 1:
                     break
-                index = int(rng.integers(len(self.live_flows)))
-                flow = self.live_flows.pop(index)
-                assert self.gateway.disconnect(flow)
-                ops.append(UpdateOp(OP_REMOVE, flow.key()))
-                done_disconnects += 1
+                ops.append(shadow.disconnect(
+                    int(rng.integers(len(shadow.live_flows)))
+                ))
             totals = self.controller.push_updates(ops)
-            totals["connects"] = connects
-            totals["rehomes"] = done_rehomes
-            totals["disconnects"] = done_disconnects
-            totals["live_flows"] = len(self.live_flows)
+            for verb, count in shadow.counts.items():
+                totals[verb] = count - before[verb]
+            totals["live_flows"] = len(shadow.live_flows)
             return totals
 
     def audit(self) -> Dict[str, object]:
@@ -736,45 +683,9 @@ class ClusterOps:
         wire's per-daemon totals.
         """
         with self._lock:
-            lost: Dict[int, int] = dict(self._lost_charges)
-            for node_id in self.controller.down:
-                for teid, total in self._charges_by_node.get(
-                    node_id, {}
-                ).items():
-                    lost[teid] = lost.get(teid, 0) + total
             statuses = self.controller.status_all()
-            wire_charges: Dict[int, int] = {}
-            for status in statuses.values():
-                for teid, total in status["charges"].items():
-                    teid = int(teid)
-                    wire_charges[teid] = (
-                        wire_charges.get(teid, 0) + int(total)
-                    )
-            shadow_charges = {
-                int(teid): int(total)
-                for teid, total in self.gateway.stats.bytes_charged.items()
-                if int(total)
-            }
-            for teid, total in lost.items():
-                remaining = shadow_charges.get(teid, 0) - total
-                if remaining:
-                    shadow_charges[teid] = remaining
-                else:
-                    shadow_charges.pop(teid, None)
-            wire_charges = {t: v for t, v in wire_charges.items() if v}
-            cluster = self.gateway.cluster
-            assert cluster is not None
-            replicas_equal = True
-            for node_id, status in statuses.items():
-                shadow_crc = serialize.fingerprint(
-                    cluster.nodes[node_id].gpt.setsep
-                )
-                if int(status["gpt_crc"]) != shadow_crc:
-                    replicas_equal = False
             return {
-                "charging_identical": wire_charges == shadow_charges,
-                "charged_teids": len(wire_charges),
-                "gpt_replicas_identical": replicas_equal,
+                **self.shadow.audit(statuses, self._lost_charges),
                 "epoch": self.controller.epoch,
                 "live_nodes": sorted(statuses),
             }

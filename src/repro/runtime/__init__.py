@@ -18,6 +18,8 @@ Modules:
 * :mod:`~repro.runtime.controller` — bootstrap, updates, traffic
   injection, liveness, failure repair, drain/join;
 * :mod:`~repro.runtime.liveness` — the heartbeat state machine;
+* :mod:`~repro.runtime.shadow` — the in-process shadow every driver
+  mirrors its verbs into, and its charging / replica audit;
 * :mod:`~repro.runtime.launcher` — process spawning and the seeded
   differential workload behind ``repro runtime-demo``;
 * :mod:`~repro.runtime.replication` — the replicated-log state machine

@@ -17,15 +17,15 @@ daemon and drives the whole paper's lifecycle over the wire:
   :class:`~repro.runtime.liveness.HeartbeatMonitor`; a daemon declared
   DEAD triggers §7 repair: its RIB slice is adopted by a successor, its
   flows re-homed onto survivors through the live update path, mirrored
-  move for move in the shadow gateway via
-  :class:`~repro.cluster.failover.FailoverManager`;
+  move for move in the shadow gateway by
+  :func:`repro.runtime.shadow.evacuate`;
 * **membership** — graceful drain/join built on
   :func:`repro.cluster.membership.resize` with a make-before-break
   snapshot swap (``MSG_SWAP``): the old forwarding plane serves until
   the replacement state is fully built on every daemon.
 
 The controller mutates the shadow gateway in lockstep with the wire, so
-the differential harness (:mod:`repro.runtime.harness`) can assert that
+the differential drivers (:mod:`repro.runtime.shadow`) can assert that
 both worlds route, charge and encode byte-identically.
 """
 
@@ -46,7 +46,6 @@ from typing import (
     Tuple,
 )
 
-from repro.cluster.failover import FailoverManager
 from repro.cluster import membership
 from repro.cluster.owner import ACCOUNT_FIELDS
 from repro.cluster.update import UpdateEngine
@@ -81,7 +80,6 @@ from repro.runtime.protocol import (
     MSG_STATUS,
     MSG_SWAP,
     MSG_UPDATE,
-    OP_INSERT,
     RSP_OK,
     RSP_PONG,
     RSP_REDIRECT,
@@ -97,6 +95,7 @@ from repro.runtime.replication import (
     StaleTermError,
     StaticGuard,
 )
+from repro.runtime.shadow import evacuate
 
 
 @dataclass(frozen=True)
@@ -289,8 +288,7 @@ class RuntimeController:
             {"term": int(term), "leader": int(leader_id)}
         )
         for node_id in sorted(self._socks):
-            rsp_type, rsp = self._request(node_id, MSG_CLAIM, payload)
-            protocol.expect(rsp_type, RSP_OK, rsp)
+            self._command(node_id, MSG_CLAIM, payload)
 
     def _request(
         self, node_id: int, msg_type: int, payload: bytes = b""
@@ -319,6 +317,20 @@ class RuntimeController:
             )
         return rsp_type, rsp
 
+    def _command(
+        self, node_id: int, msg_type: int, payload: bytes = b"",
+        answer: int = RSP_OK,
+    ) -> bytes:
+        """A request with one good ``answer`` type; returns its body."""
+        rsp_type, rsp = self._request(node_id, msg_type, payload)
+        return protocol.expect(rsp_type, answer, rsp)
+
+    def _drop_link(self, node_id: int) -> None:
+        """Close the cached link to a daemon that is gone or has moved."""
+        sock = self._socks.pop(node_id, None)
+        if sock is not None:
+            sock.close()
+
     def close(self) -> None:
         """Drop every controller-side connection (daemons keep running).
 
@@ -341,8 +353,7 @@ class RuntimeController:
             if node_id in self.down:
                 continue
             try:
-                rsp_type, rsp = self._request(node_id, MSG_SHUTDOWN)
-                protocol.expect(rsp_type, RSP_OK, rsp)
+                self._command(node_id, MSG_SHUTDOWN)
                 acked.append(node_id)
             except (FramingError, OSError, protocol.ProtocolError):
                 pass
@@ -353,12 +364,17 @@ class RuntimeController:
     # Bootstrap
     # ------------------------------------------------------------------
 
-    def _state_headers(self, gateway: EpcGateway) -> Tuple[List[dict], bytes]:
-        """Per-daemon state headers + the shared snapshot bytes."""
+    def _peers(self) -> List[List[object]]:
+        return [[host, port] for host, port in self.addresses]
+
+    def _headers(self, gateway: EpcGateway) -> List[dict]:
+        """Per-daemon state headers: topology plus the daemon's slices.
+
+        A flow's FIB entry lives on its handling node; its RIB entry on
+        the node owning the key's block (``block % N``, §4.5).
+        """
         cluster = gateway.cluster
         assert cluster is not None, "gateway not started"
-        snapshot = serialize.dumps(cluster.nodes[0].gpt.setsep)
-        self._ref_setsep = serialize.loads(snapshot)
         num_nodes = len(cluster.nodes)
         fib_slices: List[List[List[int]]] = [[] for _ in range(num_nodes)]
         for record in gateway.controller.flows.values():
@@ -370,8 +386,8 @@ class RuntimeController:
         for entry in cluster.rib.entries():
             owner = cluster.rib.owner_of_key(entry.key)
             rib_slices[owner].append([entry.key, entry.node, entry.value])
-        peers = [[host, port] for host, port in self.addresses[:num_nodes]]
-        headers = [
+        peers = self._peers()[:num_nodes]
+        return [
             {
                 "num_nodes": num_nodes,
                 "peers": peers,
@@ -380,15 +396,14 @@ class RuntimeController:
             }
             for node_id in range(num_nodes)
         ]
-        return headers, snapshot
 
-    def _state_payloads(self, gateway: EpcGateway) -> Tuple[List[bytes], bytes]:
-        """Per-daemon SNAPSHOT/SWAP wire payloads from the shadow gateway."""
-        headers, snapshot = self._state_headers(gateway)
-        payloads = [
-            protocol.encode_state(header, snapshot) for header in headers
-        ]
-        return payloads, snapshot
+    def _state_headers(self, gateway: EpcGateway) -> Tuple[List[dict], bytes]:
+        """Per-daemon state headers + the shared snapshot bytes."""
+        cluster = gateway.cluster
+        assert cluster is not None, "gateway not started"
+        snapshot = serialize.dumps(cluster.nodes[0].gpt.setsep)
+        self._ref_setsep = serialize.loads(snapshot)
+        return self._headers(gateway), snapshot
 
     # -- shared-memory segment lifecycle (scale tier) -------------------
 
@@ -448,26 +463,46 @@ class RuntimeController:
                 "payload_len": segment.payload_len,
             }
             try:
-                rsp_type, rsp = self._request(
+                self._command(
                     node_id, MSG_STATE_REF,
                     protocol.encode_state(ref_header, catchup),
                 )
-                protocol.expect(rsp_type, RSP_OK, rsp)
             except protocol.ProtocolError:
                 self._c_stateref_fallbacks.inc()
             else:
                 self._track_segment(node_id, segment.name)
                 return "shm"
-        rsp_type, rsp = self._request(
+        self._command(
             node_id, wire_type, protocol.encode_state(header, snapshot)
         )
-        protocol.expect(rsp_type, RSP_OK, rsp)
         self._c_snapshot_bytes.inc(len(snapshot))
         self._untrack_segment(node_id)
         if catchup:
-            rsp_type, rsp = self._request(node_id, MSG_DELTA, catchup)
-            protocol.expect(rsp_type, RSP_OK, rsp)
+            self._command(node_id, MSG_DELTA, catchup)
         return "wire"
+
+    def _hello(self, node_id: int, gateway_ip: int) -> None:
+        """Tell a daemon who it is and what the cluster looks like."""
+        self._command(node_id, MSG_HELLO, protocol.encode_json({
+            "node_id": node_id,
+            "num_nodes": self.num_nodes,
+            "peers": self._peers(),
+            "gateway_ip": gateway_ip,
+        }))
+
+    def _broadcast_down(
+        self, peers: Optional[List[List[object]]] = None
+    ) -> None:
+        """Tell every live daemon the down set and, with ``peers``, the
+        refreshed topology: survivors stop shipping FIB/deltas to a
+        corpse and drop cached links to a dead port."""
+        doc: Dict[str, object] = {"down": sorted(self.down)}
+        if peers is not None:
+            doc["peers"] = peers
+        payload = protocol.encode_json(doc)
+        for node_id in range(self.num_nodes):
+            if node_id not in self.down:
+                self._command(node_id, MSG_DOWN, payload)
 
     def bootstrap_from_gateway(self, gateway: EpcGateway) -> Dict[str, int]:
         """HELLO + state-ship every daemon from the shadow's built state.
@@ -481,14 +516,7 @@ class RuntimeController:
         segment = self._publish_floor(snapshot)
         attached = 0
         for node_id in range(self.num_nodes):
-            hello = protocol.encode_json({
-                "node_id": node_id,
-                "num_nodes": self.num_nodes,
-                "peers": [[h, p] for h, p in self.addresses],
-                "gateway_ip": gateway.gateway_ip,
-            })
-            rsp_type, rsp = self._request(node_id, MSG_HELLO, hello)
-            protocol.expect(rsp_type, RSP_OK, rsp)
+            self._hello(node_id, gateway.gateway_ip)
             transport = self._ship_state(
                 node_id, headers[node_id], snapshot, MSG_SNAPSHOT, segment
             )
@@ -551,13 +579,10 @@ class RuntimeController:
         totals = {name: 0 for name in ACCOUNT_FIELDS}
         with self.commands:  # interleaved batches would corrupt streams
             for owner in sorted(batches):
-                rsp_type, rsp = self._request(
+                acc, log_wire = protocol.decode_state(self._command(
                     owner, MSG_UPDATE,
-                    protocol.encode_updates(batches[owner]),
-                )
-                acc, log_wire = protocol.decode_state(
-                    protocol.expect(rsp_type, RSP_UPDATE, rsp)
-                )
+                    protocol.encode_updates(batches[owner]), RSP_UPDATE,
+                ))
                 # The owner echoes its rebuilt groups' canonical wire
                 # records; they extend the epoch delta log that rejoining
                 # daemons replay instead of taking a full snapshot.
@@ -626,8 +651,7 @@ class RuntimeController:
                 continue
             payload = pack_frame_list([frames[i] for i in idx])
             try:
-                rsp_type, rsp = self._request(node, MSG_ROUTE, payload)
-                body = protocol.expect(rsp_type, RSP_ROUTE, rsp)
+                body = self._command(node, MSG_ROUTE, payload, RSP_ROUTE)
             except (FramingError, OSError):
                 for i in idx:
                     outcomes[i] = RouteOutcome(STATUS_NODE_DOWN, -1, 0, None)
@@ -704,69 +728,33 @@ class RuntimeController:
     ) -> OpResult:
         """Repair after a daemon died: adopt its slice, re-home its flows.
 
-        Mirrors every move into the shadow ``gateway`` through
-        :class:`FailoverManager.recover_flows`, so wire and shadow stay
-        comparable after the repair.
+        Mirrors every move into the shadow ``gateway``
+        (:func:`~repro.runtime.shadow.evacuate`), so wire and shadow
+        stay comparable after the repair.
         """
         return self.commands.run(
             "repair", lambda: self._repair(failed, gateway)
         )
 
     def _repair(self, failed: int, gateway: EpcGateway) -> OpResult:
-        cluster = gateway.cluster
-        assert cluster is not None, "gateway not started"
         if failed in self.down:
             raise ValueError(f"node {failed} was already repaired")
         self.down.add(failed)
-        stale = self._socks.pop(failed, None)
-        if stale is not None:
-            stale.close()
+        self._drop_link(failed)
         self._untrack_segment(failed)
-        # Every survivor must stop shipping FIB/deltas to the corpse.
-        down_payload = protocol.encode_json({"down": sorted(self.down)})
-        for node_id in range(self.num_nodes):
-            if node_id in self.down:
-                continue
-            rsp_type, rsp = self._request(node_id, MSG_DOWN, down_payload)
-            protocol.expect(rsp_type, RSP_OK, rsp)
+        self._broadcast_down()
         # The dead node's RIB slice moves to its successor (§4.5 ownership
         # must stay total for updates to keep flowing).
-        successor = self._successor(failed)
-        orphaned = [
-            [entry.key, entry.node, entry.value]
-            for entry in cluster.rib.entries()
-            if cluster.rib.owner_of_key(entry.key) == failed
-        ]
-        rsp_type, rsp = self._request(
-            successor, MSG_ADOPT,
+        orphaned = self._headers(gateway)[failed]["rib"]
+        self._command(
+            self._successor(failed), MSG_ADOPT,
             protocol.encode_json({"entries": orphaned}),
         )
-        protocol.expect(rsp_type, RSP_OK, rsp)
         # Shadow-side liveness + recovery through the §4.5 update path.
-        failover = FailoverManager(cluster)
-        failover.updates = gateway.updates
-        failover.down = set(self.down)
         gateway.down_nodes.add(failed)
-        survivors = [n for n in range(self.num_nodes) if n not in self.down]
-        victims = [
-            entry for entry in list(cluster.rib.entries())
-            if entry.node == failed
-        ]
-        reassign = {
-            entry.key: survivors[i % len(survivors)]
-            for i, entry in enumerate(victims)
-        }
-        ops: List[UpdateOp] = []
-        for entry in victims:
-            record = gateway.controller.record_for_key(entry.key)
-            assert record is not None, "RIB/controller disagree"
-            target = reassign[entry.key]
-            context = gateway.dpes[failed].export_context(record.teid)
-            gateway.dpes[target].import_context(context)
-            gateway.controller.rehome(record.flow, target)
-            ops.append(UpdateOp(OP_INSERT, entry.key, target, record.teid,
-                                record.base_station_ip))
-        moved = failover.recover_flows(failed, reassign)
+        ops = evacuate(gateway, failed, [
+            n for n in range(self.num_nodes) if n not in self.down
+        ])
         wire_totals = self.push_updates(ops)
         self.epoch += 1
         return OpResult(
@@ -774,7 +762,7 @@ class RuntimeController:
             node=failed,
             accepted=True,
             epoch=self.epoch,
-            affected_flows=moved,
+            affected_flows=len(ops),
             detail={
                 "adopted_rib_entries": len(orphaned),
                 "wire_updates": wire_totals["updates"],
@@ -796,9 +784,7 @@ class RuntimeController:
         if node_id in self.down:
             raise ValueError(f"node {node_id} is already down")
         self.killer(node_id)
-        stale = self._socks.pop(node_id, None)
-        if stale is not None:
-            stale.close()
+        self._drop_link(node_id)
 
     def kill_node(self, node_id: int) -> OpResult:
         """SIGKILL a daemon — the §7 failure drill, no repair attached.
@@ -935,38 +921,22 @@ class RuntimeController:
             raise ValueError("cannot drain a dead node; use failure repair")
         if self.num_nodes <= 1:
             raise ValueError("cannot drain the last node")
-        cluster = gateway.cluster
-        assert cluster is not None
         survivors = [
             n for n in range(self.num_nodes)
             if n != leaving and n not in self.down
         ]
         if not survivors:
             raise RuntimeError("no survivors to drain onto")
-        victims = [
-            entry for entry in list(cluster.rib.entries())
-            if entry.node == leaving
-        ]
-        ops: List[UpdateOp] = []
-        for i, entry in enumerate(victims):
-            target = survivors[i % len(survivors)]
-            record = gateway.controller.record_for_key(entry.key)
-            assert record is not None, "RIB/controller disagree"
-            gateway.rehome_flow(record.flow, target)
-            ops.append(UpdateOp(OP_INSERT, entry.key, target, record.teid,
-                                record.base_station_ip))
+        ops = evacuate(gateway, leaving, survivors)
         self.push_updates(ops)
         report = self._rebuild_shadow(gateway, self.num_nodes - 1)
         self.num_nodes -= 1
         self._swap_all(gateway)
         try:
-            rsp_type, rsp = self._request(leaving, MSG_SHUTDOWN)
-            protocol.expect(rsp_type, RSP_OK, rsp)
+            self._command(leaving, MSG_SHUTDOWN)
         except (FramingError, OSError):
             pass
-        sock = self._socks.pop(leaving, None)
-        if sock is not None:
-            sock.close()
+        self._drop_link(leaving)
         self._untrack_segment(leaving)
         self.monitor.untrack(leaving)
         self.addresses = self.addresses[:self.num_nodes]
@@ -976,7 +946,7 @@ class RuntimeController:
             node=leaving,
             accepted=True,
             epoch=self.epoch,
-            affected_flows=len(victims),
+            affected_flows=len(ops),
             detail={
                 "new_nodes": self.num_nodes,
                 "gpt_rebuilt_wider": int(report.gpt_rebuilt_wider),
@@ -998,14 +968,7 @@ class RuntimeController:
         self.addresses.append((str(address[0]), int(address[1])))
         self.num_nodes += 1
         report = self._rebuild_shadow(gateway, self.num_nodes)
-        hello = protocol.encode_json({
-            "node_id": new_id,
-            "num_nodes": self.num_nodes,
-            "peers": [[h, p] for h, p in self.addresses],
-            "gateway_ip": gateway.gateway_ip,
-        })
-        rsp_type, rsp = self._request(new_id, MSG_HELLO, hello)
-        protocol.expect(rsp_type, RSP_OK, rsp)
+        self._hello(new_id, gateway.gateway_ip)
         self._swap_all(gateway)
         self.monitor.track(new_id)
         self.epoch += 1
@@ -1054,44 +1017,18 @@ class RuntimeController:
                 f"node {node_id} is not down; only a repaired node rejoins"
             )
         self.addresses[node_id] = (str(address[0]), int(address[1]))
-        stale = self._socks.pop(node_id, None)
-        if stale is not None:
-            stale.close()
+        self._drop_link(node_id)
         # Revive first: ownership and the peer lists must include the node
         # again before any state is computed or broadcast.
         self.down.discard(node_id)
         gateway.down_nodes.discard(node_id)
         self.monitor.reset(node_id)
-        peers = [[h, p] for h, p in self.addresses]
-        hello = protocol.encode_json({
-            "node_id": node_id,
-            "num_nodes": self.num_nodes,
-            "peers": peers,
-            "gateway_ip": gateway.gateway_ip,
-        })
-        rsp_type, rsp = self._request(node_id, MSG_HELLO, hello)
-        protocol.expect(rsp_type, RSP_OK, rsp)
+        self._hello(node_id, gateway.gateway_ip)
         # The revived replica's slices, from the authoritative shadow.
         # Its flows were re-homed during repair, so the FIB slice is
         # usually empty; the RIB slice returns because a live owner makes
         # §4.5 ownership total again.
-        fib_slice = [
-            [record.key, record.handling_node, record.teid,
-             record.base_station_ip]
-            for record in gateway.controller.flows.values()
-            if record.handling_node == node_id
-        ]
-        rib_slice = [
-            [entry.key, entry.node, entry.value]
-            for entry in cluster.rib.entries()
-            if cluster.rib.owner_of_key(entry.key) == node_id
-        ]
-        header = {
-            "num_nodes": self.num_nodes,
-            "peers": peers,
-            "fib": fib_slice,
-            "rib": rib_slice,
-        }
+        header = self._headers(gateway)[node_id]
         if self.deltalog is not None:
             floor = self.deltalog.floor
             catchup = self.deltalog.records()
@@ -1112,30 +1049,21 @@ class RuntimeController:
             node_id, header, floor, MSG_SNAPSHOT, segment, catchup=catchup
         )
         # Every live daemon (the rejoiner included) re-learns the down set
-        # and the refreshed topology; survivors drop cached links to the
-        # node's dead port.
-        down_payload = protocol.encode_json({
-            "down": sorted(self.down),
-            "peers": peers,
-        })
-        for peer in range(self.num_nodes):
-            if peer in self.down:
-                continue
-            rsp_type, rsp = self._request(peer, MSG_DOWN, down_payload)
-            protocol.expect(rsp_type, RSP_OK, rsp)
+        # and the refreshed topology (the node's new port).
+        self._broadcast_down(self._peers())
         self.epoch += 1
         return OpResult(
             verb="rejoin",
             node=node_id,
             accepted=True,
             epoch=self.epoch,
-            affected_flows=len(fib_slice),
+            affected_flows=len(header["fib"]),
             detail={
                 "transport": transport,
                 "catchup_records": replay,
                 "catchup_bytes": len(catchup),
                 "floor_bytes": len(floor),
-                "rib_entries": len(rib_slice),
+                "rib_entries": len(header["rib"]),
             },
         )
 
@@ -1150,10 +1078,7 @@ class RuntimeController:
             for node_id in range(self.num_nodes):
                 if node_id in self.down:
                     continue
-                rsp_type, rsp = self._request(node_id, MSG_STATUS)
-                out[node_id] = protocol.decode_json(
-                    protocol.expect(rsp_type, RSP_STATUS, rsp)
-                )
+                out[node_id] = self._status(node_id)
         return out
 
     def status_node(self, node_id: int) -> dict:
@@ -1163,9 +1088,11 @@ class RuntimeController:
         if node_id in self.down:
             raise ValueError(f"node {node_id} is down")
         with self.commands:
-            rsp_type, rsp = self._request(node_id, MSG_STATUS)
+            return self._status(node_id)
+
+    def _status(self, node_id: int) -> dict:
         return protocol.decode_json(
-            protocol.expect(rsp_type, RSP_STATUS, rsp)
+            self._command(node_id, MSG_STATUS, answer=RSP_STATUS)
         )
 
     def snapshot(self) -> Dict[str, object]:
@@ -1214,10 +1141,7 @@ class RuntimeController:
 
     def arm_faults(self, node_id: int, budgets: dict) -> None:
         """Arm a daemon's transport fault budgets (``MSG_FAULT``)."""
-        rsp_type, rsp = self._request(
-            node_id, MSG_FAULT, protocol.encode_json(budgets)
-        )
-        protocol.expect(rsp_type, RSP_OK, rsp)
+        self._command(node_id, MSG_FAULT, protocol.encode_json(budgets))
 
     def flush_node(self, node_id: int) -> Dict[str, int]:
         """Deliver a daemon's delayed deltas/forwards (``MSG_FLUSH``).
@@ -1225,8 +1149,7 @@ class RuntimeController:
         A delayed delta is a broadcast when it is delivered, so the reply's
         accounting joins the ``runtime.update.*`` totals here.
         """
-        rsp_type, rsp = self._request(node_id, MSG_FLUSH)
-        doc = protocol.decode_json(protocol.expect(rsp_type, RSP_OK, rsp))
+        doc = protocol.decode_json(self._command(node_id, MSG_FLUSH))
         flushed = {key: int(value) for key, value in doc.items()}
         self._count_updates(flushed)
         return flushed

@@ -590,8 +590,6 @@ class NodeDaemon:
         """Terminal handling: FIB check, charge, GTP-U encapsulation."""
         assert self.gpt is not None, "frames before snapshot"
         parsed = fastpath.parse_frames(frames)
-        if parsed.degenerate:
-            raise ValueError("degenerate frame batch (TTL/oversize) refused")
         outcomes: List[Optional[RouteOutcome]] = [None] * len(frames)
         for i in np.nonzero(parsed.malformed)[0]:
             outcomes[int(i)] = RouteOutcome(STATUS_MALFORMED, -1, 0, None)
@@ -641,8 +639,6 @@ class NodeDaemon:
         assert self.gpt is not None, "route before snapshot"
         frames, _ = unpack_frame_list(payload)
         parsed = fastpath.parse_frames(frames)
-        if parsed.degenerate:
-            raise ValueError("degenerate frame batch (TTL/oversize) refused")
         outcomes: List[Optional[RouteOutcome]] = [None] * len(frames)
         for i in np.nonzero(parsed.malformed)[0]:
             outcomes[int(i)] = RouteOutcome(STATUS_MALFORMED, -1, 0, None)

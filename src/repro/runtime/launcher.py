@@ -8,13 +8,14 @@ Two layers live here:
   port announced back through a pipe, with ``kill()`` (SIGKILL, for
   failure drills), graceful ``stop()`` and leak accounting;
 * :func:`run_workload` / :func:`run_demo` — the differential harness:
-  the same seeded workload is played against the socket cluster *and* an
-  in-process :class:`~repro.epc.gateway.EpcGateway` shadow, frame by
-  frame and update by update, and the report asserts byte-identical
-  GTP-U output, identical per-TEID charging and CRC-identical GPT
-  replicas.  Everything is pinned (per-frame ingress, update mix, flow
+  the same seeded workload is played against the socket cluster *and*
+  the in-process :class:`~repro.runtime.shadow.Shadow`, frame by frame
+  and update by update, and the report asserts byte-identical GTP-U
+  output, identical per-TEID charging and CRC-identical GPT replicas.
+  Everything is pinned (per-frame ingress, update mix, flow
   population), so the same seed produces the same JSON report, byte for
   byte — the determinism the chaos and CI harnesses gate on.
+  :func:`demo_gates` is the one definition of what the report must show.
 """
 
 from __future__ import annotations
@@ -27,26 +28,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.architectures import Architecture
-from repro.core import serialize, shm
-from repro.epc.fastpath import OUTER_SIZE
-from repro.epc.gateway import EpcGateway
-from repro.epc.packets import parse_ip
-from repro.epc.traffic import FlowGenerator
-from repro.obs.metrics import MetricsRegistry
+from repro.core import shm
 from repro.runtime.controller import RuntimeController
 from repro.runtime.daemon import NodeDaemon
-from repro.runtime.protocol import (
-    OP_INSERT,
-    OP_REMOVE,
-    REASON_TO_STATUS,
-    RouteOutcome,
-    STATUS_DELIVERED,
-    UpdateOp,
-)
-
-#: The demo gateway's tunnel endpoint (TEST-NET-1, never routable).
-DEMO_GATEWAY_IP = "192.0.2.1"
+from repro.runtime.shadow import Shadow, compare_frames, merge_comparisons
 
 
 def _daemon_entry(host: str, conn) -> None:
@@ -169,115 +154,6 @@ class LocalRuntime:
 # ----------------------------------------------------------------------
 
 
-def _compare_frames(
-    shadow: Sequence[Tuple[object, Optional[bytes]]],
-    wire: Sequence[RouteOutcome],
-) -> Dict[str, int]:
-    """Frame-by-frame shadow-vs-wire comparison (the §3 differential)."""
-    assert len(shadow) == len(wire)
-    divergences = 0
-    delivered = 0
-    dropped = 0
-    byte_identical = True
-    for (result, out), outcome in zip(shadow, wire):
-        if out is not None:
-            delivered += 1
-            if (
-                outcome.status != STATUS_DELIVERED
-                or outcome.out != out
-                or outcome.handler != result.handled_by
-            ):
-                divergences += 1
-                if outcome.out != out:
-                    byte_identical = False
-        else:
-            dropped += 1
-            expected = REASON_TO_STATUS.get(result.reason, -1)
-            if outcome.status != expected:
-                divergences += 1
-    return {
-        "frames": len(wire),
-        "delivered": delivered,
-        "dropped": dropped,
-        "divergences": divergences,
-        "byte_identical": bool(byte_identical and divergences == 0),
-    }
-
-
-def _shadow_route(
-    gateway: EpcGateway, frames: Sequence[bytes], ingress: Sequence[int]
-) -> List[Tuple[object, Optional[bytes]]]:
-    """Run frames through the in-process gateway, ingress pinned."""
-    return [
-        gateway.process_downstream(frame, ingress=int(node))
-        for frame, node in zip(frames, ingress)
-    ]
-
-
-def _audit_state(
-    controller: RuntimeController,
-    gateway: EpcGateway,
-    lost_charges: Optional[Dict[int, int]] = None,
-) -> Dict[str, object]:
-    """Global-state differential: charging dicts and GPT replica CRCs.
-
-    ``lost_charges`` holds per-TEID bytes that died with a killed
-    daemon's counters: the shadow's global charging dict still carries
-    them (fate sharing, §7 — bearer state on the failed node is lost),
-    so they are subtracted before the comparison.
-    """
-    statuses = controller.status_all()
-    wire_charges: Dict[int, int] = {}
-    for status in statuses.values():
-        for teid, total in status["charges"].items():
-            teid = int(teid)
-            wire_charges[teid] = wire_charges.get(teid, 0) + int(total)
-    shadow_charges = {
-        int(teid): int(total)
-        for teid, total in gateway.stats.bytes_charged.items()
-        if int(total)
-    }
-    for teid, total in (lost_charges or {}).items():
-        remaining = shadow_charges.get(teid, 0) - total
-        if remaining:
-            shadow_charges[teid] = remaining
-        else:
-            shadow_charges.pop(teid, None)
-    wire_charges = {t: v for t, v in wire_charges.items() if v}
-    cluster = gateway.cluster
-    assert cluster is not None
-    replica_crcs_equal = True
-    for node_id, status in statuses.items():
-        shadow_crc = serialize.fingerprint(cluster.nodes[node_id].gpt.setsep)
-        if int(status["gpt_crc"]) != shadow_crc:
-            replica_crcs_equal = False
-    # Bounded mismatch breakdown: zeros on a clean run, and enough to
-    # localise a divergence (over = wire charged more than the shadow,
-    # e.g. a frame routed twice; under = wire missed a charge).
-    over = sorted(
-        t for t in wire_charges
-        if wire_charges[t] > shadow_charges.get(t, 0)
-    )
-    under = sorted(
-        t for t in shadow_charges
-        if shadow_charges[t] > wire_charges.get(t, 0)
-    )
-    return {
-        "statuses": statuses,
-        "charging_identical": wire_charges == shadow_charges,
-        "charged_teids": len(wire_charges),
-        "charge_mismatches": {
-            "over": len(over),
-            "under": len(under),
-            "sample": [
-                [t, wire_charges.get(t, 0), shadow_charges.get(t, 0)]
-                for t in (over + under)[:5]
-            ],
-        },
-        "gpt_replicas_identical": replica_crcs_equal,
-    }
-
-
 def run_workload(
     addresses: Sequence[Tuple[str, int]],
     num_nodes: int,
@@ -345,17 +221,10 @@ def run_workload(
         if not 0 <= fence_node < num_nodes:
             raise ValueError("fence_node out of range")
 
-    # The shadow: an in-process gateway with its own registry, living the
-    # exact same life as the socket cluster.
-    gateway = EpcGateway(
-        Architecture.SCALEBRICKS,
-        num_nodes,
-        parse_ip(DEMO_GATEWAY_IP),
-        registry=MetricsRegistry(),
-    )
-    generator = FlowGenerator(seed)
-    live_flows = generator.populate(gateway, flows)
-    gateway.start()
+    # The shadow lives the exact same life as the socket cluster.
+    shadow = Shadow(num_nodes, seed)
+    shadow.populate(flows)
+    gateway, generator = shadow.gateway, shadow.generator
 
     controller = RuntimeController(
         addresses, miss_threshold=miss_threshold, ping_timeout=ping_timeout,
@@ -374,23 +243,11 @@ def run_workload(
     try:
         # -- traffic, phase 1 (everything alive) -----------------------
         first = packets // 2
-        frames = generator.packet_stream(live_flows, first)
+        frames = generator.packet_stream(shadow.live_flows, first)
         ingress = ingress_rng.integers(num_nodes, size=first)
-        shadow = _shadow_route(gateway, frames, ingress)
+        mirrored = shadow.route(frames, ingress)
         wire = controller.route_frames(frames, [int(n) for n in ingress])
-        phase1 = _compare_frames(shadow, wire)
-
-        # Charges the failure drill will destroy: the drill's victim
-        # keeps its phase-1 charging counters only in its own memory.
-        victim = kill_node if kill_node is not None else fence_node
-        lost_charges: Dict[int, int] = {}
-        if victim is not None:
-            for result, out in shadow:
-                if out is not None and result.handled_by == victim:
-                    teid = int(result.value)
-                    lost_charges[teid] = (
-                        lost_charges.get(teid, 0) + len(out) - OUTER_SIZE
-                    )
+        phase1 = compare_frames(mirrored, wire)
 
         # -- liveness sweep (all alive) --------------------------------
         controller.poll_liveness()
@@ -398,46 +255,11 @@ def run_workload(
 
         # -- §4.5 update storm -----------------------------------------
         update_rng = np.random.default_rng(seed * 65537 + 13)
-        ops: List[UpdateOp] = []
-        connects = rehomes = disconnects = 0
-        for _ in range(updates):
-            action = int(update_rng.integers(100))
-            if action < 30 or len(live_flows) <= 2:
-                flow = generator.flows(1)[0]
-                record = gateway.connect(
-                    flow,
-                    generator.base_station_for(flow),
-                    generator.region_for(flow),
-                )
-                ops.append(UpdateOp(
-                    OP_INSERT, record.key, record.handling_node,
-                    record.teid, record.base_station_ip,
-                ))
-                live_flows.append(flow)
-                connects += 1
-            elif action < 85:
-                flow = live_flows[int(update_rng.integers(len(live_flows)))]
-                target = int(update_rng.integers(num_nodes))
-                record = gateway.controller.record_for_key(flow.key())
-                assert record is not None
-                if record.handling_node == target:
-                    continue
-                moved = gateway.rehome_flow(flow, target)
-                ops.append(UpdateOp(
-                    OP_INSERT, moved.key, target, moved.teid,
-                    moved.base_station_ip,
-                ))
-                rehomes += 1
-            else:
-                index = int(update_rng.integers(len(live_flows)))
-                flow = live_flows.pop(index)
-                assert gateway.disconnect(flow)
-                ops.append(UpdateOp(OP_REMOVE, flow.key()))
-                disconnects += 1
-        update_totals = controller.push_updates(ops)
-        update_totals["connects"] = connects
-        update_totals["rehomes"] = rehomes
-        update_totals["disconnects"] = disconnects
+        draws = [shadow.storm_op(update_rng) for _ in range(updates)]
+        update_totals = controller.push_updates(
+            [op for op in draws if op is not None]
+        )
+        update_totals.update(shadow.counts)
         update_totals["mean_delta_bits"] = round(
             update_totals["delta_bits"]
             / max(1, update_totals["delta_broadcasts"]),
@@ -454,16 +276,13 @@ def run_workload(
             "detection_polls": None,
             "recovered_flows": 0,
         }
+        drill = None
         if kill_node is not None:
             controller.kill_node(kill_node)
             liveness["detection_polls"] = controller.await_detection(
                 kill_node
             )
-            repair = controller.handle_node_failure(kill_node, gateway)
-            liveness["recovered_flows"] = repair.affected_flows
-            liveness["adopted_rib_entries"] = (
-                repair.detail["adopted_rib_entries"]
-            )
+            drill = controller.handle_node_failure(kill_node, gateway)
         elif fence_node is not None:
             # Grey failure: the daemon freezes (SIGSTOP) but its sockets
             # stay open, so it never goes DEAD on its own — exactly the
@@ -474,39 +293,36 @@ def run_workload(
             suspender(fence_node)
             controller.poll_liveness()
             liveness["detection_polls"] = 1
-            fence = controller.fence_node(fence_node, gateway)
-            liveness["recovered_flows"] = fence.affected_flows
+            drill = controller.fence_node(fence_node, gateway)
+            liveness["state_before_fence"] = drill.detail["state_before"]
+        if drill is not None:
+            liveness["recovered_flows"] = drill.affected_flows
             liveness["adopted_rib_entries"] = (
-                fence.detail["adopted_rib_entries"]
+                drill.detail["adopted_rib_entries"]
             )
-            liveness["state_before_fence"] = fence.detail["state_before"]
 
         # -- traffic, phase 2 (post-update, maybe post-failure) --------
         # A few never-connected flows ride along: the GPT still maps them
         # somewhere (one-sided error, §3.3) and the exact FIB refuses
         # them — on both sides of the differential.
         second = packets - first
-        frames = generator.packet_stream(live_flows, second)
+        frames = generator.packet_stream(shadow.live_flows, second)
         frames.extend(
             generator.packet_stream(generator.flows(8), min(64, second))
         )
         ingress = ingress_rng.integers(num_nodes, size=len(frames))
-        shadow = _shadow_route(gateway, frames, ingress)
+        mirrored = shadow.route(frames, ingress)
         wire = controller.route_frames(frames, [int(n) for n in ingress])
-        phase2 = _compare_frames(shadow, wire)
+        phase2 = compare_frames(mirrored, wire)
 
         # -- the global audit ------------------------------------------
-        audit = _audit_state(controller, gateway, lost_charges)
-        statuses = audit.pop("statuses")
+        # The drill's victim kept its charging counters only in its own
+        # memory: it reports no status, so its slice is not expected.
+        statuses = controller.status_all()
+        audit = shadow.audit(statuses)
 
         differential = {
-            "frames": phase1["frames"] + phase2["frames"],
-            "delivered": phase1["delivered"] + phase2["delivered"],
-            "dropped": phase1["dropped"] + phase2["dropped"],
-            "divergences": phase1["divergences"] + phase2["divergences"],
-            "byte_identical": bool(
-                phase1["byte_identical"] and phase2["byte_identical"]
-            ),
+            **merge_comparisons([phase1, phase2]),
             "charging_identical": audit["charging_identical"],
             "charged_teids": audit["charged_teids"],
             "gpt_replicas_identical": audit["gpt_replicas_identical"],
@@ -542,15 +358,45 @@ def run_workload(
             }
             for node_id, status in sorted(statuses.items())
         }
-        report["ok"] = bool(
-            differential["divergences"] == 0
-            and differential["byte_identical"]
-            and differential["charging_identical"]
-            and differential["gpt_replicas_identical"]
-        )
+        report["ok"] = all(demo_gates(report).values())
     finally:
         controller.shutdown_all()
     return report
+
+
+def demo_gates(report: Dict[str, object]) -> Dict[str, bool]:
+    """Every hard gate on a workload report; ``ok`` is their conjunction.
+
+    This is the one definition CI's ``runtime-smoke`` job enforces (the
+    CLI's exit code follows ``ok``): routing divergence, non-identical
+    GTP-U bytes / charging / replicas, failure detection off the
+    configured threshold, a drill that recovered nothing, or a leaked
+    child process or shm segment each fail the run.  Drill gates pass
+    when no drill ran; leak gates pass on a report from
+    :func:`run_workload`, which owns neither processes nor segments.
+    """
+    differential = report["differential"]
+    liveness = report["liveness"]
+    killed = liveness["killed_node"] is not None
+    drilled = killed or liveness["fenced_node"] is not None
+    return {
+        "no_divergence": differential["divergences"] == 0,
+        **{
+            name: bool(differential[name]) for name in (
+                "byte_identical", "charging_identical",
+                "gpt_replicas_identical",
+            )
+        },
+        "detection_on_threshold": (
+            not killed
+            or liveness["detection_polls"] == liveness["miss_threshold"]
+        ),
+        "drill_recovered_flows": (
+            not drilled or liveness["recovered_flows"] > 0
+        ),
+        "no_leaked_processes": report.get("leaked_processes", 0) == 0,
+        "no_leaked_segments": report.get("leaked_shm_segments", 0) == 0,
+    }
 
 
 def run_demo(
@@ -591,6 +437,8 @@ def run_demo(
         report["leaked_shm_segments"] = len(
             shm.list_segments(f"{shm.SEGMENT_PREFIX}{os.getpid():x}-")
         )
+    report["gates"] = demo_gates(report)
+    report["ok"] = all(report["gates"].values())
     return report
 
 

@@ -45,29 +45,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.architectures import Architecture
 from repro.core import serialize
-from repro.epc.gateway import EpcGateway
-from repro.epc.packets import parse_ip
-from repro.epc.traffic import FlowGenerator
-from repro.obs.metrics import MetricsRegistry
 from repro.runtime import protocol
 from repro.runtime.controller import RuntimeController
 from repro.runtime.framing import FramedSocket, FramingError
-from repro.runtime.launcher import (
-    DEMO_GATEWAY_IP,
-    LocalRuntime,
-    _compare_frames,
-    _shadow_route,
-)
+from repro.runtime.launcher import LocalRuntime
 from repro.runtime.protocol import (
     MSG_APPEND,
     MSG_QUERY,
     MSG_SHUTDOWN,
     MSG_SUBMIT,
     MSG_VOTE,
-    OP_INSERT,
-    OP_REMOVE,
     RSP_APPEND,
     RSP_ERR,
     RSP_OK,
@@ -86,6 +74,11 @@ from repro.runtime.replication import (
     Replica,
     Role,
     StaleTermError,
+)
+from repro.runtime.shadow import (
+    Shadow,
+    compare_frames,
+    merge_comparisons,
 )
 
 #: Real-clock election parameters for replica processes.  Deliberately
@@ -176,7 +169,7 @@ class _CoreGuard(LeadershipGuard):
             )
 
 
-class ShadowMachine:
+class ShadowMachine(Shadow):
     """One replica's deterministic shadow of the whole cluster.
 
     Applies committed log entries — seeded commands — to a private
@@ -188,20 +181,10 @@ class ShadowMachine:
     """
 
     def __init__(self, num_nodes: int, seed: int) -> None:
-        self.num_nodes = num_nodes
-        self.seed = seed
-        self.gateway = EpcGateway(
-            Architecture.SCALEBRICKS,
-            num_nodes,
-            parse_ip(DEMO_GATEWAY_IP),
-            registry=MetricsRegistry(),
-        )
-        self.generator = FlowGenerator(seed)
-        self.live_flows: List[object] = []
+        super().__init__(num_nodes, seed)
         self.update_rng = np.random.default_rng(seed * 65537 + 13)
         self.bootstrap_index = 0
         self.counters = {
-            "connects": 0, "rehomes": 0, "disconnects": 0,
             "storm_ops": 0, "storm_rounds": 0, "traffic_frames": 0,
         }
         #: log index -> ("bootstrap",) | ("storm", ops) |
@@ -232,23 +215,13 @@ class ShadowMachine:
         yield from handler(entry.index, entry.payload)
 
     def _apply_bootstrap(self, index: int, payload: dict):
-        flows = int(payload["flows"])
-        # Inlined FlowGenerator.populate with yield points: the same
-        # flow batch and connect order, but a follower replaying an 8k
+        # Populate with yield points: a follower replaying an 8k
         # population is never frozen for the whole loop at once.  (The
-        # GPT build in gateway.start() stays one step — PEER_TIMEOUT
-        # and the lease are sized to ride it out.)
-        population = self.generator.flows(flows)
-        for i, flow in enumerate(population):
-            if i and i % APPLY_STEP_FLOWS == 0:
-                yield
-            self.gateway.connect(
-                flow,
-                self.generator.base_station_for(flow),
-                self.generator.region_for(flow),
-            )
-        self.live_flows = population
-        self.gateway.start()
+        # GPT build at its end stays one step — PEER_TIMEOUT and the
+        # lease are sized to ride it out.)
+        yield from self.populate_steps(
+            int(payload["flows"]), APPLY_STEP_FLOWS
+        )
         self.bootstrap_index = index
         self.derived[index] = ("bootstrap",)
         self._last_summary = {"live_flows": len(self.live_flows)}
@@ -256,58 +229,21 @@ class ShadowMachine:
 
     def _apply_storm(self, index: int, payload: dict):
         """One §4.5 churn round: the connect/rehome/disconnect mix."""
-        count = int(payload["count"])
-        gateway = self.gateway
+        before = dict(self.counts)
         ops: List[UpdateOp] = []
-        connects = rehomes = disconnects = 0
-        for op_no in range(count):
+        for op_no in range(int(payload["count"])):
             if op_no and op_no % APPLY_STEP_OPS == 0:
                 yield
-            action = int(self.update_rng.integers(100))
-            if action < 30 or len(self.live_flows) <= 2:
-                flow = self.generator.flows(1)[0]
-                record = gateway.connect(
-                    flow,
-                    self.generator.base_station_for(flow),
-                    self.generator.region_for(flow),
-                )
-                ops.append(UpdateOp(
-                    OP_INSERT, record.key, record.handling_node,
-                    record.teid, record.base_station_ip,
-                ))
-                self.live_flows.append(flow)
-                connects += 1
-            elif action < 85:
-                flow = self.live_flows[
-                    int(self.update_rng.integers(len(self.live_flows)))
-                ]
-                target = int(self.update_rng.integers(self.num_nodes))
-                record = gateway.controller.record_for_key(flow.key())
-                assert record is not None
-                if record.handling_node == target:
-                    continue
-                moved = gateway.rehome_flow(flow, target)
-                ops.append(UpdateOp(
-                    OP_INSERT, moved.key, target, moved.teid,
-                    moved.base_station_ip,
-                ))
-                rehomes += 1
-            else:
-                pos = int(self.update_rng.integers(len(self.live_flows)))
-                flow = self.live_flows.pop(pos)
-                assert gateway.disconnect(flow)
-                ops.append(UpdateOp(OP_REMOVE, flow.key()))
-                disconnects += 1
+            op = self.storm_op(self.update_rng)
+            if op is not None:
+                ops.append(op)
         self.derived[index] = ("storm", ops)
-        self.counters["connects"] += connects
-        self.counters["rehomes"] += rehomes
-        self.counters["disconnects"] += disconnects
         self.counters["storm_ops"] += len(ops)
         self.counters["storm_rounds"] += 1
-        self._last_summary = {
-            "ops": len(ops), "connects": connects,
-            "rehomes": rehomes, "disconnects": disconnects,
-        }
+        self._last_summary = {"ops": len(ops), **{
+            verb: count - before[verb]
+            for verb, count in self.counts.items()
+        }}
 
     def _apply_traffic(self, index: int, payload: dict):
         """One differential traffic round, shadow-routed here."""
@@ -326,29 +262,19 @@ class ShadowMachine:
         )
         ingress = [
             int(n) for n in ingress_rng.integers(
-                self.num_nodes, size=len(frames)
+                self.gateway.num_nodes, size=len(frames)
             )
         ]
-        shadow: List[object] = []
+        mirrored: List[object] = []
         for lo in range(0, len(frames), APPLY_STEP_FRAMES):
-            shadow.extend(_shadow_route(
-                self.gateway,
+            mirrored.extend(self.route(
                 frames[lo:lo + APPLY_STEP_FRAMES],
                 ingress[lo:lo + APPLY_STEP_FRAMES],
             ))
             yield
-        self.derived[index] = ("traffic", frames, ingress, shadow)
+        self.derived[index] = ("traffic", frames, ingress, mirrored)
         self.counters["traffic_frames"] += len(frames)
         self._last_summary = {"frames": len(frames)}
-
-    def fingerprints(self) -> List[int]:
-        """Per-node GPT replica CRCs of this shadow's cluster."""
-        cluster = self.gateway.cluster
-        if cluster is None:
-            return []
-        return [
-            serialize.fingerprint(node.gpt.setsep) for node in cluster.nodes
-        ]
 
     def charges_crc(self) -> int:
         """CRC of the shadow's global charging dict (order-canonical)."""
@@ -362,7 +288,7 @@ class ShadowMachine:
     def summary(self) -> dict:
         return {
             "live_flows": len(self.live_flows),
-            "counters": dict(self.counters),
+            "counters": {**self.counts, **self.counters},
             "gpt_fingerprints": self.fingerprints(),
             "charges_crc": self.charges_crc(),
             "bootstrap_index": self.bootstrap_index,
@@ -632,7 +558,7 @@ class ReplicaServer:
                     self._heartbeat_between_chunks()
                 result = {
                     "verb": "traffic",
-                    **_compare_frames(shadow_outcomes, wire),
+                    **compare_frames(shadow_outcomes, wire),
                 }
             self._results[index] = result
             self._executed = index
@@ -791,10 +717,7 @@ class ReplicaServer:
         if what == "audit":
             if self.core.role is not Role.LEADER:
                 return self._redirect()
-            from repro.runtime.launcher import _audit_state
-
-            audit = _audit_state(self._controller(), self.shadow.gateway)
-            audit.pop("statuses")
+            audit = self.shadow.audit(self._controller().status_all())
             return RSP_RESULT, protocol.encode_json(audit)
         return RSP_ERR, protocol.encode_json(
             {"error": f"unknown query {what!r}"}
@@ -1273,23 +1196,7 @@ def run_replicated_workload(
                 incidental["traffic_replayed"] = traffic_replayed
                 deterministic = {
                     "bootstrap": boot["result"],
-                    "traffic": {
-                        "frames": sum(
-                            t["frames"] for t in traffic_results
-                        ),
-                        "delivered": sum(
-                            t["delivered"] for t in traffic_results
-                        ),
-                        "dropped": sum(
-                            t["dropped"] for t in traffic_results
-                        ),
-                        "divergences": sum(
-                            t["divergences"] for t in traffic_results
-                        ),
-                        "byte_identical": bool(all(
-                            t["byte_identical"] for t in traffic_results
-                        )),
-                    },
+                    "traffic": merge_comparisons(traffic_results),
                     "storm": shadows[0]["counters"],
                     "audit": audit,
                     "committed_verbs": len(acked_cids),

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import multiprocessing
 
@@ -218,25 +218,16 @@ def _rejoin_drill(
     num_nodes: int, flows: int, updates: int, seed: int
 ) -> Dict[str, object]:
     """Part B: bootstrap over shm, kill/repair/storm, rejoin by delta log."""
-    from repro.cluster.architectures import Architecture
-    from repro.epc.gateway import EpcGateway
-    from repro.epc.packets import parse_ip
-    from repro.epc.traffic import FlowGenerator
-    from repro.obs.metrics import MetricsRegistry
     from repro.runtime.controller import RuntimeController
-    from repro.runtime.launcher import DEMO_GATEWAY_IP, LocalRuntime
-    from repro.runtime.protocol import OP_INSERT, UpdateOp
+    from repro.runtime.launcher import LocalRuntime
+    from repro.runtime.shadow import Shadow, compare_frames
 
     victim = num_nodes - 1
     runtime = LocalRuntime(num_nodes)
     with runtime:
-        gateway = EpcGateway(
-            Architecture.SCALEBRICKS, num_nodes,
-            parse_ip(DEMO_GATEWAY_IP), registry=MetricsRegistry(),
-        )
-        generator = FlowGenerator(seed)
-        live_flows = generator.populate(gateway, flows)
-        gateway.start()
+        shadow = Shadow(num_nodes, seed)
+        shadow.populate(flows)
+        gateway = shadow.gateway
         controller = RuntimeController(
             runtime.addresses, miss_threshold=2, ping_timeout=0.5,
             use_shm=True,
@@ -246,22 +237,23 @@ def _rejoin_drill(
         bootstrap = controller.bootstrap_from_gateway(gateway)
 
         def storm(count: int, salt: int) -> int:
+            """``count`` rehome draws (flow, then target), stream ``salt``."""
             rng = np.random.default_rng(seed * 65537 + salt)
-            ops: List[UpdateOp] = []
+            ops = []
             for _ in range(count):
-                flow = live_flows[int(rng.integers(len(live_flows)))]
-                target = int(rng.integers(num_nodes))
-                record = gateway.controller.record_for_key(flow.key())
-                assert record is not None
-                if record.handling_node == target:
-                    continue
-                moved = gateway.rehome_flow(flow, target)
-                ops.append(UpdateOp(
-                    OP_INSERT, moved.key, target, moved.teid,
-                    moved.base_station_ip,
-                ))
+                flow = shadow.live_flows[
+                    int(rng.integers(len(shadow.live_flows)))
+                ]
+                op = shadow.rehome(flow, int(rng.integers(num_nodes)))
+                if op is not None:
+                    ops.append(op)
             controller.push_updates(ops)
             return len(ops)
+
+        def replicas_identical() -> bool:
+            return shadow.audit(controller.status_all())[
+                "gpt_replicas_identical"
+            ]
 
         try:
             storm(updates // 3, 1)
@@ -276,28 +268,14 @@ def _rejoin_drill(
             address = runtime.respawn(victim)
             rejoin = controller.rejoin_node(gateway, victim, address)
 
-            def replicas_identical() -> bool:
-                shadow_crc = serialize.fingerprint(
-                    gateway.cluster.nodes[0].gpt.setsep
-                )
-                return all(
-                    int(status["gpt_crc"]) == shadow_crc
-                    for status in controller.status_all().values()
-                )
-
             converged = replicas_identical()
             # Post-rejoin traffic, ingress pinned to the rejoined node.
-            frames = generator.packet_stream(live_flows, 200)
-            shadow = [
-                gateway.process_downstream(frame, ingress=victim)
-                for frame in frames
-            ]
-            wire = controller.route_frames(frames, [victim] * len(frames))
-            divergences = sum(
-                1
-                for (_result, out), outcome in zip(shadow, wire)
-                if (out or b"") != (outcome.out or b"")
-            )
+            frames = shadow.generator.packet_stream(shadow.live_flows, 200)
+            pinned = [victim] * len(frames)
+            mirrored = shadow.route(frames, pinned)
+            divergences = compare_frames(
+                mirrored, controller.route_frames(frames, pinned)
+            )["divergences"]
             storm(updates // 3, 3)
             still_converged = replicas_identical()
             counters = {

@@ -49,6 +49,20 @@ class TestLiveness:
                 result = manager.route(int(k), ingress=0)
                 assert result.value == v
 
+    def test_unpinned_ingress_is_a_function_of_the_cluster(self):
+        """Two managers over equal clusters pick the same ingress
+        sequence (the draw used to be seeded from the wall clock), and
+        never a down node."""
+        picks = []
+        for _ in range(2):
+            manager, keys, *_ = make(Architecture.SCALEBRICKS)
+            manager.fail_node(3)
+            picks.append(
+                [manager.route(int(key)).ingress for key in keys[:64]]
+            )
+        assert picks[0] == picks[1]
+        assert set(picks[0]) == {0, 1, 2}
+
 
 class TestImpactReport:
     def test_scalebricks_isolates_failures(self):

@@ -28,7 +28,7 @@ from repro.epc.packets import (
     PROTO_TCP,
     PROTO_UDP,
     build_downstream_frame,
-    extract_flow,
+    extract_forwardable,
     ipv4_checksum,
     parse_frame,
     parse_ip,
@@ -44,12 +44,16 @@ from repro.obs.metrics import MetricsRegistry
 
 NUM_NODES = 6
 
+#: Makes ``make_frame`` one byte longer than the GTP-U framing can carry
+#: (20 IPv4 + 8 UDP + payload = MAX_INNER + 1; still a legal total_length).
+OVERSIZE_PAYLOAD = b"x" * (fastpath.MAX_INNER + 1 - 28)
+
 
 def scalar_parse(frame: bytes):
     """The scalar codec's view of one frame (None when it raises)."""
     try:
         _eth, l3 = parse_frame(frame)
-        flow, header, _rest = extract_flow(l3)
+        flow, header, _rest = extract_forwardable(l3, fastpath.MAX_INNER)
     except ValueError:
         return None
     return (
@@ -203,10 +207,26 @@ class TestParseFrames:
         assert int(parsed.sport[0]) == 0 and int(parsed.dport[0]) == 0
         assert int(parsed.keys[0]) == flow.key()
 
-    def test_degenerate_flags(self):
+    def test_unforwardable_frames_are_flagged_malformed(self):
+        """TTL 0 and L3 longer than MAX_INNER: flagged per frame, like
+        the scalar codec, and the neighbours are untouched."""
         flow = FlowTuple(0x0A000001, 0x0A000002, PROTO_UDP, 1000, 2000)
-        assert not fastpath.parse_frames([make_frame(flow)]).degenerate
-        assert fastpath.parse_frames([make_frame(flow, ttl=0)]).degenerate
+        frames = [
+            make_frame(flow),
+            make_frame(flow, ttl=0),
+            make_frame(flow, ttl=1),
+            make_frame(flow, payload=OVERSIZE_PAYLOAD),
+            make_frame(flow, payload=OVERSIZE_PAYLOAD[:-1]),
+            make_frame(flow, ttl=0, ihl=6),
+        ]
+        parsed = fastpath.parse_frames(frames)
+        assert parsed.malformed.tolist() == [
+            False, True, False, True, False, True
+        ]
+        assert parsed.malformed.tolist() == [
+            scalar_parse(frame) is None for frame in frames
+        ]
+        assert int(parsed.keys[0]) == int(parsed.keys[2]) == flow.key()
 
     @given(st.lists(st.binary(min_size=0, max_size=80), max_size=30))
     @settings(max_examples=75, deadline=None)
@@ -310,21 +330,52 @@ class TestGatewayDifferential:
         ]
         assert_equivalent(gw_a, gw_b, frames, ingress)
 
-    def test_degenerate_batch_raises_like_scalar(self):
+    def test_unforwardable_frames_drop_alone_in_a_batch(self):
+        """A TTL-0 and an oversize frame for live bearers inside a batch
+        of good frames: nothing charged for them, nothing raised, one
+        ``malformed`` drop each, scalar == batch, and every neighbour's
+        bytes and charge are what they are without the bad frames."""
         gw_a, flows, _gen = build_gateway(seed=2, flows=20)
         gw_b, _, _ = build_gateway(seed=2, flows=20)
-        frames = [make_frame(flows[0]), make_frame(flows[1], ttl=0)]
-        with pytest.raises(ValueError, match="TTL expired"):
-            for frame in frames:
-                gw_a.process_downstream(frame)
-        with pytest.raises(ValueError, match="TTL expired"):
-            gw_b.process_downstream_batch(frames)
+        gw_clean, _, _ = build_gateway(seed=2, flows=20)
+        good = [make_frame(flow) for flow in flows[:8]]
+        frames = (
+            good[:4] + [make_frame(flows[8], ttl=0)] + good[4:]
+            + [make_frame(flows[9], payload=OVERSIZE_PAYLOAD)]
+        )
+        good_at = [0, 1, 2, 3, 5, 6, 7, 8]
+        ingress = [i % NUM_NODES for i in range(len(frames))]
+        scalar = [
+            gw_a.process_downstream(frame, node)
+            for frame, node in zip(frames, ingress)
+        ]
+        batched = gw_b.process_downstream_batch(frames, ingress)
+        clean = gw_clean.process_downstream_batch(
+            good, [ingress[i] for i in good_at]
+        )
+        assert scalar == batched
+        assert [batched[i] for i in good_at] == clean
+        assert all(out is not None for _, out in clean)
+        for position in (4, 9):
+            result, out = batched[position]
+            assert out is None
+            assert (result.dropped, result.reason) == (True, "malformed")
+        for gateway in (gw_a, gw_b):
+            assert gateway.registry.counters()["gateway.drops.malformed"] == 2
+            for flow in flows[8:10]:
+                record = gateway.controller.record_for_key(flow.key())
+                assert record.teid not in gateway.stats.bytes_charged
+                assert gateway.dpe.context(record.teid).downlink_bytes == 0
+        assert (
+            gw_a.stats.bytes_charged == gw_b.stats.bytes_charged
+            == gw_clean.stats.bytes_charged
+        )
         assert strip_fastpath(gw_a.registry.counters()) == strip_fastpath(
             gw_b.registry.counters()
         )
-        # The degenerate batch must be accounted as spilled, not fast.
-        assert gw_b.registry.counters()["gateway.fastpath.batches"] == 0
-        assert gw_b.registry.counters()["gateway.fastpath.spilled_frames"] == 2
+        # Dropped by the vector codec, not spilled to the scalar path.
+        assert gw_b.registry.counters()["gateway.fastpath.batches"] == 1
+        assert gw_b.registry.counters()["gateway.fastpath.spilled_frames"] == 0
 
     def test_length_mismatch_raises(self):
         gateway, flows, gen = build_gateway(flows=10)

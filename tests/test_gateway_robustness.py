@@ -102,3 +102,128 @@ class TestMalformedUpstream:
         )
         result, tunnelled = gateway.process_downstream(frame)
         assert tunnelled is not None and result.delivered
+
+
+class TestUnforwardable:
+    """TTL 0 (and, downstream, an inner packet too long for the GTP-U
+    framing) is a ``malformed`` drop decided before routing, policing and
+    charging — on the gateway (both directions), the daemons and the
+    chaos oracle.  It used to be charged and then raise at egress."""
+
+    @staticmethod
+    def _fresh():
+        from tests.test_fastpath import build_gateway
+
+        gateway, flows, _gen = build_gateway(seed=23, flows=40, num_nodes=3)
+        return gateway, flows
+
+    def test_downstream_ttl_zero_charges_nothing(self):
+        from tests.test_fastpath import OVERSIZE_PAYLOAD, make_frame
+
+        gateway, flows = self._fresh()
+        record = gateway.controller.record_for_key(flows[0].key())
+        for bad in (
+            make_frame(flows[0], ttl=0),
+            make_frame(flows[0], payload=OVERSIZE_PAYLOAD),
+        ):
+            result, out = gateway.process_downstream(bad, ingress=1)
+            assert out is None
+            assert (result.dropped, result.reason) == (True, "malformed")
+        assert gateway.registry.counters()["gateway.drops.malformed"] == 2
+        assert gateway.stats.bytes_charged == {}
+        assert gateway.dpe.context(record.teid).downlink_bytes == 0
+        result, out = gateway.process_downstream(make_frame(flows[0], ttl=1))
+        assert out is not None and result.delivered
+
+    def test_upstream_ttl_zero_charges_nothing(self):
+        from repro.epc.tunnels import GtpTunnelEndpoint
+        from tests.test_fastpath import make_frame
+
+        gateway, flows = self._fresh()
+        record = gateway.controller.record_for_key(flows[0].key())
+        endpoint = GtpTunnelEndpoint(
+            local_ip=record.base_station_ip, peer_ip=gateway.gateway_ip
+        )
+        inner = {
+            ttl: make_frame(flows[0].reversed(), ttl=ttl)[14:]
+            for ttl in (0, 1)
+        }
+        expired = endpoint.encapsulate(record.teid, inner[0])
+        assert gateway.process_upstream(expired) is None
+        counters = gateway.registry.counters()
+        assert counters["gateway.drops.malformed"] == 1
+        assert counters["gateway.upstream.forwarded"] == 0
+        assert gateway.stats.bytes_charged == {}
+        assert gateway.dpe.context(record.teid).uplink_bytes == 0
+        alive = endpoint.encapsulate(record.teid, inner[1])
+        assert gateway.process_upstream(alive) is not None
+        assert gateway.stats.bytes_charged == {record.teid: len(inner[1])}
+
+    def test_chaos_oracle_expects_the_same_drop(self):
+        from repro.chaos.oracle import (
+            MALFORMED, ReferenceFlow, ReferenceGateway,
+        )
+        from repro.epc.tunnels import GtpTunnelEndpoint
+        from tests.test_fastpath import OVERSIZE_PAYLOAD, make_frame
+
+        gateway, flows = self._fresh()
+        record = gateway.controller.record_for_key(flows[0].key())
+        reference = ReferenceGateway(gateway.gateway_ip)
+        reference.insert(ReferenceFlow(
+            key=record.key, teid=record.teid, node=record.handling_node,
+            base_station_ip=record.base_station_ip, flow=flows[0],
+        ))
+        assert reference.expect_downstream(
+            make_frame(flows[0], ttl=0)
+        ).kind == MALFORMED
+        assert reference.expect_downstream(
+            make_frame(flows[0], payload=OVERSIZE_PAYLOAD)
+        ).kind == MALFORMED
+        good = make_frame(flows[0])
+        assert reference.expect_downstream(good).payload == (
+            gateway.process_downstream(good)[1]
+        )
+        endpoint = GtpTunnelEndpoint(
+            local_ip=record.base_station_ip, peer_ip=gateway.gateway_ip
+        )
+        expired = endpoint.encapsulate(
+            record.teid, make_frame(flows[0].reversed(), ttl=0)[14:]
+        )
+        assert reference.expect_upstream(expired).kind == MALFORMED
+
+    def test_daemons_drop_the_frame_and_deliver_the_rest(self):
+        """Socket-less daemons: one TTL-0 frame used to make its ingress
+        daemon refuse the whole batch (after other ingress nodes had
+        charged theirs); now it alone is ``STATUS_MALFORMED``."""
+        from repro.runtime.protocol import STATUS_DELIVERED, STATUS_MALFORMED
+        from tests.test_fastpath import make_frame
+        from tests.test_update_differential import wire_up
+
+        gateway, flows = self._fresh()
+        controller, daemons = wire_up(gateway)
+        clean_gateway, _ = self._fresh()
+        clean_controller, clean_daemons = wire_up(clean_gateway)
+        good = [make_frame(flow) for flow in flows[:9]]
+        frames = good[:5] + [make_frame(flows[9], ttl=0)] + good[5:]
+        ingress = [i % 3 for i in range(len(frames))]
+        outcomes = controller.route_frames(frames, ingress)
+        clean = clean_controller.route_frames(
+            good, ingress[:5] + ingress[6:]
+        )
+        assert outcomes[5].status == STATUS_MALFORMED
+        assert outcomes[5].out is None
+        assert outcomes[:5] + outcomes[6:] == clean
+        assert all(o.status == STATUS_DELIVERED for o in clean)
+        assert [d.charges for d in daemons] == [
+            d.charges for d in clean_daemons
+        ]
+        # And the shadow agrees frame for frame, so the differential
+        # drivers see no divergence.
+        from repro.runtime.shadow import compare_frames
+
+        mirrored = [
+            gateway.process_downstream(frame, ingress=node)
+            for frame, node in zip(frames, ingress)
+        ]
+        summary = compare_frames(mirrored, outcomes)
+        assert (summary["divergences"], summary["dropped"]) == (0, 1)

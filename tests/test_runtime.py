@@ -7,6 +7,7 @@ and state-machine tests (framing, protocol, fault budgets, heartbeat)
 cost nothing and run inline.
 """
 
+import copy
 import socket
 
 import pytest
@@ -27,7 +28,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime import framing, protocol
 from repro.runtime.controller import RuntimeController
 from repro.runtime.framing import FramedSocket, FramingError
-from repro.runtime.launcher import LocalRuntime, report_json, run_demo
+from repro.runtime.launcher import (
+    LocalRuntime,
+    demo_gates,
+    report_json,
+    run_demo,
+)
 from repro.runtime.liveness import HeartbeatMonitor, NodeState
 from repro.runtime.replicated import run_replicated_workload
 from repro.runtime.protocol import (
@@ -306,6 +312,48 @@ class TestDifferentialDemo:
 
     def test_overall_verdict(self, kill_report):
         assert kill_report["ok"] is True
+
+    #: One way to break each gate: path into the report, bad value.
+    GATE_BREAKERS = {
+        "no_divergence": (("differential", "divergences"), 1),
+        "byte_identical": (("differential", "byte_identical"), False),
+        "charging_identical": (("differential", "charging_identical"), False),
+        "gpt_replicas_identical": (
+            ("differential", "gpt_replicas_identical"), False
+        ),
+        "detection_on_threshold": (("liveness", "detection_polls"), 4),
+        "drill_recovered_flows": (("liveness", "recovered_flows"), 0),
+        "no_leaked_processes": (("leaked_processes",), 1),
+        "no_leaked_segments": (("leaked_shm_segments",), 1),
+    }
+
+    def test_every_gate_passes_and_each_input_flips_only_its_gate(
+        self, kill_report
+    ):
+        """The gate CI enforces is ``report["ok"]`` (the CLI exit code
+        follows it), defined once in ``demo_gates``."""
+        assert kill_report["gates"] == demo_gates(kill_report)
+        assert set(kill_report["gates"]) == set(self.GATE_BREAKERS)
+        assert all(kill_report["gates"].values())
+        for gate, (path, bad) in self.GATE_BREAKERS.items():
+            broken = copy.deepcopy(kill_report)
+            section = broken
+            for name in path[:-1]:
+                section = section[name]
+            section[path[-1]] = bad
+            gates = demo_gates(broken)
+            assert [g for g, passed in gates.items() if not passed] == [gate]
+
+    def test_drill_gates_pass_when_no_drill_ran(self, kill_report):
+        quiet = copy.deepcopy(kill_report)
+        quiet["liveness"].update(
+            killed_node=None, detection_polls=None, recovered_flows=0
+        )
+        assert all(demo_gates(quiet).values())
+        quiet["liveness"].update(fenced_node=2, detection_polls=1)
+        assert [g for g, ok in demo_gates(quiet).items() if not ok] == [
+            "drill_recovered_flows"
+        ]
 
 
 # ----------------------------------------------------------------------
