@@ -188,7 +188,8 @@ def perflab_fig8_endtoend(ctx):
     deterministic ``counters`` section records how many frames actually
     took the fast path (``gateway.fastpath.frames``) and how many spilled
     — the CI perf-smoke job fails if these show the batch pipeline
-    silently degrading to the scalar loop.
+    silently degrading to the scalar loop, or if ``speedup`` (a same-run
+    ratio of steady-state passes) falls under 3.
     """
     flows = 400 * ctx.scale
     packets = 3_000 * ctx.scale
@@ -210,13 +211,20 @@ def perflab_fig8_endtoend(ctx):
         gateway.start()
         return gateway
 
-    scalar_stats = run_downstream_trial(fresh(), frames)
+    # Steady state on both sides: each gateway is built once, outside
+    # every timed region, and plays one untimed warm pass first.
+    scalar_gateway = fresh()
+    run_downstream_trial(scalar_gateway, frames)
+    scalar_stats = run_downstream_trial(scalar_gateway, frames)
+
+    batched_gateway = fresh(ctx.registry)
 
     def batched_trial():
         return run_downstream_trial_batched(
-            fresh(ctx.registry), frames, batch_size=BATCH
+            batched_gateway, frames, batch_size=BATCH
         )
 
+    batched_trial()
     batched_stats = ctx.timeit(batched_trial)
     if (scalar_stats.offered, scalar_stats.delivered, scalar_stats.dropped) \
             != (batched_stats.offered, batched_stats.delivered,

@@ -54,6 +54,26 @@ class RouteResult:
         return not self.dropped
 
     @classmethod
+    def _of(
+        cls, key, ingress, path, internal_hops, latency_us, handled_by,
+        value, dropped, reason,
+    ) -> "RouteResult":
+        """Positional constructor for per-packet loops over columns.
+
+        Equal, hash-equal and repr-equal to the keyword constructor; it
+        fills the instance dict in one call where the frozen dataclass
+        ``__init__`` pays nine ``object.__setattr__``.
+        """
+        self = object.__new__(cls)
+        self.__dict__.update(
+            key=key, ingress=ingress, path=path,
+            internal_hops=internal_hops, latency_us=latency_us,
+            handled_by=handled_by, value=value, dropped=dropped,
+            reason=reason,
+        )
+        return self
+
+    @classmethod
     def drop(
         cls,
         key: int,
@@ -64,31 +84,17 @@ class RouteResult:
     ) -> "RouteResult":
         """A packet refused where ``path`` ends (nowhere, for a packet
         dropped before it entered the cluster)."""
-        return cls(
-            key=key,
-            ingress=ingress,
-            path=path,
-            internal_hops=max(len(path) - 1, 0),
-            latency_us=latency_us,
-            handled_by=None,
-            value=None,
-            dropped=True,
-            reason=reason,
+        return cls._of(
+            key, ingress, path, max(len(path) - 1, 0), latency_us,
+            None, None, True, reason,
         )
 
     def dropped_as(self, reason: str) -> "RouteResult":
         """This routed packet, refused afterwards (a dead node on its
         path, the bearer's policer): same route, no handler, no value."""
-        return RouteResult(
-            key=self.key,
-            ingress=self.ingress,
-            path=self.path,
-            internal_hops=self.internal_hops,
-            latency_us=self.latency_us,
-            handled_by=None,
-            value=None,
-            dropped=True,
-            reason=reason,
+        return self._of(
+            self.key, self.ingress, self.path, self.internal_hops,
+            self.latency_us, None, None, True, reason,
         )
 
 
@@ -97,10 +103,16 @@ class RouteBatchResult(SequenceABC):
 
     Behaves as a sequence of :class:`RouteResult` (so per-packet code and
     older call sites keep working) while exposing the batch as NumPy
-    arrays for vectorised analysis:
+    columns for vectorised analysis.  The vectorised route hands its
+    columns straight in; :meth:`from_results` derives them for the
+    per-packet routes.
 
     Attributes:
         results: the per-packet :class:`RouteResult` tuple.
+        ingress_nodes: node each packet entered at.
+        handler_nodes: node each packet's path ends at — under
+            ScaleBricks the GPT's answer, set even when that node's FIB
+            then rejects the key (``-1`` for an empty path).
         egress_nodes: node that accepted each packet (``-1`` if dropped).
         hop_counts: internal fabric transits per packet.
         indirections: whether the packet crossed an intermediate node
@@ -111,32 +123,71 @@ class RouteBatchResult(SequenceABC):
     """
 
     __slots__ = (
-        "results", "egress_nodes", "hop_counts", "indirections",
-        "dropped", "values", "latencies_us",
+        "results", "ingress_nodes", "handler_nodes", "egress_nodes",
+        "hop_counts", "indirections", "dropped", "values", "latencies_us",
     )
 
-    def __init__(self, results: Sequence[RouteResult]) -> None:
+    def __init__(
+        self,
+        results: Sequence[RouteResult],
+        ingress_nodes: np.ndarray,
+        handler_nodes: np.ndarray,
+        egress_nodes: np.ndarray,
+        hop_counts: np.ndarray,
+        dropped: np.ndarray,
+        values: np.ndarray,
+        latencies_us: np.ndarray,
+    ) -> None:
         self.results: Tuple[RouteResult, ...] = tuple(results)
-        n = len(self.results)
-        self.egress_nodes = np.fromiter(
-            (-1 if r.handled_by is None else r.handled_by
-             for r in self.results),
-            dtype=np.int64, count=n,
+        self.ingress_nodes = ingress_nodes
+        self.handler_nodes = handler_nodes
+        self.egress_nodes = egress_nodes
+        self.hop_counts = hop_counts
+        self.indirections = hop_counts >= 2
+        self.dropped = dropped
+        self.values = values
+        self.latencies_us = latencies_us
+
+    @classmethod
+    def from_results(
+        cls, results: Sequence[RouteResult]
+    ) -> "RouteBatchResult":
+        """Derive the columns from per-packet results."""
+
+        def ints(column) -> np.ndarray:
+            return np.array(column, dtype=np.int64)
+
+        return cls(
+            results,
+            ingress_nodes=ints([r.ingress for r in results]),
+            handler_nodes=ints(
+                [r.path[-1] if r.path else -1 for r in results]
+            ),
+            egress_nodes=ints(
+                [-1 if r.handled_by is None else r.handled_by
+                 for r in results]
+            ),
+            hop_counts=ints([r.internal_hops for r in results]),
+            dropped=np.array([r.dropped for r in results], dtype=bool),
+            values=ints(
+                [-1 if r.value is None else r.value for r in results]
+            ),
+            latencies_us=np.array(
+                [r.latency_us for r in results], dtype=np.float64
+            ),
         )
-        self.hop_counts = np.fromiter(
-            (r.internal_hops for r in self.results), dtype=np.int64, count=n
+
+    def touches(self, nodes) -> np.ndarray:
+        """Mask of packets whose path crosses any of ``nodes``."""
+        nodes = list(nodes)
+        mask = np.isin(self.ingress_nodes, nodes) | np.isin(
+            self.handler_nodes, nodes
         )
-        self.indirections = self.hop_counts >= 2
-        self.dropped = np.fromiter(
-            (r.dropped for r in self.results), dtype=bool, count=n
-        )
-        self.values = np.fromiter(
-            (-1 if r.value is None else r.value for r in self.results),
-            dtype=np.int64, count=n,
-        )
-        self.latencies_us = np.fromiter(
-            (r.latency_us for r in self.results), dtype=np.float64, count=n
-        )
+        # Only a detoured path (hash-partition, VLB) has nodes between
+        # its ends; ScaleBricks never does.
+        for j in np.nonzero(self.indirections & ~mask)[0].tolist():
+            mask[j] = any(n in nodes for n in self.results[j].path[1:-1])
+        return mask
 
     def __len__(self) -> int:
         return len(self.results)
@@ -146,7 +197,7 @@ class RouteBatchResult(SequenceABC):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return RouteBatchResult(self.results[index])
+            return RouteBatchResult.from_results(self.results[index])
         return self.results[index]
 
     @property
@@ -518,10 +569,10 @@ class Cluster:
             return self._route_batch_scalebricks(
                 keys_arr, ingress_arr.astype(np.int64)
             )
-        return RouteBatchResult(
+        return RouteBatchResult.from_results(
             [
-                self.route(int(k), int(i))
-                for k, i in zip(keys_arr, ingress_arr)
+                self.route(k, int(i))
+                for k, i in zip(keys_arr.tolist(), ingress_arr.tolist())
             ]
         )
 
@@ -591,25 +642,19 @@ class Cluster:
             found[mask] = node_found
             values[mask] = node_values
 
-        results = []
-        for i in range(n):
-            ing = int(ingress_arr[i])
-            handler = int(handlers[i])
-            path = (ing,) if handler == ing else (ing, handler)
-            hit = bool(found[i])
-            results.append(
-                RouteResult(
-                    key=int(keys_arr[i]),
-                    ingress=ing,
-                    path=path,
-                    internal_hops=len(path) - 1,
-                    latency_us=float(latencies[i]),
-                    handled_by=handler if hit else None,
-                    value=int(values[i]) if hit else None,
-                    dropped=not hit,
-                    reason="handled" if hit else "unknown_key",
-                )
+        hop_counts = remote.astype(np.int64)
+        results = [
+            RouteResult._of(
+                key, ing, (ing, handler) if hop else (ing,), hop, latency,
+                handler if hit else None, value if hit else None, not hit,
+                "handled" if hit else "unknown_key",
             )
+            for key, ing, handler, hop, latency, hit, value in zip(
+                keys_arr.tolist(), ingress_arr.tolist(), handlers.tolist(),
+                hop_counts.tolist(), latencies.tolist(), found.tolist(),
+                values.tolist(),
+            )
+        ]
 
         dropped_count = n - int(found.sum())
         self._m_routed.inc(n)
@@ -617,8 +662,17 @@ class Cluster:
             self._m_dropped.inc(dropped_count)
         if n - dropped_count:
             self._m_delivered.inc(n - dropped_count)
-        self._m_hops.observe_many(remote.astype(np.int64))
-        return RouteBatchResult(results)
+        self._m_hops.observe_many(hop_counts)
+        return RouteBatchResult(
+            results,
+            ingress_nodes=ingress_arr,
+            handler_nodes=handlers,
+            egress_nodes=np.where(found, handlers, -1),
+            hop_counts=hop_counts,
+            dropped=~found,
+            values=values,
+            latencies_us=latencies,
+        )
 
     def _finish(
         self,

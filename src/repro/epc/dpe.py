@@ -203,10 +203,12 @@ class DataPlaneEngine:
         """Account many packets at once; returns per-packet accept flags.
 
         Equivalent to calling :meth:`process` per packet in input order.
-        Packets are grouped by bearer; a group without a policer collapses
-        to one counter update (the intermediate state transitions have no
-        net effect), while policed bearers replay their packets through
-        the scalar path so the token bucket sees every arrival.
+        Packets are grouped by bearer with one stable sort; byte totals
+        and the last arrival per bearer are columns, so a group without a
+        policer collapses to one counter update (the intermediate state
+        transitions have no net effect), while policed bearers replay
+        their packets through the scalar path so the token bucket sees
+        every arrival.
         """
         teids = np.asarray(teids, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
@@ -217,31 +219,40 @@ class DataPlaneEngine:
             return ok
         order = np.argsort(teids, kind="stable")
         sorted_teids = teids[order]
-        boundaries = np.nonzero(np.diff(sorted_teids))[0] + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [n]])
-        for start, end in zip(starts, ends):
-            idx = order[start:end]
-            teid = int(sorted_teids[start])
-            context = self._flows.get(teid)
+        starts = np.concatenate(
+            ([0], np.nonzero(np.diff(sorted_teids))[0] + 1)
+        )
+        ends = np.append(starts[1:], n)
+        totals = np.add.reduceat(sizes[order], starts)
+        last_nows = nows[order[ends - 1]]
+        accepted = np.ones(n, dtype=bool)  # in sorted order
+        flows = self._flows
+        for teid, start, end, total, last_now in zip(
+            sorted_teids[starts].tolist(), starts.tolist(), ends.tolist(),
+            totals.tolist(), last_nows.tolist(),
+        ):
+            context = flows.get(teid)
             if context is None:
+                accepted[start:end] = False
                 continue
             if context.policer is not None:
-                for i in idx:
-                    ok[i] = self.process(
-                        teid, int(sizes[i]), downlink, float(nows[i])
+                idx = order[start:end]
+                accepted[start:end] = [
+                    self.process(teid, size, downlink, now)
+                    for size, now in zip(
+                        sizes[idx].tolist(), nows[idx].tolist()
                     )
+                ]
                 continue
-            total = int(sizes[idx].sum())
             context.state = BearerState.ACTIVE
-            context.last_activity = float(nows[idx[-1]])
+            context.last_activity = last_now
             if downlink:
                 context.downlink_bytes += total
-                context.downlink_packets += idx.size
+                context.downlink_packets += end - start
             else:
                 context.uplink_bytes += total
-                context.uplink_packets += idx.size
-            ok[idx] = True
+                context.uplink_packets += end - start
+        ok[order[accepted]] = True
         return ok
 
     def expire_idle(self, now: float) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -221,19 +221,18 @@ def parse_frames(frames: Sequence[bytes]) -> ParsedBatch:
         packed[:, 10] = sport[valid] & 0xFF
         packed[:, 11] = (dport[valid] >> 8) & 0xFF
         packed[:, 12] = dport[valid] & 0xFF
-        unique, inverse = np.unique(packed, axis=0, return_inverse=True)
-        digests = np.fromiter(
-            (
-                int.from_bytes(
-                    hashlib.blake2b(row.tobytes(), digest_size=8).digest(),
-                    "little",
+        blob = packed.tobytes()
+        digest_of: Dict[bytes, int] = {}
+        flow_keys = []
+        for start in range(0, len(blob), 13):
+            row = blob[start:start + 13]
+            key = digest_of.get(row)
+            if key is None:
+                key = digest_of[row] = int.from_bytes(
+                    hashlib.blake2b(row, digest_size=8).digest(), "little"
                 )
-                for row in unique
-            ),
-            dtype=np.uint64,
-            count=unique.shape[0],
-        )
-        keys[valid] = digests[inverse]
+            flow_keys.append(key)
+        keys[valid] = np.array(flow_keys, dtype=np.uint64)
 
     return ParsedBatch(
         buf=buf,

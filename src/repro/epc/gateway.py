@@ -14,6 +14,7 @@ so the PFE swap is exercised end to end at byte level.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -54,18 +55,15 @@ class ChargingLedger:
         self._c_bytes.inc(size)
 
     def charge_many(self, teids: np.ndarray, sizes: np.ndarray) -> None:
-        """Batched :meth:`charge`: one dict update per distinct bearer."""
+        """Batched :meth:`charge`: plain-int dict updates, one counter add."""
         teids = np.asarray(teids, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
         if teids.size == 0:
             return
-        unique, inverse = np.unique(teids, return_inverse=True)
-        sums = np.bincount(inverse, weights=sizes).astype(np.int64)
-        for teid, total in zip(unique, sums):
-            self.bytes_charged[int(teid)] = (
-                self.bytes_charged.get(int(teid), 0) + int(total)
-            )
-        self._c_bytes.inc(int(sums.sum()))
+        charged = self.bytes_charged
+        for teid, size in zip(teids.tolist(), sizes.tolist()):
+            charged[teid] = charged.get(teid, 0) + size
+        self._c_bytes.inc(int(sizes.sum()))
 
     def __repr__(self) -> str:
         return (
@@ -408,31 +406,25 @@ class EpcGateway:
                 malformed_idx = np.nonzero(parsed.malformed)[0]
                 if malformed_idx.size:
                     self._c_drop_malformed.inc(int(malformed_idx.size))
-                    for i in malformed_idx:
-                        results[int(i)] = (
-                            RouteResult.drop(
-                                0, early_ingress(int(i)), "malformed"
-                            ),
+                    for i in malformed_idx.tolist():
+                        results[i] = (
+                            RouteResult.drop(0, early_ingress(i), "malformed"),
                             None,
                         )
 
                 acl = np.zeros(n, dtype=bool)
                 if self.acl_blocked_sources:
-                    blocked = np.fromiter(
-                        self.acl_blocked_sources,
-                        dtype=np.int64,
-                        count=len(self.acl_blocked_sources),
+                    acl = parsed.valid & np.isin(
+                        parsed.src_ip, list(self.acl_blocked_sources)
                     )
-                    acl = parsed.valid & np.isin(parsed.src_ip, blocked)
                     acl_idx = np.nonzero(acl)[0]
                     if acl_idx.size:
                         self._c_drop_acl.inc(int(acl_idx.size))
-                        for i in acl_idx:
-                            results[int(i)] = (
-                                RouteResult.drop(
-                                    int(parsed.keys[i]),
-                                    early_ingress(int(i)), "acl",
-                                ),
+                        for i, key in zip(
+                            acl_idx.tolist(), parsed.keys[acl_idx].tolist()
+                        ):
+                            results[i] = (
+                                RouteResult.drop(key, early_ingress(i), "acl"),
                                 None,
                             )
 
@@ -441,81 +433,77 @@ class EpcGateway:
                 if ingress is None:
                     ing_routed = cluster.pick_ingress_batch(routed_idx.size)
                 else:
-                    pinned = [ingress[int(i)] for i in routed_idx]
-                    ing_routed = np.fromiter(
-                        (
-                            cluster.pick_ingress() if node is None
-                            else int(node)
-                            for node in pinned
-                        ),
+                    ing_routed = np.array(
+                        [
+                            cluster.pick_ingress() if ingress[i] is None
+                            else int(ingress[i])
+                            for i in routed_idx.tolist()
+                        ],
                         dtype=np.int64,
-                        count=len(pinned),
                     )
                 batch = cluster.route_batch(
                     parsed.keys[routed_idx], ing_routed
                 )
 
+            def refuse(rows: np.ndarray, reason: str) -> None:
+                """Routed rows the gateway drops after the cluster routed
+                them."""
+                for i, j in zip(routed_idx[rows].tolist(), rows.tolist()):
+                    results[i] = (batch.results[j].dropped_as(reason), None)
+
             node_down = np.zeros(routed_idx.size, dtype=bool)
             if self.down_nodes:
-                for j, result in enumerate(batch.results):
-                    if any(node in self.down_nodes for node in result.path):
-                        node_down[j] = True
+                node_down = batch.touches(self.down_nodes)
                 down_j = np.nonzero(node_down)[0]
                 if down_j.size:
                     self._c_drop_node_down.inc(int(down_j.size))
-                    for j in down_j:
-                        results[int(routed_idx[j])] = (
-                            batch.results[int(j)].dropped_as("node_down"),
-                            None,
-                        )
+                    refuse(down_j, "node_down")
 
-            unknown = batch.dropped & ~node_down
-            unknown_j = np.nonzero(unknown)[0]
+            unknown_j = np.nonzero(batch.dropped & ~node_down)[0]
             if unknown_j.size:
                 self._c_drop_unknown.inc(int(unknown_j.size))
-                for j in unknown_j:
-                    results[int(routed_idx[j])] = (
-                        batch.results[int(j)], None
-                    )
+                for i, j in zip(
+                    routed_idx[unknown_j].tolist(), unknown_j.tolist()
+                ):
+                    results[i] = (batch.results[j], None)
 
             accepted_j = np.nonzero(~batch.dropped & ~node_down)[0]
+            accepted_idx = routed_idx[accepted_j]
             self._h_fabric_hop.observe_many(batch.latencies_us[accepted_j])
 
             with self.registry.span("dpe"):
+                record_for_key = self.controller.record_for_key
                 record_cache: Dict[int, FlowRecord] = {}
                 records: List[FlowRecord] = []
-                for j in accepted_j:
-                    key = int(parsed.keys[routed_idx[j]])
+                for key, value in zip(
+                    parsed.keys[accepted_idx].tolist(),
+                    batch.values[accepted_j].tolist(),
+                ):
                     record = record_cache.get(key)
                     if record is None:
-                        record = self.controller.record_for_key(key)
+                        record = record_for_key(key)
                         record_cache[key] = record
-                    assert (
-                        record is not None
-                        and batch.results[int(j)].value == record.teid
-                    )
+                    assert record is not None and value == record.teid
                     records.append(record)
-                count = len(records)
-                nows = np.empty(count, dtype=np.float64)
-                now = self.now
-                for t in range(count):
-                    # Sequential addition on purpose: float accumulation
-                    # must match the scalar path tick for tick.
-                    now += self.tick
-                    nows[t] = now
-                self.now = now
-                teids = np.fromiter(
-                    (r.teid for r in records), dtype=np.int64, count=count
+                # accumulate() adds left to right exactly as the scalar
+                # path does, one ``now += tick`` per accepted packet.
+                clock = list(
+                    accumulate(repeat(self.tick, len(records)),
+                               initial=self.now)
                 )
-                handling = np.fromiter(
-                    (r.handling_node for r in records),
-                    dtype=np.int64, count=count,
+                self.now = clock[-1]
+                nows = np.array(clock[1:], dtype=np.float64)
+                teids = np.array(
+                    [r.teid for r in records], dtype=np.int64
                 )
-                sizes = parsed.l3_len[routed_idx[accepted_j]]
-                ok = np.zeros(count, dtype=bool)
-                for node_id in np.unique(handling):
+                handling = np.array(
+                    [r.handling_node for r in records], dtype=np.int64
+                )
+                sizes = parsed.l3_len[accepted_idx]
+                ok = np.zeros(len(records), dtype=bool)
+                for node_id in np.unique(handling).tolist():
                     mask = handling == node_id
-                    ok[mask] = self.dpes[int(node_id)].process_batch(
+                    ok[mask] = self.dpes[node_id].process_batch(
                         teids[mask], sizes[mask], downlink=True,
                         nows=nows[mask],
                     )
@@ -524,31 +512,26 @@ class EpcGateway:
                 if policed_t.size:
                     self._c_drop_acl.inc(int(policed_t.size))
                     self._c_drop_policed.inc(int(policed_t.size))
-                    for t in policed_t:
-                        j = int(accepted_j[t])
-                        results[int(routed_idx[j])] = (
-                            batch.results[j].dropped_as("policed"), None
-                        )
+                    refuse(accepted_j[policed_t], "policed")
                 charged_t = np.nonzero(ok)[0]
                 self.stats.charge_many(teids[charged_t], sizes[charged_t])
                 self._c_down_bytes.inc(int(sizes[charged_t].sum()))
 
             with self.registry.span("egress"):
-                frame_idx = routed_idx[accepted_j[charged_t]]
-                bs_ips = np.fromiter(
-                    (records[int(t)].base_station_ip for t in charged_t),
-                    dtype=np.int64, count=charged_t.size,
-                )
+                charged_j = accepted_j[charged_t]
+                frame_idx = routed_idx[charged_j]
+                bs_ips = np.array(
+                    [r.base_station_ip for r in records], dtype=np.int64
+                )[charged_t]
                 tunnelled = fastpath.encapsulate_batch(
                     parsed, frame_idx, teids[charged_t], bs_ips,
                     self.gateway_ip,
                 )
             self._c_down_tunnelled.inc(int(charged_t.size))
-            for pos, t in enumerate(charged_t):
-                j = int(accepted_j[t])
-                results[int(routed_idx[j])] = (
-                    batch.results[j], tunnelled[pos]
-                )
+            for i, j, packet in zip(
+                frame_idx.tolist(), charged_j.tolist(), tunnelled
+            ):
+                results[i] = (batch.results[j], packet)
 
         return results  # type: ignore[return-value]
 

@@ -2,10 +2,10 @@
 
 Timings are compared warn-only (``repro bench compare``): CI runners are
 too noisy for more.  Counts the program keeps of its own work repeat
-exactly and gate hard.  A gate takes the parsed ``BENCH_*.json`` and
-returns the line to log, or raises :class:`GateFailure`; CI runs every
-member of :data:`GATES` with ``python -m repro.perflab.gates
-BENCH_<sha>.json``.
+exactly and gate hard, as do same-run ratios with a wide margin.  A gate
+takes the parsed ``BENCH_*.json`` and returns the line to log, or raises
+:class:`GateFailure`; CI runs every member of :data:`GATES` with
+``python -m repro.perflab.gates BENCH_<sha>.json``.
 """
 
 from __future__ import annotations
@@ -85,24 +85,32 @@ def othello_gate(artifact: Mapping[str, Any]) -> str:
 
 
 def fastpath_gate(artifact: Mapping[str, Any]) -> str:
-    """The end-to-end forwarding row ran on the batch pipeline.
+    """The end-to-end forwarding row ran on the batch pipeline and won.
 
     Zero frames on the fast path, or every frame spilling to the scalar
     codec, means the batch pipeline has silently degraded; the component
-    rows of its two stages must be in the artifact too.
+    rows of its two stages must be in the artifact too.  ``speedup`` is
+    the batched gateway against the scalar one at batch 256, both timed
+    in steady state in the same run, so the ratio holds on noisy runners.
     """
     counters = _row(artifact, "fig8.forwarding.endtoend").get("counters", {})
     frames, batches, spilled = (
         counters.get(f"gateway.fastpath.{name}", 0)
         for name in ("frames", "batches", "spilled_frames")
     )
+    (speedup,) = _read(artifact, "fig8.forwarding.endtoend", "speedup")
     for stage in ("fastpath.parse", "fastpath.encap"):
         _row(artifact, stage)
-    line = f"fastpath frames={frames} batches={batches} spilled={spilled}"
+    line = (
+        f"fastpath frames={frames} batches={batches} spilled={spilled} "
+        f"speedup={speedup:.1f}x"
+    )
     if frames == 0 or batches == 0:
         raise GateFailure(f"{line}: zero fast-path frames on the batch pipeline")
     if spilled >= frames:
         raise GateFailure(f"{line}: every frame spilled to the scalar codec")
+    if speedup < 3:
+        raise GateFailure(f"{line}: batched gateway under 3x the scalar one")
     return line
 
 

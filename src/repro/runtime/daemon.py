@@ -586,80 +586,79 @@ class NodeDaemon:
     # Data path
     # ------------------------------------------------------------------
 
-    def _handle_frames(self, frames: List[bytes]) -> List[RouteOutcome]:
-        """Terminal handling: FIB check, charge, GTP-U encapsulation."""
+    def _handle_frames(
+        self, parsed: fastpath.ParsedBatch, rows: np.ndarray
+    ) -> List[RouteOutcome]:
+        """Terminal handling of the parsed frames ``rows`` selects: FIB
+        check, charge, GTP-U encapsulation.  Outcomes align with ``rows``.
+        """
         assert self.gpt is not None, "frames before snapshot"
-        parsed = fastpath.parse_frames(frames)
-        outcomes: List[Optional[RouteOutcome]] = [None] * len(frames)
-        for i in np.nonzero(parsed.malformed)[0]:
-            outcomes[int(i)] = RouteOutcome(STATUS_MALFORMED, -1, 0, None)
-        accepted_idx: List[int] = []
+        outcomes: List[Optional[RouteOutcome]] = [None] * rows.size
+        malformed = parsed.malformed[rows]
+        for pos in np.nonzero(malformed)[0].tolist():
+            outcomes[pos] = RouteOutcome(STATUS_MALFORMED, -1, 0, None)
+        valid_pos = np.nonzero(~malformed)[0]
+        accepted_pos: List[int] = []
         teids: List[int] = []
         bs_ips: List[int] = []
-        for i in np.nonzero(parsed.valid)[0]:
-            key = int(parsed.keys[int(i)])
+        for pos, key in zip(
+            valid_pos.tolist(), parsed.keys[rows[valid_pos]].tolist()
+        ):
             teid = self.fib.get(key)
             if teid is None:
                 # One-sided error: the GPT pointed here, the exact FIB
                 # says otherwise — reject (§3.2).
-                outcomes[int(i)] = RouteOutcome(
+                outcomes[pos] = RouteOutcome(
                     STATUS_UNKNOWN, self.node_id, 0, None
                 )
                 continue
-            accepted_idx.append(int(i))
+            accepted_pos.append(pos)
             teids.append(teid)
             bs_ips.append(self.bs.get(key, 0))
-        if accepted_idx:
-            idx = np.asarray(accepted_idx, dtype=np.int64)
-            teid_arr = np.asarray(teids, dtype=np.int64)
-            sizes = parsed.l3_len[idx]
-            for pos, teid in enumerate(teids):
-                self.charges[teid] = (
-                    self.charges.get(teid, 0) + int(sizes[pos])
-                )
+        if accepted_pos:
+            idx = rows[accepted_pos]
+            for teid, size in zip(teids, parsed.l3_len[idx].tolist()):
+                self.charges[teid] = self.charges.get(teid, 0) + size
             tunnelled = fastpath.encapsulate_batch(
-                parsed, idx, teid_arr,
+                parsed, idx, np.asarray(teids, dtype=np.int64),
                 np.asarray(bs_ips, dtype=np.int64), self.gateway_ip,
             )
-            for pos, i in enumerate(accepted_idx):
-                outcomes[i] = RouteOutcome(
-                    STATUS_DELIVERED, self.node_id, teids[pos],
-                    tunnelled[pos],
+            for pos, teid, packet in zip(accepted_pos, teids, tunnelled):
+                outcomes[pos] = RouteOutcome(
+                    STATUS_DELIVERED, self.node_id, teid, packet
                 )
         return outcomes  # type: ignore[return-value]
 
     def _on_forward(self, payload: bytes) -> Tuple[int, bytes]:
         frames, _ = unpack_frame_list(payload)
         self._c_frames_received.inc(len(frames))
-        outcomes = self._handle_frames(frames)
+        outcomes = self._handle_frames(
+            fastpath.parse_frames(frames), np.arange(len(frames))
+        )
         return RSP_FORWARD, protocol.encode_outcomes(outcomes)
 
     def _on_route(self, payload: bytes) -> Tuple[int, bytes]:
-        """Ingress role: parse, GPT lookup, handle locally or forward once."""
+        """Ingress role: parse once, GPT lookup, handle locally or forward
+        once."""
         assert self.gpt is not None, "route before snapshot"
         frames, _ = unpack_frame_list(payload)
         parsed = fastpath.parse_frames(frames)
         outcomes: List[Optional[RouteOutcome]] = [None] * len(frames)
-        for i in np.nonzero(parsed.malformed)[0]:
-            outcomes[int(i)] = RouteOutcome(STATUS_MALFORMED, -1, 0, None)
+        for i in np.nonzero(parsed.malformed)[0].tolist():
+            outcomes[i] = RouteOutcome(STATUS_MALFORMED, -1, 0, None)
         valid_idx = np.nonzero(parsed.valid)[0]
         if valid_idx.size:
             handlers = self.gpt.lookup_batch(parsed.keys[valid_idx])
-            for handler in np.unique(handlers):
-                handler = int(handler)
-                sub_idx = [int(valid_idx[j])
-                           for j in np.nonzero(handlers == handler)[0]]
-                sub_frames = [frames[i] for i in sub_idx]
+            for handler in np.unique(handlers).tolist():
+                rows = valid_idx[handlers == handler]
                 if handler == self.node_id:
-                    self._c_frames_local.inc(len(sub_frames))
-                    for i, outcome in zip(
-                        sub_idx, self._handle_frames(sub_frames)
-                    ):
-                        outcomes[i] = outcome
-                    continue
-                for i, outcome in zip(
-                    sub_idx, self._forward(handler, sub_frames)
-                ):
+                    self._c_frames_local.inc(rows.size)
+                    handled = self._handle_frames(parsed, rows)
+                else:
+                    handled = self._forward(
+                        handler, [frames[i] for i in rows.tolist()]
+                    )
+                for i, outcome in zip(rows.tolist(), handled):
                     outcomes[i] = outcome
         return RSP_ROUTE, protocol.encode_outcomes(outcomes)
 

@@ -1,9 +1,15 @@
 """Tests for cluster routing under each FIB architecture (Figure 2)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Architecture, Cluster
+from repro.cluster.cluster import RouteResult
+from repro.cluster.fabric import DELIVER
 from repro.hashtables import RteHashTable
 from tests.conftest import unique_keys
 
@@ -260,3 +266,110 @@ class TestBatchQuerySurface:
         assert batch.dropped.all()
         assert (batch.egress_nodes == -1).all()
         assert batch.delivered_count == 0
+
+
+def columns_from_results(results):
+    """Every ``RouteBatchResult`` column, re-derived the slow way."""
+    return {
+        "ingress_nodes": [r.ingress for r in results],
+        "handler_nodes": [r.path[-1] for r in results],
+        "egress_nodes": [
+            -1 if r.handled_by is None else r.handled_by for r in results
+        ],
+        "hop_counts": [r.internal_hops for r in results],
+        "indirections": [r.internal_hops >= 2 for r in results],
+        "dropped": [r.dropped for r in results],
+        "values": [-1 if r.value is None else r.value for r in results],
+        "latencies_us": [r.latency_us for r in results],
+    }
+
+
+class TestRouteBatchColumns:
+    """The columns a batch carries are the columns its results spell."""
+
+    @pytest.fixture(scope="class")
+    def clusters(self, population):
+        vectorised = build_cluster(Architecture.SCALEBRICKS, population)
+        fallback = build_cluster(Architecture.SCALEBRICKS, population)
+        # Any hook at all sends route_batch down the per-packet route.
+        fallback.fabric.fault_hook = lambda src, dst, size: DELIVER
+        return vectorised, fallback
+
+    @given(
+        picks=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(0, NUM_FLOWS - 1),       # a known key
+                    st.integers(2**62, 2**63 - 1),       # an unknown one
+                ),
+                st.integers(0, NUM_NODES - 1),
+            ),
+            min_size=1, max_size=40,
+        ).map(lambda picks: picks + picks[: len(picks) // 3]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_columns_equal_results_on_both_paths(
+        self, population, clusters, picks
+    ):
+        keys, _, _ = population
+        probe = [
+            int(keys[pick]) if pick < NUM_FLOWS else pick
+            for pick, _ in picks
+        ]
+        ingress = [node for _, node in picks]
+        batches = [
+            cluster.route_batch(probe, ingress) for cluster in clusters
+        ]
+        assert list(batches[0]) == list(batches[1])
+        for batch in batches:
+            expected = columns_from_results(batch.results)
+            assert set(expected) | {"results"} == set(batch.__slots__)
+            for name, column in expected.items():
+                assert getattr(batch, name).tolist() == column, name
+            assert batch.dropped.dtype == np.bool_
+            assert batch.latencies_us.dtype == np.float64
+            tail = batch[len(batch) // 2:]
+            assert tail.values.tolist() == expected["values"][
+                len(batch) // 2:
+            ]
+
+    def test_touches_reads_detour_nodes_on_multi_hop_paths(self, population):
+        keys, _, _ = population
+        for arch in Architecture:
+            cluster = build_cluster(arch, population)
+            batch = cluster.route_batch(
+                keys[:200], [i % NUM_NODES for i in range(200)]
+            )
+            for down in ({0}, {1, 3}, set()):
+                assert batch.touches(down).tolist() == [
+                    any(node in down for node in r.path) for r in batch
+                ]
+
+    @given(
+        key=st.integers(0, 2**64 - 1),
+        ingress=st.integers(0, 7),
+        handler=st.integers(0, 7),
+        latency=st.floats(0, 50, allow_nan=False),
+        value=st.one_of(st.none(), st.integers(0, 2**32)),
+    )
+    def test_fast_constructor_is_the_keyword_constructor(
+        self, key, ingress, handler, latency, value
+    ):
+        fields = dict(
+            key=key, ingress=ingress,
+            path=(ingress,) if handler == ingress else (ingress, handler),
+            internal_hops=int(handler != ingress), latency_us=latency,
+            handled_by=None if value is None else handler, value=value,
+            dropped=value is None,
+            reason="unknown_key" if value is None else "handled",
+        )
+        slow = RouteResult(**fields)
+        fast = RouteResult._of(*fields.values())
+        assert fast == slow and hash(fast) == hash(slow)
+        assert repr(fast) == repr(slow)
+        assert dataclasses.replace(fast, reason="x") == dataclasses.replace(
+            slow, reason="x"
+        )
+        assert fast.dropped_as("policed") == slow.dropped_as("policed")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fast.key = 0

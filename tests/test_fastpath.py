@@ -531,3 +531,187 @@ class TestClusterBatch:
         scalar = [cluster_a.pick_ingress() for _ in range(257)]
         batched = cluster_b.pick_ingress_batch(257)
         assert scalar == batched.tolist()
+
+
+def engines_with_bearers():
+    """A scalar and a batch DPE with the same bearers: 1-6 plain, 7
+    policed, 8 and up never opened."""
+    scalar, batched = DataPlaneEngine(), DataPlaneEngine()
+    for engine in (scalar, batched):
+        for teid in range(1, 7):
+            engine.open_bearer(teid, now=0.0)
+        engine.open_bearer(
+            7, now=0.0, rate_limit_bytes_per_s=400.0, burst_bytes=900.0
+        )
+    return scalar, batched
+
+
+class TestColumnsAgainstScalar:
+    """The loops the columns rule rewrote, each against its scalar
+    reference."""
+
+    @given(
+        packets=st.lists(
+            st.tuples(
+                st.integers(1, 9),                     # teid; 8, 9 unknown
+                st.integers(20, 1500),                 # size
+                st.floats(0, 120, allow_nan=False),    # now, unsorted
+            ),
+            max_size=60,
+        ),
+        downlink=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_process_batch_is_process_per_packet(self, packets, downlink):
+        scalar, batched = engines_with_bearers()
+        expected = [
+            scalar.process(teid, size, downlink, now)
+            for teid, size, now in packets
+        ]
+        got = batched.process_batch(
+            np.array([p[0] for p in packets], dtype=np.int64),
+            np.array([p[1] for p in packets], dtype=np.int64),
+            downlink=downlink,
+            nows=np.array([p[2] for p in packets], dtype=np.float64),
+        )
+        assert got.tolist() == expected
+        assert scalar.policed_drops == batched.policed_drops
+        for teid in range(1, 8):
+            assert vars(scalar.context(teid)) == vars(batched.context(teid))
+
+    def test_clock_ledger_contexts_and_bytes_after_k_batches(self):
+        gw_a, flows, gen = build_gateway(seed=41, flows=120)
+        gw_b, _, _ = build_gateway(seed=41, flows=120)
+        stranger = FlowTuple(0x0B000001, 0x0B000002, PROTO_UDP, 7, 9)
+        frames = gen.packet_stream(flows, 1100) + [make_frame(stranger)] * 9
+        for start in range(0, len(frames), 97):
+            chunk = frames[start:start + 97]
+            out_a = [gw_a.process_downstream(frame) for frame in chunk]
+            assert gw_b.process_downstream_batch(chunk) == out_a
+            # Bit-equal, not close: the batch clock adds tick by tick.
+            assert gw_a.now == gw_b.now
+        assert gw_b.now > 1000 * gw_b.tick
+        assert gw_a.stats.bytes_charged == gw_b.stats.bytes_charged
+        assert list(gw_a.stats.bytes_charged) == list(gw_b.stats.bytes_charged)
+        for dpe_a, dpe_b in zip(gw_a.dpes, gw_b.dpes):
+            assert {t: vars(c) for t, c in dpe_a._flows.items()} == {
+                t: vars(c) for t, c in dpe_b._flows.items()
+            }
+
+    def test_flow_keys_with_repeats_other_protocols_and_a_spill(self):
+        gen = FlowGenerator(seed=9)
+        flows = gen.flows(12)
+        gre = FlowTuple(0x01020304, 0x05060708, 47, 0, 0)
+        icmp = FlowTuple(0x01020304, 0x05060708, 1, 0, 0)
+        picks = [flows[i % 12] for i in range(40)] + [gre, icmp, gre]
+        frames = [make_frame(flow) for flow in picks]
+        frames.insert(5, make_frame(flows[3], ihl=7))
+        picks.insert(5, flows[3])
+        parsed = fastpath.parse_frames(frames)
+        assert not parsed.malformed.any()
+        assert parsed.scalar_spills == 1
+        assert parsed.keys.dtype == np.uint64
+        assert parsed.keys.tolist() == [flow.key() for flow in picks]
+
+    def test_unknown_key_behind_a_dead_node_is_node_down(self):
+        """The GPT still names a node for a key nobody established; when
+        that node is down the packet dies on the way, on both paths."""
+        gw_a, flows, _gen = build_gateway(seed=6, flows=80)
+        gw_b, _, _ = build_gateway(seed=6, flows=80)
+        rng = np.random.default_rng(12)
+        strangers = [
+            FlowTuple(int(rng.integers(1, 2**31)), 0x0C000001, PROTO_TCP,
+                      int(rng.integers(1, 65535)), 443)
+            for _ in range(60)
+        ]
+        probe, _, _ = build_gateway(seed=6, flows=80)
+        picked = [
+            int(probe.cluster.nodes[0].gpt.lookup(flow.key()))
+            for flow in strangers
+        ]
+        down = next(node for node in picked if node != 0)
+        assert 0 in picked  # an unknown key that stays ``unknown_key``
+        frames = [make_frame(flow) for flow in strangers + flows[:20]]
+        ingress = [0] * len(frames)
+        for gateway in (gw_a, gw_b):
+            gateway.down_nodes.add(down)
+        batched = assert_equivalent(gw_a, gw_b, frames, ingress)
+        assert [result.reason for result, _ in batched[:60]] == [
+            "node_down" if node == down else "unknown_key" for node in picked
+        ]
+        assert all(out is None for _, out in batched[:60])
+        charged = set(gw_b.stats.bytes_charged)
+        assert charged == {
+            gw_b.controller.record_for_key(flow.key()).teid
+            for flow in flows[:20]
+            if gw_b.controller.record_for_key(flow.key()).handling_node != down
+        }
+
+    def test_daemons_parse_once_and_match_the_gateway(self, monkeypatch):
+        from repro.runtime import shadow
+        from repro.runtime.framing import pack_frame_list
+        from repro.runtime.protocol import (
+            MSG_FORWARD, MSG_ROUTE, RSP_ROUTE, STATUS_DELIVERED,
+            STATUS_MALFORMED, STATUS_UNKNOWN, decode_outcomes,
+        )
+        from tests.test_update_differential import wire_up
+
+        gateway, flows, gen = build_gateway(seed=15, flows=90, num_nodes=3)
+        controller, daemons = wire_up(gateway)
+        stranger = FlowTuple(0x0B000001, 0x0B000002, PROTO_UDP, 7, 9)
+        frames = gen.packet_stream(flows, 70)
+        frames[10:10] = [b"", make_frame(stranger), frames[0][:30]]
+        frames += [make_frame(flows[1], ttl=0), make_frame(flows[2], ihl=6)]
+
+        messages, parses = [], []
+        peer_request = daemons[0]._peer_request
+
+        def counting_request(node_id, msg_type, payload=b""):
+            messages.append((node_id, msg_type))
+            return peer_request(node_id, msg_type, payload)
+
+        parse_frames = fastpath.parse_frames
+
+        def counting_parse(batch):
+            parses.append(len(batch))
+            return parse_frames(batch)
+
+        for daemon in daemons:
+            daemon._peer_request = counting_request
+        monkeypatch.setattr(fastpath, "parse_frames", counting_parse)
+        rsp_type, body = daemons[0]._dispatch(
+            MSG_ROUTE, pack_frame_list(frames)
+        )
+        monkeypatch.undo()
+        assert rsp_type == RSP_ROUTE
+        outcomes = decode_outcomes(body)
+
+        # One parse per daemon per message: the ingress parses the batch,
+        # each peer parses what it was forwarded, nobody parses twice.
+        forwards = [m for m in messages if m[1] == MSG_FORWARD]
+        assert sorted(node for node, _ in forwards) == [1, 2]
+        assert len(parses) == 1 + len(forwards)
+        assert parses[0] == len(frames) and sum(parses[1:]) < len(frames)
+
+        reference = [gateway.process_downstream(f, 0) for f in frames]
+        summary = shadow.compare_frames(reference, outcomes)
+        assert summary["divergences"] == 0 and summary["byte_identical"]
+        assert summary["delivered"] == 71 and summary["dropped"] == 4
+        for (result, _), outcome in zip(reference, outcomes):
+            if result.reason == "malformed":
+                assert (outcome.status, outcome.handler) == (
+                    STATUS_MALFORMED, -1
+                )
+            elif result.reason == "unknown_key":
+                assert (outcome.status, outcome.handler, outcome.teid) == (
+                    STATUS_UNKNOWN, result.path[-1], 0
+                )
+            else:
+                assert (outcome.status, outcome.handler, outcome.teid) == (
+                    STATUS_DELIVERED, result.handled_by, result.value
+                )
+        charges = {}
+        for daemon in daemons:
+            assert not set(charges) & set(daemon.charges)
+            charges.update(daemon.charges)
+        assert charges == gateway.stats.bytes_charged

@@ -545,7 +545,7 @@ class TestOthelloGate:
             gates.othello_gate(artifact)
 
 
-def fastpath_rows(frames=9000, batches=36, spilled=0, skip=()):
+def fastpath_rows(frames=9000, batches=36, spilled=0, speedup=8.7, skip=()):
     counters = {
         "gateway.fastpath.frames": frames,
         "gateway.fastpath.batches": batches,
@@ -556,8 +556,12 @@ def fastpath_rows(frames=9000, batches=36, spilled=0, skip=()):
         "fastpath.parse": {},
         "fastpath.encap": {},
     }
+    derived = {} if speedup is None else {"speedup": speedup}
     return [
-        make_result(name, [0.1], counters=row_counters)
+        make_result(
+            name, [0.1], counters=row_counters,
+            derived=derived if name == "fig8.forwarding.endtoend" else {},
+        )
         for name, row_counters in rows.items() if name not in skip
     ]
 
@@ -565,7 +569,8 @@ def fastpath_rows(frames=9000, batches=36, spilled=0, skip=()):
 class TestFastpathGate:
     def test_batch_pipeline_passes(self):
         line = gates.fastpath_gate(make_artifact(fastpath_rows()).to_dict())
-        assert line == "fastpath frames=9000 batches=36 spilled=0"
+        assert line == "fastpath frames=9000 batches=36 spilled=0 speedup=8.7x"
+        gates.fastpath_gate(make_artifact(fastpath_rows(speedup=3.0)).to_dict())
 
     @pytest.mark.parametrize("rows, message", [
         (dict(frames=0), "zero fast-path frames"),
@@ -574,6 +579,8 @@ class TestFastpathGate:
         (dict(skip=("fig8.forwarding.endtoend",)), "endtoend missing"),
         (dict(skip=("fastpath.parse",)), "fastpath.parse missing"),
         (dict(skip=("fastpath.encap",)), "fastpath.encap missing"),
+        (dict(speedup=2.9), "under 3x the scalar"),
+        (dict(speedup=None), "does not report 'speedup'"),
     ])
     def test_degraded_pipeline_or_missing_rows_fail(self, rows, message):
         with pytest.raises(gates.GateFailure, match=message):
