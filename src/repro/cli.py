@@ -597,6 +597,9 @@ def _cmd_replicated_demo(args: argparse.Namespace) -> int:
             f"shadows_identical={deterministic['replica_shadows_identical']}"
         )
         print(f"leaked_processes={report['leaked_processes']}")
+        for gate, passed in report["gates"].items():
+            if not passed:
+                print(f"gate FAIL    : {gate}")
         print("ok" if report["ok"] else "DIVERGED")
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 

@@ -11,7 +11,9 @@ snapshot swaps.
 
 Modules:
 
-* :mod:`~repro.runtime.framing` — length-prefixed message transport;
+* :mod:`~repro.runtime.framing` — length-prefixed message framing;
+* :mod:`~repro.runtime.transport` — the one serve loop, link pool and
+  child-process group every runtime process runs on;
 * :mod:`~repro.runtime.protocol` — message catalogue and payload codecs;
 * :mod:`~repro.runtime.daemon` — the node daemon (replica + FIB slice +
   RIB-owner role + data path);

@@ -1,8 +1,9 @@
 """The cluster controller: bootstrap, updates, traffic, liveness, repair.
 
 ``RuntimeController`` is the control-plane process of the socket
-runtime.  It owns one :class:`~repro.runtime.framing.FramedSocket` per
-daemon and drives the whole paper's lifecycle over the wire:
+runtime.  It owns one link per daemon
+(:class:`~repro.runtime.transport.LinkPool`) and drives the whole paper's
+lifecycle over the wire:
 
 * **bootstrap** — ship each daemon its identity (HELLO), then the full
   state: an SSEP snapshot of the GPT plus its FIB and RIB slices
@@ -56,12 +57,7 @@ from repro.epc.gateway import EpcGateway
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import protocol
 from repro.runtime.deltalog import DeltaLog
-from repro.runtime.framing import (
-    DEFAULT_TIMEOUT,
-    FramedSocket,
-    FramingError,
-    pack_frame_list,
-)
+from repro.runtime.framing import FramedSocket, FramingError, pack_frame_list
 from repro.runtime.liveness import HeartbeatMonitor, NodeState
 from repro.runtime.protocol import (
     MSG_ADOPT,
@@ -96,6 +92,7 @@ from repro.runtime.replication import (
     StaticGuard,
 )
 from repro.runtime.shadow import evacuate
+from repro.runtime.transport import LinkPool
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,7 @@ class RuntimeController:
         self.claim: Optional[Tuple[int, int]] = None
         #: Serialises every mutating verb (the API daemon is threaded).
         self.commands = CommandQueue()
-        self._socks: Dict[int, FramedSocket] = {}
+        self._links = LinkPool(self.addresses, on_dial=self._claim_link)
         self._ref_setsep: Optional[Separator] = None
         self._ping_seq = 0
         #: Scale tier: publish snapshots as shared-memory segments and ship
@@ -247,32 +244,25 @@ class RuntimeController:
     def connect(self) -> None:
         """Dial every daemon."""
         for node_id in range(self.num_nodes):
-            self._sock(node_id)
+            self._links.dial(node_id)
 
-    def _sock(self, node_id: int) -> FramedSocket:
-        sock = self._socks.get(node_id)
-        if sock is None:
-            host, port = self.addresses[node_id]
-            sock = FramedSocket.connect(host, port)
-            if self.claim is not None:
-                # Fresh dials re-claim leadership before anything else:
-                # the daemon fences mutating requests per connection.
-                term, leader = self.claim
-                rsp_type, rsp = sock.request(
-                    MSG_CLAIM,
-                    protocol.encode_json({"term": term, "leader": leader}),
-                )
-                if rsp_type == RSP_REDIRECT:
-                    doc = protocol.decode_json(rsp)
-                    sock.close()
-                    raise StaleTermError(
-                        f"daemon {node_id} rejects claim for term {term}; "
-                        f"current leader is {doc.get('leader')} "
-                        f"(term {doc.get('term')})"
-                    )
-                protocol.expect(rsp_type, RSP_OK, rsp)
-            self._socks[node_id] = sock
-        return sock
+    def _claim_link(self, node_id: int, link: FramedSocket) -> None:
+        """Fresh dials re-claim leadership before anything else: the
+        daemon fences mutating requests per connection."""
+        if self.claim is None:
+            return
+        term, leader = self.claim
+        rsp_type, rsp = link.request(
+            MSG_CLAIM, protocol.encode_json({"term": term, "leader": leader})
+        )
+        if rsp_type == RSP_REDIRECT:
+            doc = protocol.decode_json(rsp)
+            raise StaleTermError(
+                f"daemon {node_id} rejects claim for term {term}; "
+                f"current leader is {doc.get('leader')} "
+                f"(term {doc.get('term')})"
+            )
+        protocol.expect(rsp_type, RSP_OK, rsp)
 
     def claim_leadership(self, term: int, leader_id: int) -> None:
         """Claim every daemon control link for ``(term, leader_id)``.
@@ -287,11 +277,12 @@ class RuntimeController:
         payload = protocol.encode_json(
             {"term": int(term), "leader": int(leader_id)}
         )
-        for node_id in sorted(self._socks):
+        for node_id in self._links.dialled():
             self._command(node_id, MSG_CLAIM, payload)
 
     def _request(
-        self, node_id: int, msg_type: int, payload: bytes = b""
+        self, node_id: int, msg_type: int, payload: bytes = b"",
+        timeout: Optional[float] = None,
     ) -> Tuple[int, bytes]:
         """One request/response; counts traffic, drops dead links.
 
@@ -299,16 +290,13 @@ class RuntimeController:
         stale while the request was in flight) surfaces as
         :class:`StaleTermError` — the caller was deposed.
         """
-        sock = self._sock(node_id)
+        self._links.dial(node_id)  # an unreachable daemon counts no traffic
         name = MSG_NAMES[msg_type]
         self.registry.counter(f"runtime.tx.{name}").inc()
         self._c_tx_bytes.inc(len(payload) + 5)
-        try:
-            rsp_type, rsp = sock.request(msg_type, payload)
-        except (FramingError, OSError):
-            self._socks.pop(node_id, None)
-            sock.close()
-            raise
+        rsp_type, rsp = self._links.request(
+            node_id, msg_type, payload, timeout
+        )
         if rsp_type == RSP_REDIRECT:
             doc = protocol.decode_json(rsp)
             raise StaleTermError(
@@ -325,12 +313,6 @@ class RuntimeController:
         rsp_type, rsp = self._request(node_id, msg_type, payload)
         return protocol.expect(rsp_type, answer, rsp)
 
-    def _drop_link(self, node_id: int) -> None:
-        """Close the cached link to a daemon that is gone or has moved."""
-        sock = self._socks.pop(node_id, None)
-        if sock is not None:
-            sock.close()
-
     def close(self) -> None:
         """Drop every controller-side connection (daemons keep running).
 
@@ -339,9 +321,7 @@ class RuntimeController:
         and nothing else should be able to attach state this controller
         no longer maintains.
         """
-        for sock in self._socks.values():
-            sock.close()
-        self._socks.clear()
+        self._links.close()
         if self.publisher is not None:
             self.publisher.close()
             self._node_segments.clear()
@@ -684,16 +664,10 @@ class RuntimeController:
             self._ping_seq += 1
             started = time.perf_counter()
             try:
-                sock = self._sock(node_id)
-                sock.settimeout(self.ping_timeout)
-                try:
-                    rsp_type, rsp = self._request(
-                        node_id, MSG_PING,
-                        protocol.encode_ping(self._ping_seq),
-                    )
-                finally:
-                    if self._socks.get(node_id) is sock:
-                        sock.settimeout(DEFAULT_TIMEOUT)
+                rsp_type, rsp = self._request(
+                    node_id, MSG_PING, protocol.encode_ping(self._ping_seq),
+                    timeout=self.ping_timeout,
+                )
                 protocol.expect(rsp_type, RSP_PONG, rsp)
                 if protocol.decode_ping(rsp) != self._ping_seq:
                     raise protocol.ProtocolError("pong sequence mismatch")
@@ -740,7 +714,7 @@ class RuntimeController:
         if failed in self.down:
             raise ValueError(f"node {failed} was already repaired")
         self.down.add(failed)
-        self._drop_link(failed)
+        self._links.drop(failed)
         self._untrack_segment(failed)
         self._broadcast_down()
         # The dead node's RIB slice moves to its successor (§4.5 ownership
@@ -784,7 +758,7 @@ class RuntimeController:
         if node_id in self.down:
             raise ValueError(f"node {node_id} is already down")
         self.killer(node_id)
-        self._drop_link(node_id)
+        self._links.drop(node_id)
 
     def kill_node(self, node_id: int) -> OpResult:
         """SIGKILL a daemon — the §7 failure drill, no repair attached.
@@ -936,10 +910,10 @@ class RuntimeController:
             self._command(leaving, MSG_SHUTDOWN)
         except (FramingError, OSError):
             pass
-        self._drop_link(leaving)
         self._untrack_segment(leaving)
         self.monitor.untrack(leaving)
         self.addresses = self.addresses[:self.num_nodes]
+        self._links.retarget(self.addresses)
         self.epoch += 1
         return OpResult(
             verb="drain",
@@ -966,6 +940,7 @@ class RuntimeController:
     ) -> OpResult:
         new_id = self.num_nodes
         self.addresses.append((str(address[0]), int(address[1])))
+        self._links.retarget(self.addresses)
         self.num_nodes += 1
         report = self._rebuild_shadow(gateway, self.num_nodes)
         self._hello(new_id, gateway.gateway_ip)
@@ -1017,7 +992,7 @@ class RuntimeController:
                 f"node {node_id} is not down; only a repaired node rejoins"
             )
         self.addresses[node_id] = (str(address[0]), int(address[1]))
-        self._drop_link(node_id)
+        self._links.retarget(self.addresses)
         # Revive first: ownership and the peer lists must include the node
         # again before any state is computed or broadcast.
         self.down.discard(node_id)

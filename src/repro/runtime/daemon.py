@@ -30,8 +30,6 @@ socket boundary for delta ships and forwarded frames.
 
 from __future__ import annotations
 
-import selectors
-import socket
 from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -46,8 +44,8 @@ from repro.core.hashfamily import canonical_key
 from repro.epc import fastpath
 from repro.gpt.gpt import GlobalPartitionTable
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime import protocol
-from repro.runtime.framing import FramedSocket, FramingError, pack_frame_list, unpack_frame_list
+from repro.runtime import protocol, transport
+from repro.runtime.framing import FramingError, pack_frame_list, unpack_frame_list
 from repro.runtime.protocol import (
     MSG_ADOPT,
     MSG_CLAIM,
@@ -95,7 +93,8 @@ class NodeDaemon:
         # Topology (set by HELLO).
         self.node_id: int = -1
         self.num_nodes: int = 0
-        self.peers: List[Tuple[str, int]] = []
+        #: Links to the peer daemons, by node id (addresses set by HELLO).
+        self.peers = transport.LinkPool()
         self.gateway_ip: int = 0
         # Forwarding state (set by SNAPSHOT/SWAP).
         self.gpt: Optional[GlobalPartitionTable] = None
@@ -114,7 +113,6 @@ class NodeDaemon:
         #: ``(peer, wire, bits)`` per delta ship a DELAY verdict held back.
         self._delayed_deltas: List[Tuple[int, bytes, int]] = []
         self._delayed_forwards: List[Tuple[int, bytes]] = []
-        self._peer_socks: Dict[int, FramedSocket] = {}
         self._running = False
         # Leader fencing (replicated controllers).  A controller claims
         # leadership per connection (MSG_CLAIM); once any claim has been
@@ -163,55 +161,15 @@ class NodeDaemon:
         self, ready: Optional[Callable[[int], None]] = None
     ) -> None:
         """Bind, announce the port via ``ready`` and serve until SHUTDOWN."""
-        lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        lsock.bind((self.host, self.port))
-        lsock.listen(64)
-        self.port = lsock.getsockname()[1]
-        if ready is not None:
-            ready(self.port)
-        sel = selectors.DefaultSelector()
-        sel.register(lsock, selectors.EVENT_READ, None)
-        conns: List[FramedSocket] = []
         self._running = True
         try:
-            while self._running:
-                for key, _events in sel.select(timeout=0.5):
-                    if key.data is None:
-                        conn, _addr = lsock.accept()
-                        framed = FramedSocket(conn)
-                        sel.register(conn, selectors.EVENT_READ, framed)
-                        conns.append(framed)
-                        continue
-                    framed = key.data
-                    try:
-                        msg_type, payload = framed.recv()
-                    except (FramingError, OSError):
-                        sel.unregister(framed.sock)
-                        framed.close()
-                        conns.remove(framed)
-                        self._conn_terms.pop(id(framed), None)
-                        continue
-                    rsp_type, rsp_payload = self._dispatch(
-                        msg_type, payload, conn=framed
-                    )
-                    try:
-                        framed.send(rsp_type, rsp_payload)
-                    except OSError:
-                        sel.unregister(framed.sock)
-                        framed.close()
-                        conns.remove(framed)
-                        self._conn_terms.pop(id(framed), None)
-                    if not self._running:
-                        break
+            transport.serve(
+                self.host, self.port, self._dispatch,
+                running=lambda: self._running, tick=0.5, ready=ready,
+                closed=lambda conn: self._conn_terms.pop(id(conn), None),
+            )
         finally:
-            for framed in conns:
-                framed.close()
-            sel.close()
-            lsock.close()
-            for sock in self._peer_socks.values():
-                sock.close()
-            self._peer_socks.clear()
+            self.peers.close()
 
     #: Requests that mutate node state and therefore honour leader
     #: claims: a connection with a stale claimed term is redirected.
@@ -229,8 +187,6 @@ class NodeDaemon:
                 {"error": f"unknown message type {msg_type:#x}"}
             )
         self.registry.counter(f"runtime.rx.{name}").inc()
-        if msg_type == MSG_CLAIM:
-            return self._on_claim(payload, conn)
         if (
             msg_type in self._FENCED_TYPES
             and self.claimed_term > 0
@@ -246,6 +202,8 @@ class NodeDaemon:
                 {"error": f"message {name!r} has no daemon handler"}
             )
         try:
+            if msg_type == MSG_CLAIM:  # the one per-connection handler
+                return handler(payload, conn)
             return handler(payload)
         except Exception as exc:  # noqa: BLE001 - a PFE never dies
             return RSP_ERR, protocol.encode_json(
@@ -273,26 +231,15 @@ class NodeDaemon:
     # Peer links
     # ------------------------------------------------------------------
 
-    def _peer(self, node_id: int) -> FramedSocket:
-        """Cached connection to a peer daemon (lazily dialled)."""
-        sock = self._peer_socks.get(node_id)
-        if sock is None:
-            host, port = self.peers[node_id]
-            sock = FramedSocket.connect(host, port)
-            self._peer_socks[node_id] = sock
-        return sock
-
     def _peer_request(
         self, node_id: int, msg_type: int, payload: bytes
     ) -> Tuple[int, bytes]:
-        """Request/response with a peer; a dead link is dropped and raised."""
-        sock = self._peer(node_id)
-        try:
-            return sock.request(msg_type, payload)
-        except (FramingError, OSError):
-            self._peer_socks.pop(node_id, None)
-            sock.close()
-            raise
+        """Request/response with a peer; a dead link is dropped and raised.
+
+        Every peer send goes through here (the socket-less test harnesses
+        replace this one method).
+        """
+        return self.peers.request(node_id, msg_type, payload)
 
     # ------------------------------------------------------------------
     # Control plane handlers
@@ -302,7 +249,7 @@ class NodeDaemon:
         doc = protocol.decode_json(payload)
         self.node_id = int(doc["node_id"])
         self.num_nodes = int(doc["num_nodes"])
-        self.peers = [(str(h), int(p)) for h, p in doc["peers"]]
+        self.peers.retarget(doc["peers"])
         self.gateway_ip = int(doc["gateway_ip"])
         return RSP_OK, protocol.encode_json({"node_id": self.node_id})
 
@@ -336,10 +283,7 @@ class NodeDaemon:
         if previous is not None:
             previous.close()
         if "peers" in header:
-            self.peers = [(str(h), int(p)) for h, p in header["peers"]]
-            for sock in self._peer_socks.values():
-                sock.close()
-            self._peer_socks.clear()
+            self.peers.retarget(header["peers"])
         return {
             "fib_entries": len(fib),
             "rib_entries": len(header["rib"]),
@@ -411,14 +355,10 @@ class NodeDaemon:
         if "peers" in doc:
             # A rejoin re-announces the topology: the revived node listens
             # on a fresh port, so cached links must be re-dialled.
-            self.peers = [(str(h), int(p)) for h, p in doc["peers"]]
-            for sock in self._peer_socks.values():
-                sock.close()
-            self._peer_socks.clear()
+            self.peers.retarget(doc["peers"])
         else:
-            for node_id in list(self._peer_socks):
-                if node_id in self.down:
-                    self._peer_socks.pop(node_id).close()
+            for node_id in self.down:
+                self.peers.drop(node_id)
         return RSP_OK, protocol.encode_json({"down": sorted(self.down)})
 
     def _on_fault(self, payload: bytes) -> Tuple[int, bytes]:

@@ -3,10 +3,10 @@
 Two layers live here:
 
 * :class:`LocalRuntime` — a context manager that spawns N
-  :class:`~repro.runtime.daemon.NodeDaemon` processes
-  (``multiprocessing.Process``), each bound to an ephemeral local TCP
-  port announced back through a pipe, with ``kill()`` (SIGKILL, for
-  failure drills), graceful ``stop()`` and leak accounting;
+  :class:`~repro.runtime.daemon.NodeDaemon` processes (a
+  :class:`~repro.runtime.transport.ProcessGroup`), each bound to an
+  ephemeral local TCP port announced back through a pipe, with ``kill()``
+  (SIGKILL, for failure drills), graceful ``stop()`` and leak accounting;
 * :func:`run_workload` / :func:`run_demo` — the differential harness:
   the same seeded workload is played against the socket cluster *and*
   the in-process :class:`~repro.runtime.shadow.Shadow`, frame by frame
@@ -21,7 +21,6 @@ Two layers live here:
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import signal
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -30,29 +29,23 @@ import numpy as np
 
 from repro.core import shm
 from repro.runtime.controller import RuntimeController
-from repro.runtime.daemon import NodeDaemon
+from repro.runtime.daemon import serve
 from repro.runtime.shadow import Shadow, compare_frames, merge_comparisons
+from repro.runtime.transport import ProcessGroup
+
+#: How long a daemon child gets to bind and announce its port.
+DAEMON_READY_WAIT = 30.0
 
 
-def _daemon_entry(host: str, conn) -> None:
-    """Child-process body: serve one daemon, announce the bound port."""
-
-    def ready(port: int) -> None:
-        conn.send(port)
-        conn.close()
-
-    NodeDaemon(host=host, port=0).serve_forever(ready=ready)
-
-
-class LocalRuntime:
+class LocalRuntime(ProcessGroup):
     """A cluster of daemon child processes on loopback."""
 
     def __init__(self, num_nodes: int, host: str = "127.0.0.1") -> None:
         if num_nodes < 1:
             raise ValueError("num_nodes must be positive")
+        super().__init__()
         self.num_nodes = num_nodes
         self.host = host
-        self.processes: List[multiprocessing.Process] = []
         self.addresses: List[Tuple[str, int]] = []
 
     # -- lifecycle -----------------------------------------------------
@@ -64,23 +57,13 @@ class LocalRuntime:
         return self
 
     def _spawn(self, node_id: Optional[int] = None) -> Tuple[str, int]:
-        parent, child = multiprocessing.Pipe(duplex=False)
-        process = multiprocessing.Process(
-            target=_daemon_entry, args=(self.host, child), daemon=True
+        port = self.spawn(
+            serve, (self.host, 0), DAEMON_READY_WAIT, slot=node_id
         )
-        process.start()
-        child.close()
-        if not parent.poll(30.0):
-            process.kill()
-            raise RuntimeError("daemon did not announce its port in time")
-        port = int(parent.recv())
-        parent.close()
         address = (self.host, port)
         if node_id is None:
-            self.processes.append(process)
             self.addresses.append(address)
         else:
-            self.processes[node_id] = process
             self.addresses[node_id] = address
         return address
 
@@ -100,12 +83,6 @@ class LocalRuntime:
             raise ValueError(f"node {node_id} is still alive")
         return self._spawn(node_id)
 
-    def kill(self, node_id: int) -> None:
-        """SIGKILL a daemon — the §7 failure drill (no goodbye)."""
-        process = self.processes[node_id]
-        process.kill()
-        process.join(timeout=10.0)
-
     def suspend(self, node_id: int) -> None:
         """SIGSTOP a daemon: alive but unresponsive — a SUSPECT maker.
 
@@ -122,31 +99,6 @@ class LocalRuntime:
         process = self.processes[node_id]
         assert process.pid is not None
         os.kill(process.pid, signal.SIGCONT)
-
-    def stop(self) -> None:
-        """Terminate every child still running and reap it."""
-        for process in self.processes:
-            if process.is_alive():
-                process.terminate()
-        for process in self.processes:
-            process.join(timeout=10.0)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=10.0)
-
-    def leaked(self) -> List[int]:
-        """Node ids whose child process is still alive (should be [])."""
-        return [
-            node_id
-            for node_id, process in enumerate(self.processes)
-            if process.is_alive()
-        ]
-
-    def __enter__(self) -> "LocalRuntime":
-        return self.start()
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
 
 
 # ----------------------------------------------------------------------

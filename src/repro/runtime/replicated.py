@@ -35,20 +35,19 @@ because real-clock elections pick timing-dependent winners).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import socket
 import time
 import zlib
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import serialize
 from repro.runtime import protocol
 from repro.runtime.controller import RuntimeController
-from repro.runtime.framing import FramedSocket, FramingError
+from repro.runtime.framing import FramingError
 from repro.runtime.launcher import LocalRuntime
 from repro.runtime.protocol import (
     MSG_APPEND,
@@ -80,6 +79,7 @@ from repro.runtime.shadow import (
     compare_frames,
     merge_comparisons,
 )
+from repro.runtime.transport import LinkPool, ProcessGroup, serve
 
 #: Real-clock election parameters for replica processes.  Deliberately
 #: loose — these are sized for a *contended single-core* box (CI
@@ -107,6 +107,8 @@ HEARTBEAT_INTERVAL = 0.3
 LEASE_DURATION = 7.5
 #: Observer grace a respawned replica sits out before voting again.
 OBSERVER_GRACE = ELECTION_TIMEOUT[1] + LEASE_DURATION + 0.05
+#: How long a replica child gets to bind and announce its port.
+REPLICA_READY_WAIT = 60.0
 #: A fresh replica's *first* election fires after
 #: ``FIRST_ELECTION_STAGGER * (replica_id + 1)`` instead of a full
 #: randomized timeout: a cold cluster elects replica 0 in under a
@@ -139,6 +141,17 @@ APPLY_STEP_FLOWS = 500
 #: entry size) is what keeps replicas responsive.
 TRAFFIC_SLICE = 5000
 STORM_SLICE = 4000
+
+
+def _tracer(suffix: str) -> Callable[[str], object]:
+    """The ``REPRO_REPLICA_TRACE`` debugging aid (docs/runtime.md): when
+    that variable names a path prefix, timestamped events are appended to
+    ``<prefix>.<suffix>``; unset, they go nowhere."""
+    prefix = os.environ.get("REPRO_REPLICA_TRACE")
+    if not prefix:
+        return lambda event: None
+    file = open(f"{prefix}.{suffix}", "a", buffering=1)
+    return lambda event: file.write(f"{time.monotonic():9.3f} {event}\n")
 
 
 class MonotonicClock:
@@ -303,8 +316,9 @@ class ShadowMachine(Shadow):
 class ReplicaServer:
     """One controller replica as a socket-served process.
 
-    Single-threaded selectors loop, like the node daemon: peer
-    replication RPCs (``MSG_VOTE``/``MSG_APPEND``) and client requests
+    The same single-threaded loop as the node daemon
+    (:func:`repro.runtime.transport.serve`): peer replication RPCs
+    (``MSG_VOTE``/``MSG_APPEND``) and client requests
     (``MSG_SUBMIT``/``MSG_QUERY``) arrive on the listener; between
     requests the loop ticks the core (elections, heartbeats, lease
     checks) and applies newly committed entries to the shadow — and,
@@ -324,17 +338,11 @@ class ReplicaServer:
         lease_duration: float = LEASE_DURATION,
     ) -> None:
         self.replica_id = replica_id
-        self.replica_addresses = [
-            (str(h), int(p)) for h, p in replica_addresses
-        ]
-        self.daemon_addresses = [
-            (str(h), int(p)) for h, p in daemon_addresses
-        ]
-        self.host, self.port = self.replica_addresses[replica_id]
+        self.daemon_addresses = daemon_addresses
+        self.host, self.port = replica_addresses[replica_id]
         self.core = Replica(
             replica_id,
-            [i for i in range(len(self.replica_addresses))
-             if i != replica_id],
+            [i for i in range(len(replica_addresses)) if i != replica_id],
             MonotonicClock(),
             seed=seed,
             election_timeout=election_timeout,
@@ -346,7 +354,7 @@ class ReplicaServer:
             ),
         )
         self.shadow = ShadowMachine(num_nodes, seed)
-        self._peer_socks: Dict[int, FramedSocket] = {}
+        self._peers = LinkPool(replica_addresses, timeout=PEER_TIMEOUT)
         self._ctl: Optional[RuntimeController] = None
         self._ctl_term = -1
         self._executed = 0
@@ -356,20 +364,10 @@ class ReplicaServer:
         self._apply_gen = None
         self._results: Dict[int, dict] = {}
         self._running = False
-        trace = os.environ.get("REPRO_REPLICA_TRACE")
-        self._trace_file = (
-            open(f"{trace}.r{replica_id}", "a", buffering=1)
-            if trace else None
-        )
+        self._trace = _tracer(f"r{replica_id}")
         self._trace_role: Tuple[Role, int] = (self.core.role, self.core.term)
 
-    def _trace(self, event: str) -> None:
-        if self._trace_file is not None:
-            self._trace_file.write(f"{time.monotonic():9.3f} {event}\n")
-
     def _trace_transitions(self) -> None:
-        if self._trace_file is None:
-            return
         now = (self.core.role, self.core.term)
         if now != self._trace_role:
             self._trace(
@@ -383,22 +381,6 @@ class ReplicaServer:
 
     # -- peer links -----------------------------------------------------
 
-    def _peer_request(
-        self, peer: int, msg_type: int, payload: bytes
-    ) -> Tuple[int, bytes]:
-        sock = self._peer_socks.get(peer)
-        if sock is None:
-            host, port = self.replica_addresses[peer]
-            sock = FramedSocket.connect(host, port)
-            sock.settimeout(PEER_TIMEOUT)
-            self._peer_socks[peer] = sock
-        try:
-            return sock.request(msg_type, payload)
-        except (FramingError, OSError):
-            self._peer_socks.pop(peer, None)
-            sock.close()
-            raise
-
     def _flush(self, messages: Sequence[Message]) -> None:
         """Ship outbound core messages; feed replies back into the core."""
         queue = deque(messages)
@@ -406,7 +388,7 @@ class ReplicaServer:
             message = queue.popleft()
             msg_type = MSG_VOTE if message.kind == VOTE else MSG_APPEND
             try:
-                rsp_type, rsp = self._peer_request(
+                rsp_type, rsp = self._peers.request(
                     message.dest, msg_type,
                     protocol.encode_json(message.payload),
                 )
@@ -573,58 +555,22 @@ class ReplicaServer:
     # -- serving --------------------------------------------------------
 
     def serve_forever(self, ready=None) -> None:
-        import selectors
-
-        lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        lsock.bind((self.host, self.port))
-        lsock.listen(64)
-        self.port = lsock.getsockname()[1]
-        if ready is not None:
-            ready(self.port)
-        sel = selectors.DefaultSelector()
-        sel.register(lsock, selectors.EVENT_READ, None)
-        conns: List[FramedSocket] = []
+        """Serve until SHUTDOWN, ticking the core between requests."""
         self._running = True
         try:
-            while self._running:
-                for key, _events in sel.select(timeout=0.02):
-                    if key.data is None:
-                        conn, _addr = lsock.accept()
-                        framed = FramedSocket(conn)
-                        sel.register(conn, selectors.EVENT_READ, framed)
-                        conns.append(framed)
-                        continue
-                    framed = key.data
-                    try:
-                        msg_type, payload = framed.recv()
-                    except (FramingError, OSError):
-                        sel.unregister(framed.sock)
-                        framed.close()
-                        conns.remove(framed)
-                        continue
-                    rsp_type, rsp_payload = self._dispatch(msg_type, payload)
-                    try:
-                        framed.send(rsp_type, rsp_payload)
-                    except OSError:
-                        sel.unregister(framed.sock)
-                        framed.close()
-                        conns.remove(framed)
-                    if not self._running:
-                        break
-                self._drive()
+            serve(
+                self.host, self.port, self._dispatch,
+                running=lambda: self._running, tick=0.02, ready=ready,
+                idle=self._drive,
+            )
         finally:
-            for framed in conns:
-                framed.close()
-            sel.close()
-            lsock.close()
-            for sock in self._peer_socks.values():
-                sock.close()
-            self._peer_socks.clear()
+            self._peers.close()
             if self._ctl is not None:
                 self._ctl.close()
 
-    def _dispatch(self, msg_type: int, payload: bytes) -> Tuple[int, bytes]:
+    def _dispatch(
+        self, msg_type: int, payload: bytes, conn=None
+    ) -> Tuple[int, bytes]:
         try:
             if msg_type == MSG_VOTE:
                 doc = protocol.decode_json(payload)
@@ -724,13 +670,8 @@ class ReplicaServer:
         )
 
 
-def _replica_entry(config: dict, conn) -> None:
-    """Child-process body: serve one replica, announce the bound port."""
-
-    def ready(port: int) -> None:
-        conn.send(port)
-        conn.close()
-
+def _serve_replica(config: dict, ready) -> None:
+    """Child-process body: serve one replica until SHUTDOWN."""
     ReplicaServer(**config).serve_forever(ready=ready)
 
 
@@ -753,7 +694,7 @@ def _free_ports(count: int, host: str = "127.0.0.1") -> List[int]:
     return ports
 
 
-class ReplicaSet:
+class ReplicaSet(ProcessGroup):
     """R controller replica child processes on loopback."""
 
     def __init__(
@@ -766,6 +707,7 @@ class ReplicaSet:
     ) -> None:
         if replicas < 1:
             raise ValueError("need at least one replica")
+        super().__init__(slots=replicas)
         self.num = replicas
         self.host = host
         self.seed = seed
@@ -774,9 +716,6 @@ class ReplicaSet:
         self.addresses: List[Tuple[str, int]] = [
             (host, port) for port in _free_ports(replicas, host)
         ]
-        self.processes: List[Optional[multiprocessing.Process]] = (
-            [None] * replicas
-        )
         self.respawns = 0
 
     def start(self) -> "ReplicaSet":
@@ -785,7 +724,6 @@ class ReplicaSet:
         return self
 
     def _spawn(self, replica_id: int, observer_grace: float) -> None:
-        parent, child = multiprocessing.Pipe(duplex=False)
         config = {
             "replica_id": replica_id,
             "replica_addresses": [list(a) for a in self.addresses],
@@ -794,24 +732,9 @@ class ReplicaSet:
             "seed": self.seed,
             "observer_grace": observer_grace,
         }
-        process = multiprocessing.Process(
-            target=_replica_entry, args=(config, child), daemon=True
+        self.spawn(
+            _serve_replica, (config,), REPLICA_READY_WAIT, slot=replica_id
         )
-        process.start()
-        child.close()
-        if not parent.poll(60.0):
-            process.kill()
-            raise RuntimeError("replica did not announce its port in time")
-        parent.recv()
-        parent.close()
-        self.processes[replica_id] = process
-
-    def kill(self, replica_id: int) -> None:
-        """SIGKILL a replica — the control-plane §7 drill."""
-        process = self.processes[replica_id]
-        assert process is not None
-        process.kill()
-        process.join(timeout=10.0)
 
     def respawn(self, replica_id: int) -> None:
         """Restart a killed replica as a quiescent observer.
@@ -822,30 +745,6 @@ class ReplicaSet:
         """
         self._spawn(replica_id, observer_grace=OBSERVER_GRACE)
         self.respawns += 1
-
-    def stop(self) -> None:
-        for process in self.processes:
-            if process is not None and process.is_alive():
-                process.terminate()
-        for process in self.processes:
-            if process is not None:
-                process.join(timeout=10.0)
-                if process.is_alive():
-                    process.kill()
-                    process.join(timeout=10.0)
-
-    def leaked(self) -> List[int]:
-        return [
-            replica_id
-            for replica_id, process in enumerate(self.processes)
-            if process is not None and process.is_alive()
-        ]
-
-    def __enter__(self) -> "ReplicaSet":
-        return self.start()
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
 
 
 class ReplicaClient:
@@ -867,38 +766,13 @@ class ReplicaClient:
         self.poll_interval = poll_interval
         self.sweep_budget = sweep_budget
         self.leader_guess = 0
-        self._socks: Dict[int, FramedSocket] = {}
-        trace = os.environ.get("REPRO_REPLICA_TRACE")
-        self._trace_file = (
-            open(f"{trace}.client", "a", buffering=1) if trace else None
-        )
-
-    def _trace(self, event: str) -> None:
-        if self._trace_file is not None:
-            self._trace_file.write(f"{time.monotonic():9.3f} {event}\n")
+        # The timeout must outlive a replica's worst _on_submit wait, or
+        # the client abandons a leader that is still executing.
+        self._links = LinkPool(self.addresses, timeout=360.0)
+        self._trace = _tracer("client")
 
     def close(self) -> None:
-        for sock in self._socks.values():
-            sock.close()
-        self._socks.clear()
-
-    def _request(
-        self, replica_id: int, msg_type: int, payload: bytes
-    ) -> Tuple[int, bytes]:
-        sock = self._socks.get(replica_id)
-        if sock is None:
-            host, port = self.addresses[replica_id]
-            sock = FramedSocket.connect(host, port)
-            # Must outlive a replica's worst _on_submit wait, or the
-            # client abandons a leader that is still executing.
-            sock.settimeout(360.0)
-            self._socks[replica_id] = sock
-        try:
-            return sock.request(msg_type, payload)
-        except (FramingError, OSError):
-            self._socks.pop(replica_id, None)
-            sock.close()
-            raise
+        self._links.close()
 
     def _leader_call(
         self, msg_type: int, payload: bytes
@@ -913,7 +787,7 @@ class ReplicaClient:
             ]
             for replica_id in order:
                 try:
-                    rsp_type, rsp = self._request(
+                    rsp_type, rsp = self._links.request(
                         replica_id, msg_type, payload
                     )
                 except (FramingError, OSError) as exc:
@@ -960,7 +834,7 @@ class ReplicaClient:
         )
 
     def query_replica(self, replica_id: int, what: str = "status") -> dict:
-        rsp_type, rsp = self._request(
+        rsp_type, rsp = self._links.request(
             replica_id, MSG_QUERY, protocol.encode_json({"what": what})
         )
         doc = protocol.decode_json(rsp)
@@ -970,28 +844,9 @@ class ReplicaClient:
 
     def shutdown_replica(self, replica_id: int) -> None:
         try:
-            self._request(replica_id, MSG_SHUTDOWN, b"")
+            self._links.request(replica_id, MSG_SHUTDOWN)
         except (FramingError, OSError):
             pass
-
-
-def _shutdown_daemons(addresses: Sequence[Tuple[str, int]]) -> List[int]:
-    """Ask every daemon to exit (direct, leader-independent)."""
-    acked: List[int] = []
-    for node_id, (host, port) in enumerate(addresses):
-        try:
-            sock = FramedSocket.connect(host, port)
-        except OSError:
-            continue
-        try:
-            rsp_type, _rsp = sock.request(MSG_SHUTDOWN, b"")
-            if rsp_type == RSP_OK:
-                acked.append(node_id)
-        except (FramingError, OSError):
-            pass
-        finally:
-            sock.close()
-    return acked
 
 
 def run_replicated_workload(
@@ -1204,22 +1059,14 @@ def run_replicated_workload(
                     "replica_logs_identical": bool(logs_identical),
                     "replica_shadows_identical": bool(shadows_identical),
                 }
-                deterministic["ok"] = bool(
-                    deterministic["traffic"]["divergences"] == 0
-                    and deterministic["traffic"]["byte_identical"]
-                    and audit["charging_identical"]
-                    and audit["gpt_replicas_identical"]
-                    and lost_total == 0
-                    and logs_identical
-                    and shadows_identical
-                )
                 report["deterministic"] = deterministic
                 report["incidental"] = incidental
                 for rid in range(replicas):
                     client.shutdown_replica(rid)
         finally:
             client.close()
-            _shutdown_daemons(runtime.addresses)
+            # Direct and leader-independent: whoever led, the daemons go.
+            RuntimeController(runtime.addresses).shutdown_all()
             replica_set.stop()
         runtime.stop()
         report["leaked_processes"] = (
@@ -1230,9 +1077,39 @@ def run_replicated_workload(
         if kill_leader else True
     )
     report["re_elected"] = bool(re_elected)
-    report["ok"] = bool(
-        report.get("deterministic", {}).get("ok")
-        and report["leaked_processes"] == 0
-        and re_elected
+    report["gates"] = replicated_gates(report)
+    report["deterministic"]["ok"] = all(
+        passed for gate, passed in report["gates"].items()
+        if gate not in ("re_elected", "no_leaked_processes")
     )
+    report["ok"] = all(report["gates"].values())
     return report
+
+
+def replicated_gates(report: Dict[str, object]) -> Dict[str, bool]:
+    """Every hard gate on a failover-drill report; ``ok`` is their
+    conjunction.
+
+    This is the one definition CI's ``replicated-smoke`` job enforces (the
+    CLI's exit code follows ``ok``): data-plane divergence across
+    failovers, non-identical GTP-U bytes / charging / GPT replicas, an
+    acked verb missing from a replica's log, replica logs or shadows that
+    disagree, leader kills that never advanced the term, or a leaked
+    child process each fail the run.
+    """
+    deterministic = report["deterministic"]
+    traffic, audit = deterministic["traffic"], deterministic["audit"]
+    return {
+        "no_divergence": traffic["divergences"] == 0,
+        "byte_identical": bool(traffic["byte_identical"]),
+        "charging_identical": bool(audit["charging_identical"]),
+        "gpt_replicas_identical": bool(audit["gpt_replicas_identical"]),
+        "no_lost_committed_verbs": deterministic["lost_committed_verbs"] == 0,
+        **{
+            name: bool(deterministic[name]) for name in (
+                "replica_logs_identical", "replica_shadows_identical",
+            )
+        },
+        "re_elected": bool(report["re_elected"]),
+        "no_leaked_processes": report["leaked_processes"] == 0,
+    }

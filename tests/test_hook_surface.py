@@ -1,4 +1,4 @@
-"""The packet path keeps calling the names the e2e tracer hooks.
+"""The packet path and the runtime keep calling the names the e2e tracer hooks.
 
 ``benchmarks/e2e`` measures each layer by wrapping public callables *by
 name* on their class or module (ROADMAP, "Rules of the gate").  A
@@ -21,6 +21,12 @@ from repro.epc.gateway import ChargingLedger, EpcGateway
 from repro.epc.packets import parse_ip
 from repro.epc.traffic import FlowGenerator
 from repro.gpt.gpt import GlobalPartitionTable
+from repro.runtime import controller as controller_module
+from repro.runtime import protocol
+from repro.runtime.controller import RuntimeController
+from repro.runtime.framing import FramedSocket
+from repro.runtime.launcher import LocalRuntime
+from repro.runtime.shadow import Shadow
 
 NUM_NODES = 4
 BATCH = 256
@@ -82,3 +88,58 @@ def test_one_batch_calls_every_hooked_name(monkeypatch):
         "encapsulate_batch": 1,
     }
     assert calls["record_for_key"] < BATCH  # some flow repeats in the batch
+
+
+def test_runtime_verbs_call_every_hooked_name(monkeypatch):
+    """``rt_mixed`` hooks the controller side of the socket runtime: one
+    ``FramedSocket.request`` per daemon a verb talks to, payload third."""
+    shadow = Shadow(2, seed=23)
+    shadow.populate(3000)  # enough blocks for both daemons to own some
+    with LocalRuntime(2) as runtime:
+        controller = RuntimeController(runtime.addresses, use_shm=False)
+        controller.connect()
+        controller.bootstrap_from_gateway(shadow.gateway)
+        try:
+            frames = shadow.generator.packet_stream(shadow.live_flows, 64)
+            ingress = [i % 2 for i in range(len(frames))]
+            ops = [shadow.connect() for _ in range(40)]
+            owners = {controller.owner_of_key(op.key) for op in ops}
+            assert owners == {0, 1}
+
+            calls = Counter()
+            requests = []
+            request = FramedSocket.request
+
+            @functools.wraps(request)
+            def recording_request(*args, **kwargs):
+                result = request(*args, **kwargs)
+                requests.append((args, kwargs, result))
+                return result
+
+            monkeypatch.setattr(FramedSocket, "request", recording_request)
+            for owner, attr in (
+                (controller_module, "pack_frame_list"),
+                (protocol, "decode_outcomes"),
+                (protocol, "encode_updates"),
+            ):
+                count_calls(monkeypatch, calls, owner, attr)
+            outcomes = controller.route_frames(frames, ingress)
+            routed = len(requests)
+            controller.push_updates(ops)
+            monkeypatch.undo()
+        finally:
+            controller.shutdown_all()
+
+    assert len(outcomes) == len(frames)
+    assert routed == 2 and len(requests) == routed + len(owners)
+    for args, kwargs, result in requests:
+        # The tracer reads ``len(args[2])`` and ``len(result[1])``.
+        assert len(args) == 3 and not kwargs
+        assert isinstance(args[2], bytes) and args[2]
+        msg_type, body = result
+        assert isinstance(msg_type, int) and isinstance(body, bytes)
+    assert dict(calls) == {
+        "pack_frame_list": 2,
+        "decode_outcomes": 2,
+        "encode_updates": len(owners),
+    }

@@ -35,7 +35,10 @@ from repro.runtime.launcher import (
     run_demo,
 )
 from repro.runtime.liveness import HeartbeatMonitor, NodeState
-from repro.runtime.replicated import run_replicated_workload
+from repro.runtime.replicated import (
+    replicated_gates,
+    run_replicated_workload,
+)
 from repro.runtime.protocol import (
     OP_INSERT,
     OP_REMOVE,
@@ -104,6 +107,23 @@ class TestFraming:
         finally:
             a.close()
             b.close()
+
+
+def assert_each_breaker_fails_only_its_gate(report, gates_of, breakers):
+    """``report["gates"]`` is ``gates_of(report)``, all passing, and each
+    breaker — ``gate -> (path into the report, bad value)`` — fails
+    exactly its own gate."""
+    assert report["gates"] == gates_of(report)
+    assert set(report["gates"]) == set(breakers)
+    assert all(report["gates"].values())
+    for gate, (path, bad) in breakers.items():
+        broken = copy.deepcopy(report)
+        section = broken
+        for name in path[:-1]:
+            section = section[name]
+        section[path[-1]] = bad
+        gates = gates_of(broken)
+        assert [g for g, passed in gates.items() if not passed] == [gate]
 
 
 # ----------------------------------------------------------------------
@@ -332,17 +352,9 @@ class TestDifferentialDemo:
     ):
         """The gate CI enforces is ``report["ok"]`` (the CLI exit code
         follows it), defined once in ``demo_gates``."""
-        assert kill_report["gates"] == demo_gates(kill_report)
-        assert set(kill_report["gates"]) == set(self.GATE_BREAKERS)
-        assert all(kill_report["gates"].values())
-        for gate, (path, bad) in self.GATE_BREAKERS.items():
-            broken = copy.deepcopy(kill_report)
-            section = broken
-            for name in path[:-1]:
-                section = section[name]
-            section[path[-1]] = bad
-            gates = demo_gates(broken)
-            assert [g for g, passed in gates.items() if not passed] == [gate]
+        assert_each_breaker_fails_only_its_gate(
+            kill_report, demo_gates, self.GATE_BREAKERS
+        )
 
     def test_drill_gates_pass_when_no_drill_ran(self, kill_report):
         quiet = copy.deepcopy(kill_report)
@@ -524,6 +536,41 @@ class TestReplicatedControlPlane:
 
     def test_overall_verdict(self, replicated_report):
         assert replicated_report["ok"] is True
+
+    #: One way to break each gate: path into the report, bad value.
+    GATE_BREAKERS = {
+        "no_divergence": (("deterministic", "traffic", "divergences"), 1),
+        "byte_identical": (
+            ("deterministic", "traffic", "byte_identical"), False
+        ),
+        "charging_identical": (
+            ("deterministic", "audit", "charging_identical"), False
+        ),
+        "gpt_replicas_identical": (
+            ("deterministic", "audit", "gpt_replicas_identical"), False
+        ),
+        "no_lost_committed_verbs": (
+            ("deterministic", "lost_committed_verbs"), 1
+        ),
+        "replica_logs_identical": (
+            ("deterministic", "replica_logs_identical"), False
+        ),
+        "replica_shadows_identical": (
+            ("deterministic", "replica_shadows_identical"), False
+        ),
+        "re_elected": (("re_elected",), False),
+        "no_leaked_processes": (("leaked_processes",), 1),
+    }
+
+    def test_every_gate_passes_and_each_input_flips_only_its_gate(
+        self, replicated_report
+    ):
+        """``replicated-smoke`` enforces ``report["ok"]`` through the CLI
+        exit code; ``replicated_gates`` is its one definition."""
+        assert_each_breaker_fails_only_its_gate(
+            replicated_report, replicated_gates, self.GATE_BREAKERS
+        )
+        assert replicated_report["deterministic"]["ok"] is True
 
     def test_deterministic_section_reproduces(self, replicated_report):
         again = run_replicated_workload(**self.CONFIG)
