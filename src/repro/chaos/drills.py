@@ -26,12 +26,48 @@ every replica, and the data-plane differential never diverges.
 
 The report's ``ok`` is true only with zero divergences, byte-identical
 frames, identical charging (minus the victim's fate-shared slice) and
-CRC-identical GPT replicas — the exact gates the harness uses.
+CRC-identical GPT replicas — the exact gates the harness uses
+(:func:`repro.runtime.session.differential_gates`), plus each drill's
+own; ``gates`` names them and ``ok`` is their conjunction.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
+
+
+def _differential_gates(report: Dict[str, object]) -> Dict[str, bool]:
+    """The shared differential gates over a drill's two traffic phases,
+    its audit and its shutdown's leak count."""
+    # Imported here, not at module top: the runtime pulls this package
+    # back in (daemon-side transport faults).
+    from repro.runtime.session import differential_gates
+
+    return differential_gates(
+        [report["phase1"], report["phase2"]], report["audit"],
+        report["leaked_processes"],
+    )
+
+
+def fence_drill_gates(report: Dict[str, object]) -> Dict[str, bool]:
+    """Every hard gate on a :func:`run_fence_drill` report."""
+    return {
+        "fenced": bool(report["fenced"]),
+        **_differential_gates(report),
+        "metrics_nonempty": bool(report["metrics_nonempty"]),
+    }
+
+
+def failover_drill_gates(report: Dict[str, object]) -> Dict[str, bool]:
+    """Every hard gate on a :func:`run_failover_drill` report."""
+    return {
+        "term_advanced": bool(report["term_advanced"]),
+        "redirected": bool(report["redirected"]),
+        "redirect_followed": report["churn2_redirects"] >= 1,
+        "single_leader": bool(report["single_leader"]),
+        "ops_visible_everywhere": bool(report["ops_visible_everywhere"]),
+        **_differential_gates(report),
+    }
 
 
 def run_fence_drill(
@@ -56,7 +92,8 @@ def run_fence_drill(
 
     Returns:
         A JSON-ready report with the phase summaries, the fence
-        outcome, the final audit and the overall ``ok`` verdict.
+        outcome, the final audit, the ``gates``
+        (:func:`fence_drill_gates`) and the overall ``ok`` verdict.
     """
     # Imported here, not at module top: repro.ops pulls in the runtime,
     # which pulls this package back in (daemon-side transport faults).
@@ -100,21 +137,12 @@ def run_fence_drill(
         }
         metrics = client.metrics()
         report["metrics_nonempty"] = bool(metrics.strip())
-        report["ok"] = bool(
-            report["fenced"]
-            and report["phase1"]["divergences"] == 0
-            and report["phase2"]["divergences"] == 0
-            and report["phase1"]["byte_identical"]
-            and report["phase2"]["byte_identical"]
-            and report["audit"]["charging_identical"]
-            and report["audit"]["gpt_replicas_identical"]
-            and report["metrics_nonempty"]
-        )
     finally:
         shutdown = client.shutdown()
         report["leaked_processes"] = shutdown["leaked_processes"]
         server.shutdown()
-    report["ok"] = bool(report.get("ok") and report["leaked_processes"] == 0)
+    report["gates"] = fence_drill_gates(report)
+    report["ok"] = all(report["gates"].values())
     return report
 
 
@@ -211,23 +239,11 @@ def run_failover_drill(
         report["ops_visible_everywhere"] = bool(
             all(v == verbs[0] for v in verbs[1:]) and len(verbs[0]) >= 4
         )
-        report["ok"] = bool(
-            report["term_advanced"]
-            and report["redirected"]
-            and report["churn2_redirects"] >= 1
-            and report["single_leader"]
-            and report["ops_visible_everywhere"]
-            and report["phase1"]["divergences"] == 0
-            and report["phase2"]["divergences"] == 0
-            and report["phase1"]["byte_identical"]
-            and report["phase2"]["byte_identical"]
-            and report["audit"]["charging_identical"]
-            and report["audit"]["gpt_replicas_identical"]
-        )
     finally:
         shutdown = clients[0].shutdown()
         report["leaked_processes"] = shutdown["leaked_processes"]
         for server in servers:
             server.shutdown()
-    report["ok"] = bool(report.get("ok") and report["leaked_processes"] == 0)
+    report["gates"] = failover_drill_gates(report)
+    report["ok"] = all(report["gates"].values())
     return report

@@ -33,9 +33,13 @@ execute.
 
 Errors come back as ``{"error": ...}`` with the status the typed
 exception carries (404 unknown node/flow, 409 wrong state, 400 bad
-request).  Bodies are JSON with sorted keys, so responses are
-byte-stable for a given cluster state.  The server is threaded; the
-manager's lock serialises the actual mutations.
+request).  The request is untrusted: a ``Content-Length`` that is not a
+number in ``0..MAX_BODY_BYTES``, a body that is not a JSON object or is
+shorter than announced, and a field that is not an integer are all 400s,
+and a client that stops sending is dropped after ``READ_TIMEOUT`` rather
+than parking its handler thread.  Bodies are JSON with sorted keys, so
+responses are byte-stable for a given cluster state.  The server is
+threaded; the manager's lock serialises the actual mutations.
 """
 
 from __future__ import annotations
@@ -56,6 +60,11 @@ from repro.ops.manager import (
 
 #: API version prefix every route lives under.
 API_PREFIX = "/v1"
+#: Largest request body accepted (the verbs take a handful of integers).
+MAX_BODY_BYTES = 1 << 16
+#: Seconds a handler waits on its client's socket — for the next request
+#: line, the headers or the rest of an announced body — before giving up.
+READ_TIMEOUT = 10.0
 
 _NODE_VERBS = {
     "drain", "join", "kill", "fence", "suspend", "resume", "repair",
@@ -86,11 +95,21 @@ def _json_bytes(doc: object) -> bytes:
     return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")
 
 
+def _int_field(body: Dict[str, object], name: str, default: int) -> int:
+    """``body[name]`` (``default`` when absent), which must be a JSON
+    integer: no strings, nulls, lists, booleans or fractions."""
+    value = body.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadRequestError(f"{name!r} must be an integer, not {value!r}")
+    return value
+
+
 class _OpsHandler(BaseHTTPRequestHandler):
     """One request; the bound ``ops`` attribute is set per-server."""
 
     server_version = "repro-ops/1"
     protocol_version = "HTTP/1.1"
+    timeout = READ_TIMEOUT  # socketserver sets it on the connection
     ops: ClusterOps  # injected by OpsApiServer
     replica: Optional[int] = None  # replica id this server speaks for
     on_shutdown: Optional[Callable[[], None]] = None
@@ -134,10 +153,28 @@ class _OpsHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # Whatever follows the headers cannot be told from the next
+            # request: answer, then hang up.
+            self.close_connection = True
+            raise BadRequestError(
+                f"Content-Length must be a number in 0..{MAX_BODY_BYTES}"
+            )
         if not length:
             return {}
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except OSError:  # the read timed out, or the client hung up
+            raw = b""
+        if len(raw) != length:
+            self.close_connection = True
+            raise BadRequestError(
+                "request body is shorter than its Content-Length"
+            )
         try:
             doc = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -227,17 +264,17 @@ class _OpsHandler(BaseHTTPRequestHandler):
             body = self._read_body()
             if name == "updates":
                 return self._send_json(200, self._apply("churn", {
-                    "connects": int(body.get("connects", 0)),
-                    "rehomes": int(body.get("rehomes", 0)),
-                    "disconnects": int(body.get("disconnects", 0)),
+                    "connects": _int_field(body, "connects", 0),
+                    "rehomes": _int_field(body, "rehomes", 0),
+                    "disconnects": _int_field(body, "disconnects", 0),
                 }))
             if name == "traffic":
                 return self._send_json(200, self._apply("traffic", {
-                    "packets": int(body.get("packets", 200)),
+                    "packets": _int_field(body, "packets", 200),
                 }))
             if name == "poll":
                 return self._send_json(200, self._apply("poll", {
-                    "rounds": int(body.get("rounds", 1)),
+                    "rounds": _int_field(body, "rounds", 1),
                 }))
             if name == "fail_leader":
                 return self._send_json(200, self.ops.fail_leader())

@@ -1,13 +1,13 @@
 """ClusterOps: the management facade the operator API serves.
 
-One :class:`ClusterOps` owns a full live deployment — the daemon child
-processes (:class:`~repro.runtime.launcher.LocalRuntime`), the
-controller driving them over sockets
-(:class:`~repro.runtime.controller.RuntimeController`) and the
-in-process shadow :class:`~repro.epc.gateway.EpcGateway` the
-differential audit compares against.  Every public method is one
-management operation with a JSON-ready return, and every error is typed
-so the HTTP layer can map it to a status code without string matching:
+One :class:`ClusterOps` owns a full live deployment — a
+:class:`~repro.runtime.session.Session`: the daemon child processes, the
+controller driving them over sockets and the in-process shadow the
+differential audit compares against.  What a verb *does* is the
+session's; this class adds the lock, the typed errors and replication.
+Every public method is one management operation with a JSON-ready
+return, and every error is typed so the HTTP layer can map it to a
+status code without string matching:
 
 * :class:`NotFoundError` (→ 404) — the named node/flow does not exist;
 * :class:`ConflictError` (→ 409) — the operation is valid but refused
@@ -24,17 +24,21 @@ under interleaved mutation.  Concurrent API calls therefore execute in
 
 from __future__ import annotations
 
+import contextlib
 import threading
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Callable, Dict, List, Optional
 
 from repro.obs.exposition import prometheus_text
-from repro.runtime.controller import OpResult, RuntimeController
-from repro.runtime.launcher import LocalRuntime
 from repro.runtime.liveness import NodeState
 from repro.runtime.replication import ReplicaGroup, ReplicaGuard
-from repro.runtime.shadow import Shadow, compare_frames
+from repro.runtime.session import Session
+
+#: The mutating verbs ``execute_verb`` dispatches (the replicated log's
+#: vocabulary), each a public method taking the request's parameters.
+MUTATING_VERBS = (
+    "drain", "join", "kill", "fence", "repair", "suspend", "resume",
+    "churn", "traffic", "poll",
+)
 
 
 class OpsError(Exception):
@@ -104,32 +108,26 @@ class ClusterOps:
     """Lock-serialised management wrapper around one live cluster.
 
     Build one with :meth:`launch` (spawns everything) or construct
-    directly from pre-built pieces (the tests do, to reach into the
-    internals).  ``close()`` — or use as a context manager — shuts the
-    cluster down and accounts for every child process.
+    directly around an entered, bootstrapped session.  ``close()`` — or
+    use as a context manager — shuts the cluster down and accounts for
+    every child process.
     """
 
     def __init__(
         self,
-        runtime: LocalRuntime,
-        controller: RuntimeController,
-        shadow: Shadow,
+        session: Session,
         replication: Optional[OpsReplication] = None,
     ) -> None:
-        self.runtime = runtime
-        self.controller = controller
-        self.shadow = shadow
-        self.gateway = shadow.gateway
-        self.seed = shadow.seed
+        self.session = session
+        self.runtime = session.runtime
+        self.controller = session.controller
+        self.shadow = session.shadow
+        self.gateway = session.shadow.gateway
+        self.seed = session.seed
         self.replication = replication
         self._lock = threading.RLock()
         self._traffic_round = 0
         self._churn_round = 0
-        # Charges gone for good: a drained daemon shuts down with its
-        # counters (its node id may be reused by a later join, so its
-        # slice of the shadow's per-node ledger is folded in here at
-        # drain time, not derived from ids).
-        self._lost_charges: Dict[int, int] = {}
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------
@@ -160,24 +158,15 @@ class ClusterOps:
             group.elect()
             replication = OpsReplication(group)
             guard = ReplicaGuard(group)
-        runtime = LocalRuntime(num_nodes).start()
-        try:
-            shadow = Shadow(num_nodes, seed)
-            shadow.populate(flows)
-            controller = RuntimeController(
-                runtime.addresses,
-                miss_threshold=miss_threshold,
-                ping_timeout=ping_timeout,
-                fence_after=fence_after,
-                guard=guard,
-            )
-            controller.killer = runtime.kill
-            controller.connect()
-            controller.bootstrap_from_gateway(shadow.gateway)
-        except BaseException:
-            runtime.stop()
-            raise
-        return cls(runtime, controller, shadow, replication=replication)
+        session = Session(
+            num_nodes, seed, miss_threshold=miss_threshold,
+            ping_timeout=ping_timeout, fence_after=fence_after, guard=guard,
+        )
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(session)
+            session.bootstrap(flows)
+            stack.pop_all()  # up and bootstrapped: close() owns it now
+        return cls(session, replication=replication)
 
     def close(self) -> Dict[str, object]:
         """Shut every daemon down; returns the leak accounting."""
@@ -185,13 +174,11 @@ class ClusterOps:
             if self._closed:
                 return {"acked": [], "leaked_processes": 0, "closed": True}
             self._closed = True
-            acked = self.controller.shutdown_all()
-            self.runtime.stop()
-            leaked = self.runtime.leaked()
+            leaks = self.session.close()
             return {
-                "acked": acked,
-                "leaked_processes": len(leaked),
-                "leaked_nodes": leaked,
+                "acked": leaks["acked"],
+                "leaked_processes": leaks["leaked_processes"],
+                "leaked_nodes": leaks["leaked_nodes"],
                 "closed": True,
             }
 
@@ -210,12 +197,24 @@ class ClusterOps:
             raise NotFoundError(f"node {node_id} does not exist")
         return node_id
 
-    def _run(self, fn) -> OpResult:
-        """Run a controller verb, translating ValueError to 409."""
-        try:
-            return fn()
-        except ValueError as exc:
-            raise ConflictError(str(exc)) from exc
+    def _run(
+        self, verb: Callable[..., Dict[str, object]], *args: object
+    ) -> Dict[str, object]:
+        """Run a session verb under the lock; a ``ValueError`` (valid
+        verb, wrong cluster state) is a 409."""
+        with self._lock:
+            try:
+                return verb(*args)
+            except ValueError as exc:
+                raise ConflictError(str(exc)) from exc
+
+    def _node_verb(
+        self, verb: Callable[[int], Dict[str, object]], node: int
+    ) -> Dict[str, object]:
+        """:meth:`_run` a verb on a node that must exist (else 404)."""
+        with self._lock:
+            self._node_or_404(node)
+            return self._run(verb, node)
 
     # -- read side -----------------------------------------------------
 
@@ -384,32 +383,9 @@ class ClusterOps:
 
     def execute_verb(self, verb: str, params: Dict) -> Dict[str, object]:
         """Dispatch one named mutating verb (the replicated log's body)."""
-        if verb == "drain":
-            return self.drain(int(params["node"]))
-        if verb == "join":
-            node = params.get("node")
-            return self.join(None if node is None else int(node))
-        if verb == "kill":
-            return self.kill(int(params["node"]))
-        if verb == "fence":
-            return self.fence(int(params["node"]))
-        if verb == "repair":
-            return self.repair(int(params["node"]))
-        if verb == "suspend":
-            return self.suspend(int(params["node"]))
-        if verb == "resume":
-            return self.resume(int(params["node"]))
-        if verb == "churn":
-            return self.churn(
-                connects=int(params.get("connects", 0)),
-                rehomes=int(params.get("rehomes", 0)),
-                disconnects=int(params.get("disconnects", 0)),
-            )
-        if verb == "traffic":
-            return self.traffic(packets=int(params.get("packets", 200)))
-        if verb == "poll":
-            return self.poll(rounds=int(params.get("rounds", 1)))
-        raise BadRequestError(f"unknown verb {verb!r}")
+        if verb not in MUTATING_VERBS:
+            raise BadRequestError(f"unknown verb {verb!r}")
+        return getattr(self, verb)(**params)
 
     def submit_via(
         self, replica: Optional[int], verb: str, params: Dict
@@ -468,98 +444,51 @@ class ClusterOps:
 
     # -- mutating verbs ------------------------------------------------
 
-    def drain(self, node_id: int) -> Dict[str, object]:
+    def drain(self, node: int) -> Dict[str, object]:
         """Gracefully remove a node (highest-numbered only)."""
-        with self._lock:
-            self._node_or_404(node_id)
-            result = self._run(
-                lambda: self.controller.drain_node(self.gateway, node_id)
-            )
-            # The leaver's charging counters shut down with it; fold its
-            # slice into the lost ledger before a join reuses the id.
-            for teid, total in self.shadow.charges_by_node.pop(
-                result.node, {}
-            ).items():
-                self._lost_charges[teid] = (
-                    self._lost_charges.get(teid, 0) + total
-                )
-            return result.to_dict()
+        return self._node_verb(self.session.drain, node)
 
-    def join(self, node_id: Optional[int] = None) -> Dict[str, object]:
+    def join(self, node: Optional[int] = None) -> Dict[str, object]:
         """Spawn one more daemon and grow the cluster onto it.
 
-        ``node_id``, when given, must equal the id the newcomer will
+        ``node``, when given, must equal the id the newcomer will
         receive (the current node count) — anything else is a 409, so
         ``POST /v1/nodes/<id>/join`` can never grow the wrong cluster.
         """
         with self._lock:
             expected = self.controller.num_nodes
-            if node_id is not None and node_id != expected:
+            if node is not None and node != expected:
                 raise ConflictError(
-                    f"next join creates node {expected}, not {node_id}"
+                    f"next join creates node {expected}, not {node}"
                 )
-            address = self.runtime.add_node()
-            result = self._run(
-                lambda: self.controller.join_node(self.gateway, address)
-            )
-            return result.to_dict()
+            return self._run(self.session.join)
 
-    def kill(self, node_id: int) -> Dict[str, object]:
+    def kill(self, node: int) -> Dict[str, object]:
         """SIGKILL a daemon (no repair — detection is the point)."""
-        with self._lock:
-            self._node_or_404(node_id)
-            result = self._run(lambda: self.controller.kill_node(node_id))
-            return result.to_dict()
+        return self._node_verb(self.session.kill, node)
 
-    def fence(self, node_id: int) -> Dict[str, object]:
+    def fence(self, node: int) -> Dict[str, object]:
         """Force-kill a SUSPECT daemon and repair immediately."""
-        with self._lock:
-            self._node_or_404(node_id)
-            result = self._run(
-                lambda: self.controller.fence_node(node_id, self.gateway)
-            )
-            return result.to_dict()
+        return self._node_verb(self.session.fence, node)
 
-    def repair(self, node_id: int) -> Dict[str, object]:
+    def repair(self, node: int) -> Dict[str, object]:
         """Run §7 failure repair for a node already declared DEAD."""
-        with self._lock:
-            self._node_or_404(node_id)
-            if self.controller.monitor.state(node_id) is not NodeState.DEAD:
-                raise ConflictError(
-                    f"node {node_id} is not DEAD; repair follows detection"
+        def repair_dead(node: int) -> Dict[str, object]:
+            if self.controller.monitor.state(node) is not NodeState.DEAD:
+                raise ValueError(
+                    f"node {node} is not DEAD; repair follows detection"
                 )
-            result = self._run(
-                lambda: self.controller.handle_node_failure(
-                    node_id, self.gateway
-                )
-            )
-            return result.to_dict()
+            return self.session.repair(node)
 
-    def suspend(self, node_id: int) -> Dict[str, object]:
+        return self._node_verb(repair_dead, node)
+
+    def suspend(self, node: int) -> Dict[str, object]:
         """SIGSTOP a daemon — the grey-failure (SUSPECT) maker."""
-        with self._lock:
-            self._node_or_404(node_id)
-            if node_id in self.controller.down:
-                raise ConflictError(f"node {node_id} is already down")
-            self.runtime.suspend(node_id)
-            return {
-                "verb": "suspend", "node": node_id, "accepted": True,
-                "epoch": self.controller.epoch, "affected_flows": 0,
-                "detail": {},
-            }
+        return self._node_verb(self.session.suspend, node)
 
-    def resume(self, node_id: int) -> Dict[str, object]:
+    def resume(self, node: int) -> Dict[str, object]:
         """SIGCONT a suspended daemon (the grey failure clears)."""
-        with self._lock:
-            self._node_or_404(node_id)
-            if node_id in self.controller.down:
-                raise ConflictError(f"node {node_id} is already down")
-            self.runtime.resume(node_id)
-            return {
-                "verb": "resume", "node": node_id, "accepted": True,
-                "epoch": self.controller.epoch, "affected_flows": 0,
-                "detail": {},
-            }
+        return self._node_verb(self.session.resume, node)
 
     # -- liveness / policy ---------------------------------------------
 
@@ -573,22 +502,7 @@ class ClusterOps:
         if rounds < 1:
             raise BadRequestError("rounds must be positive")
         with self._lock:
-            newly_dead: List[int] = []
-            fenced: List[int] = []
-            for _ in range(rounds):
-                newly_dead.extend(self.controller.poll_liveness())
-                for candidate in self.controller.monitor.fence_candidates():
-                    self.controller.fence_node(candidate, self.gateway)
-                    fenced.append(candidate)
-            return {
-                "rounds": rounds,
-                "newly_dead": newly_dead,
-                "fenced": fenced,
-                "states": {
-                    str(n): self.controller.monitor.state(n).value
-                    for n in self.controller.monitor.tracked()
-                },
-            }
+            return self.session.poll(rounds)
 
     # -- differential traffic / churn / audit --------------------------
 
@@ -596,9 +510,10 @@ class ClusterOps:
         """One seeded differential traffic batch through both worlds.
 
         Frames are generated from the live flow population, routed
-        through the socket cluster and the shadow gateway with pinned
-        per-frame ingress, and compared frame by frame.  The per-node
-        charge ledger feeds the §7 audit later.
+        through the socket cluster and the shadow gateway with per-frame
+        ingress pinned to a live node (one RNG stream per batch), and
+        compared frame by frame.  The per-node charge ledger feeds the
+        §7 audit later.
         """
         if packets < 1:
             raise BadRequestError("packets must be positive")
@@ -606,27 +521,11 @@ class ClusterOps:
             if not self.shadow.live_flows:
                 raise ConflictError("no live flows to generate traffic from")
             self._traffic_round += 1
-            rng = np.random.default_rng(
-                self.seed * 65537 + 1000 + self._traffic_round
+            summary = self.session.traffic(
+                packets, stream=1000 + self._traffic_round, ingress="live"
             )
-            frames = self.shadow.generator.packet_stream(
-                self.shadow.live_flows, packets
-            )
-            live = self._live_nodes()
-            ingress = [int(live[i]) for i in rng.integers(
-                len(live), size=len(frames)
-            )]
-            mirrored = self.shadow.route(frames, ingress)
-            wire = self.controller.route_frames(frames, ingress)
-            summary = compare_frames(mirrored, wire)
             summary["round"] = self._traffic_round
             return summary
-
-    def _live_nodes(self) -> List[int]:
-        return [
-            n for n in range(self.controller.num_nodes)
-            if n not in self.controller.down
-        ]
 
     def churn(
         self, connects: int = 0, rehomes: int = 0, disconnects: int = 0
@@ -645,34 +544,11 @@ class ClusterOps:
             )
         with self._lock:
             self._churn_round += 1
-            rng = np.random.default_rng(
-                self.seed * 65537 + 2000 + self._churn_round
+            totals = self.session.storm(
+                stream=2000 + self._churn_round, connects=connects,
+                rehomes=rehomes, disconnects=disconnects, targets="live",
             )
-            shadow = self.shadow
-            live = self._live_nodes()
-            before = dict(shadow.counts)
-            ops = [shadow.connect() for _ in range(connects)]
-            for _ in range(rehomes):
-                if not shadow.live_flows:
-                    break
-                flow = shadow.live_flows[
-                    int(rng.integers(len(shadow.live_flows)))
-                ]
-                op = shadow.rehome(
-                    flow, int(live[int(rng.integers(len(live)))])
-                )
-                if op is not None:
-                    ops.append(op)
-            for _ in range(disconnects):
-                if len(shadow.live_flows) <= 1:
-                    break
-                ops.append(shadow.disconnect(
-                    int(rng.integers(len(shadow.live_flows)))
-                ))
-            totals = self.controller.push_updates(ops)
-            for verb, count in shadow.counts.items():
-                totals[verb] = count - before[verb]
-            totals["live_flows"] = len(shadow.live_flows)
+            totals["live_flows"] = len(self.shadow.live_flows)
             return totals
 
     def audit(self) -> Dict[str, object]:
@@ -683,9 +559,8 @@ class ClusterOps:
         wire's per-daemon totals.
         """
         with self._lock:
-            statuses = self.controller.status_all()
             return {
-                **self.shadow.audit(statuses, self._lost_charges),
+                **self.session.audit(),
                 "epoch": self.controller.epoch,
-                "live_nodes": sorted(statuses),
+                "live_nodes": self.session.live_nodes(),
             }

@@ -22,6 +22,9 @@ Modules:
 * :mod:`~repro.runtime.liveness` — the heartbeat state machine;
 * :mod:`~repro.runtime.shadow` — the in-process shadow every driver
   mirrors its verbs into, and its charging / replica audit;
+* :mod:`~repro.runtime.session` — the differential session (daemons,
+  shadow and controller under one lifecycle), the drill verbs every
+  driver runs as a phase list, and the gates their reports share;
 * :mod:`~repro.runtime.launcher` — process spawning and the seeded
   differential workload behind ``repro runtime-demo``;
 * :mod:`~repro.runtime.replication` — the replicated-log state machine

@@ -42,13 +42,10 @@ import zlib
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core import serialize
 from repro.runtime import protocol
 from repro.runtime.controller import RuntimeController
 from repro.runtime.framing import FramingError
-from repro.runtime.launcher import LocalRuntime
 from repro.runtime.protocol import (
     MSG_APPEND,
     MSG_QUERY,
@@ -61,7 +58,6 @@ from repro.runtime.protocol import (
     RSP_REDIRECT,
     RSP_RESULT,
     RSP_VOTE,
-    UpdateOp,
 )
 from repro.runtime.replication import (
     APPEND,
@@ -74,11 +70,8 @@ from repro.runtime.replication import (
     Role,
     StaleTermError,
 )
-from repro.runtime.shadow import (
-    Shadow,
-    compare_frames,
-    merge_comparisons,
-)
+from repro.runtime.session import ROUNDS, Session, differential_gates
+from repro.runtime.shadow import merge_comparisons
 from repro.runtime.transport import LinkPool, ProcessGroup, serve
 
 #: Real-clock election parameters for replica processes.  Deliberately
@@ -114,28 +107,22 @@ REPLICA_READY_WAIT = 60.0
 #: randomized timeout: a cold cluster elects replica 0 in under a
 #: second rather than idling out ELECTION_TIMEOUT seconds.
 FIRST_ELECTION_STAGGER = 0.4
-#: Leader-side wire execution is chunked so heartbeats keep flowing
-#: while a large storm/traffic entry is applied to the daemons
-#: (measured ~1.2 ms per update op on the wire standalone; a chunk is
-#: ~0.3s standalone, ~1-2s contended — still under the election floor).
-WIRE_CHUNK = 256
 #: The leader waits this long for a peer's append/vote reply before
 #: declaring it unreachable.  Must exceed a follower's worst apply
 #: slice (~APPLY_BUDGET, inflated by contention) or busy-but-alive
 #: followers never get their acks counted and the lease collapses.
 PEER_TIMEOUT = 1.5
-#: Shadow application is *interruptible*: entries apply through a
-#: generator that yields every few sub-steps, and a replica spends at
-#: most this many seconds of shadow work per event-loop pass — so even
-#: a multi-second entry (or a respawned observer's whole-log replay)
-#: never blocks votes, appends, or client requests for long.
+#: Shadow application is *interruptible*: entries apply through the
+#: session's derive halves — generators that yield every
+#: ``session.APPLY_STEP_*`` sub-steps — and a replica spends at most this
+#: many seconds of shadow work per event-loop pass, so even a
+#: multi-second entry (or a respawned observer's whole-log replay) never
+#: blocks votes, appends, or client requests for long.  Contention
+#: stretches a slice to roughly PEER_TIMEOUT, which is exactly the
+#: budget.  Leader-side wire execution is chunked the same way
+#: (``session.WIRE_CHUNK``) so heartbeats keep flowing while a large
+#: storm/traffic entry is applied to the daemons.
 APPLY_BUDGET = 0.1
-#: Sub-step sizes between generator yields (well under 0.1s of work
-#: each at the CI-scale population, standalone — contention stretches
-#: a slice to roughly PEER_TIMEOUT, which is exactly the budget).
-APPLY_STEP_OPS = 50
-APPLY_STEP_FRAMES = 250
-APPLY_STEP_FLOWS = 500
 #: Entry-size targets for the workload driver.  Entries are kept large
 #: to amortise per-commit round trips — interruptible application (not
 #: entry size) is what keeps replicas responsive.
@@ -182,34 +169,29 @@ class _CoreGuard(LeadershipGuard):
             )
 
 
-class ShadowMachine(Shadow):
+class ShadowMachine(Session):
     """One replica's deterministic shadow of the whole cluster.
 
-    Applies committed log entries — seeded commands — to a private
-    :class:`EpcGateway`; identical logs produce byte-identical shadows
-    on every replica.  The derived wire work (RIB ops, frames, expected
-    outcomes) is cached per log index so the leader (or a successor
-    re-executing the committed suffix) ships exactly what the shadow
-    decided.
+    Applies committed log entries — a session round verb and its kwargs,
+    a seeded command — through the session's derive halves; identical
+    logs produce byte-identical shadows on every replica.  What each
+    entry derived (RIB ops, frames, expected outcomes) is cached per log
+    index so the leader (or a successor re-executing the committed
+    suffix) ships exactly what the shadow decided.  The session is never
+    entered: the daemons are somebody else's, and the controller is the
+    replica server's to attach while it leads.
     """
 
-    def __init__(self, num_nodes: int, seed: int) -> None:
-        super().__init__(num_nodes, seed)
-        self.update_rng = np.random.default_rng(seed * 65537 + 13)
+    def __init__(
+        self,
+        num_nodes: int,
+        seed: int,
+        daemon_addresses: Sequence[Tuple[str, int]],
+    ) -> None:
+        super().__init__(num_nodes, seed, daemon_addresses)
         self.bootstrap_index = 0
-        self.counters = {
-            "storm_ops": 0, "storm_rounds": 0, "traffic_frames": 0,
-        }
-        #: log index -> ("bootstrap",) | ("storm", ops) |
-        #: ("traffic", frames, ingress, shadow outcomes)
+        #: log index -> (round verb, what its derive half returned)
         self.derived: Dict[int, tuple] = {}
-        self._last_summary: dict = {}
-
-    def apply(self, entry) -> dict:
-        """Apply one committed entry fully; returns the summary."""
-        for _ in self.apply_steps(entry):
-            pass
-        return self._last_summary
 
     def apply_steps(self, entry):
         """Incremental application: a generator that yields between
@@ -219,96 +201,46 @@ class ShadowMachine(Shadow):
         never change the outcome — the mutation sequence is identical
         to a monolithic apply.
         """
-        self._last_summary = {}
         if entry.verb in ("noop", "sentinel"):
             return
-        handler = getattr(self, f"_apply_{entry.verb}", None)
-        if handler is None:
+        if entry.verb not in ROUNDS:
             raise ValueError(f"unknown replicated verb {entry.verb!r}")
-        yield from handler(entry.index, entry.payload)
-
-    def _apply_bootstrap(self, index: int, payload: dict):
-        # Populate with yield points: a follower replaying an 8k
-        # population is never frozen for the whole loop at once.  (The
-        # GPT build at its end stays one step — PEER_TIMEOUT and the
-        # lease are sized to ride it out.)
-        yield from self.populate_steps(
-            int(payload["flows"]), APPLY_STEP_FLOWS
+        derive = getattr(self, f"derive_{entry.verb}")
+        self.derived[entry.index] = (
+            entry.verb, (yield from derive(**entry.payload))
         )
-        self.bootstrap_index = index
-        self.derived[index] = ("bootstrap",)
-        self._last_summary = {"live_flows": len(self.live_flows)}
-        yield
-
-    def _apply_storm(self, index: int, payload: dict):
-        """One §4.5 churn round: the connect/rehome/disconnect mix."""
-        before = dict(self.counts)
-        ops: List[UpdateOp] = []
-        for op_no in range(int(payload["count"])):
-            if op_no and op_no % APPLY_STEP_OPS == 0:
-                yield
-            op = self.storm_op(self.update_rng)
-            if op is not None:
-                ops.append(op)
-        self.derived[index] = ("storm", ops)
-        self.counters["storm_ops"] += len(ops)
-        self.counters["storm_rounds"] += 1
-        self._last_summary = {"ops": len(ops), **{
-            verb: count - before[verb]
-            for verb, count in self.counts.items()
-        }}
-
-    def _apply_traffic(self, index: int, payload: dict):
-        """One differential traffic round, shadow-routed here."""
-        round_no = int(payload["round"])
-        packets = int(payload["packets"])
-        extra = int(payload.get("extra", 0))
-        frames = self.generator.packet_stream(self.live_flows, packets)
-        if extra:
-            # Never-connected flows: the GPT still maps them somewhere
-            # (one-sided error, §3.3) and the exact FIB refuses them.
-            frames.extend(self.generator.packet_stream(
-                self.generator.flows(extra), min(64, packets)
-            ))
-        ingress_rng = np.random.default_rng(
-            self.seed * 65537 + 11 + round_no
-        )
-        ingress = [
-            int(n) for n in ingress_rng.integers(
-                self.gateway.num_nodes, size=len(frames)
-            )
-        ]
-        mirrored: List[object] = []
-        for lo in range(0, len(frames), APPLY_STEP_FRAMES):
-            mirrored.extend(self.route(
-                frames[lo:lo + APPLY_STEP_FRAMES],
-                ingress[lo:lo + APPLY_STEP_FRAMES],
-            ))
-            yield
-        self.derived[index] = ("traffic", frames, ingress, mirrored)
-        self.counters["traffic_frames"] += len(frames)
-        self._last_summary = {"frames": len(frames)}
+        if entry.verb == "bootstrap":
+            self.bootstrap_index = entry.index
 
     def charges_crc(self) -> int:
         """CRC of the shadow's global charging dict (order-canonical)."""
         charged = sorted(
             (int(t), int(v))
-            for t, v in self.gateway.stats.bytes_charged.items()
+            for t, v in self.shadow.gateway.stats.bytes_charged.items()
             if int(v)
         )
         return zlib.crc32(repr(charged).encode("ascii"))
 
     def summary(self) -> dict:
+        storms = [d[0] for v, d in self.derived.values() if v == "storm"]
         return {
-            "live_flows": len(self.live_flows),
-            "counters": {**self.counts, **self.counters},
-            "gpt_fingerprints": self.fingerprints(),
+            "live_flows": len(self.shadow.live_flows),
+            "counters": {
+                **self.shadow.counts,
+                "storm_ops": sum(len(ops) for ops in storms),
+                "storm_rounds": len(storms),
+                "traffic_frames": sum(
+                    len(d[0]) for v, d in self.derived.values()
+                    if v == "traffic"
+                ),
+            },
+            "gpt_fingerprints": self.shadow.fingerprints(),
             "charges_crc": self.charges_crc(),
             "bootstrap_index": self.bootstrap_index,
         }
 
     def reference_setsep(self):
-        cluster = self.gateway.cluster
+        cluster = self.shadow.gateway.cluster
         assert cluster is not None, "shadow not bootstrapped"
         return serialize.loads(serialize.dumps(cluster.nodes[0].gpt.setsep))
 
@@ -353,9 +285,8 @@ class ReplicaServer:
                 FIRST_ELECTION_STAGGER * (replica_id + 1)
             ),
         )
-        self.shadow = ShadowMachine(num_nodes, seed)
+        self.machine = ShadowMachine(num_nodes, seed, daemon_addresses)
         self._peers = LinkPool(replica_addresses, timeout=PEER_TIMEOUT)
-        self._ctl: Optional[RuntimeController] = None
         self._ctl_term = -1
         self._executed = 0
         self._applied_index = 0
@@ -435,7 +366,7 @@ class ReplicaServer:
                 if not self._pending_applies:
                     break
                 self._apply_entry = self._pending_applies.popleft()
-                self._apply_gen = self.shadow.apply_steps(self._apply_entry)
+                self._apply_gen = self.machine.apply_steps(self._apply_entry)
             try:
                 next(self._apply_gen)
             except StopIteration:
@@ -456,33 +387,37 @@ class ReplicaServer:
                 # we were mid-batch; stop executing — the new leader
                 # owns the remaining suffix.
                 pass
-        elif self._ctl is not None:
-            self._ctl.close()
-            self._ctl = None
-            self._ctl_term = -1
+        else:
+            self._drop_controller()
 
-    def _controller(self) -> RuntimeController:
-        term = self.core.term
-        if self._ctl is not None:
-            if self._ctl_term != term:
-                self._ctl.claim_leadership(term, self.replica_id)
-                self._ctl_term = term
-            return self._ctl
-        ctl = RuntimeController(
-            self.daemon_addresses, guard=_CoreGuard(self.core)
-        )
-        ctl.claim = (term, self.replica_id)
-        ctl.connect()
-        already = max(self._executed, self.core.executed_hint)
-        if self.shadow.bootstrap_index and (
-            already >= self.shadow.bootstrap_index
-        ):
-            # The daemons were bootstrapped by a previous leader; adopt
-            # the shadow-derived reference instead of re-shipping.
-            ctl.adopt_reference(self.shadow.reference_setsep(), epoch=1)
-        self._ctl = ctl
+    def _lead(self) -> ShadowMachine:
+        """The machine with a wire controller claimed for this term."""
+        machine, term = self.machine, self.core.term
+        if machine.controller is None:
+            ctl = RuntimeController(
+                self.daemon_addresses, guard=_CoreGuard(self.core)
+            )
+            ctl.claim = (term, self.replica_id)
+            ctl.connect()
+            already = max(self._executed, self.core.executed_hint)
+            if machine.bootstrap_index and (
+                already >= machine.bootstrap_index
+            ):
+                # The daemons were bootstrapped by a previous leader;
+                # adopt the shadow-derived reference instead of
+                # re-shipping.
+                ctl.adopt_reference(machine.reference_setsep(), epoch=1)
+            machine.controller = ctl
+        elif self._ctl_term != term:
+            machine.controller.claim_leadership(term, self.replica_id)
         self._ctl_term = term
-        return ctl
+        return machine
+
+    def _drop_controller(self) -> None:
+        if self.machine.controller is not None:
+            self.machine.controller.close()
+            self.machine.controller = None
+            self._ctl_term = -1
 
     def _heartbeat_between_chunks(self) -> None:
         """Keep the lease alive while a large wire batch is in flight.
@@ -506,45 +441,22 @@ class ReplicaServer:
         end = min(self.core.commit_index, self._applied_index)
         if start >= end:
             return
-        ctl = self._controller()
+        machine = self._lead()
         for index in range(start + 1, end + 1):
-            derived = self.shadow.derived.get(index)
+            derived = machine.derived.get(index)
             if derived is None:  # noop entries have no wire effect
                 self._executed = index
                 self.core.note_executed(index)
                 continue
-            kind = derived[0]
-            self._trace(f"wire #{index} {kind} start")
-            if kind == "bootstrap":
-                bootstrap = ctl.bootstrap_from_gateway(self.shadow.gateway)
-                result = {"verb": "bootstrap", **bootstrap}
-            elif kind == "storm":
-                totals: Dict[str, int] = {}
-                for lo in range(0, len(derived[1]), WIRE_CHUNK):
-                    chunk = ctl.push_updates(
-                        derived[1][lo:lo + WIRE_CHUNK]
-                    )
-                    for name, count in chunk.items():
-                        totals[name] = totals.get(name, 0) + count
-                    self._heartbeat_between_chunks()
-                result = {"verb": "storm", "wire": totals,
-                          "ops": len(derived[1])}
-            else:
-                _, frames, ingress, shadow_outcomes = derived
-                wire = []
-                for lo in range(0, len(frames), WIRE_CHUNK):
-                    wire.extend(ctl.route_frames(
-                        frames[lo:lo + WIRE_CHUNK],
-                        ingress[lo:lo + WIRE_CHUNK],
-                    ))
-                    self._heartbeat_between_chunks()
-                result = {
-                    "verb": "traffic",
-                    **compare_frames(shadow_outcomes, wire),
-                }
-            self._results[index] = result
+            verb, payload = derived
+            self._trace(f"wire #{index} {verb} start")
+            execute = getattr(machine, f"execute_{verb}")
+            self._results[index] = {
+                "verb": verb,
+                **execute(payload, self._heartbeat_between_chunks),
+            }
             self._executed = index
-            self._trace(f"wire #{index} {kind} done")
+            self._trace(f"wire #{index} {verb} done")
             self.core.note_executed(index)
             # Ship the executed hint right away: if a successor were
             # elected between this entry's wire effects and the next
@@ -565,8 +477,7 @@ class ReplicaServer:
             )
         finally:
             self._peers.close()
-            if self._ctl is not None:
-                self._ctl.close()
+            self._drop_controller()
 
     def _dispatch(
         self, msg_type: int, payload: bytes, conn=None
@@ -655,7 +566,7 @@ class ReplicaServer:
         what = str(doc.get("what", "status"))
         if what == "status":
             status = self.core.status()
-            status["shadow"] = self.shadow.summary()
+            status["shadow"] = self.machine.summary()
             status["committed_cids"] = self.core.committed_cids()
             status["executed"] = self._executed
             status["applied"] = self._applied_index
@@ -663,8 +574,7 @@ class ReplicaServer:
         if what == "audit":
             if self.core.role is not Role.LEADER:
                 return self._redirect()
-            audit = self.shadow.audit(self._controller().status_all())
-            return RSP_RESULT, protocol.encode_json(audit)
+            return RSP_RESULT, protocol.encode_json(self._lead().audit())
         return RSP_ERR, protocol.encode_json(
             {"error": f"unknown query {what!r}"}
         )
@@ -849,6 +759,15 @@ class ReplicaClient:
             pass
 
 
+#: Not a log entry: the drill's own step between two storm rounds.
+KILL_LEADER = "kill_leader"
+
+
+def _split(total: int, count: int) -> List[int]:
+    """``total`` in ``count`` near-equal parts, the larger ones first."""
+    return [total // count + (i < total % count) for i in range(count)]
+
+
 def run_replicated_workload(
     num_nodes: int = 4,
     replicas: int = 3,
@@ -871,7 +790,7 @@ def run_replicated_workload(
     """
     if kill_leader < 0:
         raise ValueError("kill_leader must be non-negative")
-    if replicas < 2 * 1 + 1 and kill_leader:
+    if replicas < 3 and kill_leader:
         raise ValueError("leader kills need at least 3 replicas")
     if storm_rounds is None:
         # ~STORM_SLICE ops per committed entry at scale, at least 12
@@ -880,26 +799,46 @@ def run_replicated_workload(
             kill_leader + 1,
             min(updates, max(12, -(-updates // STORM_SLICE))),
         ) if updates else kill_leader + 1
-    round_sizes = [updates // storm_rounds] * storm_rounds
-    for i in range(updates % storm_rounds):
-        round_sizes[i] += 1
     kill_rounds = sorted({
         (i + 1) * storm_rounds // (kill_leader + 1)
         for i in range(kill_leader)
-    }) if kill_leader else []
+    })
 
-    def _phase_slices(total: int) -> List[int]:
-        """Split a traffic phase into <= TRAFFIC_SLICE frame entries."""
-        if total <= 0:
-            return []
-        count = -(-total // TRAFFIC_SLICE)
-        sizes = [total // count] * count
-        for i in range(total % count):
-            sizes[i] += 1
-        return sizes
-
+    # The drill as data: the log entries to submit, in order.  Traffic
+    # phases are sliced into bounded entries so no single commit blocks a
+    # follower's event loop for more than ~TRAFFIC_SLICE frame replays,
+    # and every slice draws its ingress from a stream of its own; the
+    # storm's rounds continue one stream; the last slice carries a few
+    # never-connected flows.
     first = packets // 2
-    phase_sizes = [_phase_slices(first), _phase_slices(packets - first)]
+    phase_sizes = [
+        _split(total, -(-total // TRAFFIC_SLICE))
+        for total in (first, packets - first)
+    ]
+    slices = [
+        (f"traffic-{phase}-{i}", size)
+        for phase, sizes in enumerate(phase_sizes, start=1)
+        for i, size in enumerate(sizes, start=1)
+    ]
+    traffic = [
+        (cid, "traffic", {
+            "packets": size,
+            "stream": 11 + round_no,
+            "extra": 8 if round_no == len(slices) else 0,
+        })
+        for round_no, (cid, size) in enumerate(slices, start=1)
+    ]
+    entries = [("boot", "bootstrap", {"flows": flows})]
+    entries += traffic[:len(phase_sizes[0])]
+    for round_no, size in enumerate(
+        _split(updates, storm_rounds), start=1
+    ):
+        if round_no in kill_rounds:
+            entries.append((f"round {round_no}", KILL_LEADER, {}))
+        entries.append(
+            (f"storm-{round_no}", "storm", {"stream": 13, "count": size})
+        )
+    entries += traffic[len(phase_sizes[0]):]
 
     report: Dict[str, object] = {
         "config": {
@@ -923,77 +862,36 @@ def run_replicated_workload(
         "terms": [],
     }
     acked_cids: List[str] = []
-    runtime = LocalRuntime(num_nodes)
-    with runtime:
+    replies: Dict[str, List[dict]] = {verb: [] for verb in ROUNDS}
+    # The daemons' lifecycle is a session's; nothing is driven through
+    # it — whoever leads drives them.
+    daemons = Session(num_nodes, seed)
+    with daemons:
         replica_set = ReplicaSet(
-            runtime.addresses, num_nodes, seed, replicas=replicas
+            daemons.runtime.addresses, num_nodes, seed, replicas=replicas
         )
         client = ReplicaClient(replica_set.addresses)
         try:
             with replica_set:
-                boot, _ = client.submit(
-                    "boot", "bootstrap", {"flows": flows}
-                )
-                acked_cids.append("boot")
-                incidental["leaders"].append(client.leader_guess)
-                incidental["terms"].append(boot["term"])
-
-                # Traffic phases are sliced into bounded log entries so
-                # no single commit blocks a follower's event loop for
-                # more than ~TRAFFIC_SLICE frame replays.  Each slice
-                # gets a globally unique round number: the per-round
-                # ingress RNG keeps every slice independently seeded.
-                traffic_results: List[dict] = []
-                traffic_replayed = 0
-                traffic_round = 0
-
-                def _run_traffic_phase(phase: int) -> None:
-                    nonlocal traffic_round, traffic_replayed
-                    sizes = phase_sizes[phase - 1]
-                    for i, size in enumerate(sizes, start=1):
-                        traffic_round += 1
-                        last = phase == 2 and i == len(sizes)
-                        cid = f"traffic-{phase}-{i}"
-                        result, _ = client.submit(
-                            cid, "traffic",
-                            {
-                                "round": traffic_round,
-                                "packets": size,
-                                "extra": 8 if last else 0,
-                            },
-                        )
-                        acked_cids.append(cid)
-                        if "frames" in result["result"]:
-                            traffic_results.append(result["result"])
-                        else:
-                            traffic_replayed += 1
-
-                _run_traffic_phase(1)
-
-                storm_wire = {"rounds_executed": 0, "replayed_rounds": 0}
-                for round_no, size in enumerate(round_sizes, start=1):
-                    if round_no in kill_rounds:
+                failing_over = False
+                for cid, verb, kwargs in entries:
+                    if verb == KILL_LEADER:
                         victim = client.leader_guess
-                        client._trace(f"kill r{victim} round {round_no}")
+                        client._trace(f"kill r{victim} {cid}")
                         replica_set.kill(victim)
                         incidental["killed_replicas"].append(victim)
                         replica_set.respawn(victim)
-                    cid = f"storm-{round_no}"
-                    result, sweeps = client.submit(
-                        cid, "storm",
-                        {"round": round_no, "count": size},
-                    )
+                        failing_over = True
+                        continue
+                    reply, sweeps = client.submit(cid, verb, kwargs)
                     acked_cids.append(cid)
-                    if round_no in kill_rounds:
+                    if failing_over:
                         incidental["failover_sweeps"].append(sweeps)
+                    if failing_over or verb == "bootstrap":
                         incidental["leaders"].append(client.leader_guess)
-                        incidental["terms"].append(result["term"])
-                    if result["result"].get("replayed"):
-                        storm_wire["replayed_rounds"] += 1
-                    else:
-                        storm_wire["rounds_executed"] += 1
-
-                _run_traffic_phase(2)
+                        incidental["terms"].append(reply["term"])
+                    failing_over = False
+                    replies[verb].append(reply["result"])
 
                 audit, _ = client.query_leader("audit")
 
@@ -1017,61 +915,56 @@ def run_replicated_workload(
                         for s in statuses.values()
                     ):
                         break
-                    time.sleep(0.25)  # leave the CPU to the stragglers
-                    time.sleep(0.1)
+                    time.sleep(0.35)  # leave the CPU to the stragglers
 
-                lost = {
-                    rid: [
-                        cid for cid in acked_cids
-                        if cid not in status["committed_cids"]
-                    ]
-                    for rid, status in statuses.items()
-                }
-                lost_total = sum(len(v) for v in lost.values())
-                shadows = [
-                    statuses[rid]["shadow"] for rid in range(replicas)
-                ]
-                shadows_identical = all(
-                    s["gpt_fingerprints"] == shadows[0]["gpt_fingerprints"]
-                    and s["charges_crc"] == shadows[0]["charges_crc"]
-                    and s["counters"] == shadows[0]["counters"]
-                    for s in shadows[1:]
-                )
-                logs_identical = all(
-                    statuses[rid]["committed_cids"]
-                    == statuses[0]["committed_cids"]
-                    for rid in range(1, replicas)
-                )
-
-                incidental["final_roles"] = {
-                    str(rid): statuses[rid]["role"]
-                    for rid in range(replicas)
-                }
-                incidental["storm_wire"] = storm_wire
-                incidental["traffic_replayed"] = traffic_replayed
-                deterministic = {
-                    "bootstrap": boot["result"],
-                    "traffic": merge_comparisons(traffic_results),
-                    "storm": shadows[0]["counters"],
-                    "audit": audit,
-                    "committed_verbs": len(acked_cids),
-                    "lost_committed_verbs": lost_total,
-                    "replica_logs_identical": bool(logs_identical),
-                    "replica_shadows_identical": bool(shadows_identical),
-                }
-                report["deterministic"] = deterministic
-                report["incidental"] = incidental
                 for rid in range(replicas):
                     client.shutdown_replica(rid)
         finally:
             client.close()
-            # Direct and leader-independent: whoever led, the daemons go.
-            RuntimeController(runtime.addresses).shutdown_all()
             replica_set.stop()
-        runtime.stop()
-        report["leaked_processes"] = (
-            len(runtime.leaked()) + len(replica_set.leaked())
-        )
+    report["leaked_processes"] = (
+        daemons.leaks["leaked_processes"] + len(replica_set.leaked())
+    )
+
+    # An entry a successor found already executed answers "replayed".
+    traffic_results = [r for r in replies["traffic"] if "frames" in r]
+    replayed_rounds = sum(bool(r.get("replayed")) for r in replies["storm"])
+    incidental["final_roles"] = {
+        str(rid): statuses[rid]["role"] for rid in range(replicas)
+    }
+    incidental["storm_wire"] = {
+        "rounds_executed": len(replies["storm"]) - replayed_rounds,
+        "replayed_rounds": replayed_rounds,
+    }
+    incidental["traffic_replayed"] = (
+        len(replies["traffic"]) - len(traffic_results)
+    )
+    lost_total = sum(
+        cid not in status["committed_cids"]
+        for status in statuses.values() for cid in acked_cids
+    )
+    shadows = [statuses[rid]["shadow"] for rid in range(replicas)]
+    shadows_identical = all(
+        s["gpt_fingerprints"] == shadows[0]["gpt_fingerprints"]
+        and s["charges_crc"] == shadows[0]["charges_crc"]
+        and s["counters"] == shadows[0]["counters"]
+        for s in shadows[1:]
+    )
+    logs_identical = all(
+        statuses[rid]["committed_cids"] == statuses[0]["committed_cids"]
+        for rid in range(1, replicas)
+    )
+    report["deterministic"] = {
+        "bootstrap": replies["bootstrap"][0],
+        "traffic": merge_comparisons(traffic_results),
+        "storm": shadows[0]["counters"],
+        "audit": audit,
+        "committed_verbs": len(acked_cids),
+        "lost_committed_verbs": lost_total,
+        "replica_logs_identical": bool(logs_identical),
+        "replica_shadows_identical": bool(shadows_identical),
+    }
+    report["incidental"] = incidental
     re_elected = (
         len(set(incidental["terms"])) >= min(1, kill_leader) + 1
         if kill_leader else True
@@ -1098,12 +991,11 @@ def replicated_gates(report: Dict[str, object]) -> Dict[str, bool]:
     child process each fail the run.
     """
     deterministic = report["deterministic"]
-    traffic, audit = deterministic["traffic"], deterministic["audit"]
     return {
-        "no_divergence": traffic["divergences"] == 0,
-        "byte_identical": bool(traffic["byte_identical"]),
-        "charging_identical": bool(audit["charging_identical"]),
-        "gpt_replicas_identical": bool(audit["gpt_replicas_identical"]),
+        **differential_gates(
+            [deterministic["traffic"]], deterministic["audit"],
+            report["leaked_processes"],
+        ),
         "no_lost_committed_verbs": deterministic["lost_committed_verbs"] == 0,
         **{
             name: bool(deterministic[name]) for name in (
@@ -1111,5 +1003,4 @@ def replicated_gates(report: Dict[str, object]) -> Dict[str, bool]:
             )
         },
         "re_elected": bool(report["re_elected"]),
-        "no_leaked_processes": report["leaked_processes"] == 0,
     }

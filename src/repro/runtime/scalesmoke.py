@@ -218,105 +218,71 @@ def _rejoin_drill(
     num_nodes: int, flows: int, updates: int, seed: int
 ) -> Dict[str, object]:
     """Part B: bootstrap over shm, kill/repair/storm, rejoin by delta log."""
-    from repro.runtime.controller import RuntimeController
-    from repro.runtime.launcher import LocalRuntime
-    from repro.runtime.shadow import Shadow, compare_frames
+    from repro.runtime.session import Session, differential_gates, run_drill
 
     victim = num_nodes - 1
-    runtime = LocalRuntime(num_nodes)
-    with runtime:
-        shadow = Shadow(num_nodes, seed)
-        shadow.populate(flows)
-        gateway = shadow.gateway
-        controller = RuntimeController(
-            runtime.addresses, miss_threshold=2, ping_timeout=0.5,
-            use_shm=True,
-        )
-        controller.killer = runtime.kill
-        controller.connect()
-        bootstrap = controller.bootstrap_from_gateway(gateway)
-
-        def storm(count: int, salt: int) -> int:
-            """``count`` rehome draws (flow, then target), stream ``salt``."""
-            rng = np.random.default_rng(seed * 65537 + salt)
-            ops = []
-            for _ in range(count):
-                flow = shadow.live_flows[
-                    int(rng.integers(len(shadow.live_flows)))
-                ]
-                op = shadow.rehome(flow, int(rng.integers(num_nodes)))
-                if op is not None:
-                    ops.append(op)
-            controller.push_updates(ops)
-            return len(ops)
-
-        def replicas_identical() -> bool:
-            return shadow.audit(controller.status_all())[
-                "gpt_replicas_identical"
-            ]
-
-        try:
-            storm(updates // 3, 1)
-            controller.kill_node(victim)
-            controller.await_detection(victim)
-            controller.handle_node_failure(victim, gateway)
-            stormed_down = storm(updates - updates // 3, 2)
-            log_records = (
-                controller.deltalog.record_count
-                if controller.deltalog is not None else 0
+    third = updates // 3
+    session = Session(
+        num_nodes, seed, miss_threshold=2, ping_timeout=0.5, use_shm=True
+    )
+    with session:
+        # Rehome-only storms, one stream each; the post-rejoin traffic
+        # enters at the rejoined node.
+        results = run_drill(session, [
+            ("bootstrap", {"flows": flows}),
+            ("storm", {"stream": 1, "rehomes": third}),
+            ("kill", {"node": victim}),
+            ("await_dead", {"node": victim}),
+            ("repair", {"node": victim}),
+            ("storm", {"stream": 2, "rehomes": updates - third}),
+            ("rejoin", {"node": victim}),
+            ("audit", {}),
+            ("traffic", {"packets": 200, "stream": 4, "ingress": victim}),
+            ("storm", {"stream": 3, "rehomes": third}),
+            ("audit", {}),
+        ])
+        counters = {
+            name: session.controller.registry.counter(name).value
+            for name in (
+                "runtime.snapshot_bytes",
+                "runtime.tx.snapshot",
+                "runtime.tx.swap",
+                "runtime.tx.state_ref",
+                "runtime.stateref.fallbacks",
             )
-            address = runtime.respawn(victim)
-            rejoin = controller.rejoin_node(gateway, victim, address)
-
-            converged = replicas_identical()
-            # Post-rejoin traffic, ingress pinned to the rejoined node.
-            frames = shadow.generator.packet_stream(shadow.live_flows, 200)
-            pinned = [victim] * len(frames)
-            mirrored = shadow.route(frames, pinned)
-            divergences = compare_frames(
-                mirrored, controller.route_frames(frames, pinned)
-            )["divergences"]
-            storm(updates // 3, 3)
-            still_converged = replicas_identical()
-            counters = {
-                name: controller.registry.counter(name).value
-                for name in (
-                    "runtime.snapshot_bytes",
-                    "runtime.tx.snapshot",
-                    "runtime.tx.swap",
-                    "runtime.tx.state_ref",
-                    "runtime.stateref.fallbacks",
-                )
-            }
-        finally:
-            controller.shutdown_all()
-        runtime.stop()
-        leaked_processes = len(runtime.leaked())
-    leaked_segments = shm.list_segments(
-        f"{shm.SEGMENT_PREFIX}{os.getpid():x}-"
+        }
+    bootstrap, = results["bootstrap"]
+    rejoin, = results["rejoin"]
+    after_rejoin, after_storm = results["audit"]
+    core = differential_gates(
+        results["traffic"], after_storm,
+        session.leaks["leaked_processes"],
+        session.leaks["leaked_shm_segments"],
     )
     return {
         "nodes": num_nodes,
         "flows": flows,
         "bootstrap": bootstrap,
-        "stormed_while_down": stormed_down,
-        "deltalog_records_at_rejoin": log_records,
-        "rejoin": rejoin.to_dict(),
-        "post_rejoin_divergences": divergences,
+        "stormed_while_down": results["storm"][1]["rehomes"],
+        "deltalog_records_at_rejoin": rejoin["detail"]["catchup_records"],
+        "rejoin": rejoin,
+        "post_rejoin_divergences": results["traffic"][0]["divergences"],
         "counters": counters,
         "gates": {
             "bootstrap_by_reference": bootstrap["shm_attached"] == num_nodes,
-            "rejoin_by_reference": rejoin.detail["transport"] == "shm",
-            "replicas_identical_after_rejoin": converged,
-            "replicas_identical_after_storm": still_converged,
-            "no_divergence": divergences == 0,
+            "rejoin_by_reference": rejoin["detail"]["transport"] == "shm",
+            "replicas_identical_after_rejoin": (
+                after_rejoin["gpt_replicas_identical"]
+            ),
+            "replicas_identical_after_storm": core["gpt_replicas_identical"],
+            "no_divergence": core["no_divergence"],
             "zero_wire_snapshots": (
                 counters["runtime.snapshot_bytes"] == 0
                 and counters["runtime.tx.snapshot"] == 0
                 and counters["runtime.tx.swap"] == 0
             ),
-            "no_leaked_processes": leaked_processes == 0,
-            "no_leaked_segments": not leaked_segments,
+            "no_leaked_processes": core["no_leaked_processes"],
+            "no_leaked_segments": core["no_leaked_segments"],
         },
     }
 

@@ -10,10 +10,10 @@ churn mix, pinned-ingress routing, the global audit.  :func:`evacuate`
 empties a node (§7 repair, graceful drain); :func:`compare_frames` is the
 per-frame verdict.
 
-Drivers keep only their *policy* — which verb comes next, which seeded
-RNG stream feeds it, where a long replay yields — because that is what
-makes a report a pure function of its seed.  What a verb does to the
-shadow and which op it ships is the same everywhere, so it lives here.
+What a verb does to the shadow and which op it ships is the same
+everywhere, so it lives here; which verb comes next, which seeded RNG
+stream feeds it and where a long replay yields is a drill's phase list
+over :class:`~repro.runtime.session.Session`.
 """
 
 from __future__ import annotations

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
 from repro.core import SetSepParams, build
+from repro.core import separator as separator_registry
+from repro.runtime.launcher import report_json
 
 
 def unique_keys(count: int, seed: int = 1, low: int = 1, high: int = 2**62) -> np.ndarray:
@@ -29,6 +35,41 @@ def brute_force_contents(model, separator, group):
     order = np.argsort(buckets[member], kind="stable")
     members = keys[member][order].tolist()
     return members, [model[k] for k in members]
+
+
+#: Golden report digests were captured at the parent of the PR that
+#: introduced ``repro.runtime.session`` — on the default backend.
+GOLDEN_BACKEND = separator_registry.default_backend() == "setsep"
+needs_setsep = pytest.mark.skipif(
+    not GOLDEN_BACKEND,
+    reason="golden digests are pinned for the setsep backend",
+)
+
+_SEGMENT_NAME = re.compile(r"repro-gpt-[0-9a-f]+-[0-9a-zA-Z_-]+")
+
+
+def report_digest(report) -> str:
+    """SHA-256 of a runtime report's canonical JSON, shm segment names
+    — which embed a pid — masked."""
+    text = _SEGMENT_NAME.sub("repro-gpt-PID-N", report_json(report))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def assert_each_breaker_fails_only_its_gate(report, gates_of, breakers):
+    """``report["gates"]`` is ``gates_of(report)``, all passing, and each
+    breaker — ``gate -> (path into the report, bad value)`` — fails
+    exactly its own gate."""
+    assert report["gates"] == gates_of(report)
+    assert set(report["gates"]) == set(breakers)
+    assert all(report["gates"].values())
+    for gate, (path, bad) in breakers.items():
+        broken = copy.deepcopy(report)
+        section = broken
+        for name in path[:-1]:
+            section = section[name]
+        section[path[-1]] = bad
+        gates = gates_of(broken)
+        assert [g for g, passed in gates.items() if not passed] == [gate]
 
 
 @pytest.fixture(scope="session")

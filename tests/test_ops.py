@@ -10,17 +10,27 @@ Three layers, cheapest first:
   exclusively through :class:`~repro.ops.client.OpsClient`.
 """
 
+import http.client
+import json
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.chaos import run_failover_drill, run_fence_drill
+from repro.chaos.drills import failover_drill_gates, fence_drill_gates
 from repro.obs import MetricsRegistry
 from repro.obs.exposition import CONTENT_TYPE, metric_name, prometheus_text
-from repro.ops import OpsApiError, OpsApiServer, OpsClient
+from repro.ops import OpsApiError, OpsApiServer, OpsClient, api as api_module
 from repro.ops.manager import ClusterOps
 from repro.runtime.liveness import HeartbeatMonitor, NodeState
 from repro.runtime.replication import StaleTermError
+from tests.conftest import (
+    GOLDEN_BACKEND,
+    assert_each_breaker_fails_only_its_gate,
+    report_digest,
+)
 
 # ----------------------------------------------------------------------
 # Prometheus exposition (pure)
@@ -216,6 +226,56 @@ class TestOpsApiLive:
         with pytest.raises(OpsApiError) as err:
             api.poll(0)
         assert err.value.status == 400
+
+    @pytest.mark.parametrize("path, body", [
+        ("/v1/traffic", {"packets": "abc"}),
+        ("/v1/traffic", {"packets": None}),
+        ("/v1/traffic", {"packets": True}),
+        ("/v1/poll", {"rounds": [1]}),
+        ("/v1/updates", {"connects": 1.5}),
+        ("/v1/updates", {"connects": 1, "rehomes": "2"}),
+    ])
+    def test_a_field_that_is_not_an_integer_is_400(self, api, path, body):
+        before = api.cluster()["live_flows"]
+        with pytest.raises(OpsApiError) as err:
+            api._post(path, body)
+        assert err.value.status == 400
+        assert "must be an integer" in str(err.value)
+        assert api.cluster()["live_flows"] == before
+
+    @pytest.mark.parametrize("length", [
+        "abc", "-5", "1.5", str(api_module.MAX_BODY_BYTES + 1),
+    ])
+    def test_a_content_length_that_is_no_size_is_400(self, api, length):
+        conn = http.client.HTTPConnection(api.host, api.port, timeout=30)
+        try:
+            conn.putrequest("POST", "/v1/traffic")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "Content-Length" in json.loads(response.read())["error"]
+        finally:
+            conn.close()
+        assert api.traffic(10)["divergences"] == 0  # still serving
+
+    def test_a_body_shorter_than_announced_is_400_not_a_parked_thread(
+        self, api, monkeypatch
+    ):
+        monkeypatch.setattr(api_module._OpsHandler, "timeout", 0.3)
+        sock = socket.create_connection((api.host, api.port), timeout=5)
+        try:
+            sock.sendall(
+                b"POST /v1/traffic HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 50\r\n\r\n{\"pa"
+            )
+            started = time.monotonic()
+            reply = sock.recv(65536)  # the socket stays open, silent
+            assert time.monotonic() - started < 3
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            assert b"shorter than its Content-Length" in reply
+        finally:
+            sock.close()
 
     def test_metrics_exposition(self, api):
         page = api.metrics()
@@ -459,6 +519,43 @@ def test_deposed_leader_in_flight_fence_rejected_by_term():
         ops.close()
 
 
+#: One way to break each gate the two API drills share.
+DRILL_BREAKERS = {
+    "no_divergence": (("phase2", "divergences"), 1),
+    "byte_identical": (("phase1", "byte_identical"), False),
+    "charging_identical": (("audit", "charging_identical"), False),
+    "gpt_replicas_identical": (("audit", "gpt_replicas_identical"), False),
+    "no_leaked_processes": (("leaked_processes",), 1),
+}
+
+
+def test_operator_walkthrough_is_the_hand_written_drivers():
+    """The verbs of docs/operator.md through ``ClusterOps``: the same
+    documents, byte for byte, the facade produced before it stood on the
+    session."""
+    with ClusterOps.launch(
+        num_nodes=3, seed=11, flows=300, fence_after=1, ping_timeout=0.5
+    ) as ops:
+        walk = {
+            "t1": ops.traffic(packets=200),
+            "churn": ops.churn(connects=20, rehomes=40, disconnects=10),
+            "drain": ops.drain(2),
+            "join": ops.join(2),
+            "kill": ops.kill(1),
+            "poll": ops.poll(rounds=2),
+            "t2": ops.traffic(packets=200),
+            "audit": ops.audit(),
+        }
+    assert walk["poll"]["fenced"] == [1]
+    assert walk["audit"]["live_nodes"] == [0, 2]
+    assert walk["t2"]["divergences"] == 0
+    if GOLDEN_BACKEND:
+        assert report_digest(walk) == (
+            "5893abd184e51c741f67e9f23330beae"
+            "ccb7911667b44114a925db84f400fa0f"
+        )
+
+
 def test_failover_drill_end_to_end():
     report = run_failover_drill(
         num_nodes=3, seed=5, flows=200, packets=200, churn=40
@@ -471,6 +568,27 @@ def test_failover_drill_end_to_end():
     assert report["audit"]["gpt_replicas_identical"] is True
     assert report["leaked_processes"] == 0
     assert report["ok"] is True
+    assert_each_breaker_fails_only_its_gate(report, failover_drill_gates, {
+        **DRILL_BREAKERS,
+        "term_advanced": (("term_advanced",), False),
+        "redirected": (("redirected",), False),
+        "redirect_followed": (("churn2_redirects",), 0),
+        "single_leader": (("single_leader",), False),
+        "ops_visible_everywhere": (("ops_visible_everywhere",), False),
+    })
+    _assert_report_unchanged_but_for_gates(
+        report,
+        "3af8e00efde63b1b73fcfc7bc1eb7bdf"
+        "b0a2d5efb49c6e5cb5dd8b708067e04a",
+    )
+
+
+def _assert_report_unchanged_but_for_gates(report, digest):
+    """``gates`` is the one key the drills gained; the rest is the report
+    they produced when ``ok`` was spelled out inline."""
+    if GOLDEN_BACKEND:
+        without = {k: v for k, v in report.items() if k != "gates"}
+        assert report_digest(without) == digest
 
 
 def test_shutdown_reports_leaks_and_is_idempotent():
@@ -497,3 +615,13 @@ def test_fence_drill_end_to_end():
     assert report["audit"]["gpt_replicas_identical"] is True
     assert report["leaked_processes"] == 0
     assert report["ok"] is True
+    assert_each_breaker_fails_only_its_gate(report, fence_drill_gates, {
+        **DRILL_BREAKERS,
+        "fenced": (("fenced",), False),
+        "metrics_nonempty": (("metrics_nonempty",), False),
+    })
+    _assert_report_unchanged_but_for_gates(
+        report,
+        "3937e0b95b6834cf657a36a1fbdcd5ce"
+        "48264753665f4bcad5edf24c18661b5a",
+    )

@@ -8,6 +8,7 @@ cost nothing and run inline.
 """
 
 import copy
+import os
 import socket
 
 import pytest
@@ -20,11 +21,7 @@ from repro.chaos.transport import (
     TransportFaultBudgets,
 )
 from repro.core import serialize
-from repro.epc.gateway import EpcGateway
-from repro.epc.packets import parse_ip
-from repro.epc.traffic import FlowGenerator
-from repro.cluster.architectures import Architecture
-from repro.obs.metrics import MetricsRegistry
+from repro.ops.manager import ClusterOps
 from repro.runtime import framing, protocol
 from repro.runtime.controller import RuntimeController
 from repro.runtime.framing import FramedSocket, FramingError
@@ -47,6 +44,13 @@ from repro.runtime.protocol import (
     STATUS_DELIVERED,
     STATUS_UNKNOWN,
     UpdateOp,
+)
+from repro.runtime.session import Session, run_drill
+from tests.conftest import (
+    GOLDEN_BACKEND,
+    assert_each_breaker_fails_only_its_gate,
+    needs_setsep,
+    report_digest,
 )
 
 
@@ -107,23 +111,6 @@ class TestFraming:
         finally:
             a.close()
             b.close()
-
-
-def assert_each_breaker_fails_only_its_gate(report, gates_of, breakers):
-    """``report["gates"]`` is ``gates_of(report)``, all passing, and each
-    breaker — ``gate -> (path into the report, bad value)`` — fails
-    exactly its own gate."""
-    assert report["gates"] == gates_of(report)
-    assert set(report["gates"]) == set(breakers)
-    assert all(report["gates"].values())
-    for gate, (path, bad) in breakers.items():
-        broken = copy.deepcopy(report)
-        section = broken
-        for name in path[:-1]:
-            section = section[name]
-        section[path[-1]] = bad
-        gates = gates_of(broken)
-        assert [g for g, passed in gates.items() if not passed] == [gate]
 
 
 # ----------------------------------------------------------------------
@@ -330,6 +317,15 @@ class TestDifferentialDemo:
         again = run_demo(**DEMO_CONFIG)
         assert report_json(again) == report_json(kill_report)
 
+    @needs_setsep
+    def test_report_is_the_one_the_hand_written_driver_produced(
+        self, kill_report
+    ):
+        assert report_digest(kill_report) == (
+            "ae198c4396837905c20cf756688d3bd1"
+            "f4d933bff02b8fee9ef0c9f8d13540ca"
+        )
+
     def test_overall_verdict(self, kill_report):
         assert kill_report["ok"] is True
 
@@ -368,6 +364,112 @@ class TestDifferentialDemo:
         ]
 
 
+@pytest.fixture(scope="module")
+def fence_report():
+    return run_demo(
+        num_nodes=3, seed=7, flows=400, packets=200, updates=100,
+        fence_node=1,
+    )
+
+
+class TestFenceDemo:
+    def test_suspect_is_fenced_after_one_poll_and_repaired(
+        self, fence_report
+    ):
+        liveness = fence_report["liveness"]
+        assert liveness["fenced_node"] == 1
+        assert liveness["killed_node"] is None
+        assert liveness["state_before_fence"] == "suspect"
+        assert liveness["detection_polls"] == 1
+        assert liveness["recovered_flows"] > 0
+        assert sorted(fence_report["daemons"]) == ["0", "2"]
+        assert fence_report["gates"] == demo_gates(fence_report)
+        assert fence_report["ok"] is True
+
+    @needs_setsep
+    def test_report_is_the_one_the_hand_written_driver_produced(
+        self, fence_report
+    ):
+        assert report_digest(fence_report) == (
+            "69c4e0b59765a7f4dd6fd67792c294ad"
+            "956be7ce6a80152b58b8c4b0dbd5aa0e"
+        )
+
+
+# ----------------------------------------------------------------------
+# The session: one lifecycle, one vocabulary
+# ----------------------------------------------------------------------
+
+
+class TestSession:
+    def test_a_salt_named_again_continues_and_a_new_one_starts_fresh(self):
+        session, twin = Session(2, seed=3), Session(2, seed=3)
+
+        def draw(verb, salt, size, of=session):
+            return list(of.stream(verb, salt).integers(1000, size=size))
+
+        whole = draw("traffic", 11, 8, of=twin)
+        assert draw("traffic", 11, 4) + draw("traffic", 11, 4) == whole
+        # Same salt, another verb: the same seed, drawn independently,
+        # and it does not disturb the first verb's stream.
+        assert draw("storm", 11, 8) == whole
+        assert draw("traffic", 11, 4) == draw("traffic", 11, 4, of=twin)
+        # Another salt is another stream, and lets the old one go.
+        assert draw("traffic", 12, 8) != whole
+        assert draw("traffic", 11, 8) == whole
+        assert len(session._streams) == 2
+
+    def test_a_drill_may_only_name_the_vocabulary(self):
+        with pytest.raises(ValueError, match="unknown drill verb"):
+            run_drill(Session(2, seed=3), [("close", {})])
+
+    def test_an_attached_session_owns_no_process(self):
+        nobody = [("127.0.0.1", 1), ("127.0.0.1", 1)]
+        with Session(2, seed=3, addresses=nobody) as session:
+            with pytest.raises(RuntimeError, match="owns no process"):
+                session.join()
+        assert session.leaks["acked"] == []
+
+    def test_halves_in_steps_are_the_verb_in_one_piece(self):
+        """Derive yields at the ``APPLY_STEP_*`` points and the wire half
+        runs in chunks with a callback between them, or neither does:
+        same summaries, same audit."""
+        beats = []
+        with Session(2, seed=9) as stepped, Session(2, seed=9) as whole:
+            stepped.bootstrap(300)
+            whole.bootstrap(300)
+            ops, yields = _stepped(stepped.derive_storm(
+                stream=1, rehomes=600, targets="live"
+            ))
+            assert yields == 600 // 50
+            assert stepped.execute_storm(
+                ops, lambda: beats.append("storm")
+            ) == whole.storm(stream=1, rehomes=600, targets="live")
+            frames, yields = _stepped(
+                stepped.derive_traffic(600, stream=11, extra=8)
+            )
+            assert yields == 3  # 600 + 64 frames, 250 a step
+            assert stepped.execute_traffic(
+                frames, lambda: beats.append("traffic")
+            ) == whole.traffic(600, stream=11, extra=8)
+            assert stepped.audit() == whole.audit()
+        assert beats.count("traffic") == 3  # 664 frames, 256 a chunk
+        assert beats.count("storm") == -(-len(ops[0]) // 256) >= 2
+        assert stepped.leaks["leaked_processes"] == 0
+
+
+def _stepped(steps):
+    """Run a derive half to its end: what it derived, how often it
+    yielded."""
+    yields = 0
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            return stop.value, yields
+        yields += 1
+
+
 # ----------------------------------------------------------------------
 # Membership over sockets: drain and join
 # ----------------------------------------------------------------------
@@ -383,17 +485,9 @@ def _fingerprints_match(controller, gateway):
 
 class TestMembership:
     def test_drain_then_join_converges(self):
-        with LocalRuntime(4) as runtime:
-            gateway = EpcGateway(
-                Architecture.SCALEBRICKS, 4, parse_ip("192.0.2.1"),
-                registry=MetricsRegistry(),
-            )
-            generator = FlowGenerator(5)
-            generator.populate(gateway, 600)
-            gateway.start()
-            controller = RuntimeController(runtime.addresses)
-            controller.connect()
-            controller.bootstrap_from_gateway(gateway)
+        with Session(4, seed=5) as session:
+            session.bootstrap(600)
+            controller, gateway = session.controller, session.shadow.gateway
 
             drained = controller.drain_node(gateway)
             assert drained.verb == "drain" and drained.accepted
@@ -408,7 +502,7 @@ class TestMembership:
                 entry.node < 3 for entry in gateway.cluster.rib.entries()
             )
 
-            address = runtime.add_node()
+            address = session.runtime.add_node()
             joined = controller.join_node(gateway, address)
             assert joined.verb == "join" and joined.accepted
             assert joined.node == 3
@@ -416,10 +510,8 @@ class TestMembership:
             assert joined.epoch > drained.epoch
             assert sorted(controller.status_all()) == [0, 1, 2, 3]
             assert _fingerprints_match(controller, gateway)
-
-            controller.shutdown_all()
-            runtime.stop()
-            assert runtime.leaked() == []
+        assert session.leaks["acked"] == [0, 1, 2, 3]
+        assert session.leaks["leaked_processes"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -430,19 +522,10 @@ class TestMembership:
 @pytest.fixture()
 def fault_cluster():
     """A 2-node wire cluster + shadow, ready for fault drills."""
-    with LocalRuntime(2) as runtime:
-        gateway = EpcGateway(
-            Architecture.SCALEBRICKS, 2, parse_ip("192.0.2.1"),
-            registry=MetricsRegistry(),
-        )
-        generator = FlowGenerator(9)
-        generator.populate(gateway, 300)
-        gateway.start()
-        controller = RuntimeController(runtime.addresses)
-        controller.connect()
-        controller.bootstrap_from_gateway(gateway)
-        yield controller, gateway, generator
-        controller.shutdown_all()
+    with Session(2, seed=9) as session:
+        session.bootstrap(300)
+        shadow = session.shadow
+        yield session.controller, shadow.gateway, shadow.generator
 
 
 def _connect_ops(gateway, generator, count):
@@ -572,6 +655,15 @@ class TestReplicatedControlPlane:
         )
         assert replicated_report["deterministic"]["ok"] is True
 
+    @needs_setsep
+    def test_deterministic_section_is_the_hand_written_drivers(
+        self, replicated_report
+    ):
+        assert report_digest(replicated_report["deterministic"]) == (
+            "22b3a7096079056a1a9822edc7c5d15b"
+            "af178f8762263bad47cddc8495805c00"
+        )
+
     def test_deterministic_section_reproduces(self, replicated_report):
         again = run_replicated_workload(**self.CONFIG)
         assert report_json(again["deterministic"]) == report_json(
@@ -658,6 +750,15 @@ class TestShmDemo:
         assert shm_report["leaked_processes"] == 0
         assert shm_report["leaked_shm_segments"] == 0
 
+    @needs_setsep
+    def test_report_is_the_one_the_hand_written_driver_produced(
+        self, shm_report
+    ):
+        assert report_digest(shm_report) == (
+            "bdb719a048367d939e0ad325e51716f4"
+            "c3f9bc53164f68ab96aa123446f1ba77"
+        )
+
 
 @needs_shm
 class TestShmWireEquivalence:
@@ -669,28 +770,14 @@ class TestShmWireEquivalence:
         fingerprint from every daemon, equal to the shadow's)."""
         crcs = {}
         for use_shm in (True, False):
-            with LocalRuntime(2) as runtime:
-                gateway = EpcGateway(
-                    Architecture.SCALEBRICKS, 2, parse_ip("192.0.2.1"),
-                    registry=MetricsRegistry(),
-                )
-                FlowGenerator(5).populate(gateway, 500)
-                gateway.start()
-                controller = RuntimeController(
-                    runtime.addresses, use_shm=use_shm
-                )
-                controller.connect()
-                controller.bootstrap_from_gateway(gateway)
-                shadow = serialize.fingerprint(
-                    gateway.cluster.nodes[0].gpt.setsep
-                )
+            with Session(2, seed=5, use_shm=use_shm) as session:
+                session.bootstrap(500)
+                shadow = session.shadow.fingerprints()[0]
                 crcs[use_shm] = {
-                    node: int(status["gpt_crc"])
-                    for node, status in controller.status_all().items()
+                    node: int(status["gpt_crc"]) for node, status in
+                    session.controller.status_all().items()
                 }
                 assert all(c == shadow for c in crcs[use_shm].values())
-                controller.shutdown_all()
-                runtime.stop()
         assert crcs[True] == crcs[False]
 
 
@@ -705,19 +792,11 @@ class TestScaleTierMembership:
         previous = separator_registry.default_backend()
         separator_registry.set_default_backend(backend)
         try:
-            with LocalRuntime(3) as runtime:
-                gateway = EpcGateway(
-                    Architecture.SCALEBRICKS, 3, parse_ip("192.0.2.1"),
-                    registry=MetricsRegistry(),
-                )
-                generator = FlowGenerator(5)
-                generator.populate(gateway, 600)
-                gateway.start()
-                controller = RuntimeController(
-                    runtime.addresses, use_shm=True
-                )
-                controller.connect()
-                controller.bootstrap_from_gateway(gateway)
+            with Session(3, seed=5, use_shm=True) as session:
+                session.bootstrap(600)
+                controller, runtime = session.controller, session.runtime
+                gateway = session.shadow.gateway
+                generator = session.shadow.generator
 
                 controller.push_updates(_connect_ops(gateway, generator, 30))
                 drained = controller.drain_node(gateway)
@@ -740,10 +819,7 @@ class TestScaleTierMembership:
                     controller.registry.counter("runtime.tx.state_ref").value
                     >= 5  # bootstrap x3 + drain x2 + join x3, minus races
                 )
-
-                controller.shutdown_all()
-                runtime.stop()
-                assert runtime.leaked() == []
+            assert session.leaks["leaked_processes"] == 0
         finally:
             separator_registry.set_default_backend(previous)
 
@@ -757,3 +833,44 @@ class TestRejoinDrill:
         failed = [g for g, ok in report["gates"].items() if not ok]
         assert failed == []
         assert report["rejoin"]["detail"]["transport"] == "shm"
+        if GOLDEN_BACKEND:
+            # The report the hand-written drill produced at this seed.
+            assert report_digest(report) == (
+                "3a04a97826a0b45aebd9cca258a0ed1e"
+                "1c2e8c4ba3e102184f50b4b79bcdfe41"
+            )
+
+
+@needs_shm
+@pytest.mark.parametrize("driver", [
+    lambda: run_demo(
+        num_nodes=2, seed=7, flows=200, packets=40, updates=10, use_shm=True
+    ),
+    lambda: ClusterOps.launch(num_nodes=2, seed=7, flows=200),
+    lambda: scalesmoke._rejoin_drill(2, 200, 30, 7),
+], ids=["run_demo", "ClusterOps.launch", "rejoin_drill"])
+def test_a_bootstrap_that_fails_half_way_leaks_nothing(monkeypatch, driver):
+    """Node 1 refuses HELLO after node 0 attached the published segment:
+    the error propagates, and the segment, the daemons and the
+    controller's links are all gone."""
+    controllers, runtimes = [], []
+    hello, start = RuntimeController._hello, LocalRuntime.start
+
+    def refusing_hello(self, node_id, gateway_ip):
+        controllers.append(self)
+        if node_id == 1:
+            raise ProtocolError("daemon 1 refuses HELLO")
+        hello(self, node_id, gateway_ip)
+
+    def recording_start(self):
+        runtimes.append(self)
+        return start(self)
+
+    monkeypatch.setattr(RuntimeController, "_hello", refusing_hello)
+    monkeypatch.setattr(LocalRuntime, "start", recording_start)
+    with pytest.raises(ProtocolError, match="refuses HELLO"):
+        driver()
+    (runtime,), controller = runtimes, controllers[0]
+    assert shm.list_segments(f"{shm.SEGMENT_PREFIX}{os.getpid():x}-") == []
+    assert len(runtime.processes) == 2 and runtime.leaked() == []
+    assert controller._links.dialled() == []

@@ -12,6 +12,7 @@ from repro.core import serialize
 from repro.epc.fastpath import OUTER_SIZE
 from repro.ops.manager import ClusterOps
 from repro.runtime.protocol import OP_INSERT, OP_REMOVE, UpdateOp
+from repro.runtime.session import Session, _finish
 from repro.runtime.shadow import Shadow, evacuate
 
 NODES = 4
@@ -65,6 +66,26 @@ def inline_storm(shadow, rng, updates):
     return ops, {
         "connects": connects, "rehomes": rehomes, "disconnects": disconnects,
     }
+
+
+def inline_churn(shadow, rng, live, connects, rehomes, disconnects):
+    """``ClusterOps.churn``'s loop as it was: explicit verb counts, rehome
+    targets drawn from the live nodes."""
+    ops = [shadow.connect() for _ in range(connects)]
+    for _ in range(rehomes):
+        if not shadow.live_flows:
+            break
+        flow = shadow.live_flows[int(rng.integers(len(shadow.live_flows)))]
+        op = shadow.rehome(flow, int(live[int(rng.integers(len(live)))]))
+        if op is not None:
+            ops.append(op)
+    for _ in range(disconnects):
+        if len(shadow.live_flows) <= 1:
+            break
+        ops.append(shadow.disconnect(
+            int(rng.integers(len(shadow.live_flows)))
+        ))
+    return ops
 
 
 def inline_repair(gateway, failed, survivors):
@@ -129,6 +150,42 @@ class TestMirrorVerbs:
         assert mirrored.live_flows == reference.live_flows
         assert mirrored.fingerprints() == reference.fingerprints()
         assert sum(counts.values()) == len(ops) > 800
+
+    def test_session_storm_shapes_match_the_inline_loops(self):
+        """The session's one derive half against what three drivers each
+        wrote out: the mix (``run_workload``, the replicated machine, in
+        steps), explicit counts over live targets (``ClusterOps.churn``)
+        and rehomes over all nodes (the scale-smoke drill)."""
+        session, reference = Session(NODES, 7), populated()
+        steps = session.derive_bootstrap(300)
+        assert sum(1 for _ in steps) == 0  # under one APPLY_STEP_FLOWS
+        for shadow in (session.shadow, reference):
+            shadow.gateway.down_nodes.add(2)
+
+        def derived(**phase):
+            return _finish(session.derive_storm(**phase))
+
+        def rng(salt):
+            return np.random.default_rng(7 * 65537 + salt)
+
+        stream = rng(13)  # one stream, continued across rounds
+        for count in (70, 60):
+            assert derived(stream=13, count=count) == inline_storm(
+                reference, stream, count
+            )
+        expected = inline_churn(reference, rng(2001), [0, 1, 3], 9, 40, 7)
+        ops, counts = derived(
+            stream=2001, connects=9, rehomes=40, disconnects=7,
+            targets="live",
+        )
+        assert ops == expected and len(ops) > 40
+        assert counts["connects"] == 9 and counts["disconnects"] == 7
+        expected = inline_churn(reference, rng(2), range(NODES), 0, 50, 0)
+        ops, counts = derived(stream=2, rehomes=50)
+        assert ops == expected and counts["rehomes"] == len(ops) > 25
+        assert any(op.node == 2 for op in ops)  # "all" includes the dead
+        assert session.shadow.live_flows == reference.live_flows
+        assert session.shadow.fingerprints() == reference.fingerprints()
 
     def test_rehome_onto_the_current_node_is_no_op(self):
         shadow = populated(flows=20)
