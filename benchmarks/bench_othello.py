@@ -90,6 +90,8 @@ def _update_storm(backend, keys, handlers, values, n_updates, registry,
         backend=backend,
     )
     engine = UpdateEngine(cluster, registry=registry)
+    for node in cluster.nodes:
+        node.gpt.setsep.bind_registry(registry)
 
     def rehome(i):
         engine.insert_flow(
@@ -208,9 +210,13 @@ def perflab_othello_update_rate(ctx):
         )
 
     ctx.timeit(run)
+    setsep_registry = MetricsRegistry()
     rates["setsep"], _ = _update_storm(
-        "setsep", keys, handlers, values, n_updates, MetricsRegistry()
+        "setsep", keys, handlers, values, n_updates, setsep_registry
     )
+    # What SetSep's side of the storm kept and searched, as exact counts.
+    for name in ("setsep.incumbent_bits_kept", "setsep.bits_searched"):
+        ctx.registry.counter(name).inc(setsep_registry.counter(name).value)
     ctx.record(
         othello_updates_per_second=rates["othello"],
         setsep_updates_per_second=rates["setsep"],

@@ -152,6 +152,8 @@ def perflab_update_rate(ctx):
         Architecture.SCALEBRICKS, 4, keys, handlers, values
     )
     cluster.rib.bind_registry(ctx.registry)
+    for node in cluster.nodes:
+        node.gpt.setsep.bind_registry(ctx.registry)
     engine = UpdateEngine(cluster, registry=ctx.registry)
     ctx.set_params(n_flows=n_flows, n_updates=n_updates)
 
@@ -164,8 +166,11 @@ def perflab_update_rate(ctx):
     ctx.timeit(run)
     updates = ctx.registry.counter("update.updates").value
     scanned = ctx.registry.counter("rib.group_scan_keys").value
+    kept = ctx.registry.counter("setsep.incumbent_bits_kept").value
+    searched = ctx.registry.counter("setsep.bits_searched").value
     ctx.record(
         updates_per_second=updates / sum(ctx.samples),
         keys_scanned_per_update=scanned / updates,
         mean_group_keys=n_flows / cluster.nodes[0].gpt.setsep.num_groups,
+        incumbent_kept_share=kept / (kept + searched),
     )

@@ -16,10 +16,12 @@ records in the same order (``tests/test_update_differential.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.cluster.fabric import DELAY, DROP, DUPLICATE
 from repro.core import separator as separator_registry
+from repro.core.delta import DeltaWireError
 
 #: A record held back from a peer until the next flush: (peer, wire, bits).
 Delayed = Tuple[int, bytes, int]
@@ -162,16 +164,29 @@ def flush_delayed(
         delayed[:] = pending[sent:]
 
 
-def parse_records(wire: bytes, backend: str) -> list:
+def parse_records(wire: bytes, replica) -> list:
     """Every record of a stream of self-framing wire records, parsed once.
 
-    Raises before returning anything when any record is malformed, so a
-    caller that parses and then applies never applies part of a payload.
+    ``replica`` is where they will be applied.  Raises before returning
+    anything when any record is malformed or framed with other bit-widths
+    than the replica's, so a caller that parses and then applies never
+    applies part of a payload, nor a record cut for a different table.
     """
-    return [
-        record for record, _params
-        in separator_registry.parse_update_stream(wire, backend)
-    ]
+    separator = getattr(replica, "setsep", replica)
+    names = separator_registry.update_record_type(separator.backend).WIRE_WIDTHS
+    widths = attrgetter(*names)
+    mine = widths(separator.params)
+    records = []
+    for record, params in separator_registry.parse_update_stream(
+        wire, separator.backend
+    ):
+        if widths(params) != mine:
+            raise DeltaWireError(
+                f"record framed with {names} = {widths(params)}, "
+                f"the replica has {mine}"
+            )
+        records.append(record)
+    return records
 
 
 def apply_records(replica, wire: bytes) -> int:
@@ -182,7 +197,7 @@ def apply_records(replica, wire: bytes) -> int:
     (one broadcast, a ``MSG_DELTA`` batch, a delta log).  All or nothing:
     the whole stream is parsed before the first record is applied.
     """
-    records = parse_records(wire, replica.backend)
+    records = parse_records(wire, replica)
     for record in records:
         replica.apply_delta(record)
     return len(records)

@@ -222,9 +222,7 @@ class UpdateEngine:
         )
         if ships:
             # One broadcast, one parse: every peer applies the same records.
-            records = owner.parse_records(
-                step.wire, nodes[owner_id].gpt.backend
-            )
+            records = owner.parse_records(step.wire, nodes[owner_id].gpt)
             for peer, copies in ships:
                 self._apply(peer, records * copies, step.bits)
         self._record(acc, owner_id)
@@ -249,7 +247,7 @@ class UpdateEngine:
             self._delayed_deltas,
             [n.node_id for n in nodes if n.gpt is None],
             lambda peer, wire, bits: self._apply(
-                peer, owner.parse_records(wire, nodes[peer].gpt.backend), bits
+                peer, owner.parse_records(wire, nodes[peer].gpt), bits
             ),
             acc,
         )

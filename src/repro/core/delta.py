@@ -54,6 +54,10 @@ class GroupDelta:
             used to be failed and now separates, or a key was deleted).
     """
 
+    #: The ``SetSepParams`` fields the wire header carries: a receiver
+    #: applies a record only when they equal its own.
+    WIRE_WIDTHS = ("index_bits", "array_bits", "value_bits")
+
     group_id: int
     failed: bool
     indices: Tuple[int, ...]

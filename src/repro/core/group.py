@@ -129,6 +129,7 @@ def search_group(
     g2: np.ndarray,
     values: np.ndarray,
     params: SetSepParams,
+    incumbent: Optional[np.ndarray] = None,
 ) -> Optional[List[GroupFunction]]:
     """Find the per-value-bit functions for one group (paper §4.3).
 
@@ -137,20 +138,44 @@ def search_group(
     of one V-ary function, which is exponentially faster (Figure 4).  The
     bits share one candidate matrix per chunk of the family.
 
+    ``incumbent`` holds the index each value bit has now (the owner's
+    §4.5 recompute passes its replica's).  All of them are evaluated
+    against the new contents in one ``(n_keys, value_bits)`` step; a bit
+    whose index still separates keeps it, with the array the new contents
+    give, and only the bits that broke are searched, from index 0 as a
+    bit searched alone is.  A bit therefore fails only when no index
+    below ``max_index`` separates it, whatever the incumbents were.
+
     Returns a list of ``value_bits`` :class:`GroupFunction`, or ``None`` if
     any bit fails (the whole group then goes to the fallback table).
     """
     values = np.asarray(values, dtype=np.uint32)
-    functions = _search_targets(
-        g1,
-        g2,
-        [(values >> bit) & 1 for bit in range(params.value_bits)],
-        params.array_bits,
-        params.max_index,
-        params.search_chunk,
-    )
-    if any(function is None for function in functions):
-        return None
+    ones = (values[:, None] >> np.arange(params.value_bits, dtype=np.uint32)) & 1
+    functions: List[Optional[GroupFunction]] = [None] * params.value_bits
+    if incumbent is not None and len(g1):
+        masks = hashfamily.index_masks(g1, g2, incumbent, params.array_bits)
+        taken1 = masks * ones
+        arrays = np.bitwise_or.reduce(taken1, axis=0)
+        clashes = np.bitwise_or.reduce(masks ^ taken1, axis=0) & arrays
+        for bit, (index, array, clash) in enumerate(
+            zip(incumbent.tolist(), arrays.tolist(), clashes.tolist())
+        ):
+            if not clash and index < params.max_index:
+                functions[bit] = GroupFunction(index, array, iterations=1)
+    broken = [bit for bit, kept in enumerate(functions) if kept is None]
+    if broken:
+        searched = _search_targets(
+            g1,
+            g2,
+            [ones[:, bit] for bit in broken],
+            params.array_bits,
+            params.max_index,
+            params.search_chunk,
+        )
+        if None in searched:
+            return None
+        for bit, function in zip(broken, searched):
+            functions[bit] = function
     return functions
 
 

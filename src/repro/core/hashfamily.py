@@ -20,9 +20,10 @@ a short period in its low bits.  This module provides:
   ``i -> G1 + i*G2`` walks a full-period sequence mod 2**64;
 * ``positions`` — map ``H_i`` values onto ``[0, m)`` bit-array slots using
   the multiply-shift range reduction on the top 32 bits (respecting the
-  paper's use-the-MSBs rule); ``chunk_slots`` / ``chunk_masks`` — the same
-  reduction for a whole chunk of candidate indices at once, the matrix
-  every brute-force search tests its candidates against;
+  paper's use-the-MSBs rule); ``index_slots`` / ``index_masks`` — the same
+  reduction for many family indices at once (``chunk_slots`` /
+  ``chunk_masks`` for a run of consecutive ones), the matrix every
+  brute-force search tests its candidates against;
 * independent hash streams for the two-level bucket mapping and the cuckoo
   FIB, derived from distinct mixing constants.
 """
@@ -146,21 +147,22 @@ def positions(hashes: np.ndarray, m: int) -> np.ndarray:
         return ((top * np.uint64(m)) >> _SHIFT32).astype(np.int64)
 
 
-def chunk_slots(
-    g1: np.ndarray, g2: np.ndarray, start: int, count: int, m: int
+def index_slots(
+    g1: np.ndarray, g2: np.ndarray, indices: np.ndarray, m: int
 ) -> np.ndarray:
-    """Slots for *every* (key, candidate index) pair of one chunk at once.
+    """Slots for *every* (key, family index) pair of ``indices`` at once.
 
-    Returns an ``(n_keys, count)`` uint64 matrix: entry ``[j, c]`` is the
-    slot in ``[0, m)`` that ``H_{start+c}`` assigns to key ``j``, equal to
-    ``positions(family_values(g1, g2, start + c), m)[j]``.  This is the
-    single home of the multiply-shift reduction over a chunk of the hash
-    family; the brute-force searches all evaluate it, in place on one
-    matrix (unsigned array arithmetic wraps mod 2**64 without warning).
+    Returns an ``(n_keys, len(indices))`` uint64 matrix: entry ``[j, c]``
+    is the slot in ``[0, m)`` that ``H_{indices[c]}`` assigns to key ``j``,
+    equal to ``positions(family_values(g1, g2, indices[c]), m)[j]``.  This
+    is the single home of the multiply-shift reduction over many members
+    of the hash family; the brute-force searches and the owner's
+    incumbent test all evaluate it, in place on one matrix (unsigned
+    array arithmetic wraps mod 2**64 without warning).
     """
     if m <= 0:
         raise ValueError("m must be positive")
-    h = np.arange(start, start + count, dtype=_U64)[None, :] * g2[:, None]
+    h = np.asarray(indices, dtype=_U64)[None, :] * g2[:, None]
     h += g1[:, None]
     h >>= _SHIFT32
     h *= np.uint64(m)
@@ -168,17 +170,35 @@ def chunk_slots(
     return h
 
 
+def chunk_slots(
+    g1: np.ndarray, g2: np.ndarray, start: int, count: int, m: int
+) -> np.ndarray:
+    """:func:`index_slots` of the chunk ``start .. start + count - 1``."""
+    return index_slots(
+        g1, g2, np.arange(start, start + count, dtype=_U64), m
+    )
+
+
+def index_masks(
+    g1: np.ndarray, g2: np.ndarray, indices: np.ndarray, m: int
+) -> np.ndarray:
+    """One-hot slot masks ``1 << index_slots(...)`` (needs ``m <= 64``).
+
+    The candidate matrix of the SetSep searches: OR-reducing the rows of
+    the keys that share a value bit gives, per family index, the set of
+    slots those keys take.
+    """
+    slots = index_slots(g1, g2, indices, m)
+    return np.left_shift(_ONE, slots, out=slots)
+
+
 def chunk_masks(
     g1: np.ndarray, g2: np.ndarray, start: int, count: int, m: int
 ) -> np.ndarray:
-    """One-hot slot masks ``1 << chunk_slots(...)`` (needs ``m <= 64``).
-
-    The candidate matrix of the SetSep searches: OR-reducing the rows of
-    the keys that share a value bit gives, per candidate index, the set of
-    slots those keys take.
-    """
-    slots = chunk_slots(g1, g2, start, count, m)
-    return np.left_shift(_ONE, slots, out=slots)
+    """:func:`index_masks` of the chunk ``start .. start + count - 1``."""
+    return index_masks(
+        g1, g2, np.arange(start, start + count, dtype=_U64), m
+    )
 
 
 def bucket_hash(keys: np.ndarray) -> np.ndarray:

@@ -92,6 +92,14 @@ class SetSep:
         self._m_rebuilds = self.registry.counter(
             "setsep.group_rebuilds", "groups recomputed by the update path"
         )
+        self._m_bits_kept = self.registry.counter(
+            "setsep.incumbent_bits_kept",
+            "value bits whose index a rebuild kept (array recomputed)",
+        )
+        self._m_bits_searched = self.registry.counter(
+            "setsep.bits_searched",
+            "value bits a rebuild did not keep: searched, or spilled",
+        )
         self._m_rebuild_failures = self.registry.counter(
             "setsep.group_rebuild_failures",
             "group recomputes that spilled to the fallback",
@@ -245,9 +253,21 @@ class SetSep:
         was_failed = bool(self.failed_groups[group_id])
         self._m_rebuilds.inc()
         g1, g2 = hashfamily.base_hashes(keys_arr)
-        functions = group_search.search_group(g1, g2, values_arr, self.params)
+        # Incumbent first: a separator that survived the change is kept,
+        # so indices depend on this replica's history; failure does not.
+        incumbent = None if was_failed else self.indices[group_id]
+        functions = group_search.search_group(
+            g1, g2, values_arr, self.params, incumbent
+        )
+        kept = 0
         if functions is None:
             self._m_rebuild_failures.inc()
+        elif incumbent is not None:
+            kept = sum(
+                f.index == i for f, i in zip(functions, incumbent.tolist())
+            )
+        self._m_bits_kept.inc(kept)
+        self._m_bits_searched.inc(self.params.value_bits - kept)
 
         removals: List[int] = [
             hashfamily.canonical_key(k) for k in removed_keys
@@ -282,6 +302,8 @@ class SetSep:
         g = delta.group_id
         if not 0 <= g < self.num_groups:
             raise ValueError(f"group id {g} out of range")
+        if not len(delta.indices) == len(delta.arrays) == self.params.value_bits:
+            raise ValueError("delta does not match params.value_bits")
         self._m_deltas_applied.inc()
         self.indices[g, :] = delta.indices
         self.arrays[g, :] = delta.arrays

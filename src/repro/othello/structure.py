@@ -517,6 +517,8 @@ class OthelloSeparator:
         if not 0 <= block < self.num_blocks:
             raise ValueError(f"block id {block} out of range")
         vps = self.params.vertices_per_side
+        if update.full and len(update.cells) != 2 * vps:
+            raise ValueError("full record does not match vertices_per_side")
         self._m_deltas_applied.inc()
         if update.full:
             values = np.fromiter(

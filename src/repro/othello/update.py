@@ -65,6 +65,10 @@ class OthelloUpdate:
             vertex of both sides in order (A row, then B row).
     """
 
+    #: The ``OthelloParams`` fields the wire header carries (the peer of
+    #: ``GroupDelta.WIRE_WIDTHS``).
+    WIRE_WIDTHS = ("value_bits", "vertex_bits")
+
     block_id: int
     seed: int
     cells: Tuple[Tuple[int, int], ...] = field(default=())

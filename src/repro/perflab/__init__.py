@@ -27,8 +27,10 @@ Quick use::
 """
 
 from repro.perflab.artifact import (
+    HISTORY_FILENAME,
     Artifact,
     ArtifactError,
+    append_history,
     artifact_filename,
     canonical_json,
     deterministic_view,
@@ -67,9 +69,11 @@ __all__ = [
     "BenchmarkError",
     "CompareReport",
     "DiscoveryError",
+    "HISTORY_FILENAME",
     "KNOWN_SUITES",
     "SCHEMA_VERSION",
     "all_specs",
+    "append_history",
     "artifact_filename",
     "benchmark",
     "canonical_json",

@@ -170,11 +170,57 @@ def select_baseline(
     return chosen
 
 
+#: The trajectory file beside the committed artifact, and the derived
+#: metrics ``(row, metric)`` it keeps: each refresh renames the one
+#: ``BENCH_<sha>.json``, these lines stay.
+HISTORY_FILENAME = "BENCH_HISTORY.jsonl"
+HEADLINES = (
+    ("update.single_owner_rate", "updates_per_second"),
+    ("update.single_owner_rate", "incumbent_kept_share"),
+    ("othello.update_rate", "othello_updates_per_second"),
+    ("othello.update_rate", "setsep_updates_per_second"),
+    ("churn.bearer_replay", "updates_per_second"),
+    ("fig8.forwarding.endtoend", "batch_kops"),
+    ("fig7.lookup_batch", "measured_mops"),
+    ("table1.construction.workers.1", "keys_per_second"),
+)
+
+
+def append_history(artifact: Artifact, out_dir: PathLike = ".") -> Path:
+    """Append the artifact's headline metrics as one line; returns the path.
+
+    The line names its commit, suite, scale and ``cpu_count``; a headline
+    whose row did not run is left out, never guessed.
+    """
+    rows = artifact.results_by_name()
+    line = {
+        "git_sha": str(artifact.environment.get("git_sha", "nogit")),
+        "suite": artifact.suite,
+        "scale": artifact.scale,
+        "cpu_count": artifact.environment.get("cpu_count"),
+        "metrics": {
+            f"{row}.{metric}": rows[row].derived[metric]
+            for row, metric in HEADLINES
+            if row in rows and metric in rows[row].derived
+        },
+    }
+    path = Path(out_dir) / HISTORY_FILENAME
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps(line, sort_keys=True) + "\n")
+    return path
+
+
 def write_artifact(artifact: Artifact, out_dir: PathLike = ".") -> Path:
-    """Write the canonical artifact file; returns its path."""
+    """Write the canonical artifact file; returns its path.
+
+    A directory that keeps a :data:`HISTORY_FILENAME` (the repository
+    root, beside the committed artifact) gets the refresh's line too.
+    """
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     sha = str(artifact.environment.get("git_sha", "nogit"))
     path = directory / artifact_filename(sha)
     path.write_text(artifact.to_json(), encoding="utf-8")
+    if (directory / HISTORY_FILENAME).exists():
+        append_history(artifact, directory)
     return path

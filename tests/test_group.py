@@ -180,6 +180,79 @@ class TestSearchGroup:
         assert G.search_group(g1, g2, values, params) is None
 
 
+def reference_evaluate(g1, g2, bits, index, m):
+    """The array ``index`` gives over one bit's contents through the scalar
+    hashing path, or ``None`` when two keys of unlike bits share a slot."""
+    slots = hf.positions(hf.family_values(g1, g2, index), m).tolist()
+    taken = {}
+    if all(taken.setdefault(s, int(b)) == b for s, b in zip(slots, bits)):
+        return sum(1 << slot for slot, bit in taken.items() if bit)
+    return None
+
+
+@st.composite
+def incumbent_cases(draw):
+    """A search case plus one incumbent index per value bit: the index a
+    from-scratch search gives the group without its last key (what an
+    insert meets), or any index up to and including the failure sentinel."""
+    g1, g2, values, params = draw(search_cases())
+    before = G.search_group(g1[:-1], g2[:-1], values[:-1], params)
+    incumbent = [
+        before[bit].index if before is not None and draw(st.booleans())
+        else draw(st.integers(0, params.max_index))
+        for bit in range(params.value_bits)
+    ]
+    return g1, g2, values, params, np.array(incumbent, dtype=np.uint16)
+
+
+class TestIncumbentFirst:
+    """Kept where it still separates, searched alone where it broke."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(incumbent_cases())
+    def test_kept_bits_are_evaluated_and_broken_bits_searched_alone(self, case):
+        g1, g2, values, params, incumbent = case
+        expected = []
+        for bit, index in enumerate(incumbent.tolist()):
+            bits = ((values >> bit) & 1).tolist()
+            array = (
+                reference_evaluate(g1, g2, bits, index, params.array_bits)
+                if len(g1) and index < params.max_index else None
+            )
+            expected.append(
+                G.GroupFunction(index, array, 1) if array is not None
+                else reference_search_bit(
+                    g1, g2, bits, params.array_bits, params.max_index
+                )
+            )
+        found = G.search_group(g1, g2, values, params, incumbent)
+        if None in expected:
+            assert found is None
+        else:
+            assert found == expected
+            assert [f.iterations for f in found] == [
+                f.iterations for f in expected
+            ]
+        # Failure is a function of the contents: the incumbents move
+        # indices, never whether the group spills.
+        assert (found is None) == (
+            G.search_group(g1, g2, values, params) is None
+        )
+
+    def test_all_kept_never_builds_a_candidate_matrix(self, monkeypatch):
+        params = SetSepParams(value_bits=3)
+        _, values, g1, g2 = make_group(14, seed=5, value_bits=3)
+        scratch = G.search_group(g1, g2, values, params)
+        incumbent = np.array([f.index for f in scratch], dtype=np.uint16)
+        monkeypatch.setattr(G, "_search_targets", None)
+        # A removal: every index still separates the keys that are left.
+        kept = G.search_group(g1[1:], g2[1:], values[1:], params, incumbent)
+        assert [f.index for f in kept] == incumbent.tolist()
+        assert G.search_group(g1, g2, values, params, incumbent) == [
+            G.GroupFunction(f.index, f.array, 1) for f in scratch
+        ]
+
+
 class TestSearchJoint:
     def test_joint_function_maps_all_values(self):
         value_bits = 2

@@ -452,6 +452,81 @@ class TestBenchRunCli:
         capsys.readouterr()
 
 
+    def test_run_appends_history_only_where_a_history_is_kept(
+        self, tmp_path, capsys
+    ):
+        argv = ["bench", "run", "--suite", "all", "--filter",
+                "fig11.scaling_curve", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        history = tmp_path / perflab.HISTORY_FILENAME
+        assert not history.exists()
+        history.write_text('{"git_sha": "earlier"}\n')
+        assert main(argv) == 0 and main(argv) == 0
+        capsys.readouterr()
+        lines = [json.loads(line) for line in history.read_text().splitlines()]
+        assert lines[0] == {"git_sha": "earlier"}
+        assert [line["git_sha"] for line in lines[1:]] == (
+            [git_sha() or "unknown"] * 2
+        )
+        # The filtered run has none of the headline rows: none is invented.
+        assert lines[1]["metrics"] == {} and lines[1]["suite"] == "all"
+
+
+class TestHistory:
+    def test_line_keeps_headlines_that_ran_and_names_its_run(self, tmp_path):
+        artifact = make_artifact([
+            make_result("update.single_owner_rate", [0.1], derived={
+                "updates_per_second": 3000.0, "incumbent_kept_share": 0.38,
+                "mean_group_keys": 15.6,
+            }),
+            make_result("othello.update_rate", [0.1], derived={
+                "othello_updates_per_second": 6000.0,
+            }),
+            make_result("fig3.search_iterations", [0.1]),
+        ])
+        path = perflab.append_history(artifact, tmp_path)
+        perflab.append_history(artifact, tmp_path)
+        assert path == tmp_path / "BENCH_HISTORY.jsonl"
+        first, second = path.read_text().splitlines()
+        assert first == second
+        assert json.loads(first) == {
+            "git_sha": "deadbeef", "suite": "smoke", "scale": 1,
+            "cpu_count": 1,
+            "metrics": {
+                "update.single_owner_rate.updates_per_second": 3000.0,
+                "update.single_owner_rate.incumbent_kept_share": 0.38,
+                "othello.update_rate.othello_updates_per_second": 6000.0,
+            },
+        }
+
+    def test_committed_history_ends_at_the_committed_artifact(self):
+        root = BENCH_DIR.parent
+        (artifact,) = root.glob("BENCH_*.json")
+        lines = (root / perflab.HISTORY_FILENAME).read_text().splitlines()
+        last = json.loads(lines[-1])
+        assert artifact.name == perflab.artifact_filename(last["git_sha"])
+        derived = perflab.load_artifact(artifact).results_by_name()
+        for name, value in last["metrics"].items():
+            row, metric = name.rsplit(".", 1)
+            assert derived[row].derived[metric] == value
+
+    @pytest.mark.parametrize("cores, flagged", [(2, True), (4, False)])
+    def test_more_workers_than_cores_is_written_on_the_row(
+        self, monkeypatch, cores, flagged
+    ):
+        perflab.discover()
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        for workers in (1, 4):
+            artifact = perflab.run_suite(
+                "smoke", repeats=1,
+                name_filter=f"table1.construction.workers.{workers}",
+            )
+            (result,) = artifact.results
+            assert result.derived["oversubscribed"] is (
+                flagged and workers == 4
+            )
+
+
 # -- hard gates on exact counts ------------------------------------------
 
 

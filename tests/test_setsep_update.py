@@ -1,10 +1,16 @@
 """Tests for SetSep group rebuilds and delta updates (paper §4.5)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import SetSepParams, build
+from repro.core import group as group_search
 from repro.core.delta import WIRE_HEADER, DeltaWireError, GroupDelta
+from repro.obs import MetricsRegistry
 from tests.conftest import unique_keys
 
 
@@ -62,6 +68,97 @@ class TestRebuildGroup:
         setsep, _, keys, _ = setsep_pair
         with pytest.raises(ValueError):
             setsep.rebuild_group(0, [1, 2], [1])
+
+
+class TestIncumbentFirst:
+    """The owner tests the indices a group has before it searches."""
+
+    @given(
+        widths=st.sampled_from([dict(index_bits=4, array_bits=6), {}]),
+        seed=st.integers(1, 40),
+        pick=st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_removal_and_same_value_reinsert_never_search(
+        self, widths, seed, pick
+    ):
+        keys = unique_keys(400, seed=seed)
+        values = (keys % 4).astype(np.uint32)
+        setsep, _ = build(keys, values, SetSepParams(value_bits=2, **widths))
+        registry = MetricsRegistry()
+        setsep.bind_registry(registry)
+        groups = setsep.groups_of(keys)
+        separated = np.unique(groups[~setsep.failed_groups[groups]])
+        group = int(separated[pick % len(separated)])
+        members, nodes = keys[groups == group], values[groups == group]
+        victim = pick % len(members)
+        built = setsep.indices[group].tolist(), setsep.arrays[group].tolist()
+        with mock.patch.object(
+            group_search, "_search_targets", side_effect=AssertionError
+        ):
+            removal = setsep.rebuild_group(
+                group, np.delete(members, victim), np.delete(nodes, victim),
+                removed_keys=[int(members[victim])],
+            )
+            assert list(removal.indices) == built[0] and not removal.failed
+            assert np.array_equal(
+                setsep.lookup_batch(np.delete(members, victim)),
+                np.delete(nodes, victim),
+            )
+            setsep.rebuild_group(group, members, nodes)
+        # The key is back with its value: so is the group, bit for bit.
+        assert (
+            setsep.indices[group].tolist(), setsep.arrays[group].tolist()
+        ) == built
+        counters = registry.counters()
+        assert counters["setsep.group_rebuilds"] == 2
+        assert counters["setsep.incumbent_bits_kept"] == 4
+        assert counters["setsep.bits_searched"] == 0
+
+    def test_counters_split_every_rebuilt_bit(self, setsep_pair):
+        setsep, _, keys, values = setsep_pair
+        registry = MetricsRegistry()
+        setsep.bind_registry(registry)
+        groups = setsep.groups_of(keys)
+        for group in np.unique(groups)[:30].tolist():
+            members = keys[groups == group]
+            setsep.rebuild_group(group, members, (members % 3) % 4)
+            assert np.array_equal(
+                setsep.lookup_batch(members), (members % 3) % 4
+            )
+        counters = registry.counters()
+        kept = counters["setsep.incumbent_bits_kept"]
+        searched = counters["setsep.bits_searched"]
+        assert kept and searched and kept + searched == 2 * 30
+
+    def test_a_sentinel_index_is_never_kept(self, setsep_pair):
+        """An index only a forged record can leave in a live group: the
+        search never tries it, so the rebuild does not keep it either."""
+        setsep, _, keys, values = setsep_pair
+        group = int(setsep.groups_of(keys[:1])[0])
+        member = setsep.groups_of(keys) == group
+        sentinel = setsep.params.max_index
+        setsep.apply_delta(
+            GroupDelta(group, False, (sentinel, sentinel), (0, 0))
+        )
+        delta = setsep.rebuild_group(group, keys[member], values[member])
+        assert not delta.failed and max(delta.indices) < sentinel
+        assert np.array_equal(
+            setsep.lookup_batch(keys[member]), values[member]
+        )
+
+    def test_apply_rejects_a_record_of_another_width(self, setsep_pair):
+        setsep, _, _, _ = setsep_pair
+        before = setsep.indices.copy(), setsep.arrays.copy()
+        for delta in (
+            GroupDelta(3, False, (7,), (0xAA,)),
+            GroupDelta(3, False, (7, 7, 7), (1, 1, 1)),
+            GroupDelta(3, False, (7, 7), (1,)),
+        ):
+            with pytest.raises(ValueError):
+                setsep.apply_delta(delta)
+        assert np.array_equal(setsep.indices, before[0])
+        assert np.array_equal(setsep.arrays, before[1])
 
 
 class TestDeltaReplication:

@@ -11,6 +11,9 @@ requests are replaced by direct dispatch, everything else is the real
 protocol (HELLO, SNAPSHOT, UPDATE, FIB, DELTA).
 """
 
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,22 +27,25 @@ from repro.cluster.owner import (
     ACCOUNT_FIELDS, UpdateAccount, apply_records, owner_step,
 )
 from repro.cluster.rib import RoutingInformationBase
+from repro.core import group as group_search
 from repro.core import separator as separator_registry
-from repro.core import serialize
-from repro.core.delta import WIRE_HEADER, GroupDelta
-from repro.core.hashfamily import canonical_key
+from repro.core import serialize, shm
+from repro.core.delta import WIRE_HEADER, DeltaWireError, GroupDelta
+from repro.core.hashfamily import base_hashes, canonical_key
 from repro.core.params import SetSepParams
 from repro.epc.gateway import EpcGateway
 from repro.epc.packets import parse_ip
 from repro.epc.traffic import FlowGenerator
 from repro.gpt.gpt import GlobalPartitionTable
+from repro.othello.params import OthelloParams
+from repro.othello.update import OthelloUpdate
 from repro.runtime.controller import RuntimeController
 from repro.runtime.daemon import NodeDaemon
 from repro.runtime.deltalog import DeltaLog
 from repro.runtime.protocol import (
-    MSG_DELTA, MSG_DOWN, MSG_FLUSH, MSG_STATUS, MSG_UPDATE, OP_INSERT,
-    OP_REMOVE, RSP_ERR, RSP_OK, UpdateOp, decode_json, encode_json,
-    encode_updates,
+    MSG_DELTA, MSG_DOWN, MSG_FLUSH, MSG_STATE_REF, MSG_STATUS, MSG_UPDATE,
+    OP_INSERT, OP_REMOVE, RSP_ERR, RSP_OK, UpdateOp, decode_json,
+    encode_json, encode_state, encode_updates,
 )
 from tests.conftest import brute_force_contents, unique_keys
 from tests.test_bits import reference_pack
@@ -272,20 +278,28 @@ class TestDaemonSlice:
 class TestCore:
     """``repro.cluster.owner`` alone: no engine, no daemon, no cluster."""
 
-    @given(ops=st.lists(
-        st.tuples(st.booleans(), st.integers(0, 119), st.integers(0, 2)),
-        max_size=60,
-    ))
-    @settings(max_examples=30, deadline=None)
-    def test_replicas_are_a_function_of_the_final_slice(self, ops):
+    # Two candidate indices over four slots: a sixth of the groups start
+    # failed, and updates move groups in and out of the fallback table.
+    # Eight over four: groups fail now and then, and there are indices
+    # for history to choose between.  The default: nothing fails.
+    @given(
+        widths=st.sampled_from([
+            dict(index_bits=1, array_bits=2),
+            dict(index_bits=3, array_bits=4),
+            {},
+        ]),
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 119), st.integers(0, 2)),
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_history_moves_indices_never_failure_or_lookups(self, widths, ops):
         keys = unique_keys(120, seed=9)
         model = {int(k): int(k) % 3 for k in keys[:80]}
-        # Two candidate indices over four slots: a sixth of the groups
-        # start failed, and updates move groups in and out of the
-        # fallback table.
+        params = SetSepParams.for_cluster(3, **widths)
         gpt, _ = GlobalPartitionTable.build(
-            list(model), list(model.values()), 3,
-            params=SetSepParams.for_cluster(3, index_bits=1, array_bits=2),
+            list(model), list(model.values()), 3, params=params,
             backend="setsep",
         )
         peer = gpt.copy()
@@ -311,14 +325,54 @@ class TestCore:
         assert {e.key: e.node for e in rib.entries()} == model
         state = serialize.fingerprint(gpt.setsep)
         assert serialize.fingerprint(peer.setsep) == state
+        # Which groups spilled, and what the fallback table holds, is
+        # what the builder's search — from index 0, no incumbent —
+        # decides on the slice as it now stands, group by group.
+        separator = peer.setsep
+        spilled = {}
+        for group in range(separator.num_groups):
+            members, nodes = rib.group_contents(group, separator)
+            scratch = group_search.search_group(
+                *base_hashes(np.array(members, dtype=np.uint64)),
+                np.array(nodes, dtype=np.uint32), params,
+            )
+            assert bool(separator.failed_groups[group]) == (scratch is None)
+            if scratch is None:
+                spilled.update(zip(members, nodes))
+        assert dict(separator.fallback.items()) == spilled
         # Rebuilding every group from what the slice now holds changes
-        # nothing: the history of updates left no trace.
-        for group in range(peer.setsep.num_groups):
-            peer.rebuild_group(group, *rib.group_contents(group, peer.setsep))
-        assert serialize.fingerprint(peer.setsep) == state
+        # nothing: the history of updates may have chosen the indices,
+        # but a rebuild keeps what it finds.
+        for group in range(separator.num_groups):
+            peer.rebuild_group(group, *rib.group_contents(group, separator))
+        assert serialize.fingerprint(separator) == state
         if model:
             live = np.fromiter(model, dtype=np.uint64, count=len(model))
             assert peer.lookup_batch(live).tolist() == list(model.values())
+
+    def test_history_does_move_indices(self):
+        """Remove a key and put it back: the index its absence let the
+        group take stays, where a build of the same slice starts at 0."""
+        keys = unique_keys(2_000, seed=9)
+        model = {int(k): int(k) % 3 for k in keys}
+        gpt, _ = GlobalPartitionTable.build(
+            list(model), list(model.values()), 3, backend="setsep"
+        )
+        built = serialize.fingerprint(gpt.setsep)
+        rib = RoutingInformationBase(3, gpt.setsep.num_blocks)
+        for key, node in model.items():
+            rib.insert(key, node, 0)
+        acc = UpdateAccount()
+        moved = 0
+        for key in list(model)[:40]:
+            group = gpt.setsep.group_of(key)
+            before = gpt.setsep.indices[group].tolist()
+            for node in ((model[key] + 1) % 3, model[key]):
+                owner_step(rib, gpt, acc, key, rib.bucket_of(key), node)
+            moved += gpt.setsep.indices[group].tolist() != before
+        assert moved and serialize.fingerprint(gpt.setsep) != built
+        live = np.fromiter(model, dtype=np.uint64, count=len(model))
+        assert gpt.lookup_batch(live).tolist() == list(model.values())
 
 
 class TestNothingPartlyApplied:
@@ -327,7 +381,8 @@ class TestNothingPartlyApplied:
     @staticmethod
     def payloads(separator):
         """Two good records that change ``separator``, then a third record
-        that is truncated, or whole with a padding bit set."""
+        that is truncated, whole with a padding bit set, or well framed
+        for a table of other widths (one value bit more; 32-bit arrays)."""
         params = separator.params
         records = [
             GroupDelta(group, False, (group + 1,), (1,)).wire_bytes(params)
@@ -335,7 +390,15 @@ class TestNothingPartlyApplied:
         ]
         good = records[0] + records[1]
         forged = records[2][:-1] + bytes([records[2][-1] | 1])
-        return good, [good + records[2][:-2], good + forged]
+        wider = GroupDelta(2, False, (3, 3), (1, 1)).wire_bytes(
+            replace(params, value_bits=2)
+        )
+        longer = GroupDelta(2, False, (3,), (0xAAAAAAAA,)).wire_bytes(
+            replace(params, array_bits=32)
+        )
+        return good, [
+            good + tail for tail in (records[2][:-2], forged, wider, longer)
+        ]
 
     def test_bad_delta_batch_leaves_the_daemon_unchanged_and_serving(self):
         gateway, _, flows = started_gateway(2, 300, seed=5)
@@ -379,6 +442,63 @@ class TestNothingPartlyApplied:
             assert serialize.dumps(separator) == floor
         assert apply_records(separator, good) == 2
         assert serialize.dumps(separator) != floor
+
+
+    @pytest.mark.skipif(not shm.available(), reason="no writable /dev/shm")
+    def test_bad_catch_up_leaves_the_daemon_on_its_old_state(self):
+        gateway, _, _ = started_gateway(2, 300, seed=5)
+        controller, daemons = wire_up(gateway)
+        peer = daemons[1]
+        headers, snapshot = controller._state_headers(gateway)
+        publisher = shm.SegmentPublisher(
+            prefix=f"{shm.SEGMENT_PREFIX}test-{os.getpid():x}-"
+        )
+        try:
+            segment = publisher.publish(snapshot)
+            header = dict(headers[1], segment={
+                "name": segment.name, "fingerprint": segment.fingerprint,
+            })
+            crc = decode_json(peer._dispatch(MSG_STATUS, b"")[1])["gpt_crc"]
+            good, bad = self.payloads(peer.gpt.setsep)
+            for payload in bad:
+                rsp_type, rsp = peer._dispatch(
+                    MSG_STATE_REF, encode_state(header, payload)
+                )
+                assert rsp_type == RSP_ERR
+                assert "DeltaWireError" in decode_json(rsp)["error"]
+                status = decode_json(peer._dispatch(MSG_STATUS, b"")[1])
+                assert status["gpt_crc"] == crc
+            rsp_type, rsp = peer._dispatch(
+                MSG_STATE_REF, encode_state(header, good)
+            )
+            assert (rsp_type, decode_json(rsp)["replayed"]) == (RSP_OK, 2)
+            status = decode_json(peer._dispatch(MSG_STATUS, b"")[1])
+            assert status["gpt_crc"] != crc
+        finally:
+            if peer._attached is not None:
+                peer._attached.close()
+            publisher.close()
+
+    def test_othello_record_of_another_geometry_is_refused_whole(self):
+        params = OthelloParams(value_bits=1, vertices_per_side=2048)
+        separator, _ = separator_registry.build(
+            unique_keys(200, seed=4), [0] * 200, params, backend="othello"
+        )
+        floor = serialize.dumps(separator)
+        good = OthelloUpdate(0, int(separator.seeds[0]), ((5, 1),))
+        # A value only a wider table can hold; a cell only a larger one has.
+        for other, cell in (
+            (replace(params, value_bits=2), (4000, 3)),
+            (replace(params, vertices_per_side=4096), (5000, 1)),
+        ):
+            bad = OthelloUpdate(0, 0, (cell,)).wire_bytes(other)
+            with pytest.raises(DeltaWireError):
+                apply_records(separator, good.wire_bytes(params) + bad)
+            assert serialize.dumps(separator) == floor
+        assert apply_records(separator, good.wire_bytes(params)) == 1
+        assert serialize.dumps(separator) != floor
+        with pytest.raises(ValueError):
+            separator.apply_delta(OthelloUpdate(0, 0, ((0, 0),) * 8, full=True))
 
 
 class TestDaemonFlush:
