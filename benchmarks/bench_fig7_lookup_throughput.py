@@ -14,10 +14,14 @@ Two reproductions:
    counts and batch sizes, which regenerates the figure's shape.
 """
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.core import SetSepParams, build
+from repro.core import SetSepParams, build, hashfamily
+from repro.gpt.gpt import GlobalPartitionTable
+from repro.hashtables import CuckooHashTable
 from repro.model.cache import XEON_E5_2680
 from repro.model.perf import SetSepLookupModel
 from repro.obs import MetricsRegistry, span_histogram_name
@@ -130,3 +134,86 @@ def perflab_fig7(ctx):
     lookups = ctx.registry.counter("setsep.lookups").value
     total_s = sum(ctx.samples)
     ctx.record(measured_mops=lookups / total_s / 1e6)
+
+
+# -- the batch-size cost curve (ROADMAP item 7) --------------------------
+#
+# fig7 above reads the per-key cost at one large batch; a 32-frame
+# gateway batch split four ways pays the *fixed* cost of a lookup call
+# eight times.  These rows time the two tables of the packet path at
+# the batch sizes the data path really hands them, on raw keys (hashed
+# inside the call) and on a pre-hashed batch (columns read).
+
+BATCH_COST_SIZES = (8, 64, 256, 4_096, 40_000)
+
+
+def _batch_cost(ctx, lookup, probe, columns):
+    """Best-of cost of ``lookup`` per batch size, raw and pre-hashed.
+
+    ``fixed_us`` / ``per_key_ns`` are the intercept and slope of the
+    least-squares line ``cost = fixed + per_key * n`` through the five
+    sizes, each point weighted by 1/cost so the fit minimises *relative*
+    error (unweighted, the 40,000-key point alone would set both).
+    """
+    best = {
+        kind: dict.fromkeys(BATCH_COST_SIZES, float("inf"))
+        for kind in ("raw", "prehashed")
+    }
+
+    def sweep():
+        for n in BATCH_COST_SIZES:
+            raw = probe[:n]
+            hashed = hashfamily.prehash(raw)
+            getattr(hashed, columns)
+            for kind, batch in (("raw", raw), ("prehashed", hashed)):
+                calls = max(3, 2_048 // n)
+                started = time.perf_counter()
+                for _ in range(calls):
+                    lookup(batch)
+                cost = (time.perf_counter() - started) / calls * 1e6
+                best[kind][n] = min(best[kind][n], cost)
+
+    ctx.timeit(sweep)
+    sizes = np.array(BATCH_COST_SIZES, dtype=np.float64)
+    for kind, prefix in (("raw", ""), ("prehashed", "prehashed_")):
+        costs = np.array([best[kind][n] for n in BATCH_COST_SIZES])
+        per_key_us, fixed_us = np.polyfit(sizes, costs, 1, w=1.0 / costs)
+        ctx.record(**{
+            f"{prefix}fixed_us": fixed_us,
+            f"{prefix}per_key_ns": per_key_us * 1e3,
+            **{f"{prefix}us_at_{n}": best[kind][n] for n in BATCH_COST_SIZES},
+        })
+    ctx.record(
+        prehashed_over_raw_at_8=best["prehashed"][8] / best["raw"][8]
+    )
+
+
+def _batch_cost_population(ctx):
+    n_keys = 50_000 * ctx.scale
+    keys = bench_keys(n_keys, seed=31)
+    ctx.set_params(
+        n_keys=n_keys, sizes="/".join(map(str, BATCH_COST_SIZES))
+    )
+    return keys
+
+
+@perflab.benchmark("lookup.batch_cost.gpt", figure="Figure 7", repeats=5)
+def perflab_batch_cost_gpt(ctx):
+    """Fixed and per-key cost of ``GlobalPartitionTable.lookup_batch``."""
+    keys = _batch_cost_population(ctx)
+    nodes = (keys % np.uint64(4)).astype(np.int64)
+    gpt, _ = GlobalPartitionTable.build(keys, nodes, 4, backend="setsep")
+    _batch_cost(ctx, gpt.lookup_batch, keys, "separator")
+    assert np.array_equal(gpt.lookup_batch(keys[:4_096]), nodes[:4_096])
+
+
+@perflab.benchmark("lookup.batch_cost.fib", figure="Figure 7", repeats=5)
+def perflab_batch_cost_fib(ctx):
+    """Fixed and per-key cost of the cuckoo FIB's ``lookup_batch_array``."""
+    keys = _batch_cost_population(ctx)
+    fib = CuckooHashTable(len(keys))
+    for value, key in enumerate(keys.tolist()):
+        fib.insert(key, value)
+    _batch_cost(ctx, fib.lookup_batch_array, keys, "fib")
+    found, values = fib.lookup_batch_array(keys[:4_096])
+    assert found.all() and values.tolist() == list(range(4_096))

@@ -524,6 +524,8 @@ class Cluster:
         ckey = hashfamily.canonical_key(key)
         if ingress is None:
             ingress = self.pick_ingress()
+        elif type(ingress) is not int or not 0 <= ingress < len(self.nodes):
+            ingress = int(self._ingress_column([ingress], 1)[0])
         arch = self.architecture
         if arch is Architecture.SCALEBRICKS:
             result = self._route_scalebricks(ckey, ingress, size)
@@ -552,29 +554,54 @@ class Cluster:
 
         The result iterates as a sequence of :class:`RouteResult` (the
         historical list shape) and additionally carries the batch as NumPy
-        arrays (egress node, hop count, indirection flag, ...).
+        arrays (egress node, hop count, indirection flag, ...).  An
+        ``ingress`` that is not one node id per key is a ``ValueError``
+        before any counter, random draw or fabric call.
         """
         keys_arr = hashfamily.canonical_keys(keys)
         if ingress is None:
             ingress_arr = self.pick_ingress_batch(len(keys_arr))
         else:
-            ingress_arr = np.asarray(ingress)
+            ingress_arr = self._ingress_column(ingress, len(keys_arr))
         if (
             len(keys_arr)
-            and ingress_arr.dtype != object
             and self.architecture is Architecture.SCALEBRICKS
             and self.fabric.fault_hook is None
             and not self.fabric.has_link_faults()
         ):
-            return self._route_batch_scalebricks(
-                keys_arr, ingress_arr.astype(np.int64)
-            )
+            return self._route_batch_scalebricks(keys_arr, ingress_arr)
         return RouteBatchResult.from_results(
-            [
-                self.route(k, int(i))
-                for k, i in zip(keys_arr.tolist(), ingress_arr.tolist())
-            ]
+            list(map(self.route, keys_arr.tolist(), ingress_arr.tolist()))
         )
+
+    def _ingress_column(self, ingress, count: int) -> np.ndarray:
+        """``ingress`` as an int64 column of ``count`` node ids."""
+        column = np.asarray(ingress)
+        if column.shape != (count,):
+            raise ValueError(f"{count} keys, ingress of shape {column.shape}")
+        if column.dtype.kind in "iu":
+            bad = (column < 0) | (column >= len(self.nodes))
+        else:  # a float is not truncated, None is not a default
+            bad = np.array([
+                type(v) is not int or not 0 <= v < len(self.nodes)
+                for v in column.tolist()
+            ], dtype=bool)
+        if bad.any():
+            j = int(bad.argmax())
+            raise ValueError(f"ingress[{j}] = {column[j]!r} is not a node id")
+        return column.astype(np.int64)
+
+    def _runs(self, keys_arr: np.ndarray, ids: np.ndarray, columns: str):
+        """Split the batch by a node-id column with one stable sort: per
+        node present, its packets' rows (in batch order) and their keys, a
+        slice of the sorted batch whose ``columns`` are hashed once, here."""
+        order = np.argsort(ids, kind="stable")
+        batch = hashfamily.HashedKeys(keys_arr[order])
+        getattr(batch, columns)
+        stops = np.bincount(ids, minlength=len(self.nodes)).cumsum().tolist()
+        for node, start, stop in zip(self.nodes, [0] + stops, stops):
+            if start < stop:
+                yield node, order[start:stop], batch[start:stop]
 
     def _route_batch_scalebricks(
         self,
@@ -587,60 +614,33 @@ class Cluster:
         Counter totals, fabric accounting and the per-packet
         :class:`RouteResult` values are identical to routing each packet
         through :meth:`route`; only the per-packet Python call stack is
-        gone.  GPT lookups are grouped by ingress node (each packet still
-        consults its own ingress replica) and FIB rejection is grouped by
-        handling node.
+        gone.  The batch is sorted once by ingress node and once by
+        handler, so every GPT replica (each packet still consults its own
+        ingress replica: replicas may differ) and every FIB is handed a
+        contiguous slice of keys hashed once for all of them.
         """
         n = keys_arr.size
         num_nodes = len(self.nodes)
-        ext_rx = np.bincount(ingress_arr, minlength=num_nodes)
-        handlers = np.zeros(n, dtype=np.int64)
-        for node_id in np.nonzero(ext_rx)[0]:
-            node = self.nodes[int(node_id)]
-            node.counters.external_rx += int(ext_rx[node_id])
-            mask = ingress_arr == node_id
-            node.counters.gpt_lookups += int(ext_rx[node_id])
-            handlers[mask] = node.gpt.lookup_batch(keys_arr[mask]).astype(
-                np.int64
-            )
+        handlers = np.empty(n, dtype=np.int64)
+        for node, rows, keys in self._runs(keys_arr, ingress_arr, "separator"):
+            node.counters.external_rx += len(rows)
+            node.counters.gpt_lookups += len(rows)
+            handlers[rows] = node.gpt.lookup_batch(keys)
 
         remote = handlers != ingress_arr
         latencies = self.fabric.deliver_batch(ingress_arr, handlers, size)
-        for node_id, count in zip(
-            *np.unique(handlers[remote], return_counts=True)
+        for node, rx, forwarded in zip(
+            self.nodes,
+            np.bincount(handlers[remote], minlength=num_nodes).tolist(),
+            np.bincount(ingress_arr[remote], minlength=num_nodes).tolist(),
         ):
-            self.nodes[int(node_id)].counters.internal_rx += int(count)
-        for node_id, count in zip(
-            *np.unique(ingress_arr[remote], return_counts=True)
-        ):
-            self.nodes[int(node_id)].counters.forwarded += int(count)
+            node.counters.internal_rx += rx
+            node.counters.forwarded += forwarded
 
-        found = np.zeros(n, dtype=bool)
-        values = np.full(n, -1, dtype=np.int64)
-        for node_id in np.unique(handlers):
-            mask = handlers == node_id
-            node = self.nodes[int(node_id)]
-            count = int(mask.sum())
-            node.counters.fib_lookups += count
-            try:
-                node_found, node_values = node.fib.lookup_batch_array(
-                    keys_arr[mask]
-                )
-            except TypeError:
-                raw = node.fib.lookup_batch(keys_arr[mask])
-                node_found = np.asarray(
-                    [v is not None for v in raw], dtype=bool
-                )
-                node_values = np.asarray(
-                    [-1 if v is None else int(v) for v in raw],
-                    dtype=np.int64,
-                )
-            hits = int(node_found.sum())
-            node.counters.fib_misses += count - hits
-            node.counters.dropped += count - hits
-            node.counters.handled += hits
-            found[mask] = node_found
-            values[mask] = node_values
+        found = np.empty(n, dtype=bool)
+        values = np.empty(n, dtype=np.int64)
+        for node, rows, keys in self._runs(keys_arr, handlers, "fib"):
+            found[rows], values[rows] = node.handle_batch(keys)
 
         hop_counts = remote.astype(np.int64)
         results = [

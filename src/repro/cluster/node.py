@@ -11,7 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
+import numpy as np
+
 from repro.cluster.architectures import Architecture
+from repro.core.hashfamily import HashedKeys, canonical_keys
 from repro.core.setsep import Key
 from repro.gpt.gpt import GlobalPartitionTable
 from repro.hashtables.interface import FibTable
@@ -117,6 +120,24 @@ class ClusterNode:
             return found  # type: ignore[return-value]
         _, value = found  # type: ignore[misc]
         return value
+
+    def handle_batch(self, keys: HashedKeys) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`handle` of a ScaleBricks batch: ``(found, values)``,
+        ``-1`` for a key unknown here, counters as ``len(keys)`` calls."""
+        try:
+            found, values = self.fib.lookup_batch_array(keys)
+        except TypeError:  # non-integer values: per key, from plain keys
+            raw = self.fib.lookup_batch(canonical_keys(keys))
+            found = np.asarray([v is not None for v in raw], dtype=bool)
+            values = np.asarray(
+                [-1 if v is None else int(v) for v in raw], dtype=np.int64
+            )
+        hits = int(found.sum())
+        self.counters.fib_lookups += len(keys)
+        self.counters.fib_misses += len(keys) - hits
+        self.counters.dropped += len(keys) - hits
+        self.counters.handled += hits
+        return found, values
 
     # ------------------------------------------------------------------
     # Memory accounting

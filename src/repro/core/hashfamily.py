@@ -23,9 +23,14 @@ a short period in its low bits.  This module provides:
   paper's use-the-MSBs rule); ``index_slots`` / ``index_masks`` — the same
   reduction for many family indices at once (``chunk_slots`` /
   ``chunk_masks`` for a run of consecutive ones), the matrix every
-  brute-force search tests its candidates against;
+  brute-force search tests its candidates against and the batched lookup
+  probes with;
 * independent hash streams for the two-level bucket mapping and the cuckoo
-  FIB, derived from distinct mixing constants.
+  FIB, derived from distinct mixing constants;
+* ``HashedKeys`` / ``prehash`` — a batch of canonical keys carrying the
+  hashes that depend on the key alone, so the tables a batch visits
+  (one GPT replica per ingress node, one FIB per handler) read columns
+  instead of each hashing the same keys again (Alg. 1 hashes a key once).
 """
 
 from __future__ import annotations
@@ -55,6 +60,27 @@ _STREAM_BUCKET = np.uint64(_BUCKET_INT)
 _STREAM_FIB = np.uint64(_FIB_INT)
 _STREAM_TAG = np.uint64(_TAG_INT)
 
+#: Width of the cuckoo FIB's partial-key tag (MemC3); the tag, never zero,
+#: derives a key's alternate bucket.
+TAG_BITS = 16
+
+# The rows of the two column sets of :class:`HashedKeys`.
+_SEPARATOR_STREAMS = np.array([_STREAM_BUCKET, _STREAM_G1, _STREAM_G2])
+_FIB_STREAMS = np.array([_STREAM_FIB, _STREAM_TAG])
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """:func:`splitmix64` of a uint64 array this call owns, in place:
+    in-place ufuncs on an ``ndarray`` wrap mod 2**64 unchecked (only
+    NumPy *scalar* arithmetic warns), so no ``errstate`` is needed."""
+    x += np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """Vectorised splitmix64 finaliser over a uint64 array.
@@ -63,13 +89,13 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
     a bijection on 64-bit integers with full avalanche, which is all SetSep
     requires of its "standard hashing methods".
     """
-    x = x.astype(_U64, copy=True)
-    with np.errstate(over="ignore"):
-        x += np.uint64(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-    return x
+    return _mix(np.array(x, dtype=_U64))
+
+
+def _stacked(keys: np.ndarray, streams: np.ndarray) -> np.ndarray:
+    """One mixer pass over every (stream, key) pair: row ``r`` of the
+    ``(len(streams), n)`` result is ``splitmix64(keys ^ streams[r])``."""
+    return _mix(np.bitwise_xor.outer(streams, keys))
 
 
 def splitmix64_int(x: int) -> int:
@@ -98,9 +124,15 @@ def canonical_key(key: Key) -> int:
 
 
 def canonical_keys(keys: Iterable[Key]) -> np.ndarray:
-    """Vector version of :func:`canonical_key` returning a uint64 array."""
+    """Vector version of :func:`canonical_key` returning a uint64 array.
+
+    A :class:`HashedKeys` batch is unwrapped to the keys it carries, so a
+    table that reads none of its columns takes it like any other batch.
+    """
     if isinstance(keys, np.ndarray) and keys.dtype == _U64:
         return keys
+    if isinstance(keys, HashedKeys):
+        return keys.keys
     return np.fromiter(
         (canonical_key(k) for k in keys), dtype=_U64, count=_length_hint(keys)
     )
@@ -119,10 +151,67 @@ def base_hashes(keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     G2 is forced odd: ``G1 + i*G2`` then enumerates all 2**64 residues as
     ``i`` increases, so no candidate index is wasted on a repeated function.
     """
-    keys = np.asarray(keys, dtype=_U64)
-    g1 = splitmix64(keys ^ _STREAM_G1)
-    g2 = splitmix64(keys ^ _STREAM_G2) | np.uint64(1)
+    g1, g2 = _stacked(np.asarray(keys, dtype=_U64), _SEPARATOR_STREAMS[1:])
+    g2 |= _ONE
     return g1, g2
+
+
+class HashedKeys:
+    """A batch of canonical keys with its key-only hash columns.
+
+    Two column sets, each hashed in one stacked pass the first time it is
+    read and carried by every slice taken afterwards (a slice taken
+    before hashes its own rows): :attr:`separator`, what a SetSep lookup
+    needs of a key, and :attr:`fib`, the cuckoo FIB's primary bucket and
+    the offset to its alternate one.  Whatever depends on one table's
+    geometry or contents (range reduction onto its buckets, its choices,
+    indices, arrays, slots) is left to that table: replicas may differ.
+    Build with :func:`prehash`; ``len()`` and indexing by a slice or an
+    index array work as on the key array.
+    """
+
+    __slots__ = ("keys", "_separator", "_fib")
+
+    def __init__(self, keys: np.ndarray, separator=None, fib=None) -> None:
+        self.keys, self._separator, self._fib = keys, separator, fib
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, rows) -> "HashedKeys":
+        return HashedKeys(
+            self.keys[rows],
+            None if self._separator is None else self._separator[:, rows],
+            None if self._fib is None else self._fib[:, rows],
+        )
+
+    @property
+    def separator(self) -> np.ndarray:
+        """The ``(3, n)`` separator columns: bucket hash, G1, G2|1."""
+        if self._separator is None:
+            self._separator = _stacked(self.keys, _SEPARATOR_STREAMS)
+            self._separator[2] |= _ONE
+        return self._separator
+
+    @property
+    def fib(self) -> np.ndarray:
+        """The ``(2, n)`` FIB columns: FIB hash, and ``tag_hash`` of the
+        key's non-zero ``TAG_BITS``-bit tag (the alternate-bucket offset)."""
+        if self._fib is None:
+            self._fib = _stacked(self.keys, _FIB_STREAMS)
+            tags = self._fib[1]
+            tags &= np.uint64((1 << TAG_BITS) - 1)
+            tags[tags == 0] = 1
+            tags ^= _STREAM_TAG
+            _mix(tags)
+        return self._fib
+
+
+def prehash(keys: Union[HashedKeys, Iterable[Key]]) -> HashedKeys:
+    """``keys`` as a :class:`HashedKeys` batch (itself, if it is one)."""
+    if isinstance(keys, HashedKeys):
+        return keys
+    return HashedKeys(canonical_keys(keys))
 
 
 def family_values(
@@ -142,9 +231,8 @@ def positions(hashes: np.ndarray, m: int) -> np.ndarray:
     """
     if m <= 0:
         raise ValueError("m must be positive")
-    top = hashes >> _SHIFT32
-    with np.errstate(over="ignore"):
-        return ((top * np.uint64(m)) >> _SHIFT32).astype(np.int64)
+    # A 32-bit value times m < 2**32 cannot overflow 64 bits.
+    return (((hashes >> _SHIFT32) * np.uint64(m)) >> _SHIFT32).astype(np.int64)
 
 
 def index_slots(
@@ -154,15 +242,17 @@ def index_slots(
 
     Returns an ``(n_keys, len(indices))`` uint64 matrix: entry ``[j, c]``
     is the slot in ``[0, m)`` that ``H_{indices[c]}`` assigns to key ``j``,
-    equal to ``positions(family_values(g1, g2, indices[c]), m)[j]``.  This
-    is the single home of the multiply-shift reduction over many members
-    of the hash family; the brute-force searches and the owner's
-    incumbent test all evaluate it, in place on one matrix (unsigned
-    array arithmetic wraps mod 2**64 without warning).
+    equal to ``positions(family_values(g1, g2, indices[c]), m)[j]``.  A
+    2-D ``indices`` gives each key its own row of indices (the batched
+    lookup: ``indices[j, c]`` is value bit ``c`` of key ``j``'s group).
+    This is the single home of the multiply-shift reduction over many
+    members of the hash family; the brute-force searches, the owner's
+    incumbent test and the lookup all evaluate it, in place on one matrix
+    (unsigned array arithmetic wraps mod 2**64 without warning).
     """
     if m <= 0:
         raise ValueError("m must be positive")
-    h = np.asarray(indices, dtype=_U64)[None, :] * g2[:, None]
+    h = np.atleast_2d(np.asarray(indices, dtype=_U64)) * g2[:, None]
     h += g1[:, None]
     h >>= _SHIFT32
     h *= np.uint64(m)
@@ -201,22 +291,22 @@ def chunk_masks(
     )
 
 
-def bucket_hash(keys: np.ndarray) -> np.ndarray:
-    """Independent hash stream for the first-level key-to-bucket mapping."""
-    keys = np.asarray(keys, dtype=_U64)
-    return splitmix64(keys ^ _STREAM_BUCKET)
+def bucket_hash(keys: Union[np.ndarray, HashedKeys]) -> np.ndarray:
+    """Independent hash stream for the first-level key-to-bucket mapping
+    (read, not recomputed, from a :class:`HashedKeys` batch)."""
+    if isinstance(keys, HashedKeys):
+        return keys.separator[0]
+    return _mix(np.asarray(keys, dtype=_U64) ^ _STREAM_BUCKET)
 
 
 def fib_hash(keys: np.ndarray) -> np.ndarray:
     """Independent hash stream used by the cuckoo FIB's primary bucket."""
-    keys = np.asarray(keys, dtype=_U64)
-    return splitmix64(keys ^ _STREAM_FIB)
+    return _mix(np.asarray(keys, dtype=_U64) ^ _STREAM_FIB)
 
 
 def tag_hash(keys: np.ndarray) -> np.ndarray:
     """Independent hash stream used for cuckoo partial-key tags."""
-    keys = np.asarray(keys, dtype=_U64)
-    return splitmix64(keys ^ _STREAM_TAG)
+    return _mix(np.asarray(keys, dtype=_U64) ^ _STREAM_TAG)
 
 
 def bucket_hash_int(key: int) -> int:
@@ -243,9 +333,8 @@ def reduce_range(hashes: np.ndarray, n: int) -> np.ndarray:
     """Map 64-bit hashes uniformly onto ``[0, n)`` (multiply-shift)."""
     if n <= 0:
         raise ValueError("range size must be positive")
-    top = np.asarray(hashes, dtype=_U64) >> np.uint64(32)
-    with np.errstate(over="ignore"):
-        return ((top * np.uint64(n)) >> np.uint64(32)).astype(np.int64)
+    top = np.asarray(hashes, dtype=_U64) >> _SHIFT32
+    return ((top * np.uint64(n)) >> _SHIFT32).astype(np.int64)
 
 
 def derive_stream(name: str) -> np.uint64:
@@ -256,5 +345,4 @@ def derive_stream(name: str) -> np.uint64:
 
 def keyed_hash(keys: np.ndarray, stream: np.uint64) -> np.ndarray:
     """Hash ``keys`` under the stream constant from :func:`derive_stream`."""
-    keys = np.asarray(keys, dtype=_U64)
-    return splitmix64(keys ^ stream)
+    return _mix(np.asarray(keys, dtype=_U64) ^ stream)

@@ -151,22 +151,26 @@ class SetSep:
         ``with_groups=True`` additionally returns each key's group id as a
         second array — the hot-key cache fills entries with group tags and
         would otherwise recompute the bucket/group stage per miss batch.
+
+        The key-only hashes are the batch's separator columns
+        (:class:`repro.core.hashfamily.HashedKeys`): raw keys are hashed
+        here in one stacked pass, a pre-hashed batch is read.  What depends
+        on *this* replica (its geometry, contents and fallback) stays here.
         """
-        keys = hashfamily.canonical_keys(keys)
+        batch = hashfamily.prehash(keys)
+        keys = batch.keys
         if keys.size == 0:
             empty = np.zeros(0, dtype=np.uint32)
             return (empty, empty.copy()) if with_groups else empty
         self._m_lookups.inc(keys.size)
-        groups = self.groups_of(keys)
-        g1, g2 = hashfamily.base_hashes(keys)
-        m = self.params.array_bits
+        groups = self.groups_of(batch)
+        _, g1, g2 = batch.separator
         vb = self.params.value_bits
         # (n, value_bits) gathers: every group row at once.
-        idx = self.indices[groups].astype(np.uint64)
+        pos = hashfamily.index_slots(
+            g1, g2, self.indices[groups], self.params.array_bits
+        )
         cells = self.arrays[groups].astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h = g1[:, None] + idx * g2[:, None]
-        pos = hashfamily.positions(h, m).astype(np.uint64)
         bits = ((cells >> pos) & np.uint64(1)).astype(np.uint32)
         values = np.bitwise_or.reduce(
             bits << np.arange(vb, dtype=np.uint32)[None, :], axis=1
@@ -197,11 +201,11 @@ class SetSep:
             self._m_fallback_hits.inc(hits)
 
     def buckets_of(self, keys: np.ndarray) -> np.ndarray:
-        """Global bucket id of each (canonical) key."""
+        """Global bucket id of each (canonical or pre-hashed) key."""
         return twolevel.bucket_ids(keys, self.num_blocks)
 
     def groups_of(self, keys: np.ndarray) -> np.ndarray:
-        """Global group id of each (canonical) key."""
+        """Global group id of each (canonical or pre-hashed) key."""
         buckets = self.buckets_of(keys)
         return twolevel.groups_from_choices(buckets, self.choices)
 

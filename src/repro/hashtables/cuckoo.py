@@ -33,7 +33,7 @@ SLOTS_PER_BUCKET = 4
 MAX_BFS_DEPTH = 4
 
 #: Tag width in bits (partial key stored logically alongside each slot).
-TAG_BITS = 16
+TAG_BITS = hashfamily.TAG_BITS
 
 
 class CuckooHashTable(FibTable):
@@ -156,23 +156,19 @@ class CuckooHashTable(FibTable):
         Candidate buckets, tags and slot comparisons for the whole batch
         are computed as NumPy array operations — the software analogue of
         the prefetch pipelining CuckooSwitch uses (§5.1).  Both batch
-        lookup shapes build on this.
+        lookup shapes build on this.  The FIB hash and the tag's
+        alternate-bucket offset are the batch's FIB columns
+        (:class:`repro.core.hashfamily.HashedKeys`: hashed here for raw
+        keys, read from a pre-hashed batch); masking them onto this
+        table's buckets is done here.
         """
-        from repro.hashtables.interface import canonical_many
-
-        keys_arr = canonical_many(keys)
+        batch = hashfamily.prehash(keys)
+        keys_arr = batch.keys
         n = len(keys_arr)
         if n == 0:
             return np.zeros(0, dtype=np.int64)
-        primary = (hashfamily.fib_hash(keys_arr) & self._bucket_mask).astype(
-            np.int64
-        )
-        tags = hashfamily.tag_hash(keys_arr) & np.uint64((1 << TAG_BITS) - 1)
-        tags = np.where(tags == 0, np.uint64(1), tags)
-        offsets = (hashfamily.tag_hash(tags) & self._bucket_mask).astype(
-            np.int64
-        )
-        alternate = primary ^ offsets
+        primary, alternate = (batch.fib & self._bucket_mask).astype(np.int64)
+        alternate ^= primary
 
         # All 8 candidate slots per key: (n, 8).
         slot_base = np.stack([primary, alternate], axis=1) * SLOTS_PER_BUCKET

@@ -55,9 +55,7 @@ class FibTable(abc.ABC):
         self, keys: Union[Sequence[Key], np.ndarray]
     ) -> List[Optional[Any]]:
         """Look up many keys; subclasses may vectorise."""
-        if isinstance(keys, np.ndarray):
-            keys = keys.tolist()
-        return [self.lookup(k) for k in keys]
+        return [self.lookup(k) for k in canonical_many(keys).tolist()]
 
     def lookup_batch_array(
         self,

@@ -278,14 +278,19 @@ class OthelloSeparator:
         (the block's first group, matching :meth:`groups_of`) so the
         hot-key cache can tag fills without a second bucket pass.
         """
-        keys = hashfamily.canonical_keys(keys)
-        if keys.size == 0:
+        ckeys = hashfamily.canonical_keys(keys)
+        if ckeys.size == 0:
             empty = np.zeros(0, dtype=np.uint32)
             return (empty, empty.copy()) if with_groups else empty
-        self._m_lookups.inc(keys.size)
-        blocks = self.blocks_of(keys)
+        self._m_lookups.inc(ckeys.size)
+        # The bucket hash is the one column Othello shares with a
+        # pre-hashed batch (its vertex hashes are seeded per block): read
+        # from one, hashed alone for raw keys.
+        blocks = self.blocks_of(
+            keys if isinstance(keys, hashfamily.HashedKeys) else ckeys
+        )
         ha, hb = vertex_hashes(
-            keys, self.seeds[blocks], self.params.vertex_bits
+            ckeys, self.seeds[blocks], self.params.vertex_bits
         )
         values = self.array_a[blocks, ha] ^ self.array_b[blocks, hb]
         values = values & np.uint32(self.params.value_mask)

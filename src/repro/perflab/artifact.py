@@ -182,6 +182,8 @@ HEADLINES = (
     ("churn.bearer_replay", "updates_per_second"),
     ("fig8.forwarding.endtoend", "batch_kops"),
     ("fig7.lookup_batch", "measured_mops"),
+    ("lookup.batch_cost.gpt", "fixed_us"),
+    ("lookup.batch_cost.fib", "fixed_us"),
     ("table1.construction.workers.1", "keys_per_second"),
 )
 

@@ -162,8 +162,29 @@ def fabric_gate(artifact: Mapping[str, Any]) -> str:
     return line
 
 
+def batch_cost_gate(artifact: Mapping[str, Any]) -> str:
+    """A pre-hashed batch is read by the tables, not hashed again.
+
+    ``lookup.batch_cost.gpt`` / ``.fib`` time an 8-key lookup (the size a
+    32-frame batch split four ways hands each table) on raw keys and on
+    a pre-hashed batch in the same run.  The key-only hash pass is about
+    a third of the raw GPT call and half of the raw FIB call (measured
+    0.71 and 0.54), so a ratio near 1 means the columns stopped being
+    carried or read and every table hashes for itself again.
+    """
+    (gpt,) = _read(artifact, "lookup.batch_cost.gpt", "prehashed_over_raw_at_8")
+    (fib,) = _read(artifact, "lookup.batch_cost.fib", "prehashed_over_raw_at_8")
+    line = f"pre-hashed/raw lookup at 8 keys: gpt={gpt:.2f}x fib={fib:.2f}x"
+    if not (0 < min(gpt, fib) and max(gpt, fib) <= 0.85):
+        raise GateFailure(f"{line}: a pre-hashed batch must cost <= 0.85x")
+    return line
+
+
 #: Every gate CI runs on the smoke artifact.
-GATES = (fastpath_gate, group_scan_gate, othello_gate, fabric_gate)
+GATES = (
+    fastpath_gate, group_scan_gate, othello_gate, fabric_gate,
+    batch_cost_gate,
+)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

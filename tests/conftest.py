@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro.core import SetSepParams, build
 from repro.core import separator as separator_registry
@@ -21,6 +22,18 @@ def unique_keys(count: int, seed: int = 1, low: int = 1, high: int = 2**62) -> n
     if len(keys) < count:
         raise RuntimeError("not enough unique keys generated")
     return keys[:count]
+
+
+def row_selections(n: int):
+    """Strategy: a slice, a permutation or any (possibly empty, possibly
+    repeating) index array over ``n`` rows."""
+    indices = [st.permutations(range(n))]
+    if n:
+        indices.append(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return st.one_of(
+        st.slices(n),
+        *(s.map(lambda rows: np.array(rows, dtype=np.int64)) for s in indices),
+    )
 
 
 def brute_force_contents(model, separator, group):

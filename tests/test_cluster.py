@@ -1,16 +1,26 @@
 """Tests for cluster routing under each FIB architecture (Figure 2)."""
 
+import copy
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Architecture, Cluster
+from repro.cluster import Architecture, Cluster, UpdateEngine
 from repro.cluster.cluster import RouteResult
-from repro.cluster.fabric import DELIVER
-from repro.hashtables import RteHashTable
+from repro.cluster.fabric import DELAY, DELIVER
+from repro.core import hashfamily
+from repro.core import separator as separator_registry
+from repro.core.concurrent import SeqlockSetSep
+from repro.hashtables import (
+    ChainingHashTable,
+    CuckooHashTable,
+    RteHashTable,
+)
+from repro.obs import MetricsRegistry
 from tests.conftest import unique_keys
 
 NUM_NODES = 4
@@ -185,10 +195,266 @@ class TestValidation:
         assert isinstance(cluster.nodes[0].fib, RteHashTable)
 
 
+def moving_parts(cluster):
+    """Everything a route may move: node counters, fabric accounting,
+    registry counters and the ingress generator's position."""
+    cluster.sync_fabric_gauges()
+    return copy.deepcopy((
+        [dataclasses.asdict(node.counters) for node in cluster.nodes],
+        dataclasses.asdict(cluster.fabric.stats),
+        cluster.registry.snapshot(),
+        cluster._rng.bit_generator.state,
+        cluster._ingress_rr,
+    ))
+
+
+class TestIngressValidation:
+    """A bad ``ingress`` is one ``ValueError`` before anything moves:
+    it used to leave a batch partly applied (nodes 0-2 counted, then an
+    ``IndexError`` at node 7) or index ``nodes[-1]``."""
+
+    BAD_BATCHES = [
+        ([0, 1, 2, 7], "ingress[3]"),
+        ([-1, 0, 1, 2], "ingress[0]"),
+        ([0, 1, 2], "4 keys"),
+        ([0, 1, 2, 3, 0], "4 keys"),
+        ([[0, 1], [2, 3]], "4 keys"),
+        ([0.7, 1.2, 2.0, 3.0], "ingress[0]"),
+        ([0, 1.0, 2, 3], "ingress[0]"),
+        ([0, None, 1, 2], "ingress[1]"),
+        ([0, 1, "2", 3], "ingress[0]"),
+        (np.array([0, 1, 2, NUM_NODES], dtype=np.uint64), "ingress[3]"),
+    ]
+
+    @pytest.fixture(
+        scope="class", params=["vectorised", "per-packet", "hash-partition"]
+    )
+    def cluster(self, request, population):
+        arch = (
+            Architecture.HASH_PARTITION
+            if request.param == "hash-partition" else Architecture.SCALEBRICKS
+        )
+        cluster = build_cluster(arch, population, registry=MetricsRegistry())
+        if request.param == "per-packet":
+            cluster.fabric.fault_hook = lambda src, dst, size: DELIVER
+        return cluster
+
+    @pytest.mark.parametrize("ingress, named", BAD_BATCHES)
+    def test_route_batch_rejects_before_anything_moves(
+        self, cluster, population, ingress, named
+    ):
+        keys, _, _ = population
+        before = moving_parts(cluster)
+        with pytest.raises(ValueError, match=named.replace("[", r"\[")):
+            cluster.route_batch(keys[:4], ingress)
+        assert moving_parts(cluster) == before
+
+    @pytest.mark.parametrize(
+        "ingress", [7, NUM_NODES, -1, 0.7, 1.0, "1", np.int64(-2), [0]]
+    )
+    def test_route_rejects_before_anything_moves(
+        self, cluster, population, ingress
+    ):
+        keys, _, _ = population
+        before = moving_parts(cluster)
+        with pytest.raises(ValueError, match="ingress"):
+            cluster.route(int(keys[0]), ingress)
+        assert moving_parts(cluster) == before
+
+    def test_every_integer_spelling_of_a_node_routes_alike(
+        self, cluster, population
+    ):
+        keys, _, values = population
+        spellings = [
+            [0, 1, 2, 3],
+            np.array([0, 1, 2, 3], dtype=np.int32),
+            np.array([0, 1, 2, 3], dtype=np.uint64),
+            np.array([0, 1, 2, 3], dtype=object),
+            (np.int64(0), 1, np.uint8(2), 3),
+        ]
+        routed = [cluster.route_batch(keys[:4], ing) for ing in spellings]
+        assert all(list(batch) == list(routed[0]) for batch in routed)
+        assert routed[0].values.tolist() == values[:4].tolist()
+        assert cluster.route(int(keys[1]), np.int64(1)) == routed[0][1]
+        assert len(cluster.route_batch([], [])) == 0
+
+
+FIB_BACKENDS = {
+    "cuckoo": CuckooHashTable,
+    "rtehash": RteHashTable,
+    "chaining": lambda capacity: ChainingHashTable(max(16, capacity // 4)),
+}
+
+
+class TestNoSilentSlowPath:
+    """Every FIB backend under every separator answers a batch through
+    ``lookup_batch_array``: the per-key fallback of ``handle_batch`` is
+    for tables holding non-integer values, never for a table that could
+    not read a pre-hashed batch."""
+
+    @pytest.mark.parametrize("separator", separator_registry.BACKENDS)
+    @pytest.mark.parametrize("fib", sorted(FIB_BACKENDS))
+    def test_a_batch_takes_the_array_path_and_equals_scalar_routes(
+        self, population, monkeypatch, fib, separator
+    ):
+        keys, _, _ = population
+        unknown = unique_keys(56, seed=177, low=2**62, high=2**63)
+        probe = np.concatenate([keys[:200], unknown])
+        ingress = [(3 * i) % NUM_NODES for i in range(len(probe))]
+        assert len(probe) == 256
+        batched, scalar = (
+            build_cluster(
+                Architecture.SCALEBRICKS, population, backend=separator,
+                fib_factory=FIB_BACKENDS[fib],
+            )
+            for _ in range(2)
+        )
+        fib_type = type(batched.nodes[0].fib)
+        array_calls, fallbacks = [], []
+        array_path = fib_type.lookup_batch_array
+
+        @functools.wraps(array_path)
+        def counted(*args, **kwargs):
+            array_calls.append(len(args[1]))
+            try:
+                return array_path(*args, **kwargs)
+            except TypeError:
+                fallbacks.append(len(args[1]))
+                raise
+
+        monkeypatch.setattr(fib_type, "lookup_batch_array", counted)
+        batch = batched.route_batch(probe, ingress)
+        monkeypatch.undo()
+
+        assert not fallbacks
+        assert sum(array_calls) == 256
+        assert len(array_calls) == len(set(batch.handler_nodes.tolist()))
+        assert list(batch) == [
+            scalar.route(key, node)
+            for key, node in zip(probe.tolist(), ingress)
+        ]
+        assert [n.counters for n in batched.nodes] == [
+            n.counters for n in scalar.nodes
+        ]
+        assert batched.fabric.stats == scalar.fabric.stats
+        assert batch.dropped.tolist() == [False] * 200 + [True] * 56
+
+    def test_tables_that_read_no_column_unwrap_the_batch(self, population):
+        """The hot-key cache and the seqlocked separator are not taught
+        the columns: ``canonical_keys`` hands them the plain keys."""
+        keys, _, _ = population
+        cached, plain = (
+            build_cluster(Architecture.SCALEBRICKS, population)
+            for _ in range(2)
+        )
+        for node in cached.nodes:
+            node.gpt.attach_cache(256)
+        probe = np.concatenate([keys[:150], keys[:150:3]])
+        ingress = [i % NUM_NODES for i in range(len(probe))]
+        for _ in range(2):                  # cold cache, then warm
+            assert list(cached.route_batch(probe, ingress)) == list(
+                plain.route_batch(probe, ingress)
+            )
+        assert all(node.gpt.cache.hit_rate() > 0 for node in cached.nodes)
+        seqlocked = SeqlockSetSep(plain.nodes[0].gpt.setsep)
+        assert (
+            seqlocked.lookup_batch(hashfamily.prehash(probe)).tolist()
+            == seqlocked.lookup_batch(probe).tolist()
+        )
+
+    def test_non_integer_values_fall_back_with_plain_keys(
+        self, population, monkeypatch
+    ):
+        """The one legitimate fallback hands ``lookup_batch`` what any
+        FIB can read: plain canonical keys, not the pre-hashed batch."""
+        keys, _, values = population
+        cluster = build_cluster(Architecture.SCALEBRICKS, population)
+        odd = np.array([2**63 + 1, 2**63 + 2], dtype=np.uint64)
+        for node in cluster.nodes:   # wherever the GPT sends them: a float
+            for key in odd.tolist():
+                node.fib.insert(key, 0.5)
+        seen = []
+        listed = CuckooHashTable.lookup_batch
+
+        def recording(table, batch_keys):
+            seen.append(batch_keys)
+            return listed(table, batch_keys)
+
+        monkeypatch.setattr(CuckooHashTable, "lookup_batch", recording)
+        probe = np.concatenate([keys[:60], odd])
+        batch = cluster.route_batch(probe, [i % NUM_NODES for i in range(62)])
+        assert batch.values[:60].tolist() == values[:60].tolist()
+        assert seen and all(
+            type(k) is np.ndarray and k.dtype == np.uint64 for k in seen
+        )
+
+
+class TestReplicasAreConsultedPerPacket:
+    """Replicas may differ (a delta in flight): each packet's handler is
+    its *own* ingress replica's answer.  Hoisting any replica-specific
+    gather out of the per-replica lookup breaks this."""
+
+    @pytest.mark.parametrize("separator", separator_registry.BACKENDS)
+    def test_a_stale_replica_routes_its_own_packets_its_own_way(
+        self, population, separator
+    ):
+        keys, handlers, _ = population
+        clusters = [
+            build_cluster(
+                Architecture.SCALEBRICKS, population, backend=separator
+            )
+            for _ in range(2)
+        ]
+        moved = keys[:120]
+        stale = 2
+        for cluster in clusters:
+            engine = UpdateEngine(cluster)
+            engine.delta_interceptor = (
+                lambda owner, peer: DELAY if peer == stale else DELIVER
+            )
+            for key, handler in zip(moved.tolist(), handlers.tolist()):
+                engine.insert_flow(key, (handler + 1) % NUM_NODES, key % 977)
+            assert engine.stats.deltas_delayed
+        batched, scalar = clusters
+        fresh_view = batched.nodes[0].gpt.lookup_batch(moved)
+        stale_view = batched.nodes[stale].gpt.lookup_batch(moved)
+        assert (fresh_view != stale_view).any()
+
+        probe = np.concatenate([moved, keys[500:600]])
+        ingress = [i % NUM_NODES for i in range(len(probe))]
+        batch = batched.route_batch(probe, ingress)
+        assert list(batch) == [
+            scalar.route(key, node)
+            for key, node in zip(probe.tolist(), ingress)
+        ]
+        assert [n.counters for n in batched.nodes] == [
+            n.counters for n in scalar.nodes
+        ]
+        # Packets that entered at the stale node went where *it* said.
+        at_stale = np.array(ingress[: len(moved)]) == stale
+        assert (
+            batch.handler_nodes[: len(moved)][at_stale].tolist()
+            == stale_view[at_stale].tolist()
+        )
+        assert (
+            batch.handler_nodes[: len(moved)][~at_stale].tolist()
+            == fresh_view[~at_stale].tolist()
+        )
+        assert batch.dropped[: len(moved)][at_stale].any()
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_the_route_path_needs_no_silenced_overflow(self, population, n):
+        keys, _, values = population
+        cluster = build_cluster(Architecture.SCALEBRICKS, population)
+        with np.errstate(all="raise"):
+            batch = cluster.route_batch(
+                keys[:n], [i % NUM_NODES for i in range(n)]
+            )
+        assert batch.values.tolist() == values[:n].tolist()
+
+
 class TestObservability:
     def test_registry_counts_routing(self, population):
-        from repro.obs import MetricsRegistry
-
         registry = MetricsRegistry()
         cluster = build_cluster(
             Architecture.SCALEBRICKS, population, registry=registry
@@ -210,8 +476,6 @@ class TestObservability:
         assert cluster.registry.snapshot()["counters"] == {}
 
     def test_reset_stats_clears_registry_and_nodes(self, population):
-        from repro.obs import MetricsRegistry
-
         registry = MetricsRegistry()
         cluster = build_cluster(
             Architecture.SCALEBRICKS, population, registry=registry

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import hashfamily
 from repro.hashtables import (
     ChainingHashTable,
     CuckooHashTable,
     RteHashTable,
 )
-from tests.conftest import unique_keys
+from tests.conftest import row_selections, unique_keys
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +165,63 @@ class TestBatchLookupArray:
                 assert not found[i]
             else:
                 assert found[i] and values[i] == expected
+
+
+class TestPrehashedBatch:
+    """One pre-hashed batch serves tables of any geometry and kind: the
+    columns are the key's alone, each table masks them onto itself."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        keys = unique_keys(600, seed=1300)
+        built = {
+            "cuckoo-small": CuckooHashTable(capacity=600),
+            "cuckoo-large": CuckooHashTable(capacity=20_000),
+            "rtehash": RteHashTable(capacity=600),
+            "chaining": ChainingHashTable(num_buckets=128),
+        }
+        assert (
+            built["cuckoo-small"].num_buckets
+            != built["cuckoo-large"].num_buckets
+        )
+        for table in built.values():
+            for i, key in enumerate(keys.tolist()):
+                table.insert(key, i)
+        absent = unique_keys(600, seed=1301, low=2**62, high=2**63)
+        return built, np.concatenate([keys, absent])
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_selection_of_a_prehashed_batch_equals_raw_keys(
+        self, tables, data
+    ):
+        built, probe = tables
+        sample = probe[data.draw(row_selections(len(probe)))][:48]
+        rows = data.draw(row_selections(len(sample)))
+        hashed = hashfamily.prehash(sample)
+        early = hashed[rows]             # hashes its own rows when asked
+        hashed.fib
+        for name, table in built.items():
+            found, values = table.lookup_batch_array(sample[rows])
+            listed = table.lookup_batch(sample[rows])
+            for batch in (early, hashed[rows]):
+                pre_found, pre_values = table.lookup_batch_array(batch)
+                assert pre_found.tolist() == found.tolist(), name
+                assert pre_values.tolist() == values.tolist(), name
+                assert table.lookup_batch(batch) == listed, name
+            assert listed == [
+                table.lookup(key) for key in sample[rows].tolist()
+            ], name
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_lookup_needs_no_silenced_overflow(self, tables, n):
+        built, probe = tables
+        keys = np.concatenate([probe[: n - n // 2], probe[600: 600 + n // 2]])
+        for name, table in built.items():
+            with np.errstate(all="raise"):
+                found, values = table.lookup_batch_array(
+                    hashfamily.prehash(keys)
+                )
+            assert found.tolist() == [True] * (n - n // 2) + [False] * (
+                n // 2
+            ), name

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import hashfamily as hf
 from repro.core import twolevel
+from tests.conftest import row_selections
 
 
 class TestCanonicalKey:
@@ -192,3 +193,111 @@ class TestScalarTwins:
         assert twolevel.bucket_id(key, num_blocks) == int(
             twolevel.bucket_ids(arr, num_blocks)[0]
         )
+
+
+def parent_base_hashes(keys):
+    """``base_hashes`` as it was before the stacked pass: two separate
+    mixer calls over the G1 and G2 streams, the second forced odd."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    g1 = hf.splitmix64(keys ^ np.uint64(0x9E3779B97F4A7C15))
+    g2 = hf.splitmix64(keys ^ np.uint64(0xC2B2AE3D27D4EB4F)) | np.uint64(1)
+    return g1, g2
+
+
+mixed_keys = st.lists(
+    st.one_of(
+        st.integers(0, 2**64 - 1),
+        st.binary(max_size=12),
+        st.text(max_size=8),
+    ),
+    max_size=40,
+)
+
+
+class TestHashedKeys:
+    """The pre-hashed batch: columns equal the scalar twins, whichever
+    way the batch was built, sliced or ordered."""
+
+    @given(keys=mixed_keys)
+    @settings(max_examples=100, deadline=None)
+    def test_columns_equal_the_scalar_twins(self, keys):
+        batch = hf.prehash(keys)
+        ckeys = [hf.canonical_key(k) for k in keys]
+        assert hf.canonical_keys(batch) is batch.keys
+        assert len(batch) == len(keys) and batch.keys.tolist() == ckeys
+        bucket, g1, g2 = batch.separator.tolist()
+        fib, alt = batch.fib.tolist()
+        tag_mask = (1 << hf.TAG_BITS) - 1
+        for j, key in enumerate(ckeys):
+            assert bucket[j] == hf.bucket_hash_int(key)
+            assert g1[j] == hf.splitmix64_int(key ^ 0x9E3779B97F4A7C15)
+            assert g2[j] == hf.splitmix64_int(key ^ 0xC2B2AE3D27D4EB4F) | 1
+            assert fib[j] == hf.fib_hash_int(key)
+            tag = hf.tag_hash_int(key) & tag_mask or 1
+            assert alt[j] == hf.tag_hash_int(tag)
+        assert hf.bucket_hash(batch).tolist() == bucket
+
+    @given(keys=mixed_keys)
+    @settings(max_examples=100, deadline=None)
+    def test_base_hashes_are_the_parents_bit_for_bit(self, keys):
+        ckeys = hf.canonical_keys(keys)
+        for ours, theirs in zip(
+            hf.base_hashes(ckeys), parent_base_hashes(ckeys)
+        ):
+            assert ours.dtype == theirs.dtype == np.uint64
+            assert ours.tolist() == theirs.tolist()
+
+    def test_a_zero_tag_becomes_one(self):
+        # Keys whose tag stream ends in sixteen zero bits do exist; find
+        # a few so the non-zero rule is exercised, not assumed.
+        keys = np.arange(1, 400_000, dtype=np.uint64)
+        zero = keys[(hf.tag_hash(keys) & np.uint64(0xFFFF)) == 0]
+        assert zero.size
+        assert hf.prehash(zero).fib[1].tolist() == [hf.tag_hash_int(1)] * len(
+            zero
+        )
+
+    @given(
+        keys=st.lists(st.integers(0, 2**64 - 1), max_size=30),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_selection_carries_or_recomputes_the_same_columns(
+        self, keys, data
+    ):
+        n = len(keys)
+        rows = data.draw(row_selections(n))
+        arr = np.array(keys, dtype=np.uint64)
+        fresh = hf.prehash(arr[rows])
+        hashed = hf.prehash(arr)
+        before = hashed[rows]            # taken before anything is hashed
+        assert before._separator is None and before._fib is None
+        hashed.separator, hashed.fib
+        after = hashed[rows]             # carries the parent's columns
+        assert after._separator is not None and after._fib is not None
+        for batch in (before, after):
+            assert len(batch) == len(fresh)
+            assert batch.keys.tolist() == fresh.keys.tolist()
+            assert batch.separator.tolist() == fresh.separator.tolist()
+            assert batch.fib.tolist() == fresh.fib.tolist()
+        # The parent never paid for a slice's own pass, nor the reverse.
+        assert hashed.separator.shape == (3, n) and hashed.fib.shape == (2, n)
+
+    def test_a_consumer_pays_for_its_own_set_only(self):
+        batch = hf.prehash(np.arange(10, dtype=np.uint64))
+        batch.separator
+        assert batch._fib is None
+        batch = hf.prehash(batch.keys)
+        batch.fib
+        assert batch._separator is None
+        assert hf.prehash(batch) is batch
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_no_step_relies_on_a_silenced_overflow(self, n):
+        keys = np.arange(2**64 - n, 2**64, dtype=np.uint64)
+        with np.errstate(all="raise"):
+            batch = hf.prehash(keys)
+            batch.separator, batch.fib
+            hf.base_hashes(keys)
+            hf.index_slots(*batch.separator[1:], np.arange(9), 8)
+            hf.reduce_range(hf.bucket_hash(batch), 1 << 20)

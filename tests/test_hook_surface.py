@@ -32,12 +32,16 @@ NUM_NODES = 4
 BATCH = 256
 
 
-def count_calls(monkeypatch, calls, owner, attr):
+def count_calls(monkeypatch, calls, owner, attr, keys=None):
+    """Wrap ``owner.attr`` as the tracer does; with ``keys``, also sum
+    what its per-key hooks read: ``len(args[1])``."""
     original = getattr(owner, attr)
 
     @functools.wraps(original)
     def wrapper(*args, **kwargs):
         calls[attr] += 1
+        if keys is not None:
+            keys[attr] += len(args[1])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, attr, wrapper)
@@ -53,7 +57,7 @@ def test_one_batch_calls_every_hooked_name(monkeypatch):
     frames = gen.packet_stream(flows, BATCH)
     cluster = gateway.cluster
 
-    calls = Counter()
+    calls, keys = Counter(), Counter()
     for owner, attr in (
         (fastpath, "parse_frames"),
         (fastpath, "encapsulate_batch"),
@@ -66,7 +70,10 @@ def test_one_batch_calls_every_hooked_name(monkeypatch):
         (DataPlaneEngine, "process_batch"),
         (ChargingLedger, "charge_many"),
     ):
-        count_calls(monkeypatch, calls, owner, attr)
+        count_calls(
+            monkeypatch, calls, owner, attr,
+            keys if attr.startswith("lookup_batch") else None,
+        )
     results = gateway.process_downstream_batch(frames)
     monkeypatch.undo()
 
@@ -88,6 +95,10 @@ def test_one_batch_calls_every_hooked_name(monkeypatch):
         "encapsulate_batch": 1,
     }
     assert calls["record_for_key"] < BATCH  # some flow repeats in the batch
+    # ``gpt.lookup_ns_per_key`` / ``fib.lookup_ns_per_key`` divide by
+    # ``len(args[1])``: the pre-hashed slices must add up to the frames
+    # routed, once through the GPT replicas and once through the FIBs.
+    assert keys == {"lookup_batch": BATCH, "lookup_batch_array": BATCH}
 
 
 def test_runtime_verbs_call_every_hooked_name(monkeypatch):

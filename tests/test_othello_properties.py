@@ -12,6 +12,8 @@ Four families, per the subsystem's correctness story:
   (including the full rehash records) and end in identical states.
 * **Differential routing** — a GPT over Othello routes any key -> node
   population exactly like a GPT over SetSep.
+* **Pre-hashed batches** — any selection of a pre-hashed batch (whose
+  bucket-hash column Othello reads) answers as the raw keys do.
 """
 
 import numpy as np
@@ -19,12 +21,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import serialize
+from repro.core import hashfamily, serialize
 from repro.core.params import GROUPS_PER_BLOCK
 from repro.core.serialize import SnapshotError
 from repro.gpt.gpt import GlobalPartitionTable
 from repro.othello import OthelloParams, build
-from tests.conftest import unique_keys
+from tests.conftest import row_selections, unique_keys
 
 SLOW_BUILD = settings(
     max_examples=8, deadline=None,
@@ -207,3 +209,55 @@ def test_gpt_routing_matches_setsep(seed, count, num_nodes):
     assert np.array_equal(
         setsep_gpt.lookup_batch(keys), othello_gpt.lookup_batch(keys)
     )
+
+
+# ----------------------------------------------------------------------
+# Pre-hashed batches
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def multi_block():
+    keys = unique_keys(3_000, seed=520)
+    sep, _ = build(
+        keys, (keys % 4).astype(np.uint32), OthelloParams(value_bits=2)
+    )
+    assert sep.num_blocks > 1
+    unknown = unique_keys(3_000, seed=521, low=2**62, high=2**63)
+    return sep, np.concatenate([keys, unknown])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_selection_of_a_prehashed_batch_equals_raw_keys(multi_block, data):
+    sep, probe = multi_block
+    sample = probe[data.draw(row_selections(len(probe)))][:64]
+    rows = data.draw(row_selections(len(sample)))
+    expected, groups = sep.lookup_batch(sample[rows], with_groups=True)
+    hashed = hashfamily.prehash(sample)
+    early = hashed[rows]                 # hashes its own rows when asked
+    hashed.separator
+    for batch in (early, hashed[rows]):
+        values, batch_groups = sep.lookup_batch(batch, with_groups=True)
+        assert values.tolist() == expected.tolist()
+        assert batch_groups.tolist() == groups.tolist()
+    assert sep.groups_of(hashed[rows]).tolist() == groups.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 300])
+def test_raw_keys_hash_the_bucket_stream_alone(multi_block, monkeypatch, n):
+    """Othello shares one column with a pre-hashed batch; a raw-key
+    caller must not pay a stacked pass for the other two."""
+    sep, probe = multi_block
+    keys = probe[:n]
+    stacked = []
+    original = hashfamily._stacked
+    monkeypatch.setattr(
+        hashfamily, "_stacked",
+        lambda *args: stacked.append(args) or original(*args),
+    )
+    with np.errstate(all="raise"):
+        assert sep.lookup_batch(keys).tolist() == (keys % 4).tolist()
+        assert not stacked
+        batch = hashfamily.prehash(keys)
+        assert sep.lookup_batch(batch).tolist() == (keys % 4).tolist()
+    assert len(stacked) == 1 and batch._fib is None

@@ -562,12 +562,14 @@ class TestGroupScanGate:
         artifact = perflab.run_suite(
             "smoke", scale=1, name_filter="update.single_owner_rate")
         artifact.results.extend(
-            othello_rows() + fastpath_rows() + fabric_rows())
+            othello_rows() + fastpath_rows() + fabric_rows()
+            + batch_cost_rows())
         path = perflab.write_artifact(artifact, tmp_path)
         assert gates.main([str(path)]) == 0
         out = capsys.readouterr().out
         assert "group scan" in out and "othello=" in out
         assert "fastpath frames=9000" in out and "hops/transit" in out
+        assert "gpt=0.70x fib=0.54x" in out
         broken = tmp_path / "broken.json"
         broken.write_text(perflab.canonical_json(
             self._artifact(keys_scanned_per_update=900.0,
@@ -578,6 +580,7 @@ class TestGroupScanGate:
         assert "group scan" in err and "othello.lookup missing" in err
         assert "fig8.forwarding.endtoend missing" in err
         assert "fabric.hops missing" in err
+        assert "lookup.batch_cost.gpt missing" in err
 
 
 def othello_rows(rate=(6700.0, 2100.0), bits=(4.66, 3.5), skip=()):
@@ -722,6 +725,54 @@ class TestFabricGate:
 
 
 # -- environment fingerprint ---------------------------------------------
+
+
+def batch_cost_rows(gpt=0.70, fib=0.54, skip=()):
+    ratios = {"lookup.batch_cost.gpt": gpt, "lookup.batch_cost.fib": fib}
+    return [
+        make_result(name, [0.1], derived={
+            "fixed_us": 34.0, "per_key_ns": 80.0,
+            **({} if ratio is None else {"prehashed_over_raw_at_8": ratio}),
+        })
+        for name, ratio in ratios.items() if name not in skip
+    ]
+
+
+class TestBatchCostGate:
+    def test_a_prehashed_batch_that_is_read_passes(self):
+        line = gates.batch_cost_gate(make_artifact(batch_cost_rows()).to_dict())
+        assert line == "pre-hashed/raw lookup at 8 keys: gpt=0.70x fib=0.54x"
+        gates.batch_cost_gate(
+            make_artifact(batch_cost_rows(gpt=0.85, fib=0.85)).to_dict())
+
+    @pytest.mark.parametrize("rows, message", [
+        (dict(gpt=1.0), "must cost <= 0.85x"),      # hashed again per table
+        (dict(fib=0.97), "must cost <= 0.85x"),
+        (dict(gpt=0.0), "must cost <= 0.85x"),      # a row that timed nothing
+        (dict(skip=("lookup.batch_cost.gpt",)), "batch_cost.gpt missing"),
+        (dict(skip=("lookup.batch_cost.fib",)), "batch_cost.fib missing"),
+        (dict(fib=None), "does not report 'prehashed_over_raw_at_8'"),
+    ])
+    def test_rehashing_tables_or_missing_rows_fail(self, rows, message):
+        with pytest.raises(gates.GateFailure, match=message):
+            gates.batch_cost_gate(
+                make_artifact(batch_cost_rows(**rows)).to_dict())
+
+    def test_the_gate_reads_what_the_benchmark_writes(self):
+        """The real rows, run once: the gate's and the history's metric
+        names are the benchmark's.  (The ratio itself is a timing; CI's
+        perf-smoke job holds it to the threshold, not tier-1.)"""
+        perflab.discover()
+        artifact = perflab.run_suite(
+            "smoke", scale=1, repeats=1, name_filter="lookup.batch_cost")
+        assert [r.name for r in artifact.results] == [
+            "lookup.batch_cost.fib", "lookup.batch_cost.gpt"]
+        for result in artifact.results:
+            assert result.params == {
+                "n_keys": 50_000, "sizes": "8/64/256/4096/40000"}
+            assert (result.name, "fixed_us") in perflab.artifact.HEADLINES
+            assert result.derived["per_key_ns"] > 0
+            assert result.derived["prehashed_over_raw_at_8"] > 0
 
 
 class TestEnvironmentFingerprint:

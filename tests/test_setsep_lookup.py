@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import SetSepParams, build
+from repro.core import SetSepParams, build, hashfamily
 from repro.core.params import GROUPS_PER_BLOCK
-from tests.conftest import unique_keys
+from tests.conftest import row_selections, unique_keys
 
 
 class TestLookup:
@@ -43,6 +45,60 @@ class TestLookup:
         unknown = unique_keys(4_000, seed=77, low=2**62, high=2**63)
         counts = np.bincount(setsep.lookup_batch(unknown), minlength=4)
         assert (counts > 0.1 * counts.mean()).all()
+
+
+class TestPrehashedLookup:
+    """A pre-hashed batch is read, raw keys are hashed: same answers."""
+
+    @pytest.fixture(scope="class")
+    def spilled(self):
+        """A separator small enough that about half its groups fail into
+        the fallback, probed with its own keys and as many unknown ones."""
+        keys = unique_keys(900, seed=802)
+        values = (keys % 2).astype(np.uint32)
+        setsep, stats = build(
+            keys, values, SetSepParams(index_bits=8, array_bits=6)
+        )
+        assert 0 < stats.fallback_keys < len(keys)
+        unknown = unique_keys(900, seed=803, low=2**62, high=2**63)
+        probe = np.concatenate([keys, unknown])
+        return setsep, probe
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_selection_of_a_prehashed_batch_equals_raw_keys(
+        self, spilled, data
+    ):
+        setsep, probe = spilled
+        sample = probe[data.draw(row_selections(len(probe)))][:64]
+        rows = data.draw(row_selections(len(sample)))
+        expected, groups = setsep.lookup_batch(sample[rows], with_groups=True)
+        hashed = hashfamily.prehash(sample)
+        early = hashed[rows]             # hashes its own rows when asked
+        hashed.separator
+        for batch in (early, hashed[rows]):
+            values, batch_groups = setsep.lookup_batch(batch, with_groups=True)
+            assert values.dtype == expected.dtype
+            assert values.tolist() == expected.tolist()
+            assert batch_groups.tolist() == groups.tolist()
+        assert setsep.groups_of(hashed[rows]).tolist() == groups.tolist()
+
+    def test_the_fallback_answers_inside_a_prehashed_batch(self, spilled):
+        setsep, probe = spilled
+        known = probe[:900]
+        failed = setsep.failed_groups[setsep.groups_of(known)]
+        assert failed.any() and not failed.all()
+        values = setsep.lookup_batch(hashfamily.prehash(known))
+        assert values.tolist() == (known % 2).tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    def test_lookup_needs_no_silenced_overflow(self, spilled, n):
+        setsep, probe = spilled
+        with np.errstate(all="raise"):
+            raw = setsep.lookup_batch(probe[:n])
+            hashed = setsep.lookup_batch(hashfamily.prehash(probe[:n]))
+        assert raw.tolist() == hashed.tolist()
+        assert raw.tolist() == [setsep.lookup(int(k)) for k in probe[:n]]
 
 
 class TestStructureProperties:
