@@ -6,15 +6,20 @@ vectorised ``process_downstream_batch`` pipeline.  Three measured paths:
 
 * ``fastpath.parse``   — column-array frame parsing vs per-frame
   ``parse_frame``/``extract_flow``;
-* ``fastpath.encap``   — preallocated-buffer GTP-U encapsulation vs
-  per-frame ``encapsulate``;
+* ``fastpath.encap``   — byte-matrix GTP-U encapsulation vs per-frame
+  ``encapsulate``;
 * ``fig8.forwarding.endtoend`` — whole-gateway downstream processing,
   batch 256 vs one frame at a time (the acceptance benchmark; its
   deterministic counters also feed the CI silent-fallback gate).
 
 All three assert the scalar and batched paths agree byte-for-byte before
 timing them, so a speedup can never come from computing something else.
+``codec.batch_cost.parse`` / ``.encap`` put both codec halves on the
+batch-size cost curve (ROADMAP item 7): cost per call by frames and
+payload bytes.
 """
+
+import time
 
 import numpy as np
 
@@ -64,8 +69,6 @@ def _scalar_parse_all(frames):
 
 def test_fastpath_parse_agrees_and_wins(benchmark):
     """Vectorised parse: same columns as the scalar codec, more ops/s."""
-    import time
-
     frames = _frame_pool(PARSE_FRAMES)
     parsed = benchmark(lambda: fastpath.parse_frames(frames))
     reference = _scalar_parse_all(frames)
@@ -112,8 +115,6 @@ def test_endtoend_batch_matches_and_beats_scalar():
 @perflab.benchmark("fastpath.parse", figure="§4.3", repeats=3)
 def perflab_fastpath_parse(ctx):
     """Column-array frame parsing vs the per-frame scalar codec."""
-    import time
-
     n = 8_000 * ctx.scale
     frames = _frame_pool(n)
     ctx.set_params(frames=n)
@@ -134,9 +135,7 @@ def perflab_fastpath_parse(ctx):
 
 @perflab.benchmark("fastpath.encap", figure="§4.3", repeats=3)
 def perflab_fastpath_encap(ctx):
-    """Preallocated-buffer GTP-U encapsulation vs per-frame packing."""
-    import time
-
+    """Byte-matrix GTP-U encapsulation vs per-frame packing."""
     n = 8_000 * ctx.scale
     frames = _frame_pool(n)
     parsed = fastpath.parse_frames(frames)
@@ -178,6 +177,86 @@ def perflab_fastpath_encap(ctx):
         scalar_kfps=idx.size / scalar_s / 1e3,
         speedup=scalar_s / batch_s,
     )
+
+
+# -- the codec's cost curve (ROADMAP item 7) ------------------------------
+#
+# The two rows above read the per-frame cost at one large batch of
+# minimum-size frames; the gateway calls the codec once per 32-frame batch
+# (the daemons per 512 to 1,024) with payloads up to 1,400 bytes.  These
+# rows time one call at the sizes the data path really hands it.
+
+CODEC_COST_FRAMES = (8, 32, 256, 1_024)
+CODEC_COST_PAYLOADS = (18, 512, 1_400)
+
+
+def _codec_cost(ctx, call_for):
+    """Best-of cost of one codec call per (frames, payload bytes) point.
+
+    ``call_for(frames)`` returns the zero-argument call to time.
+    ``fixed_us`` / ``per_frame_ns`` / ``per_payload_byte_ns`` are the
+    least-squares plane ``cost = fixed + per_frame * n + per_byte * n *
+    payload`` through the twelve points, each weighted by 1/cost so the
+    fit minimises *relative* error.
+    """
+    gen = FlowGenerator(seed=7)
+    flows = gen.flows(512)
+    calls = {
+        (n, payload): call_for(
+            gen.packet_stream(flows, n, payload=b"x" * payload)
+        )
+        for n in CODEC_COST_FRAMES for payload in CODEC_COST_PAYLOADS
+    }
+    ctx.set_params(
+        frames="/".join(map(str, CODEC_COST_FRAMES)),
+        payloads="/".join(map(str, CODEC_COST_PAYLOADS)),
+    )
+    best = dict.fromkeys(calls, float("inf"))
+
+    def sweep():
+        for (n, payload), call in calls.items():
+            repeats = max(3, 2_048 // n)
+            started = time.perf_counter()
+            for _ in range(repeats):
+                call()
+            cost = (time.perf_counter() - started) / repeats * 1e6
+            best[n, payload] = min(best[n, payload], cost)
+
+    ctx.timeit(sweep)
+    costs = np.array(list(best.values()))
+    terms = np.array([(1.0, n, n * payload) for n, payload in best])
+    (fixed_us, per_frame_us, per_byte_us), *_ = np.linalg.lstsq(
+        terms / costs[:, None], np.ones(len(costs)), rcond=None
+    )
+    ctx.record(
+        fixed_us=fixed_us,
+        per_frame_ns=per_frame_us * 1e3,
+        per_payload_byte_ns=per_byte_us * 1e3,
+        payload_1400_over_18_at_256=best[256, 1_400] / best[256, 18],
+        **{f"us_at_{n}x{payload}": cost for (n, payload), cost in best.items()},
+    )
+
+
+@perflab.benchmark("codec.batch_cost.parse", figure="§4.3", repeats=3)
+def perflab_codec_cost_parse(ctx):
+    """Cost of one ``parse_frames`` call by frames and payload bytes."""
+    _codec_cost(ctx, lambda frames: lambda: fastpath.parse_frames(frames))
+
+
+@perflab.benchmark("codec.batch_cost.encap", figure="§4.3", repeats=3)
+def perflab_codec_cost_encap(ctx):
+    """Cost of one ``encapsulate_batch`` call by frames and payload bytes."""
+
+    def call_for(frames):
+        parsed = fastpath.parse_frames(frames)
+        idx = np.arange(parsed.n)
+        teids = idx + 1
+        bs_ips = np.full(parsed.n, parse_ip("172.16.1.1"), dtype=np.int64)
+        return lambda: fastpath.encapsulate_batch(
+            parsed, idx, teids, bs_ips, GATEWAY_IP
+        )
+
+    _codec_cost(ctx, call_for)
 
 
 @perflab.benchmark("fig8.forwarding.endtoend", figure="Figure 8", repeats=3)

@@ -45,6 +45,15 @@ class FlowRecord:
     region: int
 
 
+def _require_ipv4(base_station_ip: int) -> None:
+    """A tunnel's far end goes into a 32-bit header field, where a wider
+    value would wrap into another base station's address."""
+    if not 0 <= base_station_ip <= 0xFFFFFFFF:
+        raise ValueError(
+            f"base_station_ip {base_station_ip} is outside 0..0xFFFFFFFF"
+        )
+
+
 class EpcController:
     """Allocates bearers and keeps the authoritative flow table.
 
@@ -98,8 +107,10 @@ class EpcController:
         """Create a bearer: TEID + handling node for a downstream flow.
 
         Raises:
-            ValueError: if the flow already has a bearer.
+            ValueError: if the flow already has a bearer, or
+                ``base_station_ip`` is not a 32-bit address.
         """
+        _require_ipv4(base_station_ip)
         key = flow.key()
         if key in self.flows:
             raise ValueError(f"flow already established: {flow}")
@@ -140,7 +151,11 @@ class EpcController:
         Only the tunnel's far end changes — TEID, handling node and all
         per-flow state stay put, which is exactly why the EPC keeps flows
         pinned rather than re-assigning them on mobility.
+
+        Raises:
+            ValueError: if ``new_base_station_ip`` is not a 32-bit address.
         """
+        _require_ipv4(new_base_station_ip)
         record = self.flows.get(flow.key())
         if record is None:
             raise KeyError(f"no bearer for flow {flow}")

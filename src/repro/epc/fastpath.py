@@ -1,16 +1,18 @@
-"""Batched zero-copy frame codec for the gateway's data plane (paper §4.3).
+"""Batched frame codec for the gateway's data plane (paper §4.3).
 
 The paper's throughput numbers come from *batched* lookups: ScaleBricks
 pipelines the bucket -> group -> array probes of many packets so no stage
 ever stalls on one packet's memory access.  This module gives the gateway
-the same shape end to end: a whole batch of raw downstream frames is parsed
-into NumPy column arrays (one gather per field, no per-frame Python header
-objects), and accepted packets are re-encapsulated into GTP-U from one
-preallocated output buffer.
+the same shape end to end, and keeps a batch's fixed-width fields side by
+side: ingress gathers every frame's IPv4 header and L4 ports as one row of
+a byte matrix and reads the columns through big-endian views; egress fills
+one 56-byte row per packet (outer IPv4, UDP, GTP-U, re-packed inner IPv4),
+serialises the matrix once, and copies each payload as one slice of the
+joined input bytes.  No per-frame Python header objects, no per-byte index.
 
 Equivalence contract: for every frame, the columns produced here match what
 the scalar codec (:func:`repro.epc.packets.parse_frame` +
-:func:`repro.epc.packets.extract_flow`) produces, and
+:func:`repro.epc.packets.extract_forwardable`) produces, and
 :func:`encapsulate_batch` emits byte-identical output to the scalar
 ``decrement_ttl().pack() + payload`` / ``GtpTunnelEndpoint.encapsulate``
 pipeline.  Frames the vector path cannot express (IPv4 options, i.e.
@@ -35,15 +37,15 @@ import numpy as np
 
 from repro.epc.packets import (
     EthernetHeader,
-    GTPU_PORT,
     GtpuHeader,
     Ipv4Header,
     PROTO_TCP,
     PROTO_UDP,
     UdpHeader,
-    extract_flow,
+    extract_forwardable,
     parse_frame,
 )
+from repro.epc.tunnels import GtpTunnelEndpoint
 
 #: Ethernet header bytes ahead of the L3 packet.
 ETH_SIZE = EthernetHeader.SIZE
@@ -54,12 +56,36 @@ OUTER_SIZE = Ipv4Header.SIZE + UdpHeader.SIZE + GtpuHeader.SIZE
 #: Largest inner packet the outer IPv4 total-length field can carry.
 MAX_INNER = 0xFFFF - OUTER_SIZE
 
+#: Ingress gather, relative to a frame's start: the IPv4 header, then the
+#: two L4 ports.
+_GATHER = np.arange(ETH_SIZE, ETH_SIZE + Ipv4Header.SIZE + 4, dtype=np.int64)
 
-def _fold16(total: np.ndarray) -> np.ndarray:
-    """Ones-complement fold of per-row word sums into 16 bits."""
+#: The 13 bytes ``FlowTuple.pack()`` hashes, as columns of that gather:
+#: source and destination address, protocol, ports.
+_KEY_COLUMNS = np.r_[12:20, 9, 20:24]
+
+#: Byte offsets of the UDP, GTP-U and inner IPv4 headers in an egress row.
+_UDP = Ipv4Header.SIZE
+_GTP = _UDP + UdpHeader.SIZE
+_INNER = OUTER_SIZE
+
+#: Bytes no packet changes (versions, outer TTL and protocol, the GTP-U
+#: ports, flags and type, zeroed inner flags), taken from the scalar codec;
+#: both checksum fields are zero so a row's words can be summed in place.
+_TEMPLATE = np.frombuffer(
+    GtpTunnelEndpoint(0, 0).encapsulate(0, Ipv4Header(0, 0, 0, 0, ttl=0).pack()),
+    dtype=np.uint8,
+).copy()
+_TEMPLATE[[10, 11, _INNER + 10, _INNER + 11]] = 0
+
+
+def _checksums(words: np.ndarray, less: object = 0) -> np.ndarray:
+    """IPv4 checksum of each row of big-endian header words, ``less`` the
+    checksum field's own word where the row still carries one."""
+    total = words.sum(axis=1, dtype=np.int64) - less
     total = (total & 0xFFFF) + (total >> 16)
     total = (total & 0xFFFF) + (total >> 16)
-    return total
+    return ~total & 0xFFFF
 
 
 @dataclass
@@ -67,10 +93,12 @@ class ParsedBatch:
     """Column layout of one parsed frame batch.
 
     All per-frame arrays are aligned to the input order.  Columns of
-    malformed frames must not be interpreted.
+    malformed frames are zero and must not be interpreted.
 
     Attributes:
-        buf: every frame's bytes concatenated (zero-copy field source).
+        buf: every frame's bytes concatenated, as a uint8 array.
+        raw: the same bytes as the ``bytes`` object ``buf`` views (egress
+            copies each payload as one slice of it).
         offsets: frame ``i`` occupies ``buf[offsets[i]:offsets[i + 1]]``.
         l3_len: actual L3 byte count (frame length minus Ethernet header).
         malformed: frames the scalar codec would reject with ValueError
@@ -83,6 +111,7 @@ class ParsedBatch:
     """
 
     buf: np.ndarray
+    raw: bytes
     offsets: np.ndarray
     l3_len: np.ndarray
     malformed: np.ndarray
@@ -112,116 +141,53 @@ class ParsedBatch:
 def parse_frames(frames: Sequence[bytes]) -> ParsedBatch:
     """Parse raw Ethernet/IPv4 frames into column arrays.
 
-    One pass over the batch: header bytes are gathered from the
-    concatenated buffer with fancy indexing, the IPv4 checksum is verified
-    as ten u16 word columns, and the flow key is computed once per
-    *distinct* 5-tuple (frames of one flow share the BLAKE2b digest).
+    One gather for the whole batch: every frame's 20 header bytes and L4
+    ports become one row of an ``(n, 24)`` byte matrix, fields are read
+    through big-endian views of it, the IPv4 checksum is verified as ten
+    u16 word columns, and the flow key is computed once per *distinct*
+    5-tuple (frames of one flow share the BLAKE2b digest).
     """
     n = len(frames)
-    lengths = np.fromiter((len(f) for f in frames), dtype=np.int64, count=n)
+    raw = b"".join(frames)
+    lengths = np.fromiter(map(len, frames), dtype=np.int64, count=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    buf = np.frombuffer(b"".join(frames), dtype=np.uint8)
-
+    buf = np.frombuffer(raw, dtype=np.uint8)
     l3_len = lengths - ETH_SIZE
-    # Shorter than Ethernet + minimal IPv4: rejected before field access.
-    malformed = l3_len < Ipv4Header.SIZE
-    keys = np.zeros(n, dtype=np.uint64)
-    src_ip = np.zeros(n, dtype=np.int64)
-    dst_ip = np.zeros(n, dtype=np.int64)
-    protocol = np.zeros(n, dtype=np.int64)
-    sport = np.zeros(n, dtype=np.int64)
-    dport = np.zeros(n, dtype=np.int64)
-    ttl = np.zeros(n, dtype=np.int64)
-    dscp = np.zeros(n, dtype=np.int64)
-    identification = np.zeros(n, dtype=np.int64)
-    total_length = np.zeros(n, dtype=np.int64)
-    scalar_spills = 0
 
-    ok = np.nonzero(~malformed)[0]
-    if ok.size:
-        base = offsets[ok] + ETH_SIZE
-        hdr = buf[base[:, None] + np.arange(Ipv4Header.SIZE, dtype=np.int64)]
-        hdr = hdr.astype(np.int64)
-        ihl = (hdr[:, 0] & 0xF) * 4
-        bad = (hdr[:, 0] >> 4) != 4
-        bad |= (ihl < Ipv4Header.SIZE) | (l3_len[ok] < ihl)
-        spill = ~bad & (ihl != Ipv4Header.SIZE)
-        fast = ~bad & ~spill
-        if fast.any():
-            rows = np.nonzero(fast)[0]
-            h16 = (hdr[rows, 0::2] << 8) | hdr[rows, 1::2]
-            checksum = _fold16(h16.sum(axis=1) - h16[:, 5])
-            bad_rows = (~checksum & 0xFFFF) != h16[:, 5]
-            proto = hdr[rows, 9]
-            is_l4 = (proto == PROTO_TCP) | (proto == PROTO_UDP)
-            bad_rows |= is_l4 & (
-                l3_len[ok[rows]] < Ipv4Header.SIZE + 4
-            )
-            bad[rows] = bad_rows
-            good = rows[~bad_rows]
-            gi = ok[good]
-            dscp[gi] = hdr[good, 1]
-            total_length[gi] = (hdr[good, 2] << 8) | hdr[good, 3]
-            identification[gi] = (hdr[good, 4] << 8) | hdr[good, 5]
-            ttl[gi] = hdr[good, 8]
-            protocol[gi] = hdr[good, 9]
-            src_ip[gi] = (
-                (hdr[good, 12] << 24) | (hdr[good, 13] << 16)
-                | (hdr[good, 14] << 8) | hdr[good, 15]
-            )
-            dst_ip[gi] = (
-                (hdr[good, 16] << 24) | (hdr[good, 17] << 16)
-                | (hdr[good, 18] << 8) | hdr[good, 19]
-            )
-            l4_rows = good[
-                (protocol[gi] == PROTO_TCP) | (protocol[gi] == PROTO_UDP)
-            ]
-            if l4_rows.size:
-                l4i = ok[l4_rows]
-                l4 = buf[
-                    (base[l4_rows] + Ipv4Header.SIZE)[:, None]
-                    + np.arange(4, dtype=np.int64)
-                ].astype(np.int64)
-                sport[l4i] = (l4[:, 0] << 8) | l4[:, 1]
-                dport[l4i] = (l4[:, 2] << 8) | l4[:, 3]
-        # IPv4 options (IHL > 20): rare enough that the scalar codec is
-        # the honest reference — parse those frames one by one.
-        for i in ok[np.nonzero(spill)[0]]:
-            scalar_spills += 1
-            try:
-                _eth, l3 = parse_frame(frames[i])
-                flow, header, _rest = extract_flow(l3)
-            except ValueError:
-                malformed[i] = True
-                continue
-            keys[i] = flow.key()
-            src_ip[i] = flow.src_ip
-            dst_ip[i] = flow.dst_ip
-            protocol[i] = flow.protocol
-            sport[i] = flow.sport
-            dport[i] = flow.dport
-            ttl[i] = header.ttl
-            dscp[i] = header.dscp
-            identification[i] = header.identification
-            total_length[i] = header.total_length
-        malformed[ok[np.nonzero(bad)[0]]] = True
-
+    # A frame shorter than the gather reads into its neighbour, and the
+    # last one is clipped to the buffer: what lies past a frame's own end
+    # is masked below, never interpreted.
+    hdr = (
+        buf.take(offsets[:-1, None] + _GATHER, mode="clip") if raw
+        else np.zeros((n, _GATHER.size), dtype=np.uint8)
+    )
+    words = hdr.view(">u2")
+    ihl = (hdr[:, 0] & 0xF) * 4
+    bad = (l3_len < Ipv4Header.SIZE) | (hdr[:, 0] >> 4 != 4)
+    bad |= (ihl < Ipv4Header.SIZE) | (l3_len < ihl)
+    spill = ~bad & (ihl != Ipv4Header.SIZE)
+    is_l4 = (hdr[:, 9] == PROTO_TCP) | (hdr[:, 9] == PROTO_UDP)
+    bad |= _checksums(words[:, :10], less=words[:, 5]) != words[:, 5]
+    bad |= is_l4 & (l3_len < _GATHER.size)
     # The unforwardable-packet rule (module docstring).
-    malformed |= (ttl == 0) | (l3_len > MAX_INNER)
+    bad |= (hdr[:, 8] == 0) | (l3_len > MAX_INNER)
+    good = ~(bad | spill)
+    hdr[~good] = 0
+    hdr[~is_l4, Ipv4Header.SIZE:] = 0
 
-    valid = np.nonzero(~malformed & (keys == 0))[0]
+    dwords = hdr.view(">u4")
+    dscp, ttl, protocol = (hdr[:, i].astype(np.int64) for i in (1, 8, 9))
+    total_length, identification, sport, dport = (
+        words[:, i].astype(np.int64) for i in (1, 2, 10, 11)
+    )
+    src_ip, dst_ip = (dwords[:, i].astype(np.int64) for i in (3, 4))
+    malformed = bad & ~spill
+    keys = np.zeros(n, dtype=np.uint64)
+
+    valid = np.nonzero(good)[0]
     if valid.size:
-        packed = np.zeros((valid.size, 13), dtype=np.uint8)
-        for col, shift in ((0, 24), (1, 16), (2, 8), (3, 0)):
-            packed[:, col] = (src_ip[valid] >> shift) & 0xFF
-            packed[:, col + 4] = (dst_ip[valid] >> shift) & 0xFF
-        packed[:, 8] = protocol[valid]
-        packed[:, 9] = (sport[valid] >> 8) & 0xFF
-        packed[:, 10] = sport[valid] & 0xFF
-        packed[:, 11] = (dport[valid] >> 8) & 0xFF
-        packed[:, 12] = dport[valid] & 0xFF
-        blob = packed.tobytes()
+        blob = hdr[valid[:, None], _KEY_COLUMNS].tobytes()
         digest_of: Dict[bytes, int] = {}
         flow_keys = []
         for start in range(0, len(blob), 13):
@@ -234,8 +200,30 @@ def parse_frames(frames: Sequence[bytes]) -> ParsedBatch:
             flow_keys.append(key)
         keys[valid] = np.array(flow_keys, dtype=np.uint64)
 
+    # IPv4 options (IHL > 20): rare enough that the scalar codec is the
+    # honest reference — parse those frames one by one.
+    spilled = np.nonzero(spill)[0].tolist()
+    for i in spilled:
+        try:
+            _eth, l3 = parse_frame(frames[i])
+            flow, header, _rest = extract_forwardable(l3, MAX_INNER)
+        except ValueError:
+            malformed[i] = True
+            continue
+        keys[i] = flow.key()
+        src_ip[i] = flow.src_ip
+        dst_ip[i] = flow.dst_ip
+        protocol[i] = flow.protocol
+        sport[i] = flow.sport
+        dport[i] = flow.dport
+        ttl[i] = header.ttl
+        dscp[i] = header.dscp
+        identification[i] = header.identification
+        total_length[i] = header.total_length
+
     return ParsedBatch(
         buf=buf,
+        raw=raw,
         offsets=offsets,
         l3_len=l3_len,
         malformed=malformed,
@@ -249,8 +237,18 @@ def parse_frames(frames: Sequence[bytes]) -> ParsedBatch:
         dscp=dscp,
         identification=identification,
         total_length=total_length,
-        scalar_spills=scalar_spills,
+        scalar_spills=len(spilled),
     )
+
+
+def _require_u32(name: str, values: np.ndarray) -> None:
+    """A tunnel field wider than 32 bits would wrap into someone else's."""
+    outside = np.nonzero(values >> 32)[0]
+    if outside.size:
+        raise ValueError(
+            f"{name}[{outside[0]}] = {values[outside[0]]} "
+            "is outside 0..0xFFFFFFFF"
+        )
 
 
 def encapsulate_batch(
@@ -263,10 +261,17 @@ def encapsulate_batch(
     """GTP-U-encapsulate the frames ``idx`` selects, byte-for-byte.
 
     Emits, for each selected frame, exactly what the scalar egress
-    produces: the inner IPv4 header re-packed with TTL-1 and a fresh
-    checksum, the original payload bytes, and the 36-byte outer
-    IPv4/UDP/GTP-U framing toward the base station.  Everything is
-    scattered into one preallocated buffer and sliced at the end.
+    produces: the 36-byte outer IPv4/UDP/GTP-U framing toward the base
+    station, the inner IPv4 header re-packed with TTL-1 and a fresh
+    checksum, and the original payload bytes.  The 56 header bytes are one
+    row of a matrix filled column by column and serialised once; each
+    payload is one slice of the input bytes.
+
+    Raises:
+        ValueError: a TEID, a base-station address or ``gateway_ip`` does
+            not fit 32 bits (naming the first offending position), or a
+            selected packet is longer than :data:`MAX_INNER`; nothing is
+            emitted.
     """
     idx = np.asarray(idx, dtype=np.int64)
     m = idx.size
@@ -274,88 +279,56 @@ def encapsulate_batch(
         return []
     teids = np.asarray(teids, dtype=np.int64)
     bs_ips = np.asarray(bs_ips, dtype=np.int64)
+    _require_u32("teids", teids)
+    _require_u32("bs_ips", bs_ips)
+    if not 0 <= gateway_ip <= 0xFFFFFFFF:
+        raise ValueError(f"gateway_ip {gateway_ip} is outside 0..0xFFFFFFFF")
     inner_len = parsed.l3_len[idx]
     if int(inner_len.max()) > MAX_INNER:
         raise ValueError("inner packet too large for GTP-U framing")
-    out_len = OUTER_SIZE + inner_len
-    out_off = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(out_len, out=out_off[1:])
-    out = np.zeros(int(out_off[-1]), dtype=np.uint8)
-    base = out_off[:-1]
 
-    def put16(pos: np.ndarray, vals: np.ndarray) -> None:
-        out[pos] = (vals >> 8) & 0xFF
-        out[pos + 1] = vals & 0xFF
-
-    def put32(pos: np.ndarray, vals: np.ndarray) -> None:
-        put16(pos, (vals >> 16) & 0xFFFF)
-        put16(pos + 2, vals & 0xFFFF)
+    # One row per packet; each header's fields are stored as byte, word
+    # or double-word columns at the offsets of its own wire format.
+    head = np.empty((m, _TEMPLATE.size), dtype=np.uint8)
+    head[:] = _TEMPLATE
+    outer, inner = head[:, :_UDP], head[:, _INNER:]
+    outer16, outer32 = outer.view(">u2"), outer.view(">u4")
+    inner16, inner32 = inner.view(">u2"), inner.view(">u4")
+    udp16 = head[:, _UDP:_GTP].view(">u2")
+    gtp = head[:, _GTP:_INNER]
 
     # Outer IPv4: gateway -> base station, UDP, TTL 64, fresh checksum.
-    outer_tl = OUTER_SIZE + inner_len
-    gw_hi, gw_lo = (gateway_ip >> 16) & 0xFFFF, gateway_ip & 0xFFFF
-    outer_sum = _fold16(
-        0x4500 + outer_tl + 0x4011 + gw_hi + gw_lo
-        + ((bs_ips >> 16) & 0xFFFF) + (bs_ips & 0xFFFF)
-    )
-    out[base] = 0x45
-    put16(base + 2, outer_tl)
-    out[base + 8] = 64
-    out[base + 9] = PROTO_UDP
-    put16(base + 10, ~outer_sum & 0xFFFF)
-    put32(base + 12, np.full(m, gateway_ip, dtype=np.int64))
-    put32(base + 16, bs_ips)
+    outer16[:, 1] = OUTER_SIZE + inner_len
+    outer32[:, 3] = gateway_ip
+    outer32[:, 4] = bs_ips
+    outer16[:, 5] = _checksums(outer16)
 
     # UDP + GTP-U framing.
-    udp = base + Ipv4Header.SIZE
-    put16(udp, np.full(m, GTPU_PORT, dtype=np.int64))
-    put16(udp + 2, np.full(m, GTPU_PORT, dtype=np.int64))
-    put16(udp + 4, UdpHeader.SIZE + GtpuHeader.SIZE + inner_len)
-    gtp = udp + UdpHeader.SIZE
-    out[gtp] = GtpuHeader.FLAGS
-    out[gtp + 1] = 0xFF
-    put16(gtp + 2, inner_len)
-    put32(gtp + 4, teids)
+    udp16[:, 2] = UdpHeader.SIZE + GtpuHeader.SIZE + inner_len
+    gtp.view(">u2")[:, 1] = inner_len
+    gtp.view(">u4")[:, 1] = teids
 
     # Inner IPv4 header, re-packed exactly as ``decrement_ttl().pack()``:
     # ver/IHL fixed to 0x45, flags zeroed, checksum recomputed.
-    inner = base + OUTER_SIZE
-    dscp = parsed.dscp[idx]
-    tl = parsed.total_length[idx]
-    ident = parsed.identification[idx]
-    ttl1 = parsed.ttl[idx] - 1
-    proto = parsed.protocol[idx]
-    src = parsed.src_ip[idx]
-    dst = parsed.dst_ip[idx]
-    inner_sum = _fold16(
-        ((0x45 << 8) | dscp) + tl + ident + ((ttl1 << 8) | proto)
-        + ((src >> 16) & 0xFFFF) + (src & 0xFFFF)
-        + ((dst >> 16) & 0xFFFF) + (dst & 0xFFFF)
-    )
-    out[inner] = 0x45
-    out[inner + 1] = dscp
-    put16(inner + 2, tl)
-    put16(inner + 4, ident)
-    out[inner + 8] = ttl1
-    out[inner + 9] = proto
-    put16(inner + 10, ~inner_sum & 0xFFFF)
-    put32(inner + 12, src)
-    put32(inner + 16, dst)
+    inner[:, 1] = parsed.dscp[idx]
+    inner16[:, 1] = parsed.total_length[idx]
+    inner16[:, 2] = parsed.identification[idx]
+    inner[:, 8] = parsed.ttl[idx] - 1
+    inner[:, 9] = parsed.protocol[idx]
+    inner32[:, 3] = parsed.src_ip[idx]
+    inner32[:, 4] = parsed.dst_ip[idx]
+    inner16[:, 5] = _checksums(inner16)
 
     # Payload tail: everything after the first 20 L3 bytes, options
     # included (the scalar path slices at Ipv4Header.SIZE, not at IHL).
-    tail_len = inner_len - Ipv4Header.SIZE
-    total_tail = int(tail_len.sum())
-    if total_tail:
-        src_start = parsed.offsets[idx] + ETH_SIZE + Ipv4Header.SIZE
-        dst_start = inner + Ipv4Header.SIZE
-        reps = np.repeat(np.arange(m, dtype=np.int64), tail_len)
-        within = np.arange(total_tail, dtype=np.int64) - np.repeat(
-            np.cumsum(tail_len) - tail_len, tail_len
-        )
-        out[dst_start[reps] + within] = parsed.buf[src_start[reps] + within]
-
-    blob = out.tobytes()
+    blob = head.tobytes()
+    raw = parsed.raw
+    size = _TEMPLATE.size
     return [
-        blob[int(out_off[i]): int(out_off[i + 1])] for i in range(m)
+        blob[row:row + size] + raw[start:end]
+        for row, start, end in zip(
+            range(0, m * size, size),
+            (parsed.offsets[idx] + (ETH_SIZE + Ipv4Header.SIZE)).tolist(),
+            parsed.offsets[idx + 1].tolist(),
+        )
     ]

@@ -413,9 +413,11 @@ class EpcGateway:
                         )
 
                 acl = np.zeros(n, dtype=bool)
-                if self.acl_blocked_sources:
-                    acl = parsed.valid & np.isin(
-                        parsed.src_ip, list(self.acl_blocked_sources)
+                blocked = self.acl_blocked_sources
+                if blocked:
+                    acl = parsed.valid & np.fromiter(
+                        (src in blocked for src in parsed.src_ip.tolist()),
+                        dtype=bool, count=n,
                     )
                     acl_idx = np.nonzero(acl)[0]
                     if acl_idx.size:

@@ -184,6 +184,8 @@ HEADLINES = (
     ("fig7.lookup_batch", "measured_mops"),
     ("lookup.batch_cost.gpt", "fixed_us"),
     ("lookup.batch_cost.fib", "fixed_us"),
+    ("codec.batch_cost.parse", "fixed_us"),
+    ("codec.batch_cost.encap", "fixed_us"),
     ("table1.construction.workers.1", "keys_per_second"),
 )
 

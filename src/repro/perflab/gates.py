@@ -180,10 +180,33 @@ def batch_cost_gate(artifact: Mapping[str, Any]) -> str:
     return line
 
 
+def codec_cost_gate(artifact: Mapping[str, Any]) -> str:
+    """Egress copies payload by slice, not by index.
+
+    ``codec.batch_cost.encap`` times one ``encapsulate_batch`` call of 256
+    frames at 18- and at 1,400-byte payloads in the same run.  Headers are
+    the whole cost of a packet whose payload is one ``bytes`` slice (the
+    ratio measured 1.9-2.3); a codec that touches payload byte by byte
+    again pays 11-18x.  ``codec.batch_cost.parse`` must be in the artifact
+    beside it: it never reads payload.
+    """
+    (parse,) = _read(
+        artifact, "codec.batch_cost.parse", "payload_1400_over_18_at_256")
+    (encap,) = _read(
+        artifact, "codec.batch_cost.encap", "payload_1400_over_18_at_256")
+    line = (
+        f"1,400- over 18-byte payloads at 256 frames: "
+        f"parse={parse:.2f}x encap={encap:.2f}x"
+    )
+    if not (0 < parse and 0 < encap <= 4):
+        raise GateFailure(f"{line}: encap must cost <= 4x")
+    return line
+
+
 #: Every gate CI runs on the smoke artifact.
 GATES = (
     fastpath_gate, group_scan_gate, othello_gate, fabric_gate,
-    batch_cost_gate,
+    batch_cost_gate, codec_cost_gate,
 )
 
 

@@ -8,6 +8,7 @@ byte-identical, counter-identical and trajectory-identical to N sequential
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.epc.packets import (
     parse_frame,
     parse_ip,
 )
+from repro.epc.tunnels import GtpTunnelEndpoint
 from repro.epc.traffic import (
     GATEWAY_MAC,
     GENERATOR_MAC,
@@ -63,20 +65,26 @@ def scalar_parse(frame: bytes):
     )
 
 
-def make_frame(flow, payload=b"x" * 18, ttl=64, ihl=5, dscp=0, ident=0):
-    """Hand-rolled downstream frame with full header control."""
-    l4 = struct.pack("!HHHH", flow.sport, flow.dport, 8 + len(payload), 0)
+def make_frame(flow, payload=b"x" * 18, ttl=64, ihl=5, dscp=0, ident=0,
+               version=4, body=None):
+    """Hand-rolled downstream frame with full header control.  ``body``
+    replaces the UDP-shaped L4 header and ``payload`` after the IPv4
+    header (``b""`` leaves a bare 20-byte L3 packet)."""
+    if body is None:
+        body = struct.pack(
+            "!HHHH", flow.sport, flow.dport, 8 + len(payload), 0
+        ) + payload
     hdr_len = ihl * 4
     options = bytes(range(1, hdr_len - 20 + 1))
-    total_length = hdr_len + len(l4) + len(payload)
+    total_length = hdr_len + len(body)
     head = struct.pack(
-        "!BBHHHBBH4s4s", (4 << 4) | ihl, dscp, total_length, ident, 0,
+        "!BBHHHBBH4s4s", (version << 4) | ihl, dscp, total_length, ident, 0,
         ttl, flow.protocol, 0,
         struct.pack("!I", flow.src_ip), struct.pack("!I", flow.dst_ip),
     ) + options
     checksum = ipv4_checksum(head[:10] + b"\x00\x00" + head[12:hdr_len])
     l3 = head[:10] + struct.pack("!H", checksum) + head[12:]
-    return EthernetHeader(GATEWAY_MAC, GENERATOR_MAC).pack() + l3 + l4 + payload
+    return EthernetHeader(GATEWAY_MAC, GENERATOR_MAC).pack() + l3 + body
 
 
 def build_gateway(seed=7, flows=400, rate=None, num_nodes=NUM_NODES):
@@ -253,6 +261,339 @@ class TestEncapsulateBatch:
         for (_, ref), (_, out) in zip(reference, batched):
             assert ref == out
             assert ref is not None
+
+
+GATEWAY_IP = parse_ip("192.0.2.1")
+
+COLUMNS = (
+    "keys", "src_ip", "dst_ip", "protocol", "sport", "dport", "ttl", "dscp",
+    "identification", "total_length",
+)
+
+
+def scalar_egress(frame, teid, bs_ip, gateway_ip):
+    """What the scalar data plane emits for one forwardable frame."""
+    _eth, l3 = parse_frame(frame)
+    _flow, header, _rest = extract_forwardable(l3, fastpath.MAX_INNER)
+    inner = header.decrement_ttl().pack() + l3[header.SIZE:]
+    return GtpTunnelEndpoint(gateway_ip, bs_ip).encapsulate(teid, inner)
+
+
+def assert_codec_matches_scalar(frames, picks=None, gateway_ip=GATEWAY_IP):
+    """Both halves of the batch codec against the scalar one.
+
+    ``picks`` is ``(seed, teid, bs_ip)`` per packet to emit; a seed selects
+    one of the valid frames, so any subset, order and repetition of ``idx``
+    can be asked for.  None emits every valid frame once.
+    """
+    with np.errstate(all="raise"):
+        parsed = fastpath.parse_frames(frames)
+        reference = [scalar_parse(frame) for frame in frames]
+        assert parsed.n == len(frames)
+        assert parsed.raw == b"".join(frames) == parsed.buf.tobytes()
+        assert parsed.offsets.tolist() == [
+            sum(map(len, frames[:i])) for i in range(len(frames) + 1)
+        ]
+        assert parsed.l3_len.tolist() == [len(f) - 14 for f in frames]
+        assert parsed.malformed.tolist() == [r is None for r in reference]
+        assert parsed.valid.tolist() == [r is not None for r in reference]
+        valid = [i for i, r in enumerate(reference) if r is not None]
+        for i in valid:
+            got = tuple(int(getattr(parsed, c)[i]) for c in COLUMNS)
+            assert got == reference[i], (i, frames[i].hex())
+        if picks is None:
+            picks = [(i, 1 + i, 0xAC100101 + i) for i in range(len(valid))]
+        if not valid:
+            picks = []
+        idx = [valid[seed % len(valid)] for seed, _, _ in picks]
+        tunnelled = fastpath.encapsulate_batch(
+            parsed, np.array(idx, dtype=np.int64),
+            [teid for _, teid, _ in picks], [bs for _, _, bs in picks],
+            gateway_ip,
+        )
+    assert tunnelled == [
+        scalar_egress(frames[i], teid, bs_ip, gateway_ip)
+        for i, (_, teid, bs_ip) in zip(idx, picks)
+    ]
+    return parsed
+
+
+U32 = st.integers(0, 0xFFFFFFFF)
+NON_L4 = (0, 1, 47, 50, 255)
+CODEC_FLOWS = st.builds(
+    FlowTuple, U32, U32, st.sampled_from((PROTO_TCP, PROTO_UDP) + NON_L4),
+    st.integers(0, 65535), st.integers(0, 65535),
+)
+
+
+@st.composite
+def codec_frames(draw):
+    """One frame of a kind the codec must tell apart."""
+    flow = draw(CODEC_FLOWS)
+    kind = draw(st.sampled_from((
+        "plain", "plain", "options", "ttl", "version", "checksum",
+        "truncated", "max_inner",
+    )))
+    fields = dict(
+        ttl=draw(st.integers(2, 255)), dscp=draw(st.integers(0, 255)),
+        ident=draw(st.integers(0, 65535)),
+        payload=draw(st.binary(max_size=40)),
+    )
+    if kind == "options":
+        return make_frame(flow, ihl=draw(st.integers(6, 15)), **fields)
+    if kind == "ttl":
+        fields["ttl"] = draw(st.sampled_from((0, 1)))
+        return make_frame(flow, ihl=draw(st.sampled_from((5, 6))), **fields)
+    if kind == "version":
+        version = draw(st.sampled_from((0, 5, 6, 15)))
+        return make_frame(flow, version=version, **fields)
+    if kind == "max_inner":
+        fields["payload"] = OVERSIZE_PAYLOAD[draw(st.sampled_from((0, 1))):]
+    frame = make_frame(flow, **fields)
+    if kind == "checksum":
+        corrupt = bytearray(frame)
+        corrupt[14 + draw(st.integers(0, 19))] ^= draw(st.integers(1, 255))
+        return bytes(corrupt)
+    if kind == "truncated":
+        return frame[:draw(st.integers(0, len(frame)))]
+    return frame
+
+
+#: Frames whose 24-byte gather reaches past their own end: anything too
+#: short to parse, and 20- to 23-byte L3 packets (valid when not TCP/UDP).
+SHORT_TAILS = st.one_of(
+    st.binary(max_size=33),
+    st.builds(
+        lambda flow, extra: make_frame(flow, body=bytes(extra)),
+        CODEC_FLOWS, st.integers(0, 3),
+    ),
+)
+
+
+class TestCodecProperties:
+    """Hypothesis differentials for both halves of the batch codec, run
+    under ``np.errstate(all="raise")``."""
+
+    @given(
+        body=st.lists(codec_frames(), max_size=10),
+        tail=st.none() | SHORT_TAILS,
+        picks=st.lists(st.tuples(st.integers(0, 10**6), U32, U32), max_size=24),
+        gateway_ip=U32,
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_random_batches_match_the_scalar_codec(
+        self, body, tail, picks, gateway_ip
+    ):
+        # The short frame goes last in the buffer, where the gather is
+        # clipped instead of reading a neighbour.
+        frames = body + ([] if tail is None else [tail])
+        assert_codec_matches_scalar(frames, picks, gateway_ip)
+
+    @pytest.mark.parametrize("protocol", [PROTO_UDP, 47])
+    @pytest.mark.parametrize("ihl", [5, 6])
+    def test_truncated_at_every_length(self, protocol, ihl):
+        flow = FlowTuple(0x0A000001, 0x0A000002, protocol, 1000, 2000)
+        whole = make_frame(flow, ihl=ihl, dscp=9, ident=513)
+        good = make_frame(flow, ttl=3)
+        for cut in range(len(whole) + 1):
+            for frames in (
+                [whole[:cut]], [good, whole[:cut]], [whole[:cut], good],
+            ):
+                parsed = assert_codec_matches_scalar(frames)
+                # A cut frame never changes what its neighbour reads.
+                assert parsed.valid.sum() >= len(frames) - 1
+
+    def test_a_bare_non_l4_header_last_in_the_buffer_is_valid(self):
+        gre = FlowTuple(0x01020304, 0x05060708, 47, 0, 0)
+        udp = FlowTuple(0x01020304, 0x05060708, PROTO_UDP, 7, 9)
+        frames = [make_frame(udp), make_frame(gre, body=b"")]
+        parsed = assert_codec_matches_scalar(frames)
+        assert parsed.valid.all()
+        # In front of another frame its port columns would be that
+        # frame's Ethernet bytes: masked, not read.
+        parsed = assert_codec_matches_scalar(frames[::-1])
+        assert parsed.valid.all()
+        assert (int(parsed.sport[0]), int(parsed.dport[0])) == (0, 0)
+        assert int(parsed.keys[0]) == gre.key()
+
+    def test_exactly_max_inner_is_forwarded_and_one_more_is_not(self):
+        flow = FlowTuple(0x0A000001, 0x0A000002, PROTO_TCP, 1000, 2000)
+        frames = [
+            make_frame(flow, payload=OVERSIZE_PAYLOAD[1:]),
+            make_frame(flow, payload=OVERSIZE_PAYLOAD),
+        ]
+        parsed = assert_codec_matches_scalar(frames)
+        assert parsed.l3_len.tolist() == [
+            fastpath.MAX_INNER, fastpath.MAX_INNER + 1
+        ]
+        assert parsed.malformed.tolist() == [False, True]
+
+    def test_checksum_zero_and_ffff_are_not_interchangeable(self):
+        """A header whose words sum to 0xFFFF has checksum 0x0000; the
+        scalar codec rejects the other ones-complement zero in the field,
+        and so must a checksum verified as one column sum."""
+        flow = FlowTuple(0x0A000001, 0x0A000002, PROTO_UDP, 1000, 2000)
+        frame = next(
+            frame for frame in (
+                make_frame(flow, ident=ident) for ident in range(65536)
+            ) if frame[24:26] == b"\x00\x00"
+        )
+        other_zero = frame[:24] + b"\xff\xff" + frame[26:]
+        parsed = assert_codec_matches_scalar([frame, other_zero])
+        assert parsed.malformed.tolist() == [False, True]
+
+    def test_empty_batch_and_empty_frames(self):
+        assert assert_codec_matches_scalar([]).n == 0
+        assert assert_codec_matches_scalar([b"", b""]).malformed.all()
+
+    #: (payload bytes — the three sizes of the e2e ``fwd_mixed`` pool —
+    #: TEID, base station, the 56 header bytes, SHA-256 of the packet),
+    #: produced by the byte-at-a-time codec this one replaced.
+    GOLDEN = (
+        (18, 0x01020304, "172.16.1.9",
+         "450000520000000040110b81c0000201ac10010908680868003e000030ff002e"
+         "010203044500002e000000003f112949c63364070a141e28",
+         "a219690154d280e3871aa2478cf0f1bdb7ed38eebe95ba6beb4bbbabdd1aa912"),
+        (512, 0xFFFFFFFF, "172.16.255.254",
+         "450002400000000040110a9dc0000201ac10fffe08680868022c000030ff021c"
+         "ffffffff4500021c000000003f11275bc63364070a141e28",
+         "b73f3f3d9367b786aa181a42e128f58cefa24316a426667ac356f87f3743e092"),
+        (1400, 7, "255.255.255.255",
+         "450005b8000000004011b334c0000201ffffffff0868086805a4000030ff0594"
+         "0000000745000594000000003f1123e3c63364070a141e28",
+         "ea31a53a8534c968da02c34eddcb729ace447be74e94d761eeff78b2265cc7cf"),
+    )
+
+    def test_golden_vectors(self):
+        """Pinned bytes, so the batch codec cannot drift with the scalar
+        codec moving in step beside it."""
+        flow = FlowTuple(
+            parse_ip("198.51.100.7"), parse_ip("10.20.30.40"), PROTO_UDP,
+            53124, 443,
+        )
+        frames = [
+            build_downstream_frame(
+                GENERATOR_MAC, GATEWAY_MAC, flow, b"x" * size
+            )
+            for size, *_ in self.GOLDEN
+        ]
+        parsed = fastpath.parse_frames(frames)
+        assert parsed.keys.tolist() == [0x7927880792B081BF] * 3
+        tunnelled = fastpath.encapsulate_batch(
+            parsed, np.arange(3), [teid for _, teid, *_ in self.GOLDEN],
+            [parse_ip(bs) for _, _, bs, *_ in self.GOLDEN], GATEWAY_IP,
+        )
+        for frame, out, (size, _, _, head, digest) in zip(
+            frames, tunnelled, self.GOLDEN
+        ):
+            assert out[:56].hex() == head
+            assert out[56:] == frame[34:] and len(out) == 56 + 8 + size
+            assert hashlib.sha256(out).hexdigest() == digest
+        assert tunnelled[0].hex() == self.GOLDEN[0][3] + (
+            "cf8401bb001a0000" + "78" * 18
+        )
+
+
+class TestTunnelFieldRange:
+    """A TEID or base-station address wider than 32 bits must never be
+    masked into another subscriber's tunnel."""
+
+    def test_encapsulate_batch_names_the_first_offender(self):
+        flow = FlowTuple(0x0A000001, 0x0A000002, PROTO_UDP, 1000, 2000)
+        parsed = fastpath.parse_frames([make_frame(flow)] * 3)
+        idx = np.arange(3)
+        ok = [1, 2, 3]
+        with pytest.raises(ValueError, match=r"teids\[0\] = 4294967301"):
+            fastpath.encapsulate_batch(
+                parsed, [0], [2**32 + 5], [2**32 + 9], GATEWAY_IP
+            )
+        with pytest.raises(ValueError, match=r"teids\[1\] = -1 "):
+            fastpath.encapsulate_batch(
+                parsed, idx, [1, -1, 2**40], ok, GATEWAY_IP
+            )
+        with pytest.raises(ValueError, match=r"bs_ips\[2\] = 4294967296"):
+            fastpath.encapsulate_batch(
+                parsed, idx, ok, [0, 0xFFFFFFFF, 2**32], GATEWAY_IP
+            )
+        for gateway_ip in (2**32, -1):
+            with pytest.raises(ValueError, match="gateway_ip"):
+                fastpath.encapsulate_batch(parsed, idx, ok, ok, gateway_ip)
+        edge = fastpath.encapsulate_batch(
+            parsed, idx, [0, 0xFFFFFFFF, 1], [0xFFFFFFFF, 0, 1], 0xFFFFFFFF
+        )
+        assert edge == [
+            scalar_egress(make_frame(flow), teid, bs_ip, 0xFFFFFFFF)
+            for teid, bs_ip in ((0, 0xFFFFFFFF), (0xFFFFFFFF, 0), (1, 1))
+        ]
+
+    def test_connect_and_handover_reject_a_wide_base_station(self):
+        gateway, flows, gen = build_gateway(flows=20)
+        newcomer = gen.flows(21)[-1]
+        assert gateway.controller.record_for_key(newcomer.key()) is None
+        registry_before = gateway.registry.counters()
+        for bad in (2**32 + 9, -1):
+            with pytest.raises(ValueError, match="base_station_ip"):
+                gateway.connect(newcomer, bad)
+            with pytest.raises(ValueError, match="base_station_ip"):
+                gateway.controller.handover(flows[0], bad)
+        assert len(gateway.controller) == len(gateway.controller.teids) == 20
+        assert len(gateway.dpe) == 20
+        assert gateway.stats.bytes_charged == {}
+        assert gateway.registry.counters() == registry_before
+        record = gateway.controller.record_for_key(flows[0].key())
+        assert record.base_station_ip == gen.base_station_for(flows[0])
+        # The widest legal address still connects, and both paths agree.
+        gateway.connect(newcomer, 0xFFFFFFFF)
+        frame = make_frame(newcomer)
+        scalar = gateway.process_downstream(frame, 0)
+        (batched,) = gateway.process_downstream_batch([frame], [0])
+        assert scalar == batched and scalar[1][16:20] == b"\xff" * 4
+
+
+class TestAclScreen:
+    def test_the_screen_reads_the_live_set_every_batch(self):
+        """Blocked between two batches, unblocked again, then emptied:
+        each batch sees the set as it is, and results, counters and ledger
+        equal the scalar loop's (nobody may cache it as an array)."""
+        gw_a, flows, gen = build_gateway(seed=19, flows=60)
+        gw_b, _, _ = build_gateway(seed=19, flows=60)
+        victim, bystander = flows[4], flows[5]
+        frames = [make_frame(f) for f in (victim, bystander, victim)]
+        ingress = [0, 1, 2]
+
+        def both(expected_drops):
+            out = assert_equivalent(gw_a, gw_b, frames, ingress)
+            assert [
+                result.reason if packet is None else None
+                for result, packet in out
+            ] == expected_drops
+            return gw_b.registry.counters().get("gateway.drops.acl", 0)
+
+        assert both([None, None, None]) == 0
+        for gateway in (gw_a, gw_b):
+            gateway.acl_blocked_sources.add(victim.src_ip)
+        assert both(["acl", None, "acl"]) == 2
+        for gateway in (gw_a, gw_b):
+            gateway.acl_blocked_sources.add(bystander.src_ip)
+            gateway.acl_blocked_sources.discard(victim.src_ip)
+        assert both([None, "acl", None]) == 3
+        for gateway in (gw_a, gw_b):
+            gateway.acl_blocked_sources.clear()
+        assert both([None, None, None]) == 3
+        victim_teid = gw_b.controller.record_for_key(victim.key()).teid
+        assert gw_b.stats.bytes_charged[victim_teid] == 6 * 46
+
+    def test_a_malformed_frame_is_never_an_acl_drop(self):
+        """Its zeroed source column must not be looked up as address 0."""
+        gw_a, flows, _ = build_gateway(seed=19, flows=10)
+        gw_b, _, _ = build_gateway(seed=19, flows=10)
+        for gateway in (gw_a, gw_b):
+            gateway.acl_blocked_sources.add(0)
+        out = assert_equivalent(
+            gw_a, gw_b, [b"", make_frame(flows[0])[:30], make_frame(flows[0])]
+        )
+        assert [r.reason for r, _ in out[:2]] == ["malformed", "malformed"]
+        assert out[2][1] is not None
 
 
 class TestGatewayDifferential:

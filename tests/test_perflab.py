@@ -563,13 +563,14 @@ class TestGroupScanGate:
             "smoke", scale=1, name_filter="update.single_owner_rate")
         artifact.results.extend(
             othello_rows() + fastpath_rows() + fabric_rows()
-            + batch_cost_rows())
+            + batch_cost_rows() + codec_cost_rows())
         path = perflab.write_artifact(artifact, tmp_path)
         assert gates.main([str(path)]) == 0
         out = capsys.readouterr().out
         assert "group scan" in out and "othello=" in out
         assert "fastpath frames=9000" in out and "hops/transit" in out
         assert "gpt=0.70x fib=0.54x" in out
+        assert "parse=1.10x encap=2.30x" in out
         broken = tmp_path / "broken.json"
         broken.write_text(perflab.canonical_json(
             self._artifact(keys_scanned_per_update=900.0,
@@ -581,6 +582,7 @@ class TestGroupScanGate:
         assert "fig8.forwarding.endtoend missing" in err
         assert "fabric.hops missing" in err
         assert "lookup.batch_cost.gpt missing" in err
+        assert "codec.batch_cost.parse missing" in err
 
 
 def othello_rows(rate=(6700.0, 2100.0), bits=(4.66, 3.5), skip=()):
@@ -773,6 +775,61 @@ class TestBatchCostGate:
             assert (result.name, "fixed_us") in perflab.artifact.HEADLINES
             assert result.derived["per_key_ns"] > 0
             assert result.derived["prehashed_over_raw_at_8"] > 0
+
+
+def codec_cost_rows(parse=1.10, encap=2.30, skip=()):
+    ratios = {"codec.batch_cost.parse": parse, "codec.batch_cost.encap": encap}
+    return [
+        make_result(name, [0.1], derived={
+            "fixed_us": 40.0, "per_frame_ns": 400.0,
+            "per_payload_byte_ns": 0.3,
+            **({} if ratio is None
+               else {"payload_1400_over_18_at_256": ratio}),
+        })
+        for name, ratio in ratios.items() if name not in skip
+    ]
+
+
+class TestCodecCostGate:
+    def test_payload_copied_by_slice_passes(self):
+        line = gates.codec_cost_gate(make_artifact(codec_cost_rows()).to_dict())
+        assert line == (
+            "1,400- over 18-byte payloads at 256 frames: "
+            "parse=1.10x encap=2.30x"
+        )
+        gates.codec_cost_gate(
+            make_artifact(codec_cost_rows(encap=4.0)).to_dict())
+
+    @pytest.mark.parametrize("rows, message", [
+        (dict(encap=17.5), "encap must cost <= 4x"),   # the parent's codec
+        (dict(encap=4.1), "encap must cost <= 4x"),
+        (dict(encap=0.0), "encap must cost <= 4x"),    # a row that timed nothing
+        (dict(parse=0.0), "encap must cost <= 4x"),
+        (dict(skip=("codec.batch_cost.parse",)), "batch_cost.parse missing"),
+        (dict(skip=("codec.batch_cost.encap",)), "batch_cost.encap missing"),
+        (dict(encap=None), "does not report 'payload_1400_over_18_at_256'"),
+    ])
+    def test_per_byte_payload_or_missing_rows_fail(self, rows, message):
+        with pytest.raises(gates.GateFailure, match=message):
+            gates.codec_cost_gate(
+                make_artifact(codec_cost_rows(**rows)).to_dict())
+
+    def test_the_gate_reads_what_the_benchmark_writes(self):
+        """The real rows, run once: the gate's and the history's metric
+        names are the benchmark's.  (The ratio itself is a timing; CI's
+        perf-smoke job holds it to the threshold, not tier-1.)"""
+        perflab.discover()
+        artifact = perflab.run_suite(
+            "smoke", scale=1, repeats=1, name_filter="codec.batch_cost")
+        assert [r.name for r in artifact.results] == [
+            "codec.batch_cost.encap", "codec.batch_cost.parse"]
+        for result in artifact.results:
+            assert result.params == {
+                "frames": "8/32/256/1024", "payloads": "18/512/1400"}
+            assert (result.name, "fixed_us") in perflab.artifact.HEADLINES
+            assert result.derived["per_frame_ns"] > 0
+            assert result.derived["us_at_256x1400"] > 0
+            assert result.derived["payload_1400_over_18_at_256"] > 0
 
 
 class TestEnvironmentFingerprint:
