@@ -3,8 +3,11 @@
 A :class:`FaultPlan` is a deterministic schedule of discrete fault events
 drawn from a seed; the :class:`FaultInjector` applies one event per step
 to a live gateway through the hooks the production objects expose —
-``SwitchFabric.fault_hook`` (transit drop/duplication/reorder and
-partitions), ``UpdateEngine.delta_interceptor`` (lost/duplicated/delayed
+``Fabric.fault_hook`` (transit drop/duplication/reorder and
+partitions), the fabric's link-fault surface (``pick_fault_link``,
+``fail_link``, ``degrade_link``, ``heal_links``: severed and slow links
+on either topology of :mod:`repro.fabric`),
+``UpdateEngine.delta_interceptor`` (lost/duplicated/delayed
 GPT deltas), ``EpcGateway.down_nodes`` plus
 :class:`~repro.cluster.failover.FailoverManager` (crash & rejoin), and
 the packet codecs (malformed/truncated frames).
@@ -27,8 +30,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro import fabric as fabric_mod
 from repro.chaos.oracle import DifferentialOracle
-from repro.cluster import fabric as fabric_mod
 from repro.cluster.architectures import Architecture
 from repro.cluster.failover import FailoverManager
 from repro.epc.gateway import EpcGateway

@@ -35,11 +35,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cluster.architectures import Architecture
-from repro.cluster.fabric import FabricLoss
 from repro.epc.fastpath import MAX_INNER
 from repro.epc.gateway import EpcGateway
 from repro.epc.packets import extract_forwardable, parse_frame
 from repro.epc.tunnels import GtpTunnelEndpoint
+from repro.fabric import FabricLoss
 
 #: Expected-outcome kinds a reference evaluation can produce.
 DELIVERED = "delivered"

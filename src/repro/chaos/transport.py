@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping
 
-from repro.cluster.fabric import DELAY, DELIVER, DROP, DUPLICATE
+from repro.fabric import DELAY, DELIVER, DROP, DUPLICATE
 
 _VERDICTS = (DROP, DELAY, DUPLICATE)
 

@@ -9,7 +9,10 @@ Commands:
 * ``info``    — describe a snapshot (config, size, bits/key).
 * ``stats``   — run an instrumented gateway trial and print its metrics.
 * ``chaos``   — run seeded fault-injection episodes with differential
-  oracle checking (exit 1 if any invariant was violated).
+  oracle checking (exit 1 if any gate of
+  :func:`repro.sim.soak.soak_gates` fails: an invariant was violated,
+  fabric accounting leaked, or ``--link-faults`` exercised no link
+  fault; failing gate names go to stderr).
 * ``bench``   — the performance lab (:mod:`repro.perflab`):
   ``bench run`` executes a suite and writes ``BENCH_<gitsha>.json``,
   ``bench compare`` gates one artifact against another with noise-aware
@@ -268,7 +271,7 @@ def _print_metrics_text(registry: MetricsRegistry) -> None:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import DEFAULT_FAULT_KINDS, LINK_FAULT_KINDS
-    from repro.sim.soak import SoakRunner
+    from repro.sim.soak import SoakRunner, soak_gates
 
     kinds = None
     if args.link_faults:
@@ -285,7 +288,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         fabric_backend=getattr(args, "fabric", None),
     )
     report = runner.run()
-    if not emit(report.to_dict(), args.json):
+    doc = report.to_dict()
+    failed = [
+        gate for gate, passed in soak_gates(doc, args.link_faults).items()
+        if not passed
+    ]
+    for gate in failed:
+        print(f"gate FAIL    : {gate}", file=sys.stderr)
+    if not emit(doc, args.json):
         print(f"architecture : {report.architecture} "
               f"({report.num_nodes} nodes)")
         print(f"episodes     : {len(report.episodes)} "
@@ -298,8 +308,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 print(f"  episode {episode.episode} (seed {episode.seed}) "
                       f"step {violation['step']}: {violation['invariant']} "
                       f"key={violation['key']}: {violation['detail']}")
-        print("verdict      : " + ("OK" if report.ok else "VIOLATED"))
-    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
+        print("verdict      : "
+              + ("FAILED " + ", ".join(failed) if failed else "OK"))
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
@@ -856,7 +867,8 @@ def make_parser() -> argparse.ArgumentParser:
                        help="differential packets per traffic burst")
     chaos.add_argument("--link-faults", action="store_true",
                        help="mix LINK_DOWN/LINK_DEGRADED (with their "
-                            "paired LINK_HEAL) into the fault pool")
+                            "paired LINK_HEAL) into the fault pool, and "
+                            "fail unless one of them was exercised")
     chaos.add_argument("--json", action="store_true",
                        help="emit the full soak report as JSON")
     _add_backend_argument(chaos)

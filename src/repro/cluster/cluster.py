@@ -15,8 +15,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro import fabric as fabric_registry
 from repro.cluster.architectures import Architecture
-from repro.cluster.fabric import SwitchFabric
 from repro.cluster.node import ClusterNode
 from repro.cluster.rib import RoutingInformationBase
 from repro.core import hashfamily, twolevel
@@ -232,7 +232,7 @@ class Cluster:
         self,
         architecture: Architecture,
         nodes: List[ClusterNode],
-        fabric: SwitchFabric,
+        fabric: fabric_registry.Fabric,
         rib: RoutingInformationBase,
         gpt_params: Optional[SeparatorParams] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -320,7 +320,7 @@ class Cluster:
         values: Sequence[int],
         fib_factory: Optional[FibFactory] = None,
         gpt_params: Optional[SeparatorParams] = None,
-        fabric: Optional[SwitchFabric] = None,
+        fabric: Optional[fabric_registry.Fabric] = None,
         registry: Optional[MetricsRegistry] = None,
         backend: Optional[str] = None,
         fabric_backend: Optional[str] = None,
@@ -340,7 +340,8 @@ class Cluster:
                 cuckoo table.
             gpt_params: separator configuration for the GPT (ScaleBricks);
                 converted if it doesn't match the selected backend.
-            fabric: interconnect; defaults to a switch fabric.
+            fabric: interconnect; defaults to a new fabric on
+                ``fabric_backend``.
             registry: metrics registry shared by the cluster, its GPT
                 replicas and the update engine (default: disabled).
             backend: separator backend for the GPT; ``None`` uses the
@@ -369,14 +370,7 @@ class Cluster:
                 "not both"
             )
         if fabric is None:
-            # Imported lazily: repro.fabric imports this module's sibling
-            # (repro.cluster.fabric) at import time, so a module-level
-            # import here would be a cycle.
-            from repro import fabric as fabric_registry
-
-            fabric = fabric_registry.create(
-                num_nodes, fabric_registry.resolve_backend(fabric_backend)
-            )
+            fabric = fabric_registry.create(num_nodes, fabric_backend)
 
         # The GPT (and the RIB's block partitioning) exist for ScaleBricks;
         # the RIB itself is kept for every architecture since updates need

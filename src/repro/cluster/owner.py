@@ -19,9 +19,9 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.cluster.fabric import DELAY, DROP, DUPLICATE
 from repro.core import separator as separator_registry
 from repro.core.delta import DeltaWireError
+from repro.fabric import DELAY, DROP, DUPLICATE
 
 #: A record held back from a peer until the next flush: (peer, wire, bits).
 Delayed = Tuple[int, bytes, int]

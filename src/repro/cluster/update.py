@@ -21,10 +21,10 @@ from typing import Callable, Dict, List, Optional
 from repro.cluster import owner
 from repro.cluster.architectures import Architecture
 from repro.cluster.cluster import Cluster
-from repro.cluster.fabric import DELAY, DELIVER, DROP, DUPLICATE  # noqa: F401
 from repro.cluster.owner import UpdateAccount
 from repro.core import hashfamily
 from repro.core.params import BUCKETS_PER_BLOCK
+from repro.fabric import DELAY, DELIVER, DROP, DUPLICATE  # noqa: F401
 from repro.obs.metrics import MetricsRegistry, resolve_registry
 
 #: Broadcast-delta size buckets (bits).  The paper's §4.5 claim is "tens

@@ -43,17 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.fabric import (
-    DELAY,
-    DELAY_FACTOR,
-    DELIVER,
-    DROP,
-    DUPLICATE,
-    FabricLoss,
-    FabricStats,
-    FaultHook,
-    Link,
-)
+from repro.fabric import Fabric, FabricLoss, Link, Route
 
 #: Mixing constants for the deterministic ECMP hash (Fibonacci/Murmur
 #: multipliers; any fixed odd constants work, these match the repo's
@@ -63,7 +53,7 @@ _ECMP_MULT_DST = 0x85EBCA77
 _ECMP_MASK = 0xFFFFFFFF
 
 
-class FatTreeFabric:
+class FatTreeFabric(Fabric):
     """A two-layer leaf/spine fat-tree connecting ``num_nodes`` nodes.
 
     Args:
@@ -105,14 +95,11 @@ class FatTreeFabric:
         edge_capacity: Optional[int] = None,
         queue_penalty_us: Optional[float] = None,
     ) -> None:
-        if num_nodes < 1:
-            raise ValueError("fabric needs at least one node")
+        super().__init__(num_nodes, transit_latency_us, seed)
         if oversubscription <= 0:
             raise ValueError("oversubscription ratio must be positive")
         if window < 1:
             raise ValueError("accounting window must be at least 1 packet")
-        self.num_nodes = num_nodes
-        self.transit_latency_us = transit_latency_us
         if num_leaves is None:
             num_leaves = math.ceil(math.sqrt(num_nodes))
             if num_nodes >= 2:
@@ -147,16 +134,8 @@ class FatTreeFabric:
             else float(queue_penalty_us)
         )
         self._leaf_of = np.arange(num_nodes) // self.nodes_per_leaf
-        self.stats = FabricStats()
-        self._rng = np.random.default_rng(seed)
-        #: Same per-transit verdict surface as the crossbar.
-        self.fault_hook: Optional[FaultHook] = None
-        self._down_links: set = set()
-        self._degraded_links: Dict[Link, float] = {}
         self._window_counts: Dict[Link, int] = {}
         self._window_offered = 0
-        self._pending_ingress = np.zeros(num_nodes, dtype=np.float64)
-        self._pending_leaf = np.zeros(self.num_leaves, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Topology
@@ -201,106 +180,35 @@ class FatTreeFabric:
             else self.uplink_capacity
         )
 
+    def pick_fault_link(self, rng: np.random.Generator) -> Optional[Link]:
+        """A seeded victim among the spine-layer trunks.
+
+        Trunks are the interesting victims — they have ECMP alternates,
+        so downing one exercises the reroute path rather than just
+        severing a node (edge-link loss is covered by targeted tests).
+        Returns ``None`` on a single-leaf topology (no trunks carry
+        traffic worth failing).
+        """
+        if self.num_leaves < 2:
+            return None
+        trunks = self.links()[2 * self.num_nodes:]
+        return trunks[int(rng.integers(len(trunks)))]
+
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
 
-    def deliver(self, src: int, dst: int, size: int = 64) -> float:
-        """Move one packet from ``src`` to ``dst``; returns transit latency.
+    def _route(self, src: int, dst: int) -> Route:
+        """Intra-leaf: up, down (one hop).  Inter-leaf: up, the ECMP
+        spine's uplink and downlink, down (three hops).
 
-        Delivery to self is free.  Inter-leaf transits take the
-        deterministic ECMP spine; if a chaos fault downed a trunk on that
-        path the next spine (in hash order) takes over and the transit is
-        counted as a reroute.  Latency is hops x ``transit_latency_us``
-        plus a queueing penalty per over-capacity link plus any degraded
-        links' slow-down.
-
-        Raises:
-            FabricLoss: when an installed :attr:`fault_hook` drops the
-                transit, an edge link on the only path is down, or every
-                spine path between the two leaves is severed.
-        """
-        self._check(src)
-        self._check(dst)
-        if src == dst:
-            return 0.0
-        verdict = DELIVER if self.fault_hook is None else self.fault_hook(
-            src, dst, size
-        )
-        if verdict == DROP:
-            self.stats.dropped += 1
-            raise FabricLoss(src, dst)
-        path, hops = self._route(src, dst)
-        latency = self._traverse(path, hops, size)
-        if verdict == DUPLICATE:
-            self._traverse(path, hops, size)
-            self.stats.duplicated += 1
-            return latency
-        if verdict == DELAY:
-            self.stats.delayed += 1
-            return latency * DELAY_FACTOR
-        return latency
-
-    def deliver_batch(
-        self,
-        srcs: np.ndarray,
-        dsts: np.ndarray,
-        size: int = 64,
-    ) -> np.ndarray:
-        """Move many packets; returns per-packet transit latencies.
-
-        Exactly equivalent to calling :meth:`deliver` element-wise —
-        queueing makes latency depend on per-window link occupancy, i.e.
-        on delivery *order*, so the batch is processed in order rather
-        than reduced the way the crossbar's lossless path is.
-        """
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        if srcs.shape != dsts.shape:
-            raise ValueError("srcs and dsts must have equal length")
-        if srcs.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        if (
-            srcs.min() < 0
-            or dsts.min() < 0
-            or srcs.max() >= self.num_nodes
-            or dsts.max() >= self.num_nodes
-        ):
-            bad = srcs[(srcs < 0) | (srcs >= self.num_nodes)]
-            node = int(bad[0]) if bad.size else int(
-                dsts[(dsts < 0) | (dsts >= self.num_nodes)][0]
-            )
-            raise ValueError(f"node {node} not attached to this fabric")
-        return np.asarray(
-            [self.deliver(int(s), int(d), size) for s, d in zip(srcs, dsts)],
-            dtype=np.float64,
-        )
-
-    def pick_indirect(self, src: int, dst: int) -> int:
-        """Choose a VLB indirect node distinct from source and destination.
-
-        Same degenerate-case contract as the crossbar: with fewer than
-        three nodes the packet goes direct.
-        """
-        self._check(src)
-        self._check(dst)
-        candidates = [
-            n for n in range(self.num_nodes) if n not in (src, dst)
-        ]
-        if not candidates:
-            return dst
-        return int(self._rng.choice(candidates))
-
-    def _route(self, src: int, dst: int) -> Tuple[Tuple[Link, ...], int]:
-        """The link path and switch hop count for one transit.
-
-        Applies link faults: edge links have no alternate (loss); a
-        downed trunk fails over to the next spine in hash order.
+        Edge links have no alternate (loss); a downed trunk fails over to
+        the next spine in hash order, counted as a reroute; with every
+        spine path severed the transit is lost.
         """
         up: Link = ("up", src)
         down: Link = ("down", dst)
         if up in self._down_links or down in self._down_links:
-            self.stats.dropped += 1
             raise FabricLoss(src, dst)
         leaf_src = int(self._leaf_of[src])
         leaf_dst = int(self._leaf_of[dst])
@@ -316,83 +224,31 @@ class FatTreeFabric:
             if offset:
                 self.stats.reroutes += 1
             return (up, uplink, downlink, down), 3
-        self.stats.dropped += 1
         raise FabricLoss(src, dst)
 
     def _traverse(
         self, path: Tuple[Link, ...], hops: int, size: int
     ) -> float:
-        """Account one packet crossing ``path``; returns its latency."""
+        """The base's accounting plus per-window capacity queueing: a
+        crossing beyond its link's capacity pays ``queue_penalty_us`` and
+        counts as ``capacity_exceeded``.  Latency thus depends on delivery
+        order, which is why ``deliver_batch`` stays per-packet here."""
         self._window_offered += 1
         if self._window_offered > self.window:
             self._window_counts.clear()
             self._pending_ingress[:] = 0.0
-            self._pending_leaf[:] = 0.0
             self._window_offered = 1
-        self.stats.packets += 1
-        self.stats.bytes += size
-        self.stats.switch_hops += hops
-        latency = hops * self.transit_latency_us
+        latency = super()._traverse(path, hops, size)
         for link in path:
-            self.stats.record_link(link)
             occupancy = self._window_counts.get(link, 0) + 1
             self._window_counts[link] = occupancy
             if occupancy > self.link_capacity(link):
                 self.stats.capacity_exceeded += 1
                 latency += self.queue_penalty_us
-            factor = self._degraded_links.get(link)
-            if factor is not None:
-                self.stats.degraded += 1
-                latency += self.transit_latency_us * (factor - 1.0)
         return latency
 
     # ------------------------------------------------------------------
-    # Link-level faults (chaos: LINK_DOWN / LINK_DEGRADED / LINK_HEAL)
-    # ------------------------------------------------------------------
-
-    def pick_fault_link(self, rng: np.random.Generator) -> Optional[Link]:
-        """A seeded victim among the spine-layer trunks.
-
-        Trunks are the interesting victims — they have ECMP alternates,
-        so downing one exercises the reroute path rather than just
-        severing a node (edge-link loss is covered by targeted tests).
-        Returns ``None`` on a single-leaf topology (no trunks carry
-        traffic worth failing).
-        """
-        if self.num_leaves < 2:
-            return None
-        trunks: List[Link] = []
-        for leaf in range(self.num_leaves):
-            for spine in range(self.num_spines):
-                trunks.append(("uplink", leaf, spine))
-                trunks.append(("downlink", spine, leaf))
-        return trunks[int(rng.integers(len(trunks)))]
-
-    def fail_link(self, link: Link) -> None:
-        """Sever one directed link (trunks fail over via ECMP)."""
-        self._down_links.add(tuple(link))
-
-    def degrade_link(self, link: Link, factor: float = DELAY_FACTOR) -> None:
-        """Slow one directed link down by ``factor`` (lossless)."""
-        if factor <= 0:
-            raise ValueError("degrade factor must be positive")
-        self._degraded_links[tuple(link)] = float(factor)
-
-    def heal_links(self) -> None:
-        """Restore every failed and degraded link."""
-        self._down_links.clear()
-        self._degraded_links.clear()
-
-    def has_link_faults(self) -> bool:
-        """Whether any link is currently down or degraded."""
-        return bool(self._down_links or self._degraded_links)
-
-    def down_links(self) -> Tuple[Link, ...]:
-        """The currently severed links, in deterministic order."""
-        return tuple(sorted(self._down_links))
-
-    # ------------------------------------------------------------------
-    # Ingress steering (utilization-aware policy support)
+    # Ingress steering (utilization-aware policy) and accounting
     # ------------------------------------------------------------------
 
     def ingress_costs(self) -> np.ndarray:
@@ -405,38 +261,25 @@ class FatTreeFabric:
         load of picks already steered this window.  Leaves whose nodes
         mostly *receive* (a hot handler) show cool uplinks, so the
         argmin policy steers ingress toward them and skewed traffic
-        terminates intra-leaf instead of crossing the spine.
+        terminates intra-leaf instead of crossing the spine.  A node
+        whose edge uplink is down costs ``inf``.
         """
-        costs = np.empty(self.num_nodes, dtype=np.float64)
+        edge = self._pending_ingress.copy()
+        trunk = np.bincount(
+            self._leaf_of, weights=self._pending_ingress,
+            minlength=self.num_leaves,
+        )
+        for (kind, where, *_), count in self._window_counts.items():
+            if kind == "up":
+                edge[where] += count
+            elif kind == "uplink":
+                trunk[where] += count
         uplink_budget = float(self.num_spines * self.uplink_capacity)
-        leaf_uplink = np.zeros(self.num_leaves, dtype=np.float64)
-        for (kind, *rest), count in self._window_counts.items():
-            if kind == "uplink":
-                leaf_uplink[rest[0]] += count
-        for node in range(self.num_nodes):
-            if ("up", node) in self._down_links:
-                costs[node] = np.inf
-                continue
-            leaf = int(self._leaf_of[node])
-            edge = (
-                self._window_counts.get(("up", node), 0)
-                + self._pending_ingress[node]
-            )
-            trunk = leaf_uplink[leaf] + self._pending_leaf[leaf]
-            costs[node] = (
-                edge / self.edge_capacity + trunk / uplink_budget
-            )
+        costs = edge / self.edge_capacity + trunk[self._leaf_of] / uplink_budget
+        for kind, where, *_ in self._down_links:
+            if kind == "up":
+                costs[where] = np.inf
         return costs
-
-    def note_ingress(self, node: int) -> None:
-        """Project one ingress pick onto ``node`` (policy feedback)."""
-        self._check(node)
-        self._pending_ingress[node] += 1.0
-        self._pending_leaf[int(self._leaf_of[node])] += 1.0
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
 
     def verify_accounting(self) -> bool:
         """Check the fat-tree's conservation invariants.
@@ -454,15 +297,9 @@ class FatTreeFabric:
 
     def reset_stats(self) -> None:
         """Zero the accounting and the window (fault state is kept)."""
-        self.stats = FabricStats()
+        super().reset_stats()
         self._window_counts.clear()
         self._window_offered = 0
-        self._pending_ingress[:] = 0.0
-        self._pending_leaf[:] = 0.0
-
-    def _check(self, node: int) -> None:
-        if not 0 <= node < self.num_nodes:
-            raise ValueError(f"node {node} not attached to this fabric")
 
     def __repr__(self) -> str:
         return (

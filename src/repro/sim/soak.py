@@ -24,7 +24,13 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.chaos import DifferentialOracle, FaultInjector, FaultKind, FaultPlan
+from repro.chaos import (
+    LINK_FAULT_KINDS,
+    DifferentialOracle,
+    FaultInjector,
+    FaultKind,
+    FaultPlan,
+)
 from repro.cluster.architectures import Architecture
 from repro.epc.gateway import EpcGateway
 from repro.epc.packets import parse_ip
@@ -124,6 +130,33 @@ class SoakReport:
     def to_json(self, indent: Optional[int] = 2) -> str:
         """Canonical JSON: sorted keys, so equal reports are equal bytes."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+
+def soak_gates(
+    report: Dict[str, object], link_faults: bool = False
+) -> Dict[str, bool]:
+    """Every hard gate on a soak report (:meth:`SoakReport.to_dict`).
+
+    The one definition ``repro chaos`` enforces (its exit code is their
+    conjunction): the oracle saw no divergence (exactly-once delivery and
+    loss attribution held across reroutes), every episode's fabric
+    accounting balanced (per-link counts vs crossings vs hops), and —
+    only when ``link_faults`` asked for them — the soak exercised a link
+    fault kind.
+    """
+    summary = report["summary"]
+    link_kinds = {kind.value for kind in LINK_FAULT_KINDS}
+    return {
+        "oracle_clean": bool(summary["ok"]),
+        "fabric_accounting_balanced": all(
+            episode["fabric"]["accounting_ok"]
+            for episode in report["episodes"]
+        ),
+        "link_faults_exercised": (
+            not link_faults
+            or bool(link_kinds & set(summary["fault_kinds"]))
+        ),
+    }
 
 
 #: Registry counter prefixes worth reporting per episode.  Only event

@@ -6,7 +6,8 @@ Three families:
 * health — the default plan over every architecture produces zero
   oracle violations while exercising a wide fault mix;
 * sensitivity — a deliberately corrupted cluster *must* trip the oracle
-  (a differential checker that can't fail is not checking anything).
+  (a differential checker that can't fail is not checking anything), and
+  a doctored report must trip the soak's gates.
 """
 
 import json
@@ -20,7 +21,7 @@ from repro.cluster.architectures import Architecture
 from repro.epc.gateway import EpcGateway
 from repro.epc.packets import parse_ip
 from repro.epc.traffic import FlowGenerator
-from repro.sim.soak import SoakRunner
+from repro.sim.soak import SoakRunner, soak_gates
 
 SMOKE = dict(episodes=2, num_nodes=4, flows=24, steps=6, packets_per_burst=8)
 
@@ -180,3 +181,75 @@ class TestChaosCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "verdict      : OK" in out
+
+
+class TestSoakGates:
+    """``soak_gates`` against a real link-fault soak, then doctored copies."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        from repro.chaos import DEFAULT_FAULT_KINDS, LINK_FAULT_KINDS
+
+        return small_soak(
+            seed=11, kinds=DEFAULT_FAULT_KINDS + LINK_FAULT_KINDS
+        ).run().to_dict()
+
+    @staticmethod
+    def doctored(report, edit):
+        copy = json.loads(json.dumps(report))
+        edit(copy)
+        return copy
+
+    @staticmethod
+    def failing(gates):
+        return sorted(name for name, passed in gates.items() if not passed)
+
+    def test_clean_link_soak_passes_every_gate(self, report):
+        assert set(report["summary"]["fault_kinds"]) & {
+            "link_down", "link_degraded"
+        }
+        assert self.failing(soak_gates(report, link_faults=True)) == []
+
+    def test_oracle_violation_fails(self, report):
+        def edit(doc):
+            doc["summary"]["ok"] = False
+            doc["summary"]["total_violations"] = 1
+
+        gates = soak_gates(self.doctored(report, edit), link_faults=True)
+        assert self.failing(gates) == ["oracle_clean"]
+
+    def test_leaked_fabric_accounting_fails(self, report):
+        def edit(doc):
+            doc["episodes"][-1]["fabric"]["accounting_ok"] = False
+
+        gates = soak_gates(self.doctored(report, edit))
+        assert self.failing(gates) == ["fabric_accounting_balanced"]
+
+    def test_link_coverage_required_only_when_asked(self, report):
+        def edit(doc):
+            doc["summary"]["fault_kinds"] = [
+                kind for kind in doc["summary"]["fault_kinds"]
+                if not kind.startswith("link_")
+            ]
+
+        doc = self.doctored(report, edit)
+        assert self.failing(soak_gates(doc, link_faults=True)) == [
+            "link_faults_exercised"
+        ]
+        assert self.failing(soak_gates(doc, link_faults=False)) == []
+
+    def test_cli_exit_code_follows_the_gates(self, capsys):
+        # Seed 0 with two steps draws no link fault even from the
+        # link-fault pool: the report is clean, the coverage gate is not.
+        argv = ["chaos", "--seed", "0", "--episodes", "1", "--steps", "2",
+                "--flows", "16", "--json"]
+        assert cli_main(argv) == 0
+        plain = capsys.readouterr()
+        assert cli_main(argv + ["--link-faults"]) == 1
+        linked = capsys.readouterr()
+        assert json.loads(linked.out)["summary"]["ok"] is True
+        assert "gate FAIL    : link_faults_exercised" in linked.err
+        assert plain.err == ""
+        assert cli_main(argv[:-1] + ["--link-faults"]) == 1
+        text = capsys.readouterr().out
+        assert "verdict      : FAILED link_faults_exercised" in text

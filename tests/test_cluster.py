@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from repro.cluster import Architecture, Cluster, UpdateEngine
 from repro.cluster.cluster import RouteResult
-from repro.cluster.fabric import DELAY, DELIVER
 from repro.core import hashfamily
 from repro.core import separator as separator_registry
 from repro.core.concurrent import SeqlockSetSep
+from repro.fabric import DELAY, DELIVER
 from repro.hashtables import (
     ChainingHashTable,
     CuckooHashTable,

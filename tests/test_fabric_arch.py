@@ -1,9 +1,13 @@
-"""Tests for the switch fabric and architecture taxonomy."""
+"""Tests for the crossbar fabric (VLB over its pairs included) and the
+architecture taxonomy; what every topology promises is in
+``tests/test_fabric_contract.py``."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import Architecture, FabricLoss, SwitchFabric
+from repro.cluster import Architecture, Cluster
+from repro.fabric import FabricLoss
+from repro.fabric.crossbar import SwitchFabric
 
 
 class TestArchitecture:
@@ -39,28 +43,6 @@ class TestSwitchFabric:
         assert fabric.stats.bytes == 100
         assert fabric.stats.per_link_packets[(0, 2)] == 1
 
-    def test_self_delivery_is_free(self):
-        fabric = SwitchFabric(4)
-        assert fabric.deliver(1, 1) == 0.0
-        assert fabric.stats.packets == 0
-
-    def test_unknown_node_rejected(self):
-        fabric = SwitchFabric(2)
-        with pytest.raises(ValueError):
-            fabric.deliver(0, 2)
-        with pytest.raises(ValueError):
-            fabric.deliver(-1, 0)
-
-    def test_pick_indirect_avoids_endpoints(self):
-        fabric = SwitchFabric(4)
-        for _ in range(50):
-            indirect = fabric.pick_indirect(0, 1)
-            assert indirect not in (0, 1)
-
-    def test_pick_indirect_degenerate_two_nodes(self):
-        fabric = SwitchFabric(2)
-        assert fabric.pick_indirect(0, 1) == 1
-
     def test_max_link_packets(self):
         fabric = SwitchFabric(3)
         fabric.deliver(0, 1)
@@ -68,65 +50,57 @@ class TestSwitchFabric:
         fabric.deliver(1, 2)
         assert fabric.stats.max_link_packets() == 2
 
-    def test_reset(self):
-        fabric = SwitchFabric(3)
-        fabric.deliver(0, 1)
-        fabric.reset_stats()
-        assert fabric.stats.packets == 0
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            SwitchFabric(0)
+    def test_links_are_every_ordered_pair(self):
+        links = SwitchFabric(4).links()
+        assert len(links) == 4 * 3  # n*(n-1) directed links
+        assert set(links) == {
+            (a, b) for a in range(4) for b in range(4) if a != b
+        }
 
 
-class TestSwitchFabricBatch:
-    def test_batch_and_scalar_per_link_accounting_identical(self):
-        rng = np.random.default_rng(42)
-        srcs = rng.integers(5, size=300)
-        dsts = rng.integers(5, size=300)
-        batch = SwitchFabric(5)
-        scalar = SwitchFabric(5)
-        latencies = batch.deliver_batch(srcs, dsts, size=80)
-        expected = np.array(
-            [scalar.deliver(int(s), int(d), size=80)
-             for s, d in zip(srcs, dsts)]
-        )
-        assert np.allclose(latencies, expected)
-        assert batch.stats.per_link_packets == scalar.stats.per_link_packets
-        assert batch.stats.packets == scalar.stats.packets
-        assert batch.stats.bytes == scalar.stats.bytes
-        assert batch.stats.switch_hops == scalar.stats.switch_hops
-        assert batch.stats.link_crossings == scalar.stats.link_crossings
-        assert batch.verify_accounting()
-        assert scalar.verify_accounting()
+def vlb(fabric, src, dst, size=64):
+    """Valiant load balancing as the cluster routes it: ``src`` -> a
+    random indirect node -> ``dst`` (with two nodes, straight to ``dst``)."""
+    mid = fabric.pick_indirect(src, dst)
+    return mid, fabric.deliver(src, mid, size) + fabric.deliver(mid, dst, size)
 
-    def test_deliver_batch_rejects_mismatched_shapes(self):
+
+class TestCrossbarVlb:
+    """§3.1 / Figure 2a: the RouteBricks mesh is the crossbar's own pairs."""
+
+    def test_vlb_takes_two_links(self):
         fabric = SwitchFabric(4)
-        with pytest.raises(ValueError, match="equal length"):
-            fabric.deliver_batch(np.array([0, 1, 2]), np.array([1, 2]))
+        mid, latency = vlb(fabric, 0, 1)
+        assert mid not in (0, 1)
+        assert latency == 2 * fabric.transit_latency_us
+        assert fabric.stats.bytes == 128  # the 2R effect
 
-    def test_deliver_batch_rejects_out_of_range_nodes(self):
-        fabric = SwitchFabric(3)
-        with pytest.raises(ValueError, match="not attached"):
-            fabric.deliver_batch(np.array([0, 5]), np.array([1, 2]))
-        with pytest.raises(ValueError, match="not attached"):
-            fabric.deliver_batch(np.array([0, 1]), np.array([1, -1]))
+    def test_vlb_doubles_internal_bytes_vs_direct(self):
+        rng = np.random.default_rng(0)
+        direct = SwitchFabric(6, seed=1)
+        valiant = SwitchFabric(6, seed=1)
+        for _ in range(500):
+            src, dst = rng.choice(6, size=2, replace=False)
+            direct.deliver(int(src), int(dst), 64)
+            vlb(valiant, int(src), int(dst), 64)
+        assert valiant.stats.bytes == 2 * direct.stats.bytes
 
-    def test_empty_batch(self):
-        fabric = SwitchFabric(3)
-        out = fabric.deliver_batch(np.array([]), np.array([]))
-        assert out.size == 0
-        assert fabric.stats.packets == 0
+    def test_vlb_spreads_load_evenly(self):
+        fabric = SwitchFabric(6, seed=2)
+        rng = np.random.default_rng(3)
+        for _ in range(4_000):
+            src, dst = rng.choice(6, size=2, replace=False)
+            vlb(fabric, int(src), int(dst))
+        per_link = [fabric.stats.per_link_packets.get(link, 0)
+                    for link in fabric.links()]
+        assert max(per_link) / np.mean(per_link) < 1.5
 
-    def test_pick_indirect_deterministic_under_fixed_seed(self):
-        a = SwitchFabric(8, seed=123)
-        b = SwitchFabric(8, seed=123)
-        seq_a = [a.pick_indirect(i % 8, (i + 3) % 8) for i in range(64)]
-        seq_b = [b.pick_indirect(i % 8, (i + 3) % 8) for i in range(64)]
-        assert seq_a == seq_b
-        c = SwitchFabric(8, seed=124)
-        seq_c = [c.pick_indirect(i % 8, (i + 3) % 8) for i in range(64)]
-        assert seq_c != seq_a
+    def test_two_node_vlb_is_direct(self):
+        fabric = SwitchFabric(2)
+        mid, latency = vlb(fabric, 0, 1)
+        assert mid == 1
+        assert latency == fabric.transit_latency_us
+        assert fabric.stats.packets == 1
 
 
 class TestSwitchFabricLinkFaults:
@@ -148,15 +122,6 @@ class TestSwitchFabricLinkFaults:
         assert fabric.stats.degraded == 1
         assert fabric.stats.dropped == 0
 
-    def test_heal_links_restores_everything(self):
-        fabric = SwitchFabric(4)
-        fabric.fail_link((0, 1))
-        fabric.degrade_link((2, 3))
-        assert fabric.has_link_faults()
-        fabric.heal_links()
-        assert not fabric.has_link_faults()
-        assert fabric.deliver(0, 1) == fabric.transit_latency_us
-
     def test_batch_path_honours_link_faults(self):
         fabric = SwitchFabric(3)
         fabric.fail_link((0, 1))
@@ -164,13 +129,15 @@ class TestSwitchFabricLinkFaults:
             fabric.deliver_batch(np.array([2, 0]), np.array([0, 1]))
 
     def test_pick_fault_link_is_seeded_and_valid(self):
-        fabric = SwitchFabric(5)
-        a = fabric.pick_fault_link(np.random.default_rng(9))
-        b = fabric.pick_fault_link(np.random.default_rng(9))
-        assert a == b
-        src, dst = a
-        assert src != dst
-        assert 0 <= src < 5 and 0 <= dst < 5
+        for seed in range(20):
+            src, dst = SwitchFabric(5).pick_fault_link(
+                np.random.default_rng(seed)
+            )
+            assert (src, dst) == SwitchFabric(5).pick_fault_link(
+                np.random.default_rng(seed)
+            )
+            assert src != dst
+            assert 0 <= src < 5 and 0 <= dst < 5
         assert SwitchFabric(1).pick_fault_link(
             np.random.default_rng(0)
         ) is None
@@ -180,3 +147,23 @@ class TestSwitchFabricLinkFaults:
         fabric.deliver(3, 1)
         fabric.deliver(0, 2)
         assert fabric.stats.busiest_link() == ((0, 2), 1)
+
+
+class TestCrossbarIngressCosts:
+    def test_partly_severed_node_costs_more(self):
+        fabric = SwitchFabric(4)
+        fabric.fail_link((0, 1))
+        assert fabric.ingress_costs().tolist() == [1.0, 0.0, 0.0, 0.0]
+
+    def test_node_that_reaches_no_peer_is_never_picked(self):
+        keys = np.arange(1, 65, dtype=np.uint64)
+        cluster = Cluster.build(
+            Architecture.SCALEBRICKS, 4, keys, [int(k) % 4 for k in keys],
+            [1] * 64, ingress_policy="utilization",
+        )
+        for dst in (1, 2, 3):
+            cluster.fabric.fail_link((0, dst))
+        assert cluster.fabric.ingress_costs()[0] == np.inf
+        picks = cluster.pick_ingress_batch(64)
+        assert 0 not in picks.tolist()
+        assert np.bincount(picks, minlength=4)[1:].min() >= 21

@@ -1,11 +1,13 @@
-"""Tests for the fabric backend registry and the fat-tree topology."""
+"""Tests for the fabric backend registry and the fat-tree topology
+(the promises every topology keeps are ``tests/test_fabric_contract.py``)."""
 
 import numpy as np
 import pytest
 
 from repro import fabric as fabric_registry
-from repro.cluster import Architecture, Cluster, FabricLoss
-from repro.fabric import Fabric
+from repro.cluster import Architecture, Cluster
+from repro.fabric import FabricLoss
+from repro.fabric.crossbar import SwitchFabric
 from repro.fabric.fattree import FatTreeFabric
 
 
@@ -49,13 +51,6 @@ class TestRegistry:
         fabric_registry._registry.chosen = None
         assert fabric_registry.default_backend() == "fattree"
 
-    def test_create_both_backends_satisfy_protocol(self):
-        for backend in fabric_registry.BACKENDS:
-            fabric = fabric_registry.create(5, backend)
-            assert isinstance(fabric, Fabric)
-            assert fabric.backend == backend
-            assert fabric_registry.backend_of(fabric) == backend
-
     def test_crossbar_rejects_topology_options(self):
         with pytest.raises(TypeError, match="no topology options"):
             fabric_registry.create(4, "crossbar", num_leaves=2)
@@ -90,8 +85,6 @@ class TestFatTreeTopology:
         assert fabric.verify_accounting()
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            FatTreeFabric(0)
         with pytest.raises(ValueError):
             FatTreeFabric(4, oversubscription=0)
         with pytest.raises(ValueError):
@@ -132,28 +125,6 @@ class TestFatTreeDelivery:
         assert sum(s.per_link_packets.values()) == s.link_crossings
         assert fabric.verify_accounting()
 
-    def test_batch_equals_scalar(self):
-        rng = np.random.default_rng(11)
-        srcs = rng.integers(8, size=400)
-        dsts = rng.integers(8, size=400)
-        batch = FatTreeFabric(8, num_leaves=4, window=64)
-        scalar = FatTreeFabric(8, num_leaves=4, window=64)
-        latencies = batch.deliver_batch(srcs, dsts)
-        expected = np.array(
-            [scalar.deliver(int(s), int(d)) for s, d in zip(srcs, dsts)]
-        )
-        assert np.allclose(latencies, expected)
-        assert batch.stats.per_link_packets == scalar.stats.per_link_packets
-        assert (batch.stats.capacity_exceeded
-                == scalar.stats.capacity_exceeded)
-
-    def test_batch_rejects_mismatched_shapes(self):
-        fabric = FatTreeFabric(4)
-        with pytest.raises(ValueError, match="equal length"):
-            fabric.deliver_batch(np.array([0, 1]), np.array([1]))
-        with pytest.raises(ValueError, match="not attached"):
-            fabric.deliver_batch(np.array([0, 9]), np.array([1, 2]))
-
     def test_capacity_exceeded_adds_queueing(self):
         fabric = FatTreeFabric(
             4, num_leaves=2, window=1000, edge_capacity=5
@@ -174,13 +145,6 @@ class TestFatTreeDelivery:
             fabric.transit_latency_us
         )
         assert fabric.stats.capacity_exceeded == exceeded
-
-    def test_pick_indirect_deterministic(self):
-        a = FatTreeFabric(8, seed=77)
-        b = FatTreeFabric(8, seed=77)
-        assert [a.pick_indirect(0, 5) for _ in range(32)] == [
-            b.pick_indirect(0, 5) for _ in range(32)
-        ]
 
 
 class TestFatTreeEcmpAndFaults:
@@ -299,8 +263,6 @@ class TestClusterFabricWiring:
         assert cluster.fabric.backend == "fattree"
 
     def test_explicit_fabric_and_backend_conflict(self):
-        from repro.cluster.fabric import SwitchFabric
-
         keys = np.arange(1, 9, dtype=np.uint64)
         with pytest.raises(ValueError, match="not both"):
             Cluster.build(
@@ -415,10 +377,13 @@ class TestCli:
 
         from repro.cli import main
 
+        # Seed 5 draws a link fault within eight steps, so the exit code
+        # (which requires one under --link-faults) is 0.
         assert main([
-            "chaos", "--episodes", "1", "--steps", "8", "--nodes", "4",
-            "--link-faults", "--fabric", "fattree", "--json",
+            "chaos", "--seed", "5", "--episodes", "1", "--steps", "8",
+            "--nodes", "4", "--link-faults", "--fabric", "fattree", "--json",
         ]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["summary"]["ok"]
+        assert "link_degraded" in doc["summary"]["fault_kinds"]
         assert doc["episodes"][0]["fabric"]["backend"] == "fattree"

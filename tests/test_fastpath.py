@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.cluster.architectures import Architecture
 from repro.cluster.cluster import Cluster
-from repro.cluster.fabric import SwitchFabric
 from repro.core.delta import GroupDelta
 from repro.epc import fastpath
 from repro.epc.dpe import DataPlaneEngine
@@ -42,6 +41,7 @@ from repro.epc.traffic import (
     run_downstream_trial,
     run_downstream_trial_batched,
 )
+from repro.fabric.crossbar import SwitchFabric
 from repro.obs.metrics import MetricsRegistry
 
 NUM_NODES = 6

@@ -1,76 +1,12 @@
-"""Tests for the mesh fabric and cluster membership changes."""
+"""Tests for cluster membership changes (the VLB mesh claims are the
+crossbar's, in ``tests/test_fabric_arch.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.cluster import Architecture, Cluster
-from repro.cluster.mesh import MeshFabric
 from repro.cluster.membership import capacity_after_resize, resize
 from tests.conftest import unique_keys
-
-
-class TestMeshFabric:
-    def test_full_link_set(self):
-        mesh = MeshFabric(4)
-        assert len(mesh.links) == 12  # n*(n-1) directed links
-
-    def test_direct_send_accounting(self):
-        mesh = MeshFabric(3)
-        latency = mesh.send_direct(0, 2, size=100)
-        assert latency == mesh.link_latency_us
-        assert mesh.links[(0, 2)].packets == 1
-        assert mesh.links[(0, 2)].bytes == 100
-
-    def test_self_send_free(self):
-        mesh = MeshFabric(3)
-        assert mesh.send_direct(1, 1) == 0.0
-
-    def test_vlb_takes_two_links(self):
-        mesh = MeshFabric(4)
-        mid, latency = mesh.send_vlb(0, 1, size=64)
-        assert mid not in (0, 1)
-        assert latency == 2 * mesh.link_latency_us
-        assert mesh.total_internal_bytes() == 128  # the 2R effect
-
-    def test_vlb_doubles_internal_bytes_vs_direct(self):
-        """§3.1: VLB needs 2x internal bandwidth."""
-        rng = np.random.default_rng(0)
-        direct = MeshFabric(6, seed=1)
-        vlb = MeshFabric(6, seed=1)
-        for _ in range(500):
-            src, dst = rng.choice(6, size=2, replace=False)
-            direct.send_direct(int(src), int(dst), 64)
-            vlb.send_vlb(int(src), int(dst), 64)
-        assert vlb.total_internal_bytes() == 2 * direct.total_internal_bytes()
-
-    def test_vlb_spreads_load_evenly(self):
-        mesh = MeshFabric(6, seed=2)
-        rng = np.random.default_rng(3)
-        for _ in range(4_000):
-            src, dst = rng.choice(6, size=2, replace=False)
-            mesh.send_vlb(int(src), int(dst))
-        assert mesh.link_load_imbalance() < 1.5
-
-    def test_two_node_degenerate_vlb(self):
-        mesh = MeshFabric(2)
-        mid, latency = mesh.send_vlb(0, 1)
-        assert mid == 1
-        assert latency == mesh.link_latency_us
-
-    def test_capacity_rule(self):
-        assert MeshFabric(4).per_node_capacity_needed(10.0) == 20.0
-
-    def test_reset(self):
-        mesh = MeshFabric(3)
-        mesh.send_direct(0, 1)
-        mesh.reset()
-        assert mesh.total_internal_bytes() == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MeshFabric(1)
-        with pytest.raises(ValueError):
-            MeshFabric(3).send_direct(0, 5)
 
 
 class TestResize:
