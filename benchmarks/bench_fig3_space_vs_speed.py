@@ -9,12 +9,19 @@ Paper (n = 16 keys per group):
 
 Reproduced exactly (the experiment is hardware-independent): empirical mean
 iterations over random 16-key groups, and the variable-length index cost
-estimated from the iteration distribution's entropy.
+estimated from the iteration distribution's entropy.  The perf-lab row
+``fig3.search_cost`` prices the same search in wall time, as the owner's
+§4.5 recompute runs it.
 """
 
+import time
+
+import numpy as np
 import pytest
 
-from repro.core.group import expected_iterations, index_entropy_bits
+from repro.core import hashfamily
+from repro.core.group import expected_iterations, index_entropy_bits, search_group
+from repro.core.params import SetSepParams
 from repro import perflab
 from benchmarks.conftest import print_header
 
@@ -92,3 +99,73 @@ def perflab_fig3(ctx):
     )
     ctx.registry.counter("fig3.trials").inc(trials)
     ctx.record(mean_iterations=iters)
+
+
+#: The search-cost replay: inserts into 15-key groups at the production
+#: 16+8 point with 2 value bits (a 4-node GPT); only the inserts that break
+#: an incumbent index are kept, since only those search.
+SEARCH_PARAMS = SetSepParams(value_bits=2)
+SEARCH_GROUPS = 200
+#: A 28-key group no index below 2**16 - 1 separates: the full scan a
+#: spilling group costs (the tail ``gpt.rebuild_tail_share`` shows).
+FAILED_GROUP_SIZE = 28
+
+
+def search_replay(count: int, seed: int = 11):
+    """``count`` seeded ``(g1, g2, values, incumbent)`` owner recomputes,
+    each an insert whose new key breaks at least one incumbent index."""
+    rng = np.random.default_rng(seed)
+    replay = []
+    while len(replay) < count:
+        keys = rng.integers(1, 2**63, size=GROUP_SIZE, dtype=np.uint64)
+        values = rng.integers(0, 4, size=GROUP_SIZE).astype(np.uint32)
+        g1, g2 = hashfamily.base_hashes(keys)
+        before = search_group(g1[1:], g2[1:], values[1:], SEARCH_PARAMS)
+        if before is None:
+            continue
+        incumbent = np.array([f.index for f in before], dtype=np.uint16)
+        after = search_group(g1, g2, values, SEARCH_PARAMS, incumbent)
+        if after is not None and [f.index for f in after] != incumbent.tolist():
+            replay.append((g1, g2, values, incumbent))
+    return replay
+
+
+@perflab.benchmark("fig3.search_cost", figure="Figure 3a", repeats=3)
+def perflab_fig3_search_cost(ctx):
+    """Cost of the owner's first-fit search, and of a spilling group's scan."""
+    replay = search_replay(SEARCH_GROUPS * ctx.scale)
+    rng = np.random.default_rng(12)
+    failed_g1, failed_g2 = hashfamily.base_hashes(
+        rng.integers(1, 2**63, size=FAILED_GROUP_SIZE, dtype=np.uint64)
+    )
+    failed_values = rng.integers(0, 4, size=FAILED_GROUP_SIZE).astype(np.uint32)
+    ctx.set_params(
+        config=SEARCH_PARAMS.name, value_bits=SEARCH_PARAMS.value_bits,
+        group_size=GROUP_SIZE, searches=len(replay),
+        failed_group_size=FAILED_GROUP_SIZE,
+    )
+    best = {"replay": float("inf"), "failed": float("inf")}
+    found = []
+
+    def run():
+        started = time.perf_counter()
+        found[:] = [
+            search_group(g1, g2, values, SEARCH_PARAMS, incumbent)
+            for g1, g2, values, incumbent in replay
+        ]
+        best["replay"] = min(best["replay"], time.perf_counter() - started)
+        started = time.perf_counter()
+        spilled = search_group(
+            failed_g1, failed_g2, failed_values, SEARCH_PARAMS
+        )
+        best["failed"] = min(best["failed"], time.perf_counter() - started)
+        assert spilled is None
+
+    ctx.timeit(run)
+    ctx.registry.counter("fig3.iterations_total").inc(
+        sum(f.iterations for functions in found for f in functions)
+    )
+    ctx.record(
+        us_per_search=best["replay"] / len(replay) * 1e6,
+        us_per_failed_scan=best["failed"] * 1e6,
+    )

@@ -7,10 +7,12 @@ two keys may share a slot only if their value bits agree.  The array is then
 stored alongside ``i``, and lookup is simply ``array[H_i(x)]``.
 
 The search is vectorised: a chunk of candidate indices is evaluated as an
-``(n_keys, chunk)`` position matrix, and a candidate column is accepted iff
-the OR-reduced slot bitmasks of the value-0 keys and the value-1 keys are
-disjoint — exactly the paper's "taken" bit-array semantics, without the
-per-key Python loop.
+``(n_keys, chunk)`` matrix of one-hot slot masks (one byte each at m <= 8),
+and a candidate column is accepted iff the OR-reduced slot masks of the
+value-0 keys and the value-1 keys are disjoint — exactly the paper's
+"taken" bit-array semantics, without the per-key Python loop.  The first
+accepted column is the first fit, so the result never depends on the
+chunk size.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ import numpy as np
 
 from repro.core import hashfamily
 from repro.core.params import SetSepParams
-
-_U64 = np.uint64
 
 
 @dataclass(frozen=True)
@@ -57,30 +57,37 @@ def _search_targets(
 ) -> List[Optional[GroupFunction]]:
     """The first separating index of every 0/1 target over the same keys.
 
-    Each chunk of the family is evaluated once, as one slot-mask matrix,
-    and every still-unsolved target is tested against it; a target's
-    result is what searching it alone returns (``None`` when no index
-    below ``max_index`` works).
+    Each chunk of the family is evaluated once, as one matrix of narrow
+    slot masks (:func:`hashfamily.scan_masks`), and every still-unsolved
+    target is tested against it; a target's result is what searching it
+    alone returns (``None`` when no index below ``max_index`` works).
+    With one target, the keys are reordered once so the value-0 keys come
+    first: each class is then a row slice, reduced without a gather.
     """
     if len(g1) == 0:
         return [GroupFunction(index=0, array=0, iterations=0)] * len(targets)
     found: List[Optional[GroupFunction]] = [None] * len(targets)
-    pending = []
-    for slot, bits in enumerate(targets):
-        ones = np.asarray(bits).astype(bool)
-        pending.append((slot, (~ones).nonzero()[0], ones.nonzero()[0]))
+    classes = [np.asarray(bits).astype(bool) for bits in targets]
+    if len(classes) == 1:
+        order = np.argsort(classes[0], kind="stable")
+        g1, g2 = g1[order], g2[order]
+        split = len(order) - int(np.count_nonzero(classes[0]))
+        pending = [(0, slice(0, split), slice(split, None))]
+    else:
+        pending = [
+            (slot, (~ones).nonzero()[0], ones.nonzero()[0])
+            for slot, ones in enumerate(classes)
+        ]
 
-    start = 0
-    while pending and start < max_index:
-        count = min(chunk, max_index - start)
-        slot_masks = hashfamily.chunk_masks(g1, g2, start, count, m)
+    scan = hashfamily.scan_masks(g1, g2, m, chunk, max_index)
+    for start, slot_masks in scan:
         unsolved = []
         for slot, zeros, ones in pending:
             mask1 = _or_reduce(slot_masks, ones)
-            good = (_or_reduce(slot_masks, zeros) & mask1) == 0
-            hits = good.nonzero()[0]
-            if hits.size:
-                col = int(hits[0])
+            clash = _or_reduce(slot_masks, zeros)
+            clash &= mask1
+            col = int(clash.argmin())
+            if clash[col] == 0:
                 found[slot] = GroupFunction(
                     index=start + col,
                     array=int(mask1[col]),  # value-1 keys' slots hold 1
@@ -89,14 +96,14 @@ def _search_targets(
             else:
                 unsolved.append((slot, zeros, ones))
         pending = unsolved
-        start += count
+        if not pending:
+            break
     return found
 
 
-def _or_reduce(slot_masks: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """OR-reduce the per-key slot masks over a subset of keys (row ids)."""
-    if not rows.size:
-        return np.zeros(slot_masks.shape[1], dtype=_U64)
+def _or_reduce(slot_masks: np.ndarray, rows) -> np.ndarray:
+    """OR-reduce the per-key slot masks over a subset of keys (a row
+    slice or row ids; no rows reduce to all-zero masks)."""
     return np.bitwise_or.reduce(slot_masks[rows], axis=0)
 
 
@@ -106,7 +113,7 @@ def search_bit(
     bits: np.ndarray,
     m: int,
     max_index: int,
-    chunk: int = 256,
+    chunk: int = SetSepParams.search_chunk,
 ) -> Optional[GroupFunction]:
     """Find one hash function separating ``bits`` over an m-slot array.
 
@@ -115,7 +122,8 @@ def search_bit(
         bits: per-key target bit (0/1 array of length n).
         m: bit-array size.
         max_index: exclusive upper bound on the family index.
-        chunk: candidate indices evaluated per vectorised step.
+        chunk: candidate indices evaluated per vectorised step (default:
+            the :class:`SetSepParams` default).
 
     Returns:
         The winning :class:`GroupFunction`, or ``None`` if no index below
@@ -186,7 +194,7 @@ def search_joint(
     value_bits: int,
     m: int,
     max_index: int,
-    chunk: int = 256,
+    chunk: int = SetSepParams.search_chunk,
 ) -> Optional[GroupFunction]:
     """The *rejected* §4.3 alternative: one function to multi-bit values.
 
@@ -205,14 +213,12 @@ def search_joint(
     cell_mask = int((1 << value_bits) - 1)
     classes = [(values == v).nonzero()[0] for v in np.unique(values)]
 
-    start = 0
-    while start < max_index:
-        count = min(chunk, max_index - start)
-        slot_masks = hashfamily.chunk_masks(g1, g2, start, count, m)
+    scan = hashfamily.scan_masks(g1, g2, m, chunk, max_index)
+    for start, slot_masks in scan:
         # Two keys sharing a slot must share the *whole* value, so a column
         # is good iff the per-value-class slot masks are pairwise disjoint.
         class_masks = [_or_reduce(slot_masks, rows) for rows in classes]
-        good = np.ones(count, dtype=bool)
+        good = np.ones(slot_masks.shape[1], dtype=bool)
         for a in range(len(class_masks)):
             for b in range(a + 1, len(class_masks)):
                 good &= (class_masks[a] & class_masks[b]) == 0
@@ -226,7 +232,6 @@ def search_joint(
             for slot, value in zip(slots.tolist(), values.tolist()):
                 array |= (int(value) & cell_mask) << (int(slot) * value_bits)
             return GroupFunction(index=index, array=array, iterations=index + 1)
-        start += count
     return None
 
 

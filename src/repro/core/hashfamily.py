@@ -20,11 +20,12 @@ a short period in its low bits.  This module provides:
   ``i -> G1 + i*G2`` walks a full-period sequence mod 2**64;
 * ``positions`` — map ``H_i`` values onto ``[0, m)`` bit-array slots using
   the multiply-shift range reduction on the top 32 bits (respecting the
-  paper's use-the-MSBs rule); ``index_slots`` / ``index_masks`` — the same
-  reduction for many family indices at once (``chunk_slots`` /
-  ``chunk_masks`` for a run of consecutive ones), the matrix every
-  brute-force search tests its candidates against and the batched lookup
-  probes with;
+  paper's use-the-MSBs rule); ``index_slots`` / ``index_masks`` — the
+  same reduction for many family indices at once, one shift when m is a
+  power of two (``chunk_slots`` for a run of consecutive ones), which
+  the owner's incumbent test and the batched lookup evaluate; and
+  ``scan_masks`` — the narrow one-hot candidate matrices, chunk by
+  chunk, that every brute-force search tests its candidates against;
 * independent hash streams for the two-level bucket mapping and the cuckoo
   FIB, derived from distinct mixing constants;
 * ``HashedKeys`` / ``prehash`` — a batch of canonical keys carrying the
@@ -36,7 +37,7 @@ a short period in its low bits.  This module provides:
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -235,6 +236,22 @@ def positions(hashes: np.ndarray, m: int) -> np.ndarray:
     return (((hashes >> _SHIFT32) * np.uint64(m)) >> _SHIFT32).astype(np.int64)
 
 
+def _reduce(h: np.ndarray, m: int, out=None) -> np.ndarray:
+    """Multiply-shift family values ``h`` onto slots in ``[0, m)``.
+
+    For ``m = 2**k`` the reduction ``((h >> 32) * 2**k) >> 32`` is exactly
+    ``h >> (64 - k)``: one pass instead of three (``m = 1`` shifts by 64,
+    which NumPy defines as 0).  ``out`` may be ``h`` (in place).
+    """
+    power_of_two = m & (m - 1) == 0 and m <= 1 << 32
+    shift = np.uint64(65 - int(m).bit_length()) if power_of_two else _SHIFT32
+    out = np.right_shift(h, shift, out=out)
+    if not power_of_two:
+        out *= np.uint64(m)
+        out >>= _SHIFT32
+    return out
+
+
 def index_slots(
     g1: np.ndarray, g2: np.ndarray, indices: np.ndarray, m: int
 ) -> np.ndarray:
@@ -245,19 +262,16 @@ def index_slots(
     equal to ``positions(family_values(g1, g2, indices[c]), m)[j]``.  A
     2-D ``indices`` gives each key its own row of indices (the batched
     lookup: ``indices[j, c]`` is value bit ``c`` of key ``j``'s group).
-    This is the single home of the multiply-shift reduction over many
-    members of the hash family; the brute-force searches, the owner's
-    incumbent test and the lookup all evaluate it, in place on one matrix
-    (unsigned array arithmetic wraps mod 2**64 without warning).
+    With :func:`scan_masks` this is the one home of the multiply-shift
+    reduction over many members of the hash family; the owner's incumbent
+    test and the lookup evaluate it in place on one matrix (unsigned
+    array arithmetic wraps mod 2**64 without warning).
     """
     if m <= 0:
         raise ValueError("m must be positive")
     h = np.atleast_2d(np.asarray(indices, dtype=_U64)) * g2[:, None]
     h += g1[:, None]
-    h >>= _SHIFT32
-    h *= np.uint64(m)
-    h >>= _SHIFT32
-    return h
+    return _reduce(h, m, out=h)
 
 
 def chunk_slots(
@@ -272,23 +286,37 @@ def chunk_slots(
 def index_masks(
     g1: np.ndarray, g2: np.ndarray, indices: np.ndarray, m: int
 ) -> np.ndarray:
-    """One-hot slot masks ``1 << index_slots(...)`` (needs ``m <= 64``).
-
-    The candidate matrix of the SetSep searches: OR-reducing the rows of
-    the keys that share a value bit gives, per family index, the set of
-    slots those keys take.
+    """One-hot slot masks ``1 << index_slots(...)`` as uint64 (needs
+    ``m <= 64``): the owner tests a group's incumbent indices on these,
+    OR-reducing the rows of the keys that share a value bit.
     """
     slots = index_slots(g1, g2, indices, m)
     return np.left_shift(_ONE, slots, out=slots)
 
 
-def chunk_masks(
-    g1: np.ndarray, g2: np.ndarray, start: int, count: int, m: int
-) -> np.ndarray:
-    """:func:`index_masks` of the chunk ``start .. start + count - 1``."""
-    return index_masks(
-        g1, g2, np.arange(start, start + count, dtype=_U64), m
-    )
+def scan_masks(
+    g1: np.ndarray, g2: np.ndarray, m: int, chunk: int, stop: int
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """The candidate matrices of a brute-force search, one chunk at a time.
+
+    Yields ``(start, masks)`` for the chunks ``0 .. chunk - 1``,
+    ``chunk .. 2 * chunk - 1``, ... below ``stop``: ``masks[j, c]`` is
+    ``1 << slot`` of key ``j`` under ``H_{start + c}``, in the narrowest
+    unsigned dtype that holds ``m <= 64`` bits (``uint8`` at ``m = 8``).
+    The family is linear in its index, so a chunk's values are the last
+    chunk's plus ``chunk * G2``: one add per chunk, not a multiply and an
+    add.  A search stops consuming as soon as every target is solved.
+    """
+    if not 0 < m <= 64:
+        raise ValueError("m must be in [1, 64]")
+    dtype = np.min_scalar_type((1 << m) - 1)
+    h = np.arange(min(chunk, stop), dtype=_U64) * g2[:, None]
+    h += g1[:, None]
+    step = g2[:, None] * np.uint64(chunk)
+    for start in range(0, stop, chunk):
+        slots = _reduce(h[:, : stop - start], m).astype(dtype)
+        yield start, np.left_shift(dtype.type(1), slots, out=slots)
+        h += step
 
 
 def bucket_hash(keys: Union[np.ndarray, HashedKeys]) -> np.ndarray:

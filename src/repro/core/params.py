@@ -50,7 +50,12 @@ class SetSepParams:
             most balanced (paper §4.4 "run this randomized algorithm
             several times per block").
         search_chunk: how many candidate indices the vectorised search
-            evaluates per NumPy call; purely a performance knob.
+            evaluates per step, as one ``(n_keys, search_chunk)`` matrix
+            of one-byte slot masks at m <= 8.  It changes no result (the
+            first fit is found at any chunk size), only speed.  512 is
+            fixed: smaller chunks pay more per-step overhead, and larger
+            ones make a failing group's full scan cheaper but slow the
+            median update and the update rate (EXPERIMENTS.md, §6.2).
         seed: seed for the randomised greedy assignment tie-breaking.
     """
 
@@ -58,7 +63,7 @@ class SetSepParams:
     array_bits: int = 8
     value_bits: int = 1
     assignment_trials: int = 3
-    search_chunk: int = 256
+    search_chunk: int = 512
     seed: int = 0x5CA1EB
 
     def __post_init__(self) -> None:

@@ -249,9 +249,24 @@ class SetSep:
 
         The delta is applied locally before being returned, so the owning
         node and its peers converge on identical state.
+
+        Raises:
+            ValueError: for a group id out of range, or a value that does
+                not fit in ``value_bits`` (naming the first bad position),
+                before any counter or state changes.
         """
+        if not 0 <= group_id < self.num_groups:
+            raise ValueError(f"group id {group_id} out of range")
+        values = list(values)
+        limit = 1 << self.params.value_bits
+        for position, value in enumerate(values):
+            if not 0 <= value < limit:
+                raise ValueError(
+                    f"values must fit in {self.params.value_bits} bits; "
+                    f"position {position} holds {value}"
+                )
         keys_arr = hashfamily.canonical_keys(keys)
-        values_arr = np.asarray(list(values), dtype=np.uint32)
+        values_arr = np.asarray(values, dtype=np.uint32)
         if keys_arr.shape != values_arr.shape:
             raise ValueError("keys and values must have equal length")
         was_failed = bool(self.failed_groups[group_id])

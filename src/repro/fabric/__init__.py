@@ -120,18 +120,6 @@ class FabricStats:
         """Busiest directed link (fabric hot-spot metric)."""
         return max(self.per_link_packets.values(), default=0)
 
-    def busiest_link(self) -> Optional[Tuple[Link, int]]:
-        """The busiest directed link and its packet count.
-
-        Ties break on the smallest link id, so the answer is
-        deterministic for byte-compared reports.
-        """
-        if not self.per_link_packets:
-            return None
-        return max(
-            sorted(self.per_link_packets.items()), key=lambda item: item[1]
-        )
-
 
 class Fabric:
     """An interconnect of ``num_nodes`` cluster nodes; topologies subclass it.

@@ -177,6 +177,7 @@ HISTORY_FILENAME = "BENCH_HISTORY.jsonl"
 HEADLINES = (
     ("update.single_owner_rate", "updates_per_second"),
     ("update.single_owner_rate", "incumbent_kept_share"),
+    ("fig3.search_cost", "us_per_search"),
     ("othello.update_rate", "othello_updates_per_second"),
     ("othello.update_rate", "setsep_updates_per_second"),
     ("churn.bearer_replay", "updates_per_second"),

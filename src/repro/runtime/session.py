@@ -11,7 +11,8 @@ one order and tears them down in one order on every exit path, and its
 methods are the drill vocabulary (:data:`VERBS`).  A drill is then data: a
 list of ``(verb, kwargs)`` phases for :func:`run_drill`, plus whatever
 report its driver assembles from the results; :func:`differential_gates`
-is the verdict every such report shares.
+is the verdict every such report shares (:func:`walkthrough_gates` adds
+the operator walkthrough's fencing checks to it).
 
 The three *round* verbs (:data:`ROUNDS`) come in two halves, because the
 replicated tier needs them apart: ``derive_<verb>`` plays the round into
@@ -504,4 +505,33 @@ def differential_gates(
     }
     if leaked_segments is not None:
         gates["no_leaked_segments"] = leaked_segments == 0
+    return gates
+
+
+#: The reports CI's ops-smoke walkthrough writes: ``<name>.json`` each,
+#: and the ``metrics.txt`` page.
+WALKTHROUGH_REPORTS = ("t1", "t2", "poll", "audit", "shutdown")
+
+#: The node CI's ops-smoke walkthrough kills; its ``ctl kill 2`` step in
+#: ``.github/workflows/ci.yml`` must match.
+WALKTHROUGH_KILLED_NODE = 2
+
+
+def walkthrough_gates(reports: Dict[str, object]) -> Dict[str, bool]:
+    """The gates of CI's ops-smoke walkthrough over its parsed reports
+    (:data:`WALKTHROUGH_REPORTS` by name, plus ``"metrics"``, the text of
+    the metrics page): :func:`differential_gates` over both traffic
+    phases, the audit and the shutdown's leak count; the poll sweep
+    fenced exactly :data:`WALKTHROUGH_KILLED_NODE`; the metrics page
+    counts that one fence."""
+    gates = differential_gates(
+        [reports["t1"], reports["t2"]], reports["audit"],
+        reports["shutdown"]["leaked_processes"],
+    )
+    gates["killed_node_fenced"] = (
+        reports["poll"]["fenced"] == [WALKTHROUGH_KILLED_NODE]
+    )
+    gates["fence_counted"] = (
+        "repro_runtime_fences_total 1" in reports["metrics"].splitlines()
+    )
     return gates

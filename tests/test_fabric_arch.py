@@ -142,12 +142,6 @@ class TestSwitchFabricLinkFaults:
             np.random.default_rng(0)
         ) is None
 
-    def test_busiest_link_deterministic_tie_break(self):
-        fabric = SwitchFabric(4)
-        fabric.deliver(3, 1)
-        fabric.deliver(0, 2)
-        assert fabric.stats.busiest_link() == ((0, 2), 1)
-
 
 class TestCrossbarIngressCosts:
     def test_partly_severed_node_costs_more(self):

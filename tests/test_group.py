@@ -34,17 +34,18 @@ def reference_search_bit(g1, g2, bits, m, max_index):
 
 @st.composite
 def search_cases(draw):
-    """(g1, g2, values, params): small groups, tight ``index_bits`` so some
-    fail, chunks that are tiny, ragged, the default and beyond the family."""
+    """(g1, g2, values, params): groups of up to 30 keys, tight
+    ``index_bits`` so some fail, every mask width (power-of-two ``m`` and
+    not), chunks that are tiny, ragged, the default and beyond the family."""
     value_bits = draw(st.integers(1, 4))
     index_bits = draw(st.integers(1, 8))
     params = SetSepParams(
         index_bits=index_bits,
-        array_bits=draw(st.sampled_from([1, 5, 8, 12, 32])),
+        array_bits=draw(st.sampled_from([1, 2, 4, 5, 8, 12, 16, 32])),
         value_bits=value_bits,
-        search_chunk=draw(st.sampled_from([1, 7, 256, (1 << index_bits) + 5])),
+        search_chunk=draw(st.sampled_from([1, 7, 512, (1 << index_bits) + 5])),
     )
-    n_keys = draw(st.integers(0, 20))
+    n_keys = draw(st.integers(0, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     keys = rng.integers(0, 2**64, size=n_keys, dtype=np.uint64)
     if draw(st.booleans()):
@@ -56,16 +57,18 @@ def search_cases(draw):
 
 
 class TestFusedSearch:
-    """One candidate matrix for all value bits changes no per-bit result."""
+    """One candidate matrix for all value bits changes no per-bit result:
+    the multi-target path (row gathers) and the one-target path (the
+    value-0 keys reordered first, row slices) both meet the reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(search_cases())
     def test_group_equals_per_bit_searches(self, case):
         g1, g2, values, params = case
         per_bit = [
-            G.search_bit(
-                g1, g2, (values >> bit) & 1, params.array_bits,
-                params.max_index, params.search_chunk,
+            reference_search_bit(
+                g1, g2, ((values >> bit) & 1).tolist(), params.array_bits,
+                params.max_index,
             )
             for bit in range(params.value_bits)
         ]

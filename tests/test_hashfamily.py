@@ -117,16 +117,20 @@ class TestPositions:
     def test_chunk_slots_matches_scalar_path(
         self, seed, n_keys, m, max_index, chunk
     ):
-        """Every index of every chunk, the short last one included."""
+        """Every index of every chunk, the short last one included, and
+        the scan's narrow masks chunk for chunk."""
         rng = np.random.default_rng(seed)
         keys = rng.integers(0, 2**64, size=n_keys, dtype=np.uint64)
         g1, g2 = hf.base_hashes(keys)
-        for start in range(0, max_index, chunk):
+        narrow = {1: np.uint8, 5: np.uint8, 8: np.uint8, 12: np.uint16,
+                  32: np.uint32, 64: np.uint64}[m]
+        scan = list(hf.scan_masks(g1, g2, m, chunk, max_index))
+        assert [start for start, _ in scan] == list(range(0, max_index, chunk))
+        for start, masks in scan:
             count = min(chunk, max_index - start)
             slots = hf.chunk_slots(g1, g2, start, count, m)
-            masks = hf.chunk_masks(g1, g2, start, count, m)
             assert slots.shape == masks.shape == (n_keys, count)
-            assert slots.dtype == masks.dtype == np.uint64
+            assert slots.dtype == np.uint64 and masks.dtype == narrow
             for col in range(count):
                 expected = hf.positions(
                     hf.family_values(g1, g2, start + col), m
@@ -135,6 +139,44 @@ class TestPositions:
                 assert masks[:, col].tolist() == [
                     1 << slot for slot in expected.tolist()
                 ]
+
+    @pytest.mark.parametrize("k", range(7))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_keys=st.integers(0, 20),
+        start=st.integers(0, 2**16),
+        count=st.integers(1, 40),
+    )
+    def test_power_of_two_one_shift_equals_multiply_shift(
+        self, k, seed, n_keys, start, count
+    ):
+        """``m = 2**k`` takes one shift; it must equal the three-step
+        reduction in the chunk form and in the per-key-row (lookup) form,
+        ``m = 1`` (a shift by 64) included."""
+        m = 1 << k
+        rng = np.random.default_rng(seed)
+        g1, g2 = hf.base_hashes(
+            rng.integers(0, 2**64, size=n_keys, dtype=np.uint64)
+        )
+        slots = hf.chunk_slots(g1, g2, start, count, m)
+        rows = rng.integers(0, 2**16, size=(n_keys, count), dtype=np.uint16)
+        lookup = hf.index_slots(g1, g2, rows, m)
+        for col in range(count):
+            expected = hf.positions(hf.family_values(g1, g2, start + col), m)
+            assert slots[:, col].tolist() == expected.tolist()
+        for j in range(n_keys):
+            for col, index in enumerate(rows[j].tolist()):
+                expected = hf.positions(
+                    hf.family_values(g1[j : j + 1], g2[j : j + 1], index), m
+                )
+                assert int(lookup[j, col]) == int(expected[0])
+
+    def test_scan_masks_invalid_m(self):
+        g = np.ones(1, dtype=np.uint64)
+        for m in (0, 65):
+            with pytest.raises(ValueError):
+                next(hf.scan_masks(g, g, m, 4, 8))
 
     def test_chunk_slots_invalid_m(self):
         g = np.ones(1, dtype=np.uint64)

@@ -12,20 +12,26 @@ Three layers, cheapest first:
 
 import http.client
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.chaos import run_failover_drill, run_fence_drill
 from repro.chaos.drills import failover_drill_gates, fence_drill_gates
 from repro.obs import MetricsRegistry
 from repro.obs.exposition import CONTENT_TYPE, metric_name, prometheus_text
 from repro.ops import OpsApiError, OpsApiServer, OpsClient, api as api_module
+from repro.ops.__main__ import main as walkthrough_main
 from repro.ops.manager import ClusterOps
 from repro.runtime.liveness import HeartbeatMonitor, NodeState
 from repro.runtime.replication import StaleTermError
+from repro.runtime.session import WALKTHROUGH_KILLED_NODE, walkthrough_gates
 from tests.conftest import (
     GOLDEN_BACKEND,
     assert_each_breaker_fails_only_its_gate,
@@ -35,6 +41,82 @@ from tests.conftest import (
 # ----------------------------------------------------------------------
 # Prometheus exposition (pure)
 # ----------------------------------------------------------------------
+
+
+def walkthrough_reports():
+    """What a healthy CI ops-smoke walkthrough leaves behind."""
+    traffic = dict(
+        frames=500, delivered=480, dropped=20, divergences=0,
+        byte_identical=True,
+    )
+    return {
+        "t1": dict(traffic),
+        "t2": dict(traffic),
+        "poll": {"fenced": [WALKTHROUGH_KILLED_NODE]},
+        "audit": {"charging_identical": True, "gpt_replicas_identical": True},
+        "shutdown": {"leaked_processes": 0},
+        "metrics": "# TYPE repro_runtime_fences_total counter\n"
+                   "repro_runtime_fences_total 1\n",
+    }
+
+
+def write_reports(directory, reports):
+    for name, report in reports.items():
+        if name == "metrics":
+            (directory / "metrics.txt").write_text(report)
+        else:
+            (directory / f"{name}.json").write_text(json.dumps(report))
+
+
+class TestWalkthroughGates:
+    """The ops-smoke gate, on doctored reports rather than a live run."""
+
+    def test_each_breaker_fails_only_its_gate(self):
+        reports = walkthrough_reports()
+        reports["gates"] = walkthrough_gates(reports)
+        assert_each_breaker_fails_only_its_gate(reports, walkthrough_gates, {
+            "no_divergence": (("t2", "divergences"), 3),
+            "byte_identical": (("t1", "byte_identical"), False),
+            "charging_identical": (("audit", "charging_identical"), False),
+            "gpt_replicas_identical": (
+                ("audit", "gpt_replicas_identical"), False,
+            ),
+            "no_leaked_processes": (("shutdown", "leaked_processes"), 1),
+            "killed_node_fenced": (("poll", "fenced"), [1, 2]),
+            "fence_counted": (
+                ("metrics",), "repro_runtime_fences_total 10\n",
+            ),
+        })
+
+    def test_entry_point_exits_1_naming_the_failed_gates(
+        self, tmp_path, capsys
+    ):
+        reports = walkthrough_reports()
+        write_reports(tmp_path, reports)
+        assert walkthrough_main([str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["fence_counted"] is True
+        reports["poll"]["fenced"] = []
+        reports["shutdown"]["leaked_processes"] = 2
+        write_reports(tmp_path, reports)
+        assert walkthrough_main([str(tmp_path)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "FAIL: no_leaked_processes, killed_node_fenced"
+        )
+
+    def test_python_dash_m_runs_it_in_the_report_directory(self, tmp_path):
+        reports = walkthrough_reports()
+        reports["t1"]["divergences"] = 1
+        write_reports(tmp_path, reports)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.ops"], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.strip() == "FAIL: no_divergence"
 
 
 class TestExposition:

@@ -69,6 +69,43 @@ class TestRebuildGroup:
         with pytest.raises(ValueError):
             setsep.rebuild_group(0, [1, 2], [1])
 
+    @pytest.mark.parametrize(
+        "group_id, values, message",
+        [
+            (-1, None, "group id -1 out of range"),
+            ("num_groups", None, "out of range"),
+            (None, {3: 5}, "position 3 holds 5"),
+            (None, {0: 4, 2: 9}, "position 0 holds 4"),
+            (None, {1: -1}, "position 1 holds -1"),
+        ],
+    )
+    def test_bad_input_refused_before_anything_moves(
+        self, setsep_pair, group_id, values, message
+    ):
+        """A value of 5 on a 4-node GPT is not stored as node 1, and a
+        group id of -1 is not the last group: both are refused before a
+        counter or a byte of state changes."""
+        setsep, _, keys, nodes = setsep_pair
+        registry = MetricsRegistry()
+        setsep.bind_registry(registry)
+        group = int(setsep.groups_of(keys[:1])[0])
+        members = keys[setsep.groups_of(keys) == group]
+        contents = [int(v) for v in nodes[setsep.groups_of(keys) == group]]
+        for position, value in (values or {}).items():
+            contents[position] = value
+        if group_id == "num_groups":
+            group_id = setsep.num_groups
+        before = [a.copy() for a in setsep.state()], sorted(setsep.fallback.items())
+        with pytest.raises(ValueError, match=message):
+            setsep.rebuild_group(
+                group if group_id is None else group_id, members, contents
+            )
+        assert all(
+            np.array_equal(a, b) for a, b in zip(setsep.state(), before[0])
+        )
+        assert sorted(setsep.fallback.items()) == before[1]
+        assert not any(registry.counters().values())
+
 
 class TestIncumbentFirst:
     """The owner tests the indices a group has before it searches."""

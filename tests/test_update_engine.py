@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster import Architecture, Cluster, UpdateEngine
 from repro.cluster import update as update_mod
-from repro.core import serialize
+from repro.core import SetSepParams, serialize
 from repro.obs.metrics import MetricsRegistry
 from tests.conftest import unique_keys
 
@@ -111,6 +111,48 @@ class TestScaleBricksUpdates:
         assert len({
             serialize.fingerprint(node.gpt.setsep) for node in cluster.nodes
         }) == 1
+
+
+class TestChurnRegression:
+    """A seeded churn through the owner recompute leaves every replica at
+    a pinned fingerprint: any change to what the search returns (first-fit
+    index, array, which groups spill) or to what the owner keeps moves it.
+    """
+
+    #: ``serialize.fingerprint`` of every node's replica after the churn.
+    FINGERPRINTS = [3460646974] * NUM_NODES
+
+    def test_seeded_churn_pins_every_replica(self):
+        # 10-bit indices, so some groups spill to the fallback.
+        keys = unique_keys(2_500, seed=120)
+        cluster = Cluster.build(
+            Architecture.SCALEBRICKS, NUM_NODES, keys,
+            (keys % NUM_NODES).astype(np.int64), np.arange(len(keys)) + 1,
+            gpt_params=SetSepParams(index_bits=10, value_bits=2),
+            registry=MetricsRegistry(),
+        )
+        engine = UpdateEngine(cluster)
+        rng = np.random.default_rng(121)
+        fresh = iter(unique_keys(400, seed=122, low=2**62, high=2**63))
+        live = [int(k) for k in keys]
+        for step in range(600):
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                key = int(next(fresh))
+                live.append(key)
+                engine.insert_flow(key, int(rng.integers(NUM_NODES)), step)
+            elif kind == 1:
+                key = live[int(rng.integers(len(live)))]
+                engine.insert_flow(key, int(rng.integers(NUM_NODES)), step)
+            else:
+                key = live.pop(int(rng.integers(len(live))))
+                assert engine.remove_flow(key)
+        prints = [serialize.fingerprint(node.gpt.setsep) for node in cluster.nodes]
+        assert len(set(prints)) == 1
+        counters = cluster.registry.counters()
+        assert counters["setsep.bits_searched"] > 0
+        assert counters["setsep.group_rebuild_failures"] > 0
+        assert prints == self.FINGERPRINTS, (prints, counters)
 
 
 class TestFullDuplicationUpdates:
