@@ -7,17 +7,21 @@ every peer, which applies it with a memory copy (paper §3.2, §4.5).
 
 Plain functions over a ``RoutingInformationBase`` slice and a
 ``GlobalPartitionTable`` replica: no I/O, no registry, no sockets.  The
-callers are transports — ``UpdateEngine`` delivers by direct call,
-``NodeDaemon`` batches per target into ``MSG_FIB``/``MSG_DELTA`` — and
-nothing here branches on which one is calling, so both produce the same
-records in the same order (``tests/test_update_differential.py``).
+callers are transports — ``UpdateEngine`` delivers each update by direct
+call (:func:`owner_step`), ``NodeDaemon`` runs a whole ``MSG_UPDATE``
+through :func:`owner_batch` and batches per target into
+``MSG_FIB``/``MSG_DELTA`` — and nothing here branches on which one is
+calling, so both produce the same records in the same order
+(``tests/test_update_differential.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.core import separator as separator_registry
 from repro.core.delta import DeltaWireError
@@ -63,6 +67,11 @@ class OwnerStep(NamedTuple):
     bits: int
 
 
+#: One update for :func:`owner_batch`: ``(ckey, bucket, node, value)``
+#: as :func:`owner_step` takes them (``node`` ``None`` removes the key).
+Update = Tuple[int, int, Optional[int], int]
+
+
 def owner_step(
     rib, gpt, acc: UpdateAccount, ckey: int, bucket: int,
     node: Optional[int] = None, value: int = 0,
@@ -76,27 +85,93 @@ def owner_step(
     A node outside the cluster raises before anything changes or counts
     (the slice checks it ahead of the write).
     """
+    edit = _edit_slice(rib, ckey, bucket, node, value)
+    if edit is None:
+        return None
+    fib_ops, change = edit
+    separator = gpt.setsep
+    job = _job(rib, separator, separator.group_of_bucket(bucket), change)
+    return _step(acc, separator, fib_ops, gpt.rebuild_group(*job))
+
+
+def owner_batch(
+    rib, gpt, acc: UpdateAccount, updates: Sequence[Update]
+) -> List[Optional[OwnerStep]]:
+    """:func:`owner_step` over a batch, recomputing groups in waves.
+
+    Slice edits run in update order, and each update's group joins the
+    pending *wave*.  A wave is flushed — its groups' contents read and
+    recomputed in one ``gpt.rebuild_groups`` pass (one key-hash pass,
+    one incumbent test) — as soon as an update names a group already in
+    it, and once more at the end.  A group's record depends only on its
+    own contents and replica row, and a wave's groups are distinct, so
+    every step equals what :func:`owner_step` per update returns: the
+    same record bytes, slice order, replica state and counts.  Steps come
+    back aligned with ``updates`` (``None`` for an unknown key's removal).
+
+    Every node is range-checked before anything changes or counts.
+    """
+    for _ckey, _bucket, node, _value in updates:
+        if node is not None:
+            rib.check_node(node)
+    separator = gpt.setsep
+    steps: List[Optional[OwnerStep]] = [None] * len(updates)
+    # group -> (position in ``updates``, FIB ops, the change)
+    wave: Dict[int, tuple] = {}
+
+    def flush() -> None:
+        jobs = [
+            _job(rib, separator, group, change)
+            for group, (_, _, change) in wave.items()
+        ]
+        for (position, fib_ops, _), record in zip(
+            wave.values(), gpt.rebuild_groups(jobs)
+        ):
+            steps[position] = _step(acc, separator, fib_ops, record)
+        wave.clear()
+
+    for position, (ckey, bucket, node, value) in enumerate(updates):
+        group = separator.group_of_bucket(bucket)
+        if group in wave:
+            flush()
+        edit = _edit_slice(rib, ckey, bucket, node, value)
+        if edit is not None:
+            wave[group] = (position,) + edit
+    if wave:
+        flush()
+    return steps
+
+
+def _edit_slice(rib, ckey: int, bucket: int, node: Optional[int], value: int):
+    """The slice half of one update: ``(fib_ops, change)``, or ``None``
+    for the removal of an unknown key.  ``change`` is ``(keys, nodes,
+    removed)``, what the group's rebuild needs beyond its contents."""
     if node is None:
         previous = rib._remove(bucket, ckey)
         if previous is None:
             return None
-        fib_ops = ((previous.node, None),)
-        keys, nodes, removed = [], [], (ckey,)
-    else:
-        previous = rib._get(bucket, ckey)
-        fib_ops = ((node, rib._insert(bucket, ckey, node, value)),)
-        if previous is not None and previous.node != node:
-            fib_ops = ((previous.node, None),) + fib_ops
-        keys, nodes, removed = [ckey], [node], ()
-    separator = gpt.setsep
-    group = separator.group_of_bucket(bucket)
+        return ((previous.node, None),), ((), (), (ckey,))
+    previous = rib._get(bucket, ckey)
+    fib_ops = ((node, rib._insert(bucket, ckey, node, value)),)
+    if previous is not None and previous.node != node:
+        fib_ops = ((previous.node, None),) + fib_ops
+    return fib_ops, ((ckey,), (node,), ())
+
+
+def _job(rib, separator, group: int, change: tuple) -> tuple:
+    """The ``(group, keys, nodes, removed)`` rebuild of one changed group."""
+    keys, nodes, removed = change
     # Incremental backends (Othello) skip the O(group) contents
     # enumeration once their owner-side graph is warm: the changed key
     # alone produces the byte-identical record.
     needs_full = getattr(separator, "needs_full_contents", None)
     if needs_full is None or needs_full(group):
         keys, nodes = rib.group_contents(group, separator)
-    record = gpt.rebuild_group(group, keys, nodes, removed_keys=removed)
+    return group, keys, nodes, removed
+
+
+def _step(acc: UpdateAccount, separator, fib_ops: tuple, record) -> OwnerStep:
+    """Count one applied update and frame its record."""
     acc.updates += 1
     acc.fib_messages += len(fib_ops)
     acc.groups_rebuilt += 1

@@ -11,13 +11,30 @@ a SetSep group locally and broadcast a tiny delta (§4.5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Collection, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core import hashfamily, twolevel
 from repro.core.params import BUCKETS_PER_BLOCK
 from repro.core.separator import Separator
 from repro.core.setsep import Key
 from repro.obs.metrics import MetricsRegistry, resolve_registry
+
+
+def block_owner(block: int, num_nodes: int, down: Collection[int] = ()) -> int:
+    """The node owning a block's RIB slice: the one ownership rule.
+
+    Round-robin, ``block % num_nodes``; while that node is ``down`` its
+    blocks pass to the next live node above it (wrapping), which is where
+    a repair moves its slice.  The controller routes each update by it,
+    and a daemon refuses an update for a block it does not own by it.
+    """
+    for offset in range(num_nodes):
+        candidate = (block + offset) % num_nodes
+        if candidate not in down:
+            return candidate
+    raise RuntimeError("no live nodes")
 
 
 @dataclass(frozen=True)
@@ -99,7 +116,7 @@ class RoutingInformationBase:
         """Node owning a block's RIB slice (round-robin assignment)."""
         if not 0 <= block < self.num_blocks:
             raise ValueError(f"block {block} out of range")
-        return block % self.num_nodes
+        return block_owner(block, self.num_nodes)
 
     def owner_of_key(self, key: Key) -> int:
         """Node owning a key's RIB entry."""
@@ -182,12 +199,13 @@ class RoutingInformationBase:
 
     def group_contents(
         self, group_id: int, setsep: Separator
-    ) -> Tuple[List[int], List[int]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """(keys, nodes) of one separator group — the rebuild input (§4.5).
 
         Only the block owner can produce this, which is exactly why keys of
         one block must co-reside: group membership depends on the block's
-        bucket-to-group choices.
+        bucket-to-group choices.  Canonical keys come back as ``uint64``
+        and nodes as ``uint32``, the arrays a rebuild hashes and tests.
 
         Order: ascending bucket id, then insertion order within the bucket
         (an overwrite keeps the key's place, remove-then-insert moves it to
@@ -201,7 +219,9 @@ class RoutingInformationBase:
                 keys.append(key)
                 nodes.append(entry.node)
         self._m_group_scan.inc(len(keys))
-        return keys, nodes
+        return (
+            np.array(keys, dtype=np.uint64), np.array(nodes, dtype=np.uint32)
+        )
 
     def load_per_node(self) -> List[int]:
         """RIB records held by each node (partitioning balance metric)."""

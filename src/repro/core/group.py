@@ -17,8 +17,7 @@ chunk size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -26,9 +25,9 @@ from repro.core import hashfamily
 from repro.core.params import SetSepParams
 
 
-@dataclass(frozen=True)
-class GroupFunction:
-    """A found separator for one value bit of one group.
+class GroupFunction(NamedTuple):
+    """A found separator for one value bit of one group (a tuple: an
+    owner recompute makes one per value bit, so construction is cheap).
 
     Attributes:
         index: the hash-family index ``i`` that worked.
@@ -41,6 +40,11 @@ class GroupFunction:
     index: int
     array: int
     iterations: int
+
+
+#: Right shifts that split a value into its bits (``value_bits <= 16``),
+#: as wide as the slot masks the bits multiply.
+_BIT_SHIFTS = np.arange(16, dtype=np.uint64)
 
 
 class GroupSearchFailure(Exception):
@@ -156,35 +160,78 @@ def search_group(
 
     Returns a list of ``value_bits`` :class:`GroupFunction`, or ``None`` if
     any bit fails (the whole group then goes to the fallback table).
+    This is the one-group case of :func:`search_groups`.
     """
+    if incumbent is not None:
+        incumbent = [np.asarray(incumbent).tolist()]
+    return search_groups(g1, g2, values, [0, len(g1)], params, incumbent)[0]
+
+
+def search_groups(
+    g1: np.ndarray,
+    g2: np.ndarray,
+    values: np.ndarray,
+    bounds: Sequence[int],
+    params: SetSepParams,
+    incumbents: Optional[Sequence[Sequence[int]]] = None,
+) -> List[Optional[List[GroupFunction]]]:
+    """:func:`search_group` of several groups whose keys share one array.
+
+    Group ``i`` is rows ``bounds[i]`` up to ``bounds[i + 1]`` (ascending;
+    a group may be empty), and ``incumbents[i]`` is its row of indices
+    (``max_index`` in a row means "nothing to keep": the test never
+    keeps that index).  The incumbent test runs once over every key, the
+    rows of each group OR-reduced on their own; a bit that broke is
+    searched over its group's keys alone, as :func:`search_group` would.
+    So each result is what :func:`search_group` returns for that group.
+    """
+    vb = params.value_bits
+    max_index = params.max_index
     values = np.asarray(values, dtype=np.uint32)
-    ones = (values[:, None] >> np.arange(params.value_bits, dtype=np.uint32)) & 1
-    functions: List[Optional[GroupFunction]] = [None] * params.value_bits
-    if incumbent is not None and len(g1):
-        masks = hashfamily.index_masks(g1, g2, incumbent, params.array_bits)
+    ones = (values[:, None] >> _BIT_SHIFTS[:vb]) & 1
+    spans = list(zip(bounds, bounds[1:]))
+    found: List[Optional[list]] = [[None] * vb for _ in spans]
+    # The rows of an empty group would reduce its successor's first row:
+    # reduce only where rows are, each up to the next start.
+    held = [group for group, (start, end) in enumerate(spans) if start < end]
+    if incumbents is not None and held:
+        rows = incumbents
+        if len(spans) > 1:
+            rows = np.repeat(incumbents, np.diff(bounds), axis=0)
+        masks = hashfamily.index_masks(g1, g2, rows, params.array_bits)
         taken1 = masks * ones
-        arrays = np.bitwise_or.reduce(taken1, axis=0)
-        clashes = np.bitwise_or.reduce(masks ^ taken1, axis=0) & arrays
-        for bit, (index, array, clash) in enumerate(
-            zip(incumbent.tolist(), arrays.tolist(), clashes.tolist())
+        offsets = np.array([bounds[group] for group in held])
+        arrays = np.bitwise_or.reduceat(taken1, offsets, axis=0)
+        clashes = np.bitwise_or.reduceat(masks ^ taken1, offsets, axis=0)
+        clashes &= arrays
+        for group, group_arrays, group_clashes in zip(
+            held, arrays.tolist(), clashes.tolist()
         ):
-            if not clash and index < params.max_index:
-                functions[bit] = GroupFunction(index, array, iterations=1)
-    broken = [bit for bit, kept in enumerate(functions) if kept is None]
-    if broken:
+            functions = found[group]
+            for bit, (index, array, clash) in enumerate(
+                zip(incumbents[group], group_arrays, group_clashes)
+            ):
+                if not clash and index < max_index:
+                    functions[bit] = GroupFunction(index, array, 1)
+    for group, (start, end) in enumerate(spans):
+        functions = found[group]
+        broken = [bit for bit, kept in enumerate(functions) if kept is None]
+        if not broken:
+            continue
         searched = _search_targets(
-            g1,
-            g2,
-            [ones[:, bit] for bit in broken],
+            g1[start:end],
+            g2[start:end],
+            [ones[start:end, bit] for bit in broken],
             params.array_bits,
-            params.max_index,
+            max_index,
             params.search_chunk,
         )
         if None in searched:
-            return None
+            found[group] = None
+            continue
         for bit, function in zip(broken, searched):
             functions[bit] = function
-    return functions
+    return found
 
 
 def search_joint(

@@ -70,16 +70,24 @@ _SEPARATOR_STREAMS = np.array([_STREAM_BUCKET, _STREAM_G1, _STREAM_G2])
 _FIB_STREAMS = np.array([_STREAM_FIB, _STREAM_TAG])
 
 
+# The mixer's constants, made once: a NumPy scalar costs more to build
+# than the operation it feeds on a group-sized array.
+_MIX_ADD = np.uint64(0x9E3779B97F4A7C15)
+_MIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_MUL2 = np.uint64(0x94D049BB133111EB)
+_MIX_30, _MIX_27, _MIX_31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
 def _mix(x: np.ndarray) -> np.ndarray:
     """:func:`splitmix64` of a uint64 array this call owns, in place:
     in-place ufuncs on an ``ndarray`` wrap mod 2**64 unchecked (only
     NumPy *scalar* arithmetic warns), so no ``errstate`` is needed."""
-    x += np.uint64(0x9E3779B97F4A7C15)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    x += _MIX_ADD
+    x ^= x >> _MIX_30
+    x *= _MIX_MUL1
+    x ^= x >> _MIX_27
+    x *= _MIX_MUL2
+    x ^= x >> _MIX_31
     return x
 
 

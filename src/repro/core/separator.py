@@ -96,6 +96,8 @@ class Separator(Protocol):
         removed_keys: Iterable[Key] = (),
     ): ...
 
+    def rebuild_groups(self, jobs: Sequence[tuple]) -> list: ...
+
     def apply_delta(self, delta) -> None: ...
 
     def size_bits(self) -> int: ...

@@ -17,6 +17,7 @@ structure plus in-place delta updates (§4.5).
 
 from __future__ import annotations
 
+import bisect
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -255,66 +256,123 @@ class SetSep:
                 not fit in ``value_bits`` (naming the first bad position),
                 before any counter or state changes.
         """
-        if not 0 <= group_id < self.num_groups:
-            raise ValueError(f"group id {group_id} out of range")
-        values = list(values)
-        limit = 1 << self.params.value_bits
-        for position, value in enumerate(values):
-            if not 0 <= value < limit:
-                raise ValueError(
-                    f"values must fit in {self.params.value_bits} bits; "
-                    f"position {position} holds {value}"
-                )
-        keys_arr = hashfamily.canonical_keys(keys)
-        values_arr = np.asarray(values, dtype=np.uint32)
-        if keys_arr.shape != values_arr.shape:
-            raise ValueError("keys and values must have equal length")
-        was_failed = bool(self.failed_groups[group_id])
-        self._m_rebuilds.inc()
-        g1, g2 = hashfamily.base_hashes(keys_arr)
+        return self.rebuild_groups(
+            [(group_id, keys, values, removed_keys)]
+        )[0]
+
+    def rebuild_groups(self, jobs: Sequence[tuple]) -> List[GroupDelta]:
+        """Recompute several groups in one pass; one delta each, in order.
+
+        Each job is ``(group_id, keys, values, removed_keys)`` as
+        :meth:`rebuild_group` takes them, and the result equals calling it
+        once per job, in job order: the same deltas, state and counters.
+        The keys of every job are hashed in one pass and every incumbent
+        is tested in one step (:func:`repro.core.group.search_groups`);
+        only a bit that broke is searched, over its own group's keys.  A
+        group's inputs are only its own row and keys, so the jobs must
+        name distinct groups — the owner's §4.5 batch gives this one
+        *wave* of groups at a time (:func:`repro.cluster.owner.owner_batch`).
+
+        Raises:
+            ValueError: for a group id out of range or named twice, a value
+                that does not fit in ``value_bits`` (naming the group and
+                the first bad position), or keys and values of unequal
+                length — before any counter or state changes.
+        """
+        params = self.params
+        vb = params.value_bits
         # Incumbent first: a separator that survived the change is kept,
         # so indices depend on this replica's history; failure does not.
-        incumbent = None if was_failed else self.indices[group_id]
-        functions = group_search.search_group(
-            g1, g2, values_arr, self.params, incumbent
-        )
-        kept = 0
-        if functions is None:
-            self._m_rebuild_failures.inc()
-        elif incumbent is not None:
-            kept = sum(
-                f.index == i for f, i in zip(functions, incumbent.tolist())
+        # A failed group has nothing to keep: its row is the sentinel.
+        sentinel = [params.max_index] * vb
+        group_ids: List[int] = []
+        keys_of: List[np.ndarray] = []
+        values_of: List[np.ndarray] = []
+        removals_of: List[List[int]] = []
+        was_failed: List[bool] = []
+        incumbents: List[List[int]] = []
+        bounds = [0]
+        for group_id, keys, values, removed_keys in jobs:
+            if not 0 <= group_id < self.num_groups:
+                raise ValueError(f"group id {group_id} out of range")
+            if group_id in group_ids:
+                raise ValueError(f"group {group_id} is named twice")
+            keys_arr = hashfamily.canonical_keys(keys)
+            values_arr = np.asarray(values)
+            if not values_arr.size:  # ``[]`` would be a float array
+                values_arr = values_arr.astype(np.uint32)
+            if keys_arr.shape != values_arr.shape:
+                raise ValueError("keys and values must have equal length")
+            failed = bool(self.failed_groups[group_id])
+            group_ids.append(int(group_id))
+            keys_of.append(keys_arr)
+            values_of.append(values_arr)
+            removals_of.append(
+                [hashfamily.canonical_key(k) for k in removed_keys]
             )
-        self._m_bits_kept.inc(kept)
-        self._m_bits_searched.inc(self.params.value_bits - kept)
-
-        removals: List[int] = [
-            hashfamily.canonical_key(k) for k in removed_keys
-        ]
-        if functions is not None:
-            if was_failed:
-                removals.extend(int(k) for k in keys_arr)
-            delta = GroupDelta(
-                group_id=group_id,
-                failed=False,
-                indices=tuple(f.index for f in functions),
-                arrays=tuple(f.array for f in functions),
-                fallback_removals=tuple(removals),
+            was_failed.append(failed)
+            incumbents.append(
+                sentinel if failed else self.indices[group_id].tolist()
             )
+            bounds.append(bounds[-1] + len(keys_arr))
+        if not group_ids:
+            return []
+        if len(group_ids) == 1:
+            all_keys, all_values = keys_of[0], values_of[0]
         else:
-            upserts = tuple(
-                (int(k), int(v)) for k, v in zip(keys_arr, values_arr)
+            all_keys = np.concatenate(keys_of)
+            all_values = np.concatenate(values_of)
+        # A value that fits sets no bit above vb, and a negative one sets
+        # the sign: either shows in the OR of them all.
+        if bounds[-1] and int(np.bitwise_or.reduce(all_values)) >> vb:
+            first = int(np.flatnonzero(all_values >> vb)[0])
+            job = bisect.bisect_right(bounds, first) - 1
+            raise ValueError(
+                f"values of group {group_ids[job]} must fit in {vb} bits; "
+                f"position {first - bounds[job]} holds {all_values[first]}"
             )
-            delta = GroupDelta(
-                group_id=group_id,
-                failed=True,
-                indices=(0,) * self.params.value_bits,
-                arrays=(0,) * self.params.value_bits,
-                fallback_upserts=upserts,
-                fallback_removals=tuple(removals),
-            )
-        self.apply_delta(delta)
-        return delta
+        g1, g2 = hashfamily.base_hashes(all_keys)
+        found = group_search.search_groups(
+            g1, g2, all_values, bounds, params, incumbents
+        )
+        rebuilt = zip(
+            group_ids, keys_of, values_of, removals_of, found, was_failed,
+            incumbents,
+        )
+        deltas = []
+        for group_id, keys_arr, values_arr, removals, functions, failed, row in rebuilt:
+            self._m_rebuilds.inc()
+            kept = 0
+            if functions is None:
+                self._m_rebuild_failures.inc()
+            else:
+                kept = sum(f.index == i for f, i in zip(functions, row))
+            self._m_bits_kept.inc(kept)
+            self._m_bits_searched.inc(vb - kept)
+            if functions is not None:
+                if failed:  # the group leaves the fallback
+                    removals.extend(keys_arr.tolist())
+                delta = GroupDelta(
+                    group_id=group_id,
+                    failed=False,
+                    indices=tuple(f.index for f in functions),
+                    arrays=tuple(f.array for f in functions),
+                    fallback_removals=tuple(removals),
+                )
+            else:
+                delta = GroupDelta(
+                    group_id=group_id,
+                    failed=True,
+                    indices=(0,) * vb,
+                    arrays=(0,) * vb,
+                    fallback_upserts=tuple(
+                        zip(keys_arr.tolist(), values_arr.tolist())
+                    ),
+                    fallback_removals=tuple(removals),
+                )
+            self.apply_delta(delta)
+            deltas.append(delta)
+        return deltas
 
     def apply_delta(self, delta: GroupDelta) -> None:
         """Apply a broadcast delta: a few memory writes, no recomputation."""

@@ -172,11 +172,23 @@ class GlobalPartitionTable:
 
         The record type matches the backend: a ``GroupDelta`` for SetSep,
         an ``OthelloUpdate`` for Othello — both self-framing wire peers.
+        Each in-process update makes this call (``owner.owner_step``).
         """
-        record = self.setsep.rebuild_group(group_id, keys, nodes, removed_keys)
+        return self.rebuild_groups([(group_id, keys, nodes, removed_keys)])[0]
+
+    def rebuild_groups(self, jobs: Sequence[tuple]) -> list:
+        """Recompute a wave of distinct groups; one record each, in order.
+
+        ``jobs`` are ``(group_id, keys, nodes, removed_keys)``; the
+        separator's ``rebuild_groups`` does the work, and each record
+        invalidates its group in the hot-key cache, as one
+        :meth:`rebuild_group` per job would (``owner.owner_batch``).
+        """
+        records = self.setsep.rebuild_groups(jobs)
         if self.cache is not None:
-            self.cache.invalidate_group(hotcache_mod.record_group(record))
-        return record
+            for record in records:
+                self.cache.invalidate_group(hotcache_mod.record_group(record))
+        return records
 
     def apply_delta(self, delta) -> None:
         """Apply a broadcast update record from the owning RIB node."""

@@ -373,9 +373,9 @@ class OthelloSeparator:
                 f"values must fit in {self.params.value_bits} bits"
             )
         self._m_rebuilds.inc()
-        contents: Dict[int, int] = {
-            int(k): int(v) for k, v in zip(keys_arr, values_arr)
-        }
+        contents: Dict[int, int] = dict(
+            zip(keys_arr.tolist(), values_arr.tolist())
+        )
         graph = self._graphs.get(block)
         if graph is None:
             graph = self._bootstrap_graph(block, contents)
@@ -414,6 +414,12 @@ class OthelloSeparator:
         finally:
             self._applying_own = False
         return update
+
+    def rebuild_groups(self, jobs: Sequence[tuple]) -> List[OthelloUpdate]:
+        """:meth:`rebuild_group` per ``(group_id, keys, values,
+        removed_keys)`` job, in order: a group is a whole block, and the
+        incremental fold has nothing to share across blocks."""
+        return [self.rebuild_group(*job) for job in jobs]
 
     def needs_full_contents(self, group_id: int) -> bool:
         """Whether :meth:`rebuild_group` needs the group's full contents.

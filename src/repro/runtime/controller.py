@@ -49,6 +49,7 @@ from typing import (
 
 from repro.cluster import membership
 from repro.cluster.owner import ACCOUNT_FIELDS
+from repro.cluster.rib import block_owner
 from repro.cluster.update import UpdateEngine
 from repro.core import serialize, shm
 from repro.core.hashfamily import canonical_key
@@ -527,19 +528,12 @@ class RuntimeController:
     # ------------------------------------------------------------------
 
     def owner_of_key(self, key: int) -> int:
-        """The daemon owning a key's RIB slice, skipping dead owners."""
+        """The daemon owning a key's RIB slice, skipping dead owners
+        (:func:`repro.cluster.rib.block_owner`, the rule each daemon
+        checks an update against)."""
         assert self._ref_setsep is not None, "controller not bootstrapped"
         block = self._ref_setsep.block_of(canonical_key(key))
-        base = block % self.num_nodes
-        return self._successor(base)
-
-    def _successor(self, node_id: int) -> int:
-        """``node_id`` itself when alive, else the next live node above."""
-        for offset in range(self.num_nodes):
-            candidate = (node_id + offset) % self.num_nodes
-            if candidate not in self.down:
-                return candidate
-        raise RuntimeError("no live nodes")
+        return block_owner(block, self.num_nodes, self.down)
 
     # ------------------------------------------------------------------
     # §4.5 updates
@@ -718,10 +712,11 @@ class RuntimeController:
         self._untrack_segment(failed)
         self._broadcast_down()
         # The dead node's RIB slice moves to its successor (§4.5 ownership
-        # must stay total for updates to keep flowing).
+        # must stay total for updates to keep flowing): the owner of its
+        # blocks now, ``failed`` being one of them (``failed % N``).
         orphaned = self._headers(gateway)[failed]["rib"]
         self._command(
-            self._successor(failed), MSG_ADOPT,
+            block_owner(failed, self.num_nodes, self.down), MSG_ADOPT,
             protocol.encode_json({"entries": orphaned}),
         )
         # Shadow-side liveness + recovery through the §4.5 update path.

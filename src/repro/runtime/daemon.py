@@ -8,10 +8,15 @@ listener instead of Python method calls:
   attached from a controller-published shared-memory segment
   (``MSG_STATE_REF``, :mod:`repro.core.shm`) — and kept current by
   applying §4.5 update-record broadcasts from its peers (``MSG_DELTA``);
-* its **RIB slice** — the blocks this node owns (``block % N``); for
-  updates on owned keys it plays the §4.5 *owner* role: recompute the
-  group on its own replica, push FIB changes to handling nodes, ship the
-  delta to every peer;
+* its **RIB slice** — the blocks this node owns (``block % N``, or a
+  down node's successor: ``repro.cluster.rib.block_owner``); for an
+  update batch (``MSG_UPDATE``) it plays the §4.5 *owner* role —
+  refuse the batch if any op is on a block it does not own, recompute
+  the batch's groups on its own replica together
+  (``repro.cluster.owner.owner_batch``: one key-hash pass and one
+  incumbent test per wave of distinct groups), push FIB changes to
+  handling nodes and ship the records to every peer in op order, byte
+  for byte what one op at a time would ship;
 * its **partial FIB** — exact entries for exactly the flows it handles,
   which is what rejects one-sided-error packets (§3.2);
 * the **data path**: raw Ethernet frames arrive (``MSG_ROUTE``), are
@@ -37,10 +42,11 @@ import numpy as np
 
 from repro.chaos import transport as tfaults
 from repro.cluster import owner
-from repro.cluster.rib import RoutingInformationBase
+from repro.cluster.rib import RoutingInformationBase, block_owner
 from repro.core import serialize, shm
 from repro.core import separator as separator_registry
 from repro.core.hashfamily import canonical_key
+from repro.core.params import BUCKETS_PER_BLOCK
 from repro.epc import fastpath
 from repro.gpt.gpt import GlobalPartitionTable
 from repro.obs.metrics import MetricsRegistry
@@ -422,12 +428,24 @@ class NodeDaemon:
     def _on_update(self, payload: bytes) -> Tuple[int, bytes]:
         assert self.gpt is not None, "update before snapshot"
         ops = protocol.decode_updates(payload)
-        # Refuse the whole batch before any of it is applied: an op that
-        # failed half-way would leave earlier ops in the slice and the GPT
-        # with their FIB entries and deltas never shipped.
-        for op in ops:
-            if op.op == OP_INSERT:
-                self.slice.check_node(op.node)
+        keys = [canonical_key(op.key) for op in ops]
+        # Refuse the whole batch before any of it is applied: a group
+        # rebuilt from a slice that does not hold its block would ship a
+        # record without its keys (owner_batch range-checks the nodes).
+        updates = []
+        for op, key in zip(ops, keys):
+            bucket = self.slice.bucket_of(key)
+            block = bucket // BUCKETS_PER_BLOCK
+            owner_id = block_owner(block, self.num_nodes, self.down)
+            if owner_id != self.node_id:
+                raise ValueError(
+                    f"key {key:#x} is in block {block}, which node "
+                    f"{owner_id} owns, not node {self.node_id}"
+                )
+            updates.append((
+                key, bucket, op.node if op.op == OP_INSERT else None,
+                op.value,
+            ))
         fib_batches: Dict[int, List[UpdateOp]] = {}
         delta_wires: Dict[int, List[bytes]] = {}
         #: Canonical per-record wire bytes for the controller's delta log —
@@ -440,12 +458,10 @@ class NodeDaemon:
             if peer != self.node_id and peer not in self.down
         ]
         verdict_of = lambda _peer: self.faults.verdict("delta")  # noqa: E731
-        for op in ops:
-            key = canonical_key(op.key)
-            step = owner.owner_step(
-                self.slice, self.gpt, acc, key, self.slice.bucket_of(key),
-                op.node if op.op == OP_INSERT else None, op.value,
-            )
+        # One owner pass over the batch; its steps are shipped in op order,
+        # so verdicts, FIB batches and the log match one op at a time.
+        steps = owner.owner_batch(self.slice, self.gpt, acc, updates)
+        for op, key, step in zip(ops, keys, steps):
             if step is None:
                 continue  # unknown key: not an update
             self._c_groups_rebuilt.inc()

@@ -256,6 +256,49 @@ class TestIncumbentFirst:
         ]
 
 
+@st.composite
+def wave_cases(draw):
+    """Up to five groups under one set of parameters, some of them empty,
+    each with an incumbent row of any index up to the failure sentinel."""
+    g1, g2, values, params = draw(search_cases())
+    cuts = sorted(draw(st.lists(st.integers(0, len(g1)), max_size=4)))
+    bounds = [0] + cuts + [len(g1)]
+    incumbents = [
+        [
+            draw(st.integers(0, params.max_index))
+            for _ in range(params.value_bits)
+        ]
+        for _ in bounds[1:]
+    ]
+    return g1, g2, values, params, bounds, incumbents
+
+
+class TestSearchGroups:
+    """A wave of groups over one key array: one incumbent test, each
+    group's result what searching it alone gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(wave_cases())
+    def test_each_group_equals_its_own_search(self, case):
+        g1, g2, values, params, bounds, incumbents = case
+        spans = list(zip(bounds, bounds[1:]))
+        expected = [
+            G.search_group(
+                g1[start:end], g2[start:end], values[start:end], params,
+                np.array(row, dtype=np.uint16),
+            )
+            for (start, end), row in zip(spans, incumbents)
+        ]
+        assert G.search_groups(
+            g1, g2, values, bounds, params, incumbents
+        ) == expected
+        assert G.search_groups(g1, g2, values, bounds, params) == [
+            G.search_group(g1[start:end], g2[start:end], values[start:end],
+                           params)
+            for start, end in spans
+        ]
+
+
 class TestSearchJoint:
     def test_joint_function_maps_all_values(self):
         value_bits = 2

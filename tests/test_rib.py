@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.rib import RibEntry, RoutingInformationBase
+from repro.cluster.rib import RibEntry, RoutingInformationBase, block_owner
 from repro.core import SetSepParams, build
 from repro.core import separator as separator_registry
 from repro.obs.metrics import MetricsRegistry
@@ -41,6 +41,16 @@ class TestPartitioning:
     def test_invalid_block_rejected(self, rib):
         with pytest.raises(ValueError):
             rib.owner_of_block(8)
+
+    def test_a_down_owners_blocks_pass_to_the_next_live_node(self):
+        assert [block_owner(block, 4) for block in range(6)] == [
+            0, 1, 2, 3, 0, 1,
+        ]
+        assert block_owner(5, 4, down={1}) == 2
+        assert block_owner(5, 4, down={1, 2}) == 3
+        assert block_owner(7, 4, down={3}) == 0  # wraps
+        with pytest.raises(RuntimeError, match="no live nodes"):
+            block_owner(1, 2, down={0, 1})
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -115,7 +125,8 @@ class TestViews:
         setsep, _ = build(keys, (keys % 2).astype(np.uint32))
         empty_rib = RoutingInformationBase(4, setsep.num_blocks)
         member_keys, member_nodes = empty_rib.group_contents(0, setsep)
-        assert member_keys == [] and member_nodes == []
+        assert member_keys.dtype == np.uint64 and member_nodes.dtype == np.uint32
+        assert member_keys.size == member_nodes.size == 0
 
 
 #: 300 keys over two blocks: buckets hold several keys, so overwrites,
@@ -158,7 +169,8 @@ class TestGroupContentsProperty:
         assert len(rib) == len(model)
         assert {e.key: e.node for e in rib.entries()} == model
         for group in range(separator.num_groups):
-            assert rib.group_contents(group, separator) == (
+            keys, nodes = rib.group_contents(group, separator)
+            assert (keys.tolist(), nodes.tolist()) == (
                 brute_force_contents(model, separator, group)
             )
 

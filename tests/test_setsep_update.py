@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from repro.core import SetSepParams, build
 from repro.core import group as group_search
 from repro.core.delta import WIRE_HEADER, DeltaWireError, GroupDelta
+from repro.core.hashfamily import base_hashes
+from repro.gpt.gpt import GlobalPartitionTable
 from repro.obs import MetricsRegistry
 from tests.conftest import unique_keys
+from tests.test_group import reference_evaluate, reference_search_bit
 
 
 @pytest.fixture()
@@ -196,6 +199,240 @@ class TestIncumbentFirst:
                 setsep.apply_delta(delta)
         assert np.array_equal(setsep.indices, before[0])
         assert np.array_equal(setsep.arrays, before[1])
+
+
+def reference_rebuild(setsep, group_id, keys, values, removed_keys=()):
+    """One group recomputed as ``rebuild_group`` did before groups were
+    rebuilt in waves, the search replaced by the index-at-a-time
+    reference of ``tests.test_group``: what every job of a wave must equal,
+    delta, state and counters."""
+    params = setsep.params
+    keys = np.asarray(keys, dtype=np.uint64)
+    values = [int(v) for v in values]
+    was_failed = bool(setsep.failed_groups[group_id])
+    incumbent = None if was_failed else setsep.indices[group_id].tolist()
+    g1, g2 = base_hashes(keys)
+    functions = []
+    for bit in range(params.value_bits):
+        bits = [(value >> bit) & 1 for value in values]
+        array = None
+        if incumbent is not None and len(keys) and (
+            incumbent[bit] < params.max_index
+        ):
+            array = reference_evaluate(
+                g1, g2, bits, incumbent[bit], params.array_bits
+            )
+        functions.append(
+            group_search.GroupFunction(incumbent[bit], array, 1)
+            if array is not None else reference_search_bit(
+                g1, g2, bits, params.array_bits, params.max_index
+            )
+        )
+    setsep._m_rebuilds.inc()
+    kept = 0
+    if None in functions:
+        setsep._m_rebuild_failures.inc()
+    elif incumbent is not None:
+        kept = sum(f.index == i for f, i in zip(functions, incumbent))
+    setsep._m_bits_kept.inc(kept)
+    setsep._m_bits_searched.inc(params.value_bits - kept)
+    removals = [int(k) for k in removed_keys]
+    if None not in functions:
+        if was_failed:
+            removals += keys.tolist()
+        delta = GroupDelta(
+            group_id, False, tuple(f.index for f in functions),
+            tuple(f.array for f in functions), (), tuple(removals),
+        )
+    else:
+        delta = GroupDelta(
+            group_id, True, (0,) * params.value_bits, (0,) * params.value_bits,
+            tuple(zip(keys.tolist(), values)), tuple(removals),
+        )
+    setsep.apply_delta(delta)
+    return delta
+
+
+#: 700 keys over one block at 63 candidate indices: 13 of the 64 groups
+#: start failed, and edits make groups keep, search, spill and separate.
+TIGHT = SetSepParams(index_bits=6, array_bits=8, value_bits=2)
+
+
+@pytest.fixture(scope="module")
+def tight():
+    """A tight SetSep, its contents, and spare keys by group."""
+    keys = unique_keys(700, seed=41)
+    values = (keys % 4).astype(np.uint32)
+    setsep, _ = build(keys, values, TIGHT)
+    spare = unique_keys(3_000, seed=42, low=2**62, high=2**63)
+    by_group = {}
+    for key, group in zip(spare.tolist(), setsep.groups_of(spare).tolist()):
+        by_group.setdefault(group, []).append(key)
+    return setsep, keys, values, by_group
+
+
+def group_job(setsep, keys, values, group, edit, spare, value=1):
+    """A ``(group, keys, values, removed)`` job: the group's contents as
+    they are (``same``), without their last key (``drop``), with their
+    first value changed (``revalue``), with a spare key (``add``), or
+    none left (``empty``)."""
+    member = setsep.groups_of(keys) == group
+    members, nodes = keys[member], values[member].copy()
+    removed = ()
+    if edit == "drop" and len(members):
+        removed = (int(members[-1]),)
+        members, nodes = members[:-1], nodes[:-1]
+    elif edit == "revalue" and len(members):
+        nodes[0] = (nodes[0] + value) % 4
+    elif edit == "add":
+        members = np.append(members, np.uint64(spare[group][0]))
+        nodes = np.append(nodes, np.uint32(value))
+    elif edit == "empty":
+        removed = tuple(members.tolist())
+        members, nodes = members[:0], nodes[:0]
+    return group, members, nodes, removed
+
+
+def two_replicas(setsep):
+    """Two copies of ``setsep``, each counting into its own registry."""
+    pair = []
+    for _ in range(2):
+        replica, registry = setsep.copy(), MetricsRegistry()
+        replica.bind_registry(registry)
+        pair.append((replica, registry))
+    return pair
+
+
+def same_state(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a.state(), b.state())) and (
+        sorted(a.fallback.items()) == sorted(b.fallback.items())
+    )
+
+
+class TestRebuildGroups:
+    """A wave of groups recomputed in one pass equals one rebuild each."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_wave_equals_one_rebuild_per_job_in_order(self, tight, data):
+        setsep, keys, values, spare = tight
+        groups = data.draw(st.lists(
+            st.integers(0, setsep.num_groups - 1),
+            min_size=1, max_size=8, unique=True,
+        ))
+        jobs = [
+            group_job(
+                setsep, keys, values, group,
+                data.draw(st.sampled_from(
+                    ["same", "drop", "revalue", "add", "empty"]
+                )),
+                spare, data.draw(st.integers(1, 3)),
+            )
+            for group in groups
+        ]
+        (wave, counted), (single, expected) = two_replicas(setsep)
+        deltas = wave.rebuild_groups(jobs)
+        assert deltas == [reference_rebuild(single, *job) for job in jobs]
+        assert same_state(wave, single)
+        assert counted.counters() == expected.counters()
+
+    def test_every_kind_of_group_in_one_wave(self, tight):
+        """Kept, searched, spilled, separated again and empty, together."""
+        setsep, keys, values, spare = tight
+        failed = np.flatnonzero(setsep.failed_groups).tolist()
+        separated = np.flatnonzero(~setsep.failed_groups).tolist()
+        # A failed group that separates once a few of its keys are gone.
+        member = setsep.groups_of(keys) == failed[0]
+        members, nodes = keys[member], values[member]
+        while group_search.search_group(
+            *base_hashes(members), nodes, TIGHT
+        ) is None:
+            members, nodes = members[:-1], nodes[:-1]
+        jobs = [
+            group_job(setsep, keys, values, separated[0], "same", spare),
+            group_job(setsep, keys, values, separated[1], "empty", spare),
+            (failed[0], members, nodes, ()),
+            group_job(setsep, keys, values, failed[1], "same", spare),
+        ] + [
+            group_job(setsep, keys, values, group, "revalue", spare)
+            for group in separated[2:12]
+        ]
+        (wave, counted), (single, expected) = two_replicas(setsep)
+        deltas = wave.rebuild_groups(jobs)
+        assert deltas == [reference_rebuild(single, *job) for job in jobs]
+        assert same_state(wave, single)
+        counters = counted.counters()
+        assert counters == expected.counters()
+        assert counters["setsep.incumbent_bits_kept"] > 0
+        assert counters["setsep.bits_searched"] > 2  # not only the spills
+        assert counters["setsep.group_rebuild_failures"] == sum(
+            delta.failed for delta in deltas
+        )
+        assert deltas[1].indices == (0, 0) and not deltas[1].fallback_upserts
+        assert not deltas[2].failed and set(members.tolist()) <= set(
+            deltas[2].fallback_removals
+        )
+        assert deltas[3].failed
+
+    def test_each_record_invalidates_its_group_in_the_hot_cache(self):
+        keys = unique_keys(2_000, seed=43)
+        gpt, _ = GlobalPartitionTable.build(
+            keys, (keys % 4).astype(np.uint32), 4, backend="setsep"
+        )
+        cache = gpt.attach_cache(4096)
+        gpt.lookup_batch(keys)
+        groups = gpt.setsep.groups_of(keys)
+        wave = np.unique(groups)[[3, 1, 7]].tolist()
+        jobs = []
+        for group in wave:
+            members = keys[groups == group]
+            jobs.append((group, members, (members + 1) % 4, ()))
+        invalidated = []
+        invalidate = cache.invalidate_group
+        cache.invalidate_group = lambda group: (
+            invalidated.append(group) or invalidate(group)
+        )
+        records = gpt.rebuild_groups(jobs)
+        assert invalidated == [r.group_id for r in records] == wave
+        for group, members, nodes, _ in jobs:
+            assert gpt.lookup_batch(members).tolist() == nodes.tolist()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({0: -1}, "group id -1 out of range"),
+            ({0: "num_groups"}, "out of range"),
+            ({2: 4}, "position 2 holds 4"),
+            ({0: "repeat"}, "named twice"),
+        ],
+    )
+    def test_bad_input_refused_before_anything_moves(self, tight, bad, message):
+        """The second job is bad: the first is not applied either."""
+        setsep, keys, values, spare = tight
+        (replica, registry), _ = two_replicas(setsep)
+        groups = np.flatnonzero(~setsep.failed_groups)[:3].tolist()
+        jobs = [
+            group_job(setsep, keys, values, group, "revalue", spare)
+            for group in groups
+        ]
+        (where, what), = bad.items()
+        group, members, nodes, removed = jobs[1]
+        if what == "repeat":
+            group = groups[0]
+        elif what == "num_groups":
+            group = setsep.num_groups
+        elif where == 0:
+            group = what
+        else:
+            nodes = nodes.astype(np.int64)
+            nodes[where] = what
+        jobs[1] = (group, members, nodes, removed)
+        before = [a.copy() for a in replica.state()]
+        with pytest.raises(ValueError, match=message):
+            replica.rebuild_groups(jobs)
+        assert all(np.array_equal(a, b) for a, b in zip(replica.state(), before))
+        assert sorted(replica.fallback.items()) == sorted(setsep.fallback.items())
+        assert not any(registry.counters().values())
 
 
 class TestDeltaReplication:

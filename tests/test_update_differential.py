@@ -24,7 +24,7 @@ from repro.chaos.transport import (
 )
 from repro.cluster.architectures import Architecture
 from repro.cluster.owner import (
-    ACCOUNT_FIELDS, UpdateAccount, apply_records, owner_step,
+    ACCOUNT_FIELDS, UpdateAccount, apply_records, owner_batch, owner_step,
 )
 from repro.cluster.rib import RoutingInformationBase
 from repro.core import group as group_search
@@ -37,15 +37,16 @@ from repro.epc.gateway import EpcGateway
 from repro.epc.packets import parse_ip
 from repro.epc.traffic import FlowGenerator
 from repro.gpt.gpt import GlobalPartitionTable
+from repro.obs.metrics import MetricsRegistry
 from repro.othello.params import OthelloParams
 from repro.othello.update import OthelloUpdate
 from repro.runtime.controller import RuntimeController
 from repro.runtime.daemon import NodeDaemon
 from repro.runtime.deltalog import DeltaLog
 from repro.runtime.protocol import (
-    MSG_DELTA, MSG_DOWN, MSG_FLUSH, MSG_STATE_REF, MSG_STATUS, MSG_UPDATE,
-    OP_INSERT, OP_REMOVE, RSP_ERR, RSP_OK, UpdateOp, decode_json,
-    encode_json, encode_state, encode_updates,
+    MSG_ADOPT, MSG_DELTA, MSG_DOWN, MSG_FLUSH, MSG_STATE_REF, MSG_STATUS,
+    MSG_UPDATE, OP_INSERT, OP_REMOVE, RSP_ERR, RSP_OK, RSP_UPDATE, UpdateOp,
+    decode_json, encode_json, encode_state, encode_updates,
 )
 from tests.conftest import brute_force_contents, unique_keys
 from tests.test_bits import reference_pack
@@ -66,6 +67,20 @@ def wire_up(gateway):
         daemon._peer_request = dispatch
     controller.bootstrap_from_gateway(gateway)
     return controller, daemons
+
+
+def daemon_states(daemons):
+    """Everything an update can move on each daemon, transport counters
+    aside."""
+    return [
+        (serialize.fingerprint(d.gpt.setsep), dict(d.fib),
+         list(d.slice.entries()), len(d._delayed_deltas), {
+             name: count
+             for name, count in d.registry.counters().items()
+             if not name.startswith("runtime.rx.")
+         })
+        for d in daemons
+    ]
 
 
 def started_gateway(nodes, bearers, seed, **gpt_overrides):
@@ -230,7 +245,8 @@ class TestDaemonSlice:
         separator = daemon.gpt.setsep
         assert len(daemon.slice) == len(model)
         for group in range(separator.num_groups):
-            assert daemon.slice.group_contents(group, separator) == (
+            keys, nodes = daemon.slice.group_contents(group, separator)
+            assert (keys.tolist(), nodes.tolist()) == (
                 brute_force_contents(model, separator, group)
             )
 
@@ -247,19 +263,7 @@ class TestDaemonSlice:
             f.key() for f in generator.flows(50)
             if owner.slice.owner_of_key(f.key()) == 0
         )
-
-        def state():
-            return [
-                (serialize.fingerprint(d.gpt.setsep), dict(d.fib),
-                 list(d.slice.entries()), len(d._delayed_deltas), {
-                     name: count
-                     for name, count in d.registry.counters().items()
-                     if not name.startswith("runtime.rx.")
-                 })
-                for d in daemons
-            ]
-
-        before = state()
+        before = daemon_states(daemons)
         batch = [
             UpdateOp(OP_INSERT, fresh, 1, 77),
             UpdateOp(OP_REMOVE, owned[0]),
@@ -272,7 +276,38 @@ class TestDaemonSlice:
         assert "out of range" in decode_json(rsp)["error"]
         assert owner.slice.get(fresh) is None
         assert owner.slice.get(owned[0]) is not None
-        assert before == state()
+        assert before == daemon_states(daemons)
+
+    @pytest.mark.parametrize("foreign_alone", [False, True])
+    def test_an_update_for_another_nodes_block_is_refused(self, foreign_alone):
+        """Node 0 rebuilding a group of node 1's block from its own slice,
+        which holds none of the group's keys, would ship a record that
+        misroutes them: the daemon refuses the batch before any of it
+        applies, until node 1 is down and its blocks pass to node 0."""
+        gateway, generator, flows = started_gateway(2, 2_000, seed=5)
+        controller, daemons = wire_up(gateway)
+        owners = {f.key(): daemons[0].slice.owner_of_key(f.key()) for f in flows}
+        owned = next(key for key, node in owners.items() if node == 0)
+        foreign = next(key for key, node in owners.items() if node == 1)
+        batch = [
+            UpdateOp(OP_REMOVE, owned),
+            UpdateOp(OP_INSERT, foreign, 0, 77),
+        ]
+        before = daemon_states(daemons)
+        rsp_type, rsp = daemons[0]._dispatch(
+            MSG_UPDATE, encode_updates(batch[1:] if foreign_alone else batch)
+        )
+        assert rsp_type == RSP_ERR
+        assert "which node 1 owns, not node 0" in decode_json(rsp)["error"]
+        assert before == daemon_states(daemons)
+        # The repair's order: the successor adopts the slice, then learns
+        # the down set; from then on the block is its own.
+        orphaned = controller._headers(gateway)[1]["rib"]
+        daemons[0]._dispatch(MSG_ADOPT, encode_json({"entries": orphaned}))
+        daemons[0]._dispatch(MSG_DOWN, encode_json({"down": [1]}))
+        rsp_type, _ = daemons[0]._dispatch(MSG_UPDATE, encode_updates(batch))
+        assert rsp_type == RSP_UPDATE
+        assert daemons[0].gpt.lookup(foreign) == 0
 
 
 class TestCore:
@@ -333,12 +368,11 @@ class TestCore:
         for group in range(separator.num_groups):
             members, nodes = rib.group_contents(group, separator)
             scratch = group_search.search_group(
-                *base_hashes(np.array(members, dtype=np.uint64)),
-                np.array(nodes, dtype=np.uint32), params,
+                *base_hashes(members), nodes, params,
             )
             assert bool(separator.failed_groups[group]) == (scratch is None)
             if scratch is None:
-                spilled.update(zip(members, nodes))
+                spilled.update(zip(members.tolist(), nodes.tolist()))
         assert dict(separator.fallback.items()) == spilled
         # Rebuilding every group from what the slice now holds changes
         # nothing: the history of updates may have chosen the indices,
@@ -373,6 +407,212 @@ class TestCore:
         assert moved and serialize.fingerprint(gpt.setsep) != built
         live = np.fromiter(model, dtype=np.uint64, count=len(model))
         assert gpt.lookup_batch(live).tolist() == list(model.values())
+
+
+#: Live keys of the owner-batch differential, and spare keys beyond them.
+BATCH_POOL = unique_keys(3_000, seed=19)
+BATCH_LIVE = 2_400
+
+
+@pytest.fixture(scope="module", params=separator_registry.BACKENDS)
+def batch_owner(request):
+    """A 3-node GPT over ``BATCH_LIVE`` keys and the slice it was built
+    from; SetSep at 127 candidate indices, so some groups spill."""
+    backend = request.param
+    live = BATCH_POOL[:BATCH_LIVE].tolist()
+    overrides = {"index_bits": 7} if backend == "setsep" else {}
+    params = separator_registry.params_for_cluster(3, backend, **overrides)
+    gpt, _ = GlobalPartitionTable.build(
+        live, [key % 3 for key in live], 3, params=params, backend=backend
+    )
+    return gpt, [(key, key % 3) for key in live]
+
+
+def owner_replicas(built):
+    """Two identical owners — slice, replica, one registry each."""
+    gpt, entries = built
+    owners = []
+    for _ in range(2):
+        registry = MetricsRegistry()
+        replica = gpt.copy()
+        replica.setsep.bind_registry(registry)
+        rib = RoutingInformationBase(
+            3, replica.setsep.num_blocks, registry=registry
+        )
+        for key, node in entries:
+            rib.insert(key, node, 0)
+        owners.append((rib, replica, registry))
+    return owners
+
+
+def batch_against_steps(built, ops):
+    """Run ``ops`` — ``(key, node or None, value)`` — through
+    ``owner_batch`` on one owner and ``owner_step`` per op on another,
+    require equal results, and return the batch's steps, its waves (the
+    group count of each ``rebuild_groups`` call) and its owner."""
+    (rib, gpt, counted), (rib1, gpt1, counted1) = owner_replicas(built)
+    peer, peer1 = gpt.copy(), gpt1.copy()
+    updates = [(key, rib.bucket_of(key), node, value) for key, node, value in ops]
+    waves = []
+    rebuild_groups = gpt.rebuild_groups
+    gpt.rebuild_groups = lambda jobs: (
+        waves.append(len(jobs)) or rebuild_groups(jobs)
+    )
+    acc, acc1 = UpdateAccount(), UpdateAccount()
+    batched = owner_batch(rib, gpt, acc, updates)
+    one_at_a_time = [owner_step(rib1, gpt1, acc1, *update) for update in updates]
+    # Every step — FIB messages, record bytes, size — in op order.
+    assert batched == one_at_a_time
+    assert acc == acc1
+    assert sum(waves) == acc.groups_rebuilt
+    # The same slice, key order included, and the same group contents.
+    assert list(rib.entries()) == list(rib1.entries())
+    separator = gpt.setsep
+    for group in {separator.group_of_bucket(u[1]) for u in updates}:
+        keys, nodes = rib.group_contents(group, separator)
+        keys1, nodes1 = rib1.group_contents(group, gpt1.setsep)
+        assert (keys.tolist(), nodes.tolist()) == (
+            keys1.tolist(), nodes1.tolist()
+        )
+    # The same replica on both owners and on a peer of each.
+    for steps, replica in ((batched, peer), (one_at_a_time, peer1)):
+        apply_records(replica, b"".join(s.wire for s in steps if s))
+    assert len({
+        serialize.fingerprint(g.setsep) for g in (gpt, gpt1, peer, peer1)
+    }) == 1
+    assert counted.counters() == counted1.counters()
+    return batched, waves, (rib, gpt)
+
+
+class TestOwnerBatch:
+    """``owner_batch`` equals ``owner_step`` per op, on both backends."""
+
+    @given(ops=st.lists(
+        st.tuples(
+            st.booleans(),
+            st.one_of(st.integers(0, len(BATCH_POOL) - 1), st.integers(0, 40)),
+            st.integers(0, 2),
+        ),
+        max_size=40,
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_one_at_a_time(self, batch_owner, ops):
+        batch_against_steps(batch_owner, [
+            (int(BATCH_POOL[index]), node if insert else None, index)
+            for insert, index, node in ops
+        ])
+
+    @staticmethod
+    def by_group(built, live=True):
+        """The live or the spare keys, by group, the fullest first."""
+        gpt, _ = built
+        pool = BATCH_POOL[:BATCH_LIVE] if live else BATCH_POOL[BATCH_LIVE:]
+        groups = gpt.setsep.groups_of(pool)
+        sizes = np.bincount(groups)
+        return [
+            pool[groups == group].tolist()
+            for group in np.argsort(-sizes, kind="stable") if sizes[group]
+        ]
+
+    def test_a_group_touched_twice_flushes_a_wave(self, batch_owner):
+        (first, second, *_), (other, *_), *_ = self.by_group(batch_owner)
+        _, waves, _ = batch_against_steps(batch_owner, [
+            (other, 1, 0), (first, 2, 0), (second, 2, 0), (first, None, 0),
+        ])
+        assert waves == [2, 1, 1]
+
+    def test_insert_then_remove_of_one_key(self, batch_owner):
+        (fresh, *_), *_ = self.by_group(batch_owner, live=False)
+        steps, waves, _ = batch_against_steps(
+            batch_owner, [(fresh, 1, 5), (fresh, None, 0)]
+        )
+        assert [s.fib_ops[0][1] is None for s in steps] == [False, True]
+        assert waves == [1, 1]
+
+    def test_removal_of_an_unknown_key_is_no_step(self, batch_owner):
+        (unknown, *_), *_ = self.by_group(batch_owner, live=False)
+        (live, *_), *_ = self.by_group(batch_owner)
+        steps, waves, _ = batch_against_steps(
+            batch_owner, [(unknown, None, 0), (live, 0, 3), (unknown, None, 0)]
+        )
+        assert steps[0] is None and steps[2] is None and waves == [1]
+
+    def test_a_group_emptied_by_removals(self, batch_owner):
+        *_, others, smallest = self.by_group(batch_owner)
+        ops = []
+        for index, key in enumerate(smallest):
+            ops += [(key, None, 0), (others[index % len(others)], 1, index)]
+        _, waves, (rib, gpt) = batch_against_steps(batch_owner, ops)
+        group = gpt.setsep.group_of(smallest[0])
+        assert rib.group_contents(group, gpt.setsep)[0].size == 0
+        assert len(waves) < len(ops)
+
+    @pytest.mark.parametrize("batch_owner", ["setsep"], indirect=True)
+    def test_a_group_that_spills_then_separates_again(self, batch_owner):
+        gpt, entries = batch_owner
+        separator = gpt.setsep
+        rib = RoutingInformationBase(3, separator.num_blocks)
+        for key, node in entries:
+            rib.insert(key, node, 0)
+        # A spare key whose arrival leaves no index that separates its
+        # group (failure is a function of the contents alone).
+        for spill in BATCH_POOL[BATCH_LIVE:].tolist():
+            group = separator.group_of(spill)
+            keys, nodes = rib.group_contents(group, separator)
+            if separator.failed_groups[group] or group_search.search_group(
+                *base_hashes(np.append(keys, np.uint64(spill))),
+                np.append(nodes, np.uint32(2)), separator.params,
+            ) is not None:
+                continue
+            steps, waves, _ = batch_against_steps(
+                batch_owner, [(spill, 2, 0), (spill, None, 0)]
+            )
+            records = [GroupDelta.from_wire_bytes(s.wire)[0] for s in steps]
+            assert [r.failed for r in records] == [True, False]
+            assert waves == [1, 1]
+            return
+        pytest.fail("no spare key spills its group")
+
+    def test_a_fault_plan_over_a_batched_ship(self):
+        """The same DROP/DELAY plan, one ``MSG_UPDATE`` per owner against
+        one per op (owner by owner, as the controller ships a batch):
+        the same verdicts land on the same records."""
+        worlds = []
+        for _ in range(2):
+            gateway, generator, flows = started_gateway(3, 600, seed=23)
+            controller, daemons = wire_up(gateway)
+            for node in range(3):
+                controller.arm_faults(
+                    node, {DROP: {"delta": 2}, DELAY: {"delta": 3}}
+                )
+            worlds.append((controller, daemons))
+        fresh = [f.key() for f in generator.flows(8)]
+        ops = [UpdateOp(OP_INSERT, key, i % 3, i, 7) for i, key in enumerate(fresh)]
+        ops += [UpdateOp(OP_REMOVE, f.key()) for f in flows[:8]]
+        ops += [UpdateOp(OP_INSERT, f.key(), 1, 9, 7) for f in flows[8:16]]
+        ops += [UpdateOp(OP_REMOVE, key) for key in fresh[:3]]
+        ops += [UpdateOp(OP_REMOVE, fresh[0])]  # unknown by now
+        (batched, batched_daemons), (single, single_daemons) = worlds
+        totals = batched.push_updates(ops)
+        by_owner = {}
+        for op in ops:
+            by_owner.setdefault(single.owner_of_key(op.key), []).append(op)
+        totals1 = dict.fromkeys(ACCOUNT_FIELDS, 0)
+        for owner in sorted(by_owner):
+            for op in by_owner[owner]:
+                for name, value in single.push_updates([op]).items():
+                    totals1[name] += value
+        assert totals == totals1
+        assert totals["deltas_dropped"] and totals["deltas_delayed"]
+        assert batched.deltalog.records() == single.deltalog.records()
+        assert [d._delayed_deltas for d in batched_daemons] == [
+            d._delayed_deltas for d in single_daemons
+        ]
+        assert daemon_states(batched_daemons) == daemon_states(single_daemons)
+        for controller in (batched, single):
+            for node in range(3):
+                controller.flush_node(node)
+        assert daemon_states(batched_daemons) == daemon_states(single_daemons)
 
 
 class TestNothingPartlyApplied:
