@@ -139,21 +139,31 @@ class ParsedBatch:
 
 
 def parse_frames(frames: Sequence[bytes]) -> ParsedBatch:
-    """Parse raw Ethernet/IPv4 frames into column arrays.
+    """Parse raw Ethernet/IPv4 frames into column arrays
+    (:func:`parse_buffer` over the frames joined end to end)."""
+    offsets = np.zeros(len(frames) + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter(map(len, frames), dtype=np.int64, count=len(frames)),
+        out=offsets[1:],
+    )
+    return parse_buffer(b"".join(frames), offsets)
 
-    One gather for the whole batch: every frame's 20 header bytes and L4
+
+def parse_buffer(raw: bytes, offsets: np.ndarray) -> ParsedBatch:
+    """Parse frames laid end to end in ``raw`` into column arrays.
+
+    Frame ``i`` is ``raw[offsets[i]:offsets[i + 1]]``; ``offsets`` is an
+    ascending int64 array of ``n + 1`` entries ending at ``len(raw)``
+    (what :func:`repro.runtime.framing.frame_columns` returns).  One
+    gather for the whole batch: every frame's 20 header bytes and L4
     ports become one row of an ``(n, 24)`` byte matrix, fields are read
     through big-endian views of it, the IPv4 checksum is verified as ten
     u16 word columns, and the flow key is computed once per *distinct*
     5-tuple (frames of one flow share the BLAKE2b digest).
     """
-    n = len(frames)
-    raw = b"".join(frames)
-    lengths = np.fromiter(map(len, frames), dtype=np.int64, count=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
+    n = offsets.size - 1
     buf = np.frombuffer(raw, dtype=np.uint8)
-    l3_len = lengths - ETH_SIZE
+    l3_len = offsets[1:] - (offsets[:-1] + ETH_SIZE)
 
     # A frame shorter than the gather reads into its neighbour, and the
     # last one is clipped to the buffer: what lies past a frame's own end
@@ -205,7 +215,7 @@ def parse_frames(frames: Sequence[bytes]) -> ParsedBatch:
     spilled = np.nonzero(spill)[0].tolist()
     for i in spilled:
         try:
-            _eth, l3 = parse_frame(frames[i])
+            _eth, l3 = parse_frame(raw[offsets[i]:offsets[i + 1]])
             flow, header, _rest = extract_forwardable(l3, MAX_INNER)
         except ValueError:
             malformed[i] = True

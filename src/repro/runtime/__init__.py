@@ -42,9 +42,9 @@ from repro.runtime.daemon import NodeDaemon, serve
 from repro.runtime.framing import (
     FramedSocket,
     FramingError,
+    frame_columns,
     pack_frame_list,
     pack_message,
-    unpack_frame_list,
 )
 from repro.runtime.launcher import (
     LocalRuntime,
@@ -82,9 +82,9 @@ __all__ = [
     "serve",
     "FramedSocket",
     "FramingError",
+    "frame_columns",
     "pack_frame_list",
     "pack_message",
-    "unpack_frame_list",
     "LocalRuntime",
     "report_json",
     "run_demo",

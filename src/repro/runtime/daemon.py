@@ -23,7 +23,8 @@ listener instead of Python method calls:
   parsed by the vectorised codec, looked up in the local GPT replica and
   either handled here or forwarded once to the handling daemon
   (``MSG_FORWARD``) — never more than one internal hop, the paper's
-  core forwarding property.
+  core forwarding property.  The forwards are posted first, so the
+  handlers work while this daemon handles its own frames.
 
 The daemon is single-threaded and event-driven; determinism comes from
 the controller serialising its requests and from the owner completing
@@ -36,7 +37,7 @@ socket boundary for delta ships and forwarded frames.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from repro.epc import fastpath
 from repro.gpt.gpt import GlobalPartitionTable
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import protocol, transport
-from repro.runtime.framing import FramingError, pack_frame_list, unpack_frame_list
+from repro.runtime.framing import FramingError, frame_columns, pack_frame_list
 from repro.runtime.protocol import (
     MSG_ADOPT,
     MSG_CLAIM,
@@ -74,7 +75,6 @@ from repro.runtime.protocol import (
     RSP_ROUTE,
     RSP_STATUS,
     RSP_UPDATE,
-    RouteOutcome,
     STATUS_DELIVERED,
     STATUS_LOST,
     STATUS_MALFORMED,
@@ -237,15 +237,16 @@ class NodeDaemon:
     # Peer links
     # ------------------------------------------------------------------
 
-    def _peer_request(
+    def _peer_post(
         self, node_id: int, msg_type: int, payload: bytes
-    ) -> Tuple[int, bytes]:
-        """Request/response with a peer; a dead link is dropped and raised.
+    ) -> Callable[[], Tuple[int, bytes]]:
+        """Send a request to a peer; the returned ``collect()`` reads the
+        reply.  A dead link is dropped and raised, by either half.
 
         Every peer send goes through here (the socket-less test harnesses
         replace this one method).
         """
-        return self.peers.request(node_id, msg_type, payload)
+        return self.peers.post(node_id, msg_type, payload)
 
     # ------------------------------------------------------------------
     # Control plane handlers
@@ -422,7 +423,7 @@ class NodeDaemon:
 
     def _ship(self, peer: int, msg_type: int, payload: bytes) -> None:
         """One acknowledged control message to a peer daemon."""
-        rsp_type, rsp = self._peer_request(peer, msg_type, payload)
+        rsp_type, rsp = self._peer_post(peer, msg_type, payload)()
         protocol.expect(rsp_type, RSP_OK, rsp)
 
     def _on_update(self, payload: bytes) -> Tuple[int, bytes]:
@@ -530,7 +531,7 @@ class NodeDaemon:
         for peer, frame_payload in forwards:
             # Late delivery: the handler charges and encapsulates, but
             # the original ROUTE response already went out without it.
-            self._peer_request(peer, MSG_FORWARD, frame_payload)
+            self._peer_post(peer, MSG_FORWARD, frame_payload)()
         return RSP_OK, protocol.encode_json({
             "flushed_deltas": acc.delta_broadcasts,
             "flushed_forwards": len(forwards),
@@ -544,103 +545,159 @@ class NodeDaemon:
 
     def _handle_frames(
         self, parsed: fastpath.ParsedBatch, rows: np.ndarray
-    ) -> List[RouteOutcome]:
+    ) -> Tuple[np.ndarray, np.ndarray, List[bytes]]:
         """Terminal handling of the parsed frames ``rows`` selects: FIB
-        check, charge, GTP-U encapsulation.  Outcomes align with ``rows``.
+        check, charge, GTP-U encapsulation.  Returns ``(status, teid,
+        packets)`` columns aligned with ``rows``, the packet ``b""``
+        where none was delivered.
         """
         assert self.gpt is not None, "frames before snapshot"
-        outcomes: List[Optional[RouteOutcome]] = [None] * rows.size
-        malformed = parsed.malformed[rows]
-        for pos in np.nonzero(malformed)[0].tolist():
-            outcomes[pos] = RouteOutcome(STATUS_MALFORMED, -1, 0, None)
-        valid_pos = np.nonzero(~malformed)[0]
+        # One-sided error is the default: the GPT pointed here, and a key
+        # the exact FIB does not hold stays rejected (§3.2).
+        status = np.where(
+            parsed.malformed[rows], STATUS_MALFORMED, STATUS_UNKNOWN
+        )
+        teid = np.zeros(rows.size, dtype=np.int64)
+        packets = [b""] * rows.size
+        valid_pos = np.nonzero(status == STATUS_UNKNOWN)[0]
         accepted_pos: List[int] = []
         teids: List[int] = []
         bs_ips: List[int] = []
         for pos, key in zip(
             valid_pos.tolist(), parsed.keys[rows[valid_pos]].tolist()
         ):
-            teid = self.fib.get(key)
-            if teid is None:
-                # One-sided error: the GPT pointed here, the exact FIB
-                # says otherwise — reject (§3.2).
-                outcomes[pos] = RouteOutcome(
-                    STATUS_UNKNOWN, self.node_id, 0, None
-                )
-                continue
-            accepted_pos.append(pos)
-            teids.append(teid)
-            bs_ips.append(self.bs.get(key, 0))
+            value = self.fib.get(key)
+            if value is not None:
+                accepted_pos.append(pos)
+                teids.append(value)
+                bs_ips.append(self.bs.get(key, 0))
         if accepted_pos:
             idx = rows[accepted_pos]
-            for teid, size in zip(teids, parsed.l3_len[idx].tolist()):
-                self.charges[teid] = self.charges.get(teid, 0) + size
+            for value, size in zip(teids, parsed.l3_len[idx].tolist()):
+                self.charges[value] = self.charges.get(value, 0) + size
             tunnelled = fastpath.encapsulate_batch(
                 parsed, idx, np.asarray(teids, dtype=np.int64),
                 np.asarray(bs_ips, dtype=np.int64), self.gateway_ip,
             )
-            for pos, teid, packet in zip(accepted_pos, teids, tunnelled):
-                outcomes[pos] = RouteOutcome(
-                    STATUS_DELIVERED, self.node_id, teid, packet
-                )
-        return outcomes  # type: ignore[return-value]
+            status[accepted_pos] = STATUS_DELIVERED
+            teid[accepted_pos] = teids
+            for pos, packet in zip(accepted_pos, tunnelled):
+                packets[pos] = packet
+        return status, teid, packets
 
     def _on_forward(self, payload: bytes) -> Tuple[int, bytes]:
-        frames, _ = unpack_frame_list(payload)
-        self._c_frames_received.inc(len(frames))
-        outcomes = self._handle_frames(
-            fastpath.parse_frames(frames), np.arange(len(frames))
+        raw, offsets = frame_columns(payload)
+        count = offsets.size - 1
+        self._c_frames_received.inc(count)
+        status, teid, packets = self._handle_frames(
+            fastpath.parse_buffer(raw, offsets), np.arange(count)
         )
-        return RSP_FORWARD, protocol.encode_outcomes(outcomes)
+        handler = np.where(status == STATUS_MALFORMED, -1, self.node_id)
+        return RSP_FORWARD, protocol.encode_outcome_columns(
+            status, handler, teid, packets
+        )
 
     def _on_route(self, payload: bytes) -> Tuple[int, bytes]:
-        """Ingress role: parse once, GPT lookup, handle locally or forward
-        once."""
+        """Ingress role: parse once, GPT lookup, then post every forward,
+        handle the local frames while the handlers work, and collect."""
         assert self.gpt is not None, "route before snapshot"
-        frames, _ = unpack_frame_list(payload)
-        parsed = fastpath.parse_frames(frames)
-        outcomes: List[Optional[RouteOutcome]] = [None] * len(frames)
-        for i in np.nonzero(parsed.malformed)[0].tolist():
-            outcomes[i] = RouteOutcome(STATUS_MALFORMED, -1, 0, None)
+        raw, offsets = frame_columns(payload)
+        parsed = fastpath.parse_buffer(raw, offsets)
+        status = np.full(parsed.n, STATUS_MALFORMED, dtype=np.int64)
+        handler = np.full(parsed.n, -1, dtype=np.int64)
+        teid = np.zeros(parsed.n, dtype=np.int64)
+        packets = [b""] * parsed.n
         valid_idx = np.nonzero(parsed.valid)[0]
+        local: Optional[np.ndarray] = None
+        pending = []
         if valid_idx.size:
             handlers = self.gpt.lookup_batch(parsed.keys[valid_idx])
-            for handler in np.unique(handlers).tolist():
-                rows = valid_idx[handlers == handler]
-                if handler == self.node_id:
-                    self._c_frames_local.inc(rows.size)
-                    handled = self._handle_frames(parsed, rows)
-                else:
-                    handled = self._forward(
-                        handler, [frames[i] for i in rows.tolist()]
+            handler[valid_idx] = handlers
+            # Ascending handler order: fault verdicts are drawn in it.
+            for node in np.unique(handlers).tolist():
+                rows = valid_idx[handlers == node]
+                if node == self.node_id:
+                    local = rows
+                    continue
+                frames = [
+                    raw[start:end] for start, end in zip(
+                        offsets[rows].tolist(), offsets[rows + 1].tolist()
                     )
-                for i, outcome in zip(rows.tolist(), handled):
-                    outcomes[i] = outcome
-        return RSP_ROUTE, protocol.encode_outcomes(outcomes)
+                ]
+                pending.append((rows, self._forward(node, frames)))
+        try:
+            if local is not None:
+                self._c_frames_local.inc(local.size)
+                local_status, local_teid, handled = self._handle_frames(
+                    parsed, local
+                )
+                status[local] = local_status
+                teid[local] = local_teid
+                for i, packet in zip(local.tolist(), handled):
+                    packets[i] = packet
+        finally:
+            # Every posted forward is collected, so no link is left with
+            # an unread reply.
+            replies = [(rows, collect()) for rows, collect in pending]
+        for rows, reply in replies:
+            if isinstance(reply, int):
+                status[rows] = reply
+                continue
+            rsp_type, rsp = reply
+            fwd_status, fwd_handler, fwd_teid, forwarded = (
+                protocol.decode_outcome_columns(
+                    protocol.expect(rsp_type, RSP_FORWARD, rsp)
+                )
+            )
+            if fwd_status.size != rows.size:
+                raise protocol.ProtocolError(
+                    f"forward reply has {fwd_status.size} outcomes for "
+                    f"{rows.size} frames"
+                )
+            status[rows] = fwd_status
+            handler[rows] = fwd_handler
+            teid[rows] = fwd_teid
+            for i, packet in zip(rows.tolist(), forwarded):
+                packets[i] = packet
+        return RSP_ROUTE, protocol.encode_outcome_columns(
+            status, handler, teid, packets
+        )
 
     def _forward(
         self, handler: int, frames: List[bytes]
-    ) -> List[RouteOutcome]:
-        """Ship a sub-batch to its handling daemon, honouring faults."""
+    ) -> Callable[[], Union[int, Tuple[int, bytes]]]:
+        """Post a sub-batch to its handling daemon, honouring faults.
+
+        The returned ``collect()`` gives the handler's reply, or the one
+        status every frame gets when no reply comes: ``LOST`` (the fault
+        plan dropped or delayed it) or ``NODE_DOWN`` (the link failed).
+        """
         payload = pack_frame_list(frames)
         verdict = self.faults.verdict("forward")
-        if verdict == tfaults.DROP:
-            return [RouteOutcome(STATUS_LOST, handler, 0, None)] * len(frames)
-        if verdict == tfaults.DELAY:
-            self._delayed_forwards.append((handler, payload))
-            return [RouteOutcome(STATUS_LOST, handler, 0, None)] * len(frames)
+        if verdict in (tfaults.DROP, tfaults.DELAY):
+            if verdict == tfaults.DELAY:
+                self._delayed_forwards.append((handler, payload))
+            return lambda: STATUS_LOST
         self._c_frames_forwarded.inc(len(frames))
         try:
-            rsp_type, rsp = self._peer_request(handler, MSG_FORWARD, payload)
-            body = protocol.expect(rsp_type, RSP_FORWARD, rsp)
-            if verdict == tfaults.DUPLICATE:
-                self._peer_request(handler, MSG_FORWARD, payload)
-            return protocol.decode_outcomes(body)
+            reply = self._peer_post(handler, MSG_FORWARD, payload)
         except (FramingError, OSError):
             # The handling daemon is gone; the fabric cannot deliver.
-            return [
-                RouteOutcome(STATUS_NODE_DOWN, handler, 0, None)
-            ] * len(frames)
+            return lambda: STATUS_NODE_DOWN
+
+        def collect() -> Union[int, Tuple[int, bytes]]:
+            try:
+                rsp_type, rsp = reply()
+            except (FramingError, OSError):
+                return STATUS_NODE_DOWN
+            if verdict == tfaults.DUPLICATE and rsp_type == RSP_FORWARD:
+                try:
+                    self._peer_post(handler, MSG_FORWARD, payload)()
+                except (FramingError, OSError):
+                    pass  # the first copy was delivered and charged
+            return rsp_type, rsp
+
+        return collect
 
 
 def serve(host: str = "127.0.0.1", port: int = 0,

@@ -19,8 +19,13 @@ import socket
 import struct
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 #: Message header: payload length including the type byte.
 LENGTH_HEADER = struct.Struct("<I")
+
+#: A frame list's leading frame count.
+_COUNT = struct.Struct("<I")
 
 #: Upper bound on one message (64 MiB) — a framing-error tripwire, not a
 #: capacity plan; a corrupt length prefix otherwise asks recv for gigabytes.
@@ -46,31 +51,38 @@ def pack_message(msg_type: int, payload: bytes = b"") -> bytes:
 
 
 def pack_frame_list(frames: Sequence[bytes]) -> bytes:
-    """``u32 n | n x (u32 len | bytes)`` — a batch of raw packet frames."""
-    parts = [struct.pack("<I", len(frames))]
-    for frame in frames:
-        parts.append(struct.pack("<I", len(frame)))
-        parts.append(frame)
-    return b"".join(parts)
+    """``u32 n | n x u32 len | frames end to end`` — a batch of raw
+    packet frames: a length table, then one blob."""
+    lengths = np.fromiter(map(len, frames), dtype="<u4", count=len(frames))
+    return b"".join([_COUNT.pack(len(frames)), lengths.tobytes(), *frames])
 
 
-def unpack_frame_list(payload: bytes, offset: int = 0) -> Tuple[List[bytes], int]:
-    """Inverse of :func:`pack_frame_list`; returns (frames, next_offset)."""
-    if offset + 4 > len(payload):
+def frame_columns(payload: bytes) -> Tuple[bytes, np.ndarray]:
+    """Inverse of :func:`pack_frame_list` as columns, with no ``bytes``
+    object per frame: ``(blob, offsets)``, frame ``i`` being
+    ``blob[offsets[i]:offsets[i + 1]]``.
+
+    Raises:
+        FramingError: the payload is cut short anywhere, or carries bytes
+            after the last frame.
+    """
+    if len(payload) < _COUNT.size:
         raise FramingError("frame list truncated in count")
-    (count,) = struct.unpack_from("<I", payload, offset)
-    offset += 4
-    frames: List[bytes] = []
-    for _ in range(count):
-        if offset + 4 > len(payload):
-            raise FramingError("frame list truncated in length")
-        (length,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        if offset + length > len(payload):
-            raise FramingError("frame list truncated in frame body")
-        frames.append(payload[offset:offset + length])
-        offset += length
-    return frames, offset
+    (count,) = _COUNT.unpack_from(payload, 0)
+    start = _COUNT.size + 4 * count
+    if start > len(payload):
+        raise FramingError("frame list truncated in length table")
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(
+        np.frombuffer(payload, dtype="<u4", count=count, offset=_COUNT.size),
+        dtype=np.int64, out=offsets[1:],
+    )
+    body = len(payload) - start
+    if offsets[-1] > body:
+        raise FramingError("frame list truncated in frame body")
+    if offsets[-1] < body:
+        raise FramingError("frame list has trailing bytes")
+    return payload[start:], offsets
 
 
 class FramedSocket:

@@ -16,7 +16,9 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 # ----------------------------------------------------------------------
 # Message types
@@ -197,12 +199,18 @@ REASON_TO_STATUS: Dict[str, int] = {
     "node_down": STATUS_NODE_DOWN,
 }
 
-#: One outcome header: status u8, handler i32, teid u32, out length u32.
-_OUTCOME_HEADER = struct.Struct("<BiII")
+#: One outcome's header row, packed: status u8, handler i32, teid u32,
+#: packet length u32 (13 bytes).
+OUTCOME_DTYPE = np.dtype(
+    [("status", "u1"), ("handler", "<i4"), ("teid", "<u4"), ("len", "<u4")]
+)
+
+#: An outcome batch as columns: status, handler and TEID arrays, and the
+#: packets (``b""`` where a frame was not delivered).
+OutcomeColumns = Tuple[np.ndarray, np.ndarray, np.ndarray, List[bytes]]
 
 
-@dataclass(frozen=True)
-class RouteOutcome:
+class RouteOutcome(NamedTuple):
     """What happened to one routed frame.
 
     ``handler`` is the GPT's answer even for drops (−1 when the frame
@@ -216,44 +224,89 @@ class RouteOutcome:
     out: Optional[bytes]
 
 
-def encode_outcomes(outcomes: Sequence[RouteOutcome]) -> bytes:
-    """``u32 count | count x (outcome header | out bytes)``."""
-    parts = [_COUNT.pack(len(outcomes))]
-    for outcome in outcomes:
-        out = outcome.out if outcome.out is not None else b""
-        parts.append(_OUTCOME_HEADER.pack(outcome.status, outcome.handler,
-                                          outcome.teid, len(out)))
-        parts.append(out)
-    return b"".join(parts)
+def _fitted(name: str, values, dtype: str) -> np.ndarray:
+    """``values`` as an int64 column, refused if any would not survive
+    the cast to the wire's ``dtype``."""
+    column = np.asarray(values, dtype=np.int64)
+    bad = np.nonzero(column.astype(dtype) != column)[0]
+    if bad.size:
+        raise ValueError(
+            f"{name}[{bad[0]}] = {column[bad[0]]} does not fit {dtype}"
+        )
+    return column
 
 
-def decode_outcomes(payload: bytes) -> List[RouteOutcome]:
-    """Inverse of :func:`encode_outcomes`."""
+def encode_outcome_columns(
+    status, handler, teid, packets: Sequence[bytes]
+) -> bytes:
+    """``u32 n | n x (u8 status | i32 handler | u32 teid | u32 len) |
+    packets end to end`` — one header table, then one blob.
+
+    Raises:
+        ValueError: the columns differ in length, or a value does not fit
+            its field (naming the first offending position).
+    """
+    count = len(packets)
+    head = np.empty(count, dtype=OUTCOME_DTYPE)
+    for name, values, dtype in (
+        ("status", status, "u1"), ("handler", handler, "i4"),
+        ("teid", teid, "u4"),
+    ):
+        column = _fitted(name, values, dtype)
+        if column.shape != (count,):
+            raise ValueError(f"{name} has {column.size} rows, not {count}")
+        head[name] = column
+    head["len"] = np.fromiter(map(len, packets), dtype=np.int64, count=count)
+    return b"".join([_COUNT.pack(count), head.tobytes(), *packets])
+
+
+def decode_outcome_columns(payload: bytes) -> OutcomeColumns:
+    """Inverse of :func:`encode_outcome_columns`.
+
+    Raises:
+        ProtocolError: the payload is cut short anywhere, or carries bytes
+            after the last packet.
+    """
     if len(payload) < _COUNT.size:
         raise ProtocolError("outcome batch truncated in count")
     (count,) = _COUNT.unpack_from(payload, 0)
-    offset = _COUNT.size
-    out: List[RouteOutcome] = []
-    for _ in range(count):
-        if offset + _OUTCOME_HEADER.size > len(payload):
-            raise ProtocolError("outcome batch truncated in header")
-        status, handler, teid, out_len = _OUTCOME_HEADER.unpack_from(
-            payload, offset
-        )
-        offset += _OUTCOME_HEADER.size
-        if offset + out_len > len(payload):
-            raise ProtocolError("outcome batch truncated in packet body")
-        body = payload[offset:offset + out_len]
-        offset += out_len
-        out.append(RouteOutcome(
-            status=status,
-            handler=handler,
-            teid=teid,
-            out=body if status == STATUS_DELIVERED else None,
-        ))
-    if offset != len(payload):
+    start = _COUNT.size + OUTCOME_DTYPE.itemsize * count
+    if start > len(payload):
+        raise ProtocolError("outcome batch truncated in header")
+    head = np.frombuffer(
+        payload, dtype=OUTCOME_DTYPE, count=count, offset=_COUNT.size
+    )
+    ends = np.cumsum(head["len"], dtype=np.int64) + start
+    body_end = int(ends[-1]) if count else start
+    if body_end > len(payload):
+        raise ProtocolError("outcome batch truncated in packet body")
+    if body_end != len(payload):
         raise ProtocolError("outcome batch has trailing bytes")
-    return out
+    packets = [
+        payload[begin:end]
+        for begin, end in zip((ends - head["len"]).tolist(), ends.tolist())
+    ]
+    return head["status"], head["handler"], head["teid"], packets
+
+
+def encode_outcomes(outcomes: Sequence[RouteOutcome]) -> bytes:
+    """:func:`encode_outcome_columns` over a list of outcomes."""
+    return encode_outcome_columns(
+        [o.status for o in outcomes], [o.handler for o in outcomes],
+        [o.teid for o in outcomes],
+        [o.out if o.out is not None else b"" for o in outcomes],
+    )
+
+
+def decode_outcomes(payload: bytes) -> List[RouteOutcome]:
+    """:func:`decode_outcome_columns` as a list of outcomes."""
+    status, handler, teid, packets = decode_outcome_columns(payload)
+    return [
+        RouteOutcome(s, h, t, p if s == STATUS_DELIVERED else None)
+        for s, h, t, p in zip(
+            status.tolist(), handler.tolist(), teid.tolist(), packets
+        )
+    ]
 
 
 # ----------------------------------------------------------------------

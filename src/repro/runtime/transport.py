@@ -8,10 +8,11 @@ controller replicas and their clients all run on these three.  Message
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import selectors
 import socket
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.runtime.framing import DEFAULT_TIMEOUT, FramedSocket, FramingError
 
@@ -107,7 +108,8 @@ class LinkPool:
     """Cached request/response links to peers numbered by address index.
 
     A link is dialled on first use and kept.  A ``FramingError`` or
-    ``OSError`` on it closes and forgets it before the error propagates,
+    ``OSError`` on it — in :meth:`request` or in either half of
+    :meth:`post` — closes and forgets it before the error propagates,
     so the next request re-dials (the peer may have restarted).
     ``on_dial(peer, link)`` runs on every fresh link before it is cached
     — the controller's ``MSG_CLAIM`` handshake; if it raises, the link is
@@ -153,11 +155,43 @@ class LinkPool:
         timeout: Optional[float] = None,
     ) -> Reply:
         """One request/response with ``peer``, under the pool's timeout
-        or, for this exchange only, ``timeout`` (liveness probes)."""
+        or, for this exchange only, ``timeout`` (liveness probes).
+
+        The same exchange as ``post(peer, msg_type, payload)()``, made as
+        one ``FramedSocket.request``.
+        """
         link = self.dial(peer)
-        try:
+        with self._dropping(peer):
             link.settimeout(self.timeout if timeout is None else timeout)
             return link.request(msg_type, payload)
+
+    def post(
+        self, peer: int, msg_type: int, payload: bytes = b""
+    ) -> Callable[[], Reply]:
+        """Send one request to ``peer`` now; the returned ``collect()``
+        reads its reply.
+
+        The caller works while the peer does, then collects.  Replies
+        come back in send order, so a link's collects must run in the
+        order of its posts.  Either half that fails drops the link.
+        """
+        link = self.dial(peer)
+        with self._dropping(peer):
+            link.settimeout(self.timeout)
+            link.send(msg_type, payload)
+
+        def collect() -> Reply:
+            with self._dropping(peer):
+                return link.recv()
+
+        return collect
+
+    @contextlib.contextmanager
+    def _dropping(self, peer: int) -> Iterator[None]:
+        """Drop on error: a ``FramingError`` or ``OSError`` closes and
+        forgets the link to ``peer``, then propagates."""
+        try:
+            yield
         except (FramingError, OSError):
             self.drop(peer)
             raise

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from repro.core import SetSepParams, build
 from repro.core import separator as separator_registry
+from repro.runtime.controller import RuntimeController
+from repro.runtime.daemon import NodeDaemon
 from repro.runtime.launcher import report_json
 
 
@@ -48,6 +50,29 @@ def brute_force_contents(model, separator, group):
     order = np.argsort(buckets[member], kind="stable")
     members = keys[member][order].tolist()
     return members, [model[k] for k in members]
+
+
+def wire_up(gateway):
+    """Daemons bootstrapped from ``gateway`` behind a controller, with no
+    sockets: the controller's requests are direct ``_dispatch`` calls,
+    and a daemon's ``_peer_post`` dispatches at once and hands back the
+    reply as its ``collect()``."""
+    count = gateway.num_nodes
+    daemons = [NodeDaemon() for _ in range(count)]
+
+    def dispatch(node_id, msg_type, payload=b""):
+        return daemons[node_id]._dispatch(msg_type, payload)
+
+    def post(node_id, msg_type, payload=b""):
+        reply = dispatch(node_id, msg_type, payload)
+        return lambda: reply
+
+    controller = RuntimeController([("in-process", i) for i in range(count)])
+    controller._request = dispatch
+    for daemon in daemons:
+        daemon._peer_post = post
+    controller.bootstrap_from_gateway(gateway)
+    return controller, daemons
 
 
 #: Golden report digests were captured at the parent of the PR that

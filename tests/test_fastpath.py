@@ -995,7 +995,7 @@ class TestColumnsAgainstScalar:
             MSG_FORWARD, MSG_ROUTE, RSP_ROUTE, STATUS_DELIVERED,
             STATUS_MALFORMED, STATUS_UNKNOWN, decode_outcomes,
         )
-        from tests.test_update_differential import wire_up
+        from tests.conftest import wire_up
 
         gateway, flows, gen = build_gateway(seed=15, flows=90, num_nodes=3)
         controller, daemons = wire_up(gateway)
@@ -1005,21 +1005,21 @@ class TestColumnsAgainstScalar:
         frames += [make_frame(flows[1], ttl=0), make_frame(flows[2], ihl=6)]
 
         messages, parses = [], []
-        peer_request = daemons[0]._peer_request
+        peer_post = daemons[0]._peer_post
 
-        def counting_request(node_id, msg_type, payload=b""):
+        def counting_post(node_id, msg_type, payload=b""):
             messages.append((node_id, msg_type))
-            return peer_request(node_id, msg_type, payload)
+            return peer_post(node_id, msg_type, payload)
 
-        parse_frames = fastpath.parse_frames
+        parse_buffer = fastpath.parse_buffer
 
-        def counting_parse(batch):
-            parses.append(len(batch))
-            return parse_frames(batch)
+        def counting_parse(raw, offsets):
+            parses.append(offsets.size - 1)
+            return parse_buffer(raw, offsets)
 
         for daemon in daemons:
-            daemon._peer_request = counting_request
-        monkeypatch.setattr(fastpath, "parse_frames", counting_parse)
+            daemon._peer_post = counting_post
+        monkeypatch.setattr(fastpath, "parse_buffer", counting_parse)
         rsp_type, body = daemons[0]._dispatch(
             MSG_ROUTE, pack_frame_list(frames)
         )

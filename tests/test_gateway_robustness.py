@@ -197,7 +197,7 @@ class TestUnforwardable:
         charged theirs); now it alone is ``STATUS_MALFORMED``."""
         from repro.runtime.protocol import STATUS_DELIVERED, STATUS_MALFORMED
         from tests.test_fastpath import make_frame
-        from tests.test_update_differential import wire_up
+        from tests.conftest import wire_up
 
         gateway, flows = self._fresh()
         controller, daemons = wire_up(gateway)

@@ -11,7 +11,10 @@ import copy
 import os
 import socket
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.chaos.transport import (
     DELAY,
@@ -59,19 +62,39 @@ from tests.conftest import (
 # ----------------------------------------------------------------------
 
 
-class TestFraming:
-    def test_frame_list_roundtrip(self):
-        frames = [b"", b"a", b"x" * 1000]
-        packed = framing.pack_frame_list(frames)
-        unpacked, offset = framing.unpack_frame_list(packed)
-        assert unpacked == frames
-        assert offset == len(packed)
+frame_lists = st.lists(st.binary(max_size=48), max_size=10)
+tails = st.binary(min_size=1, max_size=8)
 
-    def test_frame_list_truncation_rejected(self):
-        packed = framing.pack_frame_list([b"hello", b"world"])
+
+class TestFraming:
+    @given(frames=frame_lists)
+    @example(frames=[b"", b"a", b"x" * 1000])
+    @settings(max_examples=60, deadline=None)
+    def test_frame_list_roundtrip(self, frames):
+        packed = framing.pack_frame_list(frames)
+        assert len(packed) == 4 + 4 * len(frames) + sum(map(len, frames))
+        blob, offsets = framing.frame_columns(packed)
+        assert offsets.dtype == np.int64 and offsets[0] == 0
+        assert [
+            blob[start:end] for start, end in zip(offsets[:-1], offsets[1:])
+        ] == frames
+
+    @given(frames=frame_lists, tail=tails)
+    @example(frames=[b"hello", b"world"], tail=b"\x00")
+    @settings(max_examples=30, deadline=None)
+    def test_frame_list_truncation_rejected(self, frames, tail):
+        packed = framing.pack_frame_list(frames)
         for cut in range(len(packed)):
-            with pytest.raises(FramingError):
-                framing.unpack_frame_list(packed[:cut])
+            with pytest.raises(FramingError, match="truncated"):
+                framing.frame_columns(packed[:cut])
+        with pytest.raises(FramingError, match="trailing"):
+            framing.frame_columns(packed + tail)
+
+    def test_frame_list_golden_vector(self):
+        packed = framing.pack_frame_list([b"ab", b"", b"xyz"])
+        assert packed.hex() == (
+            "03000000" "02000000" "00000000" "03000000" "6162" "78797a"
+        )
 
     def test_framed_socket_roundtrip(self):
         left, right = socket.socketpair()
@@ -117,6 +140,18 @@ class TestFraming:
 # Protocol codecs
 # ----------------------------------------------------------------------
 
+outcome_lists = st.lists(
+    st.tuples(
+        st.sampled_from([STATUS_DELIVERED, STATUS_UNKNOWN, 2, 3, 4]),
+        st.integers(-(2**31), 2**31 - 1),
+        st.integers(0, 2**32 - 1),
+        st.binary(max_size=48),
+    ).map(lambda o: RouteOutcome(
+        o[0], o[1], o[2], o[3] if o[0] == STATUS_DELIVERED else None
+    )),
+    max_size=10,
+)
+
 
 class TestProtocol:
     def test_update_batch_roundtrip(self):
@@ -139,20 +174,63 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             protocol.decode_updates(bytes(payload))
 
-    def test_outcomes_roundtrip(self):
-        outcomes = [
-            RouteOutcome(STATUS_DELIVERED, 2, 0xDEAD, b"packet-bytes"),
-            RouteOutcome(STATUS_UNKNOWN, 1, 0, None),
-        ]
-        decoded = protocol.decode_outcomes(protocol.encode_outcomes(outcomes))
-        assert decoded == outcomes
-
-    def test_outcomes_trailing_bytes_rejected(self):
-        payload = protocol.encode_outcomes(
-            [RouteOutcome(STATUS_DELIVERED, 0, 1, b"x")]
+    @given(outcomes=outcome_lists)
+    @example(outcomes=[
+        RouteOutcome(STATUS_DELIVERED, 2, 0xDEAD, b"packet-bytes"),
+        RouteOutcome(STATUS_UNKNOWN, 1, 0, None),
+    ])
+    @settings(max_examples=60, deadline=None)
+    def test_outcomes_roundtrip(self, outcomes):
+        payload = protocol.encode_outcomes(outcomes)
+        assert len(payload) == 4 + 13 * len(outcomes) + sum(
+            len(o.out or b"") for o in outcomes
         )
-        with pytest.raises(ProtocolError):
-            protocol.decode_outcomes(payload + b"junk")
+        assert protocol.decode_outcomes(payload) == outcomes
+        status, handler, teid, packets = protocol.decode_outcome_columns(
+            payload
+        )
+        assert list(zip(
+            status.tolist(), handler.tolist(), teid.tolist(), packets
+        )) == [(o.status, o.handler, o.teid, o.out or b"") for o in outcomes]
+        assert protocol.encode_outcome_columns(
+            status, handler, teid, packets
+        ) == payload
+
+    @given(outcomes=outcome_lists, tail=tails)
+    @example(
+        outcomes=[RouteOutcome(STATUS_DELIVERED, 0, 1, b"x")], tail=b"junk"
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_outcomes_truncation_and_trailing_bytes_rejected(
+        self, outcomes, tail
+    ):
+        payload = protocol.encode_outcomes(outcomes)
+        for cut in range(len(payload)):
+            with pytest.raises(ProtocolError, match="truncated"):
+                protocol.decode_outcome_columns(payload[:cut])
+        with pytest.raises(ProtocolError, match="trailing"):
+            protocol.decode_outcome_columns(payload + tail)
+
+    def test_outcomes_golden_vector(self):
+        payload = protocol.encode_outcome_columns(
+            [STATUS_DELIVERED, STATUS_UNKNOWN], [2, -1], [0xDEAD, 0],
+            [b"pk", b""],
+        )
+        assert payload.hex() == (
+            "02000000"
+            "00" "02000000" "adde0000" "02000000"
+            "01" "ffffffff" "00000000" "00000000"
+            "706b"
+        )
+
+    @pytest.mark.parametrize("column, bad", [
+        (0, 256), (1, 2**31), (1, -(2**31) - 1), (2, -1), (2, 2**32),
+    ])
+    def test_outcome_field_out_of_range_rejected(self, column, bad):
+        columns = [[0, STATUS_DELIVERED], [1, 1], [5, 6]]
+        columns[column][1] = bad
+        with pytest.raises(ValueError, match=r"\[1\]"):
+            protocol.encode_outcome_columns(*columns, [b"", b""])
 
     def test_state_roundtrip(self):
         header = {"num_nodes": 4, "fib": [[1, 2, 3, 4]]}

@@ -184,6 +184,37 @@ def test_link_pool_drops_a_dead_link_and_redials():
         assert pool.dialled() == []
 
 
+def test_link_pool_posts_then_collects_in_post_order():
+    with on_thread(toy_server) as a, on_thread(toy_server) as b:
+        pool = transport.LinkPool([(HOST, a), (HOST, b)], timeout=5.0)
+        first = pool.post(0, MSG_PING, b"first")
+        second = pool.post(0, MSG_PING, b"second")
+        other = pool.post(1, MSG_PING, b"other")
+        assert other() == (RSP_OK, b"other")
+        assert first() == (RSP_OK, b"first")
+        assert second() == (RSP_OK, b"second")
+        assert pool.post(0, MSG_PING, b"x")() == pool.request(
+            0, MSG_PING, b"x"
+        )
+        pool.close()
+
+
+def test_link_pool_drops_a_link_that_fails_either_half():
+    with on_thread(toy_server) as port:
+        pool = transport.LinkPool([(HOST, port)], timeout=5.0)
+        collect = pool.post(0, MSG_PING, b"a")
+        pool.dial(0).sock.close()  # dies before the reply is read
+        with pytest.raises((FramingError, OSError)):
+            collect()
+        assert pool.dialled() == []
+        pool.dial(0).sock.close()  # dies before the send
+        with pytest.raises(OSError):
+            pool.post(0, MSG_PING, b"b")
+        assert pool.dialled() == []
+        assert pool.post(0, MSG_PING, b"c")() == (RSP_OK, b"c")
+        pool.close()
+
+
 def test_link_pool_closes_a_link_its_dial_hook_rejects():
     rejected = []
 

@@ -40,33 +40,14 @@ from repro.gpt.gpt import GlobalPartitionTable
 from repro.obs.metrics import MetricsRegistry
 from repro.othello.params import OthelloParams
 from repro.othello.update import OthelloUpdate
-from repro.runtime.controller import RuntimeController
-from repro.runtime.daemon import NodeDaemon
 from repro.runtime.deltalog import DeltaLog
 from repro.runtime.protocol import (
     MSG_ADOPT, MSG_DELTA, MSG_DOWN, MSG_FLUSH, MSG_STATE_REF, MSG_STATUS,
     MSG_UPDATE, OP_INSERT, OP_REMOVE, RSP_ERR, RSP_OK, RSP_UPDATE, UpdateOp,
     decode_json, encode_json, encode_state, encode_updates,
 )
-from tests.conftest import brute_force_contents, unique_keys
+from tests.conftest import brute_force_contents, unique_keys, wire_up
 from tests.test_bits import reference_pack
-
-
-def wire_up(gateway):
-    """Daemons bootstrapped from ``gateway`` behind a controller, with
-    every socket request turned into a direct ``_dispatch`` call."""
-    count = gateway.num_nodes
-    daemons = [NodeDaemon() for _ in range(count)]
-
-    def dispatch(node_id, msg_type, payload=b""):
-        return daemons[node_id]._dispatch(msg_type, payload)
-
-    controller = RuntimeController([("in-process", i) for i in range(count)])
-    controller._request = dispatch
-    for daemon in daemons:
-        daemon._peer_request = dispatch
-    controller.bootstrap_from_gateway(gateway)
-    return controller, daemons
 
 
 def daemon_states(daemons):
@@ -761,15 +742,15 @@ class TestDaemonFlush:
 
     @staticmethod
     def cut_link(daemon, dead):
-        """Requests from ``daemon`` to peer ``dead`` fail like a dead link."""
-        healthy = daemon._peer_request
+        """Posts from ``daemon`` to peer ``dead`` fail like a dead link."""
+        healthy = daemon._peer_post
 
-        def request(node_id, msg_type, payload=b""):
+        def post(node_id, msg_type, payload=b""):
             if node_id == dead:
                 raise OSError("connection refused")
             return healthy(node_id, msg_type, payload)
 
-        daemon._peer_request = request
+        daemon._peer_post = post
         return healthy
 
     def test_flush_skips_a_peer_declared_down_since(self, delayed):
@@ -790,7 +771,7 @@ class TestDaemonFlush:
         rsp_type, _ = daemons[0]._dispatch(MSG_FLUSH, b"")
         assert rsp_type == RSP_ERR
         assert [peer for peer, _, _ in daemons[0]._delayed_deltas] == [1, 2]
-        daemons[0]._peer_request = healthy
+        daemons[0]._peer_post = healthy
         rsp_type, rsp = daemons[0]._dispatch(MSG_FLUSH, b"")
         assert rsp_type == RSP_OK
         assert decode_json(rsp)["flushed_deltas"] == 2
