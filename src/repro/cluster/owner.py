@@ -17,6 +17,7 @@ calling, so both produce the same records in the same order
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import (
@@ -239,27 +240,39 @@ def flush_delayed(
         delayed[:] = pending[sent:]
 
 
+@functools.lru_cache(maxsize=None)
+def _wire_widths(backend: str, params) -> tuple:
+    """``(names, getter, widths)``: the header widths a backend's records
+    carry, and their values in ``params`` — resolved once per table."""
+    names = separator_registry.update_record_type(backend).WIRE_WIDTHS
+    widths = attrgetter(*names)
+    return names, widths, widths(params)
+
+
 def parse_records(wire: bytes, replica) -> list:
     """Every record of a stream of self-framing wire records, parsed once.
 
-    ``replica`` is where they will be applied.  Raises before returning
-    anything when any record is malformed or framed with other bit-widths
-    than the replica's, so a caller that parses and then applies never
-    applies part of a payload, nor a record cut for a different table.
+    ``replica`` is where they will be applied.  Raises
+    :class:`DeltaWireError` before returning anything when any record is
+    malformed, framed with other bit-widths than the replica's, or not
+    one the replica can hold (``record.check_against``: a group or block
+    it does not have, a value it cannot store), so a caller that parses
+    and then applies never applies part of a payload, nor a record cut
+    for a different table.
     """
     separator = getattr(replica, "setsep", replica)
-    names = separator_registry.update_record_type(separator.backend).WIRE_WIDTHS
-    widths = attrgetter(*names)
-    mine = widths(separator.params)
+    backend = separator.backend
+    names, widths, mine = _wire_widths(backend, separator.params)
     records = []
     for record, params in separator_registry.parse_update_stream(
-        wire, separator.backend
+        wire, backend
     ):
         if widths(params) != mine:
             raise DeltaWireError(
                 f"record framed with {names} = {widths(params)}, "
                 f"the replica has {mine}"
             )
+        record.check_against(separator)
         records.append(record)
     return records
 

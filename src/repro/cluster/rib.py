@@ -214,10 +214,12 @@ class RoutingInformationBase:
         """
         keys: List[int] = []
         nodes: List[int] = []
-        for bucket in setsep.buckets_of_group(group_id).tolist():
-            for key, entry in self._buckets.get(bucket, {}).items():
-                keys.append(key)
-                nodes.append(entry.node)
+        buckets = self._buckets
+        for bucket in setsep.buckets_of_group(group_id):
+            records = buckets.get(bucket)
+            if records:
+                keys += records
+                nodes += [entry.node for entry in records.values()]
         self._m_group_scan.inc(len(keys))
         return (
             np.array(keys, dtype=np.uint64), np.array(nodes, dtype=np.uint32)

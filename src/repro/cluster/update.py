@@ -16,7 +16,7 @@ node, so the aggregate rate stays at a single node's — the contrast
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster import owner
 from repro.cluster.architectures import Architecture
@@ -32,6 +32,12 @@ from repro.obs.metrics import MetricsRegistry, resolve_registry
 DELTA_BITS_BUCKETS = (16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
 
 DeltaInterceptor = Callable[[int, int], str]
+
+
+def _deliver(_peer: int) -> str:
+    """The verdict for every ship when no interceptor is set."""
+    return DELIVER
+
 
 #: Account fields mirrored into ``update.<field>`` registry counters (the
 #: bits go to the ``update.delta_bits`` histogram, one sample per record).
@@ -91,6 +97,9 @@ class UpdateEngine:
         #: :data:`DELAY`.  ``None`` (the default) ships every delta.
         self.delta_interceptor: Optional[DeltaInterceptor] = None
         self._delayed_deltas: List[owner.Delayed] = []
+        #: owner id -> the ids of the other nodes holding a GPT replica,
+        #: in ascending order (fixed for the cluster's lifetime).
+        self._peers: Dict[int, Tuple[int, ...]] = {}
         self.bind_registry(
             registry if registry is not None else cluster.registry
         )
@@ -113,11 +122,11 @@ class UpdateEngine:
     ) -> None:
         """Fold one call's account into the stats and the registry."""
         stats = self.stats
-        for name in owner.ACCOUNT_FIELDS:
-            count = getattr(acc, name)
+        counters = self._counters
+        for name, count in vars(acc).items():
             if count:
                 setattr(stats, name, getattr(stats, name) + count)
-                counter = self._counters.get(name)
+                counter = counters.get(name)
                 if counter is not None:
                     counter.inc(count)
         if owner_id is not None:
@@ -210,13 +219,15 @@ class UpdateEngine:
             else:
                 nodes[target].install_route(ckey, entry.node, entry.value)
         interceptor = self.delta_interceptor
-        peers = [
-            peer.node_id for peer in nodes
-            if peer.node_id != owner_id and peer.gpt is not None
-        ]
+        peers = self._peers.get(owner_id)
+        if peers is None:
+            peers = self._peers[owner_id] = tuple(
+                peer.node_id for peer in nodes
+                if peer.node_id != owner_id and peer.gpt is not None
+            )
         ships = owner.fan_out(
             peers,
-            (lambda peer: DELIVER) if interceptor is None
+            _deliver if interceptor is None
             else (lambda peer: interceptor(owner_id, peer)),
             step, self._delayed_deltas, acc,
         )

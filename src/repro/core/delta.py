@@ -6,16 +6,19 @@ applies it with a memory copy.  A delta carries the group id plus, per value
 bit, the new hash index and m-bit array — "usually tens of bits".  The
 encoding here is the literal bit-level wire format, so tests can assert the
 paper's size claim and the update-rate benchmark measures realistic payloads.
+
+A record is one MSB-first bit stream, coded as one integer: every field is
+a shift and a mask at an offset fixed by the three header widths, worked
+out once per width triple (:func:`_layout`).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.params import SetSepParams
-from repro.utils.bits import BitReader, BitWriter
 
 #: Bits used for the group id on the wire.
 GROUP_ID_BITS = 32
@@ -37,6 +40,58 @@ COUNT_BITS = 8
 #: Bits per fallback key / value on the wire.
 FALLBACK_KEY_BITS = 64
 FALLBACK_VALUE_BITS = 16
+
+_UPSERT_BITS = FALLBACK_KEY_BITS + FALLBACK_VALUE_BITS
+_KEY_MASK = (1 << FALLBACK_KEY_BITS) - 1
+_VALUE_MASK = (1 << FALLBACK_VALUE_BITS) - 1
+_COUNT_MASK = (1 << COUNT_BITS) - 1
+
+
+class _Layout:
+    """The fixed fields of a record at one (index, array, value) width
+    triple: the ``head_bits`` before the fallback entries, and the shift of
+    each value bit's index and array from the head's least significant
+    bit.  ``params`` is what a receiver of such a record gets back."""
+
+    __slots__ = ("params", "head_bits", "shifts", "index_mask", "array_mask")
+
+    def __init__(self, params: SetSepParams) -> None:
+        index_bits, array_bits = params.index_bits, params.array_bits
+        self.params = params
+        self.head_bits = GROUP_ID_BITS + 1 + params.value_bits * (
+            index_bits + array_bits
+        ) + 2 * COUNT_BITS
+        shifts = []
+        position = self.head_bits - GROUP_ID_BITS - 1
+        for _ in range(params.value_bits):
+            position -= index_bits + array_bits
+            shifts.append((position + array_bits, position))
+        self.shifts = tuple(shifts)
+        self.index_mask = (1 << index_bits) - 1
+        self.array_mask = (1 << array_bits) - 1
+
+
+_LAYOUTS: Dict[Tuple[int, int, int], _Layout] = {}
+
+
+def _layout(index_bits: int, array_bits: int, value_bits: int) -> _Layout:
+    """The layout of one width triple, made on first use (at most 16 x 32
+    x 16 of them exist).  Raises ``ValueError`` for impossible widths."""
+    widths = (index_bits, array_bits, value_bits)
+    layout = _LAYOUTS.get(widths)
+    if layout is None:
+        layout = _LAYOUTS[widths] = _Layout(SetSepParams(
+            index_bits=index_bits, array_bits=array_bits,
+            value_bits=value_bits,
+        ))
+    return layout
+
+
+def _put(acc: int, value: int, width: int) -> int:
+    """``acc`` with ``value`` appended as a ``width``-bit field."""
+    if value < 0 or value >> width:
+        raise ValueError(f"value {value} does not fit in {width} bits")
+    return acc << width | value
 
 
 @dataclass(frozen=True)
@@ -65,6 +120,25 @@ class GroupDelta:
     fallback_upserts: Tuple[Tuple[int, int], ...] = field(default=())
     fallback_removals: Tuple[int, ...] = field(default=())
 
+    @classmethod
+    def _of(
+        cls, group_id, failed, indices, arrays, fallback_upserts=(),
+        fallback_removals=(),
+    ) -> "GroupDelta":
+        """Positional constructor for the codec and the owner's rebuild.
+
+        Equal, hash-equal and repr-equal to the keyword constructor; it
+        fills the instance dict in one call where the frozen dataclass
+        ``__init__`` pays six ``object.__setattr__``.
+        """
+        self = object.__new__(cls)
+        self.__dict__.update(
+            group_id=group_id, failed=failed, indices=indices,
+            arrays=arrays, fallback_upserts=fallback_upserts,
+            fallback_removals=fallback_removals,
+        )
+        return self
+
     def size_bits(self, params: SetSepParams) -> int:
         """Exact encoded size in bits (the paper's "tens of bits")."""
         body = GROUP_ID_BITS + 1 + params.value_bits * (
@@ -78,23 +152,27 @@ class GroupDelta:
         return body
 
     def encode(self, params: SetSepParams) -> bytes:
-        """Serialise to the bit-level wire format."""
+        """Serialise to the bit-level wire format.
+
+        Raises:
+            ValueError: when the record's bit count is not
+                ``params.value_bits``, or a field does not fit its width.
+        """
         if not len(self.indices) == len(self.arrays) == params.value_bits:
             raise ValueError("delta does not match params.value_bits")
-        writer = BitWriter()
-        writer.write(self.group_id, GROUP_ID_BITS)
-        writer.write(int(self.failed), 1)
+        index_bits, array_bits = params.index_bits, params.array_bits
+        acc = _put(_put(0, self.group_id, GROUP_ID_BITS), int(self.failed), 1)
         for index, array in zip(self.indices, self.arrays):
-            writer.write(index, params.index_bits)
-            writer.write(array, params.array_bits)
-        writer.write(len(self.fallback_upserts), COUNT_BITS)
-        writer.write(len(self.fallback_removals), COUNT_BITS)
-        for key, value in self.fallback_upserts:
-            writer.write(key, FALLBACK_KEY_BITS)
-            writer.write(value, FALLBACK_VALUE_BITS)
-        for key in self.fallback_removals:
-            writer.write(key, FALLBACK_KEY_BITS)
-        return writer.getvalue()
+            acc = _put(_put(acc, index, index_bits), array, array_bits)
+        upserts, removals = self.fallback_upserts, self.fallback_removals
+        acc = _put(_put(acc, len(upserts), COUNT_BITS), len(removals), COUNT_BITS)
+        for key, value in upserts:
+            acc = _put(_put(acc, key, FALLBACK_KEY_BITS), value, FALLBACK_VALUE_BITS)
+        for key in removals:
+            acc = _put(acc, key, FALLBACK_KEY_BITS)
+        bits = self.size_bits(params)
+        size = (bits + 7) // 8
+        return (acc << (size * 8 - bits)).to_bytes(size, "big")
 
     def wire_bytes(self, params: SetSepParams) -> bytes:
         """Frame the delta for a byte stream: length + bit-widths + body.
@@ -120,10 +198,13 @@ class GroupDelta:
 
         Returns ``(delta, params, next_offset)`` where ``next_offset``
         points just past this delta — ready to parse the next one out of
-        a concatenated stream.
+        a concatenated stream.  Records framed with the same widths share
+        one ``params`` instance.
 
         Raises:
-            DeltaWireError: on truncation or an impossible header.
+            DeltaWireError: on a truncated header or body, impossible
+                widths, a body that ends inside a field, a non-zero
+                padding bit, or a body length the content does not fill.
         """
         if offset + WIRE_HEADER.size > len(data):
             raise DeltaWireError("delta frame truncated in header")
@@ -131,24 +212,20 @@ class GroupDelta:
             data, offset
         )
         body_start = offset + WIRE_HEADER.size
-        if body_start + body_len > len(data):
+        end = body_start + body_len
+        if end > len(data):
             raise DeltaWireError("delta frame truncated in body")
         try:
-            params = SetSepParams(
-                index_bits=index_bits,
-                array_bits=array_bits,
-                value_bits=value_bits,
-            )
+            layout = _layout(index_bits, array_bits, value_bits)
         except ValueError as exc:
             raise DeltaWireError(f"impossible delta header: {exc}") from exc
-        body = data[body_start:body_start + body_len]
         try:
-            delta = cls.decode(body, params)
+            delta, bits = cls._decode(data[body_start:end], layout)
         except EOFError as exc:
             raise DeltaWireError(f"delta body exhausted: {exc}") from exc
-        if (delta.size_bits(params) + 7) // 8 != body_len:
+        if (bits + 7) // 8 != body_len:
             raise DeltaWireError("delta body length disagrees with content")
-        return delta, params, body_start + body_len
+        return delta, layout.params, end
 
     @classmethod
     def decode(cls, data: bytes, params: SetSepParams) -> "GroupDelta":
@@ -158,31 +235,70 @@ class GroupDelta:
             EOFError: when ``data`` ends inside a field.
             DeltaWireError: when a bit after the last field is set.
         """
-        reader = BitReader(data)
-        group_id = reader.read(GROUP_ID_BITS)
-        failed = bool(reader.read(1))
-        indices: List[int] = []
-        arrays: List[int] = []
-        for _ in range(params.value_bits):
-            indices.append(reader.read(params.index_bits))
-            arrays.append(reader.read(params.array_bits))
-        n_upserts = reader.read(COUNT_BITS)
-        n_removals = reader.read(COUNT_BITS)
-        upserts = tuple(
-            (reader.read(FALLBACK_KEY_BITS), reader.read(FALLBACK_VALUE_BITS))
-            for _ in range(n_upserts)
-        )
-        removals = tuple(
-            reader.read(FALLBACK_KEY_BITS) for _ in range(n_removals)
-        )
+        layout = _layout(params.index_bits, params.array_bits, params.value_bits)
+        return cls._decode(data, layout)[0]
+
+    @classmethod
+    def _decode(cls, data: bytes, layout: _Layout) -> "Tuple[GroupDelta, int]":
+        """:meth:`decode` at a known layout; also returns the bits the
+        fields take (the rest of ``data`` is zero padding)."""
+        spare = len(data) * 8 - layout.head_bits
+        if spare < 0:
+            raise EOFError("bit stream exhausted")
+        acc = int.from_bytes(data, "big")
+        head = acc >> spare
+        index_mask, array_mask = layout.index_mask, layout.array_mask
+        indices = []
+        arrays = []
+        for index_shift, array_shift in layout.shifts:
+            indices.append(head >> index_shift & index_mask)
+            arrays.append(head >> array_shift & array_mask)
+        n_upserts = head >> COUNT_BITS & _COUNT_MASK
+        n_removals = head & _COUNT_MASK
+        upserts: tuple = ()
+        removals: tuple = ()
+        if n_upserts or n_removals:
+            if n_upserts * _UPSERT_BITS + n_removals * FALLBACK_KEY_BITS > spare:
+                raise EOFError("bit stream exhausted")
+            entries: List = []
+            for _ in range(n_upserts):
+                spare -= _UPSERT_BITS
+                entry = acc >> spare
+                entries.append(
+                    (entry >> FALLBACK_VALUE_BITS & _KEY_MASK, entry & _VALUE_MASK)
+                )
+            upserts = tuple(entries)
+            entries = []
+            for _ in range(n_removals):
+                spare -= FALLBACK_KEY_BITS
+                entries.append(acc >> spare & _KEY_MASK)
+            removals = tuple(entries)
         # One delta, one byte string: the zero padding is part of the format.
-        if reader.read(reader.bits_remaining):
+        if acc & ((1 << spare) - 1):
             raise DeltaWireError("non-zero padding bits after the delta")
-        return cls(
-            group_id=group_id,
-            failed=failed,
-            indices=tuple(indices),
-            arrays=tuple(arrays),
-            fallback_upserts=upserts,
-            fallback_removals=removals,
+        head_bits = layout.head_bits
+        delta = cls._of(
+            head >> (head_bits - GROUP_ID_BITS),
+            bool(head >> (head_bits - GROUP_ID_BITS - 1) & 1),
+            tuple(indices), tuple(arrays), upserts, removals,
         )
+        return delta, len(data) * 8 - spare
+
+    def check_against(self, setsep) -> None:
+        """Raise :class:`DeltaWireError` unless ``setsep`` can hold this
+        record: its group exists there, a live record's indices are not
+        the all-ones failure sentinel, and every fallback value fits in
+        ``value_bits``.  Widths are the caller's to compare."""
+        params = setsep.params
+        if not 0 <= self.group_id < setsep.num_groups:
+            raise DeltaWireError(f"group id {self.group_id} out of range")
+        if not self.failed and params.max_index in self.indices:
+            raise DeltaWireError(
+                f"live record holds the failure index {params.max_index}"
+            )
+        value_bits = params.value_bits
+        for _, value in self.fallback_upserts:
+            if value >> value_bits:
+                raise DeltaWireError(
+                    f"fallback value {value} does not fit in {value_bits} bits"
+                )

@@ -17,6 +17,7 @@ chunk size.
 
 from __future__ import annotations
 
+import functools
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -45,6 +46,18 @@ class GroupFunction(NamedTuple):
 #: Right shifts that split a value into its bits (``value_bits <= 16``),
 #: as wide as the slot masks the bits multiply.
 _BIT_SHIFTS = np.arange(16, dtype=np.uint64)
+
+_ONE = np.uint64(1)
+
+
+@functools.lru_cache(maxsize=None)
+def _value_sides(value_bits: int) -> np.ndarray:
+    """How far the incumbent test moves each bit's slot, per value: row
+    ``v`` holds 32 at each bit set in ``v`` and 0 elsewhere, so indexing
+    it by a group's values is one gather (``2**value_bits`` rows: 16 KiB
+    at 8 value bits, 8 MiB at the widest, 16)."""
+    values = np.arange(1 << value_bits, dtype=np.uint64)[:, None]
+    return (values >> _BIT_SHIFTS[:value_bits] & _ONE) << np.uint64(5)
 
 
 class GroupSearchFailure(Exception):
@@ -184,44 +197,50 @@ def search_groups(
     rows of each group OR-reduced on their own; a bit that broke is
     searched over its group's keys alone, as :func:`search_group` would.
     So each result is what :func:`search_group` returns for that group.
+
+    The test is one OR-reduce: each (key, bit) becomes the one-hot mask
+    of its slot, moved up 32 bits when the key's bit is 1 (``m <= 32``),
+    so a group's reduced word holds the value-1 keys' slots — the array —
+    above the value-0 keys' slots, and the incumbent separates iff the
+    two halves share no slot.
     """
     vb = params.value_bits
     max_index = params.max_index
     values = np.asarray(values, dtype=np.uint32)
-    ones = (values[:, None] >> _BIT_SHIFTS[:vb]) & 1
-    spans = list(zip(bounds, bounds[1:]))
-    found: List[Optional[list]] = [[None] * vb for _ in spans]
+    found: List[Optional[list]] = [[None] * vb for _ in bounds[1:]]
     # The rows of an empty group would reduce its successor's first row:
     # reduce only where rows are, each up to the next start.
-    held = [group for group, (start, end) in enumerate(spans) if start < end]
+    held = [
+        group for group, start in enumerate(bounds[:-1])
+        if start < bounds[group + 1]
+    ]
     if incumbents is not None and held:
         rows = incumbents
-        if len(spans) > 1:
+        if len(found) > 1:
             rows = np.repeat(incumbents, np.diff(bounds), axis=0)
-        masks = hashfamily.index_masks(g1, g2, rows, params.array_bits)
-        taken1 = masks * ones
-        offsets = np.array([bounds[group] for group in held])
-        arrays = np.bitwise_or.reduceat(taken1, offsets, axis=0)
-        clashes = np.bitwise_or.reduceat(masks ^ taken1, offsets, axis=0)
-        clashes &= arrays
-        for group, group_arrays, group_clashes in zip(
-            held, arrays.tolist(), clashes.tolist()
-        ):
+        slots = hashfamily.index_slots(g1, g2, rows, params.array_bits)
+        slots += _value_sides(vb)[values]
+        masks = np.left_shift(_ONE, slots, out=slots)
+        if len(held) == 1:
+            reduced = np.bitwise_or.reduce(masks, axis=0, keepdims=True)
+        else:
+            offsets = [bounds[group] for group in held]
+            reduced = np.bitwise_or.reduceat(masks, offsets, axis=0)
+        for group, words in zip(held, reduced.tolist()):
             functions = found[group]
-            for bit, (index, array, clash) in enumerate(
-                zip(incumbents[group], group_arrays, group_clashes)
-            ):
-                if not clash and index < max_index:
+            for bit, (index, word) in enumerate(zip(incumbents[group], words)):
+                array = word >> 32
+                if not array & word and index < max_index:
                     functions[bit] = GroupFunction(index, array, 1)
-    for group, (start, end) in enumerate(spans):
-        functions = found[group]
+    for group, functions in enumerate(found):
         broken = [bit for bit, kept in enumerate(functions) if kept is None]
         if not broken:
             continue
+        start, end = bounds[group], bounds[group + 1]
         searched = _search_targets(
             g1[start:end],
             g2[start:end],
-            [ones[start:end, bit] for bit in broken],
+            [values[start:end] >> bit & 1 for bit in broken],
             params.array_bits,
             max_index,
             params.search_chunk,

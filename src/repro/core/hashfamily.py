@@ -20,7 +20,7 @@ a short period in its low bits.  This module provides:
   ``i -> G1 + i*G2`` walks a full-period sequence mod 2**64;
 * ``positions`` — map ``H_i`` values onto ``[0, m)`` bit-array slots using
   the multiply-shift range reduction on the top 32 bits (respecting the
-  paper's use-the-MSBs rule); ``index_slots`` / ``index_masks`` — the
+  paper's use-the-MSBs rule); ``index_slots`` — the
   same reduction for many family indices at once, one shift when m is a
   power of two (``chunk_slots`` for a run of consecutive ones), which
   the owner's incumbent test and the batched lookup evaluate; and
@@ -277,7 +277,7 @@ def index_slots(
     """
     if m <= 0:
         raise ValueError("m must be positive")
-    h = np.atleast_2d(np.asarray(indices, dtype=_U64)) * g2[:, None]
+    h = np.asarray(indices, dtype=_U64) * g2[:, None]
     h += g1[:, None]
     return _reduce(h, m, out=h)
 
@@ -289,17 +289,6 @@ def chunk_slots(
     return index_slots(
         g1, g2, np.arange(start, start + count, dtype=_U64), m
     )
-
-
-def index_masks(
-    g1: np.ndarray, g2: np.ndarray, indices: np.ndarray, m: int
-) -> np.ndarray:
-    """One-hot slot masks ``1 << index_slots(...)`` as uint64 (needs
-    ``m <= 64``): the owner tests a group's incumbent indices on these,
-    OR-reducing the rows of the keys that share a value bit.
-    """
-    slots = index_slots(g1, g2, indices, m)
-    return np.left_shift(_ONE, slots, out=slots)
 
 
 def scan_masks(

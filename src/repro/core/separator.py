@@ -84,7 +84,7 @@ class Separator(Protocol):
 
     def group_of_bucket(self, bucket: int) -> int: ...
 
-    def buckets_of_group(self, group_id: int) -> np.ndarray: ...
+    def buckets_of_group(self, group_id: int) -> Sequence[int]: ...
 
     def block_of(self, key: Key) -> int: ...
 

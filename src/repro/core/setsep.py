@@ -18,7 +18,8 @@ structure plus in-place delta updates (§4.5).
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+import operator
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,7 +71,12 @@ class SetSep:
             raise ValueError("failed_groups shape does not match num_blocks")
         self.params = params
         self.num_blocks = num_blocks
-        self.choices = choices
+        # Fixed at construction (the two-level assignment is never
+        # redone in place), so what is derived from it never goes stale.
+        self._choices = choices.view()
+        self._choices.flags.writeable = False
+        #: group id -> its buckets (:meth:`buckets_of_group`), on first use.
+        self._group_buckets: Dict[int, Tuple[int, ...]] = {}
         self.indices = indices
         self.arrays = arrays
         self.failed_groups = failed_groups
@@ -112,6 +118,12 @@ class SetSep:
     # ------------------------------------------------------------------
     # Shape properties
     # ------------------------------------------------------------------
+
+    @property
+    def choices(self) -> np.ndarray:
+        """Each first-level bucket's choice of group, 2 bits in a uint8:
+        a read-only view, fixed at construction."""
+        return self._choices
 
     @property
     def num_buckets(self) -> int:
@@ -208,7 +220,7 @@ class SetSep:
     def groups_of(self, keys: np.ndarray) -> np.ndarray:
         """Global group id of each (canonical or pre-hashed) key."""
         buckets = self.buckets_of(keys)
-        return twolevel.groups_from_choices(buckets, self.choices)
+        return twolevel.groups_from_choices(buckets, self._choices)
 
     def bucket_of(self, key: Key) -> int:
         """Global bucket id of a single key, hashed in plain ints."""
@@ -220,11 +232,20 @@ class SetSep:
 
     def group_of_bucket(self, bucket: int) -> int:
         """Global group id of every key of one global bucket."""
-        return twolevel.group_of_bucket(bucket, self.choices)
+        return twolevel.group_of_bucket(bucket, self._choices)
 
-    def buckets_of_group(self, group_id: int) -> np.ndarray:
-        """Global ids of the buckets mapped to ``group_id``, ascending."""
-        return twolevel.buckets_of_group(group_id, self.choices)
+    def buckets_of_group(self, group_id: int) -> Tuple[int, ...]:
+        """Global ids of the buckets mapped to ``group_id``, ascending, as
+        Python ints: listed from the choices on the group's first call
+        and remembered (the owner reads a group's RIB records by them)."""
+        buckets = self._group_buckets.get(group_id)
+        if buckets is None:
+            if not 0 <= group_id < self.num_groups:
+                raise ValueError(f"group id {group_id} out of range")
+            buckets = self._group_buckets[group_id] = tuple(
+                twolevel.buckets_of_group(group_id, self._choices).tolist()
+            )
+        return buckets
 
     def block_of(self, key: Key) -> int:
         """Block id of a single key — the RIB partitioning unit (§4.5)."""
@@ -281,21 +302,18 @@ class SetSep:
         """
         params = self.params
         vb = params.value_bits
+        num_groups = self.num_groups
         # Incumbent first: a separator that survived the change is kept,
         # so indices depend on this replica's history; failure does not.
         # A failed group has nothing to keep: its row is the sentinel.
         sentinel = [params.max_index] * vb
-        group_ids: List[int] = []
-        keys_of: List[np.ndarray] = []
-        values_of: List[np.ndarray] = []
-        removals_of: List[List[int]] = []
-        was_failed: List[bool] = []
-        incumbents: List[List[int]] = []
+        # One (group, keys, values, removed keys, incumbent row) per job.
+        rows: List[tuple] = []
         bounds = [0]
         for group_id, keys, values, removed_keys in jobs:
-            if not 0 <= group_id < self.num_groups:
+            if not 0 <= group_id < num_groups:
                 raise ValueError(f"group id {group_id} out of range")
-            if group_id in group_ids:
+            if any(group_id == row[0] for row in rows):
                 raise ValueError(f"group {group_id} is named twice")
             keys_arr = hashfamily.canonical_keys(keys)
             values_arr = np.asarray(values)
@@ -303,72 +321,54 @@ class SetSep:
                 values_arr = values_arr.astype(np.uint32)
             if keys_arr.shape != values_arr.shape:
                 raise ValueError("keys and values must have equal length")
-            failed = bool(self.failed_groups[group_id])
-            group_ids.append(int(group_id))
-            keys_of.append(keys_arr)
-            values_of.append(values_arr)
-            removals_of.append(
-                [hashfamily.canonical_key(k) for k in removed_keys]
-            )
-            was_failed.append(failed)
-            incumbents.append(
-                sentinel if failed else self.indices[group_id].tolist()
-            )
+            rows.append((
+                int(group_id), keys_arr, values_arr,
+                [hashfamily.canonical_key(k) for k in removed_keys],
+                sentinel if self.failed_groups[group_id]
+                else self.indices[group_id].tolist(),
+            ))
             bounds.append(bounds[-1] + len(keys_arr))
-        if not group_ids:
+        if not rows:
             return []
-        if len(group_ids) == 1:
-            all_keys, all_values = keys_of[0], values_of[0]
+        if len(rows) == 1:
+            all_keys, all_values = rows[0][1], rows[0][2]
         else:
-            all_keys = np.concatenate(keys_of)
-            all_values = np.concatenate(values_of)
+            all_keys = np.concatenate([row[1] for row in rows])
+            all_values = np.concatenate([row[2] for row in rows])
         # A value that fits sets no bit above vb, and a negative one sets
         # the sign: either shows in the OR of them all.
         if bounds[-1] and int(np.bitwise_or.reduce(all_values)) >> vb:
             first = int(np.flatnonzero(all_values >> vb)[0])
             job = bisect.bisect_right(bounds, first) - 1
             raise ValueError(
-                f"values of group {group_ids[job]} must fit in {vb} bits; "
+                f"values of group {rows[job][0]} must fit in {vb} bits; "
                 f"position {first - bounds[job]} holds {all_values[first]}"
             )
         g1, g2 = hashfamily.base_hashes(all_keys)
         found = group_search.search_groups(
-            g1, g2, all_values, bounds, params, incumbents
-        )
-        rebuilt = zip(
-            group_ids, keys_of, values_of, removals_of, found, was_failed,
-            incumbents,
+            g1, g2, all_values, bounds, params, [row[4] for row in rows]
         )
         deltas = []
-        for group_id, keys_arr, values_arr, removals, functions, failed, row in rebuilt:
+        for row, functions in zip(rows, found):
+            group_id, keys_arr, values_arr, removals, incumbent = row
             self._m_rebuilds.inc()
-            kept = 0
             if functions is None:
                 self._m_rebuild_failures.inc()
-            else:
-                kept = sum(f.index == i for f, i in zip(functions, row))
-            self._m_bits_kept.inc(kept)
-            self._m_bits_searched.inc(vb - kept)
-            if functions is not None:
-                if failed:  # the group leaves the fallback
-                    removals.extend(keys_arr.tolist())
-                delta = GroupDelta(
-                    group_id=group_id,
-                    failed=False,
-                    indices=tuple(f.index for f in functions),
-                    arrays=tuple(f.array for f in functions),
-                    fallback_removals=tuple(removals),
+                self._m_bits_searched.inc(vb)
+                delta = GroupDelta._of(
+                    group_id, True, (0,) * vb, (0,) * vb,
+                    tuple(zip(keys_arr.tolist(), values_arr.tolist())),
+                    tuple(removals),
                 )
             else:
-                delta = GroupDelta(
-                    group_id=group_id,
-                    failed=True,
-                    indices=(0,) * vb,
-                    arrays=(0,) * vb,
-                    fallback_upserts=tuple(
-                        zip(keys_arr.tolist(), values_arr.tolist())
-                    ),
-                    fallback_removals=tuple(removals),
+                indices, arrays, _ = zip(*functions)
+                kept = sum(map(operator.eq, indices, incumbent))
+                self._m_bits_kept.inc(kept)
+                self._m_bits_searched.inc(vb - kept)
+                if incumbent is sentinel:  # the group leaves the fallback
+                    removals += keys_arr.tolist()
+                delta = GroupDelta._of(
+                    group_id, False, indices, arrays, (), tuple(removals)
                 )
             self.apply_delta(delta)
             deltas.append(delta)
@@ -382,8 +382,8 @@ class SetSep:
         if not len(delta.indices) == len(delta.arrays) == self.params.value_bits:
             raise ValueError("delta does not match params.value_bits")
         self._m_deltas_applied.inc()
-        self.indices[g, :] = delta.indices
-        self.arrays[g, :] = delta.arrays
+        self.indices[g] = delta.indices
+        self.arrays[g] = delta.arrays
         self.failed_groups[g] = delta.failed
         for key in delta.fallback_removals:
             self.fallback.remove(key)

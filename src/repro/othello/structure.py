@@ -327,15 +327,14 @@ class OthelloSeparator:
         """Global group id of every key of one global bucket."""
         return bucket // BUCKETS_PER_BLOCK * GROUPS_PER_BLOCK
 
-    def buckets_of_group(self, group_id: int) -> np.ndarray:
-        """Global ids of the buckets mapped to ``group_id``, ascending:
-        the whole block for its first group, none for the other ids."""
+    def buckets_of_group(self, group_id: int) -> Sequence[int]:
+        """Global ids of the buckets mapped to ``group_id``, ascending, as
+        Python ints: the whole block for its first group, none for the
+        other ids (a ``range``, so there is nothing to remember)."""
         block, local_group = divmod(group_id, GROUPS_PER_BLOCK)
         if local_group:
-            return np.zeros(0, dtype=np.int64)
-        return np.arange(
-            block * BUCKETS_PER_BLOCK, (block + 1) * BUCKETS_PER_BLOCK
-        )
+            return range(0)
+        return range(block * BUCKETS_PER_BLOCK, (block + 1) * BUCKETS_PER_BLOCK)
 
     def block_of(self, key: Key) -> int:
         """Block id of a single key — the RIB partitioning unit (§4.5)."""

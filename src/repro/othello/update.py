@@ -74,6 +74,12 @@ class OthelloUpdate:
     cells: Tuple[Tuple[int, int], ...] = field(default=())
     full: bool = False
 
+    def check_against(self, separator) -> None:
+        """Raise :class:`DeltaWireError` unless ``separator`` has this
+        record's block (the peer of ``GroupDelta.check_against``)."""
+        if not 0 <= self.block_id < separator.num_blocks:
+            raise DeltaWireError(f"block id {self.block_id} out of range")
+
     def size_bits(self, params: OthelloParams) -> int:
         """Exact framed size in bits (feeds the update-rate histograms)."""
         return 8 * len(self.wire_bytes(params))

@@ -140,6 +140,15 @@ class TestShapeSurface:
         assert sep.block_of(key) == int(groups[0]) // GROUPS_PER_BLOCK
         assert sep.num_groups == sep.num_blocks * GROUPS_PER_BLOCK
 
+    def test_a_block_group_lists_the_whole_block(self, small_othello):
+        sep = small_othello[0]
+        for block in range(sep.num_blocks):
+            group = block * GROUPS_PER_BLOCK
+            buckets = sep.buckets_of_group(group)
+            assert list(buckets) == list(range(256 * block, 256 * block + 256))
+            assert {sep.group_of_bucket(b) for b in buckets} == {group}
+            assert not sep.buckets_of_group(group + 1)
+
     def test_block_partitioning_matches_setsep(self, small_othello):
         """Both backends share the two-level bucket -> block mapping."""
         sep, keys, values, _stats = small_othello

@@ -152,6 +152,47 @@ class TestStructureProperties:
         assert "16+8" in repr(setsep)
 
 
+class TestGroupBuckets:
+    """The bucket-to-group choices are fixed at construction, so each
+    group's bucket list is worked out once and remembered."""
+
+    def test_choices_are_read_only_and_the_source_stays_writable(self):
+        keys = unique_keys(300, seed=41)
+        setsep, _ = build(keys, keys % 2, SetSepParams(value_bits=1))
+        with pytest.raises(ValueError):
+            setsep.choices[0] = 1
+        with pytest.raises(AttributeError):
+            setsep.choices = setsep.choices.copy()
+        clone = setsep.copy()
+        with pytest.raises(ValueError):
+            clone.choices[0] = 1
+        source = setsep.choices.copy()
+        from repro.core.setsep import SetSep
+
+        SetSep(
+            setsep.params, setsep.num_blocks, source, setsep.indices,
+            setsep.arrays, setsep.failed_groups,
+        )
+        source[0] = 1  # the caller's array is not frozen with the view
+
+    def test_bucket_lists_invert_the_choices_and_are_remembered(
+        self, built_setsep
+    ):
+        setsep, _ = built_setsep
+        members = {}
+        for bucket in range(setsep.num_buckets):
+            members.setdefault(setsep.group_of_bucket(bucket), []).append(
+                bucket
+            )
+        for group in range(setsep.num_groups):
+            buckets = setsep.buckets_of_group(group)
+            assert buckets == tuple(members.get(group, ()))
+            assert all(type(bucket) is int for bucket in buckets)
+            assert setsep.buckets_of_group(group) is buckets
+        with pytest.raises(ValueError):
+            setsep.buckets_of_group(setsep.num_groups)
+
+
 class TestConstructorValidation:
     def test_shape_mismatch_rejected(self, built_setsep):
         from repro.core.setsep import SetSep

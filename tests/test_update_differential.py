@@ -25,6 +25,7 @@ from repro.chaos.transport import (
 from repro.cluster.architectures import Architecture
 from repro.cluster.owner import (
     ACCOUNT_FIELDS, UpdateAccount, apply_records, owner_batch, owner_step,
+    parse_records,
 )
 from repro.cluster.rib import RoutingInformationBase
 from repro.core import group as group_search
@@ -46,6 +47,7 @@ from repro.runtime.protocol import (
     MSG_UPDATE, OP_INSERT, OP_REMOVE, RSP_ERR, RSP_OK, RSP_UPDATE, UpdateOp,
     decode_json, encode_json, encode_state, encode_updates,
 )
+from repro.utils.bits import BitReader, BitWriter
 from tests.conftest import brute_force_contents, unique_keys, wire_up
 from tests.test_bits import reference_pack
 
@@ -146,7 +148,55 @@ GOLDEN = [
                 (2**32 - 1, 0, 0xDEADBEEF, 1), (), (1, 2, 3)),
      "3700102004000000630000ffffffff8001000000000001ef56df77ffff000000008001"
      "80000000000000008000000000000001000000000000000180"),
+    # Framed by the BitWriter codec, before records became one integer:
+    # a live record at one value bit, a failed one with upserts, and a
+    # live one with removals only.
+    (SetSepParams(value_bits=1),
+     GroupDelta(5, False, (17,), (0x5A,)),
+     "0a00100801000000050008ad000000"),
+    (SetSepParams(value_bits=1),
+     GroupDelta(9, True, (0,), (0,), ((123456789, 1), (2**63, 0))),
+     "1e001008010000000980000001000000000003ade68a8000c000000000000000000000"),
+    (SetSepParams(value_bits=2),
+     GroupDelta(3, False, (40000, 2), (0x80, 0x01), (), (7, 2**64 - 2)),
+     "1d00100802000000034e204000010080010000000000000003ffffffffffffffff00"),
 ]
+
+
+def bitwriter_body(delta, params):
+    """The body as the ``BitWriter`` codec wrote it, field by field."""
+    writer = BitWriter()
+    writer.write(delta.group_id, 32).write(int(delta.failed), 1)
+    for index, array in zip(delta.indices, delta.arrays):
+        writer.write(index, params.index_bits)
+        writer.write(array, params.array_bits)
+    writer.write(len(delta.fallback_upserts), 8)
+    writer.write(len(delta.fallback_removals), 8)
+    for key, value in delta.fallback_upserts:
+        writer.write(key, 64).write(value, 16)
+    for key in delta.fallback_removals:
+        writer.write(key, 64)
+    return writer.getvalue()
+
+
+def bitreader_delta(body, params):
+    """The body as the ``BitReader`` codec read it, field by field."""
+    reader = BitReader(body)
+    group_id, failed = reader.read(32), bool(reader.read(1))
+    functions = [
+        (reader.read(params.index_bits), reader.read(params.array_bits))
+        for _ in range(params.value_bits)
+    ]
+    n_upserts, n_removals = reader.read(8), reader.read(8)
+    upserts = tuple(
+        (reader.read(64), reader.read(16)) for _ in range(n_upserts)
+    )
+    removals = tuple(reader.read(64) for _ in range(n_removals))
+    assert not reader.read(reader.bits_remaining)
+    return GroupDelta(
+        group_id, failed, tuple(i for i, _ in functions),
+        tuple(a for _, a in functions), upserts, removals,
+    )
 
 
 class TestCodec:
@@ -159,21 +209,20 @@ class TestCodec:
 
     @given(
         widths=st.tuples(
-            st.integers(1, 16), st.integers(1, 32), st.integers(1, 4)
+            st.integers(1, 16), st.integers(1, 32), st.integers(1, 16)
         ),
         group_id=st.integers(0, 2**32 - 1),
         failed=st.booleans(),
-        upserts=st.lists(
-            st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 65535)),
-            max_size=4,
-        ),
-        removals=st.lists(st.integers(0, 2**64 - 1), max_size=4),
+        counts=st.tuples(st.integers(0, 255), st.integers(0, 255)),
         data=st.data(),
     )
     @settings(max_examples=150, deadline=None)
     def test_body_is_the_field_by_field_stream_and_round_trips(
-        self, widths, group_id, failed, upserts, removals, data
+        self, widths, group_id, failed, counts, data
     ):
+        """Every width, and fallback counts up to the 8-bit counters'
+        limit, against the bit-by-bit packer and the ``BitWriter`` /
+        ``BitReader`` codec the records were first written with."""
         index_bits, array_bits, value_bits = widths
         params = SetSepParams(
             index_bits=index_bits, array_bits=array_bits,
@@ -187,6 +236,15 @@ class TestCodec:
             min_size=value_bits, max_size=value_bits,
         )
         functions = data.draw(per_bit)
+        n_upserts, n_removals = counts
+        key = st.integers(0, 2**64 - 1)
+        upserts = data.draw(st.lists(
+            st.tuples(key, st.integers(0, 65535)),
+            min_size=n_upserts, max_size=n_upserts,
+        ))
+        removals = data.draw(
+            st.lists(key, min_size=n_removals, max_size=n_removals)
+        )
         delta = GroupDelta(
             group_id, failed,
             tuple(i for i, _ in functions), tuple(a for _, a in functions),
@@ -194,7 +252,15 @@ class TestCodec:
         )
         body = delta.encode(params)
         assert body == reference_body(delta, params)
+        assert body == bitwriter_body(delta, params)
+        assert len(body) == (delta.size_bits(params) + 7) // 8
         assert GroupDelta.decode(body, params) == delta
+        assert bitreader_delta(body, params) == delta
+        framed = delta.wire_bytes(params)
+        assert framed[WIRE_HEADER.size:] == body
+        assert GroupDelta.from_wire_bytes(b"\0" + framed, 1) == (
+            delta, params, len(framed) + 1
+        )
 
     def test_oversized_field_rejected(self):
         params = SetSepParams(value_bits=1)
@@ -602,8 +668,11 @@ class TestNothingPartlyApplied:
     @staticmethod
     def payloads(separator):
         """Two good records that change ``separator``, then a third record
-        that is truncated, whole with a padding bit set, or well framed
-        for a table of other widths (one value bit more; 32-bit arrays)."""
+        that is truncated, whole with a padding bit set, well framed for
+        a table of other widths (one value bit more; 32-bit arrays), or
+        well framed for this one but naming a group it does not have,
+        keeping the all-ones failure index live, or spilling a value
+        wider than its ``value_bits``."""
         params = separator.params
         records = [
             GroupDelta(group, False, (group + 1,), (1,)).wire_bytes(params)
@@ -617,9 +686,37 @@ class TestNothingPartlyApplied:
         longer = GroupDelta(2, False, (3,), (0xAAAAAAAA,)).wire_bytes(
             replace(params, array_bits=32)
         )
+        beyond = GroupDelta(
+            separator.num_groups, False, (3,), (1,)
+        ).wire_bytes(params)
+        sentinel = GroupDelta(
+            2, False, (params.max_index,), (1,)
+        ).wire_bytes(params)
+        unfit = GroupDelta(
+            2, True, (0,), (0,), ((12345, 1 << params.value_bits),)
+        ).wire_bytes(params)
         return good, [
-            good + tail for tail in (records[2][:-2], forged, wider, longer)
+            good + tail for tail in (
+                records[2][:-2], forged, wider, longer, beyond, sentinel,
+                unfit,
+            )
         ]
+
+    def test_records_this_table_cannot_hold_are_refused_at_parse(self):
+        separator, _ = separator_registry.build(
+            unique_keys(200, seed=4), [0] * 200, SetSepParams(value_bits=1)
+        )
+        params = separator.params
+        for record, reason in (
+            (GroupDelta(2, True, (0,), (0,), ((12345, 7),)), "fit"),
+            (GroupDelta(2, False, (params.max_index,), (1,)), "failure index"),
+            (GroupDelta(separator.num_groups, False, (3,), (1,)), "range"),
+        ):
+            with pytest.raises(DeltaWireError, match=reason):
+                parse_records(record.wire_bytes(params), separator)
+        # A failed record's indices are not read, and values that fit pass.
+        record = GroupDelta(2, True, (params.max_index,), (0,), ((12345, 1),))
+        assert parse_records(record.wire_bytes(params), separator) == [record]
 
     def test_bad_delta_batch_leaves_the_daemon_unchanged_and_serving(self):
         gateway, _, flows = started_gateway(2, 300, seed=5)
@@ -707,12 +804,14 @@ class TestNothingPartlyApplied:
         )
         floor = serialize.dumps(separator)
         good = OthelloUpdate(0, int(separator.seeds[0]), ((5, 1),))
-        # A value only a wider table can hold; a cell only a larger one has.
-        for other, cell in (
-            (replace(params, value_bits=2), (4000, 3)),
-            (replace(params, vertices_per_side=4096), (5000, 1)),
+        # A value only a wider table can hold; a cell only a larger one
+        # has; a block only a table of more blocks has.
+        for other, block, cell in (
+            (replace(params, value_bits=2), 0, (4000, 3)),
+            (replace(params, vertices_per_side=4096), 0, (5000, 1)),
+            (params, separator.num_blocks, (5, 1)),
         ):
-            bad = OthelloUpdate(0, 0, (cell,)).wire_bytes(other)
+            bad = OthelloUpdate(block, 0, (cell,)).wire_bytes(other)
             with pytest.raises(DeltaWireError):
                 apply_records(separator, good.wire_bytes(params) + bad)
             assert serialize.dumps(separator) == floor

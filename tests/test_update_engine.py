@@ -1,5 +1,6 @@
 """Tests for the cluster update protocol (paper §4.5, §6.2)."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from repro.cluster import Architecture, Cluster, UpdateEngine
 from repro.cluster import update as update_mod
 from repro.core import SetSepParams, serialize
+from repro.core.delta import GroupDelta
 from repro.obs.metrics import MetricsRegistry
 from tests.conftest import unique_keys
 
@@ -153,6 +155,73 @@ class TestChurnRegression:
         assert counters["setsep.bits_searched"] > 0
         assert counters["setsep.group_rebuild_failures"] > 0
         assert prints == self.FINGERPRINTS, (prints, counters)
+
+
+class TestStormDigest:
+    """A seeded storm of connects, disconnects and rehomes through the
+    engine, pinned as one SHA-256 over every record's wire bytes and every
+    replica's fingerprint: a record byte that moves, anywhere in the
+    storm, moves the digest."""
+
+    #: The digest of the storm below, computed before the record codec
+    #: was rewritten around one integer per record.
+    DIGEST = (
+        "559a4815eee0d8a6f03503602c44ef124bf48c4d7acb7ee9626a82fd12fe9a7d"
+    )
+
+    def test_storm_pins_every_record_and_replica(self, monkeypatch):
+        keys = unique_keys(2_000, seed=130)
+        # 7-bit indices: groups spill to the fallback and come back out.
+        cluster = Cluster.build(
+            Architecture.SCALEBRICKS, NUM_NODES, keys,
+            (keys % NUM_NODES).astype(np.int64), np.arange(len(keys)) + 1,
+            gpt_params=SetSepParams(index_bits=7, value_bits=2),
+        )
+        engine = UpdateEngine(cluster)
+        framed = []
+        wire_bytes = GroupDelta.wire_bytes
+
+        def recording(delta, params):
+            wire = wire_bytes(delta, params)
+            framed.append((delta, wire))
+            return wire
+
+        monkeypatch.setattr(GroupDelta, "wire_bytes", recording)
+        rng = np.random.default_rng(131)
+        fresh = iter(unique_keys(1_000, seed=132, low=2**62, high=2**63))
+        live = [int(k) for k in keys]
+        for step in range(2_000):
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                key = int(next(fresh))
+                live.append(key)
+                engine.insert_flow(key, int(rng.integers(NUM_NODES)), step)
+            elif kind == 1:
+                key = live[int(rng.integers(len(live)))]
+                node = cluster.rib.get(key).node
+                engine.insert_flow(key, (node + 1) % NUM_NODES, step)
+            else:
+                key = live.pop(int(rng.integers(len(live))))
+                assert engine.remove_flow(key)
+        assert len(framed) == 2_000
+        # Some group went into the fallback and later came back out.
+        spilled, returned = set(), set()
+        for delta, _ in framed:
+            if delta.failed:
+                spilled.add(delta.group_id)
+            elif delta.group_id in spilled:
+                returned.add(delta.group_id)
+        assert returned
+        digest = hashlib.sha256()
+        for _, wire in framed:
+            digest.update(wire)
+        prints = [
+            serialize.fingerprint(node.gpt.setsep) for node in cluster.nodes
+        ]
+        assert len(set(prints)) == 1
+        for value in prints:
+            digest.update(value.to_bytes(4, "big"))
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestFullDuplicationUpdates:
