@@ -21,8 +21,11 @@ scenarios into a repeatable harness:
 
 Everything is deterministic in its seed — a failing episode reproduces
 from ``(seed, episode)`` alone (see ``docs/chaos.md``).  The episode
-driver lives in :mod:`repro.sim.soak`; the CLI front end is
-``repro chaos``.
+driver lives in :mod:`repro.chaos.soak`; the CLI front end is
+``repro chaos``.  The soak is imported by its module path and not
+re-exported here: every node daemon imports this package (through
+:mod:`repro.chaos.transport`), and its start-up should not load the
+soak driver.
 """
 
 from repro.chaos.drills import run_failover_drill, run_fence_drill

@@ -10,7 +10,7 @@ Commands:
 * ``stats``   — run an instrumented gateway trial and print its metrics.
 * ``chaos``   — run seeded fault-injection episodes with differential
   oracle checking (exit 1 if any gate of
-  :func:`repro.sim.soak.soak_gates` fails: an invariant was violated,
+  :func:`repro.chaos.soak.soak_gates` fails: an invariant was violated,
   fabric accounting leaked, or ``--link-faults`` exercised no link
   fault; failing gate names go to stderr).
 * ``bench``   — the performance lab (:mod:`repro.perflab`):
@@ -271,7 +271,7 @@ def _print_metrics_text(registry: MetricsRegistry) -> None:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import DEFAULT_FAULT_KINDS, LINK_FAULT_KINDS
-    from repro.sim.soak import SoakRunner, soak_gates
+    from repro.chaos.soak import SoakRunner, soak_gates
 
     kinds = None
     if args.link_faults:

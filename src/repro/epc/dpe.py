@@ -12,7 +12,7 @@ the reproduction exercises that state end to end:
   "administrative functions such as charging and access control" of §2).
 
 Time is explicit (callers pass ``now`` in seconds) so tests and the
-discrete simulation stay deterministic.
+chaos soak stay deterministic.
 """
 
 from __future__ import annotations
@@ -22,6 +22,33 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
+
+
+def check_batch_columns(**columns: np.ndarray) -> None:
+    """Refuse a packet batch whose columns disagree in length or whose
+    ``sizes`` column holds a negative byte count.
+
+    The ``ValueError`` names the first bad row: the first negative size,
+    or the first row some column lacks, whichever comes first.  Callers
+    run this before they move any state or counter; a clean batch costs
+    one vectorised test.
+    """
+    lengths = [len(column) for column in columns.values()]
+    rows = min(lengths)
+    ragged = max(lengths) != rows
+    sizes = columns["sizes"]
+    if sizes.size and sizes.min() < 0:
+        first = int(np.argmax(sizes < 0))
+        if first < rows or not ragged:
+            raise ValueError(
+                f"row {first}: size {int(sizes[first])} is negative"
+            )
+    if ragged:
+        counts = ", ".join(
+            f"{name} has {length}"
+            for name, length in zip(columns, lengths)
+        )
+        raise ValueError(f"row {rows}: columns disagree in length ({counts})")
 
 
 class BearerState(enum.Enum):
@@ -170,8 +197,11 @@ class DataPlaneEngine:
         """Account one packet against its bearer.
 
         Returns False (drop) when the bearer is unknown or the policer
-        rejects the packet; True otherwise.
+        rejects the packet; True otherwise.  A negative ``size`` is a
+        ``ValueError``.
         """
+        if size < 0:
+            raise ValueError(f"size {size} is negative")
         context = self._flows.get(teid)
         if context is None:
             return False
@@ -208,11 +238,15 @@ class DataPlaneEngine:
         policer collapses to one counter update (the intermediate state
         transitions have no net effect), while policed bearers replay
         their packets through the scalar path so the token bucket sees
-        every arrival.
+        every arrival.  Columns of different lengths or a negative size
+        are a ``ValueError`` naming the first bad row
+        (:func:`check_batch_columns`), raised before anything is
+        accounted.
         """
         teids = np.asarray(teids, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
         nows = np.asarray(nows, dtype=np.float64)
+        check_batch_columns(teids=teids, sizes=sizes, nows=nows)
         n = teids.size
         ok = np.zeros(n, dtype=bool)
         if n == 0:

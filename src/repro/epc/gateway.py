@@ -25,7 +25,7 @@ from repro.cluster.update import UpdateEngine
 from repro.core.params import SetSepParams
 from repro.epc import fastpath
 from repro.epc.controller import AssignmentPolicy, EpcController, FlowRecord
-from repro.epc.dpe import DataPlaneEngine
+from repro.epc.dpe import DataPlaneEngine, check_batch_columns
 from repro.epc.packets import FlowTuple, extract_forwardable, parse_frame
 from repro.epc.tunnels import GtpTunnelEndpoint
 from repro.obs.metrics import LATENCY_BUCKETS_US, MetricsRegistry
@@ -51,13 +51,21 @@ class ChargingLedger:
 
     def charge(self, teid: int, size: int) -> None:
         """DPE charging function: account bytes to a bearer."""
+        if size < 0:
+            raise ValueError(f"size {size} is negative")
         self.bytes_charged[teid] = self.bytes_charged.get(teid, 0) + size
         self._c_bytes.inc(size)
 
     def charge_many(self, teids: np.ndarray, sizes: np.ndarray) -> None:
-        """Batched :meth:`charge`: plain-int dict updates, one counter add."""
+        """Batched :meth:`charge`: plain-int dict updates, one counter add.
+
+        Columns of different lengths or a negative size are a
+        ``ValueError`` naming the first bad row, raised before the
+        ledger or the counter moves.
+        """
         teids = np.asarray(teids, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
+        check_batch_columns(teids=teids, sizes=sizes)
         if teids.size == 0:
             return
         charged = self.bytes_charged

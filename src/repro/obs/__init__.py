@@ -1,7 +1,7 @@
 """Observability: metrics registry and per-stage latency tracing.
 
 The reproduction's hot paths (SetSep lookups, cluster routing, the EPC
-gateway, the update protocol, the discrete simulation) all accept an
+gateway, the update protocol) all accept an
 injectable :class:`MetricsRegistry` and default to the shared
 :data:`NULL_REGISTRY`, so instrumentation costs nothing until a caller
 opts in::

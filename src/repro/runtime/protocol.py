@@ -14,6 +14,7 @@ frames — self-delimiting, so a DELTA batch is a plain byte join.
 from __future__ import annotations
 
 import json
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -147,12 +148,44 @@ class UpdateOp:
     bs_ip: int = 0
 
 
+#: The record's fields with their widths, in wire order.
+_UPDATE_FIELDS = (
+    ("op", 8), ("key", 64), ("node", 32), ("value", 32), ("bs_ip", 32),
+)
+
+
+def _field_out_of_range(op: UpdateOp, exc: struct.error) -> str:
+    """The first field of ``op`` its record cannot carry, described."""
+    for name, bits in _UPDATE_FIELDS:
+        value = getattr(op, name)
+        try:
+            fits = 0 <= operator.index(value) < 1 << bits
+        except TypeError:
+            return f"{name} {value!r} is not an integer"
+        if not fits:
+            return f"{name} {value} is outside u{bits}"
+    return str(exc)
+
+
 def encode_updates(ops: Sequence[UpdateOp]) -> bytes:
-    """``u32 count | count x update records``."""
+    """``u32 count | count x update records``.
+
+    Refuses what the receiving :func:`decode_updates` would refuse, or
+    what a record cannot carry: an op code other than :data:`OP_INSERT`
+    / :data:`OP_REMOVE`, or a field outside its width, is a
+    ``ValueError`` naming the op's index and the field.
+    """
     parts = [_COUNT.pack(len(ops))]
-    for op in ops:
-        parts.append(_UPDATE_RECORD.pack(op.op, op.key, op.node,
-                                         op.value, op.bs_ip))
+    for index, op in enumerate(ops):
+        if op.op not in (OP_INSERT, OP_REMOVE):
+            raise ValueError(f"ops[{index}]: unknown op code {op.op!r}")
+        try:
+            parts.append(_UPDATE_RECORD.pack(op.op, op.key, op.node,
+                                             op.value, op.bs_ip))
+        except struct.error as exc:
+            raise ValueError(
+                f"ops[{index}]: {_field_out_of_range(op, exc)}"
+            ) from None
     return b"".join(parts)
 
 

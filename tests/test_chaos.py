@@ -1,4 +1,4 @@
-"""Tests for the fault-injection harness (repro.chaos, repro.sim.soak).
+"""Tests for the fault-injection harness (repro.chaos, repro.chaos.soak).
 
 Three families:
 
@@ -10,18 +10,26 @@ Three families:
   a doctored report must trip the soak's gates.
 """
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
+from repro import fabric as fabric_registry
 from repro.chaos import DifferentialOracle, FaultKind, FaultPlan
+from repro.chaos.soak import SoakRunner, soak_gates
 from repro.cli import main as cli_main
 from repro.cluster.architectures import Architecture
 from repro.epc.gateway import EpcGateway
 from repro.epc.packets import parse_ip
 from repro.epc.traffic import FlowGenerator
-from repro.sim.soak import SoakRunner, soak_gates
+
+from tests.conftest import needs_setsep
 
 SMOKE = dict(episodes=2, num_nodes=4, flows=24, steps=6, packets_per_burst=8)
 
@@ -181,6 +189,39 @@ class TestChaosCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "verdict      : OK" in out
+
+
+def test_daemon_start_up_does_not_load_the_soak():
+    code = ("import sys, repro.runtime.daemon; "
+            "print('repro.chaos.soak' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+@needs_setsep
+class TestSoakDigest:
+    """The soak report's bytes, pinned: a digest that moves means the
+    soak now does (or reports) something else for the same seed."""
+
+    @pytest.mark.parametrize("extra, digest", [
+        (["--fabric", "crossbar"],
+         "564b02452a555683316f88da2db76d5163d24398f5b59285043b1aabd212fab6"),
+        (["--link-faults", "--fabric", "fattree"],
+         "350c00706cd971ad8c3183f78ba33fcac570db41e3b7845a1150f8c08fa5beb8"),
+    ], ids=["crossbar", "fattree-link-faults"])
+    def test_seed_7_report_digest(self, capsys, monkeypatch, extra, digest):
+        # --fabric sets the process-wide default and its env var: both
+        # are put back for the tests that follow.
+        monkeypatch.setattr(fabric_registry._registry, "chosen",
+                            fabric_registry._registry.chosen)
+        monkeypatch.delenv(fabric_registry.BACKEND_ENV, raising=False)
+        argv = ["chaos", "--seed", "7", "--episodes", "2", "--json"]
+        assert cli_main(argv + extra) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestSoakGates:

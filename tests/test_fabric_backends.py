@@ -310,7 +310,7 @@ class TestLinkChaosSoak:
     @pytest.mark.parametrize("backend", ["crossbar", "fattree"])
     def test_link_fault_episodes_pass_oracle(self, backend):
         from repro.chaos import DEFAULT_FAULT_KINDS, LINK_FAULT_KINDS
-        from repro.sim.soak import SoakRunner
+        from repro.chaos.soak import SoakRunner
 
         runner = SoakRunner(
             seed=21, episodes=2, num_nodes=5, flows=24, steps=10,
@@ -327,7 +327,7 @@ class TestLinkChaosSoak:
 
     def test_link_only_soak_is_deterministic(self):
         from repro.chaos import LINK_FAULT_KINDS
-        from repro.sim.soak import SoakRunner
+        from repro.chaos.soak import SoakRunner
 
         def run():
             return SoakRunner(

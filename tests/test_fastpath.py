@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.architectures import Architecture
@@ -21,7 +21,7 @@ from repro.cluster.cluster import Cluster
 from repro.core.delta import GroupDelta
 from repro.epc import fastpath
 from repro.epc.dpe import DataPlaneEngine
-from repro.epc.gateway import EpcGateway
+from repro.epc.gateway import ChargingLedger, EpcGateway
 from repro.epc.packets import (
     EthernetHeader,
     FlowTuple,
@@ -1056,3 +1056,63 @@ class TestColumnsAgainstScalar:
             assert not set(charges) & set(daemon.charges)
             charges.update(daemon.charges)
         assert charges == gateway.stats.bytes_charged
+
+
+@st.composite
+def bad_columns(draw, count):
+    """``count`` batch columns (teids, sizes, then nows) that disagree in
+    length or carry a negative size, with the first bad row: the first
+    negative size or the first row some column lacks."""
+    lengths = draw(st.lists(st.integers(0, 12), min_size=count,
+                            max_size=count))
+    sizes = draw(st.lists(st.integers(-1500, 1500), min_size=lengths[1],
+                          max_size=lengths[1]))
+    bad = [row for row, size in enumerate(sizes) if size < 0]
+    if len(set(lengths)) > 1:
+        bad.append(min(lengths))
+    assume(bad)
+    teids = draw(st.lists(st.integers(1, 9), min_size=lengths[0],
+                          max_size=lengths[0]))
+    columns = [np.array(teids, dtype=np.int64),
+               np.array(sizes, dtype=np.int64)]
+    if count == 3:
+        columns.append(np.arange(lengths[2], dtype=np.float64))
+    return columns, min(bad)
+
+
+class TestBatchColumnRange:
+    """Both batch entries refuse ragged columns and negative sizes with
+    one ValueError naming the first bad row, before anything moves."""
+
+    @given(batch=bad_columns(2))
+    @settings(max_examples=150, deadline=None)
+    def test_charge_many_refuses_before_the_ledger_moves(self, batch):
+        (teids, sizes), row = batch
+        ledger = ChargingLedger()
+        ledger.charge_many(np.array([1, 2]), np.array([100, 200]))
+        with pytest.raises(ValueError, match=rf"^row {row}: "):
+            ledger.charge_many(teids, sizes)
+        assert ledger.bytes_charged == {1: 100, 2: 200}
+        assert ledger._c_bytes.value == 300
+
+    @given(batch=bad_columns(3), downlink=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_process_batch_refuses_before_any_bearer_moves(
+        self, batch, downlink
+    ):
+        (teids, sizes, nows), row = batch
+        _, dpe = engines_with_bearers()
+        before = {t: vars(c).copy() for t, c in dpe._flows.items()}
+        with pytest.raises(ValueError, match=rf"^row {row}: "):
+            dpe.process_batch(teids, sizes, downlink, nows)
+        assert {t: vars(c) for t, c in dpe._flows.items()} == before
+        assert dpe.policed_drops == 0
+
+    def test_scalar_entries_refuse_a_negative_size(self):
+        ledger = ChargingLedger()
+        _, dpe = engines_with_bearers()
+        with pytest.raises(ValueError, match="-50"):
+            ledger.charge(1, -50)
+        with pytest.raises(ValueError, match="-50"):
+            dpe.process(1, -50, True)
+        assert ledger.bytes_charged == {} and dpe.total_bytes() == 0

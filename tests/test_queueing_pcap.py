@@ -14,8 +14,10 @@ from repro.epc.pcap import (
 )
 from repro.epc.packets import parse_frame
 from repro.model.cache import XEON_E5_2697V2
-from repro.model.perf import cuckoo_model
+from repro.model.perf import ForwardingModel, cuckoo_model
 from repro.model.queueing import LoadLatencyModel, LoadPoint, md1_wait_us
+
+FLOWS = 8_000_000
 
 
 class TestMd1:
@@ -84,6 +86,47 @@ class TestLoadLatencyModel:
     def test_negative_load_rejected(self):
         with pytest.raises(ValueError):
             self.make().point(-1.0, 1_000)
+
+    def test_zero_load_is_the_base_latency(self):
+        model = self.make()
+        point = model.point(0.0, FLOWS)
+        assert point.loss_fraction == 0.0
+        assert point.utilization == 0.0
+        assert point.latency_us == model._base_latency_us(FLOWS)
+
+    @pytest.mark.parametrize(
+        "design", ["scalebricks", "full_duplication", "hash_partition"]
+    )
+    def test_overload_delivers_the_forwarding_capacity(self, design):
+        """Past saturation the delivered rate is ForwardingModel's
+        capacity for the design, whatever the offered load."""
+        forwarding = ForwardingModel(XEON_E5_2697V2, cuckoo_model())
+        capacity = {
+            "scalebricks": forwarding.scalebricks_mpps,
+            "full_duplication": forwarding.full_duplication_mpps,
+            "hash_partition": forwarding.hash_partition_mpps,
+        }[design](FLOWS)
+        for factor in (1.4, 3.0):
+            point = self.make(design).point(capacity * factor, FLOWS)
+            assert point.saturated
+            delivered = point.offered_mpps * (1.0 - point.loss_fraction)
+            assert delivered == pytest.approx(capacity, rel=1e-9)
+
+    def test_scalebricks_outdelivers_full_duplication_at_overload(self):
+        overloaded = 15.0
+        sb = self.make("scalebricks").point(overloaded, FLOWS)
+        fd = self.make("full_duplication").point(overloaded, FLOWS)
+        assert sb.saturated and fd.saturated
+        assert sb.loss_fraction < fd.loss_fraction
+
+    def test_hash_partition_saturates_first(self):
+        """At 8 Mpps per node the two-hop design is past capacity while
+        the one-hop designs still queue without loss."""
+        assert self.make("hash_partition").point(8.0, FLOWS).saturated
+        for design in ("scalebricks", "full_duplication"):
+            point = self.make(design).point(8.0, FLOWS)
+            assert not point.saturated
+            assert point.loss_fraction == 0.0
 
 
 class TestPcap:

@@ -174,6 +174,21 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             protocol.decode_updates(bytes(payload))
 
+    @pytest.mark.parametrize("bad, field", [
+        (UpdateOp(7, 1), "unknown op code 7"),
+        (UpdateOp(1.0, 1), "op 1.0 is not an integer"),
+        (UpdateOp(OP_INSERT, -1), "key -1 is outside u64"),
+        (UpdateOp(OP_REMOVE, 2**64), "key 18446744073709551616 is outside"),
+        (UpdateOp(OP_INSERT, 1, node=2**32), "node 4294967296 is outside"),
+        (UpdateOp(OP_INSERT, 1, value=-1), "value -1 is outside u32"),
+        (UpdateOp(OP_INSERT, 1, bs_ip=2**32), "bs_ip 4294967296 is outside"),
+        (UpdateOp(OP_INSERT, 1.5), "key 1.5 is not an integer"),
+    ])
+    def test_encode_refuses_what_no_daemon_would_accept(self, bad, field):
+        ops = [UpdateOp(OP_INSERT, 1, node=2, value=3), bad]
+        with pytest.raises(ValueError, match=rf"^ops\[1\]: {field}"):
+            protocol.encode_updates(ops)
+
     @given(outcomes=outcome_lists)
     @example(outcomes=[
         RouteOutcome(STATUS_DELIVERED, 2, 0xDEAD, b"packet-bytes"),
