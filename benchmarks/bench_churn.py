@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from repro.cluster import Architecture
-from repro.epc import EpcGateway, FlowGenerator
+from repro.epc.gateway import EpcGateway
 from repro.epc.packets import parse_ip
-from repro.epc.traffic import run_downstream_trial
+from repro.epc.traffic import FlowGenerator, run_downstream_trial
 from repro.epc.workload import BearerWorkload
 from repro import perflab
 from benchmarks.conftest import bench_scale, print_header

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import Architecture, Cluster
-from repro.epc.traffic import Rfc2544Bench
 from repro.model.cache import XEON_E5_2697V2
-from repro.model.perf import cuckoo_model, rte_hash_model
+from repro.model.perf import Rfc2544Bench, cuckoo_model, rte_hash_model
 from repro import perflab
 from benchmarks.conftest import bench_keys, bench_scale, print_header
 

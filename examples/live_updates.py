@@ -14,9 +14,9 @@ Run:  python examples/live_updates.py
 import numpy as np
 
 from repro.cluster import Architecture
-from repro.epc import EpcGateway, FlowGenerator
+from repro.epc.gateway import EpcGateway
 from repro.epc.packets import parse_ip
-from repro.epc.traffic import run_downstream_trial
+from repro.epc.traffic import FlowGenerator, run_downstream_trial
 
 NUM_NODES = 4
 BASE_FLOWS = 5_000

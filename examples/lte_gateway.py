@@ -11,9 +11,9 @@ Run:  python examples/lte_gateway.py
 """
 
 from repro.cluster import Architecture
-from repro.epc import EpcGateway, FlowGenerator
+from repro.epc.gateway import EpcGateway
 from repro.epc.packets import format_ip, parse_ip
-from repro.epc.traffic import run_downstream_trial
+from repro.epc.traffic import FlowGenerator, run_downstream_trial
 from repro.epc.tunnels import GtpTunnelEndpoint
 
 GATEWAY_IP = parse_ip("192.0.2.1")

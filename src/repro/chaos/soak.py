@@ -24,13 +24,13 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.chaos import (
+from repro.chaos.faults import (
     LINK_FAULT_KINDS,
-    DifferentialOracle,
     FaultInjector,
     FaultKind,
     FaultPlan,
 )
+from repro.chaos.oracle import DifferentialOracle
 from repro.cluster.architectures import Architecture
 from repro.epc.gateway import EpcGateway
 from repro.epc.packets import parse_ip

@@ -70,7 +70,6 @@ from repro.core import serialize, shm
 from repro.core import separator as separator_registry
 from repro.core.hashfamily import canonical_key
 from repro.gpt.gpt import GlobalPartitionTable
-from repro.model.scaling import peak_scaling_factor, scaling_curve
 from repro.obs import MetricsRegistry
 from repro.utils.env import environment_fingerprint
 
@@ -175,6 +174,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
+    from repro.model.scaling import peak_scaling_factor, scaling_curve
+
     memory_bits = args.memory_mib * 1024 * 1024 * 8
     if args.json:
         rows = [
@@ -206,9 +207,9 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
 def _run_gateway_trial(args: argparse.Namespace):
     """Stand up a gateway, push one packet stream, return what happened."""
-    from repro.epc import EpcGateway, FlowGenerator
+    from repro.epc.gateway import EpcGateway
     from repro.epc.packets import parse_ip
-    from repro.epc.traffic import run_downstream_trial
+    from repro.epc.traffic import FlowGenerator, run_downstream_trial
 
     architecture = Architecture(args.architecture)
     gen = FlowGenerator(seed=args.seed)
@@ -270,7 +271,7 @@ def _print_metrics_text(registry: MetricsRegistry) -> None:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos import DEFAULT_FAULT_KINDS, LINK_FAULT_KINDS
+    from repro.chaos.faults import DEFAULT_FAULT_KINDS, LINK_FAULT_KINDS
     from repro.chaos.soak import SoakRunner, soak_gates
 
     kinds = None

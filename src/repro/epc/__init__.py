@@ -2,48 +2,28 @@
 
 A functional software EPC data plane: GTP-U tunnelling, TEID allocation, a
 controller that pins flows to handling nodes, the Packet Forwarding Engine
-that ScaleBricks replaces, and the traffic/latency harness that stands in
-for the Spirent test platform.
+that ScaleBricks replaces, and the traffic harness that stands in for the
+Spirent test platform.
+
+Modules (import each by its path; the package re-exports nothing, so a
+node daemon that needs only the frame codec does not load the gateway):
+
+* :mod:`~repro.epc.packets` — byte-accurate Ethernet/IPv4/UDP/GTP-U codecs
+  and :class:`~repro.epc.packets.FlowTuple`;
+* :mod:`~repro.epc.fastpath` — the batched frame codec both data paths
+  share;
+* :mod:`~repro.epc.tunnels` — :class:`~repro.epc.tunnels.TeidAllocator`
+  and :class:`~repro.epc.tunnels.GtpTunnelEndpoint`;
+* :mod:`~repro.epc.controller` — :class:`~repro.epc.controller.EpcController`,
+  flow records and assignment policies;
+* :mod:`~repro.epc.dpe` — the Data Plane Engine and charging records;
+* :mod:`~repro.epc.gateway` — :class:`~repro.epc.gateway.EpcGateway` (PFE +
+  DPE over a cluster) and :class:`~repro.epc.gateway.ChargingLedger`;
+* :mod:`~repro.epc.gtpc` — GTPv2-C session signalling;
+* :mod:`~repro.epc.traffic` — :class:`~repro.epc.traffic.FlowGenerator`
+  and the functional trial harness;
+* :mod:`~repro.epc.workload` — stochastic bearer workloads;
+* :mod:`~repro.epc.pcap` — pcap file I/O.
+
+The RFC 2544-style latency model is :class:`repro.model.perf.Rfc2544Bench`.
 """
-
-from repro.epc.packets import (
-    EthernetHeader,
-    GtpuHeader,
-    Ipv4Header,
-    UdpHeader,
-    FlowTuple,
-    build_downstream_frame,
-    parse_frame,
-)
-from repro.epc.tunnels import GtpTunnelEndpoint, TeidAllocator
-from repro.epc.controller import EpcController, FlowRecord, AssignmentPolicy
-from repro.epc.dpe import DataPlaneEngine, ChargingRecord, BearerState
-from repro.epc.gateway import ChargingLedger, EpcGateway
-from repro.epc.traffic import FlowGenerator, Rfc2544Bench, TrafficStats
-from repro.epc.workload import BearerWorkload, BearerEvent, EventKind
-
-__all__ = [
-    "EthernetHeader",
-    "Ipv4Header",
-    "UdpHeader",
-    "GtpuHeader",
-    "FlowTuple",
-    "build_downstream_frame",
-    "parse_frame",
-    "TeidAllocator",
-    "GtpTunnelEndpoint",
-    "EpcController",
-    "FlowRecord",
-    "AssignmentPolicy",
-    "EpcGateway",
-    "ChargingLedger",
-    "DataPlaneEngine",
-    "ChargingRecord",
-    "BearerState",
-    "BearerWorkload",
-    "BearerEvent",
-    "EventKind",
-    "FlowGenerator",
-    "Rfc2544Bench",
-    "TrafficStats",
-]

@@ -1,17 +1,17 @@
-"""Traffic generation and the RFC 2544-style harness (paper §6.2).
+"""Traffic generation and the functional trial harness (paper §6.2).
 
 Stands in for the Spirent SPT-N11U: synthesises downstream flow
-populations, generates packet streams over them (uniform or Zipf-skewed),
-drives them through a gateway while collecting functional statistics, and
-evaluates the latency/throughput models with the functionally measured hop
-counts — the simulation's equivalent of the paper's latency benchmark.
+populations, generates packet streams over them (uniform or Zipf-skewed)
+and drives them through a gateway while collecting functional statistics.
+The RFC 2544-style latency evaluation over the cost models is
+:class:`repro.model.perf.Rfc2544Bench`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from repro.epc.packets import (
     build_downstream_frame,
     parse_ip,
 )
-from repro.model.cache import CacheHierarchy
-from repro.model.perf import LatencyModel, TableCostModel
 
 #: MAC addresses used by the generator (values are irrelevant to the PFE).
 GENERATOR_MAC = bytes.fromhex("02aa bbcc dd01".replace(" ", ""))
@@ -194,42 +192,3 @@ def run_downstream_trial_batched(
             )
     stats.wall_seconds = time.perf_counter() - started
     return stats
-
-
-class Rfc2544Bench:
-    """Average-latency evaluation in the RFC 2544 style (Figure 10).
-
-    Functional hop counts come from really routing probe packets through
-    the cluster; per-hop and lookup costs come from the calibrated latency
-    model.  This mirrors what the Spirent platform measures: steady-state
-    average latency at a fixed population of pre-established tunnels.
-    """
-
-    def __init__(
-        self,
-        cache: CacheHierarchy,
-        table: TableCostModel,
-        num_nodes: int = 4,
-    ) -> None:
-        self.model = LatencyModel(cache=cache, table=table, num_nodes=num_nodes)
-
-    def average_latency_us(
-        self,
-        architecture_name: str,
-        num_flows: int,
-    ) -> float:
-        """Modelled average latency for one design point."""
-        if architecture_name == "full_duplication":
-            return self.model.full_duplication_us(num_flows)
-        if architecture_name == "scalebricks":
-            return self.model.scalebricks_us(num_flows)
-        if architecture_name == "hash_partition":
-            return self.model.hash_partition_us(num_flows)
-        raise ValueError(f"unknown design: {architecture_name}")
-
-    def compare(self, num_flows: int) -> Dict[str, float]:
-        """Latency of all three switch-based designs at one flow count."""
-        return {
-            name: self.average_latency_us(name, num_flows)
-            for name in ("full_duplication", "scalebricks", "hash_partition")
-        }

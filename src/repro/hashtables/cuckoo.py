@@ -24,7 +24,12 @@ import numpy as np
 
 from repro.core import hashfamily
 from repro.core.setsep import Key
-from repro.hashtables.interface import FibTable, TableFullError, canonical
+from repro.hashtables.interface import (
+    FibTable,
+    TableFullError,
+    canonical,
+    checked_keys,
+)
 
 #: Slots per bucket (the associativity CuckooSwitch uses).
 SLOTS_PER_BUCKET = 4
@@ -199,8 +204,10 @@ class CuckooHashTable(FibTable):
         Stays entirely in NumPy when every hit value is an integer (the
         FIB's TEID case) by gathering from the integer sidecar; raises
         :class:`TypeError` as the interface contract requires otherwise.
+        An integer key outside ``[0, 2**64)`` is a ``ValueError`` naming
+        the first bad row (:func:`~repro.hashtables.interface.checked_keys`).
         """
-        slots = self.lookup_slots(keys)
+        slots = self.lookup_slots(checked_keys(keys))
         found = slots >= 0
         hit_slots = slots[found]
         if not np.all(self._int_ok[hit_slots]):

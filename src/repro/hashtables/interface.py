@@ -13,7 +13,7 @@ from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.hashfamily import canonical_key, canonical_keys
+from repro.core.hashfamily import HashedKeys, canonical_key, canonical_keys
 from repro.core.setsep import Key
 
 
@@ -69,9 +69,10 @@ class FibTable(abc.ABC):
         This is the shape the batched forwarding fast path consumes — no
         per-key Python objects cross the boundary.  Tables holding
         non-integer values raise :class:`TypeError`; callers fall back to
-        :meth:`lookup_batch`.
+        :meth:`lookup_batch`.  An integer key outside ``[0, 2**64)`` is a
+        ``ValueError`` (:func:`checked_keys`), not a miss.
         """
-        results = self.lookup_batch(keys)
+        results = self.lookup_batch(checked_keys(keys))
         n = len(results)
         found = np.zeros(n, dtype=bool)
         values = np.full(n, missing, dtype=np.int64)
@@ -96,6 +97,38 @@ class FibTable(abc.ABC):
 def canonical(key: Key) -> int:
     """Shared key canonicalisation (same space as SetSep keys)."""
     return canonical_key(key)
+
+
+def checked_keys(keys):
+    """``keys``, refusing an integer key outside ``[0, 2**64)``.
+
+    The ``ValueError`` names the first bad row.  A pre-hashed
+    :class:`~repro.core.hashfamily.HashedKeys` batch or an unsigned array
+    is in range by construction and passes for one type test; a signed
+    array costs one vectorised sign test.  Byte and text keys are
+    digested, so they have no range.  A one-shot iterable comes back as a
+    list.
+    """
+    if isinstance(keys, HashedKeys):
+        return keys
+    if isinstance(keys, np.ndarray):
+        if keys.dtype.kind == "u":
+            return keys
+        if keys.dtype.kind == "i":
+            if keys.size and keys.min() < 0:
+                first = int(np.argmax(keys < 0))
+                _refuse_key(first, int(keys[first]))
+            return keys
+    elif not isinstance(keys, (list, tuple)):
+        keys = list(keys)
+    for row, key in enumerate(keys):
+        if isinstance(key, (int, np.integer)) and not 0 <= key < 1 << 64:
+            _refuse_key(row, int(key))
+    return keys
+
+
+def _refuse_key(row: int, key: int) -> None:
+    raise ValueError(f"row {row}: key {key} is outside [0, 2**64)")
 
 
 def canonical_many(keys: Union[Sequence[Key], np.ndarray]) -> np.ndarray:

@@ -25,6 +25,7 @@ from repro.hashtables.interface import (
     TableFullError,
     canonical,
     canonical_many,
+    checked_keys,
 )
 
 #: Entries per bucket (rte_hash's RTE_HASH_BUCKET_ENTRIES).
@@ -164,7 +165,7 @@ class RteHashTable(FibTable):
         missing: int = -1,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Array-native batch lookup (see :meth:`FibTable.lookup_batch_array`)."""
-        slots = self.lookup_slots(keys)
+        slots = self.lookup_slots(checked_keys(keys))
         found = slots >= 0
         values = np.full(slots.size, missing, dtype=np.int64)
         for i in np.nonzero(found)[0]:

@@ -7,12 +7,17 @@ evaluation machines' sizes/latencies, lookup-cost models for each table, and
 the packet-forwarding pipeline of §6.2 — so the benchmarks can regenerate
 the *shape* of every figure (who wins, crossover points) on any host.
 The Figure 11 capacity analytics are exact, not modelled.
+
+:mod:`repro.model.calibration` (the Figure 7 fit) is the one module that
+needs scipy, an optional dependency (the ``fit`` extra), so it is imported
+by its module path and not re-exported here.
 """
 
 from repro.model.cache import CacheHierarchy, CacheLevel, XEON_E5_2680, XEON_E5_2697V2
 from repro.model.perf import (
     ForwardingModel,
     LatencyModel,
+    Rfc2544Bench,
     SetSepLookupModel,
     TableCostModel,
 )
@@ -31,7 +36,6 @@ from repro.model.skew import (
     zipf_shares,
 )
 from repro.model.queueing import LoadLatencyModel, LoadPoint, md1_wait_us
-from repro.model.calibration import FittedParams, fit_lookup_model
 
 __all__ = [
     "FabricRequirement",
@@ -39,8 +43,6 @@ __all__ = [
     "LoadLatencyModel",
     "LoadPoint",
     "md1_wait_us",
-    "FittedParams",
-    "fit_lookup_model",
     "capacity_loss_from_skew",
     "effective_nodes",
     "scalebricks_capacity_skewed",
@@ -53,6 +55,7 @@ __all__ = [
     "TableCostModel",
     "ForwardingModel",
     "LatencyModel",
+    "Rfc2544Bench",
     "entries_full_duplication",
     "entries_hash_partition",
     "entries_scalebricks",

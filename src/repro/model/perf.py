@@ -325,3 +325,43 @@ class LatencyModel:
             + self._hop_us(lookup_ns)
             + self._hop_us(handler_ns)
         )
+
+
+class Rfc2544Bench:
+    """Average-latency evaluation in the RFC 2544 style (Figure 10).
+
+    Per-hop and lookup costs come from :class:`LatencyModel`; the hop
+    counts it assumes are the ones a real cluster route takes (the
+    Figure 10 benchmark audits them functionally).  This mirrors what the
+    Spirent platform measures: steady-state average latency at a fixed
+    population of pre-established tunnels.
+    """
+
+    def __init__(
+        self,
+        cache: CacheHierarchy,
+        table: TableCostModel,
+        num_nodes: int = 4,
+    ) -> None:
+        self.model = LatencyModel(cache=cache, table=table, num_nodes=num_nodes)
+
+    def average_latency_us(
+        self,
+        architecture_name: str,
+        num_flows: int,
+    ) -> float:
+        """Modelled average latency for one design point."""
+        if architecture_name == "full_duplication":
+            return self.model.full_duplication_us(num_flows)
+        if architecture_name == "scalebricks":
+            return self.model.scalebricks_us(num_flows)
+        if architecture_name == "hash_partition":
+            return self.model.hash_partition_us(num_flows)
+        raise ValueError(f"unknown design: {architecture_name}")
+
+    def compare(self, num_flows: int) -> Dict[str, float]:
+        """Latency of all three switch-based designs at one flow count."""
+        return {
+            name: self.average_latency_us(name, num_flows)
+            for name in ("full_duplication", "scalebricks", "hash_partition")
+        }

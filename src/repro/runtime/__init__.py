@@ -9,7 +9,8 @@ raw-frame routing with exactly-once forwarding, heartbeat liveness and
 §7 failure repair, and graceful drain/join with make-before-break
 snapshot swaps.
 
-Modules:
+Modules (import each by its path; the package re-exports nothing, so a
+node daemon does not load the controller, the session or the launcher):
 
 * :mod:`~repro.runtime.framing` — length-prefixed message framing;
 * :mod:`~repro.runtime.transport` — the one serve loop, link pool and
@@ -29,82 +30,11 @@ Modules:
   differential workload behind ``repro runtime-demo``;
 * :mod:`~repro.runtime.replication` — the replicated-log state machine
   with lease-based leader election (injected clocks, seeded timeouts)
-  plus the in-memory :class:`ReplicaGroup` simulator;
+  plus the in-memory :class:`~repro.runtime.replication.ReplicaGroup`
+  simulator;
 * :mod:`~repro.runtime.replicated` — controller replicas as real
   processes and the leader-SIGKILL failover drill behind
   ``repro runtime-demo --replicas``.
 
 ``docs/runtime.md`` documents the wire protocol byte by byte.
 """
-
-from repro.runtime.controller import RuntimeController
-from repro.runtime.daemon import NodeDaemon, serve
-from repro.runtime.framing import (
-    FramedSocket,
-    FramingError,
-    frame_columns,
-    pack_frame_list,
-    pack_message,
-)
-from repro.runtime.launcher import (
-    LocalRuntime,
-    report_json,
-    run_demo,
-    run_workload,
-)
-from repro.runtime.liveness import HeartbeatMonitor, NodeState
-from repro.runtime.protocol import (
-    ProtocolError,
-    RouteOutcome,
-    UpdateOp,
-)
-from repro.runtime.replicated import (
-    ReplicaClient,
-    ReplicaServer,
-    ReplicaSet,
-    run_replicated_workload,
-)
-from repro.runtime.replication import (
-    LeadershipGuard,
-    ManualClock,
-    NotLeaderError,
-    Replica,
-    ReplicaGroup,
-    ReplicaGuard,
-    Role,
-    StaleTermError,
-    StaticGuard,
-)
-
-__all__ = [
-    "RuntimeController",
-    "NodeDaemon",
-    "serve",
-    "FramedSocket",
-    "FramingError",
-    "frame_columns",
-    "pack_frame_list",
-    "pack_message",
-    "LocalRuntime",
-    "report_json",
-    "run_demo",
-    "run_workload",
-    "HeartbeatMonitor",
-    "NodeState",
-    "ProtocolError",
-    "RouteOutcome",
-    "UpdateOp",
-    "ReplicaClient",
-    "ReplicaServer",
-    "ReplicaSet",
-    "run_replicated_workload",
-    "LeadershipGuard",
-    "ManualClock",
-    "NotLeaderError",
-    "Replica",
-    "ReplicaGroup",
-    "ReplicaGuard",
-    "Role",
-    "StaleTermError",
-    "StaticGuard",
-]

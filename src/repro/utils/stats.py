@@ -39,20 +39,3 @@ def summarize(sample: Sequence[float]) -> Summary:
         maximum=max(sample),
     )
 
-
-def percentile(sample: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile ``q`` in [0, 100] of ``sample``."""
-    if not sample:
-        raise ValueError("cannot take a percentile of an empty sample")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError("q must be within [0, 100]")
-    ordered = sorted(sample)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (len(ordered) - 1) * q / 100.0
-    lo = math.floor(rank)
-    hi = math.ceil(rank)
-    if lo == hi:
-        return ordered[lo]
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac

@@ -21,7 +21,8 @@ import pytest
 
 import repro
 from repro import fabric as fabric_registry
-from repro.chaos import DifferentialOracle, FaultKind, FaultPlan
+from repro.chaos.faults import FaultKind, FaultPlan
+from repro.chaos.oracle import DifferentialOracle
 from repro.chaos.soak import SoakRunner, soak_gates
 from repro.cli import main as cli_main
 from repro.cluster.architectures import Architecture
@@ -229,7 +230,7 @@ class TestSoakGates:
 
     @pytest.fixture(scope="class")
     def report(self):
-        from repro.chaos import DEFAULT_FAULT_KINDS, LINK_FAULT_KINDS
+        from repro.chaos.faults import DEFAULT_FAULT_KINDS, LINK_FAULT_KINDS
 
         return small_soak(
             seed=11, kinds=DEFAULT_FAULT_KINDS + LINK_FAULT_KINDS

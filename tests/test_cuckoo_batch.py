@@ -136,6 +136,36 @@ class TestBatchLookupArray:
         with pytest.raises(TypeError, match="non-integer"):
             table.lookup_batch_array(np.array([1], dtype=np.uint64))
 
+    @pytest.mark.parametrize(
+        "table_cls", [CuckooHashTable, RteHashTable, ChainingHashTable]
+    )
+    @pytest.mark.parametrize(
+        "make_batch, row, key",
+        [
+            (lambda: [-1], 0, -1),
+            (lambda: [2**70], 0, 2**70),
+            (lambda: [17, 2**64 - 1, 2**64, -1], 2, 2**64),
+            (lambda: np.array([17, 3, -5], dtype=np.int64), 2, -5),
+            (lambda: iter([17, -2]), 1, -2),
+        ],
+    )
+    def test_out_of_range_keys_refused(self, table_cls, make_batch, row, key):
+        """An integer key outside [0, 2**64) is refused, not a miss."""
+        table = table_cls(64)  # capacity, or chaining's bucket count
+        table.insert(17, 5)
+        with pytest.raises(ValueError, match=rf"^row {row}: key {key} "):
+            table.lookup_batch_array(make_batch())
+
+    @pytest.mark.parametrize("table_cls", [CuckooHashTable, RteHashTable])
+    def test_in_range_edges_and_digested_keys_pass(self, table_cls):
+        table = table_cls(capacity=64)
+        table.insert(0, 1)
+        table.insert(2**64 - 1, 2)
+        table.insert("flow", 3)
+        found, values = table.lookup_batch_array([0, 2**64 - 1, "flow", 9])
+        assert found.tolist() == [True, True, True, False]
+        assert values.tolist() == [1, 2, 3, -1]
+
     def test_chaining_uses_interface_fallback(self):
         table = ChainingHashTable(num_buckets=256)
         for i in range(100):

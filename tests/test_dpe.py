@@ -3,10 +3,10 @@
 import pytest
 
 from repro.cluster import Architecture
-from repro.epc import EpcGateway, FlowGenerator
+from repro.epc.gateway import EpcGateway
 from repro.epc.dpe import BearerState, DataPlaneEngine, TokenBucket
 from repro.epc.packets import build_downstream_frame, parse_ip
-from repro.epc.traffic import GATEWAY_MAC, GENERATOR_MAC
+from repro.epc.traffic import GATEWAY_MAC, GENERATOR_MAC, FlowGenerator
 
 
 class TestBearerLifecycle:

@@ -309,7 +309,7 @@ class TestClusterFabricWiring:
 class TestLinkChaosSoak:
     @pytest.mark.parametrize("backend", ["crossbar", "fattree"])
     def test_link_fault_episodes_pass_oracle(self, backend):
-        from repro.chaos import DEFAULT_FAULT_KINDS, LINK_FAULT_KINDS
+        from repro.chaos.faults import DEFAULT_FAULT_KINDS, LINK_FAULT_KINDS
         from repro.chaos.soak import SoakRunner
 
         runner = SoakRunner(
@@ -326,7 +326,7 @@ class TestLinkChaosSoak:
             assert episode.fabric["accounting_ok"]
 
     def test_link_only_soak_is_deterministic(self):
-        from repro.chaos import LINK_FAULT_KINDS
+        from repro.chaos.faults import LINK_FAULT_KINDS
         from repro.chaos.soak import SoakRunner
 
         def run():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cluster import Architecture
-from repro.epc import EpcGateway, FlowGenerator
+from repro.epc.gateway import EpcGateway
 from repro.epc.packets import build_downstream_frame, parse_ip
-from repro.epc.traffic import GATEWAY_MAC, GENERATOR_MAC
+from repro.epc.traffic import GATEWAY_MAC, GENERATOR_MAC, FlowGenerator
 from repro.epc.tunnels import GtpTunnelEndpoint
 
 GW_IP = parse_ip("192.0.2.1")

@@ -6,9 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Architecture
-from repro.epc import EpcGateway, FlowGenerator
+from repro.epc.gateway import EpcGateway
 from repro.epc.packets import parse_ip
-from repro.epc.traffic import GATEWAY_MAC, GENERATOR_MAC
+from repro.epc.traffic import GATEWAY_MAC, GENERATOR_MAC, FlowGenerator
 
 
 @pytest.fixture(scope="module")

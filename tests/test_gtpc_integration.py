@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import Architecture
-from repro.epc import EpcGateway, FlowGenerator
+from repro.epc.gateway import EpcGateway
 from repro.epc.gtpc import (
     Cause,
     GtpcMessage,
@@ -15,7 +15,7 @@ from repro.epc.gtpc import (
     delete_session_request,
 )
 from repro.epc.packets import build_downstream_frame, parse_ip
-from repro.epc.traffic import GATEWAY_MAC, GENERATOR_MAC
+from repro.epc.traffic import GATEWAY_MAC, GENERATOR_MAC, FlowGenerator
 
 GW_IP = parse_ip("192.0.2.1")
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.cluster import Architecture, Cluster, UpdateEngine
-from repro.epc import EpcGateway, FlowGenerator
+from repro.epc.gateway import EpcGateway
 from repro.epc.controller import AssignmentPolicy
 from repro.epc.packets import parse_ip
-from repro.epc.traffic import run_downstream_trial
+from repro.epc.traffic import FlowGenerator, run_downstream_trial
 from repro.epc.tunnels import GtpTunnelEndpoint
 from tests.conftest import unique_keys
 

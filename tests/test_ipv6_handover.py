@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Architecture
-from repro.epc import EpcGateway, FlowGenerator
+from repro.epc.gateway import EpcGateway
 from repro.epc.packets import Ipv6Header, build_downstream_frame, parse_ip
-from repro.epc.traffic import GATEWAY_MAC, GENERATOR_MAC
+from repro.epc.traffic import GATEWAY_MAC, GENERATOR_MAC, FlowGenerator
 from repro.epc.tunnels import GtpTunnelEndpoint
 
 

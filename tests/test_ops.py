@@ -22,8 +22,12 @@ import time
 import pytest
 
 import repro
-from repro.chaos import run_failover_drill, run_fence_drill
-from repro.chaos.drills import failover_drill_gates, fence_drill_gates
+from repro.chaos.drills import (
+    failover_drill_gates,
+    fence_drill_gates,
+    run_failover_drill,
+    run_fence_drill,
+)
 from repro.obs import MetricsRegistry
 from repro.obs.exposition import CONTENT_TYPE, metric_name, prometheus_text
 from repro.ops import OpsApiError, OpsApiServer, OpsClient, api as api_module

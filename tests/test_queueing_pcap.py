@@ -4,7 +4,6 @@ import io
 
 import pytest
 
-from repro.epc import FlowGenerator
 from repro.epc.pcap import (
     CapturedPacket,
     PcapError,
@@ -13,6 +12,7 @@ from repro.epc.pcap import (
     read_pcap,
 )
 from repro.epc.packets import parse_frame
+from repro.epc.traffic import FlowGenerator
 from repro.model.cache import XEON_E5_2697V2
 from repro.model.perf import ForwardingModel, cuckoo_model
 from repro.model.queueing import LoadLatencyModel, LoadPoint, md1_wait_us

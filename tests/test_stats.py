@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.stats import Summary, percentile, summarize
+from repro.utils.stats import summarize
 
 
 class TestSummarize:
@@ -29,28 +29,3 @@ class TestSummarize:
         assert "mean=1.500" in text
         assert "n=2" in text
 
-
-class TestPercentile:
-    def test_median_odd(self):
-        assert percentile([3.0, 1.0, 2.0], 50) == 2.0
-
-    def test_median_interpolates(self):
-        assert percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.5
-
-    def test_extremes(self):
-        data = [5.0, 1.0, 9.0]
-        assert percentile(data, 0) == 1.0
-        assert percentile(data, 100) == 9.0
-
-    def test_single_element(self):
-        assert percentile([7.0], 95) == 7.0
-
-    def test_out_of_range_q(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], 101)
-        with pytest.raises(ValueError):
-            percentile([1.0], -1)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from repro.cluster import Architecture
-from repro.epc import EpcGateway, FlowGenerator
+from repro.epc.gateway import EpcGateway
 from repro.epc.packets import parse_ip
-from repro.epc.traffic import Rfc2544Bench, run_downstream_trial
+from repro.epc.traffic import FlowGenerator, run_downstream_trial
 from repro.model.cache import XEON_E5_2697V2
-from repro.model.perf import cuckoo_model
+from repro.model.perf import Rfc2544Bench, cuckoo_model
 
 
 class TestFlowGenerator:

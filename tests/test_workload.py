@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import Architecture
-from repro.epc import EpcGateway, FlowGenerator
+from repro.epc.gateway import EpcGateway
+from repro.epc.traffic import FlowGenerator
 from repro.epc.packets import parse_ip
 from repro.epc.workload import (
     BearerEvent,
