@@ -19,11 +19,9 @@ node daemon that needs only the frame codec does not load the gateway):
 * :mod:`~repro.epc.dpe` — the Data Plane Engine and charging records;
 * :mod:`~repro.epc.gateway` — :class:`~repro.epc.gateway.EpcGateway` (PFE +
   DPE over a cluster) and :class:`~repro.epc.gateway.ChargingLedger`;
-* :mod:`~repro.epc.gtpc` — GTPv2-C session signalling;
 * :mod:`~repro.epc.traffic` — :class:`~repro.epc.traffic.FlowGenerator`
   and the functional trial harness;
-* :mod:`~repro.epc.workload` — stochastic bearer workloads;
-* :mod:`~repro.epc.pcap` — pcap file I/O.
+* :mod:`~repro.epc.workload` — stochastic bearer workloads.
 
 The RFC 2544-style latency model is :class:`repro.model.perf.Rfc2544Bench`.
 """

@@ -30,6 +30,15 @@ from repro.epc.packets import FlowTuple, extract_forwardable, parse_frame
 from repro.epc.tunnels import GtpTunnelEndpoint
 from repro.obs.metrics import LATENCY_BUCKETS_US, MetricsRegistry
 
+
+def _node_id(value, num_nodes: int, name: str) -> int:
+    """``value`` as an int if it is a Python or NumPy integer node id."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integral and 0 <= value < num_nodes):
+        raise ValueError(f"{name} = {value!r} is not a node id")
+    return int(value)
+
+
 class ChargingLedger:
     """Per-bearer byte accounting (the gateway's ``stats`` attribute).
 
@@ -259,8 +268,7 @@ class EpcGateway:
         the DPE context with its charging counters — billing continues
         seamlessly on the new node.
         """
-        if not 0 <= new_node < self.num_nodes:
-            raise ValueError("new_node out of range")
+        new_node = _node_id(new_node, self.num_nodes, "new_node")
         record = self.controller.record_for_key(flow.key())
         if record is None:
             raise KeyError(f"no bearer for flow {flow}")
@@ -311,6 +319,7 @@ class EpcGateway:
         the GTP-U-encapsulated packet headed for the base station.
         """
         cluster = self._require_cluster()
+        ingress = None if ingress is None else _node_id(ingress, len(cluster.nodes), "ingress")
         self._c_down_in.inc()
         with self.registry.span("downstream"):
             with self.registry.span("ingress"):
@@ -385,11 +394,15 @@ class EpcGateway:
         whole batch flows through the vectorised codec
         (:mod:`repro.epc.fastpath`), one batched cluster lookup, and
         per-node grouped DPE charging.  The optional ``ingress`` sequence
-        pins per-frame ingress nodes.
+        pins per-frame ingress nodes; an entry that is neither ``None`` nor
+        a node id is a ``ValueError`` before any counter or random draw.
         """
         cluster = self._require_cluster()
         if ingress is not None and len(ingress) != len(frames):
             raise ValueError("frames and ingress lengths differ")
+        for j, node in enumerate(() if ingress is None else ingress):
+            if node is not None:
+                _node_id(node, len(cluster.nodes), f"ingress[{j}]")
         n = len(frames)
         if n == 0:
             return []

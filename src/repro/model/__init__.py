@@ -7,10 +7,6 @@ evaluation machines' sizes/latencies, lookup-cost models for each table, and
 the packet-forwarding pipeline of §6.2 — so the benchmarks can regenerate
 the *shape* of every figure (who wins, crossover points) on any host.
 The Figure 11 capacity analytics are exact, not modelled.
-
-:mod:`repro.model.calibration` (the Figure 7 fit) is the one module that
-needs scipy, an optional dependency (the ``fit`` extra), so it is imported
-by its module path and not re-exported here.
 """
 
 from repro.model.cache import CacheHierarchy, CacheLevel, XEON_E5_2680, XEON_E5_2697V2

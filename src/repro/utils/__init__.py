@@ -1,16 +1,13 @@
-"""Shared low-level utilities: bit packing, statistics, environment."""
+"""Shared low-level utilities: bit packing, environment."""
 
 from repro.utils.bits import BitWriter, BitReader, pack_bits, unpack_bits
 from repro.utils.env import environment_fingerprint, git_sha
-from repro.utils.stats import Summary, summarize
 
 __all__ = [
     "BitWriter",
     "BitReader",
     "pack_bits",
     "unpack_bits",
-    "Summary",
-    "summarize",
     "environment_fingerprint",
     "git_sha",
 ]

@@ -220,3 +220,36 @@ class TestBatchSurface:
         assert [r.ingress for r, _ in pinned] == [0, 1, 2]
         with pytest.raises(ValueError):
             gateway.process_downstream_batch(frames[:2], ingress=[0])
+
+    @pytest.mark.parametrize(
+        "pinned", [[0, 99], [0, -1], [None, 1.7], [0, True], [0, np.float64(1)]]
+    )
+    def test_refused_ingress_moves_nothing(self, pinned):
+        # Every pinned entry is checked before a counter moves or an
+        # ingress is drawn, on the batch and the scalar entry alike.
+        gen = FlowGenerator(seed=25)
+        gateway = EpcGateway(Architecture.SCALEBRICKS, 4, GW_IP)
+        flows = gen.populate(gateway, 50)
+        gateway.start()
+        frames = [frame_for(flow) for flow in flows[:2]]
+        rng = gateway.cluster._rng.bit_generator.state
+        counters = gateway.registry.counters()
+        with pytest.raises(ValueError):
+            gateway.process_downstream_batch(frames, ingress=pinned)
+        with pytest.raises(ValueError):
+            gateway.process_downstream(frames[1], ingress=pinned[1])
+        assert gateway.registry.counters() == counters
+        assert gateway.cluster._rng.bit_generator.state == rng
+
+    def test_numpy_ingress_is_accepted(self):
+        gen = FlowGenerator(seed=26)
+        gateway = EpcGateway(Architecture.SCALEBRICKS, 4, GW_IP)
+        flows = gen.populate(gateway, 50)
+        gateway.start()
+        frames = [frame_for(flow) for flow in flows[:3]]
+        out = gateway.process_downstream_batch(
+            frames, ingress=np.array([2, 0, 3])
+        )
+        assert [r.ingress for r, _ in out] == [2, 0, 3]
+        result, _ = gateway.process_downstream(frames[0], ingress=np.int32(1))
+        assert result.ingress == 1

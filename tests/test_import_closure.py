@@ -5,9 +5,8 @@ CLI each start from one entry-point module.  Every test here imports one
 of them in a fresh interpreter with scipy blocked
 (``sys.modules['scipy'] = None``, so any ``import scipy`` raises) and
 asserts that none of the role's forbidden modules was loaded.  scipy is
-an optional dependency used only by :mod:`repro.model.calibration`; the
-rest keep a daemon's footprint to the replica, the FIB slice and the
-wire code.
+not a dependency of the package, so no role may load it; the rest keep
+a daemon's footprint to the replica, the FIB slice and the wire code.
 """
 
 import json
@@ -78,7 +77,7 @@ def test_role_closure(entry):
 
 
 def test_probe_blocks_scipy():
-    # The one scipy importer fails under the probe, so a clean closure
+    # A bare ``import scipy`` fails under the probe, so a clean closure
     # above is not a probe that forgot to block it.
-    probe = _import_in_fresh_interpreter("repro.model.calibration")
+    probe = _import_in_fresh_interpreter("scipy")
     assert "scipy" in (probe["error"] or "")

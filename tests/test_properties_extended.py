@@ -1,6 +1,4 @@
-"""More property-based tests: snapshots, delta sequences, queueing, pcap."""
-
-import io
+"""More property-based tests: snapshots, delta sequences, queueing."""
 
 import numpy as np
 import pytest
@@ -9,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core import SetSepParams, build
 from repro.core.serialize import dump_bytes, load_bytes
-from repro.epc.pcap import PcapWriter, load_pcap
 from repro.model.queueing import md1_wait_us
 from tests.conftest import unique_keys
 
@@ -84,16 +81,3 @@ class TestQueueingProperties:
         if rho < 0.98:
             assert md1_wait_us(service, min(0.99, rho + 0.01)) >= wait
 
-
-class TestPcapProperties:
-    @given(
-        frames=st.lists(st.binary(min_size=14, max_size=200), max_size=20),
-        interval=st.floats(1e-6, 1.0),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_any_frames_roundtrip(self, frames, interval):
-        buffer = io.BytesIO()
-        PcapWriter(buffer).write_all(frames, interval_s=interval)
-        buffer.seek(0)
-        packets = load_pcap(buffer)
-        assert [p.data for p in packets] == frames

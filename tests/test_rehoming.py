@@ -88,6 +88,31 @@ class TestRehoming:
         with pytest.raises(KeyError):
             gateway.rehome_flow(stranger, 1)
 
+    @pytest.mark.parametrize("bad", [1.5, True, 4, -1])
+    def test_refused_node_keeps_the_bearer(self, live_gateway, bad):
+        # The node id is checked before the DPE context leaves home, so
+        # the flow is still delivered and charged where it was.
+        gateway, _, flows = live_gateway
+        flow = flows[7]
+        record = gateway.controller.record_for_key(flow.key())
+        with pytest.raises(ValueError):
+            gateway.rehome_flow(flow, bad)
+        assert gateway.controller.record_for_key(flow.key()) == record
+        charged = gateway.stats.bytes_charged.get(record.teid, 0)
+        result, tunnelled = gateway.process_downstream(frame_for(flow))
+        assert tunnelled is not None
+        assert result.handled_by == record.handling_node
+        assert gateway.stats.bytes_charged[record.teid] > charged
+
+    def test_numpy_node_id_is_accepted(self, live_gateway):
+        gateway, _, flows = live_gateway
+        flow = flows[8]
+        old = gateway.controller.record_for_key(flow.key()).handling_node
+        moved = gateway.rehome_flow(flow, np.int64((old + 1) % 4))
+        assert type(moved.handling_node) is int
+        _, tunnelled = gateway.process_downstream(frame_for(flow))
+        assert tunnelled is not None
+
     def test_disconnect_after_move_emits_cdr(self, live_gateway):
         gateway, _, flows = live_gateway
         flow = flows[6]
