@@ -16,8 +16,14 @@ import numpy as np
 
 from repro import perflab
 from repro.cluster import Architecture, Cluster
+from repro.fabric.crossbar import SwitchFabric
 from repro.fabric.fattree import FatTreeFabric
-from benchmarks.conftest import bench_keys, bench_scale, print_header
+from benchmarks.conftest import (
+    bench_keys,
+    bench_scale,
+    print_header,
+    stage_cost,
+)
 
 N_FLOWS = 2_000 * bench_scale()
 N_PROBES = 1_200 * bench_scale()
@@ -305,3 +311,23 @@ def perflab_fabric_link_failure(ctx):
         mean_us_healthy=healthy_us,
         mean_us_degraded=degraded_us,
     )
+
+
+#: The gateway's cluster: four nodes behind one crossbar.
+FABRIC_COST_NODES = 4
+
+
+@perflab.benchmark("fabric.batch_cost", figure="§3.1", repeats=5)
+def perflab_fabric_batch_cost(ctx):
+    """Fixed and per-packet cost of the crossbar's ``deliver_batch``."""
+    fabric = SwitchFabric(FABRIC_COST_NODES)
+    rng = np.random.default_rng(43)
+
+    def call_for(n):
+        srcs = rng.integers(FABRIC_COST_NODES, size=n)
+        dsts = rng.integers(FABRIC_COST_NODES, size=n)
+        return lambda: fabric.deliver_batch(srcs, dsts, 64)
+
+    stage_cost(ctx, call_for)
+    ctx.set_params(nodes=FABRIC_COST_NODES)
+    assert fabric.verify_accounting()

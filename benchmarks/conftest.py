@@ -15,6 +15,7 @@ populations at ~10x the runtime).
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +52,50 @@ def bench_keys(count: int, seed: int = 1, high: int = 2**62) -> np.ndarray:
         f"key generation under-produced: {count} keys requested from a "
         f"space of {high - 1}"
     )
+
+
+#: Items per call of the per-node stage rows: what one node gets of a
+#: 32-frame gateway batch (8), the gateway batch (32), the uniform
+#: workloads' batch (256) and a daemon's (1,024).
+STAGE_COST_SIZES = (8, 32, 256, 1_024)
+
+
+def stage_cost(ctx, call_for, also=()):
+    """Best-of cost of one call per batch size, fitted and recorded.
+
+    ``call_for(n)`` returns the zero-argument call to time at ``n``
+    items.  ``fixed_us`` / ``per_item_ns`` are the intercept and slope
+    of the least-squares line ``cost = fixed + per_item * n`` through the
+    sizes of :data:`STAGE_COST_SIZES`, each point weighted by 1/cost so
+    the fit minimises *relative* error.  ``also`` holds ``(label, items,
+    call)`` triples timed in the same sweeps, so a ratio against them is
+    a same-run one; returns the best cost in µs of every size and label.
+    """
+    calls = [(n, n, call_for(n)) for n in STAGE_COST_SIZES] + [
+        (label, items, call) for label, items, call in also
+    ]
+    best = {name: float("inf") for name, _, _ in calls}
+
+    def sweep():
+        for name, items, call in calls:
+            repeats = max(3, 2_048 // items)
+            started = time.perf_counter()
+            for _ in range(repeats):
+                call()
+            cost = (time.perf_counter() - started) / repeats * 1e6
+            best[name] = min(best[name], cost)
+
+    ctx.timeit(sweep)
+    sizes = np.array(STAGE_COST_SIZES, dtype=np.float64)
+    costs = np.array([best[n] for n in STAGE_COST_SIZES])
+    per_item_us, fixed_us = np.polyfit(sizes, costs, 1, w=1.0 / costs)
+    ctx.set_params(sizes="/".join(map(str, STAGE_COST_SIZES)))
+    ctx.record(
+        fixed_us=fixed_us,
+        per_item_ns=per_item_us * 1e3,
+        **{f"us_at_{n}": best[n] for n in STAGE_COST_SIZES},
+    )
+    return best
 
 
 def print_header(title: str) -> None:

@@ -46,7 +46,11 @@ Key = Union[int, bytes, str]
 _U64 = np.uint64
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _ONE = np.uint64(1)
-_SHIFT32 = np.uint64(32)
+#: Every shift count 0..64 as a 0-d uint64 array: a ufunc takes a 0-d
+#: operand at about an array's cost and a NumPy scalar at up to twice it,
+#: which shows on the handful of keys a per-node lookup carries.
+_SHIFTS = tuple(np.array(count, dtype=_U64) for count in range(65))
+_SHIFT32 = _SHIFTS[32]
 
 # Distinct stream constants.  Each derived hash XORs the key with one of
 # these before mixing, giving approximately independent hash functions from
@@ -252,11 +256,11 @@ def _reduce(h: np.ndarray, m: int, out=None) -> np.ndarray:
     which NumPy defines as 0).  ``out`` may be ``h`` (in place).
     """
     power_of_two = m & (m - 1) == 0 and m <= 1 << 32
-    shift = np.uint64(65 - int(m).bit_length()) if power_of_two else _SHIFT32
+    shift = _SHIFTS[65 - int(m).bit_length() if power_of_two else 32]
     out = np.right_shift(h, shift, out=out)
     if not power_of_two:
-        out *= np.uint64(m)
-        out >>= _SHIFT32
+        out *= m
+        out >>= shift
     return out
 
 
@@ -359,7 +363,9 @@ def reduce_range(hashes: np.ndarray, n: int) -> np.ndarray:
     if n <= 0:
         raise ValueError("range size must be positive")
     top = np.asarray(hashes, dtype=_U64) >> _SHIFT32
-    return ((top * np.uint64(n)) >> _SHIFT32).astype(np.int64)
+    top *= n
+    top >>= _SHIFT32
+    return top.view(np.int64)  # below 2**32: the same bits either way
 
 
 def derive_stream(name: str) -> np.uint64:

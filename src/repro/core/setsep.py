@@ -36,6 +36,9 @@ from repro.core.params import (
 )
 from repro.obs.metrics import MetricsRegistry, resolve_registry
 
+#: A 0-d one, cheaper as a ufunc operand than a NumPy scalar.
+_ONE = np.array(1, dtype=np.uint64)
+
 
 class SetSep:
     """The queryable set-separation structure.
@@ -71,6 +74,11 @@ class SetSep:
             raise ValueError("failed_groups shape does not match num_blocks")
         self.params = params
         self.num_blocks = num_blocks
+        #: ``2**b`` for each value bit ``b``: a lookup's bits dotted with
+        #: these are its value.
+        self._bit_weights = np.left_shift(
+            _ONE, np.arange(params.value_bits, dtype=np.uint64)
+        )
         # Fixed at construction (the two-level assignment is never
         # redone in place), so what is derived from it never goes stale.
         self._choices = choices.view()
@@ -178,16 +186,17 @@ class SetSep:
         self._m_lookups.inc(keys.size)
         groups = self.groups_of(batch)
         _, g1, g2 = batch.separator
-        vb = self.params.value_bits
-        # (n, value_bits) gathers: every group row at once.
+        # (n, value_bits) gathers: every group row at once (``take``
+        # costs a third of the equivalent fancy index on a few rows).
         pos = hashfamily.index_slots(
-            g1, g2, self.indices[groups], self.params.array_bits
+            g1, g2, self.indices.take(groups, axis=0),
+            self.params.array_bits,
         )
-        cells = self.arrays[groups].astype(np.uint64)
-        bits = ((cells >> pos) & np.uint64(1)).astype(np.uint32)
-        values = np.bitwise_or.reduce(
-            bits << np.arange(vb, dtype=np.uint32)[None, :], axis=1
-        )
+        bits = self.arrays.take(groups, axis=0).astype(np.uint64)
+        bits >>= pos
+        bits &= _ONE
+        # Value bit ``b`` is column ``b``: weighted by ``2**b`` and summed.
+        values = bits.dot(self._bit_weights).astype(np.uint32)
         self._apply_fallback(keys, groups, values)
         if with_groups:
             return values, groups.astype(np.uint32)

@@ -99,6 +99,29 @@ _GROUP_CANDIDATES = [
 ]
 
 
+#: :data:`CANDIDATE_TABLE` row-major and flat: candidate ``c`` of local
+#: bucket ``b`` is entry ``(b << _CANDIDATE_SHIFT) + c``.
+_CANDIDATES_FLAT = CANDIDATE_TABLE.ravel().astype(np.int64)
+
+#: log2 of the candidates per bucket, buckets per block and groups per
+#: block, and the local-bucket mask; 0-d arrays, which a ufunc takes at
+#: an array's cost (a Python or NumPy scalar costs up to twice that).
+_CANDIDATE_SHIFT, _BUCKET_SHIFT, _GROUP_SHIFT, _LOCAL_BUCKET_MASK = (
+    np.array(value, dtype=np.int64)
+    for value in (
+        CANDIDATES_PER_BUCKET.bit_length() - 1,
+        BUCKETS_PER_BLOCK.bit_length() - 1,
+        GROUPS_PER_BLOCK.bit_length() - 1,
+        BUCKETS_PER_BLOCK - 1,
+    )
+)
+assert (
+    1 << int(_CANDIDATE_SHIFT),
+    1 << int(_BUCKET_SHIFT),
+    1 << int(_GROUP_SHIFT),
+) == (CANDIDATES_PER_BUCKET, BUCKETS_PER_BLOCK, GROUPS_PER_BLOCK)
+
+
 def num_blocks_for(num_keys: int) -> int:
     """Blocks needed so the average group holds ~16 keys."""
     return max(1, (num_keys + KEYS_PER_BLOCK - 1) // KEYS_PER_BLOCK)
@@ -271,15 +294,21 @@ def _refine(
 
 
 def groups_from_choices(buckets: np.ndarray, choices: np.ndarray) -> np.ndarray:
-    """Second-level mapping: global group id for each key's bucket.
+    """Second-level mapping: global group id (int64) for each key's bucket.
 
     ``choices`` is the concatenated per-bucket choice array over all blocks.
+    Block sizes are powers of two, so the split into block and local
+    bucket is two shifts and a mask, and the candidate is read from the
+    flat table: no division and no 2-D fancy index.
     """
-    buckets = np.asarray(buckets)
-    local_bucket = buckets % BUCKETS_PER_BLOCK
-    block = buckets // BUCKETS_PER_BLOCK
-    local_group = CANDIDATE_TABLE[local_bucket, choices[buckets]]
-    return block * GROUPS_PER_BLOCK + local_group
+    buckets = np.asarray(buckets, dtype=np.int64)
+    row = buckets & _LOCAL_BUCKET_MASK
+    row <<= _CANDIDATE_SHIFT
+    row += choices[buckets]
+    groups = buckets >> _BUCKET_SHIFT
+    groups <<= _GROUP_SHIFT
+    groups += _CANDIDATES_FLAT[row]
+    return groups
 
 
 def group_of_bucket(bucket: int, choices: np.ndarray) -> int:

@@ -72,15 +72,15 @@ class ChargingLedger:
         ``ValueError`` naming the first bad row, raised before the
         ledger or the counter moves.
         """
-        teids = np.asarray(teids, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
+        teids = np.asarray(teids, dtype=np.int64).tolist()
+        sizes = np.asarray(sizes, dtype=np.int64).tolist()
         check_batch_columns(teids=teids, sizes=sizes)
-        if teids.size == 0:
+        if not teids:
             return
         charged = self.bytes_charged
-        for teid, size in zip(teids.tolist(), sizes.tolist()):
+        for teid, size in zip(teids, sizes):
             charged[teid] = charged.get(teid, 0) + size
-        self._c_bytes.inc(int(sizes.sum()))
+        self._c_bytes.inc(sum(sizes))
 
     def __repr__(self) -> str:
         return (

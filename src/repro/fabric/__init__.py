@@ -344,10 +344,11 @@ class Fabric:
         dsts = np.asarray(dsts, dtype=np.int64)
         if srcs.shape != dsts.shape:
             raise ValueError("srcs and dsts must have equal length")
-        if srcs.size and (
-            min(srcs.min(), dsts.min()) < 0
-            or max(srcs.max(), dsts.max()) >= self.num_nodes
-        ):
+        # Read as unsigned, a negative id is a huge one: one bound test
+        # per column covers both ends.
+        if srcs.size and max(
+            srcs.view(np.uint64).max(), dsts.view(np.uint64).max()
+        ) >= self.num_nodes:
             for node in np.concatenate((srcs, dsts)).tolist():
                 self._check(node)
         return srcs, dsts

@@ -48,20 +48,19 @@ class SwitchFabric(Fabric):
             return super().deliver_batch(srcs, dsts, size)
         srcs, dsts = self._check_batch(srcs, dsts)
         remote = srcs != dsts
-        count = int(remote.sum())
+        count = np.count_nonzero(remote)
         if count:
             self.stats.packets += count
             self.stats.bytes += size * count
             self.stats.switch_hops += count
-            links, link_counts = np.unique(
-                srcs[remote] * self.num_nodes + dsts[remote],
-                return_counts=True,
-            )
-            link_srcs, link_dsts = np.divmod(links, self.num_nodes)
-            for s, d, c in zip(
-                link_srcs.tolist(), link_dsts.tolist(), link_counts.tolist()
-            ):
-                self.stats.record_link((s, d), c)
+            # Per-link counts by link id ``src * n + dst``, ascending.
+            n = self.num_nodes
+            ids = srcs * n
+            ids += dsts
+            counts = np.bincount(ids[remote], minlength=n * n)
+            links = np.flatnonzero(counts)
+            for link, c in zip(links.tolist(), counts[links].tolist()):
+                self.stats.record_link(divmod(link, n), c)
         return np.where(remote, self.transit_latency_us, 0.0)
 
     def links(self) -> Tuple[Link, ...]:

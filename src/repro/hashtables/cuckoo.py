@@ -40,6 +40,15 @@ MAX_BFS_DEPTH = 4
 #: Tag width in bits (partial key stored logically alongside each slot).
 TAG_BITS = hashfamily.TAG_BITS
 
+#: The batched probe's constants, as arrays (a ufunc takes a 0-d array
+#: at an array's cost, a scalar at up to twice it): each of a key's 8
+#: candidates relative to its bucket's first slot, log2 of the slots per
+#: bucket, the miss marker.
+_SLOT_OFFSETS = np.tile(np.arange(SLOTS_PER_BUCKET, dtype=np.int64), 2)
+_BUCKET_SHIFT = np.array(SLOTS_PER_BUCKET.bit_length() - 1, dtype=np.int64)
+_MISS = np.array(-1, dtype=np.int64)
+assert 1 << int(_BUCKET_SHIFT) == SLOTS_PER_BUCKET
+
 
 class CuckooHashTable(FibTable):
     """4-way cuckoo hash table with values in a separate slot-indexed array.
@@ -73,7 +82,8 @@ class CuckooHashTable(FibTable):
         buckets_needed = max(1, int(capacity / (SLOTS_PER_BUCKET * 0.95)) + 1)
         self._num_buckets = 1 << (buckets_needed - 1).bit_length()
         self._bucket_mask_int = self._num_buckets - 1
-        self._bucket_mask = np.uint64(self._bucket_mask_int)
+        # 0-d, not a NumPy scalar: a ufunc takes it at an array's cost.
+        self._bucket_mask = np.array(self._bucket_mask_int, dtype=np.uint64)
         num_slots = self._num_buckets * SLOTS_PER_BUCKET
         self._keys = np.zeros(num_slots, dtype=np.uint64)
         self._occupied = np.zeros(num_slots, dtype=bool)
@@ -167,24 +177,30 @@ class CuckooHashTable(FibTable):
         keys, read from a pre-hashed batch); masking them onto this
         table's buckets is done here.
         """
+        slots, hit = self._probe(keys)
+        return np.where(hit, slots, _MISS)
+
+    def _probe(self, keys) -> Tuple[np.ndarray, np.ndarray]:
+        """``(slots, hit)``: each key's first candidate slot holding it,
+        or, where ``hit`` is False, its first candidate (a real slot, so
+        a gather by ``slots`` needs no mask)."""
         batch = hashfamily.prehash(keys)
         keys_arr = batch.keys
-        n = len(keys_arr)
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        primary, alternate = (batch.fib & self._bucket_mask).astype(np.int64)
-        alternate ^= primary
-
-        # All 8 candidate slots per key: (n, 8).
-        slot_base = np.stack([primary, alternate], axis=1) * SLOTS_PER_BUCKET
-        slots = slot_base[:, :, None] + np.arange(SLOTS_PER_BUCKET)[None, None, :]
-        slots = slots.reshape(n, 2 * SLOTS_PER_BUCKET)
-        match = self._occupied[slots] & (self._keys[slots] == keys_arr[:, None])
-        any_hit = match.any(axis=1)
+        # Row 0 the primary bucket, row 1 the alternate, as first slots
+        # (below 2**63, so the int64 view reads the same numbers).
+        buckets = (batch.fib & self._bucket_mask).view(np.int64)
+        buckets[1] ^= buckets[0]
+        buckets <<= _BUCKET_SHIFT
+        # All 8 candidate slots per key, primary bucket first: (n, 8).
+        slots = buckets.T.repeat(SLOTS_PER_BUCKET, axis=1)
+        slots += _SLOT_OFFSETS
+        match = self._keys[slots] == keys_arr[:, None]
+        match &= self._occupied[slots]
+        # Each key's first matching candidate (0 on a miss), as a flat
+        # index: row ``j`` starts at ``8 * j``.
         first = match.argmax(axis=1)
-        return np.where(
-            any_hit, slots[np.arange(n), first], np.int64(-1)
-        ).astype(np.int64)
+        first += np.arange(0, match.size, 2 * SLOTS_PER_BUCKET)
+        return slots.ravel()[first], match.ravel()[first]
 
     def lookup_batch(self, keys) -> List[Optional[Any]]:
         """Vectorised multi-key lookup (the PFE's batched fast path).
@@ -207,16 +223,13 @@ class CuckooHashTable(FibTable):
         An integer key outside ``[0, 2**64)`` is a ``ValueError`` naming
         the first bad row (:func:`~repro.hashtables.interface.checked_keys`).
         """
-        slots = self.lookup_slots(checked_keys(keys))
-        found = slots >= 0
-        hit_slots = slots[found]
-        if not np.all(self._int_ok[hit_slots]):
+        slots, found = self._probe(checked_keys(keys))
+        int_ok = self._int_ok[slots[found]]
+        if np.count_nonzero(int_ok) != int_ok.size:
             raise TypeError(
                 "CuckooHashTable holds non-integer values; use lookup_batch()"
             )
-        values = np.full(len(slots), missing, dtype=np.int64)
-        values[found] = self._int_values[hit_slots]
-        return found, values
+        return found, np.where(found, self._int_values[slots], missing)
 
     def delete(self, key: Key) -> bool:
         ckey = canonical(key)

@@ -187,6 +187,8 @@ HEADLINES = (
     ("lookup.batch_cost.fib", "fixed_us"),
     ("codec.batch_cost.parse", "fixed_us"),
     ("codec.batch_cost.encap", "fixed_us"),
+    ("dpe.batch_cost", "fixed_us"),
+    ("fabric.batch_cost", "fixed_us"),
     ("table1.construction.workers.1", "keys_per_second"),
 )
 

@@ -255,3 +255,81 @@ class TestPrehashedBatch:
             assert found.tolist() == [True] * (n - n // 2) + [False] * (
                 n // 2
             ), name
+
+
+class TestSlotsWhereTheKernelBranches:
+    """``lookup_slots`` against the scalar ``_find_slot`` on a table that
+    holds every case the batched probe tells apart: keys relocated to
+    their alternate bucket, deleted slots, key 0 (an empty slot's key is
+    0 too), absent keys, and a one-bucket table whose alternate bucket is
+    its primary."""
+
+    @pytest.fixture(scope="class")
+    def churned(self):
+        n = 3_000
+        keys = unique_keys(n, seed=1400)
+        table = CuckooHashTable(capacity=n)
+        for i, key in enumerate(keys.tolist()):
+            table.insert(key, i)
+        table.insert(0, -5)
+        for key in keys[::7].tolist():
+            table.delete(key)
+        absent = unique_keys(500, seed=1401, low=2**62, high=2**63)
+        return table, np.concatenate([keys, [0], absent]).astype(np.uint64)
+
+    def test_the_table_holds_every_branch(self, churned):
+        table, probe = churned
+        assert table.relocations > 0
+        deleted = [
+            key for key in probe[:3_000:7].tolist()
+            if table.lookup(key) is None
+        ]
+        assert len(deleted) == len(probe[:3_000:7])
+        in_alternate = 0
+        for key in probe[:3_000].tolist():
+            b1, b2 = table._index_pair(key)
+            slot = table._find_slot(key, b1, b2)
+            if slot is not None and b1 != b2 and slot // 4 == b2:
+                in_alternate += 1
+        assert in_alternate > 0
+        assert table.lookup(0) == -5
+
+    @pytest.mark.parametrize("prehashed", [False, True])
+    def test_every_slot_equals_the_scalar_slot(self, churned, prehashed):
+        table, probe = churned
+        keys = hashfamily.prehash(probe) if prehashed else probe
+        slots = table.lookup_slots(keys)
+        expected = [
+            table._find_slot(key, *table._index_pair(key))
+            for key in probe.tolist()
+        ]
+        assert slots.dtype == np.int64
+        assert slots.tolist() == [
+            -1 if slot is None else slot for slot in expected
+        ]
+        found, values = table.lookup_batch_array(keys)
+        assert found.tolist() == [slot is not None for slot in expected]
+        assert values.tolist() == [
+            -1 if v is None else v
+            for v in (table.lookup(key) for key in probe.tolist())
+        ]
+
+    def test_absent_key_zero_misses_the_empty_slots(self):
+        table = CuckooHashTable(capacity=64)
+        table.insert(5, 1)
+        assert table.lookup_slots(np.array([0, 5], dtype=np.uint64))[0] == -1
+
+    def test_one_bucket_table_probes_its_bucket_twice(self):
+        table = CuckooHashTable(capacity=2)
+        assert table.num_buckets == 1
+        for key in (3, 0, 11):
+            table.insert(key, key + 100)
+        table.delete(3)
+        probe = np.array([0, 3, 11, 12], dtype=np.uint64)
+        assert table.lookup_slots(probe).tolist() == [
+            -1 if slot is None else slot
+            for slot in (table._find_slot(k, 0, 0) for k in probe.tolist())
+        ]
+        found, values = table.lookup_batch_array(probe)
+        assert found.tolist() == [True, False, True, False]
+        assert values.tolist() == [100, -1, 111, -1]

@@ -86,6 +86,18 @@ class TestTokenBucket:
         assert not bucket.allow(151, now=100.0)  # capped at 150
         assert bucket.allow(150, now=100.0)
 
+    def test_late_packet_does_not_wind_the_clock_back(self):
+        # The time up to t=10 is credited once: a packet stamped t=5
+        # after it must not make the next t=10 packet earn it again.
+        late = TokenBucket(rate_bytes_per_s=100.0, burst_bytes=100.0)
+        assert late.allow(100, now=10.0)
+        assert not late.allow(50, now=5.0)
+        assert not late.allow(50, now=10.0)
+        in_order = TokenBucket(rate_bytes_per_s=100.0, burst_bytes=100.0)
+        assert in_order.allow(100, now=10.0)
+        assert not in_order.allow(50, now=10.0)
+        assert late.allow(100, now=11.0)  # one second refills the burst
+
 
 class TestPolicingInGateway:
     def test_policer_drops_over_rate_traffic(self):

@@ -230,3 +230,25 @@ def test_fabric_package_imports_nothing_from_the_cluster():
             else:
                 continue
             assert not any(n.startswith("repro.cluster") for n in names), path
+
+
+@pytest.mark.parametrize("batch_size", [1, 8, 64, 400])
+def test_crossbar_batch_link_stats_are_per_packet_deliver_in_link_order(
+    batch_size,
+):
+    """The crossbar accounts a lossless batch with one count per link:
+    its per-link map, key order included, is what per-packet ``deliver``
+    leaves after taking each batch's packets in ``(src, dst)`` order (in
+    input order, ``deliver`` records a link at its first packet)."""
+    srcs, dsts = traffic()
+    batch, scalar = make("crossbar"), make("crossbar")
+    for start in range(0, len(srcs), batch_size):
+        rows = slice(start, start + batch_size)
+        batch.deliver_batch(srcs[rows], dsts[rows], 80)
+        for src, dst in sorted(zip(srcs[rows].tolist(), dsts[rows].tolist())):
+            scalar.deliver(src, dst, 80)
+        assert list(batch.stats.per_link_packets.items()) == list(
+            scalar.stats.per_link_packets.items()
+        )
+    assert len(batch.stats.per_link_packets) == NUM_NODES * (NUM_NODES - 1)
+    assert dataclasses.asdict(batch.stats) == dataclasses.asdict(scalar.stats)

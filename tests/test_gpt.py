@@ -120,3 +120,75 @@ class TestRibView:
         view = rib_view(keys, nodes.tolist(), gpt)
         group = gpt.group_of(int(keys[0]))
         assert view[group][int(keys[0])] == nodes[0]
+
+
+class TestBatchAgainstScalar:
+    """``lookup_batch`` against a per-key reference that shares none of
+    its bucket, group or bit code: the bucket and group in plain ints
+    (``SetSep.group_of``), each value bit by ``group.lookup_bit`` on the
+    key's base hashes, and the fallback's exact answer for a key whose
+    group failed.  The replica
+    spills about half its groups, so the fallback overwrite runs under the
+    batched bucket-to-group mapping at every size."""
+
+    @pytest.fixture(scope="class")
+    def spilled(self):
+        keys = unique_keys(1_200, seed=42)
+        nodes = (keys % 4).astype(np.int64)
+        gpt, stats = GlobalPartitionTable.build(
+            keys, nodes, num_nodes=4,
+            params=SetSepParams(index_bits=4, array_bits=8, value_bits=2),
+            backend="setsep",
+        )
+        assert 0 < stats.fallback_keys < len(keys)
+        unknown = unique_keys(1_200, seed=43, low=2**62, high=2**63)
+        rng = np.random.default_rng(44)
+        probe = rng.permutation(np.concatenate([keys, unknown]))
+        return gpt, probe
+
+    @staticmethod
+    def reference(gpt, key):
+        from repro.core import hashfamily
+        from repro.core.group import lookup_bit
+
+        setsep = gpt.setsep
+        group = setsep.group_of(key)
+        if setsep.failed_groups[group]:
+            exact = setsep.fallback.get(key)
+            if exact is not None:
+                return exact % gpt.num_nodes
+        g1, g2 = (
+            int(h[0])
+            for h in hashfamily.base_hashes(np.array([key], dtype=np.uint64))
+        )
+        value = 0
+        for bit in range(setsep.params.value_bits):
+            value |= lookup_bit(
+                g1, g2, int(setsep.indices[group, bit]),
+                int(setsep.arrays[group, bit]), setsep.params.array_bits,
+            ) << bit
+        return value % gpt.num_nodes
+
+    @pytest.mark.parametrize("n", [0, 1, 8, 64])
+    @pytest.mark.parametrize("prehashed", [False, True])
+    def test_batch_equals_per_key_reference(self, spilled, n, prehashed):
+        from repro.core import hashfamily
+
+        gpt, probe = spilled
+        setsep = gpt.setsep
+        failed = setsep.failed_groups[setsep.groups_of(probe)]
+        # Start at a key whose group failed, so every non-empty batch
+        # takes the fallback overwrite.
+        start = int(np.argmax(failed))
+        keys = probe[start:start + n]
+        assert n == 0 or failed[start:start + n].any()
+        if prehashed:
+            batch = hashfamily.prehash(keys)
+            batch.separator
+        else:
+            batch = keys
+        got = gpt.lookup_batch(batch)
+        assert got.dtype == np.uint32 and got.shape == (n,)
+        assert got.tolist() == [
+            self.reference(gpt, key) for key in keys.tolist()
+        ]

@@ -563,7 +563,7 @@ class TestGroupScanGate:
             "smoke", scale=1, name_filter="update.single_owner_rate")
         artifact.results.extend(
             othello_rows() + fastpath_rows() + fabric_rows()
-            + batch_cost_rows() + codec_cost_rows())
+            + batch_cost_rows() + codec_cost_rows() + dpe_cost_rows())
         path = perflab.write_artifact(artifact, tmp_path)
         assert gates.main([str(path)]) == 0
         out = capsys.readouterr().out
@@ -571,6 +571,7 @@ class TestGroupScanGate:
         assert "fastpath frames=9000" in out and "hops/transit" in out
         assert "gpt=0.70x fib=0.54x" in out
         assert "parse=1.10x encap=2.30x" in out
+        assert "at 8 packets: 1.35x" in out
         broken = tmp_path / "broken.json"
         broken.write_text(perflab.canonical_json(
             self._artifact(keys_scanned_per_update=900.0,
@@ -583,6 +584,7 @@ class TestGroupScanGate:
         assert "fabric.hops missing" in err
         assert "lookup.batch_cost.gpt missing" in err
         assert "codec.batch_cost.parse missing" in err
+        assert "dpe.batch_cost missing" in err
 
 
 def othello_rows(rate=(6700.0, 2100.0), bits=(4.66, 3.5), skip=()):
@@ -830,6 +832,53 @@ class TestCodecCostGate:
             assert result.derived["per_frame_ns"] > 0
             assert result.derived["us_at_256x1400"] > 0
             assert result.derived["payload_1400_over_18_at_256"] > 0
+
+
+def dpe_cost_rows(ratio=1.35):
+    return [make_result("dpe.batch_cost", [0.1], derived={
+        "fixed_us": 4.0, "per_item_ns": 600.0,
+        **({} if ratio is None else {"batch_over_scalar_at_8": ratio}),
+    })]
+
+
+class TestDpeBatchGate:
+    def test_a_batch_near_its_loop_passes(self):
+        line = gates.dpe_batch_gate(make_artifact(dpe_cost_rows()).to_dict())
+        assert line == "DPE batch over its scalar loop at 8 packets: 1.35x"
+        gates.dpe_batch_gate(make_artifact(dpe_cost_rows(2.0)).to_dict())
+
+    @pytest.mark.parametrize("rows, message", [
+        (dpe_cost_rows(4.8), "must cost <= 2x"),    # grouped with NumPy
+        (dpe_cost_rows(2.01), "must cost <= 2x"),
+        (dpe_cost_rows(0.0), "must cost <= 2x"),    # a row that timed nothing
+        ([], "dpe.batch_cost missing"),
+        (dpe_cost_rows(None), "does not report 'batch_over_scalar_at_8'"),
+    ])
+    def test_a_regrouping_batch_or_missing_row_fails(self, rows, message):
+        with pytest.raises(gates.GateFailure, match=message):
+            gates.dpe_batch_gate(make_artifact(rows).to_dict())
+
+    def test_the_gate_reads_what_the_benchmark_writes(self):
+        """The real per-node stage rows, run once: the gate's and the
+        history's metric names are the benchmark's.  (The ratio itself is
+        a timing; CI's perf-smoke job holds it to the threshold.)"""
+        perflab.discover()
+        rows = {}
+        for name in ("dpe.batch_cost", "fabric.batch_cost"):
+            (rows[name],) = perflab.run_suite(
+                "smoke", scale=1, repeats=1, name_filter=name).results
+        assert rows["dpe.batch_cost"].params == {
+            "bearers": 4_096, "sizes": "8/32/256/1024"}
+        assert rows["fabric.batch_cost"].params == {
+            "nodes": 4, "sizes": "8/32/256/1024"}
+        for result in rows.values():
+            assert (result.name, "fixed_us") in perflab.artifact.HEADLINES
+            # One sweep: the crossbar's ~20 ns/packet slope may fit below
+            # 0 on a noisy box, so only its presence is checked.
+            assert np.isfinite(result.derived["per_item_ns"])
+            assert result.derived["us_at_8"] > 0
+            assert result.derived["us_at_1024"] > 0
+        assert rows["dpe.batch_cost"].derived["batch_over_scalar_at_8"] > 0
 
 
 class TestEnvironmentFingerprint:
