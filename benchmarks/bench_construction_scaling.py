@@ -12,6 +12,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.cluster import membership
+from repro.cluster.architectures import Architecture
+from repro.cluster.cluster import Cluster
 from repro.core import SetSepParams, build
 from repro import perflab
 from benchmarks.conftest import bench_keys, bench_scale, print_header
@@ -94,3 +97,61 @@ def perflab_rate_linearity(ctx):
         rate_spread=max(rates) / min(rates),
         slowest_keys_per_second=min(rates),
     )
+
+
+BUILD_COST_FLOWS = 20_000
+BUILD_COST_NODES = 4
+
+
+@perflab.benchmark("cluster.build_cost", figure="§6.3", repeats=3)
+def perflab_cluster_build_cost(ctx):
+    """Cost per flow of ``Cluster.build`` and of ``membership.resize``.
+
+    A ScaleBricks cluster of 20,000 flows on 4 nodes is built, then
+    resized to 5 (one more GPT value bit, so a full rebuild).  The counts
+    of both clusters repeat exactly per checkout and CI gates them
+    (``repro.perflab.gates.build_cost_gate``): RIB entries, each node's
+    FIB entries, cuckoo relocations and GPT fallback keys.  The
+    population is fixed, not scaled, so the gated counts hold at any
+    ``--scale``; the times are warn-only.
+    """
+    keys = bench_keys(BUILD_COST_FLOWS, seed=36)
+    rng = np.random.default_rng(36)
+    nodes = rng.integers(0, BUILD_COST_NODES, BUILD_COST_FLOWS).tolist()
+    values = rng.integers(1, 2**32, BUILD_COST_FLOWS).tolist()
+    resized_to = BUILD_COST_NODES + 1
+    ctx.set_params(
+        flows=BUILD_COST_FLOWS, nodes=BUILD_COST_NODES, resized_to=resized_to
+    )
+    seconds = {"build": [], "resize": []}
+
+    def run():
+        started = time.perf_counter()
+        cluster = Cluster.build(
+            Architecture.SCALEBRICKS, BUILD_COST_NODES, keys, nodes, values
+        )
+        built = time.perf_counter()
+        resized, _ = membership.resize(cluster, resized_to)
+        seconds["build"].append(built - started)
+        seconds["resize"].append(time.perf_counter() - built)
+        return {"build": cluster, "resize": resized}
+
+    clusters = ctx.timeit(run)
+    for stage, cluster in clusters.items():
+        prefix = f"cluster.build_cost.{stage}"
+        counter = ctx.registry.counter
+        counter(f"{prefix}.rib_entries").inc(len(cluster.rib))
+        for node in cluster.nodes:
+            counter(f"{prefix}.fib_entries.node{node.node_id}").inc(
+                len(node.fib)
+            )
+        counter(f"{prefix}.relocations").inc(
+            sum(node.fib.relocations for node in cluster.nodes)
+        )
+        counter(f"{prefix}.gpt_fallback_keys").inc(
+            len(cluster.nodes[0].gpt.setsep.fallback)
+        )
+    ctx.record(**{
+        f"{stage}_us_per_flow": min(times) / BUILD_COST_FLOWS * 1e6
+        for stage, times in seconds.items()
+    })

@@ -357,7 +357,7 @@ class Cluster:
         """
         keys_arr = hashfamily.canonical_keys(keys)
         nodes_arr = np.asarray(handling_nodes, dtype=np.int64)
-        values_list = list(values)
+        values_list = [int(value) for value in values]
         if not (len(keys_arr) == len(nodes_arr) == len(values_list)):
             raise ValueError("keys, handling_nodes, values lengths differ")
         if len(nodes_arr) and (nodes_arr.min() < 0 or nodes_arr.max() >= num_nodes):
@@ -395,8 +395,7 @@ class Cluster:
             num_blocks = twolevel.num_blocks_for(len(keys_arr))
 
         rib = RoutingInformationBase(num_nodes, num_blocks)
-        for key, node, value in zip(keys_arr, nodes_arr, values_list):
-            rib.insert(int(key), int(node), int(value))
+        rib.insert_many(keys_arr, nodes_arr, values_list)
 
         cluster_nodes: List[ClusterNode] = []
         total = max(1, len(keys_arr))
@@ -427,25 +426,34 @@ class Cluster:
             architecture, cluster_nodes, fabric, rib, gpt_params,
             registry=registry, ingress_policy=ingress_policy,
         )
-        for key, node, value in zip(keys_arr, nodes_arr, values_list):
-            cluster._install(int(key), int(node), int(value))
+        cluster._install_all(keys_arr, nodes_arr, values_list)
         return cluster
 
-    def _install(self, key: int, node: int, value: int) -> None:
-        """Place one flow's FIB entry according to the architecture."""
+    def _install_all(
+        self, keys: np.ndarray, nodes: np.ndarray, values: List[int]
+    ) -> None:
+        """Place every flow's FIB entries by the architecture: each node
+        takes its rows in flow order, in one bulk insert."""
         arch = self.architecture
-        if arch.replicates_full_fib:
-            for cluster_node in self.nodes:
-                cluster_node.install_route(key, node, value)
-        elif arch is Architecture.HASH_PARTITION:
-            self.nodes[self.lookup_node_of(key)].install_route(
-                key, node, value
+        if arch is Architecture.HASH_PARTITION:
+            lookup_nodes = self.lookup_nodes_batch(keys)
+        for cluster_node in self.nodes:
+            if arch.replicates_full_fib:
+                rows = np.arange(len(keys))
+            elif arch is Architecture.HASH_PARTITION:
+                # At its lookup node, and at its handling node (which
+                # owns the state) when that is another.
+                rows = np.flatnonzero(
+                    (lookup_nodes == cluster_node.node_id)
+                    | (nodes == cluster_node.node_id)
+                )
+            else:  # ScaleBricks: only at its handling node.
+                rows = np.flatnonzero(nodes == cluster_node.node_id)
+            cluster_node.install_routes(
+                keys[rows],
+                nodes[rows].tolist(),
+                [values[row] for row in rows.tolist()],
             )
-            # The handling node needs the entry too (it owns the state).
-            if self.lookup_node_of(key) != node:
-                self.nodes[node].install_route(key, node, value)
-        else:  # ScaleBricks: entry only at its handling node.
-            self.nodes[node].install_route(key, node, value)
 
     # ------------------------------------------------------------------
     # Routing

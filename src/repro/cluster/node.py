@@ -9,7 +9,7 @@ ScaleBricks — a GPT replica plus the partial FIB of the flows it handles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,6 +80,16 @@ class ClusterNode:
             self.fib.insert(key, value)
         else:
             self.fib.insert(key, (node, value))
+
+    def install_routes(
+        self, keys: np.ndarray, nodes: List[int], values: List[int]
+    ) -> None:
+        """:meth:`install_route` of each row, in order, as one bulk
+        insert (:meth:`~repro.hashtables.interface.FibTable.insert_many`)."""
+        if self.architecture is Architecture.SCALEBRICKS:
+            self.fib.insert_many(keys, values)
+        else:
+            self.fib.insert_many(keys, list(zip(nodes, values)))
 
     def remove_route(self, key: Key) -> bool:
         """Drop a FIB entry; returns whether it existed."""

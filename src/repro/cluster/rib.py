@@ -19,6 +19,7 @@ from repro.core import hashfamily, twolevel
 from repro.core.params import BUCKETS_PER_BLOCK
 from repro.core.separator import Separator
 from repro.core.setsep import Key
+from repro.hashtables.interface import checked_keys
 from repro.obs.metrics import MetricsRegistry, resolve_registry
 
 
@@ -40,6 +41,10 @@ def block_owner(block: int, num_nodes: int, down: Collection[int] = ()) -> int:
 @dataclass(frozen=True)
 class RibEntry:
     """One authoritative routing record."""
+
+    # A build makes one per flow: with slots each is 56 bytes, not ~96,
+    # and a third quicker to make.
+    __slots__ = ("key", "node", "value")
 
     key: int
     node: int
@@ -130,6 +135,41 @@ class RoutingInformationBase:
         """Insert or overwrite the authoritative record for ``key``."""
         ckey = hashfamily.canonical_key(key)
         return self._insert(self.bucket_of(ckey), ckey, node, value)
+
+    def insert_many(self, keys, nodes, values) -> None:
+        """:meth:`insert` of each row, in order, from three columns.
+
+        Every bucket's records, and so every group's order
+        (:meth:`group_contents`), come out as the loop of single inserts
+        leaves them; ``rib.inserts`` and ``rib.entries`` move once.  A
+        handling node out of range, an integer key outside
+        ``[0, 2**64)`` (``ValueError`` naming the row) or columns of
+        different lengths refuse the whole batch before any change.
+        """
+        ckeys = hashfamily.canonical_keys(checked_keys(keys))
+        nodes = np.asarray(nodes, dtype=np.int64)
+        values = [int(value) for value in values]
+        if not len(ckeys) == len(nodes) == len(values):
+            raise ValueError("keys, nodes and values lengths differ")
+        if not len(values):
+            return
+        self.check_node(int(nodes.min()))
+        self.check_node(int(nodes.max()))
+        buckets = self._buckets
+        keys_list = ckeys.tolist()
+        for bucket, key, entry in zip(
+            twolevel.bucket_ids(ckeys, self.num_blocks).tolist(),
+            keys_list,
+            map(RibEntry, keys_list, nodes.tolist(), values),
+        ):
+            records = buckets.get(bucket)
+            if records is None:
+                records = buckets[bucket] = {}
+            records[key] = entry
+        added = sum(map(len, buckets.values())) - self._len
+        self._len += added
+        self._g_entries.inc(added)
+        self._m_inserts.inc(len(values))
 
     def remove(self, key: Key) -> Optional[RibEntry]:
         """Remove and return the record, or ``None`` if absent."""

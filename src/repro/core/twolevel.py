@@ -92,6 +92,9 @@ def _build_candidate_table(seed: int = 0xB10C) -> np.ndarray:
 #: The shared bucket-to-candidate-group table (256 buckets x 4 candidates).
 CANDIDATE_TABLE: np.ndarray = _build_candidate_table()
 
+#: :data:`CANDIDATE_TABLE` as nested lists, for plain-int loops.
+_CANDIDATE_ROWS = CANDIDATE_TABLE.tolist()
+
 #: The table inverted: for each local group, the 16 local buckets that list
 #: it (ascending) and the candidate number under which each does.
 _GROUP_CANDIDATES = [
@@ -179,22 +182,29 @@ def assign_block(
     """
     if len(bucket_sizes) != BUCKETS_PER_BLOCK:
         raise ValueError(f"expected {BUCKETS_PER_BLOCK} bucket sizes")
-    order = np.argsort(bucket_sizes, kind="stable")[::-1]
+    order = np.argsort(bucket_sizes, kind="stable")[::-1].tolist()
+    sizes = np.asarray(bucket_sizes).tolist()
     best_choices: np.ndarray = np.zeros(BUCKETS_PER_BLOCK, dtype=np.uint8)
     best_max = np.iinfo(np.int64).max
 
     for _ in range(trials):
-        loads = np.zeros(GROUPS_PER_BLOCK, dtype=np.int64)
-        choices = np.zeros(BUCKETS_PER_BLOCK, dtype=np.uint8)
+        # The greedy pass in plain ints.  ``tied[rng.integers(k)]`` draws
+        # what ``rng.choice`` of a k-element array draws.
+        group_loads = [0] * GROUPS_PER_BLOCK
+        picks = [0] * BUCKETS_PER_BLOCK
         for bucket in order:
-            size = int(bucket_sizes[bucket])
-            candidates = CANDIDATE_TABLE[bucket]
-            candidate_loads = loads[candidates]
-            least = candidate_loads.min()
-            tied = np.nonzero(candidate_loads == least)[0]
-            pick = int(tied[0]) if len(tied) == 1 else int(rng.choice(tied))
-            choices[bucket] = pick
-            loads[candidates[pick]] += size
+            candidates = _CANDIDATE_ROWS[bucket]
+            candidate_loads = [group_loads[group] for group in candidates]
+            least = min(candidate_loads)
+            tied = [
+                pick for pick, load in enumerate(candidate_loads)
+                if load == least
+            ]
+            pick = tied[0] if len(tied) == 1 else tied[rng.integers(len(tied))]
+            picks[bucket] = pick
+            group_loads[candidates[pick]] += sizes[bucket]
+        choices = np.array(picks, dtype=np.uint8)
+        loads = np.array(group_loads, dtype=np.int64)
         _refine(bucket_sizes, choices, loads, target_max=target_max)
         max_load = int(loads.max())
         if max_load < best_max:
@@ -230,6 +240,8 @@ def _refine(
     budget runs out, or no move helps.  ``choices`` and ``loads`` are
     updated in place.
     """
+    if int(loads.max()) <= target_max:
+        return
     assignment = CANDIDATE_TABLE[np.arange(BUCKETS_PER_BLOCK), choices]
     occupied = [b for b in range(BUCKETS_PER_BLOCK) if bucket_sizes[b] > 0]
 

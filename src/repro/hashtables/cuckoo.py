@@ -156,6 +156,98 @@ class CuckooHashTable(FibTable):
         self._shift_along(path)
         self._place(path[0], ckey, value)
 
+    def insert_many(self, keys, values) -> None:
+        """Insert or overwrite many entries, leaving exactly the state a
+        loop of :meth:`insert` over the rows, in order, leaves.
+
+        The batch is hashed once (the FIB columns :meth:`lookup_slots`
+        reads) and each new key takes :meth:`insert`'s slot: the first
+        free one of its primary bucket, then of its alternate.  A key
+        already held, repeated in the batch, or with both buckets full
+        goes through :meth:`insert` itself, at its place in the order.
+
+        The whole batch is refused before any change when a key is an
+        integer outside ``[0, 2**64)`` (``ValueError`` naming the row,
+        :func:`~repro.hashtables.interface.checked_keys`), an integer
+        value does not fit the int64 sidecar, or the columns' lengths
+        differ.  A :class:`TableFullError` leaves the rows before the one
+        it names inserted, as the loop would.
+        """
+        batch = hashfamily.prehash(checked_keys(keys))
+        values = list(values)
+        if len(values) != len(batch):
+            raise ValueError("keys and values lengths differ")
+        if not values:
+            return
+        is_int = [  # ``_set_int_value``'s test, plain ints first
+            type(value) is int or (
+                isinstance(value, (int, np.integer))
+                and not isinstance(value, bool)
+            )
+            for value in values
+        ]
+        # Refuses an int beyond int64 before any slot is written.
+        int_values = np.array(
+            [int(value) if ok else 0 for value, ok in zip(values, is_int)],
+            dtype=np.int64,
+        )
+        int_ok = np.array(is_int, dtype=bool)
+        keys_arr = batch.keys
+        # Rows ``insert`` takes: held keys, and repeats of an earlier row.
+        via_insert = self._probe(batch)[1]
+        repeat = np.ones(len(keys_arr), dtype=bool)
+        repeat[np.unique(keys_arr, return_index=True)[1]] = False
+        via_insert |= repeat
+        # Each key's two buckets, as first slots (as ``_probe`` has them).
+        buckets = (batch.fib & self._bucket_mask).view(np.int64)
+        buckets[1] ^= buckets[0]
+        buckets <<= _BUCKET_SHIFT
+
+        # One byte per slot: ``find(0, start, end)`` is the first free
+        # slot of a bucket, in C.
+        occupied = bytearray(self._occupied)
+        rows: List[int] = []
+        slots: List[int] = []
+
+        def flush() -> None:
+            """Write the rows placed since the last flush."""
+            if not rows:
+                return
+            at = np.array(slots, dtype=np.int64)
+            taken = np.array(rows, dtype=np.int64)
+            ints = int_ok[taken]
+            self._keys[at] = keys_arr[taken]
+            self._occupied[at] = True
+            self._int_ok[at] = ints
+            self._int_values[at[ints]] = int_values[taken[ints]]
+            store = self._values
+            for slot, row in zip(slots, rows):
+                store[slot] = values[row]
+            self._len += len(rows)
+            rows.clear()
+            slots.clear()
+
+        for row, (inserted, first, second) in enumerate(zip(
+            via_insert.tolist(), buckets[0].tolist(), buckets[1].tolist()
+        )):
+            if not inserted:
+                slot = occupied.find(0, first, first + SLOTS_PER_BUCKET)
+                if slot < 0:
+                    slot = occupied.find(0, second, second + SLOTS_PER_BUCKET)
+                if slot < 0:
+                    inserted = True
+                else:
+                    occupied[slot] = 1
+                    rows.append(row)
+                    slots.append(slot)
+            if inserted:
+                # ``insert`` reads the arrays, and its BFS may move
+                # occupants: write what is pending, re-read the fill.
+                flush()
+                self.insert(int(keys_arr[row]), values[row])
+                occupied = bytearray(self._occupied)
+        flush()
+
     def lookup(self, key: Key) -> Optional[Any]:
         ckey = canonical(key)
         b1, b2 = self._index_pair(ckey)
@@ -295,7 +387,6 @@ class CuckooHashTable(FibTable):
         for bucket in (b1, b2):
             for slot in self._slots_of(bucket):
                 queue.append((slot, (slot,)))
-        depth_limit = MAX_BFS_DEPTH * SLOTS_PER_BUCKET * 2
         steps = 0
         while queue and steps < 4096:
             steps += 1

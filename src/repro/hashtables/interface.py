@@ -88,9 +88,23 @@ class FibTable(abc.ABC):
             values[i] = int(value)
         return found, values
 
-    def insert_many(self, pairs: Sequence[Tuple[Key, Any]]) -> None:
-        """Bulk insert."""
-        for key, value in pairs:
+    def insert_many(
+        self,
+        keys: Union[Sequence[Key], np.ndarray],
+        values: Sequence[Any],
+    ) -> None:
+        """Insert or overwrite a column of keys with a column of values.
+
+        Leaves the state a loop of :meth:`insert` over the rows, in order,
+        leaves (subclasses may place the batch in bulk).  An integer key
+        outside ``[0, 2**64)`` (:func:`checked_keys`) or columns of
+        different lengths refuse the whole batch before any change.
+        """
+        keys = canonical_many(checked_keys(keys)).tolist()
+        values = list(values)
+        if len(values) != len(keys):
+            raise ValueError("keys and values lengths differ")
+        for key, value in zip(keys, values):
             self.insert(key, value)
 
 

@@ -190,6 +190,8 @@ HEADLINES = (
     ("dpe.batch_cost", "fixed_us"),
     ("fabric.batch_cost", "fixed_us"),
     ("table1.construction.workers.1", "keys_per_second"),
+    ("cluster.build_cost", "build_us_per_flow"),
+    ("cluster.build_cost", "resize_us_per_flow"),
 )
 
 

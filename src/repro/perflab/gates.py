@@ -219,10 +219,60 @@ def dpe_batch_gate(artifact: Mapping[str, Any]) -> str:
     return line
 
 
+#: ``cluster.build_cost``'s counts: 20,000 seeded flows on 4 nodes, and
+#: the same cluster resized to 5 (``membership.resize`` adds a node and
+#: moves no flow onto it).
+BUILD_COST_COUNTS = {
+    **{
+        f"cluster.build_cost.{stage}.{name}": count
+        for stage in ("build", "resize")
+        for name, count in (
+            ("rib_entries", 20_000),
+            ("fib_entries.node0", 5_050),
+            ("fib_entries.node1", 5_031),
+            ("fib_entries.node2", 4_971),
+            ("fib_entries.node3", 4_948),
+            ("relocations", 1),
+            ("gpt_fallback_keys", 0),
+        )
+    },
+    "cluster.build_cost.resize.fib_entries.node4": 0,
+}
+
+
+def build_cost_gate(artifact: Mapping[str, Any]) -> str:
+    """A cluster build and a resize leave the tables they always have.
+
+    ``cluster.build_cost`` counts what ``Cluster.build`` and
+    ``membership.resize`` place: RIB records, each node's FIB entries,
+    cuckoo relocations and GPT fallback keys.  A bulk insert that placed
+    a key where a loop of single inserts would not, or lost or doubled
+    one, moves a count; so does a change to a hash or to the group
+    search, which is then a behaviour change to explain and re-pin.
+    """
+    counters = _row(artifact, "cluster.build_cost").get("counters", {})
+    moved = {
+        name: (counters.get(name), count)
+        for name, count in BUILD_COST_COUNTS.items()
+        if counters.get(name) != count
+    }
+    line = (
+        f"cluster build: {len(BUILD_COST_COUNTS) - len(moved)}/"
+        f"{len(BUILD_COST_COUNTS)} counts as pinned"
+    )
+    if moved:
+        detail = ", ".join(
+            f"{name}={got} (pinned {want})"
+            for name, (got, want) in sorted(moved.items())
+        )
+        raise GateFailure(f"{line}: {detail}")
+    return line
+
+
 #: Every gate CI runs on the smoke artifact.
 GATES = (
     fastpath_gate, group_scan_gate, othello_gate, fabric_gate,
-    batch_cost_gate, codec_cost_gate, dpe_batch_gate,
+    batch_cost_gate, codec_cost_gate, dpe_batch_gate, build_cost_gate,
 )
 
 

@@ -363,10 +363,11 @@ class RuntimeController:
                 [record.key, record.handling_node, record.teid,
                  record.base_station_ip]
             )
-        rib_slices: List[List[List[int]]] = [[] for _ in range(num_nodes)]
-        for entry in cluster.rib.entries():
-            owner = cluster.rib.owner_of_key(entry.key)
-            rib_slices[owner].append([entry.key, entry.node, entry.value])
+        rib_slices = [
+            [[entry.key, entry.node, entry.value]
+             for entry in cluster.rib.entries_on_node(node_id)]
+            for node_id in range(num_nodes)
+        ]
         peers = self._peers()[:num_nodes]
         return [
             {

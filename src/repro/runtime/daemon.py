@@ -50,6 +50,7 @@ from repro.core.hashfamily import canonical_key
 from repro.core.params import BUCKETS_PER_BLOCK
 from repro.epc import fastpath
 from repro.gpt.gpt import GlobalPartitionTable
+from repro.hashtables.interface import checked_keys
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import protocol, transport
 from repro.runtime.framing import FramingError, frame_columns, pack_frame_list
@@ -273,14 +274,15 @@ class NodeDaemon:
         """
         num_nodes = int(header["num_nodes"])
         gpt = GlobalPartitionTable(num_nodes, setsep)
-        fib: Dict[int, int] = {}
-        bs: Dict[int, int] = {}
-        for key, _node, value, bs_ip in header["fib"]:
-            fib[int(key)] = int(value)
-            bs[int(key)] = int(bs_ip)
+        fib_rows = [
+            (int(key), int(value), int(bs_ip))
+            for key, _node, value, bs_ip in header["fib"]
+        ]
+        _check_keys([key for key, _, _ in fib_rows], "fib")
+        fib = {key: value for key, value, _ in fib_rows}
+        bs = {key: bs_ip for key, _, bs_ip in fib_rows}
         rib_slice = RoutingInformationBase(num_nodes, setsep.num_blocks)
-        for key, node, value in header["rib"]:
-            rib_slice.insert(int(key), int(node), int(value))
+        rib_slice.insert_many(*_rib_columns(header["rib"], "rib"))
         self.gpt = gpt
         self.fib = fib
         self.bs = bs
@@ -350,11 +352,9 @@ class NodeDaemon:
     def _on_adopt(self, payload: bytes) -> Tuple[int, bytes]:
         assert self.gpt is not None, "adopt before snapshot"
         doc = protocol.decode_json(payload)
-        adopted = 0
-        for key, node, value in doc["entries"]:
-            self.slice.insert(int(key), int(node), int(value))
-            adopted += 1
-        return RSP_OK, protocol.encode_json({"adopted": adopted})
+        keys, nodes, values = _rib_columns(doc["entries"], "entries")
+        self.slice.insert_many(keys, nodes, values)
+        return RSP_OK, protocol.encode_json({"adopted": len(keys)})
 
     def _on_down(self, payload: bytes) -> Tuple[int, bytes]:
         doc = protocol.decode_json(payload)
@@ -698,6 +698,31 @@ class NodeDaemon:
             return rsp_type, rsp
 
         return collect
+
+
+def _check_keys(keys: List[int], column: str) -> None:
+    """Refuse a key outside ``[0, 2**64)``: a ``ValueError`` naming the
+    header column and the row (a dict FIB would hold it as given, the
+    RIB modulo ``2**64``, and the two would disagree)."""
+    try:
+        checked_keys(keys)
+    except ValueError as exc:
+        raise ValueError(f"{column} {exc}") from None
+
+
+def _rib_columns(
+    rows: List[list], column: str
+) -> Tuple[np.ndarray, List[int], List[int]]:
+    """``(keys, nodes, values)`` of ``[key, node, value]`` rows: keys
+    checked by :func:`_check_keys`, as ``uint64``; the rest as ints."""
+    table = [(int(key), int(node), int(value)) for key, node, value in rows]
+    keys = [key for key, _, _ in table]
+    _check_keys(keys, column)
+    return (
+        np.array(keys, dtype=np.uint64),
+        [node for _, node, _ in table],
+        [value for _, _, value in table],
+    )
 
 
 def serve(host: str = "127.0.0.1", port: int = 0,

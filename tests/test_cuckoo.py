@@ -53,7 +53,7 @@ class TestBasicOperations:
 
     def test_insert_many_and_batch_lookup(self):
         table = CuckooHashTable(capacity=100)
-        table.insert_many([(i, i * 10) for i in range(1, 50)])
+        table.insert_many(range(1, 50), [i * 10 for i in range(1, 50)])
         out = table.lookup_batch(list(range(1, 50)))
         assert out == [i * 10 for i in range(1, 50)]
 

@@ -563,7 +563,8 @@ class TestGroupScanGate:
             "smoke", scale=1, name_filter="update.single_owner_rate")
         artifact.results.extend(
             othello_rows() + fastpath_rows() + fabric_rows()
-            + batch_cost_rows() + codec_cost_rows() + dpe_cost_rows())
+            + batch_cost_rows() + codec_cost_rows() + dpe_cost_rows()
+            + build_cost_rows())
         path = perflab.write_artifact(artifact, tmp_path)
         assert gates.main([str(path)]) == 0
         out = capsys.readouterr().out
@@ -572,6 +573,7 @@ class TestGroupScanGate:
         assert "gpt=0.70x fib=0.54x" in out
         assert "parse=1.10x encap=2.30x" in out
         assert "at 8 packets: 1.35x" in out
+        assert "cluster build: 15/15 counts as pinned" in out
         broken = tmp_path / "broken.json"
         broken.write_text(perflab.canonical_json(
             self._artifact(keys_scanned_per_update=900.0,
@@ -585,6 +587,7 @@ class TestGroupScanGate:
         assert "lookup.batch_cost.gpt missing" in err
         assert "codec.batch_cost.parse missing" in err
         assert "dpe.batch_cost missing" in err
+        assert "cluster.build_cost missing" in err
 
 
 def othello_rows(rate=(6700.0, 2100.0), bits=(4.66, 3.5), skip=()):
@@ -879,6 +882,55 @@ class TestDpeBatchGate:
             assert result.derived["us_at_8"] > 0
             assert result.derived["us_at_1024"] > 0
         assert rows["dpe.batch_cost"].derived["batch_over_scalar_at_8"] > 0
+
+
+def build_cost_rows(**moved):
+    counters = dict(gates.BUILD_COST_COUNTS)
+    counters.update(
+        {f"cluster.build_cost.{name}": count for name, count in moved.items()}
+    )
+    return [make_result("cluster.build_cost", [0.5], counters=counters,
+                        derived={"build_us_per_flow": 12.0,
+                                 "resize_us_per_flow": 13.0})]
+
+
+class TestBuildCostGate:
+    def test_the_pinned_counts_pass(self):
+        line = gates.build_cost_gate(make_artifact(build_cost_rows()).to_dict())
+        assert line == "cluster build: 15/15 counts as pinned"
+
+    @pytest.mark.parametrize("moved, message", [
+        ({"build.relocations": 2},
+         "14/15 counts as pinned: cluster.build_cost.build.relocations=2 "
+         r"\(pinned 1\)"),
+        ({"resize.fib_entries.node4": 5}, "node4=5"),
+        ({"build.rib_entries": 19_999, "resize.gpt_fallback_keys": 3},
+         "13/15"),
+    ])
+    def test_a_moved_count_fails_naming_it(self, moved, message):
+        with pytest.raises(gates.GateFailure, match=message):
+            gates.build_cost_gate(
+                make_artifact(build_cost_rows(**moved)).to_dict())
+
+    def test_a_missing_row_or_count_fails(self):
+        with pytest.raises(gates.GateFailure, match="build_cost missing"):
+            gates.build_cost_gate(make_artifact([]).to_dict())
+        (row,) = build_cost_rows()
+        del row.counters["cluster.build_cost.build.relocations"]
+        with pytest.raises(gates.GateFailure, match="relocations=None"):
+            gates.build_cost_gate(make_artifact([row]).to_dict())
+
+    def test_the_gate_reads_what_the_benchmark_writes(self):
+        """The real row, run once, passes: tier-1 holds the counts too."""
+        perflab.discover()
+        (result,) = perflab.run_suite(
+            "smoke", scale=1, repeats=1, name_filter="cluster.build_cost"
+        ).results
+        assert result.params == {"flows": 20_000, "nodes": 4, "resized_to": 5}
+        assert gates.build_cost_gate(make_artifact([result]).to_dict())
+        for metric in ("build_us_per_flow", "resize_us_per_flow"):
+            assert (result.name, metric) in perflab.artifact.HEADLINES
+            assert result.derived[metric] > 0
 
 
 class TestEnvironmentFingerprint:

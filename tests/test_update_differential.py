@@ -43,8 +43,9 @@ from repro.othello.params import OthelloParams
 from repro.othello.update import OthelloUpdate
 from repro.runtime.deltalog import DeltaLog
 from repro.runtime.protocol import (
-    MSG_ADOPT, MSG_DELTA, MSG_DOWN, MSG_FLUSH, MSG_STATE_REF, MSG_STATUS,
-    MSG_UPDATE, OP_INSERT, OP_REMOVE, RSP_ERR, RSP_OK, RSP_UPDATE, UpdateOp,
+    MSG_ADOPT, MSG_DELTA, MSG_DOWN, MSG_FLUSH, MSG_SNAPSHOT, MSG_STATE_REF,
+    MSG_STATUS, MSG_UPDATE, OP_INSERT, OP_REMOVE, RSP_ERR, RSP_OK,
+    RSP_UPDATE, UpdateOp,
     decode_json, encode_json, encode_state, encode_updates,
 )
 from repro.utils.bits import BitReader, BitWriter
@@ -740,6 +741,52 @@ class TestNothingPartlyApplied:
         assert (rsp_type, decode_json(rsp)) == (RSP_OK, {"applied": 2})
         assert status()[0] != before[0]
         controller.push_updates([UpdateOp(OP_REMOVE, flows[0].key())])
+
+    def test_refused_adopt_lands_no_entry(self):
+        gateway, _, _ = started_gateway(2, 2_000, seed=5)
+        controller, daemons = wire_up(gateway)
+        orphaned = controller._headers(gateway)[1]["rib"]
+        entries = orphaned[:2] + [[orphaned[2][0], 7, orphaned[2][2]]]
+        before = daemon_states(daemons)
+        rsp_type, rsp = daemons[0]._dispatch(
+            MSG_ADOPT, encode_json({"entries": entries})
+        )
+        assert rsp_type == RSP_ERR
+        assert "handling node 7 out of range" in decode_json(rsp)["error"]
+        assert daemon_states(daemons) == before
+        rsp_type, rsp = daemons[0]._dispatch(
+            MSG_ADOPT, encode_json({"entries": orphaned[:2]})
+        )
+        assert (rsp_type, decode_json(rsp)) == (RSP_OK, {"adopted": 2})
+
+    @pytest.mark.parametrize("column", ["fib", "rib"])
+    def test_state_with_a_key_beyond_64_bits_keeps_the_old_plane(
+        self, column
+    ):
+        """A dict FIB would hold key -5 as given and the RIB as
+        ``2**64 - 5``: the header is refused before any swap."""
+        gateway, _, _ = started_gateway(2, 2_000, seed=5)
+        controller, daemons = wire_up(gateway)
+        peer = daemons[1]
+        headers, snapshot = controller._state_headers(gateway)
+        header = dict(headers[1])
+        header[column] = [list(row) for row in header[column]]
+        header[column][1][0] = -5
+        gpt = peer.gpt
+        before = daemon_states(daemons)
+        rsp_type, rsp = peer._dispatch(
+            MSG_SNAPSHOT, encode_state(header, snapshot)
+        )
+        assert rsp_type == RSP_ERR
+        assert decode_json(rsp)["error"] == (
+            f"ValueError: {column} row 1: key -5 is outside [0, 2**64)"
+        )
+        assert peer.gpt is gpt
+        assert daemon_states(daemons) == before
+        rsp_type, _ = peer._dispatch(
+            MSG_SNAPSHOT, encode_state(headers[1], snapshot)
+        )
+        assert rsp_type == RSP_OK
 
     def test_bad_log_leaves_the_floor_uncompacted(self):
         separator, _ = separator_registry.build(
