@@ -11,6 +11,7 @@ must treat the partitioning as externally fixed rather than hash-chosen
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -19,6 +20,7 @@ import numpy as np
 from repro.core import hashfamily
 from repro.epc.packets import FlowTuple
 from repro.epc.tunnels import TeidAllocator
+from repro.utils import DATACLASS_SLOTS
 
 
 class AssignmentPolicy(enum.Enum):
@@ -33,7 +35,7 @@ class AssignmentPolicy(enum.Enum):
     HASH = "hash"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **DATACLASS_SLOTS)
 class FlowRecord:
     """Controller state for one bearer's downstream flow."""
 
@@ -106,19 +108,28 @@ class EpcController:
     ) -> FlowRecord:
         """Create a bearer: TEID + handling node for a downstream flow.
 
+        The TEID is allocated last, after every check and the node
+        assignment, so a refused bearer leaves no TEID behind.
+
         Raises:
-            ValueError: if the flow already has a bearer, or
-                ``base_station_ip`` is not a 32-bit address.
+            ValueError: if the flow already has a bearer,
+                ``base_station_ip`` is not a 32-bit address, or
+                ``region`` is not an integer.
         """
         _require_ipv4(base_station_ip)
+        try:
+            operator.index(region)
+        except TypeError:
+            raise ValueError(f"region {region!r} is not an integer") from None
         key = flow.key()
         if key in self.flows:
             raise ValueError(f"flow already established: {flow}")
+        handling_node = self._assign_node(flow, region)
         record = FlowRecord(
             flow=flow,
             key=key,
             teid=self.teids.allocate(),
-            handling_node=self._assign_node(flow, region),
+            handling_node=handling_node,
             base_station_ip=base_station_ip,
             region=region,
         )

@@ -23,6 +23,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.utils import DATACLASS_SLOTS
+
 
 def check_batch_columns(**columns: List) -> None:
     """Refuse a packet batch whose columns disagree in length or whose
@@ -59,7 +61,7 @@ class BearerState(enum.Enum):
     CLOSED = "closed"
 
 
-@dataclass
+@dataclass(**DATACLASS_SLOTS)
 class ChargingRecord:
     """A CDR emitted when a bearer closes."""
 
@@ -77,7 +79,7 @@ class ChargingRecord:
         return self.closed_at - self.opened_at
 
 
-@dataclass
+@dataclass(**DATACLASS_SLOTS)
 class TokenBucket:
     """Classic token-bucket policer.
 
@@ -109,7 +111,7 @@ class TokenBucket:
         return False
 
 
-@dataclass
+@dataclass(**DATACLASS_SLOTS)
 class FlowContext:
     """Per-bearer data-plane state held at the handling node."""
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.core.hashfamily import canonical_key
+from repro.utils import DATACLASS_SLOTS
 
 #: EtherType for IPv4.
 ETHERTYPE_IPV4 = 0x0800
@@ -289,7 +290,7 @@ class GtpuHeader:
         return cls(teid=teid, length=length, message_type=message_type), data[8:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **DATACLASS_SLOTS)
 class FlowTuple:
     """The 5-tuple forwarding key of the paper's FIB/GPT."""
 

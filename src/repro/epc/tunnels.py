@@ -20,39 +20,57 @@ from repro.epc.packets import (
 
 
 class TeidAllocator:
-    """Allocates unique, recyclable 32-bit TEIDs (never zero)."""
+    """Allocates unique, recyclable 32-bit TEIDs (never zero).
+
+    The cursor and the free set are the whole index: a TEID is live iff
+    ``start <= teid < _next`` and it is not in ``_free``.  A released
+    TEID goes back to ``_free`` and is handed out again before the
+    cursor moves.  A TEID is a plain ``int``: ``release`` refuses any
+    other type (``bool`` included) with a ``TypeError``, and ``in``
+    answers ``False`` for one.
+    """
 
     def __init__(self, start: int = 1) -> None:
         if not 1 <= start <= 0xFFFFFFFF:
             raise ValueError("start must be a valid nonzero TEID")
+        self._start = start
         self._next = start
         self._free: Set[int] = set()
-        self._live: Set[int] = set()
 
     def allocate(self) -> int:
         """Hand out a TEID not currently in use."""
         if self._free:
-            teid = self._free.pop()
-        else:
-            if self._next > 0xFFFFFFFF:
-                raise RuntimeError("TEID space exhausted")
-            teid = self._next
-            self._next += 1
-        self._live.add(teid)
+            return self._free.pop()
+        if self._next > 0xFFFFFFFF:
+            raise RuntimeError("TEID space exhausted")
+        teid = self._next
+        self._next += 1
         return teid
 
     def release(self, teid: int) -> None:
-        """Return a TEID to the pool (bearer teardown)."""
-        if teid not in self._live:
+        """Return a TEID to the pool (bearer teardown).
+
+        Raises:
+            TypeError: if ``teid`` is not an ``int`` (a ``bool`` is not).
+            ValueError: if ``teid`` is not allocated.
+        """
+        if type(teid) is not int:
+            raise TypeError(
+                f"TEID {teid!r} is a {type(teid).__name__}, not an int"
+            )
+        if teid not in self:
             raise ValueError(f"TEID {teid} is not allocated")
-        self._live.remove(teid)
         self._free.add(teid)
 
-    def __contains__(self, teid: int) -> bool:
-        return teid in self._live
+    def __contains__(self, teid: object) -> bool:
+        return (
+            type(teid) is int
+            and self._start <= teid < self._next
+            and teid not in self._free
+        )
 
     def __len__(self) -> int:
-        return len(self._live)
+        return self._next - self._start - len(self._free)
 
 
 @dataclass(frozen=True)

@@ -192,6 +192,7 @@ HEADLINES = (
     ("table1.construction.workers.1", "keys_per_second"),
     ("cluster.build_cost", "build_us_per_flow"),
     ("cluster.build_cost", "resize_us_per_flow"),
+    ("gateway.bearer_bytes", "bytes_per_bearer"),
 )
 
 

@@ -269,10 +269,40 @@ def build_cost_gate(artifact: Mapping[str, Any]) -> str:
     return line
 
 
+#: Traced heap per bearer that ``gateway.bearer_bytes`` may read: the
+#: 601 B measured on CPython 3.11 plus 5% for another interpreter's
+#: object layout.  The row itself has not been run on 3.12, which CI's
+#: perf-smoke job uses: only a synthetic set of the same records was,
+#: and it measured 2% less.  The set-based TEID index came to +105 B and
+#: an unslotted ``FlowRecord`` or ``FlowContext`` to +48 B each, so the
+#: budget holds only where ``DATACLASS_SLOTS`` slots them (3.10+).
+BEARER_BYTES_BUDGET = 630.0
+
+
+def bearer_bytes_gate(artifact: Mapping[str, Any]) -> str:
+    """The gateway's set-up keeps no more heap per bearer than budgeted.
+
+    ``gateway.bearer_bytes`` traces a 20,000-bearer, 4-node set-up and
+    reports the bytes still held per bearer, split by structure.  Bytes
+    are the program's own layout, not a timing, so they hold on noisy
+    runners; a record that grows a ``__dict__`` again, or a second index
+    beside one that already answers, pushes the total over the budget.
+    """
+    (total,) = _read(artifact, "gateway.bearer_bytes", "bytes_per_bearer")
+    line = (
+        f"heap per bearer: {total:.0f} B "
+        f"(budget {BEARER_BYTES_BUDGET:.0f} B)"
+    )
+    if not 0 < total <= BEARER_BYTES_BUDGET:
+        raise GateFailure(f"{line}: over budget")
+    return line
+
+
 #: Every gate CI runs on the smoke artifact.
 GATES = (
     fastpath_gate, group_scan_gate, othello_gate, fabric_gate,
     batch_cost_gate, codec_cost_gate, dpe_batch_gate, build_cost_gate,
+    bearer_bytes_gate,
 )
 
 

@@ -1,5 +1,6 @@
 """Tests for the EPC controller (repro.epc.controller)."""
 
+import numpy as np
 import pytest
 
 from repro.epc.controller import AssignmentPolicy, EpcController
@@ -91,6 +92,36 @@ class TestPolicies:
                 a.establish_bearer(flow(i), BS).handling_node
                 == b.establish_bearer(flow(i), BS).handling_node
             )
+
+
+class TestRefusedBearerLeavesNoTeid:
+    """A bearer refused in ``establish_bearer`` allocates no TEID: the
+    TEID is taken after every check and the node assignment."""
+
+    @pytest.mark.parametrize("policy", list(AssignmentPolicy))
+    @pytest.mark.parametrize("region", [None, 1.5, "3", 2.0])
+    def test_non_integer_region_refused_before_a_teid(self, policy, region):
+        ctrl = EpcController(num_nodes=4, policy=policy)
+        first = ctrl.establish_bearer(flow(0), BS, region=2)
+        with pytest.raises(ValueError, match=f"region {region!r}"):
+            ctrl.establish_bearer(flow(1), BS, region=region)
+        assert len(ctrl) == 1 and len(ctrl.teids) == 1
+        assert ctrl.establish_bearer(flow(1), BS).teid == first.teid + 1
+
+    def test_numpy_integer_region_accepted(self):
+        ctrl = EpcController(num_nodes=4, policy=AssignmentPolicy.GEOGRAPHIC)
+        record = ctrl.establish_bearer(flow(0), BS, region=np.int64(6))
+        assert record.handling_node == 2
+
+    @pytest.mark.parametrize("refused", [(0, BS), (1, 1 << 32)],
+                             ids=["duplicate", "bad-ip"])
+    def test_other_refusals_leave_no_teid(self, refused):
+        ctrl = EpcController(num_nodes=4)
+        ctrl.establish_bearer(flow(0), BS)
+        index, base_station_ip = refused
+        with pytest.raises(ValueError):
+            ctrl.establish_bearer(flow(index), base_station_ip)
+        assert len(ctrl) == 1 and len(ctrl.teids) == 1
 
 
 class TestBulk:

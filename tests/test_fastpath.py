@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -918,7 +919,7 @@ class TestColumnsAgainstScalar:
         assert got.tolist() == expected
         assert scalar.policed_drops == batched.policed_drops
         for teid in range(1, 8):
-            assert vars(scalar.context(teid)) == vars(batched.context(teid))
+            assert asdict(scalar.context(teid)) == asdict(batched.context(teid))
 
     def test_clock_ledger_contexts_and_bytes_after_k_batches(self):
         gw_a, flows, gen = build_gateway(seed=41, flows=120)
@@ -935,8 +936,8 @@ class TestColumnsAgainstScalar:
         assert gw_a.stats.bytes_charged == gw_b.stats.bytes_charged
         assert list(gw_a.stats.bytes_charged) == list(gw_b.stats.bytes_charged)
         for dpe_a, dpe_b in zip(gw_a.dpes, gw_b.dpes):
-            assert {t: vars(c) for t, c in dpe_a._flows.items()} == {
-                t: vars(c) for t, c in dpe_b._flows.items()
+            assert {t: asdict(c) for t, c in dpe_a._flows.items()} == {
+                t: asdict(c) for t, c in dpe_b._flows.items()
             }
 
     def test_flow_keys_with_repeats_other_protocols_and_a_spill(self):
@@ -1102,10 +1103,11 @@ class TestBatchColumnRange:
     ):
         (teids, sizes, nows), row = batch
         _, dpe = engines_with_bearers()
-        before = {t: vars(c).copy() for t, c in dpe._flows.items()}
+        # asdict copies deeply, so bearer 7's policer is in the snapshot.
+        before = {t: asdict(c) for t, c in dpe._flows.items()}
         with pytest.raises(ValueError, match=rf"^row {row}: "):
             dpe.process_batch(teids, sizes, downlink, nows)
-        assert {t: vars(c) for t, c in dpe._flows.items()} == before
+        assert {t: asdict(c) for t, c in dpe._flows.items()} == before
         assert dpe.policed_drops == 0
 
     def test_scalar_entries_refuse_a_negative_size(self):

@@ -17,6 +17,7 @@ Covers the four subsystem contracts:
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro import perflab
 from repro.cli import main
 from repro.perflab import gates
 from repro.perflab import registry as reg
+from repro.utils import DATACLASS_SLOTS
 from repro.utils.env import environment_fingerprint, git_sha
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -564,7 +566,7 @@ class TestGroupScanGate:
         artifact.results.extend(
             othello_rows() + fastpath_rows() + fabric_rows()
             + batch_cost_rows() + codec_cost_rows() + dpe_cost_rows()
-            + build_cost_rows())
+            + build_cost_rows() + bearer_bytes_rows())
         path = perflab.write_artifact(artifact, tmp_path)
         assert gates.main([str(path)]) == 0
         out = capsys.readouterr().out
@@ -574,6 +576,7 @@ class TestGroupScanGate:
         assert "parse=1.10x encap=2.30x" in out
         assert "at 8 packets: 1.35x" in out
         assert "cluster build: 15/15 counts as pinned" in out
+        assert "heap per bearer: 601 B (budget 630 B)" in out
         broken = tmp_path / "broken.json"
         broken.write_text(perflab.canonical_json(
             self._artifact(keys_scanned_per_update=900.0,
@@ -588,6 +591,7 @@ class TestGroupScanGate:
         assert "codec.batch_cost.parse missing" in err
         assert "dpe.batch_cost missing" in err
         assert "cluster.build_cost missing" in err
+        assert "gateway.bearer_bytes missing" in err
 
 
 def othello_rows(rate=(6700.0, 2100.0), bits=(4.66, 3.5), skip=()):
@@ -1063,3 +1067,65 @@ class TestSelectBaseline:
         err = capsys.readouterr().err
         assert "newest by mtime" in err
         assert "BENCH_fresh.json" in err
+
+
+def bearer_bytes_rows(total=601.0):
+    return [make_result("gateway.bearer_bytes", [0.4],
+                        derived={"bytes_per_bearer": total})]
+
+
+class TestBearerBytesGate:
+    def test_under_the_budget_passes(self):
+        line = gates.bearer_bytes_gate(
+            make_artifact(bearer_bytes_rows()).to_dict())
+        assert line == "heap per bearer: 601 B (budget 630 B)"
+        assert gates.bearer_bytes_gate(make_artifact(
+            bearer_bytes_rows(gates.BEARER_BYTES_BUDGET)).to_dict())
+
+    @pytest.mark.parametrize("total", [706.0, 630.5, 0.0])
+    def test_over_the_budget_or_empty_fails(self, total):
+        with pytest.raises(gates.GateFailure, match="over budget"):
+            gates.bearer_bytes_gate(
+                make_artifact(bearer_bytes_rows(total)).to_dict())
+
+    def test_a_missing_row_or_metric_fails(self):
+        with pytest.raises(gates.GateFailure, match="bearer_bytes missing"):
+            gates.bearer_bytes_gate(make_artifact([]).to_dict())
+        (row,) = bearer_bytes_rows()
+        row.derived = {}
+        with pytest.raises(gates.GateFailure, match="bytes_per_bearer"):
+            gates.bearer_bytes_gate(make_artifact([row]).to_dict())
+
+    @pytest.mark.skipif(
+        not DATACLASS_SLOTS,
+        reason="the budget assumes slotted records, which need 3.10+",
+    )
+    def test_the_gate_reads_what_the_benchmark_writes(self, monkeypatch):
+        """The real row passes and splits its total by structure.  It
+        runs at a quarter of its bearers: the full row traces for
+        seconds, and 5,000 bearers fill the tables' power-of-two
+        capacities as 20,000 do (604 B per bearer against 601 B).
+        Before 3.10 ``FlowRecord`` and ``FlowContext`` keep a
+        ``__dict__`` (48 B each on 3.11, more on 3.9), which the
+        budget does not cover."""
+        perflab.discover()
+        bench = sys.modules["benchmarks.bench_bearer_footprint"]
+        monkeypatch.setattr(bench, "BEARER_BYTES_FLOWS", 5_000)
+        (result,) = perflab.run_suite(
+            "smoke", scale=1, repeats=1, name_filter="gateway.bearer_bytes"
+        ).results
+        assert result.params == {"bearers": 5_000, "nodes": 4}
+        assert gates.bearer_bytes_gate(make_artifact([result]).to_dict())
+        derived = result.derived
+        parts = [name for name, _ in bench.STRUCTURES] + ["other"]
+        assert derived["bytes_per_bearer"] == pytest.approx(
+            sum(derived[f"{name}_bytes_per_bearer"] for name in parts))
+        for name in parts[:-1]:
+            assert derived[f"{name}_bytes_per_bearer"] > 0, name
+        # Fixed cost only: a structure module missing from the map (the
+        # flow keys alone are 36 B per bearer) would land here.
+        assert derived["other_bytes_per_bearer"] < (
+            0.02 * derived["bytes_per_bearer"])
+        assert derived["flow_tuple_bytes_per_bearer"] > 0
+        assert ("gateway.bearer_bytes", "bytes_per_bearer") in (
+            perflab.artifact.HEADLINES)

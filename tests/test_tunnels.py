@@ -1,6 +1,10 @@
 """Tests for GTP-U tunnels and TEID allocation (repro.epc.tunnels)."""
 
+from typing import Set
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.epc.packets import (
     GTPU_PORT,
@@ -48,6 +52,113 @@ class TestTeidAllocator:
         alloc.allocate()
         with pytest.raises(RuntimeError):
             alloc.allocate()
+
+    @pytest.mark.parametrize("bad", [2.0, True, False, "2", None])
+    def test_non_int_release_refused_before_any_change(self, bad):
+        alloc = TeidAllocator()
+        for _ in range(3):
+            alloc.allocate()
+        alloc.release(3)
+        with pytest.raises(TypeError, match="not an int"):
+            alloc.release(bad)
+        assert len(alloc) == 2 and 3 not in alloc
+        # The pool still holds only the int released above.
+        assert type(alloc.allocate()) is int
+        assert alloc.allocate() == 4
+
+    def test_non_int_is_never_live(self):
+        alloc = TeidAllocator()
+        alloc.allocate()
+        alloc.allocate()
+        assert 2 in alloc
+        assert 2.0 not in alloc and True not in alloc and "2" not in alloc
+
+
+class SetTeidAllocator:
+    """The set-based allocator ``TeidAllocator`` replaced, kept as the
+    reference: a ``_live`` set beside the cursor and the free set.  Its
+    one addition is the new ``int`` check on ``release`` (the old one
+    accepted ``2.0`` and ``True`` and handed them out again)."""
+
+    def __init__(self, start: int = 1) -> None:
+        self._next = start
+        self._free: Set[int] = set()
+        self._live: Set[int] = set()
+
+    def allocate(self) -> int:
+        if self._free:
+            teid = self._free.pop()
+        else:
+            if self._next > 0xFFFFFFFF:
+                raise RuntimeError("TEID space exhausted")
+            teid = self._next
+            self._next += 1
+        self._live.add(teid)
+        return teid
+
+    def release(self, teid: int) -> None:
+        if type(teid) is not int:
+            raise TypeError(f"TEID {teid!r} is not an int")
+        if teid not in self._live:
+            raise ValueError(f"TEID {teid} is not allocated")
+        self._live.remove(teid)
+        self._free.add(teid)
+
+    def __contains__(self, teid: object) -> bool:
+        return type(teid) is int and teid in self._live
+
+    def __len__(self) -> int:
+        return len(self._live)
+
+
+#: One step of an allocator run: allocate, or release a value — a live
+#: TEID picked by index, or any int (mostly not live), or a non-int.
+_steps = st.one_of(
+    st.just(("allocate", None)),
+    st.tuples(st.just("release_live"), st.integers(0, 1 << 16)),
+    st.tuples(
+        st.just("release"),
+        st.one_of(
+            st.integers(-3, 80),
+            st.sampled_from([0, 0xFFFFFFFF, 1 << 32]),
+            st.sampled_from([2.0, True, False, "3", None]),
+        ),
+    ),
+)
+
+
+class TestTeidAllocatorDifferential:
+    """The cursor-and-free-set index against the old set-based one."""
+
+    @given(
+        start=st.sampled_from([1, 7, 0xFFFFFFF0]),
+        steps=st.lists(_steps, max_size=120),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_teids_membership_and_refusals(self, start, steps):
+        new, ref = TeidAllocator(start), SetTeidAllocator(start)
+        handed: list = []
+        for op, arg in steps:
+            if op == "release_live":
+                if not handed:
+                    continue
+                arg = handed[arg % len(handed)]
+            outcome = []
+            for alloc in (new, ref):
+                try:
+                    if op == "allocate":
+                        outcome.append(alloc.allocate())
+                    else:
+                        outcome.append(alloc.release(arg))
+                except (TypeError, ValueError, RuntimeError) as exc:
+                    outcome.append(type(exc))
+            assert outcome[0] == outcome[1], (op, arg)
+            if op == "allocate" and type(outcome[0]) is int:
+                handed.append(outcome[0])
+            assert len(new) == len(ref)
+            probes = set(handed) | {start - 1, start, new._next, ref._next}
+            for teid in probes:
+                assert (teid in new) == (teid in ref), teid
 
 
 class TestGtpTunnel:
