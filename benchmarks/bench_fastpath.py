@@ -12,6 +12,10 @@ vectorised ``process_downstream_batch`` pipeline.  Three measured paths:
   batch 256 vs one frame at a time (the acceptance benchmark; its
   deterministic counters also feed the CI silent-fallback gate).
 
+``gateway.batch_calls`` counts, rather than times, what one
+``process_downstream_batch`` call runs: Python function calls per frame
+at 32 and 256 frames.
+
 All three assert the scalar and batched paths agree byte-for-byte before
 timing them, so a speedup can never come from computing something else.
 ``codec.batch_cost.parse`` / ``.encap`` put both codec halves on the
@@ -19,6 +23,8 @@ batch-size cost curve (ROADMAP item 7): cost per call by frames and
 payload bytes.
 """
 
+import gc
+import sys
 import time
 
 import numpy as np
@@ -363,3 +369,67 @@ def perflab_fig8_endtoend(ctx):
         scalar_kops=packets / scalar_stats.wall_seconds / 1e3,
         speedup=scalar_stats.wall_seconds / batch_s,
     )
+
+
+BATCH_CALLS_FLOWS = 4_096
+BATCH_CALLS_SIZES = (32, 256)
+
+
+def count_calls(fn, *args):
+    """``fn(*args)`` under ``sys.setprofile``; returns the Python function
+    calls it made (``call`` events, a generator's resumptions included),
+    collector off so no finaliser runs inside."""
+    calls = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+@perflab.benchmark("gateway.batch_calls", figure="§4.3", repeats=1)
+def perflab_gateway_batch_calls(ctx):
+    """Python calls per frame of one ``process_downstream_batch``.
+
+    A uniform batch over 4,096 bearers on 4 nodes, at 32 and 256 frames,
+    counted with ``sys.setprofile`` after an untraced warm-up batch of
+    each size.  The counts repeat exactly for a given seed, interpreter
+    and NumPy.  ``python_calls_per_extra_frame`` is what the 224 frames
+    between the two sizes add, per frame: the per-batch calls (NumPy's
+    Python wrappers among them, which differ between versions) cancel,
+    and what is left is the program's own per-frame and per-flow work —
+    one ``RouteResult`` per frame today, two with a controller record
+    looked up per flow.  CI holds both under
+    :mod:`repro.perflab.gates`' budgets.
+    """
+    gateway, flow_list, gen = _fresh_gateway(seed=13, flows=BATCH_CALLS_FLOWS)
+    ctx.set_params(
+        flows=BATCH_CALLS_FLOWS, nodes=NUM_NODES,
+        python=".".join(map(str, sys.version_info[:2])),
+    )
+    calls = {}
+    for size in BATCH_CALLS_SIZES:
+        warm, counted = (gen.packet_stream(flow_list, size) for _ in range(2))
+        gateway.process_downstream_batch(warm)
+        calls[size] = count_calls(gateway.process_downstream_batch, counted)
+        ctx.registry.counter(f"gateway.batch_calls.python_at_{size}").inc(
+            calls[size]
+        )
+    derived = {
+        f"python_calls_per_frame_at_{size}": calls[size] / size
+        for size in BATCH_CALLS_SIZES
+    }
+    small, large = BATCH_CALLS_SIZES
+    derived["python_calls_per_extra_frame"] = (
+        (calls[large] - calls[small]) / (large - small)
+    )
+    ctx.record(**derived)

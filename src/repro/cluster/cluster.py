@@ -225,6 +225,23 @@ class RouteBatchResult(SequenceABC):
         )
 
 
+def node_runs(ids: np.ndarray, num_nodes: int):
+    """Split a batch by a node-id column with one stable sort.
+
+    Returns the sort ``order`` and, per node present, ``(node, start,
+    stop)``: ``order[start:stop]`` are that node's rows in batch order.
+    The cluster's routing and the gateway's DPE dispatch both split this
+    way.
+    """
+    order = ids.argsort(kind="stable")
+    stops = np.bincount(ids, minlength=num_nodes).cumsum().tolist()
+    return order, [
+        (node, start, stop)
+        for node, (start, stop) in enumerate(zip([0] + stops, stops))
+        if start < stop
+    ]
+
+
 class Cluster:
     """A switch- (or mesh-) connected cluster of forwarding nodes."""
 
@@ -597,13 +614,11 @@ class Cluster:
         """Split the batch by a node-id column with one stable sort: per
         node present, its packets' rows (in batch order) and their keys, a
         slice of the sorted batch whose ``columns`` are hashed once, here."""
-        order = np.argsort(ids, kind="stable")
+        order, runs = node_runs(ids, len(self.nodes))
         batch = hashfamily.HashedKeys(keys_arr[order])
         getattr(batch, columns)
-        stops = np.bincount(ids, minlength=len(self.nodes)).cumsum().tolist()
-        for node, start, stop in zip(self.nodes, [0] + stops, stops):
-            if start < stop:
-                yield node, order[start:stop], batch[start:stop]
+        for node, start, stop in runs:
+            yield self.nodes[node], order[start:stop], batch[start:stop]
 
     def _route_batch_scalebricks(
         self,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,17 +47,63 @@ class FlowRecord:
     region: int
 
 
-def _require_ipv4(base_station_ip: int) -> None:
-    """A tunnel's far end goes into a 32-bit header field, where a wider
-    value would wrap into another base station's address."""
-    if not 0 <= base_station_ip <= 0xFFFFFFFF:
-        raise ValueError(
-            f"base_station_ip {base_station_ip} is outside 0..0xFFFFFFFF"
+class BearerMismatchError(RuntimeError):
+    """The FIB answered a frame with a TEID that is not its flow's bearer.
+
+    The FIB and the controller are written together (``EpcGateway.connect``,
+    ``rehome_flow``, ``disconnect``), so this means one of them was changed
+    behind the other's back.  Both downstream paths raise it before the
+    frame is charged.
+    """
+
+    def __init__(self, frame: int, key: int, teid: int) -> None:
+        super().__init__(
+            f"frame {frame}: the FIB answered TEID {teid} for flow key "
+            f"{key}, which is not that flow's live bearer"
         )
+        self.frame, self.key, self.teid = frame, key, teid
+
+
+#: What a free TEID's row holds in the controller's egress columns: flow
+#: key, handling node, base-station address.  A live row's node is >= 0.
+FREE_ROW = (0, -1, 0)
+
+
+def check_node_id(value, num_nodes: int, name: str) -> int:
+    """``value`` as an int if it is a Python or NumPy integer node id."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integral and 0 <= value < num_nodes):
+        raise ValueError(f"{name} = {value!r} is not a node id")
+    return int(value)
+
+
+def _require_ipv4(base_station_ip) -> int:
+    """``base_station_ip`` as an int.  A tunnel's far end goes into a
+    32-bit header field, where a wider value would wrap into another base
+    station's address and a fraction would be cut off."""
+    try:
+        address = operator.index(base_station_ip)
+    except TypeError:
+        raise ValueError(
+            f"base_station_ip {base_station_ip!r} is not an integer"
+        ) from None
+    if not 0 <= address <= 0xFFFFFFFF:
+        raise ValueError(
+            f"base_station_ip {address} is outside 0..0xFFFFFFFF"
+        )
+    return address
 
 
 class EpcController:
     """Allocates bearers and keeps the authoritative flow table.
+
+    Besides the records by flow key, the controller keeps three egress
+    columns indexed by TEID — flow key, handling node and base-station
+    address — which is what the downstream batch path reads for each
+    TEID the FIB answers.  Its own :class:`TeidAllocator` hands TEIDs out
+    densely from 1, so the columns grow (doubling) with the TEID cursor;
+    row 0, every free TEID's row and every row past the cursor hold
+    :data:`FREE_ROW`.
 
     Args:
         num_nodes: cluster size.
@@ -80,8 +126,27 @@ class EpcController:
         self.num_regions = num_regions
         self.teids = TeidAllocator()
         self.flows: Dict[int, FlowRecord] = {}
-        self._by_teid: Dict[int, int] = {}
+        self._keys = np.zeros(0, dtype=np.uint64)
+        self._nodes = np.zeros(0, dtype=np.int32)
+        self._base_stations = np.zeros(0, dtype=np.uint32)
+        self._grow(64)
         self._next_node = int(np.random.default_rng(seed).integers(num_nodes))
+
+    def _grow(self, rows: int) -> None:
+        """Make room for ``rows`` rows; new rows are free."""
+        for name, free in zip(("_keys", "_nodes", "_base_stations"), FREE_ROW):
+            old = getattr(self, name)
+            column = np.full(rows, free, dtype=old.dtype)
+            column[: len(old)] = old
+            setattr(self, name, column)
+
+    def _write_row(self, record: FlowRecord) -> None:
+        teid = record.teid
+        if teid >= len(self._keys):
+            self._grow(max(2 * len(self._keys), teid + 1))
+        self._keys[teid] = record.key
+        self._nodes[teid] = record.handling_node
+        self._base_stations[teid] = record.base_station_ip
 
     def _assign_node(self, flow: FlowTuple, region: int) -> int:
         if self.policy is AssignmentPolicy.ROUND_ROBIN:
@@ -113,10 +178,10 @@ class EpcController:
 
         Raises:
             ValueError: if the flow already has a bearer,
-                ``base_station_ip`` is not a 32-bit address, or
+                ``base_station_ip`` is not an integer 32-bit address, or
                 ``region`` is not an integer.
         """
-        _require_ipv4(base_station_ip)
+        base_station_ip = _require_ipv4(base_station_ip)
         try:
             operator.index(region)
         except TypeError:
@@ -134,7 +199,7 @@ class EpcController:
             region=region,
         )
         self.flows[key] = record
-        self._by_teid[record.teid] = key
+        self._write_row(record)
         return record
 
     def teardown_bearer(self, flow: FlowTuple) -> Optional[FlowRecord]:
@@ -142,18 +207,27 @@ class EpcController:
         record = self.flows.pop(flow.key(), None)
         if record is not None:
             self.teids.release(record.teid)
-            self._by_teid.pop(record.teid, None)
+            teid = record.teid
+            self._keys[teid], self._nodes[teid], self._base_stations[teid] = (
+                FREE_ROW
+            )
         return record
 
     def rehome(self, flow: FlowTuple, new_node: int) -> FlowRecord:
-        """Re-pin a bearer to another handling node (same TEID)."""
-        if not 0 <= new_node < self.num_nodes:
-            raise ValueError("new_node out of range")
+        """Re-pin a bearer to another handling node (same TEID).
+
+        Raises:
+            ValueError: if ``new_node`` is not an integer node id below
+                ``num_nodes`` (a ``bool`` is not).
+            KeyError: if the flow has no bearer.
+        """
+        new_node = check_node_id(new_node, self.num_nodes, "new_node")
         record = self.flows.get(flow.key())
         if record is None:
             raise KeyError(f"no bearer for flow {flow}")
         moved = replace(record, handling_node=new_node)
         self.flows[moved.key] = moved
+        self._nodes[moved.teid] = new_node
         return moved
 
     def handover(self, flow: FlowTuple, new_base_station_ip: int) -> FlowRecord:
@@ -164,14 +238,16 @@ class EpcController:
         pinned rather than re-assigning them on mobility.
 
         Raises:
-            ValueError: if ``new_base_station_ip`` is not a 32-bit address.
+            ValueError: if ``new_base_station_ip`` is not an integer
+                32-bit address.
         """
-        _require_ipv4(new_base_station_ip)
+        new_base_station_ip = _require_ipv4(new_base_station_ip)
         record = self.flows.get(flow.key())
         if record is None:
             raise KeyError(f"no bearer for flow {flow}")
         moved = replace(record, base_station_ip=new_base_station_ip)
         self.flows[moved.key] = moved
+        self._base_stations[moved.teid] = new_base_station_ip
         return moved
 
     def record_for_key(self, key: int) -> Optional[FlowRecord]:
@@ -179,9 +255,41 @@ class EpcController:
         return self.flows.get(key)
 
     def record_for_teid(self, teid: int) -> Optional[FlowRecord]:
-        """Controller record by tunnel endpoint identifier."""
-        key = self._by_teid.get(teid)
-        return self.flows.get(key) if key is not None else None
+        """Controller record by tunnel endpoint identifier.
+
+        ``None`` for anything that is not a live TEID: a free one, one
+        past the columns, a negative one, and any non-``int`` (a ``bool``
+        or a float is not a TEID, as :class:`TeidAllocator` says).
+        """
+        if type(teid) is not int or not 0 < teid < len(self._keys):
+            return None
+        if self._nodes[teid] < 0:
+            return None
+        return self.flows[int(self._keys[teid])]
+
+    def egress(
+        self, keys: np.ndarray, teids: np.ndarray, frames: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Handling node and base-station address per TEID the FIB answered.
+
+        ``keys[i]`` is the flow key of the frame numbered ``frames[i]``
+        and ``teids[i]`` the TEID the FIB answered for it.  One vector
+        compare checks that each TEID is its flow's live bearer; the
+        first row that is not raises :class:`BearerMismatchError` naming
+        its frame.
+        """
+        rows = teids.astype(np.uint64)  # a negative TEID wraps past the end
+        if rows.size and np.maximum.reduce(rows) >= len(self._keys):
+            rows[rows >= len(self._keys)] = 0  # row 0 is never a live TEID
+        nodes = self._nodes[rows]
+        bad = self._keys[rows] != keys
+        bad |= nodes < 0
+        if np.logical_or.reduce(bad):
+            i = int(bad.argmax())
+            raise BearerMismatchError(
+                int(frames[i]), int(keys[i]), int(teids[i])
+            )
+        return nodes, self._base_stations[rows]
 
     def __len__(self) -> int:
         return len(self.flows)

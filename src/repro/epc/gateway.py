@@ -14,29 +14,26 @@ so the PFE swap is exercised end to end at byte level.
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.cluster.architectures import Architecture
-from repro.cluster.cluster import Cluster, FibFactory, RouteResult
+from repro.cluster.cluster import Cluster, FibFactory, RouteResult, node_runs
 from repro.cluster.update import UpdateEngine
 from repro.core.params import SetSepParams
 from repro.epc import fastpath
-from repro.epc.controller import AssignmentPolicy, EpcController, FlowRecord
+from repro.epc.controller import (
+    AssignmentPolicy,
+    BearerMismatchError,
+    EpcController,
+    FlowRecord,
+    check_node_id,
+)
 from repro.epc.dpe import DataPlaneEngine, check_batch_columns
 from repro.epc.packets import FlowTuple, extract_forwardable, parse_frame
 from repro.epc.tunnels import GtpTunnelEndpoint
 from repro.obs.metrics import LATENCY_BUCKETS_US, MetricsRegistry
-
-
-def _node_id(value, num_nodes: int, name: str) -> int:
-    """``value`` as an int if it is a Python or NumPy integer node id."""
-    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (integral and 0 <= value < num_nodes):
-        raise ValueError(f"{name} = {value!r} is not a node id")
-    return int(value)
 
 
 class ChargingLedger:
@@ -268,7 +265,7 @@ class EpcGateway:
         the DPE context with its charging counters — billing continues
         seamlessly on the new node.
         """
-        new_node = _node_id(new_node, self.num_nodes, "new_node")
+        new_node = check_node_id(new_node, self.num_nodes, "new_node")
         record = self.controller.record_for_key(flow.key())
         if record is None:
             raise KeyError(f"no bearer for flow {flow}")
@@ -319,7 +316,7 @@ class EpcGateway:
         the GTP-U-encapsulated packet headed for the base station.
         """
         cluster = self._require_cluster()
-        ingress = None if ingress is None else _node_id(ingress, len(cluster.nodes), "ingress")
+        ingress = None if ingress is None else check_node_id(ingress, len(cluster.nodes), "ingress")
         self._c_down_in.inc()
         with self.registry.span("downstream"):
             with self.registry.span("ingress"):
@@ -358,8 +355,10 @@ class EpcGateway:
             # DPE at the handling node: state/policing, charge, decrement
             # TTL, re-encapsulate.
             with self.registry.span("dpe"):
-                record = self.controller.record_for_key(flow.key())
-                assert record is not None and result.value == record.teid
+                key = flow.key()
+                record = self.controller.record_for_key(key)
+                if record is None or result.value != record.teid:
+                    raise BearerMismatchError(0, key, result.value)
                 self.now += self.tick
                 if not self.dpes[record.handling_node].process(
                     record.teid, len(l3), downlink=True, now=self.now
@@ -402,7 +401,7 @@ class EpcGateway:
             raise ValueError("frames and ingress lengths differ")
         for j, node in enumerate(() if ingress is None else ingress):
             if node is not None:
-                _node_id(node, len(cluster.nodes), f"ingress[{j}]")
+                check_node_id(node, len(cluster.nodes), f"ingress[{j}]")
         n = len(frames)
         if n == 0:
             return []
@@ -424,7 +423,7 @@ class EpcGateway:
 
         with self.registry.span("downstream"):
             with self.registry.span("ingress"):
-                malformed_idx = np.nonzero(parsed.malformed)[0]
+                malformed_idx = parsed.malformed.nonzero()[0]
                 if malformed_idx.size:
                     self._c_drop_malformed.inc(int(malformed_idx.size))
                     for i in malformed_idx.tolist():
@@ -440,7 +439,7 @@ class EpcGateway:
                         (src in blocked for src in parsed.src_ip.tolist()),
                         dtype=bool, count=n,
                     )
-                    acl_idx = np.nonzero(acl)[0]
+                    acl_idx = acl.nonzero()[0]
                     if acl_idx.size:
                         self._c_drop_acl.inc(int(acl_idx.size))
                         for i, key in zip(
@@ -451,7 +450,7 @@ class EpcGateway:
                                 None,
                             )
 
-            routed_idx = np.nonzero(parsed.valid & ~acl)[0]
+            routed_idx = (parsed.valid & ~acl).nonzero()[0]
             with self.registry.span("pfe_lookup"):
                 if ingress is None:
                     ing_routed = cluster.pick_ingress_batch(routed_idx.size)
@@ -477,12 +476,12 @@ class EpcGateway:
             node_down = np.zeros(routed_idx.size, dtype=bool)
             if self.down_nodes:
                 node_down = batch.touches(self.down_nodes)
-                down_j = np.nonzero(node_down)[0]
+                down_j = node_down.nonzero()[0]
                 if down_j.size:
                     self._c_drop_node_down.inc(int(down_j.size))
                     refuse(down_j, "node_down")
 
-            unknown_j = np.nonzero(batch.dropped & ~node_down)[0]
+            unknown_j = (batch.dropped & ~node_down).nonzero()[0]
             if unknown_j.size:
                 self._c_drop_unknown.inc(int(unknown_j.size))
                 for i, j in zip(
@@ -490,65 +489,53 @@ class EpcGateway:
                 ):
                     results[i] = (batch.results[j], None)
 
-            accepted_j = np.nonzero(~batch.dropped & ~node_down)[0]
+            accepted_j = (~batch.dropped & ~node_down).nonzero()[0]
             accepted_idx = routed_idx[accepted_j]
             self._h_fabric_hop.observe_many(batch.latencies_us[accepted_j])
 
             with self.registry.span("dpe"):
-                record_for_key = self.controller.record_for_key
-                record_cache: Dict[int, FlowRecord] = {}
-                records: List[FlowRecord] = []
-                for key, value in zip(
-                    parsed.keys[accepted_idx].tolist(),
-                    batch.values[accepted_j].tolist(),
-                ):
-                    record = record_cache.get(key)
-                    if record is None:
-                        record = record_for_key(key)
-                        record_cache[key] = record
-                    assert record is not None and value == record.teid
-                    records.append(record)
-                # accumulate() adds left to right exactly as the scalar
-                # path does, one ``now += tick`` per accepted packet.
-                clock = list(
-                    accumulate(repeat(self.tick, len(records)),
-                               initial=self.now)
+                # The FIB answered each accepted frame with its bearer's
+                # TEID: the controller's columns at those TEIDs give the
+                # handler and the tunnel's far end.
+                teids = batch.values[accepted_j]
+                handling, base_stations = self.controller.egress(
+                    parsed.keys[accepted_idx], teids, accepted_idx
                 )
-                self.now = clock[-1]
-                nows = np.array(clock[1:], dtype=np.float64)
-                teids = np.array(
-                    [r.teid for r in records], dtype=np.int64
-                )
-                handling = np.array(
-                    [r.handling_node for r in records], dtype=np.int64
-                )
+                # The running sum adds left to right exactly as the
+                # scalar path does, one ``now += tick`` per accepted
+                # packet.  (Array methods and ufuncs here, not their
+                # ``np.`` wrappers: each wrapper is Python calls per batch.)
+                clock = np.empty(teids.size + 1)
+                clock.fill(self.tick)
+                clock[0] = self.now
+                clock = np.add.accumulate(clock)
+                self.now = float(clock[-1])
+                nows = clock[1:]
                 sizes = parsed.l3_len[accepted_idx]
-                ok = np.zeros(len(records), dtype=bool)
-                for node_id in np.unique(handling).tolist():
-                    mask = handling == node_id
-                    ok[mask] = self.dpes[node_id].process_batch(
-                        teids[mask], sizes[mask], downlink=True,
-                        nows=nows[mask],
+                ok = np.empty(teids.size, dtype=bool)
+                order, runs = node_runs(handling, len(self.dpes))
+                for node_id, start, stop in runs:
+                    rows = order[start:stop]
+                    ok[rows] = self.dpes[node_id].process_batch(
+                        teids[rows], sizes[rows], downlink=True,
+                        nows=nows[rows],
                     )
 
-                policed_t = np.nonzero(~ok)[0]
+                policed_t = (~ok).nonzero()[0]
                 if policed_t.size:
                     self._c_drop_acl.inc(int(policed_t.size))
                     self._c_drop_policed.inc(int(policed_t.size))
                     refuse(accepted_j[policed_t], "policed")
-                charged_t = np.nonzero(ok)[0]
+                charged_t = ok.nonzero()[0]
                 self.stats.charge_many(teids[charged_t], sizes[charged_t])
                 self._c_down_bytes.inc(int(sizes[charged_t].sum()))
 
             with self.registry.span("egress"):
                 charged_j = accepted_j[charged_t]
                 frame_idx = routed_idx[charged_j]
-                bs_ips = np.array(
-                    [r.base_station_ip for r in records], dtype=np.int64
-                )[charged_t]
                 tunnelled = fastpath.encapsulate_batch(
-                    parsed, frame_idx, teids[charged_t], bs_ips,
-                    self.gateway_ip,
+                    parsed, frame_idx, teids[charged_t],
+                    base_stations[charged_t], self.gateway_ip,
                 )
             self._c_down_tunnelled.inc(int(charged_t.size))
             for i, j, packet in zip(

@@ -193,6 +193,8 @@ HEADLINES = (
     ("cluster.build_cost", "build_us_per_flow"),
     ("cluster.build_cost", "resize_us_per_flow"),
     ("gateway.bearer_bytes", "bytes_per_bearer"),
+    ("gateway.batch_calls", "python_calls_per_frame_at_32"),
+    ("gateway.batch_calls", "python_calls_per_frame_at_256"),
 )
 
 

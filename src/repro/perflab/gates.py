@@ -298,11 +298,58 @@ def bearer_bytes_gate(artifact: Mapping[str, Any]) -> str:
     return line
 
 
+#: Python calls per frame that ``gateway.batch_calls`` may count, by
+#: batch size.  Measured only on CPython 3.11 with NumPy 2.4: 11.06 at 32
+#: frames and 2.26 at 256, and 12.84 and 3.33 with a controller record
+#: looked up per flow.  The headroom (about 30 and 125 calls per batch)
+#: is for another interpreter's or NumPy's per-batch wrappers; it is
+#: unverified on CI's 3.12, where the row has not been run.
+BATCH_CALLS_BUDGET = {32: 12.0, 256: 2.75}
+
+#: Python calls each frame beyond the 32nd may add
+#: (``python_calls_per_extra_frame``): 1.00 today, one ``RouteResult`` per
+#: frame, and 1.97 with a controller record looked up per flow.  The
+#: per-batch calls cancel in the difference, so this bound holds whatever
+#: the interpreter and NumPy.
+BATCH_CALLS_PER_EXTRA_FRAME = 1.5
+
+
+def batch_calls_gate(artifact: Mapping[str, Any]) -> str:
+    """One gateway batch makes no more Python calls per frame than
+    budgeted.
+
+    ``gateway.batch_calls`` counts the ``sys.setprofile`` call events of
+    one ``process_downstream_batch`` at 32 and 256 frames.  Counts are
+    the program's own work, not a timing, so they hold on noisy runners.
+    A Python call per frame or per flow in the gateway's own code adds
+    about one to ``python_calls_per_extra_frame``.
+    """
+    sizes = sorted(BATCH_CALLS_BUDGET)
+    *counts, extra = _read(
+        artifact, "gateway.batch_calls",
+        *(f"python_calls_per_frame_at_{size}" for size in sizes),
+        "python_calls_per_extra_frame",
+    )
+    line = "Python calls per frame of a gateway batch: " + ", ".join(
+        f"{count:.2f} at {size} (budget {BATCH_CALLS_BUDGET[size]:.2f})"
+        for size, count in zip(sizes, counts)
+    ) + f", {extra:.2f} per extra frame (budget {BATCH_CALLS_PER_EXTRA_FRAME:.2f})"
+    if not (
+        all(
+            0 < count <= BATCH_CALLS_BUDGET[size]
+            for size, count in zip(sizes, counts)
+        )
+        and 0 < extra <= BATCH_CALLS_PER_EXTRA_FRAME
+    ):
+        raise GateFailure(f"{line}: over budget")
+    return line
+
+
 #: Every gate CI runs on the smoke artifact.
 GATES = (
     fastpath_gate, group_scan_gate, othello_gate, fabric_gate,
     batch_cost_gate, codec_cost_gate, dpe_batch_gate, build_cost_gate,
-    bearer_bytes_gate,
+    bearer_bytes_gate, batch_calls_gate,
 )
 
 

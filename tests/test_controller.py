@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.epc.controller import AssignmentPolicy, EpcController
+from repro.epc.controller import (
+    FREE_ROW,
+    AssignmentPolicy,
+    BearerMismatchError,
+    EpcController,
+)
 from repro.epc.packets import FlowTuple, PROTO_UDP, parse_ip
 
 
@@ -133,3 +141,283 @@ class TestBulk:
         assert len(ctrl) == 20
         teids = {r.teid for r in records}
         assert len(teids) == 20
+
+
+def columns(ctrl):
+    """The controller's TEID columns."""
+    return ctrl._keys, ctrl._nodes, ctrl._base_stations
+
+
+def free_rows_hold_sentinel(ctrl, live_teids):
+    keys, nodes, base_stations = columns(ctrl)
+    free = np.setdiff1d(np.arange(len(keys)), list(live_teids))
+    assert (keys[free] == FREE_ROW[0]).all()
+    assert (nodes[free] == FREE_ROW[1]).all()
+    assert (base_stations[free] == FREE_ROW[2]).all()
+
+
+def row_of(ctrl, teid):
+    keys, nodes, base_stations = columns(ctrl)
+    return int(keys[teid]), int(nodes[teid]), int(base_stations[teid])
+
+
+class TestEgressColumns:
+    """The controller's TEID-indexed columns follow every bearer change."""
+
+    def test_rows_follow_establish_rehome_handover_teardown(self):
+        ctrl = EpcController(num_nodes=4)
+        record = ctrl.establish_bearer(flow(0), BS)
+        assert row_of(ctrl, record.teid) == (
+            record.key, record.handling_node, BS
+        )
+        node = (record.handling_node + 1) % 4
+        ctrl.rehome(flow(0), node)
+        ctrl.handover(flow(0), BS + 7)
+        assert row_of(ctrl, record.teid) == (record.key, node, BS + 7)
+        ctrl.teardown_bearer(flow(0))
+        assert row_of(ctrl, record.teid) == FREE_ROW
+        free_rows_hold_sentinel(ctrl, ())
+
+    def test_columns_grow_with_the_teid_cursor(self):
+        ctrl = EpcController(num_nodes=2)
+        records = ctrl.establish_many(
+            [flow(i) for i in range(300)], [BS + i for i in range(300)]
+        )
+        keys, nodes, base_stations = columns(ctrl)
+        assert len(keys) == len(nodes) == len(base_stations)
+        assert 301 <= len(keys) <= 2 * 301  # doubling with the TEID cursor
+        for record in records:
+            assert row_of(ctrl, record.teid) == (
+                record.key, record.handling_node, record.base_station_ip
+            )
+        free_rows_hold_sentinel(ctrl, [r.teid for r in records])
+
+    def test_egress_gathers_node_and_base_station(self):
+        ctrl = EpcController(num_nodes=4)
+        records = [ctrl.establish_bearer(flow(i), BS + i) for i in range(5)]
+        picked = [records[3], records[0], records[3]]
+        nodes, base_stations = ctrl.egress(
+            np.array([r.key for r in picked], dtype=np.uint64),
+            np.array([r.teid for r in picked], dtype=np.int64),
+            np.array([4, 9, 11]),
+        )
+        assert nodes.tolist() == [r.handling_node for r in picked]
+        assert base_stations.tolist() == [r.base_station_ip for r in picked]
+
+    @pytest.mark.parametrize("bad_teid", [1, 0, -1, 4, 5, 999, 1 << 40])
+    def test_egress_names_the_first_frame_whose_teid_is_not_its_bearer(
+        self, bad_teid
+    ):
+        """Another flow's TEID, TEID 0, a negative one, a free one, one
+        never handed out, and two past the columns."""
+        ctrl = EpcController(num_nodes=4)
+        records = [ctrl.establish_bearer(flow(i), BS) for i in range(4)]
+        ctrl.teardown_bearer(flow(3))  # TEID 4 is free
+        keys = np.array([r.key for r in records[:3]], dtype=np.uint64)
+        teids = np.array([1, bad_teid, bad_teid], dtype=np.int64)
+        with pytest.raises(BearerMismatchError) as err:
+            ctrl.egress(keys, teids, np.array([10, 20, 30]))
+        assert (err.value.frame, err.value.key, err.value.teid) == (
+            20, records[1].key, bad_teid
+        )
+        assert str(err.value).startswith("frame 20: ")
+
+
+class TestRefusalsBeforeChange:
+    """What an integer column cannot hold is a ``ValueError``, raised
+    before the records, the columns or the TEID allocator move."""
+
+    @pytest.mark.parametrize(
+        "address", [BS + 0.5, float(BS), "172.16.1.1", None, np.float64(BS)]
+    )
+    def test_establish_refuses_a_non_integer_address(self, address):
+        ctrl = EpcController(num_nodes=4)
+        ctrl.establish_bearer(flow(0), BS)
+        with pytest.raises(ValueError, match="base_station_ip"):
+            ctrl.establish_bearer(flow(1), address)
+        assert len(ctrl) == 1 and len(ctrl.teids) == 1
+        free_rows_hold_sentinel(ctrl, [1])
+
+    @pytest.mark.parametrize(
+        "address", [BS + 0.5, float(BS), "172.16.1.1", -1, 1 << 32]
+    )
+    def test_handover_refuses_what_a_column_cannot_hold(self, address):
+        ctrl = EpcController(num_nodes=4)
+        record = ctrl.establish_bearer(flow(0), BS)
+        with pytest.raises(ValueError, match="base_station_ip"):
+            ctrl.handover(flow(0), address)
+        assert ctrl.record_for_key(record.key) == record
+        assert row_of(ctrl, record.teid) == (
+            record.key, record.handling_node, BS
+        )
+
+    def test_integer_addresses_are_stored_as_int(self):
+        ctrl = EpcController(num_nodes=4)
+        record = ctrl.establish_bearer(flow(0), np.uint32(BS))
+        moved = ctrl.handover(flow(0), np.int64(BS + 1))
+        assert type(record.base_station_ip) is int
+        assert type(moved.base_station_ip) is int
+        assert moved.base_station_ip == BS + 1
+
+    @pytest.mark.parametrize(
+        "node", [1.5, 1.0, True, False, np.float64(1), -1, 4, "1", None]
+    )
+    def test_rehome_refuses_what_is_not_a_node_id(self, node):
+        ctrl = EpcController(num_nodes=4)
+        record = ctrl.establish_bearer(flow(0), BS)
+        with pytest.raises(ValueError, match="new_node"):
+            ctrl.rehome(flow(0), node)
+        assert ctrl.record_for_key(record.key) == record
+        assert row_of(ctrl, record.teid) == (
+            record.key, record.handling_node, BS
+        )
+
+    def test_rehome_takes_a_numpy_node_as_int(self):
+        ctrl = EpcController(num_nodes=4)
+        ctrl.establish_bearer(flow(0), BS)
+        moved = ctrl.rehome(flow(0), np.int64(3))
+        assert type(moved.handling_node) is int and moved.handling_node == 3
+
+
+class TestRecordForTeid:
+    """Only a live TEID has a record, as :class:`TeidAllocator` says."""
+
+    def test_live_teid(self):
+        ctrl = EpcController(num_nodes=4)
+        record = ctrl.establish_bearer(flow(0), BS)
+        assert ctrl.record_for_teid(record.teid) == record
+
+    @pytest.mark.parametrize(
+        "teid", [True, 1.0, np.int64(1), -1, 0, 2, 64, 1 << 64, 10**20, "1"]
+    )
+    def test_anything_else_is_none(self, teid):
+        ctrl = EpcController(num_nodes=4)
+        ctrl.establish_bearer(flow(0), BS)
+        assert (teid in ctrl.teids) is False
+        assert ctrl.record_for_teid(teid) is None
+
+    def test_a_freed_teid_is_none_until_reused(self):
+        ctrl = EpcController(num_nodes=4)
+        first = ctrl.establish_bearer(flow(0), BS)
+        ctrl.teardown_bearer(flow(0))
+        assert ctrl.record_for_teid(first.teid) is None
+        again = ctrl.establish_bearer(flow(1), BS + 1)
+        assert again.teid == first.teid
+        assert ctrl.record_for_teid(first.teid) == again
+
+
+FLOW_POOL = 12
+node_ids = st.integers(0, 3)
+not_node_ids = st.one_of(
+    st.integers(-3, -1), st.integers(4, 9), st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+addresses = st.integers(0, 0xFFFFFFFF)
+not_addresses = st.one_of(
+    st.integers(max_value=-1), st.integers(min_value=1 << 32),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class ControllerColumns(RuleBasedStateMachine):
+    """The egress columns against a plain-dict model of the bearers."""
+
+    def __init__(self):
+        super().__init__()
+        self.ctrl = EpcController(num_nodes=4)
+        self.model = {}  # TEID -> (key, node, address)
+
+    def _by_key(self, index):
+        key = flow(index).key()
+        for teid, row in self.model.items():
+            if row[0] == key:
+                return teid
+        return None
+
+    @rule(index=st.integers(0, FLOW_POOL - 1),
+          address=st.one_of(addresses, not_addresses))
+    def establish(self, index, address):
+        live = self._by_key(index) is not None
+        valid = type(address) is int and 0 <= address <= 0xFFFFFFFF
+        if live or not valid:
+            with pytest.raises(ValueError):
+                self.ctrl.establish_bearer(flow(index), address)
+            return
+        record = self.ctrl.establish_bearer(flow(index), address)
+        assert record.teid not in self.model
+        self.model[record.teid] = (
+            record.key, record.handling_node, address
+        )
+
+    @rule(indices=st.lists(st.integers(0, FLOW_POOL - 1), unique=True,
+                           max_size=4))
+    def establish_many(self, indices):
+        fresh = [i for i in indices if self._by_key(i) is None]
+        records = self.ctrl.establish_many(
+            [flow(i) for i in fresh], [BS + i for i in fresh]
+        )
+        for i, record in zip(fresh, records):
+            self.model[record.teid] = (record.key, record.handling_node, BS + i)
+
+    @rule(index=st.integers(0, FLOW_POOL - 1))
+    def teardown_bearer(self, index):  # ``teardown`` is the machine's own
+        teid = self._by_key(index)
+        removed = self.ctrl.teardown_bearer(flow(index))
+        assert (removed is None) == (teid is None)
+        if teid is not None:
+            assert removed.teid == teid
+            del self.model[teid]
+
+    @rule(index=st.integers(0, FLOW_POOL - 1),
+          node=st.one_of(node_ids, not_node_ids))
+    def rehome(self, index, node):
+        teid = self._by_key(index)
+        if not (type(node) is int and 0 <= node < 4):
+            with pytest.raises(ValueError):
+                self.ctrl.rehome(flow(index), node)
+        elif teid is None:
+            with pytest.raises(KeyError):
+                self.ctrl.rehome(flow(index), node)
+        else:
+            self.ctrl.rehome(flow(index), node)
+            key, _, address = self.model[teid]
+            self.model[teid] = (key, node, address)
+
+    @rule(index=st.integers(0, FLOW_POOL - 1),
+          address=st.one_of(addresses, not_addresses))
+    def handover(self, index, address):
+        teid = self._by_key(index)
+        if not (type(address) is int and 0 <= address <= 0xFFFFFFFF):
+            with pytest.raises(ValueError):
+                self.ctrl.handover(flow(index), address)
+        elif teid is None:
+            with pytest.raises(KeyError):
+                self.ctrl.handover(flow(index), address)
+        else:
+            self.ctrl.handover(flow(index), address)
+            key, node, _ = self.model[teid]
+            self.model[teid] = (key, node, address)
+
+    @invariant()
+    def columns_match_the_model(self):
+        for teid, row in self.model.items():
+            assert row_of(self.ctrl, teid) == row
+        free_rows_hold_sentinel(self.ctrl, self.model)
+        rows = len(self.ctrl._keys)
+        for teid in [-1, True, 1.0, *range(rows + 2)]:
+            record = self.ctrl.record_for_teid(teid)
+            expected = self.model.get(teid) if type(teid) is int else None
+            if expected is None:
+                assert record is None
+            else:
+                assert (record.key, record.handling_node,
+                        record.base_station_ip) == expected
+                assert record.teid == teid
+        assert len(self.ctrl) == len(self.ctrl.teids) == len(self.model)
+
+
+ControllerColumns.TestCase.settings = settings(
+    max_examples=50, stateful_step_count=25, derandomize=True,
+    deadline=None, suppress_health_check=list(HealthCheck),
+)
+TestControllerColumns = ControllerColumns.TestCase

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Architecture
+from repro.epc.controller import BearerMismatchError
 from repro.epc.gateway import EpcGateway
 from repro.epc.packets import build_downstream_frame, parse_ip
 from repro.epc.traffic import GATEWAY_MAC, GENERATOR_MAC, FlowGenerator
@@ -253,3 +254,68 @@ class TestBatchSurface:
         assert [r.ingress for r, _ in out] == [2, 0, 3]
         result, _ = gateway.process_downstream(frames[0], ingress=np.int32(1))
         assert result.ingress == 1
+
+
+def small_gateway(flows=40, seed=5):
+    gen = FlowGenerator(seed=seed)
+    gateway = EpcGateway(Architecture.SCALEBRICKS, 4, GW_IP)
+    live = gen.populate(gateway, flows)
+    gateway.start()
+    return gateway, live
+
+
+class TestFibControllerCheck:
+    """A FIB answer that is not the flow's bearer is an explicit error on
+    both downstream paths (an ``assert`` would vanish under ``python -O``),
+    raised before the frame is charged."""
+
+    @pytest.mark.parametrize(
+        "planted", ["other_live", "free", "past_column"]
+    )
+    def test_planted_fib_entry_raises_on_both_paths(self, planted):
+        gateway, flows = small_gateway()
+        victim = gateway.controller.record_for_key(flows[3].key())
+        other = gateway.controller.record_for_key(flows[4].key())
+        if planted == "free":
+            gateway.disconnect(flows[5])
+            wrong = gateway.controller.record_for_key(flows[5].key())
+            assert wrong is None
+            wrong_teid = 6
+            assert wrong_teid not in gateway.controller.teids
+        else:
+            wrong_teid = other.teid if planted == "other_live" else 10**6
+        # Behind the controller's back: same node, another TEID.
+        gateway.updates.insert_flow(
+            victim.key, victim.handling_node, wrong_teid
+        )
+        charged = dict(gateway.stats.bytes_charged)
+        with pytest.raises(BearerMismatchError) as scalar:
+            gateway.process_downstream(frame_for(flows[3]))
+        with pytest.raises(BearerMismatchError) as batch:
+            gateway.process_downstream_batch(
+                [frame_for(flows[0]), frame_for(flows[1]), frame_for(flows[3])]
+            )
+        for err in (scalar.value, batch.value):
+            assert (err.key, err.teid) == (victim.key, wrong_teid)
+        assert batch.value.frame == 2
+        assert str(batch.value).startswith("frame 2: the FIB answered TEID")
+        assert gateway.stats.bytes_charged == charged
+
+    def test_a_fractional_handover_is_refused_and_both_paths_agree(self):
+        gateway, flows = small_gateway()
+        record = gateway.controller.record_for_key(flows[2].key())
+        with pytest.raises(ValueError, match="base_station_ip"):
+            gateway.controller.handover(flows[2], record.base_station_ip + 0.5)
+        _, scalar = gateway.process_downstream(frame_for(flows[2]))
+        [(_, batch)] = gateway.process_downstream_batch([frame_for(flows[2])])
+        assert scalar == batch
+        _, _, outer = GtpTunnelEndpoint.decapsulate(batch)
+        assert outer.dst == record.base_station_ip
+
+    @pytest.mark.parametrize("node", [1.5, True, np.float64(2.0)])
+    def test_a_non_integer_rehome_is_refused(self, node):
+        gateway, flows = small_gateway()
+        record = gateway.controller.record_for_key(flows[2].key())
+        with pytest.raises(ValueError, match="new_node"):
+            gateway.controller.rehome(flows[2], node)
+        assert gateway.controller.record_for_key(record.key) == record

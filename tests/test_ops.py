@@ -270,9 +270,11 @@ class TestOpsApiLive:
         flow = api.flow(1)
         assert flow["teid"] == 1
         assert 0 <= flow["handling_node"] < 3
-        with pytest.raises(OpsApiError) as err:
-            api.flow(10_000_000)
-        assert err.value.status == 404
+        # Past the controller's TEID columns, however far: 404, not 500.
+        for teid in (0, 10_000_000, 10**19 + 7):
+            with pytest.raises(OpsApiError) as err:
+                api.flow(teid)
+            assert err.value.status == 404
 
     def test_unknown_node_is_404(self, api):
         with pytest.raises(OpsApiError) as err:

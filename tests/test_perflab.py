@@ -566,7 +566,7 @@ class TestGroupScanGate:
         artifact.results.extend(
             othello_rows() + fastpath_rows() + fabric_rows()
             + batch_cost_rows() + codec_cost_rows() + dpe_cost_rows()
-            + build_cost_rows() + bearer_bytes_rows())
+            + build_cost_rows() + bearer_bytes_rows() + batch_calls_rows())
         path = perflab.write_artifact(artifact, tmp_path)
         assert gates.main([str(path)]) == 0
         out = capsys.readouterr().out
@@ -577,6 +577,7 @@ class TestGroupScanGate:
         assert "at 8 packets: 1.35x" in out
         assert "cluster build: 15/15 counts as pinned" in out
         assert "heap per bearer: 601 B (budget 630 B)" in out
+        assert "1.00 per extra frame (budget 1.50)" in out
         broken = tmp_path / "broken.json"
         broken.write_text(perflab.canonical_json(
             self._artifact(keys_scanned_per_update=900.0,
@@ -592,6 +593,7 @@ class TestGroupScanGate:
         assert "dpe.batch_cost missing" in err
         assert "cluster.build_cost missing" in err
         assert "gateway.bearer_bytes missing" in err
+        assert "gateway.batch_calls missing" in err
 
 
 def othello_rows(rate=(6700.0, 2100.0), bits=(4.66, 3.5), skip=()):
@@ -1067,6 +1069,84 @@ class TestSelectBaseline:
         err = capsys.readouterr().err
         assert "newest by mtime" in err
         assert "BENCH_fresh.json" in err
+
+
+def batch_calls_rows(at_32=11.06, at_256=2.26, extra=1.0):
+    return [make_result("gateway.batch_calls", [0.1], derived={
+        "python_calls_per_frame_at_32": at_32,
+        "python_calls_per_frame_at_256": at_256,
+        "python_calls_per_extra_frame": extra,
+    })]
+
+
+class TestBatchCallsGate:
+    def test_under_the_budget_passes(self):
+        line = gates.batch_calls_gate(
+            make_artifact(batch_calls_rows()).to_dict())
+        assert line == (
+            "Python calls per frame of a gateway batch: "
+            "11.06 at 32 (budget 12.00), 2.26 at 256 (budget 2.75), "
+            "1.00 per extra frame (budget 1.50)"
+        )
+        budget = gates.BATCH_CALLS_BUDGET
+        assert gates.batch_calls_gate(make_artifact(batch_calls_rows(
+            budget[32], budget[256], gates.BATCH_CALLS_PER_EXTRA_FRAME,
+        )).to_dict())
+
+    @pytest.mark.parametrize("counts", [
+        (12.84, 3.33, 1.97),  # a controller record looked up per flow
+        (11.06, 3.26, 2.0),  # one Python call more per frame
+        (11.06, 2.26, 1.97),  # the same, under another NumPy's wrappers
+        (12.5, 2.26, 1.0), (0.0, 2.26, 1.0), (11.06, 0.0, 1.0),
+        (11.06, 2.26, 0.0),
+    ])
+    def test_over_the_budget_or_empty_fails(self, counts):
+        with pytest.raises(gates.GateFailure, match="over budget"):
+            gates.batch_calls_gate(
+                make_artifact(batch_calls_rows(*counts)).to_dict())
+
+    def test_a_missing_row_or_metric_fails(self):
+        with pytest.raises(gates.GateFailure, match="batch_calls missing"):
+            gates.batch_calls_gate(make_artifact([]).to_dict())
+        for name in ("python_calls_per_frame_at_32",
+                     "python_calls_per_extra_frame"):
+            (row,) = batch_calls_rows()
+            del row.derived[name]
+            with pytest.raises(gates.GateFailure, match=name):
+                gates.batch_calls_gate(make_artifact([row]).to_dict())
+
+    def test_the_real_row_repeats_and_adds_one_call_per_frame(self):
+        """The real row's counts repeat exactly, and the frames between
+        the two sizes add about one Python call each.  The absolute
+        budgets depend on the interpreter and NumPy, so only CI's gate
+        on the smoke artifact applies them."""
+        perflab.discover()
+        first, second = (
+            perflab.run_suite(
+                "smoke", scale=1, repeats=1,
+                name_filter="gateway.batch_calls",
+            ).results[0]
+            for _ in range(2)
+        )
+        assert first.counters == second.counters
+        assert first.derived == second.derived
+        calls = {
+            size: first.counters[f"gateway.batch_calls.python_at_{size}"]
+            for size in (32, 256)
+        }
+        assert set(first.counters) == {
+            f"gateway.batch_calls.python_at_{size}" for size in calls
+        }
+        for size, count in calls.items():
+            assert first.derived[f"python_calls_per_frame_at_{size}"] == (
+                count / size
+            )
+            assert (
+                "gateway.batch_calls", f"python_calls_per_frame_at_{size}"
+            ) in perflab.artifact.HEADLINES
+        extra = first.derived["python_calls_per_extra_frame"]
+        assert extra == (calls[256] - calls[32]) / 224
+        assert 0 < extra <= gates.BATCH_CALLS_PER_EXTRA_FRAME
 
 
 def bearer_bytes_rows(total=601.0):
