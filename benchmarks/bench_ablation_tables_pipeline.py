@@ -1,20 +1,14 @@
-"""Ablations: measured FIB-table lookup rates and the Alg. 1 pipeline.
+"""Ablations: measured FIB-table lookup rates.
 
 Complements the model-driven Figure 8: these are *measured* Python rates
 for the three FIB designs on identical workloads (shape target: cuckoo >=
-rte_hash >> chaining at high load), plus the explicit Algorithm 1 staged
-pipeline versus the fused fast path, and the seqlock read guard's
-quiescent overhead (the §4.5 future-work mechanism).
+rte_hash >> chaining at high load).
 """
 
 import time
 
-import numpy as np
 import pytest
 
-from repro.core import SetSepParams, build
-from repro.core.concurrent import SeqlockSetSep
-from repro.core.pipeline import batched_lookup
 from repro.hashtables import ChainingHashTable, CuckooHashTable, RteHashTable
 from repro import perflab
 from benchmarks.conftest import bench_keys, bench_scale, print_header
@@ -64,48 +58,6 @@ def test_measured_fib_lookup_rates(benchmark, workload):
     benchmark.extra_info["rates"] = {
         k: round(v) for k, v in rates.items()
     }
-
-
-def test_pipeline_vs_fused_lookup(benchmark, workload):
-    keys = workload
-    values = (keys % np.uint64(4)).astype(np.uint32)
-    setsep, _ = build(keys, values, SetSepParams(value_bits=2))
-
-    fused_started = time.perf_counter()
-    fused_out = setsep.lookup_batch(keys)
-    fused = time.perf_counter() - fused_started
-
-    staged_out = benchmark(lambda: batched_lookup(setsep, keys))
-    staged = benchmark.stats["mean"]
-
-    print_header("Algorithm 1: explicit staged pipeline vs fused fast path")
-    print(f"  fused  : {N_KEYS / fused / 1e6:7.2f} Mops")
-    print(f"  staged : {N_KEYS / staged / 1e6:7.2f} Mops")
-    assert np.array_equal(np.asarray(staged_out), fused_out)
-    # The explicit pipeline stays within ~4x of the fused path.
-    assert staged < fused * 4 + 1e-3
-
-
-def test_seqlock_quiescent_overhead(benchmark, workload):
-    keys = workload
-    values = (keys % np.uint64(4)).astype(np.uint32)
-    setsep, _ = build(keys, values, SetSepParams(value_bits=2))
-    guard = SeqlockSetSep(setsep)
-
-    plain_started = time.perf_counter()
-    setsep.lookup_batch(keys)
-    plain = time.perf_counter() - plain_started
-
-    benchmark(lambda: guard.lookup_batch(keys))
-    guarded = benchmark.stats["mean"]
-
-    print_header("§4.5 future work: seqlock read-guard overhead (no writers)")
-    print(f"  unguarded : {N_KEYS / plain / 1e6:7.2f} Mops")
-    print(f"  guarded   : {N_KEYS / guarded / 1e6:7.2f} Mops "
-          f"({(guarded / plain - 1) * 100:+.0f}%)")
-    print(f"  retries   : {guard.stats.retries}")
-    assert guard.stats.retries == 0  # quiescent: version checks never fire
-    assert guarded < plain * 3 + 1e-3
 
 
 # -- perf lab registration (repro.perflab; see EXPERIMENTS.md) -----------

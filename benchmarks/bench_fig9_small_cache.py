@@ -6,19 +6,8 @@ the ones that still fit.
 
 Reproduced via the same forwarding model on a 15 MiB-L3 hierarchy, checked
 point-by-point against the Figure 8 (30 MiB) run.
-
-The same cache model also predicts the *hot-key cache*
-(:mod:`repro.core.hotcache`): it is deliberately direct-mapped so its
-measured hit rate on Zipf traffic can be cross-validated against
-:func:`repro.model.cache.direct_mapped_hit_rate` — the capacity sweep at
-the bottom does exactly that, gating measurement against model.
 """
 
-import numpy as np
-import pytest
-
-from repro.core.hotcache import HotKeyCache
-from repro.model import cache as cache_model
 from repro.model.cache import XEON_E5_2697V2
 from repro.model.perf import ForwardingModel, cuckoo_model, rte_hash_model
 from repro import perflab
@@ -87,82 +76,3 @@ def perflab_fig9(ctx):
     by = {(name, flows): (full, sb) for name, flows, full, sb in rows}
     full, sb = by[("cuckoo_hash", 8_000_000)]
     ctx.record(cuckoo_8m_gain_pct=100 * (sb / full - 1))
-
-
-# -- hot-key cache vs the cache model (scale tier) -----------------------
-
-CACHE_KEYS = 200_000
-CACHE_PROBES = 400_000
-CAPACITY_SWEEP = [1 << b for b in range(10, 17, 2)]
-GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _hotcache_sweep(zipf_s=1.0):
-    """(capacity, measured, predicted) across the capacity sweep."""
-    ranks = cache_model.zipf_sample(
-        CACHE_KEYS, CACHE_PROBES, s=zipf_s, seed=17
-    )
-    keys = (ranks.astype(np.uint64) + np.uint64(1)) * GOLDEN
-    probs = cache_model.zipf_probabilities(CACHE_KEYS, s=zipf_s)
-    warm = CACHE_PROBES // 4
-    # Small probe batches: the IRM is per-reference, and a large batch
-    # counts every duplicate of a missing hot key as a miss before the
-    # fill lands, biasing the measurement down at small capacities.
-    step = 200
-    rows = []
-    for capacity in CAPACITY_SWEEP:
-        cache = HotKeyCache(capacity)
-        for start in range(0, CACHE_PROBES, step):
-            batch = keys[start:start + step]
-            _values, hit = cache.probe(batch)
-            missing = batch[~hit]
-            cache.fill(
-                missing,
-                np.zeros(missing.size, dtype=np.uint32),
-                np.zeros(missing.size, dtype=np.uint32),
-            )
-            if start + step == warm:
-                # The IRM predicts steady state; drop cold-start misses.
-                cache.hits = cache.misses = 0
-        rows.append((
-            capacity,
-            cache.hit_rate(),
-            cache_model.direct_mapped_hit_rate(probs, capacity),
-        ))
-    return rows
-
-
-def test_hotcache_hit_rate_tracks_model_across_capacities():
-    rows = _hotcache_sweep()
-    print_header(
-        "Hot-key cache vs IRM model: Zipf(1.0) hit rate by capacity"
-    )
-    print(f"  {'slots':>8} {'measured':>9} {'modelled':>9} {'err':>7}")
-    for capacity, measured, predicted in rows:
-        print(f"  {capacity:>8} {measured:>9.4f} {predicted:>9.4f} "
-              f"{measured - predicted:>+7.4f}")
-    for capacity, measured, predicted in rows:
-        assert measured == pytest.approx(predicted, rel=0.15), capacity
-    # The sweep is monotone: more slots, more hits (both curves).
-    measured_curve = [m for _, m, _ in rows]
-    assert measured_curve == sorted(measured_curve)
-
-
-@perflab.benchmark(
-    "fig9.hotcache_validation", figure="Figure 9 (scale tier)", repeats=1
-)
-def perflab_fig9_hotcache(ctx):
-    """Measured vs modelled direct-mapped hit rate, Zipf(1.0) sweep."""
-    ctx.set_params(
-        keys=CACHE_KEYS,
-        probes=CACHE_PROBES,
-        capacities=",".join(str(c) for c in CAPACITY_SWEEP),
-    )
-    rows = ctx.timeit(_hotcache_sweep)
-    worst = max(abs(m - p) for _, m, p in rows)
-    for capacity, measured, predicted in rows:
-        ctx.record(**{
-            f"hit_rate_{capacity}": round(measured, 4),
-            f"predicted_{capacity}": round(predicted, 4),
-        })
-    ctx.record(worst_abs_error=round(worst, 4))

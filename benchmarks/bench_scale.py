@@ -1,8 +1,8 @@
-"""Scale tier: resident memory, cold start, and hot-key lookups at 16M keys.
+"""Scale tier: resident memory and cold start at 16M keys.
 
 The paper's headline population (Figure 11: up to 16M TEIDs per value-bit
 configuration) is where the one-heap-per-daemon model breaks down.  These
-benchmarks measure the three scale-tier claims on a synthesized 16M-key
+benchmarks measure the two scale-tier claims on a synthesized 16M-key
 separator (:func:`repro.runtime.scalesmoke.synthesize_separator` — real
 structure, random contents, so no construction search at this size):
 
@@ -12,8 +12,6 @@ structure, random contents, so no construction search at this size):
 * ``scale.cold_start``     — time for a (re)joining daemon to obtain
   usable state: ``serialize.loads`` of the wire snapshot vs ``shm.attach``
   of the published segment.  Target: >= 10x faster.
-* ``scale.hotcache_lookup`` — GPT lookup throughput on Zipf(1.0) traffic
-  with and without the hot-key cache in front.  Target: cached wins.
 
 Everything runs in-process (the perf-lab smoke suite must not spawn
 children); cross-process sharing of the same segments is proven by the
@@ -27,14 +25,11 @@ import pytest
 
 from repro import perflab
 from repro.core import serialize, shm
-from repro.gpt.gpt import GlobalPartitionTable
-from repro.model import cache as cache_model
 from repro.runtime.scalesmoke import synthesize_separator
 from benchmarks.conftest import print_header
 
 NUM_DAEMONS = 4
 SCALE_KEYS = 16_000_000
-GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 needs_shm = pytest.mark.skipif(
     not shm.available(), reason="no writable /dev/shm on this host"
@@ -88,13 +83,6 @@ def _resident_comparison(num_keys: int):
     return heap_kb, shm_kb, len(payload)
 
 
-def _zipf_trace(num_keys: int, probes: int):
-    """Zipf(1.0) probe keys over a synthetic ``num_keys`` population."""
-    ranks = cache_model.zipf_sample(num_keys, probes, s=1.0, seed=9)
-    # Key identity is a golden-ratio scramble of the popularity rank.
-    return (ranks.astype(np.uint64) + np.uint64(1)) * GOLDEN
-
-
 # ----------------------------------------------------------------------
 # pytest gates (run with ``pytest benchmarks/`` — smaller population)
 # ----------------------------------------------------------------------
@@ -139,30 +127,6 @@ def _timed(fn, time_mod) -> float:
     started = time_mod.perf_counter()
     fn()
     return time_mod.perf_counter() - started
-
-
-def test_hotcache_beats_uncached_on_zipf():
-    import time
-
-    gpt = GlobalPartitionTable(4, synthesize_separator(4_000_000, seed=2))
-    sample = _zipf_trace(4_000_000, 400_000)
-    uncached = min(
-        _timed(lambda: gpt.lookup_batch(sample), time) for _ in range(3)
-    )
-    expected = gpt.lookup_batch(sample).copy()
-    cache = gpt.attach_cache(1 << 16)
-    gpt.lookup_batch(sample)  # warm
-    cached = min(
-        _timed(lambda: gpt.lookup_batch(sample), time) for _ in range(3)
-    )
-    np.testing.assert_array_equal(gpt.lookup_batch(sample), expected)
-    print_header("scale.hotcache_lookup (4M keys, Zipf 1.0)")
-    print(f"  uncached : {len(sample) / uncached / 1e6:8.2f} M lookups/s")
-    print(f"  cached   : {len(sample) / cached / 1e6:8.2f} M lookups/s "
-          f"({uncached / cached:.2f}x, hit rate "
-          f"{cache.hit_rate():.3f})")
-    assert cached < uncached
-    gpt.detach_cache()
 
 
 # -- perf lab registration (repro.perflab; see EXPERIMENTS.md) -----------
@@ -220,34 +184,3 @@ def perflab_scale_cold_start(ctx):
         attach_ms=round(attach_s * 1e3, 3),
         speedup=round(wire_s / max(attach_s, 1e-9), 1),
     )
-
-
-@perflab.benchmark(
-    "scale.hotcache_lookup", figure="Figure 11 (scale tier)", repeats=3
-)
-def perflab_scale_hotcache(ctx):
-    """GPT lookups on Zipf(1.0) traffic, hot-key cache vs bare separator."""
-    import time
-
-    probes = 400_000 * ctx.scale
-    gpt = GlobalPartitionTable(4, synthesize_separator(SCALE_KEYS, seed=2))
-    sample = _zipf_trace(SCALE_KEYS, probes)
-    ctx.set_params(keys=SCALE_KEYS, probes=probes, cache_slots=1 << 18)
-    uncached_s = min(
-        _timed(lambda: gpt.lookup_batch(sample), time) for _ in range(3)
-    )
-    cache = gpt.attach_cache(1 << 18)
-    gpt.lookup_batch(sample)  # warm fill
-    ctx.timeit(lambda: gpt.lookup_batch(sample))
-    cached_s = min(ctx.samples)
-    predicted = cache_model.direct_mapped_hit_rate(
-        cache_model.zipf_probabilities(SCALE_KEYS, s=1.0), cache.capacity
-    )
-    ctx.record(
-        uncached_mlps=round(probes / uncached_s / 1e6, 2),
-        cached_mlps=round(probes / cached_s / 1e6, 2),
-        speedup=round(uncached_s / cached_s, 2),
-        hit_rate=round(cache.hit_rate(), 4),
-        predicted_hit_rate=round(predicted, 4),
-    )
-    gpt.detach_cache()

@@ -408,40 +408,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     doc["fabric_backend"] = fabric_registry.backend_of(
         gateway.cluster.fabric
     )
-    if args.hotcache and gpt is not None:
-        # Replay the trial's key population through a hot-key cache and
-        # report observed vs IRM-predicted hit rate for this capacity.
-        from repro.epc.traffic import FlowGenerator
-        from repro.model import cache as cache_model
-
-        cache = gpt.attach_cache(args.hotcache)
-        generator = FlowGenerator(seed=args.seed)
-        keys = np.array(
-            [f.key() for f in generator.flows(args.flows)], dtype=np.uint64
-        )
-        for round_no in range(8):
-            sample = keys[cache_model.zipf_sample(
-                len(keys), args.packets, s=args.zipf,
-                seed=args.seed + round_no,
-            )]
-            gpt.lookup_batch(sample)
-        doc["hotcache"] = cache.stats()
-        doc["hotcache"]["predicted_hit_rate"] = (
-            cache_model.direct_mapped_hit_rate(
-                cache_model.zipf_probabilities(len(keys), s=args.zipf),
-                cache.capacity,
-            )
-        )
-        gpt.detach_cache()
     if not emit(doc, args.json):
         if doc["gpt_backend"] is not None:
             print(f"gpt backend  : {doc['gpt_backend']}")
         print(f"fabric       : {doc['fabric_backend']}")
-        if "hotcache" in doc:
-            hc = doc["hotcache"]
-            print(f"hotcache     : {hc['hits']}/{hc['hits'] + hc['misses']} "
-                  f"hits ({hc['hit_rate']:.3f} observed, "
-                  f"{hc['predicted_hit_rate']:.3f} predicted)")
         _print_metrics_text(gateway.registry)
     return EXIT_OK
 
@@ -840,10 +810,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="run an instrumented gateway trial and print its metrics",
     )
     add_trial_args(stats)
-    stats.add_argument("--hotcache", type=int, default=0, metavar="SLOTS",
-                       help="replay the trial keys through a hot-key "
-                            "cache of this capacity and report observed "
-                            "vs model-predicted hit rate (0 = off)")
     stats.add_argument("--json", action="store_true",
                        help="emit the raw registry snapshot as JSON")
     stats.set_defaults(func=_cmd_stats)

@@ -155,11 +155,7 @@ class SetSep:
         """
         return int(self.lookup_batch([key])[0])
 
-    def lookup_batch(
-        self,
-        keys: Union[Sequence[Key], np.ndarray],
-        with_groups: bool = False,
-    ) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+    def lookup_batch(self, keys: Union[Sequence[Key], np.ndarray]) -> np.ndarray:
         """Vectorised lookup of many keys at once (paper Alg. 1).
 
         The three stages of the paper's batched lookup (bucket id, bucket to
@@ -169,10 +165,6 @@ class SetSep:
         gather — the per-bit Python loop this replaced cost one full pass
         over the batch per value bit.
 
-        ``with_groups=True`` additionally returns each key's group id as a
-        second array — the hot-key cache fills entries with group tags and
-        would otherwise recompute the bucket/group stage per miss batch.
-
         The key-only hashes are the batch's separator columns
         (:class:`repro.core.hashfamily.HashedKeys`): raw keys are hashed
         here in one stacked pass, a pre-hashed batch is read.  What depends
@@ -181,8 +173,7 @@ class SetSep:
         batch = hashfamily.prehash(keys)
         keys = batch.keys
         if keys.size == 0:
-            empty = np.zeros(0, dtype=np.uint32)
-            return (empty, empty.copy()) if with_groups else empty
+            return np.zeros(0, dtype=np.uint32)
         self._m_lookups.inc(keys.size)
         groups = self.groups_of(batch)
         _, g1, g2 = batch.separator
@@ -198,8 +189,6 @@ class SetSep:
         # Value bit ``b`` is column ``b``: weighted by ``2**b`` and summed.
         values = bits.dot(self._bit_weights).astype(np.uint32)
         self._apply_fallback(keys, groups, values)
-        if with_groups:
-            return values, groups.astype(np.uint32)
         return values
 
     def _apply_fallback(

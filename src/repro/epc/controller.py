@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -293,28 +293,3 @@ class EpcController:
 
     def __len__(self) -> int:
         return len(self.flows)
-
-    # ------------------------------------------------------------------
-    # Bulk synthesis (benchmark population)
-    # ------------------------------------------------------------------
-
-    def establish_many(
-        self,
-        flows: Sequence[FlowTuple],
-        base_station_ips: Sequence[int],
-        regions: Optional[Sequence[int]] = None,
-    ) -> List[FlowRecord]:
-        """Vector bearer setup for benchmark-scale populations."""
-        if regions is None:
-            regions = [0] * len(flows)
-        return [
-            self.establish_bearer(flow, bs_ip, region)
-            for flow, bs_ip, region in zip(flows, base_station_ips, regions)
-        ]
-
-    def node_loads(self) -> List[int]:
-        """Flows pinned per node (skew visibility, §7)."""
-        loads = [0] * self.num_nodes
-        for record in self.flows.values():
-            loads[record.handling_node] += 1
-        return loads

@@ -26,12 +26,10 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core import hotcache as hotcache_mod
 from repro.core import separator as separator_registry
 from repro.core.builder import ConstructionStats
 from repro.core.hashfamily import Key, canonical_keys
 from repro.core.separator import Separator, SeparatorParams
-from repro.obs.metrics import MetricsRegistry
 
 
 class GlobalPartitionTable:
@@ -48,7 +46,6 @@ class GlobalPartitionTable:
             )
         self.num_nodes = num_nodes
         self.setsep = setsep
-        self.cache: Optional[hotcache_mod.HotKeyCache] = None
 
     @property
     def backend(self) -> str:
@@ -88,8 +85,6 @@ class GlobalPartitionTable:
 
     def lookup(self, key: Key) -> int:
         """Handling node for ``key`` (arbitrary node for unknown keys)."""
-        if self.cache is not None:
-            return int(self.lookup_batch([key])[0])
         return self.setsep.lookup(key) % self.num_nodes
 
     def lookup_batch(self, keys: Union[Sequence[Key], np.ndarray]) -> np.ndarray:
@@ -99,59 +94,13 @@ class GlobalPartitionTable:
         arbitrary answers produced for unknown keys still name a real node —
         the switch fabric can always deliver the packet somewhere, and the
         receiving node's FIB rejects it (§3.2's one-sided error contract).
-
-        With a hot-key cache attached (:meth:`attach_cache`), the batch is
-        probed first and only the missing keys take the separator path;
-        cached values are already node ids, so hits skip the reduction too.
         """
-        if self.cache is not None:
-            return self._lookup_batch_cached(keys)
-        values = self.setsep.lookup_batch(keys)
-        return self._to_nodes(values)
+        return self._to_nodes(self.setsep.lookup_batch(keys))
 
     def _to_nodes(self, values: np.ndarray) -> np.ndarray:
         if self.num_nodes & (self.num_nodes - 1) == 0:
             return values & np.uint32(self.num_nodes - 1)
         return values % np.uint32(self.num_nodes)
-
-    def _lookup_batch_cached(
-        self, keys: Union[Sequence[Key], np.ndarray]
-    ) -> np.ndarray:
-        keys_arr = canonical_keys(keys)
-        if keys_arr.size == 0:
-            return np.zeros(0, dtype=np.uint32)
-        values, hit = self.cache.probe(keys_arr)
-        if hit.all():
-            return values
-        miss = ~hit
-        miss_keys = keys_arr[miss]
-        raw, groups = self.setsep.lookup_batch(miss_keys, with_groups=True)
-        nodes = self._to_nodes(raw)
-        self.cache.fill(miss_keys, nodes, groups)
-        values[miss] = nodes
-        return values
-
-    # ------------------------------------------------------------------
-    # Hot-key cache (scale tier)
-    # ------------------------------------------------------------------
-
-    def attach_cache(
-        self,
-        capacity: int,
-        registry: Optional["MetricsRegistry"] = None,
-    ) -> hotcache_mod.HotKeyCache:
-        """Put a :class:`repro.core.hotcache.HotKeyCache` in front of lookups.
-
-        Update records flowing through :meth:`rebuild_group` /
-        :meth:`apply_delta` invalidate the affected group's entries, so a
-        cached replica keeps answering exactly what the separator would.
-        """
-        self.cache = hotcache_mod.HotKeyCache(capacity, registry=registry)
-        return self.cache
-
-    def detach_cache(self) -> None:
-        """Remove the hot-key cache (lookups revert to the separator)."""
-        self.cache = None
 
     # ------------------------------------------------------------------
     # Updates
@@ -180,21 +129,13 @@ class GlobalPartitionTable:
         """Recompute a wave of distinct groups; one record each, in order.
 
         ``jobs`` are ``(group_id, keys, nodes, removed_keys)``; the
-        separator's ``rebuild_groups`` does the work, and each record
-        invalidates its group in the hot-key cache, as one
-        :meth:`rebuild_group` per job would (``owner.owner_batch``).
+        separator's ``rebuild_groups`` does the work (``owner.owner_batch``).
         """
-        records = self.setsep.rebuild_groups(jobs)
-        if self.cache is not None:
-            for record in records:
-                self.cache.invalidate_group(hotcache_mod.record_group(record))
-        return records
+        return self.setsep.rebuild_groups(jobs)
 
     def apply_delta(self, delta) -> None:
         """Apply a broadcast update record from the owning RIB node."""
         self.setsep.apply_delta(delta)
-        if self.cache is not None:
-            self.cache.invalidate_group(hotcache_mod.record_group(delta))
 
     def group_of(self, key: Key) -> int:
         """Global separator group id of ``key``."""

@@ -12,20 +12,12 @@ is ``min(1, s / working_set)`` (steady-state for an LRU-approximating cache
 under uniform access).  Expected access latency is the level-by-level
 mixture, and batched lookups overlap misses up to the memory-level
 parallelism the paper's prefetch pipeline exploits (§5.1).
-
-The scale tier adds a second model family here: the expected hit rate of
-the direct-mapped hot-key cache (:mod:`repro.core.hotcache`) under Zipf
-key popularity — :func:`zipf_probabilities` +
-:func:`direct_mapped_hit_rate` — which the perf-lab benchmarks
-cross-validate against the measured cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -120,63 +112,3 @@ XEON_E5_2697V2 = CacheHierarchy(
         CacheLevel("L3", _mib(30), 15.0),
     ),
 )
-
-
-# ----------------------------------------------------------------------
-# Hot-key cache model (scale tier)
-# ----------------------------------------------------------------------
-
-
-def zipf_probabilities(num_keys: int, s: float = 1.0) -> "np.ndarray":
-    """Request probability of each key under Zipf popularity.
-
-    Rank ``i`` (1-based) is requested with probability proportional to
-    ``i ** -s``; the returned array is normalised and ordered by rank.
-    ``s`` may be any non-negative exponent (``s=0`` is uniform), unlike
-    ``numpy.random.zipf`` which requires ``s > 1`` — subscriber traffic is
-    usually modelled right at the ``s = 1.0`` boundary.
-    """
-    if num_keys < 1:
-        raise ValueError("num_keys must be positive")
-    if s < 0:
-        raise ValueError("zipf exponent must be non-negative")
-    weights = np.arange(1, num_keys + 1, dtype=np.float64) ** -s
-    return weights / weights.sum()
-
-
-def direct_mapped_hit_rate(probs: "np.ndarray", capacity: int) -> float:
-    """Expected hit rate of a direct-mapped cache of ``capacity`` slots.
-
-    Independent-reference model with uniform slot hashing: a request for
-    key ``i`` hits iff the most recent request mapping to ``i``'s slot was
-    also for ``i``.  With the other keys' mass spread evenly over the
-    slots, that probability is ``p_i / (p_i + (1 - p_i) / C)``, giving
-
-        hit_rate = sum_i  p_i^2 / (p_i + (1 - p_i) / C)
-
-    This is a mean-field approximation (competitor mass is replaced by its
-    expectation), so measured rates track it to within a few percent —
-    the perf-lab cross-validation allows that tolerance.
-    """
-    if capacity < 1:
-        raise ValueError("capacity must be positive")
-    p = np.asarray(probs, dtype=np.float64)
-    return float(np.sum(p * p / (p + (1.0 - p) / float(capacity))))
-
-
-def zipf_sample(
-    num_keys: int,
-    count: int,
-    s: float = 1.0,
-    seed: int = 1,
-) -> "np.ndarray":
-    """Sample ``count`` key *ranks* (0-based) from the Zipf distribution.
-
-    Inverse-CDF sampling over :func:`zipf_probabilities` — the trace
-    generator for hot-key cache measurements; works for any ``s >= 0``.
-    """
-    probs = zipf_probabilities(num_keys, s)
-    cdf = np.cumsum(probs)
-    rng = np.random.default_rng(seed)
-    u = rng.random(count)
-    return np.searchsorted(cdf, u, side="right").clip(0, num_keys - 1)

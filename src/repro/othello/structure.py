@@ -267,21 +267,11 @@ class OthelloSeparator:
         """Map one key to its value (arbitrary for unknown keys)."""
         return int(self.lookup_batch([key])[0])
 
-    def lookup_batch(
-        self,
-        keys: Union[Sequence[Key], np.ndarray],
-        with_groups: bool = False,
-    ) -> Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
-        """Vectorised lookup: block gather, two vertex gathers, one XOR.
-
-        ``with_groups=True`` additionally returns each key's group id
-        (the block's first group, matching :meth:`groups_of`) so the
-        hot-key cache can tag fills without a second bucket pass.
-        """
+    def lookup_batch(self, keys: Union[Sequence[Key], np.ndarray]) -> np.ndarray:
+        """Vectorised lookup: block gather, two vertex gathers, one XOR."""
         ckeys = hashfamily.canonical_keys(keys)
         if ckeys.size == 0:
-            empty = np.zeros(0, dtype=np.uint32)
-            return (empty, empty.copy()) if with_groups else empty
+            return np.zeros(0, dtype=np.uint32)
         self._m_lookups.inc(ckeys.size)
         # The bucket hash is the one column Othello shares with a
         # pre-hashed batch (its vertex hashes are seeded per block): read
@@ -293,10 +283,7 @@ class OthelloSeparator:
             ckeys, self.seeds[blocks], self.params.vertex_bits
         )
         values = self.array_a[blocks, ha] ^ self.array_b[blocks, hb]
-        values = values & np.uint32(self.params.value_mask)
-        if with_groups:
-            return values, (blocks * GROUPS_PER_BLOCK).astype(np.uint32)
-        return values
+        return values & np.uint32(self.params.value_mask)
 
     def buckets_of(self, keys: np.ndarray) -> np.ndarray:
         """Global bucket id of each (canonical) key."""

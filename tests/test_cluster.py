@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Architecture, Cluster, UpdateEngine
 from repro.cluster.cluster import RouteResult
-from repro.core import hashfamily
 from repro.core import separator as separator_registry
-from repro.core.concurrent import SeqlockSetSep
 from repro.fabric import DELAY, DELIVER
 from repro.hashtables import (
     ChainingHashTable,
@@ -338,29 +336,6 @@ class TestNoSilentSlowPath:
         ]
         assert batched.fabric.stats == scalar.fabric.stats
         assert batch.dropped.tolist() == [False] * 200 + [True] * 56
-
-    def test_tables_that_read_no_column_unwrap_the_batch(self, population):
-        """The hot-key cache and the seqlocked separator are not taught
-        the columns: ``canonical_keys`` hands them the plain keys."""
-        keys, _, _ = population
-        cached, plain = (
-            build_cluster(Architecture.SCALEBRICKS, population)
-            for _ in range(2)
-        )
-        for node in cached.nodes:
-            node.gpt.attach_cache(256)
-        probe = np.concatenate([keys[:150], keys[:150:3]])
-        ingress = [i % NUM_NODES for i in range(len(probe))]
-        for _ in range(2):                  # cold cache, then warm
-            assert list(cached.route_batch(probe, ingress)) == list(
-                plain.route_batch(probe, ingress)
-            )
-        assert all(node.gpt.cache.hit_rate() > 0 for node in cached.nodes)
-        seqlocked = SeqlockSetSep(plain.nodes[0].gpt.setsep)
-        assert (
-            seqlocked.lookup_batch(hashfamily.prehash(probe)).tolist()
-            == seqlocked.lookup_batch(probe).tolist()
-        )
 
     def test_non_integer_values_fall_back_with_plain_keys(
         self, population, monkeypatch

@@ -28,6 +28,14 @@ def flow(i: int) -> FlowTuple:
 BS = parse_ip("172.16.1.1")
 
 
+def node_loads(ctrl):
+    """Flows pinned per node, counted from the controller's records."""
+    loads = [0] * ctrl.num_nodes
+    for record in ctrl.flows.values():
+        loads[record.handling_node] += 1
+    return loads
+
+
 class TestBearerLifecycle:
     def test_establish_assigns_teid_and_node(self):
         ctrl = EpcController(num_nodes=4)
@@ -67,7 +75,7 @@ class TestPolicies:
         ctrl = EpcController(num_nodes=4, policy=AssignmentPolicy.ROUND_ROBIN)
         for i in range(40):
             ctrl.establish_bearer(flow(i), BS)
-        assert ctrl.node_loads() == [10, 10, 10, 10]
+        assert node_loads(ctrl) == [10, 10, 10, 10]
 
     def test_geographic_pins_region_to_one_node(self):
         ctrl = EpcController(num_nodes=4, policy=AssignmentPolicy.GEOGRAPHIC)
@@ -89,7 +97,7 @@ class TestPolicies:
         # Two regions only -> two nodes get everything.
         for i in range(40):
             ctrl.establish_bearer(flow(i), BS, region=i % 2)
-        loads = ctrl.node_loads()
+        loads = node_loads(ctrl)
         assert sorted(loads) == [0, 0, 20, 20]
 
     def test_hash_policy_deterministic(self):
@@ -132,11 +140,10 @@ class TestRefusedBearerLeavesNoTeid:
         assert len(ctrl) == 1 and len(ctrl.teids) == 1
 
 
-class TestBulk:
-    def test_establish_many(self):
+class TestTeidAllocation:
+    def test_each_bearer_takes_its_own_teid(self):
         ctrl = EpcController(num_nodes=2)
-        flows = [flow(i) for i in range(20)]
-        records = ctrl.establish_many(flows, [BS] * 20)
+        records = [ctrl.establish_bearer(flow(i), BS) for i in range(20)]
         assert len(records) == 20
         assert len(ctrl) == 20
         teids = {r.teid for r in records}
@@ -180,9 +187,7 @@ class TestEgressColumns:
 
     def test_columns_grow_with_the_teid_cursor(self):
         ctrl = EpcController(num_nodes=2)
-        records = ctrl.establish_many(
-            [flow(i) for i in range(300)], [BS + i for i in range(300)]
-        )
+        records = [ctrl.establish_bearer(flow(i), BS + i) for i in range(300)]
         keys, nodes, base_stations = columns(ctrl)
         assert len(keys) == len(nodes) == len(base_stations)
         assert 301 <= len(keys) <= 2 * 301  # doubling with the TEID cursor
@@ -351,13 +356,13 @@ class ControllerColumns(RuleBasedStateMachine):
 
     @rule(indices=st.lists(st.integers(0, FLOW_POOL - 1), unique=True,
                            max_size=4))
-    def establish_many(self, indices):
-        fresh = [i for i in indices if self._by_key(i) is None]
-        records = self.ctrl.establish_many(
-            [flow(i) for i in fresh], [BS + i for i in fresh]
-        )
-        for i, record in zip(fresh, records):
-            self.model[record.teid] = (record.key, record.handling_node, BS + i)
+    def establish_several(self, indices):
+        for i in indices:
+            if self._by_key(i) is None:
+                record = self.ctrl.establish_bearer(flow(i), BS + i)
+                self.model[record.teid] = (
+                    record.key, record.handling_node, BS + i
+                )
 
     @rule(index=st.integers(0, FLOW_POOL - 1))
     def teardown_bearer(self, index):  # ``teardown`` is the machine's own

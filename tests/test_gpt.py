@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import SetSepParams
+from repro.core.params import GROUPS_PER_BLOCK
 from repro.gpt.gpt import GlobalPartitionTable, rib_view
 from tests.conftest import unique_keys
 
@@ -192,3 +193,89 @@ class TestBatchAgainstScalar:
         assert got.tolist() == [
             self.reference(gpt, key) for key in keys.tolist()
         ]
+
+
+class TestUpdatesOnEveryBackend:
+    """Owner rebuilds and replica deltas, on both separators, for a cluster
+    whose size is a power of two (node id by mask) and one whose size is
+    not (node id by modulo)."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(b, n) for b in ("setsep", "othello") for n in (3, 4)],
+        ids=lambda p: f"{p[0]}-{p[1]}nodes",
+    )
+    def owner(self, request):
+        backend, num_nodes = request.param
+        keys = unique_keys(3_000, seed=45)
+        nodes = (keys % num_nodes).astype(np.uint32)
+        gpt, _ = GlobalPartitionTable.build(
+            keys, nodes, num_nodes=num_nodes, backend=backend
+        )
+        assert gpt.backend == backend
+        return gpt, keys, nodes
+
+    @staticmethod
+    def moved(gpt, keys, nodes, group):
+        """The group's members and each one's next node."""
+        members = gpt.setsep.groups_of(keys) == group
+        return keys[members], (nodes[members] + 1) % np.uint32(gpt.num_nodes)
+
+    @staticmethod
+    def record_group(record):
+        """The group a record rebuilt: SetSep names the group, Othello
+        its block (whose first group stands for the whole block)."""
+        if hasattr(record, "group_id"):
+            return record.group_id
+        return record.block_id * GROUPS_PER_BLOCK
+
+    def test_scalar_lookup_equals_batch(self, owner):
+        gpt, keys, nodes = owner
+        unknown = unique_keys(200, seed=46, low=2**62, high=2**63)
+        probe = np.concatenate([keys[:200], unknown])
+        batch = gpt.lookup_batch(probe)
+        assert batch.tolist()[:200] == nodes[:200].tolist()
+        assert int(batch.max()) < gpt.num_nodes
+        assert [gpt.lookup(k) for k in probe.tolist()] == batch.tolist()
+
+    def test_rebuild_group_answers_the_new_assignment(self, owner):
+        gpt, keys, nodes = owner
+        gpt = gpt.copy()
+        group = gpt.group_of(int(keys[0]))
+        members, new_nodes = self.moved(gpt, keys, nodes, group)
+        record = gpt.rebuild_group(group, members, new_nodes)
+        assert self.record_group(record) == group
+        assert gpt.lookup_batch(members).tolist() == new_nodes.tolist()
+        assert gpt.lookup(int(members[0])) == new_nodes[0]
+        others = gpt.setsep.groups_of(keys) != group
+        assert np.array_equal(gpt.lookup_batch(keys[others]), nodes[others])
+
+    def test_replica_converges_on_the_owners_record(self, owner):
+        gpt, keys, nodes = owner
+        owner_gpt, replica = gpt.copy(), gpt.copy()
+        group = owner_gpt.group_of(int(keys[1]))
+        members, new_nodes = self.moved(owner_gpt, keys, nodes, group)
+        record = owner_gpt.rebuild_group(group, members, new_nodes)
+        assert replica.lookup_batch(members).tolist() == (
+            nodes[owner_gpt.setsep.groups_of(keys) == group].tolist()
+        )
+        replica.apply_delta(record)
+        unknown = unique_keys(500, seed=47, low=2**62, high=2**63)
+        for probe in (keys, unknown):
+            assert np.array_equal(
+                replica.lookup_batch(probe), owner_gpt.lookup_batch(probe)
+            )
+
+    def test_a_wave_answers_every_job_and_keeps_its_order(self, owner):
+        gpt, keys, nodes = owner
+        gpt = gpt.copy()
+        wave = np.unique(gpt.setsep.groups_of(keys))[::-1][:3].tolist()
+        assert len(wave) >= 2
+        jobs = [
+            (group, *self.moved(gpt, keys, nodes, group), ())
+            for group in wave
+        ]
+        records = gpt.rebuild_groups(jobs)
+        assert [self.record_group(r) for r in records] == wave
+        for _, members, new_nodes, _ in jobs:
+            assert gpt.lookup_batch(members).tolist() == new_nodes.tolist()

@@ -232,15 +232,14 @@ def test_any_selection_of_a_prehashed_batch_equals_raw_keys(multi_block, data):
     sep, probe = multi_block
     sample = probe[data.draw(row_selections(len(probe)))][:64]
     rows = data.draw(row_selections(len(sample)))
-    expected, groups = sep.lookup_batch(sample[rows], with_groups=True)
+    expected = sep.lookup_batch(sample[rows])
+    groups = sep.groups_of(sample[rows])
     hashed = hashfamily.prehash(sample)
     early = hashed[rows]                 # hashes its own rows when asked
     hashed.separator
     for batch in (early, hashed[rows]):
-        values, batch_groups = sep.lookup_batch(batch, with_groups=True)
-        assert values.tolist() == expected.tolist()
-        assert batch_groups.tolist() == groups.tolist()
-    assert sep.groups_of(hashed[rows]).tolist() == groups.tolist()
+        assert sep.lookup_batch(batch).tolist() == expected.tolist()
+        assert sep.groups_of(batch).tolist() == groups.tolist()
 
 
 @pytest.mark.parametrize("n", [1, 2, 300])

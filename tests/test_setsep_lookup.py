@@ -72,16 +72,16 @@ class TestPrehashedLookup:
         setsep, probe = spilled
         sample = probe[data.draw(row_selections(len(probe)))][:64]
         rows = data.draw(row_selections(len(sample)))
-        expected, groups = setsep.lookup_batch(sample[rows], with_groups=True)
+        expected = setsep.lookup_batch(sample[rows])
+        groups = setsep.groups_of(sample[rows])
         hashed = hashfamily.prehash(sample)
         early = hashed[rows]             # hashes its own rows when asked
         hashed.separator
         for batch in (early, hashed[rows]):
-            values, batch_groups = setsep.lookup_batch(batch, with_groups=True)
+            values = setsep.lookup_batch(batch)
             assert values.dtype == expected.dtype
             assert values.tolist() == expected.tolist()
-            assert batch_groups.tolist() == groups.tolist()
-        assert setsep.groups_of(hashed[rows]).tolist() == groups.tolist()
+            assert setsep.groups_of(batch).tolist() == groups.tolist()
 
     def test_the_fallback_answers_inside_a_prehashed_batch(self, spilled):
         setsep, probe = spilled

@@ -11,7 +11,6 @@ from repro.core import SetSepParams, build
 from repro.core import group as group_search
 from repro.core.delta import WIRE_HEADER, DeltaWireError, GroupDelta
 from repro.core.hashfamily import base_hashes
-from repro.gpt.gpt import GlobalPartitionTable
 from repro.obs import MetricsRegistry
 from tests.conftest import unique_keys
 from tests.test_group import reference_evaluate, reference_search_bit
@@ -373,29 +372,6 @@ class TestRebuildGroups:
             deltas[2].fallback_removals
         )
         assert deltas[3].failed
-
-    def test_each_record_invalidates_its_group_in_the_hot_cache(self):
-        keys = unique_keys(2_000, seed=43)
-        gpt, _ = GlobalPartitionTable.build(
-            keys, (keys % 4).astype(np.uint32), 4, backend="setsep"
-        )
-        cache = gpt.attach_cache(4096)
-        gpt.lookup_batch(keys)
-        groups = gpt.setsep.groups_of(keys)
-        wave = np.unique(groups)[[3, 1, 7]].tolist()
-        jobs = []
-        for group in wave:
-            members = keys[groups == group]
-            jobs.append((group, members, (members + 1) % 4, ()))
-        invalidated = []
-        invalidate = cache.invalidate_group
-        cache.invalidate_group = lambda group: (
-            invalidated.append(group) or invalidate(group)
-        )
-        records = gpt.rebuild_groups(jobs)
-        assert invalidated == [r.group_id for r in records] == wave
-        for group, members, nodes, _ in jobs:
-            assert gpt.lookup_batch(members).tolist() == nodes.tolist()
 
     @pytest.mark.parametrize(
         "bad, message",
