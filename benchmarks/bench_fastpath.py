@@ -1,4 +1,4 @@
-"""Batched zero-copy fast path vs the scalar data plane (paper §4.3).
+"""Batched zero-copy fast path vs the scalar codec and a batch of one (§4.3).
 
 The paper pipelines GPT lookups in batches to hide cache misses; the
 reproduction's analogue is the ``repro.epc.fastpath`` codec plus the
@@ -9,15 +9,16 @@ vectorised ``process_downstream_batch`` pipeline.  Three measured paths:
 * ``fastpath.encap``   — byte-matrix GTP-U encapsulation vs per-frame
   ``encapsulate``;
 * ``fig8.forwarding.endtoend`` — whole-gateway downstream processing,
-  batch 256 vs one frame at a time (the acceptance benchmark; its
-  deterministic counters also feed the CI silent-fallback gate).
+  batch 256 vs a batch of one, which is what ``process_downstream`` is
+  (the acceptance benchmark; its deterministic counters also feed the
+  CI silent-fallback gate).
 
 ``gateway.batch_calls`` counts, rather than times, what one
 ``process_downstream_batch`` call runs: Python function calls per frame
 at 32 and 256 frames.
 
-All three assert the scalar and batched paths agree byte-for-byte before
-timing them, so a speedup can never come from computing something else.
+All three assert both sides agree before timing them, so a speedup can
+never come from computing something else.
 ``codec.batch_cost.parse`` / ``.encap`` put both codec halves on the
 batch-size cost curve (ROADMAP item 7): cost per call by frames and
 payload bytes.
@@ -34,11 +35,7 @@ from repro.epc import fastpath
 from repro.epc.dpe import DataPlaneEngine
 from repro.epc.gateway import EpcGateway
 from repro.epc.packets import extract_flow, parse_frame, parse_ip
-from repro.epc.traffic import (
-    FlowGenerator,
-    run_downstream_trial,
-    run_downstream_trial_batched,
-)
+from repro.epc.traffic import FlowGenerator, run_downstream_trial
 from repro.epc.packets import Ipv4Header
 from repro.epc.tunnels import GtpTunnelEndpoint
 from repro import perflab
@@ -101,22 +98,22 @@ def test_fastpath_parse_agrees_and_wins(benchmark):
     assert batch_s < scalar_s
 
 
-def test_endtoend_batch_matches_and_beats_scalar():
+def test_endtoend_batch_matches_and_beats_one_frame():
     """Gateway end-to-end: identical statistics, faster wall clock."""
-    gw_scalar, flows, gen_a = _fresh_gateway(seed=11)
+    gw_one, flows, gen_a = _fresh_gateway(seed=11)
     gw_batch, _, gen_b = _fresh_gateway(seed=11)
     frames = gen_a.packet_stream(flows, E2E_PACKETS)
     assert frames == gen_b.packet_stream(flows, E2E_PACKETS)
 
-    scalar = run_downstream_trial(gw_scalar, frames)
-    batched = run_downstream_trial_batched(gw_batch, frames, batch_size=BATCH)
-    assert (scalar.offered, scalar.delivered, scalar.dropped) == (
+    one = run_downstream_trial(gw_one, frames, batch_size=1)
+    batched = run_downstream_trial(gw_batch, frames, batch_size=BATCH)
+    assert (one.offered, one.delivered, one.dropped) == (
         batched.offered, batched.delivered, batched.dropped
     )
-    assert gw_scalar.stats.bytes_charged == gw_batch.stats.bytes_charged
-    speedup = scalar.wall_seconds / batched.wall_seconds
-    print_header(f"fig8 end-to-end: batch {BATCH} vs scalar gateway")
-    print(f"  scalar : {scalar.software_pps / 1e3:9.1f} kpps")
+    assert gw_one.stats.bytes_charged == gw_batch.stats.bytes_charged
+    speedup = one.wall_seconds / batched.wall_seconds
+    print_header(f"fig8 end-to-end: batch {BATCH} vs a batch of one")
+    print(f"  one    : {one.software_pps / 1e3:9.1f} kpps")
     print(f"  batch  : {batched.software_pps / 1e3:9.1f} kpps "
           f"({speedup:.1f}x)")
     assert speedup > 1.5  # acceptance asserts >= 3x on the perflab run
@@ -303,7 +300,7 @@ def perflab_dpe_batch_cost(ctx):
 
     packets = list(zip(*(column.tolist() for column in columns[8])))
 
-    def scalar_loop():  # called as the gateway's scalar path calls it
+    def scalar_loop():  # one ``process`` call per packet
         for teid, size, now in packets:
             dpe.process(teid, size, downlink=True, now=now)
 
@@ -315,14 +312,16 @@ def perflab_dpe_batch_cost(ctx):
 
 @perflab.benchmark("fig8.forwarding.endtoend", figure="Figure 8", repeats=3)
 def perflab_fig8_endtoend(ctx):
-    """End-to-end downstream gateway ops/s, batch 256 vs scalar.
+    """End-to-end downstream gateway ops/s, batch 256 vs a batch of one.
 
-    The batched gateway is bound to ``ctx.registry`` so the artifact's
-    deterministic ``counters`` section records how many frames actually
-    took the fast path (``gateway.fastpath.frames``) and how many spilled
-    — the CI perf-smoke job fails if these show the batch pipeline
-    silently degrading to the scalar loop, or if ``speedup`` (a same-run
-    ratio of steady-state passes) falls under 3.
+    The "one frame" side is ``run_downstream_trial`` at ``batch_size=1``:
+    a batch of one is what ``process_downstream`` is.  The batched
+    gateway is bound to ``ctx.registry`` so the artifact's deterministic
+    ``counters`` section records how many frames actually took the fast
+    path (``gateway.fastpath.frames``) and how many spilled — the CI
+    perf-smoke job fails if these show the batch pipeline silently
+    degrading to the scalar codec, or if ``speedup`` (a same-run ratio of
+    steady-state passes) falls under 3.
     """
     flows = 400 * ctx.scale
     packets = 3_000 * ctx.scale
@@ -346,28 +345,26 @@ def perflab_fig8_endtoend(ctx):
 
     # Steady state on both sides: each gateway is built once, outside
     # every timed region, and plays one untimed warm pass first.
-    scalar_gateway = fresh()
-    run_downstream_trial(scalar_gateway, frames)
-    scalar_stats = run_downstream_trial(scalar_gateway, frames)
+    one_gateway = fresh()
+    run_downstream_trial(one_gateway, frames, batch_size=1)
+    one_stats = run_downstream_trial(one_gateway, frames, batch_size=1)
 
     batched_gateway = fresh(ctx.registry)
 
     def batched_trial():
-        return run_downstream_trial_batched(
-            batched_gateway, frames, batch_size=BATCH
-        )
+        return run_downstream_trial(batched_gateway, frames, batch_size=BATCH)
 
     batched_trial()
     batched_stats = ctx.timeit(batched_trial)
-    if (scalar_stats.offered, scalar_stats.delivered, scalar_stats.dropped) \
+    if (one_stats.offered, one_stats.delivered, one_stats.dropped) \
             != (batched_stats.offered, batched_stats.delivered,
                 batched_stats.dropped):
-        raise AssertionError("batched trial diverged from scalar trial")
+        raise AssertionError("batched trial diverged from the batch of one")
     batch_s = min(ctx.samples)
     ctx.record(
         batch_kops=packets / batch_s / 1e3,
-        scalar_kops=packets / scalar_stats.wall_seconds / 1e3,
-        speedup=scalar_stats.wall_seconds / batch_s,
+        one_frame_kops=packets / one_stats.wall_seconds / 1e3,
+        speedup=one_stats.wall_seconds / batch_s,
     )
 
 

@@ -22,9 +22,9 @@ never raised.
 Unforwardable-packet rule: a frame whose TTL is already 0, or whose L3
 length exceeds :data:`MAX_INNER`, cannot be re-encapsulated.  It is flagged
 ``malformed`` here, exactly as :func:`repro.epc.packets.extract_forwardable`
-rejects it on the scalar path, so every data plane (gateway scalar and
-batch, node daemons, the chaos oracle) drops it before routing, policing
-and charging; no caller ever sees an egress exception for a billed packet.
+rejects it on the scalar path, so every data plane (the gateway, node
+daemons, the chaos oracle) drops it before routing, policing and
+charging; no caller ever sees an egress exception for a billed packet.
 """
 
 from __future__ import annotations
@@ -330,7 +330,7 @@ def encapsulate_batch(
     inner16[:, 5] = _checksums(inner16)
 
     # Payload tail: everything after the first 20 L3 bytes, options
-    # included (the scalar path slices at Ipv4Header.SIZE, not at IHL).
+    # included (the scalar codec slices at Ipv4Header.SIZE, not at IHL).
     blob = head.tobytes()
     raw = parsed.raw
     size = _TEMPLATE.size

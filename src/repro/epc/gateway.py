@@ -25,13 +25,12 @@ from repro.core.params import SetSepParams
 from repro.epc import fastpath
 from repro.epc.controller import (
     AssignmentPolicy,
-    BearerMismatchError,
     EpcController,
     FlowRecord,
     check_node_id,
 )
 from repro.epc.dpe import DataPlaneEngine, check_batch_columns
-from repro.epc.packets import FlowTuple, extract_forwardable, parse_frame
+from repro.epc.packets import FlowTuple, extract_forwardable
 from repro.epc.tunnels import GtpTunnelEndpoint
 from repro.obs.metrics import LATENCY_BUCKETS_US, MetricsRegistry
 
@@ -310,91 +309,31 @@ class EpcGateway:
     def process_downstream(
         self, frame: bytes, ingress: Optional[int] = None
     ) -> Tuple[RouteResult, Optional[bytes]]:
-        """Forward one downstream frame.
+        """Forward one downstream frame: a batch of one.
 
         Returns the PFE routing outcome and, when the packet was accepted,
         the GTP-U-encapsulated packet headed for the base station.
         """
-        cluster = self._require_cluster()
-        ingress = None if ingress is None else check_node_id(ingress, len(cluster.nodes), "ingress")
-        self._c_down_in.inc()
-        with self.registry.span("downstream"):
-            with self.registry.span("ingress"):
-                try:
-                    _eth, l3 = parse_frame(frame)
-                    flow, ip_header, _l4 = extract_forwardable(
-                        l3, fastpath.MAX_INNER
-                    )
-                except ValueError:
-                    # A production PFE drops garbage at line rate; it
-                    # never dies.  Unforwardable packets (TTL 0,
-                    # oversize) go here too, before anything is charged.
-                    self._c_drop_malformed.inc()
-                    return RouteResult.drop(
-                        0, -1 if ingress is None else ingress, "malformed"
-                    ), None
-
-                if flow.src_ip in self.acl_blocked_sources:
-                    self._c_drop_acl.inc()
-                    return RouteResult.drop(
-                        flow.key(), -1 if ingress is None else ingress, "acl"
-                    ), None
-
-            with self.registry.span("pfe_lookup"):
-                result = cluster.route(flow.key(), ingress)
-            if self.down_nodes and any(
-                node in self.down_nodes for node in result.path
-            ):
-                self._c_drop_node_down.inc()
-                return result.dropped_as("node_down"), None
-            if result.dropped:
-                self._c_drop_unknown.inc()
-                return result, None
-            self._h_fabric_hop.observe(result.latency_us)
-
-            # DPE at the handling node: state/policing, charge, decrement
-            # TTL, re-encapsulate.
-            with self.registry.span("dpe"):
-                key = flow.key()
-                record = self.controller.record_for_key(key)
-                if record is None or result.value != record.teid:
-                    raise BearerMismatchError(0, key, result.value)
-                self.now += self.tick
-                if not self.dpes[record.handling_node].process(
-                    record.teid, len(l3), downlink=True, now=self.now
-                ):
-                    self._c_drop_acl.inc()
-                    self._c_drop_policed.inc()
-                    return result.dropped_as("policed"), None
-                self.stats.charge(record.teid, len(l3))
-                self._c_down_bytes.inc(len(l3))
-
-            with self.registry.span("egress"):
-                forwarded_inner = (
-                    ip_header.decrement_ttl().pack() + l3[ip_header.SIZE:]
-                )
-                endpoint = GtpTunnelEndpoint(
-                    local_ip=self.gateway_ip, peer_ip=record.base_station_ip
-                )
-                tunnelled = endpoint.encapsulate(record.teid, forwarded_inner)
-            self._c_down_tunnelled.inc()
-            return result, tunnelled
+        return self.process_downstream_batch(
+            [frame], None if ingress is None else [ingress]
+        )[0]
 
     def process_downstream_batch(
         self,
         frames: Sequence[bytes],
         ingress: Optional[Sequence[Optional[int]]] = None,
     ) -> List[Tuple[RouteResult, Optional[bytes]]]:
-        """Forward many downstream frames (batch query surface).
+        """Forward many downstream frames: the one downstream path (§4.3).
 
-        Each element of the result is exactly what
-        :meth:`process_downstream` returns for the matching frame — same
-        output bytes, charging, counters and RNG trajectory — but the
-        whole batch flows through the vectorised codec
+        The batch flows through the vectorised codec
         (:mod:`repro.epc.fastpath`), one batched cluster lookup, and
-        per-node grouped DPE charging.  The optional ``ingress`` sequence
-        pins per-frame ingress nodes; an entry that is neither ``None`` nor
-        a node id is a ``ValueError`` before any counter or random draw.
+        per-node grouped DPE charging.  Splitting frames into batches of
+        any size, down to the batch of one that :meth:`process_downstream`
+        is, changes no output byte, charge or counter (but
+        ``gateway.fastpath.batches``) and neither the RNG nor the clock
+        trajectory.  The optional ``ingress`` sequence pins per-frame
+        ingress nodes; an entry that is neither ``None`` nor a node id is
+        a ``ValueError`` before any counter or random draw.
         """
         cluster = self._require_cluster()
         if ingress is not None and len(ingress) != len(frames):
@@ -501,10 +440,11 @@ class EpcGateway:
                 handling, base_stations = self.controller.egress(
                     parsed.keys[accepted_idx], teids, accepted_idx
                 )
-                # The running sum adds left to right exactly as the
-                # scalar path does, one ``now += tick`` per accepted
-                # packet.  (Array methods and ufuncs here, not their
-                # ``np.`` wrappers: each wrapper is Python calls per batch.)
+                # The running sum adds left to right, one ``now += tick``
+                # per accepted packet, so the clock ends where batches of
+                # one would leave it.  (Array methods and ufuncs here, not
+                # their ``np.`` wrappers: each wrapper is Python calls per
+                # batch.)
                 clock = np.empty(teids.size + 1)
                 clock.fill(self.tick)
                 clock[0] = self.now

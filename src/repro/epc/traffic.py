@@ -143,36 +143,15 @@ class TrafficStats:
 
 
 def run_downstream_trial(
-    gateway: EpcGateway, frames: Sequence[bytes]
-) -> TrafficStats:
-    """Push frames through a gateway, collecting functional statistics."""
-    stats = TrafficStats()
-    started = time.perf_counter()
-    for frame in frames:
-        stats.offered += 1
-        result, tunnelled = gateway.process_downstream(frame)
-        if tunnelled is None:
-            stats.dropped += 1
-            continue
-        stats.delivered += 1
-        stats.total_internal_hops += result.internal_hops
-        stats.hop_histogram[result.internal_hops] = (
-            stats.hop_histogram.get(result.internal_hops, 0) + 1
-        )
-    stats.wall_seconds = time.perf_counter() - started
-    return stats
-
-
-def run_downstream_trial_batched(
     gateway: EpcGateway,
     frames: Sequence[bytes],
     batch_size: int = 256,
 ) -> TrafficStats:
-    """Batched :func:`run_downstream_trial` (same statistics, fewer calls).
+    """Push frames through a gateway, collecting functional statistics.
 
     Frames flow through :meth:`EpcGateway.process_downstream_batch` in
     chunks of ``batch_size``; every functional statistic — and the
-    gateway's RNG/clock trajectory — matches the per-frame trial exactly.
+    gateway's RNG/clock trajectory — is the same at any batch size.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")

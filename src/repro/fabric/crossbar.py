@@ -48,7 +48,7 @@ class SwitchFabric(Fabric):
             return super().deliver_batch(srcs, dsts, size)
         srcs, dsts = self._check_batch(srcs, dsts)
         remote = srcs != dsts
-        count = np.count_nonzero(remote)
+        count = int(np.count_nonzero(remote))
         if count:
             self.stats.packets += count
             self.stats.bytes += size * count

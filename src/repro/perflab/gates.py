@@ -90,8 +90,9 @@ def fastpath_gate(artifact: Mapping[str, Any]) -> str:
     Zero frames on the fast path, or every frame spilling to the scalar
     codec, means the batch pipeline has silently degraded; the component
     rows of its two stages must be in the artifact too.  ``speedup`` is
-    the batched gateway against the scalar one at batch 256, both timed
-    in steady state in the same run, so the ratio holds on noisy runners.
+    batch 256 against a batch of one (what ``process_downstream`` is),
+    both timed in steady state in the same run, so the ratio holds on
+    noisy runners.
     """
     counters = _row(artifact, "fig8.forwarding.endtoend").get("counters", {})
     frames, batches, spilled = (
@@ -110,7 +111,7 @@ def fastpath_gate(artifact: Mapping[str, Any]) -> str:
     if spilled >= frames:
         raise GateFailure(f"{line}: every frame spilled to the scalar codec")
     if speedup < 3:
-        raise GateFailure(f"{line}: batched gateway under 3x the scalar one")
+        raise GateFailure(f"{line}: batch 256 under 3x a batch of one")
     return line
 
 

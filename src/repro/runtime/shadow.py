@@ -228,10 +228,9 @@ class Shadow:
         """Run frames through the shadow, per-frame ingress pinned; each
         delivered frame's inner bytes land on the handling node's slice
         of :attr:`charges_by_node`."""
-        outcomes = [
-            self.gateway.process_downstream(frame, ingress=int(node))
-            for frame, node in zip(frames, ingress)
-        ]
+        outcomes = self.gateway.process_downstream_batch(
+            list(frames), [int(n) for n in ingress]
+        )
         for result, out in outcomes:
             if out is not None:
                 ledger = self.charges_by_node.setdefault(

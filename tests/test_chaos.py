@@ -209,9 +209,9 @@ class TestSoakDigest:
 
     @pytest.mark.parametrize("extra, digest", [
         (["--fabric", "crossbar"],
-         "564b02452a555683316f88da2db76d5163d24398f5b59285043b1aabd212fab6"),
+         "3dcf69232247e774681613de736995371e05b5e9e64e908c862a3ba75da9f20b"),
         (["--link-faults", "--fabric", "fattree"],
-         "350c00706cd971ad8c3183f78ba33fcac570db41e3b7845a1150f8c08fa5beb8"),
+         "4b4a33dffdee5a9595e285bd5cbbe1bb8c919e3bc05bc101f5a25f74d6a12215"),
     ], ids=["crossbar", "fattree-link-faults"])
     def test_seed_7_report_digest(self, capsys, monkeypatch, extra, digest):
         # --fabric sets the process-wide default and its env var: both

@@ -143,7 +143,9 @@ class TestStats:
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["counters"]["gateway.downstream.packets_in"] == 120
         assert parsed["counters"]["gateway.downstream.tunnelled"] > 0
-        assert parsed["histograms"]["span.downstream_us"]["count"] == 120
+        # The trial runs the 120 frames as one batch: one span per call.
+        assert parsed["counters"]["gateway.fastpath.frames"] == 120
+        assert parsed["histograms"]["span.downstream_us"]["count"] == 1
 
 
 class TestMetricsJson:

@@ -252,3 +252,37 @@ def test_crossbar_batch_link_stats_are_per_packet_deliver_in_link_order(
         )
     assert len(batch.stats.per_link_packets) == NUM_NODES * (NUM_NODES - 1)
     assert dataclasses.asdict(batch.stats) == dataclasses.asdict(scalar.stats)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_routed_batch_leaves_plain_int_stats_and_a_json_snapshot(backend):
+    """After a ``route_batch`` every ``FabricStats`` counter is a Python
+    ``int`` (a NumPy scalar there breaks ``json.dumps`` of the synced
+    ``fabric.*`` gauges, and so ``repro stats --json``)."""
+    import json
+
+    from repro.cluster.architectures import Architecture
+    from repro.cluster.cluster import Cluster
+    from repro.obs.metrics import MetricsRegistry
+
+    rng = np.random.default_rng(3)
+    keys = rng.choice(1 << 40, size=200, replace=False).astype(np.uint64)
+    cluster = Cluster.build(
+        Architecture.SCALEBRICKS, NUM_NODES, keys,
+        rng.integers(NUM_NODES, size=keys.size).tolist(),
+        list(range(1, keys.size + 1)), fabric_backend=backend,
+        registry=MetricsRegistry(),
+    )
+    batch = cluster.route_batch(keys, rng.integers(NUM_NODES, size=keys.size))
+    assert not batch.dropped.any()
+    stats = cluster.fabric.stats
+    assert stats.packets > 0
+    for name in (f.name for f in dataclasses.fields(stats)):
+        value = getattr(stats, name)
+        if name == "per_link_packets":
+            assert all(type(c) is int for c in value.values()), name
+        else:
+            assert type(value) is int, (name, type(value))
+    cluster.sync_fabric_gauges()
+    snapshot = json.loads(json.dumps(cluster.registry.snapshot()))
+    assert snapshot["gauges"]["fabric.packets"] == stats.packets

@@ -1,9 +1,11 @@
-"""Scalar/batch differentials for the vectorised data-plane fast path.
+"""Differentials for the vectorised downstream data path.
 
 The contract under test: ``EpcGateway.process_downstream_batch`` (and every
-layer under it — frame codec, batched routing, grouped DPE dispatch) is
-byte-identical, counter-identical and trajectory-identical to N sequential
-``process_downstream`` calls.
+layer under it — frame codec, batched routing, grouped DPE dispatch) gives
+the same bytes, counters and trajectory at any batch size, down to the
+batch of one that ``process_downstream`` is, and agrees frame by frame
+with the independent single-node reference,
+``repro.chaos.oracle.ReferenceGateway``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.chaos.oracle import (
+    DELIVERED,
+    UNKNOWN,
+    ReferenceFlow,
+    ReferenceGateway,
+)
 from repro.cluster.architectures import Architecture
 from repro.cluster.cluster import Cluster
 from repro.core.delta import GroupDelta
@@ -40,7 +48,6 @@ from repro.epc.traffic import (
     GENERATOR_MAC,
     FlowGenerator,
     run_downstream_trial,
-    run_downstream_trial_batched,
 )
 from repro.fabric.crossbar import SwitchFabric
 from repro.obs.metrics import MetricsRegistry
@@ -132,30 +139,82 @@ def strip_fastpath(counters):
     }
 
 
-def assert_equivalent(gw_scalar, gw_batch, frames, ingress=None):
-    """Drive both gateways and compare every observable output."""
+def reference_for(gateway):
+    """The oracle's single-node reference over the gateway's bearers."""
+    reference = ReferenceGateway(gateway.gateway_ip)
+    for record in gateway.controller.flows.values():
+        reference.insert(ReferenceFlow(
+            key=record.key, teid=record.teid, node=record.handling_node,
+            base_station_ip=record.base_station_ip, flow=record.flow,
+        ))
+    reference.acl_blocked_sources = set(gateway.acl_blocked_sources)
+    return reference
+
+
+def outcome_kind(result, packet):
+    """The reference's name for a gateway outcome (``None``: a verdict the
+    reference does not model — the policer and the node topology)."""
+    if packet is not None:
+        return DELIVERED
+    if result.reason in ("policed", "node_down"):
+        return None
+    if result.reason.startswith("unknown"):
+        return UNKNOWN
+    return result.reason
+
+
+def assert_matches_reference(gateway, frames, outcomes, charged_before):
+    """Every frame's outcome kind and tunnelled bytes, and the charge per
+    TEID, against the reference (rows it does not model are skipped)."""
+    reference = reference_for(gateway)
+    expected_charge = {}
+    for frame, (result, packet) in zip(frames, outcomes):
+        kind = outcome_kind(result, packet)
+        if kind is None:
+            continue
+        expected = reference.expect_downstream(frame)
+        assert kind == expected.kind
+        if kind == DELIVERED:
+            assert packet == expected.payload
+            assert result.value == expected.teid
+            expected_charge[expected.teid] = (
+                expected_charge.get(expected.teid, 0) + expected.charge
+            )
+    charged = {
+        teid: total - charged_before.get(teid, 0)
+        for teid, total in gateway.stats.bytes_charged.items()
+        if total != charged_before.get(teid, 0)
+    }
+    assert charged == expected_charge
+
+
+def assert_equivalent(gw_one, gw_batch, frames, ingress=None):
+    """Drive one gateway a frame per call and its twin a batch per call,
+    compare every observable output, and check the batch against the
+    reference."""
+    charged_before = dict(gw_batch.stats.bytes_charged)
     if ingress is None:
-        reference = [gw_scalar.process_downstream(f) for f in frames]
+        one_by_one = [gw_one.process_downstream(f) for f in frames]
     else:
-        reference = [
-            gw_scalar.process_downstream(f, i)
+        one_by_one = [
+            gw_one.process_downstream(f, i)
             for f, i in zip(frames, ingress)
         ]
     batched = gw_batch.process_downstream_batch(frames, ingress)
-    assert len(batched) == len(reference)
-    for ref, out in zip(reference, batched):
-        assert ref == out
-    assert gw_scalar.stats.bytes_charged == gw_batch.stats.bytes_charged
-    assert strip_fastpath(gw_scalar.registry.counters()) == strip_fastpath(
+    assert len(batched) == len(one_by_one)
+    for one, out in zip(one_by_one, batched):
+        assert one == out
+    assert gw_one.stats.bytes_charged == gw_batch.stats.bytes_charged
+    assert strip_fastpath(gw_one.registry.counters()) == strip_fastpath(
         gw_batch.registry.counters()
     )
-    assert gw_scalar.now == gw_batch.now
+    assert gw_one.now == gw_batch.now
     assert (
-        gw_scalar.cluster.fabric.stats == gw_batch.cluster.fabric.stats
+        gw_one.cluster.fabric.stats == gw_batch.cluster.fabric.stats
     )
-    for node_a, node_b in zip(gw_scalar.cluster.nodes, gw_batch.cluster.nodes):
+    for node_a, node_b in zip(gw_one.cluster.nodes, gw_batch.cluster.nodes):
         assert vars(node_a.counters) == vars(node_b.counters)
-    for dpe_a, dpe_b in zip(gw_scalar.dpes, gw_batch.dpes):
+    for dpe_a, dpe_b in zip(gw_one.dpes, gw_batch.dpes):
         assert dpe_a.policed_drops == dpe_b.policed_drops
         for teid, ctx_a in dpe_a._flows.items():
             ctx_b = dpe_b._flows[teid]
@@ -166,6 +225,7 @@ def assert_equivalent(gw_scalar, gw_batch, frames, ingress=None):
                 ctx_b.state, ctx_b.downlink_bytes, ctx_b.downlink_packets,
                 ctx_b.last_activity,
             )
+    assert_matches_reference(gw_batch, frames, batched, charged_before)
     return batched
 
 
@@ -256,12 +316,11 @@ class TestEncapsulateBatch:
         gateway, flows, gen = build_gateway(flows=64)
         frames = [make_frame(f, ttl=9, ihl=5 + i % 3, dscp=3, ident=77)
                   for i, f in enumerate(flows[:40])]
-        reference = [gateway.process_downstream(f) for f in frames]
-        gateway2, _, _ = build_gateway(flows=64)
-        batched = gateway2.process_downstream_batch(frames)
-        for (_, ref), (_, out) in zip(reference, batched):
-            assert ref == out
-            assert ref is not None
+        reference = reference_for(gateway)
+        batched = gateway.process_downstream_batch(frames)
+        for frame, (_, out) in zip(frames, batched):
+            assert out is not None
+            assert out == reference.expect_downstream(frame).payload
 
 
 GATEWAY_IP = parse_ip("192.0.2.1")
@@ -543,19 +602,22 @@ class TestTunnelFieldRange:
         assert gateway.registry.counters() == registry_before
         record = gateway.controller.record_for_key(flows[0].key())
         assert record.base_station_ip == gen.base_station_for(flows[0])
-        # The widest legal address still connects, and both paths agree.
+        # The widest legal address still connects and tunnels as the
+        # reference's scalar encapsulation does.
         gateway.connect(newcomer, 0xFFFFFFFF)
         frame = make_frame(newcomer)
-        scalar = gateway.process_downstream(frame, 0)
-        (batched,) = gateway.process_downstream_batch([frame], [0])
-        assert scalar == batched and scalar[1][16:20] == b"\xff" * 4
+        _, packet = gateway.process_downstream(frame, 0)
+        assert packet == reference_for(gateway).expect_downstream(
+            frame
+        ).payload
+        assert packet[16:20] == b"\xff" * 4
 
 
 class TestAclScreen:
     def test_the_screen_reads_the_live_set_every_batch(self):
         """Blocked between two batches, unblocked again, then emptied:
         each batch sees the set as it is, and results, counters and ledger
-        equal the scalar loop's (nobody may cache it as an array)."""
+        equal a frame per call's (nobody may cache it as an array)."""
         gw_a, flows, gen = build_gateway(seed=19, flows=60)
         gw_b, _, _ = build_gateway(seed=19, flows=60)
         victim, bystander = flows[4], flows[5]
@@ -675,8 +737,9 @@ class TestGatewayDifferential:
     def test_unforwardable_frames_drop_alone_in_a_batch(self):
         """A TTL-0 and an oversize frame for live bearers inside a batch
         of good frames: nothing charged for them, nothing raised, one
-        ``malformed`` drop each, scalar == batch, and every neighbour's
-        bytes and charge are what they are without the bad frames."""
+        ``malformed`` drop each, one frame per call == one batch, and
+        every neighbour's bytes and charge are what they are without the
+        bad frames."""
         gw_a, flows, _gen = build_gateway(seed=2, flows=20)
         gw_b, _, _ = build_gateway(seed=2, flows=20)
         gw_clean, _, _ = build_gateway(seed=2, flows=20)
@@ -687,7 +750,7 @@ class TestGatewayDifferential:
         )
         good_at = [0, 1, 2, 3, 5, 6, 7, 8]
         ingress = [i % NUM_NODES for i in range(len(frames))]
-        scalar = [
+        one_by_one = [
             gw_a.process_downstream(frame, node)
             for frame, node in zip(frames, ingress)
         ]
@@ -695,7 +758,7 @@ class TestGatewayDifferential:
         clean = gw_clean.process_downstream_batch(
             good, [ingress[i] for i in good_at]
         )
-        assert scalar == batched
+        assert one_by_one == batched
         assert [batched[i] for i in good_at] == clean
         assert all(out is not None for _, out in clean)
         for position in (4, 9):
@@ -715,7 +778,7 @@ class TestGatewayDifferential:
         assert strip_fastpath(gw_a.registry.counters()) == strip_fastpath(
             gw_b.registry.counters()
         )
-        # Dropped by the vector codec, not spilled to the scalar path.
+        # Dropped by the vector codec, not spilled to the scalar codec.
         assert gw_b.registry.counters()["gateway.fastpath.batches"] == 1
         assert gw_b.registry.counters()["gateway.fastpath.spilled_frames"] == 0
 
@@ -725,14 +788,14 @@ class TestGatewayDifferential:
         with pytest.raises(ValueError, match="lengths differ"):
             gateway.process_downstream_batch(frames, [0])
 
-    def test_batched_trial_matches_scalar_trial(self):
+    def test_trial_at_batch_size_one_matches_batch_size_128(self):
         gw_a, flows, gen_a = build_gateway(seed=21, flows=150)
         gw_b, _, gen_b = build_gateway(seed=21, flows=150)
         frames_a = gen_a.packet_stream(flows, 1200)
         frames_b = gen_b.packet_stream(flows, 1200)
         assert frames_a == frames_b
-        stats_a = run_downstream_trial(gw_a, frames_a)
-        stats_b = run_downstream_trial_batched(gw_b, frames_b, batch_size=128)
+        stats_a = run_downstream_trial(gw_a, frames_a, batch_size=1)
+        stats_b = run_downstream_trial(gw_b, frames_b, batch_size=128)
         assert (stats_a.offered, stats_a.delivered, stats_a.dropped) == (
             stats_b.offered, stats_b.delivered, stats_b.dropped
         )
@@ -745,8 +808,8 @@ class TestCounterAccounting:
         """Satellite: the fast path must count each lookup once.
 
         Every packet the PFE routes does exactly one GPT lookup, so
-        ``setsep.lookups`` equals ``cluster.scalebricks.routed`` on both
-        the scalar and the batched path (``repro stats --json`` surfaces
+        ``setsep.lookups`` equals ``cluster.scalebricks.routed`` at a
+        frame per call and at one batch (``repro stats --json`` surfaces
         both counters).
         """
         for batched in (False, True):

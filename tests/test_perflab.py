@@ -670,7 +670,7 @@ class TestFastpathGate:
         (dict(skip=("fig8.forwarding.endtoend",)), "endtoend missing"),
         (dict(skip=("fastpath.parse",)), "fastpath.parse missing"),
         (dict(skip=("fastpath.encap",)), "fastpath.encap missing"),
-        (dict(speedup=2.9), "under 3x the scalar"),
+        (dict(speedup=2.9), "under 3x a batch of one"),
         (dict(speedup=None), "does not report 'speedup'"),
     ])
     def test_degraded_pipeline_or_missing_rows_fail(self, rows, message):
