@@ -7,9 +7,9 @@ else the reproduction keeps per bearer.  It sets up a 20,000-bearer
 gateway on 4 nodes (bearers established, then the cluster built) under
 ``tracemalloc`` and splits the bytes still held afterwards by the
 structure that allocated them: the controller's records, the DPEs'
-contexts, the TEID allocator, the RIB, the nodes' FIBs and their GPT
-replicas.  The load generator's ``FlowTuple`` objects are built before
-the trace and priced on their own line.
+columns and their TEID indexes, the TEID allocator, the RIB, the nodes'
+FIBs and their GPT replicas.  The load generator's ``FlowTuple``
+objects are built before the trace and priced on their own line.
 
 The row is untimed, and it leaves the process's RSS to the end-to-end
 ``rss_mb`` metric: inside a suite the set-up reuses heap that earlier
@@ -39,7 +39,7 @@ GATEWAY_IP = parse_ip("192.0.2.1")
 #: hashed for a FIB is the FIB's.
 STRUCTURES = (
     ("controller", ("repro/epc/controller.py",)),
-    ("dpe", ("repro/epc/dpe.py",)),
+    ("dpe", ("repro/epc/dpe.py", "repro/epc/teid_index.py")),
     ("teid_allocator", ("repro/epc/tunnels.py",)),
     ("rib", ("repro/cluster/rib.py",)),
     ("fib", ("repro/hashtables/",)),

@@ -278,8 +278,10 @@ def perflab_dpe_batch_cost(ctx):
     ``batch_over_scalar_at_8`` is one 8-packet ``process_batch`` over
     the same 8 packets through ``process``, one call each, timed in the
     same sweeps: a handling node gets about 8 packets of a 32-frame
-    gateway batch, and a batch call that groups them with NumPy again
-    costs ~5x its own loop there (CI gates the ratio at 2x).
+    gateway batch.  Below ``dpe.LOOP_BELOW`` packets the batch is
+    ``process``'s loop in one call (0.45-0.57x); from it up, column
+    operations, whose fixed cost ``fixed_us`` shows (CI gates the ratio
+    at 2x).
     """
     dpe = DataPlaneEngine()
     for teid in range(1, DPE_COST_BEARERS + 1):

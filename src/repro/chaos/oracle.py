@@ -549,17 +549,12 @@ class DifferentialOracle:
             self._probe(step, key, ingress=(record.node + 1) % num_nodes,
                         record=record)
         self._check()
-        if self.gateway.stats.bytes_charged != self.ref_bytes:
+        charged = self.gateway.stats.bytes_charged
+        if charged != self.ref_bytes:
             diff = {
-                teid: (
-                    self.gateway.stats.bytes_charged.get(teid, 0),
-                    self.ref_bytes.get(teid, 0),
-                )
-                for teid in sorted(
-                    set(self.gateway.stats.bytes_charged) | set(self.ref_bytes)
-                )
-                if self.gateway.stats.bytes_charged.get(teid, 0)
-                != self.ref_bytes.get(teid, 0)
+                teid: (charged.get(teid, 0), self.ref_bytes.get(teid, 0))
+                for teid in sorted(set(charged) | set(self.ref_bytes))
+                if charged.get(teid, 0) != self.ref_bytes.get(teid, 0)
             }
             self._violate(step, "charging", 0,
                           f"per-TEID byte accounting diverged: {diff}")

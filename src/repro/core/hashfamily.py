@@ -15,7 +15,8 @@ a short period in its low bits.  This module provides:
   and ``splitmix64_int`` — the same function on one Python int, for the
   single-key update path where a 1-element array costs more than the hash;
 * ``canonical_key`` / ``canonical_keys`` — canonicalisation of ints, bytes
-  and strings into the uint64 key space;
+  and strings into the uint64 key space, and ``canonical_key_rows`` — the
+  same digest of every row of a byte matrix (a batch's 5-tuples);
 * ``base_hashes`` — the (G1, G2) pair per key, with G2 forced odd so that
   ``i -> G1 + i*G2`` walks a full-period sequence mod 2**64;
 * ``positions`` — map ``H_i`` values onto ``[0, m)`` bit-array slots using
@@ -37,6 +38,8 @@ a short period in its low bits.  This module provides:
 from __future__ import annotations
 
 import hashlib
+from collections import deque
+from itertools import repeat
 from typing import Iterable, Iterator, Tuple, Union
 
 import numpy as np
@@ -119,6 +122,13 @@ def splitmix64_int(x: int) -> int:
     return x ^ (x >> 31)
 
 
+#: An empty BLAKE2b-64 state.  A digest starts from a copy of it: the
+#: constructor's keyword parsing costs as much as hashing a 13-byte
+#: 5-tuple does.
+_BLAKE2B_64 = hashlib.blake2b(digest_size=8)
+_BLAKE2B = type(_BLAKE2B_64)
+
+
 def canonical_key(key: Key) -> int:
     """Map an int / bytes / str key into the canonical uint64 key space.
 
@@ -126,14 +136,37 @@ def canonical_key(key: Key) -> int:
     byte strings and text are digested with BLAKE2b-64 so that arbitrary
     identifiers (5-tuples, MAC addresses, URLs) can be used as keys.
     """
-    if isinstance(key, (int, np.integer)):
-        return int(key) & 0xFFFFFFFFFFFFFFFF
-    if isinstance(key, str):
-        key = key.encode("utf-8")
-    if isinstance(key, (bytes, bytearray, memoryview)):
-        digest = hashlib.blake2b(bytes(key), digest_size=8).digest()
-        return int.from_bytes(digest, "little")
-    raise TypeError(f"unsupported key type: {type(key).__name__}")
+    if type(key) is not bytes:
+        if isinstance(key, (int, np.integer)):
+            return int(key) & 0xFFFFFFFFFFFFFFFF
+        if isinstance(key, str):
+            key = key.encode("utf-8")
+        elif isinstance(key, (bytearray, memoryview)):
+            key = bytes(key)
+        else:
+            raise TypeError(f"unsupported key type: {type(key).__name__}")
+    state = _BLAKE2B_64.copy()
+    state.update(key)
+    return int.from_bytes(state.digest(), "little")
+
+
+def canonical_key_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`canonical_key` of each row's bytes of a 2-D uint8 matrix.
+
+    The rows become ``bytes`` through one void view, and the state
+    copies, updates and digests run as ``map`` over the BLAKE2b methods:
+    no Python frame per row.  The digests are read as one little-endian
+    uint64 column.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    count, width = rows.shape
+    states = list(map(_BLAKE2B.copy, repeat(_BLAKE2B_64, count)))
+    deque(
+        map(_BLAKE2B.update, states, rows.view(f"V{width}").ravel().tolist()),
+        maxlen=0,
+    )
+    digests = b"".join(map(_BLAKE2B.digest, states))
+    return np.frombuffer(digests, dtype="<u8").astype(_U64)
 
 
 def canonical_keys(keys: Iterable[Key]) -> np.ndarray:

@@ -14,6 +14,8 @@ node daemon that needs only the frame codec does not load the gateway):
   share;
 * :mod:`~repro.epc.tunnels` — :class:`~repro.epc.tunnels.TeidAllocator`
   and :class:`~repro.epc.tunnels.GtpTunnelEndpoint`;
+* :mod:`~repro.epc.teid_index` — :class:`~repro.epc.teid_index.TeidIndex`,
+  TEID -> row for the DPE's and the ledger's columns;
 * :mod:`~repro.epc.controller` — :class:`~repro.epc.controller.EpcController`,
   flow records and assignment policies;
 * :mod:`~repro.epc.dpe` — the Data Plane Engine and charging records;

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.epc.teid_index import MAX_TEID, TeidIndex, is_teid
 from repro.utils import DATACLASS_SLOTS
 
 
@@ -113,7 +115,16 @@ class TokenBucket:
 
 @dataclass(**DATACLASS_SLOTS)
 class FlowContext:
-    """Per-bearer data-plane state held at the handling node."""
+    """One bearer's data-plane state, as a record.
+
+    The engine keeps its bearers' state in columns; a ``FlowContext`` is
+    a snapshot of one row (:meth:`DataPlaneEngine.context`,
+    :meth:`~DataPlaneEngine.open_bearer`) and the transfer record a
+    re-homing carries (:meth:`~DataPlaneEngine.export_context` /
+    :meth:`~DataPlaneEngine.import_context`).  Writing to a snapshot
+    changes nothing in the engine; ``policer`` is the bearer's live
+    bucket, which travels with it.
+    """
 
     teid: int
     state: BearerState = BearerState.IDLE
@@ -126,8 +137,33 @@ class FlowContext:
     policer: Optional[TokenBucket] = None
 
 
+#: A row's ``state`` code is its state's position here.  A free row
+#: reads IDLE with zero counters, as a bearer opens.
+_STATES = (BearerState.IDLE, BearerState.ACTIVE, BearerState.CLOSED)
+_IDLE, _ACTIVE = 0, 1
+#: Rows of the counter block: bytes, then packets, each uplink then
+#: downlink (``+ downlink``).
+_BYTES, _PACKETS = 0, 2
+#: Rows of the time block.
+_OPENED_AT, _LAST_ACTIVITY = 0, 1
+#: A batch of fewer packets (or, in the ledger, rows) is accounted one by
+#: one, through memoryviews of the columns: below it NumPy's fixed cost per
+#: operation is more than the packets' work.  Traced in the gateway, the
+#: 8 packets a node gets of a 32-frame batch cost 2.3x as array
+#: operations what they cost in the loop, and the 64 of a 256-frame batch
+#: cost 0.43x; a 32-frame batch's ledger call stays in the loop.
+LOOP_BELOW = 40
+
+
 class DataPlaneEngine:
     """Per-node DPE: charging, policing and bearer state.
+
+    Bearer state lives in dense row columns (``state``, bytes and packets
+    per direction, ``opened_at``, ``last_activity``) behind a
+    :class:`~repro.epc.teid_index.TeidIndex`, so a batch of packets is
+    accounted with a few array operations and any 32-bit TEID costs a few
+    index words.  A closed bearer's row is zeroed and reused.  Policers
+    stay per-bearer objects, keyed by row.
 
     Args:
         idle_timeout_s: inactivity after which an ACTIVE bearer returns
@@ -136,9 +172,87 @@ class DataPlaneEngine:
 
     def __init__(self, idle_timeout_s: float = 30.0) -> None:
         self.idle_timeout_s = idle_timeout_s
-        self._flows: Dict[int, FlowContext] = {}
         self.records: List[ChargingRecord] = []
         self.policed_drops = 0
+        self._index = TeidIndex()
+        self._free_rows: List[int] = []
+        self._rows_used = 0  # rows ever handed out, free ones included
+        self._policers: Dict[int, TokenBucket] = {}
+        self._columns(
+            np.zeros(0, dtype=np.int8),
+            np.zeros((4, 0), dtype=np.int64),
+            np.zeros((2, 0), dtype=np.float64),
+        )
+
+    # ------------------------------------------------------------------
+    # Rows
+    # ------------------------------------------------------------------
+
+    def _columns(
+        self, state: np.ndarray, counts: np.ndarray, times: np.ndarray
+    ) -> None:
+        self._state, self._counts, self._times = state, counts, times
+        # The packet loop's way in: a memoryview item costs a third of a
+        # NumPy scalar.
+        self._state_view = memoryview(state)
+        self._count_views = [memoryview(row) for row in counts]
+        self._opened_view = memoryview(times[_OPENED_AT])
+        self._last_view = memoryview(times[_LAST_ACTIVITY])
+
+    def _new_row(self) -> int:
+        """A free row, growing the columns by half when none is left."""
+        if self._free_rows:
+            return self._free_rows.pop()
+        row = self._rows_used
+        self._rows_used += 1
+        size = self._state.size
+        if row == size:
+            grown = size + size // 2 + 8
+            state = np.zeros(grown, dtype=np.int8)
+            state[:size] = self._state
+            counts = np.zeros((4, grown), dtype=np.int64)
+            counts[:, :size] = self._counts
+            times = np.zeros((2, grown), dtype=np.float64)
+            times[:, :size] = self._times
+            self._columns(state, counts, times)
+        return row
+
+    def _claim_row(self, teid: int) -> int:
+        """A row indexed under ``teid``; ``ValueError`` if that is not a
+        TEID or is open already."""
+        if type(teid) is not int or not 0 <= teid <= MAX_TEID:
+            if not is_teid(teid):
+                raise ValueError(f"TEID {teid!r} is not a 32-bit TEID")
+            teid = int(teid)
+        row = self._new_row()
+        if not self._index.add(teid, row):
+            self._free_rows.append(row)
+            raise ValueError(f"bearer {teid} already open")
+        return row
+
+    def _read(self, teid: int, row: int) -> FlowContext:
+        up_bytes, down_bytes, up_packets, down_packets = self._count_views
+        # Positional: a slotted record takes keywords at over twice the
+        # cost, and a snapshot is made per bearer event.
+        return FlowContext(
+            teid, _STATES[self._state_view[row]],
+            up_bytes[row], down_bytes[row], up_packets[row],
+            down_packets[row], self._opened_view[row], self._last_view[row],
+            self._policers.get(row),
+        )
+
+    def _release(self, teid: int) -> FlowContext:
+        """Remove a bearer, returning its last snapshot."""
+        row = self._index.pop(teid)
+        if row is None:
+            raise KeyError(f"bearer {teid} is not open")
+        context = self._read(teid, row)
+        self._state_view[row] = _IDLE
+        for view in self._count_views:
+            view[row] = 0
+        self._policers.pop(row, None)
+        self._free_rows.append(row)
+        return context
 
     # ------------------------------------------------------------------
     # Bearer lifecycle
@@ -151,45 +265,47 @@ class DataPlaneEngine:
         rate_limit_bytes_per_s: Optional[float] = None,
         burst_bytes: Optional[float] = None,
     ) -> FlowContext:
-        """Create the data-plane context for a bearer."""
-        if teid in self._flows:
-            raise ValueError(f"bearer {teid} already open")
+        """Create the data-plane state for a bearer; returns its
+        snapshot."""
+        now = float(now)
+        row = self._claim_row(teid)
+        # A free row reads IDLE with zero counters already.
+        self._opened_view[row] = self._last_view[row] = now
         policer = None
         if rate_limit_bytes_per_s is not None:
-            policer = TokenBucket(
+            policer = self._policers[row] = TokenBucket(
                 rate_bytes_per_s=rate_limit_bytes_per_s,
                 burst_bytes=burst_bytes or rate_limit_bytes_per_s,
             )
-        context = FlowContext(
-            teid=teid, opened_at=now, last_activity=now, policer=policer
+        return FlowContext(
+            teid, BearerState.IDLE, 0, 0, 0, 0, now, now, policer
         )
-        self._flows[teid] = context
-        return context
 
     def close_bearer(self, teid: int, now: float = 0.0) -> ChargingRecord:
         """Tear a bearer down and emit its CDR."""
-        context = self._flows.pop(teid, None)
-        if context is None:
-            raise KeyError(f"bearer {teid} is not open")
-        context.state = BearerState.CLOSED
+        context = self._release(teid)
         record = ChargingRecord(
-            teid=teid,
-            uplink_bytes=context.uplink_bytes,
-            downlink_bytes=context.downlink_bytes,
-            uplink_packets=context.uplink_packets,
-            downlink_packets=context.downlink_packets,
-            opened_at=context.opened_at,
-            closed_at=now,
+            teid, context.uplink_bytes, context.downlink_bytes,
+            context.uplink_packets, context.downlink_packets,
+            context.opened_at, now,
         )
         self.records.append(record)
         return record
 
     def context(self, teid: int) -> Optional[FlowContext]:
-        """The bearer's live context, if open."""
-        return self._flows.get(teid)
+        """A snapshot of the bearer's state, if open."""
+        row = self._index.get(teid)
+        return None if row is None else self._read(teid, row)
+
+    def contexts(self) -> Dict[int, FlowContext]:
+        """Snapshots of every open bearer, in row order."""
+        return {
+            teid: self._read(teid, row)
+            for teid, row in sorted(self._index.items(), key=itemgetter(1))
+        }
 
     def __len__(self) -> int:
-        return len(self._flows)
+        return len(self._index)
 
     # ------------------------------------------------------------------
     # Packet processing
@@ -206,21 +322,10 @@ class DataPlaneEngine:
         """
         if size < 0:
             raise ValueError(f"size {size} is negative")
-        context = self._flows.get(teid)
-        if context is None:
-            return False
-        if context.policer is not None and not context.policer.allow(size, now):
-            self.policed_drops += 1
-            return False
-        context.state = BearerState.ACTIVE
-        context.last_activity = now
-        if downlink:
-            context.downlink_bytes += size
-            context.downlink_packets += 1
-        else:
-            context.uplink_bytes += size
-            context.uplink_packets += 1
-        return True
+        row = self._index.get(teid)
+        return row is not None and self._account_each(
+            [row], [size], [now], downlink
+        )[0]
 
     def process_batch(
         self,
@@ -231,82 +336,153 @@ class DataPlaneEngine:
     ) -> np.ndarray:
         """Account many packets at once; returns per-packet accept flags.
 
-        :meth:`process` per packet, in input order, with its body inlined
-        into one Python pass over the columns: at the few packets a
-        handling node gets per gateway batch, that costs less than any
-        NumPy grouping by bearer would, and a call per packet costs more
-        than the packet's work (both measured up to 256).  Columns
-        of different lengths or a negative size are a ``ValueError``
-        naming the first bad row (:func:`check_batch_columns`), raised
-        before anything is accounted.
+        :meth:`process` per packet, in input order, as column operations:
+        one column read of the TEID index finds the rows, policers (only
+        where a bearer has one) run packet by packet in input order, and
+        the accepted packets' counters are added with ``np.add.at`` (a
+        bearer may repeat).  ``last_activity`` is the last accepted packet's
+        ``now`` in input order, not the largest.  Fewer than
+        :data:`LOOP_BELOW` packets take :meth:`process`'s own loop instead.
+        Columns of different lengths or a negative size are a
+        ``ValueError`` naming the first bad row (:func:`check_batch_columns`),
+        raised before anything is accounted.
         """
-        teids = np.asarray(teids, dtype=np.int64).tolist()
-        sizes = np.asarray(sizes, dtype=np.int64).tolist()
-        nows = np.asarray(nows, dtype=np.float64).tolist()
-        # The checker's test, inline: its call alone is a fifth of an
-        # 8-packet batch, so it runs only to name the bad row.
-        if not len(teids) == len(sizes) == len(nows) or (
-            sizes and min(sizes) < 0
-        ):
-            check_batch_columns(teids=teids, sizes=sizes, nows=nows)
-        flows = self._flows
-        active = BearerState.ACTIVE
-        ok: List[bool] = []
-        append = ok.append
-        for teid, size, now in zip(teids, sizes, nows):
-            context = flows.get(teid)
-            if context is None:
-                append(False)
-                continue
-            if context.policer is not None and not context.policer.allow(
-                size, now
+        teids = np.asarray(teids, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        nows = np.asarray(nows, dtype=np.float64)
+        count = teids.size
+        if count < LOOP_BELOW:
+            teid_list, size_list, now_list = (
+                teids.tolist(), sizes.tolist(), nows.tolist()
+            )
+            # The checker's test, inline: it is called only to name the
+            # bad row.
+            if not count == len(size_list) == len(now_list) or (
+                size_list and min(size_list) < 0
             ):
-                self.policed_drops += 1
+                check_batch_columns(teids=teid_list, sizes=size_list,
+                                    nows=now_list)
+            return np.array(self._account_each(
+                self._index.rows_of(teid_list), size_list, now_list,
+                downlink,
+            ), dtype=bool)
+        if not count == sizes.size == nows.size or (
+            np.minimum.reduce(sizes) < 0
+        ):
+            check_batch_columns(
+                teids=teids.tolist(), sizes=sizes.tolist(), nows=nows.tolist()
+            )
+        rows = self._index.rows(teids)
+        ok = rows >= 0
+        if self._policers:
+            self._police(rows, sizes, nows, ok)
+        if not np.logical_and.reduce(ok):
+            rows, sizes, nows = rows[ok], sizes[ok], nows[ok]
+        direction = 1 if downlink else 0
+        np.add.at(self._counts[_BYTES + direction], rows, sizes)
+        np.add.at(self._counts[_PACKETS + direction], rows, 1)
+        self._state[rows] = _ACTIVE
+        # A fancy assignment leaves a repeated row's value unspecified.
+        # With ``nows`` in order the last packet's is the largest, so a
+        # maximum settles it; otherwise a dict keeps each row's last.
+        last_activity = self._times[_LAST_ACTIVITY]
+        if rows.size < 2 or np.logical_and.reduce(nows[1:] >= nows[:-1]):
+            last_activity[rows] = nows
+            np.maximum.at(last_activity, rows, nows)
+        else:
+            last = dict(zip(rows.tolist(), nows.tolist()))
+            last_activity[list(last)] = list(last.values())
+        return ok
+
+    def _account_each(
+        self,
+        rows: List[int],
+        sizes: List[int],
+        nows: List[float],
+        downlink: bool,
+    ) -> List[bool]:
+        """:meth:`process`'s work for each packet in turn (row -1: an
+        unknown bearer); returns the accept flags."""
+        state, last = self._state_view, self._last_view
+        direction = 1 if downlink else 0
+        nbytes = self._count_views[_BYTES + direction]
+        npackets = self._count_views[_PACKETS + direction]
+        policers = self._policers
+        ok = []
+        append = ok.append
+        for row, size, now in zip(rows, sizes, nows):
+            if row < 0 or policers and not self._allow(row, size, now):
                 append(False)
                 continue
-            context.state = active
-            context.last_activity = now
-            if downlink:
-                context.downlink_bytes += size
-                context.downlink_packets += 1
-            else:
-                context.uplink_bytes += size
-                context.uplink_packets += 1
+            nbytes[row] += size
+            npackets[row] += 1
+            last[row] = now
+            state[row] = _ACTIVE
             append(True)
-        return np.array(ok, dtype=bool)
+        return ok
+
+    def _allow(self, row: int, size: int, now: float) -> bool:
+        """The row's policer, if it has one, takes the packet (a refusal
+        counts in ``policed_drops``)."""
+        policer = self._policers.get(row)
+        if policer is None or policer.allow(size, now):
+            return True
+        self.policed_drops += 1
+        return False
+
+    def _police(
+        self,
+        rows: np.ndarray,
+        sizes: np.ndarray,
+        nows: np.ndarray,
+        ok: np.ndarray,
+    ) -> None:
+        """Clear ``ok`` where a bearer's policer refuses the packet;
+        policers see their packets in input order."""
+        for j, row, size, now in zip(
+            range(rows.size), rows.tolist(), sizes.tolist(), nows.tolist()
+        ):
+            if row >= 0 and not self._allow(row, size, now):
+                ok[j] = False
 
     def expire_idle(self, now: float) -> int:
         """Demote bearers inactive for longer than the idle timeout."""
-        demoted = 0
-        for context in self._flows.values():
-            if (
-                context.state is BearerState.ACTIVE
-                and now - context.last_activity > self.idle_timeout_s
-            ):
-                context.state = BearerState.IDLE
-                demoted += 1
-        return demoted
+        idle = (self._state == _ACTIVE) & (
+            now - self._times[_LAST_ACTIVITY] > self.idle_timeout_s
+        )
+        self._state[idle] = _IDLE
+        return int(np.count_nonzero(idle))
 
     # ------------------------------------------------------------------
     # State migration (flow re-homing between nodes)
     # ------------------------------------------------------------------
 
     def export_context(self, teid: int) -> FlowContext:
-        """Remove and return a bearer's context for transfer to a peer.
+        """Remove a bearer and return its state for transfer to a peer.
 
         Counters travel with the context, so charging stays continuous
         across a re-homing (no double-billing, no lost bytes).
         """
-        context = self._flows.pop(teid, None)
-        if context is None:
-            raise KeyError(f"bearer {teid} is not open here")
-        return context
+        return self._release(teid)
 
     def import_context(self, context: FlowContext) -> None:
         """Adopt a context exported by a peer node."""
-        if context.teid in self._flows:
-            raise ValueError(f"bearer {context.teid} already open here")
-        self._flows[context.teid] = context
+        state = _STATES.index(context.state)
+        row = self._claim_row(context.teid)
+        up_bytes, down_bytes, up_packets, down_packets = self._count_views
+        try:
+            up_bytes[row] = context.uplink_bytes
+            down_bytes[row] = context.downlink_bytes
+            up_packets[row] = context.uplink_packets
+            down_packets[row] = context.downlink_packets
+            self._opened_view[row] = context.opened_at
+            self._last_view[row] = context.last_activity
+        except (TypeError, ValueError):
+            self._release(context.teid)  # a bad field changes nothing
+            raise
+        self._state_view[row] = state
+        if context.policer is not None:
+            self._policers[row] = context.policer
 
     # ------------------------------------------------------------------
     # Reporting
@@ -314,14 +490,8 @@ class DataPlaneEngine:
 
     def active_bearers(self) -> int:
         """Bearers currently in ACTIVE state."""
-        return sum(
-            1
-            for c in self._flows.values()
-            if c.state is BearerState.ACTIVE
-        )
+        return int(np.count_nonzero(self._state == _ACTIVE))
 
     def total_bytes(self) -> int:
-        """All accounted bytes across open bearers."""
-        return sum(
-            c.uplink_bytes + c.downlink_bytes for c in self._flows.values()
-        )
+        """All accounted bytes across open bearers (free rows hold 0)."""
+        return int(self._counts[_BYTES:_BYTES + 2].sum())

@@ -29,12 +29,12 @@ charging; no caller ever sees an egress exception for a billed packet.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
+from repro.core.hashfamily import canonical_key_rows
 from repro.epc.packets import (
     EthernetHeader,
     GtpuHeader,
@@ -158,8 +158,8 @@ def parse_buffer(raw: bytes, offsets: np.ndarray) -> ParsedBatch:
     gather for the whole batch: every frame's 20 header bytes and L4
     ports become one row of an ``(n, 24)`` byte matrix, fields are read
     through big-endian views of it, the IPv4 checksum is verified as ten
-    u16 word columns, and the flow key is computed once per *distinct*
-    5-tuple (frames of one flow share the BLAKE2b digest).
+    u16 word columns, and the flow keys are the BLAKE2b digests of the
+    13-byte 5-tuple rows (:func:`repro.core.hashfamily.canonical_key_rows`).
     """
     n = offsets.size - 1
     buf = np.frombuffer(raw, dtype=np.uint8)
@@ -197,18 +197,7 @@ def parse_buffer(raw: bytes, offsets: np.ndarray) -> ParsedBatch:
 
     valid = np.nonzero(good)[0]
     if valid.size:
-        blob = hdr[valid[:, None], _KEY_COLUMNS].tobytes()
-        digest_of: Dict[bytes, int] = {}
-        flow_keys = []
-        for start in range(0, len(blob), 13):
-            row = blob[start:start + 13]
-            key = digest_of.get(row)
-            if key is None:
-                key = digest_of[row] = int.from_bytes(
-                    hashlib.blake2b(row, digest_size=8).digest(), "little"
-                )
-            flow_keys.append(key)
-        keys[valid] = np.array(flow_keys, dtype=np.uint64)
+        keys[valid] = canonical_key_rows(hdr[valid[:, None], _KEY_COLUMNS])
 
     # IPv4 options (IHL > 20): rare enough that the scalar codec is the
     # honest reference — parse those frames one by one.

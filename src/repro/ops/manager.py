@@ -292,9 +292,7 @@ class ClusterOps:
                 "handling_node": record.handling_node,
                 "base_station_ip": record.base_station_ip,
             }
-            shadow_bytes = int(
-                self.gateway.stats.bytes_charged.get(record.teid, 0)
-            )
+            shadow_bytes = self.gateway.stats.bytes_of(record.teid)
             doc["shadow_bytes_charged"] = shadow_bytes
             return doc
 

@@ -52,7 +52,9 @@ class TestStateMachine:
         context = dpe.open_bearer(1, now=0.0)
         assert context.state is BearerState.IDLE
         dpe.process(1, 10, downlink=True, now=1.0)
-        assert context.state is BearerState.ACTIVE
+        # The returned context is a snapshot: read the state again.
+        assert context.state is BearerState.IDLE
+        assert dpe.context(1).state is BearerState.ACTIVE
 
     def test_expire_idle(self):
         dpe = DataPlaneEngine(idle_timeout_s=5.0)

@@ -28,6 +28,7 @@ from repro.chaos.oracle import (
 from repro.cluster.architectures import Architecture
 from repro.cluster.cluster import Cluster
 from repro.core.delta import GroupDelta
+from repro.core.hashfamily import canonical_key, canonical_key_rows
 from repro.epc import fastpath
 from repro.epc.dpe import DataPlaneEngine
 from repro.epc.gateway import ChargingLedger, EpcGateway
@@ -216,8 +217,9 @@ def assert_equivalent(gw_one, gw_batch, frames, ingress=None):
         assert vars(node_a.counters) == vars(node_b.counters)
     for dpe_a, dpe_b in zip(gw_one.dpes, gw_batch.dpes):
         assert dpe_a.policed_drops == dpe_b.policed_drops
-        for teid, ctx_a in dpe_a._flows.items():
-            ctx_b = dpe_b._flows[teid]
+        contexts_b = dpe_b.contexts()
+        for teid, ctx_a in dpe_a.contexts().items():
+            ctx_b = contexts_b[teid]
             assert (
                 ctx_a.state, ctx_a.downlink_bytes, ctx_a.downlink_packets,
                 ctx_a.last_activity,
@@ -310,6 +312,70 @@ class TestParseFrames:
                 assert int(parsed.keys[i]) == ref[0]
                 assert int(parsed.ttl[i]) == ref[6]
 
+
+def blake2b_key(flow):
+    """The flow key written out: BLAKE2b-64 of the packed 5-tuple, read
+    little-endian."""
+    digest = hashlib.blake2b(flow.pack(), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
+
+
+def parsed_flow(src, dst, protocol, sport, dport):
+    """The tuple a frame's parse yields: ports read only for TCP and
+    UDP."""
+    if protocol not in (PROTO_TCP, PROTO_UDP):
+        sport = dport = 0
+    return FlowTuple(src, dst, protocol, sport, dport)
+
+
+flow_tuples = st.builds(
+    parsed_flow,
+    st.integers(0, 0xFFFFFFFF), st.integers(0, 0xFFFFFFFF),
+    st.sampled_from([PROTO_TCP, PROTO_UDP, 1, 47]),
+    st.integers(0, 0xFFFF), st.integers(0, 0xFFFF),
+)
+
+
+class TestFlowKeys:
+    """The batch flow keys against ``FlowTuple.key()`` and BLAKE2b
+    written out."""
+
+    @given(flows=st.lists(flow_tuples, min_size=1, max_size=40),
+           repeats=st.lists(st.integers(0, 39), max_size=20),
+           spills=st.lists(st.integers(0, 39), max_size=4))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_keys_are_flowtuple_keys(self, flows, repeats, spills):
+        picks = flows + [flows[i % len(flows)] for i in repeats]
+        frames = [
+            make_frame(flow, ihl=6 if i in spills else 5)
+            for i, flow in enumerate(picks)
+        ]
+        parsed = fastpath.parse_frames(frames)
+        assert not parsed.malformed.any()
+        assert parsed.scalar_spills == len(set(spills) & set(range(len(picks))))
+        assert parsed.keys.dtype == np.uint64
+        expected = [flow.key() for flow in picks]
+        assert parsed.keys.tolist() == expected
+        assert expected == [blake2b_key(flow) for flow in picks]
+
+    def test_one_flow_repeated_in_a_batch(self):
+        flow = FlowTuple(0x0A000001, 0x0A000002, PROTO_UDP, 1000, 2000)
+        other = FlowTuple(0x0A000003, 0x0A000002, PROTO_UDP, 1000, 2000)
+        picks = [flow] * 7 + [other] + [flow] * 5 + [other]
+        parsed = fastpath.parse_frames([make_frame(f) for f in picks])
+        assert parsed.keys.tolist() == [blake2b_key(f) for f in picks]
+        assert len(set(parsed.keys.tolist())) == 2
+
+    def test_canonical_key_rows_is_canonical_key_per_row(self):
+        rng = np.random.default_rng(10)
+        rows = rng.integers(0, 256, size=(300, 13), dtype=np.uint8)
+        rows[:3, -4:] = 0  # trailing zero bytes are part of the row
+        keys = canonical_key_rows(rows)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [
+            canonical_key(row.tobytes()) for row in rows
+        ]
+        assert canonical_key_rows(rows[:0]).size == 0
 
 class TestEncapsulateBatch:
     def test_byte_identical_to_scalar_egress(self):
@@ -999,8 +1065,8 @@ class TestColumnsAgainstScalar:
         assert gw_a.stats.bytes_charged == gw_b.stats.bytes_charged
         assert list(gw_a.stats.bytes_charged) == list(gw_b.stats.bytes_charged)
         for dpe_a, dpe_b in zip(gw_a.dpes, gw_b.dpes):
-            assert {t: asdict(c) for t, c in dpe_a._flows.items()} == {
-                t: asdict(c) for t, c in dpe_b._flows.items()
+            assert {t: asdict(c) for t, c in dpe_a.contexts().items()} == {
+                t: asdict(c) for t, c in dpe_b.contexts().items()
             }
 
     def test_flow_keys_with_repeats_other_protocols_and_a_spill(self):
@@ -1167,10 +1233,10 @@ class TestBatchColumnRange:
         (teids, sizes, nows), row = batch
         _, dpe = engines_with_bearers()
         # asdict copies deeply, so bearer 7's policer is in the snapshot.
-        before = {t: asdict(c) for t, c in dpe._flows.items()}
+        before = {t: asdict(c) for t, c in dpe.contexts().items()}
         with pytest.raises(ValueError, match=rf"^row {row}: "):
             dpe.process_batch(teids, sizes, downlink, nows)
-        assert {t: asdict(c) for t, c in dpe._flows.items()} == before
+        assert {t: asdict(c) for t, c in dpe.contexts().items()} == before
         assert dpe.policed_drops == 0
 
     def test_scalar_entries_refuse_a_negative_size(self):

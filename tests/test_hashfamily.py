@@ -1,5 +1,7 @@
 """Tests for the SetSep hash family (repro.core.hashfamily)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,19 @@ class TestCanonicalKey:
 
     def test_deterministic(self):
         assert hf.canonical_key(b"\x01\x02") == hf.canonical_key(b"\x01\x02")
+
+    def test_byte_inputs_are_blake2b_64_little_endian(self):
+        blob = bytes(range(13))
+        expected = int.from_bytes(
+            hashlib.blake2b(blob, digest_size=8).digest(), "little"
+        )
+        assert hf.canonical_key(blob) == expected
+        assert hf.canonical_key(bytearray(blob)) == expected
+        assert hf.canonical_key(memoryview(blob)) == expected
+        assert hf.canonical_key(memoryview(blob * 2)[13:]) == expected
+        assert hf.canonical_key("flow") == int.from_bytes(
+            hashlib.blake2b(b"flow", digest_size=8).digest(), "little"
+        )
 
     def test_unsupported_type(self):
         with pytest.raises(TypeError):

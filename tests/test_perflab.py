@@ -576,7 +576,7 @@ class TestGroupScanGate:
         assert "parse=1.10x encap=2.30x" in out
         assert "at 8 packets: 1.35x" in out
         assert "cluster build: 15/15 counts as pinned" in out
-        assert "heap per bearer: 601 B (budget 630 B)" in out
+        assert "heap per bearer: 601 B (budget 613 B)" in out
         assert "1.00 per extra frame (budget 1.50)" in out
         broken = tmp_path / "broken.json"
         broken.write_text(perflab.canonical_json(
@@ -1158,11 +1158,11 @@ class TestBearerBytesGate:
     def test_under_the_budget_passes(self):
         line = gates.bearer_bytes_gate(
             make_artifact(bearer_bytes_rows()).to_dict())
-        assert line == "heap per bearer: 601 B (budget 630 B)"
+        assert line == "heap per bearer: 601 B (budget 613 B)"
         assert gates.bearer_bytes_gate(make_artifact(
             bearer_bytes_rows(gates.BEARER_BYTES_BUDGET)).to_dict())
 
-    @pytest.mark.parametrize("total", [706.0, 630.5, 0.0])
+    @pytest.mark.parametrize("total", [706.0, 613.5, 0.0])
     def test_over_the_budget_or_empty_fails(self, total):
         with pytest.raises(gates.GateFailure, match="over budget"):
             gates.bearer_bytes_gate(
