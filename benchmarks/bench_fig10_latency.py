@@ -68,13 +68,6 @@ def test_fig10_functional_hop_audit(benchmark):
     def mean_hops(arch):
         cluster = Cluster.build(arch, 4, keys, handlers, values)
         results = cluster.route_batch(keys[:1_500])
-        if arch is Architecture.SCALEBRICKS:
-            # The vectorised batch path must report the same hop profile
-            # as one-at-a-time routing (same RNG stream, fresh cluster).
-            scalar = Cluster.build(arch, 4, keys, handlers, values)
-            assert list(results) == [
-                scalar.route(int(k)) for k in keys[:1_500]
-            ]
         return float(np.mean([r.internal_hops for r in results]))
 
     hops = benchmark.pedantic(

@@ -39,7 +39,6 @@ from repro.epc.fastpath import MAX_INNER
 from repro.epc.gateway import EpcGateway
 from repro.epc.packets import extract_forwardable, parse_frame
 from repro.epc.tunnels import GtpTunnelEndpoint
-from repro.fabric import FabricLoss
 
 #: Expected-outcome kinds a reference evaluation can produce.
 DELIVERED = "delivered"
@@ -309,6 +308,19 @@ class DifferentialOracle:
         self.checks += 1
         self._m_checks.inc()
 
+    def _lost(self, result) -> bool:
+        """Whether ``result`` is a transit lost in the fabric (counted).
+
+        Transits are only lossy under an injected fault (a partition, an
+        armed drop budget or a severed link), so a loss is attributable
+        to the plan; the reference charges nothing for it.
+        """
+        if result.reason != "fabric_loss":
+            return False
+        self.transit_losses += 1
+        self._m_transit_losses.inc()
+        return True
+
     def _expected_touch(self, key: int, ingress: int, owner: int) -> Set[int]:
         """Nodes a delivered packet's path must visit (deterministic archs)."""
         touch = {ingress, owner}
@@ -324,18 +336,10 @@ class DifferentialOracle:
         Returns the observed outcome kind (for the caller's accounting).
         """
         expected = self.reference.expect_downstream(frame)
-        try:
-            result, out = self.gateway.process_downstream(frame, ingress)
-        except FabricLoss:
-            # Fabric transits are only lossy under an injected fault
-            # (partition, an armed drop budget or a severed link), so the
-            # loss is always attributable to the plan; the reference
-            # charges nothing.
-            self.transit_losses += 1
-            self._m_transit_losses.inc()
-            self._check()
-            return TRANSIT_LOSS
+        result, out = self.gateway.process_downstream(frame, ingress)
         self._check()
+        if self._lost(result):
+            return TRANSIT_LOSS
         kind = expected.kind
 
         if kind == MALFORMED:
@@ -440,18 +444,14 @@ class DifferentialOracle:
     def _probe(self, step: int, key: int, ingress: int,
                record: ReferenceFlow) -> None:
         """Route one known key and assert the routing invariants."""
-        try:
-            result = self.cluster.route(key, ingress)
-        except FabricLoss:
-            self.transit_losses += 1
-            self._m_transit_losses.inc()
-            self._check()
+        result = self.cluster.route(key, ingress)
+        self._check()
+        if self._lost(result):
             if not self.partitioned and not self.broken_links:
                 self._violate(step, "liveness", key,
                               "transit lost with no partition or broken "
                               "link declared")
             return
-        self._check()
         touch = self._expected_touch(key, ingress, record.node)
         uncertain_path = (
             self.gateway.architecture is Architecture.ROUTEBRICKS_VLB
@@ -512,11 +512,8 @@ class DifferentialOracle:
             if key in self.reference.flows:
                 continue
             ingress = int(live_ingress[int(rng.integers(len(live_ingress)))])
-            try:
-                result = self.cluster.route(key, ingress)
-            except FabricLoss:
-                self.transit_losses += 1
-                self._m_transit_losses.inc()
+            result = self.cluster.route(key, ingress)
+            if self._lost(result):
                 continue
             self._check()
             if not result.dropped:

@@ -1,10 +1,11 @@
 """The cluster: packet routing under each FIB architecture (paper §3).
 
 ``Cluster.build`` populates every node's tables for the chosen architecture
-from one authoritative flow list, and ``route`` walks a packet's key through
-the exact path Figure 2 draws — including the failure modes: hash-partition
-lookups rejecting unknown keys at the indirect node, ScaleBricks delivering
-unknown keys to an arbitrary node whose exact FIB then drops them.
+from one authoritative flow list, and ``route_batch`` walks a batch of keys
+through the exact path Figure 2 draws — including the failure modes:
+hash-partition lookups rejecting unknown keys at the indirect node,
+ScaleBricks delivering unknown keys to an arbitrary node whose exact FIB
+then drops them, a transit lost in the fabric.
 """
 
 from __future__ import annotations
@@ -32,6 +33,17 @@ FibFactory = Callable[[int], FibTable]
 
 #: Ingress selection policies for :meth:`Cluster.pick_ingress`.
 INGRESS_POLICIES = ("random", "roundrobin", "utilization")
+
+#: Why a routed packet ended where it did (``RouteResult.reason``), by
+#: the code :meth:`Cluster.route_batch` carries per packet.
+_REASONS = (
+    "handled", "unknown_key", "unknown_at_ingress",
+    "unknown_at_lookup_node", "fabric_loss",
+)
+(
+    _HANDLED, _UNKNOWN_KEY, _UNKNOWN_AT_INGRESS, _UNKNOWN_AT_LOOKUP_NODE,
+    _FABRIC_LOSS,
+) = range(len(_REASONS))
 
 
 @dataclass(frozen=True)
@@ -74,20 +86,9 @@ class RouteResult:
         return self
 
     @classmethod
-    def drop(
-        cls,
-        key: int,
-        ingress: int,
-        reason: str,
-        path: Tuple[int, ...] = (),
-        latency_us: float = 0.0,
-    ) -> "RouteResult":
-        """A packet refused where ``path`` ends (nowhere, for a packet
-        dropped before it entered the cluster)."""
-        return cls._of(
-            key, ingress, path, max(len(path) - 1, 0), latency_us,
-            None, None, True, reason,
-        )
+    def drop(cls, key: int, ingress: int, reason: str) -> "RouteResult":
+        """A packet dropped before it entered the cluster."""
+        return cls._of(key, ingress, (), 0, 0.0, None, None, True, reason)
 
     def dropped_as(self, reason: str) -> "RouteResult":
         """This routed packet, refused afterwards (a dead node on its
@@ -103,91 +104,67 @@ class RouteBatchResult(SequenceABC):
 
     Behaves as a sequence of :class:`RouteResult` (so per-packet code and
     older call sites keep working) while exposing the batch as NumPy
-    columns for vectorised analysis.  The vectorised route hands its
-    columns straight in; :meth:`from_results` derives them for the
-    per-packet routes.
+    columns for vectorised analysis.  A packet's path is its ingress
+    node, then its indirect node if it has one, then the node it ends at
+    when that is another hop.
 
     Attributes:
         results: the per-packet :class:`RouteResult` tuple.
         ingress_nodes: node each packet entered at.
+        indirect_nodes: the node between the ends of a two-hop path
+            (hash-partition lookup detour / VLB bounce), ``-1`` if none.
         handler_nodes: node each packet's path ends at — under
             ScaleBricks the GPT's answer, set even when that node's FIB
-            then rejects the key (``-1`` for an empty path).
+            then rejects the key; for a packet lost in the fabric, the
+            node that sent the lost transit.
         egress_nodes: node that accepted each packet (``-1`` if dropped).
         hop_counts: internal fabric transits per packet.
-        indirections: whether the packet crossed an intermediate node
-            (hash-partition lookup detour / VLB bounce).
+        indirections: whether the packet crossed an intermediate node.
         dropped: per-packet drop flag.
+        lost: packets lost in the fabric (reason ``fabric_loss``).
         values: application value per packet (``-1`` if dropped).
         latencies_us: modelled fabric latency per packet.
     """
 
     __slots__ = (
-        "results", "ingress_nodes", "handler_nodes", "egress_nodes",
-        "hop_counts", "indirections", "dropped", "values", "latencies_us",
+        "results", "ingress_nodes", "indirect_nodes", "handler_nodes",
+        "egress_nodes", "hop_counts", "indirections", "dropped", "lost",
+        "values", "latencies_us",
     )
 
     def __init__(
         self,
         results: Sequence[RouteResult],
         ingress_nodes: np.ndarray,
+        indirect_nodes: np.ndarray,
         handler_nodes: np.ndarray,
         egress_nodes: np.ndarray,
         hop_counts: np.ndarray,
         dropped: np.ndarray,
+        lost: np.ndarray,
         values: np.ndarray,
         latencies_us: np.ndarray,
     ) -> None:
         self.results: Tuple[RouteResult, ...] = tuple(results)
         self.ingress_nodes = ingress_nodes
+        self.indirect_nodes = indirect_nodes
         self.handler_nodes = handler_nodes
         self.egress_nodes = egress_nodes
         self.hop_counts = hop_counts
         self.indirections = hop_counts >= 2
         self.dropped = dropped
+        self.lost = lost
         self.values = values
         self.latencies_us = latencies_us
-
-    @classmethod
-    def from_results(
-        cls, results: Sequence[RouteResult]
-    ) -> "RouteBatchResult":
-        """Derive the columns from per-packet results."""
-
-        def ints(column) -> np.ndarray:
-            return np.array(column, dtype=np.int64)
-
-        return cls(
-            results,
-            ingress_nodes=ints([r.ingress for r in results]),
-            handler_nodes=ints(
-                [r.path[-1] if r.path else -1 for r in results]
-            ),
-            egress_nodes=ints(
-                [-1 if r.handled_by is None else r.handled_by
-                 for r in results]
-            ),
-            hop_counts=ints([r.internal_hops for r in results]),
-            dropped=np.array([r.dropped for r in results], dtype=bool),
-            values=ints(
-                [-1 if r.value is None else r.value for r in results]
-            ),
-            latencies_us=np.array(
-                [r.latency_us for r in results], dtype=np.float64
-            ),
-        )
 
     def touches(self, nodes) -> np.ndarray:
         """Mask of packets whose path crosses any of ``nodes``."""
         nodes = list(nodes)
-        mask = np.isin(self.ingress_nodes, nodes) | np.isin(
-            self.handler_nodes, nodes
+        return (
+            np.isin(self.ingress_nodes, nodes)
+            | np.isin(self.indirect_nodes, nodes)
+            | np.isin(self.handler_nodes, nodes)
         )
-        # Only a detoured path (hash-partition, VLB) has nodes between
-        # its ends; ScaleBricks never does.
-        for j in np.nonzero(self.indirections & ~mask)[0].tolist():
-            mask[j] = any(n in nodes for n in self.results[j].path[1:-1])
-        return mask
 
     def __len__(self) -> int:
         return len(self.results)
@@ -197,7 +174,13 @@ class RouteBatchResult(SequenceABC):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return RouteBatchResult.from_results(self.results[index])
+            return RouteBatchResult(
+                self.results[index], self.ingress_nodes[index],
+                self.indirect_nodes[index], self.handler_nodes[index],
+                self.egress_nodes[index], self.hop_counts[index],
+                self.dropped[index], self.lost[index], self.values[index],
+                self.latencies_us[index],
+            )
         return self.results[index]
 
     @property
@@ -207,7 +190,7 @@ class RouteBatchResult(SequenceABC):
 
     @property
     def dropped_count(self) -> int:
-        """Packets rejected by the terminal node's exact FIB."""
+        """Packets refused on their path or lost in the fabric."""
         return int(self.dropped.sum())
 
     @property
@@ -533,64 +516,178 @@ class Cluster:
             np.int64
         )
 
-    def route(
-        self,
-        key: Key,
-        ingress: Optional[int] = None,
-        size: int = 64,
-    ) -> RouteResult:
-        """Walk one packet from its ingress to its handling node."""
-        ckey = hashfamily.canonical_key(key)
-        if ingress is None:
-            ingress = self.pick_ingress()
-        elif type(ingress) is not int or not 0 <= ingress < len(self.nodes):
-            ingress = int(self._ingress_column([ingress], 1)[0])
-        arch = self.architecture
-        if arch is Architecture.SCALEBRICKS:
-            result = self._route_scalebricks(ckey, ingress, size)
-        elif arch is Architecture.HASH_PARTITION:
-            result = self._route_hash_partition(ckey, ingress, size)
-        elif arch is Architecture.ROUTEBRICKS_VLB:
-            result = self._route_vlb(ckey, ingress, size)
-        else:
-            result = self._route_full_duplication(ckey, ingress, size)
-        self._m_routed.inc()
-        if result.dropped:
-            self._m_dropped.inc()
-        else:
-            self._m_delivered.inc()
-        self._m_hops.observe(result.internal_hops)
-        if result.internal_hops >= 2:
-            self._m_indirections.inc()
-        return result
+    def route(self, key: Key, ingress: Optional[int] = None) -> RouteResult:
+        """Walk one packet from its ingress to its handling node: a batch
+        of one."""
+        return self.route_batch(
+            [key], None if ingress is None else [ingress]
+        )[0]
 
     def route_batch(
         self,
         keys: Union[Sequence[Key], np.ndarray],
         ingress: Optional[Sequence[int]] = None,
     ) -> RouteBatchResult:
-        """Route many keys; returns a typed :class:`RouteBatchResult`.
+        """Route many keys along the path Figure 2 draws for the
+        architecture; returns a typed :class:`RouteBatchResult`.
 
-        The result iterates as a sequence of :class:`RouteResult` (the
-        historical list shape) and additionally carries the batch as NumPy
-        arrays (egress node, hop count, indirection flag, ...).  An
-        ``ingress`` that is not one node id per key is a ``ValueError``
-        before any counter, random draw or fabric call.
+        Every architecture is the same stages over carried columns:
+
+        1. an ingress lookup — the ingress GPT replica (ScaleBricks), the
+           ingress FIB (full duplication and VLB; an unknown key drops
+           there, ``unknown_at_ingress``), none (hash partitioning);
+        2. a middle leg — to the key's lookup node, whose FIB slice names
+           the handler (hash partitioning; ``unknown_at_lookup_node``),
+           or to a seeded indirect node for each packet not already at
+           its handler (VLB);
+        3. the transit to the handler;
+        4. :meth:`ClusterNode.handle_batch` there (``unknown_key``).
+
+        Each lookup stage splits the batch by node with one stable sort
+        and hands each table a contiguous slice hashed once for all of
+        them; packets at different nodes consult their own replicas,
+        which may differ.  Each leg is one
+        :meth:`~repro.fabric.Fabric.deliver_batch`: a transit lost there
+        ends its packet as ``fabric_loss``, which the fabric counts and
+        the ``cluster.*`` counters do not.  An ``ingress`` that is not one
+        node id per key is a ``ValueError`` before any counter, random
+        draw or fabric call.
         """
         keys_arr = hashfamily.canonical_keys(keys)
         if ingress is None:
             ingress_arr = self.pick_ingress_batch(len(keys_arr))
         else:
             ingress_arr = self._ingress_column(ingress, len(keys_arr))
-        if (
-            len(keys_arr)
-            and self.architecture is Architecture.SCALEBRICKS
-            and self.fabric.fault_hook is None
-            and not self.fabric.has_link_faults()
-        ):
-            return self._route_batch_scalebricks(keys_arr, ingress_arr)
-        return RouteBatchResult.from_results(
-            list(map(self.route, keys_arr.tolist(), ingress_arr.tolist()))
+        n = keys_arr.size
+        arch = self.architecture
+        hp = arch is Architecture.HASH_PARTITION
+        vlb = arch is Architecture.ROUTEBRICKS_VLB
+        # Per packet: the node it is at, its transits so far, its reason
+        # (set where it stops) and the node its detour crossed.  (Array
+        # methods, not ``np.full``: each wrapper is Python calls per batch.)
+        at = ingress_arr.copy()
+        hops = np.zeros(n, dtype=np.int64)
+        latencies = np.zeros(n, dtype=np.float64)
+        reasons = np.empty(n, dtype=np.int64)
+        reasons.fill(_UNKNOWN_KEY)
+        middle = np.empty(n, dtype=np.int64)
+        middle.fill(-1)
+
+        def leg(rows: np.ndarray, dsts: np.ndarray, credit: np.ndarray):
+            """Move packets ``rows`` from where they are to ``dsts`` in one
+            fabric call; a transit counts at its receiver and as forwarded
+            at ``credit``.  Returns the mask of the packets that arrived."""
+            srcs = at[rows]
+            lat, lost = self.fabric.deliver_batch(srcs, dsts)
+            latencies[rows] += lat
+            moved = srcs != dsts
+            moved &= ~lost
+            hops[rows] += moved
+            for node, received, sent in zip(
+                self.nodes,
+                np.bincount(dsts[moved], minlength=len(self.nodes)).tolist(),
+                np.bincount(credit[moved], minlength=len(self.nodes)).tolist(),
+            ):
+                node.counters.internal_rx += received
+                node.counters.forwarded += sent
+            at[rows[moved]] = dsts[moved]
+            reasons[rows[lost]] = _FABRIC_LOSS
+            return ~lost
+
+        rows = np.arange(n)
+        if arch is Architecture.SCALEBRICKS:
+            targets = np.empty(n, dtype=np.int64)
+            for node, run, batch in self._runs(
+                keys_arr, ingress_arr, "separator"
+            ):
+                node.counters.external_rx += len(run)
+                node.counters.gpt_lookups += len(run)
+                targets[run] = node.gpt.lookup_batch(batch)
+        else:
+            for node, count in zip(self.nodes, np.bincount(
+                ingress_arr, minlength=len(self.nodes)
+            ).tolist()):
+                node.counters.external_rx += count
+            if hp:
+                rows = rows[leg(rows, self.lookup_nodes_batch(keys_arr),
+                                ingress_arr)]
+                middle[rows] = at[rows]
+            found, targets = self._at_nodes(
+                keys_arr, rows, at[rows], ClusterNode.locate_batch
+            )
+            reasons[rows[~found]] = (
+                _UNKNOWN_AT_LOOKUP_NODE if hp else _UNKNOWN_AT_INGRESS
+            )
+            rows, targets = rows[found], targets[found]
+            if vlb:
+                detour = targets != at[rows]
+                bounced = rows[detour]
+                indirect = self.fabric.pick_indirect(
+                    at[bounced], targets[detour]
+                )
+                middle[bounced] = indirect
+                # The indirect node counts as forwarding on arrival, the
+                # ingress once the second transit lands.
+                keep = ~detour
+                keep[detour] = leg(bounced, indirect, indirect)
+                rows, targets = rows[keep], targets[keep]
+        arrived = leg(rows, targets, (ingress_arr if vlb else at)[rows])
+        rows, targets = rows[arrived], targets[arrived]
+
+        found = np.zeros(n, dtype=bool)
+        values = np.empty(n, dtype=np.int64)
+        values.fill(-1)
+        found[rows], values[rows] = self._at_nodes(
+            keys_arr, rows, targets, ClusterNode.handle_batch
+        )
+        reasons[found] = _HANDLED
+        lost = reasons == _FABRIC_LOSS
+        # A detour is a middle node only on a path that crossed it.
+        indirect_nodes = middle
+        if hp or vlb:
+            indirect_nodes = np.where(hops == 2, middle, -1)
+
+        results = [
+            RouteResult._of(
+                key, ing,
+                (ing,) if not hop else (ing, end) if hop == 1
+                else (ing, mid, end),
+                hop, latency, end if hit else None, value if hit else None,
+                not hit, _REASONS[reason],
+            )
+            for key, ing, mid, end, hop, latency, hit, value, reason in zip(
+                keys_arr.tolist(), ingress_arr.tolist(),
+                indirect_nodes.tolist(), at.tolist(), hops.tolist(),
+                latencies.tolist(), found.tolist(), values.tolist(),
+                reasons.tolist(),
+            )
+        ]
+
+        # A packet lost in flight is the fabric's to count.
+        counted = hops[~lost]
+        delivered = int(found.sum())
+        if counted.size:
+            self._m_routed.inc(counted.size)
+        if counted.size - delivered:
+            self._m_dropped.inc(counted.size - delivered)
+        if delivered:
+            self._m_delivered.inc(delivered)
+        self._m_hops.observe_many(counted)
+        if hp or vlb:
+            indirections = int((counted >= 2).sum())
+            if indirections:
+                self._m_indirections.inc(indirections)
+        return RouteBatchResult(
+            results,
+            ingress_nodes=ingress_arr,
+            indirect_nodes=indirect_nodes,
+            handler_nodes=at,
+            egress_nodes=np.where(found, at, -1),
+            hop_counts=hops,
+            dropped=~found,
+            lost=lost,
+            values=values,
+            latencies_us=latencies,
         )
 
     def _ingress_column(self, ingress, count: int) -> np.ndarray:
@@ -620,186 +717,16 @@ class Cluster:
         for node, start, stop in runs:
             yield self.nodes[node], order[start:stop], batch[start:stop]
 
-    def _route_batch_scalebricks(
-        self,
-        keys_arr: np.ndarray,
-        ingress_arr: np.ndarray,
-        size: int = 64,
-    ) -> RouteBatchResult:
-        """Vectorised ScaleBricks routing (paper §4.3's batched pipeline).
-
-        Counter totals, fabric accounting and the per-packet
-        :class:`RouteResult` values are identical to routing each packet
-        through :meth:`route`; only the per-packet Python call stack is
-        gone.  The batch is sorted once by ingress node and once by
-        handler, so every GPT replica (each packet still consults its own
-        ingress replica: replicas may differ) and every FIB is handed a
-        contiguous slice of keys hashed once for all of them.
-        """
-        n = keys_arr.size
-        num_nodes = len(self.nodes)
-        handlers = np.empty(n, dtype=np.int64)
-        for node, rows, keys in self._runs(keys_arr, ingress_arr, "separator"):
-            node.counters.external_rx += len(rows)
-            node.counters.gpt_lookups += len(rows)
-            handlers[rows] = node.gpt.lookup_batch(keys)
-
-        remote = handlers != ingress_arr
-        latencies = self.fabric.deliver_batch(ingress_arr, handlers, size)
-        for node, rx, forwarded in zip(
-            self.nodes,
-            np.bincount(handlers[remote], minlength=num_nodes).tolist(),
-            np.bincount(ingress_arr[remote], minlength=num_nodes).tolist(),
-        ):
-            node.counters.internal_rx += rx
-            node.counters.forwarded += forwarded
-
-        found = np.empty(n, dtype=bool)
-        values = np.empty(n, dtype=np.int64)
-        for node, rows, keys in self._runs(keys_arr, handlers, "fib"):
-            found[rows], values[rows] = node.handle_batch(keys)
-
-        hop_counts = remote.astype(np.int64)
-        results = [
-            RouteResult._of(
-                key, ing, (ing, handler) if hop else (ing,), hop, latency,
-                handler if hit else None, value if hit else None, not hit,
-                "handled" if hit else "unknown_key",
-            )
-            for key, ing, handler, hop, latency, hit, value in zip(
-                keys_arr.tolist(), ingress_arr.tolist(), handlers.tolist(),
-                hop_counts.tolist(), latencies.tolist(), found.tolist(),
-                values.tolist(),
-            )
-        ]
-
-        dropped_count = n - int(found.sum())
-        self._m_routed.inc(n)
-        if dropped_count:
-            self._m_dropped.inc(dropped_count)
-        if n - dropped_count:
-            self._m_delivered.inc(n - dropped_count)
-        self._m_hops.observe_many(hop_counts)
-        return RouteBatchResult(
-            results,
-            ingress_nodes=ingress_arr,
-            handler_nodes=handlers,
-            egress_nodes=np.where(found, handlers, -1),
-            hop_counts=hop_counts,
-            dropped=~found,
-            values=values,
-            latencies_us=latencies,
-        )
-
-    def _finish(
-        self,
-        ckey: int,
-        ingress: int,
-        path: List[int],
-        latency: float,
-        handler: int,
-    ) -> RouteResult:
-        """Terminal handling at ``handler`` with drop accounting."""
-        value = self.nodes[handler].handle(ckey)
-        dropped = value is None
-        return RouteResult(
-            key=ckey,
-            ingress=ingress,
-            path=tuple(path),
-            internal_hops=len(path) - 1,
-            latency_us=latency,
-            handled_by=None if dropped else handler,
-            value=value,
-            dropped=dropped,
-            reason="unknown_key" if dropped else "handled",
-        )
-
-    def _route_full_duplication(
-        self, ckey: int, ingress: int, size: int
-    ) -> RouteResult:
-        node = self.nodes[ingress]
-        node.counters.external_rx += 1
-        found = node.fib_lookup(ckey)
-        if found is None:
-            node.counters.dropped += 1
-            return RouteResult.drop(
-                ckey, ingress, "unknown_at_ingress", path=(ingress,)
-            )
-        handler, _ = found
-        latency = self.fabric.deliver(ingress, handler, size)
-        path = [ingress] if handler == ingress else [ingress, handler]
-        if handler != ingress:
-            self.nodes[handler].counters.internal_rx += 1
-            node.counters.forwarded += 1
-        return self._finish(ckey, ingress, path, latency, handler)
-
-    def _route_vlb(self, ckey: int, ingress: int, size: int) -> RouteResult:
-        node = self.nodes[ingress]
-        node.counters.external_rx += 1
-        found = node.fib_lookup(ckey)
-        if found is None:
-            node.counters.dropped += 1
-            return RouteResult.drop(
-                ckey, ingress, "unknown_at_ingress", path=(ingress,)
-            )
-        handler, _ = found
-        path = [ingress]
-        latency = 0.0
-        if handler != ingress:
-            indirect = self.fabric.pick_indirect(ingress, handler)
-            latency += self.fabric.deliver(ingress, indirect, size)
-            self.nodes[indirect].counters.internal_rx += 1
-            self.nodes[indirect].counters.forwarded += 1
-            path.append(indirect)
-            latency += self.fabric.deliver(indirect, handler, size)
-            self.nodes[handler].counters.internal_rx += 1
-            node.counters.forwarded += 1
-            path.append(handler)
-        return self._finish(ckey, ingress, path, latency, handler)
-
-    def _route_hash_partition(
-        self, ckey: int, ingress: int, size: int
-    ) -> RouteResult:
-        node = self.nodes[ingress]
-        node.counters.external_rx += 1
-        lookup_node_id = self.lookup_node_of(ckey)
-        path = [ingress]
-        latency = 0.0
-        if lookup_node_id != ingress:
-            latency += self.fabric.deliver(ingress, lookup_node_id, size)
-            self.nodes[lookup_node_id].counters.internal_rx += 1
-            node.counters.forwarded += 1
-            path.append(lookup_node_id)
-        lookup_node = self.nodes[lookup_node_id]
-        found = lookup_node.fib_lookup(ckey)
-        if found is None:
-            lookup_node.counters.dropped += 1
-            return RouteResult.drop(
-                ckey, ingress, "unknown_at_lookup_node",
-                path=tuple(path), latency_us=latency,
-            )
-        handler, _ = found
-        if handler != lookup_node_id:
-            latency += self.fabric.deliver(lookup_node_id, handler, size)
-            self.nodes[handler].counters.internal_rx += 1
-            lookup_node.counters.forwarded += 1
-            path.append(handler)
-        return self._finish(ckey, ingress, path, latency, handler)
-
-    def _route_scalebricks(
-        self, ckey: int, ingress: int, size: int
-    ) -> RouteResult:
-        node = self.nodes[ingress]
-        node.counters.external_rx += 1
-        handler = node.gpt_lookup(ckey)
-        path = [ingress]
-        latency = 0.0
-        if handler != ingress:
-            latency = self.fabric.deliver(ingress, handler, size)
-            self.nodes[handler].counters.internal_rx += 1
-            node.counters.forwarded += 1
-            path.append(handler)
-        return self._finish(ckey, ingress, path, latency, handler)
+    def _at_nodes(self, keys_arr, rows, ids, stage):
+        """``stage(node, batch) -> (found, column)`` at each node of
+        ``ids`` over its packets of ``rows`` (one FIB-hashed slice per
+        node); returns ``found`` and the column, aligned with ``rows``."""
+        keys = keys_arr if rows.size == keys_arr.size else keys_arr[rows]
+        found = np.empty(rows.size, dtype=bool)
+        column = np.empty(rows.size, dtype=np.int64)
+        for node, run, batch in self._runs(keys, ids, "fib"):
+            found[run], column[run] = stage(node, batch)
+        return found, column
 
     # ------------------------------------------------------------------
     # Introspection

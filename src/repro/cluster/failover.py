@@ -116,23 +116,19 @@ class FailoverManager:
         flow whose lookup node failed.
         """
         cluster = self.cluster
-        own = 0
+        entries = list(cluster.rib.entries())
+        handlers = np.array([entry.node for entry in entries], dtype=np.int64)
+        own = handlers == failed_node
         collateral = 0
-        total = 0
-        for entry in cluster.rib.entries():
-            total += 1
-            if entry.node == failed_node:
-                own += 1
-                continue
-            if (
-                cluster.architecture is Architecture.HASH_PARTITION
-                and cluster.lookup_node_of(entry.key) == failed_node
-            ):
-                collateral += 1
+        if cluster.architecture is Architecture.HASH_PARTITION:
+            lookup_nodes = cluster.lookup_nodes_batch(
+                np.array([entry.key for entry in entries], dtype=np.uint64)
+            )
+            collateral = int(((lookup_nodes == failed_node) & ~own).sum())
         return FailureImpact(
             failed_node=failed_node,
-            total_flows=total,
-            lost_own_flows=own,
+            total_flows=len(entries),
+            lost_own_flows=int(own.sum()),
             lost_collateral_flows=collateral,
         )
 

@@ -8,16 +8,20 @@ ScaleBricks — a GPT replica plus the partial FIB of the flows it handles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.architectures import Architecture
-from repro.core.hashfamily import HashedKeys, canonical_keys
+from repro.core.hashfamily import HashedKeys
 from repro.core.setsep import Key
 from repro.gpt.gpt import GlobalPartitionTable
 from repro.hashtables.interface import FibTable
+
+#: Low bits of a baseline FIB entry that hold its handling node.
+NODE_BITS = 16
+_NODE_MASK = (1 << NODE_BITS) - 1
 
 
 @dataclass
@@ -72,14 +76,16 @@ class ClusterNode:
     def install_route(self, key: Key, node: int, value: int) -> None:
         """Install a FIB entry on this node.
 
-        Under full duplication / VLB the entry carries the handling node and
-        value; under ScaleBricks only the value is needed (this node *is*
-        the handling node); the hash-partitioned slice stores both.
+        Under ScaleBricks the entry is the value (this node *is* the
+        handling node); under full duplication, VLB and hash partitioning
+        it is the handling node and the value packed into one int
+        (``value << NODE_BITS | node``), which only this class decodes:
+        :meth:`locate_batch` the node, :meth:`handle_batch` the value.
         """
         if self.architecture is Architecture.SCALEBRICKS:
             self.fib.insert(key, value)
         else:
-            self.fib.insert(key, (node, value))
+            self.fib.insert(key, value << NODE_BITS | node)
 
     def install_routes(
         self, keys: np.ndarray, nodes: List[int], values: List[int]
@@ -89,7 +95,9 @@ class ClusterNode:
         if self.architecture is Architecture.SCALEBRICKS:
             self.fib.insert_many(keys, values)
         else:
-            self.fib.insert_many(keys, list(zip(nodes, values)))
+            self.fib.insert_many(keys, [
+                value << NODE_BITS | node for node, value in zip(nodes, values)
+            ])
 
     def remove_route(self, key: Key) -> bool:
         """Drop a FIB entry; returns whether it existed."""
@@ -99,55 +107,31 @@ class ClusterNode:
     # Lookup paths
     # ------------------------------------------------------------------
 
-    def gpt_lookup(self, key: Key) -> int:
-        """ScaleBricks ingress path: compact GPT, never says "not found"."""
-        if self.gpt is None:
-            raise RuntimeError("node has no GPT replica")
-        self.counters.gpt_lookups += 1
-        return self.gpt.lookup(key)
-
-    def fib_lookup(self, key: Key) -> Optional[object]:
-        """Exact FIB lookup with miss accounting."""
-        self.counters.fib_lookups += 1
-        found = self.fib.lookup(key)
-        if found is None:
-            self.counters.fib_misses += 1
-        return found
-
-    def handle(self, key: Key) -> Optional[int]:
-        """Terminal processing at the handling node.
-
-        Returns the application value (e.g. the flow's TEID) or ``None``
-        when the key is unknown here — the exact-FIB rejection that makes
-        the GPT's one-sided error safe (§3.2).
-        """
-        found = self.fib_lookup(key)
-        if found is None:
-            self.counters.dropped += 1
-            return None
-        self.counters.handled += 1
-        if self.architecture is Architecture.SCALEBRICKS:
-            return found  # type: ignore[return-value]
-        _, value = found  # type: ignore[misc]
-        return value
+    def locate_batch(self, keys: HashedKeys) -> Tuple[np.ndarray, np.ndarray]:
+        """The baselines' lookup stage: ``(found, handlers)``, each key's
+        handling node by this node's FIB, ``-1`` for a key unknown here.
+        Each key counts one FIB lookup; a miss also a drop here."""
+        found, entries = self.fib.lookup_batch_array(keys)
+        misses = len(keys) - int(found.sum())
+        self.counters.fib_lookups += len(keys)
+        self.counters.fib_misses += misses
+        self.counters.dropped += misses
+        return found, np.where(found, entries & _NODE_MASK, -1)
 
     def handle_batch(self, keys: HashedKeys) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`handle` of a ScaleBricks batch: ``(found, values)``,
-        ``-1`` for a key unknown here, counters as ``len(keys)`` calls."""
-        try:
-            found, values = self.fib.lookup_batch_array(keys)
-        except TypeError:  # non-integer values: per key, from plain keys
-            raw = self.fib.lookup_batch(canonical_keys(keys))
-            found = np.asarray([v is not None for v in raw], dtype=bool)
-            values = np.asarray(
-                [-1 if v is None else int(v) for v in raw], dtype=np.int64
-            )
+        """Terminal processing at the handling node: ``(found, values)``,
+        ``-1`` for a key unknown here — the exact-FIB rejection that makes
+        the GPT's one-sided error safe (§3.2).  Counted as
+        :meth:`locate_batch` is, each hit also as handled."""
+        found, entries = self.fib.lookup_batch_array(keys)
         hits = int(found.sum())
         self.counters.fib_lookups += len(keys)
         self.counters.fib_misses += len(keys) - hits
         self.counters.dropped += len(keys) - hits
         self.counters.handled += hits
-        return found, values
+        if self.architecture is Architecture.SCALEBRICKS:
+            return found, entries
+        return found, np.where(found, entries >> NODE_BITS, -1)
 
     # ------------------------------------------------------------------
     # Memory accounting

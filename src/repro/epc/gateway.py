@@ -321,6 +321,10 @@ class EpcGateway:
             "gateway.drops.node_down",
             "packets lost because their path crossed a dead node",
         )
+        self._c_drop_fabric_loss = r.counter(
+            "gateway.drops.fabric_loss",
+            "packets whose fabric transit was lost in flight",
+        )
         self.rate_limit_bytes_per_s = rate_limit_bytes_per_s
         self.now = 0.0
         self.tick = 1e-5
@@ -436,7 +440,10 @@ class EpcGateway:
         any size, down to the batch of one that :meth:`process_downstream`
         is, changes no output byte, charge or counter (but
         ``gateway.fastpath.batches``) and neither the RNG nor the clock
-        trajectory.  The optional ``ingress`` sequence pins per-frame
+        trajectory — except which transits a fabric fault hook drops on
+        the two-leg architectures, where a batch takes its verdicts leg
+        by leg.  A frame whose transit is lost is a ``fabric_loss`` drop,
+        never charged.  The optional ``ingress`` sequence pins per-frame
         ingress nodes; an entry that is neither ``None`` nor a node id is
         a ``ValueError`` before any counter or random draw.
         """
@@ -517,23 +524,30 @@ class EpcGateway:
                 for i, j in zip(routed_idx[rows].tolist(), rows.tolist()):
                     results[i] = (batch.results[j].dropped_as(reason), None)
 
-            node_down = np.zeros(routed_idx.size, dtype=bool)
+            # A lost transit and a path through a dead node are counted,
+            # never charged; the loss is reported first.
+            refused = batch.lost
+            lost_j = refused.nonzero()[0]
+            if lost_j.size:
+                self._c_drop_fabric_loss.inc(int(lost_j.size))
             if self.down_nodes:
-                node_down = batch.touches(self.down_nodes)
+                node_down = batch.touches(self.down_nodes) & ~refused
                 down_j = node_down.nonzero()[0]
                 if down_j.size:
                     self._c_drop_node_down.inc(int(down_j.size))
                     refuse(down_j, "node_down")
+                    refused = refused | node_down
 
-            unknown_j = (batch.dropped & ~node_down).nonzero()[0]
+            unknown_j = (batch.dropped & ~refused).nonzero()[0]
             if unknown_j.size:
                 self._c_drop_unknown.inc(int(unknown_j.size))
-                for i, j in zip(
-                    routed_idx[unknown_j].tolist(), unknown_j.tolist()
-                ):
-                    results[i] = (batch.results[j], None)
+            for i, j in zip(
+                routed_idx[lost_j].tolist() + routed_idx[unknown_j].tolist(),
+                lost_j.tolist() + unknown_j.tolist(),
+            ):
+                results[i] = (batch.results[j], None)
 
-            accepted_j = (~batch.dropped & ~node_down).nonzero()[0]
+            accepted_j = (~batch.dropped & ~refused).nonzero()[0]
             accepted_idx = routed_idx[accepted_j]
             self._h_fabric_hop.observe_many(batch.latencies_us[accepted_j])
 

@@ -71,20 +71,6 @@ BACKENDS = ("crossbar", "fattree")
 BACKEND_ENV = "REPRO_FABRIC_BACKEND"
 
 
-class FabricLoss(RuntimeError):
-    """A transit was dropped in flight by an injected fabric fault.
-
-    Carried out of :meth:`Fabric.deliver` so the caller (e.g. the chaos
-    harness) can attribute the loss to the injection rather than to the
-    forwarding logic.
-    """
-
-    def __init__(self, src: int, dst: int) -> None:
-        super().__init__(f"transit {src} -> {dst} lost to injected fault")
-        self.src = src
-        self.dst = dst
-
-
 @dataclass
 class FabricStats:
     """Aggregate interconnect accounting (shared by every topology).
@@ -166,11 +152,11 @@ class Fabric:
     # What a topology supplies
     # ------------------------------------------------------------------
 
-    def _route(self, src: int, dst: int) -> Route:
+    def _route(self, src: int, dst: int) -> Optional[Route]:
         """The link path and switch hop count of one ``src != dst`` transit.
 
-        Applies the topology's link faults: raises :class:`FabricLoss`
-        when no live path exists (the base counts the drop).
+        Applies the topology's link faults: ``None`` when no live path
+        exists (the base counts the loss).
         """
         raise NotImplementedError
 
@@ -196,44 +182,6 @@ class Fabric:
     # Delivery
     # ------------------------------------------------------------------
 
-    def deliver(self, src: int, dst: int, size: int = 64) -> float:
-        """Move one packet from ``src`` to ``dst``; returns transit latency.
-
-        Delivery to self is free (no fabric transit).  Otherwise the
-        fault hook's verdict is taken first, then the topology's route;
-        a duplicated transit crosses its path twice (same arrival latency
-        for the first copy), a delayed one arrives :data:`DELAY_FACTOR`
-        times later.
-
-        Raises:
-            FabricLoss: when an installed :attr:`fault_hook` drops the
-                transit or no live path exists (chaos testing; never
-                raised on a healthy fabric).
-        """
-        self._check(src)
-        self._check(dst)
-        if src == dst:
-            return 0.0
-        verdict = DELIVER if self.fault_hook is None else self.fault_hook(
-            src, dst, size
-        )
-        if verdict == DROP:
-            self.stats.dropped += 1
-            raise FabricLoss(src, dst)
-        try:
-            path, hops = self._route(src, dst)
-        except FabricLoss:
-            self.stats.dropped += 1
-            raise
-        latency = self._traverse(path, hops, size)
-        if verdict == DUPLICATE:
-            self._traverse(path, hops, size)
-            self.stats.duplicated += 1
-        elif verdict == DELAY:
-            self.stats.delayed += 1
-            latency *= DELAY_FACTOR
-        return latency
-
     def _traverse(
         self, path: Tuple[Link, ...], hops: int, size: int
     ) -> float:
@@ -256,38 +204,58 @@ class Fabric:
         srcs: np.ndarray,
         dsts: np.ndarray,
         size: int = 64,
-    ) -> np.ndarray:
-        """Move many packets; returns per-packet transit latencies.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Move many packets, in order; returns ``(latencies, lost)``.
 
-        Exactly :meth:`deliver` element-wise, in order: fault verdicts and
-        any per-window queueing depend on delivery order.  Mismatched
-        shapes or an unattached node are a ``ValueError`` before anything
-        is delivered; a :class:`FabricLoss` propagates with the packets
-        before it delivered.
+        A packet to its own node is free: no transit and no verdict.  Each
+        remote transit takes one :attr:`fault_hook` verdict, in batch
+        order, then the topology's route: a ``DROP``, or no live path,
+        loses it (``lost`` set, latency 0, ``stats.dropped`` counted; a
+        loss is never raised).  A duplicated transit crosses its path
+        twice (same arrival latency for the first copy), a delayed one
+        arrives :data:`DELAY_FACTOR` times later.  Mismatched shapes or an
+        unattached node are a ``ValueError`` before anything moves.
         """
         srcs, dsts = self._check_batch(srcs, dsts)
-        return np.asarray(
-            [
-                self.deliver(s, d, size)
-                for s, d in zip(srcs.tolist(), dsts.tolist())
-            ],
-            dtype=np.float64,
-        )
+        latencies = np.zeros(srcs.size, dtype=np.float64)
+        lost = np.zeros(srcs.size, dtype=bool)
+        hook = self.fault_hook
+        remote = np.flatnonzero(srcs != dsts)
+        for j, src, dst in zip(
+            remote.tolist(), srcs[remote].tolist(), dsts[remote].tolist()
+        ):
+            verdict = DELIVER if hook is None else hook(src, dst, size)
+            route = None if verdict == DROP else self._route(src, dst)
+            if route is None:
+                self.stats.dropped += 1
+                lost[j] = True
+                continue
+            path, hops = route
+            latency = self._traverse(path, hops, size)
+            if verdict == DUPLICATE:
+                self._traverse(path, hops, size)
+                self.stats.duplicated += 1
+            elif verdict == DELAY:
+                self.stats.delayed += 1
+                latency *= DELAY_FACTOR
+            latencies[j] = latency
+        return latencies, lost
 
-    def pick_indirect(self, src: int, dst: int) -> int:
-        """Choose a VLB indirect node distinct from source and destination.
+    def pick_indirect(self, srcs, dsts) -> np.ndarray:
+        """VLB indirect nodes for ``src != dst`` pairs, each distinct from
+        its source and destination: one seeded draw per pair, in order.
 
-        With fewer than three nodes there is no usable indirect node and the
-        packet goes direct (degenerate VLB).
+        With fewer than three nodes there is no usable indirect node and
+        each packet goes direct (degenerate VLB: its ``dst``).
         """
-        self._check(src)
-        self._check(dst)
-        candidates = [
-            n for n in range(self.num_nodes) if n not in (src, dst)
-        ]
-        if not candidates:
-            return dst
-        return int(self._rng.choice(candidates))
+        srcs, dsts = self._check_batch(srcs, dsts)
+        if self.num_nodes < 3:
+            return dsts.copy()
+        # The draw-th node of the ascending candidates, skipping both ends.
+        picks = self._rng.integers(self.num_nodes - 2, size=srcs.size)
+        picks += picks >= np.minimum(srcs, dsts)
+        picks += picks >= np.maximum(srcs, dsts)
+        return picks
 
     # ------------------------------------------------------------------
     # Link-level faults (chaos: LINK_DOWN / LINK_DEGRADED / LINK_HEAL)
@@ -403,7 +371,6 @@ __all__ = [
     "DROP",
     "DUPLICATE",
     "Fabric",
-    "FabricLoss",
     "FabricStats",
     "Link",
     "backend_of",

@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.fabric import Fabric, FabricLoss, Link, Route
+from repro.fabric import Fabric, Link, Route
 
 
 class SwitchFabric(Fabric):
@@ -24,26 +24,20 @@ class SwitchFabric(Fabric):
 
     backend = "crossbar"
 
-    def _route(self, src: int, dst: int) -> Route:
+    def _route(self, src: int, dst: int) -> Optional[Route]:
         link = (src, dst)
-        if link in self._down_links:
-            raise FabricLoss(src, dst)
-        return (link,), 1
+        return None if link in self._down_links else ((link,), 1)
 
     def deliver_batch(
         self,
         srcs: np.ndarray,
         dsts: np.ndarray,
         size: int = 64,
-    ) -> np.ndarray:
-        """Move many packets at once; returns per-packet transit latencies.
-
-        Equivalent to calling :meth:`deliver` element-wise (and delegates
-        to the base's per-packet path when a :attr:`fault_hook` or link
-        fault is active, so fault verdicts keep their per-transit
-        ordering), but accounts lossless traffic with a handful of array
-        reductions instead of a Python call per packet.
-        """
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The base's :meth:`~repro.fabric.Fabric.deliver_batch`, with
+        lossless traffic accounted in a handful of array reductions
+        instead of a Python step per packet (the base's per-transit path
+        runs whenever a :attr:`fault_hook` or link fault is set)."""
         if self.fault_hook is not None or self.has_link_faults():
             return super().deliver_batch(srcs, dsts, size)
         srcs, dsts = self._check_batch(srcs, dsts)
@@ -61,7 +55,10 @@ class SwitchFabric(Fabric):
             links = np.flatnonzero(counts)
             for link, c in zip(links.tolist(), counts[links].tolist()):
                 self.stats.record_link(divmod(link, n), c)
-        return np.where(remote, self.transit_latency_us, 0.0)
+        return (
+            np.where(remote, self.transit_latency_us, 0.0),
+            np.zeros(remote.size, dtype=bool),
+        )
 
     def links(self) -> Tuple[Link, ...]:
         """Every directed node pair, in deterministic order."""

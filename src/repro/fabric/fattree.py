@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.fabric import Fabric, FabricLoss, Link, Route
+from repro.fabric import Fabric, Link, Route
 
 #: Mixing constants for the deterministic ECMP hash (Fibonacci/Murmur
 #: multipliers; any fixed odd constants work, these match the repo's
@@ -198,18 +198,18 @@ class FatTreeFabric(Fabric):
     # Delivery
     # ------------------------------------------------------------------
 
-    def _route(self, src: int, dst: int) -> Route:
+    def _route(self, src: int, dst: int) -> Optional[Route]:
         """Intra-leaf: up, down (one hop).  Inter-leaf: up, the ECMP
         spine's uplink and downlink, down (three hops).
 
-        Edge links have no alternate (loss); a downed trunk fails over to
-        the next spine in hash order, counted as a reroute; with every
-        spine path severed the transit is lost.
+        Edge links have no alternate (``None``: lost); a downed trunk
+        fails over to the next spine in hash order, counted as a reroute;
+        with every spine path severed the transit is lost.
         """
         up: Link = ("up", src)
         down: Link = ("down", dst)
         if up in self._down_links or down in self._down_links:
-            raise FabricLoss(src, dst)
+            return None
         leaf_src = int(self._leaf_of[src])
         leaf_dst = int(self._leaf_of[dst])
         if leaf_src == leaf_dst:
@@ -224,7 +224,7 @@ class FatTreeFabric(Fabric):
             if offset:
                 self.stats.reroutes += 1
             return (up, uplink, downlink, down), 3
-        raise FabricLoss(src, dst)
+        return None
 
     def _traverse(
         self, path: Tuple[Link, ...], hops: int, size: int

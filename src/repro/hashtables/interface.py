@@ -68,8 +68,8 @@ class FibTable(abc.ABC):
         ``values`` an ``int64`` array carrying ``missing`` for absent keys.
         This is the shape the batched forwarding fast path consumes — no
         per-key Python objects cross the boundary.  Tables holding
-        non-integer values raise :class:`TypeError`; callers fall back to
-        :meth:`lookup_batch`.  An integer key outside ``[0, 2**64)`` is a
+        non-integer values raise :class:`TypeError` (read those with
+        :meth:`lookup_batch`).  An integer key outside ``[0, 2**64)`` is a
         ``ValueError`` (:func:`checked_keys`), not a miss.
         """
         results = self.lookup_batch(checked_keys(keys))

@@ -26,6 +26,13 @@ def unique_keys(count: int, seed: int = 1, low: int = 1, high: int = 2**62) -> n
     return keys[:count]
 
 
+def deliver(fabric, src: int, dst: int, size: int = 64):
+    """One transit as a ``deliver_batch`` of one: its latency, or
+    ``None`` when the fabric lost it."""
+    latencies, lost = fabric.deliver_batch([src], [dst], size)
+    return None if lost[0] else float(latencies[0])
+
+
 def row_selections(n: int):
     """Strategy: a slice, a permutation or any (possibly empty, possibly
     repeating) index array over ``n`` rows."""

@@ -140,6 +140,38 @@ def started_gateway(flows=24, nodes=4, seed=77):
     return gateway, oracle
 
 
+class TestDropAccounting:
+    """Every packet the gateway is offered is delivered or counted under
+    one ``gateway.drops.*`` reason, a lost fabric transit included."""
+
+    @pytest.mark.parametrize("arch", list(Architecture), ids=lambda a: a.value)
+    def test_offered_is_delivered_plus_drops_under_transit_faults(self, arch):
+        report = small_soak(
+            seed=3, episodes=1, architecture=arch,
+            kinds=[FaultKind.FABRIC_DROP, FaultKind.PARTITION,
+                   FaultKind.NODE_CRASH, FaultKind.PACKET_MALFORMED,
+                   FaultKind.TUNNEL_CORRUPT],
+        ).run()
+        assert report.ok
+        counters = report.episodes[0].counters
+        assert counters["gateway.drops.fabric_loss"] > 0
+        offered = (
+            counters["gateway.downstream.packets_in"]
+            + counters["gateway.upstream.packets_in"]
+        )
+        delivered = (
+            counters["gateway.downstream.tunnelled"]
+            + counters["gateway.upstream.forwarded"]
+        )
+        # A policed packet is counted under ``acl`` too.
+        drops = sum(
+            count for name, count in counters.items()
+            if name.startswith("gateway.drops.")
+            and name != "gateway.drops.policed"
+        )
+        assert offered == delivered + drops
+
+
 class TestOracleSensitivity:
     """Sabotage the cluster behind the oracle's back: it must notice."""
 
@@ -209,9 +241,9 @@ class TestSoakDigest:
 
     @pytest.mark.parametrize("extra, digest", [
         (["--fabric", "crossbar"],
-         "3dcf69232247e774681613de736995371e05b5e9e64e908c862a3ba75da9f20b"),
+         "15c4c316e2e0d5ad38ec47bfeeb5c098088343ee72c5f32be9bf43c3618225f3"),
         (["--link-faults", "--fabric", "fattree"],
-         "4b4a33dffdee5a9595e285bd5cbbe1bb8c919e3bc05bc101f5a25f74d6a12215"),
+         "70556edc510f8e8f77187066affc6120b12b59e0181a8de410f945e015418fd7"),
     ], ids=["crossbar", "fattree-link-faults"])
     def test_seed_7_report_digest(self, capsys, monkeypatch, extra, digest):
         # --fabric sets the process-wide default and its env var: both

@@ -132,8 +132,10 @@ class TestStatePlacement:
         keys, handlers, _ = population
         for i in range(0, 300, 13):
             lookup_node = cluster.lookup_node_of(int(keys[i]))
-            found = cluster.nodes[lookup_node].fib.lookup(int(keys[i]))
-            assert found is not None and found[0] == handlers[i]
+            found, handler = cluster.nodes[lookup_node].locate_batch(
+                [int(keys[i])]
+            )
+            assert found[0] and handler[0] == handlers[i]
 
     def test_gpt_only_on_scalebricks(self, population):
         for arch in Architecture:
@@ -286,9 +288,7 @@ FIB_BACKENDS = {
 
 class TestNoSilentSlowPath:
     """Every FIB backend under every separator answers a batch through
-    ``lookup_batch_array``: the per-key fallback of ``handle_batch`` is
-    for tables holding non-integer values, never for a table that could
-    not read a pre-hashed batch."""
+    ``lookup_batch_array`` of the pre-hashed batch, never per key."""
 
     @pytest.mark.parametrize("separator", separator_registry.BACKENDS)
     @pytest.mark.parametrize("fib", sorted(FIB_BACKENDS))
@@ -336,32 +336,6 @@ class TestNoSilentSlowPath:
         ]
         assert batched.fabric.stats == scalar.fabric.stats
         assert batch.dropped.tolist() == [False] * 200 + [True] * 56
-
-    def test_non_integer_values_fall_back_with_plain_keys(
-        self, population, monkeypatch
-    ):
-        """The one legitimate fallback hands ``lookup_batch`` what any
-        FIB can read: plain canonical keys, not the pre-hashed batch."""
-        keys, _, values = population
-        cluster = build_cluster(Architecture.SCALEBRICKS, population)
-        odd = np.array([2**63 + 1, 2**63 + 2], dtype=np.uint64)
-        for node in cluster.nodes:   # wherever the GPT sends them: a float
-            for key in odd.tolist():
-                node.fib.insert(key, 0.5)
-        seen = []
-        listed = CuckooHashTable.lookup_batch
-
-        def recording(table, batch_keys):
-            seen.append(batch_keys)
-            return listed(table, batch_keys)
-
-        monkeypatch.setattr(CuckooHashTable, "lookup_batch", recording)
-        probe = np.concatenate([keys[:60], odd])
-        batch = cluster.route_batch(probe, [i % NUM_NODES for i in range(62)])
-        assert batch.values[:60].tolist() == values[:60].tolist()
-        assert seen and all(
-            type(k) is np.ndarray and k.dtype == np.uint64 for k in seen
-        )
 
 
 class TestReplicasAreConsultedPerPacket:
@@ -511,6 +485,9 @@ def columns_from_results(results):
     """Every ``RouteBatchResult`` column, re-derived the slow way."""
     return {
         "ingress_nodes": [r.ingress for r in results],
+        "indirect_nodes": [
+            r.path[1] if len(r.path) == 3 else -1 for r in results
+        ],
         "handler_nodes": [r.path[-1] for r in results],
         "egress_nodes": [
             -1 if r.handled_by is None else r.handled_by for r in results
@@ -518,6 +495,7 @@ def columns_from_results(results):
         "hop_counts": [r.internal_hops for r in results],
         "indirections": [r.internal_hops >= 2 for r in results],
         "dropped": [r.dropped for r in results],
+        "lost": [r.reason == "fabric_loss" for r in results],
         "values": [-1 if r.value is None else r.value for r in results],
         "latencies_us": [r.latency_us for r in results],
     }
@@ -529,10 +507,10 @@ class TestRouteBatchColumns:
     @pytest.fixture(scope="class")
     def clusters(self, population):
         vectorised = build_cluster(Architecture.SCALEBRICKS, population)
-        fallback = build_cluster(Architecture.SCALEBRICKS, population)
-        # Any hook at all sends route_batch down the per-packet route.
-        fallback.fabric.fault_hook = lambda src, dst, size: DELIVER
-        return vectorised, fallback
+        hooked = build_cluster(Architecture.SCALEBRICKS, population)
+        # A hook sends every transit through the per-transit fabric path.
+        hooked.fabric.fault_hook = lambda src, dst, size: DELIVER
+        return vectorised, hooked
 
     @given(
         picks=st.lists(

@@ -3,11 +3,10 @@ architecture taxonomy; what every topology promises is in
 ``tests/test_fabric_contract.py``."""
 
 import numpy as np
-import pytest
 
 from repro.cluster import Architecture, Cluster
-from repro.fabric import FabricLoss
 from repro.fabric.crossbar import SwitchFabric
+from tests.conftest import deliver
 
 
 class TestArchitecture:
@@ -37,7 +36,7 @@ class TestArchitecture:
 class TestSwitchFabric:
     def test_delivery_records_stats(self):
         fabric = SwitchFabric(4)
-        latency = fabric.deliver(0, 2, size=100)
+        latency = deliver(fabric, 0, 2, size=100)
         assert latency == fabric.transit_latency_us
         assert fabric.stats.packets == 1
         assert fabric.stats.bytes == 100
@@ -45,9 +44,9 @@ class TestSwitchFabric:
 
     def test_max_link_packets(self):
         fabric = SwitchFabric(3)
-        fabric.deliver(0, 1)
-        fabric.deliver(0, 1)
-        fabric.deliver(1, 2)
+        deliver(fabric, 0, 1)
+        deliver(fabric, 0, 1)
+        deliver(fabric, 1, 2)
         assert fabric.stats.max_link_packets() == 2
 
     def test_links_are_every_ordered_pair(self):
@@ -61,8 +60,8 @@ class TestSwitchFabric:
 def vlb(fabric, src, dst, size=64):
     """Valiant load balancing as the cluster routes it: ``src`` -> a
     random indirect node -> ``dst`` (with two nodes, straight to ``dst``)."""
-    mid = fabric.pick_indirect(src, dst)
-    return mid, fabric.deliver(src, mid, size) + fabric.deliver(mid, dst, size)
+    mid = int(fabric.pick_indirect([src], [dst])[0])
+    return mid, deliver(fabric, src, mid, size) + deliver(fabric, mid, dst, size)
 
 
 class TestCrossbarVlb:
@@ -81,7 +80,7 @@ class TestCrossbarVlb:
         valiant = SwitchFabric(6, seed=1)
         for _ in range(500):
             src, dst = rng.choice(6, size=2, replace=False)
-            direct.deliver(int(src), int(dst), 64)
+            deliver(direct, int(src), int(dst), 64)
             vlb(valiant, int(src), int(dst), 64)
         assert valiant.stats.bytes == 2 * direct.stats.bytes
 
@@ -107,26 +106,28 @@ class TestSwitchFabricLinkFaults:
     def test_fail_link_severs_one_direction_only(self):
         fabric = SwitchFabric(4)
         fabric.fail_link((0, 2))
-        with pytest.raises(FabricLoss):
-            fabric.deliver(0, 2)
+        assert deliver(fabric, 0, 2) is None
         assert fabric.stats.dropped == 1
         # The reverse direction still works.
-        assert fabric.deliver(2, 0) == fabric.transit_latency_us
+        assert deliver(fabric, 2, 0) == fabric.transit_latency_us
         assert fabric.down_links() == ((0, 2),)
 
     def test_degrade_link_is_lossless_but_slow(self):
         fabric = SwitchFabric(4)
         fabric.degrade_link((1, 3), factor=5.0)
-        assert fabric.deliver(1, 3) == fabric.transit_latency_us * 5.0
-        assert fabric.deliver(3, 1) == fabric.transit_latency_us
+        assert deliver(fabric, 1, 3) == fabric.transit_latency_us * 5.0
+        assert deliver(fabric, 3, 1) == fabric.transit_latency_us
         assert fabric.stats.degraded == 1
         assert fabric.stats.dropped == 0
 
     def test_batch_path_honours_link_faults(self):
         fabric = SwitchFabric(3)
         fabric.fail_link((0, 1))
-        with pytest.raises(FabricLoss):
-            fabric.deliver_batch(np.array([2, 0]), np.array([0, 1]))
+        latencies, lost = fabric.deliver_batch(
+            np.array([2, 0]), np.array([0, 1])
+        )
+        assert lost.tolist() == [False, True]
+        assert latencies.tolist() == [fabric.transit_latency_us, 0.0]
 
     def test_pick_fault_link_is_seeded_and_valid(self):
         for seed in range(20):

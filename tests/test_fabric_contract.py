@@ -2,11 +2,12 @@
 
 Whatever a topology supplies (its route, link set and ingress cost), the
 base class decides the rest, and every topology must keep these promises:
-``deliver_batch`` is ``deliver`` element-wise — in latencies, in where a
-``FabricLoss`` is raised and in every ``FabricStats`` field — under a
-fault hook that cycles through all four verdicts and with one failed and
-one degraded link; the accounting balances; bad batches are refused
-before anything moves; VLB indirect picks replay from the seed.
+a ``deliver_batch`` equals the same packets delivered one batch of one at
+a time — in latencies, in which transits are lost and in every
+``FabricStats`` field — under a fault hook that cycles through all four
+verdicts and with one failed and one degraded link; the accounting
+balances; bad batches are refused before anything moves; VLB indirect
+picks replay from the seed.
 """
 
 import dataclasses
@@ -23,8 +24,8 @@ from repro.fabric import (
     DUPLICATE,
     BACKENDS,
     Fabric,
-    FabricLoss,
 )
+from tests.conftest import deliver
 
 NUM_NODES = 8
 
@@ -70,13 +71,10 @@ def traffic(count=400, seed=11):
 
 def deliver_each(fabric, srcs, dsts, size):
     """Per-packet delivery: a latency per packet, ``None`` where lost."""
-    out = []
-    for s, d in zip(srcs.tolist(), dsts.tolist()):
-        try:
-            out.append(fabric.deliver(s, d, size))
-        except FabricLoss:
-            out.append(None)
-    return out
+    return [
+        deliver(fabric, s, d, size)
+        for s, d in zip(srcs.tolist(), dsts.tolist())
+    ]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -95,20 +93,13 @@ class TestFabricContract:
         expected = deliver_each(scalar, srcs, dsts, 80)
         losses = [i for i, lat in enumerate(expected) if lat is None]
         assert bool(losses) == faults
-        # Batch up to each loss, then the lost packet alone: it must
-        # raise exactly there, having delivered everything before it.
-        start = 0
-        for stop in losses + [len(srcs)]:
-            got = batch.deliver_batch(srcs[start:stop], dsts[start:stop], 80)
-            np.testing.assert_array_equal(got, expected[start:stop])
-            if stop < len(srcs):
-                with pytest.raises(FabricLoss) as lost:
-                    batch.deliver_batch(srcs[stop:stop + 1],
-                                        dsts[stop:stop + 1], 80)
-                assert (lost.value.src, lost.value.dst) == (
-                    srcs[stop], dsts[stop]
-                )
-            start = stop + 1
+        # One batch: a loss is a row of the mask, never an exception, and
+        # every packet after it is still delivered.
+        latencies, lost = batch.deliver_batch(srcs, dsts, 80)
+        assert np.flatnonzero(lost).tolist() == losses
+        np.testing.assert_array_equal(
+            latencies, [0.0 if lat is None else lat for lat in expected]
+        )
         assert dataclasses.asdict(batch.stats) == dataclasses.asdict(
             scalar.stats
         )
@@ -122,32 +113,33 @@ class TestFabricContract:
         fabric = make(backend)
         fabric.degrade_link(FIRST_LINK[backend])
         fabric.fault_hook = cycling_hook((DUPLICATE,))
-        fabric.deliver(1, 3)
+        deliver(fabric, 1, 3)
         assert fabric.stats.duplicated == 1
         assert fabric.stats.degraded == 2
         assert fabric.stats.packets == 2
         assert fabric.verify_accounting()
 
     def test_delay_scales_latency(self, backend):
-        healthy = make(backend).deliver(1, 3)
+        healthy = deliver(make(backend), 1, 3)
         fabric = make(backend)
         fabric.fault_hook = cycling_hook((DELAY,))
-        assert fabric.deliver(1, 3) == healthy * fabric_registry.DELAY_FACTOR
+        assert deliver(fabric, 1, 3) == healthy * fabric_registry.DELAY_FACTOR
         assert fabric.stats.delayed == 1
 
     def test_drop_counts_and_records_nothing(self, backend):
         fabric = make(backend)
         fabric.fault_hook = cycling_hook((DROP,))
-        with pytest.raises(FabricLoss):
-            fabric.deliver(1, 3)
+        assert deliver(fabric, 1, 3) is None
         assert fabric.stats.dropped == 1
         assert fabric.stats.packets == fabric.stats.link_crossings == 0
 
     def test_self_delivery_is_free(self, backend):
         fabric = make(backend)
         fabric.fault_hook = cycling_hook((DROP,))
-        assert fabric.deliver(2, 2) == 0.0
-        assert fabric.deliver_batch([2, 4], [2, 4]).tolist() == [0.0, 0.0]
+        assert deliver(fabric, 2, 2) == 0.0
+        latencies, lost = fabric.deliver_batch([2, 4], [2, 4])
+        assert latencies.tolist() == [0.0, 0.0]
+        assert lost.tolist() == [False, False]
         assert dataclasses.asdict(fabric.stats) == dataclasses.asdict(
             make(backend).stats
         )
@@ -161,9 +153,10 @@ class TestFabricContract:
         with pytest.raises(ValueError, match="node -1 not attached"):
             fabric.deliver_batch(np.array([0, 1]), np.array([1, -1]))
         with pytest.raises(ValueError, match="not attached"):
-            fabric.deliver(0, NUM_NODES)
+            deliver(fabric, 0, NUM_NODES)
         assert fabric.stats.packets == 0
-        assert fabric.deliver_batch(np.array([]), np.array([])).size == 0
+        latencies, lost = fabric.deliver_batch(np.array([]), np.array([]))
+        assert latencies.size == lost.size == 0
         with pytest.raises(ValueError):
             fabric_registry.create(0, backend)
 
@@ -176,8 +169,8 @@ class TestFabricContract:
         assert fabric.down_links() == ()
         srcs, dsts = traffic(seed=3)
         np.testing.assert_array_equal(
-            fabric.deliver_batch(srcs, dsts),
-            make(backend).deliver_batch(srcs, dsts),
+            fabric.deliver_batch(srcs, dsts)[0],
+            make(backend).deliver_batch(srcs, dsts)[0],
         )
 
     def test_reset_stats_keeps_fault_state(self, backend):
@@ -194,13 +187,18 @@ class TestFabricContract:
 
         def picks(seed):
             fabric = make(backend, seed=seed)
-            return [fabric.pick_indirect(s, d) for s, d in pairs]
+            return [int(fabric.pick_indirect([s], [d])[0]) for s, d in pairs]
 
         assert picks(123) == picks(123)
         assert picks(124) != picks(123)
         assert all(m not in pair for m, pair in zip(picks(123), pairs))
+        # One column draw is the per-pair draws, in order.
+        srcs, dsts = np.array(pairs).T
+        assert make(backend, seed=123).pick_indirect(
+            srcs, dsts
+        ).tolist() == picks(123)
         two = fabric_registry.create(2, backend)
-        assert two.pick_indirect(0, 1) == 1  # degenerate VLB: go direct
+        assert two.pick_indirect([0], [1]).tolist() == [1]  # go direct
 
     def test_pick_fault_link_is_seeded_and_real(self, backend):
         fabric = make(backend)
@@ -237,16 +235,16 @@ def test_crossbar_batch_link_stats_are_per_packet_deliver_in_link_order(
     batch_size,
 ):
     """The crossbar accounts a lossless batch with one count per link:
-    its per-link map, key order included, is what per-packet ``deliver``
-    leaves after taking each batch's packets in ``(src, dst)`` order (in
-    input order, ``deliver`` records a link at its first packet)."""
+    its per-link map, key order included, is what batches of one leave
+    after taking each batch's packets in ``(src, dst)`` order (in input
+    order, they record a link at its first packet)."""
     srcs, dsts = traffic()
     batch, scalar = make("crossbar"), make("crossbar")
     for start in range(0, len(srcs), batch_size):
         rows = slice(start, start + batch_size)
         batch.deliver_batch(srcs[rows], dsts[rows], 80)
         for src, dst in sorted(zip(srcs[rows].tolist(), dsts[rows].tolist())):
-            scalar.deliver(src, dst, 80)
+            deliver(scalar, src, dst, 80)
         assert list(batch.stats.per_link_packets.items()) == list(
             scalar.stats.per_link_packets.items()
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Architecture, Cluster
-from repro.cluster.failover import FailoverManager
+from repro.cluster.failover import FailoverManager, FailureImpact
 from tests.conftest import unique_keys
 
 NUM_NODES = 4
@@ -85,11 +85,27 @@ class TestImpactReport:
         assert impact.lost_collateral_flows > 0
         assert not impact.isolation
 
-    def test_totals_consistent(self):
-        manager, keys, _, _ = make(Architecture.SCALEBRICKS)
+    @pytest.mark.parametrize(
+        "arch", list(Architecture), ids=lambda arch: arch.value
+    )
+    def test_totals_consistent(self, arch):
+        manager, keys, _, _ = make(arch)
         impact = manager.impact_report(1)
         assert impact.total_flows == len(keys)
         assert impact.lost_total <= impact.total_flows
+        # The report, flow by flow: own losses are the failed handler's,
+        # collateral ones (hash partitioning only) the failed lookup
+        # node's.
+        cluster = manager.cluster
+        entries = list(cluster.rib.entries())
+        own = sum(entry.node == 1 for entry in entries)
+        collateral = sum(
+            entry.node != 1
+            and arch is Architecture.HASH_PARTITION
+            and cluster.lookup_node_of(entry.key) == 1
+            for entry in entries
+        )
+        assert impact == FailureImpact(1, len(entries), own, collateral)
 
 
 class TestRecovery:

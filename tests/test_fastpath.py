@@ -52,6 +52,7 @@ from repro.epc.traffic import (
 )
 from repro.fabric.crossbar import SwitchFabric
 from repro.obs.metrics import MetricsRegistry
+from tests.conftest import deliver
 
 NUM_NODES = 6
 
@@ -950,8 +951,9 @@ class TestFabricBatch:
         rng = np.random.default_rng(6)
         srcs = rng.integers(0, 5, size=300)
         dsts = rng.integers(0, 5, size=300)
-        lat_a = [fabric_a.deliver(int(s), int(d), 64) for s, d in zip(srcs, dsts)]
-        lat_b = fabric_b.deliver_batch(srcs, dsts, 64)
+        lat_a = [deliver(fabric_a, int(s), int(d), 64) for s, d in zip(srcs, dsts)]
+        lat_b, lost = fabric_b.deliver_batch(srcs, dsts, 64)
+        assert not lost.any()
         assert np.allclose(lat_a, lat_b)
         assert fabric_a.stats == fabric_b.stats
 

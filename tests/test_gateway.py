@@ -1,5 +1,7 @@
 """End-to-end tests for the LTE-to-Internet gateway (repro.epc.gateway)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.epc.gateway import EpcGateway
 from repro.epc.packets import build_downstream_frame, parse_ip
 from repro.epc.traffic import GATEWAY_MAC, GENERATOR_MAC, FlowGenerator
 from repro.epc.tunnels import GtpTunnelEndpoint
+from repro.fabric import DELIVER, DROP
 
 GW_IP = parse_ip("192.0.2.1")
 
@@ -254,6 +257,54 @@ class TestBatchSurface:
         assert [r.ingress for r, _ in out] == [2, 0, 3]
         result, _ = gateway.process_downstream(frames[0], ingress=np.int32(1))
         assert result.ingress == 1
+
+
+def drop_nth_transit(n):
+    """A fault hook that drops the ``n``-th transit it is asked about."""
+    asked = itertools.count(1)
+    return lambda src, dst, size: DROP if next(asked) == n else DELIVER
+
+
+class TestTransitLoss:
+    """A lost fabric transit is a drop reason, not an abort: the rest of
+    the batch is routed and charged as if nothing happened."""
+
+    @pytest.mark.parametrize("arch", list(Architecture), ids=lambda a: a.value)
+    def test_the_fifth_transit_lost_in_a_64_frame_batch(self, arch):
+        gen = FlowGenerator(seed=27)
+        gateway = EpcGateway(arch, 4, GW_IP)
+        flows = gen.populate(gateway, 200)
+        gateway.start()
+        frames = [frame_for(flow) for flow in flows[:64]]
+        fabric = gateway.cluster.fabric
+        fabric.fault_hook = drop_nth_transit(5)
+
+        out = gateway.process_downstream_batch(frames)
+
+        lost = [i for i, (r, _) in enumerate(out) if r.reason == "fabric_loss"]
+        assert len(lost) == 1
+        result, tunnelled = out[lost[0]]
+        assert result.dropped and tunnelled is None
+        assert result.handled_by is None and result.value is None
+        # Every other frame is a known flow: delivered, charged once.
+        expected = {}
+        for frame, (result, tunnelled) in zip(frames, out):
+            if tunnelled is not None:
+                expected[result.value] = (
+                    expected.get(result.value, 0) + len(frame) - 14
+                )
+        assert len(expected) == 63
+        assert dict(gateway.stats.bytes_charged) == expected
+        counters = gateway.registry.counters()
+        drops = sum(
+            count for name, count in counters.items()
+            if name.startswith("gateway.drops.")
+        )
+        assert counters["gateway.drops.fabric_loss"] == 1
+        assert counters["gateway.downstream.packets_in"] == 64
+        assert counters["gateway.downstream.tunnelled"] + drops == 64
+        assert fabric.stats.dropped == 1
+        assert fabric.verify_accounting()
 
 
 def small_gateway(flows=40, seed=5):

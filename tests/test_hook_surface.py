@@ -10,7 +10,10 @@ counts are pinned here, wrapped from outside exactly as the tracer does.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
+
+import pytest
 
 from repro.cluster.architectures import Architecture
 from repro.cluster.cluster import Cluster
@@ -20,6 +23,7 @@ from repro.epc.dpe import DataPlaneEngine
 from repro.epc.gateway import ChargingLedger, EpcGateway
 from repro.epc.packets import parse_ip
 from repro.epc.traffic import FlowGenerator
+from repro.fabric import DELIVER, DROP
 from repro.gpt.gpt import GlobalPartitionTable
 from repro.runtime import controller as controller_module
 from repro.runtime import protocol
@@ -101,6 +105,43 @@ def test_one_batch_calls_every_hooked_name(monkeypatch):
     # ``len(args[1])``: the pre-hashed slices must add up to the frames
     # routed, once through the GPT replicas and once through the FIBs.
     assert keys == {"lookup_batch": BATCH, "lookup_batch_array": BATCH}
+
+
+@pytest.mark.parametrize("arch, legs", [
+    (Architecture.SCALEBRICKS, 1),
+    (Architecture.FULL_DUPLICATION, 1),
+    (Architecture.ROUTEBRICKS_VLB, 2),
+    (Architecture.HASH_PARTITION, 2),
+], ids=lambda case: getattr(case, "value", case))
+def test_a_fault_hook_keeps_one_route_and_one_deliver_per_leg(
+    monkeypatch, arch, legs
+):
+    """An installed fault hook (chaos) changes the verdicts, not the
+    path: one ``route_batch`` per batch, one ``deliver_batch`` per leg,
+    never the per-frame ``route``."""
+    gateway = EpcGateway(arch, NUM_NODES, parse_ip("192.0.2.1"))
+    gen = FlowGenerator(seed=23)
+    flows = gen.populate(gateway, 600)
+    gateway.start()
+    frames = gen.packet_stream(flows, BATCH)
+    cluster = gateway.cluster
+    verdicts = itertools.cycle((DELIVER, DELIVER, DELIVER, DROP))
+    cluster.fabric.fault_hook = lambda src, dst, size: next(verdicts)
+
+    calls = Counter()
+    for owner, attr in (
+        (Cluster, "route"),
+        (Cluster, "route_batch"),
+        (type(cluster.fabric), "deliver_batch"),
+    ):
+        count_calls(monkeypatch, calls, owner, attr)
+    results = gateway.process_downstream_batch(frames)
+    monkeypatch.undo()
+
+    assert {result.reason for result, _ in results} >= {
+        "handled", "fabric_loss"
+    }
+    assert dict(calls) == {"route_batch": 1, "deliver_batch": legs}
 
 
 def test_runtime_verbs_call_every_hooked_name(monkeypatch):

@@ -239,7 +239,12 @@ class TestFullDuplicationUpdates:
         new_key = int(unique_keys(1, seed=112, low=2**62, high=2**63)[0])
         engine.insert_flow(new_key, 1, 42)
         for node in cluster.nodes:
-            assert node.fib.lookup(new_key) == (1, 42)
+            assert [a.tolist() for a in node.locate_batch([new_key])] == [
+                [True], [1]
+            ]
+            assert [a.tolist() for a in node.handle_batch([new_key])] == [
+                [True], [42]
+            ]
 
     def test_remove_clears_all_replicas(self):
         cluster, keys, _, _ = make_cluster(Architecture.FULL_DUPLICATION)
@@ -387,10 +392,10 @@ class TestDeltaInterceptor:
             if n.node_id not in (owner, stale_peer)
         ]
         for node_id in fresh:
-            assert cluster.nodes[node_id].gpt_lookup(key) == target
+            assert cluster.nodes[node_id].gpt.lookup(key) == target
         # Repair: an identity rebroadcast reconverges the stale replica.
         engine.insert_flow(key, target, 888)
-        assert cluster.nodes[stale_peer].gpt_lookup(key) == target
+        assert cluster.nodes[stale_peer].gpt.lookup(key) == target
 
     def test_delayed_deltas_apply_on_flush_in_fifo_order(self, setup):
         cluster, engine, keys, handlers = setup
