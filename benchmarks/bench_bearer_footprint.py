@@ -6,8 +6,8 @@ scales out with the nodes.  ``gateway.bearer_bytes`` prices everything
 else the reproduction keeps per bearer.  It sets up a 20,000-bearer
 gateway on 4 nodes (bearers established, then the cluster built) under
 ``tracemalloc`` and splits the bytes still held afterwards by the
-structure that allocated them: the controller's records, the DPEs'
-columns and their TEID indexes, the TEID allocator, the RIB, the nodes'
+structure that allocated them: the controller's TEID columns and its
+key -> TEID dict, the DPEs' columns and their TEID indexes, the TEID allocator, the RIB, the nodes'
 FIBs and their GPT replicas.  The load generator's ``FlowTuple``
 objects are built before the trace and priced on their own line.
 

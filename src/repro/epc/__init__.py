@@ -18,9 +18,10 @@ node daemon that needs only the frame codec does not load the gateway):
   TEID -> row for the DPE's and the ledger's columns;
 * :mod:`~repro.epc.controller` — :class:`~repro.epc.controller.EpcController`,
   flow records and assignment policies;
-* :mod:`~repro.epc.dpe` — the Data Plane Engine and charging records;
+* :mod:`~repro.epc.dpe` — the Data Plane Engine, charging records and
+  :class:`~repro.epc.dpe.ChargingLedger`;
 * :mod:`~repro.epc.gateway` — :class:`~repro.epc.gateway.EpcGateway` (PFE +
-  DPE over a cluster) and :class:`~repro.epc.gateway.ChargingLedger`;
+  DPE over a cluster);
 * :mod:`~repro.epc.traffic` — :class:`~repro.epc.traffic.FlowGenerator`
   and the functional trial harness;
 * :mod:`~repro.epc.workload` — stochastic bearer workloads.

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+import struct
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,6 +70,16 @@ class BearerMismatchError(RuntimeError):
 #: key, handling node, base-station address.  A live row's node is >= 0.
 FREE_ROW = (0, -1, 0)
 
+#: A row's cold fields, which only a :class:`FlowRecord` reads: the flow's
+#: 5-tuple (it packs as ``!IIBHH``) and its region.  A free row keeps its
+#: last bearer's values.
+COLD_FIELDS = np.dtype([
+    ("src_ip", np.uint32), ("dst_ip", np.uint32), ("protocol", np.uint8),
+    ("sport", np.uint16), ("dport", np.uint16), ("region", np.int64),
+])
+#: The same row as bytes (native order, packed), for the scalar paths.
+_COLD_ROW = struct.Struct("=IIBHHq")
+
 
 def check_node_id(value, num_nodes: int, name: str) -> int:
     """``value`` as an int if it is a Python or NumPy integer node id."""
@@ -77,38 +89,34 @@ def check_node_id(value, num_nodes: int, name: str) -> int:
     return int(value)
 
 
-def _require_ipv4(base_station_ip) -> int:
-    """``base_station_ip`` as an int.  A tunnel's far end goes into a
-    32-bit header field, where a wider value would wrap into another base
-    station's address and a fraction would be cut off."""
+def _require_int(value, name: str, low: int, high: int) -> int:
+    """``value`` as an int if it is an integer in ``low..high``: in a
+    column a wider value would wrap into another one (a tunnel's far end
+    into another base station's address) and a fraction be cut off."""
     try:
-        address = operator.index(base_station_ip)
+        number = operator.index(value)
     except TypeError:
-        raise ValueError(
-            f"base_station_ip {base_station_ip!r} is not an integer"
-        ) from None
-    if not 0 <= address <= 0xFFFFFFFF:
-        raise ValueError(
-            f"base_station_ip {address} is outside 0..0xFFFFFFFF"
-        )
-    return address
+        raise ValueError(f"{name} {value!r} is not an integer") from None
+    if not low <= number <= high:
+        raise ValueError(f"{name} {number} is outside {low}..{high}")
+    return number
 
 
 class EpcController:
     """Allocates bearers and keeps the authoritative flow table.
 
-    Besides the records by flow key, the controller keeps three egress
-    columns indexed by TEID — flow key, handling node and base-station
-    address — which is what the downstream batch path reads for each
-    TEID the FIB answers.  Its own :class:`TeidAllocator` hands TEIDs out
-    densely from 1, so the columns grow (doubling) with the TEID cursor;
-    row 0, every free TEID's row and every row past the cursor hold
-    :data:`FREE_ROW`.
+    The flow table is columns indexed by TEID — flow key, handling node
+    and base-station address, which :meth:`egress` reads per batch, and
+    the cold :data:`COLD_FIELDS` — plus one dict from each live flow key
+    to its TEID, in establishment order.  Its own :class:`TeidAllocator`
+    hands TEIDs out densely from 1, so the columns grow (doubling) with
+    the TEID cursor; in the hot columns row 0, every free TEID's row and
+    every row past the cursor hold :data:`FREE_ROW`.  A
+    :class:`FlowRecord` is a snapshot of one row, built when read.
 
     Args:
         num_nodes: cluster size.
         policy: node-assignment policy.
-        num_regions: geographic regions (``GEOGRAPHIC`` policy granularity).
         seed: randomness for ROUND_ROBIN's starting offset.
     """
 
@@ -116,37 +124,45 @@ class EpcController:
         self,
         num_nodes: int,
         policy: AssignmentPolicy = AssignmentPolicy.ROUND_ROBIN,
-        num_regions: int = 64,
         seed: int = 0,
     ) -> None:
         if num_nodes < 1:
             raise ValueError("num_nodes must be positive")
         self.num_nodes = num_nodes
         self.policy = policy
-        self.num_regions = num_regions
         self.teids = TeidAllocator()
-        self.flows: Dict[int, FlowRecord] = {}
+        self._teid_of: Dict[int, int] = {}  # flow key -> TEID
         self._keys = np.zeros(0, dtype=np.uint64)
         self._nodes = np.zeros(0, dtype=np.int32)
         self._base_stations = np.zeros(0, dtype=np.uint32)
+        self._cold = np.zeros(0, dtype=COLD_FIELDS)
         self._grow(64)
         self._next_node = int(np.random.default_rng(seed).integers(num_nodes))
 
     def _grow(self, rows: int) -> None:
         """Make room for ``rows`` rows; new rows are free."""
-        for name, free in zip(("_keys", "_nodes", "_base_stations"), FREE_ROW):
+        for name, free in zip(
+            ("_keys", "_nodes", "_base_stations", "_cold"), (*FREE_ROW, 0)
+        ):
             old = getattr(self, name)
             column = np.full(rows, free, dtype=old.dtype)
             column[: len(old)] = old
             setattr(self, name, column)
+        # Scalar reads and writes: a memoryview item is a tenth of item().
+        self._key_view, self._node_view, self._bs_view = map(
+            memoryview, (self._keys, self._nodes, self._base_stations)
+        )
+        self._cold_view = memoryview(self._cold.view(np.uint8))
 
-    def _write_row(self, record: FlowRecord) -> None:
-        teid = record.teid
-        if teid >= len(self._keys):
-            self._grow(max(2 * len(self._keys), teid + 1))
-        self._keys[teid] = record.key
-        self._nodes[teid] = record.handling_node
-        self._base_stations[teid] = record.base_station_ip
+    def _record(self, key: int, teid: int,
+                flow: Optional[FlowTuple] = None) -> FlowRecord:
+        """A snapshot of a live bearer's row (``flow``: its 5-tuple)."""
+        row = teid * _COLD_ROW.size
+        *five, region = _COLD_ROW.unpack_from(self._cold_view, row)
+        return FlowRecord(
+            FlowTuple(*five) if flow is None else flow, key, teid,
+            self._node_view[teid], self._bs_view[teid], region,
+        )
 
     def _assign_node(self, flow: FlowTuple, region: int) -> int:
         if self.policy is AssignmentPolicy.ROUND_ROBIN:
@@ -179,39 +195,48 @@ class EpcController:
         Raises:
             ValueError: if the flow already has a bearer,
                 ``base_station_ip`` is not an integer 32-bit address, or
-                ``region`` is not an integer.
+                ``region`` is not a 64-bit integer.
         """
-        base_station_ip = _require_ipv4(base_station_ip)
-        try:
-            operator.index(region)
-        except TypeError:
-            raise ValueError(f"region {region!r} is not an integer") from None
+        base_station_ip = _require_int(
+            base_station_ip, "base_station_ip", 0, 0xFFFFFFFF
+        )
+        region = _require_int(region, "region", -(1 << 63), (1 << 63) - 1)
         key = flow.key()
-        if key in self.flows:
+        if key in self._teid_of:
             raise ValueError(f"flow already established: {flow}")
         handling_node = self._assign_node(flow, region)
-        record = FlowRecord(
-            flow=flow,
-            key=key,
-            teid=self.teids.allocate(),
-            handling_node=handling_node,
-            base_station_ip=base_station_ip,
-            region=region,
+        teid = self._teid_of[key] = self.teids.allocate()
+        if teid >= len(self._keys):
+            self._grow(max(2 * len(self._keys), teid + 1))
+        self._key_view[teid] = key
+        self._node_view[teid] = handling_node
+        self._bs_view[teid] = base_station_ip
+        _COLD_ROW.pack_into(
+            self._cold_view, teid * _COLD_ROW.size, flow.src_ip, flow.dst_ip,
+            flow.protocol, flow.sport, flow.dport, region,
         )
-        self.flows[key] = record
-        self._write_row(record)
-        return record
+        return FlowRecord(flow, key, teid, handling_node, base_station_ip, region)
 
     def teardown_bearer(self, flow: FlowTuple) -> Optional[FlowRecord]:
         """Release a bearer and its TEID; returns the removed record."""
-        record = self.flows.pop(flow.key(), None)
-        if record is not None:
-            self.teids.release(record.teid)
-            teid = record.teid
-            self._keys[teid], self._nodes[teid], self._base_stations[teid] = (
-                FREE_ROW
-            )
+        key = flow.key()
+        teid = self._teid_of.pop(key, None)
+        if teid is None:
+            return None
+        record = self._record(key, teid, flow)
+        self.teids.release(teid)
+        self._key_view[teid], self._node_view[teid], self._bs_view[teid] = (
+            FREE_ROW
+        )
         return record
+
+    def _live_teid(self, flow: FlowTuple) -> Tuple[int, int]:
+        """``(key, TEID)`` of a flow's bearer; ``KeyError`` if none."""
+        key = flow.key()
+        teid = self._teid_of.get(key)
+        if teid is None:
+            raise KeyError(f"no bearer for flow {flow}")
+        return key, teid
 
     def rehome(self, flow: FlowTuple, new_node: int) -> FlowRecord:
         """Re-pin a bearer to another handling node (same TEID).
@@ -222,13 +247,9 @@ class EpcController:
             KeyError: if the flow has no bearer.
         """
         new_node = check_node_id(new_node, self.num_nodes, "new_node")
-        record = self.flows.get(flow.key())
-        if record is None:
-            raise KeyError(f"no bearer for flow {flow}")
-        moved = replace(record, handling_node=new_node)
-        self.flows[moved.key] = moved
-        self._nodes[moved.teid] = new_node
-        return moved
+        key, teid = self._live_teid(flow)
+        self._node_view[teid] = new_node
+        return self._record(key, teid, flow)
 
     def handover(self, flow: FlowTuple, new_base_station_ip: int) -> FlowRecord:
         """S1 handover: the mobile moved to another base station.
@@ -240,19 +261,25 @@ class EpcController:
         Raises:
             ValueError: if ``new_base_station_ip`` is not an integer
                 32-bit address.
+            KeyError: if the flow has no bearer.
         """
-        new_base_station_ip = _require_ipv4(new_base_station_ip)
-        record = self.flows.get(flow.key())
-        if record is None:
-            raise KeyError(f"no bearer for flow {flow}")
-        moved = replace(record, base_station_ip=new_base_station_ip)
-        self.flows[moved.key] = moved
-        self._base_stations[moved.teid] = new_base_station_ip
-        return moved
+        new_base_station_ip = _require_int(
+            new_base_station_ip, "base_station_ip", 0, 0xFFFFFFFF
+        )
+        key, teid = self._live_teid(flow)
+        self._bs_view[teid] = new_base_station_ip
+        return self._record(key, teid, flow)
+
+    @property
+    def flows(self) -> Mapping[int, FlowRecord]:
+        """``{flow key: record}`` for every live bearer in establishment
+        order: a read-only view whose records are built when read."""
+        return _FlowView(self)
 
     def record_for_key(self, key: int) -> Optional[FlowRecord]:
         """Controller record by canonical flow key."""
-        return self.flows.get(key)
+        teid = self._teid_of.get(key)
+        return None if teid is None else self._record(key, teid)
 
     def record_for_teid(self, teid: int) -> Optional[FlowRecord]:
         """Controller record by tunnel endpoint identifier.
@@ -261,11 +288,19 @@ class EpcController:
         past the columns, a negative one, and any non-``int`` (a ``bool``
         or a float is not a TEID, as :class:`TeidAllocator` says).
         """
-        if type(teid) is not int or not 0 < teid < len(self._keys):
+        if (type(teid) is not int or not 0 < teid < len(self._keys)
+                or self._node_view[teid] < 0):
             return None
-        if self._nodes[teid] < 0:
-            return None
-        return self.flows[int(self._keys[teid])]
+        return self._record(self._key_view[teid], teid)
+
+    def bearers(self) -> Tuple[List[int], List[int], np.ndarray, np.ndarray]:
+        """Every live bearer in establishment order, as columns: flow keys
+        and TEIDs (the key -> TEID dict's own ints, for a table built from
+        them to share), handling nodes and base-station addresses."""
+        teids = list(self._teid_of.values())
+        rows = np.array(teids, dtype=np.int64)
+        return (list(self._teid_of), teids, self._nodes[rows],
+                self._base_stations[rows])
 
     def egress(
         self, keys: np.ndarray, teids: np.ndarray, frames: np.ndarray
@@ -292,4 +327,20 @@ class EpcController:
         return nodes, self._base_stations[rows]
 
     def __len__(self) -> int:
-        return len(self.flows)
+        return len(self._teid_of)
+
+
+class _FlowView(Mapping):
+    """:attr:`EpcController.flows`: the key -> TEID dict, read as records."""
+
+    def __init__(self, controller: EpcController) -> None:
+        self._teid_of, self._record = controller._teid_of, controller._record
+
+    def __getitem__(self, key: int) -> FlowRecord:
+        return self._record(key, self._teid_of[key])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._teid_of)
+
+    def __len__(self) -> int:
+        return len(self._teid_of)

@@ -14,8 +14,7 @@ so the PFE swap is exercised end to end at byte level.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -30,204 +29,10 @@ from repro.epc.controller import (
     FlowRecord,
     check_node_id,
 )
-from repro.epc.dpe import LOOP_BELOW, DataPlaneEngine, check_batch_columns
+from repro.epc.dpe import ChargingLedger, DataPlaneEngine
 from repro.epc.packets import FlowTuple, extract_forwardable
-from repro.epc.teid_index import MAX_TEID, TeidIndex, is_teid
 from repro.epc.tunnels import GtpTunnelEndpoint
 from repro.obs.metrics import LATENCY_BUCKETS_US, MetricsRegistry
-
-
-class ChargingLedger:
-    """Per-bearer byte accounting (the gateway's ``stats`` attribute).
-
-    Bytes per TEID are an int64 column, a row per TEID in the order each
-    was first charged, behind a :class:`~repro.epc.teid_index.TeidIndex`.
-    ``bytes_charged`` is a read-only ``{teid: bytes}`` view of it, built
-    when read — real state the audits compare, not a metrics view; the
-    registry tracks only the cluster-wide total as
-    ``gateway.bytes_charged``.  Packet and drop counts live exclusively
-    in the gateway's metrics registry (``gateway.downstream.packets_in``,
-    ``gateway.drops.acl``, ...).
-
-    A TEID is an integer in ``0..MAX_TEID``: both entries refuse
-    anything else (a negative, a float, a ``bool``) with a
-    ``ValueError`` before the ledger or its counter moves.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self._registry = (
-            registry if registry is not None else MetricsRegistry()
-        )
-        self._index = TeidIndex()
-        self._charged = 0  # rows in use: TEIDs charged so far
-        self._columns(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        self._c_bytes = self._registry.counter(
-            "gateway.bytes_charged", "bytes charged across all bearers"
-        )
-
-    def _columns(self, teids: np.ndarray, charged: np.ndarray) -> None:
-        self._teids, self._bytes = teids, charged
-        # The row loop's way in: a memoryview item costs a third of a
-        # NumPy scalar.
-        self._bytes_view = memoryview(charged)
-
-    @property
-    def bytes_charged(self) -> Mapping[int, int]:
-        """``{teid: bytes}`` for every TEID charged, in first-charge
-        order (a read-only copy)."""
-        charged = self._charged
-        return MappingProxyType(dict(zip(
-            self._teids[:charged].tolist(), self._bytes[:charged].tolist()
-        )))
-
-    def bytes_of(self, teid: int) -> int:
-        """Bytes charged to one TEID (0 if none)."""
-        row = self._index.get(teid)
-        return 0 if row is None else self._bytes_view[row]
-
-    def _add_rows(self, teids: List[int]) -> Dict[int, int]:
-        """Give each of ``teids`` (none charged before, repeats allowed)
-        the next row, in first-occurrence order, growing the columns by
-        half when full; returns TEID -> row for them."""
-        first = dict.fromkeys(teids)
-        start = self._charged
-        stop = self._charged = start + len(first)
-        if stop > self._bytes.size:
-            grown = stop + stop // 2 + 8
-            columns = np.zeros((2, grown), dtype=np.int64)
-            columns[0, :start] = self._teids[:start]
-            columns[1, :start] = self._bytes[:start]
-            self._columns(*columns)
-        added = np.fromiter(first, dtype=np.int64, count=len(first))
-        rows = np.arange(start, stop)
-        self._teids[start:stop] = added
-        self._index.add_many(added, rows)
-        first.update(zip(first, range(start, stop)))
-        return first
-
-    def charge(self, teid: int, size: int) -> None:
-        """DPE charging function: account bytes to a bearer."""
-        if not is_teid(teid):
-            raise ValueError(f"TEID {teid!r} is not an integer 0..{MAX_TEID}")
-        if size < 0:
-            raise ValueError(f"size {size} is negative")
-        self._charge_each([int(teid)], [size])
-        self._c_bytes.inc(size)
-
-    def charge_many(self, teids: np.ndarray, sizes: np.ndarray) -> None:
-        """Batched :meth:`charge`: one column read of the TEID index and
-        one ``np.add.at``, one counter add; fewer than
-        :data:`~repro.epc.dpe.LOOP_BELOW` rows take :meth:`charge`'s own
-        loop instead.
-
-        Columns of different lengths or a negative size, then anything
-        that is not a TEID, is a ``ValueError`` naming the first bad row,
-        raised before the ledger or the counter moves.
-        """
-        sizes = np.asarray(sizes, dtype=np.int64)
-        if len(teids) < LOOP_BELOW:
-            size_list = sizes.tolist()
-            if len(teids) != len(size_list) or (
-                size_list and min(size_list) < 0
-            ):
-                check_batch_columns(teids=list(teids), sizes=size_list)
-            self._charge_each(_teid_list(teids), size_list)
-            self._c_bytes.inc(sum(size_list))
-            return
-        if len(teids) != sizes.size or np.minimum.reduce(sizes) < 0:
-            check_batch_columns(teids=list(teids), sizes=sizes.tolist())
-        if isinstance(teids, np.ndarray) and teids.dtype.kind in "iu" and (
-            np.minimum.reduce(teids) >= 0
-            and np.maximum.reduce(teids) <= MAX_TEID
-        ):
-            teids = teids.astype(np.int64, copy=False)
-        else:
-            teids = np.array(_teid_list(teids), dtype=np.int64)
-        rows = self._index.rows(teids)
-        new = (rows < 0).nonzero()[0]
-        if new.size:
-            new_teids = teids[new].tolist()
-            first = self._add_rows(new_teids)
-            rows[new] = list(map(first.__getitem__, new_teids))
-        np.add.at(self._bytes, rows, sizes)
-        self._c_bytes.inc(int(np.add.reduce(sizes)))
-
-    def _charge_each(self, teids: List[int], sizes: List[int]) -> None:
-        """Charge row by row through a memoryview of the column."""
-        rows = self._index.rows_of(teids)
-        if -1 in rows:
-            first = self._add_rows(
-                [teid for teid, row in zip(teids, rows) if row < 0]
-            )
-            rows = list(map(first.get, teids, rows))
-        view = self._bytes_view
-        for row, size in zip(rows, sizes):
-            view[row] += size
-
-    def __repr__(self) -> str:
-        return (
-            f"ChargingLedger(bearers={self._charged}, "
-            f"total={self._c_bytes.value})"
-        )
-
-
-def _teid_list(teids: object) -> List[int]:
-    """``teids`` as plain ints, or a ``ValueError`` naming the first row
-    that is not a TEID.  An integer array is checked by its range; any
-    other column value by value (NumPy would turn ``True`` into 1)."""
-    if isinstance(teids, np.ndarray) and teids.dtype.kind in "iu":
-        values = teids.tolist()
-        if not values or 0 <= min(values) and max(values) <= MAX_TEID:
-            return values
-    else:
-        values = list(teids.tolist() if isinstance(teids, np.ndarray)
-                      else teids)  # type: ignore[call-overload]
-        if all(map(is_teid, values)):
-            return [int(teid) for teid in values]
-    bad = next(row for row, teid in enumerate(values) if not is_teid(teid))
-    raise ValueError(
-        f"row {bad}: TEID {values[bad]!r} is not an integer 0..{MAX_TEID}"
-    )
-
-
-class AggregateDpeView:
-    """Read-only union over the per-node Data Plane Engines.
-
-    Bearer state is sharded across nodes; operators (and tests) often want
-    cluster-wide views — all CDRs, any bearer's context, total policed
-    drops — without caring where a flow is homed.
-    """
-
-    def __init__(self, dpes) -> None:
-        self._dpes = dpes
-
-    @property
-    def records(self):
-        """All emitted CDRs, across every node."""
-        out = []
-        for dpe in self._dpes:
-            out.extend(dpe.records)
-        return out
-
-    @property
-    def policed_drops(self) -> int:
-        """Total policer drops, across every node."""
-        return sum(dpe.policed_drops for dpe in self._dpes)
-
-    def context(self, teid: int):
-        """The bearer's context, wherever it is homed."""
-        for dpe in self._dpes:
-            found = dpe.context(teid)
-            if found is not None:
-                return found
-        return None
-
-    def __len__(self) -> int:
-        return sum(len(dpe) for dpe in self._dpes)
-
-    def total_bytes(self) -> int:
-        """All accounted bytes, across every node."""
-        return sum(dpe.total_bytes() for dpe in self._dpes)
 
 
 class EpcGateway:
@@ -310,7 +115,6 @@ class EpcGateway:
         # One Data Plane Engine per node: bearer state lives where the
         # flow is handled (the pinning the whole paper exists to serve).
         self.dpes = [DataPlaneEngine() for _ in range(num_nodes)]
-        self.dpe = AggregateDpeView(self.dpes)
         self.acl_blocked_sources: Set[int] = set()
         #: Nodes currently considered dead (liveness, not state loss):
         #: packets whose path touches one are dropped with reason
@@ -388,16 +192,10 @@ class EpcGateway:
 
     def start(self) -> None:
         """Build the forwarding plane from the controller's flow table."""
-        records = list(self.controller.flows.values())
-        keys = [r.key for r in records]
-        nodes = [r.handling_node for r in records]
-        teids = [r.teid for r in records]
+        keys, teids, nodes, _ = self.controller.bearers()
         self.cluster = Cluster.build(
-            self.architecture,
-            self.num_nodes,
-            np.asarray(keys, dtype=np.uint64),
-            nodes,
-            teids,
+            self.architecture, self.num_nodes,
+            np.array(keys, dtype=np.uint64), nodes, teids,
             fib_factory=self._fib_factory,
             gpt_params=self._gpt_params,
             registry=self.registry,
@@ -582,7 +380,6 @@ class EpcGateway:
 
                 policed_t = (~ok).nonzero()[0]
                 if policed_t.size:
-                    self._c_drop_acl.inc(int(policed_t.size))
                     self._c_drop_policed.inc(int(policed_t.size))
                     refuse(accepted_j[policed_t], "policed")
                 charged_t = ok.nonzero()[0]
@@ -624,7 +421,8 @@ class EpcGateway:
             except ValueError:
                 self._c_drop_tunnel.inc()
                 return None
-            if teid not in self.controller.teids:
+            record = self.controller.record_for_teid(teid)
+            if record is None:
                 self._c_drop_tunnel.inc()
                 return None
             try:
@@ -635,10 +433,6 @@ class EpcGateway:
             if flow.src_ip in self.acl_blocked_sources:
                 self._c_drop_acl.inc()
                 return None
-            record = self.controller.record_for_teid(teid)
-            if record is None:
-                self._c_drop_tunnel.inc()
-                return None
             if record.handling_node in self.down_nodes:
                 self._c_drop_node_down.inc()
                 return None
@@ -646,7 +440,6 @@ class EpcGateway:
             if not self.dpes[record.handling_node].process(
                 teid, len(inner), downlink=False, now=self.now
             ):
-                self._c_drop_acl.inc()
                 self._c_drop_policed.inc()
                 return None
             self.stats.charge(teid, len(inner))

@@ -358,11 +358,9 @@ class RuntimeController:
         assert cluster is not None, "gateway not started"
         num_nodes = len(cluster.nodes)
         fib_slices: List[List[List[int]]] = [[] for _ in range(num_nodes)]
-        for record in gateway.controller.flows.values():
-            fib_slices[record.handling_node].append(
-                [record.key, record.handling_node, record.teid,
-                 record.base_station_ip]
-            )
+        keys, teids, nodes, bs_ips = gateway.controller.bearers()
+        for row in zip(keys, nodes.tolist(), teids, bs_ips.tolist()):
+            fib_slices[row[1]].append(list(row))
         rib_slices = [
             [[entry.key, entry.node, entry.value]
              for entry in cluster.rib.entries_on_node(node_id)]

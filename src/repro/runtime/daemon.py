@@ -49,6 +49,7 @@ from repro.core import separator as separator_registry
 from repro.core.hashfamily import canonical_key
 from repro.core.params import BUCKETS_PER_BLOCK
 from repro.epc import fastpath
+from repro.epc.dpe import ChargingLedger, checked_teids
 from repro.gpt.gpt import GlobalPartitionTable
 from repro.hashtables.interface import checked_keys
 from repro.obs.metrics import MetricsRegistry
@@ -111,7 +112,7 @@ class NodeDaemon:
         #: in-process RIB's own class — group rebuild inputs must match
         #: it byte for byte, key order included.
         self.slice: Optional[RoutingInformationBase] = None
-        self.charges: Dict[int, int] = {}      # teid -> bytes charged
+        self.ledger = ChargingLedger()  # a private registry: no counter
         #: Peers the controller has declared dead (MSG_DOWN): no FIB or
         #: delta ships are attempted toward them.
         self.down: set = set()
@@ -275,12 +276,12 @@ class NodeDaemon:
         num_nodes = int(header["num_nodes"])
         gpt = GlobalPartitionTable(num_nodes, setsep)
         fib_rows = [
-            (int(key), int(value), int(bs_ip))
-            for key, _node, value, bs_ip in header["fib"]
+            (int(key), int(bs_ip)) for key, _node, _, bs_ip in header["fib"]
         ]
-        _check_keys([key for key, _, _ in fib_rows], "fib")
-        fib = {key: value for key, value, _ in fib_rows}
-        bs = {key: bs_ip for key, _, bs_ip in fib_rows}
+        _checked(checked_keys, [key for key, _ in fib_rows], "fib")
+        teids = _checked(checked_teids, [r[2] for r in header["fib"]], "fib")
+        fib = {key: teid for (key, _), teid in zip(fib_rows, teids)}
+        bs = dict(fib_rows)
         rib_slice = RoutingInformationBase(num_nodes, setsep.num_blocks)
         rib_slice.insert_many(*_rib_columns(header["rib"], "rib"))
         self.gpt = gpt
@@ -399,7 +400,7 @@ class NodeDaemon:
             "fib_entries": len(self.fib),
             "rib_entries": len(self.slice) if self.slice is not None else 0,
             "charges": {str(teid): total
-                        for teid, total in self.charges.items()},
+                        for teid, total in self.ledger.bytes_charged.items()},
             "counters": self.registry.counters(),
             "gpt_backend": (
                 separator_registry.backend_of(self.gpt.setsep)
@@ -573,10 +574,10 @@ class NodeDaemon:
                 bs_ips.append(self.bs.get(key, 0))
         if accepted_pos:
             idx = rows[accepted_pos]
-            for value, size in zip(teids, parsed.l3_len[idx].tolist()):
-                self.charges[value] = self.charges.get(value, 0) + size
+            teid_column = np.asarray(teids, dtype=np.int64)
+            self.ledger.charge_many(teid_column, parsed.l3_len[idx])
             tunnelled = fastpath.encapsulate_batch(
-                parsed, idx, np.asarray(teids, dtype=np.int64),
+                parsed, idx, teid_column,
                 np.asarray(bs_ips, dtype=np.int64), self.gateway_ip,
             )
             status[accepted_pos] = STATUS_DELIVERED
@@ -700,12 +701,12 @@ class NodeDaemon:
         return collect
 
 
-def _check_keys(keys: List[int], column: str) -> None:
-    """Refuse a key outside ``[0, 2**64)``: a ``ValueError`` naming the
-    header column and the row (a dict FIB would hold it as given, the
-    RIB modulo ``2**64``, and the two would disagree)."""
+def _checked(check: Callable, values: List, column: str):
+    """``check(values)``, its ``ValueError`` naming the header column too:
+    keys by ``checked_keys`` (a dict FIB would hold ``-5`` as given, the
+    RIB modulo ``2**64``), TEIDs by ``checked_teids``."""
     try:
-        checked_keys(keys)
+        return check(values)
     except ValueError as exc:
         raise ValueError(f"{column} {exc}") from None
 
@@ -714,10 +715,10 @@ def _rib_columns(
     rows: List[list], column: str
 ) -> Tuple[np.ndarray, List[int], List[int]]:
     """``(keys, nodes, values)`` of ``[key, node, value]`` rows: keys
-    checked by :func:`_check_keys`, as ``uint64``; the rest as ints."""
+    checked by ``checked_keys``, as ``uint64``; the rest as ints."""
     table = [(int(key), int(node), int(value)) for key, node, value in rows]
     keys = [key for key, _, _ in table]
-    _check_keys(keys, column)
+    _checked(checked_keys, keys, column)
     return (
         np.array(keys, dtype=np.uint64),
         [node for _, node, _ in table],

@@ -140,6 +140,23 @@ def started_gateway(flows=24, nodes=4, seed=77):
     return gateway, oracle
 
 
+def assert_every_packet_accounted(counters):
+    """Offered = delivered + the sum of every ``gateway.drops.*`` reason."""
+    offered = (
+        counters["gateway.downstream.packets_in"]
+        + counters["gateway.upstream.packets_in"]
+    )
+    delivered = (
+        counters["gateway.downstream.tunnelled"]
+        + counters["gateway.upstream.forwarded"]
+    )
+    drops = sum(
+        count for name, count in counters.items()
+        if name.startswith("gateway.drops.")
+    )
+    assert offered == delivered + drops
+
+
 class TestDropAccounting:
     """Every packet the gateway is offered is delivered or counted under
     one ``gateway.drops.*`` reason, a lost fabric transit included."""
@@ -155,21 +172,31 @@ class TestDropAccounting:
         assert report.ok
         counters = report.episodes[0].counters
         assert counters["gateway.drops.fabric_loss"] > 0
-        offered = (
-            counters["gateway.downstream.packets_in"]
-            + counters["gateway.upstream.packets_in"]
+        assert_every_packet_accounted(counters)
+
+    def test_a_policed_packet_is_one_drop_in_either_direction(self):
+        """Policed downstream and upstream, beside ACL drops: a policed
+        packet is counted under ``policed`` only, never ``acl`` too."""
+        flowgen = FlowGenerator(seed=5)
+        gateway = EpcGateway(
+            Architecture.SCALEBRICKS, 4, parse_ip("192.0.2.1"),
+            rate_limit_bytes_per_s=1_000.0,
         )
-        delivered = (
-            counters["gateway.downstream.tunnelled"]
-            + counters["gateway.upstream.forwarded"]
+        flows = flowgen.populate(gateway, 30)
+        gateway.start()
+        gateway.acl_blocked_sources.add(flows[0].src_ip)
+        results = gateway.process_downstream_batch(
+            flowgen.packet_stream(flows, 600)
         )
-        # A policed packet is counted under ``acl`` too.
-        drops = sum(
-            count for name, count in counters.items()
-            if name.startswith("gateway.drops.")
-            and name != "gateway.drops.policed"
-        )
-        assert offered == delivered + drops
+        policed_down = gateway.registry.counters()["gateway.drops.policed"]
+        for _, packet in results:
+            if packet is not None:
+                gateway.process_upstream(packet)
+        counters = gateway.registry.counters()
+        assert counters["gateway.drops.acl"] > 0
+        assert 0 < policed_down < counters["gateway.drops.policed"]
+        assert counters["gateway.upstream.forwarded"] > 0
+        assert_every_packet_accounted(counters)
 
 
 class TestOracleSensitivity:

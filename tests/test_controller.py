@@ -1,5 +1,7 @@
 """Tests for the EPC controller (repro.epc.controller)."""
 
+from dataclasses import astuple, replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -322,102 +324,111 @@ not_addresses = st.one_of(
     st.integers(max_value=-1), st.integers(min_value=1 << 32),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+regions = st.one_of(
+    st.integers(-3, 70), st.integers(-(1 << 63), (1 << 63) - 1)
+)
+not_regions = st.one_of(
+    st.integers(max_value=-(1 << 63) - 1), st.integers(min_value=1 << 63),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 class ControllerColumns(RuleBasedStateMachine):
-    """The egress columns against a plain-dict model of the bearers."""
+    """The TEID columns against a plain-dict model of the whole records,
+    kept in establishment order as the controller's ``flows`` dict once
+    was."""
 
     def __init__(self):
         super().__init__()
         self.ctrl = EpcController(num_nodes=4)
-        self.model = {}  # TEID -> (key, node, address)
+        self.model = {}  # flow key -> FlowRecord, in establishment order
 
-    def _by_key(self, index):
-        key = flow(index).key()
-        for teid, row in self.model.items():
-            if row[0] == key:
-                return teid
-        return None
+    def _set(self, record, **changes):
+        self.model[record.key] = replace(record, **changes)
 
     @rule(index=st.integers(0, FLOW_POOL - 1),
-          address=st.one_of(addresses, not_addresses))
-    def establish(self, index, address):
-        live = self._by_key(index) is not None
-        valid = type(address) is int and 0 <= address <= 0xFFFFFFFF
+          address=st.one_of(addresses, not_addresses),
+          region=st.one_of(regions, not_regions))
+    def establish(self, index, address, region):
+        live = flow(index).key() in self.model
+        valid = (type(address) is int and 0 <= address <= 0xFFFFFFFF
+                 and type(region) is int and -(1 << 63) <= region < 1 << 63)
         if live or not valid:
             with pytest.raises(ValueError):
-                self.ctrl.establish_bearer(flow(index), address)
+                self.ctrl.establish_bearer(flow(index), address, region)
             return
-        record = self.ctrl.establish_bearer(flow(index), address)
-        assert record.teid not in self.model
-        self.model[record.teid] = (
-            record.key, record.handling_node, address
+        record = self.ctrl.establish_bearer(flow(index), address, region)
+        assert record.teid not in {r.teid for r in self.model.values()}
+        assert (record.flow, record.base_station_ip, record.region) == (
+            flow(index), address, region
         )
+        self._set(record)
 
     @rule(indices=st.lists(st.integers(0, FLOW_POOL - 1), unique=True,
                            max_size=4))
     def establish_several(self, indices):
         for i in indices:
-            if self._by_key(i) is None:
-                record = self.ctrl.establish_bearer(flow(i), BS + i)
-                self.model[record.teid] = (
-                    record.key, record.handling_node, BS + i
-                )
+            if flow(i).key() not in self.model:
+                self._set(self.ctrl.establish_bearer(flow(i), BS + i, i))
 
     @rule(index=st.integers(0, FLOW_POOL - 1))
     def teardown_bearer(self, index):  # ``teardown`` is the machine's own
-        teid = self._by_key(index)
         removed = self.ctrl.teardown_bearer(flow(index))
-        assert (removed is None) == (teid is None)
-        if teid is not None:
-            assert removed.teid == teid
-            del self.model[teid]
+        assert removed == self.model.pop(flow(index).key(), None)
 
     @rule(index=st.integers(0, FLOW_POOL - 1),
           node=st.one_of(node_ids, not_node_ids))
     def rehome(self, index, node):
-        teid = self._by_key(index)
+        record = self.model.get(flow(index).key())
         if not (type(node) is int and 0 <= node < 4):
             with pytest.raises(ValueError):
                 self.ctrl.rehome(flow(index), node)
-        elif teid is None:
+        elif record is None:
             with pytest.raises(KeyError):
                 self.ctrl.rehome(flow(index), node)
         else:
-            self.ctrl.rehome(flow(index), node)
-            key, _, address = self.model[teid]
-            self.model[teid] = (key, node, address)
+            self._set(record, handling_node=node)
+            assert self.ctrl.rehome(flow(index), node) == self.model[
+                record.key
+            ]
 
     @rule(index=st.integers(0, FLOW_POOL - 1),
           address=st.one_of(addresses, not_addresses))
     def handover(self, index, address):
-        teid = self._by_key(index)
+        record = self.model.get(flow(index).key())
         if not (type(address) is int and 0 <= address <= 0xFFFFFFFF):
             with pytest.raises(ValueError):
                 self.ctrl.handover(flow(index), address)
-        elif teid is None:
+        elif record is None:
             with pytest.raises(KeyError):
                 self.ctrl.handover(flow(index), address)
         else:
-            self.ctrl.handover(flow(index), address)
-            key, node, _ = self.model[teid]
-            self.model[teid] = (key, node, address)
+            self._set(record, base_station_ip=address)
+            assert self.ctrl.handover(flow(index), address) == self.model[
+                record.key
+            ]
 
     @invariant()
     def columns_match_the_model(self):
-        for teid, row in self.model.items():
-            assert row_of(self.ctrl, teid) == row
-        free_rows_hold_sentinel(self.ctrl, self.model)
+        by_teid = {record.teid: record for record in self.model.values()}
+        for teid, record in by_teid.items():
+            assert row_of(self.ctrl, teid) == (
+                record.key, record.handling_node, record.base_station_ip
+            )
+            # The cold row as its named columns read it.
+            assert self.ctrl._cold[teid].item() == (
+                *astuple(record.flow), record.region
+            )
+        free_rows_hold_sentinel(self.ctrl, by_teid)
         rows = len(self.ctrl._keys)
         for teid in [-1, True, 1.0, *range(rows + 2)]:
-            record = self.ctrl.record_for_teid(teid)
-            expected = self.model.get(teid) if type(teid) is int else None
-            if expected is None:
-                assert record is None
-            else:
-                assert (record.key, record.handling_node,
-                        record.base_station_ip) == expected
-                assert record.teid == teid
+            expected = by_teid.get(teid) if type(teid) is int else None
+            assert self.ctrl.record_for_teid(teid) == expected
+        for index in range(FLOW_POOL):
+            key = flow(index).key()
+            assert self.ctrl.record_for_key(key) == self.model.get(key)
+            assert (key in self.ctrl.flows) == (key in self.model)
+        assert list(self.ctrl.flows.items()) == list(self.model.items())
         assert len(self.ctrl) == len(self.ctrl.teids) == len(self.model)
 
 

@@ -14,13 +14,15 @@ import hashlib
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.chaos.transport import DELAY, DROP, DUPLICATE
+from repro.epc import fastpath
 from repro.epc.packets import PROTO_UDP, FlowTuple
 from repro.runtime.framing import FramingError, pack_frame_list
 from repro.runtime.protocol import (
-    MSG_FLUSH, MSG_FORWARD, MSG_ROUTE, RSP_ERR, RSP_FORWARD, RSP_ROUTE,
+    MSG_FLUSH, MSG_FORWARD, MSG_ROUTE, MSG_STATUS, RSP_ERR, RSP_FORWARD, RSP_ROUTE,
     STATUS_DELIVERED, decode_outcomes, encode_outcome_columns,
 )
 from repro.runtime.shadow import compare_frames
@@ -113,7 +115,7 @@ def fault_scenario():
     assert ingress._dispatch(MSG_FLUSH, b"")[0] != RSP_ERR
     state = {
         "outcomes": batches,
-        "charges": [sorted(d.charges.items()) for d in daemons],
+        "charges": [sorted(d.ledger.bytes_charged.items()) for d in daemons],
         "counters": [frame_counters(d) for d in daemons],
     }
     digest = hashlib.sha256(
@@ -166,7 +168,7 @@ def test_a_failed_duplicate_does_not_hide_the_delivery():
     assert all(o.status == STATUS_DELIVERED for o in outcomes)
     charges = {}
     for daemon in daemons:
-        charges.update(daemon.charges)
+        charges.update(daemon.ledger.bytes_charged)
     assert charges == gateway.stats.bytes_charged
 
 
@@ -223,9 +225,39 @@ def test_trailing_bytes_after_the_last_frame_are_refused(msg_type):
         return healthy(node_id, msg_type, payload)
 
     ingress._peer_post = post
-    before = [(dict(d.charges), frame_counters(d)) for d in daemons]
+    def state():
+        return [(d.ledger.bytes_charged, frame_counters(d)) for d in daemons]
+
+    before = state()
     payload = pack_frame_list(gen.packet_stream(flows, 40)) + b"\x00"
     rsp_type, body = ingress._dispatch(msg_type, payload)
     assert rsp_type == RSP_ERR and b"trailing bytes" in body
     assert posts == []
-    assert [(dict(d.charges), frame_counters(d)) for d in daemons] == before
+    assert state() == before
+
+
+@pytest.mark.parametrize("count", [10, 300], ids=["loop", "columns"])
+def test_status_charges_are_the_per_frame_loops_in_first_charge_order(count):
+    """The daemon charges through a ``ChargingLedger``: its charges equal
+    the per-frame dict loop it replaced, in first-charge order, below and
+    above ``LOOP_BELOW`` frames, and so does ``STATUS`` (keys sorted)."""
+    _gateway, flows, gen, _controller, daemons = three_daemons()
+    daemon = daemons[INGRESS]
+    frames = gen.packet_stream(flows, count) + [b"", make_frame(flows[0])]
+    parsed = fastpath.parse_frames(frames)
+    rows = np.arange(len(frames))
+    expected = {}
+    for key, size, malformed in zip(
+        parsed.keys.tolist(), parsed.l3_len.tolist(), parsed.malformed
+    ):
+        teid = None if malformed else daemon.fib.get(key)
+        if teid is not None:
+            expected[teid] = expected.get(teid, 0) + size
+    daemon._handle_frames(parsed, rows)
+    daemon._handle_frames(parsed, rows[::-1])
+    for teid, size in reversed(expected.items()):
+        expected[teid] += size
+    assert len(expected) > 1
+    assert list(daemon.ledger.bytes_charged.items()) == list(expected.items())
+    status = json.loads(daemon._dispatch(MSG_STATUS, b"")[1])
+    assert status["charges"] == {str(t): b for t, b in expected.items()}

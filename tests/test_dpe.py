@@ -123,7 +123,7 @@ class TestPolicingInGateway:
             if tunnelled is not None:
                 delivered += 1
         assert 0 < delivered < 10
-        assert gateway.dpe.policed_drops > 0
+        assert sum(dpe.policed_drops for dpe in gateway.dpes) > 0
 
     def test_gateway_emits_cdrs_on_disconnect(self):
         gen = FlowGenerator(seed=501)
@@ -136,7 +136,7 @@ class TestPolicingInGateway:
         gateway.process_downstream(frame)
         record_before = gateway.controller.record_for_key(flows[0].key())
         assert gateway.disconnect(flows[0])
-        cdrs = gateway.dpe.records
+        cdrs = gateway.dpes[record_before.handling_node].records
         assert len(cdrs) == 1
         assert cdrs[0].teid == record_before.teid
         assert cdrs[0].downlink_bytes > 0
@@ -152,6 +152,6 @@ class TestPolicingInGateway:
         _, tunnelled = gateway.process_downstream(frame)
         gateway.process_upstream(tunnelled)
         record = gateway.controller.record_for_key(flows[1].key())
-        context = gateway.dpe.context(record.teid)
+        context = gateway.dpes[record.handling_node].context(record.teid)
         assert context.downlink_packets == 1
         assert context.uplink_packets == 1

@@ -664,7 +664,7 @@ class TestTunnelFieldRange:
             with pytest.raises(ValueError, match="base_station_ip"):
                 gateway.controller.handover(flows[0], bad)
         assert len(gateway.controller) == len(gateway.controller.teids) == 20
-        assert len(gateway.dpe) == 20
+        assert sum(len(dpe) for dpe in gateway.dpes) == 20
         assert gateway.stats.bytes_charged == {}
         assert gateway.registry.counters() == registry_before
         record = gateway.controller.record_for_key(flows[0].key())
@@ -837,7 +837,8 @@ class TestGatewayDifferential:
             for flow in flows[8:10]:
                 record = gateway.controller.record_for_key(flow.key())
                 assert record.teid not in gateway.stats.bytes_charged
-                assert gateway.dpe.context(record.teid).downlink_bytes == 0
+                dpe = gateway.dpes[record.handling_node]
+                assert dpe.context(record.teid).downlink_bytes == 0
         assert (
             gw_a.stats.bytes_charged == gw_b.stats.bytes_charged
             == gw_clean.stats.bytes_charged
@@ -1185,8 +1186,8 @@ class TestColumnsAgainstScalar:
                 )
         charges = {}
         for daemon in daemons:
-            assert not set(charges) & set(daemon.charges)
-            charges.update(daemon.charges)
+            assert not set(charges) & set(daemon.ledger.bytes_charged)
+            charges.update(daemon.ledger.bytes_charged)
         assert charges == gateway.stats.bytes_charged
 
 

@@ -1,11 +1,13 @@
 """End-to-end tests for the LTE-to-Internet gateway (repro.epc.gateway)."""
 
 import itertools
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from repro.cluster import Architecture
+from repro.cluster import Architecture, Cluster
+from repro.core import serialize
 from repro.epc.controller import BearerMismatchError
 from repro.epc.gateway import EpcGateway
 from repro.epc.packets import build_downstream_frame, parse_ip
@@ -107,6 +109,27 @@ class TestUpstream:
         gateway, _, _ = started_gateway
         assert gateway.process_upstream(b"\x00" * 64) is None
 
+    @pytest.mark.parametrize("live", [False, True], ids=["dead", "live"])
+    def test_the_tunnel_is_checked_before_the_inner_packet(
+        self, started_gateway, live
+    ):
+        """A malformed inner packet in a dead tunnel is ``bad_tunnel``;
+        only a live tunnel's is ``malformed``."""
+        gateway, _, flows = started_gateway
+        teid = gateway.controller.record_for_key(flows[6].key()).teid
+        endpoint = GtpTunnelEndpoint(local_ip=GW_IP, peer_ip=1)
+        packet = endpoint.encapsulate(teid if live else 0x7FFFFFFF, b"\x45")
+        before = gateway.registry.counters()
+        assert gateway.process_upstream(packet) is None
+        after = gateway.registry.counters()
+        moved = {
+            name for name, count in after.items()
+            if name.startswith("gateway.drops.") and count != before[name]
+        }
+        assert moved == {
+            "gateway.drops.malformed" if live else "gateway.drops.bad_tunnel"
+        }
+
 
 class TestLifecycle:
     def test_not_started_raises(self):
@@ -148,6 +171,69 @@ def test_other_architectures_forward_identically(arch):
         assert tunnelled is not None
         record = gateway.controller.record_for_key(flow.key())
         assert result.value == record.teid
+
+
+def record_loop_cluster(gateway):
+    """The cluster ``start()`` built when the controller kept a record per
+    bearer: one loop over the records, in the flow table's order."""
+    records = list(gateway.controller.flows.values())
+    keys = [r.key for r in records]
+    nodes = [r.handling_node for r in records]
+    teids = [r.teid for r in records]
+    return Cluster.build(
+        gateway.architecture,
+        gateway.num_nodes,
+        np.asarray(keys, dtype=np.uint64),
+        nodes,
+        teids,
+        fabric_backend="crossbar",
+    )
+
+
+class TestStartAfterChurn:
+    def test_reused_teids_build_the_record_loops_cluster(self):
+        """Connects, disconnects, rehomes and handovers that recycle
+        TEIDs, then ``start()``: the same RIB, entry for entry and in
+        order, and the same replicas as the record loop builds."""
+        gen = FlowGenerator(seed=21)
+        gateway = EpcGateway(
+            Architecture.SCALEBRICKS, 4, GW_IP, fabric_backend="crossbar"
+        )
+        live = {flow.key(): flow for flow in gen.populate(gateway, 300)}
+        rng = np.random.default_rng(4)
+        freed, reused = set(), 0
+        for _ in range(900):
+            action = rng.integers(4)
+            flow = list(live.values())[rng.integers(len(live))]
+            if action == 0:
+                newcomer = gen.flows(1)[0]
+                teid = gateway.connect(
+                    newcomer, gen.base_station_for(newcomer)
+                ).teid
+                reused += teid in freed
+                freed.discard(teid)
+                live[newcomer.key()] = newcomer
+            elif action == 1:
+                freed.add(gateway.controller.record_for_key(flow.key()).teid)
+                assert gateway.disconnect(live.pop(flow.key()))
+            elif action == 2:
+                gateway.rehome_flow(flow, int(rng.integers(4)))
+            else:
+                gateway.controller.handover(flow, int(rng.integers(1 << 32)))
+        assert reused > 50
+        assert list(gateway.controller.flows) == list(live)
+        gateway.start()
+        reference = record_loop_cluster(gateway)
+        assert [astuple(e) for e in gateway.cluster.rib.entries()] == [
+            astuple(e) for e in reference.rib.entries()
+        ]
+        assert [
+            serialize.fingerprint(node.gpt.setsep)
+            for node in gateway.cluster.nodes
+        ] == [
+            serialize.fingerprint(node.gpt.setsep)
+            for node in reference.nodes
+        ]
 
 
 class TestObservability:

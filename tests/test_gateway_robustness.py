@@ -131,7 +131,8 @@ class TestUnforwardable:
             assert (result.dropped, result.reason) == (True, "malformed")
         assert gateway.registry.counters()["gateway.drops.malformed"] == 2
         assert gateway.stats.bytes_charged == {}
-        assert gateway.dpe.context(record.teid).downlink_bytes == 0
+        dpe = gateway.dpes[record.handling_node]
+        assert dpe.context(record.teid).downlink_bytes == 0
         result, out = gateway.process_downstream(make_frame(flows[0], ttl=1))
         assert out is not None and result.delivered
 
@@ -154,7 +155,8 @@ class TestUnforwardable:
         assert counters["gateway.drops.malformed"] == 1
         assert counters["gateway.upstream.forwarded"] == 0
         assert gateway.stats.bytes_charged == {}
-        assert gateway.dpe.context(record.teid).uplink_bytes == 0
+        dpe = gateway.dpes[record.handling_node]
+        assert dpe.context(record.teid).uplink_bytes == 0
         alive = endpoint.encapsulate(record.teid, inner[1])
         assert gateway.process_upstream(alive) is not None
         assert gateway.stats.bytes_charged == {record.teid: len(inner[1])}
@@ -214,8 +216,8 @@ class TestUnforwardable:
         assert outcomes[5].out is None
         assert outcomes[:5] + outcomes[6:] == clean
         assert all(o.status == STATUS_DELIVERED for o in clean)
-        assert [d.charges for d in daemons] == [
-            d.charges for d in clean_daemons
+        assert [d.ledger.bytes_charged for d in daemons] == [
+            d.ledger.bytes_charged for d in clean_daemons
         ]
         # And the shadow agrees frame for frame, so the differential
         # drivers see no divergence.

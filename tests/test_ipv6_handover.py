@@ -107,7 +107,9 @@ class TestHandover:
             gw.controller.handover(gen.flows(1)[0], parse_ip("172.16.9.11"))
 
 
-class TestAggregateDpeView:
+class TestDpePlacement:
+    """A bearer's data-plane state lives on its handling node's DPE."""
+
     @pytest.fixture()
     def gateway(self):
         gen = FlowGenerator(seed=1500)
@@ -116,27 +118,32 @@ class TestAggregateDpeView:
         gw.start()
         return gw, gen, flows
 
-    def test_len_sums_nodes(self, gateway):
+    def test_one_context_per_bearer(self, gateway):
         gw, _, flows = gateway
-        assert len(gw.dpe) == len(flows)
-        assert len(gw.dpe) == sum(len(d) for d in gw.dpes)
+        assert sum(len(d) for d in gw.dpes) == len(flows)
 
-    def test_context_found_across_nodes(self, gateway):
+    def test_context_on_the_handling_node_only(self, gateway):
         gw, _, flows = gateway
         for flow in flows[:20]:
             record = gw.controller.record_for_key(flow.key())
-            assert gw.dpe.context(record.teid) is not None
-        assert gw.dpe.context(0x7FFFFFFF) is None
+            assert [
+                d.context(record.teid) is not None for d in gw.dpes
+            ] == [node == record.handling_node for node in range(4)]
+        assert all(d.context(0x7FFFFFFF) is None for d in gw.dpes)
 
-    def test_records_union(self, gateway):
+    def test_cdr_on_the_handling_node(self, gateway):
         gw, _, flows = gateway
         for flow in flows[:5]:
+            record = gw.controller.record_for_key(flow.key())
             gw.disconnect(flow)
-        assert len(gw.dpe.records) == 5
+            cdrs = gw.dpes[record.handling_node].records
+            assert cdrs[-1].teid == record.teid
+        assert sum(len(d.records) for d in gw.dpes) == 5
 
-    def test_total_bytes_aggregates(self, gateway):
+    def test_dpe_bytes_match_the_ledger(self, gateway):
         gw, gen, flows = gateway
         frames = gen.packet_stream(flows[:10], 20)
         for frame in frames:
             gw.process_downstream(frame)
-        assert gw.dpe.total_bytes() > 0
+        total = sum(d.total_bytes() for d in gw.dpes)
+        assert total == sum(gw.stats.bytes_charged.values()) > 0

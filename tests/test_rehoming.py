@@ -40,14 +40,14 @@ class TestRehoming:
         flow = flows[1]
         gateway.process_downstream(frame_for(flow, b"a" * 50))
         record = gateway.controller.record_for_key(flow.key())
-        before = gateway.dpe.context(record.teid)
+        before = gateway.dpes[record.handling_node].context(record.teid)
         bytes_before = before.downlink_bytes
         assert bytes_before > 0
 
         new = (record.handling_node + 1) % 4
         gateway.rehome_flow(flow, new)
         gateway.process_downstream(frame_for(flow, b"b" * 50))
-        after = gateway.dpe.context(record.teid)
+        after = gateway.dpes[new].context(record.teid)
         assert after.downlink_bytes > bytes_before
         # The context physically lives at the new node's DPE now.
         assert gateway.dpes[new].context(record.teid) is not None
@@ -120,6 +120,7 @@ class TestRehoming:
         gateway.process_downstream(frame_for(flow, b"c" * 30))
         gateway.rehome_flow(flow, (record.handling_node + 1) % 4)
         assert gateway.disconnect(flow)
-        cdrs = [r for r in gateway.dpe.records if r.teid == record.teid]
+        cdrs = [r for dpe in gateway.dpes for r in dpe.records
+                if r.teid == record.teid]
         assert len(cdrs) == 1
         assert cdrs[0].downlink_bytes > 0  # counters survived the move

@@ -788,6 +788,34 @@ class TestNothingPartlyApplied:
         )
         assert rsp_type == RSP_OK
 
+    @pytest.mark.parametrize(
+        "teid", [-1, 1 << 32, 1.5, True, "7", None],
+        ids=["negative", "wide", "float", "bool", "str", "null"],
+    )
+    def test_state_with_a_fib_value_that_is_no_teid_keeps_the_old_plane(
+        self, teid
+    ):
+        """The JSON header is untrusted: a FIB row's value must be a TEID
+        before it reaches the FIB, the ledger or a GTP-U header."""
+        gateway, _, _ = started_gateway(2, 2_000, seed=5)
+        controller, daemons = wire_up(gateway)
+        peer = daemons[1]
+        headers, snapshot = controller._state_headers(gateway)
+        header = dict(headers[1], fib=[list(row) for row in headers[1]["fib"]])
+        header["fib"][2][2] = teid
+        fib, gpt = peer.fib, peer.gpt
+        before = daemon_states(daemons)
+        rsp_type, rsp = peer._dispatch(
+            MSG_SNAPSHOT, encode_state(header, snapshot)
+        )
+        assert rsp_type == RSP_ERR
+        assert decode_json(rsp)["error"] == (
+            f"ValueError: fib row 2: TEID {teid!r} is not an integer "
+            "0..4294967295"
+        )
+        assert peer.fib is fib and peer.gpt is gpt
+        assert daemon_states(daemons) == before
+
     def test_bad_log_leaves_the_floor_uncompacted(self):
         separator, _ = separator_registry.build(
             unique_keys(200, seed=4), [0] * 200, SetSepParams(value_bits=1)
