@@ -376,14 +376,15 @@ BATCH_CALLS_SIZES = (32, 256)
 
 def count_calls(fn, *args):
     """``fn(*args)`` under ``sys.setprofile``; returns the Python function
-    calls it made (``call`` events, a generator's resumptions included),
-    collector off so no finaliser runs inside."""
-    calls = 0
+    calls it made (``call`` events, a generator's resumptions included)
+    and the C-level ones (``c_call`` events: builtins and the methods of
+    C types, NumPy's array methods among them; a ufunc or an operator on
+    arrays is not one), collector off so no finaliser runs inside."""
+    calls = {"call": 0, "c_call": 0}
 
     def profile(_frame, event, _arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
+        if event in calls:
+            calls[event] += 1
 
     gc.disable()
     sys.setprofile(profile)
@@ -392,12 +393,13 @@ def count_calls(fn, *args):
     finally:
         sys.setprofile(None)
         gc.enable()
-    return calls
+    return calls["call"], calls["c_call"]
 
 
 @perflab.benchmark("gateway.batch_calls", figure="§4.3", repeats=1)
 def perflab_gateway_batch_calls(ctx):
-    """Python calls per frame of one ``process_downstream_batch``.
+    """Python and C-level calls per frame of one
+    ``process_downstream_batch``.
 
     A uniform batch over 4,096 bearers on 4 nodes, at 32 and 256 frames,
     counted with ``sys.setprofile`` after an untraced warm-up batch of
@@ -406,25 +408,32 @@ def perflab_gateway_batch_calls(ctx):
     between the two sizes add, per frame: the per-batch calls (NumPy's
     Python wrappers among them, which differ between versions) cancel,
     and what is left is the program's own per-frame and per-flow work —
-    one ``RouteResult`` per frame today, two with a controller record
-    looked up per flow.  CI holds both under
-    :mod:`repro.perflab.gates`' budgets.
+    none today (slightly below zero: from 40 packets a node the DPE and
+    the ledger run on columns, not their loops), one with a Python call
+    per frame, two with a controller record looked up per flow.  CI
+    holds them under :mod:`repro.perflab.gates`' budgets.
     """
     gateway, flow_list, gen = _fresh_gateway(seed=13, flows=BATCH_CALLS_FLOWS)
     ctx.set_params(
         flows=BATCH_CALLS_FLOWS, nodes=NUM_NODES,
         python=".".join(map(str, sys.version_info[:2])),
     )
-    calls = {}
+    calls, c_calls = {}, {}
     for size in BATCH_CALLS_SIZES:
         warm, counted = (gen.packet_stream(flow_list, size) for _ in range(2))
         gateway.process_downstream_batch(warm)
-        calls[size] = count_calls(gateway.process_downstream_batch, counted)
+        calls[size], c_calls[size] = count_calls(
+            gateway.process_downstream_batch, counted
+        )
         ctx.registry.counter(f"gateway.batch_calls.python_at_{size}").inc(
             calls[size]
         )
+        ctx.registry.counter(f"gateway.batch_calls.c_at_{size}").inc(
+            c_calls[size]
+        )
     derived = {
-        f"python_calls_per_frame_at_{size}": calls[size] / size
+        f"{kind}_calls_per_frame_at_{size}": count[size] / size
+        for kind, count in (("python", calls), ("c", c_calls))
         for size in BATCH_CALLS_SIZES
     }
     small, large = BATCH_CALLS_SIZES

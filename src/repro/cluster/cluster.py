@@ -46,6 +46,10 @@ _REASONS = (
 ) = range(len(_REASONS))
 
 
+#: Makes an instance without running ``__init__`` (see ``RouteResult._of``).
+_new_result = object.__new__
+
+
 @dataclass(frozen=True)
 class RouteResult:
     """Outcome of routing one key through the cluster."""
@@ -124,12 +128,18 @@ class RouteBatchResult(SequenceABC):
         lost: packets lost in the fabric (reason ``fabric_loss``).
         values: application value per packet (``-1`` if dropped).
         latencies_us: modelled fabric latency per packet.
+        handler_split: the accepted packets split by the node that
+            accepted them, as the handler stage split them: ``(order,
+            runs)``, ``order`` the packets' rows sorted by node (batch
+            order within one) and ``runs`` per node present ``(node,
+            start, stop)`` — :func:`node_runs` of ``egress_nodes`` over
+            the accepted packets, without a second sort.
     """
 
     __slots__ = (
         "results", "ingress_nodes", "indirect_nodes", "handler_nodes",
         "egress_nodes", "hop_counts", "indirections", "dropped", "lost",
-        "values", "latencies_us",
+        "values", "latencies_us", "handler_split",
     )
 
     def __init__(
@@ -144,6 +154,7 @@ class RouteBatchResult(SequenceABC):
         lost: np.ndarray,
         values: np.ndarray,
         latencies_us: np.ndarray,
+        handler_split: Tuple[np.ndarray, list],
     ) -> None:
         self.results: Tuple[RouteResult, ...] = tuple(results)
         self.ingress_nodes = ingress_nodes
@@ -156,6 +167,7 @@ class RouteBatchResult(SequenceABC):
         self.lost = lost
         self.values = values
         self.latencies_us = latencies_us
+        self.handler_split = handler_split
 
     def touches(self, nodes) -> np.ndarray:
         """Mask of packets whose path crosses any of ``nodes``."""
@@ -174,12 +186,17 @@ class RouteBatchResult(SequenceABC):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
+            egress = self.egress_nodes[index]
+            accepted = (egress >= 0).nonzero()[0]
+            order, runs = node_runs(
+                egress[accepted], int(np.maximum.reduce(egress, initial=-1)) + 1
+            )
             return RouteBatchResult(
                 self.results[index], self.ingress_nodes[index],
                 self.indirect_nodes[index], self.handler_nodes[index],
-                self.egress_nodes[index], self.hop_counts[index],
-                self.dropped[index], self.lost[index], self.values[index],
-                self.latencies_us[index],
+                egress, self.hop_counts[index], self.dropped[index],
+                self.lost[index], self.values[index],
+                self.latencies_us[index], (accepted[order], runs),
             )
         return self.results[index]
 
@@ -213,8 +230,8 @@ def node_runs(ids: np.ndarray, num_nodes: int):
 
     Returns the sort ``order`` and, per node present, ``(node, start,
     stop)``: ``order[start:stop]`` are that node's rows in batch order.
-    The cluster's routing and the gateway's DPE dispatch both split this
-    way.
+    The cluster's routing splits this way, and
+    :attr:`RouteBatchResult.handler_split` hands the last split on.
     """
     order = ids.argsort(kind="stable")
     stops = np.bincount(ids, minlength=num_nodes).cumsum().tolist()
@@ -222,6 +239,18 @@ def node_runs(ids: np.ndarray, num_nodes: int):
         (node, start, stop)
         for node, (start, stop) in enumerate(zip([0] + stops, stops))
         if start < stop
+    ]
+
+
+def kept_runs(order: np.ndarray, runs, keep: np.ndarray):
+    """The split ``(order, runs)`` of :func:`node_runs` restricted to the
+    rows whose ``keep`` is set (``keep`` aligned with ``order``): each
+    node's kept rows stay in batch order, and a node left with none goes."""
+    kept = [0] + keep.cumsum().tolist()  # kept rows before each position
+    return order[keep], [
+        (node, kept[start], kept[stop])
+        for node, start, stop in runs
+        if kept[start] < kept[stop]
     ]
 
 
@@ -512,9 +541,7 @@ class Cluster:
                 (self.pick_ingress() for _ in range(count)),
                 dtype=np.int64, count=count,
             )
-        return self._rng.integers(len(self.nodes), size=count).astype(
-            np.int64
-        )
+        return self._rng.integers(len(self.nodes), size=count)
 
     def route(self, key: Key, ingress: Optional[int] = None) -> RouteResult:
         """Walk one packet from its ingress to its handling node: a batch
@@ -544,14 +571,16 @@ class Cluster:
         4. :meth:`ClusterNode.handle_batch` there (``unknown_key``).
 
         Each lookup stage splits the batch by node with one stable sort
-        and hands each table a contiguous slice hashed once for all of
-        them; packets at different nodes consult their own replicas,
-        which may differ.  Each leg is one
-        :meth:`~repro.fabric.Fabric.deliver_batch`: a transit lost there
-        ends its packet as ``fabric_loss``, which the fabric counts and
-        the ``cluster.*`` counters do not.  An ``ingress`` that is not one
-        node id per key is a ``ValueError`` before any counter, random
-        draw or fabric call.
+        and hands each table a contiguous slice of the sorted batch; the
+        keys are hashed once for every table on the path (ScaleBricks:
+        separator and FIB columns in one stacked pass).  Packets at
+        different nodes consult their own replicas, which may differ.
+        Each leg is one :meth:`~repro.fabric.Fabric.deliver_batch` (a leg
+        that carries every packet runs on the whole columns): a transit
+        lost there ends its packet as ``fabric_loss``, which the fabric
+        counts and the ``cluster.*`` counters do not.  An ``ingress``
+        that is not one node id per key is a ``ValueError`` before any
+        counter, random draw or fabric call.
         """
         keys_arr = hashfamily.canonical_keys(keys)
         if ingress is None:
@@ -562,6 +591,10 @@ class Cluster:
         arch = self.architecture
         hp = arch is Architecture.HASH_PARTITION
         vlb = arch is Architecture.ROUTEBRICKS_VLB
+        hashed = (
+            hashfamily.HashedKeys.both(keys_arr) if arch.uses_gpt
+            else hashfamily.HashedKeys(keys_arr)
+        )
         # Per packet: the node it is at, its transits so far, its reason
         # (set where it stops) and the node its detour crossed.  (Array
         # methods, not ``np.full``: each wrapper is Python calls per batch.)
@@ -573,16 +606,15 @@ class Cluster:
         middle = np.empty(n, dtype=np.int64)
         middle.fill(-1)
 
-        def leg(rows: np.ndarray, dsts: np.ndarray, credit: np.ndarray):
-            """Move packets ``rows`` from where they are to ``dsts`` in one
-            fabric call; a transit counts at its receiver and as forwarded
-            at ``credit``.  Returns the mask of the packets that arrived."""
-            srcs = at[rows]
+        def leg(rows, dsts: np.ndarray, credit: np.ndarray) -> np.ndarray:
+            """Move packets ``rows`` (``None``: every packet, on the whole
+            columns) from where they are to ``dsts`` in one fabric call; a
+            transit counts at its receiver and as forwarded at ``credit``.
+            Returns the mask of the packets that arrived."""
+            srcs = at if rows is None else at[rows]
             lat, lost = self.fabric.deliver_batch(srcs, dsts)
-            latencies[rows] += lat
             moved = srcs != dsts
             moved &= ~lost
-            hops[rows] += moved
             for node, received, sent in zip(
                 self.nodes,
                 np.bincount(dsts[moved], minlength=len(self.nodes)).tolist(),
@@ -590,30 +622,43 @@ class Cluster:
             ):
                 node.counters.internal_rx += received
                 node.counters.forwarded += sent
-            at[rows[moved]] = dsts[moved]
-            reasons[rows[lost]] = _FABRIC_LOSS
+            if rows is None:
+                np.add(latencies, lat, out=latencies)
+                np.add(hops, moved, out=hops)
+                at[moved] = dsts[moved]
+                reasons[lost] = _FABRIC_LOSS
+            else:
+                latencies[rows] += lat
+                hops[rows] += moved
+                at[rows[moved]] = dsts[moved]
+                reasons[rows[lost]] = _FABRIC_LOSS
             return ~lost
 
-        rows = np.arange(n)
+        rows = None  # every packet, until one stops
         if arch is Architecture.SCALEBRICKS:
+            order, runs, batch = self._split(hashed, ingress_arr, "separator")
+            targets_sorted = np.empty(n, dtype=np.int64)
+            for node_id, start, stop in runs:
+                node = self.nodes[node_id]
+                node.counters.external_rx += stop - start
+                node.counters.gpt_lookups += stop - start
+                targets_sorted[start:stop] = node.gpt.lookup_batch(
+                    batch[start:stop]
+                )
             targets = np.empty(n, dtype=np.int64)
-            for node, run, batch in self._runs(
-                keys_arr, ingress_arr, "separator"
-            ):
-                node.counters.external_rx += len(run)
-                node.counters.gpt_lookups += len(run)
-                targets[run] = node.gpt.lookup_batch(batch)
+            targets[order] = targets_sorted
         else:
             for node, count in zip(self.nodes, np.bincount(
                 ingress_arr, minlength=len(self.nodes)
             ).tolist()):
                 node.counters.external_rx += count
+            rows = np.arange(n)
             if hp:
-                rows = rows[leg(rows, self.lookup_nodes_batch(keys_arr),
+                rows = rows[leg(None, self.lookup_nodes_batch(keys_arr),
                                 ingress_arr)]
                 middle[rows] = at[rows]
-            found, targets = self._at_nodes(
-                keys_arr, rows, at[rows], ClusterNode.locate_batch
+            found, targets, _ = self._at_nodes(
+                hashed, rows, at[rows], ClusterNode.locate_batch
             )
             reasons[rows[~found]] = (
                 _UNKNOWN_AT_LOOKUP_NODE if hp else _UNKNOWN_AT_INGRESS
@@ -631,15 +676,24 @@ class Cluster:
                 keep = ~detour
                 keep[detour] = leg(bounced, indirect, indirect)
                 rows, targets = rows[keep], targets[keep]
-        arrived = leg(rows, targets, (ingress_arr if vlb else at)[rows])
-        rows, targets = rows[arrived], targets[arrived]
+        credit = ingress_arr if vlb else at
+        arrived = leg(rows, targets, credit if rows is None else credit[rows])
+        if not np.logical_and.reduce(arrived):
+            rows = arrived.nonzero()[0] if rows is None else rows[arrived]
+            targets = targets[arrived]
 
-        found = np.zeros(n, dtype=bool)
-        values = np.empty(n, dtype=np.int64)
-        values.fill(-1)
-        found[rows], values[rows] = self._at_nodes(
-            keys_arr, rows, targets, ClusterNode.handle_batch
+        found_at, values_at, (order, runs) = self._at_nodes(
+            hashed, rows, targets, ClusterNode.handle_batch
         )
+        if rows is None:
+            found, values = found_at, values_at
+        else:
+            found = np.zeros(n, dtype=bool)
+            values = np.empty(n, dtype=np.int64)
+            values.fill(-1)
+            found[rows], values[rows] = found_at, values_at
+        if not np.logical_and.reduce(found_at):
+            order, runs = kept_runs(order, runs, found[order])
         reasons[found] = _HANDLED
         lost = reasons == _FABRIC_LOSS
         # A detour is a middle node only on a path that crossed it.
@@ -647,25 +701,29 @@ class Cluster:
         if hp or vlb:
             indirect_nodes = np.where(hops == 2, middle, -1)
 
-        results = [
-            RouteResult._of(
-                key, ing,
-                (ing,) if not hop else (ing, end) if hop == 1
+        # One result per packet, made as ``RouteResult._of`` makes one,
+        # inline: no Python call per packet.
+        results = []
+        for key, ing, mid, end, hop, latency, hit, value, reason in zip(
+            keys_arr.tolist(), ingress_arr.tolist(), indirect_nodes.tolist(),
+            at.tolist(), hops.tolist(), latencies.tolist(), found.tolist(),
+            values.tolist(), reasons.tolist(),
+        ):
+            result = _new_result(RouteResult)
+            result.__dict__.update(
+                key=key, ingress=ing,
+                path=(ing,) if not hop else (ing, end) if hop == 1
                 else (ing, mid, end),
-                hop, latency, end if hit else None, value if hit else None,
-                not hit, _REASONS[reason],
+                internal_hops=hop, latency_us=latency,
+                handled_by=end if hit else None,
+                value=value if hit else None, dropped=not hit,
+                reason=_REASONS[reason],
             )
-            for key, ing, mid, end, hop, latency, hit, value, reason in zip(
-                keys_arr.tolist(), ingress_arr.tolist(),
-                indirect_nodes.tolist(), at.tolist(), hops.tolist(),
-                latencies.tolist(), found.tolist(), values.tolist(),
-                reasons.tolist(),
-            )
-        ]
+            results.append(result)
 
         # A packet lost in flight is the fabric's to count.
-        counted = hops[~lost]
-        delivered = int(found.sum())
+        counted = hops[~lost] if np.logical_or.reduce(lost) else hops
+        delivered = int(np.add.reduce(found))
         if counted.size:
             self._m_routed.inc(counted.size)
         if counted.size - delivered:
@@ -674,7 +732,7 @@ class Cluster:
             self._m_delivered.inc(delivered)
         self._m_hops.observe_many(counted)
         if hp or vlb:
-            indirections = int((counted >= 2).sum())
+            indirections = int(np.add.reduce(counted >= 2))
             if indirections:
                 self._m_indirections.inc(indirections)
         return RouteBatchResult(
@@ -688,6 +746,7 @@ class Cluster:
             lost=lost,
             values=values,
             latencies_us=latencies,
+            handler_split=(order, runs),
         )
 
     def _ingress_column(self, ingress, count: int) -> np.ndarray:
@@ -696,6 +755,13 @@ class Cluster:
         if column.shape != (count,):
             raise ValueError(f"{count} keys, ingress of shape {column.shape}")
         if column.dtype.kind in "iu":
+            ids = column.astype(np.int64)
+            # Read as unsigned, a negative id is a huge one: one bound
+            # test covers both ends.
+            if not count or np.maximum.reduce(ids.view(np.uint64)) < len(
+                self.nodes
+            ):
+                return ids
             bad = (column < 0) | (column >= len(self.nodes))
         else:  # a float is not truncated, None is not a default
             bad = np.array([
@@ -707,26 +773,37 @@ class Cluster:
             raise ValueError(f"ingress[{j}] = {column[j]!r} is not a node id")
         return column.astype(np.int64)
 
-    def _runs(self, keys_arr: np.ndarray, ids: np.ndarray, columns: str):
-        """Split the batch by a node-id column with one stable sort: per
-        node present, its packets' rows (in batch order) and their keys, a
-        slice of the sorted batch whose ``columns`` are hashed once, here."""
+    def _split(self, hashed: hashfamily.HashedKeys, ids: np.ndarray,
+               columns: str):
+        """Split the batch by a node-id column with one stable sort:
+        :func:`node_runs`' ``order`` and ``runs``, and the batch in that
+        order, its ``columns`` hashed once, here, if ``hashed`` does not
+        carry them (``batch[start:stop]`` is one node's slice)."""
         order, runs = node_runs(ids, len(self.nodes))
-        batch = hashfamily.HashedKeys(keys_arr[order])
+        batch = hashed[order]
         getattr(batch, columns)
-        for node, start, stop in runs:
-            yield self.nodes[node], order[start:stop], batch[start:stop]
+        return order, runs, batch
 
-    def _at_nodes(self, keys_arr, rows, ids, stage):
+    def _at_nodes(self, hashed, rows, ids, stage):
         """``stage(node, batch) -> (found, column)`` at each node of
-        ``ids`` over its packets of ``rows`` (one FIB-hashed slice per
-        node); returns ``found`` and the column, aligned with ``rows``."""
-        keys = keys_arr if rows.size == keys_arr.size else keys_arr[rows]
-        found = np.empty(rows.size, dtype=bool)
-        column = np.empty(rows.size, dtype=np.int64)
-        for node, run, batch in self._runs(keys, ids, "fib"):
-            found[run], column[run] = stage(node, batch)
-        return found, column
+        ``ids`` over its packets of ``rows`` (``None``: every packet; one
+        FIB-hashed slice per node).  Returns ``found`` and the column,
+        aligned with ``rows``, and the split by node: the batch rows in
+        node order, and per node present ``(node, start, stop)``."""
+        order, runs, batch = self._split(
+            hashed if rows is None else hashed[rows], ids, "fib"
+        )
+        found_sorted = np.empty(order.size, dtype=bool)
+        column_sorted = np.empty(order.size, dtype=np.int64)
+        for node, start, stop in runs:
+            found_sorted[start:stop], column_sorted[start:stop] = stage(
+                self.nodes[node], batch[start:stop]
+            )
+        found = np.empty(order.size, dtype=bool)
+        column = np.empty(order.size, dtype=np.int64)
+        found[order] = found_sorted
+        column[order] = column_sorted
+        return found, column, (order if rows is None else rows[order], runs)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -112,8 +112,9 @@ class ClusterNode:
         handling node by this node's FIB, ``-1`` for a key unknown here.
         Each key counts one FIB lookup; a miss also a drop here."""
         found, entries = self.fib.lookup_batch_array(keys)
-        misses = len(keys) - int(found.sum())
-        self.counters.fib_lookups += len(keys)
+        count = len(keys)
+        misses = count - int(np.add.reduce(found))
+        self.counters.fib_lookups += count
         self.counters.fib_misses += misses
         self.counters.dropped += misses
         return found, np.where(found, entries & _NODE_MASK, -1)
@@ -124,14 +125,17 @@ class ClusterNode:
         the GPT's one-sided error safe (§3.2).  Counted as
         :meth:`locate_batch` is, each hit also as handled."""
         found, entries = self.fib.lookup_batch_array(keys)
-        hits = int(found.sum())
-        self.counters.fib_lookups += len(keys)
-        self.counters.fib_misses += len(keys) - hits
-        self.counters.dropped += len(keys) - hits
-        self.counters.handled += hits
+        count = len(keys)
+        hits = int(np.add.reduce(found))
+        counters = self.counters
+        counters.fib_lookups += count
+        counters.fib_misses += count - hits
+        counters.dropped += count - hits
+        counters.handled += hits
         if self.architecture is Architecture.SCALEBRICKS:
             return found, entries
-        return found, np.where(found, entries >> NODE_BITS, -1)
+        # A miss reads -1, which the arithmetic shift keeps.
+        return found, entries >> NODE_BITS
 
     # ------------------------------------------------------------------
     # Memory accounting

@@ -72,9 +72,11 @@ _STREAM_TAG = np.uint64(_TAG_INT)
 #: derives a key's alternate bucket.
 TAG_BITS = 16
 
-# The rows of the two column sets of :class:`HashedKeys`.
+# The rows of the two column sets of :class:`HashedKeys`, and of both.
 _SEPARATOR_STREAMS = np.array([_STREAM_BUCKET, _STREAM_G1, _STREAM_G2])
 _FIB_STREAMS = np.array([_STREAM_FIB, _STREAM_TAG])
+_BOTH_STREAMS = np.concatenate((_SEPARATOR_STREAMS, _FIB_STREAMS))
+_TAG_MASK = np.uint64((1 << TAG_BITS) - 1)
 
 
 # The mixer's constants, made once: a NumPy scalar costs more to build
@@ -212,8 +214,9 @@ class HashedKeys:
     the offset to its alternate one.  Whatever depends on one table's
     geometry or contents (range reduction onto its buckets, its choices,
     indices, arrays, slots) is left to that table: replicas may differ.
-    Build with :func:`prehash`; ``len()`` and indexing by a slice or an
-    index array work as on the key array.
+    Build with :func:`prehash` (or :meth:`both`); ``len()`` and indexing
+    by a slice or an integer index array (not a mask) work as on the key
+    array.
     """
 
     __slots__ = ("keys", "_separator", "_fib")
@@ -221,22 +224,41 @@ class HashedKeys:
     def __init__(self, keys: np.ndarray, separator=None, fib=None) -> None:
         self.keys, self._separator, self._fib = keys, separator, fib
 
+    @classmethod
+    def both(cls, keys: np.ndarray) -> "HashedKeys":
+        """Canonical ``keys`` with both column sets, hashed in one stacked
+        pass: for a batch that visits a separator and a FIB."""
+        hashes = _stacked(keys, _BOTH_STREAMS)
+        return cls(
+            keys, _separator_columns(hashes[:3]), _fib_columns(hashes[3:])
+        )
+
     def __len__(self) -> int:
         return len(self.keys)
 
     def __getitem__(self, rows) -> "HashedKeys":
+        if isinstance(rows, slice):
+            return HashedKeys(
+                self.keys[rows],
+                None if self._separator is None else self._separator[:, rows],
+                None if self._fib is None else self._fib[:, rows],
+            )
+        # An index array: ``take`` gathers the columns at a third of a
+        # fancy index's cost on a few rows.
         return HashedKeys(
             self.keys[rows],
-            None if self._separator is None else self._separator[:, rows],
-            None if self._fib is None else self._fib[:, rows],
+            None if self._separator is None
+            else self._separator.take(rows, axis=1),
+            None if self._fib is None else self._fib.take(rows, axis=1),
         )
 
     @property
     def separator(self) -> np.ndarray:
         """The ``(3, n)`` separator columns: bucket hash, G1, G2|1."""
         if self._separator is None:
-            self._separator = _stacked(self.keys, _SEPARATOR_STREAMS)
-            self._separator[2] |= _ONE
+            self._separator = _separator_columns(
+                _stacked(self.keys, _SEPARATOR_STREAMS)
+            )
         return self._separator
 
     @property
@@ -244,13 +266,25 @@ class HashedKeys:
         """The ``(2, n)`` FIB columns: FIB hash, and ``tag_hash`` of the
         key's non-zero ``TAG_BITS``-bit tag (the alternate-bucket offset)."""
         if self._fib is None:
-            self._fib = _stacked(self.keys, _FIB_STREAMS)
-            tags = self._fib[1]
-            tags &= np.uint64((1 << TAG_BITS) - 1)
-            tags[tags == 0] = 1
-            tags ^= _STREAM_TAG
-            _mix(tags)
+            self._fib = _fib_columns(_stacked(self.keys, _FIB_STREAMS))
         return self._fib
+
+
+def _separator_columns(hashes: np.ndarray) -> np.ndarray:
+    """The separator rows of a stacked pass, G2 made odd in place."""
+    hashes[2] |= _ONE
+    return hashes
+
+
+def _fib_columns(hashes: np.ndarray) -> np.ndarray:
+    """The FIB rows of a stacked pass, the tag row turned in place into
+    ``tag_hash`` of the key's non-zero ``TAG_BITS``-bit tag."""
+    tags = hashes[1]
+    tags &= _TAG_MASK
+    np.maximum(tags, _ONE, out=tags)
+    tags ^= _STREAM_TAG
+    _mix(tags)
+    return hashes
 
 
 def prehash(keys: Union[HashedKeys, Iterable[Key]]) -> HashedKeys:
@@ -314,7 +348,9 @@ def index_slots(
     """
     if m <= 0:
         raise ValueError("m must be positive")
-    h = np.asarray(indices, dtype=_U64) * g2[:, None]
+    # The multiply reads any integer ``indices`` as uint64 in its loop:
+    # no separate cast of the index matrix.
+    h = np.multiply(indices, g2[:, None], dtype=_U64, casting="unsafe")
     h += g1[:, None]
     return _reduce(h, m, out=h)
 

@@ -36,9 +36,6 @@ from repro.core.params import (
 )
 from repro.obs.metrics import MetricsRegistry, resolve_registry
 
-#: A 0-d one, cheaper as a ufunc operand than a NumPy scalar.
-_ONE = np.array(1, dtype=np.uint64)
-
 
 class SetSep:
     """The queryable set-separation structure.
@@ -77,7 +74,7 @@ class SetSep:
         #: ``2**b`` for each value bit ``b``: a lookup's bits dotted with
         #: these are its value.
         self._bit_weights = np.left_shift(
-            _ONE, np.arange(params.value_bits, dtype=np.uint64)
+            1, np.arange(params.value_bits, dtype=arrays.dtype)
         )
         # Fixed at construction (the two-level assignment is never
         # redone in place), so what is derived from it never goes stale.
@@ -170,33 +167,42 @@ class SetSep:
         here in one stacked pass, a pre-hashed batch is read.  What depends
         on *this* replica (its geometry, contents and fallback) stays here.
         """
-        batch = hashfamily.prehash(keys)
+        batch = (
+            keys if isinstance(keys, hashfamily.HashedKeys)
+            else hashfamily.prehash(keys)
+        )
         keys = batch.keys
         if keys.size == 0:
             return np.zeros(0, dtype=np.uint32)
         self._m_lookups.inc(keys.size)
-        groups = self.groups_of(batch)
-        _, g1, g2 = batch.separator
+        bucket_hashes, g1, g2 = batch.separator
+        groups = twolevel.groups_from_choices(
+            hashfamily.reduce_range(
+                bucket_hashes, self.num_blocks * BUCKETS_PER_BLOCK
+            ),
+            self._choices,
+        )
         # (n, value_bits) gathers: every group row at once (``take``
         # costs a third of the equivalent fancy index on a few rows).
         pos = hashfamily.index_slots(
             g1, g2, self.indices.take(groups, axis=0),
             self.params.array_bits,
         )
-        bits = self.arrays.take(groups, axis=0).astype(np.uint64)
+        # Each array word shifted by its own slot, in place (a slot is
+        # below the word's width), and its low bit kept.
+        bits = self.arrays.take(groups, axis=0)
         bits >>= pos
-        bits &= _ONE
+        bits &= 1
         # Value bit ``b`` is column ``b``: weighted by ``2**b`` and summed.
-        values = bits.dot(self._bit_weights).astype(np.uint32)
-        self._apply_fallback(keys, groups, values)
+        values = bits.dot(self._bit_weights).astype(np.uint32, copy=False)
+        if len(self.fallback):
+            self._apply_fallback(keys, groups, values)
         return values
 
     def _apply_fallback(
         self, keys: np.ndarray, groups: np.ndarray, values: np.ndarray
     ) -> None:
         """Overwrite results for keys whose group lives in the fallback."""
-        if not len(self.fallback):
-            return
         failed_idx = np.nonzero(self.failed_groups[groups])[0]
         if failed_idx.size == 0:
             return

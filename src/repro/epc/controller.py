@@ -303,28 +303,33 @@ class EpcController:
                 self._base_stations[rows])
 
     def egress(
-        self, keys: np.ndarray, teids: np.ndarray, frames: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Handling node and base-station address per TEID the FIB answered.
+        self,
+        keys: np.ndarray,
+        teids: np.ndarray,
+        frames: np.ndarray,
+        handlers: np.ndarray,
+    ) -> np.ndarray:
+        """Base-station address per TEID the FIB answered.
 
         ``keys[i]`` is the flow key of the frame numbered ``frames[i]``
-        and ``teids[i]`` the TEID the FIB answered for it.  One vector
-        compare checks that each TEID is its flow's live bearer; the
-        first row that is not raises :class:`BearerMismatchError` naming
-        its frame.
+        and ``teids[i]`` the TEID the FIB of node ``handlers[i]`` answered
+        for it.  One vector compare checks that each TEID is its flow's
+        live bearer, handled at that node (its context is in that node's
+        DPE); of the rows that are not, the one of the lowest frame
+        number raises :class:`BearerMismatchError` naming its frame.
         """
         rows = teids.astype(np.uint64)  # a negative TEID wraps past the end
         if rows.size and np.maximum.reduce(rows) >= len(self._keys):
             rows[rows >= len(self._keys)] = 0  # row 0 is never a live TEID
-        nodes = self._nodes[rows]
         bad = self._keys[rows] != keys
-        bad |= nodes < 0
+        bad |= self._nodes[rows] != handlers  # a free row's node is -1
         if np.logical_or.reduce(bad):
-            i = int(bad.argmax())
+            wrong = bad.nonzero()[0]
+            i = int(wrong[frames[wrong].argmin()])
             raise BearerMismatchError(
                 int(frames[i]), int(keys[i]), int(teids[i])
             )
-        return nodes, self._base_stations[rows]
+        return self._base_stations[rows]
 
     def __len__(self) -> int:
         return len(self._teid_of)

@@ -64,6 +64,32 @@ _GATHER = np.arange(ETH_SIZE, ETH_SIZE + Ipv4Header.SIZE + 4, dtype=np.int64)
 #: source and destination address, protocol, ports.
 _KEY_COLUMNS = np.r_[12:20, 9, 20:24]
 
+#: The header fields, as columns of the gather read one width at a time:
+#: bytes (type of service, TTL, protocol), big-endian words (total
+#: length, identification, ports) and double words (addresses).
+_U8_FIELDS = np.array([1, 8, 9])
+_U16_FIELDS = np.array([1, 2, 10, 11])
+_U32_FIELDS = np.array([3, 4])
+
+#: A length no frame reaches.
+_NEVER = 1 << 62
+
+#: By version/IHL byte: the header length in bytes of an IPv4 header
+#: with options (IHL over 5), the frames the scalar codec parses; a
+#: length no frame reaches for every other byte.
+_OPTIONS_IHL = np.array(
+    [(b & 0xF) * 4 if b >> 4 == 4 and b & 0xF > 5 else _NEVER
+     for b in range(256)],
+    dtype=np.int64,
+)
+
+#: By protocol byte: the fewest L3 bytes a frame needs, its 20 header
+#: bytes and, for TCP and UDP, the two ports.
+_MIN_L3 = np.array(
+    [Ipv4Header.SIZE + 4 * (p in (PROTO_TCP, PROTO_UDP)) for p in range(256)],
+    dtype=np.int64,
+)
+
 #: Byte offsets of the UDP, GTP-U and inner IPv4 headers in an egress row.
 _UDP = Ipv4Header.SIZE
 _GTP = _UDP + UdpHeader.SIZE
@@ -78,14 +104,35 @@ _TEMPLATE = np.frombuffer(
 ).copy()
 _TEMPLATE[[10, 11, _INNER + 10, _INNER + 11]] = 0
 
+#: The inner header bytes an egress row copies from its frame's own IPv4
+#: header: type of service, total length, identification (1-5), TTL and
+#: protocol (8, 9), addresses (12-19).  Version/IHL (0x45), the zeroed
+#: flags and the checksum are the template's.
+_INNER_COPY = np.r_[1:6, 8:10, 12:20]
+_INNER_COPY_TO = _INNER + _INNER_COPY
 
-def _checksums(words: np.ndarray, less: object = 0) -> np.ndarray:
-    """IPv4 checksum of each row of big-endian header words, ``less`` the
-    checksum field's own word where the row still carries one."""
-    total = words.sum(axis=1, dtype=np.int64) - less
-    total = (total & 0xFFFF) + (total >> 16)
-    total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+#: Subtracted from those bytes: the TTL goes one lower.
+_TTL_STEP = np.zeros(_INNER_COPY.size, dtype=np.uint8)
+_TTL_STEP[_INNER_COPY.tolist().index(8)] = 1
+
+#: An egress row as big-endian words: the three length fields (outer
+#: IPv4 total, UDP, GTP-U payload) are the inner length plus these.
+_LENGTH_WORDS = np.array([1, (_UDP + 4) // 2, (_GTP + 2) // 2])
+_LENGTH_ADDS = np.array([OUTER_SIZE, UdpHeader.SIZE + GtpuHeader.SIZE, 0])
+
+#: Word offsets where the outer and inner header sums start (and the UDP
+#: words between them, whose sum is not used), and their checksum words.
+_HEADER_WORDS = np.array([0, _UDP // 2, _INNER // 2])
+_CHECKSUM_WORDS = np.array([5, _INNER // 2 + 5])
+
+
+def _checksums(sums: np.ndarray) -> np.ndarray:
+    """IPv4 checksums of headers whose (positive) word sums, checksum field
+    zero, are ``sums``: the ones-complement fold of a positive sum is
+    ``(sum - 1) % 0xFFFF + 1``, and the checksum its complement."""
+    sums -= 1
+    sums %= 0xFFFF
+    return 0xFFFE - sums
 
 
 @dataclass
@@ -142,9 +189,8 @@ def parse_frames(frames: Sequence[bytes]) -> ParsedBatch:
     """Parse raw Ethernet/IPv4 frames into column arrays
     (:func:`parse_buffer` over the frames joined end to end)."""
     offsets = np.zeros(len(frames) + 1, dtype=np.int64)
-    np.cumsum(
-        np.fromiter(map(len, frames), dtype=np.int64, count=len(frames)),
-        out=offsets[1:],
+    np.fromiter(map(len, frames), dtype=np.int64, count=len(frames)).cumsum(
+        out=offsets[1:]
     )
     return parse_buffer(b"".join(frames), offsets)
 
@@ -156,14 +202,17 @@ def parse_buffer(raw: bytes, offsets: np.ndarray) -> ParsedBatch:
     ascending int64 array of ``n + 1`` entries ending at ``len(raw)``
     (what :func:`repro.runtime.framing.frame_columns` returns).  One
     gather for the whole batch: every frame's 20 header bytes and L4
-    ports become one row of an ``(n, 24)`` byte matrix, fields are read
-    through big-endian views of it, the IPv4 checksum is verified as ten
-    u16 word columns, and the flow keys are the BLAKE2b digests of the
-    13-byte 5-tuple rows (:func:`repro.core.hashfamily.canonical_key_rows`).
+    ports become one row of an ``(n, 24)`` byte matrix.  Validity is one
+    pass of column tests (the version/IHL and protocol bytes read through
+    256-entry tables; the checksum as one sum of the ten header words),
+    the fields are one gather per width, and the flow keys are the
+    BLAKE2b digests of the 13-byte 5-tuple rows
+    (:func:`repro.core.hashfamily.canonical_key_rows`).
     """
     n = offsets.size - 1
     buf = np.frombuffer(raw, dtype=np.uint8)
-    l3_len = offsets[1:] - (offsets[:-1] + ETH_SIZE)
+    l3_len = offsets[1:] - offsets[:-1]
+    l3_len -= ETH_SIZE
 
     # A frame shorter than the gather reads into its neighbour, and the
     # last one is clipped to the buffer: what lies past a frame's own end
@@ -173,35 +222,42 @@ def parse_buffer(raw: bytes, offsets: np.ndarray) -> ParsedBatch:
         else np.zeros((n, _GATHER.size), dtype=np.uint8)
     )
     words = hdr.view(">u2")
-    ihl = (hdr[:, 0] & 0xF) * 4
-    bad = (l3_len < Ipv4Header.SIZE) | (hdr[:, 0] >> 4 != 4)
-    bad |= (ihl < Ipv4Header.SIZE) | (l3_len < ihl)
-    spill = ~bad & (ihl != Ipv4Header.SIZE)
-    is_l4 = (hdr[:, 9] == PROTO_TCP) | (hdr[:, 9] == PROTO_UDP)
-    bad |= _checksums(words[:, :10], less=words[:, 5]) != words[:, 5]
-    bad |= is_l4 & (l3_len < _GATHER.size)
+    vihl = hdr[:, 0]
+    spill = _OPTIONS_IHL.take(vihl) <= l3_len
+    need = _MIN_L3.take(hdr[:, 9])
+    good = need <= l3_len
+    good &= vihl == 0x45
     # The unforwardable-packet rule (module docstring).
-    bad |= (hdr[:, 8] == 0) | (l3_len > MAX_INNER)
-    good = ~(bad | spill)
+    good &= l3_len <= MAX_INNER
+    good &= hdr[:, 8] != 0
+    # A header checks when its words, checksum included, sum to a
+    # multiple of 0xFFFF (the ones-complement zero), and its checksum is
+    # not the other zero, 0xFFFF, which the scalar codec never computes
+    # for a header with a version.
+    total = np.add.reduce(words[:, :10], axis=1, dtype=np.int64)
+    total %= 0xFFFF
+    good &= total == 0
+    good &= words[:, 5] != 0xFFFF
     hdr[~good] = 0
-    hdr[~is_l4, Ipv4Header.SIZE:] = 0
+    hdr[need == Ipv4Header.SIZE, Ipv4Header.SIZE:] = 0
 
-    dwords = hdr.view(">u4")
-    dscp, ttl, protocol = (hdr[:, i].astype(np.int64) for i in (1, 8, 9))
-    total_length, identification, sport, dport = (
-        words[:, i].astype(np.int64) for i in (1, 2, 10, 11)
+    dscp, ttl, protocol = hdr.T.take(_U8_FIELDS, axis=0).astype(np.int64)
+    total_length, identification, sport, dport = words.T.take(
+        _U16_FIELDS, axis=0
+    ).astype(np.int64)
+    src_ip, dst_ip = hdr.view(">u4").T.take(_U32_FIELDS, axis=0).astype(
+        np.int64
     )
-    src_ip, dst_ip = (dwords[:, i].astype(np.int64) for i in (3, 4))
-    malformed = bad & ~spill
+    malformed = ~(good | spill)
     keys = np.zeros(n, dtype=np.uint64)
 
-    valid = np.nonzero(good)[0]
+    valid = good.nonzero()[0]
     if valid.size:
         keys[valid] = canonical_key_rows(hdr[valid[:, None], _KEY_COLUMNS])
 
     # IPv4 options (IHL > 20): rare enough that the scalar codec is the
     # honest reference — parse those frames one by one.
-    spilled = np.nonzero(spill)[0].tolist()
+    spilled = spill.nonzero()[0].tolist()
     for i in spilled:
         try:
             _eth, l3 = parse_frame(raw[offsets[i]:offsets[i + 1]])
@@ -242,7 +298,7 @@ def parse_buffer(raw: bytes, offsets: np.ndarray) -> ParsedBatch:
 
 def _require_u32(name: str, values: np.ndarray) -> None:
     """A tunnel field wider than 32 bits would wrap into someone else's."""
-    outside = np.nonzero(values >> 32)[0]
+    outside = (values >> 32).nonzero()[0]
     if outside.size:
         raise ValueError(
             f"{name}[{outside[0]}] = {values[outside[0]]} "
@@ -263,8 +319,10 @@ def encapsulate_batch(
     produces: the 36-byte outer IPv4/UDP/GTP-U framing toward the base
     station, the inner IPv4 header re-packed with TTL-1 and a fresh
     checksum, and the original payload bytes.  The 56 header bytes are one
-    row of a matrix filled column by column and serialised once; each
-    payload is one slice of the input bytes.
+    row of a matrix serialised once: the inner header's kept bytes are
+    one gather from the frames, the three length fields one assignment,
+    and both checksums one segmented sum.  Each payload is one slice of
+    the input bytes.
 
     Raises:
         ValueError: a TEID, a base-station address or ``gateway_ip`` does
@@ -278,56 +336,43 @@ def encapsulate_batch(
         return []
     teids = np.asarray(teids, dtype=np.int64)
     bs_ips = np.asarray(bs_ips, dtype=np.int64)
-    _require_u32("teids", teids)
-    _require_u32("bs_ips", bs_ips)
+    if np.logical_or.reduce((teids | bs_ips) >> 32):
+        _require_u32("teids", teids)
+        _require_u32("bs_ips", bs_ips)
     if not 0 <= gateway_ip <= 0xFFFFFFFF:
         raise ValueError(f"gateway_ip {gateway_ip} is outside 0..0xFFFFFFFF")
-    inner_len = parsed.l3_len[idx]
-    if int(inner_len.max()) > MAX_INNER:
+    starts = parsed.offsets[idx] + ETH_SIZE
+    ends = parsed.offsets[idx + 1]
+    inner_len = ends - starts
+    if np.maximum.reduce(inner_len) > MAX_INNER:
         raise ValueError("inner packet too large for GTP-U framing")
 
-    # One row per packet; each header's fields are stored as byte, word
-    # or double-word columns at the offsets of its own wire format.
+    # One row per packet.  The inner IPv4 header is re-packed exactly as
+    # ``decrement_ttl().pack()``: the frame's own bytes under the
+    # template's version/IHL 0x45 and zeroed flags, TTL one lower.
     head = np.empty((m, _TEMPLATE.size), dtype=np.uint8)
     head[:] = _TEMPLATE
-    outer, inner = head[:, :_UDP], head[:, _INNER:]
-    outer16, outer32 = outer.view(">u2"), outer.view(">u4")
-    inner16, inner32 = inner.view(">u2"), inner.view(">u4")
-    udp16 = head[:, _UDP:_GTP].view(">u2")
-    gtp = head[:, _GTP:_INNER]
-
-    # Outer IPv4: gateway -> base station, UDP, TTL 64, fresh checksum.
-    outer16[:, 1] = OUTER_SIZE + inner_len
-    outer32[:, 3] = gateway_ip
-    outer32[:, 4] = bs_ips
-    outer16[:, 5] = _checksums(outer16)
-
-    # UDP + GTP-U framing.
-    udp16[:, 2] = UdpHeader.SIZE + GtpuHeader.SIZE + inner_len
-    gtp.view(">u2")[:, 1] = inner_len
-    gtp.view(">u4")[:, 1] = teids
-
-    # Inner IPv4 header, re-packed exactly as ``decrement_ttl().pack()``:
-    # ver/IHL fixed to 0x45, flags zeroed, checksum recomputed.
-    inner[:, 1] = parsed.dscp[idx]
-    inner16[:, 1] = parsed.total_length[idx]
-    inner16[:, 2] = parsed.identification[idx]
-    inner[:, 8] = parsed.ttl[idx] - 1
-    inner[:, 9] = parsed.protocol[idx]
-    inner32[:, 3] = parsed.src_ip[idx]
-    inner32[:, 4] = parsed.dst_ip[idx]
-    inner16[:, 5] = _checksums(inner16)
+    inner = parsed.buf.take(starts[:, None] + _INNER_COPY)
+    inner -= _TTL_STEP
+    head[:, _INNER_COPY_TO] = inner
+    words, dwords = head.view(">u2"), head.view(">u4")
+    words[:, _LENGTH_WORDS] = inner_len[:, None] + _LENGTH_ADDS
+    # Outer IPv4 gateway -> base station; the GTP-U TEID.
+    dwords[:, 3] = gateway_ip
+    dwords[:, 4] = bs_ips
+    dwords[:, (_GTP + 4) // 4] = teids
+    sums = np.add.reduceat(words, _HEADER_WORDS, axis=1, dtype=np.int64)
+    words[:, _CHECKSUM_WORDS] = _checksums(sums[:, ::2])
 
     # Payload tail: everything after the first 20 L3 bytes, options
     # included (the scalar codec slices at Ipv4Header.SIZE, not at IHL).
     blob = head.tobytes()
     raw = parsed.raw
     size = _TEMPLATE.size
+    starts += Ipv4Header.SIZE
     return [
         blob[row:row + size] + raw[start:end]
         for row, start, end in zip(
-            range(0, m * size, size),
-            (parsed.offsets[idx] + (ETH_SIZE + Ipv4Header.SIZE)).tolist(),
-            parsed.offsets[idx + 1].tolist(),
+            range(0, m * size, size), starts.tolist(), ends.tolist()
         )
     ]

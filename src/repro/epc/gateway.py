@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.cluster.architectures import Architecture
-from repro.cluster.cluster import Cluster, FibFactory, RouteResult, node_runs
+from repro.cluster.cluster import Cluster, FibFactory, RouteResult, kept_runs
 from repro.cluster.update import UpdateEngine
 from repro.core.params import SetSepParams
 from repro.epc import fastpath
@@ -112,6 +112,11 @@ class EpcGateway:
             "gateway.fastpath.spilled_frames",
             "frames that fell back to the scalar codec (IPv4 options)",
         )
+        # The downstream stages' spans, made once like the counters.
+        (
+            self._s_downstream, self._s_ingress, self._s_pfe, self._s_dpe,
+            self._s_egress,
+        ) = map(r.span, ("downstream", "ingress", "pfe_lookup", "dpe", "egress"))
         # One Data Plane Engine per node: bearer state lives where the
         # flow is handled (the pinning the whole paper exists to serve).
         self.dpes = [DataPlaneEngine() for _ in range(num_nodes)]
@@ -270,8 +275,8 @@ class EpcGateway:
                 return -1
             return int(ingress[i])  # type: ignore[arg-type]
 
-        with self.registry.span("downstream"):
-            with self.registry.span("ingress"):
+        with self._s_downstream:
+            with self._s_ingress:
                 malformed_idx = parsed.malformed.nonzero()[0]
                 if malformed_idx.size:
                     self._c_drop_malformed.inc(int(malformed_idx.size))
@@ -281,13 +286,15 @@ class EpcGateway:
                             None,
                         )
 
-                acl = np.zeros(n, dtype=bool)
+                routed = ~parsed.malformed
                 blocked = self.acl_blocked_sources
                 if blocked:
-                    acl = parsed.valid & np.fromiter(
-                        (src in blocked for src in parsed.src_ip.tolist()),
+                    acl = np.fromiter(
+                        map(blocked.__contains__, parsed.src_ip.tolist()),
                         dtype=bool, count=n,
                     )
+                    acl &= routed
+                    routed &= ~acl
                     acl_idx = acl.nonzero()[0]
                     if acl_idx.size:
                         self._c_drop_acl.inc(int(acl_idx.size))
@@ -299,8 +306,8 @@ class EpcGateway:
                                 None,
                             )
 
-            routed_idx = (parsed.valid & ~acl).nonzero()[0]
-            with self.registry.span("pfe_lookup"):
+            routed_idx = routed.nonzero()[0]
+            with self._s_pfe:
                 if ingress is None:
                     ing_routed = cluster.pick_ingress_batch(routed_idx.size)
                 else:
@@ -312,9 +319,8 @@ class EpcGateway:
                         ],
                         dtype=np.int64,
                     )
-                batch = cluster.route_batch(
-                    parsed.keys[routed_idx], ing_routed
-                )
+                routed_keys = parsed.keys[routed_idx]
+                batch = cluster.route_batch(routed_keys, ing_routed)
 
             def refuse(rows: np.ndarray, reason: str) -> None:
                 """Routed rows the gateway drops after the cluster routed
@@ -328,6 +334,7 @@ class EpcGateway:
             lost_j = refused.nonzero()[0]
             if lost_j.size:
                 self._c_drop_fabric_loss.inc(int(lost_j.size))
+            node_down = None
             if self.down_nodes:
                 node_down = batch.touches(self.down_nodes) & ~refused
                 down_j = node_down.nonzero()[0]
@@ -345,57 +352,71 @@ class EpcGateway:
             ):
                 results[i] = (batch.results[j], None)
 
-            accepted_j = (~batch.dropped & ~refused).nonzero()[0]
-            accepted_idx = routed_idx[accepted_j]
-            self._h_fabric_hop.observe_many(batch.latencies_us[accepted_j])
+            accepted = ~batch.dropped
+            accepted &= ~refused
+            self._h_fabric_hop.observe_many(batch.latencies_us[accepted])
 
-            with self.registry.span("dpe"):
+            with self._s_dpe:
+                # The route's split of its accepted frames by handler, less
+                # those a dead node on their path refuses: the DPE stage
+                # runs on the frames in that order, each handler's rows a
+                # contiguous slice.
+                order, runs = batch.handler_split
+                if node_down is not None:
+                    order, runs = kept_runs(order, runs, ~node_down[order])
                 # The FIB answered each accepted frame with its bearer's
                 # TEID: the controller's columns at those TEIDs give the
-                # handler and the tunnel's far end.
-                teids = batch.values[accepted_j]
-                handling, base_stations = self.controller.egress(
-                    parsed.keys[accepted_idx], teids, accepted_idx
+                # tunnel's far end, once it has checked that the bearer is
+                # that frame's and handled where its FIB answered.
+                teids = batch.values[order]
+                frames = routed_idx[order]
+                base_stations = self.controller.egress(
+                    routed_keys[order], teids, frames,
+                    batch.handler_nodes[order],
                 )
-                # The running sum adds left to right, one ``now += tick``
-                # per accepted packet, so the clock ends where batches of
-                # one would leave it.  (Array methods and ufuncs here, not
+                # One ``now += tick`` per accepted frame, left to right:
+                # a running sum over the routed frames that adds 0 for the
+                # others (exact), so the clock ends where batches of one
+                # would leave it.  (Array methods and ufuncs here, not
                 # their ``np.`` wrappers: each wrapper is Python calls per
                 # batch.)
-                clock = np.empty(teids.size + 1)
-                clock.fill(self.tick)
+                clock = np.empty(accepted.size + 1)
                 clock[0] = self.now
-                clock = np.add.accumulate(clock)
+                np.multiply(accepted, self.tick, out=clock[1:])
+                np.add.accumulate(clock, out=clock)
                 self.now = float(clock[-1])
-                nows = clock[1:]
-                sizes = parsed.l3_len[accepted_idx]
-                ok = np.empty(teids.size, dtype=bool)
-                order, runs = node_runs(handling, len(self.dpes))
+                nows = clock[1:][order]
+                sizes = parsed.l3_len[frames]
+                ok = np.empty(order.size, dtype=bool)
                 for node_id, start, stop in runs:
-                    rows = order[start:stop]
-                    ok[rows] = self.dpes[node_id].process_batch(
-                        teids[rows], sizes[rows], downlink=True,
-                        nows=nows[rows],
+                    ok[start:stop] = self.dpes[node_id].process_batch(
+                        teids[start:stop], sizes[start:stop], downlink=True,
+                        nows=nows[start:stop],
                     )
 
-                policed_t = (~ok).nonzero()[0]
-                if policed_t.size:
-                    self._c_drop_policed.inc(int(policed_t.size))
-                    refuse(accepted_j[policed_t], "policed")
-                charged_t = ok.nonzero()[0]
-                self.stats.charge_many(teids[charged_t], sizes[charged_t])
-                self._c_down_bytes.inc(int(sizes[charged_t].sum()))
+                policed = (~ok).nonzero()[0]
+                if policed.size:
+                    self._c_drop_policed.inc(int(policed.size))
+                    refuse(order[policed], "policed")
+                # The ledger charges in batch order (its TEIDs keep the
+                # order they were first charged in).
+                charged = np.zeros(accepted.size, dtype=bool)
+                charged[order] = ok
+                charged_j = charged.nonzero()[0]
+                charged_sizes = parsed.l3_len[routed_idx[charged_j]]
+                self.stats.charge_many(batch.values[charged_j], charged_sizes)
+                self._c_down_bytes.inc(int(np.add.reduce(charged_sizes)))
 
-            with self.registry.span("egress"):
-                charged_j = accepted_j[charged_t]
-                frame_idx = routed_idx[charged_j]
+            with self._s_egress:
+                sent = ok.nonzero()[0]
+                frame_idx = frames[sent]
                 tunnelled = fastpath.encapsulate_batch(
-                    parsed, frame_idx, teids[charged_t],
-                    base_stations[charged_t], self.gateway_ip,
+                    parsed, frame_idx, teids[sent], base_stations[sent],
+                    self.gateway_ip,
                 )
-            self._c_down_tunnelled.inc(int(charged_t.size))
+            self._c_down_tunnelled.inc(int(sent.size))
             for i, j, packet in zip(
-                frame_idx.tolist(), charged_j.tolist(), tunnelled
+                frame_idx.tolist(), order[sent].tolist(), tunnelled
             ):
                 results[i] = (batch.results[j], packet)
 

@@ -315,7 +315,8 @@ class Fabric:
         # Read as unsigned, a negative id is a huge one: one bound test
         # per column covers both ends.
         if srcs.size and max(
-            srcs.view(np.uint64).max(), dsts.view(np.uint64).max()
+            np.maximum.reduce(srcs.view(np.uint64)),
+            np.maximum.reduce(dsts.view(np.uint64)),
         ) >= self.num_nodes:
             for node in np.concatenate((srcs, dsts)).tolist():
                 self._check(node)

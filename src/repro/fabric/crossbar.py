@@ -42,21 +42,26 @@ class SwitchFabric(Fabric):
             return super().deliver_batch(srcs, dsts, size)
         srcs, dsts = self._check_batch(srcs, dsts)
         remote = srcs != dsts
-        count = int(np.count_nonzero(remote))
+        count = int(np.add.reduce(remote))
         if count:
-            self.stats.packets += count
-            self.stats.bytes += size * count
-            self.stats.switch_hops += count
-            # Per-link counts by link id ``src * n + dst``, ascending.
+            stats = self.stats
+            stats.packets += count
+            stats.bytes += size * count
+            stats.switch_hops += count
+            stats.link_crossings += count
+            # Per-link counts as one array by link id ``src * n + dst``,
+            # folded into the per-link map in ascending link order.
             n = self.num_nodes
             ids = srcs * n
             ids += dsts
             counts = np.bincount(ids[remote], minlength=n * n)
-            links = np.flatnonzero(counts)
+            links = counts.nonzero()[0]
+            per_link = stats.per_link_packets
             for link, c in zip(links.tolist(), counts[links].tolist()):
-                self.stats.record_link(divmod(link, n), c)
+                link = divmod(link, n)
+                per_link[link] = per_link.get(link, 0) + c
         return (
-            np.where(remote, self.transit_latency_us, 0.0),
+            remote * self.transit_latency_us,
             np.zeros(remote.size, dtype=bool),
         )
 

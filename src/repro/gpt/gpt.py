@@ -46,6 +46,8 @@ class GlobalPartitionTable:
             )
         self.num_nodes = num_nodes
         self.setsep = setsep
+        #: Whether every ``value_bits``-bit value already names a node.
+        self._values_are_nodes = num_nodes == max_value + 1
 
     @property
     def backend(self) -> str:
@@ -95,7 +97,8 @@ class GlobalPartitionTable:
         the switch fabric can always deliver the packet somewhere, and the
         receiving node's FIB rejects it (§3.2's one-sided error contract).
         """
-        return self._to_nodes(self.setsep.lookup_batch(keys))
+        values = self.setsep.lookup_batch(keys)
+        return values if self._values_are_nodes else self._to_nodes(values)
 
     def _to_nodes(self, values: np.ndarray) -> np.ndarray:
         if self.num_nodes & (self.num_nodes - 1) == 0:

@@ -49,6 +49,14 @@ _BUCKET_SHIFT = np.array(SLOTS_PER_BUCKET.bit_length() - 1, dtype=np.int64)
 _MISS = np.array(-1, dtype=np.int64)
 assert 1 << int(_BUCKET_SHIFT) == SLOTS_PER_BUCKET
 
+#: ``(primary, alternate)`` bucket pairs times this are each key's 8
+#: candidates' first slots (primary bucket first): one product widens
+#: the pair and scales buckets to slots.
+_EXPAND = np.repeat(
+    np.eye(2, dtype=np.uint64) * np.uint64(SLOTS_PER_BUCKET),
+    SLOTS_PER_BUCKET, axis=1,
+)
+
 
 class CuckooHashTable(FibTable):
     """4-way cuckoo hash table with values in a separate slot-indexed array.
@@ -100,6 +108,10 @@ class CuckooHashTable(FibTable):
         # lookup can gather values without touching Python objects.
         self._int_values = np.zeros(num_slots, dtype=np.int64)
         self._int_ok = np.zeros(num_slots, dtype=bool)
+        #: Whether a value that is not an integer was ever stored: until
+        #: one is, every hit holds an integer and the array-native lookup
+        #: skips its test.
+        self._held_non_int = False
         self.value_store = value_store
         self._value_size = value_size
         self._len = 0
@@ -192,6 +204,8 @@ class CuckooHashTable(FibTable):
             dtype=np.int64,
         )
         int_ok = np.array(is_int, dtype=bool)
+        if not all(is_int):
+            self._held_non_int = True
         keys_arr = batch.keys
         # Rows ``insert`` takes: held keys, and repeats of an earlier row.
         via_insert = self._probe(batch)[1]
@@ -275,18 +289,20 @@ class CuckooHashTable(FibTable):
     def _probe(self, keys) -> Tuple[np.ndarray, np.ndarray]:
         """``(slots, hit)``: each key's first candidate slot holding it,
         or, where ``hit`` is False, its first candidate (a real slot, so
-        a gather by ``slots`` needs no mask)."""
-        batch = hashfamily.prehash(keys)
-        keys_arr = batch.keys
-        # Row 0 the primary bucket, row 1 the alternate, as first slots
-        # (below 2**63, so the int64 view reads the same numbers).
-        buckets = (batch.fib & self._bucket_mask).view(np.int64)
+        a gather by ``slots`` needs no mask).  A key whose two buckets
+        coincide has each slot twice among its candidates."""
+        batch = (
+            keys if isinstance(keys, hashfamily.HashedKeys)
+            else hashfamily.prehash(keys)
+        )
+        # Row 0 the primary bucket, row 1 the alternate.
+        buckets = batch.fib & self._bucket_mask
         buckets[1] ^= buckets[0]
-        buckets <<= _BUCKET_SHIFT
-        # All 8 candidate slots per key, primary bucket first: (n, 8).
-        slots = buckets.T.repeat(SLOTS_PER_BUCKET, axis=1)
+        # All 8 candidate slots per key, primary bucket first: (n, 8)
+        # (below 2**63, so the int64 view reads the same numbers).
+        slots = buckets.T.dot(_EXPAND).view(np.int64)
         slots += _SLOT_OFFSETS
-        match = self._keys[slots] == keys_arr[:, None]
+        match = self._keys[slots] == batch.keys[:, None]
         match &= self._occupied[slots]
         # Each key's first matching candidate (0 on a miss), as a flat
         # index: row ``j`` starts at ``8 * j``.
@@ -315,9 +331,13 @@ class CuckooHashTable(FibTable):
         An integer key outside ``[0, 2**64)`` is a ``ValueError`` naming
         the first bad row (:func:`~repro.hashtables.interface.checked_keys`).
         """
-        slots, found = self._probe(checked_keys(keys))
-        int_ok = self._int_ok[slots[found]]
-        if np.count_nonzero(int_ok) != int_ok.size:
+        if not isinstance(keys, hashfamily.HashedKeys):
+            keys = checked_keys(keys)
+        slots, found = self._probe(keys)
+        # Every hit's slot holds an integer (``found`` implies ``int_ok``).
+        if self._held_non_int and not np.logical_and.reduce(
+            self._int_ok[slots] >= found
+        ):
             raise TypeError(
                 "CuckooHashTable holds non-integer values; use lookup_batch()"
             )
@@ -367,6 +387,7 @@ class CuckooHashTable(FibTable):
             self._int_ok[slot] = True
         else:
             self._int_ok[slot] = False
+            self._held_non_int = True
 
     def _place(self, slot: int, ckey: int, value: Any) -> None:
         self._keys[slot] = ckey

@@ -117,7 +117,7 @@ class Histogram:
     """
 
     __slots__ = (
-        "name", "description", "_bounds", "_counts",
+        "name", "description", "_bounds", "_bound_array", "_counts",
         "_count", "_sum", "_min", "_max",
     )
 
@@ -135,6 +135,8 @@ class Histogram:
         self.name = name
         self.description = description
         self._bounds = bounds
+        #: The bounds as an array, for :meth:`observe_many`'s search.
+        self._bound_array = np.array(bounds)
         self._counts = np.zeros(len(bounds) + 1, dtype=np.int64)
         self._count = 0
         self._sum = 0.0
@@ -154,16 +156,30 @@ class Histogram:
             self._max = value
 
     def observe_many(self, values: Union[Sequence[Number], np.ndarray]) -> None:
-        """Record a batch of observations in one vectorised pass."""
-        arr = np.asarray(values, dtype=np.float64)
+        """Record a batch of observations in one vectorised pass.
+
+        The state is what :meth:`observe` one value at a time leaves, so
+        a stream split into batches of any size leaves the same state:
+        float values are added to the sum left to right (a running sum),
+        integers as their exact total.  (Array and ufunc methods, not
+        their ``np.`` wrappers: each wrapper is Python calls per batch.)
+        """
+        arr = np.asarray(values)
         if arr.size == 0:
             return
-        slots = np.searchsorted(self._bounds, arr, side="left")
-        self._counts += np.bincount(slots, minlength=len(self._counts))
-        self._count += int(arr.size)
-        self._sum += float(arr.sum())
-        self._min = min(self._min, float(arr.min()))
-        self._max = max(self._max, float(arr.max()))
+        self._counts += np.bincount(
+            self._bound_array.searchsorted(arr), minlength=self._counts.size
+        )
+        self._count += arr.size
+        if arr.dtype.kind == "f":
+            running = np.empty(arr.size + 1)
+            running[0] = self._sum
+            running[1:] = arr
+            self._sum = float(np.add.accumulate(running, out=running)[-1])
+        else:
+            self._sum += int(np.add.reduce(arr))
+        self._min = min(self._min, float(np.minimum.reduce(arr)))
+        self._max = max(self._max, float(np.maximum.reduce(arr)))
 
     # -- reading -------------------------------------------------------
 
@@ -259,6 +275,8 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._spans: Dict[str, "Span"] = {}
+        #: ``(dotted name, histogram, start time)`` of each open span.
         self._span_stack: list = []
 
     # -- instrument access ---------------------------------------------
@@ -303,11 +321,16 @@ class MetricsRegistry:
         """A context manager timing one stage into a latency histogram.
 
         See :class:`repro.obs.trace.Span`; nested spans produce dotted
-        names (``downstream.dpe``) recorded as ``span.<name>_us``.
+        names (``downstream.dpe``) recorded as ``span.<name>_us``.  The
+        span for a name is made once and handed out again, so a caller
+        may also keep it.
         """
-        from repro.obs.trace import Span
+        found = self._spans.get(name)
+        if found is None:
+            from repro.obs.trace import Span
 
-        return Span(self, name)
+            found = self._spans[name] = Span(self, name)
+        return found
 
     # -- export --------------------------------------------------------
 

@@ -12,55 +12,65 @@ as a dotted prefix, so::
 
 records into ``span.downstream_us`` and ``span.downstream.dpe_us``.
 
-The registry keeps one span stack per registry instance (the reproduction
-is single-threaded per data path); a span's histogram is resolved on exit
-through the registry's get-or-create path, so the first packet pays the
-dict insert and later packets pay one dict hit plus a perf-counter pair.
+A span keeps no timing state of its own: entering pushes the resolved
+histogram and the start time on its registry's span stack (one stack per
+registry; the reproduction is single-threaded per data path), and leaving
+pops them.  So one :class:`Span` per name serves every ``with`` block
+that names it, nested in itself or not, and
+:meth:`~repro.obs.metrics.MetricsRegistry.span` hands the same one out
+each time.  Each span resolves the histogram of a dotted name once, the
+first time it opens under that parent, and remembers it: a later block
+pays one dict hit, a perf-counter pair and one ``observe``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Dict, Tuple
 
 from repro.obs.metrics import LATENCY_BUCKETS_US, Histogram, MetricsRegistry
 
+_now = time.perf_counter
+
 
 class Span:
-    """Times one ``with`` block into ``span.<dotted name>_us``."""
+    """Times each ``with`` block into ``span.<dotted name>_us``."""
 
-    __slots__ = ("registry", "name", "full_name", "_started")
+    __slots__ = ("registry", "name", "_resolved")
 
     def __init__(self, registry: MetricsRegistry, name: str) -> None:
         if not name:
             raise ValueError("span name must be non-empty")
         self.registry = registry
         self.name = name
-        self.full_name: Optional[str] = None
-        self._started = 0.0
+        #: Parent's dotted name ("" at the top) -> (this span's dotted
+        #: name there, its histogram).
+        self._resolved: Dict[str, Tuple[str, Histogram]] = {}
 
     def __enter__(self) -> "Span":
         stack = self.registry._span_stack
-        self.full_name = f"{stack[-1]}.{self.name}" if stack else self.name
-        stack.append(self.full_name)
-        self._started = time.perf_counter()
+        parent = stack[-1][0] if stack else ""
+        resolved = self._resolved.get(parent) or self._resolve(parent)
+        stack.append((*resolved, _now()))
         return self
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
-        elapsed_us = (time.perf_counter() - self._started) * 1e6
-        self.registry._span_stack.pop()
-        self.histogram().observe(elapsed_us)
+        _name, histogram, started = self.registry._span_stack.pop()
+        histogram.observe((_now() - started) * 1e6)
         return False
 
-    def histogram(self) -> Histogram:
-        """The latency histogram this span records into."""
-        name = self.full_name if self.full_name is not None else self.name
-        return self.registry.histogram(
-            f"span.{name}_us", buckets=LATENCY_BUCKETS_US
+    def _resolve(self, parent: str) -> Tuple[str, Histogram]:
+        full_name = f"{parent}.{self.name}" if parent else self.name
+        resolved = self._resolved[parent] = (
+            full_name,
+            self.registry.histogram(
+                span_histogram_name(full_name), buckets=LATENCY_BUCKETS_US
+            ),
         )
+        return resolved
 
     def __repr__(self) -> str:
-        return f"Span({self.full_name or self.name})"
+        return f"Span({self.name})"
 
 
 def span_histogram_name(name: str) -> str:

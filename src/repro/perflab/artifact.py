@@ -195,6 +195,8 @@ HEADLINES = (
     ("gateway.bearer_bytes", "bytes_per_bearer"),
     ("gateway.batch_calls", "python_calls_per_frame_at_32"),
     ("gateway.batch_calls", "python_calls_per_frame_at_256"),
+    ("gateway.batch_calls", "c_calls_per_frame_at_32"),
+    ("gateway.batch_calls", "c_calls_per_frame_at_256"),
 )
 
 

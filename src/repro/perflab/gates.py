@@ -303,47 +303,61 @@ def bearer_bytes_gate(artifact: Mapping[str, Any]) -> str:
 
 
 #: Python calls per frame that ``gateway.batch_calls`` may count, by
-#: batch size.  Measured only on CPython 3.11 with NumPy 2.4: 11.06 at 32
-#: frames and 2.26 at 256, and 12.84 and 3.33 with a controller record
-#: looked up per flow.  The headroom (about 30 and 125 calls per batch)
-#: is for another interpreter's or NumPy's per-batch wrappers; it is
-#: unverified on CI's 3.12, where the row has not been run.
-BATCH_CALLS_BUDGET = {32: 12.0, 256: 2.75}
+#: batch size.  Measured only on CPython 3.11 with NumPy 2.4: 5.66 at 32
+#: frames (181 calls) and 0.65 at 256 (166 calls); each budget is that
+#: reading plus 30 calls per batch of headroom for another
+#: interpreter's or NumPy's per-batch wrappers, unverified on CI's 3.12,
+#: where the row has not been run.
+BATCH_CALLS_BUDGET = {32: 6.6, 256: 0.77}
+
+#: C-level calls per frame (``sys.setprofile`` ``c_call`` events:
+#: builtins and C methods, NumPy's array methods among them) that
+#: ``gateway.batch_calls`` may count, by batch size: 19.38 at 32 (620
+#: calls) and 4.50 at 256 (1,153), measured as above, plus the same 30
+#: calls per batch.
+C_CALLS_BUDGET = {32: 20.31, 256: 4.62}
 
 #: Python calls each frame beyond the 32nd may add
-#: (``python_calls_per_extra_frame``): 1.00 today, one ``RouteResult`` per
-#: frame, and 1.97 with a controller record looked up per flow.  The
-#: per-batch calls cancel in the difference, so this bound holds whatever
-#: the interpreter and NumPy.
-BATCH_CALLS_PER_EXTRA_FRAME = 1.5
+#: (``python_calls_per_extra_frame``): -0.07 today (no Python call per
+#: frame; from 40 packets a node the DPE and the ledger leave their
+#: loops), about 0.9 with one Python call per frame or a controller
+#: record looked up per flow.  The per-batch calls cancel in the
+#: difference, so this bound holds whatever the interpreter and NumPy.
+BATCH_CALLS_PER_EXTRA_FRAME = 0.5
 
 
 def batch_calls_gate(artifact: Mapping[str, Any]) -> str:
-    """One gateway batch makes no more Python calls per frame than
-    budgeted.
+    """One gateway batch makes no more Python and C-level calls per frame
+    than budgeted.
 
-    ``gateway.batch_calls`` counts the ``sys.setprofile`` call events of
-    one ``process_downstream_batch`` at 32 and 256 frames.  Counts are
-    the program's own work, not a timing, so they hold on noisy runners.
-    A Python call per frame or per flow in the gateway's own code adds
-    about one to ``python_calls_per_extra_frame``.
+    ``gateway.batch_calls`` counts the ``sys.setprofile`` ``call`` and
+    ``c_call`` events of one ``process_downstream_batch`` at 32 and 256
+    frames.  Counts are the program's own work, not a timing, so they
+    hold on noisy runners.  A Python call per frame or per flow in the
+    gateway's own code adds about one to ``python_calls_per_extra_frame``.
     """
-    sizes = sorted(BATCH_CALLS_BUDGET)
+    cases = [
+        (kind, size, budget[size])
+        for kind, budget in (("python", BATCH_CALLS_BUDGET),
+                             ("c", C_CALLS_BUDGET))
+        for size in sorted(budget)
+    ]
     *counts, extra = _read(
         artifact, "gateway.batch_calls",
-        *(f"python_calls_per_frame_at_{size}" for size in sizes),
+        *(f"{kind}_calls_per_frame_at_{size}" for kind, size, _ in cases),
         "python_calls_per_extra_frame",
     )
-    line = "Python calls per frame of a gateway batch: " + ", ".join(
-        f"{count:.2f} at {size} (budget {BATCH_CALLS_BUDGET[size]:.2f})"
-        for size, count in zip(sizes, counts)
-    ) + f", {extra:.2f} per extra frame (budget {BATCH_CALLS_PER_EXTRA_FRAME:.2f})"
+    line = "calls per frame of a gateway batch: " + ", ".join(
+        f"{kind} {count:.2f} at {size} (budget {budget:.2f})"
+        for (kind, size, budget), count in zip(cases, counts)
+    ) + (
+        f", python {extra:.2f} per extra frame "
+        f"(budget {BATCH_CALLS_PER_EXTRA_FRAME:.2f})"
+    )
     if not (
-        all(
-            0 < count <= BATCH_CALLS_BUDGET[size]
-            for size, count in zip(sizes, counts)
-        )
-        and 0 < extra <= BATCH_CALLS_PER_EXTRA_FRAME
+        all(0 < count <= budget
+            for (_, _, budget), count in zip(cases, counts))
+        and extra <= BATCH_CALLS_PER_EXTRA_FRAME
     ):
         raise GateFailure(f"{line}: over budget")
     return line

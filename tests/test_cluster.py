@@ -501,6 +501,20 @@ def columns_from_results(results):
     }
 
 
+def assert_handler_split(batch):
+    """The handler split is the accepted packets by accepting node, batch
+    order within one."""
+    order, runs = batch.handler_split
+    assert [
+        (node, order[start:stop].tolist()) for node, start, stop in runs
+    ] == [
+        (node, [i for i, r in enumerate(batch.results) if r.handled_by == node])
+        for node in sorted(
+            {r.handled_by for r in batch.results if not r.dropped}
+        )
+    ]
+
+
 class TestRouteBatchColumns:
     """The columns a batch carries are the columns its results spell."""
 
@@ -540,15 +554,19 @@ class TestRouteBatchColumns:
         assert list(batches[0]) == list(batches[1])
         for batch in batches:
             expected = columns_from_results(batch.results)
-            assert set(expected) | {"results"} == set(batch.__slots__)
+            assert set(expected) | {"results", "handler_split"} == set(
+                batch.__slots__
+            )
             for name, column in expected.items():
                 assert getattr(batch, name).tolist() == column, name
+            assert_handler_split(batch)
             assert batch.dropped.dtype == np.bool_
             assert batch.latencies_us.dtype == np.float64
             tail = batch[len(batch) // 2:]
             assert tail.values.tolist() == expected["values"][
                 len(batch) // 2:
             ]
+            assert_handler_split(tail)
 
     def test_touches_reads_detour_nodes_on_multi_hop_paths(self, population):
         keys, _, _ = population

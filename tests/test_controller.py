@@ -199,17 +199,35 @@ class TestEgressColumns:
             )
         free_rows_hold_sentinel(ctrl, [r.teid for r in records])
 
-    def test_egress_gathers_node_and_base_station(self):
+    def test_egress_gathers_the_base_station(self):
         ctrl = EpcController(num_nodes=4)
         records = [ctrl.establish_bearer(flow(i), BS + i) for i in range(5)]
         picked = [records[3], records[0], records[3]]
-        nodes, base_stations = ctrl.egress(
+        base_stations = ctrl.egress(
             np.array([r.key for r in picked], dtype=np.uint64),
             np.array([r.teid for r in picked], dtype=np.int64),
             np.array([4, 9, 11]),
+            np.array([r.handling_node for r in picked]),
         )
-        assert nodes.tolist() == [r.handling_node for r in picked]
         assert base_stations.tolist() == [r.base_station_ip for r in picked]
+
+    def test_egress_refuses_a_bearer_answered_at_another_node(self):
+        """A FIB that answers a live bearer's TEID at a node that does not
+        handle it (its DPE holds no context there) is a mismatch; of two
+        bad rows, the lower frame number is named whatever the row order."""
+        ctrl = EpcController(num_nodes=4)
+        records = [ctrl.establish_bearer(flow(i), BS) for i in range(3)]
+        handlers = np.array([r.handling_node for r in records])
+        handlers[[0, 2]] = (handlers[[0, 2]] + 1) % 4
+        with pytest.raises(BearerMismatchError) as err:
+            ctrl.egress(
+                np.array([r.key for r in records], dtype=np.uint64),
+                np.array([r.teid for r in records], dtype=np.int64),
+                np.array([30, 20, 10]), handlers,
+            )
+        assert (err.value.frame, err.value.key, err.value.teid) == (
+            10, records[2].key, records[2].teid
+        )
 
     @pytest.mark.parametrize("bad_teid", [1, 0, -1, 4, 5, 999, 1 << 40])
     def test_egress_names_the_first_frame_whose_teid_is_not_its_bearer(
@@ -222,8 +240,9 @@ class TestEgressColumns:
         ctrl.teardown_bearer(flow(3))  # TEID 4 is free
         keys = np.array([r.key for r in records[:3]], dtype=np.uint64)
         teids = np.array([1, bad_teid, bad_teid], dtype=np.int64)
+        handlers = np.array([records[0].handling_node] * 3)
         with pytest.raises(BearerMismatchError) as err:
-            ctrl.egress(keys, teids, np.array([10, 20, 30]))
+            ctrl.egress(keys, teids, np.array([10, 20, 30]), handlers)
         assert (err.value.frame, err.value.key, err.value.teid) == (
             20, records[1].key, bad_teid
         )

@@ -871,6 +871,66 @@ class TestGatewayDifferential:
         assert gw_a.stats.bytes_charged == gw_b.stats.bytes_charged
 
 
+class TestRegistryAtEveryBatchSize:
+    """The same mixed stream, in batches of 1, 8, 32 and 256, leaves the
+    same registry: every counter (but ``gateway.fastpath.batches``, which
+    counts the batches) and every histogram that is not a span's wall
+    clock — counts, sum, min, max and buckets.  Pins the instrumentation
+    (handles resolved once, ``observe_many`` adding left to right) as
+    much as the data path."""
+
+    @staticmethod
+    def stream(gateway, flows, gen):
+        rng = np.random.default_rng(44)
+        known = gen.packet_stream(flows, 700)
+        unknown = [
+            make_frame(FlowTuple(
+                int(rng.integers(1, 2**31)), int(rng.integers(1, 2**31)),
+                PROTO_UDP, int(rng.integers(1, 65535)), 53,
+            ))
+            for _ in range(60)
+        ]
+        blocked = [make_frame(flow) for flow in flows[:30]]
+        gateway.acl_blocked_sources.update(f.src_ip for f in flows[:10])
+        options = [make_frame(flow, ihl=6) for flow in flows[40:60]]
+        truncated = [frame[:24] for frame in known[:20]]
+        corrupt = bytearray(known[20])
+        corrupt[25] ^= 0x55
+        fallback = [make_frame(flows[0]) for _ in range(30)]
+        pool = (known + unknown + blocked + options + truncated
+                + [bytes(corrupt)] * 10 + fallback)
+        return [pool[int(i)] for i in rng.permutation(len(pool))]
+
+    def test_counters_and_histograms_match_across_batch_sizes(self):
+        registries = {}
+        for size in (1, 8, 32, 256):
+            gateway, flows, gen = build_gateway(seed=21, flows=300)
+            force_fallback_group(gateway, flows[0])
+            frames = self.stream(gateway, flows, gen)
+            for start in range(0, len(frames), size):
+                gateway.process_downstream_batch(frames[start:start + size])
+            snapshot = gateway.registry.snapshot()
+            del snapshot["counters"]["gateway.fastpath.batches"]
+            snapshot["histograms"] = {
+                name: histogram
+                for name, histogram in snapshot["histograms"].items()
+                if not name.startswith("span.")
+            }
+            registries[size] = snapshot
+        counters = registries[1]["counters"]
+        for reason in ("unknown_flow", "acl", "malformed"):
+            assert counters[f"gateway.drops.{reason}"] > 0, reason
+        assert counters["gateway.fastpath.spilled_frames"] > 0
+        assert counters["setsep.fallback_hits"] > 0
+        histograms = registries[1]["histograms"]
+        assert {"gateway.fabric_hop_us", "cluster.scalebricks.hops"} <= set(
+            histograms
+        )
+        assert histograms["gateway.fabric_hop_us"]["count"] > 0
+        for size in (8, 32, 256):
+            assert registries[size] == registries[1], size
+
+
 class TestCounterAccounting:
     def test_no_double_count_between_cluster_and_setsep(self):
         """Satellite: the fast path must count each lookup once.

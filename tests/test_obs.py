@@ -165,6 +165,28 @@ class TestSpans:
         with pytest.raises(ValueError):
             MetricsRegistry().span("")
 
+    def test_one_span_per_name_serves_every_block(self):
+        """The span of a name is handed out again and keeps no timing
+        state of its own: it nests in itself, and each dotted name it
+        opens under keeps its own histogram across a reset."""
+        r = MetricsRegistry()
+        span = r.span("stage")
+        assert r.span("stage") is span
+        for rounds in range(3):
+            if rounds == 1:
+                r.reset()
+            with span:
+                with r.span("stage"):
+                    pass
+        with r.span("outer"):
+            with span:
+                pass
+        snap = r.snapshot()["histograms"]
+        assert snap[span_histogram_name("stage")]["count"] == 2
+        assert snap[span_histogram_name("stage.stage")]["count"] == 2
+        assert snap[span_histogram_name("outer.stage")]["count"] == 1
+        assert r._span_stack == []
+
 
 class TestNullRegistry:
     def test_shared_singletons_record_nothing(self):

@@ -577,7 +577,7 @@ class TestGroupScanGate:
         assert "at 8 packets: 1.35x" in out
         assert "cluster build: 15/15 counts as pinned" in out
         assert "heap per bearer: 545 B (budget 565 B)" in out
-        assert "1.00 per extra frame (budget 1.50)" in out
+        assert "python -0.07 per extra frame (budget 0.50)" in out
         broken = tmp_path / "broken.json"
         broken.write_text(perflab.canonical_json(
             self._artifact(keys_scanned_per_update=900.0,
@@ -1071,11 +1071,14 @@ class TestSelectBaseline:
         assert "BENCH_fresh.json" in err
 
 
-def batch_calls_rows(at_32=11.06, at_256=2.26, extra=1.0):
+def batch_calls_rows(at_32=5.66, at_256=0.65, extra=-0.07,
+                     c_at_32=19.38, c_at_256=4.5):
     return [make_result("gateway.batch_calls", [0.1], derived={
         "python_calls_per_frame_at_32": at_32,
         "python_calls_per_frame_at_256": at_256,
         "python_calls_per_extra_frame": extra,
+        "c_calls_per_frame_at_32": c_at_32,
+        "c_calls_per_frame_at_256": c_at_256,
     })]
 
 
@@ -1084,21 +1087,27 @@ class TestBatchCallsGate:
         line = gates.batch_calls_gate(
             make_artifact(batch_calls_rows()).to_dict())
         assert line == (
-            "Python calls per frame of a gateway batch: "
-            "11.06 at 32 (budget 12.00), 2.26 at 256 (budget 2.75), "
-            "1.00 per extra frame (budget 1.50)"
+            "calls per frame of a gateway batch: "
+            "python 5.66 at 32 (budget 6.60), "
+            "python 0.65 at 256 (budget 0.77), "
+            "c 19.38 at 32 (budget 20.31), c 4.50 at 256 (budget 4.62), "
+            "python -0.07 per extra frame (budget 0.50)"
         )
-        budget = gates.BATCH_CALLS_BUDGET
+        budget, c_budget = gates.BATCH_CALLS_BUDGET, gates.C_CALLS_BUDGET
         assert gates.batch_calls_gate(make_artifact(batch_calls_rows(
             budget[32], budget[256], gates.BATCH_CALLS_PER_EXTRA_FRAME,
+            c_budget[32], c_budget[256],
         )).to_dict())
 
     @pytest.mark.parametrize("counts", [
-        (12.84, 3.33, 1.97),  # a controller record looked up per flow
-        (11.06, 3.26, 2.0),  # one Python call more per frame
-        (11.06, 2.26, 1.97),  # the same, under another NumPy's wrappers
-        (12.5, 2.26, 1.0), (0.0, 2.26, 1.0), (11.06, 0.0, 1.0),
-        (11.06, 2.26, 0.0),
+        (6.55, 1.55, 0.9),  # one Python call more per frame
+        (5.66, 0.65, 0.93),  # the same, under another NumPy's wrappers
+        (6.7, 0.65, -0.07),  # 33 Python calls more per batch
+        (5.66, 0.78, -0.07),
+        (5.66, 0.65, -0.07, 20.4),  # 33 C calls more per batch
+        (5.66, 0.65, -0.07, 19.38, 4.65),
+        (0.0, 0.65, -0.07), (5.66, 0.0, -0.07),
+        (5.66, 0.65, -0.07, 0.0), (5.66, 0.65, -0.07, 19.38, 0.0),
     ])
     def test_over_the_budget_or_empty_fails(self, counts):
         with pytest.raises(gates.GateFailure, match="over budget"):
@@ -1109,17 +1118,18 @@ class TestBatchCallsGate:
         with pytest.raises(gates.GateFailure, match="batch_calls missing"):
             gates.batch_calls_gate(make_artifact([]).to_dict())
         for name in ("python_calls_per_frame_at_32",
+                     "c_calls_per_frame_at_256",
                      "python_calls_per_extra_frame"):
             (row,) = batch_calls_rows()
             del row.derived[name]
             with pytest.raises(gates.GateFailure, match=name):
                 gates.batch_calls_gate(make_artifact([row]).to_dict())
 
-    def test_the_real_row_repeats_and_adds_one_call_per_frame(self):
+    def test_the_real_row_repeats_and_adds_no_call_per_frame(self):
         """The real row's counts repeat exactly, and the frames between
-        the two sizes add about one Python call each.  The absolute
-        budgets depend on the interpreter and NumPy, so only CI's gate
-        on the smoke artifact applies them."""
+        the two sizes add no Python call each.  The absolute budgets
+        depend on the interpreter and NumPy, so only CI's gate on the
+        smoke artifact applies them."""
         perflab.discover()
         first, second = (
             perflab.run_suite(
@@ -1131,22 +1141,23 @@ class TestBatchCallsGate:
         assert first.counters == second.counters
         assert first.derived == second.derived
         calls = {
-            size: first.counters[f"gateway.batch_calls.python_at_{size}"]
-            for size in (32, 256)
+            (kind, size): first.counters[f"gateway.batch_calls.{kind}_at_{size}"]
+            for kind in ("python", "c") for size in (32, 256)
         }
         assert set(first.counters) == {
-            f"gateway.batch_calls.python_at_{size}" for size in calls
+            f"gateway.batch_calls.{kind}_at_{size}" for kind, size in calls
         }
-        for size, count in calls.items():
-            assert first.derived[f"python_calls_per_frame_at_{size}"] == (
+        for (kind, size), count in calls.items():
+            assert count > 0
+            assert first.derived[f"{kind}_calls_per_frame_at_{size}"] == (
                 count / size
             )
             assert (
-                "gateway.batch_calls", f"python_calls_per_frame_at_{size}"
+                "gateway.batch_calls", f"{kind}_calls_per_frame_at_{size}"
             ) in perflab.artifact.HEADLINES
         extra = first.derived["python_calls_per_extra_frame"]
-        assert extra == (calls[256] - calls[32]) / 224
-        assert 0 < extra <= gates.BATCH_CALLS_PER_EXTRA_FRAME
+        assert extra == (calls["python", 256] - calls["python", 32]) / 224
+        assert extra <= gates.BATCH_CALLS_PER_EXTRA_FRAME
 
 
 def bearer_bytes_rows(total=545.0):
