@@ -8,9 +8,9 @@ partitions), the fabric's link-fault surface (``pick_fault_link``,
 ``fail_link``, ``degrade_link``, ``heal_links``: severed and slow links
 on either topology of :mod:`repro.fabric`),
 ``UpdateEngine.delta_interceptor`` (lost/duplicated/delayed
-GPT deltas), ``EpcGateway.down_nodes`` plus
-:class:`~repro.cluster.failover.FailoverManager` (crash & rejoin), and
-the packet codecs (malformed/truncated frames).
+GPT deltas), ``EpcGateway.down_nodes`` and ``EpcGateway.evacuate``
+(crash, §7 recovery & rejoin), and the packet codecs (malformed/truncated
+frames).
 
 Between events the injector drives a burst of differential traffic; the
 :class:`~repro.chaos.oracle.DifferentialOracle` asserts the cluster-
@@ -33,7 +33,6 @@ import numpy as np
 from repro import fabric as fabric_mod
 from repro.chaos.oracle import DifferentialOracle
 from repro.cluster.architectures import Architecture
-from repro.cluster.failover import FailoverManager
 from repro.epc.gateway import EpcGateway
 from repro.epc.packets import (
     EthernetHeader,
@@ -270,7 +269,6 @@ class FaultInjector:
         self.flowgen = flowgen
         self.cluster = gateway.cluster
         self.engine = gateway.updates
-        self.failover = FailoverManager(self.cluster)
         self.replicas = replicas
         self.rng = np.random.default_rng(seed)
         self.applied: Dict[str, int] = {}
@@ -318,7 +316,7 @@ class FaultInjector:
         """Nodes that are neither crashed nor partitioned."""
         return [
             n for n in range(len(self.cluster.nodes))
-            if self.failover.is_up(n) and n not in self.partitioned
+            if n not in self.gateway.down_nodes and n not in self.partitioned
         ]
 
     def pick_ingress(self) -> int:
@@ -379,7 +377,7 @@ class FaultInjector:
         self.repair()
         for node in sorted(self.partitioned):
             self._heal(node)
-        for node in sorted(set(self.failover.down)):
+        for node in sorted(self.gateway.down_nodes):
             self._rejoin(node)
         self._heal_links()
         self.disarm_fabric_budgets()
@@ -391,30 +389,20 @@ class FaultInjector:
         if len(live) < 2:
             return
         victim = int(live[int(self.rng.integers(len(live)))])
-        self.failover.fail_node(victim)
         self.gateway.down_nodes.add(victim)
         self.oracle.note_fail(victim)
         if event.params.get("recover"):
             # §7 recovery: re-home the dead node's bearers onto the
-            # survivors; controller record, FIB entry (+ GPT delta) and
-            # DPE context move together.
-            victims = sorted(
-                key for key, ref in self.oracle.reference.flows.items()
-                if ref.node == victim
-            )
-            survivors = [n for n in self.live_nodes() if n != victim]
-            for i, key in enumerate(victims):
-                target = survivors[i % len(survivors)]
-                ref = self.oracle.reference.flows[key]
-                self.gateway.rehome_flow(ref.flow, target)
-                self.oracle.note_rehome(key, target)
+            # reachable survivors; controller record, FIB entry (+ GPT
+            # delta) and DPE context move together.
+            for record in self.gateway.evacuate(victim, self.live_nodes()):
+                self.oracle.note_rehome(record.key, record.handling_node)
 
     def _apply_node_rejoin(self, event: FaultEvent) -> None:
-        for node in sorted(set(self.failover.down)):
+        for node in sorted(self.gateway.down_nodes):
             self._rejoin(node)
 
     def _rejoin(self, node: int) -> None:
-        self.failover.restore_node(node)
         self.gateway.down_nodes.discard(node)
         self.oracle.note_restore(node)
 

@@ -1,4 +1,4 @@
-"""Cluster substrate: nodes, FIB architectures, RIB, updates.
+"""Cluster substrate: nodes, FIB architectures, RIB, updates, §7 impact.
 
 This package is the *functional* half of the reproduction (packets really
 move between simulated nodes, misroutes really get dropped by the handling
@@ -11,12 +11,12 @@ from repro.cluster.node import ClusterNode, NodeCounters
 from repro.cluster.cluster import Cluster, INGRESS_POLICIES, RouteResult
 from repro.cluster.rib import RoutingInformationBase, RibEntry
 from repro.cluster.update import UpdateEngine, UpdateStats
-from repro.cluster.failover import FailoverManager, FailureImpact
+from repro.cluster.failover import FailureImpact, impact_report
 from repro.cluster.membership import ResizeReport, resize
 
 __all__ = [
-    "FailoverManager",
     "FailureImpact",
+    "impact_report",
     "ResizeReport",
     "resize",
     "Architecture",

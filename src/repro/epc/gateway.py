@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.cluster import membership
 from repro.cluster.architectures import Architecture
 from repro.cluster.cluster import Cluster, FibFactory, RouteResult, kept_runs
 from repro.cluster.update import UpdateEngine
@@ -123,8 +124,9 @@ class EpcGateway:
         self.acl_blocked_sources: Set[int] = set()
         #: Nodes currently considered dead (liveness, not state loss):
         #: packets whose path touches one are dropped with reason
-        #: ``node_down`` *before* any charging.  Maintained by failover /
-        #: chaos tooling; empty in normal operation.
+        #: ``node_down`` *before* any charging.  The one in-process down
+        #: set, kept by the runtime's shadow and by chaos; empty in normal
+        #: operation.
         self.down_nodes: Set[int] = set()
         self._c_drop_node_down = r.counter(
             "gateway.drops.node_down",
@@ -194,6 +196,60 @@ class EpcGateway:
         if self.updates is not None:
             self.updates.insert_flow(moved.key, new_node, moved.teid)
         return moved
+
+    def evacuate(
+        self, node: int, survivors: Sequence[int]
+    ) -> List[FlowRecord]:
+        """Re-home every flow ``node`` handles onto ``survivors`` (§7).
+
+        The one repair verb: runtime repair and drain, and chaos crash
+        recovery, all empty a node through it.  Flows move in RIB order,
+        round-robin over ``survivors``, each through :meth:`rehome_flow`
+        (controller record, DPE context and §4.5 update together), so no
+        other flow is touched.  An empty ``survivors``, or a survivor that
+        is ``node`` itself, is down or is not a node id, is a
+        ``ValueError`` before anything moves.  Returns the moved records.
+        """
+        cluster = self._require_cluster()
+        node = check_node_id(node, self.num_nodes, "node")
+        if not survivors:
+            raise ValueError(f"no survivors to evacuate node {node} onto")
+        for j, target in enumerate(survivors):
+            target = check_node_id(target, self.num_nodes, f"survivors[{j}]")
+            if target == node or target in self.down_nodes:
+                raise ValueError(
+                    f"survivors[{j}] = {target} is the evacuated or a down "
+                    "node"
+                )
+        victims = [
+            entry.key for entry in cluster.rib.entries() if entry.node == node
+        ]
+        moved: List[FlowRecord] = []
+        for i, key in enumerate(victims):
+            record = self.controller.record_for_key(key)
+            assert record is not None, "RIB/controller disagree"
+            moved.append(self.rehome_flow(
+                record.flow, survivors[i % len(survivors)]
+            ))
+        return moved
+
+    def resize(self, new_n: int) -> membership.ResizeReport:
+        """Grow or shrink the forwarding plane to ``new_n`` nodes (§6.3).
+
+        The cluster is rebuilt by :func:`repro.cluster.membership.resize`
+        and the gateway, its controller and a fresh update engine follow
+        it; a grown cluster gets an empty DPE per new node.  A shrink
+        repins what the leavers still handle in the RIB only, so drain a
+        node with :meth:`evacuate` first.
+        """
+        cluster, report = membership.resize(self._require_cluster(), new_n)
+        self.cluster = cluster
+        self.updates = UpdateEngine(cluster, self.registry)
+        self.num_nodes = new_n
+        self.controller.num_nodes = new_n
+        while len(self.dpes) < new_n:
+            self.dpes.append(DataPlaneEngine())
+        return report
 
     def start(self) -> None:
         """Build the forwarding plane from the controller's flow table."""

@@ -19,9 +19,10 @@ lifecycle over the wire:
   DEAD triggers §7 repair: its RIB slice is adopted by a successor, its
   flows re-homed onto survivors through the live update path, mirrored
   move for move in the shadow gateway by
-  :func:`repro.runtime.shadow.evacuate`;
-* **membership** — graceful drain/join built on
-  :func:`repro.cluster.membership.resize` with a make-before-break
+  :meth:`~repro.epc.gateway.EpcGateway.evacuate`;
+* **membership** — graceful drain/join: the shadow's
+  :meth:`~repro.epc.gateway.EpcGateway.evacuate` (drain) and
+  :meth:`~repro.epc.gateway.EpcGateway.resize`, then a make-before-break
   snapshot swap (``MSG_SWAP``): the old forwarding plane serves until
   the replacement state is fully built on every daemon.
 
@@ -47,10 +48,8 @@ from typing import (
     Tuple,
 )
 
-from repro.cluster import membership
 from repro.cluster.owner import ACCOUNT_FIELDS
 from repro.cluster.rib import block_owner
-from repro.cluster.update import UpdateEngine
 from repro.core import serialize, shm
 from repro.core.hashfamily import canonical_key
 from repro.core.separator import Separator
@@ -92,7 +91,7 @@ from repro.runtime.replication import (
     StaleTermError,
     StaticGuard,
 )
-from repro.runtime.shadow import evacuate
+from repro.runtime.shadow import _pin
 from repro.runtime.transport import LinkPool
 
 
@@ -696,7 +695,7 @@ class RuntimeController:
         """Repair after a daemon died: adopt its slice, re-home its flows.
 
         Mirrors every move into the shadow ``gateway``
-        (:func:`~repro.runtime.shadow.evacuate`), so wire and shadow
+        (:meth:`~repro.epc.gateway.EpcGateway.evacuate`), so wire and shadow
         stay comparable after the repair.
         """
         return self.commands.run(
@@ -713,16 +712,21 @@ class RuntimeController:
         # The dead node's RIB slice moves to its successor (§4.5 ownership
         # must stay total for updates to keep flowing): the owner of its
         # blocks now, ``failed`` being one of them (``failed % N``).
-        orphaned = self._headers(gateway)[failed]["rib"]
+        cluster = gateway.cluster
+        assert cluster is not None, "gateway not started"
+        orphaned = [
+            [entry.key, entry.node, entry.value]
+            for entry in cluster.rib.entries_on_node(failed)
+        ]
         self._command(
             block_owner(failed, self.num_nodes, self.down), MSG_ADOPT,
             protocol.encode_json({"entries": orphaned}),
         )
         # Shadow-side liveness + recovery through the §4.5 update path.
         gateway.down_nodes.add(failed)
-        ops = evacuate(gateway, failed, [
+        ops = [_pin(record) for record in gateway.evacuate(failed, [
             n for n in range(self.num_nodes) if n not in self.down
-        ])
+        ])]
         wire_totals = self.push_updates(ops)
         self.epoch += 1
         return OpResult(
@@ -844,21 +848,6 @@ class RuntimeController:
             )
         self._reset_deltalog(snapshot)
 
-    def _rebuild_shadow(self, gateway: EpcGateway, new_n: int):
-        """Resize the shadow cluster; the gateway tracks the new plane."""
-        cluster = gateway.cluster
-        assert cluster is not None
-        new_cluster, report = membership.resize(cluster, new_n)
-        gateway.cluster = new_cluster
-        gateway.updates = UpdateEngine(new_cluster, gateway.registry)
-        gateway.num_nodes = new_n
-        gateway.controller.num_nodes = new_n
-        while len(gateway.dpes) < new_n:
-            from repro.epc.dpe import DataPlaneEngine
-
-            gateway.dpes.append(DataPlaneEngine())
-        return report
-
     def drain_node(
         self, gateway: EpcGateway, node_id: Optional[int] = None
     ) -> OpResult:
@@ -889,15 +878,11 @@ class RuntimeController:
             raise ValueError("cannot drain a dead node; use failure repair")
         if self.num_nodes <= 1:
             raise ValueError("cannot drain the last node")
-        survivors = [
-            n for n in range(self.num_nodes)
-            if n != leaving and n not in self.down
-        ]
-        if not survivors:
-            raise RuntimeError("no survivors to drain onto")
-        ops = evacuate(gateway, leaving, survivors)
+        ops = [_pin(record) for record in gateway.evacuate(leaving, [
+            n for n in range(leaving) if n not in self.down
+        ])]
         self.push_updates(ops)
-        report = self._rebuild_shadow(gateway, self.num_nodes - 1)
+        report = gateway.resize(leaving)
         self.num_nodes -= 1
         self._swap_all(gateway)
         try:
@@ -936,7 +921,7 @@ class RuntimeController:
         self.addresses.append((str(address[0]), int(address[1])))
         self._links.retarget(self.addresses)
         self.num_nodes += 1
-        report = self._rebuild_shadow(gateway, self.num_nodes)
+        report = gateway.resize(self.num_nodes)
         self._hello(new_id, gateway.gateway_ip)
         self._swap_all(gateway)
         self.monitor.track(new_id)

@@ -6,9 +6,10 @@ matching :class:`~repro.runtime.protocol.UpdateOp` to the daemons, routes
 the same frames through both worlds and audits charging and GPT replicas.
 :class:`Shadow` is that gateway with its seeded flow source, live-flow
 list and ledgers: mirror verbs that return the wire op, one draw of the
-churn mix, pinned-ingress routing, the global audit.  :func:`evacuate`
-empties a node (§7 repair, graceful drain); :func:`compare_frames` is the
-per-frame verdict.
+churn mix, pinned-ingress routing, the global audit.  :func:`_pin` is
+the wire op that makes the daemons follow a re-homed record, one per
+flow :meth:`EpcGateway.evacuate` moves (§7 repair, graceful drain);
+:func:`compare_frames` is the per-frame verdict.
 
 What a verb does to the shadow and which op it ships is the same
 everywhere, so it lives here; which verb comes next, which seeded RNG
@@ -53,30 +54,6 @@ def _pin(record: FlowRecord) -> UpdateOp:
         OP_INSERT, record.key, record.handling_node, record.teid,
         record.base_station_ip,
     )
-
-
-def evacuate(
-    gateway: EpcGateway, node: int, survivors: Sequence[int]
-) -> List[UpdateOp]:
-    """Re-home every flow ``node`` handles, round-robin over ``survivors``.
-
-    Each move is :meth:`EpcGateway.rehome_flow` (controller record, DPE
-    context and §4.5 update together); the returned ops make the daemons
-    follow.  Repair and drain differ only in who counts as a survivor.
-    """
-    cluster = gateway.cluster
-    assert cluster is not None, "gateway not started"
-    victims = [
-        entry for entry in list(cluster.rib.entries()) if entry.node == node
-    ]
-    ops: List[UpdateOp] = []
-    for i, entry in enumerate(victims):
-        record = gateway.controller.record_for_key(entry.key)
-        assert record is not None, "RIB/controller disagree"
-        ops.append(_pin(gateway.rehome_flow(
-            record.flow, survivors[i % len(survivors)]
-        )))
-    return ops
 
 
 def compare_frames(

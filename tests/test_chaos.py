@@ -26,6 +26,7 @@ from repro.chaos.oracle import DifferentialOracle
 from repro.chaos.soak import SoakRunner, soak_gates
 from repro.cli import main as cli_main
 from repro.cluster.architectures import Architecture
+from repro.core import separator as separator_registry
 from repro.epc.gateway import EpcGateway
 from repro.epc.packets import parse_ip
 from repro.epc.traffic import FlowGenerator
@@ -282,6 +283,31 @@ class TestSoakDigest:
         assert cli_main(argv + extra) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+#: ``repro chaos --seed 9 --episodes 3`` crashes node 0 with §7 recovery
+#: and re-homes its 9 bearers on either separator backend.  CI's chaos
+#: determinism step runs the same seed, so it exercises recovery too.
+CRASH_SEED = 9
+
+
+class TestCrashRecoverySoak:
+    @pytest.mark.parametrize("backend", separator_registry.BACKENDS)
+    def test_recovering_crash_passes_the_gates(self, monkeypatch, backend):
+        monkeypatch.setattr(separator_registry._registry, "chosen", backend)
+        evacuations = []
+        evacuate = EpcGateway.evacuate
+
+        def recorded(gateway, node, survivors):
+            moved = evacuate(gateway, node, survivors)
+            evacuations.append((node, len(moved)))
+            return moved
+
+        monkeypatch.setattr(EpcGateway, "evacuate", recorded)
+        report = SoakRunner(seed=CRASH_SEED, episodes=3).run().to_dict()
+        assert evacuations == [(0, 9)]
+        assert "node_crash" in report["summary"]["fault_kinds"]
+        assert all(soak_gates(report).values()), report["summary"]
 
 
 class TestSoakGates:

@@ -1,13 +1,26 @@
-"""Tests for failure handling and recovery (repro.cluster.failover, §7)."""
+"""Failure impact and evacuation (paper §7) on every architecture.
+
+:func:`repro.cluster.failover.impact_report` measures which flows a dead
+node takes down; :meth:`EpcGateway.evacuate` is the one repair verb that
+re-homes its flows onto survivors and touches nothing else.
+"""
 
 import numpy as np
 import pytest
 
 from repro.cluster import Architecture, Cluster
-from repro.cluster.failover import FailoverManager, FailureImpact
+from repro.cluster.failover import FailureImpact, impact_report
+from repro.epc.gateway import EpcGateway
+from repro.epc.packets import build_downstream_frame, parse_ip
+from repro.epc.traffic import GATEWAY_MAC, GENERATOR_MAC, FlowGenerator
 from tests.conftest import unique_keys
 
 NUM_NODES = 4
+FAILED = 2
+SURVIVORS = [0, 1, 3]
+ARCHITECTURES = pytest.mark.parametrize(
+    "arch", list(Architecture), ids=lambda arch: arch.value
+)
 
 
 def make(arch, n=1_200, seed=400):
@@ -15,88 +28,99 @@ def make(arch, n=1_200, seed=400):
     handlers = (keys % NUM_NODES).astype(np.int64)
     values = np.arange(n) + 1
     cluster = Cluster.build(arch, NUM_NODES, keys, handlers, values)
-    return FailoverManager(cluster), keys, handlers, values
+    return cluster, keys, handlers, values
 
 
-class TestLiveness:
-    def test_fail_and_restore(self):
-        manager, *_ = make(Architecture.SCALEBRICKS)
-        manager.fail_node(2)
-        assert not manager.is_up(2)
-        manager.restore_node(2)
-        assert manager.is_up(2)
+def frame_for(flow, payload=b"payload!"):
+    return build_downstream_frame(GENERATOR_MAC, GATEWAY_MAC, flow, payload)
 
-    def test_invalid_node(self):
-        manager, *_ = make(Architecture.SCALEBRICKS)
-        with pytest.raises(ValueError):
-            manager.fail_node(9)
 
+def live_gateway(arch, flows=600):
+    """A started gateway whose bearers have all been charged once."""
+    gen = FlowGenerator(seed=950)
+    gateway = EpcGateway(arch, NUM_NODES, parse_ip("192.0.2.1"))
+    population = gen.populate(gateway, flows)
+    gateway.start()
+    frames = [frame_for(flow) for flow in population]
+    gateway.process_downstream_batch(frames, [0] * len(frames))
+    return gateway, population
+
+
+def flow_state(gateway, keys):
+    """Everything evacuation may touch, for the flows ``keys``."""
+    cluster = gateway.cluster
+    records = {key: gateway.controller.record_for_key(key) for key in keys}
+    return {
+        "rib": {
+            entry.key: (entry.node, entry.value)
+            for entry in cluster.rib.entries() if entry.key in keys
+        },
+        "fib": [
+            {key: node.fib.lookup(key) for key in keys}
+            for node in cluster.nodes
+        ],
+        "records": records,
+        "contexts": [
+            {
+                record.teid: dpe.context(record.teid)
+                for record in records.values()
+            }
+            for dpe in gateway.dpes
+        ],
+    }
+
+
+def handled_by(gateway, node):
+    return [
+        entry.key for entry in gateway.cluster.rib.entries()
+        if entry.node == node
+    ]
+
+
+class TestNodeDown:
     def test_packets_toward_down_node_drop_with_reason(self):
-        manager, keys, handlers, _ = make(Architecture.SCALEBRICKS)
-        manager.fail_node(1)
-        victim = next(
-            int(k) for k, h in zip(keys, handlers) if h == 1
-        )
-        result = manager.route(victim, ingress=0)
-        assert result.dropped
-        assert result.reason == "node_down"
-
-    def test_survivor_flows_unaffected(self):
-        manager, keys, handlers, values = make(Architecture.SCALEBRICKS)
-        manager.fail_node(1)
-        for k, h, v in zip(keys[:200], handlers[:200], values[:200]):
-            if h != 1:
-                result = manager.route(int(k), ingress=0)
-                assert result.value == v
-
-    def test_unpinned_ingress_is_a_function_of_the_cluster(self):
-        """Two managers over equal clusters pick the same ingress
-        sequence (the draw used to be seeded from the wall clock), and
-        never a down node."""
-        picks = []
-        for _ in range(2):
-            manager, keys, *_ = make(Architecture.SCALEBRICKS)
-            manager.fail_node(3)
-            picks.append(
-                [manager.route(int(key)).ingress for key in keys[:64]]
-            )
-        assert picks[0] == picks[1]
-        assert set(picks[0]) == {0, 1, 2}
+        gateway, flows = live_gateway(Architecture.SCALEBRICKS)
+        gateway.down_nodes.add(1)
+        frames = [frame_for(flow) for flow in flows]
+        for flow, (result, out) in zip(
+            flows, gateway.process_downstream_batch(frames, [0] * len(frames))
+        ):
+            record = gateway.controller.record_for_key(flow.key())
+            if record.handling_node == 1:
+                assert result.reason == "node_down" and out is None
+            else:
+                assert result.delivered and result.value == record.teid
 
 
 class TestImpactReport:
     def test_scalebricks_isolates_failures(self):
-        manager, keys, handlers, _ = make(Architecture.SCALEBRICKS)
-        impact = manager.impact_report(2)
+        cluster, keys, handlers, _ = make(Architecture.SCALEBRICKS)
+        impact = impact_report(cluster, 2)
         own = int((handlers == 2).sum())
         assert impact.lost_own_flows == own
         assert impact.lost_collateral_flows == 0
         assert impact.isolation
 
     def test_full_duplication_isolates_failures(self):
-        manager, _, handlers, _ = make(Architecture.FULL_DUPLICATION)
-        impact = manager.impact_report(0)
-        assert impact.isolation
+        cluster, *_ = make(Architecture.FULL_DUPLICATION)
+        assert impact_report(cluster, 0).isolation
 
     def test_hash_partition_has_collateral_damage(self):
         """§7: a failed lookup node breaks flows handled elsewhere."""
-        manager, _, _, _ = make(Architecture.HASH_PARTITION)
-        impact = manager.impact_report(3)
+        cluster, *_ = make(Architecture.HASH_PARTITION)
+        impact = impact_report(cluster, 3)
         assert impact.lost_collateral_flows > 0
         assert not impact.isolation
 
-    @pytest.mark.parametrize(
-        "arch", list(Architecture), ids=lambda arch: arch.value
-    )
+    @ARCHITECTURES
     def test_totals_consistent(self, arch):
-        manager, keys, _, _ = make(arch)
-        impact = manager.impact_report(1)
+        cluster, keys, _, _ = make(arch)
+        impact = impact_report(cluster, 1)
         assert impact.total_flows == len(keys)
         assert impact.lost_total <= impact.total_flows
         # The report, flow by flow: own losses are the failed handler's,
         # collateral ones (hash partitioning only) the failed lookup
         # node's.
-        cluster = manager.cluster
         entries = list(cluster.rib.entries())
         own = sum(entry.node == 1 for entry in entries)
         collateral = sum(
@@ -108,51 +132,101 @@ class TestImpactReport:
         assert impact == FailureImpact(1, len(entries), own, collateral)
 
 
-class TestRecovery:
-    def test_recovery_restores_service(self):
-        manager, keys, handlers, values = make(Architecture.SCALEBRICKS)
-        manager.fail_node(3)
-        moved = manager.recover_flows(3)
-        assert moved == int((handlers == 3).sum())
-        # Every previously-lost flow forwards again, on a survivor.
-        for k, h, v in zip(keys[:300], handlers[:300], values[:300]):
-            result = manager.route(int(k), ingress=0)
-            assert result.delivered
-            assert result.handled_by != 3
-            assert result.value == v
-
-    def test_recovery_spreads_over_survivors(self):
-        manager, keys, handlers, _ = make(Architecture.SCALEBRICKS)
-        manager.fail_node(0)
-        manager.recover_flows(0)
-        loads = manager.cluster.rib.load_per_node()  # ownership unchanged
-        fib_sizes = [len(n.fib) for n in manager.cluster.nodes]
-        assert fib_sizes[0] == 0
-        spread = max(fib_sizes[1:]) - min(fib_sizes[1:])
-        assert spread < len(keys) * 0.2
-
-    def test_explicit_reassignment(self):
-        manager, keys, handlers, values = make(Architecture.SCALEBRICKS)
-        victims = [
-            int(k) for k, h in zip(keys, handlers) if h == 2
+@ARCHITECTURES
+class TestEvacuate:
+    def test_moves_exactly_the_nodes_flows_round_robin(self, arch):
+        gateway, _ = live_gateway(arch)
+        victims = handled_by(gateway, FAILED)
+        assert len(victims) > 100
+        gateway.down_nodes.add(FAILED)
+        moved = gateway.evacuate(FAILED, SURVIVORS)
+        # RIB order, round-robin over the survivors as given.
+        assert [record.key for record in moved] == victims
+        assert [record.handling_node for record in moved] == [
+            SURVIVORS[i % len(SURVIVORS)] for i in range(len(victims))
         ]
-        manager.fail_node(2)
-        plan = {victims[0]: 1}
-        manager.recover_flows(2, reassign=plan)
-        result = manager.route(victims[0], ingress=0)
-        assert result.handled_by == 1
+        assert handled_by(gateway, FAILED) == []
+        assert len(gateway.dpes[FAILED]) == 0
+        for record in moved:
+            assert gateway.controller.record_for_key(record.key) == record
+            assert gateway.dpes[record.handling_node].context(
+                record.teid
+            ) is not None
+        # The failed node owns nothing any more (§7 fate sharing).
+        assert impact_report(gateway.cluster, FAILED).lost_own_flows == 0
 
-    def test_cannot_recover_onto_down_node(self):
-        manager, keys, handlers, _ = make(Architecture.SCALEBRICKS)
-        victims = [int(k) for k, h in zip(keys, handlers) if h == 2]
-        manager.fail_node(2)
-        manager.fail_node(1)
+    def test_every_other_flow_is_untouched(self, arch):
+        gateway, flows = live_gateway(arch)
+        victims = set(handled_by(gateway, FAILED))
+        others = {flow.key() for flow in flows} - victims
+        before = flow_state(gateway, others)
+        charged = dict(gateway.stats.bytes_charged)
+        gateway.down_nodes.add(FAILED)
+        gateway.evacuate(FAILED, SURVIVORS)
+        assert flow_state(gateway, others) == before
+        # A move charges nothing: the ledger is the same, moved flows'
+        # counters included.
+        assert dict(gateway.stats.bytes_charged) == charged
+
+    def test_moved_flows_deliver_on_their_new_node(self, arch):
+        gateway, _ = live_gateway(arch)
+        gateway.down_nodes.add(FAILED)
+        moved = gateway.evacuate(FAILED, SURVIVORS)
+        frames = [frame_for(record.flow) for record in moved]
+        isolated = arch in (
+            Architecture.SCALEBRICKS, Architecture.FULL_DUPLICATION
+        )
+        for record, (result, out) in zip(
+            moved, gateway.process_downstream_batch(frames, [0] * len(frames))
+        ):
+            if out is None:
+                # Collateral: a path through the dead node (the lookup
+                # node under hash partitioning, a VLB bounce).
+                assert not isolated
+                assert result.reason == "node_down"
+                assert FAILED in result.path
+                continue
+            assert result.handled_by == record.handling_node
+            assert result.value == record.teid
+        # With the node back, every moved flow delivers where it now
+        # lives, charged on that node's DPE.
+        gateway.down_nodes.discard(FAILED)
+        for record, (result, out) in zip(
+            moved, gateway.process_downstream_batch(frames, [0] * len(frames))
+        ):
+            assert out is not None
+            assert result.handled_by == record.handling_node
+            context = gateway.dpes[record.handling_node].context(record.teid)
+            assert context.downlink_packets >= 2
+
+
+class TestEvacuateRefusesBeforeMoving:
+    """A bad survivor list is refused before any flow moves."""
+
+    @pytest.mark.parametrize("survivors, down", [
+        ([], set()),
+        ([0, FAILED], set()),  # the evacuated node itself
+        ([0, 1], {1}),  # a dead node
+        ([0, NUM_NODES], set()),  # not a node id
+        ([0, -1], set()),
+    ], ids=["empty", "self", "down", "out-of-range", "negative"])
+    def test_bad_survivors(self, survivors, down):
+        gateway, flows = live_gateway(Architecture.SCALEBRICKS)
+        gateway.down_nodes |= {FAILED} | down
+        keys = {flow.key() for flow in flows}
+        before = flow_state(gateway, keys)
         with pytest.raises(ValueError):
-            manager.recover_flows(2, reassign={victims[0]: 1})
+            gateway.evacuate(FAILED, survivors)
+        assert flow_state(gateway, keys) == before
 
-    def test_no_survivors(self):
-        manager, *_ = make(Architecture.SCALEBRICKS)
-        for node in range(NUM_NODES):
-            manager.fail_node(node)
+    def test_bad_node(self):
+        gateway, _ = live_gateway(Architecture.SCALEBRICKS)
+        with pytest.raises(ValueError):
+            gateway.evacuate(NUM_NODES, SURVIVORS)
+
+    def test_unstarted_gateway(self):
+        gateway = EpcGateway(
+            Architecture.SCALEBRICKS, NUM_NODES, parse_ip("192.0.2.1")
+        )
         with pytest.raises(RuntimeError):
-            manager.recover_flows(0)
+            gateway.evacuate(FAILED, SURVIVORS)

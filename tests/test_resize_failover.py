@@ -1,91 +1,105 @@
 """Membership resize × failover recovery, composed (§6.3 × §7).
 
-The two operations share the RIB as their source of truth, so they must
-compose: a cluster that failed a node and recovered its flows can shrink
-away the dead slot without repinning anything, and a freshly resized
-cluster can lose a node and recover exactly as the original would.
-Both the GPT architecture and a non-GPT baseline are exercised — the
-recovery contract (RIB re-homing via the update engine) is
+Both go through the gateway: :meth:`EpcGateway.evacuate` re-homes a
+node's flows and :meth:`EpcGateway.resize` rebuilds the plane from the
+RIB, so they must compose: a gateway that failed a node and evacuated it
+can shrink away the dead slot without repinning anything (a drain is
+exactly that pair), and a freshly resized gateway can lose a node and
+recover as the original would.  Both the GPT architecture and a non-GPT
+baseline are exercised — the recovery contract is
 architecture-independent even though the forwarding consequences differ.
 """
 
-import numpy as np
 import pytest
 
-from repro.cluster import Architecture, Cluster
-from repro.cluster.failover import FailoverManager
-from repro.cluster.membership import resize
-from tests.conftest import unique_keys
+from repro.cluster import Architecture
+from repro.epc.gateway import EpcGateway
+from repro.epc.packets import build_downstream_frame, parse_ip
+from repro.epc.traffic import GATEWAY_MAC, GENERATOR_MAC, FlowGenerator
 
 ARCHITECTURES = [Architecture.SCALEBRICKS, Architecture.HASH_PARTITION]
 
 
-def build_cluster(arch, num_nodes=4, n=1_200, seed=640):
-    keys = unique_keys(n, seed=seed)
-    handlers = (keys % num_nodes).astype(np.int64)
-    values = np.arange(n) + 1
-    cluster = Cluster.build(arch, num_nodes, keys, handlers, values)
-    return cluster, keys, handlers, values
+def build_gateway(arch, num_nodes=4, flows=600, seed=640):
+    gen = FlowGenerator(seed=seed)
+    gateway = EpcGateway(arch, num_nodes, parse_ip("192.0.2.1"))
+    population = gen.populate(gateway, flows)
+    gateway.start()
+    return gateway, population
 
 
-def rib_index(cluster):
+def rib_index(gateway):
     return {entry.key: (entry.node, entry.value)
-            for entry in cluster.rib.entries()}
+            for entry in gateway.cluster.rib.entries()}
+
+
+def fail_and_evacuate(gateway, node):
+    gateway.down_nodes.add(node)
+    return gateway.evacuate(node, [
+        n for n in range(gateway.num_nodes)
+        if n not in gateway.down_nodes
+    ])
+
+
+def drain_top(gateway):
+    """The runtime's graceful drain: evacuate the top node, then shrink."""
+    leaving = gateway.num_nodes - 1
+    gateway.evacuate(leaving, list(range(leaving)))
+    return gateway.resize(leaving)
+
+
+def route_all(gateway, flows, ingress=0):
+    frames = [
+        build_downstream_frame(GENERATOR_MAC, GATEWAY_MAC, flow, b"payload!")
+        for flow in flows
+    ]
+    return gateway.process_downstream_batch(frames, [ingress] * len(frames))
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES, ids=lambda a: a.value)
 class TestRecoverThenShrink:
     def test_recovery_empties_the_node_so_shrink_repins_nothing(self, arch):
-        cluster, keys, handlers, values = build_cluster(arch)
-        manager = FailoverManager(cluster)
-        manager.fail_node(3)
-        moved = manager.recover_flows(3)
-        assert moved == int((handlers == 3).sum())
-        assert all(entry.node != 3 for entry in cluster.rib.entries())
+        gateway, flows = build_gateway(arch)
+        victims = [key for key, (node, _) in rib_index(gateway).items()
+                   if node == 3]
+        moved = fail_and_evacuate(gateway, 3)
+        assert len(moved) == len(victims) > 0
+        assert all(node != 3 for node, _ in rib_index(gateway).values())
 
-        shrunk, report = resize(cluster, 3)
+        before = rib_index(gateway)
+        report = gateway.resize(3)
         # Recovery already drained node 3: the shrink finds nothing left
         # to repin, and every flow keeps its post-recovery placement.
         assert report.repinned_flows == 0
         assert report.new_nodes == 3
-        before = rib_index(cluster)
-        after = rib_index(shrunk)
-        assert after == before
+        assert gateway.num_nodes == gateway.controller.num_nodes == 3
+        assert len(gateway.cluster.nodes) == 3
+        assert rib_index(gateway) == before
 
-    def test_shrunk_cluster_still_delivers_recovered_flows(self, arch):
-        cluster, keys, handlers, values = build_cluster(arch)
-        manager = FailoverManager(cluster)
-        manager.fail_node(3)
-        manager.recover_flows(3)
-        shrunk, _ = resize(cluster, 3)
-        placed = rib_index(shrunk)
-        for k, v in zip(keys[:300], values[:300]):
-            result = shrunk.route(int(k), ingress=0)
-            assert result.delivered
-            assert result.handled_by == placed[int(k)][0]
-            assert result.value == v
+    def test_shrunk_gateway_still_delivers_recovered_flows(self, arch):
+        gateway, flows = build_gateway(arch)
+        fail_and_evacuate(gateway, 3)
+        gateway.resize(3)
+        placed = rib_index(gateway)
+        for flow, (result, out) in zip(flows, route_all(gateway, flows)):
+            assert out is not None
+            assert result.handled_by == placed[flow.key()][0]
+            assert result.value == placed[flow.key()][1]
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES, ids=lambda a: a.value)
 class TestResizeThenFailover:
     def test_failure_after_shrink_recovers_onto_survivors(self, arch):
-        cluster, keys, handlers, values = build_cluster(arch)
-        shrunk, report = resize(cluster, 3)
-        assert report.repinned_flows == int((handlers == 3).sum())
-        manager = FailoverManager(shrunk)
-        manager.fail_node(2)
-        victims = {
-            entry.key for entry in shrunk.rib.entries() if entry.node == 2
-        }
+        gateway, _ = build_gateway(arch)
+        drain_top(gateway)
+        victims = {key for key, (node, _) in rib_index(gateway).items()
+                   if node == 2}
         assert victims  # the scenario must be non-trivial
-        untouched = {
-            entry.key: (entry.node, entry.value)
-            for entry in shrunk.rib.entries()
-            if entry.node != 2
-        }
-        moved = manager.recover_flows(2)
-        assert moved == len(victims)
-        placed = rib_index(shrunk)
+        untouched = {key: slot for key, slot in rib_index(gateway).items()
+                     if key not in victims}
+        moved = fail_and_evacuate(gateway, 2)
+        assert len(moved) == len(victims)
+        placed = rib_index(gateway)
         for key in victims:
             assert placed[key][0] in (0, 1)
         # Survivor flows are untouched by the recovery (§7 isolation at
@@ -94,53 +108,47 @@ class TestResizeThenFailover:
             assert placed[key] == slot
 
     def test_failure_after_grow_can_recover_onto_new_nodes(self, arch):
-        cluster, keys, handlers, values = build_cluster(arch)
-        grown, report = resize(cluster, 6)
+        gateway, _ = build_gateway(arch)
+        report = gateway.resize(6)
         assert report.repinned_flows == 0
-        manager = FailoverManager(grown)
-        manager.fail_node(0)
-        victims = {
-            entry.key for entry in grown.rib.entries() if entry.node == 0
-        }
-        moved = manager.recover_flows(0)
-        assert moved == len(victims)
-        placed = rib_index(grown)
+        assert len(gateway.dpes) == 6
+        victims = {key for key, (node, _) in rib_index(gateway).items()
+                   if node == 0}
+        moved = fail_and_evacuate(gateway, 0)
+        assert {record.key for record in moved} == victims
+        placed = rib_index(gateway)
         landing = {placed[key][0] for key in victims}
-        assert 0 not in landing
         # Round-robin recovery spreads across all five survivors,
         # including the two freshly added nodes.
         assert landing == {1, 2, 3, 4, 5}
+        for record in moved:
+            assert gateway.dpes[record.handling_node].context(
+                record.teid
+            ) is not None
 
     def test_recovered_flows_route_where_the_rib_says(self, arch):
-        cluster, keys, handlers, values = build_cluster(arch)
-        shrunk, _ = resize(cluster, 3)
-        manager = FailoverManager(shrunk)
-        manager.fail_node(2)
-        manager.recover_flows(2)
-        placed = rib_index(shrunk)
-        value_of = {int(k): int(v) for k, v in zip(keys, values)}
-        for key, (node, value) in list(placed.items())[:300]:
-            result = manager.route(key, ingress=node)
-            if arch is Architecture.HASH_PARTITION and result.dropped:
+        gateway, flows = build_gateway(arch)
+        drain_top(gateway)
+        fail_and_evacuate(gateway, 2)
+        placed = rib_index(gateway)
+        for flow, (result, out) in zip(flows, route_all(gateway, flows)):
+            node, teid = placed[flow.key()]
+            if arch is Architecture.HASH_PARTITION and out is None:
                 # Hash partitioning has collateral damage (§7): flows
                 # whose *lookup* node is the dead node stop forwarding
                 # even after their state was re-homed.
                 assert result.reason == "node_down"
-                assert shrunk.lookup_node_of(key) == 2
+                assert gateway.cluster.lookup_node_of(flow.key()) == 2
                 continue
-            assert result.delivered
+            assert out is not None
             assert result.handled_by == node
-            assert result.value == value_of[key]
+            assert result.value == teid
 
     def test_scalebricks_has_no_collateral_after_recovery(self, arch):
         if arch is not Architecture.SCALEBRICKS:
             pytest.skip("collateral-free recovery is the GPT property")
-        cluster, keys, handlers, values = build_cluster(arch)
-        shrunk, _ = resize(cluster, 3)
-        manager = FailoverManager(shrunk)
-        manager.fail_node(2)
-        manager.recover_flows(2)
+        gateway, flows = build_gateway(arch)
+        drain_top(gateway)
+        fail_and_evacuate(gateway, 2)
         # Every flow — including every recovered one — forwards again.
-        for k in keys[:300]:
-            result = manager.route(int(k), ingress=0)
-            assert result.delivered
+        assert all(out is not None for _, out in route_all(gateway, flows))

@@ -7,13 +7,12 @@ module is pinned to what every report was built from.
 
 import numpy as np
 
-from repro.cluster.failover import FailoverManager
 from repro.core import serialize
 from repro.epc.fastpath import OUTER_SIZE
 from repro.ops.manager import ClusterOps
 from repro.runtime.protocol import OP_INSERT, OP_REMOVE, UpdateOp
 from repro.runtime.session import Session, _finish
-from repro.runtime.shadow import Shadow, evacuate
+from repro.runtime.shadow import Shadow, _pin
 
 NODES = 4
 
@@ -90,27 +89,22 @@ def inline_churn(shadow, rng, live, connects, rehomes, disconnects):
 
 def inline_repair(gateway, failed, survivors):
     """``RuntimeController._repair``'s shadow half as it was: contexts
-    and controller records moved by hand, then the RIB through
-    ``FailoverManager.recover_flows`` with an explicit map."""
-    cluster = gateway.cluster
-    failover = FailoverManager(cluster)
-    failover.updates = gateway.updates
-    failover.down = {failed}
-    victims = [e for e in list(cluster.rib.entries()) if e.node == failed]
-    reassign = {
-        entry.key: survivors[i % len(survivors)]
-        for i, entry in enumerate(victims)
-    }
+    and controller records moved by hand, then the RIB entry by entry
+    through the §4.5 update path."""
+    victims = [
+        e for e in list(gateway.cluster.rib.entries()) if e.node == failed
+    ]
     ops = []
-    for entry in victims:
+    for i, entry in enumerate(victims):
         record = gateway.controller.record_for_key(entry.key)
-        target = reassign[entry.key]
+        target = survivors[i % len(survivors)]
         context = gateway.dpes[failed].export_context(record.teid)
         gateway.dpes[target].import_context(context)
         gateway.controller.rehome(record.flow, target)
         ops.append(UpdateOp(OP_INSERT, entry.key, target, record.teid,
                             record.base_station_ip))
-    assert failover.recover_flows(failed, reassign) == len(ops)
+    for entry, op in zip(victims, ops):
+        gateway.updates.insert_flow(entry.key, op.node, entry.value)
     return ops
 
 
@@ -217,7 +211,8 @@ class TestMirrorVerbs:
             frames = shadow.generator.packet_stream(shadow.live_flows, 400)
             shadow.route(frames, [i % NODES for i in range(len(frames))])
             shadow.gateway.down_nodes.add(2)
-        ops = evacuate(mirrored.gateway, 2, [0, 1, 3])
+        ops = [_pin(record)
+               for record in mirrored.gateway.evacuate(2, [0, 1, 3])]
         expected = inline_repair(reference.gateway, 2, [0, 1, 3])
         assert ops == expected and len(ops) > 50
         assert observable(mirrored.gateway) == observable(reference.gateway)
