@@ -24,7 +24,6 @@ batch-size cost curve (ROADMAP item 7): cost per call by frames and
 payload bytes.
 """
 
-import gc
 import sys
 import time
 
@@ -42,6 +41,7 @@ from repro import perflab
 from benchmarks.conftest import (
     STAGE_COST_SIZES,
     bench_scale,
+    count_calls,
     print_header,
     stage_cost,
 )
@@ -372,28 +372,6 @@ def perflab_fig8_endtoend(ctx):
 
 BATCH_CALLS_FLOWS = 4_096
 BATCH_CALLS_SIZES = (32, 256)
-
-
-def count_calls(fn, *args):
-    """``fn(*args)`` under ``sys.setprofile``; returns the Python function
-    calls it made (``call`` events, a generator's resumptions included)
-    and the C-level ones (``c_call`` events: builtins and the methods of
-    C types, NumPy's array methods among them; a ufunc or an operator on
-    arrays is not one), collector off so no finaliser runs inside."""
-    calls = {"call": 0, "c_call": 0}
-
-    def profile(_frame, event, _arg):
-        if event in calls:
-            calls[event] += 1
-
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-        gc.enable()
-    return calls["call"], calls["c_call"]
 
 
 @perflab.benchmark("gateway.batch_calls", figure="§4.3", repeats=1)

@@ -10,16 +10,21 @@ delta apply — the property that makes the rate scale — and (3) the
 fully-replicated contrast where every node repeats the work.
 """
 
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from repro.cluster import Architecture, Cluster, UpdateEngine
-from repro.core.delta import GroupDelta
+from repro.cluster import Architecture, Cluster, UpdateEngine, owner
+from repro.cluster.owner import UpdateAccount
+from repro.core.group import search_group
+from repro.core.hashfamily import base_hashes
 from repro.obs import MetricsRegistry, span_histogram_name
 from repro import perflab
-from benchmarks.conftest import bench_keys, bench_scale, print_header
+from benchmarks.conftest import (
+    bench_keys, bench_scale, count_calls, print_header,
+)
 
 N_FLOWS = 5_000 * bench_scale()
 N_UPDATES = 400
@@ -85,11 +90,13 @@ def test_update_scaling_mechanism(benchmark, scalebricks_cluster):
         for i in range(200):
             key = int(keys[i])
             group = owner_gpt.group_of(key)
-            member_keys, member_nodes = cluster.rib.group_contents(
+            # The owner's RIB hands the group over hashed: the rebuild
+            # reads the keys' separator columns.
+            members, member_nodes = cluster.rib.group_contents(
                 group, owner_gpt.setsep
             )
             started = time.perf_counter()
-            delta = owner_gpt.rebuild_group(group, member_keys, member_nodes)
+            delta = owner_gpt.rebuild_group(group, members, member_nodes)
             rebuild_seconds += time.perf_counter() - started
             deltas.append(delta)
         return deltas, rebuild_seconds
@@ -174,3 +181,75 @@ def perflab_update_rate(ctx):
         mean_group_keys=n_flows / cluster.nodes[0].gpt.setsep.num_groups,
         incumbent_kept_share=kept / (kept + searched),
     )
+
+
+OWNER_CALLS_FLOWS = 20_000
+
+
+def _next_update(rib, gpt, spare, cursor, keep):
+    """From ``spare[cursor:]``, the first key whose insert (on node
+    ``key % 4``) keeps every incumbent bit of its group (``keep``) or
+    breaks one that a search then solves; ``(key, node, next cursor)``."""
+    separator = gpt.setsep
+    params = separator.params
+    for position in range(cursor, len(spare)):
+        key = int(spare[position])
+        group = separator.group_of(key)
+        if separator.failed_groups[group]:
+            continue
+        members, nodes = rib.group_contents(group, separator)
+        found = search_group(
+            *base_hashes(np.append(members.keys, np.uint64(key))),
+            np.append(nodes, np.uint32(key % 4)), params,
+            separator.indices[group],
+        )
+        if found is None:
+            continue
+        kept = [f.index for f in found] == separator.indices[group].tolist()
+        if kept == keep:
+            return key, key % 4, position + 1
+    raise AssertionError("no such update among the spare keys")
+
+
+@perflab.benchmark("update.owner_calls", figure="§4.5 update", repeats=1)
+def perflab_update_owner_calls(ctx):
+    """Python and C-level calls of one owner-side update
+    (``owner.owner_step``: slice edit, group read, recompute, framing).
+
+    A young 20,000-bearer, 4-node table; one insert whose group keeps
+    every incumbent index and one whose group breaks one and searches,
+    each counted with ``sys.setprofile`` after an untraced warm-up update
+    of its kind (the same counting as ``gateway.batch_calls``).  The
+    counts repeat exactly for a given seed, interpreter and NumPy; CI
+    holds them under :mod:`repro.perflab.gates`' budgets.
+    """
+    keys = bench_keys(OWNER_CALLS_FLOWS + 4_000, seed=72)
+    live, spare = keys[:OWNER_CALLS_FLOWS], keys[OWNER_CALLS_FLOWS:]
+    cluster = Cluster.build(
+        Architecture.SCALEBRICKS, 4, live,
+        (live % np.uint64(4)).astype(np.int64), np.arange(len(live)),
+    )
+    rib = cluster.rib
+    acc = UpdateAccount()
+    ctx.set_params(
+        flows=OWNER_CALLS_FLOWS, nodes=4,
+        python=".".join(map(str, sys.version_info[:2])),
+    )
+    cursor = 0
+    derived = {}
+    for case, keep in (("kept", True), ("searched", False)):
+        for counted in (False, True):
+            key, node, cursor = _next_update(
+                rib, cluster.nodes[0].gpt, spare, cursor, keep
+            )
+            bucket = rib.bucket_of(key)
+            gpt = cluster.nodes[rib.owner_of_block(bucket // 256)].gpt
+            gpt.setsep.buckets_of_group(gpt.setsep.group_of_bucket(bucket))
+            args = (rib, gpt, acc, key, bucket, node, 1)
+            if counted:
+                python, c_level = count_calls(owner.owner_step, *args)
+                derived[f"python_calls_{case}"] = python
+                derived[f"c_calls_{case}"] = c_level
+            else:
+                owner.owner_step(*args)
+    ctx.record(**derived)

@@ -14,7 +14,9 @@ populations at ~10x the runtime).
 
 from __future__ import annotations
 
+import gc
 import os
+import sys
 import time
 
 import numpy as np
@@ -109,3 +111,25 @@ def print_header(title: str) -> None:
 @pytest.fixture(scope="session")
 def scale() -> int:
     return bench_scale()
+
+
+def count_calls(fn, *args):
+    """``fn(*args)`` under ``sys.setprofile``; returns the Python function
+    calls it made (``call`` events, a generator's resumptions included)
+    and the C-level ones (``c_call`` events: builtins and the methods of
+    C types, NumPy's array methods among them; a ufunc or an operator on
+    arrays is not one), collector off so no finaliser runs inside."""
+    calls = {"call": 0, "c_call": 0}
+
+    def profile(_frame, event, _arg):
+        if event in calls:
+            calls[event] += 1
+
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls["call"], calls["c_call"]

@@ -53,9 +53,9 @@ def main() -> None:
     victim = int(keys[0])
     new_node = (int(nodes[0]) + 1) % num_nodes
     group = gpt.group_of(victim)
-    contents = rib_view(keys, nodes.tolist(), gpt)[group]
-    contents[victim] = new_node
-    delta = gpt.rebuild_group(group, list(contents), list(contents.values()))
+    members, owners = rib_view(keys, nodes.tolist(), gpt)[group]
+    owners[members.keys == victim] = new_node
+    delta = gpt.rebuild_group(group, members, owners)
     wire = delta.encode(gpt.setsep.params)
     print(f"\nMoving one flow to node {new_node}: "
           f"delta = {delta.size_bits(gpt.setsep.params)} bits on the wire")

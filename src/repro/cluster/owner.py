@@ -110,11 +110,13 @@ def owner_batch(
     same record bytes, slice order, replica state and counts.  Steps come
     back aligned with ``updates`` (``None`` for an unknown key's removal).
 
-    Every node is range-checked before anything changes or counts.
+    Every node and value is range-checked before anything changes or
+    counts.
     """
-    for _ckey, _bucket, node, _value in updates:
+    for _ckey, _bucket, node, value in updates:
         if node is not None:
             rib.check_node(node)
+            rib.check_value(value)
     separator = gpt.setsep
     steps: List[Optional[OwnerStep]] = [None] * len(updates)
     # group -> (position in ``updates``, FIB ops, the change)
@@ -151,11 +153,11 @@ def _edit_slice(rib, ckey: int, bucket: int, node: Optional[int], value: int):
         previous = rib._remove(bucket, ckey)
         if previous is None:
             return None
-        return ((previous.node, None),), ((), (), (ckey,))
-    previous = rib._get(bucket, ckey)
-    fib_ops = ((node, rib._insert(bucket, ckey, node, value)),)
-    if previous is not None and previous.node != node:
-        fib_ops = ((previous.node, None),) + fib_ops
+        return ((previous, None),), ((), (), (ckey,))
+    entry, previous = rib._insert(bucket, ckey, node, value)
+    fib_ops = ((node, entry),)
+    if previous is not None and previous != node:
+        fib_ops = ((previous, None),) + fib_ops
     return fib_ops, ((ckey,), (node,), ())
 
 

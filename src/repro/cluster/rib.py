@@ -10,12 +10,14 @@ a SetSep group locally and broadcast a tiny delta (§4.5).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Collection, Dict, Iterator, List, Optional, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core import hashfamily, twolevel
+from repro.core.hashfamily import HashedKeys
 from repro.core.params import BUCKETS_PER_BLOCK
 from repro.core.separator import Separator
 from repro.core.setsep import Key
@@ -40,10 +42,8 @@ def block_owner(block: int, num_nodes: int, down: Collection[int] = ()) -> int:
 
 @dataclass(frozen=True)
 class RibEntry:
-    """One authoritative routing record."""
+    """One authoritative routing record: a snapshot, built on read."""
 
-    # A build makes one per flow: with slots each is 56 bytes, not ~96,
-    # and a third quicker to make.
     __slots__ = ("key", "node", "value")
 
     key: int
@@ -51,15 +51,160 @@ class RibEntry:
     value: int
 
 
+#: Rows of a block's ``uint64`` column matrix: the key, its
+#: :attr:`HashedKeys.separator` triple (bucket hash, G1, G2|1), its value
+#: and its handling node.  Rows 0-3 of a group's columns are its hashed
+#: keys.
+_KEY, _VALUE, _NODE = 0, 4, 5
+_COLUMNS = 6
+_MAX_VALUE = (1 << 64) - 1
+#: End of a bucket's chain, and a bucket that never held a record.
+_NONE = -1
+
+
+class _Block:
+    """One block's records: a column per field, a row per record, and each
+    bucket's rows chained in arrival order (an overwrite keeps its row).
+
+    A removed record's row is unlinked and reused by a later insert, so
+    no update moves another record.  The columns live in one ``array``
+    (``raw``, column ``c`` of row ``r`` at ``c * capacity + r``) that
+    single-record reads and writes index at plain-int speed, and
+    :attr:`cols` is a ``(6, capacity)`` NumPy view of the same memory for
+    the gathers; the chains and the per-bucket heads are ``array`` ints.
+    """
+
+    __slots__ = ("raw", "cols", "capacity", "next", "heads", "first_seen",
+                 "free")
+
+    def __init__(self, records: Optional[np.ndarray] = None) -> None:
+        self._hold(np.zeros((_COLUMNS, 0), np.uint64)
+                   if records is None else records)
+        #: Row -> the next row of its bucket's chain (or ``_NONE``).
+        self.next = array("i")
+        self.heads = array("i", [_NONE]) * BUCKETS_PER_BLOCK
+        #: Arrival number of each bucket's first record, or ``_NONE``.
+        self.first_seen = array("q", [_NONE]) * BUCKETS_PER_BLOCK
+        #: Rows of removed records, reused first.
+        self.free: List[int] = []
+
+    def _hold(self, records: np.ndarray) -> None:
+        """Take ``records``, a C-ordered ``(6, capacity)`` uint64 matrix,
+        as the columns."""
+        self.capacity = records.shape[1]
+        self.raw = array("Q", records.tobytes())
+        self.cols = np.frombuffer(self.raw, dtype=np.uint64).reshape(
+            _COLUMNS, self.capacity
+        )
+
+    @classmethod
+    def built(cls, records: np.ndarray, local: np.ndarray,
+              arrivals: np.ndarray) -> "_Block":
+        """A block over ``records``, its columns (distinct keys, sorted by
+        bucket, then arrival, as ``local`` — each row's bucket — and
+        ``arrivals`` give)."""
+        blk = cls(records)
+        count = len(local)
+        runs = np.flatnonzero(np.diff(local, prepend=-1))
+        chained = np.arange(1, count + 1, dtype=np.int32)
+        chained[np.append(runs[1:], count) - 1] = _NONE
+        heads = np.full(BUCKETS_PER_BLOCK, _NONE, dtype=np.int32)
+        seen = np.full(BUCKETS_PER_BLOCK, _NONE, dtype=np.int64)
+        heads[local[runs]] = runs
+        seen[local[runs]] = arrivals[runs]
+        blk.next = array("i", chained.tobytes())
+        blk.heads = array("i", heads.tobytes())
+        blk.first_seen = array("q", seen.tobytes())
+        return blk
+
+    @property
+    def live(self) -> int:
+        return len(self.next) - len(self.free)
+
+    def field(self, column: int, row: int) -> int:
+        return self.raw[column * self.capacity + row]
+
+    def find(self, local: int, ckey: int) -> Tuple[int, int]:
+        """``(row, previous row in the chain)`` of ``ckey`` in bucket
+        ``local``; for an absent key, ``_NONE`` and the chain's last row."""
+        keys, after = self.raw, self.next  # the key column comes first
+        previous, row = _NONE, self.heads[local]
+        while row != _NONE and keys[row] != ckey:
+            previous, row = row, after[row]
+        return row, previous
+
+    def rows(self, buckets: Iterable[int], base: int = 0) -> List[int]:
+        """Rows of ``buckets`` (global ids, ``base`` the block's first),
+        bucket by bucket, each chain in arrival order."""
+        rows, heads, after = [], self.heads, self.next
+        for bucket in buckets:
+            row = heads[bucket - base]
+            while row != _NONE:
+                rows.append(row)
+                row = after[row]
+        return rows
+
+    def write(self, row: int, record) -> None:
+        """Store ``record``'s fields in ``row``, from column ``0``."""
+        raw, capacity = self.raw, self.capacity
+        for column, value in enumerate(record):
+            raw[column * capacity + row] = value
+
+    def append(self, local: int, last: int, record: tuple,
+               arrival: int) -> None:
+        """Chain a new record after ``last``, its bucket's last row."""
+        if self.free:
+            row = self.free.pop()
+            self.next[row] = _NONE
+        else:
+            row = len(self.next)
+            self.next.append(_NONE)
+            if row == self.capacity:  # an eighth more room
+                grown = np.zeros((_COLUMNS, row + (row >> 3) + 8), np.uint64)
+                grown[:, :row] = self.cols
+                self._hold(grown)
+        self.write(row, record)
+        if last == _NONE:
+            self.heads[local] = row
+        else:
+            self.next[last] = row
+        if self.first_seen[local] == _NONE:
+            self.first_seen[local] = arrival
+
+    def overwrite(self, row: int, value: int, node: int) -> int:
+        """Set ``row``'s value and node; the node it named before."""
+        raw, capacity = self.raw, self.capacity
+        previous = raw[_NODE * capacity + row]
+        raw[_VALUE * capacity + row] = value
+        raw[_NODE * capacity + row] = node
+        return previous
+
+    def unlink(self, local: int, row: int, previous: int) -> None:
+        """Take ``row`` out of its bucket's chain and free it."""
+        if previous == _NONE:
+            self.heads[local] = self.next[row]
+        else:
+            self.next[previous] = self.next[row]
+        self.free.append(row)
+
+    def snapshot(self, row: int) -> RibEntry:
+        field = self.field
+        return RibEntry(field(_KEY, row), field(_NODE, row),
+                        field(_VALUE, row))
+
+
 class RoutingInformationBase:
     """Block-partitioned RIB spread across the cluster.
 
-    Records are indexed by first-level *bucket* — a function of the key
-    alone, so a record never moves — and a block is 256 consecutive
-    buckets.  A group's records are then the records of the few buckets
-    whose stored choice names it (:meth:`group_contents`), found without
-    touching the rest of the block.  A runtime daemon holds its RIB slice
-    in the same class, filled with the blocks it owns.
+    Each SetSep block's records are columns (:class:`_Block`): key, the
+    key's separator hashes, value and node, each bucket's rows chained in
+    arrival order — no object per record; :meth:`get`, :meth:`entries`
+    and :meth:`entries_on_node` build :class:`RibEntry` snapshots.  A
+    record's bucket is a function of its key alone, so a record never
+    moves between blocks, and a group's records are the chains of its few
+    buckets (:meth:`group_contents`), hashes included.  A runtime daemon
+    holds its RIB slice in the same class, filled with the blocks it
+    owns.
 
     Args:
         num_nodes: cluster size (block owners are assigned round-robin).
@@ -81,9 +226,11 @@ class RoutingInformationBase:
             raise ValueError("num_blocks must be positive")
         self.num_nodes = num_nodes
         self.num_blocks = num_blocks
-        #: global bucket id -> {key: record}, each in insertion order.
-        self._buckets: Dict[int, Dict[int, RibEntry]] = {}
+        #: block id -> its columns, created with its first record.
+        self._blocks: Dict[int, _Block] = {}
         self._len = 0
+        #: Arrivals so far: dates each bucket's first record.
+        self._clock = 0
         self.bind_registry(registry)
 
     def bind_registry(self, registry: Optional[MetricsRegistry]) -> None:
@@ -134,54 +281,118 @@ class RoutingInformationBase:
     def insert(self, key: Key, node: int, value: int) -> RibEntry:
         """Insert or overwrite the authoritative record for ``key``."""
         ckey = hashfamily.canonical_key(key)
-        return self._insert(self.bucket_of(ckey), ckey, node, value)
+        return self._insert(self.bucket_of(ckey), ckey, node, value)[0]
 
     def insert_many(self, keys, nodes, values) -> None:
         """:meth:`insert` of each row, in order, from three columns.
 
-        Every bucket's records, and so every group's order
-        (:meth:`group_contents`), come out as the loop of single inserts
-        leaves them; ``rib.inserts`` and ``rib.entries`` move once.  A
-        handling node out of range, an integer key outside
-        ``[0, 2**64)`` (``ValueError`` naming the row) or columns of
-        different lengths refuse the whole batch before any change.
+        Every record, its place in its bucket and so every group's order
+        (:meth:`group_contents`) come out as the loop of single inserts
+        leaves them: a key named twice keeps its first arrival and its
+        last node and value.  The keys are hashed in one pass, and a
+        block that held nothing yet is built in one pass too;
+        ``rib.inserts`` and ``rib.entries`` move once.  A handling node
+        out of range, a value outside ``[0, 2**64)``, an integer key
+        outside ``[0, 2**64)`` (``ValueError`` naming the row) or columns
+        of different lengths refuse the whole batch before any change.
         """
         ckeys = hashfamily.canonical_keys(checked_keys(keys))
         nodes = np.asarray(nodes, dtype=np.int64)
-        values = [int(value) for value in values]
+        values = _value_column(values)
         if not len(ckeys) == len(nodes) == len(values):
             raise ValueError("keys, nodes and values lengths differ")
-        if not len(values):
+        count = len(values)
+        if not count:
             return
         self.check_node(int(nodes.min()))
         self.check_node(int(nodes.max()))
-        buckets = self._buckets
-        keys_list = ckeys.tolist()
-        for bucket, key, entry in zip(
-            twolevel.bucket_ids(ckeys, self.num_blocks).tolist(),
-            keys_list,
-            map(RibEntry, keys_list, nodes.tolist(), values),
+        hashed = HashedKeys(ckeys)
+        hashes = hashed.separator
+        blocks, local = np.divmod(
+            twolevel.bucket_ids(hashed, self.num_blocks), BUCKETS_PER_BLOCK
+        )
+        held = np.isin(blocks, list(self._blocks))
+        before = self._len
+        # Rows for blocks already held go in one at a time, in order.
+        rows = np.flatnonzero(held)
+        for row, block, bucket, key, bucket_hash, g1, g2, value, node in zip(
+            rows.tolist(), blocks[rows].tolist(), local[rows].tolist(),
+            ckeys[rows].tolist(), *hashes[:, rows].tolist(),
+            values[rows].tolist(), nodes[rows].tolist(),
         ):
-            records = buckets.get(bucket)
-            if records is None:
-                records = buckets[bucket] = {}
-            records[key] = entry
-        added = sum(map(len, buckets.values())) - self._len
-        self._len += added
+            self._put(self._blocks[block], bucket, key, value, node,
+                      self._clock + row, (bucket_hash, g1, g2))
+        if len(rows) < count:
+            rows = np.flatnonzero(~held)
+            self._build_blocks(
+                rows, (ckeys, hashes, values, nodes), blocks, local
+            )
+        added = self._len - before
+        self._clock += count
         self._g_entries.inc(added)
-        self._m_inserts.inc(len(values))
+        self._m_inserts.inc(count)
+
+    def _build_blocks(self, rows, columns, blocks, local) -> None:
+        """Build the blocks of ``rows`` (none held yet) in one pass each:
+        one row per distinct key at its first arrival, with its last node
+        and value, chained by bucket in arrival order."""
+        ckeys, hashes, values, nodes = columns
+        keys = ckeys[rows]
+        order = np.argsort(keys, kind="stable")
+        runs = np.flatnonzero(np.diff(keys[order], prepend=~keys[order[0]]))
+        first = rows[order[runs]]
+        last = rows[order[np.append(runs[1:], len(rows)) - 1]]
+        # Block, then bucket, then arrival: each chain is a run of rows.
+        by_arrival = np.argsort(first)
+        first, last = first[by_arrival], last[by_arrival]
+        order = np.lexsort((local[first], blocks[first]))
+        first, last = first[order], last[order]
+        cuts = np.flatnonzero(np.diff(blocks[first])) + 1
+        for start, end in zip(
+            [0, *cuts.tolist()], [*cuts.tolist(), len(first)]
+        ):
+            head, tail = first[start:end], last[start:end]
+            cols = np.empty((_COLUMNS, end - start), dtype=np.uint64)
+            cols[_KEY] = ckeys[head]
+            hashes.take(head, axis=1, out=cols[1:_VALUE])
+            cols[_VALUE] = values[tail]
+            cols[_NODE] = nodes[tail]
+            self._blocks[int(blocks[head[0]])] = _Block.built(
+                cols, local[head], head + self._clock
+            )
+            self._len += end - start
+
+    def _put(self, blk: "_Block", local: int, ckey: int, value: int,
+             node: int, arrival: int, hashes=None) -> Optional[int]:
+        """Insert or overwrite ``ckey``'s record in bucket ``local`` (its
+        separator ``hashes``, hashed here when not given); the node it
+        replaced, ``None`` for a new key."""
+        row, last = blk.find(local, ckey)
+        if row == _NONE:
+            blk.append(local, last, (
+                ckey, *(hashes or hashfamily.separator_int(ckey)), value,
+                node,
+            ), arrival)
+            self._len += 1
+            return None
+        return blk.overwrite(row, value, node)
 
     def remove(self, key: Key) -> Optional[RibEntry]:
         """Remove and return the record, or ``None`` if absent."""
-        ckey = hashfamily.canonical_key(key)
-        return self._remove(self.bucket_of(ckey), ckey)
+        entry = self.get(key)
+        if entry is not None:
+            self._remove(self.bucket_of(entry.key), entry.key)
+        return entry
 
     def get(self, key: Key) -> Optional[RibEntry]:
         """Exact lookup of the authoritative record."""
         ckey = hashfamily.canonical_key(key)
-        return self._get(self.bucket_of(ckey), ckey)
+        block, local = divmod(self.bucket_of(ckey), BUCKETS_PER_BLOCK)
+        blk = self._blocks.get(block)
+        row = _NONE if blk is None else blk.find(local, ckey)[0]
+        return None if row == _NONE else blk.snapshot(row)
 
-    # The same three for the §4.5 owner path (``UpdateEngine``,
+    # Insert and remove for the §4.5 owner path (``UpdateEngine``,
     # ``NodeDaemon``), which hashes a key once per update and needs the
     # bucket for the block, the owner and the group as well.  ``bucket``
     # must be ``bucket_of(ckey)``; nothing here checks it.
@@ -191,27 +402,46 @@ class RoutingInformationBase:
         if not 0 <= node < self.num_nodes:
             raise ValueError(f"handling node {node} out of range")
 
-    def _insert(self, bucket: int, ckey: int, node: int, value: int) -> RibEntry:
+    @staticmethod
+    def check_value(value: int) -> None:
+        """Raise ``ValueError`` unless ``value`` is in ``[0, 2**64)``."""
+        if not 0 <= value <= _MAX_VALUE:
+            raise ValueError(f"value {value} out of range [0, 2**64)")
+
+    def _insert(
+        self, bucket: int, ckey: int, node: int, value: int
+    ) -> Tuple[RibEntry, Optional[int]]:
+        """Insert or overwrite; the new record and the node it replaced
+        (``None`` for a new key)."""
         self.check_node(node)
-        entry = RibEntry(key=ckey, node=node, value=value)
-        records = self._buckets.setdefault(bucket, {})
-        if ckey not in records:
-            self._len += 1
+        self.check_value(value)
+        block, local = divmod(bucket, BUCKETS_PER_BLOCK)
+        blk = self._blocks.get(block)
+        if blk is None:
+            blk = self._blocks[block] = _Block()
+        previous = self._put(blk, local, ckey, value, node, self._clock)
+        if previous is None:
+            self._clock += 1
             self._g_entries.inc()
-        records[ckey] = entry
         self._m_inserts.inc()
-        return entry
+        return RibEntry(ckey, node, value), previous
 
-    def _remove(self, bucket: int, ckey: int) -> Optional[RibEntry]:
-        entry = self._buckets.get(bucket, {}).pop(ckey, None)
-        if entry is not None:
-            self._len -= 1
-            self._m_removes.inc()
-            self._g_entries.dec()
-        return entry
-
-    def _get(self, bucket: int, ckey: int) -> Optional[RibEntry]:
-        return self._buckets.get(bucket, {}).get(ckey)
+    def _remove(self, bucket: int, ckey: int) -> Optional[int]:
+        """Remove ``ckey``'s record; the node it named, ``None`` for an
+        absent key."""
+        block, local = divmod(bucket, BUCKETS_PER_BLOCK)
+        blk = self._blocks.get(block)
+        if blk is None:
+            return None
+        row, previous = blk.find(local, ckey)
+        if row == _NONE:
+            return None
+        node = blk.field(_NODE, row)
+        blk.unlink(local, row, previous)
+        self._len -= 1
+        self._m_removes.inc()
+        self._g_entries.dec()
+        return node
 
     # ------------------------------------------------------------------
     # Views
@@ -221,56 +451,95 @@ class RoutingInformationBase:
         return self._len
 
     def entries(self) -> Iterator[RibEntry]:
-        """All records, bucket by bucket, each bucket in insertion order.
+        """All records, bucket by bucket — buckets in the order they first
+        received a record, each in insertion order (an overwrite keeps a
+        key's place, remove-then-insert moves it to the end).
 
         Inserting them into an empty RIB in this order reproduces every
         bucket's order, and so every group's (:meth:`group_contents`).
         """
-        for records in self._buckets.values():
-            yield from records.values()
+        return iter(self._snapshots(self._blocks.values()))
 
     def entries_on_node(self, node: int) -> List[RibEntry]:
-        """All records owned by ``node``."""
-        out: List[RibEntry] = []
-        for bucket, records in self._buckets.items():
-            if self.owner_of_block(bucket // BUCKETS_PER_BLOCK) == node:
-                out.extend(records.values())
-        return out
+        """All records owned by ``node``, in :meth:`entries` order."""
+        return self._snapshots(
+            blk for block, blk in self._blocks.items()
+            if self.owner_of_block(block) == node
+        )
+
+    @staticmethod
+    def _snapshots(blocks: Iterable["_Block"]) -> List[RibEntry]:
+        """The records of ``blocks`` in :meth:`entries` order."""
+        dated = sorted(
+            (seen, local, blk)
+            for blk in blocks
+            for local, seen in enumerate(blk.first_seen)
+            if blk.heads[local] != _NONE
+        )
+        return [
+            blk.snapshot(row)
+            for _, local, blk in dated for row in blk.rows((local,))
+        ]
 
     def group_contents(
         self, group_id: int, setsep: Separator
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(keys, nodes) of one separator group — the rebuild input (§4.5).
+    ) -> Tuple[HashedKeys, np.ndarray]:
+        """(hashed keys, nodes) of one separator group — the rebuild
+        input (§4.5).
 
         Only the block owner can produce this, which is exactly why keys of
         one block must co-reside: group membership depends on the block's
-        bucket-to-group choices.  Canonical keys come back as ``uint64``
-        and nodes as ``uint32``, the arrays a rebuild hashes and tests.
+        bucket-to-group choices.  The group's rows are its few buckets'
+        chains, gathered in one ``take``: the keys come back as a
+        :class:`HashedKeys` batch carrying their separator columns (a
+        rebuild hashes nothing) and the nodes as ``uint32``.
 
         Order: ascending bucket id, then insertion order within the bucket
         (an overwrite keeps the key's place, remove-then-insert moves it to
         the end).  The order reaches the wire in a failed group's
         ``fallback_upserts``, so every holder of the slice must produce it.
         """
-        keys: List[int] = []
-        nodes: List[int] = []
-        buckets = self._buckets
-        for bucket in setsep.buckets_of_group(group_id):
-            records = buckets.get(bucket)
-            if records:
-                keys += records
-                nodes += [entry.node for entry in records.values()]
-        self._m_group_scan.inc(len(keys))
+        buckets = setsep.buckets_of_group(group_id)
+        rows: List[int] = []
+        if len(buckets):
+            base = buckets[0] - buckets[0] % BUCKETS_PER_BLOCK
+            blk = self._blocks.get(base // BUCKETS_PER_BLOCK)
+            if blk is not None:
+                rows = blk.rows(buckets, base)
+        self._m_group_scan.inc(len(rows))
+        if not rows:
+            return (
+                HashedKeys(np.zeros(0, np.uint64), np.zeros((3, 0), np.uint64)),
+                np.zeros(0, np.uint32),
+            )
+        cols = blk.cols.take(rows, axis=1)
         return (
-            np.array(keys, dtype=np.uint64), np.array(nodes, dtype=np.uint32)
+            HashedKeys(cols[_KEY], cols[1:_VALUE]),
+            cols[_NODE].astype(np.uint32),
         )
 
     def load_per_node(self) -> List[int]:
         """RIB records held by each node (partitioning balance metric)."""
         loads = [0] * self.num_nodes
-        for bucket, records in self._buckets.items():
-            loads[self.owner_of_block(bucket // BUCKETS_PER_BLOCK)] += len(
-                records
-            )
+        for block, blk in self._blocks.items():
+            loads[self.owner_of_block(block)] += blk.live
         return loads
 
+
+def _value_column(values) -> np.ndarray:
+    """``values`` as ``uint64``; ``ValueError`` naming the first row
+    outside ``[0, 2**64)``."""
+    column = np.asarray(values)
+    if column.dtype.kind == "u":
+        return column.astype(np.uint64, copy=False)
+    if column.dtype.kind == "i" or not column.size:
+        bad = np.flatnonzero(column < 0) if column.size else ()
+    else:  # Python ints past int64: NumPy keeps them as objects
+        bad = [row for row, value in enumerate(column.tolist())
+               if not 0 <= value <= _MAX_VALUE]
+    if len(bad):
+        raise ValueError(
+            f"row {int(bad[0])}: value {column[bad[0]]} out of range "
+            "[0, 2**64)"
+        )
+    return column.astype(np.uint64)

@@ -163,14 +163,14 @@ class UpdateEngine:
             if previous is None:
                 return False
         else:
-            previous = cluster.rib._get(bucket, ckey)
-            # Range-checks ``node`` before it changes or counts anything.
-            cluster.rib._insert(bucket, ckey, node, value)
+            # Range-checks ``node`` before it changes or counts anything;
+            # ``previous`` is the node a present key was handled on.
+            _, previous = cluster.rib._insert(bucket, ckey, node, value)
         if cluster.architecture is Architecture.HASH_PARTITION:
             # The entry lives at the key's lookup node and at its handler.
             holders = {
                 cluster.lookup_node_of(ckey),
-                previous.node if node is None else node,
+                previous if node is None else node,
             }
         else:
             # Full duplication / VLB: every node must apply the update —
@@ -184,9 +184,9 @@ class UpdateEngine:
         acc = UpdateAccount(updates=1, fib_messages=len(holders))
         if (
             node is not None and previous is not None
-            and previous.node not in holders
+            and previous not in holders
         ):
-            nodes[previous.node].remove_route(ckey)  # the handler it left
+            nodes[previous].remove_route(ckey)  # the handler it left
             acc.fib_messages += 1
         self._record(acc, owner_id)
         return True

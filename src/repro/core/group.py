@@ -52,12 +52,14 @@ _ONE = np.uint64(1)
 
 @functools.lru_cache(maxsize=None)
 def _value_sides(value_bits: int) -> np.ndarray:
-    """How far the incumbent test moves each bit's slot, per value: row
-    ``v`` holds 32 at each bit set in ``v`` and 0 elsewhere, so indexing
-    it by a group's values is one gather (``2**value_bits`` rows: 16 KiB
-    at 8 value bits, 8 MiB at the widest, 16)."""
+    """What the incumbent test shifts by each bit's slot, per value: row
+    ``v`` holds ``1 << 32`` at each bit set in ``v`` and 1 elsewhere, so
+    indexing it by a group's values is one gather and the one-hot masks
+    one shift (``2**value_bits`` rows: 16 KiB at 8 value bits, 8 MiB at
+    the widest, 16)."""
     values = np.arange(1 << value_bits, dtype=np.uint64)[:, None]
-    return (values >> _BIT_SHIFTS[:value_bits] & _ONE) << np.uint64(5)
+    sides = (values >> _BIT_SHIFTS[:value_bits] & _ONE) << np.uint64(5)
+    return np.left_shift(_ONE, sides)
 
 
 class GroupSearchFailure(Exception):
@@ -176,7 +178,7 @@ def search_group(
     This is the one-group case of :func:`search_groups`.
     """
     if incumbent is not None:
-        incumbent = [np.asarray(incumbent).tolist()]
+        incumbent = np.asarray(incumbent).reshape(1, -1)
     return search_groups(g1, g2, values, [0, len(g1)], params, incumbent)[0]
 
 
@@ -186,7 +188,7 @@ def search_groups(
     values: np.ndarray,
     bounds: Sequence[int],
     params: SetSepParams,
-    incumbents: Optional[Sequence[Sequence[int]]] = None,
+    incumbents: Optional[np.ndarray] = None,
 ) -> List[Optional[List[GroupFunction]]]:
     """:func:`search_group` of several groups whose keys share one array.
 
@@ -208,34 +210,12 @@ def search_groups(
     max_index = params.max_index
     values = np.asarray(values, dtype=np.uint32)
     found: List[Optional[list]] = [[None] * vb for _ in bounds[1:]]
-    # The rows of an empty group would reduce its successor's first row:
-    # reduce only where rows are, each up to the next start.
-    held = [
-        group for group, start in enumerate(bounds[:-1])
-        if start < bounds[group + 1]
-    ]
-    if incumbents is not None and held:
-        rows = incumbents
-        if len(found) > 1:
-            rows = np.repeat(incumbents, np.diff(bounds), axis=0)
-        slots = hashfamily.index_slots(g1, g2, rows, params.array_bits)
-        slots += _value_sides(vb)[values]
-        masks = np.left_shift(_ONE, slots, out=slots)
-        if len(held) == 1:
-            reduced = np.bitwise_or.reduce(masks, axis=0, keepdims=True)
-        else:
-            offsets = [bounds[group] for group in held]
-            reduced = np.bitwise_or.reduceat(masks, offsets, axis=0)
-        for group, words in zip(held, reduced.tolist()):
-            functions = found[group]
-            for bit, (index, word) in enumerate(zip(incumbents[group], words)):
-                array = word >> 32
-                if not array & word and index < max_index:
-                    functions[bit] = GroupFunction(index, array, 1)
+    if incumbents is not None and bounds[-1]:
+        _keep_incumbents(g1, g2, values, bounds, params, incumbents, found)
     for group, functions in enumerate(found):
-        broken = [bit for bit, kept in enumerate(functions) if kept is None]
-        if not broken:
+        if None not in functions:
             continue
+        broken = [bit for bit, kept in enumerate(functions) if kept is None]
         start, end = bounds[group], bounds[group + 1]
         searched = _search_targets(
             g1[start:end],
@@ -251,6 +231,41 @@ def search_groups(
         for bit, function in zip(broken, searched):
             functions[bit] = function
     return found
+
+
+def _keep_incumbents(g1, g2, values, bounds, params, incumbents, found):
+    """The incumbent test of :func:`search_groups`: fill ``found`` with
+    the functions whose incumbent index still separates its group.
+
+    One ``(n_keys, value_bits)`` matrix of one-hot slot masks, each moved
+    up 32 bits for a key whose bit is 1, OR-reduced per group: seven
+    NumPy calls for one group (the slots, the value sides, the one-hot
+    shift, the reduce and its list), two more for a wave's rows."""
+    rows = np.asarray(incumbents)
+    listed = rows.tolist()
+    if len(found) > 1:
+        rows = np.repeat(rows, np.diff(bounds), axis=0)
+    slots = hashfamily.index_slots(g1, g2, rows, params.array_bits)
+    masks = _value_sides(params.value_bits).take(values, axis=0)
+    np.left_shift(masks, slots, out=masks)
+    # The rows of an empty group would reduce its successor's first row:
+    # reduce only where rows are, each up to the next start.
+    held = [
+        group for group, start in enumerate(bounds[:-1])
+        if start < bounds[group + 1]
+    ]
+    if len(held) == 1:
+        reduced = np.bitwise_or.reduce(masks, axis=0, keepdims=True)
+    else:
+        offsets = [bounds[group] for group in held]
+        reduced = np.bitwise_or.reduceat(masks, offsets, axis=0)
+    max_index = params.max_index
+    for group, words in zip(held, reduced.tolist()):
+        functions = found[group]
+        for bit, (index, word) in enumerate(zip(listed[group], words)):
+            array = word >> 32
+            if not array & word and index < max_index:
+                functions[bit] = GroupFunction(index, array, 1)
 
 
 def search_joint(

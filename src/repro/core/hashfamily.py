@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from itertools import repeat
-from typing import Iterable, Iterator, Tuple, Union
+from typing import Iterable, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -62,8 +62,11 @@ _SHIFT32 = _SHIFTS[32]
 _BUCKET_INT = 0x165667B19E3779F9
 _FIB_INT = 0x27D4EB2F165667C5
 _TAG_INT = 0x94D049BB133111EB
-_STREAM_G1 = np.uint64(0x9E3779B97F4A7C15)
-_STREAM_G2 = np.uint64(0xC2B2AE3D27D4EB4F)
+_G1_INT = 0x9E3779B97F4A7C15
+_G2_INT = 0xC2B2AE3D27D4EB4F
+_SEPARATOR_INTS = (_BUCKET_INT, _G1_INT, _G2_INT)
+_STREAM_G1 = np.uint64(_G1_INT)
+_STREAM_G2 = np.uint64(_G2_INT)
 _STREAM_BUCKET = np.uint64(_BUCKET_INT)
 _STREAM_FIB = np.uint64(_FIB_INT)
 _STREAM_TAG = np.uint64(_TAG_INT)
@@ -375,17 +378,23 @@ def scan_masks(
     unsigned dtype that holds ``m <= 64`` bits (``uint8`` at ``m = 8``).
     The family is linear in its index, so a chunk's values are the last
     chunk's plus ``chunk * G2``: one add per chunk, not a multiply and an
-    add.  A search stops consuming as soon as every target is solved.
+    add.  The step is spread to the chunk's full ``(n, chunk)`` shape
+    once, before the second chunk: adding two whole arrays costs about
+    half the same add broadcasting a column.  A search stops consuming as
+    soon as every target is solved.
     """
     if not 0 < m <= 64:
         raise ValueError("m must be in [1, 64]")
     dtype = np.min_scalar_type((1 << m) - 1)
     h = np.arange(min(chunk, stop), dtype=_U64) * g2[:, None]
     h += g1[:, None]
-    step = g2[:, None] * np.uint64(chunk)
+    step = None
     for start in range(0, stop, chunk):
         slots = _reduce(h[:, : stop - start], m).astype(dtype)
         yield start, np.left_shift(dtype.type(1), slots, out=slots)
+        if step is None:
+            step = np.empty_like(h)
+            np.multiply(g2[:, None], np.uint64(chunk), out=step)
         h += step
 
 
@@ -410,6 +419,20 @@ def tag_hash(keys: np.ndarray) -> np.ndarray:
 def bucket_hash_int(key: int) -> int:
     """:func:`bucket_hash` of one canonical key."""
     return splitmix64_int(key ^ _BUCKET_INT)
+
+
+def separator_int(key: int) -> List[int]:
+    """:attr:`HashedKeys.separator` of one canonical key, in plain ints:
+    its bucket hash, G1 and G2|1 (:func:`splitmix64_int` of each stream,
+    inlined: the owner hashes each inserted key with it)."""
+    hashes = []
+    for stream in _SEPARATOR_INTS:
+        x = (key ^ stream) + 0x9E3779B97F4A7C15 & _MASK64
+        x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+        x = (x ^ x >> 27) * 0x94D049BB133111EB & _MASK64
+        hashes.append(x ^ x >> 31)
+    hashes[2] |= 1
+    return hashes
 
 
 def fib_hash_int(key: int) -> int:

@@ -269,9 +269,11 @@ class SetSep:
         """Recompute one group and return the delta to broadcast.
 
         Called by the RIB node that owns the group's block.  ``keys`` and
-        ``values`` are the group's *complete* new contents; ``removed_keys``
-        are keys that left the group (deletions) so stale fallback entries
-        can be dropped cluster-wide.
+        ``values`` are the group's *complete* new contents — ``keys`` a
+        :class:`~repro.core.hashfamily.HashedKeys` batch, whose separator
+        columns are read (what the owner's RIB hands over), or raw keys,
+        hashed here; ``removed_keys`` are keys that left the group
+        (deletions) so stale fallback entries can be dropped cluster-wide.
 
         The delta is applied locally before being returned, so the owning
         node and its peers converge on identical state.
@@ -291,8 +293,9 @@ class SetSep:
         Each job is ``(group_id, keys, values, removed_keys)`` as
         :meth:`rebuild_group` takes them, and the result equals calling it
         once per job, in job order: the same deltas, state and counters.
-        The keys of every job are hashed in one pass and every incumbent
-        is tested in one step (:func:`repro.core.group.search_groups`);
+        Every job's G1 and G2 come from its keys' separator columns (read,
+        or hashed once for raw keys) and every incumbent is tested in one
+        step (:func:`repro.core.group.search_groups`);
         only a bit that broke is searched, over its own group's keys.  A
         group's inputs are only its own row and keys, so the jobs must
         name distinct groups — the owner's §4.5 batch gives this one
@@ -307,72 +310,83 @@ class SetSep:
         params = self.params
         vb = params.value_bits
         num_groups = self.num_groups
-        # Incumbent first: a separator that survived the change is kept,
-        # so indices depend on this replica's history; failure does not.
-        # A failed group has nothing to keep: its row is the sentinel.
-        sentinel = [params.max_index] * vb
-        # One (group, keys, values, removed keys, incumbent row) per job.
-        rows: List[tuple] = []
+        groups: List[int] = []
+        batches: List[hashfamily.HashedKeys] = []
+        columns: List[np.ndarray] = []
+        removals: List[list] = []
         bounds = [0]
         for group_id, keys, values, removed_keys in jobs:
             if not 0 <= group_id < num_groups:
                 raise ValueError(f"group id {group_id} out of range")
-            if any(group_id == row[0] for row in rows):
+            if group_id in groups:
                 raise ValueError(f"group {group_id} is named twice")
-            keys_arr = hashfamily.canonical_keys(keys)
+            batch = hashfamily.prehash(keys)
             values_arr = np.asarray(values)
             if not values_arr.size:  # ``[]`` would be a float array
                 values_arr = values_arr.astype(np.uint32)
-            if keys_arr.shape != values_arr.shape:
+            if batch.keys.shape != values_arr.shape:
                 raise ValueError("keys and values must have equal length")
-            rows.append((
-                int(group_id), keys_arr, values_arr,
-                [hashfamily.canonical_key(k) for k in removed_keys],
-                sentinel if self.failed_groups[group_id]
-                else self.indices[group_id].tolist(),
-            ))
-            bounds.append(bounds[-1] + len(keys_arr))
-        if not rows:
+            groups.append(int(group_id))
+            batches.append(batch)
+            columns.append(values_arr)
+            removals.append([hashfamily.canonical_key(k) for k in removed_keys])
+            bounds.append(bounds[-1] + len(values_arr))
+        if not groups:
             return []
-        if len(rows) == 1:
-            all_keys, all_values = rows[0][1], rows[0][2]
+        # The separator columns: read from a pre-hashed batch (the
+        # owner's RIB carries them), hashed here otherwise.
+        if len(groups) == 1:
+            hashes, all_values = batches[0].separator, columns[0]
         else:
-            all_keys = np.concatenate([row[1] for row in rows])
-            all_values = np.concatenate([row[2] for row in rows])
+            hashes = np.concatenate(
+                [batch.separator for batch in batches], axis=1
+            )
+            all_values = np.concatenate(columns)
         # A value that fits sets no bit above vb, and a negative one sets
         # the sign: either shows in the OR of them all.
         if bounds[-1] and int(np.bitwise_or.reduce(all_values)) >> vb:
             first = int(np.flatnonzero(all_values >> vb)[0])
             job = bisect.bisect_right(bounds, first) - 1
             raise ValueError(
-                f"values of group {rows[job][0]} must fit in {vb} bits; "
+                f"values of group {groups[job]} must fit in {vb} bits; "
                 f"position {first - bounds[job]} holds {all_values[first]}"
             )
-        g1, g2 = hashfamily.base_hashes(all_keys)
+        # Incumbent first: a separator that survived the change is kept,
+        # so indices depend on this replica's history; failure does not.
+        # A failed group has nothing to keep: its row is the sentinel.
+        incumbents = self.indices.take(groups, axis=0)
+        was_failed = [bool(self.failed_groups[group]) for group in groups]
+        for job, failed in enumerate(was_failed):
+            if failed:
+                incumbents[job] = params.max_index
         found = group_search.search_groups(
-            g1, g2, all_values, bounds, params, [row[4] for row in rows]
+            hashes[1], hashes[2], all_values, bounds, params, incumbents
         )
         deltas = []
-        for row, functions in zip(rows, found):
-            group_id, keys_arr, values_arr, removals, incumbent = row
+        for job, (functions, incumbent) in enumerate(
+            zip(found, incumbents.tolist())
+        ):
+            group_id, removed = groups[job], removals[job]
             self._m_rebuilds.inc()
             if functions is None:
                 self._m_rebuild_failures.inc()
                 self._m_bits_searched.inc(vb)
                 delta = GroupDelta._of(
                     group_id, True, (0,) * vb, (0,) * vb,
-                    tuple(zip(keys_arr.tolist(), values_arr.tolist())),
-                    tuple(removals),
+                    tuple(zip(
+                        batches[job].keys.tolist(), columns[job].tolist()
+                    )),
+                    tuple(removed),
                 )
             else:
                 indices, arrays, _ = zip(*functions)
                 kept = sum(map(operator.eq, indices, incumbent))
                 self._m_bits_kept.inc(kept)
                 self._m_bits_searched.inc(vb - kept)
-                if incumbent is sentinel:  # the group leaves the fallback
-                    removals += keys_arr.tolist()
+                if was_failed[job]:  # the group leaves the fallback
+                    removed += batches[job].keys.tolist()
                 delta = GroupDelta._of(
-                    group_id, False, indices, arrays, (), tuple(removals)
+                    group_id, False, indices, arrays, (), tuple(removed)
                 )
             self.apply_delta(delta)
             deltas.append(delta)

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core import separator as separator_registry
 from repro.core.builder import ConstructionStats
-from repro.core.hashfamily import Key, canonical_keys
+from repro.core.hashfamily import HashedKeys, Key, canonical_keys
 from repro.core.separator import Separator, SeparatorParams
 
 
@@ -172,16 +172,21 @@ def rib_view(
     keys: Union[Sequence[Key], np.ndarray],
     nodes: Sequence[int],
     gpt: GlobalPartitionTable,
-) -> Dict[int, Dict[int, int]]:
-    """Group the RIB by SetSep group id (helper for update tests).
+) -> Dict[int, Tuple[HashedKeys, np.ndarray]]:
+    """Each group's contents as its owner reads them (helper for update
+    tests and examples).
 
-    Returns ``{group_id: {canonical_key: node}}`` — the per-group contents an
-    owning RIB node needs when recomputing a group (backend-agnostic via
-    ``groups_of``).
+    Returns ``{group_id: (hashed keys, nodes)}`` for every group holding
+    one of ``keys``: what ``RoutingInformationBase.group_contents`` gives
+    for a RIB of these records, and so what ``rebuild_group`` takes.
     """
-    keys_arr = canonical_keys(keys)
-    groups = gpt.setsep.groups_of(keys_arr)
-    view: Dict[int, Dict[int, int]] = {}
-    for key, group, node in zip(keys_arr, groups, nodes):
-        view.setdefault(int(group), {})[int(key)] = int(node)
-    return view
+    # The cluster package imports this module: its RIB is imported late.
+    from repro.cluster.rib import RoutingInformationBase
+
+    rib = RoutingInformationBase(gpt.num_nodes, gpt.setsep.num_blocks)
+    rib.insert_many(keys, nodes, [0] * len(nodes))
+    groups = gpt.setsep.groups_of(canonical_keys(keys))
+    return {
+        group: rib.group_contents(group, gpt.setsep)
+        for group in dict.fromkeys(groups.tolist())
+    }

@@ -197,6 +197,10 @@ HEADLINES = (
     ("gateway.batch_calls", "python_calls_per_frame_at_256"),
     ("gateway.batch_calls", "c_calls_per_frame_at_32"),
     ("gateway.batch_calls", "c_calls_per_frame_at_256"),
+    ("update.owner_calls", "python_calls_kept"),
+    ("update.owner_calls", "python_calls_searched"),
+    ("update.owner_calls", "c_calls_kept"),
+    ("update.owner_calls", "c_calls_searched"),
 )
 
 

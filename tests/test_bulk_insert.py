@@ -7,6 +7,8 @@ to slot arrays, bucket order, counters and relocation counts, and each
 refuses a bad batch before it changes anything.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,8 +153,7 @@ class TestCuckooInsertMany:
 
 def rib_state(rib, registry):
     return (
-        [(bucket, list(records.items()))
-         for bucket, records in rib._buckets.items()],
+        [astuple(entry) for entry in rib.entries()],
         len(rib),
         registry.snapshot()["counters"],
         registry.snapshot()["gauges"],
@@ -236,8 +237,7 @@ def cluster_state(cluster):
         [cuckoo_state(node.fib) for node in cluster.nodes],
         [serialize.fingerprint(node.gpt.setsep)
          for node in cluster.nodes if node.gpt is not None],
-        [(bucket, list(records.items()))
-         for bucket, records in cluster.rib._buckets.items()],
+        [astuple(entry) for entry in cluster.rib.entries()],
         cluster.registry.snapshot()["counters"],
         cluster.registry.snapshot()["gauges"],
     )

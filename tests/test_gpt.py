@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import SetSepParams
+from repro.core.hashfamily import HashedKeys
 from repro.core.params import GROUPS_PER_BLOCK
 from repro.gpt.gpt import GlobalPartitionTable, rib_view
 from tests.conftest import unique_keys
@@ -87,21 +88,18 @@ class TestUpdates:
         replica = gpt.copy()
         target = int(keys[3])
         group = gpt.group_of(target)
-        view = rib_view(keys, nodes.tolist(), gpt)[group]
-        view[target] = (int(nodes[3]) + 1) % 4
-        delta = gpt.rebuild_group(
-            group, list(view.keys()), list(view.values())
-        )
+        members, owners = rib_view(keys, nodes.tolist(), gpt)[group]
+        moved = members.keys == target
+        owners[moved] = (int(nodes[3]) + 1) % 4
+        delta = gpt.rebuild_group(group, members, owners)
         # Owner updated, replica not yet.
         assert gpt.lookup(target) == (int(nodes[3]) + 1) % 4
         assert replica.lookup(target) == nodes[3]
         replica.apply_delta(delta)
         assert replica.lookup(target) == (int(nodes[3]) + 1) % 4
         # Restore the original mapping for other tests sharing the fixture.
-        view[target] = int(nodes[3])
-        restore = gpt.rebuild_group(
-            group, list(view.keys()), list(view.values())
-        )
+        owners[moved] = int(nodes[3])
+        restore = gpt.rebuild_group(group, members, owners)
         replica.apply_delta(restore)
 
     def test_block_of_matches_setsep(self, gpt_setup):
@@ -113,14 +111,21 @@ class TestRibView:
     def test_groups_cover_all_keys(self, gpt_setup):
         gpt, keys, nodes, _ = gpt_setup
         view = rib_view(keys, nodes.tolist(), gpt)
-        total = sum(len(v) for v in view.values())
+        total = sum(len(members) for members, _ in view.values())
         assert total == len(keys)
 
     def test_view_entries_match_input(self, gpt_setup):
         gpt, keys, nodes, _ = gpt_setup
         view = rib_view(keys, nodes.tolist(), gpt)
         group = gpt.group_of(int(keys[0]))
-        assert view[group][int(keys[0])] == nodes[0]
+        members, owners = view[group]
+        assert dict(zip(members.keys.tolist(), owners.tolist()))[
+            int(keys[0])
+        ] == nodes[0]
+        # The columns are the keys' own separator hashes.
+        assert np.array_equal(
+            members.separator, HashedKeys(members.keys.copy()).separator
+        )
 
 
 class TestBatchAgainstScalar:

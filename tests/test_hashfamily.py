@@ -289,6 +289,7 @@ class TestHashedKeys:
             assert bucket[j] == hf.bucket_hash_int(key)
             assert g1[j] == hf.splitmix64_int(key ^ 0x9E3779B97F4A7C15)
             assert g2[j] == hf.splitmix64_int(key ^ 0xC2B2AE3D27D4EB4F) | 1
+            assert hf.separator_int(key) == [bucket[j], g1[j], g2[j]]
             assert fib[j] == hf.fib_hash_int(key)
             tag = hf.tag_hash_int(key) & tag_mask or 1
             assert alt[j] == hf.tag_hash_int(tag)

@@ -566,7 +566,8 @@ class TestGroupScanGate:
         artifact.results.extend(
             othello_rows() + fastpath_rows() + fabric_rows()
             + batch_cost_rows() + codec_cost_rows() + dpe_cost_rows()
-            + build_cost_rows() + bearer_bytes_rows() + batch_calls_rows())
+            + build_cost_rows() + bearer_bytes_rows() + batch_calls_rows()
+            + owner_calls_rows())
         path = perflab.write_artifact(artifact, tmp_path)
         assert gates.main([str(path)]) == 0
         out = capsys.readouterr().out
@@ -576,8 +577,9 @@ class TestGroupScanGate:
         assert "parse=1.10x encap=2.30x" in out
         assert "at 8 packets: 1.35x" in out
         assert "cluster build: 15/15 counts as pinned" in out
-        assert "heap per bearer: 545 B (budget 565 B)" in out
+        assert "heap per bearer: 430 B (budget 450 B)" in out
         assert "python -0.07 per extra frame (budget 0.50)" in out
+        assert "c 80 kept (budget 110)" in out
         broken = tmp_path / "broken.json"
         broken.write_text(perflab.canonical_json(
             self._artifact(keys_scanned_per_update=900.0,
@@ -594,6 +596,7 @@ class TestGroupScanGate:
         assert "cluster.build_cost missing" in err
         assert "gateway.bearer_bytes missing" in err
         assert "gateway.batch_calls missing" in err
+        assert "update.owner_calls missing" in err
 
 
 def othello_rows(rate=(6700.0, 2100.0), bits=(4.66, 3.5), skip=()):
@@ -1160,7 +1163,76 @@ class TestBatchCallsGate:
         assert extra <= gates.BATCH_CALLS_PER_EXTRA_FRAME
 
 
-def bearer_bytes_rows(total=545.0):
+def owner_calls_rows(kept=(61, 80), searched=(93, 120)):
+    return [make_result("update.owner_calls", [0.1], derived={
+        "python_calls_kept": kept[0], "c_calls_kept": kept[1],
+        "python_calls_searched": searched[0],
+        "c_calls_searched": searched[1],
+    })]
+
+
+class TestOwnerCallsGate:
+    def test_under_the_budget_passes(self):
+        line = gates.owner_calls_gate(
+            make_artifact(owner_calls_rows()).to_dict())
+        assert line == (
+            "calls of one owner update: "
+            "python 61 kept (budget 91), python 93 searched (budget 123), "
+            "c 80 kept (budget 110), c 120 searched (budget 150)"
+        )
+        budget, c_budget = gates.OWNER_CALLS_BUDGET, gates.OWNER_C_CALLS_BUDGET
+        assert gates.owner_calls_gate(make_artifact(owner_calls_rows(
+            (budget["kept"], c_budget["kept"]),
+            (budget["searched"], c_budget["searched"]),
+        )).to_dict())
+
+    @pytest.mark.parametrize("kept, searched", [
+        ((95, 80), (93, 120)),  # two Python calls per key of the group
+        ((61, 111), (93, 120)),
+        ((61, 80), (124, 120)),
+        ((61, 80), (93, 151)),
+        ((0, 80), (93, 120)), ((61, 80), (93, 0)),
+    ])
+    def test_over_the_budget_or_empty_fails(self, kept, searched):
+        with pytest.raises(gates.GateFailure, match="over budget"):
+            gates.owner_calls_gate(
+                make_artifact(owner_calls_rows(kept, searched)).to_dict())
+
+    def test_a_missing_row_or_metric_fails(self):
+        with pytest.raises(gates.GateFailure, match="owner_calls missing"):
+            gates.owner_calls_gate(make_artifact([]).to_dict())
+        for name in ("python_calls_kept", "c_calls_searched"):
+            (row,) = owner_calls_rows()
+            del row.derived[name]
+            with pytest.raises(gates.GateFailure, match=name):
+                gates.owner_calls_gate(make_artifact([row]).to_dict())
+
+    def test_the_real_row_repeats_and_reads_the_budgets_names(self):
+        """The real row's counts repeat exactly, and name what the gate
+        reads.  The absolute budgets depend on the interpreter and
+        NumPy, so only CI's gate on the smoke artifact applies them."""
+        perflab.discover()
+        first, second = (
+            perflab.run_suite(
+                "smoke", scale=1, repeats=1,
+                name_filter="update.owner_calls",
+            ).results[0]
+            for _ in range(2)
+        )
+        assert first.derived == second.derived
+        assert set(first.derived) == {
+            f"{kind}_calls_{case}"
+            for kind in ("python", "c") for case in ("kept", "searched")
+        }
+        for name, count in first.derived.items():
+            assert count > 0
+            assert ("update.owner_calls", name) in perflab.artifact.HEADLINES
+        # A search is the kept path plus the broken bits' scan.
+        assert first.derived["python_calls_searched"] > (
+            first.derived["python_calls_kept"])
+
+
+def bearer_bytes_rows(total=430.0):
     return [make_result("gateway.bearer_bytes", [0.4],
                         derived={"bytes_per_bearer": total})]
 
@@ -1169,11 +1241,11 @@ class TestBearerBytesGate:
     def test_under_the_budget_passes(self):
         line = gates.bearer_bytes_gate(
             make_artifact(bearer_bytes_rows()).to_dict())
-        assert line == "heap per bearer: 545 B (budget 565 B)"
+        assert line == "heap per bearer: 430 B (budget 450 B)"
         assert gates.bearer_bytes_gate(make_artifact(
             bearer_bytes_rows(gates.BEARER_BYTES_BUDGET)).to_dict())
 
-    @pytest.mark.parametrize("total", [706.0, 565.5, 0.0])
+    @pytest.mark.parametrize("total", [538.3, 449.9, 0.0])
     def test_over_the_budget_or_empty_fails(self, total):
         with pytest.raises(gates.GateFailure, match="over budget"):
             gates.bearer_bytes_gate(

@@ -294,7 +294,7 @@ class TestDaemonSlice:
         assert len(daemon.slice) == len(model)
         for group in range(separator.num_groups):
             keys, nodes = daemon.slice.group_contents(group, separator)
-            assert (keys.tolist(), nodes.tolist()) == (
+            assert (keys.keys.tolist(), nodes.tolist()) == (
                 brute_force_contents(model, separator, group)
             )
 
@@ -416,11 +416,11 @@ class TestCore:
         for group in range(separator.num_groups):
             members, nodes = rib.group_contents(group, separator)
             scratch = group_search.search_group(
-                *base_hashes(members), nodes, params,
+                *base_hashes(members.keys), nodes, params,
             )
             assert bool(separator.failed_groups[group]) == (scratch is None)
             if scratch is None:
-                spilled.update(zip(members.tolist(), nodes.tolist()))
+                spilled.update(zip(members.keys.tolist(), nodes.tolist()))
         assert dict(separator.fallback.items()) == spilled
         # Rebuilding every group from what the slice now holds changes
         # nothing: the history of updates may have chosen the indices,
@@ -519,8 +519,8 @@ def batch_against_steps(built, ops):
     for group in {separator.group_of_bucket(u[1]) for u in updates}:
         keys, nodes = rib.group_contents(group, separator)
         keys1, nodes1 = rib1.group_contents(group, gpt1.setsep)
-        assert (keys.tolist(), nodes.tolist()) == (
-            keys1.tolist(), nodes1.tolist()
+        assert (keys.keys.tolist(), nodes.tolist()) == (
+            keys1.keys.tolist(), nodes1.tolist()
         )
     # The same replica on both owners and on a peer of each.
     for steps, replica in ((batched, peer), (one_at_a_time, peer1)):
@@ -592,7 +592,7 @@ class TestOwnerBatch:
             ops += [(key, None, 0), (others[index % len(others)], 1, index)]
         _, waves, (rib, gpt) = batch_against_steps(batch_owner, ops)
         group = gpt.setsep.group_of(smallest[0])
-        assert rib.group_contents(group, gpt.setsep)[0].size == 0
+        assert len(rib.group_contents(group, gpt.setsep)[0]) == 0
         assert len(waves) < len(ops)
 
     @pytest.mark.parametrize("batch_owner", ["setsep"], indirect=True)
@@ -608,7 +608,7 @@ class TestOwnerBatch:
             group = separator.group_of(spill)
             keys, nodes = rib.group_contents(group, separator)
             if separator.failed_groups[group] or group_search.search_group(
-                *base_hashes(np.append(keys, np.uint64(spill))),
+                *base_hashes(np.append(keys.keys, np.uint64(spill))),
                 np.append(nodes, np.uint32(2)), separator.params,
             ) is not None:
                 continue
