@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cluster.architectures import Architecture
 from repro.cluster.cluster import Cluster
 
@@ -53,18 +51,15 @@ def impact_report(cluster: Cluster, failed_node: int) -> FailureImpact:
     and full duplication have none, hash partitioning loses every
     flow whose lookup node failed.
     """
-    entries = list(cluster.rib.entries())
-    handlers = np.array([entry.node for entry in entries], dtype=np.int64)
+    keys, handlers, _ = cluster.rib.columns()
     own = handlers == failed_node
     collateral = 0
     if cluster.architecture is Architecture.HASH_PARTITION:
-        lookup_nodes = cluster.lookup_nodes_batch(
-            np.array([entry.key for entry in entries], dtype=np.uint64)
-        )
+        lookup_nodes = cluster.lookup_nodes_batch(keys)
         collateral = int(((lookup_nodes == failed_node) & ~own).sum())
     return FailureImpact(
         failed_node=failed_node,
-        total_flows=len(entries),
+        total_flows=len(keys),
         lost_own_flows=int(own.sum()),
         lost_collateral_flows=collateral,
     )

@@ -17,9 +17,7 @@ surviving flow's (handling node, value) mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
-
-import numpy as np
+from typing import Callable, Optional
 
 from repro.cluster.architectures import Architecture
 from repro.cluster.cluster import Cluster, FibFactory
@@ -66,29 +64,24 @@ def resize(
     if new_num_nodes < 1:
         raise ValueError("new_num_nodes must be positive")
     old_num_nodes = len(cluster.nodes)
-    entries = list(cluster.rib.entries())
+    keys, nodes, values = cluster.rib.columns()
+    nodes, values = nodes.tolist(), values.tolist()
 
     def default_repin(key: int, _old: int) -> int:
         return key % new_num_nodes
 
     repin = repin or default_repin
 
-    keys: List[int] = []
-    nodes: List[int] = []
-    values: List[int] = []
     repinned = 0
-    for entry in entries:
-        node = entry.node
+    for row, (key, node) in enumerate(zip(keys.tolist(), nodes)):
         if node >= new_num_nodes:
-            node = repin(entry.key, entry.node)
+            node = repin(key, node)
             if not 0 <= node < new_num_nodes:
                 raise ValueError(
                     f"repin returned out-of-range node {node}"
                 )
+            nodes[row] = node
             repinned += 1
-        keys.append(entry.key)
-        nodes.append(node)
-        values.append(entry.value)
 
     old_bits = _value_bits(cluster, old_num_nodes)
     gpt_params = None
@@ -104,7 +97,7 @@ def resize(
     new_cluster = Cluster.build(
         cluster.architecture,
         new_num_nodes,
-        np.asarray(keys, dtype=np.uint64),
+        keys,
         nodes,
         values,
         fib_factory=fib_factory,
@@ -114,7 +107,7 @@ def resize(
     report = ResizeReport(
         old_nodes=old_num_nodes,
         new_nodes=new_num_nodes,
-        total_flows=len(entries),
+        total_flows=len(keys),
         repinned_flows=repinned,
         old_value_bits=old_bits,
         new_value_bits=_value_bits(new_cluster, new_num_nodes),

@@ -198,9 +198,9 @@ class RoutingInformationBase:
 
     Each SetSep block's records are columns (:class:`_Block`): key, the
     key's separator hashes, value and node, each bucket's rows chained in
-    arrival order — no object per record; :meth:`get`, :meth:`entries`
-    and :meth:`entries_on_node` build :class:`RibEntry` snapshots.  A
-    record's bucket is a function of its key alone, so a record never
+    arrival order — no object per record; :meth:`get` and :meth:`entries`
+    build :class:`RibEntry` snapshots, :meth:`columns` gathers columns.
+    A record's bucket is a function of its key alone, so a record never
     moves between blocks, and a group's records are the chains of its few
     buckets (:meth:`group_contents`), hashes included.  A runtime daemon
     holds its RIB slice in the same class, filled with the blocks it
@@ -458,28 +458,26 @@ class RoutingInformationBase:
         Inserting them into an empty RIB in this order reproduces every
         bucket's order, and so every group's (:meth:`group_contents`).
         """
-        return iter(self._snapshots(self._blocks.values()))
+        return iter([RibEntry(*row) for row in self.columns().T.tolist()])
 
-    def entries_on_node(self, node: int) -> List[RibEntry]:
-        """All records owned by ``node``, in :meth:`entries` order."""
-        return self._snapshots(
-            blk for block, blk in self._blocks.items()
-            if self.owner_of_block(block) == node
-        )
-
-    @staticmethod
-    def _snapshots(blocks: Iterable["_Block"]) -> List[RibEntry]:
-        """The records of ``blocks`` in :meth:`entries` order."""
+    def columns(self, node: Optional[int] = None) -> np.ndarray:
+        """The records — those ``node`` owns, if given — in
+        :meth:`entries` order, as a ``(3, n)`` ``uint64`` matrix: keys,
+        nodes, values."""
+        blocks = [blk for block, blk in self._blocks.items()
+                  if node is None or self.owner_of_block(block) == node]
         dated = sorted(
-            (seen, local, blk)
-            for blk in blocks
+            (seen, local, index)
+            for index, blk in enumerate(blocks)
             for local, seen in enumerate(blk.first_seen)
             if blk.heads[local] != _NONE
         )
-        return [
-            blk.snapshot(row)
-            for _, local, blk in dated for row in blk.rows((local,))
-        ]
+        starts = np.cumsum([0] + [blk.capacity for blk in blocks]).tolist()
+        order = [starts[index] + row for _, local, index in dated
+                 for row in blocks[index].rows((local,))]
+        return np.hstack([np.zeros((3, 0), np.uint64)] + [
+            blk.cols[[_KEY, _NODE, _VALUE]] for blk in blocks
+        ]).take(order, axis=1)
 
     def group_contents(
         self, group_id: int, setsep: Separator

@@ -87,6 +87,7 @@ class CuckooHashTable(FibTable):
             raise ValueError("value_size must be positive")
         if value_store not in ("object", "packed"):
             raise ValueError("value_store must be 'object' or 'packed'")
+        self.capacity = capacity  #: the entry count it is sized for
         buckets_needed = max(1, int(capacity / (SLOTS_PER_BUCKET * 0.95)) + 1)
         self._num_buckets = 1 << (buckets_needed - 1).bit_length()
         self._bucket_mask_int = self._num_buckets - 1

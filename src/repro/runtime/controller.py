@@ -48,6 +48,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.cluster.owner import ACCOUNT_FIELDS
 from repro.cluster.rib import block_owner
 from repro.core import serialize, shm
@@ -347,42 +349,37 @@ class RuntimeController:
     def _peers(self) -> List[List[object]]:
         return [[host, port] for host, port in self.addresses]
 
-    def _headers(self, gateway: EpcGateway) -> List[dict]:
-        """Per-daemon state headers: topology plus the daemon's slices.
-
-        A flow's FIB entry lives on its handling node; its RIB entry on
-        the node owning the key's block (``block % N``, §4.5).
-        """
+    def _node_states(
+        self, gateway: EpcGateway, node_ids: Sequence[int]
+    ) -> List[tuple]:
+        """``(header, FIB rows, RIB rows)`` of each daemon of ``node_ids``:
+        topology and the FIB capacity of the shadow node it mirrors, its
+        flows in establishment order, the RIB entries of the blocks it
+        owns (``block % N``, §4.5) in the shadow RIB's order."""
         cluster = gateway.cluster
         assert cluster is not None, "gateway not started"
-        num_nodes = len(cluster.nodes)
-        fib_slices: List[List[List[int]]] = [[] for _ in range(num_nodes)]
         keys, teids, nodes, bs_ips = gateway.controller.bearers()
-        for row in zip(keys, nodes.tolist(), teids, bs_ips.tolist()):
-            fib_slices[row[1]].append(list(row))
-        rib_slices = [
-            [[entry.key, entry.node, entry.value]
-             for entry in cluster.rib.entries_on_node(node_id)]
-            for node_id in range(num_nodes)
-        ]
-        peers = self._peers()[:num_nodes]
-        return [
-            {
-                "num_nodes": num_nodes,
-                "peers": peers,
-                "fib": fib_slices[node_id],
-                "rib": rib_slices[node_id],
-            }
-            for node_id in range(num_nodes)
-        ]
+        keys, teids = np.array(keys, np.uint64), np.array(teids, np.int64)
+        topology = {
+            "num_nodes": len(cluster.nodes),
+            "peers": self._peers()[:len(cluster.nodes)],
+        }
+        return [(
+            dict(topology, fib_capacity=cluster.nodes[node_id].fib.capacity),
+            protocol.insert_records(
+                keys[nodes == node_id], node_id, teids[nodes == node_id],
+                bs_ips[nodes == node_id],
+            ),
+            protocol.insert_records(*cluster.rib.columns(node_id)),
+        ) for node_id in node_ids]
 
-    def _state_headers(self, gateway: EpcGateway) -> Tuple[List[dict], bytes]:
-        """Per-daemon state headers + the shared snapshot bytes."""
+    def _states(self, gateway: EpcGateway) -> Tuple[List[tuple], bytes]:
+        """Every daemon's state + the shared snapshot bytes."""
         cluster = gateway.cluster
         assert cluster is not None, "gateway not started"
         snapshot = serialize.dumps(cluster.nodes[0].gpt.setsep)
         self._ref_setsep = serialize.loads(snapshot)
-        return self._headers(gateway), snapshot
+        return self._node_states(gateway, range(len(cluster.nodes))), snapshot
 
     # -- shared-memory segment lifecycle (scale tier) -------------------
 
@@ -418,7 +415,7 @@ class RuntimeController:
     def _ship_state(
         self,
         node_id: int,
-        header: dict,
+        state: tuple,
         snapshot: bytes,
         wire_type: int,
         segment,
@@ -434,17 +431,18 @@ class RuntimeController:
         snapshot on the wire — ``wire_type`` is ``MSG_SNAPSHOT`` or
         ``MSG_SWAP`` — followed by the catch-up records as ``MSG_DELTA``.
         """
+        header, fib, rib = state
+        rows = protocol.pack_records(fib) + protocol.pack_records(rib)
         if segment is not None:
-            ref_header = dict(header)
-            ref_header["segment"] = {
+            ref_header = dict(header, segment={
                 "name": segment.name,
                 "fingerprint": segment.fingerprint,
                 "payload_len": segment.payload_len,
-            }
+            })
             try:
                 self._command(
                     node_id, MSG_STATE_REF,
-                    protocol.encode_state(ref_header, catchup),
+                    protocol.encode_state(ref_header, rows + catchup),
                 )
             except protocol.ProtocolError:
                 self._c_stateref_fallbacks.inc()
@@ -452,7 +450,7 @@ class RuntimeController:
                 self._track_segment(node_id, segment.name)
                 return "shm"
         self._command(
-            node_id, wire_type, protocol.encode_state(header, snapshot)
+            node_id, wire_type, protocol.encode_state(header, rows + snapshot)
         )
         self._c_snapshot_bytes.inc(len(snapshot))
         self._untrack_segment(node_id)
@@ -491,13 +489,13 @@ class RuntimeController:
         snapshot bytes on the wire otherwise; either way the shipped
         snapshot becomes the delta log's epoch floor.
         """
-        headers, snapshot = self._state_headers(gateway)
+        states, snapshot = self._states(gateway)
         segment = self._publish_floor(snapshot)
         attached = 0
         for node_id in range(self.num_nodes):
             self._hello(node_id, gateway.gateway_ip)
             transport = self._ship_state(
-                node_id, headers[node_id], snapshot, MSG_SNAPSHOT, segment
+                node_id, states[node_id], snapshot, MSG_SNAPSHOT, segment
             )
             attached += int(transport == "shm")
         self._reset_deltalog(snapshot)
@@ -714,13 +712,12 @@ class RuntimeController:
         # blocks now, ``failed`` being one of them (``failed % N``).
         cluster = gateway.cluster
         assert cluster is not None, "gateway not started"
-        orphaned = [
-            [entry.key, entry.node, entry.value]
-            for entry in cluster.rib.entries_on_node(failed)
-        ]
+        orphaned = protocol.insert_records(
+            *cluster.rib.columns(failed)
+        )
         self._command(
             block_owner(failed, self.num_nodes, self.down), MSG_ADOPT,
-            protocol.encode_json({"entries": orphaned}),
+            protocol.pack_records(orphaned),
         )
         # Shadow-side liveness + recovery through the §4.5 update path.
         gateway.down_nodes.add(failed)
@@ -840,12 +837,10 @@ class RuntimeController:
         a membership resize rebuilds the structure, so records from the
         old shape never apply across a swap.
         """
-        headers, snapshot = self._state_headers(gateway)
+        states, snapshot = self._states(gateway)
         segment = self._publish_floor(snapshot)
-        for node_id in range(len(headers)):
-            self._ship_state(
-                node_id, headers[node_id], snapshot, MSG_SWAP, segment
-            )
+        for node_id, state in enumerate(states):
+            self._ship_state(node_id, state, snapshot, MSG_SWAP, segment)
         self._reset_deltalog(snapshot)
 
     def drain_node(
@@ -982,7 +977,7 @@ class RuntimeController:
         # Its flows were re-homed during repair, so the FIB slice is
         # usually empty; the RIB slice returns because a live owner makes
         # §4.5 ownership total again.
-        header = self._headers(gateway)[node_id]
+        state = self._node_states(gateway, [node_id])[0]
         if self.deltalog is not None:
             floor = self.deltalog.floor
             catchup = self.deltalog.records()
@@ -1000,7 +995,7 @@ class RuntimeController:
             ):
                 segment = self._publish_floor(floor)
         transport = self._ship_state(
-            node_id, header, floor, MSG_SNAPSHOT, segment, catchup=catchup
+            node_id, state, floor, MSG_SNAPSHOT, segment, catchup=catchup
         )
         # Every live daemon (the rejoiner included) re-learns the down set
         # and the refreshed topology (the node's new port).
@@ -1011,13 +1006,13 @@ class RuntimeController:
             node=node_id,
             accepted=True,
             epoch=self.epoch,
-            affected_flows=len(header["fib"]),
+            affected_flows=len(state[1]),
             detail={
                 "transport": transport,
                 "catchup_records": replay,
                 "catchup_bytes": len(catchup),
                 "floor_bytes": len(floor),
-                "rib_entries": len(header["rib"]),
+                "rib_entries": len(state[2]),
             },
         )
 

@@ -18,13 +18,15 @@ listener instead of Python method calls:
   handling nodes and ship the records to every peer in op order, byte
   for byte what one op at a time would ship;
 * its **partial FIB** — exact entries for exactly the flows it handles,
-  which is what rejects one-sided-error packets (§3.2);
+  which is what rejects one-sided-error packets (§3.2): with the GPT
+  replica, one :class:`~repro.cluster.node.ClusterNode`, the in-process
+  cluster's class, its §5.2 cuckoo table sized as the shadow node's;
 * the **data path**: raw Ethernet frames arrive (``MSG_ROUTE``), are
-  parsed by the vectorised codec, looked up in the local GPT replica and
-  either handled here or forwarded once to the handling daemon
-  (``MSG_FORWARD``) — never more than one internal hop, the paper's
-  core forwarding property.  The forwards are posted first, so the
-  handlers work while this daemon handles its own frames.
+  parsed by the vectorised codec, their keys hashed once, looked up in
+  the local GPT replica and either handled here or forwarded once to the
+  handling daemon (``MSG_FORWARD``) — never more than one internal hop,
+  the paper's core forwarding property.  The forwards are posted first,
+  so the handlers work while this daemon handles its own frames.
 
 The daemon is single-threaded and event-driven; determinism comes from
 the controller serialising its requests and from the owner completing
@@ -43,15 +45,18 @@ import numpy as np
 
 from repro.chaos import transport as tfaults
 from repro.cluster import owner
+from repro.cluster.architectures import Architecture
+from repro.cluster.cluster import node_runs
+from repro.cluster.node import ClusterNode
 from repro.cluster.rib import RoutingInformationBase, block_owner
 from repro.core import serialize, shm
 from repro.core import separator as separator_registry
-from repro.core.hashfamily import canonical_key
-from repro.core.params import BUCKETS_PER_BLOCK
+from repro.core.hashfamily import HashedKeys
+from repro.core.params import BUCKETS_PER_BLOCK, KEYS_PER_BLOCK
 from repro.epc import fastpath
-from repro.epc.dpe import ChargingLedger, checked_teids
+from repro.epc.dpe import ChargingLedger
 from repro.gpt.gpt import GlobalPartitionTable
-from repro.hashtables.interface import checked_keys
+from repro.hashtables.cuckoo import CuckooHashTable
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import protocol, transport
 from repro.runtime.framing import FramingError, frame_columns, pack_frame_list
@@ -104,10 +109,10 @@ class NodeDaemon:
         #: Links to the peer daemons, by node id (addresses set by HELLO).
         self.peers = transport.LinkPool()
         self.gateway_ip: int = 0
-        # Forwarding state (set by SNAPSHOT/SWAP).
-        self.gpt: Optional[GlobalPartitionTable] = None
-        self.fib: Dict[int, int] = {}          # key -> teid
-        self.bs: Dict[int, int] = {}           # key -> base-station IP
+        # Forwarding state (set by SNAPSHOT/SWAP/STATE_REF): GPT replica
+        # and partial FIB, and each FIB key's base-station address.
+        self.node: Optional[ClusterNode] = None
+        self.bs: Dict[int, int] = {}
         #: RIB slice: the records of the blocks this node owns, in the
         #: in-process RIB's own class — group rebuild inputs must match
         #: it byte for byte, key order included.
@@ -263,30 +268,34 @@ class NodeDaemon:
         return RSP_OK, protocol.encode_json({"node_id": self.node_id})
 
     def _install_state(
-        self, header: dict, setsep, attachment: Optional[shm.AttachedSegment]
+        self, header: dict, fib: np.ndarray, rib: np.ndarray, setsep,
+        attachment: Optional[shm.AttachedSegment],
     ) -> dict:
         """Adopt a fully-built control plane (make-before-break).
 
         ``setsep`` is a separator replica of either backend — deserialised
-        from wire bytes or parsed out of a shared-memory attachment — and
-        ``header`` carries this daemon's FIB slice, RIB slice and topology.
-        Everything is built before any reference is swapped; a failure
-        leaves the old plane live.  Returns ack detail fields.
+        from wire bytes or parsed out of a shared-memory attachment;
+        ``header`` carries the topology and the FIB's capacity, ``fib`` and
+        ``rib`` this daemon's slices as insert records.  Everything is
+        built before any reference is swapped; a failure leaves the old
+        plane live.  Returns ack detail fields.
         """
         num_nodes = int(header["num_nodes"])
-        gpt = GlobalPartitionTable(num_nodes, setsep)
-        fib_rows = [
-            (int(key), int(bs_ip)) for key, _node, _, bs_ip in header["fib"]
-        ]
-        _checked(checked_keys, [key for key, _ in fib_rows], "fib")
-        teids = _checked(checked_teids, [r[2] for r in header["fib"]], "fib")
-        fib = {key: teid for (key, _), teid in zip(fib_rows, teids)}
-        bs = dict(fib_rows)
+        # The shadow node's FIB holds twice a node's share of the keys the
+        # separator was built for: past twice them all, nothing allocates.
+        capacity = header["fib_capacity"]
+        limit = 2 * KEYS_PER_BLOCK * setsep.num_blocks
+        if type(capacity) is not int or not 1 <= capacity <= limit:
+            raise ValueError(f"FIB capacity {capacity!r} is not 1..{limit}")
         rib_slice = RoutingInformationBase(num_nodes, setsep.num_blocks)
-        rib_slice.insert_many(*_rib_columns(header["rib"], "rib"))
-        self.gpt = gpt
-        self.fib = fib
-        self.bs = bs
+        rib_slice.insert_many(rib["key"], rib["node"], rib["value"])
+        node = ClusterNode(
+            self.node_id, Architecture.SCALEBRICKS,
+            CuckooHashTable(capacity), GlobalPartitionTable(num_nodes, setsep),
+        )
+        node.install_routes(fib["key"], fib["node"], fib["value"].tolist())
+        self.node = node
+        self.bs = dict(zip(fib["key"].tolist(), fib["bs_ip"].tolist()))
         self.slice = rib_slice
         self.num_nodes = num_nodes
         previous, self._attached = self._attached, attachment
@@ -294,20 +303,17 @@ class NodeDaemon:
             previous.close()
         if "peers" in header:
             self.peers.retarget(header["peers"])
-        return {
-            "fib_entries": len(fib),
-            "rib_entries": len(header["rib"]),
-        }
+        return {"fib_entries": len(fib), "rib_entries": len(rib)}
 
     def _load_state(self, payload: bytes) -> Tuple[int, bytes]:
         """Bootstrap/replace this replica from a full wire snapshot.
 
-        The payload's snapshot section is either backend's serialised form
+        The payload's tail is either backend's serialised form
         (:func:`repro.core.serialize.loads` dispatches on the magic).
         """
-        header, snapshot = protocol.decode_state(payload)
+        header, fib, rib, snapshot = protocol.decode_node_state(payload)
         setsep = serialize.loads(snapshot)
-        detail = self._install_state(header, setsep, None)
+        detail = self._install_state(header, fib, rib, setsep, None)
         self._c_snapshot_bytes.inc(len(snapshot))
         detail["snapshot_bytes"] = len(snapshot)
         return RSP_OK, protocol.encode_json(detail)
@@ -318,16 +324,16 @@ class NodeDaemon:
     def _on_state_ref(self, payload: bytes) -> Tuple[int, bytes]:
         """Adopt state by shared-memory reference instead of wire bytes.
 
-        The payload reuses the state framing: the JSON header additionally
-        carries ``segment`` (name + expected fingerprint) and the snapshot
-        section holds *catch-up records* — the controller's delta log since
-        the segment's floor — rather than a snapshot.  The daemon maps the
-        segment copy-on-write, parses it zero-copy, replays the records,
-        then swaps planes.  Any failure (missing segment, fingerprint
-        mismatch) is reported as RSP_ERR and the controller falls back to
-        the full-snapshot wire path.
+        The payload reuses the node-state framing: the JSON header
+        additionally carries ``segment`` (name + expected fingerprint) and
+        the tail holds *catch-up records* — the controller's delta log
+        since the segment's floor — rather than a snapshot.  The daemon
+        maps the segment copy-on-write, parses it zero-copy, replays the
+        records, then swaps planes.  Any failure (missing segment,
+        fingerprint mismatch) is reported as RSP_ERR and the controller
+        falls back to the full-snapshot wire path.
         """
-        header, catchup = protocol.decode_state(payload)
+        header, fib, rib, catchup = protocol.decode_node_state(payload)
         segment = header["segment"]
         attachment = shm.attach(
             str(segment["name"]),
@@ -337,7 +343,7 @@ class NodeDaemon:
         try:
             setsep = attachment.separator
             replayed = owner.apply_records(setsep, catchup)
-            detail = self._install_state(header, setsep, attachment)
+            detail = self._install_state(header, fib, rib, setsep, attachment)
         except Exception:
             attachment.close()
             raise
@@ -351,11 +357,12 @@ class NodeDaemon:
         return RSP_OK, protocol.encode_json(detail)
 
     def _on_adopt(self, payload: bytes) -> Tuple[int, bytes]:
-        assert self.gpt is not None, "adopt before snapshot"
-        doc = protocol.decode_json(payload)
-        keys, nodes, values = _rib_columns(doc["entries"], "entries")
-        self.slice.insert_many(keys, nodes, values)
-        return RSP_OK, protocol.encode_json({"adopted": len(keys)})
+        assert self.node is not None, "adopt before snapshot"
+        rows, _ = protocol.decode_records(
+            payload, None, "adopted RIB rows", (OP_INSERT,)
+        )
+        self.slice.insert_many(rows["key"], rows["node"], rows["value"])
+        return RSP_OK, protocol.encode_json({"adopted": len(rows)})
 
     def _on_down(self, payload: bytes) -> Tuple[int, bytes]:
         doc = protocol.decode_json(payload)
@@ -387,24 +394,24 @@ class NodeDaemon:
     def _on_status(self, payload: bytes) -> Tuple[int, bytes]:
         gpt_crc = 0
         gpt_bytes = 0
-        if self.gpt is not None:
+        if self.node is not None:
             # One serialisation serves both: the fingerprint *is* the
             # snapshot's trailing CRC (serialize.fingerprint would dump a
             # second time to read the same four bytes).
-            snapshot = serialize.dumps(self.gpt.setsep)
+            snapshot = serialize.dumps(self.node.gpt.setsep)
             gpt_crc = serialize.fingerprint_bytes(snapshot)
             gpt_bytes = len(snapshot)
         return RSP_STATUS, protocol.encode_json({
             "node_id": self.node_id,
             "num_nodes": self.num_nodes,
-            "fib_entries": len(self.fib),
+            "fib_entries": len(self.node.fib) if self.node is not None else 0,
             "rib_entries": len(self.slice) if self.slice is not None else 0,
             "charges": {str(teid): total
                         for teid, total in self.ledger.bytes_charged.items()},
             "counters": self.registry.counters(),
             "gpt_backend": (
-                separator_registry.backend_of(self.gpt.setsep)
-                if self.gpt is not None else None
+                separator_registry.backend_of(self.node.gpt.setsep)
+                if self.node is not None else None
             ),
             "gpt_crc": gpt_crc,
             "gpt_bytes": gpt_bytes,
@@ -428,24 +435,23 @@ class NodeDaemon:
         protocol.expect(rsp_type, RSP_OK, rsp)
 
     def _on_update(self, payload: bytes) -> Tuple[int, bytes]:
-        assert self.gpt is not None, "update before snapshot"
+        assert self.node is not None, "update before snapshot"
         ops = protocol.decode_updates(payload)
-        keys = [canonical_key(op.key) for op in ops]
         # Refuse the whole batch before any of it is applied: a group
         # rebuilt from a slice that does not hold its block would ship a
         # record without its keys (owner_batch range-checks the nodes).
         updates = []
-        for op, key in zip(ops, keys):
-            bucket = self.slice.bucket_of(key)
+        for op in ops:
+            bucket = self.slice.bucket_of(op.key)
             block = bucket // BUCKETS_PER_BLOCK
             owner_id = block_owner(block, self.num_nodes, self.down)
             if owner_id != self.node_id:
                 raise ValueError(
-                    f"key {key:#x} is in block {block}, which node "
+                    f"key {op.key:#x} is in block {block}, which node "
                     f"{owner_id} owns, not node {self.node_id}"
                 )
             updates.append((
-                key, bucket, op.node if op.op == OP_INSERT else None,
+                op.key, bucket, op.node if op.op == OP_INSERT else None,
                 op.value,
             ))
         fib_batches: Dict[int, List[UpdateOp]] = {}
@@ -462,15 +468,15 @@ class NodeDaemon:
         verdict_of = lambda _peer: self.faults.verdict("delta")  # noqa: E731
         # One owner pass over the batch; its steps are shipped in op order,
         # so verdicts, FIB batches and the log match one op at a time.
-        steps = owner.owner_batch(self.slice, self.gpt, acc, updates)
-        for op, key, step in zip(ops, keys, steps):
+        steps = owner.owner_batch(self.slice, self.node.gpt, acc, updates)
+        for op, step in zip(ops, steps):
             if step is None:
                 continue  # unknown key: not an update
             self._c_groups_rebuilt.inc()
             for target, entry in step.fib_ops:
                 fib_batches.setdefault(target, []).append(
-                    UpdateOp(OP_REMOVE, key) if entry is None else
-                    UpdateOp(OP_INSERT, key, op.node, op.value, op.bs_ip)
+                    UpdateOp(OP_REMOVE, op.key) if entry is None else
+                    UpdateOp(OP_INSERT, op.key, op.node, op.value, op.bs_ip)
                 )
             log_wires.append(step.wire)
             for peer, copies in owner.fan_out(
@@ -496,14 +502,14 @@ class NodeDaemon:
         )
 
     def _apply_fib(self, ops: List[UpdateOp]) -> None:
+        node, bs = self.node, self.bs
         for op in ops:
-            key = canonical_key(op.key)
             if op.op == OP_INSERT:
-                self.fib[key] = op.value
-                self.bs[key] = op.bs_ip
+                node.install_route(op.key, op.node, op.value)
+                bs[op.key] = op.bs_ip
             else:
-                self.fib.pop(key, None)
-                self.bs.pop(key, None)
+                node.remove_route(op.key)
+                bs.pop(op.key, None)
 
     def _on_fib(self, payload: bytes) -> Tuple[int, bytes]:
         ops = protocol.decode_updates(payload)
@@ -511,8 +517,8 @@ class NodeDaemon:
         return RSP_OK, protocol.encode_json({"applied": len(ops)})
 
     def _on_delta(self, payload: bytes) -> Tuple[int, bytes]:
-        assert self.gpt is not None, "delta before snapshot"
-        applied = owner.apply_records(self.gpt, payload)
+        assert self.node is not None, "delta before snapshot"
+        applied = owner.apply_records(self.node.gpt, payload)
         self._c_deltas_applied.inc(applied)
         return RSP_OK, protocol.encode_json({"applied": applied})
 
@@ -545,14 +551,17 @@ class NodeDaemon:
     # ------------------------------------------------------------------
 
     def _handle_frames(
-        self, parsed: fastpath.ParsedBatch, rows: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, List[bytes]]:
+        self, parsed: fastpath.ParsedBatch, rows: np.ndarray,
+        hashed: Optional[HashedKeys] = None,
+    ) -> protocol.OutcomeColumns:
         """Terminal handling of the parsed frames ``rows`` selects: FIB
-        check, charge, GTP-U encapsulation.  Returns ``(status, teid,
-        packets)`` columns aligned with ``rows``, the packet ``b""``
-        where none was delivered.
+        check (:meth:`ClusterNode.handle_batch`), charge, GTP-U
+        encapsulation.  ``hashed`` is the keys of ``rows``, all valid,
+        already hashed (``None``: hashed here).  Returns the outcome
+        columns aligned with ``rows``, the packet ``b""`` where none was
+        delivered.
         """
-        assert self.gpt is not None, "frames before snapshot"
+        assert self.node is not None, "frames before snapshot"
         # One-sided error is the default: the GPT pointed here, and a key
         # the exact FIB does not hold stays rejected (§3.2).
         status = np.where(
@@ -560,82 +569,76 @@ class NodeDaemon:
         )
         teid = np.zeros(rows.size, dtype=np.int64)
         packets = [b""] * rows.size
-        valid_pos = np.nonzero(status == STATUS_UNKNOWN)[0]
-        accepted_pos: List[int] = []
-        teids: List[int] = []
-        bs_ips: List[int] = []
-        for pos, key in zip(
-            valid_pos.tolist(), parsed.keys[rows[valid_pos]].tolist()
-        ):
-            value = self.fib.get(key)
-            if value is not None:
-                accepted_pos.append(pos)
-                teids.append(value)
-                bs_ips.append(self.bs.get(key, 0))
-        if accepted_pos:
+        valid_pos = np.flatnonzero(status == STATUS_UNKNOWN)
+        if hashed is None:
+            hashed = HashedKeys(parsed.keys[rows[valid_pos]])
+        found, values = self.node.handle_batch(hashed)
+        accepted_pos = valid_pos[found]
+        if accepted_pos.size:
             idx = rows[accepted_pos]
-            teid_column = np.asarray(teids, dtype=np.int64)
-            self.ledger.charge_many(teid_column, parsed.l3_len[idx])
+            teids = values[found]
+            self.ledger.charge_many(teids, parsed.l3_len[idx])
             tunnelled = fastpath.encapsulate_batch(
-                parsed, idx, teid_column,
-                np.asarray(bs_ips, dtype=np.int64), self.gateway_ip,
+                parsed, idx, teids,
+                np.array([self.bs[key] for key in hashed.keys[found].tolist()],
+                         dtype=np.int64),
+                self.gateway_ip,
             )
             status[accepted_pos] = STATUS_DELIVERED
             teid[accepted_pos] = teids
-            for pos, packet in zip(accepted_pos, tunnelled):
+            for pos, packet in zip(accepted_pos.tolist(), tunnelled):
                 packets[pos] = packet
-        return status, teid, packets
+        handler = np.where(status == STATUS_MALFORMED, -1, self.node_id)
+        return status, handler, teid, packets
 
     def _on_forward(self, payload: bytes) -> Tuple[int, bytes]:
         raw, offsets = frame_columns(payload)
         count = offsets.size - 1
         self._c_frames_received.inc(count)
-        status, teid, packets = self._handle_frames(
-            fastpath.parse_buffer(raw, offsets), np.arange(count)
-        )
-        handler = np.where(status == STATUS_MALFORMED, -1, self.node_id)
         return RSP_FORWARD, protocol.encode_outcome_columns(
-            status, handler, teid, packets
+            *self._handle_frames(
+                fastpath.parse_buffer(raw, offsets), np.arange(count)
+            )
         )
 
     def _on_route(self, payload: bytes) -> Tuple[int, bytes]:
-        """Ingress role: parse once, GPT lookup, then post every forward,
+        """Ingress role: parse once, hash the keys once for the GPT replica
+        and the FIB, look them up in the GPT, then post every forward,
         handle the local frames while the handlers work, and collect."""
-        assert self.gpt is not None, "route before snapshot"
+        assert self.node is not None, "route before snapshot"
         raw, offsets = frame_columns(payload)
         parsed = fastpath.parse_buffer(raw, offsets)
         status = np.full(parsed.n, STATUS_MALFORMED, dtype=np.int64)
         handler = np.full(parsed.n, -1, dtype=np.int64)
         teid = np.zeros(parsed.n, dtype=np.int64)
         packets = [b""] * parsed.n
-        valid_idx = np.nonzero(parsed.valid)[0]
-        local: Optional[np.ndarray] = None
-        pending = []
+        valid_idx = np.flatnonzero(parsed.valid)
+        local: Optional[Tuple[np.ndarray, HashedKeys]] = None
+        pending, outcomes = [], []
         if valid_idx.size:
-            handlers = self.gpt.lookup_batch(parsed.keys[valid_idx])
+            hashed = HashedKeys.both(parsed.keys[valid_idx])
+            handlers = self.node.gpt.lookup_batch(hashed).astype(
+                np.int64, copy=False
+            )
             handler[valid_idx] = handlers
             # Ascending handler order: fault verdicts are drawn in it.
-            for node in np.unique(handlers).tolist():
-                rows = valid_idx[handlers == node]
+            order, runs = node_runs(handlers, self.num_nodes)
+            for node, start, stop in runs:
+                picked = order[start:stop]
+                rows = valid_idx[picked]
                 if node == self.node_id:
-                    local = rows
+                    local = rows, hashed[picked]
                     continue
                 frames = [
-                    raw[start:end] for start, end in zip(
+                    raw[begin:end] for begin, end in zip(
                         offsets[rows].tolist(), offsets[rows + 1].tolist()
                     )
                 ]
                 pending.append((rows, self._forward(node, frames)))
         try:
             if local is not None:
-                self._c_frames_local.inc(local.size)
-                local_status, local_teid, handled = self._handle_frames(
-                    parsed, local
-                )
-                status[local] = local_status
-                teid[local] = local_teid
-                for i, packet in zip(local.tolist(), handled):
-                    packets[i] = packet
+                self._c_frames_local.inc(local[0].size)
+                outcomes.append((local[0], self._handle_frames(parsed, *local)))
         finally:
             # Every posted forward is collected, so no link is left with
             # an unread reply.
@@ -645,20 +648,20 @@ class NodeDaemon:
                 status[rows] = reply
                 continue
             rsp_type, rsp = reply
-            fwd_status, fwd_handler, fwd_teid, forwarded = (
-                protocol.decode_outcome_columns(
-                    protocol.expect(rsp_type, RSP_FORWARD, rsp)
-                )
+            columns = protocol.decode_outcome_columns(
+                protocol.expect(rsp_type, RSP_FORWARD, rsp)
             )
-            if fwd_status.size != rows.size:
+            if columns[0].size != rows.size:
                 raise protocol.ProtocolError(
-                    f"forward reply has {fwd_status.size} outcomes for "
+                    f"forward reply has {columns[0].size} outcomes for "
                     f"{rows.size} frames"
                 )
-            status[rows] = fwd_status
-            handler[rows] = fwd_handler
-            teid[rows] = fwd_teid
-            for i, packet in zip(rows.tolist(), forwarded):
+            outcomes.append((rows, columns))
+        for rows, (row_status, row_handler, row_teid, rows_out) in outcomes:
+            status[rows] = row_status
+            handler[rows] = row_handler
+            teid[rows] = row_teid
+            for i, packet in zip(rows.tolist(), rows_out):
                 packets[i] = packet
         return RSP_ROUTE, protocol.encode_outcome_columns(
             status, handler, teid, packets
@@ -699,31 +702,6 @@ class NodeDaemon:
             return rsp_type, rsp
 
         return collect
-
-
-def _checked(check: Callable, values: List, column: str):
-    """``check(values)``, its ``ValueError`` naming the header column too:
-    keys by ``checked_keys`` (a dict FIB would hold ``-5`` as given, the
-    RIB modulo ``2**64``), TEIDs by ``checked_teids``."""
-    try:
-        return check(values)
-    except ValueError as exc:
-        raise ValueError(f"{column} {exc}") from None
-
-
-def _rib_columns(
-    rows: List[list], column: str
-) -> Tuple[np.ndarray, List[int], List[int]]:
-    """``(keys, nodes, values)`` of ``[key, node, value]`` rows: keys
-    checked by ``checked_keys``, as ``uint64``; the rest as ints."""
-    table = [(int(key), int(node), int(value)) for key, node, value in rows]
-    keys = [key for key, _, _ in table]
-    _checked(checked_keys, keys, column)
-    return (
-        np.array(keys, dtype=np.uint64),
-        [node for _, node, _ in table],
-        [value for _, _, value in table],
-    )
 
 
 def serve(host: str = "127.0.0.1", port: int = 0,

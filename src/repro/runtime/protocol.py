@@ -3,8 +3,9 @@
 Every controller<->daemon and daemon<->daemon exchange is one of the
 message types below, carried inside a :mod:`repro.runtime.framing`
 message.  Control-plane payloads that are naturally tabular (update
-batches, routing outcomes) use fixed-width binary structs; negotiation
-and reporting payloads (HELLO, STATUS) are canonical JSON.  GPT deltas
+batches, the FIB and RIB rows of a node's state, routing outcomes) use
+fixed-width binary records; negotiation and reporting payloads (HELLO,
+STATUS) are canonical JSON.  GPT deltas
 ride as concatenated :meth:`repro.core.delta.GroupDelta.wire_bytes`
 frames — self-delimiting, so a DELTA batch is a plain byte join.
 
@@ -35,7 +36,7 @@ MSG_ROUTE = 0x07      # controller -> ingress daemon: raw frame batch
 MSG_FORWARD = 0x08    # ingress -> handling daemon: forwarded sub-batch
 MSG_PING = 0x09       # controller -> daemon: liveness probe
 MSG_STATUS = 0x0A     # controller -> daemon: report counters/charges/CRC
-MSG_ADOPT = 0x0B      # controller -> successor daemon: orphaned RIB slice
+MSG_ADOPT = 0x0B      # controller -> successor daemon: orphaned RIB rows
 MSG_FAULT = 0x0C      # controller -> daemon: arm transport fault budgets
 MSG_FLUSH = 0x0D      # controller -> daemon: deliver delayed deltas
 MSG_DOWN = 0x0E       # controller -> daemon: the current dead-node set
@@ -122,14 +123,20 @@ def decode_json(payload: bytes) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Update batches (MSG_UPDATE and MSG_FIB share the record layout)
+# Update records (MSG_UPDATE, MSG_FIB, MSG_ADOPT, a node state's rows)
 # ----------------------------------------------------------------------
 
 OP_INSERT = 1
 OP_REMOVE = 2
 
-#: One update record: op u8, key u64, node u32, value u32, bs_ip u32.
+#: One update record: op u8, key u64, node u32, value u32, bs_ip u32; as
+#: a packed NumPy row, what every FIB or RIB row section holds.
 _UPDATE_RECORD = struct.Struct("<BQIII")
+UPDATE_DTYPE = np.dtype([
+    ("op", "u1"), ("key", "<u8"), ("node", "<u4"), ("value", "<u4"),
+    ("bs_ip", "<u4"),
+])
+assert UPDATE_DTYPE.itemsize == _UPDATE_RECORD.size
 _COUNT = struct.Struct("<I")
 
 
@@ -148,16 +155,10 @@ class UpdateOp:
     bs_ip: int = 0
 
 
-#: The record's fields with their widths, in wire order.
-_UPDATE_FIELDS = (
-    ("op", 8), ("key", 64), ("node", 32), ("value", 32), ("bs_ip", 32),
-)
-
-
 def _field_out_of_range(op: UpdateOp, exc: struct.error) -> str:
     """The first field of ``op`` its record cannot carry, described."""
-    for name, bits in _UPDATE_FIELDS:
-        value = getattr(op, name)
+    for name in UPDATE_DTYPE.names:
+        value, bits = getattr(op, name), 8 * UPDATE_DTYPE[name].itemsize
         try:
             fits = 0 <= operator.index(value) < 1 << bits
         except TypeError:
@@ -191,26 +192,56 @@ def encode_updates(ops: Sequence[UpdateOp]) -> bytes:
 
 def decode_updates(payload: bytes) -> List[UpdateOp]:
     """Inverse of :func:`encode_updates`."""
-    if len(payload) < _COUNT.size:
-        raise ProtocolError("update batch truncated in count")
-    (count,) = _COUNT.unpack_from(payload, 0)
-    expected = _COUNT.size + count * _UPDATE_RECORD.size
-    if len(payload) != expected:
+    records, _ = decode_records(payload)
+    return [UpdateOp(*record) for record in records.tolist()]
+
+
+def insert_records(keys, nodes, values, bs_ips=0) -> np.ndarray:
+    """``insert(key, node, value, bs_ip)`` records from columns (a scalar
+    serves every row); a field that does not fit is a ``ValueError``
+    naming its first offending position."""
+    records = np.empty(len(keys), dtype=UPDATE_DTYPE)
+    records["key"] = np.asarray(keys, dtype=np.uint64)
+    for name, column in zip(("op", "node", "value", "bs_ip"),
+                            (OP_INSERT, nodes, values, bs_ips)):
+        records[name] = _fitted(name, np.broadcast_to(column, len(keys)),
+                                UPDATE_DTYPE[name])
+    return records
+
+
+def pack_records(records: np.ndarray) -> bytes:
+    """``u32 count | count x update records``: one record section."""
+    return _COUNT.pack(len(records)) + records.tobytes()
+
+
+def decode_records(
+    payload: bytes, offset: Optional[int] = None,
+    section: str = "update batch",
+    ops: Tuple[int, ...] = (OP_INSERT, OP_REMOVE),
+) -> Tuple[np.ndarray, int]:
+    """The record section at ``offset`` (``None``: the whole payload), as
+    a read-only view, and the offset just past it.  Cut short, longer
+    than the whole payload, or holding an op not in ``ops``:
+    ``ProtocolError``."""
+    start = (offset or 0) + _COUNT.size
+    if len(payload) < start:
+        raise ProtocolError(f"{section} truncated in count")
+    (count,) = _COUNT.unpack_from(payload, start - _COUNT.size)
+    end = start + count * UPDATE_DTYPE.itemsize
+    if end > len(payload) or offset is None and end != len(payload):
         raise ProtocolError(
-            f"update batch length {len(payload)} != expected {expected}"
+            f"{section} length {len(payload)} != expected {end}"
         )
-    out: List[UpdateOp] = []
-    offset = _COUNT.size
-    for _ in range(count):
-        op, key, node, value, bs_ip = _UPDATE_RECORD.unpack_from(
-            payload, offset
+    records = np.frombuffer(payload, UPDATE_DTYPE, count, start)
+    bad = records["op"] != ops[0]
+    for op in ops[1:]:
+        bad &= records["op"] != op
+    if bad.any():
+        row = int(bad.argmax())
+        raise ProtocolError(
+            f"{section} record {row}: unexpected op {records['op'][row]}"
         )
-        if op not in (OP_INSERT, OP_REMOVE):
-            raise ProtocolError(f"unknown update op {op}")
-        out.append(UpdateOp(op=op, key=key, node=node, value=value,
-                            bs_ip=bs_ip))
-        offset += _UPDATE_RECORD.size
-    return out
+    return records, end
 
 
 # ----------------------------------------------------------------------
@@ -343,35 +374,40 @@ def decode_outcomes(payload: bytes) -> List[RouteOutcome]:
 
 
 # ----------------------------------------------------------------------
-# Bootstrap state (MSG_SNAPSHOT / MSG_SWAP)
+# Node state (MSG_SNAPSHOT / MSG_SWAP / MSG_STATE_REF)
 # ----------------------------------------------------------------------
 
-_JSON_LEN = struct.Struct("<I")
 
-
-def encode_state(header: dict, snapshot: bytes) -> bytes:
-    """``u32 json_len | json | separator snapshot bytes``.
-
-    ``header`` carries the daemon's FIB slice, RIB slice and topology;
-    ``snapshot`` is :func:`repro.core.serialize.dumps` of the GPT (either
-    backend's payload kind).  The same framing carries ``MSG_STATE_REF``
-    (header + concatenated catch-up records) and the extended
-    ``RSP_UPDATE`` (accounting JSON + the batch's delta wire records).
-    """
+def encode_state(header: dict, body: bytes) -> bytes:
+    """``u32 json_len | json | body``: the framing of a node state
+    (:func:`decode_node_state`) and of the extended ``RSP_UPDATE``
+    (accounting JSON + the batch's delta wire records)."""
     blob = encode_json(header)
-    return _JSON_LEN.pack(len(blob)) + blob + snapshot
+    return _COUNT.pack(len(blob)) + blob + body
 
 
 def decode_state(payload: bytes) -> Tuple[dict, bytes]:
-    """Inverse of :func:`encode_state`; returns (header, snapshot)."""
-    if len(payload) < _JSON_LEN.size:
+    """Inverse of :func:`encode_state`; returns (header, body)."""
+    if len(payload) < _COUNT.size:
         raise ProtocolError("state payload truncated in header length")
-    (json_len,) = _JSON_LEN.unpack_from(payload, 0)
-    start = _JSON_LEN.size
+    (json_len,) = _COUNT.unpack_from(payload, 0)
+    start = _COUNT.size
     if start + json_len > len(payload):
         raise ProtocolError("state payload truncated in JSON header")
     header = decode_json(payload[start:start + json_len])
     return header, payload[start + json_len:]
+
+
+def decode_node_state(
+    payload: bytes,
+) -> Tuple[dict, np.ndarray, np.ndarray, bytes]:
+    """``u32 json_len | json | FIB rows | RIB rows | tail`` as ``(header,
+    fib, rib, tail)``: two :func:`insert_records` sections, then the GPT's
+    snapshot (``MSG_STATE_REF``: catch-up records)."""
+    header, body = decode_state(payload)
+    fib, offset = decode_records(body, 0, "FIB rows", (OP_INSERT,))
+    rib, offset = decode_records(body, offset, "RIB rows", (OP_INSERT,))
+    return header, fib, rib, body[offset:]
 
 
 # ----------------------------------------------------------------------

@@ -84,9 +84,9 @@ def fault_scenario():
                 raise FramingError("connection closed mid-message")
         return collect
 
-    def handle_frames(parsed, rows):
+    def handle_frames(parsed, rows, hashed=None):
         events[-1].append(("handle", INGRESS, MSG_ROUTE))
-        return healthy_handle(parsed, rows)
+        return healthy_handle(parsed, rows, hashed)
 
     ingress._peer_post = post
     ingress._handle_frames = handle_frames
@@ -190,7 +190,7 @@ def test_a_failed_local_batch_still_collects_every_forward():
 
         return collect
 
-    def handle_frames(parsed, rows):
+    def handle_frames(parsed, rows, hashed=None):
         raise ValueError("teids[0] is outside 0..0xFFFFFFFF")
 
     ingress._peer_post = post
@@ -250,7 +250,7 @@ def test_status_charges_are_the_per_frame_loops_in_first_charge_order(count):
     for key, size, malformed in zip(
         parsed.keys.tolist(), parsed.l3_len.tolist(), parsed.malformed
     ):
-        teid = None if malformed else daemon.fib.get(key)
+        teid = None if malformed else daemon.node.fib.lookup(key)
         if teid is not None:
             expected[teid] = expected.get(teid, 0) + size
     daemon._handle_frames(parsed, rows)

@@ -10,7 +10,8 @@ known key set identically to a GPT over SetSep.
 import numpy as np
 import pytest
 
-from repro.cluster import Architecture, Cluster, UpdateEngine
+from repro.cluster import Architecture, Cluster, UpdateEngine, owner
+from repro.cluster.rib import RoutingInformationBase
 from repro.core import separator as separator_registry
 from repro.core import serialize
 from repro.core.builder import DuplicateKeyError
@@ -26,6 +27,7 @@ from repro.othello import (
     OthelloUpdate,
     build,
 )
+from repro.othello.structure import vertex_hashes
 from repro.othello.update import WIRE_HEADER
 from tests.conftest import unique_keys
 
@@ -611,3 +613,100 @@ class TestIntegration:
         ])
         routes = cluster.nodes[0].gpt.lookup_batch(survivors)
         assert np.array_equal(routes, expect)
+
+
+class TestLostRecord:
+    """One lost sparse ``OthelloUpdate``, then the next record on its block.
+
+    The owner rehomes key ``a`` (record ``r1``, lost on the way to the
+    replica), then key ``b``, an edge of the component ``r1`` corrected
+    (record ``r2``, applied).  ``r2`` removes ``b``'s edge, XOR-corrects
+    the component on one side of it and ships those cells' absolute
+    values; the cells on the other side are ones ``r1`` changed, which
+    the replica does not hold.  §4.5's one-sided error allows the
+    replica to answer wrongly for ``a`` alone, the key the lost record
+    touched.  Here the replica answers wrongly for ``b``, whose record it
+    applied, and for no key neither update touched: the kind of misroute
+    ``repro chaos --seed 3 --episodes 3 --backend othello`` reports as
+    "known key dropped: unknown_key" after a lost delta (ROADMAP item
+    15).
+    """
+
+    NODES = 4
+
+    def scenario(self):
+        """``(keys, a, b, before, owner, replica)``: the replica's answers
+        before ``r2``, then the owner's and the replica's after it."""
+        keys = unique_keys(3_000, seed=15)
+        handlers = np.random.default_rng(15).integers(self.NODES, size=3_000)
+        params = OthelloParams.for_cluster(self.NODES)
+        separator, _ = separator_registry.build(
+            keys, handlers.tolist(), params, backend="othello"
+        )
+        rib = RoutingInformationBase(self.NODES, separator.num_blocks)
+        rib.insert_many(keys, handlers, np.arange(keys.size))
+        gpt = GlobalPartitionTable(self.NODES, separator)
+        replica = GlobalPartitionTable(self.NODES, separator.copy())
+        blocks = separator.blocks_of(keys)
+        block = int(np.bincount(blocks).argmax())
+        members = keys[blocks == block]
+        vps = params.vertices_per_side
+
+        def rehome(key):
+            node = (gpt.lookup(key) + 1) % self.NODES
+            return owner.owner_step(
+                rib, gpt, owner.UpdateAccount(), key, rib.bucket_of(key),
+                node, 7,
+            ).wire
+
+        # ``a``: the first key of the block whose record corrects a
+        # component another key's edge touches (the earlier ones reach
+        # the replica).
+        seeds = np.full(members.size, int(separator.seeds[block]), np.uint64)
+        side_a, side_b = vertex_hashes(members, seeds, params.vertex_bits)
+        ends = list(zip(
+            members.tolist(), side_a.tolist(), (side_b + vps).tolist()
+        ))
+        for a in members.tolist():
+            lost = rehome(a)
+            cells = {
+                vertex
+                for vertex, _ in OthelloUpdate.from_wire_bytes(lost)[0].cells
+            }
+            touching = [
+                key for key, u, w in ends
+                if key != a and (u in cells or w in cells)
+            ]
+            if touching:
+                break
+            owner.apply_records(replica, lost)
+        b = touching[0]
+        before = replica.lookup_batch(keys)
+        owner.apply_records(replica, rehome(b))
+        return (
+            keys, a, b, before, gpt.lookup_batch(keys),
+            replica.lookup_batch(keys),
+        )
+
+    def test_no_key_an_update_did_not_touch_changes_its_answer(self):
+        keys, a, b, before, _owner, after = self.scenario()
+        changed = {
+            key for key, old, new in zip(keys.tolist(), before, after)
+            if old != new
+        }
+        assert changed - {a, b} == set()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 15: a sparse OthelloUpdate corrects cells "
+        "against a base the replica that lost the previous record on its "
+        "block does not hold",
+    )
+    def test_only_the_lost_records_key_is_answered_wrongly(self):
+        keys, a, b, _before, truth, after = self.scenario()
+        wrong = {
+            key: (int(right), int(got))
+            for key, right, got in zip(keys.tolist(), truth, after)
+            if right != got
+        }
+        assert set(wrong) <= {a}, f"misrouted: {wrong} (b = {b})"

@@ -97,7 +97,7 @@ class TestViews:
         keys = unique_keys(200, seed=93)
         for i, key in enumerate(keys):
             rib.insert(int(key), i % 4, i)
-        total = sum(len(rib.entries_on_node(n)) for n in range(4))
+        total = sum(rib.columns(n).shape[1] for n in range(4))
         assert total == 200
 
     def test_load_per_node_sums(self, rib):
@@ -315,7 +315,9 @@ class RibAgainstDicts(RuleBasedStateMachine):
         for node in range(4):
             owned = [b for b in self.buckets
                      if rib.owner_of_block(b // 256) == node]
-            assert rib.entries_on_node(node) == self._records(owned)
+            assert [
+                RibEntry(*row) for row in rib.columns(node).T.tolist()
+            ] == self._records(owned)
         loads = [0] * 4
         for bucket, records in self.buckets.items():
             loads[rib.owner_of_block(bucket // 256)] += len(records)

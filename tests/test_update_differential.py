@@ -12,6 +12,7 @@ protocol (HELLO, SNAPSHOT, UPDATE, FIB, DELTA).
 """
 
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -33,38 +34,53 @@ from repro.core import separator as separator_registry
 from repro.core import serialize, shm
 from repro.core.delta import WIRE_HEADER, DeltaWireError, GroupDelta
 from repro.core.hashfamily import base_hashes, canonical_key
-from repro.core.params import SetSepParams
+from repro.core.params import KEYS_PER_BLOCK, SetSepParams
 from repro.epc.gateway import EpcGateway
 from repro.epc.packets import parse_ip
 from repro.epc.traffic import FlowGenerator
 from repro.gpt.gpt import GlobalPartitionTable
+from repro.hashtables.cuckoo import CuckooHashTable
 from repro.obs.metrics import MetricsRegistry
 from repro.othello.params import OthelloParams
 from repro.othello.update import OthelloUpdate
+from repro.runtime import daemon as daemon_module
 from repro.runtime.deltalog import DeltaLog
 from repro.runtime.protocol import (
     MSG_ADOPT, MSG_DELTA, MSG_DOWN, MSG_FLUSH, MSG_SNAPSHOT, MSG_STATE_REF,
     MSG_STATUS, MSG_UPDATE, OP_INSERT, OP_REMOVE, RSP_ERR, RSP_OK,
-    RSP_UPDATE, UpdateOp,
-    decode_json, encode_json, encode_state, encode_updates,
+    MSG_SWAP, RSP_UPDATE, UpdateOp,
+    decode_json, encode_json, encode_state, encode_updates, pack_records,
 )
 from repro.utils.bits import BitReader, BitWriter
 from tests.conftest import brute_force_contents, unique_keys, wire_up
 from tests.test_bits import reference_pack
 
 
+def fib_entries(table):
+    """A cuckoo FIB's entries, key -> value."""
+    held = table._occupied
+    return dict(zip(
+        table._keys[held].tolist(), table._int_values[held].tolist()
+    ))
+
+
 def daemon_states(daemons):
-    """Everything an update can move on each daemon, transport counters
-    aside."""
+    """Everything an update or a state can move on each daemon, transport
+    counters aside."""
     return [
-        (serialize.fingerprint(d.gpt.setsep), dict(d.fib),
-         list(d.slice.entries()), len(d._delayed_deltas), {
+        (serialize.fingerprint(d.node.gpt.setsep), fib_entries(d.node.fib),
+         dict(d.bs), list(d.slice.entries()), len(d._delayed_deltas), {
              name: count
              for name, count in d.registry.counters().items()
              if not name.startswith("runtime.rx.")
          })
         for d in daemons
     ]
+
+
+def node_state(header, fib, rib, tail):
+    """A node-state payload, as the controller ships one."""
+    return encode_state(header, pack_records(fib) + pack_records(rib) + tail)
 
 
 def started_gateway(nodes, bearers, seed, **gpt_overrides):
@@ -290,7 +306,7 @@ class TestDaemonSlice:
             else:
                 controller.push_updates([UpdateOp(OP_REMOVE, key)])
                 model.pop(key, None)
-        separator = daemon.gpt.setsep
+        separator = daemon.node.gpt.setsep
         assert len(daemon.slice) == len(model)
         for group in range(separator.num_groups):
             keys, nodes = daemon.slice.group_contents(group, separator)
@@ -350,12 +366,12 @@ class TestDaemonSlice:
         assert before == daemon_states(daemons)
         # The repair's order: the successor adopts the slice, then learns
         # the down set; from then on the block is its own.
-        orphaned = controller._headers(gateway)[1]["rib"]
-        daemons[0]._dispatch(MSG_ADOPT, encode_json({"entries": orphaned}))
+        orphaned = controller._node_states(gateway, [1])[0][2]
+        daemons[0]._dispatch(MSG_ADOPT, pack_records(orphaned))
         daemons[0]._dispatch(MSG_DOWN, encode_json({"down": [1]}))
         rsp_type, _ = daemons[0]._dispatch(MSG_UPDATE, encode_updates(batch))
         assert rsp_type == RSP_UPDATE
-        assert daemons[0].gpt.lookup(foreign) == 0
+        assert daemons[0].node.gpt.lookup(foreign) == 0
 
 
 class TestCore:
@@ -730,7 +746,7 @@ class TestNothingPartlyApplied:
             return doc["gpt_crc"], doc["counters"]["runtime.deltas.applied"]
 
         before = status()
-        good, bad = self.payloads(peer.gpt.setsep)
+        good, bad = self.payloads(peer.node.gpt.setsep)
         for payload in bad:
             rsp_type, rsp = peer._dispatch(MSG_DELTA, payload)
             assert rsp_type == RSP_ERR
@@ -745,76 +761,18 @@ class TestNothingPartlyApplied:
     def test_refused_adopt_lands_no_entry(self):
         gateway, _, _ = started_gateway(2, 2_000, seed=5)
         controller, daemons = wire_up(gateway)
-        orphaned = controller._headers(gateway)[1]["rib"]
-        entries = orphaned[:2] + [[orphaned[2][0], 7, orphaned[2][2]]]
+        orphaned = controller._node_states(gateway, [1])[0][2]
+        entries = orphaned[:3].copy()
+        entries["node"][2] = 7
         before = daemon_states(daemons)
-        rsp_type, rsp = daemons[0]._dispatch(
-            MSG_ADOPT, encode_json({"entries": entries})
-        )
+        rsp_type, rsp = daemons[0]._dispatch(MSG_ADOPT, pack_records(entries))
         assert rsp_type == RSP_ERR
         assert "handling node 7 out of range" in decode_json(rsp)["error"]
         assert daemon_states(daemons) == before
         rsp_type, rsp = daemons[0]._dispatch(
-            MSG_ADOPT, encode_json({"entries": orphaned[:2]})
+            MSG_ADOPT, pack_records(orphaned[:2])
         )
         assert (rsp_type, decode_json(rsp)) == (RSP_OK, {"adopted": 2})
-
-    @pytest.mark.parametrize("column", ["fib", "rib"])
-    def test_state_with_a_key_beyond_64_bits_keeps_the_old_plane(
-        self, column
-    ):
-        """A dict FIB would hold key -5 as given and the RIB as
-        ``2**64 - 5``: the header is refused before any swap."""
-        gateway, _, _ = started_gateway(2, 2_000, seed=5)
-        controller, daemons = wire_up(gateway)
-        peer = daemons[1]
-        headers, snapshot = controller._state_headers(gateway)
-        header = dict(headers[1])
-        header[column] = [list(row) for row in header[column]]
-        header[column][1][0] = -5
-        gpt = peer.gpt
-        before = daemon_states(daemons)
-        rsp_type, rsp = peer._dispatch(
-            MSG_SNAPSHOT, encode_state(header, snapshot)
-        )
-        assert rsp_type == RSP_ERR
-        assert decode_json(rsp)["error"] == (
-            f"ValueError: {column} row 1: key -5 is outside [0, 2**64)"
-        )
-        assert peer.gpt is gpt
-        assert daemon_states(daemons) == before
-        rsp_type, _ = peer._dispatch(
-            MSG_SNAPSHOT, encode_state(headers[1], snapshot)
-        )
-        assert rsp_type == RSP_OK
-
-    @pytest.mark.parametrize(
-        "teid", [-1, 1 << 32, 1.5, True, "7", None],
-        ids=["negative", "wide", "float", "bool", "str", "null"],
-    )
-    def test_state_with_a_fib_value_that_is_no_teid_keeps_the_old_plane(
-        self, teid
-    ):
-        """The JSON header is untrusted: a FIB row's value must be a TEID
-        before it reaches the FIB, the ledger or a GTP-U header."""
-        gateway, _, _ = started_gateway(2, 2_000, seed=5)
-        controller, daemons = wire_up(gateway)
-        peer = daemons[1]
-        headers, snapshot = controller._state_headers(gateway)
-        header = dict(headers[1], fib=[list(row) for row in headers[1]["fib"]])
-        header["fib"][2][2] = teid
-        fib, gpt = peer.fib, peer.gpt
-        before = daemon_states(daemons)
-        rsp_type, rsp = peer._dispatch(
-            MSG_SNAPSHOT, encode_state(header, snapshot)
-        )
-        assert rsp_type == RSP_ERR
-        assert decode_json(rsp)["error"] == (
-            f"ValueError: fib row 2: TEID {teid!r} is not an integer "
-            "0..4294967295"
-        )
-        assert peer.fib is fib and peer.gpt is gpt
-        assert daemon_states(daemons) == before
 
     def test_bad_log_leaves_the_floor_uncompacted(self):
         separator, _ = separator_registry.build(
@@ -842,27 +800,28 @@ class TestNothingPartlyApplied:
         gateway, _, _ = started_gateway(2, 300, seed=5)
         controller, daemons = wire_up(gateway)
         peer = daemons[1]
-        headers, snapshot = controller._state_headers(gateway)
+        states, snapshot = controller._states(gateway)
+        header, fib, rib = states[1]
         publisher = shm.SegmentPublisher(
             prefix=f"{shm.SEGMENT_PREFIX}test-{os.getpid():x}-"
         )
         try:
             segment = publisher.publish(snapshot)
-            header = dict(headers[1], segment={
+            header = dict(header, segment={
                 "name": segment.name, "fingerprint": segment.fingerprint,
             })
             crc = decode_json(peer._dispatch(MSG_STATUS, b"")[1])["gpt_crc"]
-            good, bad = self.payloads(peer.gpt.setsep)
+            good, bad = self.payloads(peer.node.gpt.setsep)
             for payload in bad:
                 rsp_type, rsp = peer._dispatch(
-                    MSG_STATE_REF, encode_state(header, payload)
+                    MSG_STATE_REF, node_state(header, fib, rib, payload)
                 )
                 assert rsp_type == RSP_ERR
                 assert "DeltaWireError" in decode_json(rsp)["error"]
                 status = decode_json(peer._dispatch(MSG_STATUS, b"")[1])
                 assert status["gpt_crc"] == crc
             rsp_type, rsp = peer._dispatch(
-                MSG_STATE_REF, encode_state(header, good)
+                MSG_STATE_REF, node_state(header, fib, rib, good)
             )
             assert (rsp_type, decode_json(rsp)["replayed"]) == (RSP_OK, 2)
             status = decode_json(peer._dispatch(MSG_STATUS, b"")[1])
@@ -894,6 +853,167 @@ class TestNothingPartlyApplied:
         assert serialize.dumps(separator) != floor
         with pytest.raises(ValueError):
             separator.apply_delta(OthelloUpdate(0, 0, ((0, 0),) * 8, full=True))
+
+
+class TestHostileState:
+    """A state or ADOPT payload the daemon refuses leaves it as it was.
+
+    Each refusal is an ``RSP_ERR`` naming the exception type, the
+    daemons' states are unchanged (the old plane stays live) and the next
+    good payload is taken.  The inputs are ones the row format can
+    carry: payloads cut short, records that are not inserts, a RIB row
+    for a node the cluster does not have, a FIB capacity the state cannot
+    justify.
+    """
+
+    @pytest.fixture
+    def peer(self):
+        gateway, _, _ = started_gateway(2, 2_000, seed=5)
+        controller, daemons = wire_up(gateway)
+        states, snapshot = controller._states(gateway)
+        return daemons, states[1], snapshot
+
+    @staticmethod
+    def refused(daemons, msg_type, payload, error):
+        """``payload`` is refused with an ``error`` (a regex) and moves
+        nothing on any daemon."""
+        peer = daemons[1]
+        before, gpt = daemon_states(daemons), peer.node.gpt
+        rsp_type, rsp = peer._dispatch(msg_type, payload)
+        assert rsp_type == RSP_ERR
+        assert re.match(error, decode_json(rsp)["error"]), rsp
+        assert peer.node.gpt is gpt
+        assert daemon_states(daemons) == before
+
+    @staticmethod
+    def cuts(sections):
+        """Cut points of a payload made of ``sections`` (their byte
+        lengths, a record section as ``(count, 21)``): each boundary short
+        of the end, and one byte into each section and its last record."""
+        points, at = set(), 0
+        for section in sections:
+            count, size = section if isinstance(section, tuple) else (1, section)
+            points |= {at, at + 1}
+            if count:
+                points.add(at + (count - 1) * size + 1)
+            at += count * size
+        return sorted(p for p in points if p < at)
+
+    @pytest.mark.parametrize(
+        "msg_type", [MSG_SNAPSHOT, MSG_SWAP], ids=["snapshot", "swap"]
+    )
+    def test_a_cut_state_keeps_the_old_plane(self, peer, msg_type):
+        daemons, (header, fib, rib), snapshot = peer
+        payload = node_state(header, fib, rib, snapshot)
+        json_len = len(encode_json(header))
+        rows = [4, (len(fib), 21), 4, (len(rib), 21)]
+        head = 4 + json_len + 8 + 21 * (len(fib) + len(rib))
+        for cut in self.cuts([4, json_len] + rows):
+            self.refused(daemons, msg_type, payload[:cut], "ProtocolError: ")
+        # Cut in the snapshot, at its start and one byte short of its end.
+        for cut in (head, head + 1, len(payload) - 1):
+            self.refused(daemons, msg_type, payload[:cut], "SnapshotError: ")
+        assert daemons[1]._dispatch(msg_type, payload)[0] == RSP_OK
+
+    @pytest.mark.skipif(not shm.available(), reason="no writable /dev/shm")
+    def test_a_cut_state_ref_keeps_the_old_plane(self, peer):
+        daemons, (header, fib, rib), snapshot = peer
+        publisher = shm.SegmentPublisher(
+            prefix=f"{shm.SEGMENT_PREFIX}test-{os.getpid():x}-"
+        )
+        try:
+            segment = publisher.publish(snapshot)
+            header = dict(header, segment={
+                "name": segment.name, "fingerprint": segment.fingerprint,
+            })
+            payload = node_state(header, fib, rib, b"")
+            sections = [
+                4, len(encode_json(header)), 4, (len(fib), 21), 4,
+                (len(rib), 21),
+            ]
+            for cut in self.cuts(sections):
+                self.refused(
+                    daemons, MSG_STATE_REF, payload[:cut], "ProtocolError: "
+                )
+            assert daemons[1]._dispatch(MSG_STATE_REF, payload)[0] == RSP_OK
+        finally:
+            if daemons[1]._attached is not None:
+                daemons[1]._attached.close()
+            publisher.close()
+
+    def test_a_cut_adopt_lands_no_entry(self, peer):
+        daemons, (_, _, rib), _ = peer
+        payload = pack_records(rib[:3])
+        for cut in self.cuts([4, (3, 21)]):
+            self.refused(daemons, MSG_ADOPT, payload[:cut], "ProtocolError: ")
+        self.refused(
+            daemons, MSG_ADOPT, payload + b"\x00",
+            "ProtocolError: adopted RIB rows length 68 != expected 67",
+        )
+        rsp_type, rsp = daemons[1]._dispatch(MSG_ADOPT, payload)
+        assert (rsp_type, decode_json(rsp)) == (RSP_OK, {"adopted": 3})
+
+    @pytest.mark.parametrize("section", ["FIB", "RIB", "ADOPT"])
+    def test_a_row_that_is_not_an_insert_is_refused(self, peer, section):
+        daemons, (header, fib, rib), snapshot = peer
+        fib, rib = fib.copy(), rib.copy()
+        rows = fib if section == "FIB" else rib
+        rows["op"][1] = OP_REMOVE
+        if section == "ADOPT":
+            msg_type, payload = MSG_ADOPT, pack_records(rib)
+            section = "adopted RIB"
+        else:
+            msg_type = MSG_SNAPSHOT
+            payload = node_state(header, fib, rib, snapshot)
+        self.refused(
+            daemons, msg_type, payload,
+            f"ProtocolError: {section} rows record 1: unexpected op 2",
+        )
+        rows["op"][1] = OP_INSERT
+        good = (
+            pack_records(rib) if msg_type == MSG_ADOPT
+            else node_state(header, fib, rib, snapshot)
+        )
+        assert daemons[1]._dispatch(msg_type, good)[0] == RSP_OK
+
+    def test_a_rib_row_for_a_node_beyond_the_cluster_is_refused(self, peer):
+        daemons, (header, fib, rib), snapshot = peer
+        bad = rib.copy()
+        bad["node"][4] = header["num_nodes"]
+        self.refused(
+            daemons, MSG_SNAPSHOT, node_state(header, fib, bad, snapshot),
+            "ValueError: handling node 2 out of range",
+        )
+        assert daemons[1]._dispatch(
+            MSG_SNAPSHOT, node_state(header, fib, rib, snapshot)
+        )[0] == RSP_OK
+
+    def test_a_fib_capacity_past_the_separator_is_refused_unallocated(
+        self, peer, monkeypatch
+    ):
+        daemons, (header, fib, rib), snapshot = peer
+        limit = 2 * KEYS_PER_BLOCK * daemons[1].node.gpt.setsep.num_blocks
+        assert header["fib_capacity"] <= limit
+        built = []
+        monkeypatch.setattr(
+            daemon_module, "CuckooHashTable",
+            lambda capacity: built.append(capacity) or CuckooHashTable(capacity),
+        )
+        for capacity in (limit + 1, 2**40, 0, -1, 1.5, "7", True, None):
+            self.refused(
+                daemons, MSG_SNAPSHOT,
+                node_state(
+                    dict(header, fib_capacity=capacity), fib, rib, snapshot
+                ),
+                re.escape(
+                    f"ValueError: FIB capacity {capacity!r} is not 1..{limit}"
+                ),
+            )
+        assert built == []
+        assert daemons[1]._dispatch(
+            MSG_SNAPSHOT, node_state(header, fib, rib, snapshot)
+        )[0] == RSP_OK
+        assert built == [header["fib_capacity"]]
 
 
 class TestDaemonFlush:
@@ -935,8 +1055,8 @@ class TestDaemonFlush:
         assert rsp_type == RSP_OK
         assert decode_json(rsp)["flushed_deltas"] == 1
         assert not daemons[0]._delayed_deltas
-        assert serialize.fingerprint(daemons[2].gpt.setsep) == (
-            serialize.fingerprint(daemons[0].gpt.setsep)
+        assert serialize.fingerprint(daemons[2].node.gpt.setsep) == (
+            serialize.fingerprint(daemons[0].node.gpt.setsep)
         )
 
     def test_transport_error_keeps_the_undelivered_queued(self, delayed):
@@ -950,7 +1070,7 @@ class TestDaemonFlush:
         assert rsp_type == RSP_OK
         assert decode_json(rsp)["flushed_deltas"] == 2
         assert len(
-            {serialize.fingerprint(d.gpt.setsep) for d in daemons}
+            {serialize.fingerprint(d.node.gpt.setsep) for d in daemons}
         ) == 1
 
     def test_flushed_deltas_are_accounted_on_delivery(self, delayed):
@@ -1038,7 +1158,7 @@ class TestEngineAgainstDaemons:
         prints = {
             serialize.fingerprint(node.gpt.setsep)
             for node in gateway.cluster.nodes
-        } | {serialize.fingerprint(d.gpt.setsep) for d in daemons}
+        } | {serialize.fingerprint(d.node.gpt.setsep) for d in daemons}
         assert len(prints) == 1
 
         # Every live key reaches its handler, from every replica.
@@ -1049,15 +1169,44 @@ class TestEngineAgainstDaemons:
         handlers = np.asarray([r.handling_node for r in records])
         for node, daemon in zip(gateway.cluster.nodes, daemons):
             assert np.array_equal(node.gpt.lookup_batch(keys), handlers)
-            assert np.array_equal(daemon.gpt.lookup_batch(keys), handlers)
+            assert np.array_equal(daemon.node.gpt.lookup_batch(keys), handlers)
         for record in records:
             handler = record.handling_node
             assert gateway.cluster.nodes[handler].fib.lookup(record.key) == (
                 record.teid
             )
-            assert daemons[handler].fib[record.key] == record.teid
-        assert sum(len(d.fib) for d in daemons) == len(live)
+        # Each daemon's FIB holds exactly its shadow node's entries.
+        assert [fib_entries(d.node.fib) for d in daemons] == [
+            fib_entries(node.fib) for node in gateway.cluster.nodes
+        ]
+        assert sum(len(d.node.fib) for d in daemons) == len(live)
         assert sum(len(d.slice) for d in daemons) == len(live)
+
+    @pytest.mark.parametrize(
+        "nodes, backend", [(2, "setsep"), (3, "othello")]
+    )
+    def test_each_daemon_fib_is_its_shadow_nodes_after_every_step(
+        self, nodes, backend, monkeypatch
+    ):
+        """The daemon's FIB is the shadow node's class at the shadow
+        node's capacity: after every churn step, each holds exactly the
+        entries (key -> TEID) of the node it mirrors, and every GPT
+        replica is the same."""
+        monkeypatch.setattr(separator_registry._registry, "chosen", backend)
+        gateway, generator, flows = started_gateway(nodes, 600, seed=23)
+        controller, daemons = wire_up(gateway)
+        assert [d.node.fib.capacity for d in daemons] == [
+            node.fib.capacity for node in gateway.cluster.nodes
+        ]
+        live, rng = list(flows), np.random.default_rng(nodes)
+        for _ in range(150):
+            controller.push_updates(churn(gateway, generator, live, rng, 1))
+            assert [fib_entries(d.node.fib) for d in daemons] == [
+                fib_entries(node.fib) for node in gateway.cluster.nodes
+            ]
+            assert {serialize.fingerprint(d.node.gpt.setsep) for d in daemons} == {
+                serialize.fingerprint(gateway.cluster.nodes[0].gpt.setsep)
+            }
 
     def test_same_fault_plan_same_accounting_and_staleness(self):
         nodes, count = 3, 300
@@ -1102,7 +1251,7 @@ class TestEngineAgainstDaemons:
             return (
                 [serialize.fingerprint(n.gpt.setsep)
                  for n in gateway.cluster.nodes],
-                [serialize.fingerprint(d.gpt.setsep) for d in daemons],
+                [serialize.fingerprint(d.node.gpt.setsep) for d in daemons],
             )
 
         def account():
