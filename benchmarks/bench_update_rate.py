@@ -20,6 +20,8 @@ from repro.cluster import Architecture, Cluster, UpdateEngine, owner
 from repro.cluster.owner import UpdateAccount
 from repro.core.group import search_group
 from repro.core.hashfamily import base_hashes
+from repro.epc.gateway import EpcGateway
+from repro.epc.traffic import FlowGenerator
 from repro.obs import MetricsRegistry, span_histogram_name
 from repro import perflab
 from benchmarks.conftest import (
@@ -252,4 +254,78 @@ def perflab_update_owner_calls(ctx):
                 derived[f"c_calls_{case}"] = c_level
             else:
                 owner.owner_step(*args)
+    ctx.record(**derived)
+
+
+GATEWAY_CALLS_FLOWS = 20_000
+
+#: The update kinds ``update.gateway_calls`` counts, in the order run.
+GATEWAY_CALL_KINDS = ("connect", "disconnect", "rehome")
+
+
+@perflab.benchmark("update.gateway_calls", figure="§4.5 update", repeats=1)
+def perflab_update_gateway_calls(ctx):
+    """Python and C-level calls of one in-process update, end to end:
+    ``EpcGateway.connect``, ``disconnect`` and ``rehome_flow`` (the
+    controller, the DPE, the owner step, the record's encode and parse,
+    three peers' apply and the cuckoo FIB op).
+
+    A started 20,000-bearer, 4-node ScaleBricks gateway; for each kind,
+    a warm-up update, then the one recorded, both counted with
+    ``sys.setprofile`` (the same counting as ``update.owner_calls``) and
+    both updates whose group keeps every incumbent index: an update that
+    moved ``setsep.bits_searched`` is done, skipped, and the next flow
+    tried.  Each group's bucket list is read once before its update is
+    counted (the owner remembers it from then on).  The counts repeat
+    exactly for a given seed, interpreter and NumPy; CI holds them under
+    :mod:`repro.perflab.gates`' budgets.
+    """
+    gen = FlowGenerator(seed=73)
+    flows = gen.flows(GATEWAY_CALLS_FLOWS + 400)
+    live, spare = flows[:GATEWAY_CALLS_FLOWS], flows[GATEWAY_CALLS_FLOWS:]
+    gateway = EpcGateway(Architecture.SCALEBRICKS, 4, 0x0A000001)
+    for flow in live:
+        gateway.connect(flow, gen.base_station_for(flow), gen.region_for(flow))
+    gateway.start()
+    searched = gateway.registry.counter("setsep.bits_searched")
+    ctx.set_params(
+        flows=GATEWAY_CALLS_FLOWS, nodes=4,
+        python=".".join(map(str, sys.version_info[:2])),
+    )
+
+    def update(kind, position):
+        """The ``position``-th update of a kind, its group's bucket list
+        read: ``(callable, arguments)``."""
+        flow = (spare if kind == "connect" else live)[position]
+        rib = gateway.cluster.rib
+        bucket = rib.bucket_of(flow.key())
+        separator = gateway.cluster.nodes[
+            rib.owner_of_block(bucket // 256)
+        ].gpt.setsep
+        separator.buckets_of_group(separator.group_of_bucket(bucket))
+        if kind == "connect":
+            return gateway.connect, (
+                flow, gen.base_station_for(flow), gen.region_for(flow)
+            )
+        if kind == "disconnect":
+            return gateway.disconnect, (flow,)
+        node = gateway.controller.record_for_key(flow.key()).handling_node
+        return gateway.rehome_flow, (flow, (node + 1) % 4)
+
+    # Disconnects take flows from the front of ``live``, rehomes from
+    # the back, so no flow is named twice.
+    cursors = {"connect": 0, "disconnect": 0, "rehome": len(live) // 2}
+    derived = {}
+    for kind in GATEWAY_CALL_KINDS:
+        for counted in (False, True):
+            while True:
+                fn, args = update(kind, cursors[kind])
+                cursors[kind] += 1
+                before = searched.value
+                python, c_level = count_calls(fn, *args)
+                if searched.value == before:
+                    break
+            if counted:
+                derived[f"python_calls_{kind}"] = python
+                derived[f"c_calls_{kind}"] = c_level
     ctx.record(**derived)

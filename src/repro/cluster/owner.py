@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields
+from itertools import repeat
 from operator import attrgetter
 from typing import (
     Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
@@ -59,14 +60,18 @@ ACCOUNT_FIELDS = tuple(f.name for f in fields(UpdateAccount))
 class OwnerStep(NamedTuple):
     """What the owner ships for one applied update."""
 
-    #: FIB messages in ship order, ``(target node, entry)``: install the
-    #: RIB entry there, or remove the key when it is ``None``.  A move
-    #: removes before it installs.
+    #: FIB messages in ship order, ``(target node, route)``: install the
+    #: route, the key's ``(node, value)``, there, or remove the key when
+    #: it is ``None``.  A move removes before it installs.
     fib_ops: tuple
     #: The rebuilt group's self-framing wire record and its size.
     wire: bytes
     bits: int
 
+
+#: ``OwnerStep((fib_ops, wire, bits))`` with no Python frame (the
+#: namedtuple's ``__new__`` is one).
+_step_of = functools.partial(tuple.__new__, OwnerStep)
 
 #: One update for :func:`owner_batch`: ``(ckey, bucket, node, value)``
 #: as :func:`owner_step` takes them (``node`` ``None`` removes the key).
@@ -154,8 +159,8 @@ def _edit_slice(rib, ckey: int, bucket: int, node: Optional[int], value: int):
         if previous is None:
             return None
         return ((previous, None),), ((), (), (ckey,))
-    entry, previous = rib._insert(bucket, ckey, node, value)
-    fib_ops = ((node, entry),)
+    previous = rib._insert(bucket, ckey, node, value)
+    fib_ops = ((node, (node, value)),)
     if previous is not None and previous != node:
         fib_ops = ((previous, None),) + fib_ops
     return fib_ops, ((ckey,), (node,), ())
@@ -179,24 +184,30 @@ def _step(acc: UpdateAccount, separator, fib_ops: tuple, record) -> OwnerStep:
     acc.fib_messages += len(fib_ops)
     acc.groups_rebuilt += 1
     params = separator.params
-    return OwnerStep(
-        fib_ops, record.wire_bytes(params), record.size_bits(params)
+    return _step_of(
+        (fib_ops, record.wire_bytes(params), record.size_bits(params))
     )
 
 
 def fan_out(
-    peers: Iterable[int], verdict_of: Callable[[int], str],
+    peers: Iterable[int], verdict_of: Optional[Callable[[int], str]],
     step: OwnerStep, delayed: List[Delayed], acc: UpdateAccount,
 ) -> List[Tuple[int, int]]:
     """Decide each live peer's copy of one record: ``(peer, copies)``.
 
     ``verdict_of(peer)`` is consulted exactly once per peer in the order
-    given (callers pass ascending ids).  Fault plans are countdowns, so
-    which peer a fault lands on depends on that order: it is part of what
-    makes a seeded run replay.  A dropped peer stays stale until a later
-    rebroadcast, a delayed ship waits on ``delayed`` for
-    :func:`flush_delayed`, and two copies exercise record idempotence.
+    given (callers pass ascending ids); ``None`` delivers one copy to
+    every peer.  Fault plans are countdowns, so which peer a fault lands
+    on depends on that order: it is part of what makes a seeded run
+    replay.  A dropped peer stays stale until a later rebroadcast, a
+    delayed ship waits on ``delayed`` for :func:`flush_delayed`, and two
+    copies exercise record idempotence.
     """
+    if verdict_of is None:
+        ships = list(zip(peers, repeat(1)))
+        acc.delta_broadcasts += len(ships)
+        acc.delta_bits += step.bits * len(ships)
+        return ships
     ships = []
     for peer in peers:
         verdict = verdict_of(peer)
@@ -242,15 +253,6 @@ def flush_delayed(
         delayed[:] = pending[sent:]
 
 
-@functools.lru_cache(maxsize=None)
-def _wire_widths(backend: str, params) -> tuple:
-    """``(names, getter, widths)``: the header widths a backend's records
-    carry, and their values in ``params`` — resolved once per table."""
-    names = separator_registry.update_record_type(backend).WIRE_WIDTHS
-    widths = attrgetter(*names)
-    return names, widths, widths(params)
-
-
 def parse_records(wire: bytes, replica) -> list:
     """Every record of a stream of self-framing wire records, parsed once.
 
@@ -264,7 +266,10 @@ def parse_records(wire: bytes, replica) -> list:
     """
     separator = getattr(replica, "setsep", replica)
     backend = separator.backend
-    names, widths, mine = _wire_widths(backend, separator.params)
+    # The header widths a backend's records carry, and the replica's.
+    names = separator_registry.update_record_type(backend).WIRE_WIDTHS
+    widths = attrgetter(*names)
+    mine = widths(separator.params)
     records = []
     for record, params in separator_registry.parse_update_stream(
         wire, backend

@@ -281,7 +281,8 @@ class RoutingInformationBase:
     def insert(self, key: Key, node: int, value: int) -> RibEntry:
         """Insert or overwrite the authoritative record for ``key``."""
         ckey = hashfamily.canonical_key(key)
-        return self._insert(self.bucket_of(ckey), ckey, node, value)[0]
+        self._insert(self.bucket_of(ckey), ckey, node, value)
+        return RibEntry(ckey, node, value)
 
     def insert_many(self, keys, nodes, values) -> None:
         """:meth:`insert` of each row, in order, from three columns.
@@ -410,8 +411,8 @@ class RoutingInformationBase:
 
     def _insert(
         self, bucket: int, ckey: int, node: int, value: int
-    ) -> Tuple[RibEntry, Optional[int]]:
-        """Insert or overwrite; the new record and the node it replaced
+    ) -> Optional[int]:
+        """Insert or overwrite; the node the record named before
         (``None`` for a new key)."""
         self.check_node(node)
         self.check_value(value)
@@ -424,7 +425,7 @@ class RoutingInformationBase:
             self._clock += 1
             self._g_entries.inc()
         self._m_inserts.inc()
-        return RibEntry(ckey, node, value), previous
+        return previous
 
     def _remove(self, bucket: int, ckey: int) -> Optional[int]:
         """Remove ``ckey``'s record; the node it named, ``None`` for an

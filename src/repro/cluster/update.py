@@ -33,10 +33,12 @@ DELTA_BITS_BUCKETS = (16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
 
 DeltaInterceptor = Callable[[int, int], str]
 
+#: Every account field at zero: the engine's one account is reset from
+#: it, in one call, at the start of each update.
+_ZERO_ACCOUNT = dict.fromkeys(owner.ACCOUNT_FIELDS, 0)
 
-def _deliver(_peer: int) -> str:
-    """The verdict for every ship when no interceptor is set."""
-    return DELIVER
+#: Integer keys in this range are already canonical.
+_KEY_MAX = (1 << 64) - 1
 
 
 #: Account fields mirrored into ``update.<field>`` registry counters (the
@@ -100,6 +102,8 @@ class UpdateEngine:
         #: owner id -> the ids of the other nodes holding a GPT replica,
         #: in ascending order (fixed for the cluster's lifetime).
         self._peers: Dict[int, Tuple[int, ...]] = {}
+        #: What the update under way costs (:meth:`_scalebricks_update`).
+        self._account = UpdateAccount()
         self.bind_registry(
             registry if registry is not None else cluster.registry
         )
@@ -107,6 +111,7 @@ class UpdateEngine:
     def bind_registry(self, registry: Optional[MetricsRegistry]) -> None:
         """Attach a metrics registry (``None`` selects the null registry)."""
         self.registry = resolve_registry(registry)
+        self._span = self.registry.span("update")
         self._counters = {
             name: self.registry.counter(f"update.{name}", description)
             for name, description in _COUNTERS.items()
@@ -136,12 +141,12 @@ class UpdateEngine:
 
     def insert_flow(self, key, node: int, value: int) -> None:
         """Add or change a flow's (handling node, value) mapping."""
-        with self.registry.span("update"):
+        with self._span:
             self._update(key, node, value)
 
     def remove_flow(self, key) -> bool:
         """Remove a flow entirely; returns whether it existed."""
-        with self.registry.span("update"):
+        with self._span:
             return self._update(key)
 
     def _update(self, key, node: Optional[int] = None, value: int = 0) -> bool:
@@ -149,7 +154,10 @@ class UpdateEngine:
         architecture; ``False`` for the removal of an unknown key."""
         cluster = self.cluster
         nodes = cluster.nodes
-        ckey = hashfamily.canonical_key(key)
+        if type(key) is int and 0 <= key <= _KEY_MAX:
+            ckey = key
+        else:
+            ckey = hashfamily.canonical_key(key)
         # One hash per update: the bucket gives the RIB slot, the block,
         # its owner and (through the owner's GPT) the group.
         bucket = cluster.rib.bucket_of(ckey)
@@ -165,7 +173,7 @@ class UpdateEngine:
         else:
             # Range-checks ``node`` before it changes or counts anything;
             # ``previous`` is the node a present key was handled on.
-            _, previous = cluster.rib._insert(bucket, ckey, node, value)
+            previous = cluster.rib._insert(bucket, ckey, node, value)
         if cluster.architecture is Architecture.HASH_PARTITION:
             # The entry lives at the key's lookup node and at its handler.
             holders = {
@@ -206,18 +214,19 @@ class UpdateEngine:
         (:func:`repro.cluster.owner.fan_out`).
         """
         nodes = self.cluster.nodes
-        acc = UpdateAccount()
+        acc = self._account
+        vars(acc).update(_ZERO_ACCOUNT)
         step = owner.owner_step(
             self.cluster.rib, nodes[owner_id].gpt, acc,
             ckey, bucket, node, value,
         )
         if step is None:
             return False
-        for target, entry in step.fib_ops:
-            if entry is None:
+        for target, route in step.fib_ops:
+            if route is None:
                 nodes[target].remove_route(ckey)
             else:
-                nodes[target].install_route(ckey, entry.node, entry.value)
+                nodes[target].install_route(ckey, *route)
         interceptor = self.delta_interceptor
         peers = self._peers.get(owner_id)
         if peers is None:
@@ -227,24 +236,28 @@ class UpdateEngine:
             )
         ships = owner.fan_out(
             peers,
-            _deliver if interceptor is None
+            None if interceptor is None
             else (lambda peer: interceptor(owner_id, peer)),
             step, self._delayed_deltas, acc,
         )
         if ships:
             # One broadcast, one parse: every peer applies the same records.
-            records = owner.parse_records(step.wire, nodes[owner_id].gpt)
-            for peer, copies in ships:
-                self._apply(peer, records * copies, step.bits)
+            self._apply(
+                ships, owner.parse_records(step.wire, nodes[owner_id].gpt),
+                step.bits,
+            )
         self._record(acc, owner_id)
         return True
 
-    def _apply(self, peer: int, records: list, bits: int) -> None:
-        """``peer`` applies parsed records (a memory copy); sized once."""
-        gpt = self.cluster.nodes[peer].gpt
-        for record in records:
-            gpt.apply_delta(record)
-        self._h_delta_bits.observe(bits)
+    def _apply(self, ships: list, records: list, bits: int) -> None:
+        """Each ``(peer, copies)`` of ``ships`` applies parsed records
+        ``copies`` times (a memory copy); each ship is sized once."""
+        nodes = self.cluster.nodes
+        for peer, copies in ships:
+            gpt = nodes[peer].gpt
+            for record in records if copies == 1 else records * copies:
+                gpt.apply_delta(record)
+        self._h_delta_bits.observe(bits, len(ships))
 
     def flush_delayed_deltas(self) -> int:
         """Deliver every delta an interceptor held back, in ship order.
@@ -258,7 +271,7 @@ class UpdateEngine:
             self._delayed_deltas,
             [n.node_id for n in nodes if n.gpt is None],
             lambda peer, wire, bits: self._apply(
-                peer, owner.parse_records(wire, nodes[peer].gpt), bits
+                [(peer, 1)], owner.parse_records(wire, nodes[peer].gpt), bits
             ),
             acc,
         )

@@ -87,11 +87,9 @@ def _layout(index_bits: int, array_bits: int, value_bits: int) -> _Layout:
     return layout
 
 
-def _put(acc: int, value: int, width: int) -> int:
-    """``acc`` with ``value`` appended as a ``width``-bit field."""
-    if value < 0 or value >> width:
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    return acc << width | value
+def _refuse(value: int, width: int) -> None:
+    """The one refusal of :meth:`GroupDelta.encode`: a field's value."""
+    raise ValueError(f"value {value} does not fit in {width} bits")
 
 
 @dataclass(frozen=True)
@@ -158,19 +156,48 @@ class GroupDelta:
             ValueError: when the record's bit count is not
                 ``params.value_bits``, or a field does not fit its width.
         """
-        if not len(self.indices) == len(self.arrays) == params.value_bits:
+        indices, arrays = self.indices, self.arrays
+        if not len(indices) == len(arrays) == params.value_bits:
             raise ValueError("delta does not match params.value_bits")
         index_bits, array_bits = params.index_bits, params.array_bits
-        acc = _put(_put(0, self.group_id, GROUP_ID_BITS), int(self.failed), 1)
-        for index, array in zip(self.indices, self.arrays):
-            acc = _put(_put(acc, index, index_bits), array, array_bits)
+        # Each field is range-checked, in wire order, then appended: a
+        # shift and an OR, inline.
+        acc = self.group_id
+        if acc < 0 or acc >> GROUP_ID_BITS:
+            _refuse(acc, GROUP_ID_BITS)
+        failed = int(self.failed)
+        if failed < 0 or failed >> 1:
+            _refuse(failed, 1)
+        acc = acc << 1 | failed
+        for index, array in zip(indices, arrays):
+            if index < 0 or index >> index_bits:
+                _refuse(index, index_bits)
+            if array < 0 or array >> array_bits:
+                _refuse(array, array_bits)
+            acc = (acc << index_bits | index) << array_bits | array
         upserts, removals = self.fallback_upserts, self.fallback_removals
-        acc = _put(_put(acc, len(upserts), COUNT_BITS), len(removals), COUNT_BITS)
+        n_upserts, n_removals = len(upserts), len(removals)
+        if n_upserts >> COUNT_BITS:
+            _refuse(n_upserts, COUNT_BITS)
+        if n_removals >> COUNT_BITS:
+            _refuse(n_removals, COUNT_BITS)
+        acc = (acc << COUNT_BITS | n_upserts) << COUNT_BITS | n_removals
         for key, value in upserts:
-            acc = _put(_put(acc, key, FALLBACK_KEY_BITS), value, FALLBACK_VALUE_BITS)
+            if key < 0 or key >> FALLBACK_KEY_BITS:
+                _refuse(key, FALLBACK_KEY_BITS)
+            if value < 0 or value >> FALLBACK_VALUE_BITS:
+                _refuse(value, FALLBACK_VALUE_BITS)
+            acc = (acc << FALLBACK_KEY_BITS | key) << FALLBACK_VALUE_BITS | value
         for key in removals:
-            acc = _put(acc, key, FALLBACK_KEY_BITS)
-        bits = self.size_bits(params)
+            if key < 0 or key >> FALLBACK_KEY_BITS:
+                _refuse(key, FALLBACK_KEY_BITS)
+            acc = acc << FALLBACK_KEY_BITS | key
+        layout = _LAYOUTS.get(
+            (index_bits, array_bits, params.value_bits)
+        ) or _layout(index_bits, array_bits, params.value_bits)
+        bits = layout.head_bits + n_upserts * _UPSERT_BITS + (
+            n_removals * FALLBACK_KEY_BITS
+        )
         size = (bits + 7) // 8
         return (acc << (size * 8 - bits)).to_bytes(size, "big")
 
@@ -215,10 +242,14 @@ class GroupDelta:
         end = body_start + body_len
         if end > len(data):
             raise DeltaWireError("delta frame truncated in body")
-        try:
-            layout = _layout(index_bits, array_bits, value_bits)
-        except ValueError as exc:
-            raise DeltaWireError(f"impossible delta header: {exc}") from exc
+        layout = _LAYOUTS.get((index_bits, array_bits, value_bits))
+        if layout is None:
+            try:
+                layout = _layout(index_bits, array_bits, value_bits)
+            except ValueError as exc:
+                raise DeltaWireError(
+                    f"impossible delta header: {exc}"
+                ) from exc
         try:
             delta, bits = cls._decode(data[body_start:end], layout)
         except EOFError as exc:
@@ -292,9 +323,10 @@ class GroupDelta:
         params = setsep.params
         if not 0 <= self.group_id < setsep.num_groups:
             raise DeltaWireError(f"group id {self.group_id} out of range")
-        if not self.failed and params.max_index in self.indices:
+        failure_index = (1 << params.index_bits) - 1  # ``max_index``
+        if not self.failed and failure_index in self.indices:
             raise DeltaWireError(
-                f"live record holds the failure index {params.max_index}"
+                f"live record holds the failure index {failure_index}"
             )
         value_bits = params.value_bits
         for _, value in self.fallback_upserts:

@@ -43,6 +43,11 @@ class GroupFunction(NamedTuple):
     iterations: int
 
 
+#: ``GroupFunction((index, array, iterations))`` with no Python frame
+#: (the namedtuple's ``__new__`` is one): the incumbent test makes one per
+#: kept value bit.
+_function_of = functools.partial(tuple.__new__, GroupFunction)
+
 #: Right shifts that split a value into its bits (``value_bits <= 16``),
 #: as wide as the slot masks the bits multiply.
 _BIT_SHIFTS = np.arange(16, dtype=np.uint64)
@@ -207,9 +212,11 @@ def search_groups(
     two halves share no slot.
     """
     vb = params.value_bits
-    max_index = params.max_index
+    max_index = (1 << params.index_bits) - 1
     values = np.asarray(values, dtype=np.uint32)
-    found: List[Optional[list]] = [[None] * vb for _ in bounds[1:]]
+    found: List[Optional[list]] = []
+    for _ in range(len(bounds) - 1):
+        found.append([None] * vb)
     if incumbents is not None and bounds[-1]:
         _keep_incumbents(g1, g2, values, bounds, params, incumbents, found)
     for group, functions in enumerate(found):
@@ -249,23 +256,27 @@ def _keep_incumbents(g1, g2, values, bounds, params, incumbents, found):
     masks = _value_sides(params.value_bits).take(values, axis=0)
     np.left_shift(masks, slots, out=masks)
     # The rows of an empty group would reduce its successor's first row:
-    # reduce only where rows are, each up to the next start.
-    held = [
-        group for group, start in enumerate(bounds[:-1])
-        if start < bounds[group + 1]
-    ]
+    # reduce only where rows are, each up to the next start.  One group
+    # has rows (the caller saw some).
+    if len(found) == 1:
+        held = [0]
+    else:
+        held = [
+            group for group, start in enumerate(bounds[:-1])
+            if start < bounds[group + 1]
+        ]
     if len(held) == 1:
         reduced = np.bitwise_or.reduce(masks, axis=0, keepdims=True)
     else:
         offsets = [bounds[group] for group in held]
         reduced = np.bitwise_or.reduceat(masks, offsets, axis=0)
-    max_index = params.max_index
+    max_index = (1 << params.index_bits) - 1
     for group, words in zip(held, reduced.tolist()):
         functions = found[group]
         for bit, (index, word) in enumerate(zip(listed[group], words)):
             array = word >> 32
             if not array & word and index < max_index:
-                functions[bit] = GroupFunction(index, array, 1)
+                functions[bit] = _function_of((index, array, 1))
 
 
 def search_joint(

@@ -70,6 +70,10 @@ _STREAM_G2 = np.uint64(_G2_INT)
 _STREAM_BUCKET = np.uint64(_BUCKET_INT)
 _STREAM_FIB = np.uint64(_FIB_INT)
 _STREAM_TAG = np.uint64(_TAG_INT)
+#: The FIB and tag streams as plain ints, for the cuckoo FIB's scalar
+#: ops, which inline their rounds (one call per op, not one per round).
+FIB_STREAM_INT = _FIB_INT
+TAG_STREAM_INT = _TAG_INT
 
 #: Width of the cuckoo FIB's partial-key tag (MemC3); the tag, never zero,
 #: derives a key's alternate bucket.
@@ -417,8 +421,12 @@ def tag_hash(keys: np.ndarray) -> np.ndarray:
 
 
 def bucket_hash_int(key: int) -> int:
-    """:func:`bucket_hash` of one canonical key."""
-    return splitmix64_int(key ^ _BUCKET_INT)
+    """:func:`bucket_hash` of one canonical key (:func:`splitmix64_int`
+    inlined: every update hashes its key with it)."""
+    x = (key ^ _BUCKET_INT) + 0x9E3779B97F4A7C15 & _MASK64
+    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    x = (x ^ x >> 27) * 0x94D049BB133111EB & _MASK64
+    return x ^ x >> 31
 
 
 def separator_int(key: int) -> List[int]:

@@ -190,15 +190,17 @@ def update_record_type(backend: str):
     return GroupDelta
 
 
-def parse_update_stream(data: bytes, backend: str):
+def parse_update_stream(data: bytes, backend: str) -> list:
     """Frame every update record out of a concatenated wire payload.
 
-    Yields ``(record, params)`` pairs; both record types are
-    self-delimiting, so one loop serves the daemons' batched delta
-    broadcasts for either backend.
+    Returns the ``(record, params)`` pairs, or raises before returning
+    any; both record types are self-delimiting, so one loop serves the
+    daemons' batched delta broadcasts for either backend.
     """
     record_type = update_record_type(backend)
-    offset = 0
-    while offset < len(data):
+    pairs = []
+    offset, end = 0, len(data)
+    while offset < end:
         record, params, offset = record_type.from_wire_bytes(data, offset)
-        yield record, params
+        pairs.append((record, params))
+    return pairs

@@ -71,6 +71,8 @@ class SetSep:
             raise ValueError("failed_groups shape does not match num_blocks")
         self.params = params
         self.num_blocks = num_blocks
+        #: Second-level groups (64 per block): fixed, as ``num_blocks`` is.
+        self.num_groups = num_groups
         #: ``2**b`` for each value bit ``b``: a lookup's bits dotted with
         #: these are its value.
         self._bit_weights = np.left_shift(
@@ -85,6 +87,13 @@ class SetSep:
         self.indices = indices
         self.arrays = arrays
         self.failed_groups = failed_groups
+        # ``apply_delta``'s way in (the arrays are written in place, never
+        # replaced): flat views, a group's row ``value_bits`` items from
+        # ``group * value_bits``; a few memoryview item writes cost about
+        # two thirds of a NumPy row assignment.
+        self._index_view = memoryview(indices).cast("B").cast(indices.dtype.char)
+        self._array_view = memoryview(arrays).cast("B").cast(arrays.dtype.char)
+        self._failed_view = memoryview(failed_groups)
         self.fallback = fallback if fallback is not None else FallbackTable()
         self.bind_registry(registry)
 
@@ -134,11 +143,6 @@ class SetSep:
     def num_buckets(self) -> int:
         """First-level buckets (256 per block)."""
         return self.num_blocks * BUCKETS_PER_BLOCK
-
-    @property
-    def num_groups(self) -> int:
-        """Second-level groups (64 per block)."""
-        return self.num_blocks * GROUPS_PER_BLOCK
 
     # ------------------------------------------------------------------
     # Lookup
@@ -329,7 +333,7 @@ class SetSep:
             groups.append(int(group_id))
             batches.append(batch)
             columns.append(values_arr)
-            removals.append([hashfamily.canonical_key(k) for k in removed_keys])
+            removals.append(list(map(hashfamily.canonical_key, removed_keys)))
             bounds.append(bounds[-1] + len(values_arr))
         if not groups:
             return []
@@ -355,22 +359,20 @@ class SetSep:
         # so indices depend on this replica's history; failure does not.
         # A failed group has nothing to keep: its row is the sentinel.
         incumbents = self.indices.take(groups, axis=0)
-        was_failed = [bool(self.failed_groups[group]) for group in groups]
-        for job, failed in enumerate(was_failed):
-            if failed:
-                incumbents[job] = params.max_index
+        was_failed = list(map(self._failed_view.__getitem__, groups))
+        if True in was_failed:
+            incumbents[was_failed] = (1 << params.index_bits) - 1
         found = group_search.search_groups(
             hashes[1], hashes[2], all_values, bounds, params, incumbents
         )
         deltas = []
+        failures = kept_bits = 0
         for job, (functions, incumbent) in enumerate(
             zip(found, incumbents.tolist())
         ):
             group_id, removed = groups[job], removals[job]
-            self._m_rebuilds.inc()
             if functions is None:
-                self._m_rebuild_failures.inc()
-                self._m_bits_searched.inc(vb)
+                failures += 1
                 delta = GroupDelta._of(
                     group_id, True, (0,) * vb, (0,) * vb,
                     tuple(zip(
@@ -380,9 +382,7 @@ class SetSep:
                 )
             else:
                 indices, arrays, _ = zip(*functions)
-                kept = sum(map(operator.eq, indices, incumbent))
-                self._m_bits_kept.inc(kept)
-                self._m_bits_searched.inc(vb - kept)
+                kept_bits += sum(map(operator.eq, indices, incumbent))
                 if was_failed[job]:  # the group leaves the fallback
                     removed += batches[job].keys.tolist()
                 delta = GroupDelta._of(
@@ -390,6 +390,14 @@ class SetSep:
                 )
             self.apply_delta(delta)
             deltas.append(delta)
+        # Counted once per call, a zero not at all: the totals per job.
+        self._m_rebuilds.inc(len(groups))
+        if failures:
+            self._m_rebuild_failures.inc(failures)
+        if kept_bits:
+            self._m_bits_kept.inc(kept_bits)
+        if kept_bits < vb * len(groups):
+            self._m_bits_searched.inc(vb * len(groups) - kept_bits)
         return deltas
 
     def apply_delta(self, delta: GroupDelta) -> None:
@@ -397,12 +405,17 @@ class SetSep:
         g = delta.group_id
         if not 0 <= g < self.num_groups:
             raise ValueError(f"group id {g} out of range")
-        if not len(delta.indices) == len(delta.arrays) == self.params.value_bits:
+        vb = self.params.value_bits
+        if not len(delta.indices) == len(delta.arrays) == vb:
             raise ValueError("delta does not match params.value_bits")
         self._m_deltas_applied.inc()
-        self.indices[g] = delta.indices
-        self.arrays[g] = delta.arrays
-        self.failed_groups[g] = delta.failed
+        index_view, array_view = self._index_view, self._array_view
+        indices, arrays = delta.indices, delta.arrays
+        start = g * vb
+        for bit in range(vb):
+            index_view[start + bit] = indices[bit]
+            array_view[start + bit] = arrays[bit]
+        self._failed_view[g] = delta.failed
         for key in delta.fallback_removals:
             self.fallback.remove(key)
         for key, value in delta.fallback_upserts:

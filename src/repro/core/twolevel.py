@@ -92,6 +92,9 @@ def _build_candidate_table(seed: int = 0xB10C) -> np.ndarray:
 #: The shared bucket-to-candidate-group table (256 buckets x 4 candidates).
 CANDIDATE_TABLE: np.ndarray = _build_candidate_table()
 
+#: The largest integer key that is already canonical.
+_KEY_MAX = (1 << 64) - 1
+
 #: :data:`CANDIDATE_TABLE` as nested lists, for plain-int loops.
 _CANDIDATE_ROWS = CANDIDATE_TABLE.tolist()
 
@@ -141,11 +144,15 @@ def bucket_ids(keys: np.ndarray, num_blocks: int) -> np.ndarray:
 
 
 def bucket_id(key: hashfamily.Key, num_blocks: int) -> int:
-    """:func:`bucket_ids` of one key, in plain ints."""
-    return hashfamily.reduce_range_int(
-        hashfamily.bucket_hash_int(hashfamily.canonical_key(key)),
-        num_blocks * BUCKETS_PER_BLOCK,
-    )
+    """:func:`bucket_ids` of one key, in plain ints (an int already in
+    the key space skips canonicalisation, and the range reduction is
+    inlined)."""
+    if type(key) is not int or not 0 <= key <= _KEY_MAX:
+        key = hashfamily.canonical_key(key)
+    return (
+        (hashfamily.bucket_hash_int(key) >> 32)
+        * (num_blocks * BUCKETS_PER_BLOCK)
+    ) >> 32
 
 
 def block_of_buckets(buckets: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import operator
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -238,8 +238,13 @@ class EpcController:
             raise KeyError(f"no bearer for flow {flow}")
         return key, teid
 
-    def rehome(self, flow: FlowTuple, new_node: int) -> FlowRecord:
+    def rehome(
+        self, flow: Union[FlowTuple, FlowRecord], new_node: int
+    ) -> FlowRecord:
         """Re-pin a bearer to another handling node (same TEID).
+
+        ``flow`` is the bearer's 5-tuple, or a record of it, whose key is
+        read instead of hashed again.
 
         Raises:
             ValueError: if ``new_node`` is not an integer node id below
@@ -247,7 +252,13 @@ class EpcController:
             KeyError: if the flow has no bearer.
         """
         new_node = check_node_id(new_node, self.num_nodes, "new_node")
-        key, teid = self._live_teid(flow)
+        if type(flow) is FlowRecord:
+            key, flow = flow.key, flow.flow
+            teid = self._teid_of.get(key)
+            if teid is None:
+                raise KeyError(f"no bearer for flow {flow}")
+        else:
+            key, teid = self._live_teid(flow)
         self._node_view[teid] = new_node
         return self._record(key, teid, flow)
 

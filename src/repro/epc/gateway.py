@@ -192,7 +192,7 @@ class EpcGateway:
             return record
         context = self.dpes[record.handling_node].export_context(record.teid)
         self.dpes[new_node].import_context(context)
-        moved = self.controller.rehome(flow, new_node)
+        moved = self.controller.rehome(record, new_node)  # hashed once
         if self.updates is not None:
             self.updates.insert_flow(moved.key, new_node, moved.teid)
         return moved

@@ -40,6 +40,13 @@ MAX_BFS_DEPTH = 4
 #: Tag width in bits (partial key stored logically alongside each slot).
 TAG_BITS = hashfamily.TAG_BITS
 
+_TAG_MASK = (1 << TAG_BITS) - 1
+_FIB_INT = hashfamily.FIB_STREAM_INT
+_TAG_INT = hashfamily.TAG_STREAM_INT
+_MASK64 = (1 << 64) - 1
+#: The integer sidecar's range: a value outside it cannot be stored.
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
 #: The batched probe's constants, as arrays (a ufunc takes a 0-d array
 #: at an array's cost, a scalar at up to twice it): each of a key's 8
 #: candidates relative to its bucket's first slot, log2 of the slots per
@@ -109,6 +116,13 @@ class CuckooHashTable(FibTable):
         # lookup can gather values without touching Python objects.
         self._int_values = np.zeros(num_slots, dtype=np.int64)
         self._int_ok = np.zeros(num_slots, dtype=bool)
+        # The scalar ops' way in (the arrays are never replaced): a
+        # memoryview item costs a third of a NumPy scalar, and a slice of
+        # one bucket reads its four slots in one step.
+        self._key_view = memoryview(self._keys)
+        self._occupied_view = memoryview(self._occupied)
+        self._int_view = memoryview(self._int_values)
+        self._int_ok_view = memoryview(self._int_ok)
         #: Whether a value that is not an integer was ever stored: until
         #: one is, every hit holds an integer and the array-native lookup
         #: skips its test.
@@ -122,52 +136,115 @@ class CuckooHashTable(FibTable):
     # Hashing
     # ------------------------------------------------------------------
 
-    # Single-key hashing runs in plain ints (the ``*_int`` twins of the
-    # vectorised streams ``lookup_slots`` uses).
+    # Single-key hashing runs in plain ints, the rounds inlined (the
+    # ``*_int`` twins of the vectorised streams ``lookup_slots`` uses).
 
-    def _index_pair(self, key: int) -> Tuple[int, int]:
-        """Primary and alternate bucket of a key."""
-        primary = hashfamily.fib_hash_int(key) & self._bucket_mask_int
-        return primary, self._alt_bucket(primary, self._tag(key))
+    def _find(self, key: Key) -> Tuple[int, int, int, int]:
+        """``(ckey, slot, first, second)`` of one key: ``slot`` holds it,
+        ``-1`` when none does; ``first`` and ``second`` are the first
+        slots of its primary and alternate buckets.
 
-    def _tag(self, key: int) -> int:
-        """Partial-key tag (never zero, so zero can mean "empty")."""
-        return hashfamily.tag_hash_int(key) & ((1 << TAG_BITS) - 1) or 1
+        The primary bucket is probed first, and only a key it does not
+        hold pays for the alternate bucket's two rounds (``second`` is
+        ``-1`` then).  An integer key outside ``[0, 2**64)`` is a
+        ``ValueError`` (:func:`~repro.hashtables.interface.canonical`).
+        """
+        if type(key) is int and 0 <= key <= _MASK64:
+            ckey = key
+        else:
+            ckey = canonical(key)
+        x = (ckey ^ _FIB_INT) + 0x9E3779B97F4A7C15 & _MASK64
+        x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+        x = (x ^ x >> 27) * 0x94D049BB133111EB & _MASK64
+        bucket = (x ^ x >> 31) & self._bucket_mask_int
+        first = bucket * SLOTS_PER_BUCKET
+        keys, occupied = self._key_view, self._occupied_view
+        row = keys[first:first + SLOTS_PER_BUCKET].tolist()
+        if ckey in row:
+            slot = first + row.index(ckey)
+            if occupied[slot]:
+                return ckey, slot, first, -1
+        second = self._alt_bucket(bucket, ckey) * SLOTS_PER_BUCKET
+        # A free slot reads as key 0: where a free slot matched, the
+        # primary bucket is tested slot by slot too.
+        for start in (first, second) if ckey in row else (second,):
+            row = keys[start:start + SLOTS_PER_BUCKET].tolist()
+            if ckey in row:
+                for slot, held in enumerate(row, start):
+                    if held == ckey and occupied[slot]:
+                        return ckey, slot, first, second
+        return ckey, -1, first, second
 
-    def _alt_bucket(self, bucket: int, tag: int) -> int:
-        """The XOR-derived alternate bucket (an involution, per MemC3)."""
-        return bucket ^ hashfamily.tag_hash_int(tag) & self._bucket_mask_int
+    def _alt_bucket(self, bucket: int, ckey: int) -> int:
+        """The other bucket of ``ckey``, which sits at ``bucket``: the
+        bucket XOR the hash of its tag (an involution, per MemC3).  The
+        tag is the tag hash's low ``TAG_BITS``, never zero, so zero can
+        mean "empty"; both rounds inlined."""
+        x = (ckey ^ _TAG_INT) + 0x9E3779B97F4A7C15 & _MASK64
+        x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+        x = (x ^ x >> 27) * 0x94D049BB133111EB & _MASK64
+        x = ((x ^ x >> 31) & _TAG_MASK or 1) ^ _TAG_INT
+        x = x + 0x9E3779B97F4A7C15 & _MASK64
+        x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+        x = (x ^ x >> 27) * 0x94D049BB133111EB & _MASK64
+        return bucket ^ (x ^ x >> 31) & self._bucket_mask_int
 
     # ------------------------------------------------------------------
     # Core operations
     # ------------------------------------------------------------------
 
     def insert(self, key: Key, value: Any) -> None:
-        ckey = canonical(key)
-        b1, b2 = self._index_pair(ckey)
+        """Insert or overwrite ``key``: its slot if held, else the first
+        free slot of its primary bucket, then of its alternate, else the
+        end of the shortest relocation path (:class:`TableFullError`
+        when there is none, nothing changed).
 
-        # Overwrite if present.
-        slot = self._find_slot(ckey, b1, b2)
-        if slot is not None:
+        An integer value must fit the int64 sidecar (``OverflowError``
+        before any change); a ``bool`` is not an integer value.
+        """
+        ckey, slot, first, second = self._find(key)
+        if type(value) is int or (
+            isinstance(value, (int, np.integer))
+            and not isinstance(value, bool)
+        ):
+            int_value = int(value)
+            if not _INT64_MIN <= int_value <= _INT64_MAX:
+                raise OverflowError(
+                    f"integer value {int_value} does not fit in int64"
+                )
+        else:
+            int_value = None
+        if slot < 0:
+            occupied = self._occupied_view
+            row = occupied[first:first + SLOTS_PER_BUCKET].tolist()
+            if False in row:
+                slot = first + row.index(False)
+            else:
+                row = occupied[second:second + SLOTS_PER_BUCKET].tolist()
+                if False in row:
+                    slot = second + row.index(False)
+                else:
+                    path = self._bfs_path(first // SLOTS_PER_BUCKET,
+                                          second // SLOTS_PER_BUCKET)
+                    if path is None:
+                        raise TableFullError(
+                            "cuckoo table full at load factor "
+                            f"{self.load_factor():.3f}"
+                        )
+                    self._shift_along(path)
+                    slot = path[0]
+            self._values[slot] = value  # a packed store may refuse it
+            self._key_view[slot] = ckey
+            occupied[slot] = True
+            self._len += 1
+        else:
             self._values[slot] = value
-            self._set_int_value(slot, value)
-            return
-
-        # Empty slot in either candidate bucket.
-        for bucket in (b1, b2):
-            slot = self._empty_slot(bucket)
-            if slot is not None:
-                self._place(slot, ckey, value)
-                return
-
-        # BFS for the shortest relocation path.
-        path = self._bfs_path(b1, b2)
-        if path is None:
-            raise TableFullError(
-                f"cuckoo table full at load factor {self.load_factor():.3f}"
-            )
-        self._shift_along(path)
-        self._place(path[0], ckey, value)
+        if int_value is None:
+            self._int_ok_view[slot] = False
+            self._held_non_int = True
+        else:
+            self._int_view[slot] = int_value
+            self._int_ok_view[slot] = True
 
     def insert_many(self, keys, values) -> None:
         """Insert or overwrite many entries, leaving exactly the state a
@@ -192,7 +269,7 @@ class CuckooHashTable(FibTable):
             raise ValueError("keys and values lengths differ")
         if not values:
             return
-        is_int = [  # ``_set_int_value``'s test, plain ints first
+        is_int = [  # ``insert``'s integer test, plain ints first
             type(value) is int or (
                 isinstance(value, (int, np.integer))
                 and not isinstance(value, bool)
@@ -264,10 +341,8 @@ class CuckooHashTable(FibTable):
         flush()
 
     def lookup(self, key: Key) -> Optional[Any]:
-        ckey = canonical(key)
-        b1, b2 = self._index_pair(ckey)
-        slot = self._find_slot(ckey, b1, b2)
-        if slot is None:
+        slot = self._find(key)[1]
+        if slot < 0:
             return None
         # The separated value array costs exactly one extra indexed read.
         return self._values[slot]
@@ -345,15 +420,13 @@ class CuckooHashTable(FibTable):
         return found, np.where(found, self._int_values[slots], missing)
 
     def delete(self, key: Key) -> bool:
-        ckey = canonical(key)
-        b1, b2 = self._index_pair(ckey)
-        slot = self._find_slot(ckey, b1, b2)
-        if slot is None:
+        slot = self._find(key)[1]
+        if slot < 0:
             return False
-        self._occupied[slot] = False
-        self._keys[slot] = 0
+        self._occupied_view[slot] = False
+        self._key_view[slot] = 0
         self._values[slot] = None
-        self._int_ok[slot] = False
+        self._int_ok_view[slot] = False
         self._len -= 1
         return True
 
@@ -364,82 +437,51 @@ class CuckooHashTable(FibTable):
     # Internals
     # ------------------------------------------------------------------
 
-    def _slots_of(self, bucket: int) -> range:
-        start = bucket * SLOTS_PER_BUCKET
-        return range(start, start + SLOTS_PER_BUCKET)
-
-    def _find_slot(self, ckey: int, b1: int, b2: int) -> Optional[int]:
-        for bucket in (b1, b2):
-            for slot in self._slots_of(bucket):
-                if self._occupied[slot] and int(self._keys[slot]) == ckey:
-                    return slot
-        return None
-
-    def _empty_slot(self, bucket: int) -> Optional[int]:
-        for slot in self._slots_of(bucket):
-            if not self._occupied[slot]:
-                return slot
-        return None
-
-    def _set_int_value(self, slot: int, value: Any) -> None:
-        """Keep the integer sidecar coherent with the value array."""
-        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-            self._int_values[slot] = int(value)
-            self._int_ok[slot] = True
-        else:
-            self._int_ok[slot] = False
-            self._held_non_int = True
-
-    def _place(self, slot: int, ckey: int, value: Any) -> None:
-        self._keys[slot] = ckey
-        self._occupied[slot] = True
-        self._values[slot] = value
-        self._set_int_value(slot, value)
-        self._len += 1
-
     def _bfs_path(self, b1: int, b2: int) -> Optional[List[int]]:
         """Shortest chain of slots ending at an empty slot.
 
         Returns slot ids ``[s0, s1, ..., empty]`` where each occupant of
         ``s_i`` moves to ``s_{i+1}``; ``s0`` is freed for the new key.
         """
-        # Each queue entry: (bucket, path-of-slots-to-reach-it).
+        occupied, keys = self._occupied_view, self._key_view
+        # Each queue entry: (slot, path-of-slots-to-reach-it).
         queue: Deque[Tuple[int, Tuple[int, ...]]] = deque()
         visited = {b1, b2}
         for bucket in (b1, b2):
-            for slot in self._slots_of(bucket):
+            start = bucket * SLOTS_PER_BUCKET
+            for slot in range(start, start + SLOTS_PER_BUCKET):
                 queue.append((slot, (slot,)))
         steps = 0
         while queue and steps < 4096:
             steps += 1
             slot, path = queue.popleft()
-            if not self._occupied[slot]:
+            if not occupied[slot]:
                 return list(path)
             if len(path) > MAX_BFS_DEPTH:
                 continue
-            occupant = int(self._keys[slot])
-            tag = self._tag(occupant)
-            bucket = slot // SLOTS_PER_BUCKET
-            alt = self._alt_bucket(bucket, tag)
+            alt = self._alt_bucket(slot // SLOTS_PER_BUCKET, keys[slot])
             if alt in visited:
                 continue
             visited.add(alt)
-            for nxt in self._slots_of(alt):
+            start = alt * SLOTS_PER_BUCKET
+            for nxt in range(start, start + SLOTS_PER_BUCKET):
                 queue.append((nxt, path + (nxt,)))
         return None
 
     def _shift_along(self, path: List[int]) -> None:
         """Move occupants backwards along the path, values included."""
+        keys, occupied = self._key_view, self._occupied_view
+        ints, int_ok, values = self._int_view, self._int_ok_view, self._values
         for i in range(len(path) - 1, 0, -1):
             src, dst = path[i - 1], path[i]
-            self._keys[dst] = self._keys[src]
-            self._values[dst] = self._values[src]  # value moves with the key
-            self._int_values[dst] = self._int_values[src]
-            self._int_ok[dst] = self._int_ok[src]
-            self._occupied[dst] = True
-            self._occupied[src] = False
-            self._values[src] = None
-            self._int_ok[src] = False
+            keys[dst] = keys[src]
+            values[dst] = values[src]  # value moves with the key
+            ints[dst] = ints[src]
+            int_ok[dst] = int_ok[src]
+            occupied[dst] = True
+            occupied[src] = False
+            values[src] = None
+            int_ok[src] = False
             self._relocations += 1
 
     # ------------------------------------------------------------------

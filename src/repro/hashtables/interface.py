@@ -109,7 +109,16 @@ class FibTable(abc.ABC):
 
 
 def canonical(key: Key) -> int:
-    """Shared key canonicalisation (same space as SetSep keys)."""
+    """Shared key canonicalisation (same space as SetSep keys) of every
+    table's scalar ops.
+
+    An integer key must lie in ``[0, 2**64)``: one outside is a
+    ``ValueError``, as it is to :func:`checked_keys` for the batch ops,
+    never a different key taken mod ``2**64``.  Byte and text keys are
+    digested, so they have no range.
+    """
+    if isinstance(key, (int, np.integer)) and not 0 <= key < 1 << 64:
+        raise ValueError(f"key {int(key)} is outside [0, 2**64)")
     return canonical_key(key)
 
 

@@ -145,11 +145,12 @@ class Histogram:
 
     # -- observation ---------------------------------------------------
 
-    def observe(self, value: Number) -> None:
-        """Record one observation."""
-        self._counts[bisect_left(self._bounds, value)] += 1
-        self._count += 1
-        self._sum += value
+    def observe(self, value: Number, count: int = 1) -> None:
+        """Record ``count`` observations of ``value`` (one by default);
+        the sum gains ``value * count`` in one addition."""
+        self._counts[bisect_left(self._bounds, value)] += count
+        self._count += count
+        self._sum += value * count
         if value < self._min:
             self._min = value
         if value > self._max:
@@ -402,7 +403,7 @@ class _NullHistogram(Histogram):
 
     __slots__ = ()
 
-    def observe(self, value: Number) -> None:
+    def observe(self, value: Number, count: int = 1) -> None:
         pass
 
     def observe_many(self, values: Union[Sequence[Number], np.ndarray]) -> None:

@@ -201,6 +201,12 @@ HEADLINES = (
     ("update.owner_calls", "python_calls_searched"),
     ("update.owner_calls", "c_calls_kept"),
     ("update.owner_calls", "c_calls_searched"),
+    ("update.gateway_calls", "python_calls_connect"),
+    ("update.gateway_calls", "python_calls_disconnect"),
+    ("update.gateway_calls", "python_calls_rehome"),
+    ("update.gateway_calls", "c_calls_connect"),
+    ("update.gateway_calls", "c_calls_disconnect"),
+    ("update.gateway_calls", "c_calls_rehome"),
 )
 
 

@@ -367,11 +367,14 @@ def batch_calls_gate(artifact: Mapping[str, Any]) -> str:
 
 #: Python and C-level calls that ``update.owner_calls`` may count for
 #: one owner-side update, by case.  Measured only on CPython 3.11 with
-#: NumPy 2.4: 61 Python and 80 C-level calls for an insert whose group
-#: keeps every incumbent, 93 and 120 for one that searches; each budget
-#: is that reading plus the 30 calls of headroom ``batch_calls_gate``
-#: gives a batch, unverified on CI's 3.12.
-OWNER_CALLS_BUDGET = {"kept": 91, "searched": 123}
+#: NumPy 2.4: 39 Python and 81 C-level calls for an insert whose group
+#: keeps every incumbent, 73 and 123 for one that searches (61/80 and
+#: 93/120 before the record's fields were packed inline and the group's
+#: properties became attributes); each Python budget is that reading
+#: plus the 30 calls of headroom ``batch_calls_gate`` gives a batch, and
+#: the C-level budgets stay those set on the first readings (110 and
+#: 150); unverified on CI's 3.12.
+OWNER_CALLS_BUDGET = {"kept": 69, "searched": 103}
 OWNER_C_CALLS_BUDGET = {"kept": 110, "searched": 150}
 
 
@@ -408,11 +411,59 @@ def owner_calls_gate(artifact: Mapping[str, Any]) -> str:
     return line
 
 
+#: Python and C-level calls that ``update.gateway_calls`` may count for
+#: one in-process update through ``EpcGateway``, by kind, each one whose
+#: group keeps every incumbent.  Measured only on CPython 3.11 with
+#: NumPy 2.4: 95 / 150 for a connect, 91 / 146 for a disconnect and
+#: 98 / 151 for a rehome (the scalar-cuckoo, codec and fan-out cuts of
+#: EXPERIMENTS.md "An update pays its fixed cost once"; 154 / 152,
+#: 146 / 148 and 173 / 157 before them).  Each budget is that reading
+#: plus 15 C-level calls, or plus 10 Python calls capped at two thirds of
+#: the count before the cuts (the third fewer the gate holds: 7 and 6
+#: calls of headroom for a connect and a disconnect); unverified on CI's
+#: 3.12.
+GATEWAY_CALLS_BUDGET = {"connect": 102, "disconnect": 97, "rehome": 108}
+GATEWAY_C_CALLS_BUDGET = {"connect": 165, "disconnect": 161, "rehome": 166}
+
+
+def gateway_calls_gate(artifact: Mapping[str, Any]) -> str:
+    """One in-process connect, disconnect or rehome makes no more Python
+    and C-level calls than budgeted.
+
+    ``update.gateway_calls`` counts the ``sys.setprofile`` ``call`` and
+    ``c_call`` events of one ``EpcGateway`` update on a started
+    20,000-bearer gateway: the controller, the DPE, the owner step, the
+    record's encode and parse, three peers' apply and the cuckoo FIB op.
+    A helper call per hash round, per slot or per peer again shows as a
+    few calls more per update, past the headroom.
+    """
+    cases = [
+        (kind, case, budget[case])
+        for kind, budget in (("python", GATEWAY_CALLS_BUDGET),
+                             ("c", GATEWAY_C_CALLS_BUDGET))
+        for case in ("connect", "disconnect", "rehome")
+    ]
+    counts = _read(
+        artifact, "update.gateway_calls",
+        *(f"{kind}_calls_{case}" for kind, case, _ in cases),
+    )
+    line = "calls of one gateway update: " + ", ".join(
+        f"{kind} {count:.0f} {case} (budget {budget})"
+        for (kind, case, budget), count in zip(cases, counts)
+    )
+    if not all(
+        0 < count <= budget for (_, _, budget), count in zip(cases, counts)
+    ):
+        raise GateFailure(f"{line}: over budget")
+    return line
+
+
 #: Every gate CI runs on the smoke artifact.
 GATES = (
     fastpath_gate, group_scan_gate, othello_gate, fabric_gate,
     batch_cost_gate, codec_cost_gate, dpe_batch_gate, build_cost_gate,
     bearer_bytes_gate, batch_calls_gate, owner_calls_gate,
+    gateway_calls_gate,
 )
 
 

@@ -473,9 +473,9 @@ class NodeDaemon:
             if step is None:
                 continue  # unknown key: not an update
             self._c_groups_rebuilt.inc()
-            for target, entry in step.fib_ops:
+            for target, route in step.fib_ops:
                 fib_batches.setdefault(target, []).append(
-                    UpdateOp(OP_REMOVE, op.key) if entry is None else
+                    UpdateOp(OP_REMOVE, op.key) if route is None else
                     UpdateOp(OP_INSERT, op.key, op.node, op.value, op.bs_ip)
                 )
             log_wires.append(step.wire)

@@ -298,6 +298,22 @@ class TestRefusalsBeforeChange:
             record.key, record.handling_node, BS
         )
 
+    def test_rehome_takes_the_bearers_record(self):
+        """A record's key is read, not hashed again: the same move as by
+        the 5-tuple, and a record of a torn-down bearer is a KeyError."""
+        by_flow, by_record = EpcController(4), EpcController(4)
+        for ctrl in (by_flow, by_record):
+            ctrl.establish_bearer(flow(0), BS)
+            ctrl.establish_bearer(flow(1), BS)
+        record = by_record.record_for_key(flow(1).key())
+        moved = by_record.rehome(record, 3)
+        assert moved == by_flow.rehome(flow(1), 3)
+        assert moved.flow == flow(1) and moved.handling_node == 3
+        assert by_record.record_for_key(record.key) == moved
+        by_record.teardown_bearer(flow(1))
+        with pytest.raises(KeyError):
+            by_record.rehome(record, 2)
+
     def test_rehome_takes_a_numpy_node_as_int(self):
         ctrl = EpcController(num_nodes=4)
         ctrl.establish_bearer(flow(0), BS)

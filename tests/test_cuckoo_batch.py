@@ -156,6 +156,46 @@ class TestBatchLookupArray:
         with pytest.raises(ValueError, match=rf"^row {row}: key {key} "):
             table.lookup_batch_array(make_batch())
 
+    @pytest.mark.parametrize(
+        "table_cls", [CuckooHashTable, RteHashTable, ChainingHashTable]
+    )
+    @pytest.mark.parametrize("op", ["insert", "delete", "lookup"])
+    @pytest.mark.parametrize(
+        "key", [2**64 + 5, -1, 2**70, -(2**64) + 5, np.int64(-3)],
+        ids=["2**64+5", "-1", "2**70", "-(2**64)+5", "int64(-3)"],
+    )
+    def test_scalar_ops_refuse_out_of_range_keys(self, table_cls, op, key):
+        """A scalar op refuses an integer key outside [0, 2**64) as the
+        batch ops do: it used to alias key mod 2**64 (``insert(2**64 +
+        5, 9)`` overwrote key 5, ``lookup(-1)`` read key 2**64 - 1)."""
+        table = table_cls(64)  # capacity, or chaining's bucket count
+        table.insert(5, 1)
+        table.insert(2**64 - 1, 2)
+        table.insert(2**64 - 3, 3)
+        args = (key, 9) if op == "insert" else (key,)
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+            getattr(table, op)(*args)
+        assert len(table) == 3
+        assert [table.lookup(k) for k in (5, 2**64 - 1, 2**64 - 3)] == [
+            1, 2, 3,
+        ]
+
+    @pytest.mark.parametrize(
+        "table_cls", [CuckooHashTable, RteHashTable, ChainingHashTable]
+    )
+    def test_scalar_ops_take_in_range_numpy_and_digested_keys(
+        self, table_cls
+    ):
+        table = table_cls(64)
+        table.insert(np.uint64(2**64 - 1), 1)
+        table.insert(np.int64(7), 2)
+        table.insert(b"flow", 3)
+        assert table.lookup(2**64 - 1) == 1
+        assert table.lookup(np.uint64(7)) == 2
+        assert table.lookup("flow") == 3
+        assert table.delete(np.uint64(2**64 - 1))
+        assert len(table) == 2
+
     @pytest.mark.parametrize("table_cls", [CuckooHashTable, RteHashTable])
     def test_in_range_edges_and_digested_keys_pass(self, table_cls):
         table = table_cls(capacity=64)
@@ -258,7 +298,7 @@ class TestPrehashedBatch:
 
 
 class TestSlotsWhereTheKernelBranches:
-    """``lookup_slots`` against the scalar ``_find_slot`` on a table that
+    """``lookup_slots`` against the scalar ``_find`` on a table that
     holds every case the batched probe tells apart: keys relocated to
     their alternate bucket, deleted slots, key 0 (an empty slot's key is
     0 too), absent keys, and a one-bucket table whose alternate bucket is
@@ -287,9 +327,10 @@ class TestSlotsWhereTheKernelBranches:
         assert len(deleted) == len(probe[:3_000:7])
         in_alternate = 0
         for key in probe[:3_000].tolist():
-            b1, b2 = table._index_pair(key)
-            slot = table._find_slot(key, b1, b2)
-            if slot is not None and b1 != b2 and slot // 4 == b2:
+            _, slot, first, _ = table._find(key)
+            b1 = first // 4
+            b2 = table._alt_bucket(b1, key)
+            if slot >= 0 and b1 != b2 and slot // 4 == b2:
                 in_alternate += 1
         assert in_alternate > 0
         assert table.lookup(0) == -5
@@ -299,16 +340,11 @@ class TestSlotsWhereTheKernelBranches:
         table, probe = churned
         keys = hashfamily.prehash(probe) if prehashed else probe
         slots = table.lookup_slots(keys)
-        expected = [
-            table._find_slot(key, *table._index_pair(key))
-            for key in probe.tolist()
-        ]
+        expected = [table._find(key)[1] for key in probe.tolist()]
         assert slots.dtype == np.int64
-        assert slots.tolist() == [
-            -1 if slot is None else slot for slot in expected
-        ]
+        assert slots.tolist() == expected
         found, values = table.lookup_batch_array(keys)
-        assert found.tolist() == [slot is not None for slot in expected]
+        assert found.tolist() == [slot >= 0 for slot in expected]
         assert values.tolist() == [
             -1 if v is None else v
             for v in (table.lookup(key) for key in probe.tolist())
@@ -327,8 +363,7 @@ class TestSlotsWhereTheKernelBranches:
         table.delete(3)
         probe = np.array([0, 3, 11, 12], dtype=np.uint64)
         assert table.lookup_slots(probe).tolist() == [
-            -1 if slot is None else slot
-            for slot in (table._find_slot(k, 0, 0) for k in probe.tolist())
+            table._find(k)[1] for k in probe.tolist()
         ]
         found, values = table.lookup_batch_array(probe)
         assert found.tolist() == [True, False, True, False]

@@ -92,6 +92,41 @@ class TestNodeDown:
                 assert result.delivered and result.value == record.teid
 
 
+class TestImpactMatchesTheDataPath:
+    """§7 isolation, checked against the data path: with each node down
+    in turn, one frame of every live flow, entering at the live nodes in
+    turn, loses exactly the flows ``impact_report`` names (its own plus
+    its collateral ones) as ``node_down``, and delivers the rest.  Which
+    ingress a dead node's share of frames would take is left out: the
+    upstream routers stop spraying to a dead node (§2)."""
+
+    @pytest.mark.parametrize("arch", [
+        Architecture.SCALEBRICKS,
+        Architecture.FULL_DUPLICATION,
+        Architecture.HASH_PARTITION,
+        pytest.param(Architecture.ROUTEBRICKS_VLB, marks=pytest.mark.xfail(
+            strict=True,
+            reason="ROADMAP item 17: a VLB transit still draws the down "
+            "node as its intermediate, which impact_report does not count",
+        )),
+    ], ids=lambda arch: arch.value)
+    def test_node_down_drops_are_the_reported_losses(self, arch):
+        gateway, flows = live_gateway(arch)
+        frames = [frame_for(flow) for flow in flows]
+        for down in range(NUM_NODES):
+            impact = impact_report(gateway.cluster, down)
+            live = [node for node in range(NUM_NODES) if node != down]
+            ingress = [live[i % len(live)] for i in range(len(frames))]
+            gateway.down_nodes = {down}
+            results = gateway.process_downstream_batch(frames, ingress)
+            reasons = [result.reason for result, _ in results]
+            assert reasons.count("node_down") == impact.lost_total, down
+            assert all(
+                result.delivered for result, _ in results
+                if result.reason != "node_down"
+            )
+
+
 class TestImpactReport:
     def test_scalebricks_isolates_failures(self):
         cluster, keys, handlers, _ = make(Architecture.SCALEBRICKS)

@@ -72,6 +72,16 @@ class TestHistogram:
         assert one.sum == pytest.approx(many.sum)
         assert (one.min, one.max) == (many.min, many.max)
 
+    def test_observe_with_a_count_is_that_many_observations(self):
+        once = Histogram("once", buckets=(16, 128, 256))
+        repeated = Histogram("repeated", buckets=(16, 128, 256))
+        for value, count in ((97, 3), (161, 1), (97, 2)):
+            once.observe(value, count)
+            for _ in range(count):
+                repeated.observe(value)
+        assert once.snapshot() == repeated.snapshot()
+        assert once.count == 6 and once.sum == 97 * 5 + 161
+
     def test_quantile_estimate(self):
         h = Histogram("h", buckets=(1, 2, 4, 8))
         h.observe_many([0.5] * 50 + [3.0] * 45 + [7.0] * 5)

@@ -567,7 +567,7 @@ class TestGroupScanGate:
             othello_rows() + fastpath_rows() + fabric_rows()
             + batch_cost_rows() + codec_cost_rows() + dpe_cost_rows()
             + build_cost_rows() + bearer_bytes_rows() + batch_calls_rows()
-            + owner_calls_rows())
+            + owner_calls_rows() + gateway_calls_rows())
         path = perflab.write_artifact(artifact, tmp_path)
         assert gates.main([str(path)]) == 0
         out = capsys.readouterr().out
@@ -579,7 +579,8 @@ class TestGroupScanGate:
         assert "cluster build: 15/15 counts as pinned" in out
         assert "heap per bearer: 430 B (budget 450 B)" in out
         assert "python -0.07 per extra frame (budget 0.50)" in out
-        assert "c 80 kept (budget 110)" in out
+        assert "c 81 kept (budget 110)" in out
+        assert "python 95 connect (budget 102)" in out
         broken = tmp_path / "broken.json"
         broken.write_text(perflab.canonical_json(
             self._artifact(keys_scanned_per_update=900.0,
@@ -597,6 +598,7 @@ class TestGroupScanGate:
         assert "gateway.bearer_bytes missing" in err
         assert "gateway.batch_calls missing" in err
         assert "update.owner_calls missing" in err
+        assert "update.gateway_calls missing" in err
 
 
 def othello_rows(rate=(6700.0, 2100.0), bits=(4.66, 3.5), skip=()):
@@ -1163,7 +1165,7 @@ class TestBatchCallsGate:
         assert extra <= gates.BATCH_CALLS_PER_EXTRA_FRAME
 
 
-def owner_calls_rows(kept=(61, 80), searched=(93, 120)):
+def owner_calls_rows(kept=(39, 81), searched=(73, 123)):
     return [make_result("update.owner_calls", [0.1], derived={
         "python_calls_kept": kept[0], "c_calls_kept": kept[1],
         "python_calls_searched": searched[0],
@@ -1177,8 +1179,8 @@ class TestOwnerCallsGate:
             make_artifact(owner_calls_rows()).to_dict())
         assert line == (
             "calls of one owner update: "
-            "python 61 kept (budget 91), python 93 searched (budget 123), "
-            "c 80 kept (budget 110), c 120 searched (budget 150)"
+            "python 39 kept (budget 69), python 73 searched (budget 103), "
+            "c 81 kept (budget 110), c 123 searched (budget 150)"
         )
         budget, c_budget = gates.OWNER_CALLS_BUDGET, gates.OWNER_C_CALLS_BUDGET
         assert gates.owner_calls_gate(make_artifact(owner_calls_rows(
@@ -1187,11 +1189,11 @@ class TestOwnerCallsGate:
         )).to_dict())
 
     @pytest.mark.parametrize("kept, searched", [
-        ((95, 80), (93, 120)),  # two Python calls per key of the group
-        ((61, 111), (93, 120)),
-        ((61, 80), (124, 120)),
-        ((61, 80), (93, 151)),
-        ((0, 80), (93, 120)), ((61, 80), (93, 0)),
+        ((73, 81), (73, 123)),  # two Python calls per key of the group
+        ((39, 111), (73, 123)),
+        ((39, 81), (104, 123)),
+        ((39, 81), (73, 151)),
+        ((0, 81), (73, 123)), ((39, 81), (73, 0)),
     ])
     def test_over_the_budget_or_empty_fails(self, kept, searched):
         with pytest.raises(gates.GateFailure, match="over budget"):
@@ -1230,6 +1232,90 @@ class TestOwnerCallsGate:
         # A search is the kept path plus the broken bits' scan.
         assert first.derived["python_calls_searched"] > (
             first.derived["python_calls_kept"])
+
+
+def gateway_calls_rows(python=(95, 91, 98), c_level=(150, 146, 151)):
+    return [make_result("update.gateway_calls", [0.1], derived={
+        **{f"python_calls_{kind}": count
+           for kind, count in zip(GATEWAY_KINDS, python)},
+        **{f"c_calls_{kind}": count
+           for kind, count in zip(GATEWAY_KINDS, c_level)},
+    })]
+
+
+GATEWAY_KINDS = ("connect", "disconnect", "rehome")
+
+
+class TestGatewayCallsGate:
+    def test_under_the_budget_passes(self):
+        line = gates.gateway_calls_gate(
+            make_artifact(gateway_calls_rows()).to_dict())
+        assert line == (
+            "calls of one gateway update: "
+            "python 95 connect (budget 102), "
+            "python 91 disconnect (budget 97), "
+            "python 98 rehome (budget 108), "
+            "c 150 connect (budget 165), c 146 disconnect (budget 161), "
+            "c 151 rehome (budget 166)"
+        )
+        python, c_level = (
+            gates.GATEWAY_CALLS_BUDGET, gates.GATEWAY_C_CALLS_BUDGET
+        )
+        assert gates.gateway_calls_gate(make_artifact(gateway_calls_rows(
+            tuple(python[kind] for kind in GATEWAY_KINDS),
+            tuple(c_level[kind] for kind in GATEWAY_KINDS),
+        )).to_dict())
+
+    def test_the_budgets_hold_a_third_off_the_uncut_path(self):
+        # Before the cuts a kept-incumbent update made 154 / 146 / 173
+        # Python calls (connect / disconnect / rehome).
+        for kind, before in zip(GATEWAY_KINDS, (154, 146, 173)):
+            assert gates.GATEWAY_CALLS_BUDGET[kind] <= before * 2 / 3
+
+    @pytest.mark.parametrize("python, c_level", [
+        ((154, 91, 98), (150, 146, 151)),  # the scalar cuckoo op again
+        ((95, 98, 98), (150, 146, 151)),
+        ((95, 91, 109), (150, 146, 151)),
+        ((95, 91, 98), (166, 146, 151)),
+        ((95, 91, 98), (150, 162, 151)),
+        ((95, 91, 98), (150, 146, 167)),
+        ((0, 91, 98), (150, 146, 151)), ((95, 91, 98), (150, 146, 0)),
+    ])
+    def test_over_the_budget_or_empty_fails(self, python, c_level):
+        with pytest.raises(gates.GateFailure, match="over budget"):
+            gates.gateway_calls_gate(
+                make_artifact(gateway_calls_rows(python, c_level)).to_dict())
+
+    def test_a_missing_row_or_metric_fails(self):
+        with pytest.raises(gates.GateFailure, match="gateway_calls missing"):
+            gates.gateway_calls_gate(make_artifact([]).to_dict())
+        for name in ("python_calls_connect", "c_calls_rehome"):
+            (row,) = gateway_calls_rows()
+            del row.derived[name]
+            with pytest.raises(gates.GateFailure, match=name):
+                gates.gateway_calls_gate(make_artifact([row]).to_dict())
+
+    def test_the_real_row_repeats_and_reads_the_budgets_names(self):
+        """The real row's counts repeat exactly, and name what the gate
+        reads.  The absolute budgets depend on the interpreter and
+        NumPy, so only CI's gate on the smoke artifact applies them."""
+        perflab.discover()
+        first, second = (
+            perflab.run_suite(
+                "smoke", scale=1, repeats=1,
+                name_filter="update.gateway_calls",
+            ).results[0]
+            for _ in range(2)
+        )
+        assert first.derived == second.derived
+        assert set(first.derived) == {
+            f"{kind}_calls_{case}"
+            for kind in ("python", "c") for case in GATEWAY_KINDS
+        }
+        for name, count in first.derived.items():
+            assert count > 0
+            assert ("update.gateway_calls", name) in (
+                perflab.artifact.HEADLINES)
 
 
 def bearer_bytes_rows(total=430.0):
