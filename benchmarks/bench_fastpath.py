@@ -291,25 +291,23 @@ def perflab_dpe_batch_cost(ctx):
         n: (
             rng.integers(1, DPE_COST_BEARERS + 1, size=n),
             rng.integers(40, 1_400, size=n),
-            np.arange(n, dtype=np.float64) * 1e-6,
         )
         for n in STAGE_COST_SIZES
     }
 
     def call_for(n):
-        teids, sizes, nows = columns[n]
-        return lambda: dpe.process_batch(teids, sizes, True, nows)
+        teids, sizes = columns[n]
+        return lambda: dpe.process_batch(teids, sizes, True)
 
     packets = list(zip(*(column.tolist() for column in columns[8])))
 
     def scalar_loop():  # one ``process`` call per packet
-        for teid, size, now in packets:
-            dpe.process(teid, size, downlink=True, now=now)
+        for teid, size in packets:
+            dpe.process(teid, size, downlink=True)
 
     best = stage_cost(ctx, call_for, also=[("scalar_at_8", 8, scalar_loop)])
     ctx.set_params(bearers=DPE_COST_BEARERS)
     ctx.record(batch_over_scalar_at_8=best[8] / best["scalar_at_8"])
-    assert dpe.policed_drops == 0
 
 
 @perflab.benchmark("fig8.forwarding.endtoend", figure="Figure 8", repeats=3)

@@ -266,6 +266,7 @@ class Cluster:
         gpt_params: Optional[SeparatorParams] = None,
         registry: Optional[MetricsRegistry] = None,
         ingress_policy: str = "random",
+        fib_factory: FibFactory = CuckooHashTable,
     ) -> None:
         if ingress_policy not in INGRESS_POLICIES:
             raise ValueError(
@@ -278,6 +279,8 @@ class Cluster:
         self.rib = rib
         self.gpt_params = gpt_params
         self.ingress_policy = ingress_policy
+        #: What built the nodes' FIBs; a resize builds the new ones with it.
+        self.fib_factory = fib_factory
         self._ingress_rr = 0
         self._rng = np.random.default_rng(0xEC)
         self.bind_registry(registry)
@@ -392,7 +395,7 @@ class Cluster:
         if len(nodes_arr) and (nodes_arr.min() < 0 or nodes_arr.max() >= num_nodes):
             raise ValueError("handling node out of range")
         if fib_factory is None:
-            fib_factory = lambda capacity: CuckooHashTable(capacity)
+            fib_factory = CuckooHashTable
         if fabric is not None and fabric_backend is not None:
             raise ValueError(
                 "pass either an explicit fabric or a fabric_backend name, "
@@ -454,6 +457,7 @@ class Cluster:
         cluster = cls(
             architecture, cluster_nodes, fabric, rib, gpt_params,
             registry=registry, ingress_policy=ingress_policy,
+            fib_factory=fib_factory,
         )
         cluster._install_all(keys_arr, nodes_arr, values_list)
         return cluster

@@ -17,10 +17,10 @@ surviving flow's (handling node, value) mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
-from repro.cluster.architectures import Architecture
-from repro.cluster.cluster import Cluster, FibFactory
+import numpy as np
+
+from repro.cluster.cluster import Cluster
 from repro.core import separator as separator_registry
 
 
@@ -42,20 +42,14 @@ class ResizeReport:
 
 
 def resize(
-    cluster: Cluster,
-    new_num_nodes: int,
-    repin: Optional[Callable[[int, int], int]] = None,
-    fib_factory: Optional[FibFactory] = None,
+    cluster: Cluster, new_num_nodes: int
 ) -> "tuple[Cluster, ResizeReport]":
     """Rebuild a cluster with a different node count from its RIB.
 
-    Args:
-        cluster: the current cluster (its RIB is authoritative).
-        new_num_nodes: target size.
-        repin: ``(key, old_node) -> new_node`` for flows whose handling
-            node no longer exists; defaults to uniform re-spread over the
-            surviving nodes by key hash.
-        fib_factory: optional FIB constructor for the new cluster.
+    The new cluster keeps the old one's architecture, separator backend,
+    FIB factory, fabric backend, ingress policy and metrics registry.  A
+    flow whose handling node no longer exists is re-spread over the
+    surviving nodes by key hash (``key % new_num_nodes``).
 
     Returns:
         ``(new_cluster, report)``.  Flows pinned to surviving nodes keep
@@ -65,23 +59,8 @@ def resize(
         raise ValueError("new_num_nodes must be positive")
     old_num_nodes = len(cluster.nodes)
     keys, nodes, values = cluster.rib.columns()
-    nodes, values = nodes.tolist(), values.tolist()
-
-    def default_repin(key: int, _old: int) -> int:
-        return key % new_num_nodes
-
-    repin = repin or default_repin
-
-    repinned = 0
-    for row, (key, node) in enumerate(zip(keys.tolist(), nodes)):
-        if node >= new_num_nodes:
-            node = repin(key, node)
-            if not 0 <= node < new_num_nodes:
-                raise ValueError(
-                    f"repin returned out-of-range node {node}"
-                )
-            nodes[row] = node
-            repinned += 1
+    gone = nodes >= new_num_nodes
+    nodes[gone] = keys[gone] % np.uint64(new_num_nodes)
 
     old_bits = _value_bits(cluster, old_num_nodes)
     gpt_params = None
@@ -98,17 +77,20 @@ def resize(
         cluster.architecture,
         new_num_nodes,
         keys,
-        nodes,
-        values,
-        fib_factory=fib_factory,
+        nodes.tolist(),
+        values.tolist(),
+        fib_factory=cluster.fib_factory,
         gpt_params=gpt_params,
+        registry=cluster.registry,
         backend=backend,
+        fabric_backend=cluster.fabric.backend,
+        ingress_policy=cluster.ingress_policy,
     )
     report = ResizeReport(
         old_nodes=old_num_nodes,
         new_nodes=new_num_nodes,
         total_flows=len(keys),
-        repinned_flows=repinned,
+        repinned_flows=int(np.count_nonzero(gone)),
         old_value_bits=old_bits,
         new_value_bits=_value_bits(new_cluster, new_num_nodes),
     )

@@ -5,22 +5,18 @@ Engine"), but its presence is why flows must be *pinned*: the handling
 node keeps per-flow state.  This module implements a functional DPE so
 the reproduction exercises that state end to end:
 
-* a per-bearer state machine (IDLE -> ACTIVE -> IDLE on inactivity);
-* charging: byte/packet counters per direction and Charging Data Record
-  (CDR) generation on bearer close;
-* policing: an optional token-bucket rate limiter per bearer (the
-  "administrative functions such as charging and access control" of §2);
+* charging: byte/packet counters per direction, which move with a
+  re-homed bearer (§7), and a Charging Data Record (CDR) on bearer close;
 * the charging ledger, bytes per TEID (:class:`ChargingLedger`): the
   gateway's and each node daemon's.
 
-Time is explicit (callers pass ``now`` in seconds) so tests and the
-chaos soak stay deterministic.
+A CDR's times are explicit (callers pass ``now`` in seconds to open and
+close a bearer) so tests and the chaos soak stay deterministic.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional
@@ -59,14 +55,6 @@ def check_batch_columns(**columns: List) -> None:
         raise ValueError(f"row {rows}: columns disagree in length ({counts})")
 
 
-class BearerState(enum.Enum):
-    """Lifecycle of a bearer's data-plane context."""
-
-    IDLE = "idle"
-    ACTIVE = "active"
-    CLOSED = "closed"
-
-
 @dataclass(**DATACLASS_SLOTS)
 class ChargingRecord:
     """A CDR emitted when a bearer closes."""
@@ -86,38 +74,6 @@ class ChargingRecord:
 
 
 @dataclass(**DATACLASS_SLOTS)
-class TokenBucket:
-    """Classic token-bucket policer.
-
-    Attributes:
-        rate_bytes_per_s: sustained rate.
-        burst_bytes: bucket depth.
-    """
-
-    rate_bytes_per_s: float
-    burst_bytes: float
-    _tokens: float = field(default=-1.0, repr=False)
-    _last: float = field(default=0.0, repr=False)
-
-    def allow(self, size: int, now: float) -> bool:
-        """Consume ``size`` bytes if the bucket permits; refills lazily."""
-        if self._tokens < 0:
-            self._tokens = self.burst_bytes
-            self._last = now
-        elapsed = max(0.0, now - self._last)
-        # A late packet gets no credit and winds the clock back by none:
-        # the time up to ``_last`` has been credited already.
-        self._last = max(self._last, now)
-        self._tokens = min(
-            self.burst_bytes, self._tokens + elapsed * self.rate_bytes_per_s
-        )
-        if self._tokens >= size:
-            self._tokens -= size
-            return True
-        return False
-
-
-@dataclass(**DATACLASS_SLOTS)
 class FlowContext:
     """One bearer's data-plane state, as a record.
 
@@ -126,30 +82,20 @@ class FlowContext:
     :meth:`~DataPlaneEngine.open_bearer`) and the transfer record a
     re-homing carries (:meth:`~DataPlaneEngine.export_context` /
     :meth:`~DataPlaneEngine.import_context`).  Writing to a snapshot
-    changes nothing in the engine; ``policer`` is the bearer's live
-    bucket, which travels with it.
+    changes nothing in the engine.
     """
 
     teid: int
-    state: BearerState = BearerState.IDLE
     uplink_bytes: int = 0
     downlink_bytes: int = 0
     uplink_packets: int = 0
     downlink_packets: int = 0
     opened_at: float = 0.0
-    last_activity: float = 0.0
-    policer: Optional[TokenBucket] = None
 
 
-#: A row's ``state`` code is its state's position here.  A free row
-#: reads IDLE with zero counters, as a bearer opens.
-_STATES = (BearerState.IDLE, BearerState.ACTIVE, BearerState.CLOSED)
-_IDLE, _ACTIVE = 0, 1
 #: Rows of the counter block: bytes, then packets, each uplink then
 #: downlink (``+ downlink``).
 _BYTES, _PACKETS = 0, 2
-#: Rows of the time block.
-_OPENED_AT, _LAST_ACTIVITY = 0, 1
 #: A batch of fewer packets (or, in the ledger, rows) is accounted one by
 #: one, through memoryviews of the columns: below it NumPy's fixed cost per
 #: operation is more than the packets' work.  Traced in the gateway, the
@@ -160,48 +106,34 @@ LOOP_BELOW = 40
 
 
 class DataPlaneEngine:
-    """Per-node DPE: charging, policing and bearer state.
+    """Per-node DPE: the bearers' charging counters and their CDRs.
 
-    Bearer state lives in dense row columns (``state``, bytes and packets
-    per direction, ``opened_at``, ``last_activity``) behind a
+    Bearer state lives in dense row columns (bytes and packets per
+    direction, ``opened_at``) behind a
     :class:`~repro.epc.teid_index.TeidIndex`, so a batch of packets is
     accounted with a few array operations and any 32-bit TEID costs a few
-    index words.  A closed bearer's row is zeroed and reused.  Policers
-    stay per-bearer objects, keyed by row.
-
-    Args:
-        idle_timeout_s: inactivity after which an ACTIVE bearer returns
-            to IDLE (checked lazily and by :meth:`expire_idle`).
+    index words.  A closed bearer's row is zeroed and reused.
     """
 
-    def __init__(self, idle_timeout_s: float = 30.0) -> None:
-        self.idle_timeout_s = idle_timeout_s
+    def __init__(self) -> None:
         self.records: List[ChargingRecord] = []
-        self.policed_drops = 0
         self._index = TeidIndex()
         self._free_rows: List[int] = []
         self._rows_used = 0  # rows ever handed out, free ones included
-        self._policers: Dict[int, TokenBucket] = {}
         self._columns(
-            np.zeros(0, dtype=np.int8),
-            np.zeros((4, 0), dtype=np.int64),
-            np.zeros((2, 0), dtype=np.float64),
+            np.zeros((4, 0), dtype=np.int64), np.zeros(0, dtype=np.float64)
         )
 
     # ------------------------------------------------------------------
     # Rows
     # ------------------------------------------------------------------
 
-    def _columns(
-        self, state: np.ndarray, counts: np.ndarray, times: np.ndarray
-    ) -> None:
-        self._state, self._counts, self._times = state, counts, times
+    def _columns(self, counts: np.ndarray, opened: np.ndarray) -> None:
+        self._counts, self._opened = counts, opened
         # The packet loop's way in: a memoryview item costs a third of a
         # NumPy scalar.
-        self._state_view = memoryview(state)
         self._count_views = [memoryview(row) for row in counts]
-        self._opened_view = memoryview(times[_OPENED_AT])
-        self._last_view = memoryview(times[_LAST_ACTIVITY])
+        self._opened_view = memoryview(opened)
 
     def _new_row(self) -> int:
         """A free row, growing the columns by half when none is left."""
@@ -209,16 +141,14 @@ class DataPlaneEngine:
             return self._free_rows.pop()
         row = self._rows_used
         self._rows_used += 1
-        size = self._state.size
+        size = self._opened.size
         if row == size:
             grown = size + size // 2 + 8
-            state = np.zeros(grown, dtype=np.int8)
-            state[:size] = self._state
             counts = np.zeros((4, grown), dtype=np.int64)
             counts[:, :size] = self._counts
-            times = np.zeros((2, grown), dtype=np.float64)
-            times[:, :size] = self._times
-            self._columns(state, counts, times)
+            opened = np.zeros(grown, dtype=np.float64)
+            opened[:size] = self._opened
+            self._columns(counts, opened)
         return row
 
     def _claim_row(self, teid: int) -> int:
@@ -239,10 +169,8 @@ class DataPlaneEngine:
         # Positional: a slotted record takes keywords at over twice the
         # cost, and a snapshot is made per bearer event.
         return FlowContext(
-            teid, _STATES[self._state_view[row]],
-            up_bytes[row], down_bytes[row], up_packets[row],
-            down_packets[row], self._opened_view[row], self._last_view[row],
-            self._policers.get(row),
+            teid, up_bytes[row], down_bytes[row], up_packets[row],
+            down_packets[row], self._opened_view[row],
         )
 
     def _release(self, teid: int) -> FlowContext:
@@ -251,10 +179,8 @@ class DataPlaneEngine:
         if row is None:
             raise KeyError(f"bearer {teid} is not open")
         context = self._read(teid, row)
-        self._state_view[row] = _IDLE
         for view in self._count_views:
             view[row] = 0
-        self._policers.pop(row, None)
         self._free_rows.append(row)
         return context
 
@@ -262,31 +188,17 @@ class DataPlaneEngine:
     # Bearer lifecycle
     # ------------------------------------------------------------------
 
-    def open_bearer(
-        self,
-        teid: int,
-        now: float = 0.0,
-        rate_limit_bytes_per_s: Optional[float] = None,
-        burst_bytes: Optional[float] = None,
-    ) -> FlowContext:
-        """Create the data-plane state for a bearer; returns its
-        snapshot."""
+    def open_bearer(self, teid: int, now: float = 0.0) -> FlowContext:
+        """Create the data-plane state for a bearer, opened at ``now``;
+        returns its snapshot."""
         now = float(now)
         row = self._claim_row(teid)
-        # A free row reads IDLE with zero counters already.
-        self._opened_view[row] = self._last_view[row] = now
-        policer = None
-        if rate_limit_bytes_per_s is not None:
-            policer = self._policers[row] = TokenBucket(
-                rate_bytes_per_s=rate_limit_bytes_per_s,
-                burst_bytes=burst_bytes or rate_limit_bytes_per_s,
-            )
-        return FlowContext(
-            teid, BearerState.IDLE, 0, 0, 0, 0, now, now, policer
-        )
+        # A free row reads zero counters already.
+        self._opened_view[row] = now
+        return FlowContext(teid, 0, 0, 0, 0, now)
 
     def close_bearer(self, teid: int, now: float = 0.0) -> ChargingRecord:
-        """Tear a bearer down and emit its CDR."""
+        """Tear a bearer down and emit its CDR, closed at ``now``."""
         context = self._release(teid)
         record = ChargingRecord(
             teid, context.uplink_bytes, context.downlink_bytes,
@@ -315,147 +227,74 @@ class DataPlaneEngine:
     # Packet processing
     # ------------------------------------------------------------------
 
-    def process(
-        self, teid: int, size: int, downlink: bool, now: float = 0.0
-    ) -> bool:
+    def process(self, teid: int, size: int, downlink: bool) -> bool:
         """Account one packet against its bearer.
 
-        Returns False (drop) when the bearer is unknown or the policer
-        rejects the packet; True otherwise.  A negative ``size`` is a
-        ``ValueError``.
+        Returns False (drop) when the bearer is unknown; True otherwise.
+        A negative ``size`` is a ``ValueError``.
         """
         if size < 0:
             raise ValueError(f"size {size} is negative")
         row = self._index.get(teid)
         return row is not None and self._account_each(
-            [row], [size], [now], downlink
+            [row], [size], downlink
         )[0]
 
     def process_batch(
-        self,
-        teids: np.ndarray,
-        sizes: np.ndarray,
-        downlink: bool,
-        nows: np.ndarray,
+        self, teids: np.ndarray, sizes: np.ndarray, downlink: bool
     ) -> np.ndarray:
         """Account many packets at once; returns per-packet accept flags.
 
-        :meth:`process` per packet, in input order, as column operations:
-        one column read of the TEID index finds the rows, policers (only
-        where a bearer has one) run packet by packet in input order, and
-        the accepted packets' counters are added with ``np.add.at`` (a
-        bearer may repeat).  ``last_activity`` is the last accepted packet's
-        ``now`` in input order, not the largest.  Fewer than
-        :data:`LOOP_BELOW` packets take :meth:`process`'s own loop instead.
-        Columns of different lengths or a negative size are a
-        ``ValueError`` naming the first bad row (:func:`check_batch_columns`),
-        raised before anything is accounted.
+        :meth:`process` per packet, as column operations: one column read
+        of the TEID index finds the rows, and the known bearers' counters
+        are added with ``np.add.at`` (a bearer may repeat).  Fewer than
+        :data:`LOOP_BELOW` packets take :meth:`process`'s own loop
+        instead.  Columns of different lengths or a negative size are a
+        ``ValueError`` naming the first bad row
+        (:func:`check_batch_columns`), raised before anything is
+        accounted.
         """
         teids = np.asarray(teids, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
-        nows = np.asarray(nows, dtype=np.float64)
         count = teids.size
         if count < LOOP_BELOW:
-            teid_list, size_list, now_list = (
-                teids.tolist(), sizes.tolist(), nows.tolist()
-            )
+            teid_list, size_list = teids.tolist(), sizes.tolist()
             # The checker's test, inline: it is called only to name the
             # bad row.
-            if not count == len(size_list) == len(now_list) or (
-                size_list and min(size_list) < 0
-            ):
-                check_batch_columns(teids=teid_list, sizes=size_list,
-                                    nows=now_list)
+            if count != len(size_list) or (size_list and min(size_list) < 0):
+                check_batch_columns(teids=teid_list, sizes=size_list)
             return np.array(self._account_each(
-                self._index.rows_of(teid_list), size_list, now_list,
-                downlink,
+                self._index.rows_of(teid_list), size_list, downlink,
             ), dtype=bool)
-        if not count == sizes.size == nows.size or (
-            np.minimum.reduce(sizes) < 0
-        ):
-            check_batch_columns(
-                teids=teids.tolist(), sizes=sizes.tolist(), nows=nows.tolist()
-            )
+        if count != sizes.size or np.minimum.reduce(sizes) < 0:
+            check_batch_columns(teids=teids.tolist(), sizes=sizes.tolist())
         rows = self._index.rows(teids)
         ok = rows >= 0
-        if self._policers:
-            self._police(rows, sizes, nows, ok)
         if not np.logical_and.reduce(ok):
-            rows, sizes, nows = rows[ok], sizes[ok], nows[ok]
+            rows, sizes = rows[ok], sizes[ok]
         direction = 1 if downlink else 0
         np.add.at(self._counts[_BYTES + direction], rows, sizes)
         np.add.at(self._counts[_PACKETS + direction], rows, 1)
-        self._state[rows] = _ACTIVE
-        # A fancy assignment leaves a repeated row's value unspecified.
-        # With ``nows`` in order the last packet's is the largest, so a
-        # maximum settles it; otherwise a dict keeps each row's last.
-        last_activity = self._times[_LAST_ACTIVITY]
-        if rows.size < 2 or np.logical_and.reduce(nows[1:] >= nows[:-1]):
-            last_activity[rows] = nows
-            np.maximum.at(last_activity, rows, nows)
-        else:
-            last = dict(zip(rows.tolist(), nows.tolist()))
-            last_activity[list(last)] = list(last.values())
         return ok
 
     def _account_each(
-        self,
-        rows: List[int],
-        sizes: List[int],
-        nows: List[float],
-        downlink: bool,
+        self, rows: List[int], sizes: List[int], downlink: bool
     ) -> List[bool]:
         """:meth:`process`'s work for each packet in turn (row -1: an
         unknown bearer); returns the accept flags."""
-        state, last = self._state_view, self._last_view
         direction = 1 if downlink else 0
         nbytes = self._count_views[_BYTES + direction]
         npackets = self._count_views[_PACKETS + direction]
-        policers = self._policers
         ok = []
         append = ok.append
-        for row, size, now in zip(rows, sizes, nows):
-            if row < 0 or policers and not self._allow(row, size, now):
+        for row, size in zip(rows, sizes):
+            if row < 0:
                 append(False)
                 continue
             nbytes[row] += size
             npackets[row] += 1
-            last[row] = now
-            state[row] = _ACTIVE
             append(True)
         return ok
-
-    def _allow(self, row: int, size: int, now: float) -> bool:
-        """The row's policer, if it has one, takes the packet (a refusal
-        counts in ``policed_drops``)."""
-        policer = self._policers.get(row)
-        if policer is None or policer.allow(size, now):
-            return True
-        self.policed_drops += 1
-        return False
-
-    def _police(
-        self,
-        rows: np.ndarray,
-        sizes: np.ndarray,
-        nows: np.ndarray,
-        ok: np.ndarray,
-    ) -> None:
-        """Clear ``ok`` where a bearer's policer refuses the packet;
-        policers see their packets in input order."""
-        for j, row, size, now in zip(
-            range(rows.size), rows.tolist(), sizes.tolist(), nows.tolist()
-        ):
-            if row >= 0 and not self._allow(row, size, now):
-                ok[j] = False
-
-    def expire_idle(self, now: float) -> int:
-        """Demote bearers inactive for longer than the idle timeout."""
-        idle = (self._state == _ACTIVE) & (
-            now - self._times[_LAST_ACTIVITY] > self.idle_timeout_s
-        )
-        self._state[idle] = _IDLE
-        return int(np.count_nonzero(idle))
 
     # ------------------------------------------------------------------
     # State migration (flow re-homing between nodes)
@@ -471,7 +310,6 @@ class DataPlaneEngine:
 
     def import_context(self, context: FlowContext) -> None:
         """Adopt a context exported by a peer node."""
-        state = _STATES.index(context.state)
         row = self._claim_row(context.teid)
         up_bytes, down_bytes, up_packets, down_packets = self._count_views
         try:
@@ -480,21 +318,13 @@ class DataPlaneEngine:
             up_packets[row] = context.uplink_packets
             down_packets[row] = context.downlink_packets
             self._opened_view[row] = context.opened_at
-            self._last_view[row] = context.last_activity
         except (TypeError, ValueError):
             self._release(context.teid)  # a bad field changes nothing
             raise
-        self._state_view[row] = state
-        if context.policer is not None:
-            self._policers[row] = context.policer
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-
-    def active_bearers(self) -> int:
-        """Bearers currently in ACTIVE state."""
-        return int(np.count_nonzero(self._state == _ACTIVE))
 
     def total_bytes(self) -> int:
         """All accounted bytes across open bearers (free rows hold 0)."""

@@ -46,8 +46,6 @@ class EpcGateway:
         policy: controller flow-assignment policy.
         gpt_params: SetSep configuration (ScaleBricks only).
         fib_factory: FIB table constructor (defaults to extended cuckoo).
-        rate_limit_bytes_per_s: optional per-bearer token-bucket policing
-            applied by the DPE (None disables policing).
         registry: metrics registry for packet/byte/drop counters and
             per-stage latency spans.  Unlike the pure lookup hot paths,
             the gateway defaults to a *live* private registry — the
@@ -56,8 +54,9 @@ class EpcGateway:
             :data:`repro.obs.NULL_REGISTRY` to disable instrumentation.
 
     The gateway keeps a simple logical clock (``now``, seconds) advanced
-    by ``tick`` per processed packet so the DPE's state machine and
-    policers behave deterministically; tests may set ``now`` directly.
+    by ``tick`` per processed packet; its reader is the CDR, whose
+    ``opened_at`` and ``closed_at`` it stamps, so charging records are
+    deterministic.  Tests may set ``now`` directly.
     """
 
     def __init__(
@@ -68,7 +67,6 @@ class EpcGateway:
         policy: AssignmentPolicy = AssignmentPolicy.ROUND_ROBIN,
         gpt_params: Optional[SetSepParams] = None,
         fib_factory: Optional[FibFactory] = None,
-        rate_limit_bytes_per_s: Optional[float] = None,
         registry: Optional[MetricsRegistry] = None,
         fabric_backend: Optional[str] = None,
         ingress_policy: str = "random",
@@ -94,9 +92,6 @@ class EpcGateway:
         self._c_drop_tunnel = r.counter("gateway.drops.bad_tunnel")
         self._c_drop_acl = r.counter("gateway.drops.acl")
         self._c_drop_malformed = r.counter("gateway.drops.malformed")
-        self._c_drop_policed = r.counter(
-            "gateway.drops.policed", "packets rejected by a bearer policer"
-        )
         self._h_fabric_hop = r.histogram(
             "gateway.fabric_hop_us", buckets=LATENCY_BUCKETS_US,
             description="modelled switch-fabric latency per routed packet",
@@ -136,7 +131,6 @@ class EpcGateway:
             "gateway.drops.fabric_loss",
             "packets whose fabric transit was lost in flight",
         )
-        self.rate_limit_bytes_per_s = rate_limit_bytes_per_s
         self.now = 0.0
         self.tick = 1e-5
         self._gpt_params = gpt_params
@@ -155,11 +149,7 @@ class EpcGateway:
     ) -> FlowRecord:
         """Establish a bearer; if the data plane is live, push the update."""
         record = self.controller.establish_bearer(flow, base_station_ip, region)
-        self.dpes[record.handling_node].open_bearer(
-            record.teid,
-            now=self.now,
-            rate_limit_bytes_per_s=self.rate_limit_bytes_per_s,
-        )
+        self.dpes[record.handling_node].open_bearer(record.teid, now=self.now)
         if self.updates is not None:
             self.updates.insert_flow(
                 record.key, record.handling_node, record.teid
@@ -221,9 +211,8 @@ class EpcGateway:
                     f"survivors[{j}] = {target} is the evacuated or a down "
                     "node"
                 )
-        victims = [
-            entry.key for entry in cluster.rib.entries() if entry.node == node
-        ]
+        keys, nodes, _ = cluster.rib.columns()
+        victims = keys[nodes == node].tolist()
         moved: List[FlowRecord] = []
         for i, key in enumerate(victims):
             record = self.controller.record_for_key(key)
@@ -236,15 +225,17 @@ class EpcGateway:
     def resize(self, new_n: int) -> membership.ResizeReport:
         """Grow or shrink the forwarding plane to ``new_n`` nodes (§6.3).
 
-        The cluster is rebuilt by :func:`repro.cluster.membership.resize`
-        and the gateway, its controller and a fresh update engine follow
-        it; a grown cluster gets an empty DPE per new node.  A shrink
-        repins what the leavers still handle in the RIB only, so drain a
-        node with :meth:`evacuate` first.
+        The cluster is rebuilt by :func:`repro.cluster.membership.resize`,
+        with the settings it was started with (FIB factory, fabric
+        backend, ingress policy, this gateway's registry), and the
+        gateway, its controller and a fresh update engine follow it; a
+        grown cluster gets an empty DPE per new node.  A shrink repins
+        what the leavers still handle in the RIB only, so drain a node
+        with :meth:`evacuate` first.
         """
         cluster, report = membership.resize(self._require_cluster(), new_n)
         self.cluster = cluster
-        self.updates = UpdateEngine(cluster, self.registry)
+        self.updates = UpdateEngine(cluster)
         self.num_nodes = new_n
         self.controller.num_nodes = new_n
         while len(self.dpes) < new_n:
@@ -378,12 +369,6 @@ class EpcGateway:
                 routed_keys = parsed.keys[routed_idx]
                 batch = cluster.route_batch(routed_keys, ing_routed)
 
-            def refuse(rows: np.ndarray, reason: str) -> None:
-                """Routed rows the gateway drops after the cluster routed
-                them."""
-                for i, j in zip(routed_idx[rows].tolist(), rows.tolist()):
-                    results[i] = (batch.results[j].dropped_as(reason), None)
-
             # A lost transit and a path through a dead node are counted,
             # never charged; the loss is reported first.
             refused = batch.lost
@@ -396,7 +381,12 @@ class EpcGateway:
                 down_j = node_down.nonzero()[0]
                 if down_j.size:
                     self._c_drop_node_down.inc(int(down_j.size))
-                    refuse(down_j, "node_down")
+                    for i, j in zip(
+                        routed_idx[down_j].tolist(), down_j.tolist()
+                    ):
+                        results[i] = (
+                            batch.results[j].dropped_as("node_down"), None
+                        )
                     refused = refused | node_down
 
             unknown_j = (batch.dropped & ~refused).nonzero()[0]
@@ -430,50 +420,34 @@ class EpcGateway:
                     routed_keys[order], teids, frames,
                     batch.handler_nodes[order],
                 )
-                # One ``now += tick`` per accepted frame, left to right:
-                # a running sum over the routed frames that adds 0 for the
-                # others (exact), so the clock ends where batches of one
-                # would leave it.  (Array methods and ufuncs here, not
-                # their ``np.`` wrappers: each wrapper is Python calls per
-                # batch.)
-                clock = np.empty(accepted.size + 1)
+                # One ``now += tick`` per accepted frame: a running sum,
+                # so the clock ends where batches of one would leave it.
+                # (Array methods and ufuncs here, not their ``np.``
+                # wrappers: each wrapper is Python calls per batch.)
+                clock = np.empty(order.size + 1)
                 clock[0] = self.now
-                np.multiply(accepted, self.tick, out=clock[1:])
-                np.add.accumulate(clock, out=clock)
-                self.now = float(clock[-1])
-                nows = clock[1:][order]
+                clock[1:] = self.tick
+                self.now = float(np.add.accumulate(clock)[-1])
+                # Egress has proved each bearer open at its handler, so
+                # every one of these frames is charged.
                 sizes = parsed.l3_len[frames]
-                ok = np.empty(order.size, dtype=bool)
                 for node_id, start, stop in runs:
-                    ok[start:stop] = self.dpes[node_id].process_batch(
-                        teids[start:stop], sizes[start:stop], downlink=True,
-                        nows=nows[start:stop],
+                    self.dpes[node_id].process_batch(
+                        teids[start:stop], sizes[start:stop], downlink=True
                     )
-
-                policed = (~ok).nonzero()[0]
-                if policed.size:
-                    self._c_drop_policed.inc(int(policed.size))
-                    refuse(order[policed], "policed")
-                # The ledger charges in batch order (its TEIDs keep the
-                # order they were first charged in).
-                charged = np.zeros(accepted.size, dtype=bool)
-                charged[order] = ok
-                charged_j = charged.nonzero()[0]
+                # The ledger charges the same frames in batch order (its
+                # TEIDs keep the order they were first charged in).
+                charged_j = accepted.nonzero()[0]
                 charged_sizes = parsed.l3_len[routed_idx[charged_j]]
                 self.stats.charge_many(batch.values[charged_j], charged_sizes)
                 self._c_down_bytes.inc(int(np.add.reduce(charged_sizes)))
 
             with self._s_egress:
-                sent = ok.nonzero()[0]
-                frame_idx = frames[sent]
                 tunnelled = fastpath.encapsulate_batch(
-                    parsed, frame_idx, teids[sent], base_stations[sent],
-                    self.gateway_ip,
+                    parsed, frames, teids, base_stations, self.gateway_ip,
                 )
-            self._c_down_tunnelled.inc(int(sent.size))
-            for i, j, packet in zip(
-                frame_idx.tolist(), order[sent].tolist(), tunnelled
-            ):
+            self._c_down_tunnelled.inc(int(order.size))
+            for i, j, packet in zip(frames.tolist(), order.tolist(), tunnelled):
                 results[i] = (batch.results[j], packet)
 
         return results  # type: ignore[return-value]
@@ -514,11 +488,9 @@ class EpcGateway:
                 self._c_drop_node_down.inc()
                 return None
             self.now += self.tick
-            if not self.dpes[record.handling_node].process(
-                teid, len(inner), downlink=False, now=self.now
-            ):
-                self._c_drop_policed.inc()
-                return None
+            self.dpes[record.handling_node].process(
+                teid, len(inner), downlink=False
+            )
             self.stats.charge(teid, len(inner))
             self._c_up_bytes.inc(len(inner))
             self._c_up_forwarded.inc()

@@ -353,15 +353,6 @@ def decode_outcome_columns(payload: bytes) -> OutcomeColumns:
     return head["status"], head["handler"], head["teid"], packets
 
 
-def encode_outcomes(outcomes: Sequence[RouteOutcome]) -> bytes:
-    """:func:`encode_outcome_columns` over a list of outcomes."""
-    return encode_outcome_columns(
-        [o.status for o in outcomes], [o.handler for o in outcomes],
-        [o.teid for o in outcomes],
-        [o.out if o.out is not None else b"" for o in outcomes],
-    )
-
-
 def decode_outcomes(payload: bytes) -> List[RouteOutcome]:
     """:func:`decode_outcome_columns` as a list of outcomes."""
     status, handler, teid, packets = decode_outcome_columns(payload)

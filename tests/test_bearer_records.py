@@ -1,7 +1,7 @@
 """The per-bearer records are slotted dataclasses (repro.epc).
 
-``FlowTuple``, ``FlowRecord``, ``FlowContext``, ``ChargingRecord`` and
-``TokenBucket`` keep their fields in slots, with no per-instance
+``FlowTuple``, ``FlowRecord``, ``FlowContext`` and ``ChargingRecord``
+keep their fields in slots, with no per-instance
 ``__dict__``, on Python 3.10 and later (``repro.utils.DATACLASS_SLOTS``).
 Everything else a dataclass gives them must be what the same fields give
 an unslotted dataclass: equality, hashing, repr, ``dataclasses.replace``,
@@ -17,13 +17,7 @@ import pickle
 import pytest
 
 from repro.epc.controller import FlowRecord
-from repro.epc.dpe import (
-    BearerState,
-    ChargingRecord,
-    DataPlaneEngine,
-    FlowContext,
-    TokenBucket,
-)
+from repro.epc.dpe import ChargingRecord, DataPlaneEngine, FlowContext
 from repro.epc.packets import FlowTuple, PROTO_UDP
 from repro.utils import DATACLASS_SLOTS
 
@@ -53,8 +47,6 @@ def unslotted_twin(cls):
 
 
 FLOW = FlowTuple(0xCB007101, 0x0A000001, PROTO_UDP, 5000, 6000)
-POLICER = TokenBucket(rate_bytes_per_s=400.0, burst_bytes=900.0)
-POLICER.allow(100, now=1.0)
 
 #: One populated instance of each record, and a field to replace on it.
 SAMPLES = [
@@ -62,15 +54,13 @@ SAMPLES = [
     (FlowRecord(FLOW, FLOW.key(), 7, 2, 0xAC100101, 3), "handling_node", 1),
     (
         FlowContext(
-            teid=7, state=BearerState.ACTIVE, uplink_bytes=10,
-            downlink_bytes=2_000, uplink_packets=1, downlink_packets=4,
-            opened_at=0.5, last_activity=3.25, policer=POLICER,
+            teid=7, uplink_bytes=10, downlink_bytes=2_000, uplink_packets=1,
+            downlink_packets=4, opened_at=0.5,
         ),
         "downlink_bytes",
         2_100,
     ),
     (ChargingRecord(7, 10, 2_000, 1, 4, 0.5, 9.0), "closed_at", 9.5),
-    (POLICER, "burst_bytes", 1_000.0),
 ]
 IDS = [type(sample).__name__ for sample, _, _ in SAMPLES]
 
@@ -118,13 +108,20 @@ class TestSlottedRecords:
             assert repr(clone) == repr(record)
 
 
-def test_deepcopy_of_a_context_copies_its_policer():
+def test_a_context_and_its_deepcopy_are_snapshots():
+    """A ``FlowContext`` is a copy of the engine's row: neither it nor
+    its deep copy moves when the bearer charges more."""
     dpe = DataPlaneEngine()
-    dpe.open_bearer(7, rate_limit_bytes_per_s=400.0, burst_bytes=900.0)
-    before = copy.deepcopy(dpe.context(7))
-    assert dpe.process(7, 500, downlink=True, now=0.0)
-    assert before.policer != dpe.context(7).policer
-    assert before.policer._tokens == -1.0
+    dpe.open_bearer(7, now=0.5)
+    dpe.process(7, 500, downlink=True)
+    snapshot = dpe.context(7)
+    clone = copy.deepcopy(snapshot)
+    assert clone == snapshot and clone is not snapshot
+    dpe.process(7, 300, downlink=True)
+    assert (snapshot.downlink_bytes, clone.downlink_bytes) == (500, 500)
+    assert dpe.context(7).downlink_bytes == 800
+    clone.downlink_bytes = 1
+    assert dpe.context(7).downlink_bytes == 800
 
 
 def test_frozen_records_stay_frozen():

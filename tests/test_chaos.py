@@ -175,27 +175,32 @@ class TestDropAccounting:
         assert counters["gateway.drops.fabric_loss"] > 0
         assert_every_packet_accounted(counters)
 
-    def test_a_policed_packet_is_one_drop_in_either_direction(self):
-        """Policed downstream and upstream, beside ACL drops: a policed
-        packet is counted under ``policed`` only, never ``acl`` too."""
+
+    def test_an_acl_drop_is_one_drop_in_either_direction(self):
+        """A source blocked before the downstream batch drops there; one
+        blocked after it drops its tunnelled packets upstream.  Each
+        dropped packet is counted under ``acl`` once."""
         flowgen = FlowGenerator(seed=5)
-        gateway = EpcGateway(
-            Architecture.SCALEBRICKS, 4, parse_ip("192.0.2.1"),
-            rate_limit_bytes_per_s=1_000.0,
-        )
+        gateway = EpcGateway(Architecture.SCALEBRICKS, 4, parse_ip("192.0.2.1"))
         flows = flowgen.populate(gateway, 30)
         gateway.start()
         gateway.acl_blocked_sources.add(flows[0].src_ip)
         results = gateway.process_downstream_batch(
             flowgen.packet_stream(flows, 600)
         )
-        policed_down = gateway.registry.counters()["gateway.drops.policed"]
-        for _, packet in results:
-            if packet is not None:
-                gateway.process_upstream(packet)
+        acl_down = gateway.registry.counters()["gateway.drops.acl"]
+        assert acl_down > 0
+        gateway.acl_blocked_sources.add(flows[1].src_ip)
+        blocked_up = 0
+        for result, packet in results:
+            if packet is None:
+                continue
+            blocked = gateway.process_upstream(packet) is None
+            assert blocked == (result.key == flows[1].key())
+            blocked_up += blocked
         counters = gateway.registry.counters()
-        assert counters["gateway.drops.acl"] > 0
-        assert 0 < policed_down < counters["gateway.drops.policed"]
+        assert blocked_up > 0
+        assert counters["gateway.drops.acl"] == acl_down + blocked_up
         assert counters["gateway.upstream.forwarded"] > 0
         assert_every_packet_accounted(counters)
 
@@ -269,9 +274,9 @@ class TestSoakDigest:
 
     @pytest.mark.parametrize("extra, digest", [
         (["--fabric", "crossbar"],
-         "15c4c316e2e0d5ad38ec47bfeeb5c098088343ee72c5f32be9bf43c3618225f3"),
+         "4abbe54f5d9de05dc04dc679242f7e0870efa550df21e3536ff41ad98d8dc1d5"),
         (["--link-faults", "--fabric", "fattree"],
-         "70556edc510f8e8f77187066affc6120b12b59e0181a8de410f945e015418fd7"),
+         "983dd66f42eba8664f69862e6d7809dd0280e3d2f4ea8f11671d03fe45b1a095"),
     ], ids=["crossbar", "fattree-link-faults"])
     def test_seed_7_report_digest(self, capsys, monkeypatch, extra, digest):
         # --fabric sets the process-wide default and its env var: both

@@ -605,6 +605,6 @@ class TestRouteBatchColumns:
         assert dataclasses.replace(fast, reason="x") == dataclasses.replace(
             slow, reason="x"
         )
-        assert fast.dropped_as("policed") == slow.dropped_as("policed")
+        assert fast.dropped_as("node_down") == slow.dropped_as("node_down")
         with pytest.raises(dataclasses.FrozenInstanceError):
             fast.key = 0

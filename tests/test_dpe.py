@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import Architecture
 from repro.epc.gateway import EpcGateway
-from repro.epc.dpe import BearerState, DataPlaneEngine, TokenBucket
+from repro.epc.dpe import DataPlaneEngine, FlowContext
 from repro.epc.packets import build_downstream_frame, parse_ip
 from repro.epc.traffic import GATEWAY_MAC, GENERATOR_MAC, FlowGenerator
 
@@ -13,8 +13,8 @@ class TestBearerLifecycle:
     def test_open_process_close(self):
         dpe = DataPlaneEngine()
         dpe.open_bearer(7, now=0.0)
-        assert dpe.process(7, 100, downlink=True, now=1.0)
-        assert dpe.process(7, 50, downlink=False, now=2.0)
+        assert dpe.process(7, 100, downlink=True)
+        assert dpe.process(7, 50, downlink=False)
         record = dpe.close_bearer(7, now=10.0)
         assert record.downlink_bytes == 100
         assert record.uplink_bytes == 50
@@ -46,27 +46,7 @@ class TestBearerLifecycle:
         assert dpe.context(3) is None
 
 
-class TestStateMachine:
-    def test_activity_transitions(self):
-        dpe = DataPlaneEngine(idle_timeout_s=5.0)
-        context = dpe.open_bearer(1, now=0.0)
-        assert context.state is BearerState.IDLE
-        dpe.process(1, 10, downlink=True, now=1.0)
-        # The returned context is a snapshot: read the state again.
-        assert context.state is BearerState.IDLE
-        assert dpe.context(1).state is BearerState.ACTIVE
-
-    def test_expire_idle(self):
-        dpe = DataPlaneEngine(idle_timeout_s=5.0)
-        dpe.open_bearer(1, now=0.0)
-        dpe.open_bearer(2, now=0.0)
-        dpe.process(1, 10, downlink=True, now=1.0)
-        dpe.process(2, 10, downlink=True, now=1.0)
-        assert dpe.active_bearers() == 2
-        dpe.process(2, 10, downlink=True, now=8.0)
-        assert dpe.expire_idle(now=8.0) == 1  # bearer 1 idles out
-        assert dpe.active_bearers() == 1
-
+class TestCounters:
     def test_total_bytes(self):
         dpe = DataPlaneEngine()
         dpe.open_bearer(1)
@@ -74,56 +54,109 @@ class TestStateMachine:
         dpe.process(1, 20, downlink=False)
         assert dpe.total_bytes() == 50
 
-
-class TestTokenBucket:
-    def test_burst_then_throttle(self):
-        bucket = TokenBucket(rate_bytes_per_s=100.0, burst_bytes=200.0)
-        assert bucket.allow(200, now=0.0)   # full burst
-        assert not bucket.allow(1, now=0.0)  # empty
-        assert bucket.allow(100, now=1.0)   # refilled 100 bytes
-
-    def test_refill_caps_at_burst(self):
-        bucket = TokenBucket(rate_bytes_per_s=100.0, burst_bytes=150.0)
-        bucket.allow(150, now=0.0)
-        assert not bucket.allow(151, now=100.0)  # capped at 150
-        assert bucket.allow(150, now=100.0)
-
-    def test_late_packet_does_not_wind_the_clock_back(self):
-        # The time up to t=10 is credited once: a packet stamped t=5
-        # after it must not make the next t=10 packet earn it again.
-        late = TokenBucket(rate_bytes_per_s=100.0, burst_bytes=100.0)
-        assert late.allow(100, now=10.0)
-        assert not late.allow(50, now=5.0)
-        assert not late.allow(50, now=10.0)
-        in_order = TokenBucket(rate_bytes_per_s=100.0, burst_bytes=100.0)
-        assert in_order.allow(100, now=10.0)
-        assert not in_order.allow(50, now=10.0)
-        assert late.allow(100, now=11.0)  # one second refills the burst
-
-
-class TestPolicingInGateway:
-    def test_policer_drops_over_rate_traffic(self):
-        gen = FlowGenerator(seed=500)
-        gateway = EpcGateway(
-            Architecture.SCALEBRICKS,
-            4,
-            parse_ip("192.0.2.1"),
-            rate_limit_bytes_per_s=300.0,
+    def test_each_direction_counts_its_own_bytes_and_packets(self):
+        dpe = DataPlaneEngine()
+        dpe.open_bearer(4, now=1.5)
+        for size in (100, 200, 300):
+            assert dpe.process(4, size, downlink=True)
+        assert dpe.process(4, 40, downlink=False)
+        assert dpe.context(4) == FlowContext(
+            teid=4, uplink_bytes=40, downlink_bytes=600, uplink_packets=1,
+            downlink_packets=3, opened_at=1.5,
         )
+
+    def test_a_reused_row_starts_from_zero(self):
+        dpe = DataPlaneEngine()
+        dpe.open_bearer(1, now=0.0)
+        dpe.process(1, 500, downlink=True)
+        dpe.process(1, 70, downlink=False)
+        dpe.close_bearer(1, now=2.0)
+        # Bearer 2 takes the row bearer 1 left.
+        assert dpe.open_bearer(2, now=3.0) == dpe.context(2)
+        assert dpe.context(2) == FlowContext(teid=2, opened_at=3.0)
+        assert dpe.total_bytes() == 0
+
+    def test_export_import_carries_counters_and_opened_at(self):
+        """A re-homed bearer (§7) keeps charging where it left off: its
+        CDR on the new node covers both nodes' packets."""
+        old, new = DataPlaneEngine(), DataPlaneEngine()
+        old.open_bearer(9, now=0.25)
+        old.process(9, 120, downlink=True)
+        old.process(9, 30, downlink=False)
+        context = old.export_context(9)
+        assert old.context(9) is None and len(old) == 0
+        new.import_context(context)
+        assert new.context(9) == context
+        new.process(9, 80, downlink=True)
+        record = new.close_bearer(9, now=4.25)
+        assert (
+            record.uplink_bytes, record.downlink_bytes,
+            record.uplink_packets, record.downlink_packets,
+        ) == (30, 200, 1, 2)
+        assert (record.opened_at, record.duration) == (0.25, 4.0)
+        assert old.records == [] and new.records == [record]
+
+    def test_import_of_a_bad_field_changes_nothing(self):
+        dpe = DataPlaneEngine()
+        dpe.open_bearer(1, now=0.0)
+        dpe.process(1, 10, downlink=True)
+        before = dpe.contexts()
+        with pytest.raises((TypeError, ValueError)):
+            dpe.import_context(FlowContext(teid=2, downlink_bytes="many"))
+        assert dpe.contexts() == before
+        assert dpe.context(2) is None
+        dpe.import_context(FlowContext(teid=2, downlink_bytes=5))
+        assert dpe.context(2).downlink_bytes == 5
+
+
+class TestDpeInGateway:
+    def test_every_frame_egress_accepts_is_charged(self):
+        """Large frames back to back on one bearer: each is delivered and
+        charged, on the bearer's DPE and in the ledger alike."""
+        gen = FlowGenerator(seed=500)
+        gateway = EpcGateway(Architecture.SCALEBRICKS, 4, parse_ip("192.0.2.1"))
         flows = gen.populate(gateway, 50)
         gateway.start()
         frame = build_downstream_frame(
             GENERATOR_MAC, GATEWAY_MAC, flows[0], b"z" * 200
         )
-        # Gateway's logical clock barely advances per packet, so a burst
-        # of large frames exhausts the bucket.
-        delivered = 0
-        for _ in range(10):
-            _, tunnelled = gateway.process_downstream(frame)
-            if tunnelled is not None:
-                delivered += 1
-        assert 0 < delivered < 10
-        assert sum(dpe.policed_drops for dpe in gateway.dpes) > 0
+        delivered = [gateway.process_downstream(frame)[1] for _ in range(10)]
+        assert all(packet is not None for packet in delivered)
+        record = gateway.controller.record_for_key(flows[0].key())
+        context = gateway.dpes[record.handling_node].context(record.teid)
+        assert context.downlink_packets == 10
+        assert gateway.stats.bytes_of(record.teid) == context.downlink_bytes
+        counters = gateway.registry.counters()
+        assert not any(
+            count for name, count in counters.items()
+            if name.startswith("gateway.drops.")
+        )
+
+    def test_the_clock_ends_where_batches_of_one_leave_it(self):
+        """One ``tick`` per accepted frame, batched or not: the clock, and
+        so the CDRs it stamps, agree bit for bit."""
+        gateways = []
+        for _ in range(2):
+            gen = FlowGenerator(seed=503)
+            gateway = EpcGateway(
+                Architecture.SCALEBRICKS, 4, parse_ip("192.0.2.1")
+            )
+            flows = gen.populate(gateway, 40)
+            gateway.start()
+            gateways.append((gateway, flows, gen.packet_stream(flows, 97)))
+        (one, flows, frames), (batched, _, same) = gateways
+        for frame in frames:
+            one.process_downstream(frame)
+        batched.process_downstream_batch(same)
+        assert one.now == batched.now > 0.0
+        for gateway, _, _ in gateways:
+            assert gateway.disconnect(flows[3])
+        cdrs = [
+            [record for dpe in gateway.dpes for record in dpe.records]
+            for gateway, _, _ in gateways
+        ]
+        assert cdrs[0] == cdrs[1] and len(cdrs[0]) == 1
+        assert cdrs[0][0].closed_at == one.now
 
     def test_gateway_emits_cdrs_on_disconnect(self):
         gen = FlowGenerator(seed=501)

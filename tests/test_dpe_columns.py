@@ -20,11 +20,9 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.epc.dpe import (
     LOOP_BELOW,
-    BearerState,
     ChargingRecord,
     DataPlaneEngine,
     FlowContext,
-    TokenBucket,
 )
 from repro.epc.gateway import ChargingLedger
 from repro.epc.teid_index import MAX_TEID, TeidIndex, is_teid
@@ -172,7 +170,7 @@ class TestEngineRefusals:
         engine.open_bearer(1, now=0.5)
         before = engine.contexts()
         for bad in (FlowContext(2, uplink_bytes=1.5),
-                    FlowContext(2, last_activity="late"),
+                    FlowContext(2, opened_at="early"),
                     FlowContext(1), FlowContext(True), FlowContext(-3)):
             with pytest.raises((TypeError, ValueError)):
                 engine.import_context(bad)
@@ -198,19 +196,14 @@ class TestEngineRefusals:
 class ReferenceEngine:
     """The DPE as one ``FlowContext`` per bearer in a dict."""
 
-    def __init__(self, idle_timeout_s: float) -> None:
-        self.idle_timeout_s = idle_timeout_s
+    def __init__(self) -> None:
         self.flows = {}
         self.records = []
-        self.policed_drops = 0
 
-    def open(self, teid, now, rate):
+    def open(self, teid, now):
         if teid in self.flows:
             raise ValueError(teid)
-        policer = None if rate is None else TokenBucket(rate, rate)
-        self.flows[teid] = FlowContext(
-            teid=teid, opened_at=now, last_activity=now, policer=policer
-        )
+        self.flows[teid] = FlowContext(teid=teid, opened_at=now)
 
     def close(self, teid, now):
         context = self.flows.pop(teid)
@@ -220,17 +213,10 @@ class ReferenceEngine:
             context.opened_at, now,
         ))
 
-    def process(self, teid, size, downlink, now):
+    def process(self, teid, size, downlink):
         context = self.flows.get(teid)
         if context is None:
             return False
-        if context.policer is not None and not context.policer.allow(
-            size, now
-        ):
-            self.policed_drops += 1
-            return False
-        context.state = BearerState.ACTIVE
-        context.last_activity = now
         if downlink:
             context.downlink_bytes += size
             context.downlink_packets += 1
@@ -239,35 +225,24 @@ class ReferenceEngine:
             context.uplink_packets += 1
         return True
 
-    def expire_idle(self, now):
-        demoted = 0
-        for context in self.flows.values():
-            if (context.state is BearerState.ACTIVE
-                    and now - context.last_activity > self.idle_timeout_s):
-                context.state = BearerState.IDLE
-                demoted += 1
-        return demoted
-
 
 #: TEIDs that share slots of small columns (multiples of 13 and of 7),
 #: and both ends of the TEID range.
 TEID_POOL = [0, 1, 2, 7, 13, 14, 26, 39, 91, 2**31 + 1, MAX_TEID]
 teids = st.sampled_from(TEID_POOL + [5, 6])  # 5 and 6 are never opened
 nows = st.floats(0, 200, allow_nan=False)
-packets = st.lists(
-    st.tuples(teids, st.integers(0, 1_500), nows), max_size=24
-)
+packets = st.lists(st.tuples(teids, st.integers(0, 1_500)), max_size=24)
 
 
 class ColumnsAgainstDicts(RuleBasedStateMachine):
-    """Open, close, move, account and expire on two column engines and a
-    ledger, and the same on the dict reference; after every step the
-    snapshots, CDRs, drops and charges agree."""
+    """Open, close, move and account on two column engines and a ledger,
+    and the same on the dict reference; after every step the snapshots,
+    CDRs, drops and charges agree."""
 
     def __init__(self):
         super().__init__()
-        self.engines = [DataPlaneEngine(10.0), DataPlaneEngine(10.0)]
-        self.refs = [ReferenceEngine(10.0), ReferenceEngine(10.0)]
+        self.engines = [DataPlaneEngine(), DataPlaneEngine()]
+        self.refs = [ReferenceEngine(), ReferenceEngine()]
         self.ledger = ChargingLedger()
         self.charged = {}  # TEID -> bytes, first-charge order
 
@@ -275,16 +250,15 @@ class ColumnsAgainstDicts(RuleBasedStateMachine):
         for teid, size in zip(teids, sizes):
             self.charged[teid] = self.charged.get(teid, 0) + size
 
-    @rule(side=st.integers(0, 1), teid=st.sampled_from(TEID_POOL), now=nows,
-          rate=st.sampled_from([None, None, 400.0, 2_000.0]))
-    def open(self, side, teid, now, rate):
+    @rule(side=st.integers(0, 1), teid=st.sampled_from(TEID_POOL), now=nows)
+    def open(self, side, teid, now):
         engine, ref = self.engines[side], self.refs[side]
         if teid in ref.flows:
             with pytest.raises(ValueError):
-                engine.open_bearer(teid, now, rate)
+                engine.open_bearer(teid, now)
             return
-        context = engine.open_bearer(teid, now, rate)
-        ref.open(teid, now, rate)
+        context = engine.open_bearer(teid, now)
+        ref.open(teid, now)
         assert asdict(context) == asdict(ref.flows[teid])
 
     @rule(side=st.integers(0, 1), teid=st.sampled_from(TEID_POOL), now=nows)
@@ -313,18 +287,15 @@ class ColumnsAgainstDicts(RuleBasedStateMachine):
             ref_dst.flows[teid] = ref_src.flows.pop(teid)
 
     @rule(side=st.integers(0, 1), batch=packets, downlink=st.booleans(),
-          ordered=st.booleans(), wide=st.booleans())
-    def process_batch(self, side, batch, downlink, ordered, wide):
+          wide=st.booleans())
+    def process_batch(self, side, batch, downlink, wide):
         if wide:  # past the packet loop, into the array operations
             batch = batch * (LOOP_BELOW // max(len(batch), 1) + 1)
-        if ordered:  # the gateway's clock: nows in input order
-            batch = [(t, s, n) for (t, s, _), n in
-                     zip(batch, sorted(n for _, _, n in batch))]
         engine, ref = self.engines[side], self.refs[side]
-        column = [np.array([p[i] for p in batch], dtype=dtype)
-                  for i, dtype in enumerate((np.int64, np.int64, np.float64))]
-        got = engine.process_batch(*column[:2], downlink, column[2])
-        expected = [ref.process(t, s, downlink, n) for t, s, n in batch]
+        column = [np.array([p[i] for p in batch], dtype=np.int64)
+                  for i in range(2)]
+        got = engine.process_batch(*column, downlink)
+        expected = [ref.process(t, s, downlink) for t, s in batch]
         assert got.dtype == bool and got.tolist() == expected
         accepted = got.nonzero()[0]
         self.ledger.charge_many(column[0][accepted], column[1][accepted])
@@ -332,18 +303,13 @@ class ColumnsAgainstDicts(RuleBasedStateMachine):
                      column[1][accepted].tolist())
 
     @rule(side=st.integers(0, 1), teid=teids,
-          size=st.integers(0, 1_500), downlink=st.booleans(), now=nows)
-    def process(self, side, teid, size, downlink, now):
-        ok = self.engines[side].process(teid, size, downlink, now)
-        assert ok == self.refs[side].process(teid, size, downlink, now)
+          size=st.integers(0, 1_500), downlink=st.booleans())
+    def process(self, side, teid, size, downlink):
+        ok = self.engines[side].process(teid, size, downlink)
+        assert ok == self.refs[side].process(teid, size, downlink)
         if ok:
             self.ledger.charge(teid, size)
             self._charge([teid], [size])
-
-    @rule(side=st.integers(0, 1), now=nows)
-    def expire_idle(self, side, now):
-        assert (self.engines[side].expire_idle(now)
-                == self.refs[side].expire_idle(now))
 
     @invariant()
     def columns_match_the_dicts(self):
@@ -358,11 +324,7 @@ class ColumnsAgainstDicts(RuleBasedStateMachine):
                 if context is not None:
                     assert asdict(context) == asdict(expected)
             assert engine.records == ref.records
-            assert engine.policed_drops == ref.policed_drops
             assert len(engine) == len(ref.flows)
-            assert engine.active_bearers() == sum(
-                c.state is BearerState.ACTIVE for c in ref.flows.values()
-            )
             assert engine.total_bytes() == sum(
                 c.uplink_bytes + c.downlink_bytes for c in ref.flows.values()
             )

@@ -97,10 +97,9 @@ def make_frame(flow, payload=b"x" * 18, ttl=64, ihl=5, dscp=0, ident=0,
     return EthernetHeader(GATEWAY_MAC, GENERATOR_MAC).pack() + l3 + body
 
 
-def build_gateway(seed=7, flows=400, rate=None, num_nodes=NUM_NODES):
+def build_gateway(seed=7, flows=400, num_nodes=NUM_NODES):
     gateway = EpcGateway(
-        Architecture.SCALEBRICKS, num_nodes, parse_ip("192.0.2.1"),
-        rate_limit_bytes_per_s=rate,
+        Architecture.SCALEBRICKS, num_nodes, parse_ip("192.0.2.1")
     )
     gen = FlowGenerator(seed=seed)
     flow_list = gen.populate(gateway, flows)
@@ -155,10 +154,10 @@ def reference_for(gateway):
 
 def outcome_kind(result, packet):
     """The reference's name for a gateway outcome (``None``: a verdict the
-    reference does not model — the policer and the node topology)."""
+    reference does not model — the node topology)."""
     if packet is not None:
         return DELIVERED
-    if result.reason in ("policed", "node_down"):
+    if result.reason == "node_down":
         return None
     if result.reason.startswith("unknown"):
         return UNKNOWN
@@ -217,17 +216,9 @@ def assert_equivalent(gw_one, gw_batch, frames, ingress=None):
     for node_a, node_b in zip(gw_one.cluster.nodes, gw_batch.cluster.nodes):
         assert vars(node_a.counters) == vars(node_b.counters)
     for dpe_a, dpe_b in zip(gw_one.dpes, gw_batch.dpes):
-        assert dpe_a.policed_drops == dpe_b.policed_drops
-        contexts_b = dpe_b.contexts()
-        for teid, ctx_a in dpe_a.contexts().items():
-            ctx_b = contexts_b[teid]
-            assert (
-                ctx_a.state, ctx_a.downlink_bytes, ctx_a.downlink_packets,
-                ctx_a.last_activity,
-            ) == (
-                ctx_b.state, ctx_b.downlink_bytes, ctx_b.downlink_packets,
-                ctx_b.last_activity,
-            )
+        assert {t: asdict(c) for t, c in dpe_a.contexts().items()} == {
+            t: asdict(c) for t, c in dpe_b.contexts().items()
+        }
     assert_matches_reference(gw_batch, frames, batched, charged_before)
     return batched
 
@@ -784,12 +775,21 @@ class TestGatewayDifferential:
         assert gw_b.registry.counters()["gateway.drops.acl"] > 0
         assert gw_b.registry.counters()["gateway.drops.node_down"] > 0
 
-    def test_policer_differential(self):
-        gw_a, flows, gen = build_gateway(seed=5, flows=30, rate=120.0)
-        gw_b, _, _ = build_gateway(seed=5, flows=30, rate=120.0)
+    def test_few_bearers_many_frames(self):
+        """Some fifty frames per bearer, so a node's share of a batch
+        repeats bearers: every frame is delivered and charged once."""
+        gw_a, flows, gen = build_gateway(seed=5, flows=30)
+        gw_b, _, _ = build_gateway(seed=5, flows=30)
         frames = gen.packet_stream(flows, 1500)
-        assert_equivalent(gw_a, gw_b, frames)
-        assert gw_b.registry.counters()["gateway.drops.policed"] > 0
+        batched = assert_equivalent(gw_a, gw_b, frames)
+        assert all(packet is not None for _, packet in batched)
+        contexts = [
+            context for dpe in gw_b.dpes for context in dpe.contexts().values()
+        ]
+        assert sum(c.downlink_packets for c in contexts) == len(frames)
+        assert sum(gw_b.stats.bytes_charged.values()) == sum(
+            c.downlink_bytes for c in contexts
+        )
 
     def test_pinned_and_mixed_ingress(self):
         gw_a, flows, gen = build_gateway(seed=8, flows=100)
@@ -977,32 +977,21 @@ class TestDpeBatch:
         scalar, batched = DataPlaneEngine(), DataPlaneEngine()
         rng = np.random.default_rng(4)
         for engine in (scalar, batched):
-            for teid in range(1, 9):
-                engine.open_bearer(teid, now=0.0)
-            engine.open_bearer(
-                99, now=0.0, rate_limit_bytes_per_s=50.0, burst_bytes=100.0
-            )
-        teids = rng.integers(1, 11, size=400)  # includes unknown teid 10
-        teids[teids == 10] = 99
+            for teid in range(1, 10):
+                engine.open_bearer(teid, now=0.25 * teid)
+        teids = rng.integers(1, 10, size=400)
         unknown = rng.integers(0, 400, size=25)
         teids[unknown] = 1234  # never opened
         sizes = rng.integers(40, 1500, size=400)
-        nows = 0.001 * np.arange(1, 401)
         expected = np.array([
-            scalar.process(int(t), int(s), True, float(n))
-            for t, s, n in zip(teids, sizes, nows)
+            scalar.process(int(t), int(s), True)
+            for t, s in zip(teids, sizes)
         ])
-        got = batched.process_batch(teids, sizes, downlink=True, nows=nows)
+        got = batched.process_batch(teids, sizes, downlink=True)
         assert np.array_equal(expected, got)
-        assert scalar.policed_drops == batched.policed_drops
-        for teid in list(range(1, 9)) + [99]:
-            ctx_a, ctx_b = scalar.context(teid), batched.context(teid)
-            assert (
-                ctx_a.downlink_bytes, ctx_a.downlink_packets,
-                ctx_a.last_activity, ctx_a.state,
-            ) == (
-                ctx_b.downlink_bytes, ctx_b.downlink_packets,
-                ctx_b.last_activity, ctx_b.state,
+        for teid in range(1, 10):
+            assert asdict(scalar.context(teid)) == asdict(
+                batched.context(teid)
             )
 
 
@@ -1068,15 +1057,12 @@ class TestClusterBatch:
 
 
 def engines_with_bearers():
-    """A scalar and a batch DPE with the same bearers: 1-6 plain, 7
-    policed, 8 and up never opened."""
+    """A scalar and a batch DPE with the same bearers: 1-7 open, 8 and
+    up never opened."""
     scalar, batched = DataPlaneEngine(), DataPlaneEngine()
     for engine in (scalar, batched):
-        for teid in range(1, 7):
-            engine.open_bearer(teid, now=0.0)
-        engine.open_bearer(
-            7, now=0.0, rate_limit_bytes_per_s=400.0, burst_bytes=900.0
-        )
+        for teid in range(1, 8):
+            engine.open_bearer(teid, now=0.5 * teid)
     return scalar, batched
 
 
@@ -1089,7 +1075,6 @@ class TestColumnsAgainstScalar:
             st.tuples(
                 st.integers(1, 9),                     # teid; 8, 9 unknown
                 st.integers(20, 1500),                 # size
-                st.floats(0, 120, allow_nan=False),    # now, unsorted
             ),
             max_size=60,
         ),
@@ -1099,17 +1084,14 @@ class TestColumnsAgainstScalar:
     def test_process_batch_is_process_per_packet(self, packets, downlink):
         scalar, batched = engines_with_bearers()
         expected = [
-            scalar.process(teid, size, downlink, now)
-            for teid, size, now in packets
+            scalar.process(teid, size, downlink) for teid, size in packets
         ]
         got = batched.process_batch(
             np.array([p[0] for p in packets], dtype=np.int64),
             np.array([p[1] for p in packets], dtype=np.int64),
             downlink=downlink,
-            nows=np.array([p[2] for p in packets], dtype=np.float64),
         )
         assert got.tolist() == expected
-        assert scalar.policed_drops == batched.policed_drops
         for teid in range(1, 8):
             assert asdict(scalar.context(teid)) == asdict(batched.context(teid))
 
@@ -1252,12 +1234,11 @@ class TestColumnsAgainstScalar:
 
 
 @st.composite
-def bad_columns(draw, count):
-    """``count`` batch columns (teids, sizes, then nows) that disagree in
-    length or carry a negative size, with the first bad row: the first
-    negative size or the first row some column lacks."""
-    lengths = draw(st.lists(st.integers(0, 12), min_size=count,
-                            max_size=count))
+def bad_columns(draw):
+    """Batch columns (teids, sizes) that disagree in length or carry a
+    negative size, with the first bad row: the first negative size or the
+    first row some column lacks."""
+    lengths = draw(st.lists(st.integers(0, 12), min_size=2, max_size=2))
     sizes = draw(st.lists(st.integers(-1500, 1500), min_size=lengths[1],
                           max_size=lengths[1]))
     bad = [row for row, size in enumerate(sizes) if size < 0]
@@ -1268,8 +1249,6 @@ def bad_columns(draw, count):
                           max_size=lengths[0]))
     columns = [np.array(teids, dtype=np.int64),
                np.array(sizes, dtype=np.int64)]
-    if count == 3:
-        columns.append(np.arange(lengths[2], dtype=np.float64))
     return columns, min(bad)
 
 
@@ -1277,7 +1256,7 @@ class TestBatchColumnRange:
     """Both batch entries refuse ragged columns and negative sizes with
     one ValueError naming the first bad row, before anything moves."""
 
-    @given(batch=bad_columns(2))
+    @given(batch=bad_columns())
     @settings(max_examples=150, deadline=None)
     def test_charge_many_refuses_before_the_ledger_moves(self, batch):
         (teids, sizes), row = batch
@@ -1288,19 +1267,17 @@ class TestBatchColumnRange:
         assert ledger.bytes_charged == {1: 100, 2: 200}
         assert ledger._c_bytes.value == 300
 
-    @given(batch=bad_columns(3), downlink=st.booleans())
+    @given(batch=bad_columns(), downlink=st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_process_batch_refuses_before_any_bearer_moves(
         self, batch, downlink
     ):
-        (teids, sizes, nows), row = batch
+        (teids, sizes), row = batch
         _, dpe = engines_with_bearers()
-        # asdict copies deeply, so bearer 7's policer is in the snapshot.
         before = {t: asdict(c) for t, c in dpe.contexts().items()}
         with pytest.raises(ValueError, match=rf"^row {row}: "):
-            dpe.process_batch(teids, sizes, downlink, nows)
+            dpe.process_batch(teids, sizes, downlink)
         assert {t: asdict(c) for t, c in dpe.contexts().items()} == before
-        assert dpe.policed_drops == 0
 
     def test_scalar_entries_refuse_a_negative_size(self):
         ledger = ChargingLedger()

@@ -293,7 +293,6 @@ class TestObservability:
         gateway = EpcGateway(Architecture.SCALEBRICKS, 2, GW_IP)
         with pytest.raises(AttributeError):
             gateway.stats.downstream_in
-        assert not hasattr(gateway, "policed_drops")
 
 
 class TestBatchSurface:

@@ -109,15 +109,14 @@ def test_one_batch_calls_every_hooked_name(monkeypatch):
 
 def test_a_mixed_small_batch_calls_the_lookups_per_node_present(monkeypatch):
     """``fwd_mixed``'s shape: 32 frames with a drop of every kind
-    (malformed, ACL, unknown, a lost transit, a dead node on the path,
-    policed).  Each GPT replica is asked once per ingress node present,
+    (malformed, ACL, unknown, a lost transit, a dead node on the path)
+    and one bearer's three frames.  Each GPT replica is asked once per ingress node present,
     each FIB once per node the routed frames reached, each DPE once per
     node that accepted a frame; the per-key hooks' ``len(args[1])`` sum
     to the frames each stage saw.  A per-layer metric of ``fwd_mixed``
     then cannot read 0 because a stage reuses another's split."""
     gateway = EpcGateway(
-        Architecture.SCALEBRICKS, NUM_NODES, parse_ip("192.0.2.1"),
-        rate_limit_bytes_per_s=100.0,  # two 46-byte packets a bearer
+        Architecture.SCALEBRICKS, NUM_NODES, parse_ip("192.0.2.1")
     )
     gen = FlowGenerator(seed=29)
     flows = gen.populate(gateway, 600)
@@ -132,7 +131,7 @@ def test_a_mixed_small_batch_calls_the_lookups_per_node_present(monkeypatch):
         + [(frame(f), 1) for f in by_node[2][:2]]        # lost 1 -> 2
         + [(frame(f), 0) for f in by_node[3][:2]]        # node 3 is down
         + [(frame(f), 1) for f in by_node[1][:3]]        # handled, local
-        + [(frame(by_node[0][5]), 2)] * 3                # third policed
+        + [(frame(by_node[0][5]), 2)] * 3                # one bearer thrice
         + [(frame(f), 0) for f in gen.flows(3)]          # unknown
         + [(frame(by_node[1][4]), 0)] * 2                # ACL
         + [(b"\x00" * 20, 0), (frame(flows[0])[:30], 2)]  # malformed
@@ -160,12 +159,12 @@ def test_a_mixed_small_batch_calls_the_lookups_per_node_present(monkeypatch):
     assert Counter(result.reason for result, _ in results) == {
         # Two unknown keys land at the dead node: a dead node is
         # reported before the FIB's verdict.
-        "handled": 20, "fabric_loss": 2, "node_down": 4, "policed": 1,
+        "handled": 21, "fabric_loss": 2, "node_down": 4,
         "unknown_key": 1, "acl": 2, "malformed": 2,
     }
     routed = [r for r, _ in results if r.reason not in ("malformed", "acl")]
     arrived = [r for r in routed if r.reason != "fabric_loss"]
-    accepted = [r for r in arrived if r.reason in ("handled", "policed")]
+    accepted = [r for r in arrived if r.reason == "handled"]
     assert calls == {
         "lookup_batch": len({r.ingress for r in routed}),
         "lookup_batch_array": len({r.path[-1] for r in arrived}),
@@ -175,7 +174,7 @@ def test_a_mixed_small_batch_calls_the_lookups_per_node_present(monkeypatch):
         "lookup_batch": len(routed),
         "lookup_batch_array": len(arrived),
         "process_batch": len(accepted),
-    }
+    } == {"lookup_batch": 28, "lookup_batch_array": 26, "process_batch": 21}
 
 
 @pytest.mark.parametrize("arch, legs", [

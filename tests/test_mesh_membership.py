@@ -6,6 +6,8 @@ import pytest
 
 from repro.cluster import Architecture, Cluster
 from repro.cluster.membership import capacity_after_resize, resize
+from repro.hashtables.rtehash import RteHashTable
+from repro.obs.metrics import MetricsRegistry
 from tests.conftest import unique_keys
 
 
@@ -48,18 +50,60 @@ class TestResize:
             assert result.value == v
             assert 0 <= result.handled_by < 2
 
-    def test_custom_repin(self, base_cluster):
+    def test_shrink_repins_by_key_hash(self, base_cluster):
         cluster, keys, handlers, _ = base_cluster
-        shrunk, _ = resize(cluster, 3, repin=lambda key, old: 0)
-        orphan = next(
-            int(k) for k, h in zip(keys, handlers) if h == 3
-        )
-        assert shrunk.route(orphan, ingress=1).handled_by == 0
+        shrunk, _ = resize(cluster, 3)
+        orphans = [int(k) for k, h in zip(keys, handlers) if h == 3]
+        assert orphans
+        for key in orphans:
+            assert shrunk.route(key, ingress=1).handled_by == key % 3
 
-    def test_bad_repin_rejected(self, base_cluster):
-        cluster, *_ = base_cluster
-        with pytest.raises(ValueError):
-            resize(cluster, 2, repin=lambda key, old: 7)
+    @pytest.mark.parametrize("fabric", ["crossbar", "fattree"])
+    def test_resize_keeps_the_cluster_settings(self, fabric):
+        keys = unique_keys(500, seed=1001)
+        registry = MetricsRegistry()
+        cluster = Cluster.build(
+            Architecture.SCALEBRICKS, 4, keys, (keys % 4).astype(np.int64),
+            np.arange(500) + 1, fib_factory=RteHashTable, registry=registry,
+            fabric_backend=fabric, ingress_policy="roundrobin",
+        )
+        for new_n in (5, 3):
+            resized, _ = resize(cluster, new_n)
+            assert resized.fabric.backend == fabric
+            assert resized.ingress_policy == "roundrobin"
+            assert resized.fib_factory is RteHashTable
+            assert {type(node.fib) for node in resized.nodes} == {
+                RteHashTable
+            }
+            assert resized.registry is registry
+            routed = registry.counters()["cluster.scalebricks.routed"]
+            resized.route_batch(keys[:32], [0] * 32)
+            assert registry.counters()["cluster.scalebricks.routed"] == (
+                routed + 32
+            )
+
+    @pytest.mark.parametrize(
+        "arch", list(Architecture), ids=lambda arch: arch.value
+    )
+    def test_resize_keeps_every_flow_on_every_architecture(self, arch):
+        """Grow, then shrink past the old size: each cluster keeps the
+        architecture, and every key routes to its RIB node with its value
+        (a leaver's flows at ``key % n``)."""
+        keys = unique_keys(600, seed=1002)
+        handlers = (keys % 4).astype(np.int64)
+        values = np.arange(600) + 1
+        cluster = Cluster.build(arch, 4, keys, handlers, values)
+        for new_n in (6, 3):
+            cluster, report = resize(cluster, new_n)
+            assert cluster.architecture is arch
+            assert len(cluster.nodes) == new_n
+            assert report.total_flows == 600
+            expected = np.where(handlers < new_n, handlers, keys % new_n)
+            handlers = expected.astype(np.int64)
+            for k, h, v in zip(keys[:200], handlers[:200], values[:200]):
+                result = cluster.route(int(k), ingress=0)
+                assert result.delivered
+                assert (result.handled_by, result.value) == (h, v)
 
     def test_invalid_size(self, base_cluster):
         cluster, *_ = base_cluster

@@ -16,6 +16,8 @@ from repro.cluster import Architecture
 from repro.epc.gateway import EpcGateway
 from repro.epc.packets import build_downstream_frame, parse_ip
 from repro.epc.traffic import GATEWAY_MAC, GENERATOR_MAC, FlowGenerator
+from repro.hashtables.rtehash import RteHashTable
+from repro.obs.metrics import MetricsRegistry
 
 ARCHITECTURES = [Architecture.SCALEBRICKS, Architecture.HASH_PARTITION]
 
@@ -152,3 +154,38 @@ class TestResizeThenFailover:
         fail_and_evacuate(gateway, 2)
         # Every flow — including every recovered one — forwards again.
         assert all(out is not None for _, out in route_all(gateway, flows))
+
+
+@pytest.mark.parametrize("fabric", ["crossbar", "fattree"])
+def test_a_resized_gateway_keeps_its_cluster_settings(fabric):
+    """A resize rebuilds the plane with the settings the gateway started
+    with: its FIB class, fabric backend, ingress policy and registry, so
+    traffic after it is still counted where the gateway counts."""
+    registry = MetricsRegistry()
+    gen = FlowGenerator(seed=641)
+    gateway = EpcGateway(
+        Architecture.SCALEBRICKS, 4, parse_ip("192.0.2.1"),
+        fib_factory=RteHashTable, registry=registry, fabric_backend=fabric,
+        ingress_policy="roundrobin",
+    )
+    flows = gen.populate(gateway, 300)
+    gateway.start()
+    for new_n in (5, 4):
+        if new_n < gateway.num_nodes:
+            drain_top(gateway)
+        else:
+            gateway.resize(new_n)
+        cluster = gateway.cluster
+        assert cluster.fabric.backend == fabric
+        assert cluster.ingress_policy == "roundrobin"
+        assert {type(node.fib) for node in cluster.nodes} == {RteHashTable}
+        assert cluster.registry is registry
+        assert gateway.updates.registry is registry
+        routed = registry.counters()["cluster.scalebricks.routed"]
+        results = gateway.process_downstream_batch(
+            gen.packet_stream(flows, 32)
+        )
+        assert all(out is not None for _, out in results)
+        assert registry.counters()["cluster.scalebricks.routed"] == (
+            routed + 32
+        )

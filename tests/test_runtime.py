@@ -153,6 +153,15 @@ outcome_lists = st.lists(
 )
 
 
+def encode_outcome_list(outcomes):
+    """The columns codec over a list of outcomes (``decode_outcomes``'s
+    inverse)."""
+    return protocol.encode_outcome_columns(
+        [o.status for o in outcomes], [o.handler for o in outcomes],
+        [o.teid for o in outcomes], [o.out or b"" for o in outcomes],
+    )
+
+
 class TestProtocol:
     def test_update_batch_roundtrip(self):
         ops = [
@@ -196,7 +205,7 @@ class TestProtocol:
     ])
     @settings(max_examples=60, deadline=None)
     def test_outcomes_roundtrip(self, outcomes):
-        payload = protocol.encode_outcomes(outcomes)
+        payload = encode_outcome_list(outcomes)
         assert len(payload) == 4 + 13 * len(outcomes) + sum(
             len(o.out or b"") for o in outcomes
         )
@@ -219,7 +228,7 @@ class TestProtocol:
     def test_outcomes_truncation_and_trailing_bytes_rejected(
         self, outcomes, tail
     ):
-        payload = protocol.encode_outcomes(outcomes)
+        payload = encode_outcome_list(outcomes)
         for cut in range(len(payload)):
             with pytest.raises(ProtocolError, match="truncated"):
                 protocol.decode_outcome_columns(payload[:cut])
