@@ -386,7 +386,9 @@ def perflab_gateway_batch_calls(ctx):
     and what is left is the program's own per-frame and per-flow work —
     none today (slightly below zero: from 40 packets a node the DPE and
     the ledger run on columns, not their loops), one with a Python call
-    per frame, two with a controller record looked up per flow.  CI
+    per frame, two with a controller record looked up per flow.
+    ``c_calls_per_extra_frame`` is the same difference of the C-level
+    calls: -0.46 today, about +0.54 with one C-level call per frame.  CI
     holds them under :mod:`repro.perflab.gates`' budgets.
     """
     gateway, flow_list, gen = _fresh_gateway(seed=13, flows=BATCH_CALLS_FLOWS)
@@ -413,7 +415,8 @@ def perflab_gateway_batch_calls(ctx):
         for size in BATCH_CALLS_SIZES
     }
     small, large = BATCH_CALLS_SIZES
-    derived["python_calls_per_extra_frame"] = (
-        (calls[large] - calls[small]) / (large - small)
-    )
+    for kind, count in (("python", calls), ("c", c_calls)):
+        derived[f"{kind}_calls_per_extra_frame"] = (
+            (count[large] - count[small]) / (large - small)
+        )
     ctx.record(**derived)

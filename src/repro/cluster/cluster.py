@@ -11,8 +11,11 @@ then drops them, a transit lost in the fabric.
 from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import make_dataclass
+from itertools import repeat
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -46,12 +49,7 @@ _REASONS = (
 ) = range(len(_REASONS))
 
 
-#: Makes an instance without running ``__init__`` (see ``RouteResult._of``).
-_new_result = object.__new__
-
-
-@dataclass(frozen=True)
-class RouteResult:
+class RouteResult(NamedTuple):
     """Outcome of routing one key through the cluster."""
 
     key: int
@@ -70,37 +68,51 @@ class RouteResult:
         return not self.dropped
 
     @classmethod
-    def _of(
-        cls, key, ingress, path, internal_hops, latency_us, handled_by,
-        value, dropped, reason,
-    ) -> "RouteResult":
-        """Positional constructor for per-packet loops over columns.
-
-        Equal, hash-equal and repr-equal to the keyword constructor; it
-        fills the instance dict in one call where the frozen dataclass
-        ``__init__`` pays nine ``object.__setattr__``.
-        """
-        self = object.__new__(cls)
-        self.__dict__.update(
-            key=key, ingress=ingress, path=path,
-            internal_hops=internal_hops, latency_us=latency_us,
-            handled_by=handled_by, value=value, dropped=dropped,
-            reason=reason,
-        )
-        return self
-
-    @classmethod
     def drop(cls, key: int, ingress: int, reason: str) -> "RouteResult":
         """A packet dropped before it entered the cluster."""
-        return cls._of(key, ingress, (), 0, 0.0, None, None, True, reason)
+        return tuple.__new__(
+            cls, (key, ingress, (), 0, 0.0, None, None, True, reason)
+        )
 
     def dropped_as(self, reason: str) -> "RouteResult":
         """This routed packet, refused afterwards (a dead node on its
-        path, the bearer's policer): same route, no handler, no value."""
-        return self._of(
+        path): same route, no handler, no value."""
+        return tuple.__new__(RouteResult, (
             self.key, self.ingress, self.path, self.internal_hops,
             self.latency_us, None, None, True, reason,
+        ))
+
+
+# ``dataclasses.replace(result, ...)`` works on a result too (the e2e
+# oracle's self-test flips one outcome with it): it reads these fields
+# and calls the keyword constructor.
+RouteResult.__dataclass_fields__ = make_dataclass(  # type: ignore[attr-defined]
+    "RouteResult", RouteResult._fields
+).__dataclass_fields__
+
+
+class _PathMemo(dict):
+    """Each path a cluster's packets took, by its code ``((hops * n +
+    ingress) * (n + 1) + middle + 1) * n + end`` over ``n`` nodes
+    (``middle`` is -1 on a path without a detour): built on first sight,
+    so it holds only the paths seen, at most ``n + n**2 + n**3``."""
+
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: int) -> None:
+        super().__init__()
+        self.nodes = nodes
+
+    def __missing__(self, code: int) -> Tuple[int, ...]:
+        n = self.nodes
+        rest, end = divmod(code, n)
+        rest, middle = divmod(rest, n + 1)
+        hops, ingress = divmod(rest, n)
+        path = self[code] = (
+            (ingress,) if not hops else (ingress, end) if hops == 1
+            else (ingress, middle - 1, end)
         )
+        return path
 
 
 class RouteBatchResult(SequenceABC):
@@ -283,6 +295,7 @@ class Cluster:
         self.fib_factory = fib_factory
         self._ingress_rr = 0
         self._rng = np.random.default_rng(0xEC)
+        self._paths = _PathMemo(len(nodes))
         self.bind_registry(registry)
 
     def bind_registry(self, registry: Optional[MetricsRegistry]) -> None:
@@ -696,7 +709,8 @@ class Cluster:
             values = np.empty(n, dtype=np.int64)
             values.fill(-1)
             found[rows], values[rows] = found_at, values_at
-        if not np.logical_and.reduce(found_at):
+        every_found = np.logical_and.reduce(found_at)
+        if not every_found:
             order, runs = kept_runs(order, runs, found[order])
         reasons[found] = _HANDLED
         lost = reasons == _FABRIC_LOSS
@@ -705,25 +719,24 @@ class Cluster:
         if hp or vlb:
             indirect_nodes = np.where(hops == 2, middle, -1)
 
-        # One result per packet, made as ``RouteResult._of`` makes one,
-        # inline: no Python call per packet.
-        results = []
-        for key, ing, mid, end, hop, latency, hit, value, reason in zip(
-            keys_arr.tolist(), ingress_arr.tolist(), indirect_nodes.tolist(),
-            at.tolist(), hops.tolist(), latencies.tolist(), found.tolist(),
-            values.tolist(), reasons.tolist(),
-        ):
-            result = _new_result(RouteResult)
-            result.__dict__.update(
-                key=key, ingress=ing,
-                path=(ing,) if not hop else (ing, end) if hop == 1
-                else (ing, mid, end),
-                internal_hops=hop, latency_us=latency,
-                handled_by=end if hit else None,
-                value=value if hit else None, dropped=not hit,
-                reason=_REASONS[reason],
-            )
-            results.append(result)
+        # One result per packet, made in C: one map over the columns, the
+        # path from the memo of paths seen, no Python call per packet.
+        n_nodes = self._paths.nodes
+        codes = (
+            (hops * n_nodes + ingress_arr) * (n_nodes + 1) + indirect_nodes + 1
+        ) * n_nodes + at
+        dropped = ~found
+        if every_found and (rows is None or rows.size == n):
+            handled_by, found_values = at.tolist(), values.tolist()
+        else:
+            handled_by = np.where(found, at, None).tolist()
+            found_values = np.where(found, values, None).tolist()
+        results = map(tuple.__new__, repeat(RouteResult), zip(
+            keys_arr.tolist(), ingress_arr.tolist(),
+            map(self._paths.__getitem__, codes.tolist()), hops.tolist(),
+            latencies.tolist(), handled_by, found_values, dropped.tolist(),
+            map(_REASONS.__getitem__, reasons.tolist()),
+        ))
 
         # A packet lost in flight is the fabric's to count.
         counted = hops[~lost] if np.logical_or.reduce(lost) else hops
@@ -746,7 +759,7 @@ class Cluster:
             handler_nodes=at,
             egress_nodes=np.where(found, at, -1),
             hop_counts=hops,
-            dropped=~found,
+            dropped=dropped,
             lost=lost,
             values=values,
             latencies_us=latencies,

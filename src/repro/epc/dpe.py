@@ -106,7 +106,8 @@ LOOP_BELOW = 40
 
 
 class DataPlaneEngine:
-    """Per-node DPE: the bearers' charging counters and their CDRs.
+    """Per-node DPE: the bearers' charging counters, and a CDR for each
+    bearer it closes.
 
     Bearer state lives in dense row columns (bytes and packets per
     direction, ``opened_at``) behind a
@@ -116,7 +117,6 @@ class DataPlaneEngine:
     """
 
     def __init__(self) -> None:
-        self.records: List[ChargingRecord] = []
         self._index = TeidIndex()
         self._free_rows: List[int] = []
         self._rows_used = 0  # rows ever handed out, free ones included
@@ -198,15 +198,14 @@ class DataPlaneEngine:
         return FlowContext(teid, 0, 0, 0, 0, now)
 
     def close_bearer(self, teid: int, now: float = 0.0) -> ChargingRecord:
-        """Tear a bearer down and emit its CDR, closed at ``now``."""
+        """Tear a bearer down; returns its CDR, closed at ``now``.  The
+        engine keeps no CDR: whoever wants one takes it from here."""
         context = self._release(teid)
-        record = ChargingRecord(
+        return ChargingRecord(
             teid, context.uplink_bytes, context.downlink_bytes,
             context.uplink_packets, context.downlink_packets,
             context.opened_at, now,
         )
-        self.records.append(record)
-        return record
 
     def context(self, teid: int) -> Optional[FlowContext]:
         """A snapshot of the bearer's state, if open."""
@@ -236,14 +235,16 @@ class DataPlaneEngine:
         if size < 0:
             raise ValueError(f"size {size} is negative")
         row = self._index.get(teid)
-        return row is not None and self._account_each(
-            [row], [size], downlink
-        )[0]
+        if row is None:
+            return False
+        self._account_each([row], [size], downlink)
+        return True
 
     def process_batch(
         self, teids: np.ndarray, sizes: np.ndarray, downlink: bool
-    ) -> np.ndarray:
-        """Account many packets at once; returns per-packet accept flags.
+    ) -> None:
+        """Account many packets at once; a packet of an unknown bearer is
+        skipped.
 
         :meth:`process` per packet, as column operations: one column read
         of the TEID index finds the rows, and the known bearers' counters
@@ -263,9 +264,10 @@ class DataPlaneEngine:
             # bad row.
             if count != len(size_list) or (size_list and min(size_list) < 0):
                 check_batch_columns(teids=teid_list, sizes=size_list)
-            return np.array(self._account_each(
-                self._index.rows_of(teid_list), size_list, downlink,
-            ), dtype=bool)
+            self._account_each(
+                self._index.rows_of(teid_list), size_list, downlink
+            )
+            return
         if count != sizes.size or np.minimum.reduce(sizes) < 0:
             check_batch_columns(teids=teids.tolist(), sizes=sizes.tolist())
         rows = self._index.rows(teids)
@@ -275,26 +277,19 @@ class DataPlaneEngine:
         direction = 1 if downlink else 0
         np.add.at(self._counts[_BYTES + direction], rows, sizes)
         np.add.at(self._counts[_PACKETS + direction], rows, 1)
-        return ok
 
     def _account_each(
         self, rows: List[int], sizes: List[int], downlink: bool
-    ) -> List[bool]:
+    ) -> None:
         """:meth:`process`'s work for each packet in turn (row -1: an
-        unknown bearer); returns the accept flags."""
+        unknown bearer, skipped)."""
         direction = 1 if downlink else 0
         nbytes = self._count_views[_BYTES + direction]
         npackets = self._count_views[_PACKETS + direction]
-        ok = []
-        append = ok.append
         for row, size in zip(rows, sizes):
-            if row < 0:
-                append(False)
-                continue
-            nbytes[row] += size
-            npackets[row] += 1
-            append(True)
-        return ok
+            if row >= 0:
+                nbytes[row] += size
+                npackets[row] += 1
 
     # ------------------------------------------------------------------
     # State migration (flow re-homing between nodes)

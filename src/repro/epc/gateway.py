@@ -157,7 +157,9 @@ class EpcGateway:
         return record
 
     def disconnect(self, flow: FlowTuple) -> bool:
-        """Tear a bearer down (control + data plane); emits its CDR."""
+        """Tear a bearer down (control + data plane); True if it was
+        open.  Its DPE closes it and returns the CDR, which the gateway
+        does not keep."""
         record = self.controller.teardown_bearer(flow)
         if record is None:
             return False

@@ -316,11 +316,11 @@ BATCH_CALLS_BUDGET = {32: 6.6, 256: 0.77}
 
 #: C-level calls per frame (``sys.setprofile`` ``c_call`` events:
 #: builtins and C methods, NumPy's array methods among them) that
-#: ``gateway.batch_calls`` may count, by batch size: 19.38 at 32 (620
-#: calls) and 4.50 at 256 (1,153), measured as above, plus the same 30
-#: calls per batch.  It now reads 18.88 at 32 (604) and 4.44 at 256
-#: (1,137), under the same budget.
-C_CALLS_BUDGET = {32: 20.31, 256: 4.62}
+#: ``gateway.batch_calls`` may count, by batch size: 14.75 at 32 (472
+#: calls) and 1.44 at 256 (369), measured as above, plus the same 30
+#: calls per batch.  (Before a batch's ``RouteResult``s were made in one
+#: ``map`` they read 604 and 1,137: three C-level calls per frame.)
+C_CALLS_BUDGET = {32: 15.69, 256: 1.56}
 
 #: Python calls each frame beyond the 32nd may add
 #: (``python_calls_per_extra_frame``): -0.07 today (no Python call per
@@ -329,6 +329,15 @@ C_CALLS_BUDGET = {32: 20.31, 256: 4.62}
 #: record looked up per flow.  The per-batch calls cancel in the
 #: difference, so this bound holds whatever the interpreter and NumPy.
 BATCH_CALLS_PER_EXTRA_FRAME = 0.5
+
+#: C-level calls each frame beyond the 32nd may add
+#: (``c_calls_per_extra_frame``): -0.46 today (no C-level call per frame
+#: on the column path; below ``dpe.LOOP_BELOW`` the DPE's and the
+#: ledger's loops read the TEID index one ``dict.get`` a packet), +0.54
+#: with one C-level call per frame more, as the result loop's three
+#: (``object.__new__``, ``dict.update``, ``list.append``) read before.
+#: Per-batch calls cancel here too.
+BATCH_C_CALLS_PER_EXTRA_FRAME = 0.5
 
 
 def batch_calls_gate(artifact: Mapping[str, Any]) -> str:
@@ -339,7 +348,8 @@ def batch_calls_gate(artifact: Mapping[str, Any]) -> str:
     ``c_call`` events of one ``process_downstream_batch`` at 32 and 256
     frames.  Counts are the program's own work, not a timing, so they
     hold on noisy runners.  A Python call per frame or per flow in the
-    gateway's own code adds about one to ``python_calls_per_extra_frame``.
+    gateway's own code adds about one to ``python_calls_per_extra_frame``,
+    a C-level one about one to ``c_calls_per_extra_frame``.
     """
     cases = [
         (kind, size, budget[size])
@@ -347,22 +357,25 @@ def batch_calls_gate(artifact: Mapping[str, Any]) -> str:
                              ("c", C_CALLS_BUDGET))
         for size in sorted(budget)
     ]
-    *counts, extra = _read(
+    extra_cases = (("python", BATCH_CALLS_PER_EXTRA_FRAME),
+                   ("c", BATCH_C_CALLS_PER_EXTRA_FRAME))
+    counts = _read(
         artifact, "gateway.batch_calls",
         *(f"{kind}_calls_per_frame_at_{size}" for kind, size, _ in cases),
-        "python_calls_per_extra_frame",
+        *(f"{kind}_calls_per_extra_frame" for kind, _ in extra_cases),
     )
+    counts, extras = counts[:len(cases)], counts[len(cases):]
     line = "calls per frame of a gateway batch: " + ", ".join(
-        f"{kind} {count:.2f} at {size} (budget {budget:.2f})"
-        for (kind, size, budget), count in zip(cases, counts)
-    ) + (
-        f", python {extra:.2f} per extra frame "
-        f"(budget {BATCH_CALLS_PER_EXTRA_FRAME:.2f})"
+        [f"{kind} {count:.2f} at {size} (budget {budget:.2f})"
+         for (kind, size, budget), count in zip(cases, counts)]
+        + [f"{kind} {count:.2f} per extra frame (budget {budget:.2f})"
+           for (kind, budget), count in zip(extra_cases, extras)]
     )
     if not (
         all(0 < count <= budget
             for (_, _, budget), count in zip(cases, counts))
-        and extra <= BATCH_CALLS_PER_EXTRA_FRAME
+        and all(count <= budget
+                for (_, budget), count in zip(extra_cases, extras))
     ):
         raise GateFailure(f"{line}: over budget")
     return line

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core import SetSepParams, build
 from repro.core import separator as separator_registry
+from repro.epc.dpe import DataPlaneEngine
 from repro.runtime.controller import RuntimeController
 from repro.runtime.daemon import NodeDaemon
 from repro.runtime.launcher import report_json
@@ -136,6 +137,23 @@ def built_setsep(small_keys, small_values):
     params = SetSepParams(value_bits=2)
     setsep, stats = build(small_keys, small_values, params)
     return setsep, stats
+
+
+@pytest.fixture()
+def closed_cdrs(monkeypatch):
+    """``(engine, CDR)`` for each ``DataPlaneEngine.close_bearer`` call
+    during the test, in call order.  An engine keeps no CDR: its caller
+    takes it from the return, and so does this fixture."""
+    closed = []
+    close = DataPlaneEngine.close_bearer
+
+    def close_and_keep(engine, teid, now=0.0):
+        record = close(engine, teid, now)
+        closed.append((engine, record))
+        return record
+
+    monkeypatch.setattr(DataPlaneEngine, "close_bearer", close_and_keep)
+    return closed
 
 
 @pytest.fixture()

@@ -587,7 +587,7 @@ class TestRouteBatchColumns:
         latency=st.floats(0, 50, allow_nan=False),
         value=st.one_of(st.none(), st.integers(0, 2**32)),
     )
-    def test_fast_constructor_is_the_keyword_constructor(
+    def test_a_result_is_a_named_tuple_of_nine_fields(
         self, key, ingress, handler, latency, value
     ):
         fields = dict(
@@ -598,13 +598,35 @@ class TestRouteBatchColumns:
             dropped=value is None,
             reason="unknown_key" if value is None else "handled",
         )
-        slow = RouteResult(**fields)
-        fast = RouteResult._of(*fields.values())
-        assert fast == slow and hash(fast) == hash(slow)
-        assert repr(fast) == repr(slow)
-        assert dataclasses.replace(fast, reason="x") == dataclasses.replace(
-            slow, reason="x"
+        by_keyword = RouteResult(**fields)
+        positional = RouteResult(*fields.values())
+        made_in_c = tuple.__new__(RouteResult, fields.values())
+        assert RouteResult._fields == tuple(fields)
+        for result in (positional, made_in_c):
+            assert result == by_keyword and hash(result) == hash(by_keyword)
+            assert repr(result) == repr(by_keyword) == (
+                "RouteResult(" + ", ".join(
+                    f"{name}={field!r}" for name, field in fields.items()
+                ) + ")"
+            )
+        assert by_keyword._replace(reason="x") == RouteResult(
+            **{**fields, "reason": "x"}
         )
-        assert fast.dropped_as("node_down") == slow.dropped_as("node_down")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            fast.key = 0
+        assert dataclasses.replace(by_keyword, reason="x") == (
+            by_keyword._replace(reason="x")
+        )
+        with pytest.raises(AttributeError):
+            by_keyword.key = 0
+        assert by_keyword.delivered is (value is not None)
+        refused = by_keyword.dropped_as("node_down")
+        assert type(refused) is RouteResult and refused == RouteResult(**{
+            **fields, "handled_by": None, "value": None, "dropped": True,
+            "reason": "node_down",
+        })
+        assert not refused.delivered
+        early = RouteResult.drop(key, ingress, "acl")
+        assert type(early) is RouteResult and early == RouteResult(
+            key=key, ingress=ingress, path=(), internal_hops=0,
+            latency_us=0.0, handled_by=None, value=None, dropped=True,
+            reason="acl",
+        )

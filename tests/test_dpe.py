@@ -1,5 +1,8 @@
 """Tests for the Data Plane Engine (repro.epc.dpe)."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.cluster import Architecture
@@ -21,7 +24,7 @@ class TestBearerLifecycle:
         assert record.downlink_packets == 1
         assert record.uplink_packets == 1
         assert record.duration == 10.0
-        assert dpe.records == [record]
+        assert dpe.context(7) is None and len(dpe) == 0
 
     def test_double_open_rejected(self):
         dpe = DataPlaneEngine()
@@ -94,7 +97,8 @@ class TestCounters:
             record.uplink_packets, record.downlink_packets,
         ) == (30, 200, 1, 2)
         assert (record.opened_at, record.duration) == (0.25, 4.0)
-        assert old.records == [] and new.records == [record]
+        with pytest.raises(KeyError):
+            old.close_bearer(9)  # the old node has no CDR to emit
 
     def test_import_of_a_bad_field_changes_nothing(self):
         dpe = DataPlaneEngine()
@@ -132,7 +136,7 @@ class TestDpeInGateway:
             if name.startswith("gateway.drops.")
         )
 
-    def test_the_clock_ends_where_batches_of_one_leave_it(self):
+    def test_the_clock_ends_where_batches_of_one_leave_it(self, closed_cdrs):
         """One ``tick`` per accepted frame, batched or not: the clock, and
         so the CDRs it stamps, agree bit for bit."""
         gateways = []
@@ -151,14 +155,12 @@ class TestDpeInGateway:
         assert one.now == batched.now > 0.0
         for gateway, _, _ in gateways:
             assert gateway.disconnect(flows[3])
-        cdrs = [
-            [record for dpe in gateway.dpes for record in dpe.records]
-            for gateway, _, _ in gateways
-        ]
-        assert cdrs[0] == cdrs[1] and len(cdrs[0]) == 1
-        assert cdrs[0][0].closed_at == one.now
+        (one_dpe, one_cdr), (batched_dpe, batched_cdr) = closed_cdrs
+        assert one_dpe in one.dpes and batched_dpe in batched.dpes
+        assert one_cdr == batched_cdr
+        assert one_cdr.closed_at == one.now
 
-    def test_gateway_emits_cdrs_on_disconnect(self):
+    def test_gateway_emits_cdrs_on_disconnect(self, closed_cdrs):
         gen = FlowGenerator(seed=501)
         gateway = EpcGateway(Architecture.SCALEBRICKS, 4, parse_ip("192.0.2.1"))
         flows = gen.populate(gateway, 20)
@@ -169,10 +171,10 @@ class TestDpeInGateway:
         gateway.process_downstream(frame)
         record_before = gateway.controller.record_for_key(flows[0].key())
         assert gateway.disconnect(flows[0])
-        cdrs = gateway.dpes[record_before.handling_node].records
-        assert len(cdrs) == 1
-        assert cdrs[0].teid == record_before.teid
-        assert cdrs[0].downlink_bytes > 0
+        [(dpe, cdr)] = closed_cdrs
+        assert dpe is gateway.dpes[record_before.handling_node]
+        assert cdr.teid == record_before.teid
+        assert cdr.downlink_bytes > 0
 
     def test_gateway_dpe_counts_both_directions(self):
         gen = FlowGenerator(seed=502)
@@ -188,3 +190,46 @@ class TestDpeInGateway:
         context = gateway.dpes[record.handling_node].context(record.teid)
         assert context.downlink_packets == 1
         assert context.uplink_packets == 1
+
+
+class TestSteadyState:
+    #: Bearers on the gateway, and how many times over they are churned.
+    POPULATION, TURNS = 200, 10
+    #: Heap that ``repro/epc/dpe.py`` may keep per churned bearer
+    #: (disconnect + connect), fixed before any measurement: a closed
+    #: bearer's row is reused, so nothing should stay.  An engine that
+    #: kept every CDR would keep ~120 B per disconnect.
+    BYTES_PER_CHURN = 1.0
+
+    def test_churn_keeps_no_dpe_heap(self):
+        """A started gateway churned ten times its population: the heap
+        the DPE module holds does not grow with the disconnect count."""
+        gen = FlowGenerator(seed=504)
+        gateway = EpcGateway(Architecture.SCALEBRICKS, 4, parse_ip("192.0.2.1"))
+        flows = gen.flows(self.POPULATION * (self.TURNS + 1))
+        live = flows[:self.POPULATION]
+        for flow in live:
+            gateway.connect(
+                flow, gen.base_station_for(flow), gen.region_for(flow)
+            )
+        gateway.start()
+        churn = self.POPULATION * self.TURNS
+        order = np.random.default_rng(505).integers(self.POPULATION, size=churn)
+        dpe_file = [tracemalloc.Filter(True, "*repro/epc/dpe.py")]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(dpe_file)
+            for slot, fresh in zip(order.tolist(), flows[self.POPULATION:]):
+                assert gateway.disconnect(live[slot])
+                gateway.connect(
+                    fresh, gen.base_station_for(fresh), gen.region_for(fresh)
+                )
+                live[slot] = fresh
+            after = tracemalloc.take_snapshot().filter_traces(dpe_file)
+        finally:
+            tracemalloc.stop()
+        growth = sum(
+            stat.size_diff for stat in after.compare_to(before, "filename")
+        )
+        assert sum(len(dpe) for dpe in gateway.dpes) == self.POPULATION
+        assert growth < self.BYTES_PER_CHURN * churn, growth

@@ -131,14 +131,15 @@ class TestDpePlacement:
             ] == [node == record.handling_node for node in range(4)]
         assert all(d.context(0x7FFFFFFF) is None for d in gw.dpes)
 
-    def test_cdr_on_the_handling_node(self, gateway):
+    def test_cdr_on_the_handling_node(self, gateway, closed_cdrs):
         gw, _, flows = gateway
         for flow in flows[:5]:
             record = gw.controller.record_for_key(flow.key())
             gw.disconnect(flow)
-            cdrs = gw.dpes[record.handling_node].records
-            assert cdrs[-1].teid == record.teid
-        assert sum(len(d.records) for d in gw.dpes) == 5
+            dpe, cdr = closed_cdrs[-1]
+            assert dpe is gw.dpes[record.handling_node]
+            assert cdr.teid == record.teid
+        assert len(closed_cdrs) == 5
 
     def test_dpe_bytes_match_the_ledger(self, gateway):
         gw, gen, flows = gateway

@@ -1077,13 +1077,14 @@ class TestSelectBaseline:
 
 
 def batch_calls_rows(at_32=5.66, at_256=0.65, extra=-0.07,
-                     c_at_32=19.38, c_at_256=4.5):
+                     c_at_32=14.75, c_at_256=1.44, c_extra=-0.46):
     return [make_result("gateway.batch_calls", [0.1], derived={
         "python_calls_per_frame_at_32": at_32,
         "python_calls_per_frame_at_256": at_256,
         "python_calls_per_extra_frame": extra,
         "c_calls_per_frame_at_32": c_at_32,
         "c_calls_per_frame_at_256": c_at_256,
+        "c_calls_per_extra_frame": c_extra,
     })]
 
 
@@ -1095,13 +1096,14 @@ class TestBatchCallsGate:
             "calls per frame of a gateway batch: "
             "python 5.66 at 32 (budget 6.60), "
             "python 0.65 at 256 (budget 0.77), "
-            "c 19.38 at 32 (budget 20.31), c 4.50 at 256 (budget 4.62), "
-            "python -0.07 per extra frame (budget 0.50)"
+            "c 14.75 at 32 (budget 15.69), c 1.44 at 256 (budget 1.56), "
+            "python -0.07 per extra frame (budget 0.50), "
+            "c -0.46 per extra frame (budget 0.50)"
         )
         budget, c_budget = gates.BATCH_CALLS_BUDGET, gates.C_CALLS_BUDGET
         assert gates.batch_calls_gate(make_artifact(batch_calls_rows(
             budget[32], budget[256], gates.BATCH_CALLS_PER_EXTRA_FRAME,
-            c_budget[32], c_budget[256],
+            c_budget[32], c_budget[256], gates.BATCH_C_CALLS_PER_EXTRA_FRAME,
         )).to_dict())
 
     @pytest.mark.parametrize("counts", [
@@ -1109,10 +1111,16 @@ class TestBatchCallsGate:
         (5.66, 0.65, 0.93),  # the same, under another NumPy's wrappers
         (6.7, 0.65, -0.07),  # 33 Python calls more per batch
         (5.66, 0.78, -0.07),
-        (5.66, 0.65, -0.07, 20.4),  # 33 C calls more per batch
-        (5.66, 0.65, -0.07, 19.38, 4.65),
+        (5.66, 0.65, -0.07, 15.78),  # 33 C calls more per batch
+        (5.66, 0.65, -0.07, 14.75, 1.57),
+        # One C call more per frame (each frame's result cost three when
+        # it was built in a Python loop): over the per-frame budgets, and
+        # over the extra-frame bound alone where another NumPy's
+        # per-batch calls leave the per-frame readings inside theirs.
+        (5.66, 0.65, -0.07, 15.75, 2.44, 0.54),
+        (5.66, 0.65, -0.07, 14.75, 1.44, 0.54),
         (0.0, 0.65, -0.07), (5.66, 0.0, -0.07),
-        (5.66, 0.65, -0.07, 0.0), (5.66, 0.65, -0.07, 19.38, 0.0),
+        (5.66, 0.65, -0.07, 0.0), (5.66, 0.65, -0.07, 14.75, 0.0),
     ])
     def test_over_the_budget_or_empty_fails(self, counts):
         with pytest.raises(gates.GateFailure, match="over budget"):
@@ -1124,7 +1132,8 @@ class TestBatchCallsGate:
             gates.batch_calls_gate(make_artifact([]).to_dict())
         for name in ("python_calls_per_frame_at_32",
                      "c_calls_per_frame_at_256",
-                     "python_calls_per_extra_frame"):
+                     "python_calls_per_extra_frame",
+                     "c_calls_per_extra_frame"):
             (row,) = batch_calls_rows()
             del row.derived[name]
             with pytest.raises(gates.GateFailure, match=name):
@@ -1132,7 +1141,7 @@ class TestBatchCallsGate:
 
     def test_the_real_row_repeats_and_adds_no_call_per_frame(self):
         """The real row's counts repeat exactly, and the frames between
-        the two sizes add no Python call each.  The absolute budgets
+        the two sizes add no Python or C-level call each.  The absolute budgets
         depend on the interpreter and NumPy, so only CI's gate on the
         smoke artifact applies them."""
         perflab.discover()
@@ -1160,9 +1169,11 @@ class TestBatchCallsGate:
             assert (
                 "gateway.batch_calls", f"{kind}_calls_per_frame_at_{size}"
             ) in perflab.artifact.HEADLINES
-        extra = first.derived["python_calls_per_extra_frame"]
-        assert extra == (calls["python", 256] - calls["python", 32]) / 224
-        assert extra <= gates.BATCH_CALLS_PER_EXTRA_FRAME
+        for kind, bound in (("python", gates.BATCH_CALLS_PER_EXTRA_FRAME),
+                            ("c", gates.BATCH_C_CALLS_PER_EXTRA_FRAME)):
+            extra = first.derived[f"{kind}_calls_per_extra_frame"]
+            assert extra == (calls[kind, 256] - calls[kind, 32]) / 224
+            assert extra <= bound
 
 
 def owner_calls_rows(kept=(39, 81), searched=(73, 123)):

@@ -113,14 +113,14 @@ class TestRehoming:
         _, tunnelled = gateway.process_downstream(frame_for(flow))
         assert tunnelled is not None
 
-    def test_disconnect_after_move_emits_cdr(self, live_gateway):
+    def test_disconnect_after_move_emits_cdr(self, live_gateway, closed_cdrs):
         gateway, _, flows = live_gateway
         flow = flows[6]
         record = gateway.controller.record_for_key(flow.key())
         gateway.process_downstream(frame_for(flow, b"c" * 30))
-        gateway.rehome_flow(flow, (record.handling_node + 1) % 4)
+        new_node = (record.handling_node + 1) % 4
+        gateway.rehome_flow(flow, new_node)
         assert gateway.disconnect(flow)
-        cdrs = [r for dpe in gateway.dpes for r in dpe.records
-                if r.teid == record.teid]
-        assert len(cdrs) == 1
-        assert cdrs[0].downlink_bytes > 0  # counters survived the move
+        [(dpe, cdr)] = closed_cdrs
+        assert dpe is gateway.dpes[new_node] and cdr.teid == record.teid
+        assert cdr.downlink_bytes > 0  # counters survived the move

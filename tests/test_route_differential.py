@@ -298,3 +298,51 @@ def test_a_whole_batch_equals_the_walker_where_order_is_free(
     assert batch.touches({2}).tolist() == [
         2 in result.path for result in expected
     ]
+
+
+@pytest.mark.parametrize(
+    "arch", [Architecture.ROUTEBRICKS_VLB, Architecture.HASH_PARTITION],
+    ids=lambda a: a.value,
+)
+def test_a_batch_on_a_sixteen_node_fat_tree_equals_the_walker(arch):
+    """Two-hop paths and drops over 16 nodes, made by one batch: each
+    result equals the walker's field for field and type for type, and a
+    drop has no handler and no value.  No link reaches its capacity, so
+    no latency depends on transit order."""
+    nodes = 16
+    keys = unique_keys(NUM_FLOWS, seed=71)
+    handlers = np.random.default_rng(72).integers(nodes, size=NUM_FLOWS)
+    values = np.arange(NUM_FLOWS) * 5 + 1
+    probe = np.concatenate([
+        keys[:300], unique_keys(60, seed=73, low=2**62, high=2**63)
+    ])
+    np.random.default_rng(74).shuffle(probe)
+    ingress = np.random.default_rng(75).integers(nodes, size=probe.size)
+
+    def build_16():
+        fabric = fabric_registry.create(nodes, "fattree", edge_capacity=10**6)
+        return Cluster.build(arch, nodes, keys, handlers, values, fabric=fabric)
+
+    reference = build_16()
+    walker = Walker(reference)
+    expected = [
+        walker.route(key, node)
+        for key, node in zip(probe.tolist(), ingress.tolist())
+    ]
+    cluster = build_16()
+    batch = cluster.route_batch(probe, ingress)
+    assert list(batch) == expected
+    assert [tuple(map(type, result)) for result in batch] == [
+        tuple(map(type, result)) for result in expected
+    ]
+    assert state(cluster) == state(reference)
+    assert any(len(result.path) == 3 for result in batch)
+    drops = [result for result in batch if result.dropped]
+    assert drops and all(
+        result.handled_by is None and result.value is None
+        and not result.delivered for result in drops
+    )
+    assert {result.reason for result in batch} == {
+        "handled", "unknown_at_ingress" if arch is Architecture.ROUTEBRICKS_VLB
+        else "unknown_at_lookup_node",
+    }
