@@ -31,13 +31,12 @@ because every node daemon imports it through
 gateway):
 
 * :mod:`~repro.chaos.faults` — fault kinds (``DEFAULT_FAULT_KINDS``,
-  ``LINK_FAULT_KINDS``, ``CONTROLLER_FAULT_KINDS``), plans and the
-  injector;
+  ``LINK_FAULT_KINDS``), plans and the injector;
 * :mod:`~repro.chaos.oracle` — the differential oracle and its reference
   gateway;
 * :mod:`~repro.chaos.soak` — the seeded episode driver and its gates;
-* :mod:`~repro.chaos.drills` — the failover and fence drills run through
-  the operator API;
+* :mod:`~repro.chaos.drills` — the fence drill run through the operator
+  API;
 * :mod:`~repro.chaos.transport` — per-link transport fault budgets for
   the multi-process runtime.
 """

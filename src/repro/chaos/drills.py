@@ -1,17 +1,11 @@
-"""Operator-driven chaos drills, exercised through the REST API only.
+"""The operator-driven chaos drill, exercised through the REST API only.
 
 The harness drills (:func:`repro.runtime.launcher.run_demo`) reach
-straight into the controller.  The drills here are stricter: they drive
+straight into the controller.  The drill here is stricter: it drives
 the cluster exclusively through :class:`~repro.ops.client.OpsClient`,
-the same surface a human operator (or the CI smoke job) has — if a
+the same surface a human operator (or the CI smoke job) has — if the
 drill passes, the API alone was sufficient to detect, fence and repair
 a grey failure without breaking the differential.
-
-:func:`run_failover_drill` is the control-plane §7 scenario: a
-replicated (3-controller) cluster loses its leader mid-operation; the
-drill proves the lease fails over, mutations on the old endpoint
-redirect (307) to the new leader, the committed op log is readable from
-every replica, and the data-plane differential never diverges.
 
 :func:`run_fence_drill` is the §7 grey-failure scenario:
 
@@ -27,7 +21,7 @@ every replica, and the data-plane differential never diverges.
 The report's ``ok`` is true only with zero divergences, byte-identical
 frames, identical charging (minus the victim's fate-shared slice) and
 CRC-identical GPT replicas — the exact gates the harness uses
-(:func:`repro.runtime.session.differential_gates`), plus each drill's
+(:func:`repro.runtime.session.differential_gates`), plus the drill's
 own; ``gates`` names them and ``ok`` is their conjunction.
 """
 
@@ -36,37 +30,21 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 
-def _differential_gates(report: Dict[str, object]) -> Dict[str, bool]:
-    """The shared differential gates over a drill's two traffic phases,
-    its audit and its shutdown's leak count."""
+def fence_drill_gates(report: Dict[str, object]) -> Dict[str, bool]:
+    """Every hard gate on a :func:`run_fence_drill` report: the shared
+    differential gates over its two traffic phases, its audit and its
+    shutdown's leak count, plus the fence and the metrics page."""
     # Imported here, not at module top: the runtime pulls this package
     # back in (daemon-side transport faults).
     from repro.runtime.session import differential_gates
 
-    return differential_gates(
-        [report["phase1"], report["phase2"]], report["audit"],
-        report["leaked_processes"],
-    )
-
-
-def fence_drill_gates(report: Dict[str, object]) -> Dict[str, bool]:
-    """Every hard gate on a :func:`run_fence_drill` report."""
     return {
         "fenced": bool(report["fenced"]),
-        **_differential_gates(report),
+        **differential_gates(
+            [report["phase1"], report["phase2"]], report["audit"],
+            report["leaked_processes"],
+        ),
         "metrics_nonempty": bool(report["metrics_nonempty"]),
-    }
-
-
-def failover_drill_gates(report: Dict[str, object]) -> Dict[str, bool]:
-    """Every hard gate on a :func:`run_failover_drill` report."""
-    return {
-        "term_advanced": bool(report["term_advanced"]),
-        "redirected": bool(report["redirected"]),
-        "redirect_followed": report["churn2_redirects"] >= 1,
-        "single_leader": bool(report["single_leader"]),
-        "ops_visible_everywhere": bool(report["ops_visible_everywhere"]),
-        **_differential_gates(report),
     }
 
 
@@ -142,108 +120,5 @@ def run_fence_drill(
         report["leaked_processes"] = shutdown["leaked_processes"]
         server.shutdown()
     report["gates"] = fence_drill_gates(report)
-    report["ok"] = all(report["gates"].values())
-    return report
-
-
-def run_failover_drill(
-    num_nodes: int = 4,
-    seed: int = 7,
-    flows: int = 800,
-    packets: int = 800,
-    churn: int = 120,
-    replicas: int = 3,
-) -> Dict[str, object]:
-    """The control-plane failover drill, driven through the operator API.
-
-    1. launch a replicated cluster (``replicas`` controller replicas,
-       one API server bound per replica),
-    2. differential traffic + §4.5 churn through the leader's endpoint,
-    3. depose the leader (``POST /v1/replication/fail-leader``),
-    4. issue churn against the *old leader's* endpoint and require the
-       307 leader redirect to land it on the successor,
-    5. more traffic, the global audit, and the replication invariants:
-       exactly one leader, a higher term, and every committed op
-       readable from every replica's endpoint.
-    """
-    # Imported here, not at module top: repro.ops pulls in the runtime,
-    # which pulls this package back in (daemon-side transport faults).
-    from repro.ops.api import OpsApiServer
-    from repro.ops.client import OpsApiError, OpsClient
-    from repro.ops.manager import ClusterOps
-
-    if replicas < 3:
-        raise ValueError("a failover drill needs at least 3 replicas")
-    ops = ClusterOps.launch(
-        num_nodes=num_nodes, seed=seed, flows=flows, replicas=replicas,
-    )
-    servers = [
-        OpsApiServer(ops, replica=r).start_background()
-        for r in range(replicas)
-    ]
-    clients = [OpsClient(s.host, s.port) for s in servers]
-    report: Dict[str, object] = {
-        "drill": "failover",
-        "nodes": num_nodes,
-        "seed": seed,
-        "replicas": replicas,
-    }
-    try:
-        assert ops.replication is not None
-        old_leader = ops.replication.group.leader()
-        assert old_leader is not None
-        leader_client = clients[old_leader]
-        first = packets // 2
-        report["phase1"] = leader_client.traffic(first)
-        report["churn1"] = leader_client.updates(
-            connects=churn // 4, rehomes=churn // 2,
-            disconnects=churn // 4,
-        )
-        report["failover"] = leader_client.fail_leader()
-        new_leader = report["failover"]["new_leader"]
-        report["term_advanced"] = bool(
-            report["failover"]["new_term"] > report["failover"]["old_term"]
-        )
-        # The old leader's endpoint must now answer mutations with a
-        # 307 naming the successor...
-        raw = OpsClient(
-            servers[old_leader].host, servers[old_leader].port,
-            follow_redirects=False,
-        )
-        try:
-            raw.updates(connects=1)
-            report["redirected"] = False
-        except OpsApiError as exc:
-            report["redirected"] = bool(
-                exc.status == 307 and exc.location is not None
-                and f":{servers[new_leader].port}" in exc.location
-            )
-        # ...and a redirect-following client lands the same mutation.
-        report["churn2"] = clients[old_leader].updates(
-            connects=churn // 8, rehomes=churn // 8,
-        )
-        report["churn2_redirects"] = clients[old_leader].last_redirects
-        report["phase2"] = clients[new_leader].traffic(packets - first)
-        report["audit"] = clients[new_leader].audit()
-        status = clients[new_leader].replication()
-        report["replication"] = {
-            "leader": status["leader"],
-            "term": status["term"],
-        }
-        leaders = [
-            m["node"] for m in status["members"] if m["role"] == "leader"
-        ]
-        committed_views = [c.committed_ops() for c in clients]
-        verbs = [[o["verb"] for o in view] for view in committed_views]
-        report["single_leader"] = leaders == [status["leader"]]
-        report["ops_visible_everywhere"] = bool(
-            all(v == verbs[0] for v in verbs[1:]) and len(verbs[0]) >= 4
-        )
-    finally:
-        shutdown = clients[0].shutdown()
-        report["leaked_processes"] = shutdown["leaked_processes"]
-        for server in servers:
-            server.shutdown()
-    report["gates"] = failover_drill_gates(report)
     report["ok"] = all(report["gates"].values())
     return report

@@ -80,17 +80,6 @@ class FaultKind(enum.Enum):
     FLOW_CHURN = "flow_churn"
     #: Move a live bearer to another handling node (§7 mobility).
     FLOW_REHOME = "flow_rehome"
-    #: SIGKILL-analogue on the controller leader: crash it mid-term,
-    #: require a majority successor, restart the corpse as an observer.
-    LEADER_CRASH = "leader_crash"
-    #: Partition one controller follower; the leaseholder must keep
-    #: serving on the remaining majority, and the healed follower must
-    #: converge on the same committed log.
-    FOLLOWER_PARTITION = "follower_partition"
-    #: Isolate the leader so its lease expires: it must step down on
-    #: its own clock while a new leader rises on the majority side —
-    #: never two leaseholders at once.
-    LEASE_STALL = "lease_stall"
     #: Sever one fabric link (the fabric picks its own victim: a spine
     #: trunk on the fat-tree, which must reroute; a node pair on the
     #: crossbar, which loses that direction until healed).
@@ -119,18 +108,9 @@ DEFAULT_FAULT_KINDS: Tuple[FaultKind, ...] = (
     FaultKind.FLOW_REHOME,
 )
 
-#: Control-plane faults: only applicable when the injector is given a
-#: replicated controller group.  Kept out of DEFAULT_FAULT_KINDS so
-#: existing plans (and their byte-compared reports) are untouched; pass
-#: ``kinds=DEFAULT_FAULT_KINDS + CONTROLLER_FAULT_KINDS`` to mix them in.
-CONTROLLER_FAULT_KINDS: Tuple[FaultKind, ...] = (
-    FaultKind.LEADER_CRASH,
-    FaultKind.FOLLOWER_PARTITION,
-    FaultKind.LEASE_STALL,
-)
-
 #: Link-level faults against the fabric topology itself.  Kept out of
-#: DEFAULT_FAULT_KINDS for the same reason as the controller kinds; pass
+#: DEFAULT_FAULT_KINDS so existing plans (and their byte-compared
+#: reports) are untouched; pass
 #: ``kinds=DEFAULT_FAULT_KINDS + LINK_FAULT_KINDS`` (the CLI's
 #: ``--link-faults``) to mix them in.  ``LINK_HEAL`` is scheduled
 #: automatically as the paired heal, never drawn directly.
@@ -246,12 +226,6 @@ class FaultInjector:
         seed: drives every random choice the injector makes (victims,
             ingress nodes, corruption offsets); independent of the plan
             seed so the same plan can be replayed over different traffic.
-        replicas: an optional replicated controller group
-            (:class:`~repro.runtime.replication.ReplicaGroup`); enables
-            the ``CONTROLLER_FAULT_KINDS`` handlers, which drive crash /
-            partition / lease-stall scenarios through it and record any
-            leadership-invariant breach (zero or two leaders, diverged
-            committed logs) as an oracle violation.
     """
 
     def __init__(
@@ -260,7 +234,6 @@ class FaultInjector:
         oracle: DifferentialOracle,
         flowgen: FlowGenerator,
         seed: int,
-        replicas=None,
     ) -> None:
         if gateway.cluster is None or gateway.updates is None:
             raise RuntimeError("gateway must be started before injection")
@@ -269,7 +242,6 @@ class FaultInjector:
         self.flowgen = flowgen
         self.cluster = gateway.cluster
         self.engine = gateway.updates
-        self.replicas = replicas
         self.rng = np.random.default_rng(seed)
         self.applied: Dict[str, int] = {}
         self.outcomes: Dict[str, int] = {}
@@ -548,120 +520,6 @@ class FaultInjector:
             return
         self.gateway.rehome_flow(ref.flow, target)
         self.oracle.note_rehome(ref.key, target)
-
-    # -- controller (replicated control plane) faults ------------------
-
-    def _leadership_violation(self, step: int, detail: str) -> None:
-        from repro.chaos.oracle import OracleViolation
-
-        self.oracle.violations.append(OracleViolation(
-            step=step, invariant="leadership", key=-1, detail=detail,
-        ))
-
-    def _check_leadership(self, step: int, floor_term: int = 0) -> None:
-        """Assert exactly one live leader and agreeing committed logs."""
-        group = self.replicas
-        assert group is not None
-        leaders = group.leaders()
-        if len(leaders) != 1:
-            self._leadership_violation(
-                step, f"expected exactly one leader, saw {leaders}"
-            )
-            return
-        term = group.replicas[leaders[0]].term
-        if term < floor_term:
-            self._leadership_violation(
-                step,
-                f"leader term {term} did not advance past {floor_term}",
-            )
-        if not group.logs_identical():
-            self._leadership_violation(
-                step, "live replicas disagree on the committed prefix"
-            )
-
-    def _apply_leader_crash(self, event: FaultEvent) -> None:
-        """SIGKILL the leader mid-term; a successor must win and the
-        restarted corpse must converge on the successor's log."""
-        group = self.replicas
-        if group is None:
-            return
-        old = group.leader()
-        if old is None:
-            old = group.elect()
-        old_term = group.replicas[old].term
-        info = group.depose()
-        self._check_leadership(event.step, floor_term=old_term + 1)
-        if info["new_leader"] == old:
-            self._leadership_violation(
-                event.step,
-                f"crashed leader {old} won again without a grace period",
-            )
-
-    def _apply_follower_partition(self, event: FaultEvent) -> None:
-        """Isolate one follower; the lease must survive on the majority
-        and the healed follower must catch up to the same log."""
-        group = self.replicas
-        if group is None:
-            return
-        leader = group.leader()
-        if leader is None:
-            leader = group.elect()
-        followers = [i for i in group.live() if i != leader]
-        if not followers:
-            return
-        victim = int(followers[int(self.rng.integers(len(followers)))])
-        term_before = group.replicas[leader].term
-        group.partition(victim)
-        if len(group.live()) < group.replicas[leader].quorum:
-            # Partitioning this follower broke the majority; the lease
-            # is *supposed* to lapse then, so there is nothing to hold.
-            group.heal(victim)
-            return
-        group.advance(group.lease_duration * 2)
-        if group.leader() != leader or (
-            group.replicas[leader].term != term_before
-        ):
-            self._leadership_violation(
-                event.step,
-                f"leader {leader} lost its lease to a single follower "
-                "partition despite holding a majority",
-            )
-        group.heal(victim)
-        group.run_until(
-            lambda: group.replicas[victim].commit_index
-            >= group.replicas[leader].commit_index
-        )
-        self._check_leadership(event.step, floor_term=term_before)
-
-    def _apply_lease_stall(self, event: FaultEvent) -> None:
-        """Cut the leader off: its lease must lapse (step-down on its
-        own clock) while the majority elects a successor — the two-
-        leaseholder window the lease arithmetic forbids."""
-        from repro.runtime.replication import Role
-
-        group = self.replicas
-        if group is None:
-            return
-        old = group.leader()
-        if old is None:
-            old = group.elect()
-        old_term = group.replicas[old].term
-        group.partition(old)
-        new = group.elect()
-        group.run_until(
-            lambda: group.replicas[old].role is not Role.LEADER
-        )
-        if new == old:
-            self._leadership_violation(
-                event.step, f"partitioned leader {old} re-elected itself"
-            )
-        group.heal(old)
-        group.run_until(
-            lambda: group.replicas[old].leader_id == new
-            and group.replicas[old].commit_index
-            >= group.replicas[new].commit_index
-        )
-        self._check_leadership(event.step, floor_term=old_term + 1)
 
     # ------------------------------------------------------------------
     # Traffic

@@ -38,10 +38,9 @@ Commands:
   fails).
 * ``serve-api`` / ``ctl`` — the operator control plane
   (:mod:`repro.ops`): ``serve-api`` launches a managed cluster behind
-  the REST API daemon (``--replicas N`` replicates the control plane;
-  followers answer mutations with a 307 to the leader), ``ctl`` is
-  the HTTP client driving it (drain, join, kill, fence, traffic,
-  audit, metrics, status, fail-leader, ...).
+  the REST API daemon (one controller; ``runtime-demo --replicas`` is
+  the replicated control plane), ``ctl`` is the HTTP client driving it
+  (drain, join, kill, fence, traffic, audit, metrics, ...).
 
 Machine-readable output is uniform: every command that can emit JSON
 takes ``--json`` and routes through one :func:`emit` helper (sorted
@@ -596,39 +595,21 @@ def _cmd_serve_api(args: argparse.Namespace) -> int:
         miss_threshold=args.miss_threshold,
         fence_after=args.fence_after,
         ping_timeout=args.ping_timeout,
-        replicas=args.replicas,
     )
-    replica = 0 if args.replicas else None
     server = OpsApiServer(
         ops, host=args.host, port=args.port, stop_on_shutdown=True,
-        replica=replica,
     )
-    # In replicated mode every other replica gets its own API endpoint
-    # (ephemeral port) so ``repro ctl`` works against any of them — a
-    # follower answers mutations with a 307 to the leader.
-    followers = [
-        OpsApiServer(ops, host=args.host, replica=r).start_background()
-        for r in range(1, args.replicas)
-    ]
     print(
         f"operator API listening on {server.host}:{server.port} "
         f"({args.nodes} nodes, seed {args.seed})",
         flush=True,
     )
-    for follower in followers:
-        print(
-            f"replica {follower.replica} API on "
-            f"{follower.host}:{follower.port}",
-            flush=True,
-        )
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.httpd.server_close()
-        for follower in followers:
-            follower.shutdown()
         ops.close()
     return EXIT_OK
 
@@ -688,12 +669,6 @@ def _cmd_ctl(args: argparse.Namespace) -> int:
             doc = client.traffic(packets=args.packets)
         elif verb == "poll":
             doc = client.poll(rounds=args.rounds)
-        elif verb == "status":
-            doc = client.replication()
-        elif verb == "committed":
-            doc = client.committed_ops()
-        elif verb == "fail-leader":
-            doc = client.fail_leader()
         elif verb == "shutdown":
             doc = client.shutdown()
         else:  # pragma: no cover - argparse enforces choices
@@ -992,11 +967,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     serve_api.add_argument("--ping-timeout", type=float, default=0.5,
                            help="heartbeat probe timeout in seconds")
-    serve_api.add_argument(
-        "--replicas", type=int, default=0,
-        help="replicate the control plane across N controller replicas; "
-             "replica 0 serves on --port, the rest on ephemeral ports",
-    )
     _add_backend_argument(serve_api)
     serve_api.set_defaults(func=_cmd_serve_api)
 
@@ -1048,10 +1018,6 @@ def make_parser() -> argparse.ArgumentParser:
         "poll", "heartbeat round(s) + auto-fence sweep",
         rounds=(int, 1, "heartbeat rounds"),
     )
-    add_ctl_verb("status", "replication status: leader, term, replicas")
-    add_ctl_verb("committed", "this replica's committed op log")
-    add_ctl_verb("fail-leader",
-                 "depose the controller leader (failover drill)")
     add_ctl_verb("shutdown", "stop the cluster and the API daemon")
 
     reproduce = sub.add_parser(

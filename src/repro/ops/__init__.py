@@ -22,10 +22,8 @@ from repro.ops.manager import (
     BadRequestError,
     ClusterOps,
     ConflictError,
-    LeaderRedirectError,
     NotFoundError,
     OpsError,
-    OpsReplication,
 )
 
 __all__ = [
@@ -36,8 +34,6 @@ __all__ = [
     "BadRequestError",
     "ClusterOps",
     "ConflictError",
-    "LeaderRedirectError",
     "NotFoundError",
     "OpsError",
-    "OpsReplication",
 ]

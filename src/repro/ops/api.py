@@ -20,16 +20,7 @@ management surface::
     POST /v1/updates                   seeded §4.5 churn batch
     POST /v1/traffic                   seeded differential traffic batch
     POST /v1/poll                      heartbeat round(s) + auto-fence sweep
-    GET  /v1/replication               replica group status + endpoints
-    GET  /v1/replication/ops           this replica's committed op log
-    POST /v1/replication/fail-leader   depose the leader (failover drill)
     POST /v1/shutdown                  stop the cluster, report leaks
-
-When the cluster was launched with ``replicas`` > 0, each API server
-binds to one replica id: mutating verbs on a follower's server answer
-``307`` with a ``Location`` header naming the leader's endpoint, and
-mutations on the leader replicate through the group's log before they
-execute.
 
 Errors come back as ``{"error": ...}`` with the status the typed
 exception carries (404 unknown node/flow, 409 wrong state, 400 bad
@@ -51,12 +42,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.exposition import CONTENT_TYPE
-from repro.ops.manager import (
-    BadRequestError,
-    ClusterOps,
-    LeaderRedirectError,
-    OpsError,
-)
+from repro.ops.manager import BadRequestError, ClusterOps, OpsError
 
 #: API version prefix every route lives under.
 API_PREFIX = "/v1"
@@ -77,8 +63,6 @@ _GET_ROUTES: List[Tuple[re.Pattern, str]] = [
     (re.compile(r"^/v1/flows/(\d+)$"), "flow"),
     (re.compile(r"^/v1/metrics$"), "metrics"),
     (re.compile(r"^/v1/audit$"), "audit"),
-    (re.compile(r"^/v1/replication$"), "replication"),
-    (re.compile(r"^/v1/replication/ops$"), "replication_ops"),
 ]
 
 _POST_ROUTES: List[Tuple[re.Pattern, str]] = [
@@ -86,7 +70,6 @@ _POST_ROUTES: List[Tuple[re.Pattern, str]] = [
     (re.compile(r"^/v1/updates$"), "updates"),
     (re.compile(r"^/v1/traffic$"), "traffic"),
     (re.compile(r"^/v1/poll$"), "poll"),
-    (re.compile(r"^/v1/replication/fail-leader$"), "fail_leader"),
     (re.compile(r"^/v1/shutdown$"), "shutdown"),
 ]
 
@@ -111,7 +94,6 @@ class _OpsHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     timeout = READ_TIMEOUT  # socketserver sets it on the connection
     ops: ClusterOps  # injected by OpsApiServer
-    replica: Optional[int] = None  # replica id this server speaks for
     on_shutdown: Optional[Callable[[], None]] = None
 
     # -- plumbing ------------------------------------------------------
@@ -132,25 +114,6 @@ class _OpsHandler(BaseHTTPRequestHandler):
 
     def _send_error(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
-
-    def _send_redirect(self, exc: LeaderRedirectError) -> None:
-        """307 with a ``Location`` pointing at the leader's endpoint."""
-        location = None
-        if exc.location is not None:
-            host, port = exc.location
-            location = f"http://{host}:{port}{self.path}"
-        body = _json_bytes({
-            "error": str(exc),
-            "leader": exc.leader,
-            "location": location,
-        })
-        self.send_response(exc.status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if location is not None:
-            self.send_header("Location", location)
-        self.end_headers()
-        self.wfile.write(body)
 
     def _read_body(self) -> Dict[str, object]:
         try:
@@ -188,8 +151,6 @@ class _OpsHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         try:
             self._route_get()
-        except LeaderRedirectError as exc:
-            self._send_redirect(exc)
         except OpsError as exc:
             self._send_error(exc.status, str(exc))
         except Exception as exc:  # pragma: no cover - defensive
@@ -198,18 +159,10 @@ class _OpsHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         try:
             self._route_post()
-        except LeaderRedirectError as exc:
-            self._send_redirect(exc)
         except OpsError as exc:
             self._send_error(exc.status, str(exc))
         except Exception as exc:  # pragma: no cover - defensive
             self._send_error(500, f"{type(exc).__name__}: {exc}")
-
-    def _apply(self, verb: str, params: Dict[str, object]) -> object:
-        """One mutating verb — through the replicated log when enabled."""
-        if self.ops.replication is not None:
-            return self.ops.submit_via(self.replica, verb, params)
-        return self.ops.execute_verb(verb, params)
 
     def _route_get(self) -> None:
         path = self.path.split("?", 1)[0]
@@ -236,14 +189,6 @@ class _OpsHandler(BaseHTTPRequestHandler):
                 )
             if name == "audit":
                 return self._send_json(200, self.ops.audit())
-            if name == "replication":
-                return self._send_json(
-                    200, self.ops.replication_status(self.replica)
-                )
-            if name == "replication_ops":
-                return self._send_json(
-                    200, self.ops.committed_ops(self.replica)
-                )
         self._send_error(404, f"no such endpoint: GET {path}")
 
     def _route_post(self) -> None:
@@ -259,25 +204,24 @@ class _OpsHandler(BaseHTTPRequestHandler):
                     return self._send_error(
                         404, f"no such node verb: {verb}"
                     )
-                result = self._apply(verb, {"node": node_id})
-                return self._send_json(200, result)
+                return self._send_json(
+                    200, getattr(self.ops, verb)(node_id)
+                )
             body = self._read_body()
             if name == "updates":
-                return self._send_json(200, self._apply("churn", {
-                    "connects": _int_field(body, "connects", 0),
-                    "rehomes": _int_field(body, "rehomes", 0),
-                    "disconnects": _int_field(body, "disconnects", 0),
-                }))
+                return self._send_json(200, self.ops.churn(
+                    connects=_int_field(body, "connects", 0),
+                    rehomes=_int_field(body, "rehomes", 0),
+                    disconnects=_int_field(body, "disconnects", 0),
+                ))
             if name == "traffic":
-                return self._send_json(200, self._apply("traffic", {
-                    "packets": _int_field(body, "packets", 200),
-                }))
+                return self._send_json(200, self.ops.traffic(
+                    _int_field(body, "packets", 200)
+                ))
             if name == "poll":
-                return self._send_json(200, self._apply("poll", {
-                    "rounds": _int_field(body, "rounds", 1),
-                }))
-            if name == "fail_leader":
-                return self._send_json(200, self.ops.fail_leader())
+                return self._send_json(200, self.ops.poll(
+                    _int_field(body, "rounds", 1)
+                ))
             if name == "shutdown":
                 result = self.ops.close()
                 self._send_json(200, result)
@@ -308,14 +252,9 @@ class OpsApiServer:
         host: str = "127.0.0.1",
         port: int = 0,
         stop_on_shutdown: bool = False,
-        replica: Optional[int] = None,
     ) -> None:
         self.ops = ops
-        self.replica = replica
-        handler = type(
-            "BoundOpsHandler", (_OpsHandler,),
-            {"ops": ops, "replica": replica},
-        )
+        handler = type("BoundOpsHandler", (_OpsHandler,), {"ops": ops})
         if stop_on_shutdown:
             # staticmethod: a bare function stored on the class would be
             # bound as a method and receive the handler as an argument.
@@ -328,8 +267,6 @@ class OpsApiServer:
         self.host = self.httpd.server_address[0]
         self.port = int(self.httpd.server_address[1])
         self._thread: Optional[threading.Thread] = None
-        if replica is not None and ops.replication is not None:
-            ops.register_endpoint(replica, self.host, self.port)
 
     def serve_forever(self) -> None:
         """Serve until :meth:`shutdown` (blocking)."""

@@ -16,54 +16,37 @@ from __future__ import annotations
 
 import http.client
 import json
-import urllib.parse
 from typing import Dict, List, Optional
 
 
 class OpsApiError(Exception):
     """An error response from the operator API."""
 
-    def __init__(self, status: int, message: str,
-                 location: Optional[str] = None) -> None:
+    def __init__(self, status: int, message: str) -> None:
         super().__init__(f"HTTP {status}: {message}")
         self.status = status
         self.message = message
-        #: the ``Location`` header of a 307, when the server sent one.
-        self.location = location
 
 
 class OpsClient:
-    """Talks to one :class:`~repro.ops.api.OpsApiServer`.
-
-    Against a replicated control plane the client follows leader
-    redirects: a follower answering ``307`` with a ``Location`` header
-    gets the request re-issued against the leader's endpoint (up to
-    ``max_redirects`` hops).  Set ``follow_redirects=False`` to see the
-    raw 307 as an :class:`OpsApiError` instead — the failover tests do,
-    to assert the redirect semantics themselves.
-    """
+    """Talks to one :class:`~repro.ops.api.OpsApiServer`."""
 
     def __init__(
         self, host: str = "127.0.0.1", port: int = 8787,
         timeout: float = 60.0,
-        follow_redirects: bool = True,
-        max_redirects: int = 4,
     ) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.follow_redirects = follow_redirects
-        self.max_redirects = max_redirects
-        #: redirect hops the most recent request took (test telemetry).
-        self.last_redirects = 0
 
     # -- plumbing ------------------------------------------------------
 
-    def _one_request(
-        self, host: str, port: int, method: str, path: str,
-        body: Optional[dict],
+    def _request(
+        self, method: str, path: str, body: Optional[dict] = None,
     ):
-        conn = http.client.HTTPConnection(host, port, timeout=self.timeout)
+        conn = http.client.HTTPConnection(
+            self.host, self.port, timeout=self.timeout
+        )
         try:
             payload = None
             headers = {}
@@ -78,42 +61,15 @@ class OpsClient:
                 doc = json.loads(raw.decode("utf-8"))
             else:
                 doc = raw.decode("utf-8")
-            return response.status, response.getheader("Location"), doc, raw
         finally:
             conn.close()
-
-    def _request(
-        self, method: str, path: str, body: Optional[dict] = None,
-    ):
-        host, port = self.host, self.port
-        self.last_redirects = 0
-        for _hop in range(self.max_redirects + 1):
-            status, location, doc, raw = self._one_request(
-                host, port, method, path, body
+        if response.status >= 400:
+            message = (
+                doc.get("error", raw.decode("utf-8"))
+                if isinstance(doc, dict) else str(doc)
             )
-            if status in (307, 308):
-                message = (
-                    doc.get("error", "redirected")
-                    if isinstance(doc, dict) else str(doc)
-                )
-                if not self.follow_redirects or not location:
-                    raise OpsApiError(status, message, location=location)
-                parsed = urllib.parse.urlsplit(location)
-                host = parsed.hostname or host
-                port = parsed.port or port
-                path = parsed.path or path
-                self.last_redirects += 1
-                continue
-            if status >= 400:
-                message = (
-                    doc.get("error", raw.decode("utf-8"))
-                    if isinstance(doc, dict) else str(doc)
-                )
-                raise OpsApiError(status, message)
-            return doc
-        raise OpsApiError(
-            508, f"gave up after {self.max_redirects} leader redirects"
-        )
+            raise OpsApiError(response.status, message)
+        return doc
 
     def _get(self, path: str):
         return self._request("GET", path)
@@ -195,20 +151,6 @@ class OpsClient:
     def poll(self, rounds: int = 1) -> Dict[str, object]:
         """``POST /v1/poll`` — heartbeat round(s) + auto-fence sweep."""
         return self._post("/v1/poll", {"rounds": rounds})
-
-    # -- replication ---------------------------------------------------
-
-    def replication(self) -> Dict[str, object]:
-        """``GET /v1/replication`` — group status, leader, endpoints."""
-        return self._get("/v1/replication")
-
-    def committed_ops(self) -> List[Dict[str, object]]:
-        """``GET /v1/replication/ops`` — this replica's committed ops."""
-        return self._get("/v1/replication/ops")
-
-    def fail_leader(self) -> Dict[str, object]:
-        """``POST /v1/replication/fail-leader`` — deterministic failover."""
-        return self._post("/v1/replication/fail-leader")
 
     def shutdown(self) -> Dict[str, object]:
         """``POST /v1/shutdown`` — stop the cluster, report leaks."""

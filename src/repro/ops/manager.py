@@ -4,7 +4,7 @@ One :class:`ClusterOps` owns a full live deployment — a
 :class:`~repro.runtime.session.Session`: the daemon child processes, the
 controller driving them over sockets and the in-process shadow the
 differential audit compares against.  What a verb *does* is the
-session's; this class adds the lock, the typed errors and replication.
+session's; this class adds the lock and the typed errors.
 Every public method is one management operation with a JSON-ready
 return, and every error is typed so the HTTP layer can map it to a
 status code without string matching:
@@ -30,15 +30,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.obs.exposition import prometheus_text
 from repro.runtime.liveness import NodeState
-from repro.runtime.replication import ReplicaGroup, ReplicaGuard
 from repro.runtime.session import Session
-
-#: The mutating verbs ``execute_verb`` dispatches (the replicated log's
-#: vocabulary), each a public method taking the request's parameters.
-MUTATING_VERBS = (
-    "drain", "join", "kill", "fence", "repair", "suspend", "resume",
-    "churn", "traffic", "poll",
-)
 
 
 class OpsError(Exception):
@@ -65,45 +57,6 @@ class ConflictError(OpsError):
     status = 409
 
 
-class LeaderRedirectError(OpsError):
-    """The addressed replica is not the leader (→ 307 + Location).
-
-    Mutating verbs on a replicated control plane must go through the
-    current leaseholder; a follower answers with the leader's identity
-    and — when that replica has registered an API endpoint — a URL the
-    client can retry against, HTTP-redirect style.
-    """
-
-    status = 307
-
-    def __init__(self, leader: int, location: Optional[tuple]) -> None:
-        where = (
-            f"http://{location[0]}:{location[1]}" if location
-            else "an unregistered endpoint"
-        )
-        super().__init__(f"not the leader; replica {leader} leads at {where}")
-        self.leader = leader
-        self.location = location
-
-
-class OpsReplication:
-    """Replication state for a :class:`ClusterOps`: group + op log.
-
-    ``group`` is the in-process, manual-clock replica group the ops
-    facade replicates mutating verbs through (deterministic — no
-    wall-clock elections); ``endpoints`` maps replica id to the HTTP
-    ``(host, port)`` an :class:`~repro.ops.api.OpsApiServer` bound for
-    it; ``oplog`` records each committed verb's outcome by log index,
-    and each replica's read view is truncated at *that replica's*
-    commit index — a follower never shows an op it has not committed.
-    """
-
-    def __init__(self, group: ReplicaGroup) -> None:
-        self.group = group
-        self.endpoints: Dict[int, tuple] = {}
-        self.oplog: Dict[int, Dict[str, object]] = {}
-
-
 class ClusterOps:
     """Lock-serialised management wrapper around one live cluster.
 
@@ -113,18 +66,13 @@ class ClusterOps:
     every child process.
     """
 
-    def __init__(
-        self,
-        session: Session,
-        replication: Optional[OpsReplication] = None,
-    ) -> None:
+    def __init__(self, session: Session) -> None:
         self.session = session
         self.runtime = session.runtime
         self.controller = session.controller
         self.shadow = session.shadow
         self.gateway = session.shadow.gateway
         self.seed = session.seed
-        self.replication = replication
         self._lock = threading.RLock()
         self._traffic_round = 0
         self._churn_round = 0
@@ -141,32 +89,17 @@ class ClusterOps:
         miss_threshold: int = 3,
         fence_after: Optional[int] = None,
         ping_timeout: float = 0.5,
-        replicas: int = 0,
     ) -> "ClusterOps":
-        """Spawn daemons, build and bootstrap the shadow, wire it all up.
-
-        With ``replicas`` > 0, the facade also runs an in-process
-        replica group (manual clock — elections are deterministic):
-        mutating verbs replicate through its log before executing, and
-        the controller's liveness/fencing verbs are guarded by the
-        group's lease so only the current leader may fence.
-        """
-        replication: Optional[OpsReplication] = None
-        guard = None
-        if replicas:
-            group = ReplicaGroup(num=replicas, seed=seed)
-            group.elect()
-            replication = OpsReplication(group)
-            guard = ReplicaGuard(group)
+        """Spawn daemons, build and bootstrap the shadow, wire it all up."""
         session = Session(
             num_nodes, seed, miss_threshold=miss_threshold,
-            ping_timeout=ping_timeout, fence_after=fence_after, guard=guard,
+            ping_timeout=ping_timeout, fence_after=fence_after,
         )
         with contextlib.ExitStack() as stack:
             stack.enter_context(session)
             session.bootstrap(flows)
             stack.pop_all()  # up and bootstrapped: close() owns it now
-        return cls(session, replication=replication)
+        return cls(session)
 
     def close(self) -> Dict[str, object]:
         """Shut every daemon down; returns the leak accounting."""
@@ -225,15 +158,6 @@ class ClusterOps:
             snapshot["seed"] = self.seed
             snapshot["live_flows"] = len(self.shadow.live_flows)
             snapshot["architecture"] = "scalebricks"
-            if self.replication is not None:
-                group = self.replication.group
-                snapshot["replication"] = {
-                    "leader": group.leader(),
-                    "term": max(
-                        r.term for r in group.replicas.values()
-                    ),
-                    "replicas": group.num,
-                }
             return snapshot
 
     def nodes(self) -> List[Dict[str, object]]:
@@ -306,139 +230,6 @@ class ClusterOps:
     def recent_ops(self) -> List[Dict[str, object]]:
         """Completed management commands, oldest first."""
         return self.controller.commands.recent()
-
-    # -- replicated control plane --------------------------------------
-
-    def register_endpoint(self, replica: int, host: str, port: int) -> None:
-        """Record the HTTP endpoint an API server bound for a replica."""
-        rep = self.replication
-        if rep is None:
-            raise ConflictError("replication is not enabled")
-        if not 0 <= replica < rep.group.num:
-            raise NotFoundError(f"no replica {replica}")
-        with self._lock:
-            rep.endpoints[replica] = (str(host), int(port))
-
-    def replication_status(
-        self, replica: Optional[int] = None
-    ) -> Dict[str, object]:
-        """The ``GET /v1/replication`` document (group + endpoints)."""
-        rep = self.replication
-        if rep is None:
-            return {"enabled": False}
-        with self._lock:
-            doc = rep.group.status()
-            doc["enabled"] = True
-            doc["endpoints"] = {
-                str(rid): list(addr) for rid, addr in rep.endpoints.items()
-            }
-            doc["bound_replica"] = replica
-            if replica is not None:
-                doc["commit_index_here"] = (
-                    rep.group.replicas[replica].commit_index
-                )
-            return doc
-
-    def committed_ops(
-        self, replica: Optional[int] = None
-    ) -> List[Dict[str, object]]:
-        """Replicated verbs visible from one replica's commit index.
-
-        A follower only reports ops it has itself committed — the
-        read-your-committed-writes guarantee the failover tests lean
-        on: once a mutation is acked, *every* replica eventually shows
-        it, and no replica ever shows an uncommitted one.
-        """
-        rep = self.replication
-        if rep is None:
-            return []
-        with self._lock:
-            group = rep.group
-            if replica is None:
-                replica = group.leader()
-                if replica is None:
-                    return []
-            commit = group.replicas[replica].commit_index
-            return [
-                rep.oplog[index]
-                for index in sorted(rep.oplog)
-                if index <= commit
-            ]
-
-    def fail_leader(self) -> Dict[str, object]:
-        """Depose the current leader (crash → re-elect → restart).
-
-        The deterministic failover verb: the old leader loses its
-        lease, a follower wins the next term, and the old process
-        rejoins as a follower and catches up.
-        """
-        rep = self.replication
-        if rep is None:
-            raise ConflictError("replication is not enabled")
-        with self._lock:
-            info = rep.group.depose()
-            return {"verb": "fail_leader", **info}
-
-    def execute_verb(self, verb: str, params: Dict) -> Dict[str, object]:
-        """Dispatch one named mutating verb (the replicated log's body)."""
-        if verb not in MUTATING_VERBS:
-            raise BadRequestError(f"unknown verb {verb!r}")
-        return getattr(self, verb)(**params)
-
-    def submit_via(
-        self, replica: Optional[int], verb: str, params: Dict
-    ) -> Dict[str, object]:
-        """Run a mutating verb through the replicated log.
-
-        The addressed ``replica`` must hold the lease — a follower
-        raises :class:`LeaderRedirectError` (→ 307 + the leader's
-        endpoint) without touching the cluster.  On the leader the
-        verb is committed to the log first, then executed; the outcome
-        (success or typed failure) is recorded in the op log under its
-        log index so every replica's committed view converges on it.
-        """
-        rep = self.replication
-        if rep is None:
-            return self.execute_verb(verb, params)
-        with self._lock:
-            group = rep.group
-            leader = group.leader()
-            if leader is None:
-                leader = group.elect()
-            if replica is not None and leader != replica:
-                raise LeaderRedirectError(
-                    leader, rep.endpoints.get(leader)
-                )
-            payload = {k: v for k, v in params.items() if v is not None}
-            meta = group.submit(verb, payload)
-            # Majority commit acked the entry; push the commit index to
-            # every live follower too, so a committed op is immediately
-            # readable from any replica's API endpoint.
-            group.run_until(lambda: all(
-                group.replicas[i].commit_index >= meta["index"]
-                for i in group.live()
-            ))
-            record: Dict[str, object] = {
-                "index": meta["index"],
-                "term": meta["term"],
-                "cid": meta["cid"],
-                "verb": verb,
-                "params": payload,
-            }
-            try:
-                result = self.execute_verb(verb, params)
-            except OpsError as exc:
-                record["error"] = str(exc)
-                record["status"] = exc.status
-                rep.oplog[meta["index"]] = record
-                raise
-            record["result"] = result
-            rep.oplog[meta["index"]] = record
-            out = dict(result)
-            out["replication"] = {
-                "index": meta["index"], "term": meta["term"],
-            }
-            return out
 
     # -- mutating verbs ------------------------------------------------
 

@@ -29,12 +29,14 @@ node daemon does not load the controller, the session or the launcher):
 * :mod:`~repro.runtime.launcher` — process spawning and the seeded
   differential workload behind ``repro runtime-demo``;
 * :mod:`~repro.runtime.replication` — the replicated-log state machine
-  with lease-based leader election (injected clocks, seeded timeouts)
-  plus the in-memory :class:`~repro.runtime.replication.ReplicaGroup`
-  simulator;
-* :mod:`~repro.runtime.replicated` — controller replicas as real
-  processes and the leader-SIGKILL failover drill behind
-  ``repro runtime-demo --replicas``.
+  with lease-based leader election (injected clocks, seeded timeouts),
+  the leadership guards, and the in-memory
+  :class:`~repro.runtime.replication.ReplicaGroup` simulator the tests
+  drive the core through;
+* :mod:`~repro.runtime.replicated` — the one replicated control plane:
+  controller replicas as real processes and the leader-SIGKILL failover
+  drill behind ``repro runtime-demo --replicas`` (the operator API
+  serves a single controller).
 
 ``docs/runtime.md`` documents the wire protocol byte by byte.
 """

@@ -199,7 +199,8 @@ class RuntimeController:
         self.killer: Optional[Callable[[int], None]] = None
         #: Leadership admission for leader-only actions (heartbeat
         #: sweeps, fencing).  A single controller gets the permissive
-        #: :class:`StaticGuard`; replicated deployments install a
+        #: :class:`StaticGuard`; the replica servers of
+        #: :mod:`repro.runtime.replicated` install a
         #: :class:`~repro.runtime.replication.ReplicaGuard` so a deposed
         #: leader's in-flight actions fail on the term re-check.
         self.guard: LeadershipGuard = guard if guard is not None else StaticGuard()

@@ -64,9 +64,9 @@ from repro.runtime.replication import (
     APPEND_REPLY,
     VOTE,
     VOTE_REPLY,
-    LeadershipGuard,
     Message,
     Replica,
+    ReplicaGuard,
     Role,
     StaleTermError,
 )
@@ -147,26 +147,6 @@ class MonotonicClock:
     @staticmethod
     def now() -> float:
         return time.monotonic()
-
-
-class _CoreGuard(LeadershipGuard):
-    """Guard a wire controller with its own replica core's lease."""
-
-    def __init__(self, core: Replica) -> None:
-        self.core = core
-
-    def acquire(self, action: str) -> int:
-        if self.core.role is not Role.LEADER:
-            raise StaleTermError(
-                f"{action}: replica {self.core.node_id} is not the leader"
-            )
-        return self.core.term
-
-    def validate(self, term: int, action: str) -> None:
-        if self.core.role is not Role.LEADER or self.core.term != term:
-            raise StaleTermError(
-                f"{action}: replica {self.core.node_id} lost term {term}"
-            )
 
 
 class ShadowMachine(Session):
@@ -395,7 +375,7 @@ class ReplicaServer:
         machine, term = self.machine, self.core.term
         if machine.controller is None:
             ctl = RuntimeController(
-                self.daemon_addresses, guard=_CoreGuard(self.core)
+                self.daemon_addresses, guard=ReplicaGuard(self.core)
             )
             ctl.claim = (term, self.replica_id)
             ctl.connect()

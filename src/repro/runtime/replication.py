@@ -38,9 +38,9 @@ Design points, in the repo's determinism doctrine:
 
 The in-memory :class:`ReplicaGroup` wires N replicas through FIFO
 message queues with explicit crash/restart/partition controls — the
-unit-test and ops-tier harness.  The wire tier maps the same payload
-dicts onto ``MSG_VOTE``/``MSG_APPEND`` frames (see
-:mod:`repro.runtime.protocol`).
+deterministic test harness of the core the wire tier runs.  The wire
+tier maps the same payload dicts onto ``MSG_VOTE``/``MSG_APPEND``
+frames (see :mod:`repro.runtime.protocol`).
 """
 
 from __future__ import annotations
@@ -189,38 +189,27 @@ class StaticGuard(LeadershipGuard):
 
 
 class ReplicaGuard(LeadershipGuard):
-    """Guard bound to a :class:`ReplicaGroup` (optionally one replica).
+    """Guard a controller with its own replica core's lease.
 
-    With ``node_id`` pinned, the action is valid only while *that*
-    replica leads; otherwise any current leader validates, but the
-    term captured at ``acquire`` must still be the leader's term when
-    ``validate`` runs — a re-election in between raises.
+    An action is admitted only while ``core`` leads, and the term
+    captured at ``acquire`` must still be the core's term when
+    ``validate`` runs: a core deposed in between raises.
     """
 
-    def __init__(self, group: "ReplicaGroup", node_id: Optional[int] = None):
-        self.group = group
-        self.node_id = node_id
-
-    def _leader_term(self, action: str) -> Tuple[int, int]:
-        leader = self.group.leader()
-        if leader is None:
-            raise StaleTermError(f"{action}: no elected leader")
-        if self.node_id is not None and leader != self.node_id:
-            raise StaleTermError(
-                f"{action}: replica {self.node_id} is not the leader "
-                f"(leader is {leader})"
-            )
-        return leader, self.group.replicas[leader].term
+    def __init__(self, core: "Replica") -> None:
+        self.core = core
 
     def acquire(self, action: str) -> int:
-        return self._leader_term(action)[1]
+        if self.core.role is not Role.LEADER:
+            raise StaleTermError(
+                f"{action}: replica {self.core.node_id} is not the leader"
+            )
+        return self.core.term
 
     def validate(self, term: int, action: str) -> None:
-        current = self._leader_term(action)[1]
-        if current != term:
+        if self.core.role is not Role.LEADER or self.core.term != term:
             raise StaleTermError(
-                f"{action}: term advanced {term} -> {current}; "
-                "the issuing leader was deposed"
+                f"{action}: replica {self.core.node_id} lost term {term}"
             )
 
 
@@ -893,8 +882,7 @@ class ReplicaGroup:
     def depose(self, budget: float = 60.0) -> dict:
         """Crash the leader, elect a successor, restart the old leader.
 
-        The deterministic 'fail over now' verb used by chaos drills and
-        the ops API's fail-leader endpoint.
+        The deterministic 'fail over now' verb of the tests.
         """
         old = self.leader()
         if old is None:

@@ -104,7 +104,9 @@ class Session:
             ``None`` spawns and owns a ``LocalRuntime`` of ``num_nodes``.
         **controller_options: passed to :class:`RuntimeController`
             (``miss_threshold``, ``ping_timeout``, ``fence_after``,
-            ``guard``, ``use_shm``).
+            ``guard``, ``use_shm``).  ``guard`` stays a controller
+            option: only the replicated process tier, which guards its
+            controllers with a ``ReplicaGuard``, and the tests set it.
 
     Use as a context manager.  Leaving it — normally or not, bootstrap
     included — gracefully stops every reachable daemon, closes the

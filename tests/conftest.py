@@ -118,6 +118,23 @@ def assert_each_breaker_fails_only_its_gate(report, gates_of, breakers):
         assert [g for g, passed in gates.items() if not passed] == [gate]
 
 
+def depose_in_place(group) -> int:
+    """Depose ``group``'s leader and return its successor.
+
+    The leader is cut off until the majority elects a successor; its
+    lease lapses, so the *same* core steps down, the way a replica
+    process loses its term while its controller still runs.
+    (``ReplicaGroup.depose`` crashes the leader and restarts it as a
+    fresh core, which a guard bound to the old core never sees.)
+    """
+    old = group.leader()
+    group.partition(old)
+    new = group.elect()
+    group.heal(old)
+    group.run_until(lambda: group.replicas[old].leader_id == new)
+    return new
+
+
 @pytest.fixture(scope="session")
 def small_keys() -> np.ndarray:
     """2 000 distinct keys (session-scoped; treat as read-only)."""

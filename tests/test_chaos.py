@@ -21,7 +21,13 @@ import pytest
 
 import repro
 from repro import fabric as fabric_registry
-from repro.chaos.faults import FaultKind, FaultPlan
+from repro.chaos.faults import (
+    DEFAULT_FAULT_KINDS,
+    LINK_FAULT_KINDS,
+    FaultInjector,
+    FaultKind,
+    FaultPlan,
+)
 from repro.chaos.oracle import DifferentialOracle
 from repro.chaos.soak import SoakRunner, soak_gates
 from repro.cli import main as cli_main
@@ -65,6 +71,28 @@ class TestFaultPlan:
                     open_windows -= 1
                 assert open_windows in (0, 1)  # never overlapping
             assert open_windows == 0  # every window closed in-plan
+
+    def test_every_fault_kind_is_reachable(self):
+        """Each kind is in a pool a plan draws from or is a heal
+        ``FaultPlan.generate`` schedules, plans do schedule every one,
+        and the injector has its handler."""
+        heals = {
+            FaultKind.NODE_REJOIN, FaultKind.PARTITION_HEAL,
+            FaultKind.LINK_HEAL,
+        }
+        pools = set(DEFAULT_FAULT_KINDS) | set(LINK_FAULT_KINDS)
+        assert set(FaultKind) == pools | heals
+        scheduled = {
+            event.kind
+            for seed in range(20)
+            for event in FaultPlan.generate(
+                seed=seed, steps=20,
+                kinds=DEFAULT_FAULT_KINDS + LINK_FAULT_KINDS,
+            ).events
+        }
+        assert scheduled == set(FaultKind)
+        for kind in FaultKind:
+            assert callable(getattr(FaultInjector, f"_apply_{kind.value}", None))
 
     def test_non_gpt_architectures_get_no_delta_faults(self):
         plan = FaultPlan.generate(
@@ -320,8 +348,6 @@ class TestSoakGates:
 
     @pytest.fixture(scope="class")
     def report(self):
-        from repro.chaos.faults import DEFAULT_FAULT_KINDS, LINK_FAULT_KINDS
-
         return small_soak(
             seed=11, kinds=DEFAULT_FAULT_KINDS + LINK_FAULT_KINDS
         ).run().to_dict()

@@ -22,23 +22,23 @@ import time
 import pytest
 
 import repro
-from repro.chaos.drills import (
-    failover_drill_gates,
-    fence_drill_gates,
-    run_failover_drill,
-    run_fence_drill,
-)
+from repro.chaos.drills import fence_drill_gates, run_fence_drill
 from repro.obs import MetricsRegistry
 from repro.obs.exposition import CONTENT_TYPE, metric_name, prometheus_text
 from repro.ops import OpsApiError, OpsApiServer, OpsClient, api as api_module
 from repro.ops.__main__ import main as walkthrough_main
 from repro.ops.manager import ClusterOps
 from repro.runtime.liveness import HeartbeatMonitor, NodeState
-from repro.runtime.replication import StaleTermError
-from repro.runtime.session import WALKTHROUGH_KILLED_NODE, walkthrough_gates
+from repro.runtime.replication import ReplicaGroup, ReplicaGuard, StaleTermError
+from repro.runtime.session import (
+    WALKTHROUGH_KILLED_NODE,
+    Session,
+    walkthrough_gates,
+)
 from tests.conftest import (
     GOLDEN_BACKEND,
     assert_each_breaker_fails_only_its_gate,
+    depose_in_place,
     report_digest,
 )
 
@@ -453,164 +453,51 @@ class TestOpsApiLive:
         assert audit["gpt_replicas_identical"] is True
 
 
-# ----------------------------------------------------------------------
-# Replicated control plane over HTTP: 307 redirects, committed op log
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture(scope="class")
-def replicated_api():
-    """A 3-daemon cluster with 3 controller replicas, one API each."""
-    ops = ClusterOps.launch(
-        num_nodes=3, seed=13, flows=240, replicas=3, ping_timeout=0.5
-    )
-    servers = [
-        OpsApiServer(ops, replica=r).start_background() for r in range(3)
-    ]
-    clients = [OpsClient(s.host, s.port) for s in servers]
-    try:
-        yield ops, servers, clients
-    finally:
-        try:
-            clients[0].shutdown()
-        except OSError:
-            pass
-        for server in servers:
-            server.shutdown()
-
-
-@pytest.mark.usefixtures("replicated_api")
-class TestReplicatedOpsApi:
-    def _leader_follower(self, ops):
-        leader = ops.replication.group.leader()
-        assert leader is not None
-        follower = next(r for r in range(3) if r != leader)
-        return leader, follower
-
-    def test_replication_status_from_every_endpoint(self, replicated_api):
-        ops, _servers, clients = replicated_api
-        docs = [c.replication() for c in clients]
-        assert all(d["enabled"] for d in docs)
-        assert len({d["leader"] for d in docs}) == 1
-        assert len({d["term"] for d in docs}) == 1
-        # Each server is bound to its replica and reports its own
-        # commit index; all three endpoints are registered.
-        for r, doc in enumerate(docs):
-            assert doc["bound_replica"] == r
-            assert doc["commit_index_here"] >= 0
-            assert sorted(doc["endpoints"]) == ["0", "1", "2"]
-        roles = [m["role"] for m in docs[0]["members"]]
-        assert roles.count("leader") == 1
-
-    def test_post_drain_to_follower_redirects_307(self, replicated_api):
-        ops, servers, _clients = replicated_api
-        leader, follower = self._leader_follower(ops)
-        raw = OpsClient(
-            servers[follower].host, servers[follower].port,
-            follow_redirects=False,
-        )
-        with pytest.raises(OpsApiError) as err:
-            raw.drain(2)
-        assert err.value.status == 307
-        assert err.value.location is not None
-        assert f":{servers[leader].port}" in err.value.location
-        # The redirect was raised before anything executed: the node
-        # is still in the cluster.
-        assert ops.cluster()["nodes"] == 3
-
-    def test_follower_drain_lands_via_redirect_and_is_committed(
-        self, replicated_api
-    ):
-        ops, _servers, clients = replicated_api
-        _leader, follower = self._leader_follower(ops)
-        drained = clients[follower].drain(2)
-        assert drained["accepted"] is True
-        assert clients[follower].last_redirects >= 1
-        assert "replication" in drained
-        index = drained["replication"]["index"]
-        joined = clients[follower].join(2)
-        assert joined["detail"]["new_nodes"] == 3
-        # The committed OpResult is readable from every replica's
-        # endpoint, at the same log index, with the same outcome.
-        views = [c.committed_ops() for c in clients]
-        assert views[0] == views[1] == views[2]
-        drain_records = [o for o in views[0] if o["verb"] == "drain"]
-        assert any(o["index"] == index for o in drain_records)
-        assert all("result" in o or "error" in o for o in views[0])
-
-    def test_failed_verbs_are_committed_with_their_error(
-        self, replicated_api
-    ):
-        ops, _servers, clients = replicated_api
-        leader, _follower = self._leader_follower(ops)
-        with pytest.raises(OpsApiError) as err:
-            clients[leader].fence(0)  # alive node: 409
-        assert err.value.status == 409
-        records = [
-            o for o in clients[leader].committed_ops()
-            if o["verb"] == "fence"
-        ]
-        assert records and records[-1]["status"] == 409
-
-    def test_fail_leader_advances_term_and_api_recovers(
-        self, replicated_api
-    ):
-        ops, _servers, clients = replicated_api
-        old_leader, _ = self._leader_follower(ops)
-        info = clients[old_leader].fail_leader()
-        assert info["new_term"] > info["old_term"]
-        assert info["new_leader"] != info["old_leader"]
-        # A mutation through the deposed endpoint follows the 307 and
-        # still lands committed.
-        totals = clients[old_leader].updates(connects=2)
-        assert totals["connects"] == 2
-        assert "replication" in totals
-
-
 def test_deposed_leader_in_flight_fence_rejected_by_term():
-    """Satellite regression: fence acquire/validate straddles a depose.
+    """Regression: a fence's acquire/validate straddles a depose.
 
-    The fence captures its term, the leader is deposed before the
-    irreversible SIGKILL, and the term re-check must reject the action
-    — the victim stays unfenced until the *new* leader fences it.
+    The controller is guarded by a replica group's leader core, as a
+    replica server guards its own.  The fence captures its term, the
+    leader is deposed before the irreversible SIGKILL, and the term
+    re-check must reject the action — the victim stays unfenced until a
+    controller guarded by the successor's core fences it.
     """
-    ops = ClusterOps.launch(
-        num_nodes=3, seed=13, flows=120, replicas=3, ping_timeout=0.5
-    )
-    try:
-        ops.suspend(1)
-        ops.poll(1)
-        controller = ops.controller
+    group = ReplicaGroup(num=3, seed=13)
+    old_leader = group.elect()
+    guard = ReplicaGuard(group.replicas[old_leader])
+    with Session(3, 13, guard=guard, ping_timeout=0.5) as session:
+        session.bootstrap(120)
+        session.suspend(1)
+        session.poll(1)
+        controller = session.controller
         assert controller.monitor.state(1) is NodeState.SUSPECT
         fences = controller.registry.counter("runtime.fences").value
-        real_acquire = controller.guard.acquire
+        term = group.replicas[old_leader].term
+        real_acquire = guard.acquire
 
         def racing_acquire(action):
-            term = real_acquire(action)
-            if action == "fence":
-                # Leadership changes between acquire and validate.
-                ops.replication.group.depose()
-            return term
+            acquired = real_acquire(action)
+            # Leadership changes between acquire and validate.
+            depose_in_place(group)
+            return acquired
 
-        controller.guard.acquire = racing_acquire
-        try:
-            with pytest.raises(StaleTermError, match="deposed"):
-                ops.fence(1)
-        finally:
-            controller.guard.acquire = real_acquire
+        guard.acquire = racing_acquire
+        with pytest.raises(StaleTermError, match="lost term"):
+            session.fence(1)
         # The SIGKILL never happened: the victim is still merely
         # SUSPECT and the fence counter did not move.
         assert controller.monitor.state(1) is NodeState.SUSPECT
         assert controller.registry.counter("runtime.fences").value == fences
-        # Under the new leader's lease the same fence goes through.
-        result = ops.fence(1)
+        # Under the successor's term the same fence goes through.
+        successor = ReplicaGuard(group.replicas[group.leader()])
+        assert successor.acquire("fence") > term
+        controller.guard = successor
+        result = session.fence(1)
         assert result["accepted"] is True
         assert controller.registry.counter("runtime.fences").value == fences + 1
-    finally:
-        ops.close()
 
 
-#: One way to break each gate the two API drills share.
+#: One way to break each differential gate of the API fence drill.
 DRILL_BREAKERS = {
     "no_divergence": (("phase2", "divergences"), 1),
     "byte_identical": (("phase1", "byte_identical"), False),
@@ -647,36 +534,9 @@ def test_operator_walkthrough_is_the_hand_written_drivers():
         )
 
 
-def test_failover_drill_end_to_end():
-    report = run_failover_drill(
-        num_nodes=3, seed=5, flows=200, packets=200, churn=40
-    )
-    assert report["term_advanced"] is True
-    assert report["redirected"] is True
-    assert report["single_leader"] is True
-    assert report["ops_visible_everywhere"] is True
-    assert report["audit"]["charging_identical"] is True
-    assert report["audit"]["gpt_replicas_identical"] is True
-    assert report["leaked_processes"] == 0
-    assert report["ok"] is True
-    assert_each_breaker_fails_only_its_gate(report, failover_drill_gates, {
-        **DRILL_BREAKERS,
-        "term_advanced": (("term_advanced",), False),
-        "redirected": (("redirected",), False),
-        "redirect_followed": (("churn2_redirects",), 0),
-        "single_leader": (("single_leader",), False),
-        "ops_visible_everywhere": (("ops_visible_everywhere",), False),
-    })
-    _assert_report_unchanged_but_for_gates(
-        report,
-        "3af8e00efde63b1b73fcfc7bc1eb7bdf"
-        "b0a2d5efb49c6e5cb5dd8b708067e04a",
-    )
-
-
 def _assert_report_unchanged_but_for_gates(report, digest):
-    """``gates`` is the one key the drills gained; the rest is the report
-    they produced when ``ok`` was spelled out inline."""
+    """``gates`` is the one key the drill gained; the rest is the report
+    it produced when ``ok`` was spelled out inline."""
     if GOLDEN_BACKEND:
         without = {k: v for k, v in report.items() if k != "gates"}
         assert report_digest(without) == digest

@@ -13,7 +13,8 @@ in its seed.  The suite covers the satellite requirements directly:
 * log replication — majority-ack commit, exactly-once client retries
   (cid dedup), committed entries surviving failover;
 * guard semantics — a deposed leader's in-flight leader-only action is
-  rejected by term check (:class:`ReplicaGuard`);
+  rejected by its own core's term check (:class:`ReplicaGuard`, the
+  guard the replica processes of :mod:`repro.runtime.replicated` run);
 * a hypothesis property: any seeded crash/restart sequence converges
   back to exactly one leader with identical committed prefixes.
 """
@@ -30,6 +31,7 @@ from repro.runtime.replication import (
     StaleTermError,
     StaticGuard,
 )
+from tests.conftest import depose_in_place
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -418,26 +420,30 @@ class TestGuards:
 
     def test_replica_guard_requires_a_leader(self):
         group = ReplicaGroup(num=3, seed=4)  # nobody elected yet
-        with pytest.raises(StaleTermError):
-            ReplicaGuard(group).acquire("fence")
+        for core in group.replicas.values():
+            with pytest.raises(StaleTermError):
+                ReplicaGuard(core).acquire("fence")
 
     def test_replica_guard_pinned_to_follower_refuses(self):
         group = ReplicaGroup(num=3, seed=4)
         leader = group.elect()
         follower = next(i for i in range(3) if i != leader)
         with pytest.raises(StaleTermError):
-            ReplicaGuard(group, node_id=follower).acquire("fence")
-        assert ReplicaGuard(group, node_id=leader).acquire("fence") >= 1
+            ReplicaGuard(group.replicas[follower]).acquire("fence")
+        assert ReplicaGuard(group.replicas[leader]).acquire("fence") >= 1
 
     def test_deposed_leaders_in_flight_action_is_rejected(self):
         group = ReplicaGroup(num=3, seed=4)
-        group.elect()
-        guard = ReplicaGuard(group)
+        leader = group.elect()
+        guard = ReplicaGuard(group.replicas[leader])
         term = guard.acquire("fence")
-        group.depose()
-        with pytest.raises(StaleTermError, match="deposed"):
+        successor = depose_in_place(group)
+        with pytest.raises(StaleTermError, match="lost term"):
             guard.validate(term, "fence")
+        with pytest.raises(StaleTermError):
+            guard.acquire("fence")
         # A fresh acquire under the new leader validates cleanly.
+        guard = ReplicaGuard(group.replicas[successor])
         term2 = guard.acquire("fence")
         assert term2 > term
         guard.validate(term2, "fence")
