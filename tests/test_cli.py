@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import main, make_parser
 
 
 @pytest.fixture()
@@ -100,6 +100,20 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("argv", [
+        ["serve-api", "--replicas", "3"],
+        ["ctl", "status"],
+        ["ctl", "committed"],
+        ["ctl", "fail-leader"],
+    ])
+    def test_ops_replication_options_are_refused(self, argv, capsys):
+        # The operator API serves one controller; runtime-demo
+        # --replicas is the replicated control plane.
+        with pytest.raises(SystemExit) as exc:
+            make_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert argv[-1] in capsys.readouterr().err
 
 
 class TestJsonOutput:

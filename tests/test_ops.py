@@ -292,6 +292,19 @@ class TestOpsApiLive:
             api._post("/v1/nodes/0/explode")
         assert err.value.status == 404
 
+    @pytest.mark.parametrize("method, path", [
+        ("GET", "/v1/replication"),
+        ("GET", "/v1/replication/ops"),
+        ("POST", "/v1/replication/fail-leader"),
+    ])
+    def test_replication_routes_are_404(self, api, method, path):
+        # One controller behind the API: no replica status, op log or
+        # failover verb, and the cluster document names no replication.
+        with pytest.raises(OpsApiError) as err:
+            api._request(method, path)
+        assert err.value.status == 404
+        assert "replication" not in api.cluster()
+
     def test_fence_alive_node_is_409(self, api):
         with pytest.raises(OpsApiError) as err:
             api.fence(0)

@@ -448,6 +448,22 @@ class TestGuards:
         assert term2 > term
         guard.validate(term2, "fence")
 
+    def test_replica_guard_admits_only_the_current_term(self):
+        group = ReplicaGroup(num=3, seed=4)
+        leader = group.elect()
+        guard = ReplicaGuard(group.replicas[leader])
+        term = guard.acquire("fence")
+        guard.validate(term, "fence")
+        with pytest.raises(StaleTermError, match="lost term"):
+            guard.validate(term - 1, "fence")
+        # Deposed, the core has seen the successor's higher term, yet
+        # that term is not its own to act under.
+        depose_in_place(group)
+        core = group.replicas[leader]
+        assert core.term > term
+        with pytest.raises(StaleTermError, match="lost term"):
+            guard.validate(core.term, "fence")
+
 
 # ----------------------------------------------------------------------
 # Property: seeded crash/restart chaos converges to one leader
